@@ -48,7 +48,7 @@ pub enum DmPlacement {
     /// Consistent-hash sharded placement with ownership migration
     /// (DESIGN.md §13). Every endpoint builds the same ring off the
     /// cluster seed and routes refs locally; workloads ride it unchanged.
-    Sharded(dmnet::ShardConfig),
+    Sharded,
 }
 
 /// One compute server: node id plus its CPU and memory models.
@@ -480,28 +480,16 @@ impl Cluster {
         let ep = match self.kind {
             SystemKind::Erpc => DmRpc::baseline(rpc),
             SystemKind::DmNet => {
-                let dm = match self.config.dm_placement {
-                    DmPlacement::RoundRobin => {
-                        DmNetClient::connect_limited(
-                            rpc.clone(),
-                            self.dm_pool.clone(),
-                            self.config.dm_client_cache,
-                            self.config.dm_client_limit,
-                        )
-                        .await
-                    }
-                    DmPlacement::Sharded(shard) => {
-                        DmNetClient::connect_sharded_limited(
-                            rpc.clone(),
-                            self.dm_pool.clone(),
-                            self.config.dm_client_cache,
-                            shard,
-                            self.seed,
-                            self.config.dm_client_limit,
-                        )
-                        .await
-                    }
-                }
+                let ring = (self.config.dm_placement == DmPlacement::Sharded)
+                    .then(|| dmnet::HashRing::new(self.dm_pool.len(), self.seed));
+                let dm = DmNetClient::connect_with(
+                    rpc.clone(),
+                    self.dm_pool.clone(),
+                    self.config.dm_client_cache,
+                    self.config.dm_client_limit,
+                    ring,
+                )
+                .await
                 .expect("DM pool registration");
                 let handle = DmHandle::Net(Rc::new(dm));
                 match self.config.threshold {

@@ -391,9 +391,15 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                 // Caching + batching + per-ref coherence on: the fault
                 // sweep must hold every invariant with the DESIGN.md §9/§15
                 // client cache in play.
-                DmNetClient::connect_with(rpc, pool.clone(), CacheConfig::fine_grained())
-                    .await
-                    .expect("fault-free connect"),
+                DmNetClient::connect_with(
+                    rpc,
+                    pool.clone(),
+                    CacheConfig::fine_grained(),
+                    dmnet::ClientLimitConfig::default(),
+                    None,
+                )
+                .await
+                .expect("fault-free connect"),
             ));
             client_nodes.push(node);
         }
@@ -533,6 +539,8 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                     fine_grained: true,
                     ..CacheConfig::default()
                 },
+                dmnet::ClientLimitConfig::default(),
+                None,
             )
             .await
             .expect("healed fabric: verifier connect");
@@ -645,12 +653,12 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
                 .config(chaos_rpc_config())
                 .build();
             clients.push(Rc::new(
-                DmNetClient::connect_sharded(
+                DmNetClient::connect_with(
                     rpc,
                     pool.clone(),
                     CacheConfig::fine_grained(),
-                    dmnet::ShardConfig::default(),
-                    seed,
+                    dmnet::ClientLimitConfig::default(),
+                    Some(dmnet::HashRing::new(pool.len(), seed)),
                 )
                 .await
                 .expect("fault-free connect"),

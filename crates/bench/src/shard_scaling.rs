@@ -70,7 +70,7 @@ impl ShardStats {
 
 fn sharded_config() -> ClusterConfig {
     ClusterConfig {
-        dm_placement: DmPlacement::Sharded(dmnet::ShardConfig::default()),
+        dm_placement: DmPlacement::Sharded,
         ..ClusterConfig::default()
     }
 }

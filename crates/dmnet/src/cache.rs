@@ -52,6 +52,13 @@ const MAX_REQ: usize = req::INVALIDATE as usize + 1;
 /// lease expires, never serve diverged bytes.
 const KNOWN_MAX: usize = 1024;
 
+/// How long queued control ops may wait for company before a batch is
+/// flushed (virtual time).
+pub(crate) const FLUSH_WINDOW: Duration = Duration::from_micros(10);
+
+/// Ref-data entries kept per server (FIFO eviction).
+const MAX_ENTRIES: usize = 256;
+
 /// Tuning for the client-side cache and coalescer. The default disables
 /// both, keeping a raw [`crate::DmNetClient`]'s wire behavior identical to
 /// the pre-cache client; [`CacheConfig::all_on`] is what the cluster layer
@@ -62,11 +69,6 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Coalesce control ops into batched wire messages.
     pub batching: bool,
-    /// How long queued control ops may wait for company before a batch is
-    /// flushed (virtual time).
-    pub flush_window: Duration,
-    /// Ref-data entries kept per server (FIFO eviction).
-    pub max_entries: usize,
     /// Per-ref coherence: fold piggybacked `(key, version)` trailers and
     /// targeted [`req::INVALIDATE`] pushes instead of relying on the
     /// global epoch alone. Must match the server's `coherence` setting
@@ -83,8 +85,6 @@ impl Default for CacheConfig {
         CacheConfig {
             enabled: false,
             batching: false,
-            flush_window: Duration::from_micros(10),
-            max_entries: 256,
             fine_grained: false,
             read_lease: Duration::from_micros(50),
         }
@@ -451,7 +451,7 @@ impl ClientCache {
         {
             order.push_back(key);
         }
-        while data.len() > self.config.max_entries {
+        while data.len() > MAX_ENTRIES {
             let oldest = order.pop_front().expect("order tracks data");
             data.remove(&oldest);
         }
@@ -680,34 +680,28 @@ pub(crate) fn read_free_marker(body: &Bytes) -> u64 {
 mod tests {
     use super::*;
 
-    fn cache(max_entries: usize) -> ClientCache {
-        ClientCache::new(
-            1,
-            CacheConfig {
-                enabled: true,
-                batching: true,
-                max_entries,
-                ..CacheConfig::default()
-            },
-        )
+    fn cache() -> ClientCache {
+        ClientCache::new(1, CacheConfig::all_on())
     }
 
     #[test]
     fn data_fifo_eviction() {
-        let c = cache(2);
-        c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-        c.fill_data(0, 2, 0, Bytes::from_static(b"b"));
-        c.fill_data(0, 3, 0, Bytes::from_static(b"c"));
+        let c = cache();
+        // One entry past the bound evicts exactly the oldest.
+        let n = MAX_ENTRIES as u64 + 1;
+        for key in 1..=n {
+            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+        }
         assert!(c.lookup_data(0, 1, 0, 1).is_none(), "oldest evicted");
-        assert_eq!(c.lookup_data(0, 2, 0, 1).unwrap(), Bytes::from_static(b"b"));
-        assert_eq!(c.lookup_data(0, 3, 0, 1).unwrap(), Bytes::from_static(b"c"));
+        assert_eq!(c.lookup_data(0, 2, 0, 1).unwrap(), Bytes::from_static(b"a"));
+        assert_eq!(c.lookup_data(0, n, 0, 1).unwrap(), Bytes::from_static(b"a"));
         assert_eq!(c.stats().hits(), 2);
         assert_eq!(c.stats().misses(), 1);
     }
 
     #[test]
     fn epoch_advance_invalidates_everything() {
-        let c = cache(8);
+        let c = cache();
         c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
         assert!(c.lookup_data(0, 1, 0, 1).is_some());
         assert!(!c.observe_epoch(0, 3), "no deferred mappings to free");
@@ -723,7 +717,7 @@ mod tests {
 
     #[test]
     fn partial_reads_served_from_prefix() {
-        let c = cache(8);
+        let c = cache();
         c.fill_data(0, 7, 0, Bytes::from_static(b"abcdef"));
         assert_eq!(
             c.lookup_data(0, 7, 2, 3).unwrap(),
@@ -734,7 +728,7 @@ mod tests {
 
     #[test]
     fn mapping_defer_and_reuse_state_machine() {
-        let c = cache(8);
+        let c = cache();
         c.note_mapping(0, 9, 0x1000, 4096, 0);
         // In use: a second map of the same key is not served from cache.
         assert!(c.take_mapping(0, 9).is_none());
@@ -753,7 +747,7 @@ mod tests {
 
     #[test]
     fn epoch_advance_frees_deferred_mappings() {
-        let c = cache(8);
+        let c = cache();
         c.note_mapping(0, 9, 0x1000, 4096, 0);
         assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::Deferred));
         // The advance must queue the real free and ask for a flush.
@@ -767,7 +761,7 @@ mod tests {
 
     #[test]
     fn conflict_sets_track_queued_ops() {
-        let c = cache(8);
+        let c = cache();
         assert!(c.enqueue(0, req::RELEASE_REF, Bytes::new(), Some(5), None));
         assert!(
             !c.enqueue(0, req::RELEASE_REF, Bytes::new(), Some(6), None),

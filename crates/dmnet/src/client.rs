@@ -13,6 +13,10 @@
 //! control ops (`release_ref`, deferred mapping frees) ride a single
 //! [`req::BATCH`] message per flush window. [`DmNetClient::connect`] keeps
 //! both off, preserving the raw one-op-one-RPC behavior.
+//!
+//! Every op reaches the wire through one function (`request_at`);
+//! placement, key kind, coherence and overload behavior are data it reads,
+//! not separate paths.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -25,13 +29,18 @@ use rpclib::{Backoff, Rpc};
 use simcore::sync::Semaphore;
 use simnet::Addr;
 
-use crate::cache::{CacheConfig, CacheStats, ClientCache, FreeAction};
-use crate::proto::{self, req, split_response, Reader, Routed, Writer};
-use crate::shard::{HashRing, ShardConfig, GKEY_BIT};
+use crate::cache::{CacheConfig, CacheStats, ClientCache, FreeAction, FLUSH_WINDOW};
+use crate::proto::{self, req, split_response, Reader, Reply, Writer};
+use crate::shard::{HashRing, GKEY_BIT};
 
 /// Queued control ops per server before a flush is forced ahead of the
 /// timer (bounds batch size and client-side queue memory).
 const MAX_BATCH_OPS: usize = 64;
+
+/// First wait before retrying a `Busy` rejection; doubles per attempt (the
+/// PR 2 backoff schedule, via [`rpclib::Backoff`]) up to the cap.
+const BUSY_BACKOFF: Duration = Duration::from_micros(20);
+const BUSY_BACKOFF_CAP: Duration = Duration::from_micros(640);
 
 /// Client-side overload behavior (DESIGN.md §14): an optional token
 /// limit bounding this process's concurrent DM wire ops, and a
@@ -39,7 +48,7 @@ const MAX_BATCH_OPS: usize = 64;
 /// [`DmError::Busy`] rejection. The default turns both off — a client
 /// built with it behaves draw-for-draw like one built before overload
 /// control existed (`Busy` then surfaces to the caller like any error).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ClientLimitConfig {
     /// Max concurrent wire requests from this client (`None` = unlimited).
     /// Excess callers wait locally — backpressure instead of offered load.
@@ -47,22 +56,6 @@ pub struct ClientLimitConfig {
     /// How many times a `Busy` rejection is retried (with backoff) before
     /// surfacing to the caller. 0 = never retry.
     pub busy_retries: u32,
-    /// First retry wait; doubles per attempt (the PR 2 backoff schedule,
-    /// via [`rpclib::Backoff`]).
-    pub busy_backoff: Duration,
-    /// Backoff saturation.
-    pub busy_backoff_cap: Duration,
-}
-
-impl Default for ClientLimitConfig {
-    fn default() -> Self {
-        ClientLimitConfig {
-            max_inflight: None,
-            busy_retries: 0,
-            busy_backoff: Duration::from_micros(20),
-            busy_backoff_cap: Duration::from_micros(640),
-        }
-    }
 }
 
 impl ClientLimitConfig {
@@ -72,18 +65,17 @@ impl ClientLimitConfig {
         ClientLimitConfig {
             max_inflight: Some(64),
             busy_retries: 3,
-            ..ClientLimitConfig::default()
         }
     }
 }
 
-/// Client-side shard router (DESIGN.md §13). Present only on clients built
-/// with [`DmNetClient::connect_sharded`]: `put_ref` then mints global keys
+/// Client-side shard router (DESIGN.md §13). Present only on clients
+/// connected with a [`HashRing`]: `put_ref` then mints global keys
 /// and places them by consistent hashing, and every gkey-named op resolves
 /// its target locally — relocation cache first (learned from redirect
 /// chases, so tombstone chains collapse to one hop), ring second.
 struct ShardRouter {
-    ring: RefCell<HashRing>,
+    ring: HashRing,
     /// gkey → observed home, learned by chasing redirects. Entries drop
     /// when the gkey answers at its ring home again or is released.
     reloc: RefCell<HashMap<u64, DmServerId>>,
@@ -102,6 +94,15 @@ impl ShardRouter {
         let c = self.next_gkey.get();
         self.next_gkey.set(c + 1);
         GKEY_BIT | ((self.node as u64) << 48) | ((self.port as u64) << 32) | c as u64
+    }
+
+    /// Current target for `gkey`: relocation cache first (a chased
+    /// redirect), ring placement second.
+    fn route(&self, gkey: u64) -> DmServerId {
+        match self.reloc.borrow().get(&gkey) {
+            Some(&s) => s,
+            None => self.ring.route(gkey),
+        }
     }
 }
 
@@ -122,13 +123,13 @@ pub struct DmNetClient {
     /// stops the renewal task and any pending batch flush.
     alive: Rc<Cell<bool>>,
     cache: Rc<ClientCache>,
-    /// Sharded placement (DESIGN.md §13), present only on clients built
-    /// with [`DmNetClient::connect_sharded`].
+    /// Sharded placement (DESIGN.md §13), present only on clients
+    /// connected with a [`HashRing`].
     router: Option<ShardRouter>,
-    /// Overload behavior (DESIGN.md §14).
-    limit: ClientLimitConfig,
-    /// Token pool bounding concurrent wire ops, when `limit.max_inflight`
-    /// is set.
+    /// `Busy` rejections retried before one surfaces (DESIGN.md §14).
+    busy_retries: u32,
+    /// Token pool bounding concurrent wire ops, when
+    /// [`ClientLimitConfig::max_inflight`] is set.
     tokens: Option<Semaphore>,
     /// `Busy` rejections absorbed by the retry loop (observability).
     busy_retried: Cell<u64>,
@@ -136,31 +137,30 @@ pub struct DmNetClient {
 
 impl DmNetClient {
     /// Register this process with every DM server in the pool, with the
-    /// client cache and coalescer off ([`CacheConfig::default`]).
+    /// client cache and coalescer off ([`CacheConfig::default`]), no
+    /// overload behavior and round-robin placement.
     pub async fn connect(rpc: Rc<Rpc>, servers: Vec<Addr>) -> DmResult<DmNetClient> {
-        DmNetClient::connect_with(rpc, servers, CacheConfig::default()).await
+        let (cache, limit) = (CacheConfig::default(), ClientLimitConfig::default());
+        DmNetClient::connect_with(rpc, servers, cache, limit, None).await
     }
 
     /// Register this process with every DM server in the pool. If the
     /// servers grant leases, a background task renews them until the client
-    /// is dropped or [`DmNetClient::simulate_crash`] is called. `cache`
-    /// selects the DESIGN.md §9 caching/batching behavior.
+    /// is dropped or [`DmNetClient::simulate_crash`] is called.
+    ///
+    /// `cache` selects the DESIGN.md §9 caching/batching behavior and
+    /// `limit` the DESIGN.md §14 overload behavior (a token pool bounding
+    /// this process's concurrent wire ops and a backed-off retry loop for
+    /// typed `Busy` rejections). With `ring` set, `put_ref` places refs by
+    /// consistent hashing over the pool instead of round-robin (every
+    /// client must be handed the same ring, i.e. the same seed), and
+    /// gkey-named ops chase migration redirects transparently.
     pub async fn connect_with(
         rpc: Rc<Rpc>,
         servers: Vec<Addr>,
         cache: CacheConfig,
-    ) -> DmResult<DmNetClient> {
-        DmNetClient::connect_limited(rpc, servers, cache, ClientLimitConfig::default()).await
-    }
-
-    /// [`DmNetClient::connect_with`] plus client-side overload behavior
-    /// (DESIGN.md §14): a token pool bounding this process's concurrent
-    /// wire ops and a backed-off retry loop for typed `Busy` rejections.
-    pub async fn connect_limited(
-        rpc: Rc<Rpc>,
-        servers: Vec<Addr>,
-        cache: CacheConfig,
         limit: ClientLimitConfig,
+        ring: Option<HashRing>,
     ) -> DmResult<DmNetClient> {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
         let cache = Rc::new(ClientCache::new(servers.len(), cache));
@@ -172,9 +172,9 @@ impl DmNetClient {
                 .call(s, req::REGISTER, Bytes::new())
                 .await
                 .map_err(|_| DmError::Transport)?;
-            let (epoch, body) = split_response(&resp);
+            let (epoch, reply) = split_response(&resp);
             cache.observe_epoch(i, epoch);
-            let body = body?;
+            let body = reply.result()?;
             // Coherent servers append a version trailer to every ok
             // response (n = 0 here: REGISTER touches no refs).
             let body = if cache.config().fine_grained {
@@ -194,39 +194,21 @@ impl DmNetClient {
             // that bumps a ref's version sends `[key u64][ver u64]` to every
             // read-lease holder. Folding the version drops exactly the named
             // key's cached entries; everything else keeps serving.
-            let cache_h = cache.clone();
-            let servers_h = servers.clone();
-            let pids_h = pids.clone();
-            let rpc_h = rpc.clone();
-            let alive_h = alive.clone();
-            let window = cache.config().flush_window;
+            let pool: Rc<[(Addr, GlobalPid)]> =
+                servers.iter().copied().zip(pids.iter().copied()).collect();
+            let (cache_h, rpc_h, alive_h) = (cache.clone(), rpc.clone(), alive.clone());
             rpc.register(req::INVALIDATE, move |ctx| {
-                let cache = cache_h.clone();
-                let servers = servers_h.clone();
-                let pids = pids_h.clone();
-                let rpc = rpc_h.clone();
-                let alive = alive_h.clone();
+                let (cache, rpc, alive) = (cache_h.clone(), rpc_h.clone(), alive_h.clone());
+                let pool = pool.clone();
                 async move {
                     let mut r = Reader::new(&ctx.payload);
                     if let (Ok(key), Ok(ver)) = (r.u64(), r.u64()) {
-                        let idx = servers
-                            .iter()
-                            .position(|a| a.node.0 == ctx.src.node.0 && a.port == ctx.src.port);
-                        if let Some(idx) = idx {
+                        if let Some(idx) = pool.iter().position(|&(a, _)| a == ctx.src) {
                             // An invalidated idle mapping becomes a queued
                             // free; drain it on the usual flush window.
                             if cache.observe_version(idx, key, ver, true) && alive.get() {
-                                let addr = servers[idx];
-                                let pid = pids[idx];
-                                simcore::spawn(async move {
-                                    loop {
-                                        simcore::sleep(window).await;
-                                        flush_batch(&rpc, &cache, &alive, idx, addr, pid).await;
-                                        if !alive.get() || !cache.has_pending(idx) {
-                                            return;
-                                        }
-                                    }
-                                });
+                                let (addr, pid) = pool[idx];
+                                spawn_flush(&rpc, &cache, &alive, idx, addr, pid);
                             }
                         }
                     }
@@ -260,6 +242,19 @@ impl DmNetClient {
                 });
             }
         }
+        let router = ring.map(|ring| {
+            assert_eq!(ring.n_servers(), servers.len(), "ring built for this pool");
+            let addr = rpc.addr();
+            assert!(addr.node.0 < (1 << 15), "gkey node space is 15 bits");
+            ShardRouter {
+                ring,
+                reloc: RefCell::new(HashMap::new()),
+                next_gkey: Cell::new(0),
+                redirects_chased: Cell::new(0),
+                node: addr.node.0,
+                port: addr.port,
+            }
+        });
         Ok(DmNetClient {
             rpc,
             servers,
@@ -268,58 +263,11 @@ impl DmNetClient {
             lease_ttl,
             alive,
             cache,
-            router: None,
-            limit,
+            router,
+            busy_retries: limit.busy_retries,
             tokens: limit.max_inflight.map(Semaphore::new),
             busy_retried: Cell::new(0),
         })
-    }
-
-    /// [`DmNetClient::connect_with`] plus the shard router: `put_ref`
-    /// places refs by consistent hashing over the pool (ring derived from
-    /// `seed`, so every client and every run agree), and gkey-named ops
-    /// chase migration redirects transparently.
-    pub async fn connect_sharded(
-        rpc: Rc<Rpc>,
-        servers: Vec<Addr>,
-        cache: CacheConfig,
-        shard: ShardConfig,
-        seed: u64,
-    ) -> DmResult<DmNetClient> {
-        DmNetClient::connect_sharded_limited(
-            rpc,
-            servers,
-            cache,
-            shard,
-            seed,
-            ClientLimitConfig::default(),
-        )
-        .await
-    }
-
-    /// [`DmNetClient::connect_sharded`] with client-side overload
-    /// behavior (DESIGN.md §14).
-    pub async fn connect_sharded_limited(
-        rpc: Rc<Rpc>,
-        servers: Vec<Addr>,
-        cache: CacheConfig,
-        shard: ShardConfig,
-        seed: u64,
-        limit: ClientLimitConfig,
-    ) -> DmResult<DmNetClient> {
-        let n = servers.len();
-        let mut client = DmNetClient::connect_limited(rpc, servers, cache, limit).await?;
-        let addr = client.rpc.addr();
-        assert!(addr.node.0 < (1 << 15), "gkey node space is 15 bits");
-        client.router = Some(ShardRouter {
-            ring: RefCell::new(HashRing::new(n, shard, seed)),
-            reloc: RefCell::new(HashMap::new()),
-            next_gkey: Cell::new(0),
-            redirects_chased: Cell::new(0),
-            node: addr.node.0,
-            port: addr.port,
-        });
-        Ok(client)
     }
 
     /// Whether this client routes `put_ref` through the shard ring.
@@ -390,63 +338,131 @@ impl DmNetClient {
         self.busy_retried.get()
     }
 
-    /// Fresh backoff for one op's `Busy`-retry loop (the PR 2 schedule).
-    fn busy_backoff(&self) -> Backoff {
-        Backoff::new(self.limit.busy_backoff, self.limit.busy_backoff_cap)
+    /// Whether ops naming `key` are routed by this client (ring placement
+    /// and redirect chasing) rather than sent to the server their [`Ref`]
+    /// names: global keys, on a client connected with a ring.
+    fn routes(&self, key: u64) -> bool {
+        self.router.is_some() && key & GKEY_BIT != 0
     }
 
-    /// Send one wire request and fold the piggybacked invalidation epoch
-    /// into the cache. Returns the epoch alongside the decoded result so
-    /// fill paths can stamp entries with the epoch their bytes were read
-    /// under. Wraps the raw send in the client-side overload behavior:
-    /// token acquisition (when a concurrency limit is installed) and a
-    /// backed-off retry of typed `Busy` rejections. With the default
-    /// (off) config neither path touches an await point or RNG, so the
-    /// schedule is identical to the raw send.
-    async fn request_ep(&self, server: DmServerId, ty: u8, body: Bytes) -> (u64, DmResult<Bytes>) {
+    /// Resolve a ref to its `(home, key)`: routed keys home where the
+    /// relocation cache or the ring says, every other key at the server
+    /// the ref names.
+    fn resolve(&self, r: &Ref) -> DmResult<(DmServerId, u64)> {
+        let Ref::Net { server, key, .. } = r else {
+            return Err(DmError::InvalidRef);
+        };
+        match &self.router {
+            Some(router) if self.routes(*key) => Ok((router.route(*key), *key)),
+            _ => Ok((*server, *key)),
+        }
+    }
+
+    /// Send one wire request — the only way any op reaches the wire.
+    /// Returns `(epoch, home, result)`: the invalidation epoch piggybacked
+    /// on the response (fill paths stamp entries with the epoch their
+    /// bytes were read under) and the server that answered.
+    ///
+    /// In order: token acquisition (when a concurrency limit is installed);
+    /// the send, counted per type; folding the response's epoch and version
+    /// trailer into the cache; then either a result, a backed-off retry of
+    /// a typed `Busy` rejection, or — only for a `key` this client
+    /// [routes](Self::routes) — one hop of a `Moved` redirect chase. Each
+    /// hop follows a tombstone laid by a distinct migration and updates the
+    /// relocation cache, so the next op on the same gkey goes direct; the
+    /// chase is bounded by the pool size (a tombstone chain cannot revisit
+    /// a server without the gkey having answered there). A redirect
+    /// answering any other request is a protocol violation (`Malformed`).
+    ///
+    /// With the default (off) limit config neither the token nor the retry
+    /// path touches an await point or RNG, so the schedule is identical to
+    /// a bare send.
+    async fn request_at(
+        &self,
+        mut server: DmServerId,
+        key: Option<u64>,
+        ty: u8,
+        body: Bytes,
+    ) -> (u64, DmServerId, DmResult<Bytes>) {
+        // The router and gkey, when this request names a key it routes.
+        let chase = self.router.as_ref().zip(key.filter(|&k| self.routes(k)));
         let _token = match &self.tokens {
             Some(sem) => Some(sem.acquire_one().await),
             None => None,
         };
-        let mut backoff = self.busy_backoff();
-        let mut retries_left = self.limit.busy_retries;
+        let mut backoff = Backoff::new(BUSY_BACKOFF, BUSY_BACKOFF_CAP);
+        let mut retries_left = self.busy_retries;
+        let mut hops = 0;
         loop {
-            let (epoch, result) = self.request_ep_raw(server, ty, body.clone()).await;
-            match result {
-                Err(DmError::Busy) if retries_left > 0 => {
+            let addr = match self.server_addr(server) {
+                Ok(a) => a,
+                Err(e) => return (0, server, Err(e)),
+            };
+            self.cache.count_wire(ty);
+            let resp = match self.rpc.call(addr, ty, body.clone()).await {
+                Ok(r) => r,
+                Err(_) => return (0, server, Err(DmError::Transport)),
+            };
+            let (epoch, reply) = split_response(&resp);
+            if self.cache.observe_epoch(server.0 as usize, epoch) {
+                self.schedule_flush(server);
+            }
+            match (reply, chase) {
+                (Reply::Ok(body), _) => {
+                    let result = self.fold_versions(server, body);
+                    if let (Ok(_), Some((router, gkey))) = (&result, chase) {
+                        // Remember an off-ring home; forget a stale entry the
+                        // moment the gkey answers at its ring home again.
+                        if router.ring.route(gkey) != server {
+                            router.reloc.borrow_mut().insert(gkey, server);
+                        } else {
+                            router.reloc.borrow_mut().remove(&gkey);
+                        }
+                    }
+                    return (epoch, server, result);
+                }
+                (Reply::Moved { node, port }, Some((router, gkey))) => {
+                    let Some(next) = self.addr_to_server(node, port) else {
+                        return (epoch, server, Err(DmError::InvalidAddress));
+                    };
+                    // The tombstone proves the gkey left this server: its
+                    // cached bytes/mappings under this index are orphaned
+                    // (the general epoch sweep would only reap them after
+                    // an unrelated bump). Drop them now so a future
+                    // migration back cannot resurrect pre-move bytes.
+                    if self.cache.config().enabled
+                        && self.cache.invalidate_key(server.0 as usize, gkey)
+                    {
+                        self.schedule_flush(server);
+                    }
+                    router
+                        .redirects_chased
+                        .set(router.redirects_chased.get() + 1);
+                    router.reloc.borrow_mut().insert(gkey, next);
+                    server = next;
+                    hops += 1;
+                    if hops > self.servers.len() {
+                        return (0, server, Err(DmError::InvalidRef));
+                    }
+                }
+                (Reply::Err(DmError::Busy), _) if retries_left > 0 => {
                     retries_left -= 1;
                     self.busy_retried.set(self.busy_retried.get() + 1);
                     simcore::sleep(backoff.next_wait()).await;
+                    // Re-resolve the route after the wait: the gkey may
+                    // have migrated while the server was saturated.
+                    if let Some((router, gkey)) = chase {
+                        server = router.route(gkey);
+                        hops = 0;
+                    }
                 }
-                _ => return (epoch, result),
+                (other, _) => return (epoch, server, other.result()),
             }
         }
     }
 
-    async fn request_ep_raw(
-        &self,
-        server: DmServerId,
-        ty: u8,
-        body: Bytes,
-    ) -> (u64, DmResult<Bytes>) {
-        let addr = match self.server_addr(server) {
-            Ok(a) => a,
-            Err(e) => return (0, Err(e)),
-        };
-        self.cache.count_wire(ty);
-        let resp = match self.rpc.call(addr, ty, body).await {
-            Ok(r) => r,
-            Err(_) => return (0, Err(DmError::Transport)),
-        };
-        let (epoch, result) = split_response(&resp);
-        if self.cache.observe_epoch(server.0 as usize, epoch) {
-            self.schedule_flush(server);
-        }
-        let result = match result {
-            Ok(body) => self.fold_versions(server, body),
-            e => e,
-        };
-        (epoch, result)
+    async fn request(&self, server: DmServerId, ty: u8, body: Bytes) -> DmResult<Bytes> {
+        self.request_at(server, None, ty, body).await.2
     }
 
     /// Strip the per-ref version trailer a coherent server appends to every
@@ -469,20 +485,6 @@ impl DmNetClient {
         Ok(body)
     }
 
-    async fn request(&self, server: DmServerId, ty: u8, body: Bytes) -> DmResult<Bytes> {
-        self.request_ep(server, ty, body).await.1
-    }
-
-    /// Current target for `gkey`: relocation cache first (a chased
-    /// redirect), ring placement second.
-    fn route_gkey(&self, gkey: u64) -> DmServerId {
-        let router = self.router.as_ref().expect("gkey routing without router");
-        if let Some(&s) = router.reloc.borrow().get(&gkey) {
-            return s;
-        }
-        router.ring.borrow().route(gkey)
-    }
-
     fn addr_to_server(&self, node: u32, port: u16) -> Option<DmServerId> {
         self.servers
             .iter()
@@ -490,89 +492,11 @@ impl DmNetClient {
             .map(|i| DmServerId(i as u8))
     }
 
-    /// Send a gkey-named request, chasing `Moved` redirects. Each hop
-    /// follows a tombstone laid by a distinct migration and updates the
-    /// relocation cache, so the next op on the same gkey goes direct; the
-    /// chase is bounded by the pool size (a tombstone chain cannot revisit
-    /// a server without the gkey having answered there).
-    async fn request_routed(&self, gkey: u64, ty: u8, body: Bytes) -> (u64, DmResult<Bytes>) {
-        let _token = match &self.tokens {
-            Some(sem) => Some(sem.acquire_one().await),
-            None => None,
-        };
-        let mut backoff = self.busy_backoff();
-        let mut retries_left = self.limit.busy_retries;
-        loop {
-            let (epoch, result) = self.request_routed_raw(gkey, ty, body.clone()).await;
-            match result {
-                Err(DmError::Busy) if retries_left > 0 => {
-                    retries_left -= 1;
-                    self.busy_retried.set(self.busy_retried.get() + 1);
-                    // Re-resolve the route after the wait: the gkey may
-                    // have migrated while the server was saturated.
-                    simcore::sleep(backoff.next_wait()).await;
-                }
-                _ => return (epoch, result),
-            }
-        }
-    }
-
-    async fn request_routed_raw(&self, gkey: u64, ty: u8, body: Bytes) -> (u64, DmResult<Bytes>) {
-        let mut server = self.route_gkey(gkey);
-        for _ in 0..self.servers.len() + 1 {
-            let addr = match self.server_addr(server) {
-                Ok(a) => a,
-                Err(e) => return (0, Err(e)),
-            };
-            self.cache.count_wire(ty);
-            let resp = match self.rpc.call(addr, ty, body.clone()).await {
-                Ok(r) => r,
-                Err(_) => return (0, Err(DmError::Transport)),
-            };
-            let (epoch, routed) = proto::split_response_routed(&resp);
-            if self.cache.observe_epoch(server.0 as usize, epoch) {
-                self.schedule_flush(server);
-            }
-            let router = self.router.as_ref().expect("routed request without router");
-            match routed {
-                Routed::Ok(b) => {
-                    let b = match self.fold_versions(server, b) {
-                        Ok(b) => b,
-                        Err(e) => return (epoch, Err(e)),
-                    };
-                    // Remember an off-ring home; forget a stale entry the
-                    // moment the gkey answers at its ring home again.
-                    if router.ring.borrow().route(gkey) != server {
-                        router.reloc.borrow_mut().insert(gkey, server);
-                    } else {
-                        router.reloc.borrow_mut().remove(&gkey);
-                    }
-                    return (epoch, Ok(b));
-                }
-                Routed::Moved { node, port } => {
-                    let Some(next) = self.addr_to_server(node, port) else {
-                        return (epoch, Err(DmError::InvalidAddress));
-                    };
-                    // The tombstone proves the gkey left this server: its
-                    // cached bytes/mappings under this index are orphaned
-                    // (the general epoch sweep would only reap them after
-                    // an unrelated bump). Drop them now so a future
-                    // migration back cannot resurrect pre-move bytes.
-                    if self.cache.config().enabled
-                        && self.cache.invalidate_key(server.0 as usize, gkey)
-                    {
-                        self.schedule_flush(server);
-                    }
-                    router
-                        .redirects_chased
-                        .set(router.redirects_chased.get() + 1);
-                    router.reloc.borrow_mut().insert(gkey, next);
-                    server = next;
-                }
-                Routed::Err(e) => return (epoch, Err(e)),
-            }
-        }
-        (0, Err(DmError::InvalidRef))
+    /// Next server in this client's round-robin over the pool.
+    fn next_round_robin(&self) -> DmServerId {
+        let idx = self.next_rr.get() % self.servers.len();
+        self.next_rr.set(idx + 1);
+        DmServerId(idx as u8)
     }
 
     /// Spawn the bounded-window flush timer for `server`'s queued control
@@ -580,23 +504,8 @@ impl DmNetClient {
     /// pending.
     fn schedule_flush(&self, server: DmServerId) {
         let idx = server.0 as usize;
-        let rpc = self.rpc.clone();
-        let cache = self.cache.clone();
-        let alive = self.alive.clone();
-        let addr = self.servers[idx];
-        let pid = self.pids[idx];
-        let window = self.cache.config().flush_window;
-        simcore::spawn(async move {
-            loop {
-                simcore::sleep(window).await;
-                flush_batch(&rpc, &cache, &alive, idx, addr, pid).await;
-                // The flush response's epoch may have turned deferred
-                // mapping releases into queued frees; drain those too.
-                if !alive.get() || !cache.has_pending(idx) {
-                    return;
-                }
-            }
-        });
+        let (addr, pid) = (self.servers[idx], self.pids[idx]);
+        spawn_flush(&self.rpc, &self.cache, &self.alive, idx, addr, pid);
     }
 
     /// Flush `server`'s queued control ops now (ahead of the timer).
@@ -648,9 +557,7 @@ impl DmNetClient {
     /// Allocate `len` bytes of disaggregated memory (round-robin across the
     /// pool). Table II: `ralloc(size)`.
     pub async fn ralloc(&self, len: u64) -> DmResult<RemoteAddr> {
-        let idx = self.next_rr.get() % self.servers.len();
-        self.next_rr.set(idx + 1);
-        let server = DmServerId(idx as u8);
+        let server = self.next_round_robin();
         let pid = self.pid_at(server);
         let body = Writer::new().pid(pid).u64(len).finish();
         let resp = self.request(server, req::ALLOC, body).await?;
@@ -728,67 +635,34 @@ impl DmNetClient {
     /// mapped (and cleanly freed) is served from the cache without a round
     /// trip.
     pub async fn map_ref(&self, r: &Ref) -> DmResult<RemoteAddr> {
-        let Ref::Net { server, key, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
-        if self.router.is_some() && *key & GKEY_BIT != 0 {
-            let gkey = *key;
-            let target = self.route_gkey(gkey);
-            let pid = self.pid_at(target);
-            self.flush_if_pending_key(target, gkey).await;
-            if self.cache.config().enabled {
-                if let Some((va, _len)) = self.cache.take_mapping(target.0 as usize, gkey) {
-                    return Ok(RemoteAddr {
-                        server: target,
-                        pid,
-                        va,
-                    });
-                }
-            }
-            let body = Writer::new().pid(pid).u64(gkey).finish();
-            let (epoch, res) = self.request_routed(gkey, req::MAP_REF, body).await;
-            let resp = res?;
-            let mut rd = Reader::new(&resp);
-            let va = rd.u64()?;
-            let len = rd.u64()?;
-            // The mapping lives on whichever server answered (the
-            // post-chase home); the RemoteAddr must name it so rread /
-            // rfree go there directly.
-            let home = self.route_gkey(gkey);
-            if self.cache.config().enabled {
-                self.cache
-                    .note_mapping(home.0 as usize, gkey, va, len, epoch);
-            }
-            return Ok(RemoteAddr {
-                server: home,
-                pid: self.pid_at(home),
-                va,
-            });
-        }
-        let idx = server.0 as usize;
-        let pid = self.pid_at(*server);
-        self.flush_if_pending_key(*server, *key).await;
+        let (target, key) = self.resolve(r)?;
+        let pid = self.pid_at(target);
+        self.flush_if_pending_key(target, key).await;
         if self.cache.config().enabled {
-            if let Some((va, _len)) = self.cache.take_mapping(idx, *key) {
+            if let Some((va, _len)) = self.cache.take_mapping(target.0 as usize, key) {
                 return Ok(RemoteAddr {
-                    server: *server,
+                    server: target,
                     pid,
                     va,
                 });
             }
         }
-        let body = Writer::new().pid(pid).u64(*key).finish();
-        let (epoch, res) = self.request_ep(*server, req::MAP_REF, body).await;
+        let body = Writer::new().pid(pid).u64(key).finish();
+        let (epoch, home, res) = self.request_at(target, Some(key), req::MAP_REF, body).await;
         let resp = res?;
         let mut rd = Reader::new(&resp);
         let va = rd.u64()?;
         let len = rd.u64()?;
+        // The mapping lives on whichever server answered (for a routed key,
+        // the post-chase home); the RemoteAddr must name it so rread /
+        // rfree go there directly.
         if self.cache.config().enabled {
-            self.cache.note_mapping(idx, *key, va, len, epoch);
+            self.cache
+                .note_mapping(home.0 as usize, key, va, len, epoch);
         }
         Ok(RemoteAddr {
-            server: *server,
-            pid,
+            server: home,
+            pid: self.pid_at(home),
             va,
         })
     }
@@ -802,8 +676,8 @@ impl DmNetClient {
             .u64(addr.va)
             .bytes(data)
             .finish();
-        let (epoch, res) = self
-            .request_ep(addr.server, req::WRITE_CREATE_REF, body)
+        let (epoch, _, res) = self
+            .request_at(addr.server, None, req::WRITE_CREATE_REF, body)
             .await;
         let resp = res?;
         let mut r = Reader::new(&resp);
@@ -821,39 +695,32 @@ impl DmNetClient {
     }
 
     /// Fast path: publish `data` as a new reference in one round trip.
-    /// Unsharded clients spread refs round-robin across the pool; sharded
-    /// clients mint a global key and place it by consistent hashing, so
-    /// every client agrees on the ref's home without coordination.
+    /// Clients without a ring spread refs round-robin across the pool and
+    /// the server mints the key; clients with one mint a global key and
+    /// place it by consistent hashing, so every client agrees on the ref's
+    /// home without coordination.
     pub async fn put_ref(&self, data: &Bytes) -> DmResult<Ref> {
-        if let Some(router) = &self.router {
-            let gkey = router.mint();
-            let body = Writer::new().u64(gkey).bytes(data).finish();
-            let (epoch, res) = self.request_routed(gkey, req::PUT_REF_AT, body).await;
-            res?;
-            let server = self.route_gkey(gkey);
-            if self.cache.config().enabled {
-                self.cache
-                    .fill_data(server.0 as usize, gkey, epoch, data.clone());
+        let (server, gkey, ty, body) = match &self.router {
+            Some(router) => {
+                let gkey = router.mint();
+                let body = Writer::new().u64(gkey).bytes(data).finish();
+                (router.route(gkey), Some(gkey), req::PUT_REF_AT, body)
             }
-            return Ok(Ref::Net {
-                server,
-                key: gkey,
-                len: data.len() as u64,
-            });
-        }
-        let idx = self.next_rr.get() % self.servers.len();
-        self.next_rr.set(idx + 1);
-        let server = DmServerId(idx as u8);
-        let (epoch, res) = self.request_ep(server, req::PUT_REF, data.clone()).await;
+            None => (self.next_round_robin(), None, req::PUT_REF, data.clone()),
+        };
+        let (epoch, home, res) = self.request_at(server, gkey, ty, body).await;
         let resp = res?;
-        let mut r = Reader::new(&resp);
-        let key = r.u64()?;
+        let key = match gkey {
+            Some(gkey) => gkey,
+            None => Reader::new(&resp).u64()?,
+        };
         if self.cache.config().enabled {
             // Write-allocate: the publisher knows the ref's bytes.
-            self.cache.fill_data(idx, key, epoch, data.clone());
+            self.cache
+                .fill_data(home.0 as usize, key, epoch, data.clone());
         }
         Ok(Ref::Net {
-            server,
+            server: home,
             key,
             len: data.len() as u64,
         })
@@ -862,41 +729,23 @@ impl DmNetClient {
     /// Fast path: read `len` bytes at `off` of a reference without mapping.
     /// Served from the client cache when a fresh entry covers the range.
     pub async fn read_ref(&self, r: &Ref, off: u64, len: u64) -> DmResult<Bytes> {
-        let Ref::Net { server, key, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
-        if self.router.is_some() && *key & GKEY_BIT != 0 {
-            let gkey = *key;
-            let target = self.route_gkey(gkey);
-            self.flush_if_pending_key(target, gkey).await;
-            if self.cache.config().enabled {
-                if let Some(bytes) = self.cache.lookup_data(target.0 as usize, gkey, off, len) {
-                    return Ok(bytes);
-                }
-            }
-            let body = Writer::new().u64(gkey).u64(off).u64(len).finish();
-            let (epoch, res) = self.request_routed(gkey, req::READ_REF, body).await;
-            if self.cache.config().enabled && off == 0 {
-                if let Ok(bytes) = &res {
-                    // Fill under the post-chase home so the next read hits.
-                    let home = self.route_gkey(gkey).0 as usize;
-                    self.cache.fill_data(home, gkey, epoch, bytes.clone());
-                }
-            }
-            return res;
-        }
-        let idx = server.0 as usize;
-        self.flush_if_pending_key(*server, *key).await;
+        let (target, key) = self.resolve(r)?;
+        self.flush_if_pending_key(target, key).await;
         if self.cache.config().enabled {
-            if let Some(bytes) = self.cache.lookup_data(idx, *key, off, len) {
+            if let Some(bytes) = self.cache.lookup_data(target.0 as usize, key, off, len) {
                 return Ok(bytes);
             }
         }
-        let body = Writer::new().u64(*key).u64(off).u64(len).finish();
-        let (epoch, res) = self.request_ep(*server, req::READ_REF, body).await;
+        let body = Writer::new().u64(key).u64(off).u64(len).finish();
+        let (epoch, home, res) = self
+            .request_at(target, Some(key), req::READ_REF, body)
+            .await;
         if self.cache.config().enabled && off == 0 {
             if let Ok(bytes) = &res {
-                self.cache.fill_data(idx, *key, epoch, bytes.clone());
+                // Fill under the server that answered (for a routed key,
+                // the post-chase home) so the next read hits.
+                self.cache
+                    .fill_data(home.0 as usize, key, epoch, bytes.clone());
             }
         }
         res
@@ -907,76 +756,88 @@ impl DmNetClient {
     /// coalesced [`req::BATCH`] message (bounded by the flush window); the
     /// local cache entries for the key are dropped immediately.
     pub async fn release_ref(&self, r: &Ref) -> DmResult<()> {
-        let Ref::Net { server, key, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
-        if self.router.is_some() && *key & GKEY_BIT != 0 {
-            let gkey = *key;
-            let target = self.route_gkey(gkey);
-            if self.cache.config().enabled && self.cache.invalidate_key(target.0 as usize, gkey) {
-                self.schedule_flush(target);
-            }
-            // Gkey releases never ride the batch coalescer: a batched slot
-            // is fire-and-forget, so a `Moved` redirect laid down by a
-            // concurrent migration would be dropped silently and the ref
-            // leaked. The synchronous path chases redirects like any other
-            // gkey op.
-            let body = Writer::new().u64(gkey).finish();
-            let (_, res) = self.request_routed(gkey, req::RELEASE_REF, body).await;
-            res?;
-            if let Some(router) = &self.router {
-                router.reloc.borrow_mut().remove(&gkey);
-            }
-            return Ok(());
+        let (target, key) = self.resolve(r)?;
+        let idx = target.0 as usize;
+        if self.cache.config().enabled && self.cache.invalidate_key(idx, key) {
+            self.schedule_flush(target);
         }
-        let idx = server.0 as usize;
-        if self.cache.config().enabled && self.cache.invalidate_key(idx, *key) {
-            self.schedule_flush(*server);
-        }
-        let body = Writer::new().u64(*key).finish();
-        if self.cache.config().batching {
+        let body = Writer::new().u64(key).finish();
+        // Routed keys never ride the batch coalescer: a batched slot is
+        // fire-and-forget, so a `Moved` redirect laid down by a concurrent
+        // migration would be dropped silently and the ref leaked. They go
+        // out synchronously and chase redirects like any other routed op.
+        if self.cache.config().batching && !self.routes(key) {
             if self.cache.pending_len(idx) >= MAX_BATCH_OPS {
-                self.flush_server(*server).await;
+                self.flush_server(target).await;
             }
             if self
                 .cache
-                .enqueue(idx, req::RELEASE_REF, body, Some(*key), None)
+                .enqueue(idx, req::RELEASE_REF, body, Some(key), None)
             {
-                self.schedule_flush(*server);
+                self.schedule_flush(target);
             }
             // Fire-and-forget, like `DmRpc::release_async`: a failed
             // release of an already-dead ref is reported per-slot in the
             // batch response and dropped.
             return Ok(());
         }
-        self.flush_if_pending_key(*server, *key).await;
-        self.request(*server, req::RELEASE_REF, body).await?;
+        self.flush_if_pending_key(target, key).await;
+        let (_, _, res) = self
+            .request_at(target, Some(key), req::RELEASE_REF, body)
+            .await;
+        res?;
+        if let Some(router) = &self.router {
+            router.reloc.borrow_mut().remove(&key);
+        }
         Ok(())
     }
 
-    /// Migrate a gkey-bound ref to `dst` (sharded clients only): the
+    /// Migrate a gkey-bound ref to `dst` (clients with a ring only): the
     /// current home transfers the pages server-to-server, releases its
     /// copy and leaves a redirect tombstone; other clients chase one hop,
     /// and this client's relocation cache learns the new home immediately.
     pub async fn migrate_ref(&self, r: &Ref, dst: DmServerId) -> DmResult<()> {
         let router = self.router.as_ref().ok_or(DmError::InvalidRef)?;
-        let Ref::Net { key, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
-        if *key & GKEY_BIT == 0 {
+        let (home, key) = self.resolve(r)?;
+        if key & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);
         }
         let dst_addr = self.server_addr(dst)?;
         let body = Writer::new()
-            .u64(*key)
+            .u64(key)
             .u32(dst_addr.node.0)
             .u32(dst_addr.port as u32)
             .finish();
-        let (_, res) = self.request_routed(*key, req::MIGRATE, body).await;
+        let (_, _, res) = self.request_at(home, Some(key), req::MIGRATE, body).await;
         res?;
-        router.reloc.borrow_mut().insert(*key, dst);
+        router.reloc.borrow_mut().insert(key, dst);
         Ok(())
     }
+}
+
+/// Spawn the bounded-window flush timer for server `idx`'s queued control
+/// ops. A free function over the shared handles because the `INVALIDATE`
+/// handler schedules flushes too, and it outlives any `&DmNetClient`.
+fn spawn_flush(
+    rpc: &Rc<Rpc>,
+    cache: &Rc<ClientCache>,
+    alive: &Rc<Cell<bool>>,
+    idx: usize,
+    addr: Addr,
+    pid: GlobalPid,
+) {
+    let (rpc, cache, alive) = (rpc.clone(), cache.clone(), alive.clone());
+    simcore::spawn(async move {
+        loop {
+            simcore::sleep(FLUSH_WINDOW).await;
+            flush_batch(&rpc, &cache, &alive, idx, addr, pid).await;
+            // The flush response's epoch may have turned deferred
+            // mapping releases into queued frees; drain those too.
+            if !alive.get() || !cache.has_pending(idx) {
+                return;
+            }
+        }
+    });
 }
 
 /// Drain and send one coalesced [`req::BATCH`] for server `idx`. Deferred
@@ -1013,8 +874,7 @@ async fn flush_batch(
     let Ok(resp) = rpc.call(addr, req::BATCH, body).await else {
         return;
     };
-    let (epoch, _results) = split_response(&resp);
-    cache.observe_epoch(idx, epoch);
+    cache.observe_epoch(idx, split_response(&resp).0);
 }
 
 impl Drop for DmNetClient {

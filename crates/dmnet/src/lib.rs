@@ -40,7 +40,7 @@ pub use cache::{CacheConfig, CacheStats};
 pub use client::{ClientLimitConfig, DmNetClient};
 pub use page_manager::{OpCost, PageManager};
 pub use server::{start_pool, CoherenceConfig, DmServer, DmServerConfig, RecoveryReport};
-pub use shard::{HashRing, ShardConfig, GKEY_BIT};
+pub use shard::{HashRing, GKEY_BIT};
 pub use wal::{Record, Wal, WalConfig};
 
 #[cfg(test)]
@@ -84,6 +84,26 @@ mod e2e_tests {
 
     fn client_rpc(net: &Network, node: NodeId, port: u16) -> Rc<Rpc> {
         RpcBuilder::new(net, node, port).build()
+    }
+
+    /// Connect with `cache`, default overload behavior and, given a seed,
+    /// ring placement over the pool.
+    async fn connect_cfg(
+        rpc: Rc<Rpc>,
+        pool: &[simnet::Addr],
+        cache: CacheConfig,
+        ring_seed: Option<u64>,
+    ) -> DmNetClient {
+        let ring = ring_seed.map(|seed| HashRing::new(pool.len(), seed));
+        DmNetClient::connect_with(
+            rpc,
+            pool.to_vec(),
+            cache,
+            ClientLimitConfig::default(),
+            ring,
+        )
+        .await
+        .unwrap()
     }
 
     #[test]
@@ -396,6 +416,73 @@ mod e2e_tests {
     }
 
     #[test]
+    fn leases_expiring_in_one_sweep_are_reclaimed_in_pid_order() {
+        let r = rig(1, 1);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
+        r.sim.block_on(async move {
+            let ttl = std::time::Duration::from_millis(2);
+            let cfg = DmServerConfig {
+                lease_ttl: Some(ttl),
+                // No compaction: the log must keep every record.
+                durability: Some(WalConfig {
+                    compact_threshold_bytes: 0,
+                    ..WalConfig::zero_cost()
+                }),
+                ..Default::default()
+            };
+            let servers = start_pool(&net, &[dm0], &params, cfg);
+            let pool = vec![servers[0].addr()];
+            let mut clients = Vec::new();
+            for port in 100..108 {
+                let dm = DmNetClient::connect(client_rpc(&net, c0, port), pool.clone())
+                    .await
+                    .unwrap();
+                dm.put_ref(&Bytes::from(vec![port as u8; 4096]))
+                    .await
+                    .unwrap();
+                clients.push(dm);
+            }
+            for dm in &clients {
+                dm.simulate_crash();
+            }
+            // Recovery re-grants every recovered owner the same expiry, so
+            // all eight crashed clients land in a single sweep.
+            servers[0].crash();
+            servers[0].restart_from_log().await;
+            simcore::sleep(ttl).await;
+            servers[0].sweep_expired_leases();
+            assert_eq!(servers[0].leases_reclaimed(), 8, "one sweep took all");
+
+            // The sweep's WAL records (and with them its trace events and
+            // invalidation pushes) follow pid order, not hash order.
+            let reclaimed: Vec<u32> = servers[0]
+                .wal()
+                .unwrap()
+                .scan()
+                .records
+                .iter()
+                .filter_map(|rec| match rec {
+                    Record::ReleaseProcess { pid } => Some(*pid),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(reclaimed.len(), 8);
+            assert!(
+                reclaimed.windows(2).all(|w| w[0] < w[1]),
+                "reclaim order {reclaimed:?}"
+            );
+            servers[0].check_invariants_all();
+            assert_eq!(
+                servers[0].free_pages_total(),
+                servers[0].capacity_pages_total(),
+                "crashed clients leaked pages"
+            );
+            servers[0].shutdown(); // stops the lease sweeper
+        });
+    }
+
+    #[test]
     fn round_robin_across_two_servers() {
         let r = rig(2, 1);
         let (net, params) = (r.net.clone(), r.params.clone());
@@ -687,13 +774,13 @@ mod e2e_tests {
         let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
         r.sim.block_on(async move {
             let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
-            let dm = DmNetClient::connect_with(
+            let dm = connect_cfg(
                 client_rpc(&net, c0, 100),
-                vec![servers[0].addr()],
+                &[servers[0].addr()],
                 CacheConfig::all_on(),
+                None,
             )
-            .await
-            .unwrap();
+            .await;
 
             let addr = dm.ralloc(8192).await.unwrap();
             dm.rwrite(addr, &Bytes::from(vec![0x42; 8192]))
@@ -741,17 +828,17 @@ mod e2e_tests {
             let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone())
                 .await
                 .unwrap();
-            let reader = DmNetClient::connect_with(
+            let reader = connect_cfg(
                 client_rpc(&net, c1, 100),
-                pool,
+                &pool,
                 CacheConfig {
                     enabled: true,
                     batching: false,
                     ..CacheConfig::default()
                 },
+                None,
             )
-            .await
-            .unwrap();
+            .await;
 
             let data = Bytes::from((0..8192u32).map(|i| (i % 241) as u8).collect::<Vec<_>>());
             let r = owner.put_ref(&data).await.unwrap();
@@ -794,13 +881,13 @@ mod e2e_tests {
         let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
         r.sim.block_on(async move {
             let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
-            let dm = DmNetClient::connect_with(
+            let dm = connect_cfg(
                 client_rpc(&net, c0, 100),
-                vec![servers[0].addr()],
+                &[servers[0].addr()],
                 CacheConfig::all_on(),
+                None,
             )
-            .await
-            .unwrap();
+            .await;
 
             let mut refs = Vec::new();
             for i in 0..8u8 {
@@ -833,24 +920,20 @@ mod e2e_tests {
         r.sim.block_on(async move {
             let servers = start_pool(&net, &dms, &params, DmServerConfig::default());
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let writer = DmNetClient::connect_sharded(
+            let writer = connect_cfg(
                 client_rpc(&net, c0, 100),
-                pool.clone(),
+                &pool,
                 CacheConfig::default(),
-                ShardConfig::default(),
-                7,
+                Some(7),
             )
-            .await
-            .unwrap();
-            let reader = DmNetClient::connect_sharded(
+            .await;
+            let reader = connect_cfg(
                 client_rpc(&net, c1, 100),
-                pool,
+                &pool,
                 CacheConfig::default(),
-                ShardConfig::default(),
-                7,
+                Some(7),
             )
-            .await
-            .unwrap();
+            .await;
             assert!(writer.is_sharded());
 
             let mut refs = Vec::new();
@@ -895,24 +978,20 @@ mod e2e_tests {
             let servers = start_pool(&net, &dms, &params, DmServerConfig::default());
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
             // Caches off so every read is a wire op (redirects observable).
-            let owner = DmNetClient::connect_sharded(
+            let owner = connect_cfg(
                 client_rpc(&net, c0, 100),
-                pool.clone(),
+                &pool,
                 CacheConfig::default(),
-                ShardConfig::default(),
-                3,
+                Some(3),
             )
-            .await
-            .unwrap();
-            let other = DmNetClient::connect_sharded(
+            .await;
+            let other = connect_cfg(
                 client_rpc(&net, c1, 100),
-                pool,
+                &pool,
                 CacheConfig::default(),
-                ShardConfig::default(),
-                3,
+                Some(3),
             )
-            .await
-            .unwrap();
+            .await;
 
             let data = Bytes::from((0..8192u32).map(|i| (i % 239) as u8).collect::<Vec<_>>());
             let r = owner.put_ref(&data).await.unwrap();
@@ -983,12 +1062,8 @@ mod e2e_tests {
                 read_lease: lease,
                 ..CacheConfig::fine_grained()
             };
-            let owner = DmNetClient::connect_with(client_rpc(&net, c0, 100), pool.clone(), ccfg)
-                .await
-                .unwrap();
-            let reader = DmNetClient::connect_with(client_rpc(&net, c1, 100), pool, ccfg)
-                .await
-                .unwrap();
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
+            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, None).await;
 
             let da = Bytes::from(vec![0xAA; 4096]);
             let db = Bytes::from(vec![0xBB; 4096]);
@@ -1052,13 +1127,9 @@ mod e2e_tests {
                 read_lease: lease,
                 ..CacheConfig::fine_grained()
             };
-            let owner = DmNetClient::connect_with(client_rpc(&net, c0, 100), pool.clone(), ccfg)
-                .await
-                .unwrap();
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
             let rrpc = client_rpc(&net, c1, 100);
-            let reader = DmNetClient::connect_with(rrpc.clone(), pool, ccfg)
-                .await
-                .unwrap();
+            let reader = connect_cfg(rrpc.clone(), &pool, ccfg, None).await;
 
             let da = Bytes::from(vec![0xCD; 4096]);
             let ra = owner.put_ref(&da).await.unwrap();
@@ -1105,20 +1176,20 @@ mod e2e_tests {
             let servers = start_pool(&net, &[dm0], &params, cfg);
             let epoch0 = servers[0].epoch();
             let pool = vec![servers[0].addr()];
-            let owner = DmNetClient::connect_with(
+            let owner = connect_cfg(
                 client_rpc(&net, c0, 100),
-                pool.clone(),
+                &pool,
                 CacheConfig::fine_grained(),
+                None,
             )
-            .await
-            .unwrap();
-            let reader = DmNetClient::connect_with(
+            .await;
+            let reader = connect_cfg(
                 client_rpc(&net, c1, 100),
-                pool,
+                &pool,
                 CacheConfig::fine_grained(),
+                None,
             )
-            .await
-            .unwrap();
+            .await;
 
             let mut refs = Vec::new();
             for i in 0..4u8 {
@@ -1171,24 +1242,8 @@ mod e2e_tests {
                 read_lease: std::time::Duration::from_millis(10),
                 ..CacheConfig::fine_grained()
             };
-            let owner = DmNetClient::connect_sharded(
-                client_rpc(&net, c0, 100),
-                pool.clone(),
-                ccfg,
-                ShardConfig::default(),
-                3,
-            )
-            .await
-            .unwrap();
-            let reader = DmNetClient::connect_sharded(
-                client_rpc(&net, c1, 100),
-                pool,
-                ccfg,
-                ShardConfig::default(),
-                3,
-            )
-            .await
-            .unwrap();
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, Some(3)).await;
+            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, Some(3)).await;
 
             let data = Bytes::from((0..8192u32).map(|i| (i % 239) as u8).collect::<Vec<_>>());
             let r = owner.put_ref(&data).await.unwrap();
@@ -1249,15 +1304,13 @@ mod e2e_tests {
             };
             let servers = start_pool(&net, &dms, &params, cfg);
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let dm = DmNetClient::connect_sharded(
+            let dm = connect_cfg(
                 client_rpc(&net, c0, 100),
-                pool,
+                &pool,
                 CacheConfig::default(),
-                ShardConfig::default(),
-                5,
+                Some(5),
             )
-            .await
-            .unwrap();
+            .await;
 
             let mut refs = Vec::new();
             for i in 0..12u8 {

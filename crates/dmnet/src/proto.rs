@@ -165,22 +165,56 @@ pub fn err_response(epoch: u64, e: DmError) -> Bytes {
     b.freeze()
 }
 
-/// Split a response into its piggybacked epoch plus body-or-error. A
-/// response too short to carry an epoch decodes as `(0, Err(Malformed))`.
-pub fn split_response(resp: &Bytes) -> (u64, DmResult<Bytes>) {
-    if resp.len() < 9 {
-        return (0, Err(DmError::Malformed));
-    }
-    let epoch = u64::from_le_bytes(resp[1..9].try_into().expect("len checked"));
-    match resp[0] {
-        0 => (epoch, Ok(resp.slice(9..))),
-        c => (epoch, Err(code_err(c))),
+/// What a response decodes to: a body, a one-hop redirect, or an error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Success body.
+    Ok(Bytes),
+    /// The gkey migrated to the server at `node:port`; retry there.
+    Moved {
+        /// Forwarding fabric node.
+        node: u32,
+        /// Forwarding port.
+        port: u16,
+    },
+    /// Typed failure.
+    Err(DmError),
+}
+
+impl Reply {
+    /// The body or the error, for requests that cannot be redirected: a
+    /// [`CODE_MOVED`] answer to anything but a gkey-routed request is a
+    /// protocol violation and reads as `Malformed`.
+    pub fn result(self) -> DmResult<Bytes> {
+        match self {
+            Reply::Ok(body) => Ok(body),
+            Reply::Moved { .. } => Err(DmError::Malformed),
+            Reply::Err(e) => Err(e),
+        }
     }
 }
 
-/// Split a response into its body or error, discarding the epoch.
-pub fn parse_response(resp: &Bytes) -> DmResult<Bytes> {
-    split_response(resp).1
+/// Split a response into its piggybacked epoch plus [`Reply`] — the one
+/// response decoder. A response too short to carry an epoch (or a redirect
+/// too short to carry its address) decodes as `Malformed`, the former with
+/// epoch 0.
+pub fn split_response(resp: &Bytes) -> (u64, Reply) {
+    if resp.len() < 9 {
+        return (0, Reply::Err(DmError::Malformed));
+    }
+    let epoch = u64::from_le_bytes(resp[1..9].try_into().expect("len checked"));
+    let reply = match resp[0] {
+        0 => Reply::Ok(resp.slice(9..)),
+        CODE_MOVED => {
+            let mut r = Reader::new(&resp[9..]);
+            match (r.u32(), r.u16()) {
+                (Ok(node), Ok(port)) => Reply::Moved { node, port },
+                _ => Reply::Err(DmError::Malformed),
+            }
+        }
+        c => Reply::Err(code_err(c)),
+    };
+    (epoch, reply)
 }
 
 /// Encode a successful response whose body carries a per-ref version
@@ -228,27 +262,9 @@ pub fn split_versions(body: &Bytes) -> DmResult<(Bytes, Vec<(u64, u64)>)> {
 
 /// Status byte of a *redirect* response (DESIGN.md §13): the named gkey
 /// migrated away and the body carries the forwarding address. Deliberately
-/// not a [`DmError`] — only gkey-routed clients can receive it, and they
-/// decode with [`split_response_routed`]; a legacy decoder maps the code
-/// to `Malformed`, which such a client could only see through a bug.
+/// not a [`DmError`]: only gkey-routed requests may be answered with it,
+/// and [`Reply::result`] maps it to `Malformed` for everything else.
 pub const CODE_MOVED: u8 = 7;
-
-/// Outcome of a gkey-routed request: a body, a one-hop redirect, or an
-/// error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Routed {
-    /// Success body.
-    Ok(Bytes),
-    /// The gkey migrated to the server at `node:port`; retry there.
-    Moved {
-        /// Forwarding fabric node.
-        node: u32,
-        /// Forwarding port.
-        port: u16,
-    },
-    /// Typed failure.
-    Err(DmError),
-}
 
 /// Encode a redirect response: the gkey now lives at `node:port`.
 pub fn moved_response(epoch: u64, node: u32, port: u16) -> Bytes {
@@ -258,27 +274,6 @@ pub fn moved_response(epoch: u64, node: u32, port: u16) -> Bytes {
     b.extend_from_slice(&node.to_le_bytes());
     b.extend_from_slice(&port.to_le_bytes());
     b.freeze()
-}
-
-/// [`split_response`] for gkey-routed requests: additionally decodes
-/// [`CODE_MOVED`] redirects.
-pub fn split_response_routed(resp: &Bytes) -> (u64, Routed) {
-    if resp.len() < 9 {
-        return (0, Routed::Err(DmError::Malformed));
-    }
-    let epoch = u64::from_le_bytes(resp[1..9].try_into().expect("len checked"));
-    match resp[0] {
-        0 => (epoch, Routed::Ok(resp.slice(9..))),
-        CODE_MOVED => {
-            if resp.len() < 15 {
-                return (epoch, Routed::Err(DmError::Malformed));
-            }
-            let node = u32::from_le_bytes(resp[9..13].try_into().expect("len checked"));
-            let port = u16::from_le_bytes(resp[13..15].try_into().expect("len checked"));
-            (epoch, Routed::Moved { node, port })
-        }
-        c => (epoch, Routed::Err(code_err(c))),
-    }
 }
 
 /// High bit of a batch item tag: set when the item body starts with a
@@ -367,6 +362,17 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    /// Read a u8.
+    pub fn u8(&mut self) -> DmResult<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Read a u16.
+    pub fn u16(&mut self) -> DmResult<u16> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes(b.try_into().expect("len checked")))
+    }
+
     /// Read a u32.
     pub fn u32(&mut self) -> DmResult<u32> {
         let b = self.take(4)?;
@@ -384,9 +390,11 @@ impl<'a> Reader<'a> {
         Ok(GlobalPid(self.u32()?))
     }
 
-    /// Remaining bytes.
-    pub fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
+    /// Remaining bytes; the cursor moves to the end.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
     }
 
     /// Whether the cursor has consumed the whole buffer.
@@ -404,16 +412,36 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Builder for request/response bodies.
+/// Builder for request/response bodies, WAL records and checkpoint
+/// snapshots (everything little-endian).
 #[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
+}
+
+impl From<Vec<u8>> for Writer {
+    /// Continue a buffer that already holds bytes.
+    fn from(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
 }
 
 impl Writer {
     /// Start an empty body.
     pub fn new() -> Writer {
         Writer::default()
+    }
+
+    /// Append a u8.
+    pub fn u8(mut self, v: u8) -> Self {
+        self.buf.push(v);
+        self
+    }
+
+    /// Append a u16.
+    pub fn u16(mut self, v: u16) -> Self {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
     }
 
     /// Append a u32.
@@ -443,6 +471,11 @@ impl Writer {
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
     }
+
+    /// Finish into the underlying buffer.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
 #[cfg(test)]
@@ -452,22 +485,15 @@ mod tests {
     #[test]
     fn response_roundtrip() {
         let ok = ok_response(42, b"abc");
-        assert_eq!(&parse_response(&ok).unwrap()[..], b"abc");
-        let (epoch, body) = split_response(&ok);
+        let (epoch, reply) = split_response(&ok);
         assert_eq!(epoch, 42);
-        assert_eq!(&body.unwrap()[..], b"abc");
+        assert_eq!(&reply.result().unwrap()[..], b"abc");
         let err = err_response(7, DmError::OutOfMemory);
-        assert_eq!(parse_response(&err).unwrap_err(), DmError::OutOfMemory);
-        assert_eq!(split_response(&err).0, 7);
-        assert_eq!(
-            parse_response(&Bytes::new()).unwrap_err(),
-            DmError::Malformed
-        );
+        assert_eq!(split_response(&err), (7, Reply::Err(DmError::OutOfMemory)));
         // Too short to carry an epoch: malformed, epoch reads as 0.
-        assert_eq!(
-            split_response(&Bytes::from_static(&[0, 1, 2])),
-            (0, Err(DmError::Malformed))
-        );
+        for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
+            assert_eq!(split_response(&short), (0, Reply::Err(DmError::Malformed)));
+        }
     }
 
     #[test]
@@ -477,7 +503,7 @@ mod tests {
         for &(e, code) in ERR_TABLE {
             assert_eq!(err_code(e), code);
             assert_eq!(code_err(code), e);
-            assert_eq!(parse_response(&err_response(0, e)).unwrap_err(), e);
+            assert_eq!(split_response(&err_response(0, e)).1, Reply::Err(e));
         }
         // Unknown codes (and 0 in error position) decode as Malformed.
         assert_eq!(code_err(0), DmError::Malformed);
@@ -587,14 +613,14 @@ mod tests {
     fn version_trailer_roundtrip() {
         // Data bytes plus two touched refs; the trailer strips cleanly.
         let resp = ok_response_versioned(5, b"payload", &[(11, 2), (GKEY_TEST, 7)]);
-        let (epoch, body) = split_response(&resp);
+        let (epoch, reply) = split_response(&resp);
         assert_eq!(epoch, 5);
-        let (inner, touched) = split_versions(&body.unwrap()).unwrap();
+        let (inner, touched) = split_versions(&reply.result().unwrap()).unwrap();
         assert_eq!(&inner[..], b"payload");
         assert_eq!(touched, vec![(11, 2), (GKEY_TEST, 7)]);
         // Untouched responses still carry an (empty) trailer.
         let resp = ok_response_versioned(5, b"", &[]);
-        let (inner, touched) = split_versions(&split_response(&resp).1.unwrap()).unwrap();
+        let (inner, touched) = split_versions(&split_response(&resp).1.result().unwrap()).unwrap();
         assert!(inner.is_empty() && touched.is_empty());
         // A claimed trailer bigger than the body is malformed.
         assert_eq!(
@@ -612,25 +638,26 @@ mod tests {
     #[test]
     fn moved_response_roundtrip() {
         let m = moved_response(9, 42, 7000);
-        let (epoch, routed) = split_response_routed(&m);
-        assert_eq!(epoch, 9);
         assert_eq!(
-            routed,
-            Routed::Moved {
-                node: 42,
-                port: 7000
-            }
+            split_response(&m),
+            (
+                9,
+                Reply::Moved {
+                    node: 42,
+                    port: 7000
+                }
+            )
         );
-        // Ok and Err responses decode identically to split_response.
-        let (e2, r2) = split_response_routed(&ok_response(3, b"xy"));
-        assert_eq!((e2, r2), (3, Routed::Ok(Bytes::from_static(b"xy"))));
-        let (e3, r3) = split_response_routed(&err_response(4, DmError::InvalidRef));
-        assert_eq!((e3, r3), (4, Routed::Err(DmError::InvalidRef)));
-        // A legacy decoder treats the redirect as Malformed, never Ok.
-        assert_eq!(parse_response(&m).unwrap_err(), DmError::Malformed);
+        // A request that cannot be redirected reads it as Malformed, never Ok.
+        assert_eq!(
+            split_response(&m).1.result().unwrap_err(),
+            DmError::Malformed
+        );
         // Truncated redirect body.
-        let (_, rt) = split_response_routed(&m.slice(..12));
-        assert_eq!(rt, Routed::Err(DmError::Malformed));
+        assert_eq!(
+            split_response(&m.slice(..12)),
+            (9, Reply::Err(DmError::Malformed))
+        );
     }
 
     #[test]
@@ -639,13 +666,18 @@ mod tests {
             .pid(GlobalPid(9))
             .u64(0xABCD)
             .u32(77)
+            .u16(0x0102)
+            .u8(3)
             .bytes(b"tail")
             .finish();
         let mut r = Reader::new(&body);
         assert_eq!(r.pid().unwrap(), GlobalPid(9));
         assert_eq!(r.u64().unwrap(), 0xABCD);
         assert_eq!(r.u32().unwrap(), 77);
+        assert_eq!(r.u16().unwrap(), 0x0102);
+        assert_eq!(r.u8().unwrap(), 3);
         assert_eq!(r.rest(), b"tail");
+        assert!(r.is_empty(), "rest() consumes the buffer");
     }
 
     #[test]

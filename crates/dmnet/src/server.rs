@@ -18,8 +18,21 @@
 //! round-robin and the owning shard is encoded in the top bits of every DM
 //! virtual address and ref key, so later operations route without any
 //! shared state between cores.
+//!
+//! The server is split by plane. This file holds the configuration, the
+//! process and lease lifecycle, key routing and the cost model. `dispatch`
+//! holds the one body of every wire op; `recovery` the durable tier
+//! (persist, snapshot, replay, `restart_from_log`); `coherence` everything
+//! that decides how a change reaches client caches (epoch, versions, holder
+//! directory, pushes); `migration` the `MIGRATE`/`MIGRATE_IN` pair.
+
+mod coherence;
+mod dispatch;
+mod migration;
+mod recovery;
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -27,34 +40,32 @@ use bytes::Bytes;
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use memsim::NodeMemory;
 use rpclib::{Rpc, RpcBuilder, RpcConfig};
-use simcore::{CpuPool, SimRng};
-use simnet::{Network, NodeId};
+use simcore::{CpuPool, SimTime};
+use simnet::{Addr, Network, NodeId};
 use telemetry::SpanKind;
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::page_manager::{OpCost, PageManager};
-use crate::proto::{self, err_response, moved_response, ok_response, req, Reader, Writer};
+use crate::proto::{self, moved_response};
 use crate::shard::GKEY_BIT;
 use crate::wal::{Record, Wal, WalConfig};
+
+pub use coherence::CoherenceConfig;
+pub use recovery::RecoveryReport;
 
 /// Top bits of DM virtual addresses / ref keys carry the owning shard.
 const SHARD_SHIFT: u32 = 48;
 const LOW_MASK: u64 = (1u64 << SHARD_SHIFT) - 1;
 
-/// Version byte of the whole-server checkpoint snapshot (DESIGN.md §12).
-/// Version 2 appends the sharded plane's gkey-binding and tombstone
-/// tables (DESIGN.md §13); version 3 additionally appends the coherence
-/// plane's per-ref version table (DESIGN.md §15). A server whose tables
-/// are empty still emits version 1, byte-identical to pre-sharding
-/// checkpoints.
-const SNAPSHOT_VERSION: u8 = 1;
-const SNAPSHOT_VERSION_SHARDED: u8 = 2;
-const SNAPSHOT_VERSION_COHERENT: u8 = 3;
-
-/// Sentinel pid in a `Record::PutRef` for an unowned ref (a migrated ref
-/// whose owner was not registered at the destination); replay maps it
-/// back to `None`.
+/// Sentinel pid in a `Record::PutRef` (and owner node in a `MIGRATE_IN`
+/// body) for an unowned ref (a migrated ref whose owner was not registered
+/// at the destination); replay maps it back to `None`.
 const NO_OWNER_PID: u32 = u32::MAX;
+
+/// Translation lookups charged for touching `len` bytes of DM.
+fn translations_for(len: u64) -> u64 {
+    len.div_ceil(PAGE_SIZE as u64).max(1)
+}
 
 /// Outcome of resolving a wire ref key ([`DmServer::route_key`]): either
 /// the owning `(shard, local key)`, or a ready-made redirect response for
@@ -63,44 +74,6 @@ enum KeyRoute {
     Local(usize, u64),
     Redirect(Bytes),
 }
-
-/// What [`DmServer::restart_from_log`] did.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryReport {
-    /// Records replayed from the valid log prefix.
-    pub records_replayed: usize,
-    /// Whether a torn/corrupt tail was truncated.
-    pub torn_tail: bool,
-    /// Log size after repair.
-    pub log_bytes: u64,
-}
-
-/// Fine-grained cache-coherence tuning (DESIGN.md §15).
-#[derive(Clone, Copy, Debug)]
-pub struct CoherenceConfig {
-    /// Total read grants the holder directory may track across all keys.
-    /// On overflow the server falls back to one epoch broadcast and a
-    /// cleared directory rather than growing without bound.
-    pub dir_max: usize,
-    /// How long a directory grant is considered live — must match the
-    /// client cache's `read_lease` (an expired grant is skipped at push
-    /// time because the holder already stopped serving the entry).
-    pub read_lease: Duration,
-}
-
-impl Default for CoherenceConfig {
-    fn default() -> Self {
-        CoherenceConfig {
-            dir_max: 1024,
-            read_lease: Duration::from_micros(50),
-        }
-    }
-}
-
-/// The holder directory's storage: wire key → (client node, port) →
-/// grant expiry.
-type HolderDir =
-    std::collections::HashMap<u64, std::collections::BTreeMap<(u32, u16), simcore::SimTime>>;
 
 /// DM server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -154,8 +127,8 @@ pub struct DmServerConfig {
     /// Fine-grained cache coherence (DESIGN.md §15): when set, successful
     /// responses append a `(key, version)` trailer for the refs they
     /// touched, mutating ops bump only the touched ref's version, and a
-    /// bounded holder directory pushes targeted [`req::INVALIDATE`]
-    /// messages instead of advancing the global epoch. Every client of a
+    /// bounded holder directory pushes targeted `INVALIDATE` messages
+    /// instead of advancing the global epoch. Every client of a
     /// coherent server must run with `CacheConfig::fine_grained` (the
     /// trailer changes the ok-response wire format). `None` (default)
     /// keeps the global-epoch scheme and wire bytes unchanged.
@@ -197,10 +170,10 @@ pub struct DmServer {
     /// PID ownership: which endpoint registered each PID. Requests naming a
     /// PID are only honored from its owner (process isolation — a buggy or
     /// malicious service cannot free another process's regions).
-    owners: RefCell<std::collections::HashMap<u32, simnet::Addr>>,
+    owners: RefCell<HashMap<u32, Addr>>,
     /// Lease expiry per PID (virtual time), present only when
     /// `config.lease_ttl` is set.
-    leases: RefCell<std::collections::HashMap<u32, simcore::SimTime>>,
+    leases: RefCell<HashMap<u32, SimTime>>,
     /// PIDs reclaimed by lease expiry (observability for chaos reports).
     leases_reclaimed: Cell<u64>,
     /// Invalidation epoch, piggybacked on every response (DESIGN.md §9).
@@ -222,10 +195,10 @@ pub struct DmServer {
     recoveries: Cell<u64>,
     /// Sharded plane (DESIGN.md §13): global key → tagged local ref key
     /// for every gkey currently homed here.
-    gmap: RefCell<std::collections::HashMap<u64, u64>>,
+    gmap: RefCell<HashMap<u64, u64>>,
     /// Redirect tombstones: gkeys that migrated away, with the forwarding
     /// address clients chase (one hop per tombstone).
-    moved: RefCell<std::collections::HashMap<u64, simnet::Addr>>,
+    moved: RefCell<HashMap<u64, Addr>>,
     /// Requests served (per-shard `dm.shard.N.ops` telemetry).
     ops_served: Cell<u64>,
     /// Migrations completed (outbound MIGRATE + inbound MIGRATE_IN).
@@ -242,12 +215,12 @@ pub struct DmServer {
     /// practice, migrated-in gkeys. Dead keys are removed (keys are
     /// minted once, so a dead key's version never needs to be compared
     /// again).
-    versions: RefCell<std::collections::HashMap<u64, u64>>,
+    versions: RefCell<HashMap<u64, u64>>,
     /// Holder directory: wire key → client endpoints granted a read
     /// lease on it, with grant expiry (BTreeMap: push order must be
     /// deterministic). Bounded by `CoherenceConfig::dir_max` total
     /// grants; overflow clears it and falls back to an epoch broadcast.
-    dir: RefCell<HolderDir>,
+    dir: RefCell<coherence::HolderDir>,
     /// Total grants across `dir` (the bound is on grants, not keys).
     dir_grants: Cell<usize>,
     /// Targeted INVALIDATE messages pushed (observability).
@@ -302,8 +275,8 @@ impl DmServer {
             rpc: rpc.clone(),
             config,
             next_alloc: Cell::new(0),
-            owners: RefCell::new(std::collections::HashMap::new()),
-            leases: RefCell::new(std::collections::HashMap::new()),
+            owners: RefCell::default(),
+            leases: RefCell::default(),
             leases_reclaimed: Cell::new(0),
             epoch: Cell::new(0),
             stopping: Cell::new(false),
@@ -312,16 +285,16 @@ impl DmServer {
                 .durability
                 .map(|w| Wal::new(format!("dmwal{}", node.0), w)),
             recoveries: Cell::new(0),
-            gmap: RefCell::new(std::collections::HashMap::new()),
-            moved: RefCell::new(std::collections::HashMap::new()),
+            gmap: RefCell::default(),
+            moved: RefCell::default(),
             ops_served: Cell::new(0),
             migrations: Cell::new(0),
             redirects: Cell::new(0),
             translation_ns: Cell::new(0),
             op_ns: Cell::new(0),
             admission: config.admission.map(Admission::new),
-            versions: RefCell::new(std::collections::HashMap::new()),
-            dir: RefCell::new(std::collections::HashMap::new()),
+            versions: RefCell::default(),
+            dir: RefCell::default(),
             dir_grants: Cell::new(0),
             inv_pushed: Cell::new(0),
             broadcasts: Cell::new(0),
@@ -362,43 +335,24 @@ impl DmServer {
     /// public so chaos tests can force a sweep at a known virtual time).
     pub fn sweep_expired_leases(&self) {
         let now = simcore::now();
-        let expired: Vec<u32> = self
+        let mut expired: Vec<u32> = self
             .leases
             .borrow()
             .iter()
             .filter(|&(_, &exp)| exp <= now)
             .map(|(&pid, _)| pid)
             .collect();
+        // Several leases can expire in one sweep (after `restart_from_log`
+        // every recovered owner shares one expiry): reclaim in pid order so
+        // WAL records, trace events and pushes do not follow hash order.
+        expired.sort_unstable();
         for pid in expired {
-            // Coherent mode invalidates per-key: enumerate the dying
-            // pid's refs *before* they are freed, in sorted (wire-key)
-            // order so push schedules are deterministic.
-            let dying = if self.coherent() {
-                self.wire_keys_owned_by(GlobalPid(pid))
-            } else {
-                Default::default()
-            };
-            for s in &self.shards {
-                // Already-released shards (or pids never touched here) are
-                // fine: reclamation must be idempotent.
-                let _ = s.pm.borrow_mut().release_process(GlobalPid(pid));
-            }
-            self.leases.borrow_mut().remove(&pid);
-            self.owners.borrow_mut().remove(&pid);
+            self.reclaim_process(pid);
             self.leases_reclaimed.set(self.leases_reclaimed.get() + 1);
-            if self.coherent() {
-                for raw in dying {
-                    self.bump_dead(raw, None);
-                }
-            } else {
-                // Reclamation drops refs: caches filled before it are
-                // suspect.
-                self.epoch.set(self.epoch.get() + 1);
-            }
             // The sweeper acts outside any request, so it cannot await the
             // media; the append is charged as free background time (the
             // reclaim is not on any acked-response path).
-            self.persist_untimed(|| Record::ReleaseProcess { pid });
+            self.persist_untimed(Record::ReleaseProcess { pid });
             // The sweeper acts on its own, not on behalf of any request,
             // so each reclamation becomes a standalone trace.
             telemetry::root_event(
@@ -408,6 +362,39 @@ impl DmServer {
                 &[("pid", pid as u64), ("epoch", self.epoch.get())],
             );
         }
+    }
+
+    /// Drop every pin, the lease and the registration of `pid` — the one
+    /// body shared by the live sweep and the replay of its record.
+    fn reclaim_process(&self, pid: u32) {
+        // The dying pid's refs must be enumerated *before* they are freed.
+        let dying = self.wire_keys_owned_by(GlobalPid(pid));
+        for s in &self.shards {
+            // Already-released shards (or pids never touched here) are
+            // fine: reclamation must be idempotent.
+            let _ = s.pm.borrow_mut().release_process(GlobalPid(pid));
+        }
+        self.leases.borrow_mut().remove(&pid);
+        self.owners.borrow_mut().remove(&pid);
+        // Reclamation drops refs: caches filled before it are suspect.
+        self.refs_died(&dying, None);
+    }
+
+    /// Register a process for the endpoint `owner` with every shard; page
+    /// managers assign pids deterministically so the ids agree. Shared by
+    /// `REGISTER` and the replay of its record.
+    fn register_process(&self, owner: Addr) -> GlobalPid {
+        let mut pid = None;
+        for s in &self.shards {
+            let p = s.pm.borrow_mut().register_process();
+            match pid {
+                None => pid = Some(p),
+                Some(prev) => assert_eq!(prev, p, "shard pid divergence"),
+            }
+        }
+        let pid = pid.expect("at least one shard");
+        self.owners.borrow_mut().insert(pid.0, owner);
+        pid
     }
 
     /// Current invalidation epoch (observability for tests).
@@ -460,34 +447,9 @@ impl DmServer {
         self.sweeper_armed.get()
     }
 
-    // -- durable tier (DESIGN.md §12) ---------------------------------------
-
-    /// The write-ahead log, when durability is on (tests and chaos use it
-    /// for corruption injection and log statistics).
-    pub fn wal(&self) -> Option<&Wal> {
-        self.wal.as_ref()
-    }
-
-    /// Completed [`DmServer::restart_from_log`] recoveries.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries.get()
-    }
-
-    // -- sharded DM plane (DESIGN.md §13) ------------------------------------
-
     /// Requests served (the `dm.shard.N.ops` telemetry gauge).
     pub fn ops_served(&self) -> u64 {
         self.ops_served.get()
-    }
-
-    /// Completed migrations: outbound MIGRATE plus inbound MIGRATE_IN.
-    pub fn migrations(&self) -> u64 {
-        self.migrations.get()
-    }
-
-    /// Redirect responses served off tombstones.
-    pub fn redirects(&self) -> u64 {
-        self.redirects.get()
     }
 
     /// Requests refused because the admission queue was full (0 when
@@ -501,496 +463,6 @@ impl DmServer {
         self.admission.as_ref().map_or(0, |a| a.shed())
     }
 
-    /// Gkeys currently homed on this server (observability for tests).
-    pub fn gkeys_bound(&self) -> usize {
-        self.gmap.borrow().len()
-    }
-
-    // -- coherence observability (DESIGN.md §15) -----------------------------
-
-    /// Targeted INVALIDATE messages pushed to holders so far.
-    pub fn invalidations_pushed(&self) -> u64 {
-        self.inv_pushed.get()
-    }
-
-    /// Directory-overflow broadcasts (epoch bumps) taken so far.
-    pub fn coherence_broadcasts(&self) -> u64 {
-        self.broadcasts.get()
-    }
-
-    /// Current version of the wire key `raw` (1 unless it migrated).
-    pub fn ref_version(&self, raw: u64) -> u64 {
-        self.current_version(raw)
-    }
-
-    /// Live redirect tombstones (observability for tests).
-    pub fn tombstones(&self) -> usize {
-        self.moved.borrow().len()
-    }
-
-    /// FNV-1a digest of every shard's canonical page-manager snapshot —
-    /// the whole memory-plane state (pages, refcounts, VA trees, refs,
-    /// free-list order) excluding volatile serving state (epoch, leases,
-    /// owners, the round-robin allocation cursor). Recovery oracles
-    /// compare this across crash/restart: log-before-ack makes the
-    /// mutation and its record atomic, so the digest after
-    /// `restart_from_log` equals the digest at the instant of a clean
-    /// crash.
-    pub fn pages_digest(&self) -> u64 {
-        let mut buf = Vec::new();
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut buf);
-        }
-        crate::wal::fnv1a(&buf)
-    }
-
-    /// Canonical whole-server checkpoint: version, shard count, epoch,
-    /// owner table (sorted by pid), then each shard's page-manager
-    /// snapshot. Leases and the allocation cursor are volatile by design —
-    /// recovery re-grants full-TTL leases and restarts the cursor (failed
-    /// ops advance the cursor without producing records, so it is not
-    /// reconstructible from the log; it is only a placement hint).
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let gmap = self.gmap.borrow();
-        let moved = self.moved.borrow();
-        // A server that never served the sharded plane emits the version-1
-        // layout, byte-for-byte — log sizes of pre-sharding workloads (and
-        // the CSVs derived from them) cannot shift. Likewise a coherent
-        // server with an empty version table (no live migrated refs)
-        // emits the pre-coherence layout.
-        let versions = self.versions.borrow();
-        let sharded_plane = !gmap.is_empty() || !moved.is_empty();
-        let coherent_plane = !versions.is_empty();
-        let mut out = vec![if coherent_plane {
-            SNAPSHOT_VERSION_COHERENT
-        } else if sharded_plane {
-            SNAPSHOT_VERSION_SHARDED
-        } else {
-            SNAPSHOT_VERSION
-        }];
-        out.extend_from_slice(&(self.shards.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.epoch.get().to_le_bytes());
-        let mut owners: Vec<(u32, simnet::Addr)> =
-            self.owners.borrow().iter().map(|(&p, &a)| (p, a)).collect();
-        owners.sort_unstable_by_key(|&(p, _)| p);
-        out.extend_from_slice(&(owners.len() as u32).to_le_bytes());
-        for (pid, addr) in owners {
-            out.extend_from_slice(&pid.to_le_bytes());
-            out.extend_from_slice(&addr.node.0.to_le_bytes());
-            out.extend_from_slice(&addr.port.to_le_bytes());
-        }
-        if sharded_plane || coherent_plane {
-            let mut binds: Vec<(u64, u64)> = gmap.iter().map(|(&g, &k)| (g, k)).collect();
-            binds.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(binds.len() as u32).to_le_bytes());
-            for (gkey, key) in binds {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            let mut tombs: Vec<(u64, simnet::Addr)> = moved.iter().map(|(&g, &a)| (g, a)).collect();
-            tombs.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(tombs.len() as u32).to_le_bytes());
-            for (gkey, addr) in tombs {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&addr.node.0.to_le_bytes());
-                out.extend_from_slice(&addr.port.to_le_bytes());
-            }
-        }
-        if coherent_plane {
-            let mut vers: Vec<(u64, u64)> = versions.iter().map(|(&g, &v)| (g, v)).collect();
-            vers.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(vers.len() as u32).to_le_bytes());
-            for (gkey, ver) in vers {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&ver.to_le_bytes());
-            }
-        }
-        drop(gmap);
-        drop(moved);
-        drop(versions);
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut out);
-        }
-        out
-    }
-
-    /// Inverse of [`Self::snapshot_bytes`], applied during replay of a
-    /// [`Record::Checkpoint`]. Panics on malformed input: the checkpoint
-    /// sits under the log's CRC, so damage here means the scan accepted a
-    /// record it should not have.
-    fn restore_snapshot(&self, buf: &[u8]) {
-        const BAD: &str = "replay: corrupt checkpoint";
-        assert!(buf.len() >= 3, "{BAD}");
-        let version = buf[0];
-        assert!(
-            version == SNAPSHOT_VERSION
-                || version == SNAPSHOT_VERSION_SHARDED
-                || version == SNAPSHOT_VERSION_COHERENT,
-            "{BAD}"
-        );
-        let shard_count = u16::from_le_bytes(buf[1..3].try_into().expect(BAD)) as usize;
-        assert_eq!(shard_count, self.shards.len(), "{BAD}");
-        let mut pos = 3usize;
-        let take = |pos: &mut usize, n: usize| -> &[u8] {
-            assert!(*pos + n <= buf.len(), "{BAD}");
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            s
-        };
-        let epoch = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-        self.epoch.set(epoch);
-        let n_owners = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-        let mut owners = self.owners.borrow_mut();
-        owners.clear();
-        for _ in 0..n_owners {
-            let pid = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let node = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let port = u16::from_le_bytes(take(&mut pos, 2).try_into().expect(BAD));
-            owners.insert(
-                pid,
-                simnet::Addr {
-                    node: NodeId(node),
-                    port,
-                },
-            );
-        }
-        drop(owners);
-        let mut gmap = self.gmap.borrow_mut();
-        let mut moved = self.moved.borrow_mut();
-        gmap.clear();
-        moved.clear();
-        self.versions.borrow_mut().clear();
-        if version >= SNAPSHOT_VERSION_SHARDED {
-            let n_binds = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            for _ in 0..n_binds {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let key = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                gmap.insert(gkey, key);
-            }
-            let n_tombs = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            for _ in 0..n_tombs {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let node = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-                let port = u16::from_le_bytes(take(&mut pos, 2).try_into().expect(BAD));
-                moved.insert(
-                    gkey,
-                    simnet::Addr {
-                        node: NodeId(node),
-                        port,
-                    },
-                );
-            }
-        }
-        if version >= SNAPSHOT_VERSION_COHERENT {
-            let n_vers = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let mut versions = self.versions.borrow_mut();
-            for _ in 0..n_vers {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let ver = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                versions.insert(gkey, ver);
-            }
-        }
-        drop(gmap);
-        drop(moved);
-        for s in &self.shards {
-            let pm = PageManager::restore_from(buf, &mut pos).expect(BAD);
-            *s.pm.borrow_mut() = pm;
-        }
-        assert_eq!(pos, buf.len(), "{BAD}");
-    }
-
-    /// Append `make()` to the log synchronously (atomic with the mutation
-    /// the caller just applied — the simulator is single-threaded), then
-    /// charge the media time. Zero-cost media returns without yielding, so
-    /// the executor schedule is untouched. Compaction, when due, happens
-    /// here — between records of one op it can never trigger because the
-    /// multi-record path uses [`Self::persist2`].
-    async fn persist(&self, make: impl FnOnce() -> Record) {
-        let Some(w) = &self.wal else { return };
-        let mut n = w.push(&make());
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
-        }
-        w.media().append(n).await;
-    }
-
-    /// [`Self::persist`] for composite ops (WRITE_CREATE_REF): both
-    /// records land before the compaction check, so a checkpoint can never
-    /// split one op's records (replay would double-apply half of it).
-    async fn persist2(&self, make: impl FnOnce() -> (Record, Record)) {
-        let Some(w) = &self.wal else { return };
-        let (a, b) = make();
-        let mut n = w.push(&a) + w.push(&b);
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
-        }
-        w.media().append(n).await;
-    }
-
-    /// [`Self::persist2`] for three-record ops (a coherent MIGRATE_IN:
-    /// PutRef + GBind + GVer land atomically before the compaction
-    /// check).
-    async fn persist3(&self, make: impl FnOnce() -> (Record, Record, Record)) {
-        let Some(w) = &self.wal else { return };
-        let (a, b, c) = make();
-        let mut n = w.push(&a) + w.push(&b) + w.push(&c);
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
-        }
-        w.media().append(n).await;
-    }
-
-    /// Synchronous persist for non-request paths (the lease sweeper): the
-    /// record is installed and counted but the media time is not awaited.
-    fn persist_untimed(&self, make: impl FnOnce() -> Record) {
-        let Some(w) = &self.wal else { return };
-        let mut n = w.push(&make());
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
-        }
-        w.media().append_untimed(n);
-    }
-
-    /// Apply one replayed record. Mutations `expect`: the record passed
-    /// the CRC/sequence scan, so it describes an op that succeeded before
-    /// the crash, and the deterministic page managers must accept it
-    /// again. Recorded result values (`va`, `key`) are divergence
-    /// witnesses checked under `debug_assertions`.
-    fn replay(&self, rec: &Record) {
-        match rec {
-            Record::Register { node, port } => {
-                let mut pid = None;
-                for s in &self.shards {
-                    let p = s.pm.borrow_mut().register_process();
-                    match pid {
-                        None => pid = Some(p),
-                        Some(prev) => assert_eq!(prev, p, "replay: shard pid divergence"),
-                    }
-                }
-                let pid = pid.expect("at least one shard");
-                self.owners.borrow_mut().insert(
-                    pid.0,
-                    simnet::Addr {
-                        node: NodeId(*node),
-                        port: *port,
-                    },
-                );
-            }
-            Record::Alloc {
-                shard,
-                pid,
-                len,
-                va,
-            } => {
-                let got = self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .ralloc(GlobalPid(*pid), *len)
-                    .expect("replay: ralloc");
-                debug_assert_eq!(got, *va, "replay: alloc divergence");
-            }
-            Record::Free { shard, pid, va } => {
-                self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .rfree(GlobalPid(*pid), *va)
-                    .expect("replay: rfree");
-            }
-            Record::Write {
-                shard,
-                pid,
-                va,
-                data,
-            } => {
-                self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .write(GlobalPid(*pid), *va, data)
-                    .expect("replay: write");
-            }
-            Record::CreateRef {
-                shard,
-                pid,
-                va,
-                len,
-                key,
-            } => {
-                let (got, _) = self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .create_ref(GlobalPid(*pid), *va, *len)
-                    .expect("replay: create_ref");
-                debug_assert_eq!(got, *key, "replay: create_ref divergence");
-            }
-            Record::MapRef {
-                shard,
-                pid,
-                key,
-                va,
-            } => {
-                let (got, _, _) = self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .map_ref(GlobalPid(*pid), *key)
-                    .expect("replay: map_ref");
-                debug_assert_eq!(got, *va, "replay: map_ref divergence");
-            }
-            Record::ReleaseRef { shard, key } => {
-                self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .release_ref(*key)
-                    .expect("replay: release_ref");
-                // Mirror the live path: coherent servers do not move the
-                // epoch on a release (the version bump replaced it).
-                if !self.coherent() {
-                    self.epoch.set(self.epoch.get() + 1);
-                }
-            }
-            Record::PutRef {
-                shard,
-                pid,
-                key,
-                data,
-            } => {
-                // The sentinel pid marks an unowned migrated-in ref.
-                let owner = (*pid != NO_OWNER_PID).then_some(GlobalPid(*pid));
-                let (got, _) = self.shards[*shard as usize]
-                    .pm
-                    .borrow_mut()
-                    .put_ref(data, owner)
-                    .expect("replay: put_ref");
-                debug_assert_eq!(got, *key, "replay: put_ref divergence");
-            }
-            Record::ReleaseProcess { pid } => {
-                // Mirror the live sweep's version reclamation (no pushes
-                // during replay — the directory is volatile and empty).
-                let dying = if self.coherent() {
-                    self.wire_keys_owned_by(GlobalPid(*pid))
-                } else {
-                    Default::default()
-                };
-                for s in &self.shards {
-                    // Idempotent, exactly like the live sweep: shards that
-                    // never saw the pid return an error we ignore.
-                    let _ = s.pm.borrow_mut().release_process(GlobalPid(*pid));
-                }
-                self.owners.borrow_mut().remove(pid);
-                if self.coherent() {
-                    for raw in dying {
-                        self.versions.borrow_mut().remove(&raw);
-                    }
-                } else {
-                    self.epoch.set(self.epoch.get() + 1);
-                }
-            }
-            Record::GBind { gkey, key } => {
-                self.gmap.borrow_mut().insert(*gkey, *key);
-                // A migrated-back gkey overwrites its stale tombstone.
-                self.moved.borrow_mut().remove(gkey);
-            }
-            Record::GUnbind { gkey } => {
-                self.gmap.borrow_mut().remove(gkey);
-                self.versions.borrow_mut().remove(gkey);
-            }
-            Record::GMoved { gkey, node, port } => {
-                self.gmap.borrow_mut().remove(gkey);
-                self.versions.borrow_mut().remove(gkey);
-                self.moved.borrow_mut().insert(
-                    *gkey,
-                    simnet::Addr {
-                        node: NodeId(*node),
-                        port: *port,
-                    },
-                );
-            }
-            Record::GVer { gkey, ver } => {
-                self.versions.borrow_mut().insert(*gkey, *ver);
-            }
-            Record::Checkpoint { snapshot } => self.restore_snapshot(snapshot),
-        }
-    }
-
-    /// Crash-consistent recovery: rebuild the whole server from its
-    /// write-ahead log and come back online.
-    ///
-    /// Steps: charge one sequential media scan of the log; validate it
-    /// (CRC, framing, sequence continuity) and truncate any torn tail;
-    /// discard all volatile state (fresh page managers, empty owner/lease
-    /// tables, epoch 0, allocation cursor 0); replay the valid prefix
-    /// (a checkpoint record restores its snapshot, subsequent records
-    /// re-apply on top); advance the epoch once more past the replayed
-    /// value so client caches filled before the crash can never be
-    /// trusted across it; re-grant every recovered owner a full-TTL lease
-    /// (crashed clients stop renewing and get swept as usual); come back
-    /// online and re-arm the sweeper.
-    ///
-    /// The recovery invariant (tested by `tests/recovery.rs` and the
-    /// chaos `server-crash-recovery` class): zero lost acknowledged ops,
-    /// zero resurrected frees — the rebuilt state is exactly the
-    /// acknowledged pre-crash state.
-    ///
-    /// # Panics
-    /// Panics if durability is off.
-    pub async fn restart_from_log(self: &Rc<Self>) -> RecoveryReport {
-        let w = self.wal.as_ref().expect("restart_from_log: durability off");
-        w.media().scan(w.log_bytes()).await;
-        let report = w.scan();
-        w.repair(&report);
-        for s in &self.shards {
-            let (cap, mode) = {
-                let pm = s.pm.borrow();
-                (pm.capacity_pages(), pm.copy_mode())
-            };
-            *s.pm.borrow_mut() = PageManager::new(cap, mode);
-        }
-        self.owners.borrow_mut().clear();
-        self.leases.borrow_mut().clear();
-        self.gmap.borrow_mut().clear();
-        self.moved.borrow_mut().clear();
-        // The holder directory and version table are rebuilt from scratch:
-        // grants are volatile (the post-recovery epoch bump broadcasts to
-        // every pre-crash holder anyway), versions replay from the log.
-        self.dir.borrow_mut().clear();
-        self.dir_grants.set(0);
-        self.versions.borrow_mut().clear();
-        self.epoch.set(0);
-        self.next_alloc.set(0);
-        for rec in &report.records {
-            self.replay(rec);
-        }
-        // Epoch-after-restart rule: one conservative bump past everything
-        // the replay reconstructed, so any response a client sees after
-        // recovery reports a strictly newer epoch than any it saw before
-        // the crash, invalidating its cache.
-        self.epoch.set(self.epoch.get() + 1);
-        if let Some(ttl) = self.config.lease_ttl {
-            let exp = simcore::now() + ttl;
-            let mut leases = self.leases.borrow_mut();
-            for &pid in self.owners.borrow().keys() {
-                leases.insert(pid, exp);
-            }
-        }
-        self.rpc.set_offline(false);
-        self.recoveries.set(self.recoveries.get() + 1);
-        self.spawn_sweeper();
-        telemetry::root_event(
-            SpanKind::LeaseReclaim,
-            "dm.recovery",
-            self.addr().node.0,
-            &[
-                ("records", report.records.len() as u64),
-                ("torn", report.torn as u64),
-                ("epoch", self.epoch.get()),
-            ],
-        );
-        RecoveryReport {
-            records_replayed: report.records.len(),
-            torn_tail: report.torn,
-            log_bytes: w.log_bytes(),
-        }
-    }
-
     /// Tear down: unregister handlers so the `Rc` cycle through them is
     /// broken and the server (and its page pool) can be freed.
     pub fn shutdown(&self) {
@@ -999,7 +471,7 @@ impl DmServer {
     }
 
     /// The server's RPC address.
-    pub fn addr(&self) -> simnet::Addr {
+    pub fn addr(&self) -> Addr {
         self.rpc.addr()
     }
 
@@ -1057,7 +529,7 @@ impl DmServer {
         self.translation_ns.get() as f64 / total as f64
     }
 
-    // -- shard routing -------------------------------------------------------
+    // -- routing -------------------------------------------------------------
 
     fn tag(&self, shard: usize, v: u64) -> u64 {
         debug_assert!(v <= LOW_MASK, "value overflows shard tag space");
@@ -1073,11 +545,22 @@ impl DmServer {
     }
 
     /// Validate that `src` owns `pid`.
-    fn check_owner(&self, pid: GlobalPid, src: simnet::Addr) -> DmResult<()> {
+    fn check_owner(&self, pid: GlobalPid, src: Addr) -> DmResult<()> {
         match self.owners.borrow().get(&pid.0) {
             Some(&owner) if owner == src => Ok(()),
             _ => Err(DmError::InvalidAddress),
         }
+    }
+
+    /// The pid the endpoint `addr` registered here (the lowest, should it
+    /// have registered more than once — never the hash-order first). An
+    /// unregistered endpoint, e.g. one whose lease already expired, is
+    /// `InvalidAddress`.
+    fn pid_of(&self, addr: Addr) -> DmResult<GlobalPid> {
+        let owners = self.owners.borrow();
+        let pids = owners.iter().filter(|&(_, &a)| a == addr);
+        let lowest = pids.map(|(&pid, _)| pid).min();
+        lowest.map(GlobalPid).ok_or(DmError::InvalidAddress)
     }
 
     fn pick_alloc_shard(&self) -> usize {
@@ -1110,105 +593,7 @@ impl DmServer {
         Err(DmError::InvalidRef)
     }
 
-    // -- coherence plane (DESIGN.md §15) -------------------------------------
-
-    fn coherent(&self) -> bool {
-        self.config.coherence.is_some()
-    }
-
-    /// Current version of the wire key `raw`. Creation is the implicit
-    /// version 1, so only keys that moved (MIGRATE) occupy the table.
-    fn current_version(&self, raw: u64) -> u64 {
-        self.versions.borrow().get(&raw).copied().unwrap_or(1)
-    }
-
-    /// Record that `src` now holds a cached copy of `raw` (no-op unless
-    /// coherent). On directory overflow every grant is dropped and the
-    /// epoch advances once — the broadcast fallback — so the directory
-    /// stays bounded without ever missing a holder.
-    fn grant(&self, raw: u64, src: simnet::Addr) {
-        let Some(c) = self.config.coherence else {
-            return;
-        };
-        let expiry = simcore::now() + c.read_lease;
-        let mut dir = self.dir.borrow_mut();
-        let holders = dir.entry(raw).or_default();
-        if holders.insert((src.node.0, src.port), expiry).is_some() {
-            return; // refreshed an existing grant
-        }
-        if self.dir_grants.get() + 1 > c.dir_max {
-            dir.clear();
-            self.dir_grants.set(0);
-            self.epoch.set(self.epoch.get() + 1);
-            self.broadcasts.set(self.broadcasts.get() + 1);
-            dir.entry(raw)
-                .or_default()
-                .insert((src.node.0, src.port), expiry);
-        }
-        self.dir_grants.set(self.dir_grants.get() + 1);
-    }
-
-    /// Push targeted INVALIDATE messages for `raw` at `ver` to every
-    /// live holder (fire-and-forget: a lost push is safe — the holder's
-    /// read lease bounds how long it can keep serving, and a stale entry
-    /// can only hold the dead ref's final immutable bytes). `exclude`
-    /// skips the requester, whose own response trailer already carries
-    /// the new version.
-    fn push_invalidations(&self, raw: u64, ver: u64, exclude: Option<simnet::Addr>) {
-        if !self.coherent() {
-            return;
-        }
-        let Some(holders) = self.dir.borrow_mut().remove(&raw) else {
-            return;
-        };
-        self.dir_grants.set(self.dir_grants.get() - holders.len());
-        let now = simcore::now();
-        for ((node, port), expiry) in holders {
-            let dst = simnet::Addr {
-                node: NodeId(node),
-                port,
-            };
-            if expiry <= now || Some(dst) == exclude {
-                continue;
-            }
-            self.inv_pushed.set(self.inv_pushed.get() + 1);
-            let rpc = self.rpc.clone();
-            let body = Writer::new().u64(raw).u64(ver).finish();
-            simcore::spawn(async move {
-                let _ = rpc.call(dst, req::INVALIDATE, body).await;
-            });
-        }
-    }
-
-    /// Kill the wire key `raw`: drop its version entry (keys are minted
-    /// once, so it will never be compared again) and push its successor
-    /// version to holders so their cached copies die promptly. Returns
-    /// the pushed version for the requester's response trailer.
-    fn bump_dead(&self, raw: u64, exclude: Option<simnet::Addr>) -> u64 {
-        let ver = self.versions.borrow_mut().remove(&raw).unwrap_or(1) + 1;
-        self.push_invalidations(raw, ver, exclude);
-        ver
-    }
-
-    /// Every wire-visible key of refs owned by `pid`, sorted (push order
-    /// must be deterministic): the shard-tagged local keys plus any gkeys
-    /// bound to them.
-    fn wire_keys_owned_by(&self, pid: GlobalPid) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (shard, s) in self.shards.iter().enumerate() {
-            for key in s.pm.borrow().keys_owned_by(pid) {
-                out.push(self.tag(shard, key));
-            }
-        }
-        let tagged: std::collections::HashSet<u64> = out.iter().copied().collect();
-        for (&gkey, &t) in self.gmap.borrow().iter() {
-            if tagged.contains(&t) {
-                out.push(gkey);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
+    // -- cost model ----------------------------------------------------------
 
     /// Record data-path time in the op-time denominator (translation stat).
     fn note_data_time(&self, bytes: u64) {
@@ -1263,658 +648,6 @@ impl DmServer {
         self.op_ns
             .set(self.op_ns.get() + cpu_time.as_nanos() as u64);
     }
-
-    /// Wrap `body` in a success response carrying the current epoch.
-    /// A coherent server appends a version trailer to *every* ok
-    /// response (empty when the op touched no cacheable ref) so clients
-    /// can strip it unambiguously.
-    fn ok(&self, body: &[u8]) -> Bytes {
-        self.ok_v(&[], body)
-    }
-
-    /// [`Self::ok`] with the `(key, version)` pairs this op touched.
-    fn ok_v(&self, touched: &[(u64, u64)], body: &[u8]) -> Bytes {
-        if self.coherent() {
-            proto::ok_response_versioned(self.epoch.get(), body, touched)
-        } else {
-            ok_response(self.epoch.get(), body)
-        }
-    }
-
-    fn register_handlers(self: &Rc<Self>) {
-        let types: &[u8] = &[
-            req::REGISTER,
-            req::ALLOC,
-            req::FREE,
-            req::CREATE_REF,
-            req::MAP_REF,
-            req::READ,
-            req::WRITE,
-            req::RELEASE_REF,
-            req::WRITE_CREATE_REF,
-            req::READ_REF,
-            req::PUT_REF,
-            req::RENEW_LEASE,
-            req::BATCH,
-            req::PUT_REF_AT,
-            req::MIGRATE,
-            req::MIGRATE_IN,
-        ];
-        for &ty in types {
-            let srv = self.clone();
-            self.rpc.register(ty, move |ctx| {
-                let srv = srv.clone();
-                async move { srv.handle(ty, ctx.src, ctx.payload).await }
-            });
-        }
-    }
-
-    /// Ops that bypass admission control: registration and lease renewal
-    /// are liveness traffic — shedding a renewal under overload would
-    /// convert a latency problem into spurious lease reclamation — and
-    /// `BATCH` carries deferred releases whose loss would leak pins.
-    fn admission_exempt(ty: u8) -> bool {
-        matches!(ty, req::REGISTER | req::RENEW_LEASE | req::BATCH)
-    }
-
-    async fn handle(self: Rc<Self>, ty: u8, src: simnet::Addr, body: Bytes) -> Bytes {
-        self.ops_served.set(self.ops_served.get() + 1);
-        // Overload control (DESIGN.md §14): refuse before any CPU is
-        // charged or span opened — a rejected request must be as cheap
-        // as possible. Servers without admission skip this entirely.
-        let _admit = match &self.admission {
-            None => None,
-            Some(_) if Self::admission_exempt(ty) => None,
-            Some(a) => match a.try_admit() {
-                Some(guard) => Some(guard),
-                None => return err_response(self.epoch.get(), DmError::Busy),
-            },
-        };
-        // Child of the RPC layer's server-handle span when the request was
-        // traced; a no-op (one flag read) otherwise.
-        let mut op = telemetry::span(SpanKind::DmOp, proto::req_name(ty), self.addr().node.0);
-        if let Some(s) = op.as_mut() {
-            s.attr("body_bytes", body.len() as u64);
-        }
-        match self.dispatch(ty, src, &body).await {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(s) = op.as_mut() {
-                    s.attr("error", 1);
-                }
-                err_response(self.epoch.get(), e)
-            }
-        }
-    }
-
-    async fn dispatch(&self, ty: u8, src: simnet::Addr, body: &Bytes) -> DmResult<Bytes> {
-        match ty {
-            req::REGISTER => {
-                // Register the process with every shard; page managers
-                // assign pids deterministically so the ids agree.
-                let pid = {
-                    let mut pid = None;
-                    for s in &self.shards {
-                        let p = s.pm.borrow_mut().register_process();
-                        match pid {
-                            None => pid = Some(p),
-                            Some(prev) => assert_eq!(prev, p, "shard pid divergence"),
-                        }
-                    }
-                    pid.expect("at least one shard")
-                };
-                self.owners.borrow_mut().insert(pid.0, src);
-                self.persist(|| Record::Register {
-                    node: src.node.0,
-                    port: src.port,
-                })
-                .await;
-                self.charge(0, OpCost::default(), 0).await;
-                // Only lease-granting servers append the TTL: the response
-                // (and thus the packet schedule) of a lease-free server is
-                // byte-identical to the pre-lease wire format.
-                if let Some(ttl) = self.config.lease_ttl {
-                    self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
-                    return Ok(self.ok(&Writer::new().pid(pid).u64(ttl.as_nanos() as u64).finish()));
-                }
-                Ok(self.ok(&Writer::new().pid(pid).finish()))
-            }
-            req::RENEW_LEASE => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let ttl = self.config.lease_ttl.ok_or(DmError::Malformed)?;
-                match self.leases.borrow_mut().get_mut(&pid.0) {
-                    Some(exp) => *exp = simcore::now() + ttl,
-                    // Lease already expired and reclaimed: the renewal is
-                    // too late, the client must re-register.
-                    None => return Err(DmError::InvalidAddress),
-                }
-                self.charge(0, OpCost::default(), 0).await;
-                Ok(self.ok(&[]))
-            }
-            req::ALLOC => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let len = r.u64()?;
-                let shard = self.pick_alloc_shard();
-                let va = self.shards[shard].pm.borrow_mut().ralloc(pid, len)?;
-                self.persist(|| Record::Alloc {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    len,
-                    va,
-                })
-                .await;
-                self.charge(shard, OpCost::default(), 0).await;
-                Ok(self.ok(&Writer::new().u64(self.tag(shard, va)).finish()))
-            }
-            req::FREE => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let cost = self.shards[shard].pm.borrow_mut().rfree(pid, va)?;
-                self.persist(|| Record::Free {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                })
-                .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
-                Ok(self.ok(&[]))
-            }
-            req::CREATE_REF => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let len = r.u64()?;
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .create_ref(pid, va, len)?;
-                self.persist(|| Record::CreateRef {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                    len,
-                    key,
-                })
-                .await;
-                let pages = len.div_ceil(PAGE_SIZE as u64);
-                self.charge(shard, cost, pages).await;
-                let tagged = self.tag(shard, key);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
-            }
-            req::MAP_REF => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
-                let (va, len, cost) = self.shards[shard].pm.borrow_mut().map_ref(pid, key)?;
-                self.persist(|| Record::MapRef {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    key,
-                    va,
-                })
-                .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
-                self.grant(raw, src);
-                Ok(self.ok_v(
-                    &[(raw, self.current_version(raw))],
-                    &Writer::new().u64(self.tag(shard, va)).u64(len).finish(),
-                ))
-            }
-            req::READ => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let len = r.u64()?;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let data = self.shards[shard].pm.borrow_mut().read(pid, va, len)?;
-                self.charge(shard, OpCost::default(), translations).await;
-                // Reading pinned pages into the response path occupies DRAM.
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                Ok(self.ok(&data))
-            }
-            req::WRITE => {
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let data = r.rest();
-                let translations = (data.len() as u64).div_ceil(PAGE_SIZE as u64).max(1);
-                let cost = self.shards[shard].pm.borrow_mut().write(pid, va, data)?;
-                self.persist(|| Record::Write {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                    data: data.to_vec(),
-                })
-                .await;
-                self.charge(shard, cost, translations).await;
-                // Storing into pinned pages occupies DRAM.
-                self.mem.touch(data.len() as u64).await;
-                self.note_data_time(data.len() as u64);
-                Ok(self.ok(&[]))
-            }
-            req::RELEASE_REF => {
-                let mut r = Reader::new(body);
-                let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
-                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
-                // The ref is gone: invalidate client caches. Coherent mode
-                // kills just this key (version bump + targeted pushes);
-                // otherwise the global epoch advances and the releaser's
-                // own response carries the new epoch.
-                let touched = if self.coherent() {
-                    vec![(raw, self.bump_dead(raw, Some(src)))]
-                } else {
-                    self.epoch.set(self.epoch.get() + 1);
-                    vec![]
-                };
-                if raw & GKEY_BIT != 0 {
-                    self.gmap.borrow_mut().remove(&raw);
-                    self.persist2(|| {
-                        (
-                            Record::ReleaseRef {
-                                shard: shard as u16,
-                                key,
-                            },
-                            Record::GUnbind { gkey: raw },
-                        )
-                    })
-                    .await;
-                } else {
-                    self.persist(|| Record::ReleaseRef {
-                        shard: shard as u16,
-                        key,
-                    })
-                    .await;
-                }
-                self.charge(shard, cost, cost.refcount_updates).await;
-                Ok(self.ok_v(&touched, &[]))
-            }
-            req::WRITE_CREATE_REF => {
-                // Fast path: write the data and create the ref in one RTT.
-                let mut r = Reader::new(body);
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let data = r.rest();
-                let len = data.len() as u64;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let (key, wcost, ccost) = {
-                    let mut pm = self.shards[shard].pm.borrow_mut();
-                    let wcost = pm.write(pid, va, data)?;
-                    let (key, ccost) = pm.create_ref(pid, va, len)?;
-                    (key, wcost, ccost)
-                };
-                self.persist2(|| {
-                    (
-                        Record::Write {
-                            shard: shard as u16,
-                            pid: pid.0,
-                            va,
-                            data: data.to_vec(),
-                        },
-                        Record::CreateRef {
-                            shard: shard as u16,
-                            pid: pid.0,
-                            va,
-                            len,
-                            key,
-                        },
-                    )
-                })
-                .await;
-                let mut cost = wcost;
-                cost.add(ccost);
-                self.charge(shard, cost, translations).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                let tagged = self.tag(shard, key);
-                // The writer caches the bytes it just published.
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
-            }
-            req::PUT_REF => {
-                let data = &body[..];
-                let len = data.len() as u64;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let shard = self.pick_alloc_shard();
-                // Attribute the ref to the caller's PID so lease expiry can
-                // reclaim it. An unregistered caller (e.g. a process whose
-                // lease already expired) is rejected — an anonymous ref
-                // could never be reclaimed.
-                let owner = self
-                    .owners
-                    .borrow()
-                    .iter()
-                    .find(|&(_, &a)| a == src)
-                    .map(|(&pid, _)| GlobalPid(pid))
-                    .ok_or(DmError::InvalidAddress)?;
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .put_ref(data, Some(owner))?;
-                self.persist(|| Record::PutRef {
-                    shard: shard as u16,
-                    pid: owner.0,
-                    key,
-                    data: data.to_vec(),
-                })
-                .await;
-                self.charge(shard, cost, translations).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                let tagged = self.tag(shard, key);
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
-            }
-            req::READ_REF => {
-                let mut r = Reader::new(body);
-                let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
-                let off = r.u64()?;
-                let len = r.u64()?;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let data = self.shards[shard].pm.borrow_mut().read_ref(key, off, len)?;
-                self.charge(shard, OpCost::default(), translations).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                // The reader may now cache these bytes: grant it a read
-                // lease and report the key's version alongside the data.
-                self.grant(raw, src);
-                Ok(self.ok_v(&[(raw, self.current_version(raw))], &data))
-            }
-            req::PUT_REF_AT => {
-                // Sharded plane (DESIGN.md §13): publish under a
-                // client-minted global key. Placement was the client's
-                // choice (the consistent-hash ring); this server only binds.
-                let mut r = Reader::new(body);
-                let gkey = r.u64()?;
-                if gkey & GKEY_BIT == 0 {
-                    return Err(DmError::InvalidRef);
-                }
-                let data = r.rest();
-                // Gkeys are mint-once: a rebind would orphan pages and
-                // break the one-hop redirect contract.
-                if self.gmap.borrow().contains_key(&gkey) || self.moved.borrow().contains_key(&gkey)
-                {
-                    return Err(DmError::Malformed);
-                }
-                let len = data.len() as u64;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let owner = self
-                    .owners
-                    .borrow()
-                    .iter()
-                    .find(|&(_, &a)| a == src)
-                    .map(|(&pid, _)| GlobalPid(pid))
-                    .ok_or(DmError::InvalidAddress)?;
-                let shard = self.pick_alloc_shard();
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .put_ref(data, Some(owner))?;
-                let tagged = self.tag(shard, key);
-                self.gmap.borrow_mut().insert(gkey, tagged);
-                self.persist2(|| {
-                    (
-                        Record::PutRef {
-                            shard: shard as u16,
-                            pid: owner.0,
-                            key,
-                            data: data.to_vec(),
-                        },
-                        Record::GBind { gkey, key: tagged },
-                    )
-                })
-                .await;
-                self.charge(shard, cost, translations).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                self.grant(gkey, src);
-                Ok(self.ok_v(&[(gkey, 1)], &[]))
-            }
-            req::MIGRATE => {
-                // Ownership migration (DESIGN.md §13): transfer the gkey's
-                // pages to `dst` server-to-server, release the local copy
-                // and leave a redirect tombstone for in-flight clients.
-                let mut r = Reader::new(body);
-                let gkey = r.u64()?;
-                if gkey & GKEY_BIT == 0 {
-                    return Err(DmError::InvalidRef);
-                }
-                let dst = simnet::Addr {
-                    node: NodeId(r.u32()?),
-                    port: r.u32()? as u16,
-                };
-                if dst == self.addr() {
-                    return Err(DmError::InvalidAddress);
-                }
-                let (shard, key) = match self.route_key(gkey)? {
-                    KeyRoute::Local(s, k) => (s, k),
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
-                let (len, owner) = {
-                    let pm = self.shards[shard].pm.borrow();
-                    (pm.ref_len(key)?, pm.ref_owner(key)?)
-                };
-                let data = self.shards[shard].pm.borrow_mut().read_ref(key, 0, len)?;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let owner_addr = owner.and_then(|p| self.owners.borrow().get(&p.0).copied());
-                // An owned ref whose owner is no longer registered is
-                // about to be lease-reclaimed; migrating it would install
-                // an unowned orphan at `dst` that no sweeper ever frees.
-                if owner.is_some() && owner_addr.is_none() {
-                    return Err(DmError::InvalidAddress);
-                }
-                // Reading the pages out for the transfer occupies DRAM
-                // exactly like READ_REF.
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                let mut w = Writer::new().u64(gkey);
-                w = match owner_addr {
-                    Some(a) => w.u32(a.node.0).u32(a.port as u32),
-                    None => w.u32(NO_OWNER_PID).u32(0),
-                };
-                // Versions travel with ownership: the destination installs
-                // the successor version, so clients that cached the ref
-                // here can never mistake a pre-migration fill for current
-                // once they reach the new home.
-                let next_ver = self.current_version(gkey) + 1;
-                if self.coherent() {
-                    w = w.u64(next_ver);
-                }
-                let fwd = w.bytes(&data).finish();
-                // The transfer rides the simulated fabric: migration pays
-                // real server-to-server bandwidth and latency. A transport
-                // or destination failure leaves the local copy untouched —
-                // the gkey stays served here, and any duplicate the
-                // destination may have installed is owner-attributed, so
-                // lease teardown reclaims it.
-                let resp = self
-                    .rpc
-                    .call(dst, req::MIGRATE_IN, fwd)
-                    .await
-                    .map_err(|_| DmError::Transport)?;
-                proto::parse_response(&resp)?;
-                // Destination acked: drop the local copy, leave the
-                // forwarding tombstone, and invalidate caches (the ref's
-                // home changed under every client that cached it).
-                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
-                self.gmap.borrow_mut().remove(&gkey);
-                self.moved.borrow_mut().insert(gkey, dst);
-                let touched = if self.coherent() {
-                    // Targeted: holders re-read and chase the redirect to
-                    // the new home; no epoch movement.
-                    self.versions.borrow_mut().remove(&gkey);
-                    self.push_invalidations(gkey, next_ver, None);
-                    vec![(gkey, next_ver)]
-                } else {
-                    self.epoch.set(self.epoch.get() + 1);
-                    vec![]
-                };
-                self.persist2(|| {
-                    (
-                        Record::ReleaseRef {
-                            shard: shard as u16,
-                            key,
-                        },
-                        Record::GMoved {
-                            gkey,
-                            node: dst.node.0,
-                            port: dst.port,
-                        },
-                    )
-                })
-                .await;
-                self.migrations.set(self.migrations.get() + 1);
-                self.charge(shard, cost, translations).await;
-                Ok(self.ok_v(&touched, &[]))
-            }
-            req::MIGRATE_IN => {
-                // Destination half of MIGRATE: bind the gkey to a fresh
-                // local ref holding the transferred bytes. Ownership is
-                // re-attributed to this server's pid for the owning
-                // endpoint when it is registered here; otherwise the ref
-                // arrives unowned (reclaimed only by explicit release).
-                let mut r = Reader::new(body);
-                let gkey = r.u64()?;
-                if gkey & GKEY_BIT == 0 {
-                    return Err(DmError::InvalidRef);
-                }
-                let owner_node = r.u32()?;
-                let owner_port = r.u32()?;
-                // A coherent source framed the transferred version between
-                // the owner fields and the data (sources and destinations
-                // always agree on the coherence setting — it is one
-                // cluster-wide knob).
-                let ver = if self.coherent() { r.u64()? } else { 1 };
-                let data = r.rest();
-                if self.gmap.borrow().contains_key(&gkey) {
-                    return Err(DmError::Malformed);
-                }
-                let owner = if owner_node == NO_OWNER_PID {
-                    None
-                } else {
-                    let oaddr = simnet::Addr {
-                        node: NodeId(owner_node),
-                        port: owner_port as u16,
-                    };
-                    // The owner must be attributable here, or the transfer
-                    // is refused and the source keeps the ref: accepting it
-                    // unowned would leave pages no lease sweeper can ever
-                    // reclaim. (The owner can be unknown here when its
-                    // lease expired on this server — e.g. renewals lost to
-                    // a partition — while the source still holds one.)
-                    Some(
-                        self.owners
-                            .borrow()
-                            .iter()
-                            .find(|&(_, &a)| a == oaddr)
-                            .map(|(&pid, _)| GlobalPid(pid))
-                            .ok_or(DmError::InvalidAddress)?,
-                    )
-                };
-                let len = data.len() as u64;
-                let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let shard = self.pick_alloc_shard();
-                let (key, cost) = self.shards[shard].pm.borrow_mut().put_ref(data, owner)?;
-                let tagged = self.tag(shard, key);
-                self.gmap.borrow_mut().insert(gkey, tagged);
-                // A ref migrating back home clears its own stale tombstone.
-                self.moved.borrow_mut().remove(&gkey);
-                if ver != 1 {
-                    // Only non-creation versions occupy the table (and the
-                    // log): a once-migrated gkey keeps its history.
-                    self.versions.borrow_mut().insert(gkey, ver);
-                    self.persist3(|| {
-                        (
-                            Record::PutRef {
-                                shard: shard as u16,
-                                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
-                                key,
-                                data: data.to_vec(),
-                            },
-                            Record::GBind { gkey, key: tagged },
-                            Record::GVer { gkey, ver },
-                        )
-                    })
-                    .await;
-                } else {
-                    self.persist2(|| {
-                        (
-                            Record::PutRef {
-                                shard: shard as u16,
-                                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
-                                key,
-                                data: data.to_vec(),
-                            },
-                            Record::GBind { gkey, key: tagged },
-                        )
-                    })
-                    .await;
-                }
-                self.migrations.set(self.migrations.get() + 1);
-                self.charge(shard, cost, translations).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                Ok(self.ok(&[]))
-            }
-            req::BATCH => {
-                // Coalesced control ops (DESIGN.md §9): one wire message,
-                // one framed response per sub-op. Each sub-op still pays
-                // its own page-manager CPU; what the batch saves is the
-                // per-message RPC and network overhead. A failing sub-op
-                // does not abort the rest — its framed slot carries the
-                // error.
-                let items = proto::decode_batch(body)?;
-                let mut resps = Vec::with_capacity(items.len());
-                for (sub_ty, sub_body, sub_ctx) in items {
-                    if sub_ty == req::BATCH {
-                        return Err(DmError::Malformed); // no nesting
-                    }
-                    // A sub-op that rode in with its enqueuer's context is
-                    // parented there, reconnecting the deferred op to the
-                    // request that caused it (the flush RPC is untraced).
-                    let sub_span = sub_ctx.and_then(|c| {
-                        telemetry::span_with_parent(
-                            SpanKind::DmOp,
-                            proto::req_name(sub_ty),
-                            self.addr().node.0,
-                            c,
-                        )
-                    });
-                    let resp = match Box::pin(self.dispatch(sub_ty, src, &sub_body)).await {
-                        Ok(r) => r,
-                        Err(e) => err_response(self.epoch.get(), e),
-                    };
-                    drop(sub_span);
-                    resps.push(resp);
-                }
-                Ok(self.ok(&proto::encode_batch_responses(&resps)))
-            }
-            _ => Err(DmError::Malformed),
-        }
-    }
 }
 
 /// Start `n` DM servers on dedicated nodes; returns their addresses.
@@ -1926,7 +659,6 @@ pub fn start_pool(
     params: &memsim::ModelParams,
     config: DmServerConfig,
 ) -> Vec<Rc<DmServer>> {
-    let _ = SimRng::new(0); // reserved for future jitter modeling
     nodes
         .iter()
         .map(|&node| {

@@ -1,0 +1,441 @@
+//! Request dispatch: admission, tracing, and the one body of every wire
+//! op. Each arm validates, mutates the page manager, persists
+//! (log-before-ack), charges CPU/memory and answers; how the change
+//! reaches client caches is the coherence plane's decision
+//! ([`DmServer::refs_died`], [`DmServer::grant`], [`DmServer::ok_v`]).
+
+use std::rc::Rc;
+
+use bytes::Bytes;
+use dmcommon::{DmError, DmResult, PAGE_SIZE};
+use simnet::Addr;
+use telemetry::SpanKind;
+
+use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
+use crate::page_manager::OpCost;
+use crate::proto::{self, err_response, req, Reader, Writer};
+use crate::shard::GKEY_BIT;
+use crate::wal::Record;
+
+impl DmServer {
+    pub(super) fn register_handlers(self: &Rc<Self>) {
+        let types: &[u8] = &[
+            req::REGISTER,
+            req::ALLOC,
+            req::FREE,
+            req::CREATE_REF,
+            req::MAP_REF,
+            req::READ,
+            req::WRITE,
+            req::RELEASE_REF,
+            req::WRITE_CREATE_REF,
+            req::READ_REF,
+            req::PUT_REF,
+            req::RENEW_LEASE,
+            req::BATCH,
+            req::PUT_REF_AT,
+            req::MIGRATE,
+            req::MIGRATE_IN,
+        ];
+        for &ty in types {
+            let srv = self.clone();
+            self.rpc.register(ty, move |ctx| {
+                let srv = srv.clone();
+                async move { srv.handle(ty, ctx.src, ctx.payload).await }
+            });
+        }
+    }
+
+    /// Ops that bypass admission control: registration and lease renewal
+    /// are liveness traffic — shedding a renewal under overload would
+    /// convert a latency problem into spurious lease reclamation — and
+    /// `BATCH` carries deferred releases whose loss would leak pins.
+    fn admission_exempt(ty: u8) -> bool {
+        matches!(ty, req::REGISTER | req::RENEW_LEASE | req::BATCH)
+    }
+
+    async fn handle(self: Rc<Self>, ty: u8, src: Addr, body: Bytes) -> Bytes {
+        self.ops_served.set(self.ops_served.get() + 1);
+        // Overload control (DESIGN.md §14): refuse before any CPU is
+        // charged or span opened — a rejected request must be as cheap
+        // as possible. Servers without admission skip this entirely.
+        let _admit = match &self.admission {
+            None => None,
+            Some(_) if Self::admission_exempt(ty) => None,
+            Some(a) => match a.try_admit() {
+                Some(guard) => Some(guard),
+                None => return err_response(self.epoch.get(), DmError::Busy),
+            },
+        };
+        // Child of the RPC layer's server-handle span when the request was
+        // traced; a no-op (one flag read) otherwise.
+        let mut op = telemetry::span(SpanKind::DmOp, proto::req_name(ty), self.addr().node.0);
+        if let Some(s) = op.as_mut() {
+            s.attr("body_bytes", body.len() as u64);
+        }
+        match self.dispatch(ty, src, &body).await {
+            Ok(resp) => resp,
+            Err(e) => {
+                if let Some(s) = op.as_mut() {
+                    s.attr("error", 1);
+                }
+                err_response(self.epoch.get(), e)
+            }
+        }
+    }
+
+    /// Install `data` as a new ref on the next shard in rotation,
+    /// attributed to the pid `owner` registered here so lease expiry can
+    /// reclaim it (an unregistered owner is refused — an anonymous ref
+    /// could never be reclaimed; `None` is a migrated ref that was already
+    /// unowned at its source). With `bind = (gkey, version)` the ref is
+    /// also bound to that global key. Logs, charges and returns the ref's
+    /// shard-tagged key. The one body behind `PUT_REF`, `PUT_REF_AT` and
+    /// `MIGRATE_IN`.
+    pub(super) async fn install_ref(
+        &self,
+        data: &[u8],
+        owner: Option<Addr>,
+        bind: Option<(u64, u64)>,
+    ) -> DmResult<u64> {
+        let len = data.len() as u64;
+        let owner = owner.map(|addr| self.pid_of(addr)).transpose()?;
+        let shard = self.pick_alloc_shard();
+        let (key, cost) = self.shards[shard].pm.borrow_mut().put_ref(data, owner)?;
+        let tagged = self.tag(shard, key);
+        if let Some((gkey, ver)) = bind {
+            self.gmap.borrow_mut().insert(gkey, tagged);
+            // A ref migrating back home clears its own stale tombstone.
+            self.moved.borrow_mut().remove(&gkey);
+            // Only non-creation versions occupy the table (and the log):
+            // a once-migrated gkey keeps its history.
+            if ver != 1 {
+                self.versions.borrow_mut().insert(gkey, ver);
+            }
+        }
+        self.persist(|| {
+            let mut records = vec![Record::PutRef {
+                shard: shard as u16,
+                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
+                key,
+                data: data.to_vec(),
+            }];
+            if let Some((gkey, ver)) = bind {
+                records.push(Record::GBind { gkey, key: tagged });
+                if ver != 1 {
+                    records.push(Record::GVer { gkey, ver });
+                }
+            }
+            records
+        })
+        .await;
+        self.charge(shard, cost, translations_for(len)).await;
+        self.mem.touch(len).await;
+        self.note_data_time(len);
+        Ok(tagged)
+    }
+
+    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Bytes) -> DmResult<Bytes> {
+        let mut r = Reader::new(body);
+        match ty {
+            req::REGISTER => {
+                let pid = self.register_process(src);
+                self.persist(|| {
+                    vec![Record::Register {
+                        node: src.node.0,
+                        port: src.port,
+                    }]
+                })
+                .await;
+                self.charge(0, OpCost::default(), 0).await;
+                // Only lease-granting servers append the TTL: the response
+                // (and thus the packet schedule) of a lease-free server is
+                // byte-identical to the pre-lease wire format.
+                if let Some(ttl) = self.config.lease_ttl {
+                    self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
+                    return Ok(self.ok(&Writer::new().pid(pid).u64(ttl.as_nanos() as u64).finish()));
+                }
+                Ok(self.ok(&Writer::new().pid(pid).finish()))
+            }
+            req::RENEW_LEASE => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let ttl = self.config.lease_ttl.ok_or(DmError::Malformed)?;
+                match self.leases.borrow_mut().get_mut(&pid.0) {
+                    Some(exp) => *exp = simcore::now() + ttl,
+                    // Lease already expired and reclaimed: the renewal is
+                    // too late, the client must re-register.
+                    None => return Err(DmError::InvalidAddress),
+                }
+                self.charge(0, OpCost::default(), 0).await;
+                Ok(self.ok(&[]))
+            }
+            req::ALLOC => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let len = r.u64()?;
+                let shard = self.pick_alloc_shard();
+                let va = self.shards[shard].pm.borrow_mut().ralloc(pid, len)?;
+                self.persist(|| {
+                    vec![Record::Alloc {
+                        shard: shard as u16,
+                        pid: pid.0,
+                        len,
+                        va,
+                    }]
+                })
+                .await;
+                self.charge(shard, OpCost::default(), 0).await;
+                Ok(self.ok(&Writer::new().u64(self.tag(shard, va)).finish()))
+            }
+            req::FREE => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let (shard, va) = self.route(r.u64()?)?;
+                let cost = self.shards[shard].pm.borrow_mut().rfree(pid, va)?;
+                self.persist(|| {
+                    vec![Record::Free {
+                        shard: shard as u16,
+                        pid: pid.0,
+                        va,
+                    }]
+                })
+                .await;
+                self.charge(shard, cost, cost.refcount_updates).await;
+                Ok(self.ok(&[]))
+            }
+            req::CREATE_REF => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let (shard, va) = self.route(r.u64()?)?;
+                let len = r.u64()?;
+                let (key, cost) = self.shards[shard]
+                    .pm
+                    .borrow_mut()
+                    .create_ref(pid, va, len)?;
+                self.persist(|| {
+                    vec![Record::CreateRef {
+                        shard: shard as u16,
+                        pid: pid.0,
+                        va,
+                        len,
+                        key,
+                    }]
+                })
+                .await;
+                let pages = len.div_ceil(PAGE_SIZE as u64);
+                self.charge(shard, cost, pages).await;
+                let tagged = self.tag(shard, key);
+                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+            }
+            req::MAP_REF => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let raw = r.u64()?;
+                let (shard, key) = match self.route_key(raw)? {
+                    KeyRoute::Local(s, k) => (s, k),
+                    KeyRoute::Redirect(resp) => return Ok(resp),
+                };
+                let (va, len, cost) = self.shards[shard].pm.borrow_mut().map_ref(pid, key)?;
+                self.persist(|| {
+                    vec![Record::MapRef {
+                        shard: shard as u16,
+                        pid: pid.0,
+                        key,
+                        va,
+                    }]
+                })
+                .await;
+                self.charge(shard, cost, cost.refcount_updates).await;
+                self.grant(raw, src);
+                Ok(self.ok_v(
+                    &[(raw, self.current_version(raw))],
+                    &Writer::new().u64(self.tag(shard, va)).u64(len).finish(),
+                ))
+            }
+            req::READ => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let (shard, va) = self.route(r.u64()?)?;
+                let len = r.u64()?;
+                let data = self.shards[shard].pm.borrow_mut().read(pid, va, len)?;
+                self.charge(shard, OpCost::default(), translations_for(len))
+                    .await;
+                // Reading pinned pages into the response path occupies DRAM.
+                self.mem.touch(len).await;
+                self.note_data_time(len);
+                Ok(self.ok(&data))
+            }
+            req::WRITE => {
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let (shard, va) = self.route(r.u64()?)?;
+                let data = r.rest();
+                let len = data.len() as u64;
+                let cost = self.shards[shard].pm.borrow_mut().write(pid, va, data)?;
+                self.persist(|| {
+                    vec![Record::Write {
+                        shard: shard as u16,
+                        pid: pid.0,
+                        va,
+                        data: data.to_vec(),
+                    }]
+                })
+                .await;
+                self.charge(shard, cost, translations_for(len)).await;
+                // Storing into pinned pages occupies DRAM.
+                self.mem.touch(len).await;
+                self.note_data_time(len);
+                Ok(self.ok(&[]))
+            }
+            req::RELEASE_REF => {
+                let raw = r.u64()?;
+                let (shard, key) = match self.route_key(raw)? {
+                    KeyRoute::Local(s, k) => (s, k),
+                    KeyRoute::Redirect(resp) => return Ok(resp),
+                };
+                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+                // The ref is gone: invalidate client caches (the releaser's
+                // own response carries the new epoch or version).
+                let touched = self.refs_died(&[raw], Some(src));
+                let bound = raw & GKEY_BIT != 0;
+                if bound {
+                    self.gmap.borrow_mut().remove(&raw);
+                }
+                self.persist(|| {
+                    let mut records = vec![Record::ReleaseRef {
+                        shard: shard as u16,
+                        key,
+                    }];
+                    if bound {
+                        records.push(Record::GUnbind { gkey: raw });
+                    }
+                    records
+                })
+                .await;
+                self.charge(shard, cost, cost.refcount_updates).await;
+                Ok(self.ok_v(&touched, &[]))
+            }
+            req::WRITE_CREATE_REF => {
+                // Fast path: write the data and create the ref in one RTT.
+                let pid = r.pid()?;
+                self.check_owner(pid, src)?;
+                let (shard, va) = self.route(r.u64()?)?;
+                let data = r.rest();
+                let len = data.len() as u64;
+                let (key, wcost, ccost) = {
+                    let mut pm = self.shards[shard].pm.borrow_mut();
+                    let wcost = pm.write(pid, va, data)?;
+                    let (key, ccost) = pm.create_ref(pid, va, len)?;
+                    (key, wcost, ccost)
+                };
+                self.persist(|| {
+                    vec![
+                        Record::Write {
+                            shard: shard as u16,
+                            pid: pid.0,
+                            va,
+                            data: data.to_vec(),
+                        },
+                        Record::CreateRef {
+                            shard: shard as u16,
+                            pid: pid.0,
+                            va,
+                            len,
+                            key,
+                        },
+                    ]
+                })
+                .await;
+                let mut cost = wcost;
+                cost.add(ccost);
+                self.charge(shard, cost, translations_for(len)).await;
+                self.mem.touch(len).await;
+                self.note_data_time(len);
+                let tagged = self.tag(shard, key);
+                // The writer caches the bytes it just published.
+                self.grant(tagged, src);
+                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+            }
+            req::PUT_REF => {
+                let tagged = self.install_ref(body, Some(src), None).await?;
+                // The publisher caches the bytes it just published.
+                self.grant(tagged, src);
+                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+            }
+            req::READ_REF => {
+                let raw = r.u64()?;
+                let (shard, key) = match self.route_key(raw)? {
+                    KeyRoute::Local(s, k) => (s, k),
+                    KeyRoute::Redirect(resp) => return Ok(resp),
+                };
+                let off = r.u64()?;
+                let len = r.u64()?;
+                let data = self.shards[shard].pm.borrow_mut().read_ref(key, off, len)?;
+                self.charge(shard, OpCost::default(), translations_for(len))
+                    .await;
+                self.mem.touch(len).await;
+                self.note_data_time(len);
+                // The reader may now cache these bytes: grant it a read
+                // lease and report the key's version alongside the data.
+                self.grant(raw, src);
+                Ok(self.ok_v(&[(raw, self.current_version(raw))], &data))
+            }
+            req::PUT_REF_AT => {
+                // Sharded plane (DESIGN.md §13): publish under a
+                // client-minted global key. Placement was the client's
+                // choice (the consistent-hash ring); this server only binds.
+                let gkey = r.u64()?;
+                if gkey & GKEY_BIT == 0 {
+                    return Err(DmError::InvalidRef);
+                }
+                // Gkeys are mint-once: a rebind would orphan pages and
+                // break the one-hop redirect contract.
+                if self.gmap.borrow().contains_key(&gkey) || self.moved.borrow().contains_key(&gkey)
+                {
+                    return Err(DmError::Malformed);
+                }
+                self.install_ref(r.rest(), Some(src), Some((gkey, 1)))
+                    .await?;
+                self.grant(gkey, src);
+                Ok(self.ok_v(&[(gkey, 1)], &[]))
+            }
+            req::MIGRATE => self.migrate_out(&mut r).await,
+            req::MIGRATE_IN => self.migrate_in(&mut r).await,
+            req::BATCH => {
+                // Coalesced control ops (DESIGN.md §9): one wire message,
+                // one framed response per sub-op. Each sub-op still pays
+                // its own page-manager CPU; what the batch saves is the
+                // per-message RPC and network overhead. A failing sub-op
+                // does not abort the rest — its framed slot carries the
+                // error.
+                let items = proto::decode_batch(body)?;
+                let mut resps = Vec::with_capacity(items.len());
+                for (sub_ty, sub_body, sub_ctx) in items {
+                    if sub_ty == req::BATCH {
+                        return Err(DmError::Malformed); // no nesting
+                    }
+                    // A sub-op that rode in with its enqueuer's context is
+                    // parented there, reconnecting the deferred op to the
+                    // request that caused it (the flush RPC is untraced).
+                    let sub_span = sub_ctx.and_then(|c| {
+                        telemetry::span_with_parent(
+                            SpanKind::DmOp,
+                            proto::req_name(sub_ty),
+                            self.addr().node.0,
+                            c,
+                        )
+                    });
+                    let resp = match Box::pin(self.dispatch(sub_ty, src, &sub_body)).await {
+                        Ok(r) => r,
+                        Err(e) => err_response(self.epoch.get(), e),
+                    };
+                    drop(sub_span);
+                    resps.push(resp);
+                }
+                Ok(self.ok(&proto::encode_batch_responses(&resps)))
+            }
+            _ => Err(DmError::Malformed),
+        }
+    }
+}

@@ -1,0 +1,157 @@
+//! Ownership migration (DESIGN.md §13): the `MIGRATE` / `MIGRATE_IN` pair
+//! that moves a gkey-bound ref's pages, refcount, lease attribution and
+//! version server-to-server, leaving a one-hop redirect tombstone behind.
+
+use bytes::Bytes;
+use dmcommon::{DmError, DmResult};
+use simnet::{Addr, NodeId};
+
+use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
+use crate::proto::{self, req, Reader, Writer};
+use crate::shard::GKEY_BIT;
+use crate::wal::Record;
+
+impl DmServer {
+    /// Completed migrations: outbound MIGRATE plus inbound MIGRATE_IN.
+    pub fn migrations(&self) -> u64 {
+        self.migrations.get()
+    }
+
+    /// Redirect responses served off tombstones.
+    pub fn redirects(&self) -> u64 {
+        self.redirects.get()
+    }
+
+    /// Gkeys currently homed on this server (observability for tests).
+    pub fn gkeys_bound(&self) -> usize {
+        self.gmap.borrow().len()
+    }
+
+    /// Live redirect tombstones (observability for tests).
+    pub fn tombstones(&self) -> usize {
+        self.moved.borrow().len()
+    }
+
+    /// `MIGRATE` (`[gkey u64][dst node u32][dst port u32]`): transfer the
+    /// gkey's pages to `dst` server-to-server, release the local copy and
+    /// leave a redirect tombstone for in-flight clients.
+    pub(super) async fn migrate_out(&self, r: &mut Reader<'_>) -> DmResult<Bytes> {
+        let gkey = r.u64()?;
+        if gkey & GKEY_BIT == 0 {
+            return Err(DmError::InvalidRef);
+        }
+        let dst = Addr {
+            node: NodeId(r.u32()?),
+            port: r.u32()? as u16,
+        };
+        if dst == self.addr() {
+            return Err(DmError::InvalidAddress);
+        }
+        let (shard, key) = match self.route_key(gkey)? {
+            KeyRoute::Local(s, k) => (s, k),
+            KeyRoute::Redirect(resp) => return Ok(resp),
+        };
+        let (len, owner) = {
+            let pm = self.shards[shard].pm.borrow();
+            (pm.ref_len(key)?, pm.ref_owner(key)?)
+        };
+        let data = self.shards[shard].pm.borrow_mut().read_ref(key, 0, len)?;
+        let owner_addr = owner.and_then(|p| self.owners.borrow().get(&p.0).copied());
+        // An owned ref whose owner is no longer registered is
+        // about to be lease-reclaimed; migrating it would install
+        // an unowned orphan at `dst` that no sweeper ever frees.
+        if owner.is_some() && owner_addr.is_none() {
+            return Err(DmError::InvalidAddress);
+        }
+        // Reading the pages out for the transfer occupies DRAM
+        // exactly like READ_REF.
+        self.mem.touch(len).await;
+        self.note_data_time(len);
+        let mut w = Writer::new().u64(gkey);
+        w = match owner_addr {
+            Some(a) => w.u32(a.node.0).u32(a.port as u32),
+            None => w.u32(NO_OWNER_PID).u32(0),
+        };
+        // Versions travel with ownership: the destination installs
+        // the successor version, so clients that cached the ref
+        // here can never mistake a pre-migration fill for current
+        // once they reach the new home.
+        if self.coherent() {
+            w = w.u64(self.current_version(gkey) + 1);
+        }
+        let fwd = w.bytes(&data).finish();
+        // The transfer rides the simulated fabric: migration pays
+        // real server-to-server bandwidth and latency. A transport
+        // or destination failure leaves the local copy untouched —
+        // the gkey stays served here, and any duplicate the
+        // destination may have installed is owner-attributed, so
+        // lease teardown reclaims it.
+        let resp = self
+            .rpc
+            .call(dst, req::MIGRATE_IN, fwd)
+            .await
+            .map_err(|_| DmError::Transport)?;
+        proto::split_response(&resp).1.result()?;
+        // Destination acked: drop the local copy, leave the
+        // forwarding tombstone, and invalidate caches (the ref's
+        // home changed under every client that cached it; holders
+        // re-read and chase the redirect to the new home).
+        let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+        self.gmap.borrow_mut().remove(&gkey);
+        self.moved.borrow_mut().insert(gkey, dst);
+        let touched = self.refs_died(&[gkey], None);
+        self.persist(|| {
+            vec![
+                Record::ReleaseRef {
+                    shard: shard as u16,
+                    key,
+                },
+                Record::GMoved {
+                    gkey,
+                    node: dst.node.0,
+                    port: dst.port,
+                },
+            ]
+        })
+        .await;
+        self.migrations.set(self.migrations.get() + 1);
+        self.charge(shard, cost, translations_for(len)).await;
+        Ok(self.ok_v(&touched, &[]))
+    }
+
+    /// `MIGRATE_IN`, the destination half of `MIGRATE`
+    /// (`[gkey u64][owner node u32][owner port u32]([version u64])[data]`):
+    /// bind the gkey to a fresh local ref holding the transferred bytes.
+    /// Ownership is re-attributed to this server's pid for the owning
+    /// endpoint; a ref that was already unowned at the source arrives
+    /// unowned (reclaimed only by explicit release).
+    pub(super) async fn migrate_in(&self, r: &mut Reader<'_>) -> DmResult<Bytes> {
+        let gkey = r.u64()?;
+        if gkey & GKEY_BIT == 0 {
+            return Err(DmError::InvalidRef);
+        }
+        let owner_node = r.u32()?;
+        let owner_port = r.u32()?;
+        // A coherent source framed the transferred version between
+        // the owner fields and the data (sources and destinations
+        // always agree on the coherence setting — it is one
+        // cluster-wide knob).
+        let ver = if self.coherent() { r.u64()? } else { 1 };
+        if self.gmap.borrow().contains_key(&gkey) {
+            return Err(DmError::Malformed);
+        }
+        // The owner must be attributable here, or the transfer
+        // is refused and the source keeps the ref: accepting it
+        // unowned would leave pages no lease sweeper can ever
+        // reclaim. (The owner can be unknown here when its
+        // lease expired on this server — e.g. renewals lost to
+        // a partition — while the source still holds one.)
+        let owner = (owner_node != NO_OWNER_PID).then_some(Addr {
+            node: NodeId(owner_node),
+            port: owner_port as u16,
+        });
+        self.install_ref(r.rest(), owner, Some((gkey, ver))).await?;
+        self.migrations.set(self.migrations.get() + 1);
+        Ok(self.ok(&[]))
+    }
+}

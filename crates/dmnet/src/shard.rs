@@ -1,10 +1,10 @@
 //! Consistent-hash placement for the sharded DM plane (DESIGN.md §13).
 //!
 //! A [`HashRing`] places client-minted *global ref keys* (gkeys) across N
-//! DM servers: each server contributes [`ShardConfig::vnodes`] points on a
+//! DM servers: each server contributes [`VNODES`] points on a
 //! u64 ring, every point a pure hash of `(seed, server, vnode)`, and a
 //! gkey homes at the first point clockwise of its own hash. The ring is a
-//! pure function of `(n_servers, vnodes, seed)` — every client in a
+//! pure function of `(n_servers, seed)` — every client in a
 //! simulation builds bit-identical rings with no coordination, and two
 //! runs with the same seed place every ref identically (the determinism
 //! contract of the whole simulator).
@@ -22,19 +22,9 @@ use dmcommon::DmServerId;
 /// counts never approach 2^15, so the bit is free (asserted at tag time).
 pub const GKEY_BIT: u64 = 1 << 63;
 
-/// Sharded-placement tuning (a field of `ClusterConfig`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Ring points per server. More points smooth placement and shrink
-    /// the variance of the N→N+1 movement fraction.
-    pub vnodes: usize,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { vnodes: 64 }
-    }
-}
+/// Ring points per server. More points smooth placement and shrink the
+/// variance of the N→N+1 movement fraction.
+pub const VNODES: usize = 64;
 
 /// SplitMix64: the statistically solid 64-bit mixer used for both ring
 /// points and key hashes. Pure and dependency-free, so every client and
@@ -52,24 +42,22 @@ pub fn mix64(mut z: u64) -> u64 {
 pub struct HashRing {
     points: Vec<(u64, u8)>,
     n_servers: usize,
-    vnodes: usize,
     seed: u64,
     epoch: u64,
 }
 
 impl HashRing {
     /// Build the ring for `n_servers` servers at topology epoch 0.
-    pub fn new(n_servers: usize, config: ShardConfig, seed: u64) -> HashRing {
-        HashRing::at_epoch(n_servers, config, seed, 0)
+    pub fn new(n_servers: usize, seed: u64) -> HashRing {
+        HashRing::at_epoch(n_servers, seed, 0)
     }
 
-    fn at_epoch(n_servers: usize, config: ShardConfig, seed: u64, epoch: u64) -> HashRing {
+    fn at_epoch(n_servers: usize, seed: u64, epoch: u64) -> HashRing {
         assert!(n_servers >= 1, "ring needs at least one server");
         assert!(n_servers <= u8::MAX as usize + 1, "DmServerId is a u8");
-        assert!(config.vnodes >= 1, "ring needs at least one vnode");
-        let mut points = Vec::with_capacity(n_servers * config.vnodes);
+        let mut points = Vec::with_capacity(n_servers * VNODES);
         for server in 0..n_servers {
-            for v in 0..config.vnodes {
+            for v in 0..VNODES {
                 let point = mix64(
                     seed ^ ((server as u64) << 32 | v as u64).wrapping_mul(0xA24B_AED4_963E_E407),
                 );
@@ -82,7 +70,6 @@ impl HashRing {
         HashRing {
             points,
             n_servers,
-            vnodes: config.vnodes,
             seed,
             epoch,
         }
@@ -112,14 +99,7 @@ impl HashRing {
     /// keys whose arc the new server's points claim re-home — ~1/(N+1)
     /// of them.
     pub fn grow(&self) -> HashRing {
-        HashRing::at_epoch(
-            self.n_servers + 1,
-            ShardConfig {
-                vnodes: self.vnodes,
-            },
-            self.seed,
-            self.epoch + 1,
-        )
+        HashRing::at_epoch(self.n_servers + 1, self.seed, self.epoch + 1)
     }
 }
 
@@ -129,8 +109,8 @@ mod tests {
 
     #[test]
     fn ring_is_deterministic() {
-        let a = HashRing::new(4, ShardConfig::default(), 42);
-        let b = HashRing::new(4, ShardConfig::default(), 42);
+        let a = HashRing::new(4, 42);
+        let b = HashRing::new(4, 42);
         for k in 0..10_000u64 {
             assert_eq!(a.route(k), b.route(k));
         }
@@ -139,15 +119,15 @@ mod tests {
 
     #[test]
     fn different_seeds_place_differently() {
-        let a = HashRing::new(4, ShardConfig::default(), 1);
-        let b = HashRing::new(4, ShardConfig::default(), 2);
+        let a = HashRing::new(4, 1);
+        let b = HashRing::new(4, 2);
         let moved = (0..10_000u64).filter(|&k| a.route(k) != b.route(k)).count();
         assert!(moved > 5_000, "seed must reshuffle placement ({moved})");
     }
 
     #[test]
     fn placement_covers_all_servers_roughly_evenly() {
-        let ring = HashRing::new(8, ShardConfig::default(), 7);
+        let ring = HashRing::new(8, 7);
         let mut counts = [0usize; 8];
         for k in 0..80_000u64 {
             counts[ring.route(k).0 as usize] += 1;
@@ -160,7 +140,7 @@ mod tests {
 
     #[test]
     fn grow_moves_a_small_fraction_and_bumps_epoch() {
-        let ring = HashRing::new(8, ShardConfig::default(), 3);
+        let ring = HashRing::new(8, 3);
         let grown = ring.grow();
         assert_eq!(grown.epoch(), ring.epoch() + 1);
         assert_eq!(grown.n_servers(), 9);

@@ -38,7 +38,10 @@
 
 use std::cell::{Cell, RefCell};
 
+use dmcommon::{DmError, DmResult};
 use memsim::{DurableMedia, DurableMediaParams};
+
+use crate::proto::{Reader, Writer};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise — no
 /// table, no dependency; the log is not on any hot path.
@@ -220,228 +223,140 @@ mod kind {
 impl Record {
     /// Encode the record payload (no frame) into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Record::Register { node, port } => {
-                out.push(kind::REGISTER);
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&port.to_le_bytes());
-            }
+        let w = Writer::from(std::mem::take(out));
+        *out = match self {
+            Record::Register { node, port } => w.u8(kind::REGISTER).u32(*node).u16(*port),
             Record::Alloc {
                 shard,
                 pid,
                 len,
                 va,
-            } => {
-                out.push(kind::ALLOC);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(&va.to_le_bytes());
-            }
-            Record::Free { shard, pid, va } => {
-                out.push(kind::FREE);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&va.to_le_bytes());
-            }
+            } => w.u8(kind::ALLOC).u16(*shard).u32(*pid).u64(*len).u64(*va),
+            Record::Free { shard, pid, va } => w.u8(kind::FREE).u16(*shard).u32(*pid).u64(*va),
             Record::Write {
                 shard,
                 pid,
                 va,
                 data,
-            } => {
-                out.push(kind::WRITE);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&va.to_le_bytes());
-                out.extend_from_slice(data);
-            }
+            } => w.u8(kind::WRITE).u16(*shard).u32(*pid).u64(*va).bytes(data),
             Record::CreateRef {
                 shard,
                 pid,
                 va,
                 len,
                 key,
-            } => {
-                out.push(kind::CREATE_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&va.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
+            } => w
+                .u8(kind::CREATE_REF)
+                .u16(*shard)
+                .u32(*pid)
+                .u64(*va)
+                .u64(*len)
+                .u64(*key),
             Record::MapRef {
                 shard,
                 pid,
                 key,
                 va,
-            } => {
-                out.push(kind::MAP_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&va.to_le_bytes());
-            }
-            Record::ReleaseRef { shard, key } => {
-                out.push(kind::RELEASE_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
+            } => w.u8(kind::MAP_REF).u16(*shard).u32(*pid).u64(*key).u64(*va),
+            Record::ReleaseRef { shard, key } => w.u8(kind::RELEASE_REF).u16(*shard).u64(*key),
             Record::PutRef {
                 shard,
                 pid,
                 key,
                 data,
-            } => {
-                out.push(kind::PUT_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(data);
-            }
-            Record::ReleaseProcess { pid } => {
-                out.push(kind::RELEASE_PROCESS);
-                out.extend_from_slice(&pid.to_le_bytes());
-            }
-            Record::Checkpoint { snapshot } => {
-                out.push(kind::CHECKPOINT);
-                out.extend_from_slice(snapshot);
-            }
-            Record::GBind { gkey, key } => {
-                out.push(kind::GBIND);
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            Record::GUnbind { gkey } => {
-                out.push(kind::GUNBIND);
-                out.extend_from_slice(&gkey.to_le_bytes());
-            }
+            } => w
+                .u8(kind::PUT_REF)
+                .u16(*shard)
+                .u32(*pid)
+                .u64(*key)
+                .bytes(data),
+            Record::ReleaseProcess { pid } => w.u8(kind::RELEASE_PROCESS).u32(*pid),
+            Record::Checkpoint { snapshot } => w.u8(kind::CHECKPOINT).bytes(snapshot),
+            Record::GBind { gkey, key } => w.u8(kind::GBIND).u64(*gkey).u64(*key),
+            Record::GUnbind { gkey } => w.u8(kind::GUNBIND).u64(*gkey),
             Record::GMoved { gkey, node, port } => {
-                out.push(kind::GMOVED);
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&port.to_le_bytes());
+                w.u8(kind::GMOVED).u64(*gkey).u32(*node).u16(*port)
             }
-            Record::GVer { gkey, ver } => {
-                out.push(kind::GVER);
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&ver.to_le_bytes());
-            }
+            Record::GVer { gkey, ver } => w.u8(kind::GVER).u64(*gkey).u64(*ver),
         }
+        .into_vec();
     }
 
     /// Decode one record payload. `None` on any malformed input.
     pub fn decode(payload: &[u8]) -> Option<Record> {
-        let (&k, rest) = payload.split_first()?;
-        let mut c = Cursor { buf: rest, pos: 0 };
-        let rec = match k {
+        let mut r = Reader::new(payload);
+        let rec = Record::decode_from(&mut r).ok()?;
+        // Fixed-size records must consume their payload exactly (the
+        // variable-size ones take the rest as their data).
+        r.is_empty().then_some(rec)
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> DmResult<Record> {
+        Ok(match r.u8()? {
             kind::REGISTER => Record::Register {
-                node: c.u32()?,
-                port: c.u16()?,
+                node: r.u32()?,
+                port: r.u16()?,
             },
             kind::ALLOC => Record::Alloc {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                len: c.u64()?,
-                va: c.u64()?,
+                shard: r.u16()?,
+                pid: r.u32()?,
+                len: r.u64()?,
+                va: r.u64()?,
             },
             kind::FREE => Record::Free {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                va: c.u64()?,
+                shard: r.u16()?,
+                pid: r.u32()?,
+                va: r.u64()?,
             },
             kind::WRITE => Record::Write {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                va: c.u64()?,
-                data: c.rest().to_vec(),
+                shard: r.u16()?,
+                pid: r.u32()?,
+                va: r.u64()?,
+                data: r.rest().to_vec(),
             },
             kind::CREATE_REF => Record::CreateRef {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                va: c.u64()?,
-                len: c.u64()?,
-                key: c.u64()?,
+                shard: r.u16()?,
+                pid: r.u32()?,
+                va: r.u64()?,
+                len: r.u64()?,
+                key: r.u64()?,
             },
             kind::MAP_REF => Record::MapRef {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                key: c.u64()?,
-                va: c.u64()?,
+                shard: r.u16()?,
+                pid: r.u32()?,
+                key: r.u64()?,
+                va: r.u64()?,
             },
             kind::RELEASE_REF => Record::ReleaseRef {
-                shard: c.u16()?,
-                key: c.u64()?,
+                shard: r.u16()?,
+                key: r.u64()?,
             },
             kind::PUT_REF => Record::PutRef {
-                shard: c.u16()?,
-                pid: c.u32()?,
-                key: c.u64()?,
-                data: c.rest().to_vec(),
+                shard: r.u16()?,
+                pid: r.u32()?,
+                key: r.u64()?,
+                data: r.rest().to_vec(),
             },
-            kind::RELEASE_PROCESS => Record::ReleaseProcess { pid: c.u32()? },
+            kind::RELEASE_PROCESS => Record::ReleaseProcess { pid: r.u32()? },
             kind::CHECKPOINT => Record::Checkpoint {
-                snapshot: c.rest().to_vec(),
+                snapshot: r.rest().to_vec(),
             },
             kind::GBIND => Record::GBind {
-                gkey: c.u64()?,
-                key: c.u64()?,
+                gkey: r.u64()?,
+                key: r.u64()?,
             },
-            kind::GUNBIND => Record::GUnbind { gkey: c.u64()? },
+            kind::GUNBIND => Record::GUnbind { gkey: r.u64()? },
             kind::GMOVED => Record::GMoved {
-                gkey: c.u64()?,
-                node: c.u32()?,
-                port: c.u16()?,
+                gkey: r.u64()?,
+                node: r.u32()?,
+                port: r.u16()?,
             },
             kind::GVER => Record::GVer {
-                gkey: c.u64()?,
-                ver: c.u64()?,
+                gkey: r.u64()?,
+                ver: r.u64()?,
             },
-            _ => return None,
-        };
-        // Fixed-size records must consume their payload exactly.
-        match &rec {
-            Record::Write { .. } | Record::PutRef { .. } | Record::Checkpoint { .. } => {}
-            _ => {
-                if !c.at_end() {
-                    return None;
-                }
-            }
-        }
-        Some(rec)
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
+            _ => return Err(DmError::Malformed),
+        })
     }
 }
 

@@ -2,15 +2,111 @@
 //! datagrams must produce error responses (or be ignored), never crash the
 //! server, and never corrupt the page pool.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
-use dmcommon::DmError;
-use dmnet::proto::{parse_response, req};
-use dmnet::{start_pool, DmNetClient, DmServerConfig};
+use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
+use dmnet::proto::{moved_response, ok_response, req, split_response, Writer, DM_PORT};
+use dmnet::{
+    start_pool, CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT,
+};
 use memsim::ModelParams;
 use proptest::prelude::*;
-use rpclib::RpcBuilder;
+use rpclib::{Rpc, RpcBuilder};
 use simcore::Sim;
-use simnet::{FabricConfig, Network, NicConfig};
+use simnet::{FabricConfig, Network, NicConfig, NodeId};
+
+fn parse_response(resp: &Bytes) -> DmResult<Bytes> {
+    split_response(resp).1.result()
+}
+
+/// A hostile DM "server": registers every caller as pid 1 and answers
+/// every `READ_REF` with a redirect to `fwd_node:DM_PORT`.
+fn redirecting_server(net: &Network, node: NodeId, fwd_node: u32) -> Rc<Rpc> {
+    let rpc = RpcBuilder::new(net, node, DM_PORT).build();
+    rpc.register(req::REGISTER, |_| async {
+        ok_response(0, &Writer::new().pid(GlobalPid(1)).finish())
+    });
+    rpc.register(req::READ_REF, move |_| async move {
+        moved_response(0, fwd_node, DM_PORT)
+    });
+    rpc
+}
+
+/// Connect a raw client (bound to `node:port`) to the one-server pool
+/// `fake`, with or without a placement ring.
+async fn connect(
+    net: &Network,
+    (node, port): (NodeId, u16),
+    fake: &Rc<Rpc>,
+    ring: bool,
+) -> DmNetClient {
+    DmNetClient::connect_with(
+        RpcBuilder::new(net, node, port).build(),
+        vec![fake.addr()],
+        CacheConfig::default(),
+        ClientLimitConfig::default(),
+        ring.then(|| HashRing::new(1, 3)),
+    )
+    .await
+    .expect("fake server registers anyone")
+}
+
+#[test]
+fn redirect_answer_to_an_unrouted_key_is_malformed_not_chased() {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let dm_node = net.add_node("dm", NicConfig::default());
+        let c_node = net.add_node("c", NicConfig::default());
+        // The redirect names the fake server itself: a client that chased
+        // it would loop and send more than one message.
+        let fake = redirecting_server(&net, dm_node, dm_node.0);
+        // Chasing needs a gkey *and* a ring; neither alone is enough.
+        for (port, with_ring, key) in [(100, true, 5u64), (101, false, GKEY_BIT | 5)] {
+            let dm = connect(&net, (c_node, port), &fake, with_ring).await;
+            let r = Ref::Net {
+                server: DmServerId(0),
+                key,
+                len: 8,
+            };
+            assert_eq!(
+                dm.read_ref(&r, 0, 8).await.unwrap_err(),
+                DmError::Malformed,
+                "ring {with_ring}, key {key:#x}"
+            );
+            assert_eq!(dm.wire_count(req::READ_REF), 1, "exactly one message");
+            assert_eq!(dm.redirects_chased(), 0);
+        }
+    });
+}
+
+#[test]
+fn redirect_outside_the_pool_is_invalid_address_without_looping() {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let dm_node = net.add_node("dm", NicConfig::default());
+        let c_node = net.add_node("c", NicConfig::default());
+        let fake = redirecting_server(&net, dm_node, 9_999);
+        let dm = connect(&net, (c_node, 100), &fake, true).await;
+        let r = Ref::Net {
+            server: DmServerId(0),
+            key: GKEY_BIT | 5,
+            len: 8,
+        };
+        assert_eq!(
+            dm.read_ref(&r, 0, 8).await.unwrap_err(),
+            DmError::InvalidAddress
+        );
+        assert_eq!(dm.wire_count(req::READ_REF), 1, "no second hop");
+        assert_eq!(
+            dm.redirects_chased(),
+            0,
+            "a hop outside the pool is not a chase"
+        );
+    });
+}
 
 #[test]
 fn malformed_bodies_get_error_responses() {

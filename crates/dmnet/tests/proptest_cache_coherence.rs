@@ -13,7 +13,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::Ref;
-use dmnet::{start_pool, CacheConfig, CoherenceConfig, DmNetClient, DmServerConfig};
+use dmnet::{
+    start_pool, CacheConfig, ClientLimitConfig, CoherenceConfig, DmNetClient, DmServerConfig,
+};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Rpc, RpcBuilder};
@@ -89,6 +91,8 @@ proptest! {
                 client_rpc(&net, c_b, 100),
                 vec![servers[1].addr()],
                 CacheConfig::all_on(),
+                ClientLimitConfig::default(),
+                None,
             )
             .await
             .unwrap();
@@ -287,12 +291,14 @@ proptest! {
                 .await
                 .unwrap();
             let reader_rpc = client_rpc(&net, c_b, 100);
+            let limit = ClientLimitConfig::default();
+            let fg_pool = vec![fg_srv[0].addr()];
             let reader =
-                DmNetClient::connect_with(reader_rpc.clone(), vec![fg_srv[0].addr()], fg_cfg)
+                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, limit, None)
                     .await
                     .unwrap();
             let writer =
-                DmNetClient::connect_with(client_rpc(&net, c_w, 100), vec![fg_srv[0].addr()], fg_cfg)
+                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, limit, None)
                     .await
                     .unwrap();
 

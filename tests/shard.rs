@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use dmcommon::{DmServerId, Ref};
-use dmnet::{CacheConfig, DmNetClient, DmServerConfig, HashRing, ShardConfig, GKEY_BIT};
+use dmnet::{CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::RpcBuilder;
@@ -14,7 +14,7 @@ use simnet::{FabricConfig, Network, NicConfig};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The ring is a pure function of (n_servers, vnodes, seed): two
+    /// The ring is a pure function of (n_servers, seed): two
     /// independent constructions — including ones built concurrently on
     /// other OS threads — route every key identically. This is the
     /// property that lets every client resolve placement locally with no
@@ -22,15 +22,14 @@ proptest! {
     #[test]
     fn ring_is_deterministic_across_runs_and_threads(
         n_servers in 1usize..16,
-        vnodes in 1usize..128,
         seed in any::<u64>(),
         keys in proptest::collection::vec(any::<u64>(), 1..256),
     ) {
-        let reference = HashRing::new(n_servers, ShardConfig { vnodes }, seed);
+        let reference = HashRing::new(n_servers, seed);
         let routed: Vec<DmServerId> = keys.iter().map(|&k| reference.route(k)).collect();
         // Four concurrent re-constructions on distinct OS threads.
         let across_threads = bench::pool::scoped_map(4, 4, |_| {
-            let ring = HashRing::new(n_servers, ShardConfig { vnodes }, seed);
+            let ring = HashRing::new(n_servers, seed);
             keys.iter().map(|&k| ring.route(k)).collect::<Vec<_>>()
         });
         for other in across_threads {
@@ -44,7 +43,7 @@ proptest! {
 
     /// Consistent hashing's minimal-movement contract: growing N→N+1
     /// servers remaps at most ~2/(N+1) of keys (2x the ideal 1/(N+1), a
-    /// >8-sigma bound at the default 64 vnodes), and every remapped key
+    /// >8-sigma bound at 64 vnodes per server), and every remapped key
     /// lands on the new server — an existing key never moves between two
     /// old servers.
     #[test]
@@ -53,8 +52,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         const KEYS: u64 = 4096;
-        let config = ShardConfig::default();
-        let old = HashRing::new(n_servers, config, seed);
+        let old = HashRing::new(n_servers, seed);
         let new = old.grow();
         prop_assert_eq!(new.n_servers(), n_servers + 1);
         prop_assert!(new.epoch() > old.epoch());
@@ -112,12 +110,12 @@ proptest! {
                 let node = net.add_node(format!("c{i}"), NicConfig::default());
                 let rpc = RpcBuilder::new(&net, node, 100).build();
                 clients.push(
-                    DmNetClient::connect_sharded(
+                    DmNetClient::connect_with(
                         rpc,
                         pool.clone(),
                         CacheConfig::all_on(),
-                        ShardConfig::default(),
-                        seed,
+                        ClientLimitConfig::default(),
+                        Some(HashRing::new(pool.len(), seed)),
                     )
                     .await
                     .unwrap(),
