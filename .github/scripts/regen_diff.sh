@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Regenerate the named experiments (`bench list` shows them) twice —
+# serially, then with cells fanned out over 8 worker threads — and fail if
+# anything under results/ differs from the committed tree either time:
+# virtual-time results may not depend on how the host schedules independent
+# simulations. Every BENCH_*.json must also be strict JSON. Environment
+# (e.g. DM_DURABLE=1) passes through to the runs; THREADS="1" limits the
+# passes (a durable `all` takes ~12 min, so CI runs that one once).
+#
+# Exempt from the diff: the wall-clock engine benchmark, and the chaos
+# table (its own job regenerates it at 100 seeds).
+set -euo pipefail
+[ $# -ge 1 ] || { echo "usage: $0 <experiment>..." >&2; exit 2; }
+cd "$(git rev-parse --show-toplevel)"
+
+for threads in ${THREADS:-1 8}; do
+  echo "::group::bench $* (SIM_THREADS=$threads)"
+  SIM_THREADS=$threads cargo run --release -p bench -- "$@"
+  echo "::endgroup::"
+  git diff --exit-code -- results/ \
+    ':(exclude)results/xtra_sim_throughput.csv' \
+    ':(exclude)results/BENCH_sim_throughput.json' \
+    ':(exclude)results/xtra_chaos.csv'
+  for f in results/BENCH_*.json; do
+    python3 -m json.tool "$f" > /dev/null
+  done
+done

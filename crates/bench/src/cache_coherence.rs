@@ -25,7 +25,6 @@
 //! simulations fanned out over `SIM_THREADS` and assembled in sweep
 //! order, so both artifacts are byte-identical at every thread count.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -37,7 +36,8 @@ use bytes::Bytes;
 use dmnet::CacheConfig;
 use simcore::Sim;
 
-use crate::report::{f2, Table};
+use crate::report::{f2, Bound, Table};
+use crate::rtt_budget::{measure, RttPoint};
 
 /// Social-network population (small enough that the hot set fits the
 /// 256-entry per-server cache in *both* modes — the sweep isolates
@@ -84,48 +84,8 @@ pub const STABLE_REFS: usize = 16;
 /// fault-free).
 pub const LEASE: Duration = Duration::from_millis(10);
 
-/// Cache/coherence counters for one measured cell.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CohPoint {
-    /// App-level operations completed in the measured window.
-    pub ops: u64,
-    /// Cache lookups served without a round trip.
-    pub hits: u64,
-    /// Cache lookups that went to the wire.
-    pub misses: u64,
-    /// Entries dropped (epoch advances, version advances, local releases).
-    pub invalidations: u64,
-    /// Targeted invalidation pushes received (fine-grained only).
-    pub targeted_inv: u64,
-    /// Epoch broadcasts observed while fine-grained (fallback path).
-    pub broadcast_inv: u64,
-    /// Control-plane wire messages across every endpoint's DM client.
-    pub ctrl: u64,
-    /// Data-plane wire messages.
-    pub data: u64,
-    /// Measured throughput, krps.
-    pub tput_krps: f64,
-}
-
-impl CohPoint {
-    /// `hits / (hits + misses)`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Control-plane wire messages per completed operation.
-    pub fn ctrl_per_op(&self) -> f64 {
-        self.ctrl as f64 / self.ops.max(1) as f64
-    }
-}
-
 /// `fine-grained hit rate / global hit rate` for one (workload, pct) pair.
-pub fn hit_rate_ratio(global: &CohPoint, fg: &CohPoint) -> f64 {
+pub fn hit_rate_ratio(global: &RttPoint, fg: &RttPoint) -> f64 {
     if global.hit_rate() == 0.0 {
         f64::INFINITY
     } else {
@@ -158,69 +118,9 @@ fn mix_draw(w: usize, i: u64) -> u64 {
         .wrapping_add((i + 1).wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
-/// Collect counter deltas around `work` across every DM client of the
-/// cluster, then charge queued-but-unsent control ops to the cell.
-async fn measure<F, Fut>(cluster: &Cluster, work: F) -> CohPoint
-where
-    F: FnOnce(Rc<Cell<u64>>) -> Fut,
-    Fut: std::future::Future<Output = f64>,
-{
-    let clients: Vec<_> = cluster
-        .endpoints()
-        .iter()
-        .filter_map(|ep| ep.dm().and_then(|d| d.net_client().cloned()))
-        .collect();
-    let totals = |clients: &[Rc<dmnet::DmNetClient>]| {
-        clients.iter().fold((0u64, 0u64), |(c, d), cl| {
-            let (ctrl, data) = cl.wire_messages();
-            (c + ctrl, d + data)
-        })
-    };
-    let snap = |clients: &[Rc<dmnet::DmNetClient>]| -> Vec<[u64; 5]> {
-        clients
-            .iter()
-            .map(|c| {
-                let s = c.cache_stats();
-                [
-                    s.hits(),
-                    s.misses(),
-                    s.invalidations(),
-                    s.targeted_inv(),
-                    s.broadcast_inv(),
-                ]
-            })
-            .collect()
-    };
-    let (ctrl0, data0) = totals(&clients);
-    let stats0 = snap(&clients);
-
-    let ops = Rc::new(Cell::new(0u64));
-    let tput_krps = work(ops.clone()).await;
-    for c in &clients {
-        c.flush_cache().await;
-    }
-
-    let (ctrl1, data1) = totals(&clients);
-    let mut point = CohPoint {
-        ops: ops.get(),
-        ctrl: ctrl1 - ctrl0,
-        data: data1 - data0,
-        tput_krps,
-        ..Default::default()
-    };
-    for (s1, s0) in snap(&clients).iter().zip(&stats0) {
-        point.hits += s1[0] - s0[0];
-        point.misses += s1[1] - s0[1];
-        point.invalidations += s1[2] - s0[2];
-        point.targeted_inv += s1[3] - s0[3];
-        point.broadcast_inv += s1[4] - s0[4];
-    }
-    point
-}
-
 /// One social cell: `write_pct`% composes (each evicting + releasing an
 /// old post from the capped storage), the rest home-timeline reads.
-pub fn run_social_point(write_pct: u32, fine_grained: bool) -> CohPoint {
+pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
         let config = ClusterConfig {
@@ -279,7 +179,7 @@ pub fn run_social_point(write_pct: u32, fine_grained: bool) -> CohPoint {
 /// One chain cell: reads re-send a long-lived by-ref argument down the
 /// chain (the final service's fetch of it is cacheable), writes run the
 /// standard fresh-argument request whose release churns the epoch.
-pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> CohPoint {
+pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
         let config = ClusterConfig {
@@ -338,102 +238,9 @@ pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> CohPoint {
     })
 }
 
-/// Per-write-pct outcome of one workload, for the JSON artifact.
-struct PairRow {
-    workload: &'static str,
-    pct: u32,
-    global: CohPoint,
-    fg: CohPoint,
-}
-
-impl PairRow {
-    fn ratio(&self) -> f64 {
-        hit_rate_ratio(&self.global, &self.fg)
-    }
-}
-
-fn json_ratio(r: f64) -> String {
-    if r.is_finite() {
-        format!("{r:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_bench_json(rows: &[PairRow]) {
-    use std::fmt::Write as _;
-    let point = |out: &mut String, p: &CohPoint| {
-        let _ = write!(
-            out,
-            "{{\"ops\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \
-             \"targeted_inv\": {}, \"broadcast_inv\": {}, \"ctrl_per_op\": {:.3}}}",
-            p.ops,
-            p.hits,
-            p.misses,
-            p.hit_rate(),
-            p.targeted_inv,
-            p.broadcast_inv,
-            p.ctrl_per_op(),
-        );
-    };
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"cache_coherence\",\n");
-    let _ = writeln!(out, "  \"users\": {USERS},");
-    let _ = writeln!(out, "  \"read_lease_us\": {},", LEASE.as_micros());
-    let _ = writeln!(out, "  \"gate_write_pct\": {GATE_PCT},");
-    let _ = writeln!(out, "  \"min_hit_rate_ratio\": {MIN_HIT_RATE_RATIO},");
-    out.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"workload\": \"{}\", \"write_pct\": {}, \"global\": ",
-            r.workload, r.pct
-        );
-        point(&mut out, &r.global);
-        out.push_str(", \"fine_grained\": ");
-        point(&mut out, &r.fg);
-        let _ = write!(out, ", \"hit_rate_ratio\": {}}}", json_ratio(r.ratio()));
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    let dir = crate::report::results_dir();
-    let path = dir.join("BENCH_cache_coherence.json");
-    match std::fs::create_dir_all(&dir).and_then(|_| std::fs::write(&path, out)) {
-        Ok(()) => println!("  -> {}", path.display()),
-        Err(e) => eprintln!("  (bench json write failed: {e})"),
-    }
-}
-
-fn assert_gate(row: &PairRow) {
-    assert!(
-        row.fg.targeted_inv > 0,
-        "{} @ {}%: fine-grained cell never received a targeted \
-         invalidation — coherence plane not engaged",
-        row.workload,
-        row.pct,
-    );
-    assert_eq!(
-        row.fg.broadcast_inv, 0,
-        "{} @ {}%: fault-free fine-grained cell fell back to epoch broadcast",
-        row.workload, row.pct,
-    );
-    let ratio = row.ratio();
-    assert!(
-        ratio >= MIN_HIT_RATE_RATIO,
-        "{} @ {}%: hit-rate gate — fine-grained {:.3} vs global {:.3} \
-         ({ratio:.2}x < {MIN_HIT_RATE_RATIO}x)",
-        row.workload,
-        row.pct,
-        row.fg.hit_rate(),
-        row.global.hit_rate(),
-    );
-}
-
-/// Run the sweep, emit both artifacts, and assert the ≥2× gate on both
-/// workloads at [`GATE_PCT`].
+/// Run the sweep, emit both artifacts, and gate the ≥2× retention on
+/// both workloads at [`GATE_PCT`].
 pub fn run() {
-    let threads = crate::pool::sim_threads();
-
     // Cell layout: for each workload, (global, fg) per write pct. All
     // cells are independent sims, fanned out in a fixed order.
     let specs: Vec<(&'static str, u32, bool)> = ["chain", "social"]
@@ -444,24 +251,10 @@ pub fn run() {
                 .flat_map(move |&pct| [false, true].into_iter().map(move |fg| (w, pct, fg)))
         })
         .collect();
-    let cells = crate::pool::scoped_map(specs.len(), threads, |i| {
-        let (workload, pct, fg) = specs[i];
-        match workload {
-            "chain" => run_chain_point(pct, fg),
-            _ => run_social_point(pct, fg),
-        }
+    let cells = crate::pool::sweep(&specs, |&(workload, pct, fg)| match workload {
+        "chain" => run_chain_point(pct, fg),
+        _ => run_social_point(pct, fg),
     });
-
-    let mut rows: Vec<PairRow> = Vec::new();
-    for (i, chunk) in specs.chunks(2).enumerate() {
-        let (workload, pct, _) = chunk[0];
-        rows.push(PairRow {
-            workload,
-            pct,
-            global: cells[2 * i],
-            fg: cells[2 * i + 1],
-        });
-    }
 
     let mut t = Table::new(
         "xtra_cache_coherence",
@@ -480,42 +273,54 @@ pub fn run() {
             "ctrl_per_op",
             "throughput_krps",
         ],
-    );
-    for r in &rows {
-        for (label, p) in [("global_epoch", &r.global), ("fine_grained", &r.fg)] {
-            t.row(&[
-                &r.workload,
-                &r.pct,
-                &label,
-                &p.ops,
-                &p.hits,
-                &p.misses,
-                &f2(p.hit_rate()),
-                &p.invalidations,
-                &p.targeted_inv,
-                &p.broadcast_inv,
-                &p.ctrl,
-                &f2(p.ctrl_per_op()),
-                &f2(p.tput_krps),
-            ]);
-        }
+    )
+    .trajectory("cache_coherence");
+    t.meta("users", USERS);
+    t.meta("read_lease_us", LEASE.as_micros());
+    t.meta("gate_write_pct", GATE_PCT);
+    for (&(workload, pct, fg), p) in specs.iter().zip(&cells) {
+        let label = if fg { "fine_grained" } else { "global_epoch" };
+        t.row(&[
+            &workload,
+            &pct,
+            &label,
+            &p.ops,
+            &p.hits,
+            &p.misses,
+            &f2(p.hit_rate()),
+            &p.invalidations,
+            &p.targeted_inv,
+            &p.broadcast_inv,
+            &p.ctrl,
+            &f2(p.ctrl_per_op()),
+            &f2(p.tput_krps),
+        ]);
     }
-    t.finish();
-
-    for r in rows.iter().filter(|r| r.pct == GATE_PCT) {
-        println!(
-            "  {} @ {GATE_PCT}% writes: global hit rate {:.2}, fine-grained {:.2} — \
-             ratio {:.2}x (gate >= {MIN_HIT_RATE_RATIO}x)",
-            r.workload,
-            r.global.hit_rate(),
-            r.fg.hit_rate(),
-            r.ratio(),
+    for (spec, pair) in specs.chunks(2).zip(cells.chunks(2)) {
+        let ((workload, pct, _), [global, fg]) = (spec[0], pair) else {
+            unreachable!("cells come in (global, fine-grained) pairs")
+        };
+        let ratio = hit_rate_ratio(global, fg);
+        let name = format!("{workload}_hit_rate_ratio_at_{pct}pct");
+        t.headline(&name, f2(ratio));
+        if pct != GATE_PCT {
+            continue;
+        }
+        t.gate(&name, ratio, Bound::AtLeast(MIN_HIT_RATE_RATIO));
+        // The coherence plane must be engaged (pushes observed) and a
+        // fault-free cell must never fall back to an epoch broadcast.
+        t.gate(
+            &format!("{workload}_targeted_inv_at_{pct}pct"),
+            fg.targeted_inv as f64,
+            Bound::AtLeast(1.0),
+        );
+        t.gate(
+            &format!("{workload}_broadcast_inv_at_{pct}pct"),
+            fg.broadcast_inv as f64,
+            Bound::AtMost(0.0),
         );
     }
-    write_bench_json(&rows);
-    for r in rows.iter().filter(|r| r.pct == GATE_PCT) {
-        assert_gate(r);
-    }
+    t.finish();
 }
 
 #[cfg(test)]

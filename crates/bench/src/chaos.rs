@@ -31,13 +31,14 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::social::build_social_scaled;
 use apps::workload::{run_closed_loop, run_open_loop_classified};
 use bytes::Bytes;
-use dmnet::{CacheConfig, DmNetClient, DmServerConfig};
-use dmrpc::DmHandle;
+use dmnet::{CacheConfig, DmNetClient, DmServer, DmServerConfig};
 use loadgen::Population;
 use memsim::ModelParams;
 use rpclib::{RpcBuilder, RpcConfig};
 use simcore::{Sim, SimRng};
 use simnet::{FabricConfig, GilbertElliott, Network, NicConfig, NodeId};
+
+use crate::report::{Bound, Table};
 
 /// The fault classes swept by the harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,7 +109,24 @@ pub struct CaseResult {
     pub violations: Vec<String>,
 }
 
+/// What a case's simulation hands back: (completed, errors, checksum,
+/// violations).
+type Tally = (u64, u64, u64, Vec<String>);
+
 impl CaseResult {
+    /// Close a case: its tally plus the schedule fingerprint of the
+    /// simulation that produced it.
+    fn of(sim: &Sim, (completed, errors, checksum, violations): Tally) -> CaseResult {
+        CaseResult {
+            completed,
+            errors,
+            end_ns: sim.now().nanos(),
+            polls: sim.poll_count(),
+            checksum,
+            violations,
+        }
+    }
+
     /// The bit-for-bit reproducibility fingerprint.
     pub fn fingerprint(&self) -> (u64, u64, u64, u64, u64) {
         (
@@ -139,25 +157,173 @@ pub fn chaos_rpc_config() -> RpcConfig {
 /// drain phase).
 const LEASE_TTL: Duration = Duration::from_micros(200);
 
-/// Shared fault-schedule driver: toggles faults between random pairs from
-/// `links` until `stop` is set, entirely driven by `rng`. `crash` is the
-/// set of DM servers crashed by the server-crash classes; when empty,
+/// The one chaos deployment, as a cluster config (chain, social) and as
+/// the matching bare-pool server config (COW, sharded): bounded retries,
+/// short leases, a small pool so leaks show, fine-grained coherence forced
+/// on (DESIGN.md §15) so every fault window also races targeted pushes,
+/// read leases and the bounded holder directory. Durability is set per
+/// fault class, never inherited from `DM_DURABLE`, so chaos fingerprints
+/// do not depend on the environment: only the recovery class runs the WAL.
+fn chaos_config(fault: FaultClass) -> (ClusterConfig, DmServerConfig) {
+    let durability = (fault == FaultClass::ServerCrashRecovery).then(dmnet::WalConfig::zero_cost);
+    let cluster = ClusterConfig {
+        rpc: chaos_rpc_config(),
+        lease_ttl: Some(LEASE_TTL),
+        dm_capacity_pages: 4096,
+        dm_durability: durability,
+        dm_client_cache: CacheConfig::fine_grained(),
+        ..Default::default()
+    };
+    let server = DmServerConfig {
+        capacity_pages: cluster.dm_capacity_pages,
+        lease_ttl: cluster.lease_ttl,
+        durability,
+        coherence: Some(dmnet::CoherenceConfig::default()),
+        ..Default::default()
+    };
+    (cluster, server)
+}
+
+/// A bare-pool chaos client on its own node: chaos RPC tuning, no client
+/// limiter, `cache` and `ring` as the case needs.
+async fn chaos_client(
+    net: &Network,
+    name: &str,
+    pool: &[simnet::Addr],
+    cache: CacheConfig,
+    ring: Option<dmnet::HashRing>,
+) -> (NodeId, Rc<DmNetClient>) {
+    let node = net.add_node(name, NicConfig::default());
+    let rpc = RpcBuilder::new(net, node, 100)
+        .config(chaos_rpc_config())
+        .build();
+    let limit = dmnet::ClientLimitConfig::default();
+    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, limit, ring)
+        .await
+        .expect("fault-free connect");
+    (node, Rc::new(client))
+}
+
+/// Every ordered pair of distinct nodes.
+fn mesh(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    nodes
+        .iter()
+        .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
+        .filter(|(a, b)| a != b)
+        .collect()
+}
+
+/// The rig every case runs on: the fault driver over the case's links,
+/// the shared violation list and checksum, and the two-step teardown
+/// ([`Rig::heal`], [`Rig::reclaim`]) that proves nothing leaked.
+struct Rig {
+    net: Network,
+    servers: Vec<Rc<DmServer>>,
+    fault: FaultClass,
+    stop: Cell<bool>,
+    checksum: Cell<u64>,
+    violations: RefCell<Vec<String>>,
+}
+
+impl Rig {
+    /// Start the fault schedule for `seed` over `links`, crashing
+    /// `servers` under the crash classes.
+    fn start(
+        net: &Network,
+        servers: &[Rc<DmServer>],
+        links: Vec<(NodeId, NodeId)>,
+        fault: FaultClass,
+        seed: u64,
+    ) -> Rc<Rig> {
+        let rig = Rc::new(Rig {
+            net: net.clone(),
+            servers: servers.to_vec(),
+            fault,
+            stop: Cell::new(false),
+            checksum: Cell::new(0),
+            violations: RefCell::new(Vec::new()),
+        });
+        spawn_fault_driver(rig.clone(), links, SimRng::new(seed ^ 0xFA11));
+        rig
+    }
+
+    /// A rig over a whole cluster: every node pair is a fault candidate —
+    /// services, the client, and the DM servers.
+    fn over_cluster(cluster: &Cluster, fault: FaultClass, seed: u64) -> Rc<Rig> {
+        let mut nodes: Vec<NodeId> = cluster.servers().iter().map(|s| s.id).collect();
+        nodes.extend(cluster.dm_servers.iter().map(|s| s.addr().node));
+        Rig::start(&cluster.net, &cluster.dm_servers, mesh(&nodes), fault, seed)
+    }
+
+    fn violation(&self, msg: impl Into<String>) {
+        self.violations.borrow_mut().push(msg.into());
+    }
+
+    /// Order-sensitive fold of one successful result into the checksum.
+    fn fold(&self, v: u64) {
+        self.checksum
+            .set(self.checksum.get().wrapping_mul(31).wrapping_add(v));
+    }
+
+    /// Heal and drain: stop the schedule, clear every fault, bring every
+    /// server back; surviving retransmissions and async releases finish
+    /// inside the retry budget.
+    async fn heal(&self) {
+        self.stop.set(true);
+        self.net.clear_faults();
+        for s in &self.servers {
+            s.restart();
+        }
+        simcore::sleep(Duration::from_millis(1)).await;
+        for s in &self.servers {
+            s.check_invariants_all();
+        }
+    }
+
+    /// Fail-stop every client process; once the leases expire the sweeper
+    /// must return every page — mappings leaked by faulted ops, a crashed
+    /// client's pins, migrated duplicates, media of shed composes — to the
+    /// free lists. Returns the case's violations.
+    async fn reclaim(&self, clients: &[Rc<DmNetClient>]) -> Vec<String> {
+        // eRPC has no DM plane: nothing to reclaim, no lease to wait out.
+        if !self.servers.is_empty() {
+            for c in clients {
+                c.simulate_crash();
+            }
+            simcore::sleep(3 * LEASE_TTL).await;
+            let (mut free, mut capacity, mut reclaimed) = (0, 0, 0);
+            for s in &self.servers {
+                s.sweep_expired_leases();
+                s.check_invariants_all();
+                free += s.free_pages_total();
+                capacity += s.capacity_pages_total();
+                reclaimed += s.leases_reclaimed();
+            }
+            if free != capacity {
+                self.violation(format!(
+                    "page leak after lease reclamation: {free} free of {capacity}"
+                ));
+            }
+            if self.fault.crashes_servers() && reclaimed == 0 {
+                self.violation("crashed client's lease never reclaimed");
+            }
+        }
+        self.violations.borrow().clone()
+    }
+}
+
+/// The fault schedule of `rig`: toggles faults between random pairs from
+/// `links` until the rig stops it, entirely driven by `rng`. The rig's
+/// servers are the ones crashed by the server-crash classes; with none,
 /// those classes degrade to partition windows (a fail-stop node is
 /// indistinguishable from a partitioned one). For
 /// [`FaultClass::ServerCrashRecovery`] every crash heals through
 /// `restart_from_log` and the rebuilt memory plane must be digest-equal
-/// to the pre-recovery state; mismatches land in `violations`.
-fn spawn_fault_driver(
-    net: Network,
-    links: Vec<(NodeId, NodeId)>,
-    crash: Vec<Rc<dmnet::DmServer>>,
-    fault: FaultClass,
-    rng: SimRng,
-    stop: Rc<Cell<bool>>,
-    violations: Rc<RefCell<Vec<String>>>,
-) {
+/// to the pre-recovery state; mismatches become violations.
+fn spawn_fault_driver(rig: Rc<Rig>, links: Vec<(NodeId, NodeId)>, rng: SimRng) {
     assert!(!links.is_empty(), "fault driver needs at least one link");
     simcore::spawn(async move {
+        let (net, crash, fault) = (&rig.net, &rig.servers, rig.fault);
         loop {
             let window = Duration::from_nanos(rng.gen_range_in(60_000, 250_000));
             let (a, b) = links[rng.gen_range(links.len() as u64) as usize];
@@ -199,13 +365,11 @@ fn spawn_fault_driver(
                             let pre = s.pages_digest();
                             let report = s.restart_from_log().await;
                             if report.torn_tail {
-                                violations
-                                    .borrow_mut()
-                                    .push("recovery: torn tail in an uncorrupted log".into());
+                                rig.violation("recovery: torn tail in an uncorrupted log");
                             }
                             let post = s.pages_digest();
                             if post != pre {
-                                violations.borrow_mut().push(format!(
+                                rig.violation(format!(
                                     "recovery: digest {post:#018x} != pre-crash {pre:#018x} \
                                      ({} records replayed)",
                                     report.records_replayed
@@ -217,12 +381,12 @@ fn spawn_fault_driver(
                     }
                 }
             }
-            if stop.get() {
+            if rig.stop.get() {
                 return;
             }
             let gap = Duration::from_nanos(rng.gen_range_in(40_000, 160_000));
             simcore::sleep(gap).await;
-            if stop.get() {
+            if rig.stop.get() {
                 return;
             }
         }
@@ -234,53 +398,17 @@ fn spawn_fault_driver(
 /// every page to the free list.
 pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseResult {
     let sim = Sim::new();
-    let (completed, errors, checksum, violations) = sim.block_on(async move {
-        // Durability is set explicitly per fault class (not inherited from
-        // `DM_DURABLE`) so chaos fingerprints never depend on the
-        // environment: only the recovery class runs with the WAL on.
-        let config = ClusterConfig {
-            rpc: chaos_rpc_config(),
-            lease_ttl: Some(LEASE_TTL),
-            dm_capacity_pages: 4096,
-            dm_durability: (fault == FaultClass::ServerCrashRecovery)
-                .then(dmnet::WalConfig::zero_cost),
-            // Fine-grained coherence forced on (DESIGN.md §15): every fault
-            // window also races targeted invalidation pushes, read leases
-            // and the bounded holder directory.
-            dm_client_cache: CacheConfig::fine_grained(),
-            ..Default::default()
-        };
-        let cluster = Cluster::new(kind, 2, config, seed);
+    let tally = sim.block_on(async move {
+        let cluster = Cluster::new(kind, 2, chaos_config(fault).0, seed);
         let app = Rc::new(build_chain(&cluster, 3).await);
         let payload = Bytes::from(vec![7u8; 4096]);
         let want: u64 = payload.iter().map(|&b| b as u64).sum();
         app.request(&payload).await.expect("fault-free warmup");
 
-        // Every node pair is a fault candidate: services, the client, and
-        // (for DmNet) the DM servers.
-        let mut nodes: Vec<NodeId> = cluster.servers().iter().map(|s| s.id).collect();
-        nodes.extend(cluster.dm_servers.iter().map(|s| s.addr().node));
-        let links: Vec<(NodeId, NodeId)> = nodes
-            .iter()
-            .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let stop = Rc::new(Cell::new(false));
-        let checksum = Rc::new(Cell::new(0u64));
-        let violations = Rc::new(RefCell::new(Vec::new()));
-        spawn_fault_driver(
-            cluster.net.clone(),
-            links,
-            cluster.dm_servers.clone(),
-            fault,
-            SimRng::new(seed ^ 0xFA11),
-            stop.clone(),
-            violations.clone(),
-        );
+        let rig = Rig::over_cluster(&cluster, fault, seed);
         let m = {
             let app = app.clone();
-            let checksum = checksum.clone();
-            let violations = violations.clone();
+            let rig = rig.clone();
             run_closed_loop(
                 8,
                 Duration::from_micros(100),
@@ -288,16 +416,13 @@ pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseRes
                 Rc::new(move |_w, _i| {
                     let app = app.clone();
                     let payload = payload.clone();
-                    let checksum = checksum.clone();
-                    let violations = violations.clone();
+                    let rig = rig.clone();
                     async move {
                         let sum = app.request(&payload).await?;
                         if sum != want {
-                            violations
-                                .borrow_mut()
-                                .push(format!("chain checksum {sum} != {want}"));
+                            rig.violation(format!("chain checksum {sum} != {want}"));
                         }
-                        checksum.set(checksum.get().wrapping_mul(31).wrapping_add(sum));
+                        rig.fold(sum);
                         Ok::<(), dmcommon::DmError>(())
                     }
                 }),
@@ -305,50 +430,11 @@ pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseRes
             .await
         };
 
-        // Heal and drain: surviving retransmissions and async releases
-        // finish inside the retry budget.
-        stop.set(true);
-        cluster.net.clear_faults();
-        for s in &cluster.dm_servers {
-            s.restart();
-        }
-        simcore::sleep(Duration::from_millis(1)).await;
-
-        let mut violations = violations.borrow().clone();
-        if kind == SystemKind::DmNet {
-            for s in &cluster.dm_servers {
-                s.check_invariants_all();
-            }
-            // Fail-stop every client process; once the leases expire the
-            // sweeper must return every page to the free list.
-            for ep in cluster.endpoints() {
-                if let Some(DmHandle::Net(c)) = ep.dm() {
-                    c.simulate_crash();
-                }
-            }
-            simcore::sleep(3 * LEASE_TTL).await;
-            for s in &cluster.dm_servers {
-                s.sweep_expired_leases();
-                s.check_invariants_all();
-                if s.free_pages_total() != s.capacity_pages_total() {
-                    violations.push(format!(
-                        "page leak after lease reclamation: {} free of {}",
-                        s.free_pages_total(),
-                        s.capacity_pages_total()
-                    ));
-                }
-            }
-        }
-        (m.completed, m.errors, checksum.get(), violations)
+        rig.heal().await;
+        let violations = rig.reclaim(&crate::rtt_budget::dm_clients(&cluster)).await;
+        (m.completed, m.errors, rig.checksum.get(), violations)
     });
-    CaseResult {
-        completed,
-        errors,
-        end_ns: sim.now().nanos(),
-        polls: sim.poll_count(),
-        checksum,
-        violations,
-    }
+    CaseResult::of(&sim, tally)
 }
 
 /// Fig. 7 COW workload under one fault class: four clients hammer one
@@ -359,51 +445,23 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
     const PATTERN: u8 = 0x5A;
     const REGION: usize = 8 * 4096;
     let sim = Sim::new();
-    let (completed, errors, checksum, violations) = sim.block_on(async move {
+    let tally = sim.block_on(async move {
         let net = Network::new(FabricConfig::default(), seed);
         let params = ModelParams::new();
         let dm_node = net.add_node("dm0", NicConfig::default());
-        let servers = dmnet::start_pool(
-            &net,
-            &[dm_node],
-            &params,
-            DmServerConfig {
-                capacity_pages: 4096,
-                lease_ttl: Some(LEASE_TTL),
-                // Explicit per-class durability keeps the fingerprints
-                // independent of `DM_DURABLE` (see `run_chain_case`).
-                durability: (fault == FaultClass::ServerCrashRecovery)
-                    .then(dmnet::WalConfig::zero_cost),
-                // Fine-grained coherence forced on (DESIGN.md §15).
-                coherence: Some(dmnet::CoherenceConfig::default()),
-                ..Default::default()
-            },
-        );
+        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(fault).1);
         let pool = vec![servers[0].addr()];
         let mut clients = Vec::new();
-        let mut client_nodes = Vec::new();
+        let mut links = Vec::new();
         for i in 0..4 {
-            let node = net.add_node(format!("c{i}"), NicConfig::default());
-            let rpc = RpcBuilder::new(&net, node, 100)
-                .config(chaos_rpc_config())
-                .build();
-            clients.push(Rc::new(
-                // Caching + batching + per-ref coherence on: the fault
-                // sweep must hold every invariant with the DESIGN.md §9/§15
-                // client cache in play.
-                DmNetClient::connect_with(
-                    rpc,
-                    pool.clone(),
-                    CacheConfig::fine_grained(),
-                    dmnet::ClientLimitConfig::default(),
-                    None,
-                )
-                .await
-                .expect("fault-free connect"),
-            ));
-            client_nodes.push(node);
+            // Caching + batching + per-ref coherence on: the fault sweep
+            // must hold every invariant with the DESIGN.md §9/§15 client
+            // cache in play.
+            let cache = CacheConfig::fine_grained();
+            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, None).await;
+            clients.push(c);
+            links.push((node, dm_node));
         }
-        let capacity = servers[0].capacity_pages_total();
 
         // One shared region: the COW-isolation witness.
         let addr = clients[0].ralloc(REGION as u64).await.unwrap();
@@ -413,19 +471,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             .unwrap();
         let shared = Rc::new(clients[0].create_ref(addr, REGION as u64).await.unwrap());
 
-        let links: Vec<(NodeId, NodeId)> = client_nodes.iter().map(|&c| (c, dm_node)).collect();
-        let stop = Rc::new(Cell::new(false));
-        let checksum = Rc::new(Cell::new(0u64));
-        let violations = Rc::new(RefCell::new(Vec::new()));
-        spawn_fault_driver(
-            net.clone(),
-            links,
-            vec![servers[0].clone()],
-            fault,
-            SimRng::new(seed ^ 0xFA11),
-            stop.clone(),
-            violations.clone(),
-        );
+        let rig = Rig::start(&net, &servers, links, fault, seed);
         if fault.crashes_servers() {
             // One client fail-stops mid-run; its lease must reclaim the
             // mapping it inevitably leaks.
@@ -448,8 +494,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let m = {
             let clients = clients.clone();
             let shared = shared.clone();
-            let checksum = checksum.clone();
-            let violations = violations.clone();
+            let rig = rig.clone();
             let acked = acked.clone();
             run_closed_loop(
                 4,
@@ -460,17 +505,14 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                     let victim = ci == 3;
                     let c = clients[ci].clone();
                     let shared = shared.clone();
-                    let checksum = checksum.clone();
-                    let violations = violations.clone();
+                    let rig = rig.clone();
                     let acked = acked.clone();
                     async move {
                         // COW isolation: the shared ref always reads its
                         // original bytes, even while other workers write.
                         let probe = c.read_ref(&shared, 0, 64).await?;
                         if !probe.iter().all(|&b| b == PATTERN) {
-                            violations
-                                .borrow_mut()
-                                .push("COW isolation: shared ref mutated".into());
+                            rig.violation("COW isolation: shared ref mutated");
                         }
                         // Map, COW-diverge, verify the private copy, unmap.
                         // An op that faults mid-flight leaks its mapping —
@@ -479,9 +521,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                         c.rwrite(mapping, &Bytes::from(vec![!PATTERN; 32])).await?;
                         let back = c.rread(mapping, 32).await?;
                         if !back.iter().all(|&b| b == !PATTERN) {
-                            violations
-                                .borrow_mut()
-                                .push("COW write lost on private mapping".into());
+                            rig.violation("COW write lost on private mapping");
                         }
                         c.rfree(mapping).await?;
                         // Recovery oracle: record every acknowledged put
@@ -494,12 +534,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                                 acked.borrow_mut().push((ci, r, fill));
                             }
                         }
-                        checksum.set(
-                            checksum
-                                .get()
-                                .wrapping_mul(31)
-                                .wrapping_add(probe[0] as u64),
-                        );
+                        rig.fold(probe[0] as u64);
                         Ok::<(), dmcommon::DmError>(())
                     }
                 }),
@@ -507,11 +542,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             .await
         };
 
-        stop.set(true);
-        net.clear_faults();
-        servers[0].restart();
-        simcore::sleep(Duration::from_millis(1)).await;
-        servers[0].check_invariants_all();
+        rig.heal().await;
 
         if fault == FaultClass::ServerCrashRecovery {
             // Which owners does the lease plane still recognize? A probe
@@ -528,22 +559,11 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             // so hits must come from the recovered server itself rather
             // than a survivor's cache. (Trailer-aware but not caching: a
             // coherent server frames versions into every ok response.)
-            let vnode = net.add_node("verify", NicConfig::default());
-            let vrpc = RpcBuilder::new(&net, vnode, 100)
-                .config(chaos_rpc_config())
-                .build();
-            let verifier = DmNetClient::connect_with(
-                vrpc,
-                pool.clone(),
-                CacheConfig {
-                    fine_grained: true,
-                    ..CacheConfig::default()
-                },
-                dmnet::ClientLimitConfig::default(),
-                None,
-            )
-            .await
-            .expect("healed fabric: verifier connect");
+            let trailers_only = CacheConfig {
+                fine_grained: true,
+                ..CacheConfig::default()
+            };
+            let (_, verifier) = chaos_client(&net, "verify", &pool, trailers_only, None).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
                 let got = verifier.read_ref(r, 0, 512).await;
@@ -551,10 +571,10 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                     // Zero lost acknowledged puts.
                     match got {
                         Ok(b) if b.iter().all(|&x| x == *fill) => {}
-                        Ok(_) => violations.borrow_mut().push(format!(
+                        Ok(_) => rig.violation(format!(
                             "recovery: acked put_ref (fill {fill:#04x}) read back wrong bytes"
                         )),
-                        Err(e) => violations.borrow_mut().push(format!(
+                        Err(e) => rig.violation(format!(
                             "recovery: acked put_ref (fill {fill:#04x}) lost: {e:?}"
                         )),
                     }
@@ -563,7 +583,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                     // fully released, never half-alive.
                     match got {
                         Err(dmcommon::DmError::InvalidRef) => {}
-                        other => violations.borrow_mut().push(format!(
+                        other => rig.violation(format!(
                             "recovery: reclaimed owner's ref resurrected: {other:?}"
                         )),
                     }
@@ -572,37 +592,11 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             verifier.simulate_crash();
         }
 
-        // Teardown: fail-stop every client; the sweeper must return every
-        // page (including mappings leaked by faulted ops and the crashed
-        // client's pins) to the free list.
-        for c in &clients {
-            c.simulate_crash();
-        }
-        simcore::sleep(3 * LEASE_TTL).await;
-        servers[0].sweep_expired_leases();
-        servers[0].check_invariants_all();
-        let mut violations = violations.borrow().clone();
-        if servers[0].free_pages_total() != capacity {
-            violations.push(format!(
-                "page leak after lease reclamation: {} free of {}",
-                servers[0].free_pages_total(),
-                capacity
-            ));
-        }
-        if fault.crashes_servers() && servers[0].leases_reclaimed() == 0 {
-            violations.push("crashed client's lease never reclaimed".into());
-        }
+        let violations = rig.reclaim(&clients).await;
         servers[0].shutdown(); // stops the lease sweeper
-        (m.completed, m.errors, checksum.get(), violations)
+        (m.completed, m.errors, rig.checksum.get(), violations)
     });
-    CaseResult {
-        completed,
-        errors,
-        end_ns: sim.now().nanos(),
-        polls: sim.poll_count(),
-        checksum,
-        violations,
-    }
+    CaseResult::of(&sim, tally)
 }
 
 /// Sharded DM plane under one fault class (DESIGN.md §13): three DM
@@ -620,77 +614,30 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
 pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
     const REF_LEN: usize = 2048;
     let sim = Sim::new();
-    let (completed, errors, checksum, violations) = sim.block_on(async move {
+    let tally = sim.block_on(async move {
         let net = Network::new(FabricConfig::default(), seed);
         let params = ModelParams::new();
         let dm_nodes: Vec<NodeId> = (0..3)
             .map(|i| net.add_node(format!("dm{i}"), NicConfig::default()))
             .collect();
-        let servers = dmnet::start_pool(
-            &net,
-            &dm_nodes,
-            &params,
-            DmServerConfig {
-                capacity_pages: 4096,
-                lease_ttl: Some(LEASE_TTL),
-                // Explicit per-class durability keeps the fingerprints
-                // independent of `DM_DURABLE` (see `run_chain_case`).
-                durability: (fault == FaultClass::ServerCrashRecovery)
-                    .then(dmnet::WalConfig::zero_cost),
-                // Fine-grained coherence forced on: MIGRATE version
-                // transfer, `GVer` replay and targeted pushes all race the
-                // fault windows here.
-                coherence: Some(dmnet::CoherenceConfig::default()),
-                ..Default::default()
-            },
-        );
+        // Coherence on: MIGRATE version transfer, `GVer` replay and
+        // targeted pushes all race the fault windows here.
+        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(fault).1);
         let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
         let mut clients = Vec::new();
-        let mut client_nodes = Vec::new();
-        for i in 0..3 {
-            let node = net.add_node(format!("c{i}"), NicConfig::default());
-            let rpc = RpcBuilder::new(&net, node, 100)
-                .config(chaos_rpc_config())
-                .build();
-            clients.push(Rc::new(
-                DmNetClient::connect_with(
-                    rpc,
-                    pool.clone(),
-                    CacheConfig::fine_grained(),
-                    dmnet::ClientLimitConfig::default(),
-                    Some(dmnet::HashRing::new(pool.len(), seed)),
-                )
-                .await
-                .expect("fault-free connect"),
-            ));
-            client_nodes.push(node);
-        }
-        let capacity: usize = servers.iter().map(|s| s.capacity_pages_total()).sum();
-
         // Fault candidates: every client↔DM link plus the DM↔DM links the
         // MIGRATE transfers ride.
-        let mut links: Vec<(NodeId, NodeId)> = client_nodes
-            .iter()
-            .flat_map(|&c| dm_nodes.iter().map(move |&d| (c, d)))
-            .collect();
-        links.extend(
-            dm_nodes
-                .iter()
-                .flat_map(|&a| dm_nodes.iter().map(move |&b| (a, b)))
-                .filter(|(a, b)| a != b),
-        );
-        let stop = Rc::new(Cell::new(false));
-        let checksum = Rc::new(Cell::new(0u64));
-        let violations = Rc::new(RefCell::new(Vec::new()));
-        spawn_fault_driver(
-            net.clone(),
-            links,
-            servers.clone(),
-            fault,
-            SimRng::new(seed ^ 0xFA11),
-            stop.clone(),
-            violations.clone(),
-        );
+        let mut links = Vec::new();
+        for i in 0..3 {
+            let ring = Some(dmnet::HashRing::new(pool.len(), seed));
+            let cache = CacheConfig::fine_grained();
+            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, ring).await;
+            clients.push(c);
+            links.extend(dm_nodes.iter().map(|&d| (node, d)));
+        }
+        links.extend(mesh(&dm_nodes));
+
+        let rig = Rig::start(&net, &servers, links, fault, seed);
         if fault.crashes_servers() {
             // One client fail-stops mid-run: its gkeys (wherever migration
             // put them) must be lease-reclaimed on every shard.
@@ -703,25 +650,21 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
 
         let m = {
             let clients = clients.clone();
-            let checksum = checksum.clone();
-            let violations = violations.clone();
+            let rig = rig.clone();
             run_closed_loop(
                 3,
                 Duration::from_micros(100),
                 Duration::from_micros(1500),
                 Rc::new(move |w: usize, i: u64| {
                     let c = clients[w % clients.len()].clone();
-                    let checksum = checksum.clone();
-                    let violations = violations.clone();
+                    let rig = rig.clone();
                     async move {
                         let fill = (w as u8).wrapping_mul(37).wrapping_add(i as u8) | 1;
                         let data = Bytes::from(vec![fill; REF_LEN]);
                         let r = c.put_ref(&data).await?;
                         if let Ok(b) = c.read_ref(&r, 0, REF_LEN as u64).await {
                             if !b.iter().all(|&x| x == fill) {
-                                violations
-                                    .borrow_mut()
-                                    .push("sharded: put_ref read back wrong bytes".into());
+                                rig.violation("sharded: put_ref read back wrong bytes");
                             }
                         }
                         if i.is_multiple_of(2) {
@@ -735,14 +678,12 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
                             let _ = c.migrate_ref(&r, dst).await;
                             match c.read_ref(&r, 0, REF_LEN as u64).await {
                                 Ok(b) if !b.iter().all(|&x| x == fill) => {
-                                    violations
-                                        .borrow_mut()
-                                        .push("sharded: migration corrupted ref bytes".into());
+                                    rig.violation("sharded: migration corrupted ref bytes");
                                 }
                                 _ => {}
                             }
                         }
-                        checksum.set(checksum.get().wrapping_mul(31).wrapping_add(fill as u64));
+                        rig.fold(fill as u64);
                         c.release_ref(&r).await?;
                         Ok::<(), dmcommon::DmError>(())
                     }
@@ -751,49 +692,14 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
             .await
         };
 
-        // Heal and drain, then fail-stop every client: after lease
-        // reclamation every page — including migrated duplicates from
-        // faulted transfers — must be back on the free lists.
-        stop.set(true);
-        net.clear_faults();
-        for s in &servers {
-            s.restart();
-        }
-        simcore::sleep(Duration::from_millis(1)).await;
-        for c in &clients {
-            c.simulate_crash();
-        }
-        simcore::sleep(3 * LEASE_TTL).await;
-        let mut violations = violations.borrow().clone();
-        let mut free = 0usize;
-        let mut reclaimed = 0u64;
-        for s in &servers {
-            s.sweep_expired_leases();
-            s.check_invariants_all();
-            free += s.free_pages_total();
-            reclaimed += s.leases_reclaimed();
-        }
-        if free != capacity {
-            violations.push(format!(
-                "sharded page leak after lease reclamation: {free} free of {capacity}"
-            ));
-        }
-        if fault.crashes_servers() && reclaimed == 0 {
-            violations.push("sharded: crashed client's lease never reclaimed".into());
-        }
+        rig.heal().await;
+        let violations = rig.reclaim(&clients).await;
         for s in &servers {
             s.shutdown();
         }
-        (m.completed, m.errors, checksum.get(), violations)
+        (m.completed, m.errors, rig.checksum.get(), violations)
     });
-    CaseResult {
-        completed,
-        errors,
-        end_ns: sim.now().nanos(),
-        polls: sim.poll_count(),
-        checksum,
-        violations,
-    }
+    CaseResult::of(&sim, tally)
 }
 
 /// Scale factor for the overloaded social case: 10k users, big enough to
@@ -820,20 +726,11 @@ const SLO_SOCIAL_RATE: f64 = 300e3;
 ///   (media of shed composes included).
 pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
     let sim = Sim::new();
-    let (completed, errors, checksum, violations) = sim.block_on(async move {
+    let tally = sim.block_on(async move {
         let config = ClusterConfig {
-            rpc: chaos_rpc_config(),
-            lease_ttl: Some(LEASE_TTL),
-            dm_capacity_pages: 4096,
-            // Explicit per-class durability keeps the fingerprints
-            // independent of `DM_DURABLE` (see `run_chain_case`).
-            dm_durability: (fault == FaultClass::ServerCrashRecovery)
-                .then(dmnet::WalConfig::zero_cost),
             dm_admission: Some(dmnet::AdmissionConfig::default()),
             dm_client_limit: dmnet::ClientLimitConfig::enabled(),
-            // Fine-grained coherence forced on (DESIGN.md §15).
-            dm_client_cache: CacheConfig::fine_grained(),
-            ..Default::default()
+            ..chaos_config(fault).0
         };
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, seed);
         let pop = Population::new(SLO_SOCIAL_SF, 42);
@@ -850,29 +747,10 @@ pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
         // Preload is fault-free: the driver spawns after it.
         app.preload(50).await.expect("fault-free preload");
 
-        let mut nodes: Vec<NodeId> = cluster.servers().iter().map(|s| s.id).collect();
-        nodes.extend(cluster.dm_servers.iter().map(|s| s.addr().node));
-        let links: Vec<(NodeId, NodeId)> = nodes
-            .iter()
-            .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let stop = Rc::new(Cell::new(false));
-        let checksum = Rc::new(Cell::new(0u64));
-        let violations = Rc::new(RefCell::new(Vec::new()));
-        spawn_fault_driver(
-            cluster.net.clone(),
-            links,
-            cluster.dm_servers.clone(),
-            fault,
-            SimRng::new(seed ^ 0xFA11),
-            stop.clone(),
-            violations.clone(),
-        );
-
+        let rig = Rig::over_cluster(&cluster, fault, seed);
         let m = {
             let app = app.clone();
-            let checksum = checksum.clone();
+            let rig = rig.clone();
             run_open_loop_classified(
                 SLO_SOCIAL_RATE,
                 Duration::from_micros(100),
@@ -880,12 +758,12 @@ pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
                 SimRng::new(seed ^ 0x510),
                 Rc::new(move |n: u64| {
                     let app = app.clone();
-                    let checksum = checksum.clone();
+                    let rig = rig.clone();
                     async move {
                         app.mixed_request().await?;
                         // Completion-order fold: part of the determinism
                         // fingerprint.
-                        checksum.set(checksum.get().wrapping_mul(31).wrapping_add(n));
+                        rig.fold(n);
                         Ok::<(), dmcommon::DmError>(())
                     }
                 }),
@@ -894,68 +772,44 @@ pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
             .await
         };
 
-        // Heal and drain.
-        stop.set(true);
-        cluster.net.clear_faults();
-        for s in &cluster.dm_servers {
-            s.restart();
-        }
-        simcore::sleep(Duration::from_millis(1)).await;
-
-        let mut violations = violations.borrow().clone();
+        rig.heal().await;
         if m.completed == 0 {
-            violations.push(format!(
+            rig.violation(format!(
                 "slo-social: goodput collapsed to zero ({} errors, {} rejected)",
                 m.errors, m.rejected
             ));
         }
-        for s in &cluster.dm_servers {
-            s.check_invariants_all();
-        }
-        // Fail-stop every client process; once the leases expire the
-        // sweeper must return every page — including media refs minted by
-        // composes the front door later shed — to the free list.
-        for ep in cluster.endpoints() {
-            if let Some(DmHandle::Net(c)) = ep.dm() {
-                c.simulate_crash();
-            }
-        }
-        simcore::sleep(3 * LEASE_TTL).await;
-        for s in &cluster.dm_servers {
-            s.sweep_expired_leases();
-            s.check_invariants_all();
-            if s.free_pages_total() != s.capacity_pages_total() {
-                violations.push(format!(
-                    "slo-social page leak after lease reclamation: {} free of {}",
-                    s.free_pages_total(),
-                    s.capacity_pages_total()
-                ));
-            }
-        }
+        let violations = rig.reclaim(&crate::rtt_budget::dm_clients(&cluster)).await;
         // Rejections are deliberate shed, not errors: fold them into the
         // fingerprint via the error count so a classifier regression
         // (Busy counted as a real error) shifts the fingerprint.
         (
             m.completed,
             m.errors + m.rejected,
-            checksum.get(),
+            rig.checksum.get(),
             violations,
         )
     });
-    CaseResult {
-        completed,
-        errors,
-        end_ns: sim.now().nanos(),
-        polls: sim.poll_count(),
-        checksum,
-        violations,
-    }
+    CaseResult::of(&sim, tally)
 }
 
-type Case = Box<dyn Fn() -> CaseResult>;
+type Case = fn(FaultClass, u64) -> CaseResult;
 
-/// One executed case with its identity: the unit the parallel sweep must
-/// reproduce fingerprint-for-fingerprint against the serial sweep.
+/// Every workload the sweep runs under every fault class, in sweep order.
+const CASES: [(&str, Case); 5] = [
+    ("fig5-chain/erpc", |f, s| {
+        run_chain_case(SystemKind::Erpc, f, s)
+    }),
+    ("fig5-chain/dmnet", |f, s| {
+        run_chain_case(SystemKind::DmNet, f, s)
+    }),
+    ("fig7-cow/dmnet", run_cow_case),
+    ("shard-migrate/dmnet", run_sharded_case),
+    ("slo-social/dmnet", run_slo_social_case),
+];
+
+/// One executed case with its identity: the unit the sweep must reproduce
+/// fingerprint-for-fingerprint at every thread count.
 #[derive(Clone, Debug)]
 pub struct CaseRecord {
     /// Workload label (e.g. `fig5-chain/dmnet`).
@@ -974,39 +828,17 @@ pub struct CaseRecord {
 /// One seed's output: its case records plus any invariant violations.
 type SeedResults = (Vec<CaseRecord>, Vec<String>);
 
-/// Run every (workload × fault class) case for one seed, in the fixed
-/// serial order, plus a determinism double-run of each case on every
-/// `determinism_stride`-th seed (0 disables). This is the unit of work of
-/// both the serial and the parallel sweeps: each case builds its own
-/// thread-local [`Sim`], so seeds are independent by construction.
+/// Run every (workload × fault class) case for one seed, in a fixed
+/// order, plus a determinism double-run of each case on every
+/// `determinism_stride`-th seed (0 disables). This is the sweep's unit of
+/// work: each case builds its own thread-local [`Sim`], so seeds are
+/// independent by construction.
 fn run_seed(seed: u64, determinism_stride: u64) -> SeedResults {
     let mut records = Vec::new();
     let mut violations = Vec::new();
     for fault in FaultClass::ALL {
-        let cases: [(&'static str, Case); 5] = [
-            (
-                "fig5-chain/erpc",
-                Box::new(move || run_chain_case(SystemKind::Erpc, fault, seed)),
-            ),
-            (
-                "fig5-chain/dmnet",
-                Box::new(move || run_chain_case(SystemKind::DmNet, fault, seed)),
-            ),
-            (
-                "fig7-cow/dmnet",
-                Box::new(move || run_cow_case(fault, seed)),
-            ),
-            (
-                "shard-migrate/dmnet",
-                Box::new(move || run_sharded_case(fault, seed)),
-            ),
-            (
-                "slo-social/dmnet",
-                Box::new(move || run_slo_social_case(fault, seed)),
-            ),
-        ];
-        for (name, case) in cases {
-            let r = case();
+        for (name, case) in CASES {
+            let r = case(fault, seed);
             for v in &r.violations {
                 violations.push(format!("{name} {} seed {seed}: {v}", fault.label()));
             }
@@ -1019,7 +851,7 @@ fn run_seed(seed: u64, determinism_stride: u64) -> SeedResults {
                 result: r,
             });
             if determinism_stride > 0 && seed.is_multiple_of(determinism_stride) {
-                let again = case();
+                let again = case(fault, seed);
                 if again.fingerprint() != fp {
                     violations.push(format!(
                         "{name} {} seed {seed}: nondeterministic ({:?} vs {:?})",
@@ -1055,10 +887,27 @@ pub struct SweepOutcome {
     pub records: Vec<CaseRecord>,
 }
 
-/// Merge per-seed outputs (already in ascending seed order) into one
-/// [`SweepOutcome`]. Shared by the serial and parallel sweeps so their
-/// aggregation is identical by construction.
-fn merge_seeds(per_seed: Vec<SeedResults>) -> SweepOutcome {
+/// Sweep `seeds` serially across every fault class and workload: exactly
+/// [`sweep_parallel`] on one thread.
+pub fn sweep(seeds: std::ops::Range<u64>, determinism_stride: u64) -> SweepOutcome {
+    sweep_parallel(seeds, determinism_stride, 1)
+}
+
+/// Sweep `seeds` across every fault class and workload on `threads` OS
+/// threads via [`crate::pool::scoped_map`] (seed *i* → thread *i* mod
+/// `threads`). Every `determinism_stride`-th seed (0 disables) runs each
+/// case twice and the fingerprints must match bit for bit. Every case
+/// builds its own thread-local [`Sim`], so nothing is shared between
+/// workers; the pool returns results in ascending seed order, making the
+/// outcome — per-seed fingerprints included — independent of `threads`.
+pub fn sweep_parallel(
+    seeds: std::ops::Range<u64>,
+    determinism_stride: u64,
+    threads: usize,
+) -> SweepOutcome {
+    let all: Vec<u64> = seeds.collect();
+    let per_seed =
+        crate::pool::scoped_map(all.len(), threads, |i| run_seed(all[i], determinism_stride));
     let mut out = SweepOutcome {
         cases: 0,
         completed: 0,
@@ -1080,50 +929,18 @@ fn merge_seeds(per_seed: Vec<SeedResults>) -> SweepOutcome {
     out
 }
 
-/// Sweep `seeds` serially across every fault class and both workloads.
-/// Every `determinism_stride`-th seed (0 disables) runs each case twice
-/// and the fingerprints must match bit for bit.
-pub fn sweep(seeds: std::ops::Range<u64>, determinism_stride: u64) -> SweepOutcome {
-    merge_seeds(
-        seeds
-            .map(|seed| run_seed(seed, determinism_stride))
-            .collect(),
-    )
-}
-
-/// [`sweep`], parallelized across `threads` OS threads via the shared
-/// [`crate::pool::scoped_map`] idiom (seed *i* → thread *i* mod
-/// `threads`). Every case builds its own thread-local [`Sim`], so nothing
-/// is shared between workers; the pool returns results in ascending seed
-/// order, making the outcome — per-seed fingerprints included —
-/// byte-identical to the serial sweep.
-pub fn sweep_parallel(
-    seeds: std::ops::Range<u64>,
-    determinism_stride: u64,
-    threads: usize,
-) -> SweepOutcome {
-    let all: Vec<u64> = seeds.collect();
-    merge_seeds(crate::pool::scoped_map(all.len(), threads, |i| {
-        run_seed(all[i], determinism_stride)
-    }))
-}
-
-/// Threads used by [`run`]: `CHAOS_THREADS` env override, else the
-/// machine's available parallelism.
-fn default_threads() -> usize {
-    crate::pool::chaos_threads()
-}
-
-/// Run the full sweep (parallel across OS threads) and print the report;
-/// exits nonzero on violations (the CI `chaos` job gates on this).
+/// Run the full sweep (`CHAOS_SEEDS` seeds per fault class, on
+/// `SIM_THREADS` workers — by default as many as the host has, since the
+/// sweep is gated end to end on per-seed fingerprints) and write
+/// `results/xtra_chaos.csv`. Any violation fails the `violations` gate
+/// (the CI `chaos` job gates on the exit status).
 pub fn run() {
-    let seeds: u64 = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let threads = default_threads();
-    let out = sweep_parallel(0..seeds, 10, threads);
-    let mut t = crate::report::Table::new(
+    let knobs = crate::pool::knobs();
+    let threads = knobs
+        .sim_threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let out = sweep_parallel(0..knobs.chaos_seeds, 10, threads);
+    let mut t = Table::new(
         "xtra_chaos",
         &["fault", "cases", "completed", "errors", "violations"],
     );
@@ -1142,15 +959,18 @@ pub fn run() {
         }
         t.row(&[&fault.label(), &cases, &completed, &errors, &violations]);
     }
-    t.finish();
-    if !out.violations.is_empty() {
-        for v in &out.violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        std::process::exit(1);
+    for v in &out.violations {
+        eprintln!("VIOLATION: {v}");
     }
+    t.gate(
+        "chaos invariant violations",
+        out.violations.len() as f64,
+        Bound::AtMost(0.0),
+    );
+    t.finish();
     println!(
-        "  chaos sweep clean: {seeds} seeds x {} fault classes on {threads} threads",
+        "  chaos sweep: {} seeds x {} fault classes on {threads} threads",
+        knobs.chaos_seeds,
         FaultClass::ALL.len()
     );
 }

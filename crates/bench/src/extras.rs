@@ -258,16 +258,6 @@ pub fn core_scaling() {
             base = krps.max(1e-9);
         }
         t.row(&[&cores, &f2(krps), &f2(krps / base)]);
-        let _ = workers;
     }
     t.finish();
-}
-
-/// Run all extra experiments.
-pub fn run() {
-    translation_overhead();
-    size_threshold();
-    ownership_batching();
-    hw_translation();
-    core_scaling();
 }

@@ -10,13 +10,30 @@ use apps::workload::run_closed_loop;
 use bytes::Bytes;
 use simcore::Sim;
 
-use crate::report::{f2, render_bars, size_label, Table};
+use crate::report::{f2, size_label, Table};
 
 /// Image sizes swept for Fig. 10a.
 pub const SIZES: [usize; 6] = [1024, 4096, 8192, 32768, 131_072, 1_048_576];
 
 /// Measure one configuration; returns the `Measured` for further digestion.
 pub fn run_point(kind: SystemKind, size: usize, workers: usize) -> apps::Measured {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let cluster = Cluster::new(kind, 2, ClusterConfig::default(), 10);
+        // Three generator clients so a single client NIC does not bound
+        // large-image throughput (the paper scales load similarly).
+        drive(&cluster, 3, size, workers).await
+    })
+}
+
+/// Build the pipeline on `cluster` and drive it closed-loop from
+/// `generators` client endpoints with `workers` outstanding requests.
+pub async fn drive(
+    cluster: &Cluster,
+    generators: usize,
+    size: usize,
+    workers: usize,
+) -> apps::Measured {
     // Larger images need a longer window to collect enough completions.
     let window = if size >= 512 * 1024 {
         Duration::from_millis(40)
@@ -25,39 +42,33 @@ pub fn run_point(kind: SystemKind, size: usize, workers: usize) -> apps::Measure
     } else {
         Duration::from_millis(4)
     };
-    let sim = Sim::new();
-    sim.block_on(async move {
-        let cluster = Cluster::new(kind, 2, ClusterConfig::default(), 10);
-        let app = Rc::new(build_pipeline(&cluster).await);
-        // Three generator clients so a single client NIC does not bound
-        // large-image throughput (the paper scales load similarly).
-        let mut clients: Vec<std::rc::Rc<dmrpc::DmRpc>> = vec![app.client.clone()];
-        for i in 0..2 {
-            let node = cluster.add_server(format!("client{i}"));
-            clients.push(cluster.endpoint(&node, 100).await);
-        }
-        let clients = Rc::new(clients);
-        let image = Bytes::from(vec![9u8; size]);
-        app.request(OP_TRANSCODE, &image).await.expect("warmup");
-        run_closed_loop(
-            workers,
-            Duration::from_millis(1),
-            window,
-            Rc::new(move |w: usize, _i: u64| {
-                let app = app.clone();
-                let client: std::rc::Rc<dmrpc::DmRpc> = clients[w % clients.len()].clone();
-                let image = image.clone();
-                // Alternate transcode/compress like the paper's app mix.
-                let op = if w.is_multiple_of(2) {
-                    OP_TRANSCODE
-                } else {
-                    OP_COMPRESS
-                };
-                async move { app.request_via(&client, op, &image).await.map(|_| ()) }
-            }),
-        )
-        .await
-    })
+    let app = Rc::new(build_pipeline(cluster).await);
+    let mut clients: Vec<std::rc::Rc<dmrpc::DmRpc>> = vec![app.client.clone()];
+    for i in 0..generators - 1 {
+        let node = cluster.add_server(format!("client{i}"));
+        clients.push(cluster.endpoint(&node, 100).await);
+    }
+    let clients = Rc::new(clients);
+    let image = Bytes::from(vec![9u8; size]);
+    app.request(OP_TRANSCODE, &image).await.expect("warmup");
+    run_closed_loop(
+        workers,
+        Duration::from_millis(1),
+        window,
+        Rc::new(move |w: usize, _i: u64| {
+            let app = app.clone();
+            let client: std::rc::Rc<dmrpc::DmRpc> = clients[w % clients.len()].clone();
+            let image = image.clone();
+            // Alternate transcode/compress like the paper's app mix.
+            let op = if w.is_multiple_of(2) {
+                OP_TRANSCODE
+            } else {
+                OP_COMPRESS
+            };
+            async move { app.request_via(&client, op, &image).await.map(|_| ()) }
+        }),
+    )
+    .await
 }
 
 /// Run the experiment and emit the two CSVs. Measurement cells are
@@ -65,13 +76,11 @@ pub fn run_point(kind: SystemKind, size: usize, workers: usize) -> apps::Measure
 /// (default 1); rows are assembled in sweep order, so the CSVs are
 /// byte-identical at every thread count.
 pub fn run() {
-    let threads = crate::pool::sim_threads();
     let cells: Vec<(usize, SystemKind)> = SIZES
         .iter()
         .flat_map(|&size| SystemKind::ALL.into_iter().map(move |kind| (size, kind)))
         .collect();
-    let measured = crate::pool::scoped_map(cells.len(), threads, |i| {
-        let (size, kind) = cells[i];
+    let measured = crate::pool::sweep(&cells, |&(size, kind)| {
         let m = run_point(kind, size, 64);
         (m.throughput_rps(), m.throughput_gbps(size as u64))
     });
@@ -80,25 +89,19 @@ pub fn run() {
         "fig10a_image_throughput",
         &["image_size", "system", "throughput_krps", "throughput_gbps"],
     );
-    let mut gbps_series: Vec<(&str, Vec<f64>)> = SystemKind::ALL
-        .iter()
-        .map(|k| (k.label(), Vec::new()))
-        .collect();
-    let mut labels = Vec::new();
-    for (n, (cell, &(rps, gbps))) in cells.iter().zip(&measured).enumerate() {
-        let (size, kind) = *cell;
-        let i = n % SystemKind::ALL.len();
-        if i == 0 {
-            labels.push(size_label(size));
-        }
-        gbps_series[i].1.push(gbps);
+    for (&(size, kind), &(rps, gbps)) in cells.iter().zip(&measured) {
         ta.row(&[&size_label(size), &kind.label(), &f2(rps / 1e3), &f2(gbps)]);
     }
     ta.finish();
-    render_bars("Fig. 10a throughput (Gbps)", &labels, &gbps_series);
+    ta.bars(
+        "Fig. 10a throughput (Gbps)",
+        "image_size",
+        "system",
+        "throughput_gbps",
+    );
 
-    let lat = crate::pool::scoped_map(SystemKind::ALL.len(), threads, |i| {
-        let m = run_point(SystemKind::ALL[i], 4096, 16);
+    let lat = crate::pool::sweep(&SystemKind::ALL, |&kind| {
+        let m = run_point(kind, 4096, 16);
         (
             m.avg_latency_us(),
             m.latency_us(0.99),

@@ -9,7 +9,7 @@ use apps::social::build_social;
 use apps::workload::run_open_loop;
 use simcore::{Sim, SimRng};
 
-use crate::report::{f2, render_bars, Table};
+use crate::report::{f2, Table};
 
 /// Offered rates swept (requests/second).
 pub const RATES: [f64; 9] = [
@@ -24,21 +24,26 @@ pub fn run_point(kind: SystemKind, rate: f64) -> apps::Measured {
     let sim = Sim::new();
     sim.block_on(async move {
         let cluster = Cluster::new(kind, 2, ClusterConfig::default(), 11);
-        let app = Rc::new(build_social(&cluster, 500, MEDIA, 3).await);
-        app.preload(200).await.expect("preload");
-        let a2 = app.clone();
-        run_open_loop(
-            rate,
-            Duration::from_millis(1),
-            Duration::from_millis(8),
-            SimRng::new(rate as u64 ^ 0xBEEF),
-            Rc::new(move |_n| {
-                let app = a2.clone();
-                async move { app.mixed_request().await }
-            }),
-        )
-        .await
+        drive(&cluster, rate).await
     })
+}
+
+/// Build the social network on `cluster`, preload it, and offer the mixed
+/// workload open-loop at `rate`.
+pub async fn drive(cluster: &Cluster, rate: f64) -> apps::Measured {
+    let app = Rc::new(build_social(cluster, 500, MEDIA, 3).await);
+    app.preload(200).await.expect("preload");
+    run_open_loop(
+        rate,
+        Duration::from_millis(1),
+        Duration::from_millis(8),
+        SimRng::new(rate as u64 ^ 0xBEEF),
+        Rc::new(move |_n| {
+            let app = app.clone();
+            async move { app.mixed_request().await }
+        }),
+    )
+    .await
 }
 
 /// Run the experiment and emit `results/fig11_deathstarbench.csv`. The
@@ -51,8 +56,7 @@ pub fn run() {
         .iter()
         .flat_map(|&rate| KINDS.into_iter().map(move |kind| (rate, kind)))
         .collect();
-    let measured = crate::pool::scoped_map(cells.len(), crate::pool::sim_threads(), |i| {
-        let (rate, kind) = cells[i];
+    let measured = crate::pool::sweep(&cells, |&(rate, kind)| {
         let m = run_point(kind, rate);
         (
             m.throughput_rps(),
@@ -73,16 +77,7 @@ pub fn run() {
             "p999_us",
         ],
     );
-    let mut lat_series: Vec<(&str, Vec<f64>)> =
-        KINDS.iter().map(|k| (k.label(), Vec::new())).collect();
-    let mut labels = Vec::new();
-    for (n, (cell, &(rps, avg, p99, p999))) in cells.iter().zip(&measured).enumerate() {
-        let (rate, kind) = *cell;
-        let i = n % KINDS.len();
-        if i == 0 {
-            labels.push(format!("{}k", rate as u64 / 1000));
-        }
-        lat_series[i].1.push(avg);
+    for (&(rate, kind), &(rps, avg, p99, p999)) in cells.iter().zip(&measured) {
         t.row(&[
             &f2(rate / 1e3),
             &kind.label(),
@@ -93,9 +88,10 @@ pub fn run() {
         ]);
     }
     t.finish();
-    render_bars(
-        "Fig. 11 avg latency (us) vs offered rate",
-        &labels,
-        &lat_series,
+    t.bars(
+        "Fig. 11 avg latency (us) vs offered rate (krps)",
+        "offered_krps",
+        "system",
+        "avg_us",
     );
 }

@@ -10,7 +10,7 @@ use apps::workload::run_closed_loop;
 use bytes::Bytes;
 use simcore::Sim;
 
-use crate::report::{f2, render_bars, Table};
+use crate::report::{f2, Table};
 
 /// Argument size (paper: 4 KB array).
 pub const ARG_SIZE: usize = 4096;
@@ -47,8 +47,7 @@ pub fn run() {
     let cells: Vec<(usize, SystemKind)> = (1..=7usize)
         .flat_map(|length| SystemKind::ALL.into_iter().map(move |kind| (length, kind)))
         .collect();
-    let measured = crate::pool::scoped_map(cells.len(), crate::pool::sim_threads(), |i| {
-        let (length, kind) = cells[i];
+    let measured = crate::pool::sweep(&cells, |&(length, kind)| {
         let (tput, lat_loaded) = run_point(kind, length, 16, Duration::from_millis(4));
         let (_, lat_unloaded) = run_point(kind, length, 1, Duration::from_millis(1));
         (tput, lat_loaded, lat_unloaded)
@@ -64,18 +63,7 @@ pub fn run() {
             "avg_latency_us_unloaded",
         ],
     );
-    let mut tput_series: Vec<(&str, Vec<f64>)> = SystemKind::ALL
-        .iter()
-        .map(|k| (k.label(), Vec::new()))
-        .collect();
-    let mut labels = Vec::new();
-    for (n, (cell, &(tput, lat_loaded, lat_unloaded))) in cells.iter().zip(&measured).enumerate() {
-        let (length, kind) = *cell;
-        let i = n % SystemKind::ALL.len();
-        if i == 0 {
-            labels.push(format!("{length} calls"));
-        }
-        tput_series[i].1.push(tput);
+    for (&(length, kind), &(tput, lat_loaded, lat_unloaded)) in cells.iter().zip(&measured) {
         t.row(&[
             &length,
             &kind.label(),
@@ -85,5 +73,10 @@ pub fn run() {
         ]);
     }
     t.finish();
-    render_bars("Fig. 5a throughput (krps)", &labels, &tput_series);
+    t.bars(
+        "Fig. 5a throughput (krps) vs chain length",
+        "chain_len",
+        "system",
+        "throughput_krps",
+    );
 }

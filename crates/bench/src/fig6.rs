@@ -10,7 +10,7 @@ use apps::workload::run_closed_loop;
 use bytes::Bytes;
 use simcore::Sim;
 
-use crate::report::{f2, render_bars, size_label, Table};
+use crate::report::{f2, size_label, Table};
 
 /// Request sizes swept (paper: 4 K to 32 K).
 pub const SIZES: [usize; 4] = [4096, 8192, 16384, 32768];
@@ -67,10 +67,7 @@ pub fn run() {
         .iter()
         .flat_map(|&size| SystemKind::ALL.into_iter().map(move |kind| (size, kind)))
         .collect();
-    let measured = crate::pool::scoped_map(cells.len(), crate::pool::sim_threads(), |i| {
-        let (size, kind) = cells[i];
-        run_point(kind, size)
-    });
+    let measured = crate::pool::sweep(&cells, |&(size, kind)| run_point(kind, size));
 
     let mut t = Table::new(
         "fig6_loadbalancer",
@@ -82,18 +79,7 @@ pub fn run() {
             "lb_mem_bw_gbs",
         ],
     );
-    let mut bw_series: Vec<(&str, Vec<f64>)> = SystemKind::ALL
-        .iter()
-        .map(|k| (k.label(), Vec::new()))
-        .collect();
-    let mut labels = Vec::new();
-    for (n, (cell, &(krps, gbps, lb_bw))) in cells.iter().zip(&measured).enumerate() {
-        let (size, kind) = *cell;
-        let i = n % SystemKind::ALL.len();
-        if i == 0 {
-            labels.push(size_label(size));
-        }
-        bw_series[i].1.push(lb_bw);
+    for (&(size, kind), &(krps, gbps, lb_bw)) in cells.iter().zip(&measured) {
         t.row(&[
             &size_label(size),
             &kind.label(),
@@ -103,5 +89,10 @@ pub fn run() {
         ]);
     }
     t.finish();
-    render_bars("Fig. 6b LB memory bandwidth (GB/s)", &labels, &bw_series);
+    t.bars(
+        "Fig. 6b LB memory bandwidth (GB/s)",
+        "req_size",
+        "system",
+        "lb_mem_bw_gbs",
+    );
 }

@@ -1,26 +1,12 @@
 //! # bench — harnesses regenerating every table and figure of the paper
 //!
-//! Each experiment is a library module with a thin binary wrapper in
-//! `src/bin/`, so `all_experiments` can run the full evaluation. Results
-//! are printed as aligned tables and written to `results/*.csv`.
-//!
-//! | module / binary | reproduces |
-//! |---|---|
-//! | `table1` | Table I (qualitative + measured backing) |
-//! | `fig5` | Fig. 5a/b nested RPC calls |
-//! | `fig6` | Fig. 6a/b application-layer load balancer |
-//! | `fig7` | Fig. 7a/b/c copy-on-write vs unconditional copy |
-//! | `fig8` | Fig. 8a/b vs Ray/Spark |
-//! | `fig10` | Fig. 10a/b 7-tier cloud image processing |
-//! | `fig11` | Fig. 11 DeathStarBench |
-//! | `fig12` | Fig. 12a/b CXL latency sensitivity |
-//! | `extras` | §V-A2 translation overhead, size-threshold and ownership-batching ablations |
-//! | `chaos` | seed-swept fault injection with invariant checks (DESIGN.md §8) |
-//! | `recovery` | durable-tier recovery cost + zero-cost durability contract (DESIGN.md §12) |
-//! | `rtt_budget` | control-plane RTTs/op with the §9 client cache + coalescer off vs on |
-//! | `latency_breakdown` | per-RPC latency attribution from the telemetry span trees (§10) |
-//! | `slo_scale` | scale-factor sweep (1k→1M users) with overload control + SLO knees (§14) |
-//! | `cache_coherence` | hit-rate retention under write churn: global epoch vs per-ref coherence (§15) |
+//! Each experiment is a library module with a `run()`; the one binary
+//! (`src/main.rs`) holds the registry that names them, says which
+//! `results/` files each owns and which belong to `all`:
+//! `cargo run --release -p bench -- list` prints it. Shared by all of
+//! them: [`pool::sweep`] (ordered fan-out over `SIM_THREADS`) and
+//! [`report::Table`] (the one artifact writer: console table, CSV,
+//! `BENCH_*.json`, bars, gates).
 
 #![warn(missing_docs)]
 

@@ -4,11 +4,10 @@
 //! PR 3's chaos sweep introduced round-robin work assignment over
 //! `std::thread::scope` with results merged in index order, gated on
 //! byte-identical per-seed fingerprints. This module extracts that idiom
-//! so the chaos sweep, the per-figure cell parallelism (`SIM_THREADS`),
-//! and the engine-scaling runs all share one implementation: work item
-//! `i` runs on thread `i mod threads`, and results come back in index
-//! order, so output (tables, CSVs, fingerprints) never depends on the
-//! thread count.
+//! so the chaos sweep and the per-figure cell parallelism ([`sweep`],
+//! `SIM_THREADS`) share one implementation: work item `i` runs on thread
+//! `i mod threads`, and results come back in index order, so output
+//! (tables, CSVs, fingerprints) never depends on the thread count.
 
 /// Run `f(i)` for every `i in 0..n` across up to `threads` scoped OS
 /// threads and return the results in index order. Each worker owns its
@@ -46,31 +45,58 @@ pub fn scoped_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sy
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Threads for simulation-cell parallelism: the `SIM_THREADS` env
-/// variable, default **1** (serial). Every figure harness routes its
-/// independent simulation cells through [`scoped_map`] with this count;
-/// results are deterministic at any value, so raising it only trades
-/// memory for wall time.
-pub fn sim_threads() -> usize {
-    std::env::var("SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// Run `f(cell)` for every cell across the `SIM_THREADS` workers and
+/// return the results in cell order: the one way a harness fans out its
+/// independent simulations, so tables and CSVs never depend on the thread
+/// count.
+pub fn sweep<C: Sync, T: Send>(cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
+    scoped_map(cells.len(), knobs().sim_threads.unwrap_or(1), |i| {
+        f(&cells[i])
+    })
 }
 
-/// Threads for the chaos seed sweep: `CHAOS_THREADS` env override, else
-/// the machine's available parallelism (the sweep's historical default —
-/// it is gated end-to-end on per-seed fingerprints, so it defaults wide).
-pub fn chaos_threads() -> usize {
-    std::env::var("CHAOS_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+/// The environment knobs the harness takes, checked once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Knobs {
+    /// `SIM_THREADS`: worker threads for [`sweep`]. Unset means serial,
+    /// except for the chaos seed sweep, which then goes as wide as the
+    /// host (it is gated end to end on per-seed fingerprints).
+    pub sim_threads: Option<usize>,
+    /// `CHAOS_SEEDS`: seeds per fault class in `bench chaos` (default 100).
+    pub chaos_seeds: u64,
+}
+
+impl Knobs {
+    /// Parse the knobs out of `var` (the process environment, or a fake
+    /// in tests). A knob that is set must be a positive integer with
+    /// nothing around it: a typo in `ci.yml` must not silently turn the
+    /// 8-thread regeneration into a second serial run.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+        let positive = |name: &str| match var(name) {
+            None => Ok(None),
+            Some(raw) => match raw.parse::<u64>() {
+                Ok(n) if n >= 1 => Ok(Some(n)),
+                _ => Err(format!("{name}={raw:?}: expected a positive integer")),
+            },
+        };
+        Ok(Knobs {
+            sim_threads: positive("SIM_THREADS")?.map(|n| n as usize),
+            chaos_seeds: positive("CHAOS_SEEDS")?.unwrap_or(100),
         })
+    }
+}
+
+/// The process's [`Knobs`]: the one place the harness reads its
+/// environment. A set-but-malformed knob ends the process with status 2;
+/// the driver calls this before any experiment runs.
+pub fn knobs() -> Knobs {
+    static KNOBS: std::sync::OnceLock<Knobs> = std::sync::OnceLock::new();
+    *KNOBS.get_or_init(|| {
+        Knobs::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -84,6 +110,27 @@ mod tests {
             assert_eq!(scoped_map(17, threads, |i| i * i), serial);
         }
         assert_eq!(scoped_map(0, 4, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn knobs_default_when_unset_and_reject_what_they_cannot_read() {
+        let with = |name: &'static str, raw: &'static str| {
+            Knobs::parse(move |n| (n == name).then(|| raw.to_string()))
+        };
+        let unset = Knobs::parse(|_| None).unwrap();
+        assert_eq!((unset.sim_threads, unset.chaos_seeds), (None, 100));
+        assert_eq!(with("SIM_THREADS", "8").unwrap().sim_threads, Some(8));
+        assert_eq!(with("CHAOS_SEEDS", "20").unwrap().chaos_seeds, 20);
+        for (name, raw) in [
+            ("SIM_THREADS", "0"),
+            ("SIM_THREADS", "8 "),
+            ("SIM_THREADS", "-1"),
+            ("CHAOS_SEEDS", "abc"),
+            ("CHAOS_SEEDS", ""),
+        ] {
+            let err = with(name, raw).unwrap_err();
+            assert!(err.contains(name), "{err} must name {name}");
+        }
     }
 
     #[test]

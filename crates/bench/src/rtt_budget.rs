@@ -28,11 +28,11 @@ use crate::report::{f2, Table};
 /// Argument size (paper Fig. 5: 4 KB array).
 pub const ARG_SIZE: usize = 4096;
 
-/// Wire-message and cache counters for one measured configuration.
+/// Wire-message and cache counters for one measured configuration, summed
+/// over every DM client of the cluster.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RttPoint {
-    /// App-level requests completed (all phases, warmup included — the
-    /// wire counters span the same interval).
+    /// App-level operations completed in the measured window.
     pub ops: u64,
     /// Control-plane wire messages across every endpoint's DM client.
     pub ctrl: u64,
@@ -42,8 +42,13 @@ pub struct RttPoint {
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
-    /// Entries invalidated (epoch advances + local releases).
+    /// Entries invalidated (epoch advances, version advances, local
+    /// releases).
     pub invalidations: u64,
+    /// Targeted invalidation pushes received (fine-grained only).
+    pub targeted_inv: u64,
+    /// Epoch broadcasts observed while fine-grained (fallback path).
+    pub broadcast_inv: u64,
     /// Control ops that rode a coalesced batch.
     pub batched_ops: u64,
     /// Coalesced batch envelopes sent.
@@ -53,9 +58,19 @@ pub struct RttPoint {
 }
 
 impl RttPoint {
-    /// Control-plane wire messages per completed request.
+    /// Control-plane wire messages per completed operation.
     pub fn ctrl_per_op(&self) -> f64 {
         self.ctrl as f64 / self.ops.max(1) as f64
+    }
+
+    /// `hits / (hits + misses)`.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
     }
 }
 
@@ -67,8 +82,77 @@ pub fn ctrl_reduction_pct(base: &RttPoint, cached: &RttPoint) -> f64 {
     (1.0 - cached.ctrl_per_op() / base.ctrl_per_op()) * 100.0
 }
 
+/// The DM clients behind every endpoint of `cluster`.
+pub(crate) fn dm_clients(cluster: &Cluster) -> Vec<Rc<dmnet::DmNetClient>> {
+    cluster
+        .endpoints()
+        .iter()
+        .filter_map(|ep| ep.dm().and_then(|d| d.net_client().cloned()))
+        .collect()
+}
+
+/// Measure `work` on `cluster`: counter deltas across every DM client
+/// around it, from a snapshot taken now (setup and warm-up traffic is
+/// excluded). `work` counts its completed operations into the cell it is
+/// handed and returns its throughput in krps. Queued control ops are
+/// drained before the closing snapshot, so batched-but-unsent work is
+/// charged to the configuration that queued it.
+pub async fn measure<F, Fut>(cluster: &Cluster, work: F) -> RttPoint
+where
+    F: FnOnce(Rc<Cell<u64>>) -> Fut,
+    Fut: std::future::Future<Output = f64>,
+{
+    let clients = dm_clients(cluster);
+    let snap = || -> Vec<[u64; 9]> {
+        clients
+            .iter()
+            .map(|c| {
+                let (ctrl, data) = c.wire_messages();
+                let s = c.cache_stats();
+                [
+                    ctrl,
+                    data,
+                    s.hits(),
+                    s.misses(),
+                    s.invalidations(),
+                    s.targeted_inv(),
+                    s.broadcast_inv(),
+                    s.batched_ops(),
+                    s.batches(),
+                ]
+            })
+            .collect()
+    };
+    let before = snap();
+    let ops = Rc::new(Cell::new(0u64));
+    let tput_krps = work(ops.clone()).await;
+    for c in &clients {
+        c.flush_cache().await;
+    }
+    let mut d = [0u64; 9];
+    for (after, before) in snap().iter().zip(&before) {
+        for (sum, (a, b)) in d.iter_mut().zip(after.iter().zip(before)) {
+            *sum += a - b;
+        }
+    }
+    RttPoint {
+        ops: ops.get(),
+        ctrl: d[0],
+        data: d[1],
+        hits: d[2],
+        misses: d[3],
+        invalidations: d[4],
+        targeted_inv: d[5],
+        broadcast_inv: d[6],
+        batched_ops: d[7],
+        batches: d[8],
+        tput_krps,
+    }
+}
+
 /// Run the Fig. 5 chain at `length` under `cache` and count every wire
-/// message the cluster's DM clients send from the post-setup snapshot on.
+/// message the cluster's DM clients send after setup and one warm-up
+/// request.
 pub fn run_point(length: usize, cache: CacheConfig) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
@@ -80,46 +164,14 @@ pub fn run_point(length: usize, cache: CacheConfig) -> RttPoint {
         let app = Rc::new(build_chain(&cluster, length).await);
         let payload = Bytes::from(vec![7u8; ARG_SIZE]);
         app.request(&payload).await.expect("warmup");
-
-        // Snapshot after setup + one warm-up request: registration and
-        // warm-up traffic is excluded; everything after is attributed to
-        // the counted ops.
-        let clients: Vec<_> = cluster
-            .endpoints()
-            .iter()
-            .filter_map(|ep| ep.dm().and_then(|d| d.net_client().cloned()))
-            .collect();
-        let totals = |clients: &[Rc<dmnet::DmNetClient>]| {
-            clients.iter().fold((0u64, 0u64), |(c, d), cl| {
-                let (ctrl, data) = cl.wire_messages();
-                (c + ctrl, d + data)
-            })
-        };
-        let (ctrl0, data0) = totals(&clients);
-        let stats0: Vec<(u64, u64, u64, u64, u64)> = clients
-            .iter()
-            .map(|c| {
-                let s = c.cache_stats();
-                (
-                    s.hits(),
-                    s.misses(),
-                    s.invalidations(),
-                    s.batched_ops(),
-                    s.batches(),
-                )
-            })
-            .collect();
-
-        let ops = Rc::new(Cell::new(0u64));
-        let m = {
-            let app = app.clone();
-            let ops = ops.clone();
-            run_closed_loop(
+        let worker_app = app.clone();
+        measure(&cluster, |ops| async move {
+            let m = run_closed_loop(
                 8,
                 Duration::from_micros(200),
                 Duration::from_millis(2),
                 Rc::new(move |_w, _i| {
-                    let app = app.clone();
+                    let app = worker_app.clone();
                     let payload = payload.clone();
                     let ops = ops.clone();
                     async move {
@@ -129,31 +181,10 @@ pub fn run_point(length: usize, cache: CacheConfig) -> RttPoint {
                     }
                 }),
             )
-            .await
-        };
-        // Drain queued control ops so batched-but-unsent work is charged
-        // to the configuration that queued it.
-        for c in &clients {
-            c.flush_cache().await;
-        }
-
-        let (ctrl1, data1) = totals(&clients);
-        let mut point = RttPoint {
-            ops: ops.get(),
-            ctrl: ctrl1 - ctrl0,
-            data: data1 - data0,
-            tput_krps: m.throughput_rps() / 1e3,
-            ..Default::default()
-        };
-        for (c, s0) in clients.iter().zip(&stats0) {
-            let s = c.cache_stats();
-            point.hits += s.hits() - s0.0;
-            point.misses += s.misses() - s0.1;
-            point.invalidations += s.invalidations() - s0.2;
-            point.batched_ops += s.batched_ops() - s0.3;
-            point.batches += s.batches() - s0.4;
-        }
-        point
+            .await;
+            m.throughput_rps() / 1e3
+        })
+        .await
     })
 }
 

@@ -1,7 +1,8 @@
-//! `scenario` — run any paper workload under any system with one command.
+//! `bench scenario` — run any paper workload under any system with one
+//! command.
 //!
 //! ```text
-//! cargo run --release -p bench --bin scenario -- \
+//! cargo run --release -p bench -- scenario \
 //!     --system dmnet --app chain --size 4096 --workers 16 --ms 5 --param 4
 //! ```
 //!
@@ -38,7 +39,7 @@ struct Args {
     copy: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
         system: SystemKind::DmNet,
         app: "chain".to_string(),
@@ -50,59 +51,34 @@ fn parse_args() -> Args {
         cxl_ns: None,
         copy: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
     let usage = || -> ! {
         eprintln!(
-            "usage: scenario [--system erpc|dmnet|dmcxl] [--app chain|lb|image|social|share|shuffle|block] \
+            "usage: bench scenario [--system erpc|dmnet|dmcxl] [--app chain|lb|image|social|share|shuffle|block] \
              [--size N] [--workers N] [--ms N] [--param N] [--seed N] [--cxl-ns N] [--copy]"
         );
         std::process::exit(2);
     };
-    while i < argv.len() {
-        let need = |i: usize| argv.get(i + 1).cloned().unwrap_or_else(|| usage());
-        match argv[i].as_str() {
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().cloned().unwrap_or_else(|| usage());
+        let mut number = || value().parse::<u64>().unwrap_or_else(|_| usage());
+        match flag.as_str() {
             "--system" => {
-                args.system = match need(i).as_str() {
+                args.system = match value().as_str() {
                     "erpc" => SystemKind::Erpc,
                     "dmnet" => SystemKind::DmNet,
                     "dmcxl" => SystemKind::DmCxl,
                     _ => usage(),
-                };
-                i += 2;
+                }
             }
-            "--app" => {
-                args.app = need(i);
-                i += 2;
-            }
-            "--size" => {
-                args.size = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--ms" => {
-                args.window = Duration::from_millis(need(i).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--param" => {
-                args.param = Some(need(i).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--cxl-ns" => {
-                args.cxl_ns = Some(need(i).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--copy" => {
-                args.copy = true;
-                i += 1;
-            }
+            "--app" => args.app = value(),
+            "--size" => args.size = number() as usize,
+            "--workers" => args.workers = number() as usize,
+            "--ms" => args.window = Duration::from_millis(number()),
+            "--param" => args.param = Some(number()),
+            "--seed" => args.seed = number(),
+            "--cxl-ns" => args.cxl_ns = Some(number()),
+            "--copy" => args.copy = true,
             _ => usage(),
         }
     }
@@ -124,8 +100,9 @@ fn report(label: &str, size: usize, m: &Measured) {
     println!("  latency p99.9    {:.1} us", m.latency_us(0.999));
 }
 
-fn main() {
-    let a = parse_args();
+/// Run the scenario described by `argv` (everything after `scenario`).
+pub fn run(argv: &[String]) {
+    let a = parse_args(argv);
     let label = format!(
         "{} / {} / {} B / {} workers / {:?} window",
         a.system.label(),

@@ -7,7 +7,7 @@
 //! `results/xtra_sim_throughput.csv` records the numbers; they are
 //! machine-dependent and exist to track engine-performance regressions.
 
-use crate::report::{f2, Table};
+use crate::report::{f2, gate, Bound, Table};
 use bytes::Bytes;
 use simcore::par::{run_partitioned, ParConfig, ParOutcome, PartitionBuilder};
 use simcore::sync::mpsc;
@@ -21,19 +21,15 @@ struct Outcome {
     wall: Duration,
 }
 
-fn measure(build: impl Fn(&Sim)) -> Outcome {
-    // One warmup run, then the timed run.
-    let warm = Sim::new();
-    build(&warm);
-    warm.run();
+/// One timed run of `build` on a fresh engine.
+fn timed(build: impl Fn(&Sim)) -> Outcome {
     let sim = Sim::new();
     let start = Instant::now();
     build(&sim);
     sim.run();
-    let wall = start.elapsed();
     Outcome {
         polls: sim.poll_count(),
-        wall,
+        wall: start.elapsed(),
     }
 }
 
@@ -124,59 +120,53 @@ fn rpc_storm(sim: &Sim) {
 /// must take the exact same schedule (poll-count equality — installed-but-off
 /// hooks may not move a single wakeup) and must not slow down by more than
 /// 2% of wall time (medians of interleaved repetitions, so machine noise
-/// hits both sides equally). Panics on violation; run by the CI `telemetry`
-/// job via `xtra_telemetry_overhead`.
+/// hits both sides equally). Both are [`gate`]s; run by the CI `telemetry`
+/// job as `bench telemetry_overhead`.
 pub fn telemetry_overhead_gate() {
-    fn timed(install_tracer: bool) -> Outcome {
+    fn storm(install_tracer: bool) -> Outcome {
         // Keep the tracer + its TLS installation alive for the whole run.
         let _tracing = install_tracer.then(|| {
             let t = std::rc::Rc::new(telemetry::Tracer::new(1, 0));
             let guard = t.install();
             (t, guard)
         });
-        let sim = Sim::new();
-        let start = Instant::now();
-        rpc_storm(&sim);
-        sim.run();
-        Outcome {
-            polls: sim.poll_count(),
-            wall: start.elapsed(),
-        }
+        timed(rpc_storm)
     }
-    timed(false);
-    timed(true); // warmup both paths
+    storm(false);
+    storm(true); // warmup both paths
     let mut off = Vec::new();
     let mut on = Vec::new();
     // Alternate which side goes first so drift (turbo, thermal) cancels.
     for i in 0..9 {
         if i % 2 == 0 {
-            off.push(timed(false));
-            on.push(timed(true));
+            off.push(storm(false));
+            on.push(storm(true));
         } else {
-            on.push(timed(true));
-            off.push(timed(false));
+            on.push(storm(true));
+            off.push(storm(false));
         }
     }
-    assert_eq!(
-        off[0].polls, on[0].polls,
-        "an installed-but-off tracer changed the executor schedule"
-    );
     let median = |v: &mut Vec<Outcome>| {
         v.sort_by_key(|o| o.wall);
         v[v.len() / 2].wall.as_secs_f64()
     };
+    let (polls_off, polls_on) = (off[0].polls, on[0].polls);
     let (base, traced) = (median(&mut off), median(&mut on));
-    let overhead_pct = (traced / base - 1.0) * 100.0;
     println!(
-        "telemetry installed-but-off overhead on rpc_storm: {overhead_pct:+.2}% \
-         (baseline {:.2} ms, with tracer {:.2} ms, {} polls)",
+        "telemetry installed-but-off on rpc_storm: baseline {:.2} ms, with tracer {:.2} ms, \
+         {polls_off} polls",
         base * 1e3,
         traced * 1e3,
-        off[0].polls
     );
-    assert!(
-        overhead_pct <= 2.0,
-        "installed-but-off telemetry slowed rpc_storm by {overhead_pct:.2}% (> 2%)"
+    gate(
+        "polls moved by an installed-but-off tracer",
+        polls_on.abs_diff(polls_off) as f64,
+        Bound::AtMost(0.0),
+    );
+    gate(
+        "installed-but-off wall-time overhead (%)",
+        (traced / base - 1.0) * 100.0,
+        Bound::AtMost(2.0),
     );
 }
 
@@ -232,63 +222,34 @@ fn par_rpc_ring(threads: usize) -> (ParOutcome<u64>, Duration) {
     (out, wall)
 }
 
-/// One emitted measurement, also recorded in `BENCH_sim_throughput.json`.
-struct Row {
-    name: String,
-    threads: usize,
-    polls: u64,
-    wall: Duration,
-}
-
-impl Row {
-    fn polls_per_sec(&self) -> f64 {
-        self.polls as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Write the trajectory artifact `results/BENCH_sim_throughput.json`:
-/// polls/sec and wall time per scenario plus the thread count that
-/// produced it, so future PRs can track the engine-performance curve.
-/// Hand-rolled JSON with a fixed field order; wall-clock numbers are
-/// machine-dependent by nature, so `host_parallelism` is recorded
-/// alongside them.
-fn write_bench_json(rows: &[Row]) {
-    use std::fmt::Write as _;
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"sim_throughput\",\n");
-    let _ = writeln!(out, "  \"host_parallelism\": {host},");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"threads\": {}, \"polls\": {}, \
-             \"wall_ms\": {:.3}, \"polls_per_sec\": {:.0}}}",
-            r.name,
-            r.threads,
-            r.polls,
-            r.wall.as_secs_f64() * 1e3,
-            r.polls_per_sec(),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    let dir = crate::report::results_dir();
-    let path = dir.join("BENCH_sim_throughput.json");
-    match std::fs::create_dir_all(&dir).and_then(|_| std::fs::write(&path, out)) {
-        Ok(()) => println!("  -> {}", path.display()),
-        Err(e) => eprintln!("  (bench json write failed: {e})"),
-    }
-}
-
 /// Run all scenarios — the serial engine stressors plus the partitioned
 /// scaling curve at 1/2/4/8 threads — and emit
 /// `results/xtra_sim_throughput.csv` + `results/BENCH_sim_throughput.json`.
-/// The partitioned scenario's fingerprint is asserted identical at every
-/// thread count, so this doubles as a determinism gate.
+/// Wall-clock numbers are machine-dependent by nature, so the artifact
+/// records `host_parallelism` beside them. The partitioned scenario's
+/// fingerprint is asserted identical at every thread count, so this
+/// doubles as a determinism gate.
 pub fn run() {
+    let mut t = Table::new(
+        "xtra_sim_throughput",
+        &["scenario", "threads", "polls", "wall_ms", "polls_per_sec"],
+    )
+    .trajectory("sim_throughput");
+    t.meta(
+        "host_parallelism",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
+    let mut row = |name: &str, threads: usize, polls: u64, wall: Duration| {
+        let secs = wall.as_secs_f64();
+        t.row(&[
+            &name,
+            &threads,
+            &polls,
+            &f2(secs * 1e3),
+            &format!("{:.0}", polls as f64 / secs.max(1e-12)),
+        ]);
+    };
+
     type Scenario = (&'static str, fn(&Sim));
     let scenarios: [Scenario; 4] = [
         ("timer_storm", timer_storm),
@@ -296,15 +257,10 @@ pub fn run() {
         ("spawn_churn", spawn_churn),
         ("rpc_storm", rpc_storm),
     ];
-    let mut rows: Vec<Row> = Vec::new();
     for (name, build) in scenarios {
-        let o = measure(build);
-        rows.push(Row {
-            name: name.to_string(),
-            threads: 1,
-            polls: o.polls,
-            wall: o.wall,
-        });
+        timed(build); // warmup
+        let o = timed(build);
+        row(name, 1, o.polls, o.wall);
     }
 
     // Partitioned-engine scaling curve (warmup once, then one timed run
@@ -325,27 +281,8 @@ pub fn run() {
                 "par_rpc_ring fingerprint diverged at {threads} threads"
             ),
         }
-        rows.push(Row {
-            name: "par_rpc_ring".to_string(),
-            threads,
-            polls: out.partitions.iter().map(|p| p.polls).sum(),
-            wall,
-        });
-    }
-
-    let mut t = Table::new(
-        "xtra_sim_throughput",
-        &["scenario", "threads", "polls", "wall_ms", "polls_per_sec"],
-    );
-    for r in &rows {
-        t.row(&[
-            &r.name,
-            &r.threads,
-            &r.polls,
-            &f2(r.wall.as_secs_f64() * 1e3),
-            &format!("{:.0}", r.polls_per_sec()),
-        ]);
+        let polls = out.partitions.iter().map(|p| p.polls).sum();
+        row("par_rpc_ring", threads, polls, wall);
     }
     t.finish();
-    write_bench_json(&rows);
 }

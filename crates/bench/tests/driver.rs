@@ -1,0 +1,242 @@
+//! The driver's contract with CI, checked from outside: the trajectory
+//! artifact is strict JSON in the shared schema, and the `bench` binary
+//! turns everything CI must not miss into its exit status — a failed
+//! artifact write (1), a malformed environment knob or an unknown
+//! experiment (2).
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use bench::report::{failures, Bound, Table};
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench-driver-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&dir);
+    dir
+}
+
+/// A strict RFC 8259 reader: panics on anything a conforming parser would
+/// reject and returns the document re-serialized without whitespace.
+fn strict_json(text: &str) -> String {
+    struct P<'a> {
+        b: &'a [u8],
+        at: usize,
+        out: String,
+    }
+    impl P<'_> {
+        fn peek(&self) -> u8 {
+            *self.b.get(self.at).expect("unexpected end of document")
+        }
+        fn ws(&mut self) {
+            while self.at < self.b.len() && b" \n\r\t".contains(&self.b[self.at]) {
+                self.at += 1;
+            }
+        }
+        fn take(&mut self, n: usize) {
+            self.out
+                .push_str(std::str::from_utf8(&self.b[self.at..self.at + n]).unwrap());
+            self.at += n;
+        }
+        fn digits(&mut self) {
+            assert!(
+                self.peek().is_ascii_digit(),
+                "digit expected at {}",
+                self.at
+            );
+            while self.at < self.b.len() && self.b[self.at].is_ascii_digit() {
+                self.take(1);
+            }
+        }
+        fn number(&mut self) {
+            if self.peek() == b'-' {
+                self.take(1);
+            }
+            if self.peek() == b'0' {
+                self.take(1);
+            } else {
+                self.digits();
+            }
+            if self.b.get(self.at) == Some(&b'.') {
+                self.take(1);
+                self.digits();
+            }
+            if matches!(self.b.get(self.at), Some(b'e' | b'E')) {
+                self.take(1);
+                if matches!(self.peek(), b'+' | b'-') {
+                    self.take(1);
+                }
+                self.digits();
+            }
+        }
+        fn string(&mut self) {
+            assert_eq!(self.peek(), b'"', "string expected at {}", self.at);
+            self.take(1);
+            while self.peek() != b'"' {
+                assert!(self.peek() >= 0x20, "raw control character in a string");
+                if self.peek() == b'\\' {
+                    self.take(1);
+                    assert!(b"\"\\/bfnrtu".contains(&self.peek()), "bad escape");
+                    if self.peek() == b'u' {
+                        let hex = &self.b[self.at + 1..self.at + 5];
+                        assert!(hex.iter().all(u8::is_ascii_hexdigit), "bad \\u escape");
+                    }
+                }
+                self.take(1);
+            }
+            self.take(1);
+        }
+        fn value(&mut self) {
+            self.ws();
+            match self.peek() {
+                open @ (b'{' | b'[') => {
+                    let close = open + 2; // ASCII: '{'+2 = '}', '['+2 = ']'
+                    self.take(1);
+                    self.ws();
+                    while self.peek() != close {
+                        if open == b'{' {
+                            self.ws();
+                            self.string();
+                            self.ws();
+                            assert_eq!(self.peek(), b':');
+                            self.take(1);
+                        }
+                        self.value();
+                        self.ws();
+                        if self.peek() == b',' {
+                            self.take(1);
+                            self.ws();
+                            assert_ne!(self.peek(), close, "trailing comma");
+                        } else {
+                            assert_eq!(self.peek(), close, "',' or close expected");
+                        }
+                    }
+                    self.take(1);
+                }
+                b'"' => self.string(),
+                b't' | b'f' | b'n' => {
+                    let word = ["true", "false", "null"]
+                        .into_iter()
+                        .find(|w| self.b[self.at..].starts_with(w.as_bytes()))
+                        .expect("bad literal");
+                    self.take(word.len());
+                }
+                _ => self.number(),
+            }
+        }
+    }
+    let mut p = P {
+        b: text.as_bytes(),
+        at: 0,
+        out: String::new(),
+    };
+    p.value();
+    p.ws();
+    assert_eq!(p.at, text.len(), "trailing bytes after the document");
+    p.out
+}
+
+#[test]
+fn trajectory_json_is_strict_and_carries_the_csv_cells() {
+    let mut t = Table::new("driver_test", &["name", "n", "x"]).trajectory("driver_test");
+    t.meta("size", 8192);
+    t.meta("note", "a \"quoted\\\" tab\there");
+    t.headline("speedup", "4.15");
+    t.row(&[&"image_8k", &1, &"345.25"]);
+    t.row(&[&"inf", &"007", &"-1.5e3"]);
+    t.gate("speedup", 4.5, Bound::AtLeast(3.0));
+    t.gate("unbounded ratio", f64::INFINITY, Bound::AtLeast(2.0));
+    assert!(failures().is_empty(), "passing gates record no failure");
+    t.gate("leaks", 2.0, Bound::AtMost(0.0));
+    assert_eq!(failures().len(), 1, "a failed gate must fail the driver");
+
+    let dir = scratch("json");
+    let written = t.write_into(&dir).unwrap();
+    assert_eq!(
+        written,
+        [
+            dir.join("driver_test.csv"),
+            dir.join("BENCH_driver_test.json")
+        ]
+    );
+    let csv = std::fs::read_to_string(&written[0]).unwrap();
+    assert_eq!(csv, "name,n,x\nimage_8k,1,345.25\ninf,007,-1.5e3\n");
+    let json = std::fs::read_to_string(&written[1]).unwrap();
+    assert_eq!(
+        strict_json(&json),
+        "{\"bench\":\"driver_test\",\
+         \"meta\":{\"size\":8192,\"note\":\"a \\\"quoted\\\\\\\" tab\\u0009here\"},\
+         \"headline\":{\"speedup\":4.15},\
+         \"gates\":[{\"name\":\"speedup\",\"observed\":4.5,\"bound\":3,\"pass\":true},\
+         {\"name\":\"unbounded ratio\",\"observed\":null,\"bound\":2,\"pass\":true},\
+         {\"name\":\"leaks\",\"observed\":2,\"bound\":0,\"pass\":false}],\
+         \"columns\":[\"name\",\"n\",\"x\"],\
+         \"rows\":[[\"image_8k\",1,345.25],[\"inf\",\"007\",-1.5e3]]}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Run the driver from `cwd` without cargo's `CARGO_MANIFEST_DIR`, so its
+/// results directory is `cwd/results`.
+fn bench(cwd: &std::path::Path, args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(args)
+        .current_dir(cwd)
+        .env_remove("CARGO_MANIFEST_DIR")
+        .env_remove("SIM_THREADS")
+        .env_remove("CHAOS_SEEDS")
+        .envs(env.iter().copied())
+        .output()
+        .expect("spawn bench")
+}
+
+#[test]
+fn a_failed_artifact_write_fails_the_run_and_names_the_path() {
+    // A regular file where `results/` should be: unwritable even for
+    // root, unlike a permission bit. CI diffs `results/` right after the
+    // run; a swallowed write error would compare the stale committed file
+    // with itself and pass.
+    let cwd = scratch("unwritable");
+    std::fs::create_dir_all(&cwd).unwrap();
+    std::fs::write(cwd.join("results"), b"in the way").unwrap();
+    let out = bench(&cwd, &["hw_translation"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("xtra_hw_translation.csv"), "{stderr}");
+
+    // Same run, writable directory: clean exit, file on disk.
+    std::fs::remove_file(cwd.join("results")).unwrap();
+    let out = bench(&cwd, &["hw_translation"], &[]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(cwd.join("results/xtra_hw_translation.csv").is_file());
+    std::fs::remove_dir_all(cwd).ok();
+}
+
+#[test]
+fn malformed_knobs_and_unknown_names_exit_2_before_any_work() {
+    let cwd = scratch("usage");
+    std::fs::create_dir_all(&cwd).unwrap();
+    for (var, raw) in [
+        ("SIM_THREADS", "0"),
+        ("SIM_THREADS", "8 "),
+        ("CHAOS_SEEDS", "abc"),
+    ] {
+        let out = bench(&cwd, &["hw_translation"], &[(var, raw)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={raw:?}: {stderr}");
+        assert!(stderr.contains(var), "{stderr} must name {var}");
+    }
+    for args in [&["hw_translation", "fig99"][..], &[]] {
+        let out = bench(&cwd, args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("shard_scaling"), "usage lists the registry");
+    }
+    assert!(!cwd.join("results").exists(), "nothing ran");
+
+    let out = bench(&cwd, &["list"], &[("SIM_THREADS", "8")]);
+    assert_eq!(out.status.code(), Some(0));
+    let listing = String::from_utf8_lossy(&out.stdout);
+    assert!(listing.contains("telemetry_overhead") && listing.contains("BENCH_slo_scale.json"));
+    std::fs::remove_dir_all(cwd).ok();
+}

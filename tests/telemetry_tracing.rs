@@ -147,7 +147,7 @@ fn chain_request_forms_one_causal_span_tree() {
 
 /// Deterministic export: the same seeded run produces byte-identical
 /// Chrome-trace JSON on repeat runs and on other OS threads (so sweeping
-/// harnesses — e.g. chaos with any `CHAOS_THREADS` setting — cannot
+/// harnesses — e.g. chaos with any `SIM_THREADS` setting — cannot
 /// perturb traces).
 #[test]
 fn trace_export_is_byte_identical_across_runs_and_threads() {
