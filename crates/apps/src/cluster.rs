@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
+use std::time::Duration;
 
 use dmcommon::CopyMode;
 use dmcxl::{CxlFabric, CxlHostConfig};
@@ -10,9 +11,9 @@ use dmnet::{DmNetClient, DmServer, DmServerConfig};
 use dmrpc::{DmHandle, DmRpc};
 use memsim::{ModelParams, NodeMemory};
 use rpclib::{RpcBuilder, RpcConfig};
-use simcore::CpuPool;
+use simcore::{CpuPool, JoinHandle};
 use simnet::{Addr, FabricConfig, Network, NicConfig, NodeId};
-use telemetry::{InstallGuard, Registry, Tracer};
+use telemetry::{InstallGuard, Registry, Snapshot, Tracer};
 
 /// Which of the paper's systems a cluster runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -279,15 +280,27 @@ impl Cluster {
 
     /// Build a metrics registry over every live stat source in the cluster
     /// under stable hierarchical names: `net.*` fabric counters,
-    /// `node.<name>.*` per-server memory traffic, `rpc.<name>.<port>.*`
-    /// endpoint counters, `dmclient.<name>.<port>.*` cache and wire
-    /// counters, `dmserver.<i>.*` and `gfam.*` backend gauges. Gauges read
-    /// live values, so one registry serves warmup deltas and final dumps.
+    /// `node.<name>.*` per-server memory traffic and resource busy time
+    /// (what [`utilization`] ranks), `rpc.<name>.<port>.*` endpoint
+    /// counters, `dmclient.<name>.<port>.*` cache and wire counters,
+    /// `dmserver.<i>.*` and `gfam.*` backend gauges. Gauges read live
+    /// values, so one registry serves warmup deltas and final dumps.
     pub fn metrics(&self) -> Registry {
         let reg = Registry::new();
         {
             let net = self.net.clone();
             reg.register_gauge("net.delivered", move || net.delivered());
+        }
+        for id in (0..self.net.node_count() as u32).map(NodeId) {
+            let name = self.net.node_name(id);
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.tx_busy_ns"), move || {
+                net.node_tx_busy(id).as_nanos() as u64
+            });
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.rx_busy_ns"), move || {
+                net.node_rx_busy(id).as_nanos() as u64
+            });
         }
         for n in self.nodes.borrow().iter() {
             let name = self.net.node_name(n.id);
@@ -295,6 +308,11 @@ impl Cluster {
             reg.register_gauge(format!("node.{name}.mem.traffic_bytes"), move || {
                 mem.traffic_bytes()
             });
+            let (cpu, cores) = (n.cpu.clone(), n.cpu.cores());
+            reg.register_gauge(format!("node.{name}.cpu.busy_ns"), move || {
+                cpu.busy_time().as_nanos() as u64
+            });
+            reg.register_gauge(format!("node.{name}.cpu.cores"), move || cores);
         }
         for ep in self.endpoints() {
             let addr = ep.addr();
@@ -385,6 +403,12 @@ impl Cluster {
             }
         }
         for (i, s) in self.dm_servers.iter().enumerate() {
+            let name = self.net.node_name(s.addr().node);
+            let (srv, cores) = (s.clone(), s.cpu_cores());
+            reg.register_gauge(format!("node.{name}.cpu.busy_ns"), move || {
+                srv.cpu_busy_time().as_nanos() as u64
+            });
+            reg.register_gauge(format!("node.{name}.cpu.cores"), move || cores);
             let srv = s.clone();
             reg.register_gauge(format!("dmserver.{i}.leases_reclaimed"), move || {
                 srv.leases_reclaimed()
@@ -434,6 +458,19 @@ impl Cluster {
             reg.register_gauge("gfam.traffic_bytes", move || g.traffic_bytes());
         }
         reg
+    }
+
+    /// Start the bottleneck ledger ([`utilization`]) over the next `span`
+    /// of virtual time; await the handle once the load it brackets is done.
+    /// Cutting at `span` instead of at the load's completion keeps the
+    /// drain of a backlog from diluting the resource that built it.
+    pub fn utilization_over(&self, span: Duration) -> JoinHandle<Vec<Utilization>> {
+        let metrics = self.metrics();
+        let before = metrics.snapshot();
+        simcore::spawn(async move {
+            simcore::sleep(span).await;
+            utilization(&before, &metrics.snapshot(), span)
+        })
     }
 
     /// The CXL fabric, if this is a DmCxl cluster.
@@ -567,6 +604,49 @@ impl Cluster {
     }
 }
 
+/// How busy one node's resource was over a window.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Utilization {
+    /// Fabric node name (`sn-b`, `dm0`, ..).
+    pub node: String,
+    /// `nic.tx`, `nic.rx` or `cpu`.
+    pub resource: String,
+    /// Busy time over capacity (a CPU pool's capacity is its core count).
+    /// A NIC books its service time when a packet is queued, so this is
+    /// offered load: above 1 the window was handed more than it could
+    /// serve and a backlog was growing.
+    pub utilization: f64,
+}
+
+impl std::fmt::Display for Utilization {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {} {:.2}", self.node, self.resource, self.utilization)
+    }
+}
+
+/// The bottleneck ledger: every `node.<name>.*busy_ns` gauge of
+/// [`Cluster::metrics`] as a utilization over the `elapsed` virtual time
+/// between two snapshots, busiest first (ties in name order).
+pub fn utilization(before: &Snapshot, after: &Snapshot, elapsed: Duration) -> Vec<Utilization> {
+    let mut out: Vec<Utilization> = after
+        .iter()
+        .filter_map(|(key, busy)| {
+            let (node, gauge) = key.strip_prefix("node.")?.split_once('.')?;
+            let resource = gauge.strip_suffix("busy_ns")?.trim_end_matches(['.', '_']);
+            let busy = busy.saturating_sub(before.get(key).unwrap_or(0));
+            let cores = after.get(&format!("node.{node}.{resource}.cores"));
+            let capacity = elapsed.as_nanos() as f64 * cores.unwrap_or(1) as f64;
+            Some(Utilization {
+                node: node.to_string(),
+                resource: resource.to_string(),
+                utilization: busy as f64 / capacity.max(1.0),
+            })
+        })
+        .collect();
+    out.sort_by(|a, b| b.utilization.total_cmp(&a.utilization));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,6 +675,44 @@ mod tests {
             assert_eq!(cluster.dm_traffic_bytes(), 0);
             assert_eq!(cluster.net.node_tx_bytes(node.id), 0);
             ep.release(&v).await.unwrap();
+        });
+    }
+
+    #[test]
+    fn busy_gauges_keep_off_summed_suffixes_and_rank_the_busy_resource() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let cluster = Cluster::new(SystemKind::DmNet, 1, ClusterConfig::default(), 1);
+            let busy = cluster.add_server("busy");
+            let _idle = cluster.add_server("idle");
+            let reg = cluster.metrics();
+            // The repo benchmark sums registry keys by these suffixes; a
+            // busy-time gauge under one of them would be added to bytes
+            // moved or calls made.
+            let new: Vec<String> = reg
+                .names()
+                .into_iter()
+                .filter(|n| n.contains(".nic.") || n.contains(".cpu."))
+                .collect();
+            assert_eq!(new.len(), 3 * 2 + 3 * 2, "{new:?}");
+            for n in &new {
+                assert!(n.starts_with("node."), "{n}");
+                assert!(!n.ends_with(".traffic_bytes") && !n.ends_with(".calls_completed"));
+            }
+
+            let before = reg.snapshot();
+            let t0 = simcore::now();
+            // One of twelve cores busy for the whole span.
+            busy.cpu.execute(Duration::from_micros(120)).await;
+            let ledger = utilization(&before, &reg.snapshot(), simcore::now() - t0);
+            assert_eq!(ledger.len(), 3 * 2 + 2 + 1, "{ledger:?}");
+            assert_eq!(
+                (ledger[0].node.as_str(), ledger[0].resource.as_str()),
+                ("busy", "cpu")
+            );
+            assert!((ledger[0].utilization - 1.0 / 12.0).abs() < 1e-9);
+            assert_eq!(ledger[0].to_string(), "busy cpu 0.08");
+            assert!(ledger[1..].iter().all(|u| u.utilization == 0.0));
         });
     }
 

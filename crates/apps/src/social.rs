@@ -45,7 +45,7 @@ pub const SOC_STORE: u8 = 6;
 pub const SOC_FETCH: u8 = 7;
 /// Internal: append to a user timeline.
 pub const SOC_APPEND_UTL: u8 = 8;
-/// Internal: append to a home timeline.
+/// Internal: append one post to every listed follower's home timeline.
 pub const SOC_APPEND_HTL: u8 = 9;
 
 /// Front-door operations.
@@ -72,10 +72,10 @@ pub const SOC_BUSY_RESP: &[u8] = &[0xEE];
 
 /// Who receives home-timeline fan-out when a user composes.
 ///
-/// `Fixed` is the historical fig11 graph ([`FOLLOWERS`] targets per user
-/// from a per-user reseeded RNG — kept bit-for-bit so committed CSVs
-/// stay byte-identical); `Scaled` defers to a [`loadgen::Population`]
-/// (~100 followers/user, materialised lazily per compose).
+/// `Fixed` is the fig11 graph ([`FOLLOWERS`] targets per user from a
+/// per-user reseeded RNG); `Scaled` defers to a [`loadgen::Population`]
+/// (~100 followers/user, materialised lazily per compose). Either list
+/// goes out as one [`SOC_APPEND_HTL`] request.
 enum FanoutGraph {
     Fixed(Vec<Vec<u32>>),
     Scaled(Population),
@@ -158,6 +158,7 @@ pub struct SocialApp {
     /// allocations. The nginx entry handler keeps its own authoritative
     /// instance for non-cooperative callers.
     pub admission: Option<Rc<Admission>>,
+    htl: Rc<RefCell<TimelineMap>>,
     rng: SimRng,
     zipf: Zipf,
 }
@@ -328,13 +329,18 @@ async fn build_social_inner(
     let htl = Rc::new(RefCell::new(TimelineMap::new()));
     {
         let htl2 = htl.clone();
+        // APPEND-HTL: [post_id u64][follower u32 × n] — the whole fan-out
+        // of one compose (DeathStarBench's `WriteHomeTimeline`). A trailing
+        // partial id is ignored; whole ids before it are applied.
         htl_ep.rpc().register(SOC_APPEND_HTL, move |ctx| {
             let htl = htl2.clone();
             async move {
-                if ctx.payload.len() >= 12 {
-                    let user = u32::from_le_bytes(ctx.payload[..4].try_into().expect("len ok"));
-                    let post = u64::from_le_bytes(ctx.payload[4..12].try_into().expect("len ok"));
-                    htl.borrow_mut().append(user, post);
+                if let Some((post, followers)) = ctx.payload.split_first_chunk::<8>() {
+                    let post = u64::from_le_bytes(*post);
+                    let mut htl = htl.borrow_mut();
+                    for f in followers.chunks_exact(4) {
+                        htl.append(u32::from_le_bytes(f.try_into().expect("4 B")), post);
+                    }
                 }
                 Bytes::from_static(b"ok")
             }
@@ -408,12 +414,15 @@ async fn build_social_inner(
                 app.put_u32_le(user);
                 app.put_u64_le(post_id);
                 let _ = ep.rpc().call(utl_addr, SOC_APPEND_UTL, app.freeze()).await;
-                for f in graph.followers(user) {
-                    let mut app = BytesMut::with_capacity(12);
-                    app.put_u32_le(f);
-                    app.put_u64_le(post_id);
-                    let _ = ep.rpc().call(htl_addr, SOC_APPEND_HTL, app.freeze()).await;
+                // Last, so no timeline names a post storage does not hold:
+                // one request carries the whole follower list.
+                let followers = graph.followers(user);
+                let mut fan = BytesMut::with_capacity(8 + 4 * followers.len());
+                fan.put_u64_le(post_id);
+                for f in followers {
+                    fan.put_u32_le(f);
                 }
+                let _ = ep.rpc().call(htl_addr, SOC_APPEND_HTL, fan.freeze()).await;
                 Bytes::from_static(b"ok")
             }
         });
@@ -503,6 +512,7 @@ async fn build_social_inner(
         media_size,
         servers: vec![server_a, server_b, server_c],
         admission,
+        htl,
         // Scaled populations bring their own hot-key sampler (derived from
         // the population seed, so SF alone pins the workload); the fixed
         // path keeps its historical fork-of-the-build-seed sampler.
@@ -598,6 +608,15 @@ impl SocialApp {
         Ok(total)
     }
 
+    /// Post ids on `user`'s home timeline, oldest first (the service's own
+    /// state, read without a request).
+    pub fn home_timeline(&self, user: u32) -> Vec<u64> {
+        let htl = self.htl.borrow();
+        htl.map
+            .get(&user)
+            .map_or_else(Vec::new, |tl| tl.iter().copied().collect())
+    }
+
     /// Read the home timeline of `user`; returns media bytes materialized.
     pub async fn read_home(&self, user: u32) -> DmResult<usize> {
         self.read(OP_READ_HOME, user).await
@@ -639,6 +658,7 @@ impl SocialApp {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, SystemKind};
+    use dmrpc::DmRpc;
     use simcore::Sim;
 
     fn deploy(kind: SystemKind) -> (Sim, Rc<RefCell<Option<SocialApp>>>) {
@@ -681,6 +701,175 @@ mod tests {
                 saw += app.read_home(u).await.unwrap();
             }
             assert!(saw > 0, "fan-out must populate home timelines");
+        });
+    }
+
+    /// The endpoint bound at `(node, port)`.
+    fn endpoint(cluster: &Cluster, node: &ServiceNode, port: u16) -> Rc<DmRpc> {
+        let addr = Addr {
+            node: node.id,
+            port,
+        };
+        let found = cluster.endpoints().into_iter().find(|e| e.addr() == addr);
+        found.expect("service endpoint")
+    }
+
+    /// What every home timeline must hold after `composers` composed in
+    /// this order from a fresh app (post ids count from 1).
+    fn expected_timelines(
+        composers: &[u32],
+        followers: impl Fn(u32) -> Vec<u32>,
+    ) -> HashMap<u32, Vec<u64>> {
+        let mut want: HashMap<u32, Vec<u64>> = HashMap::new();
+        for (i, &c) in composers.iter().enumerate() {
+            for f in followers(c) {
+                want.entry(f).or_default().push(i as u64 + 1);
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn fanout_reaches_exactly_the_followers_once_each_in_compose_order() {
+        const COMPOSERS: [u32; 4] = [7, 3, 7, 12];
+        let sim = Sim::new();
+        sim.block_on(async move {
+            // Fixed graph: every user shares one reseeded follower list.
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let app = build_social(&cluster, 100, 4096, 1).await;
+            let g = SimRng::new(1 ^ 0xF00D);
+            let fixed: Vec<u32> = (0..FOLLOWERS).map(|_| g.gen_range(100) as u32).collect();
+            let mut distinct = fixed.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), FOLLOWERS, "seed 1 draws distinct followers");
+            for c in COMPOSERS {
+                app.compose(c).await.unwrap();
+            }
+            let want = expected_timelines(&COMPOSERS, |_| fixed.clone());
+            for u in 0..app.users {
+                let want = want.get(&u).cloned().unwrap_or_default();
+                assert_eq!(app.home_timeline(u), want, "fixed graph, user {u}");
+            }
+
+            // Scaled graph: ~100 followers each, from the population.
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let pop = Population::new(1, 42);
+            let app = build_social_scaled(&cluster, pop, 4096, 1, None).await;
+            for c in COMPOSERS {
+                app.compose(c).await.unwrap();
+            }
+            let want = expected_timelines(&COMPOSERS, |c| pop.followers(c));
+            assert!(want.len() > FOLLOWERS && want.len() < app.users as usize);
+            for u in 0..app.users {
+                let want = want.get(&u).cloned().unwrap_or_default();
+                assert_eq!(app.home_timeline(u), want, "scaled graph, user {u}");
+            }
+        });
+    }
+
+    #[test]
+    fn append_handler_applies_whole_entries_of_any_list() {
+        let sim = Sim::new();
+        sim.block_on(async move {
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let app = build_social(&cluster, 10, 4096, 1).await;
+            let htl = Addr {
+                node: app.servers[1].id,
+                port: 102,
+            };
+            let send = |post: Option<u64>, ids: std::ops::Range<u32>, tail: &'static [u8]| {
+                let mut req = BytesMut::new();
+                if let Some(post) = post {
+                    req.put_u64_le(post);
+                }
+                for id in ids {
+                    req.put_u32_le(id);
+                }
+                req.extend_from_slice(tail);
+                app.client.rpc().call(htl, SOC_APPEND_HTL, req.freeze())
+            };
+            let holders = |post: u64| {
+                (0..2100)
+                    .filter(|&u| app.home_timeline(u).contains(&post))
+                    .collect::<Vec<u32>>()
+            };
+
+            // 8 008 B: two fragments past the 4 KiB MTU.
+            assert_eq!(send(Some(1), 0..2000, b"").await.unwrap().as_ref(), b"ok");
+            assert_eq!(holders(1), (0..2000).collect::<Vec<u32>>());
+            // No followers.
+            assert_eq!(send(Some(2), 0..0, b"").await.unwrap().as_ref(), b"ok");
+            assert_eq!(holders(2), Vec::<u32>::new());
+            // Shorter than a post id: nothing to apply, and nothing to read past.
+            assert_eq!(
+                send(None, 0..0, b"\x03\0\0\0\x09").await.unwrap().as_ref(),
+                b"ok"
+            );
+            assert_eq!(app.home_timeline(3), [1]);
+            // Two whole ids, then half of one.
+            assert_eq!(
+                send(Some(4), 5..7, b"\x07\0").await.unwrap().as_ref(),
+                b"ok"
+            );
+            assert_eq!(holders(4), [5, 6]);
+            assert_eq!(app.home_timeline(5), [1, 4]);
+        });
+    }
+
+    #[test]
+    fn compose_issues_three_calls_whatever_the_fanout_in_store_utl_htl_order() {
+        let sim = Sim::new();
+        sim.block_on(async move {
+            // 8 followers.
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let app = build_social(&cluster, 100, 4096, 1).await;
+            let compose = endpoint(&cluster, &app.servers[1], 101);
+            let calls = move || compose.rpc().stats().calls_completed.get();
+            let before = calls();
+            app.compose(7).await.unwrap();
+            assert_eq!(calls() - before, 3);
+
+            // >= 100 followers.
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let pop = Population::new(1, 42);
+            let user = (0..pop.users())
+                .find(|&u| pop.follower_count(u) >= 100)
+                .expect("mean degree is 100");
+            let follower = pop.followers(user)[0];
+            let app = Rc::new(build_social_scaled(&cluster, pop, 4096, 1, None).await);
+            let compose = endpoint(&cluster, &app.servers[1], 101);
+            let calls = move || compose.rpc().stats().calls_completed.get();
+            let before = calls();
+            let handled = |port| {
+                let ep = endpoint(&cluster, &app.servers[2], port);
+                move || ep.rpc().stats().requests_handled.get()
+            };
+            let (utl, storage) = (handled(100), handled(101));
+            // A timeline must never name a post storage does not hold:
+            // watch the services while the compose is in flight.
+            let watcher = {
+                let app = app.clone();
+                simcore::spawn(async move {
+                    let mut utl_seen_after_store = false;
+                    while app.home_timeline(follower).is_empty() {
+                        if utl() == 1 {
+                            assert_eq!(storage(), 1, "user timeline written before the store");
+                            utl_seen_after_store = true;
+                        }
+                        simcore::sleep(std::time::Duration::from_nanos(50)).await;
+                    }
+                    assert_eq!((storage(), utl()), (1, 1), "fan-out ran before the store");
+                    assert!(
+                        utl_seen_after_store,
+                        "watcher never saw the UTL-before-HTL gap"
+                    );
+                })
+            };
+            app.compose(user).await.unwrap();
+            watcher.await;
+            assert_eq!(calls() - before, 3);
+            assert_eq!(app.home_timeline(follower), [1]);
         });
     }
 

@@ -163,9 +163,11 @@ const LEASE_TTL: Duration = Duration::from_micros(200);
 /// on (DESIGN.md §15) so every fault window also races targeted pushes,
 /// read leases and the bounded holder directory. Durability is set per
 /// fault class, never inherited from `DM_DURABLE`, so chaos fingerprints
-/// do not depend on the environment: only the recovery class runs the WAL.
-fn chaos_config(fault: FaultClass) -> (ClusterConfig, DmServerConfig) {
-    let durability = (fault == FaultClass::ServerCrashRecovery).then(dmnet::WalConfig::zero_cost);
+/// do not depend on the environment: only the recovery class runs the WAL
+/// (`None` is a fault-free run).
+fn chaos_config(fault: Option<FaultClass>) -> (ClusterConfig, DmServerConfig) {
+    let durability =
+        (fault == Some(FaultClass::ServerCrashRecovery)).then(dmnet::WalConfig::zero_cost);
     let cluster = ClusterConfig {
         rpc: chaos_rpc_config(),
         lease_ttl: Some(LEASE_TTL),
@@ -213,13 +215,14 @@ fn mesh(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// The rig every case runs on: the fault driver over the case's links,
-/// the shared violation list and checksum, and the two-step teardown
-/// ([`Rig::heal`], [`Rig::reclaim`]) that proves nothing leaked.
+/// The rig every case runs on: the fault driver over the case's links
+/// (none for a fault-free run), the shared violation list and checksum,
+/// and the two-step teardown ([`Rig::heal`], [`Rig::reclaim`]) that
+/// proves nothing leaked.
 struct Rig {
     net: Network,
     servers: Vec<Rc<DmServer>>,
-    fault: FaultClass,
+    fault: Option<FaultClass>,
     stop: Cell<bool>,
     checksum: Cell<u64>,
     violations: RefCell<Vec<String>>,
@@ -232,7 +235,7 @@ impl Rig {
         net: &Network,
         servers: &[Rc<DmServer>],
         links: Vec<(NodeId, NodeId)>,
-        fault: FaultClass,
+        fault: Option<FaultClass>,
         seed: u64,
     ) -> Rc<Rig> {
         let rig = Rc::new(Rig {
@@ -243,13 +246,15 @@ impl Rig {
             checksum: Cell::new(0),
             violations: RefCell::new(Vec::new()),
         });
-        spawn_fault_driver(rig.clone(), links, SimRng::new(seed ^ 0xFA11));
+        if let Some(fault) = fault {
+            spawn_fault_driver(rig.clone(), fault, links, SimRng::new(seed ^ 0xFA11));
+        }
         rig
     }
 
     /// A rig over a whole cluster: every node pair is a fault candidate —
     /// services, the client, and the DM servers.
-    fn over_cluster(cluster: &Cluster, fault: FaultClass, seed: u64) -> Rc<Rig> {
+    fn over_cluster(cluster: &Cluster, fault: Option<FaultClass>, seed: u64) -> Rc<Rig> {
         let mut nodes: Vec<NodeId> = cluster.servers().iter().map(|s| s.id).collect();
         nodes.extend(cluster.dm_servers.iter().map(|s| s.addr().node));
         Rig::start(&cluster.net, &cluster.dm_servers, mesh(&nodes), fault, seed)
@@ -304,7 +309,7 @@ impl Rig {
                     "page leak after lease reclamation: {free} free of {capacity}"
                 ));
             }
-            if self.fault.crashes_servers() && reclaimed == 0 {
+            if self.fault.is_some_and(|f| f.crashes_servers()) && reclaimed == 0 {
                 self.violation("crashed client's lease never reclaimed");
             }
         }
@@ -312,7 +317,7 @@ impl Rig {
     }
 }
 
-/// The fault schedule of `rig`: toggles faults between random pairs from
+/// The `fault` schedule of `rig`: toggles faults between random pairs from
 /// `links` until the rig stops it, entirely driven by `rng`. The rig's
 /// servers are the ones crashed by the server-crash classes; with none,
 /// those classes degrade to partition windows (a fail-stop node is
@@ -320,10 +325,10 @@ impl Rig {
 /// [`FaultClass::ServerCrashRecovery`] every crash heals through
 /// `restart_from_log` and the rebuilt memory plane must be digest-equal
 /// to the pre-recovery state; mismatches become violations.
-fn spawn_fault_driver(rig: Rc<Rig>, links: Vec<(NodeId, NodeId)>, rng: SimRng) {
+fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeId)>, rng: SimRng) {
     assert!(!links.is_empty(), "fault driver needs at least one link");
     simcore::spawn(async move {
-        let (net, crash, fault) = (&rig.net, &rig.servers, rig.fault);
+        let (net, crash) = (&rig.net, &rig.servers);
         loop {
             let window = Duration::from_nanos(rng.gen_range_in(60_000, 250_000));
             let (a, b) = links[rng.gen_range(links.len() as u64) as usize];
@@ -399,13 +404,13 @@ fn spawn_fault_driver(rig: Rc<Rig>, links: Vec<(NodeId, NodeId)>, rng: SimRng) {
 pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let cluster = Cluster::new(kind, 2, chaos_config(fault).0, seed);
+        let cluster = Cluster::new(kind, 2, chaos_config(Some(fault)).0, seed);
         let app = Rc::new(build_chain(&cluster, 3).await);
         let payload = Bytes::from(vec![7u8; 4096]);
         let want: u64 = payload.iter().map(|&b| b as u64).sum();
         app.request(&payload).await.expect("fault-free warmup");
 
-        let rig = Rig::over_cluster(&cluster, fault, seed);
+        let rig = Rig::over_cluster(&cluster, Some(fault), seed);
         let m = {
             let app = app.clone();
             let rig = rig.clone();
@@ -449,7 +454,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let net = Network::new(FabricConfig::default(), seed);
         let params = ModelParams::new();
         let dm_node = net.add_node("dm0", NicConfig::default());
-        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(fault).1);
+        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(Some(fault)).1);
         let pool = vec![servers[0].addr()];
         let mut clients = Vec::new();
         let mut links = Vec::new();
@@ -471,7 +476,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             .unwrap();
         let shared = Rc::new(clients[0].create_ref(addr, REGION as u64).await.unwrap());
 
-        let rig = Rig::start(&net, &servers, links, fault, seed);
+        let rig = Rig::start(&net, &servers, links, Some(fault), seed);
         if fault.crashes_servers() {
             // One client fail-stops mid-run; its lease must reclaim the
             // mapping it inevitably leaks.
@@ -622,7 +627,7 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
             .collect();
         // Coherence on: MIGRATE version transfer, `GVer` replay and
         // targeted pushes all race the fault windows here.
-        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(fault).1);
+        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(Some(fault)).1);
         let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
         let mut clients = Vec::new();
         // Fault candidates: every client↔DM link plus the DM↔DM links the
@@ -637,7 +642,7 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
         }
         links.extend(mesh(&dm_nodes));
 
-        let rig = Rig::start(&net, &servers, links, fault, seed);
+        let rig = Rig::start(&net, &servers, links, Some(fault), seed);
         if fault.crashes_servers() {
             // One client fail-stops mid-run: its gkeys (wherever migration
             // put them) must be lease-reclaimed on every shard.
@@ -707,10 +712,10 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
 /// seed sweep fast.
 const SLO_SOCIAL_SF: u32 = 10;
 
-/// Offered rate for the social case: 1.2× the SF=10 knee measured by
-/// `xtra_slo_scale` (250 krps) — past saturation by design, so the
-/// admission plane sheds under every fault class.
-const SLO_SOCIAL_RATE: f64 = 300e3;
+/// Offered rate for the social case: 1.2× the SF=10 knee `slo_scale`
+/// measures (and gates against its pin) — past saturation by design, so
+/// the admission plane sheds under every fault class.
+const SLO_SOCIAL_RATE: f64 = 1.2 * crate::slo_scale::SF10_KNEE_RPS;
 
 /// DeathStarBench social workload over a scaled population, offered 1.2×
 /// its measured knee with the full overload-control plane ON (front-door
@@ -725,6 +730,18 @@ const SLO_SOCIAL_RATE: f64 = 300e3;
 ///   client-crash + lease sweep, every page is back on the free lists
 ///   (media of shed composes included).
 pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
+    slo_social(Some(fault), seed)
+}
+
+/// The same deployment and load with no fault driver. The case tests
+/// shed-under-fault, so the load must shed on its own: a run here without
+/// a single `Busy` rejection is a violation (the offered rate has fallen
+/// below the knee and the faulted cases have stopped covering shedding).
+pub fn run_slo_social_fault_free(seed: u64) -> CaseResult {
+    slo_social(None, seed)
+}
+
+fn slo_social(fault: Option<FaultClass>, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
         let config = ClusterConfig {
@@ -777,6 +794,14 @@ pub fn run_slo_social_case(fault: FaultClass, seed: u64) -> CaseResult {
             rig.violation(format!(
                 "slo-social: goodput collapsed to zero ({} errors, {} rejected)",
                 m.errors, m.rejected
+            ));
+        }
+        if fault.is_none() && m.rejected == 0 {
+            rig.violation(format!(
+                "slo-social: {:.0} krps sheds nothing fault-free ({} completed) — \
+                 the rate is no longer past the knee",
+                SLO_SOCIAL_RATE / 1e3,
+                m.completed
             ));
         }
         let violations = rig.reclaim(&crate::rtt_budget::dm_clients(&cluster)).await;
@@ -835,7 +860,11 @@ type SeedResults = (Vec<CaseRecord>, Vec<String>);
 /// independent by construction.
 fn run_seed(seed: u64, determinism_stride: u64) -> SeedResults {
     let mut records = Vec::new();
-    let mut violations = Vec::new();
+    let mut violations: Vec<String> = run_slo_social_fault_free(seed)
+        .violations
+        .iter()
+        .map(|v| format!("slo-social/dmnet fault-free seed {seed}: {v}"))
+        .collect();
     for fault in FaultClass::ALL {
         for (name, case) in CASES {
             let r = case(fault, seed);

@@ -17,11 +17,14 @@
 //!   --seed    RNG seed                           (default 1)
 //!   --cxl-ns  CXL latency override in ns
 //!   --copy    use the eager `-copy` ablation instead of COW
+//!
+//! `--app social` also prints the three busiest node resources of the run
+//! (the bottleneck ledger, `apps::cluster::utilization`).
 
 use std::rc::Rc;
 use std::time::Duration;
 
-use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::cluster::{Cluster, ClusterConfig, SystemKind, Utilization};
 use apps::workload::{run_closed_loop, run_open_loop, Measured};
 use bytes::Bytes;
 use dmcommon::CopyMode;
@@ -85,7 +88,7 @@ fn parse_args(argv: &[String]) -> Args {
     args
 }
 
-fn report(label: &str, size: usize, m: &Measured) {
+fn report(label: &str, size: usize, m: &Measured, ledger: &[Utilization]) {
     println!("\nscenario: {label}");
     println!("  completed        {}", m.completed);
     println!("  errors           {}", m.errors);
@@ -98,6 +101,9 @@ fn report(label: &str, size: usize, m: &Measured) {
     println!("  latency p50      {:.1} us", m.latency_us(0.50));
     println!("  latency p99      {:.1} us", m.latency_us(0.99));
     println!("  latency p99.9    {:.1} us", m.latency_us(0.999));
+    for u in ledger.iter().take(3) {
+        println!("  busiest          {u}");
+    }
 }
 
 /// Run the scenario described by `argv` (everything after `scenario`).
@@ -120,13 +126,14 @@ pub fn run(argv: &[String]) {
         },
         ..Default::default()
     };
-    let m: Measured = sim.block_on(async move {
+    let (m, ledger) = sim.block_on(async move {
         let cluster = Cluster::new(a.system, 2, config, a.seed);
         if let Some(ns) = a.cxl_ns {
             cluster.params.set_cxl_latency(Duration::from_nanos(ns));
         }
         let warmup = Duration::from_millis(1);
-        match a.app.as_str() {
+        let mut ledger = Vec::new();
+        let m = match a.app.as_str() {
             "chain" => {
                 let len = a.param.unwrap_or(4) as usize;
                 let app = Rc::new(apps::chain::build_chain(&cluster, len).await);
@@ -188,7 +195,8 @@ pub fn run(argv: &[String]) {
                 let rate = a.param.unwrap_or(100) as f64 * 1e3;
                 let app = Rc::new(apps::social::build_social(&cluster, 500, a.size, a.seed).await);
                 app.preload(200).await.expect("preload");
-                run_open_loop(
+                let busy = cluster.utilization_over(warmup + a.window);
+                let m = run_open_loop(
                     rate,
                     warmup,
                     a.window,
@@ -198,7 +206,9 @@ pub fn run(argv: &[String]) {
                         async move { app.mixed_request().await }
                     }),
                 )
-                .await
+                .await;
+                ledger = busy.await;
+                m
             }
             "share" => {
                 let pct = a.param.unwrap_or(20) as u8;
@@ -258,7 +268,8 @@ pub fn run(argv: &[String]) {
                 eprintln!("unknown app {:?}", a.app);
                 std::process::exit(2);
             }
-        }
+        };
+        (m, ledger)
     });
-    report(&label, a.size, &m);
+    report(&label, a.size, &m, &ledger);
 }

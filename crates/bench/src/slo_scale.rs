@@ -7,18 +7,19 @@
 //! at any `SIM_THREADS`) at a ladder of offered rates and finds, per SF,
 //! the **knee**: the highest rate that still meets the SLO (p99 from
 //! intended arrival ≤ [`SLO_BUDGET`], ≥99% of issued requests completed
-//! within budget).
+//! within budget). Every cell also records its bottleneck: the busiest
+//! node resource over warm-up and window, from the `node.<name>.*busy_ns`
+//! gauges of `Cluster::metrics` (`apps::cluster::utilization`).
 //!
 //! Phase 2 then offers 2× and 8× each knee with the overload-control
-//! plane OFF (historical behaviour: the compose fan-out re-enters the
-//! service tier's CPU queue ~100 times per request, so queue waits
-//! amplify ~100× and SLO goodput collapses under deep overload) and ON
-//! (front-door admission + CoDel shedding at nginx, bounded DM-server
-//! admission, client token limiting): shed requests fail fast with a
-//! typed `Busy`, the admitted remainder stays near knee latency, and SLO
-//! goodput plateaus instead of collapsing. The sweep gates the ON cell
-//! retaining ≥50% of the knee's SLO goodput at 2× for every SF, and still
-//! holding that plateau at 8×.
+//! plane OFF (an open loop past saturation: the backlog at the saturated
+//! NIC grows for the whole window and no request finishes within budget)
+//! and ON (front-door admission + CoDel shedding at nginx, bounded
+//! DM-server admission, client token limiting): shed requests fail fast
+//! with a typed `Busy`, the admitted remainder stays near knee latency,
+//! and SLO goodput plateaus instead of collapsing. The sweep gates the
+//! ON cell retaining ≥50% of the knee's SLO goodput at 2× for every SF,
+//! and still holding that plateau at 8×.
 //!
 //! Emits `results/xtra_slo_scale.csv` and `results/BENCH_slo_scale.json`.
 //! Cells fan out over `SIM_THREADS`; rows assemble in sweep order, so
@@ -27,7 +28,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::cluster::{Cluster, ClusterConfig, SystemKind, Utilization};
 use apps::social::build_social_scaled;
 use apps::workload::run_open_loop_classified;
 use dmcommon::DmError;
@@ -41,12 +42,17 @@ use crate::report::{f2, Bound, Table};
 /// Scale factors swept: 1k → 1M users.
 pub const SCALE_FACTORS: [u32; 4] = [1, 10, 100, 1000];
 
-/// Offered-rate ladder (requests/second) for the knee search.
-pub const RATES: [f64; 6] = [50e3, 100e3, 150e3, 200e3, 250e3, 300e3];
+/// Offered-rate ladder (requests/second) for the knee search: coarse
+/// where latency is flat, 100 krps steps where the knees are, and one
+/// rung (1.7 Mrps) no scale factor meets, so every knee is bracketed.
+pub const RATES: [f64; 14] = [
+    50e3, 100e3, 200e3, 300e3, 400e3, 600e3, 800e3, 1000e3, 1200e3, 1300e3, 1400e3, 1500e3, 1600e3,
+    1700e3,
+];
 
-/// The p99 latency budget. Reads sit near ~15µs at low load; composes
-/// fan out to ~100 followers and dominate the tail, so the budget is set
-/// a comfortable margin above the no-load compose latency.
+/// The p99 latency budget (the repo benchmark's `social_open` uses the
+/// same). Unloaded p99 is ~20µs, so a cell only misses it once a queue
+/// is growing somewhere.
 pub const SLO_BUDGET: Duration = Duration::from_micros(500);
 
 /// Population seed (decoupled from the sim seed so the workload is pinned
@@ -58,6 +64,11 @@ pub const MEDIA: usize = 8192;
 
 const WARMUP: Duration = Duration::from_millis(1);
 const WINDOW: Duration = Duration::from_millis(5);
+
+/// The SF=10 knee this sweep finds. The chaos `slo-social` case offers a
+/// multiple of it, so it has to be a constant; [`run`] gates that the
+/// measured knee still equals it.
+pub const SF10_KNEE_RPS: f64 = 1300e3;
 
 /// Knee multiples driven in phase 2 (overload ON vs OFF at each).
 pub const OVERLOAD_MULTIPLES: [f64; 2] = [2.0, 8.0];
@@ -84,8 +95,8 @@ impl Overload {
 /// Front-door admission at nginx: bound the end-to-end inflight window
 /// and shed when sojourn stays above target for a full interval. The
 /// inflight cap is the binding mechanism — bounding end-to-end
-/// concurrency bounds every downstream CPU queue the compose fan-out
-/// re-enters; CoDel is the backstop for sustained sojourn inflation.
+/// concurrency bounds every downstream NIC and CPU queue a request
+/// crosses; CoDel is the backstop for sustained sojourn inflation.
 /// (Also used by the chaos `slo-social` case, so the knob values live
 /// in exactly one place.)
 pub fn front_admission() -> AdmissionConfig {
@@ -114,6 +125,8 @@ pub struct CellOut {
     pub p999_us: f64,
     /// Whether the SLO held.
     pub met: bool,
+    /// The busiest node resource over warm-up and window.
+    pub bottleneck: Utilization,
 }
 
 /// One (SF, rate, overload) cell: an independent simulation.
@@ -136,6 +149,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
         };
         let app = Rc::new(build_social_scaled(&cluster, pop, MEDIA, 3, front).await);
         app.preload(200).await.expect("preload");
+        let ledger = cluster.utilization_over(WARMUP + WINDOW);
         let a2 = app.clone();
         let m = run_open_loop_classified(
             rate,
@@ -149,6 +163,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
             Rc::new(|e: &DmError| matches!(e, DmError::Busy)),
         )
         .await;
+        let bottleneck = ledger.await.swap_remove(0);
         let slo = SloReport::evaluate(&m.latency, m.issued, SloBudget::p99(SLO_BUDGET));
         CellOut {
             achieved_rps: m.throughput_rps(),
@@ -163,6 +178,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
             p99_us: slo.p99_ns as f64 / 1e3,
             p999_us: slo.p999_ns as f64 / 1e3,
             met: slo.met,
+            bottleneck,
         }
     })
 }
@@ -195,6 +211,9 @@ pub fn run() {
             "p99_us",
             "p999_us",
             "slo_met",
+            "bottleneck_node",
+            "bottleneck_resource",
+            "bottleneck_util",
         ],
     )
     .trajectory("slo_scale");
@@ -214,31 +233,41 @@ pub fn run() {
             &f2(c.p99_us),
             &f2(c.p999_us),
             &(c.met as u8),
+            &c.bottleneck.node,
+            &c.bottleneck.resource,
+            &f2(c.bottleneck.utilization),
         ]);
     };
 
     // Knee per SF: highest laddered rate whose cell met the SLO.
     let mut knees: Vec<(u32, f64, f64)> = Vec::new();
     for (&sf, ladder) in SCALE_FACTORS.iter().zip(phase1.chunks(RATES.len())) {
-        let mut knee: Option<(f64, f64)> = None;
+        let mut knee = None;
         for (&rate, c) in RATES.iter().zip(ladder) {
             row(&mut t, sf, rate, Overload::Off, c);
             if c.met {
-                knee = Some((rate, c.slo_goodput_rps));
+                knee = Some((rate, c.slo_goodput_rps, &c.bottleneck));
             }
         }
-        let (rate, goodput) = knee.unwrap_or_else(|| {
+        let (rate, goodput, bottleneck) = knee.unwrap_or_else(|| {
             panic!("SF {sf}: no laddered rate met the SLO — ladder starts too high")
         });
         knees.push((sf, rate, goodput));
         t.headline(&format!("sf{sf}_knee_krps"), f2(rate / 1e3));
         t.headline(&format!("sf{sf}_knee_slo_goodput_krps"), f2(goodput / 1e3));
+        t.headline(&format!("sf{sf}_knee_bottleneck"), bottleneck);
+        if sf == 10 {
+            t.gate(
+                "sf10_knee_off_chaos_pin_krps",
+                (rate - SF10_KNEE_RPS).abs() / 1e3,
+                Bound::AtMost(0.0),
+            );
+        }
     }
 
     // ---- phase 2: past the knee, overload control OFF vs ON ---------------
     // 2x knee is the acceptance point (graceful degradation); 8x knee is
-    // deep overload, where the uncontrolled system's compose fan-out
-    // multiplies per-pass CPU-queue waits ~100x and SLO goodput collapses.
+    // deep overload.
     let cells2: Vec<(u32, f64, Overload)> = knees
         .iter()
         .flat_map(|&(sf, knee, _)| {

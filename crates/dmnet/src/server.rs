@@ -447,6 +447,17 @@ impl DmServer {
         self.sweeper_armed.get()
     }
 
+    /// Worker cores across all shards.
+    pub fn cpu_cores(&self) -> u64 {
+        self.shards.iter().map(|s| s.cpu.cores()).sum()
+    }
+
+    /// CPU busy time summed over those cores (the `node.<name>.cpu.busy_ns`
+    /// telemetry gauge).
+    pub fn cpu_busy_time(&self) -> Duration {
+        self.shards.iter().map(|s| s.cpu.busy_time()).sum()
+    }
+
     /// Requests served (the `dm.shard.N.ops` telemetry gauge).
     pub fn ops_served(&self) -> u64 {
         self.ops_served.get()

@@ -464,6 +464,11 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].tx.busy_time()
     }
 
+    /// NIC receive busy time for a node.
+    pub fn node_rx_busy(&self, node: NodeId) -> Duration {
+        self.inner.nodes.borrow()[node.0 as usize].rx.busy_time()
+    }
+
     /// Reset all NIC byte/op counters and every delivery/drop counter —
     /// including the fault-injection counters — so scoped chaos phases
     /// start from a clean slate (between warmup and measurement).
