@@ -301,6 +301,14 @@ impl Cluster {
             reg.register_gauge(format!("node.{name}.nic.rx_busy_ns"), move || {
                 net.node_rx_busy(id).as_nanos() as u64
             });
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.tx_pkts"), move || {
+                net.node_tx_packets(id)
+            });
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.rx_pkts"), move || {
+                net.node_rx_packets(id)
+            });
         }
         for n in self.nodes.borrow().iter() {
             let name = self.net.node_name(n.id);
@@ -616,30 +624,45 @@ pub struct Utilization {
     /// offered load: above 1 the window was handed more than it could
     /// serve and a backlog was growing.
     pub utilization: f64,
+    /// NIC rows: the share of that busy time which is the fixed per-packet
+    /// cost rather than bytes on the wire — near 1 the resource is bound by
+    /// how many packets it handles, not by how much they carry.
+    pub packet_share: Option<f64>,
 }
 
 impl std::fmt::Display for Utilization {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} {:.2}", self.node, self.resource, self.utilization)
+        write!(f, "{} {} {:.2}", self.node, self.resource, self.utilization)?;
+        match self.packet_share {
+            Some(share) => write!(f, " ({:.0}% per-packet)", share * 100.0),
+            None => Ok(()),
+        }
     }
 }
 
 /// The bottleneck ledger: every `node.<name>.*busy_ns` gauge of
 /// [`Cluster::metrics`] as a utilization over the `elapsed` virtual time
-/// between two snapshots, busiest first (ties in name order).
+/// between two snapshots, busiest first (ties in name order). A resource
+/// with a `.._pkts` gauge beside it (the NICs) also says how much of its
+/// busy time was per-packet cost; every [`Cluster`] node has the default
+/// NIC, so that cost is [`NicConfig::default`]'s.
 pub fn utilization(before: &Snapshot, after: &Snapshot, elapsed: Duration) -> Vec<Utilization> {
+    let per_packet_ns = NicConfig::default().per_packet_overhead.as_nanos() as f64;
+    let delta = |key: &str| Some(after.get(key)?.saturating_sub(before.get(key).unwrap_or(0)));
     let mut out: Vec<Utilization> = after
         .iter()
-        .filter_map(|(key, busy)| {
+        .filter_map(|(key, _)| {
             let (node, gauge) = key.strip_prefix("node.")?.split_once('.')?;
             let resource = gauge.strip_suffix("busy_ns")?.trim_end_matches(['.', '_']);
-            let busy = busy.saturating_sub(before.get(key).unwrap_or(0));
+            let busy = delta(key)? as f64;
             let cores = after.get(&format!("node.{node}.{resource}.cores"));
             let capacity = elapsed.as_nanos() as f64 * cores.unwrap_or(1) as f64;
+            let packets = delta(&format!("node.{node}.{resource}_pkts"));
             Some(Utilization {
                 node: node.to_string(),
                 resource: resource.to_string(),
-                utilization: busy as f64 / capacity.max(1.0),
+                utilization: busy / capacity.max(1.0),
+                packet_share: packets.map(|n| n as f64 * per_packet_ns / busy.max(1.0)),
             })
         })
         .collect();
@@ -694,10 +717,17 @@ mod tests {
                 .into_iter()
                 .filter(|n| n.contains(".nic.") || n.contains(".cpu."))
                 .collect();
-            assert_eq!(new.len(), 3 * 2 + 3 * 2, "{new:?}");
+            assert_eq!(new.len(), 3 * 4 + 3 * 2, "{new:?}");
+            let summed = [
+                ".traffic_bytes",
+                ".calls_completed",
+                ".retransmits",
+                ".timeouts",
+                ".delivered",
+            ];
             for n in &new {
                 assert!(n.starts_with("node."), "{n}");
-                assert!(!n.ends_with(".traffic_bytes") && !n.ends_with(".calls_completed"));
+                assert!(!summed.iter().any(|s| n.ends_with(s)), "{n}");
             }
 
             let before = reg.snapshot();
@@ -713,6 +743,49 @@ mod tests {
             assert!((ledger[0].utilization - 1.0 / 12.0).abs() < 1e-9);
             assert_eq!(ledger[0].to_string(), "busy cpu 0.08");
             assert!(ledger[1..].iter().all(|u| u.utilization == 0.0));
+            assert!(ledger
+                .iter()
+                .all(|u| u.packet_share.is_some() == (u.resource != "cpu")));
+        });
+    }
+
+    #[test]
+    fn nic_rows_say_how_much_of_their_busy_time_is_per_packet() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let cluster = Cluster::new(SystemKind::Erpc, 0, ClusterConfig::default(), 1);
+            let (sn, cn) = (cluster.add_server("server"), cluster.add_server("client"));
+            let server = cluster.endpoint(&sn, 100).await;
+            server
+                .rpc()
+                .register(9, |_| async { Bytes::from_static(b"ok") });
+            let client = cluster.endpoint(&cn, 100).await;
+            let reg = cluster.metrics();
+            let tx_row = |payload: usize, calls: u64| {
+                let (reg, client, dst) = (reg.clone(), client.clone(), server.addr());
+                async move {
+                    let (before, t0) = (reg.snapshot(), simcore::now());
+                    for _ in 0..calls {
+                        let req = Bytes::from(vec![0u8; payload]);
+                        client.rpc().call(dst, 9, req).await.unwrap();
+                    }
+                    let after = reg.snapshot();
+                    let sent = after.delta(&before).get("node.client.nic.tx_pkts");
+                    let ledger = utilization(&before, &after, simcore::now() - t0);
+                    let row = ledger
+                        .into_iter()
+                        .find(|u| u.node == "client" && u.resource == "nic.tx");
+                    (sent, row.unwrap().packet_share.unwrap())
+                }
+            };
+            // A small RPC is one packet each way and almost all overhead; a
+            // 64 KiB argument is 16 packets of mostly bytes.
+            let (sent, share) = tx_row(8, 10).await;
+            assert_eq!(sent, Some(10));
+            assert!(share > 0.9, "{share}");
+            let (sent, share) = tx_row(64 << 10, 1).await;
+            assert_eq!(sent, Some(16));
+            assert!(share < 0.3, "{share}");
         });
     }
 

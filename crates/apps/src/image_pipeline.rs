@@ -66,10 +66,7 @@ async fn build_worker(cluster: &Cluster, name: &str, shrink: bool) -> (Rc<DmRpc>
             node.mem.touch(img.len() as u64).await;
             node.cpu.execute(WORK_PER_BYTE * img.len() as u32).await;
             let out_len = if shrink { img.len() / 2 } else { img.len() };
-            let mut out = vec![0u8; out_len];
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = img[i % img.len()].wrapping_add(1);
-            }
+            let out: Vec<u8> = img[..out_len].iter().map(|b| b.wrapping_add(1)).collect();
             node.mem.touch(out_len as u64).await;
             match ep.make_value(Bytes::from(out)).await {
                 Ok(result) => result.encode(),

@@ -9,7 +9,8 @@
 //! intended arrival ≤ [`SLO_BUDGET`], ≥99% of issued requests completed
 //! within budget). Every cell also records its bottleneck: the busiest
 //! node resource over warm-up and window, from the `node.<name>.*busy_ns`
-//! gauges of `Cluster::metrics` (`apps::cluster::utilization`).
+//! gauges of `Cluster::metrics` (`apps::cluster::utilization`), and how
+//! many datagrams the fabric delivered per request.
 //!
 //! Phase 2 then offers 2× and 8× each knee with the overload-control
 //! plane OFF (an open loop past saturation: the backlog at the saturated
@@ -43,11 +44,12 @@ use crate::report::{f2, Bound, Table};
 pub const SCALE_FACTORS: [u32; 4] = [1, 10, 100, 1000];
 
 /// Offered-rate ladder (requests/second) for the knee search: coarse
-/// where latency is flat, 100 krps steps where the knees are, and one
-/// rung (1.7 Mrps) no scale factor meets, so every knee is bracketed.
-pub const RATES: [f64; 14] = [
+/// where latency is flat, 100 krps steps where the knees are (SF=10 near
+/// 1.3 Mrps, the rest near 2.4 Mrps), and one rung (2.5 Mrps) no scale
+/// factor meets, so every knee is bracketed.
+pub const RATES: [f64; 20] = [
     50e3, 100e3, 200e3, 300e3, 400e3, 600e3, 800e3, 1000e3, 1200e3, 1300e3, 1400e3, 1500e3, 1600e3,
-    1700e3,
+    1700e3, 1800e3, 2000e3, 2200e3, 2300e3, 2400e3, 2500e3,
 ];
 
 /// The p99 latency budget (the repo benchmark's `social_open` uses the
@@ -127,6 +129,9 @@ pub struct CellOut {
     pub met: bool,
     /// The busiest node resource over warm-up and window.
     pub bottleneck: Utilization,
+    /// Datagrams the fabric delivered during the window per request issued
+    /// in it.
+    pub datagrams_per_req: f64,
 }
 
 /// One (SF, rate, overload) cell: an independent simulation.
@@ -150,6 +155,13 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
         let app = Rc::new(build_social_scaled(&cluster, pop, MEDIA, 3, front).await);
         app.preload(200).await.expect("preload");
         let ledger = cluster.utilization_over(WARMUP + WINDOW);
+        let net = cluster.net.clone();
+        let window_datagrams = simcore::spawn(async move {
+            simcore::sleep(WARMUP).await;
+            let at_start = net.delivered();
+            simcore::sleep(WINDOW).await;
+            net.delivered() - at_start
+        });
         let a2 = app.clone();
         let m = run_open_loop_classified(
             rate,
@@ -179,6 +191,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
             p999_us: slo.p999_ns as f64 / 1e3,
             met: slo.met,
             bottleneck,
+            datagrams_per_req: window_datagrams.await as f64 / m.issued.max(1) as f64,
         }
     })
 }
@@ -214,6 +227,7 @@ pub fn run() {
             "bottleneck_node",
             "bottleneck_resource",
             "bottleneck_util",
+            "datagrams_per_req",
         ],
     )
     .trajectory("slo_scale");
@@ -236,6 +250,7 @@ pub fn run() {
             &c.bottleneck.node,
             &c.bottleneck.resource,
             &f2(c.bottleneck.utilization),
+            &f2(c.datagrams_per_req),
         ]);
     };
 

@@ -39,6 +39,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::GlobalPid;
+use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
 use crate::proto::req;
@@ -221,6 +222,10 @@ struct ServerCache {
     pending_vas: RefCell<BTreeSet<(u32, u64)>>,
     /// A flush timer is already scheduled for this server.
     flush_scheduled: Cell<bool>,
+    /// Drained batches whose `BATCH` call has not returned yet.
+    batches_in_flight: Cell<u32>,
+    /// Signalled whenever `batches_in_flight` falls.
+    batch_landed: Notify,
     /// Latest per-ref versions reported by this server (fine-grained
     /// mode), FIFO-bounded by [`KNOWN_MAX`].
     known: RefCell<HashMap<u64, u64>>,
@@ -232,6 +237,18 @@ impl ServerCache {
     /// Latest version this client has heard for `key` (0 if never).
     fn known_ver(&self, key: u64) -> u64 {
         self.known.borrow().get(&key).copied().unwrap_or(0)
+    }
+}
+
+/// A drained batch between its transmission and its reply (see
+/// [`ClientCache::batch_in_flight`]).
+pub(crate) struct BatchInFlight<'a>(&'a ServerCache);
+
+impl Drop for BatchInFlight<'_> {
+    fn drop(&mut self) {
+        let s = self.0;
+        s.batches_in_flight.set(s.batches_in_flight.get() - 1);
+        s.batch_landed.notify_all();
     }
 }
 
@@ -636,6 +653,24 @@ impl ClientCache {
 
     pub(crate) fn has_pending(&self, idx: usize) -> bool {
         !self.servers[idx].pending.borrow().is_empty()
+    }
+
+    /// Mark a drained batch as on the wire until the returned guard drops.
+    pub(crate) fn batch_in_flight(&self, idx: usize) -> BatchInFlight<'_> {
+        let s = &self.servers[idx];
+        s.batches_in_flight.set(s.batches_in_flight.get() + 1);
+        BatchInFlight(s)
+    }
+
+    /// Wait until no drained batch is still on the wire. Returns whether
+    /// it had to wait (a landed batch's reply may have queued more ops).
+    pub(crate) async fn batches_landed(&self, idx: usize) -> bool {
+        let s = &self.servers[idx];
+        let waited = s.batches_in_flight.get() > 0;
+        while s.batches_in_flight.get() > 0 {
+            s.batch_landed.notified().await;
+        }
+        waited
     }
 
     pub(crate) fn pending_len(&self, idx: usize) -> usize {

@@ -547,9 +547,16 @@ impl DmNetClient {
     pub async fn flush_cache(&self) {
         for i in 0..self.servers.len() {
             let server = DmServerId(i as u8);
-            self.cache.purge_deferred(i);
-            while self.cache.has_pending(i) {
-                self.flush_server(server).await;
+            loop {
+                self.cache.purge_deferred(i);
+                while self.cache.has_pending(i) {
+                    self.flush_server(server).await;
+                }
+                // A batch the flush timer drained may still be on the
+                // wire, its frees not applied yet.
+                if !self.cache.batches_landed(i).await {
+                    break;
+                }
             }
         }
     }
@@ -871,6 +878,7 @@ async fn flush_batch(
     cache.count_wire(req::BATCH);
     cache.note_batch(ops.len());
     let body = proto::encode_batch_traced(&ops);
+    let _in_flight = cache.batch_in_flight(idx);
     let Ok(resp) = rpc.call(addr, req::BATCH, body).await else {
         return;
     };

@@ -10,10 +10,14 @@
 //!   reassembled on the receiver ([`wire`]);
 //! * **asynchronous nested handlers** — a handler is an async function that
 //!   may itself issue RPCs, which is how microservice chains are built;
-//! * **response cache** — the server caches response packets per
-//!   `(client, req_num)` until the client's ACK, so duplicate requests are
-//!   answered without re-executing the handler (at-most-once execution for
-//!   the common retransmission races);
+//! * **session slots with implicit acks** — every call occupies one of the
+//!   caller's per-destination slots, named in the low bits of `req_num`
+//!   ([`wire::req_num`]); the server keeps one entry per `(client, slot)`
+//!   holding the latest request's state and, once answered, its response
+//!   packets. A higher `req_num` on a slot acknowledges and replaces the
+//!   previous one, an equal one is a duplicate (answered from the kept
+//!   response, never re-executed), a lower one is stale and dropped — so a
+//!   one-packet RPC is two datagrams and execution is at-most-once exactly;
 //! * **multi-op framing** — batching layers pack several logical ops into
 //!   one message body via the shared zero-copy framing in [`multiframe`].
 //!
@@ -28,7 +32,9 @@ pub mod multiframe;
 pub mod wire;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -41,7 +47,7 @@ use simcore::sync::{oneshot, Semaphore};
 use simcore::{Counter, CpuPool, Histogram, SimRng};
 use simnet::{Addr, Network, NodeId, Payload};
 use telemetry::SpanKind;
-use wire::{fragment, Header, Kind, Packet, Reassembly};
+use wire::{fragment, slot_of, Header, Kind, Packet, Reassembly};
 
 /// Wrap a wire packet as a two-segment datagram payload (refcount bumps, no
 /// byte copies).
@@ -114,12 +120,11 @@ pub struct RpcConfig {
     /// serialization/copy work a single-threaded service spends on
     /// pass-by-value arguments (~1 us for a 4 KiB argument by default).
     pub per_kb_cpu: Duration,
-    /// Cached responses kept while awaiting client ACKs.
-    pub resp_cache_capacity: usize,
     /// Optional flow control: cap on this endpoint's concurrent outstanding
     /// requests per destination (eRPC-style session credits, at request
-    /// granularity). `None` = unlimited. Bounding this prevents incast
-    /// collapse when many workers hammer one server.
+    /// granularity), which also caps the session's slots. `None` =
+    /// unlimited. Bounding this prevents incast collapse when many workers
+    /// hammer one server.
     pub max_inflight_per_peer: Option<u64>,
 }
 
@@ -138,7 +143,6 @@ impl Default for RpcConfig {
             retry_budget: None,
             per_rpc_cpu: Duration::from_nanos(400),
             per_kb_cpu: Duration::from_nanos(400),
-            resp_cache_capacity: 128,
             max_inflight_per_peer: None,
         }
     }
@@ -217,36 +221,69 @@ struct Pending {
     done: Option<oneshot::Sender<Result<Bytes, RpcError>>>,
 }
 
-/// Recently-completed request keys: a set for O(1) dedup plus FIFO order
-/// for bounded eviction.
-type CompletedLru = (HashSet<(Addr, u64)>, VecDeque<(Addr, u64)>);
-
-struct RespCache {
-    map: HashMap<(Addr, u64), Rc<Vec<Packet>>>,
-    order: VecDeque<(Addr, u64)>,
-    capacity: usize,
+/// Client half of a session: this endpoint's state towards one peer.
+struct Session {
+    /// `max_inflight_per_peer` credits, when configured.
+    credits: Option<Semaphore>,
+    /// Idle slots, most recently freed last: reusing that one first keeps
+    /// the live set dense, so the slots a burst grew sit idle at the bottom
+    /// and the peer holds at most one answered response for each.
+    free: Vec<u32>,
+    /// Slots ever issued = peak concurrency towards the peer.
+    issued: u32,
 }
 
-impl RespCache {
-    fn insert(&mut self, key: (Addr, u64), pkts: Rc<Vec<Packet>>) {
-        if self.map.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-        if self.map.insert(key, pkts).is_none() {
-            self.order.push_back(key);
-        }
+impl Session {
+    fn take_slot(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.issued += 1;
+            self.issued - 1
+        })
     }
+}
 
-    fn get(&self, key: &(Addr, u64)) -> Option<Rc<Vec<Packet>>> {
-        self.map.get(key).cloned()
-    }
+/// Returns a call's slot to its session and forgets its pending entry
+/// however the call ends: answered, timed out, or its future dropped.
+struct SlotLease<'a> {
+    rpc: &'a Rpc,
+    dst: Addr,
+    req_num: u64,
+}
 
-    fn remove(&mut self, key: &(Addr, u64)) {
-        self.map.remove(key);
-        // `order` entry is lazily discarded on eviction.
+impl Drop for SlotLease<'_> {
+    fn drop(&mut self) {
+        self.rpc.pending.borrow_mut().remove(&self.req_num);
+        if let Some(session) = self.rpc.sessions.borrow_mut().get_mut(&self.dst) {
+            session.free.push(slot_of(self.req_num));
+        }
     }
+}
+
+/// Server half of a session slot: the latest request a client issued on it.
+struct ServedSlot {
+    req_num: u64,
+    state: SlotState,
+}
+
+enum SlotState {
+    /// Fragments still arriving.
+    Receiving(Reassembly),
+    /// Handler running; duplicates are ignored until it answers.
+    Executing,
+    /// Answered: duplicates are served these packets until a higher
+    /// `req_num` on the slot acknowledges them.
+    Done(Rc<Vec<Packet>>),
+}
+
+/// How many server-side slots are in each state (see [`Rpc::served_slots`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct ServedSlots {
+    /// Requests with fragments still missing (each holds a `Reassembly`).
+    pub receiving: usize,
+    /// Requests whose handler is running.
+    pub executing: usize,
+    /// Answered requests whose response packets are retained.
+    pub done: usize,
 }
 
 /// Counters exposed for tests and reports.
@@ -273,13 +310,10 @@ pub struct Rpc {
     handlers: RefCell<HashMap<u8, Handler>>,
     next_req: Cell<u64>,
     pending: RefCell<HashMap<u64, Pending>>,
-    inflight_reqs: RefCell<HashMap<(Addr, u64), Reassembly>>,
-    executing: RefCell<HashSet<(Addr, u64)>>,
-    completed: RefCell<CompletedLru>,
-    resp_cache: RefCell<RespCache>,
+    sessions: RefCell<HashMap<Addr, Session>>,
+    served: RefCell<HashMap<(Addr, u32), ServedSlot>>,
     stats: RpcStats,
     handler_times: RefCell<HashMap<u8, Histogram>>,
-    peer_credits: RefCell<HashMap<Addr, Semaphore>>,
     is_shutdown: Cell<bool>,
     /// Crash modeling: an offline endpoint neither receives nor transmits.
     offline: Cell<bool>,
@@ -345,17 +379,10 @@ impl RpcBuilder {
             handlers: RefCell::new(HashMap::new()),
             next_req: Cell::new(1),
             pending: RefCell::new(HashMap::new()),
-            inflight_reqs: RefCell::new(HashMap::new()),
-            executing: RefCell::new(HashSet::new()),
-            completed: RefCell::new((HashSet::new(), VecDeque::new())),
-            resp_cache: RefCell::new(RespCache {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: self.config.resp_cache_capacity,
-            }),
+            sessions: RefCell::new(HashMap::new()),
+            served: RefCell::new(HashMap::new()),
             stats: RpcStats::default(),
             handler_times: RefCell::new(HashMap::new()),
-            peer_credits: RefCell::new(HashMap::new()),
             is_shutdown: Cell::new(false),
             offline: Cell::new(false),
             retry_rng: SimRng::new(
@@ -402,23 +429,37 @@ impl Rpc {
         &self.config
     }
 
-    /// Drop every registered handler and cached response. Handlers close
-    /// over application state (which usually closes back over this `Rpc`),
-    /// so explicit teardown is what breaks the `Rc` cycle when a simulated
-    /// deployment is discarded.
+    /// Census of the server-side slot table: what this endpoint still
+    /// holds on behalf of its callers. Passive.
+    pub fn served_slots(&self) -> ServedSlots {
+        let mut census = ServedSlots::default();
+        for slot in self.served.borrow().values() {
+            match slot.state {
+                SlotState::Receiving(_) => census.receiving += 1,
+                SlotState::Executing => census.executing += 1,
+                SlotState::Done(_) => census.done += 1,
+            }
+        }
+        census
+    }
+
+    /// Drop every registered handler and everything kept for callers.
+    /// Handlers close over application state (which usually closes back
+    /// over this `Rpc`), so explicit teardown is what breaks the `Rc` cycle
+    /// when a simulated deployment is discarded. A handler already running
+    /// keeps its slot: its caller is still waiting for the reply.
     pub fn shutdown(&self) {
         self.is_shutdown.set(true);
         self.handlers.borrow_mut().clear();
-        let mut cache = self.resp_cache.borrow_mut();
-        cache.map.clear();
-        cache.order.clear();
-        self.inflight_reqs.borrow_mut().clear();
+        self.served
+            .borrow_mut()
+            .retain(|_, slot| matches!(slot.state, SlotState::Executing));
     }
 
     /// Crash modeling for chaos tests: while offline, this endpoint drops
     /// every incoming datagram and suppresses every outgoing one, exactly
     /// like a powered-off host whose peers see only silence. Local state
-    /// (handlers, caches, dedup sets) is retained, so `set_offline(false)`
+    /// (handlers, sessions, served slots) is retained, so `set_offline(false)`
     /// models a fail-stop crash followed by a restart that recovers state.
     pub fn set_offline(&self, offline: bool) {
         self.offline.set(offline);
@@ -456,21 +497,19 @@ impl Rpc {
         req_type: u8,
         payload: Bytes,
     ) -> Result<Bytes, RpcError> {
-        // Optional per-peer flow control (session credits).
-        let _credit = match self.config.max_inflight_per_peer {
-            Some(n) => {
-                let sem = self
-                    .peer_credits
-                    .borrow_mut()
-                    .entry(dst)
-                    .or_insert_with(|| Semaphore::new(n))
-                    .clone();
-                Some(sem.acquire_one().await)
-            }
+        // Optional per-peer flow control (session credits), then a slot.
+        let _credit = match self.with_session(dst, |s| s.credits.clone()) {
+            Some(sem) => Some(sem.acquire_one().await),
             None => None,
         };
-        let req_num = self.next_req.get();
-        self.next_req.set(req_num + 1);
+        let seq = self.next_req.get();
+        self.next_req.set(seq + 1);
+        let req_num = wire::req_num(seq, self.with_session(dst, Session::take_slot));
+        let _lease = SlotLease {
+            rpc: self,
+            dst,
+            req_num,
+        };
         // Traced calls carry their context in the header extension so the
         // server parents its handling span under this one; unsampled calls
         // stay byte-identical on the wire.
@@ -555,33 +594,18 @@ impl Rpc {
             if let Some(mem) = &self.mem {
                 mem.account(resp.len() as u64); // rx DMA
             }
-            // ACK lets the server drop its cached response.
-            let ack = Header {
-                kind: Kind::Ack,
-                req_type,
-                req_num,
-                pkt_idx: 0,
-                num_pkts: 1,
-                msg_len: 0,
-                trace: None,
-            }
-            .encode(&[]);
-            self.transmit(dst, ack.into());
             self.stats.calls_completed.incr();
         }
         result
     }
 
-    fn mark_completed(&self, key: (Addr, u64)) {
-        let mut c = self.completed.borrow_mut();
-        if c.0.insert(key) {
-            c.1.push_back(key);
-            if c.1.len() > 4096 {
-                if let Some(old) = c.1.pop_front() {
-                    c.0.remove(&old);
-                }
-            }
-        }
+    fn with_session<R>(&self, dst: Addr, f: impl FnOnce(&mut Session) -> R) -> R {
+        let mut sessions = self.sessions.borrow_mut();
+        f(sessions.entry(dst).or_insert_with(|| Session {
+            credits: self.config.max_inflight_per_peer.map(Semaphore::new),
+            free: Vec::new(),
+            issued: 0,
+        }))
     }
 
     fn handle_packet(self: &Rc<Self>, dgram: simnet::Datagram) {
@@ -595,49 +619,54 @@ impl Rpc {
         match hdr.kind {
             Kind::Request => self.handle_request_pkt(dgram.src, hdr, frag),
             Kind::Response => self.handle_response_pkt(hdr, frag),
-            Kind::Ack => {
-                let key = (dgram.src, hdr.req_num);
-                self.resp_cache.borrow_mut().remove(&key);
-                self.mark_completed(key);
-            }
         }
     }
 
     fn handle_request_pkt(self: &Rc<Self>, src: Addr, hdr: Header, frag: Bytes) {
-        let key = (src, hdr.req_num);
-        // Duplicate of a request we already answered: resend cached packets.
-        if let Some(pkts) = self.resp_cache.borrow().get(&key) {
-            for p in pkts.iter() {
-                self.transmit(src, packet_payload(p));
-            }
-            return;
-        }
-        if self.executing.borrow().contains(&key) || self.completed.borrow().0.contains(&key) {
-            return;
-        }
-        let complete = {
-            let mut inflight = self.inflight_reqs.borrow_mut();
-            match inflight.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if e.get_mut().offer(&hdr, frag) {
-                        Some(e.remove().assemble())
-                    } else {
-                        None
-                    }
+        let key = (src, slot_of(hdr.req_num));
+        let fresh = |hdr: &Header, frag| ServedSlot {
+            req_num: hdr.req_num,
+            state: SlotState::Receiving(Reassembly::new(hdr, frag)),
+        };
+        let mut served = self.served.borrow_mut();
+        let slot = match served.entry(key) {
+            Entry::Vacant(v) => v.insert(fresh(&hdr, frag)),
+            Entry::Occupied(o) => {
+                let slot = o.into_mut();
+                match hdr.req_num.cmp(&slot.req_num) {
+                    // The caller has moved this slot on: a late duplicate.
+                    Ordering::Less => return,
+                    // The caller reused the slot, so it is done with the
+                    // previous request: its response (or its unfinished
+                    // reassembly, or its claim on a running handler's
+                    // reply) goes.
+                    Ordering::Greater => *slot = fresh(&hdr, frag),
+                    Ordering::Equal => match &mut slot.state {
+                        SlotState::Receiving(r) => {
+                            r.offer(&hdr, frag);
+                        }
+                        SlotState::Executing => return,
+                        SlotState::Done(pkts) => {
+                            let pkts = pkts.clone();
+                            drop(served);
+                            for p in pkts.iter() {
+                                self.transmit(src, packet_payload(p));
+                            }
+                            return;
+                        }
+                    },
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let r = Reassembly::new(&hdr, frag);
-                    if r.is_complete() {
-                        Some(r.assemble())
-                    } else {
-                        v.insert(r);
-                        None
-                    }
-                }
+                slot
             }
         };
-        let Some(payload) = complete else { return };
-        self.executing.borrow_mut().insert(key);
+        let payload = match std::mem::replace(&mut slot.state, SlotState::Executing) {
+            SlotState::Receiving(r) if r.is_complete() => r.assemble(),
+            still_receiving => {
+                slot.state = still_receiving;
+                return;
+            }
+        };
+        drop(served);
         if let Some(mem) = &self.mem {
             mem.account(payload.len() as u64); // rx DMA
         }
@@ -668,7 +697,6 @@ impl Rpc {
             let Some(handler) = handler else {
                 if rpc.is_shutdown.get() {
                     // Late requests during teardown are silently dropped.
-                    rpc.executing.borrow_mut().remove(&key);
                     return;
                 }
                 panic!("no handler for req_type {} at {}", hdr.req_type, rpc.addr);
@@ -687,6 +715,15 @@ impl Rpc {
                 .or_default()
                 .record((simcore::now() - h_start).as_nanos() as u64);
             rpc.stats.requests_handled.incr();
+            let mut served = rpc.served.borrow_mut();
+            let Some(slot) = served
+                .get_mut(&key)
+                .filter(|slot| slot.req_num == hdr.req_num)
+            else {
+                // The caller gave up and reused the slot while the handler
+                // ran: nobody wants this reply.
+                return;
+            };
             if let Some(mem) = &rpc.mem {
                 mem.account(resp.len() as u64); // tx DMA
             }
@@ -698,8 +735,8 @@ impl Rpc {
                 rpc.config.mtu,
                 None, // responses never carry the trace extension
             ));
-            rpc.resp_cache.borrow_mut().insert(key, pkts.clone());
-            rpc.executing.borrow_mut().remove(&key);
+            slot.state = SlotState::Done(pkts.clone());
+            drop(served);
             for p in pkts.iter() {
                 rpc.transmit(src, packet_payload(p));
             }

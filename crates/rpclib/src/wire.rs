@@ -3,7 +3,11 @@
 //!
 //! Mirrors eRPC's design: messages are fragmented into MTU-sized packets;
 //! the header carries the request number, fragment index and total message
-//! length so the receiver can reassemble out-of-order fragments.
+//! length so the receiver can reassemble out-of-order fragments. The low
+//! [`SLOT_BITS`] of the request number name the caller's session slot, the
+//! bits above them a per-endpoint monotonic sequence ([`req_num`]), so a
+//! later request on a slot always carries a higher number than an earlier
+//! one — which is what lets it acknowledge its predecessor implicitly.
 //!
 //! Header byte 3 is a flags byte (zero since the first wire revision, so
 //! old headers parse as flag-free). [`FLAG_TRACE`] marks a sampled
@@ -21,8 +25,6 @@ pub enum Kind {
     Request = 1,
     /// Response fragment (server → client).
     Response = 2,
-    /// Response acknowledged; server may drop its cached response.
-    Ack = 3,
 }
 
 impl Kind {
@@ -30,7 +32,6 @@ impl Kind {
         match v {
             1 => Some(Kind::Request),
             2 => Some(Kind::Response),
-            3 => Some(Kind::Ack),
             _ => None,
         }
     }
@@ -41,6 +42,28 @@ pub const MAGIC: u8 = 0xD7;
 
 /// Fixed header size in bytes (excluding the optional trace extension).
 pub const HEADER_BYTES: usize = 20;
+
+/// Low bits of `req_num` that carry the caller's session slot.
+pub const SLOT_BITS: u32 = 24;
+
+/// Pack a call's sequence number and session slot into a wire `req_num`.
+///
+/// # Panics
+/// Panics if either does not fit its field: more than 2^24 calls
+/// outstanding to one peer, or 2^40 calls issued by one endpoint.
+pub fn req_num(seq: u64, slot: u32) -> u64 {
+    assert!(slot >> SLOT_BITS == 0, "session slot {slot} out of range");
+    assert!(
+        seq >> (64 - SLOT_BITS) == 0,
+        "request sequence {seq} out of range"
+    );
+    seq << SLOT_BITS | slot as u64
+}
+
+/// The session slot a `req_num` was issued on.
+pub fn slot_of(req_num: u64) -> u32 {
+    (req_num & ((1 << SLOT_BITS) - 1)) as u32
+}
 
 /// Flags-byte bit: a trace-context extension follows the fixed header.
 pub const FLAG_TRACE: u8 = 0x01;
@@ -55,7 +78,8 @@ pub struct Header {
     pub kind: Kind,
     /// Request handler type (application-level method id).
     pub req_type: u8,
-    /// Client-assigned request number (unique per client endpoint).
+    /// Client-assigned request number, unique per client endpoint:
+    /// sequence above [`SLOT_BITS`] of session slot (see [`req_num`]).
     pub req_num: u64,
     /// Fragment index in `[0, num_pkts)`.
     pub pkt_idx: u16,
@@ -526,17 +550,30 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Header::decode(&Bytes::from_static(b"short")).is_none());
-        let mut bad = hdr(Kind::Ack).encode(b"").to_vec();
+        let mut bad = hdr(Kind::Response).encode(b"").to_vec();
         bad[0] = 0x00; // wrong magic
         assert!(Header::decode(&Bytes::from(bad)).is_none());
-        let mut badkind = hdr(Kind::Ack).encode(b"").to_vec();
-        badkind[1] = 99;
-        assert!(Header::decode(&Bytes::from(badkind)).is_none());
+        // 3 was once a kind (the standalone ACK); it must not decode.
+        for kind in [0u8, 3, 99] {
+            let mut badkind = hdr(Kind::Response).encode(b"").to_vec();
+            badkind[1] = kind;
+            assert!(Header::decode(&Bytes::from(badkind)).is_none(), "{kind}");
+        }
         // pkt_idx >= num_pkts
         let mut h = hdr(Kind::Request);
         h.pkt_idx = 3;
         h.num_pkts = 2;
         assert!(Header::decode(&h.encode(b"x")).is_none());
+    }
+
+    #[test]
+    fn req_num_orders_a_slot_by_sequence() {
+        let top = (1 << SLOT_BITS) - 1;
+        assert_eq!(slot_of(req_num(1, 0)), 0);
+        assert_eq!(slot_of(req_num(9, top)), top);
+        // A later sequence wins on any slot, whatever the slots were.
+        assert!(req_num(2, 0) > req_num(1, top));
+        assert_eq!(req_num(5, 3) >> SLOT_BITS, 5);
     }
 
     #[test]

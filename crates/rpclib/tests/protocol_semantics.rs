@@ -1,14 +1,18 @@
-//! Protocol-semantics tests: at-most-once execution under retransmission,
-//! response-cache behavior, shutdown semantics, and pathological loss.
+//! Protocol-semantics tests: the session-slot state machine (at-most-once
+//! execution under retransmission, implicit acks, slot reuse after a
+//! timeout), shutdown semantics, and pathological loss.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use rpclib::{RpcBuilder, RpcConfig, RpcError};
+use proptest::prelude::*;
+use rpclib::wire::{self, fragment, Header, Kind};
+use rpclib::{RpcBuilder, RpcConfig, RpcError, ServedSlots};
 use simcore::Sim;
-use simnet::{FabricConfig, Network, NicConfig, NodeId};
+use simnet::{FabricConfig, Network, NicConfig, NodeId, Payload};
 
 fn rig() -> (Sim, Network, NodeId, NodeId) {
     let sim = Sim::new();
@@ -19,7 +23,8 @@ fn rig() -> (Sim, Network, NodeId, NodeId) {
 }
 
 /// A handler with a side effect must run at most once per request even when
-/// the client retransmits aggressively (the response cache answers dups).
+/// the client retransmits aggressively (the slot's kept response answers
+/// dups).
 #[test]
 fn handler_runs_at_most_once_under_retransmission() {
     let (sim, net, a, b) = rig();
@@ -65,8 +70,8 @@ fn handler_runs_at_most_once_under_retransmission() {
     );
 }
 
-/// Forced packet duplication on both directions of the link: the response
-/// cache must answer the duplicate requests, so handler side effects happen
+/// Forced packet duplication on both directions of the link: the slot table
+/// must answer the duplicate requests, so handler side effects happen
 /// exactly once per completed call even though the wire carries each packet
 /// (and each response) several times.
 #[test]
@@ -113,6 +118,164 @@ fn handler_runs_at_most_once_under_forced_duplication() {
         executions, completed,
         "duplicated requests re-executed the handler"
     );
+}
+
+/// No packet carries nothing: a one-packet echo is a request and a response,
+/// and an n-fragment request answered by an m-fragment reply is n + m.
+#[test]
+fn an_rpc_costs_exactly_its_request_and_response_packets() {
+    let (sim, net, a, b) = rig();
+    let net2 = net.clone();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net2, b, 10).build();
+        server.register(1, |ctx| async move { ctx.payload });
+        server.register(2, |_| async { Bytes::from(vec![7u8; 5 * 4096 - 1]) });
+        let client = RpcBuilder::new(&net2, a, 10).build();
+        client
+            .call(server.addr(), 1, Bytes::from_static(b"ping"))
+            .await
+            .unwrap();
+        assert_eq!(net2.delivered(), 2, "one-packet echo");
+        let req = Bytes::from(vec![1u8; 2 * 4096 + 1]); // 3 fragments
+        let resp = client.call(server.addr(), 2, req).await.unwrap();
+        assert_eq!(resp.len(), 5 * 4096 - 1); // 5 fragments
+        assert_eq!(net2.delivered(), 2 + 3 + 5);
+    });
+    // Nothing trails the last response either.
+    assert_eq!(net.delivered(), 10);
+}
+
+/// At-most-once does not depend on any capacity: thousands of sequential
+/// calls under heavy duplication and reorder each run the handler exactly
+/// once (the retired 128-entry response cache forgot a call 128 responses
+/// after a lost ACK; a slot remembers its latest call until the next one).
+#[test]
+fn two_thousand_duplicated_calls_execute_exactly_once_each() {
+    let (sim, net, a, b) = rig();
+    net.set_link_duplicate(a, b, 0.8);
+    net.set_link_duplicate(b, a, 0.8);
+    net.set_link_reorder(a, b, 0.4, Duration::from_micros(40));
+    net.set_link_reorder(b, a, 0.4, Duration::from_micros(40));
+    let net2 = net.clone();
+    let runs = sim.block_on(async move {
+        let runs = Rc::new(RefCell::new(vec![0u32; 2000]));
+        let server = RpcBuilder::new(&net2, b, 10).build();
+        let r2 = runs.clone();
+        server.register(1, move |ctx| {
+            let i = u32::from_le_bytes(ctx.payload[..4].try_into().unwrap());
+            r2.borrow_mut()[i as usize] += 1;
+            async move { ctx.payload }
+        });
+        let client = RpcBuilder::new(&net2, a, 10).build();
+        for i in 0..2000u32 {
+            let resp = client
+                .call(server.addr(), 1, Bytes::from(i.to_le_bytes().to_vec()))
+                .await
+                .unwrap();
+            assert_eq!(u32::from_le_bytes(resp[..4].try_into().unwrap()), i);
+        }
+        // Late duplicates of every call are still in flight: let them land.
+        simcore::sleep(Duration::from_millis(1)).await;
+        let runs = runs.borrow().clone();
+        runs
+    });
+    assert!(net.duplicated() > 2000, "fault plane barely duplicated");
+    assert!(runs.iter().all(|&n| n == 1), "some call ran 0 or 2+ times");
+}
+
+/// A call that times out while its handler is still running gives its slot
+/// back; the next call reuses it and is answered, and when the stale
+/// handler finally returns its reply goes nowhere.
+#[test]
+fn timed_out_call_frees_its_slot_and_its_late_reply_is_discarded() {
+    let (sim, net, a, b) = rig();
+    let net2 = net.clone();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net2, b, 10).build();
+        server.register(1, |ctx| async move {
+            if &ctx.payload[..] == b"slow" {
+                simcore::sleep(Duration::from_millis(1)).await;
+            }
+            ctx.payload
+        });
+        let client = RpcBuilder::new(&net2, a, 10)
+            .config(RpcConfig {
+                rto: Duration::from_micros(50),
+                rto_per_packet: Duration::ZERO,
+                rto_max: Duration::from_micros(50),
+                max_retries: 1,
+                ..Default::default()
+            })
+            .build();
+        let slow = client
+            .call(server.addr(), 1, Bytes::from_static(b"slow"))
+            .await;
+        assert_eq!(slow, Err(RpcError::Timeout { attempts: 2 }));
+        let executing = ServedSlots {
+            executing: 1,
+            ..Default::default()
+        };
+        assert_eq!(server.served_slots(), executing);
+
+        let fast = client
+            .call(server.addr(), 1, Bytes::from_static(b"fast"))
+            .await
+            .unwrap();
+        assert_eq!(&fast[..], b"fast");
+        // Same slot: the new request replaced the abandoned one.
+        let done = ServedSlots {
+            done: 1,
+            ..Default::default()
+        };
+        assert_eq!(server.served_slots(), done);
+
+        let before = net2.delivered();
+        simcore::sleep(Duration::from_millis(2)).await;
+        assert_eq!(
+            server.stats().requests_handled.get(),
+            2,
+            "stale handler ran out"
+        );
+        assert_eq!(net2.delivered(), before, "stale reply was transmitted");
+        assert_eq!(server.served_slots(), done, "stale reply was retained");
+    });
+}
+
+/// What a server keeps for its callers is bounded by their live slots, not
+/// by how many calls they made: after 10 000 calls at concurrency `k` it
+/// holds at most `k` responses and no reassembly.
+#[test]
+fn server_retains_at_most_one_response_per_live_slot() {
+    const K: usize = 8;
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |ctx| async move {
+            simcore::sleep(Duration::from_nanos(100 * ctx.payload[0] as u64)).await;
+            ctx.payload
+        });
+        let client = RpcBuilder::new(&net, a, 10).build();
+        let mut workers = Vec::new();
+        for w in 0..K {
+            let (client, dst) = (client.clone(), server.addr());
+            workers.push(simcore::spawn(async move {
+                for i in 0..10_000 / K {
+                    // Two-fragment requests, so reassemblies exist to leak.
+                    let mut req = vec![(w * 31 + i) as u8; 4097];
+                    req[1] = w as u8;
+                    let resp = client.call(dst, 1, Bytes::from(req.clone())).await;
+                    assert_eq!(resp.unwrap(), req);
+                }
+            }));
+        }
+        for w in workers {
+            w.await;
+        }
+        let kept = server.served_slots();
+        assert!(kept.done <= K && kept.done > 0, "{kept:?}");
+        assert_eq!((kept.receiving, kept.executing), (0, 0), "{kept:?}");
+        assert_eq!(client.stats().calls_completed.get(), 10_000);
+    });
 }
 
 /// Responses larger than one packet survive loss of arbitrary fragments.
@@ -167,6 +330,30 @@ fn shutdown_server_times_out_cleanly() {
             .call(server.addr(), 1, Bytes::from_static(b"y"))
             .await;
         assert_eq!(r, Err(RpcError::Timeout { attempts: 3 }));
+    });
+}
+
+/// Shutdown drops what is kept for callers, not the callers themselves: a
+/// handler already running still delivers its reply.
+#[test]
+fn handler_running_at_shutdown_still_replies() {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |ctx| async move {
+            simcore::sleep(Duration::from_micros(50)).await;
+            ctx.payload
+        });
+        let client = RpcBuilder::new(&net, a, 10).build();
+        let call = {
+            let (client, dst) = (client.clone(), server.addr());
+            simcore::spawn(async move { client.call(dst, 1, Bytes::from_static(b"late")).await })
+        };
+        simcore::sleep(Duration::from_micros(10)).await;
+        assert_eq!(server.served_slots().executing, 1);
+        server.shutdown();
+        assert_eq!(call.await.as_deref(), Ok(&b"late"[..]));
+        assert_eq!(client.stats().retransmits.get(), 0);
     });
 }
 
@@ -275,4 +462,95 @@ fn stats_counters_consistent() {
         // Lossless fabric: no retransmissions.
         assert_eq!(client.stats().retransmits.get(), 0);
     });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The slot rule against an adversarial wire: a raw endpoint plays a
+    /// client whose request packets arrive duplicated, reordered and dropped
+    /// in an arbitrary interleaving across three slots. Whatever arrives,
+    /// no `req_num` runs the handler twice and every response answers the
+    /// request it is addressed to; and the table is never wedged — each
+    /// slot's newest request, delivered whole at the end, is answered.
+    #[test]
+    fn arbitrary_packet_interleavings_execute_each_request_at_most_once(
+        frags in proptest::collection::vec(1usize..4, 3..10),
+        picks in proptest::collection::vec(any::<u32>(), 0..80),
+        gap_ns in 0u64..20_000,
+    ) {
+        const MTU: usize = 16;
+        let (sim, net, a, b) = rig();
+        // Request i: slot i % 3, sequence i + 1, `frags[i]` fragments, and
+        // its own req_num in the first 8 payload bytes.
+        let requests: Vec<(u64, Vec<Payload>)> = frags
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let req_num = wire::req_num(i as u64 + 1, (i % 3) as u32);
+                let mut body = req_num.to_le_bytes().to_vec();
+                body.resize(n * MTU, i as u8);
+                let pkts = fragment(Kind::Request, 1, req_num, &Bytes::from(body), MTU, None);
+                (req_num, pkts.iter().map(|p| Payload::two(p.head.clone(), p.body.clone())).collect())
+            })
+            .collect();
+        let all: Vec<Payload> = requests.iter().flat_map(|(_, p)| p.clone()).collect();
+        let mut newest: HashMap<u32, &(u64, Vec<Payload>)> = HashMap::new();
+        for r in &requests {
+            newest.insert(wire::slot_of(r.0), r); // ascending, so the last wins
+        }
+        let mut schedule: Vec<Payload> =
+            picks.iter().map(|&p| all[p as usize % all.len()].clone()).collect();
+        for slot in 0..3 {
+            schedule.extend(newest[&slot].1.iter().cloned());
+        }
+
+        let net2 = net.clone();
+        let (runs, replies) = sim.block_on(async move {
+            let runs = Rc::new(RefCell::new(HashMap::<u64, u32>::new()));
+            let server = RpcBuilder::new(&net2, b, 10).build();
+            let r2 = runs.clone();
+            server.register(1, move |ctx| {
+                let req_num = u64::from_le_bytes(ctx.payload[..8].try_into().unwrap());
+                *r2.borrow_mut().entry(req_num).or_default() += 1;
+                async move {
+                    // Uneven handler times leave duplicates arriving in
+                    // every state: receiving, executing and done.
+                    simcore::sleep(Duration::from_micros(req_num % 7 * 5)).await;
+                    ctx.payload
+                }
+            });
+            let mut client = net2.bind(a, 20);
+            for pkt in schedule {
+                client.send_to(server.addr(), pkt);
+                simcore::sleep(Duration::from_nanos(gap_ns)).await;
+            }
+            simcore::sleep(Duration::from_millis(1)).await;
+            let mut replies = Vec::new();
+            while let Some(d) = client.try_recv() {
+                replies.push(Header::decode_split(&d.payload.head, &d.payload.body).unwrap());
+            }
+            let runs = runs.borrow().clone();
+            (runs, replies)
+        });
+
+        for (req_num, n) in &runs {
+            prop_assert!(*n <= 1, "req_num {req_num:#x} ran {n} times");
+        }
+        let mut answered = HashMap::<u64, u32>::new();
+        for (hdr, frag) in &replies {
+            prop_assert_eq!(hdr.kind, Kind::Response);
+            prop_assert!(runs.contains_key(&hdr.req_num), "reply to a request that never ran");
+            if hdr.pkt_idx == 0 {
+                let echoed = u64::from_le_bytes(frag[..8].try_into().unwrap());
+                prop_assert_eq!(echoed, hdr.req_num, "reply carries another request's data");
+                *answered.entry(hdr.req_num).or_default() += 1;
+            }
+        }
+        for slot in 0..3 {
+            let req_num = newest[&slot].0;
+            prop_assert_eq!(runs.get(&req_num), Some(&1), "slot {}'s newest request", slot);
+            prop_assert!(answered.contains_key(&req_num), "slot {}'s newest unanswered", slot);
+        }
+    }
 }

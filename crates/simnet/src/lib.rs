@@ -459,6 +459,16 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].rx.bytes()
     }
 
+    /// Packets transmitted by a node's NIC.
+    pub fn node_tx_packets(&self, node: NodeId) -> u64 {
+        self.inner.nodes.borrow()[node.0 as usize].tx.ops()
+    }
+
+    /// Packets received by a node's NIC.
+    pub fn node_rx_packets(&self, node: NodeId) -> u64 {
+        self.inner.nodes.borrow()[node.0 as usize].rx.ops()
+    }
+
     /// NIC transmit busy time for a node (for utilization reports).
     pub fn node_tx_busy(&self, node: NodeId) -> Duration {
         self.inner.nodes.borrow()[node.0 as usize].tx.busy_time()

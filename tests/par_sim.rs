@@ -18,10 +18,11 @@ const CALLS: u64 = 25;
 /// Fingerprint of the golden run: per-partition (polls, end_ns) pairs,
 /// then the window count, then the cross-partition event count. Computed
 /// once at 1 thread and pinned; regenerate deliberately (never blindly)
-/// with `PAR_SIM_PRINT=1 cargo test --test par_sim -- --nocapture`.
+/// with `PAR_SIM_PRINT=1 cargo test --test par_sim -- --nocapture`. The
+/// event count is PARTS × CALLS × 2: a request and a response per call.
 const GOLDEN: [u64; 14] = [
-    477, 20072843, 477, 20072843, 477, 20072843, 477, 20072843, 477, 20072843, 477, 20072843, 77,
-    450,
+    352, 20070428, 352, 20070428, 352, 20070428, 352, 20070428, 352, 20070428, 352, 20070428, 76,
+    300,
 ];
 
 /// The workload: PARTS single-node partitions in a ring; each node runs
