@@ -7,9 +7,9 @@
 # (e.g. DM_DURABLE=1) passes through to the runs; THREADS="1" limits the
 # passes (a durable `all` takes ~12 min, so CI runs that one once).
 #
-# Exempt from the diff: the wall-clock engine benchmark. (The chaos table
-# is committed at the default 100 seeds; only `regen_diff.sh chaos`
-# rewrites it.)
+# Exempt from the diff: the wall-clock engine benchmark and the per-
+# experiment wall times `bench all` records. (The chaos table is committed
+# at the default 100 seeds; only `regen_diff.sh chaos` rewrites it.)
 set -euo pipefail
 [ $# -ge 1 ] || { echo "usage: $0 <experiment>..." >&2; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
@@ -20,7 +20,9 @@ for threads in ${THREADS:-1 8}; do
   echo "::endgroup::"
   git diff --exit-code -- results/ \
     ':(exclude)results/xtra_sim_throughput.csv' \
-    ':(exclude)results/BENCH_sim_throughput.json'
+    ':(exclude)results/BENCH_sim_throughput.json' \
+    ':(exclude)results/xtra_wall_clock.csv' \
+    ':(exclude)results/BENCH_wall_clock.json'
   for f in results/BENCH_*.json; do
     python3 -m json.tool "$f" > /dev/null
   done

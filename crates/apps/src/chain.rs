@@ -94,8 +94,7 @@ pub async fn build_chain(cluster: &Cluster, length: usize) -> ChainApp {
                         }
                         node.mem.touch(data.len() as u64).await;
                         drop(agg);
-                        let sum: u64 = data.iter().map(|&b| b as u64).sum();
-                        u64_value(sum).encode()
+                        u64_value(byte_sum(&data)).encode()
                     }
                 }
             }
@@ -108,6 +107,15 @@ pub async fn build_chain(cluster: &Cluster, length: usize) -> ChainApp {
         entry: endpoints[0].addr(),
         length,
     }
+}
+
+/// Sum of the bytes of `data`. Host-only kernel: a u8→u64 widening sum
+/// vectorises badly on the x86-64 baseline, so accumulate in `u32` over
+/// chunks too short to overflow it (64 KiB × 255 < 2³²) and widen per chunk.
+fn byte_sum(data: &[u8]) -> u64 {
+    data.chunks(1 << 16)
+        .map(|chunk| chunk.iter().map(|&b| b as u32).sum::<u32>() as u64)
+        .sum()
 }
 
 impl ChainApp {
@@ -139,6 +147,16 @@ mod tests {
 
     fn expected_sum(payload: &Bytes) -> u64 {
         payload.iter().map(|&b| b as u64).sum()
+    }
+
+    #[test]
+    fn byte_sum_matches_the_widening_sum_across_chunk_edges() {
+        for len in [0usize, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 17] {
+            let ones = Bytes::from(vec![0xFFu8; len]);
+            assert_eq!(byte_sum(&ones), expected_sum(&ones), "0xFF × {len}");
+            let mixed = Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+            assert_eq!(byte_sum(&mixed), expected_sum(&mixed), "mixed × {len}");
+        }
     }
 
     fn run(kind: SystemKind, length: usize, size: usize) -> (u64, u64, u64) {

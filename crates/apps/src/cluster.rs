@@ -280,6 +280,8 @@ impl Cluster {
 
     /// Build a metrics registry over every live stat source in the cluster
     /// under stable hierarchical names: `net.*` fabric counters,
+    /// `sim.live_tasks` / `sim.timers_pending` (the executor under the
+    /// snapshotting task; 0 outside a run loop),
     /// `node.<name>.*` per-server memory traffic and resource busy time
     /// (what [`utilization`] ranks), `rpc.<name>.<port>.*` endpoint
     /// counters, `dmclient.<name>.<port>.*` cache and wire counters,
@@ -291,6 +293,14 @@ impl Cluster {
             let net = self.net.clone();
             reg.register_gauge("net.delivered", move || net.delivered());
         }
+        let sim_gauge = |read: fn(&simcore::Sim) -> usize| {
+            move || simcore::try_current().map_or(0, |sim| read(&sim) as u64)
+        };
+        reg.register_gauge("sim.live_tasks", sim_gauge(simcore::Sim::live_tasks));
+        reg.register_gauge(
+            "sim.timers_pending",
+            sim_gauge(simcore::Sim::pending_timers),
+        );
         for id in (0..self.net.node_count() as u32).map(NodeId) {
             let name = self.net.node_name(id);
             let net = self.net.clone();
@@ -747,6 +757,31 @@ mod tests {
                 .iter()
                 .all(|u| u.packet_share.is_some() == (u.resource != "cpu")));
         });
+    }
+
+    #[test]
+    fn sim_gauges_read_the_executor_and_show_calls_leaving_nothing() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        let reg = sim.block_on(async move {
+            let cluster = Cluster::new(SystemKind::Erpc, 0, ClusterConfig::default(), 1);
+            let (sn, cn) = (cluster.add_server("server"), cluster.add_server("client"));
+            let server = cluster.endpoint(&sn, 100).await;
+            server.rpc().register(9, |ctx| async move { ctx.payload });
+            let client = cluster.endpoint(&cn, 100).await;
+            let reg = cluster.metrics();
+            let tasks = reg.value("sim.live_tasks");
+            assert_eq!(tasks, Some(sim2.live_tasks() as u64));
+            for _ in 0..100 {
+                let req = Bytes::from(vec![0u8; 10_000]);
+                client.rpc().call(server.addr(), 9, req).await.unwrap();
+            }
+            assert_eq!(reg.value("sim.live_tasks"), tasks);
+            assert_eq!(reg.value("sim.timers_pending"), Some(1), "the RTO timer");
+            reg
+        });
+        // Outside a run loop there is no executor to read.
+        assert_eq!(reg.value("sim.live_tasks"), Some(0));
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! cargo run --release -p bench -- scenario --app lb    # one ad-hoc cell
 //! ```
 //!
+//! A run that names `all` also times each experiment it ran and writes the
+//! wall-clock trajectory (`results/BENCH_wall_clock.json`, machine-dependent
+//! and exempt from the CI byte-diff).
+//!
 //! Exit status: 0 clean, 1 when a gate or an artifact write failed (after
 //! every artifact that could be written is on disk), 2 on a usage error
 //! or a malformed environment knob (`SIM_THREADS`, `CHAOS_SEEDS`).
 
 mod scenario;
 
+use bench::report::{f2, Table};
 use bench::{
     cache_coherence, chaos, extras, fig10, fig11, fig12, fig5, fig6, fig7, fig8, latency_breakdown,
     recovery, rtt_budget, shard_scaling, sim_throughput, slo_scale, table1,
@@ -52,14 +57,50 @@ const REGISTRY: &[Experiment] = &[
     ("telemetry_overhead",   false, sim_throughput::telemetry_overhead_gate, &[]),
 ];
 
+/// What a run naming `all` writes on top of its experiments' own files: how
+/// long each took on this host (see [`wall_clock`]).
+const ALL_WRITES: &[&str] = &["xtra_wall_clock.csv", "BENCH_wall_clock.json"];
+
 fn listing() -> String {
+    let paths = |files: &[&str]| {
+        let files: Vec<String> = files.iter().map(|f| format!("results/{f}")).collect();
+        files.join(" ")
+    };
     let mut out = String::from("experiments (* = part of `all`):\n");
     for &(name, in_all, _, files) in REGISTRY {
         let star = if in_all { '*' } else { ' ' };
-        let files: Vec<String> = files.iter().map(|f| format!("results/{f}")).collect();
-        out += &format!("  {star} {name:<21} {}\n", files.join(" "));
+        out += &format!("  {star} {name:<21} {}\n", paths(files));
     }
-    out + "also: all | list | scenario [--system ..] [--app ..] ..\n"
+    out += &format!("    {:<21} {}\n", "all", paths(ALL_WRITES));
+    out + "also: list | scenario [--system ..] [--app ..] ..\n"
+}
+
+/// The harness's own clock, one row per experiment of this run: the
+/// wall-time trajectory ROADMAP item 3 asks for. One file for the whole run
+/// rather than a `wall_ms` in every `BENCH_*.json`, which would fail the
+/// byte-diff every gated CI job runs.
+fn wall_clock(rows: &[(&str, std::time::Duration)], sim_threads: &str) {
+    let mut t = Table::new("xtra_wall_clock", &["experiment", "wall_ms"]).trajectory("wall_clock");
+    t.meta(
+        "host_parallelism",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
+    t.meta("SIM_THREADS", sim_threads);
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or("unknown".to_string(), |s| s.trim().to_string());
+    t.meta("commit", commit);
+    let total: std::time::Duration = rows.iter().map(|&(_, wall)| wall).sum();
+    t.headline("total_wall_ms", f2(total.as_secs_f64() * 1e3));
+    for &(name, wall) in rows {
+        t.row(&[&name, &f2(wall.as_secs_f64() * 1e3)]);
+    }
+    t.finish();
 }
 
 /// Resolve command-line names (`all` expands in place) against the
@@ -94,15 +135,21 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
+    let sim_threads = knobs
+        .sim_threads
+        .map_or("unset".to_string(), |n| n.to_string());
     println!(
-        "# DmRPC reproduction — {} experiment(s), SIM_THREADS={}",
+        "# DmRPC reproduction — {} experiment(s), SIM_THREADS={sim_threads}",
         picked.len(),
-        knobs
-            .sim_threads
-            .map_or("unset".to_string(), |n| n.to_string()),
     );
-    for (_, _, run, _) in &picked {
+    let mut walls = Vec::new();
+    for &&(name, _, run, _) in &picked {
+        let started = std::time::Instant::now();
         run();
+        walls.push((name, started.elapsed()));
+    }
+    if args.iter().any(|a| a == "all") {
+        wall_clock(&walls, &sim_threads);
     }
     println!("\ndone in {:.1}s wall time", t0.elapsed().as_secs_f64());
     let failures = bench::report::failures();
@@ -129,6 +176,7 @@ mod tests {
         let owned: Vec<&str> = REGISTRY
             .iter()
             .flat_map(|&(.., files)| files)
+            .chain(ALL_WRITES)
             .copied()
             .collect();
         let distinct: BTreeSet<String> = owned.iter().map(|f| f.to_string()).collect();

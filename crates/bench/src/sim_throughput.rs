@@ -33,6 +33,21 @@ fn timed(build: impl Fn(&Sim)) -> Outcome {
     }
 }
 
+/// What a scenario keeps alive: the most tasks and the most armed timers
+/// seen between two virtual instants of one untimed run. A task born and
+/// finished inside one instant is not retention and is not seen.
+fn peaks(build: impl Fn(&Sim)) -> (usize, usize) {
+    let sim = Sim::new();
+    build(&sim);
+    let mut peak = (sim.live_tasks(), sim.pending_timers());
+    while let Some(at) = sim.next_event_time() {
+        sim.run_until(at);
+        peak.0 = peak.0.max(sim.live_tasks());
+        peak.1 = peak.1.max(sim.pending_timers());
+    }
+    peak
+}
+
 /// Pure timer path: 200 tasks sleeping 500 times each, deadlines interleaved.
 fn timer_storm(sim: &Sim) {
     for i in 0..200u64 {
@@ -89,9 +104,19 @@ fn spawn_churn(sim: &Sim) {
 }
 
 /// Full stack: RPC echo storm through the simulated fabric, 8 clients x 200
-/// calls with multi-packet payloads (fragmentation + reassembly + ACKs).
+/// calls with 3-fragment payloads (fragmentation + reassembly).
 fn rpc_storm(sim: &Sim) {
-    sim.spawn(async {
+    rpc_echo_storm(sim, 9000);
+}
+
+/// The same storm with 17-fragment payloads, the size of a by-value chain
+/// argument: what a call holds, and until when, is what this one prices.
+fn rpc_storm_64k(sim: &Sim) {
+    rpc_echo_storm(sim, (64 << 10) + 100);
+}
+
+fn rpc_echo_storm(sim: &Sim, payload_bytes: usize) {
+    sim.spawn(async move {
         let net = simnet::Network::new(simnet::FabricConfig::default(), 42);
         let sn = net.add_node("server", simnet::NicConfig::default());
         let server = rpclib::RpcBuilder::new(&net, sn, 10).build();
@@ -103,7 +128,7 @@ fn rpc_storm(sim: &Sim) {
             let cn = net.add_node(format!("c{c}"), simnet::NicConfig::default());
             done.push(simcore::spawn(async move {
                 let client = rpclib::RpcBuilder::new(&net, cn, 10).build();
-                let payload = Bytes::from(vec![c as u8; 9000]);
+                let payload = Bytes::from(vec![c as u8; payload_bytes]);
                 for _ in 0..200 {
                     client.call(server_addr, 1, payload.clone()).await.unwrap();
                 }
@@ -232,35 +257,48 @@ fn par_rpc_ring(threads: usize) -> (ParOutcome<u64>, Duration) {
 pub fn run() {
     let mut t = Table::new(
         "xtra_sim_throughput",
-        &["scenario", "threads", "polls", "wall_ms", "polls_per_sec"],
+        &[
+            "scenario",
+            "threads",
+            "polls",
+            "wall_ms",
+            "polls_per_sec",
+            "live_tasks_peak",
+            "timers_peak",
+        ],
     )
     .trajectory("sim_throughput");
     t.meta(
         "host_parallelism",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    let mut row = |name: &str, threads: usize, polls: u64, wall: Duration| {
-        let secs = wall.as_secs_f64();
+    // `peaks` is `None` for the partitioned rows: their engines live inside
+    // `run_partitioned`.
+    let mut row = |name: &str, threads: usize, o: Outcome, peaks: Option<(usize, usize)>| {
+        let secs = o.wall.as_secs_f64();
+        let peak = |p: Option<usize>| p.map_or(String::new(), |p| p.to_string());
         t.row(&[
             &name,
             &threads,
-            &polls,
+            &o.polls,
             &f2(secs * 1e3),
-            &format!("{:.0}", polls as f64 / secs.max(1e-12)),
+            &format!("{:.0}", o.polls as f64 / secs.max(1e-12)),
+            &peak(peaks.map(|p| p.0)),
+            &peak(peaks.map(|p| p.1)),
         ]);
     };
 
     type Scenario = (&'static str, fn(&Sim));
-    let scenarios: [Scenario; 4] = [
+    let scenarios: [Scenario; 5] = [
         ("timer_storm", timer_storm),
         ("pingpong", pingpong),
         ("spawn_churn", spawn_churn),
         ("rpc_storm", rpc_storm),
+        ("rpc_storm_64k", rpc_storm_64k),
     ];
     for (name, build) in scenarios {
-        timed(build); // warmup
-        let o = timed(build);
-        row(name, 1, o.polls, o.wall);
+        let kept = peaks(build); // doubles as the warmup
+        row(name, 1, timed(build), Some(kept));
     }
 
     // Partitioned-engine scaling curve (warmup once, then one timed run
@@ -282,7 +320,7 @@ pub fn run() {
             ),
         }
         let polls = out.partitions.iter().map(|p| p.polls).sum();
-        row("par_rpc_ring", threads, polls, wall);
+        row("par_rpc_ring", threads, Outcome { polls, wall }, None);
     }
     t.finish();
 }

@@ -198,7 +198,7 @@ impl DmRpc {
             // the release (direct or via the coalescer) stays attributed
             // to the request that dropped the ref.
             let ctx = telemetry::current_ctx();
-            simcore::spawn(async move {
+            simcore::spawn_detached(async move {
                 let _ctx = ctx.and_then(telemetry::set_ctx);
                 let _ = me.release(&v).await;
             });

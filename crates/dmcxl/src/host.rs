@@ -196,7 +196,7 @@ impl CxlHost {
         }
         self.refilling.set(true);
         let host = self.clone();
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             let r = host.coordinator_request(host.config.request_batch).await;
             if let Ok(grant) = r {
                 host.free.borrow_mut().extend(grant);
@@ -216,7 +216,7 @@ impl CxlHost {
                 .collect();
             drop(free);
             let host = self.clone();
-            simcore::spawn(async move {
+            simcore::spawn_detached(async move {
                 host.stats.coord_rpcs.incr();
                 let _ = host
                     .rpc

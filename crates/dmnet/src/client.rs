@@ -224,7 +224,7 @@ impl DmNetClient {
                 let rpc = rpc.clone();
                 let pid = pids[i];
                 let alive = alive.clone();
-                simcore::spawn(async move {
+                simcore::spawn_detached(async move {
                     // Renew well inside the TTL so one lost renewal (or a
                     // short partition) does not expire the lease.
                     let period = ttl / 3;
@@ -834,7 +834,7 @@ fn spawn_flush(
     pid: GlobalPid,
 ) {
     let (rpc, cache, alive) = (rpc.clone(), cache.clone(), alive.clone());
-    simcore::spawn(async move {
+    simcore::spawn_detached(async move {
         loop {
             simcore::sleep(FLUSH_WINDOW).await;
             flush_batch(&rpc, &cache, &alive, idx, addr, pid).await;

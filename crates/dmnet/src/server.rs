@@ -318,7 +318,7 @@ impl DmServer {
         }
         self.sweeper_armed.set(true);
         let weak = Rc::downgrade(self);
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             loop {
                 simcore::sleep(ttl / 2).await;
                 let Some(srv) = weak.upgrade() else { return };

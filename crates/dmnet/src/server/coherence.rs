@@ -118,7 +118,7 @@ impl DmServer {
             self.inv_pushed.set(self.inv_pushed.get() + 1);
             let rpc = self.rpc.clone();
             let body = Writer::new().u64(raw).u64(ver).finish();
-            simcore::spawn(async move {
+            simcore::spawn_detached(async move {
                 let _ = rpc.call(dst, req::INVALIDATE, body).await;
             });
         }

@@ -5,7 +5,10 @@
 //!
 //! * **datagram transport** — packets ride raw (simulated) UDP; reliability
 //!   is client-driven: the client retransmits the whole request after an RTO
-//!   until the response arrives (eRPC's "re-transmissions only at clients");
+//!   until the response arrives (eRPC's "re-transmissions only at clients").
+//!   A call in flight is one entry in its endpoint's retransmission table,
+//!   served by one timer per endpoint; the entry and the request's packets
+//!   go the moment the call ends;
 //! * **MTU fragmentation** — messages are split into MTU-sized fragments and
 //!   reassembled on the receiver ([`wire`]);
 //! * **asynchronous nested handlers** — a handler is an async function that
@@ -34,7 +37,7 @@ pub mod wire;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -43,10 +46,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use memsim::NodeMemory;
-use simcore::sync::{oneshot, Semaphore};
-use simcore::{Counter, CpuPool, Histogram, SimRng};
+use simcore::sync::{oneshot, Notify, Semaphore};
+use simcore::{Counter, CpuPool, Histogram, SimRng, SimTime};
 use simnet::{Addr, Network, NodeId, Payload};
-use telemetry::SpanKind;
+use telemetry::{SpanKind, TraceCtx};
 use wire::{fragment, slot_of, Header, Kind, Packet, Reassembly};
 
 /// Wrap a wire packet as a two-segment datagram payload (refcount bumps, no
@@ -149,7 +152,7 @@ impl Default for RpcConfig {
 }
 
 /// Exponential backoff with optional multiplicative jitter — the policy
-/// behind the retransmission watchdog, exposed so higher layers (e.g. the
+/// behind the retransmission table, exposed so higher layers (e.g. the
 /// DM client's `Busy`-retry loop) reuse the exact same wait schedule
 /// instead of inventing a second one.
 ///
@@ -216,9 +219,27 @@ pub type HandlerFuture = Pin<Box<dyn Future<Output = Bytes>>>;
 /// A registered request handler.
 pub type Handler = Rc<dyn Fn(CallCtx) -> HandlerFuture>;
 
+/// A call's entry in the retransmission table: `(due, arming order,
+/// req_num)`. Calls due at the same instant go in the order they were
+/// armed — the executor's own rule for timers.
+type RtoKey = (SimTime, u64, u64);
+
+/// One call in flight: the response being reassembled plus everything its
+/// retransmission needs. Gone the moment the call ends.
 struct Pending {
     reassembly: Option<Reassembly>,
     done: Option<oneshot::Sender<Result<Bytes, RpcError>>>,
+    dst: Addr,
+    pkts: Vec<Packet>,
+    /// Transmissions so far (1 = the initial one).
+    attempts: u32,
+    backoff: Backoff,
+    /// `retry_budget` as an instant, when configured.
+    deadline: Option<SimTime>,
+    trace: Option<TraceCtx>,
+    /// This call's entry in [`Rpc::rto`]: when its next retransmission
+    /// (or its timeout) is due.
+    rto_key: RtoKey,
 }
 
 /// Client half of a session: this endpoint's state towards one peer.
@@ -252,7 +273,7 @@ struct SlotLease<'a> {
 
 impl Drop for SlotLease<'_> {
     fn drop(&mut self) {
-        self.rpc.pending.borrow_mut().remove(&self.req_num);
+        self.rpc.forget(self.req_num);
         if let Some(session) = self.rpc.sessions.borrow_mut().get_mut(&self.dst) {
             session.free.push(slot_of(self.req_num));
         }
@@ -310,6 +331,21 @@ pub struct Rpc {
     handlers: RefCell<HashMap<u8, Handler>>,
     next_req: Cell<u64>,
     pending: RefCell<HashMap<u64, Pending>>,
+    /// The retransmission table: one entry per pending call, served
+    /// earliest first by the endpoint's one RTO task.
+    rto: RefCell<BTreeSet<RtoKey>>,
+    /// Entries ever made in `rto`: the next one's arming order.
+    rto_entered: Cell<u64>,
+    /// The instant the RTO task's timer is set for; `None` while it is
+    /// parked on `rto_wake` with nothing in flight.
+    rto_armed: Cell<Option<SimTime>>,
+    /// Wakes the RTO task when a call arms a `due` earlier than its timer.
+    rto_wake: Notify,
+    /// The latest `due` ever entered into the table. With nothing in flight
+    /// the RTO task keeps its one timer until this instant has passed, so a
+    /// run quiesces exactly when it did with a watchdog per call (some
+    /// artifacts divide by time-to-quiescence).
+    rto_horizon: Cell<SimTime>,
     sessions: RefCell<HashMap<Addr, Session>>,
     served: RefCell<HashMap<(Addr, u32), ServedSlot>>,
     stats: RpcStats,
@@ -365,9 +401,9 @@ impl RpcBuilder {
         self
     }
 
-    /// Bind the endpoint and start the dispatch loop.
+    /// Bind the endpoint and start its dispatch and retransmission loops.
     ///
-    /// Must be called from inside the simulation (it spawns a task).
+    /// Must be called from inside the simulation (it spawns both tasks).
     pub fn build(self) -> Rc<Rpc> {
         let endpoint = self.net.bind(self.node, self.port);
         let rpc = Rc::new(Rpc {
@@ -379,6 +415,11 @@ impl RpcBuilder {
             handlers: RefCell::new(HashMap::new()),
             next_req: Cell::new(1),
             pending: RefCell::new(HashMap::new()),
+            rto: RefCell::new(BTreeSet::new()),
+            rto_entered: Cell::new(0),
+            rto_armed: Cell::new(None),
+            rto_wake: Notify::new(),
+            rto_horizon: Cell::new(SimTime::ZERO),
             sessions: RefCell::new(HashMap::new()),
             served: RefCell::new(HashMap::new()),
             stats: RpcStats::default(),
@@ -390,13 +431,14 @@ impl RpcBuilder {
             ),
         });
         let loop_rpc = rpc.clone();
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             let mut ep = endpoint;
             loop {
                 let dgram = ep.recv().await;
                 loop_rpc.handle_packet(dgram);
             }
         });
+        simcore::spawn_detached(rpc.clone().rto_loop());
         rpc
     }
 }
@@ -427,6 +469,13 @@ impl Rpc {
     /// Configuration in effect.
     pub fn config(&self) -> &RpcConfig {
         &self.config
+    }
+
+    /// Calls in flight from this endpoint: each holds its request packets
+    /// and one retransmission-table entry, and nothing outlives it. Passive.
+    pub fn inflight_calls(&self) -> usize {
+        debug_assert_eq!(self.pending.borrow().len(), self.rto.borrow().len());
+        self.pending.borrow().len()
     }
 
     /// Census of the server-side slot table: what this endpoint still
@@ -519,75 +568,45 @@ impl Rpc {
             s.attr("req_bytes", payload.len() as u64);
         }
         let trace = call_span.as_ref().map(|s| s.ctx());
-        let pkts = Rc::new(fragment(
+        let pkts = fragment(
             Kind::Request,
             req_type,
             req_num,
             &payload,
             self.config.mtu,
             trace,
-        ));
+        );
         if let Some(mem) = &self.mem {
             mem.account(payload.len() as u64); // tx DMA
         }
+        for p in &pkts {
+            self.transmit(dst, packet_payload(p));
+        }
+        // Client-driven retransmission: exponential backoff with optional
+        // jitter, bounded by both a retry count and (optionally) a total
+        // retry-time budget. The endpoint's RTO task acts on `due`.
+        let now = simcore::now();
+        let base = self.config.rto + self.config.rto_per_packet * (pkts.len() as u32);
+        let cap = self.config.rto_max.max(base);
+        // retry_rng clones share one stream: draws happen in arming order.
+        let mut backoff =
+            Backoff::with_jitter(base, cap, self.config.retry_jitter, self.retry_rng.clone());
+        let rto_key = self.arm(now + backoff.next_wait(), req_num);
         let (done_tx, done_rx) = oneshot::channel();
         self.pending.borrow_mut().insert(
             req_num,
             Pending {
                 reassembly: None,
                 done: Some(done_tx),
+                dst,
+                pkts,
+                attempts: 1,
+                backoff,
+                deadline: self.config.retry_budget.map(|b| now + b),
+                trace,
+                rto_key,
             },
         );
-        for p in pkts.iter() {
-            self.transmit(dst, packet_payload(p));
-        }
-
-        // Client-driven retransmission watchdog: exponential backoff with
-        // optional jitter, bounded by both a retry count and (optionally) a
-        // total retry-time budget.
-        let rpc = self.clone();
-        let watch_pkts = pkts.clone();
-        let watch_trace = trace;
-        simcore::spawn(async move {
-            let mut attempts: u32 = 1; // the initial transmission
-            let base = rpc.config.rto + rpc.config.rto_per_packet * (watch_pkts.len() as u32);
-            let cap = rpc.config.rto_max.max(base);
-            // retry_rng clones share one stream, so the draw sequence is
-            // identical to the pre-Backoff inline implementation.
-            let mut backoff =
-                Backoff::with_jitter(base, cap, rpc.config.retry_jitter, rpc.retry_rng.clone());
-            let deadline = rpc.config.retry_budget.map(|b| simcore::now() + b);
-            loop {
-                simcore::sleep(backoff.next_wait()).await;
-                if !rpc.pending.borrow().contains_key(&req_num) {
-                    return; // completed
-                }
-                let budget_spent = deadline.is_some_and(|d| simcore::now() >= d);
-                if attempts > rpc.config.max_retries || budget_spent {
-                    if let Some(mut p) = rpc.pending.borrow_mut().remove(&req_num) {
-                        if let Some(done) = p.done.take() {
-                            let _ = done.send(Err(RpcError::Timeout { attempts }));
-                        }
-                    }
-                    rpc.stats.timeouts.incr();
-                    return;
-                }
-                attempts += 1;
-                rpc.stats.retransmits.incr();
-                if let Some(ctx) = watch_trace {
-                    telemetry::event_with_parent(
-                        SpanKind::Retry,
-                        "rpc.retransmit",
-                        rpc.addr.node.0,
-                        ctx,
-                        &[("attempt", attempts as u64)],
-                    );
-                }
-                for p in watch_pkts.iter() {
-                    rpc.transmit(dst, packet_payload(p));
-                }
-            }
-        });
 
         let result = done_rx.await.expect("pending entry never dropped silently");
         if let Ok(resp) = &result {
@@ -597,6 +616,96 @@ impl Rpc {
             self.stats.calls_completed.incr();
         }
         result
+    }
+
+    /// Enter `req_num` into the retransmission table, waking the RTO task
+    /// if this is due before whatever its timer is set for. Deadlines are
+    /// not monotone in issue order (a 1-packet call's RTO is shorter than a
+    /// 65-packet call's), so a later call can be due first.
+    fn arm(&self, due: SimTime, req_num: u64) -> RtoKey {
+        if self.rto_armed.get().is_none_or(|armed| due < armed) {
+            self.rto_armed.set(Some(due));
+            self.rto_wake.notify_one();
+        }
+        self.enter(due, req_num)
+    }
+
+    /// Make `req_num`'s entry in the table.
+    fn enter(&self, due: SimTime, req_num: u64) -> RtoKey {
+        let key = (due, self.rto_entered.get(), req_num);
+        self.rto_entered.set(key.1 + 1);
+        self.rto.borrow_mut().insert(key);
+        self.rto_horizon.set(self.rto_horizon.get().max(due));
+        key
+    }
+
+    /// Drop everything held for a call: its pending entry (packets
+    /// included) and its retransmission-table entry.
+    fn forget(&self, req_num: u64) -> Option<Pending> {
+        let p = self.pending.borrow_mut().remove(&req_num)?;
+        self.rto.borrow_mut().remove(&p.rto_key);
+        Some(p)
+    }
+
+    /// The endpoint's one retransmission task: sleeps until the earliest
+    /// `due`, is woken early only by [`Rpc::arm`], and parks with no timer
+    /// once nothing is in flight and `rto_horizon` has passed (so the
+    /// simulation can quiesce). An entry removed before its `due` costs
+    /// nothing but a wakeup that finds nothing to do.
+    async fn rto_loop(self: Rc<Self>) {
+        loop {
+            let now = simcore::now();
+            self.fire_due(now);
+            let earliest = self.rto.borrow().first().map(|&(due, ..)| due);
+            let next = earliest.or(Some(self.rto_horizon.get()).filter(|&h| h > now));
+            self.rto_armed.set(next);
+            match next {
+                None => self.rto_wake.notified().await,
+                Some(due) => {
+                    let _ = simcore::timeout(due - now, self.rto_wake.notified()).await;
+                }
+            }
+        }
+    }
+
+    /// Retransmit, or time out, every call whose `due` has come.
+    fn fire_due(&self, now: SimTime) {
+        loop {
+            let req_num = match self.rto.borrow().first() {
+                Some(&(due, _, req_num)) if due <= now => req_num,
+                _ => return,
+            };
+            let mut pending = self.pending.borrow_mut();
+            let p = pending.get_mut(&req_num).expect("rto entry has a call");
+            let budget_spent = p.deadline.is_some_and(|d| now >= d);
+            if p.attempts > self.config.max_retries || budget_spent {
+                drop(pending);
+                let mut p = self.forget(req_num).expect("checked above");
+                if let Some(done) = p.done.take() {
+                    let _ = done.send(Err(RpcError::Timeout {
+                        attempts: p.attempts,
+                    }));
+                }
+                self.stats.timeouts.incr();
+                continue;
+            }
+            p.attempts += 1;
+            self.stats.retransmits.incr();
+            if let Some(ctx) = p.trace {
+                telemetry::event_with_parent(
+                    SpanKind::Retry,
+                    "rpc.retransmit",
+                    self.addr.node.0,
+                    ctx,
+                    &[("attempt", p.attempts as u64)],
+                );
+            }
+            for pkt in &p.pkts {
+                self.transmit(p.dst, packet_payload(pkt));
+            }
+            self.rto.borrow_mut().remove(&p.rto_key);
+            p.rto_key = self.enter(now + p.backoff.next_wait(), req_num);
+        }
     }
 
     fn with_session<R>(&self, dst: Addr, f: impl FnOnce(&mut Session) -> R) -> R {
@@ -671,7 +780,7 @@ impl Rpc {
             mem.account(payload.len() as u64); // rx DMA
         }
         let rpc = self.clone();
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             // Continue the caller's trace on this node: the handling span
             // parents everything the handler does (nested calls included).
             let mut srv_span = hdr.trace.and_then(|ctx| {
@@ -758,7 +867,8 @@ impl Rpc {
             }
         };
         if complete {
-            let mut p = pending.remove(&hdr.req_num).expect("present");
+            drop(pending);
+            let mut p = self.forget(hdr.req_num).expect("present");
             let body = p.reassembly.take().expect("reassembly set").assemble();
             if let Some(done) = p.done.take() {
                 let _ = done.send(Ok(body));

@@ -97,17 +97,30 @@ impl Header {
     /// buffer: [`HEADER_BYTES`] long, plus [`TRACE_EXT_BYTES`] when
     /// traced.
     pub fn encode_header(&self) -> Bytes {
+        let mut b = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut b);
+        b.freeze()
+    }
+
+    /// Bytes [`Header::encode_header`] produces for this header.
+    fn encoded_len(&self) -> usize {
+        match self.trace {
+            Some(_) => HEADER_BYTES + TRACE_EXT_BYTES,
+            None => HEADER_BYTES,
+        }
+    }
+
+    /// Append the encoded header (and trace extension, if any) to `b`.
+    fn encode_into(&self, b: &mut BytesMut) {
         let flags = if self.trace.is_some() { FLAG_TRACE } else { 0 };
-        let mut b = BytesMut::with_capacity(HEADER_BYTES + TRACE_EXT_BYTES);
         b.extend_from_slice(&[MAGIC, self.kind as u8, self.req_type, flags]);
         b.extend_from_slice(&self.req_num.to_le_bytes());
         b.extend_from_slice(&self.pkt_idx.to_le_bytes());
         b.extend_from_slice(&self.num_pkts.to_le_bytes());
         b.extend_from_slice(&self.msg_len.to_le_bytes());
         if let Some(ctx) = self.trace {
-            encode_trace_ext(ctx, &mut b);
+            encode_trace_ext(ctx, b);
         }
-        b.freeze()
     }
 
     /// Encode the header and append the fragment payload into one contiguous
@@ -305,7 +318,9 @@ impl Packet {
 
 /// Fragment `payload` into MTU-sized packets with the given header template.
 /// Always emits at least one packet (possibly empty payload). Fragment bodies
-/// are shared slices of `payload` — no payload byte is copied. A trace
+/// are shared slices of `payload` — no payload byte is copied — and every
+/// head is a slice of one header block encoded for the whole message, each
+/// byte-identical to that packet's [`Header::encode_header`]. A trace
 /// context, if given, rides every fragment's header so any one surviving
 /// packet lets the receiver parent its work correctly.
 pub fn fragment(
@@ -326,25 +341,28 @@ pub fn fragment(
         num_pkts <= u16::MAX as usize,
         "message too large for u16 fragment count"
     );
-    let mut out = Vec::with_capacity(num_pkts);
+    let mut hdr = Header {
+        kind,
+        req_type,
+        req_num,
+        pkt_idx: 0,
+        num_pkts: num_pkts as u16,
+        msg_len: payload.len() as u32,
+        trace,
+    };
+    let head_len = hdr.encoded_len();
+    let mut heads = BytesMut::with_capacity(num_pkts * head_len);
     for i in 0..num_pkts {
-        let lo = i * mtu;
-        let hi = ((i + 1) * mtu).min(payload.len());
-        let hdr = Header {
-            kind,
-            req_type,
-            req_num,
-            pkt_idx: i as u16,
-            num_pkts: num_pkts as u16,
-            msg_len: payload.len() as u32,
-            trace,
-        };
-        out.push(Packet {
-            head: hdr.encode_header(),
-            body: payload.slice(lo..hi),
-        });
+        hdr.pkt_idx = i as u16;
+        hdr.encode_into(&mut heads);
     }
-    out
+    let heads = heads.freeze();
+    (0..num_pkts)
+        .map(|i| Packet {
+            head: heads.slice(i * head_len..(i + 1) * head_len),
+            body: payload.slice(i * mtu..((i + 1) * mtu).min(payload.len())),
+        })
+        .collect()
 }
 
 /// Incremental message reassembly from fragments.
@@ -530,6 +548,41 @@ mod tests {
         let mut flags = hdr(Kind::Request).encode(b"x").to_vec();
         flags[3] = 0x80;
         assert!(Header::decode(&Bytes::from(flags)).is_none());
+    }
+
+    /// The header block is an allocation detail: every head `fragment`
+    /// hands out is the per-packet reference encoding, byte for byte.
+    #[test]
+    fn fragment_heads_equal_the_per_packet_encoding() {
+        const MTU: usize = 64;
+        let ctx = TraceCtx {
+            trace_id: 0x0102_0304_0506_0708,
+            span_id: 0x1112_1314_1516_1718,
+        };
+        for trace in [None, Some(ctx)] {
+            for num_pkts in [1usize, 2, 65] {
+                let payload = Bytes::from(vec![5u8; num_pkts * MTU - 3]);
+                let pkts = fragment(Kind::Request, 9, req_num(77, 3), &payload, MTU, trace);
+                assert_eq!(pkts.len(), num_pkts);
+                for (i, p) in pkts.iter().enumerate() {
+                    let reference = Header {
+                        kind: Kind::Request,
+                        req_type: 9,
+                        req_num: req_num(77, 3),
+                        pkt_idx: i as u16,
+                        num_pkts: num_pkts as u16,
+                        msg_len: payload.len() as u32,
+                        trace,
+                    };
+                    assert_eq!(
+                        p.head,
+                        reference.encode_header(),
+                        "{num_pkts} pkts, head {i}"
+                    );
+                }
+            }
+        }
+        assert_eq!(HEADER_BYTES, 20);
     }
 
     #[test]

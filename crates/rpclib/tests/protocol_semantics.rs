@@ -1,6 +1,8 @@
 //! Protocol-semantics tests: the session-slot state machine (at-most-once
 //! execution under retransmission, implicit acks, slot reuse after a
-//! timeout), shutdown semantics, and pathological loss.
+//! timeout), the endpoint's retransmission table (the instants it acts at,
+//! and that a finished call leaves nothing in it), shutdown semantics, and
+//! pathological loss.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 use rpclib::wire::{self, fragment, Header, Kind};
 use rpclib::{RpcBuilder, RpcConfig, RpcError, ServedSlots};
 use simcore::Sim;
-use simnet::{FabricConfig, Network, NicConfig, NodeId, Payload};
+use simnet::{Addr, FabricConfig, Network, NicConfig, NodeId, Payload};
 
 fn rig() -> (Sim, Network, NodeId, NodeId) {
     let sim = Sim::new();
@@ -353,6 +355,279 @@ fn handler_running_at_shutdown_still_replies() {
         assert_eq!(server.served_slots().executing, 1);
         server.shutdown();
         assert_eq!(call.await.as_deref(), Ok(&b"late"[..]));
+        assert_eq!(client.stats().retransmits.get(), 0);
+    });
+}
+
+/// `(arrival ns, request sequence)` of every first fragment a silent peer
+/// hears: one entry per transmission of a request. On an idle NIC the gap
+/// between two entries of one request is exactly the wait between the two
+/// transmissions.
+type Heard = Rc<RefCell<Vec<(u64, u64)>>>;
+
+/// Bind `node:10` to a peer that records what arrives and never answers.
+fn silent_peer(net: &Network, node: NodeId) -> (Addr, Heard) {
+    let mut ep = net.bind(node, 10);
+    let addr = ep.addr();
+    let heard = Heard::default();
+    let log = heard.clone();
+    simcore::spawn_detached(async move {
+        loop {
+            let d = ep.recv().await;
+            let (hdr, _) = Header::decode_split(&d.payload.head, &d.payload.body).unwrap();
+            if hdr.pkt_idx == 0 {
+                log.borrow_mut()
+                    .push((simcore::now().nanos(), hdr.req_num >> wire::SLOT_BITS));
+            }
+        }
+    });
+    (addr, heard)
+}
+
+/// The retransmission instants below were recorded with the per-call
+/// watchdog task this table replaced (commit 00e920d); the table must act
+/// at exactly the same virtual nanoseconds.
+fn rto_config() -> RpcConfig {
+    RpcConfig {
+        rto: Duration::from_micros(100),
+        rto_per_packet: Duration::from_micros(2),
+        ..Default::default()
+    }
+}
+
+/// Retransmissions leave `rto + rto_per_packet × n` after the first
+/// transmission, then at doubled waits capped at `rto_max`, and
+/// `max_retries` ends the call: for a 1-packet request 102, 204, 408, 816,
+/// 1000, 1000 µs apart, for a 65-packet one 230, 460, 920, 1000, … µs.
+#[test]
+fn retransmissions_leave_at_the_rto_then_double_to_the_cap() {
+    #[rustfmt::skip]
+    let cases: [(usize, [u64; 7], u64); 2] = [
+        (100, [726, 102_726, 306_726, 714_726, 1_530_726, 2_530_726, 3_530_726], 4_530_000),
+        (64 * 4096 + 1, [1366, 231_366, 691_366, 1_611_366, 2_611_366, 3_611_366, 4_611_366], 5_610_000),
+    ];
+    for (size, arrivals, gave_up_at) in cases {
+        let (sim, net, a, b) = rig();
+        let (heard, r, end) = sim.block_on(async move {
+            let (dst, heard) = silent_peer(&net, b);
+            let client = RpcBuilder::new(&net, a, 10)
+                .config(RpcConfig {
+                    rto_max: Duration::from_micros(1000),
+                    max_retries: 6,
+                    ..rto_config()
+                })
+                .build();
+            let r = client.call(dst, 1, Bytes::from(vec![7u8; size])).await;
+            assert_eq!(client.inflight_calls(), 0, "a timed-out call left an entry");
+            let heard = heard.borrow().clone();
+            (heard, r, simcore::now().nanos())
+        });
+        assert_eq!(r, Err(RpcError::Timeout { attempts: 7 }), "{size} B");
+        let want: Vec<(u64, u64)> = arrivals.iter().map(|&t| (t, 1)).collect();
+        assert_eq!(heard, want, "{size} B");
+        assert_eq!(end, gave_up_at, "{size} B");
+    }
+}
+
+/// `retry_budget` ends the call at the first due instant past the budget,
+/// however many retries remain.
+#[test]
+fn retry_budget_ends_the_call_at_the_first_due_instant_past_it() {
+    let (sim, net, a, b) = rig();
+    let (heard, r, end) = sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10)
+            .config(RpcConfig {
+                rto_max: Duration::from_micros(400),
+                max_retries: 1000,
+                retry_budget: Some(Duration::from_micros(1500)),
+                ..rto_config()
+            })
+            .build();
+        let r = client.call(dst, 1, Bytes::from(vec![7u8; 100])).await;
+        let heard = heard.borrow().clone();
+        (heard, r, simcore::now().nanos())
+    });
+    assert_eq!(r, Err(RpcError::Timeout { attempts: 5 }));
+    let sent: Vec<u64> = heard.iter().map(|&(t, _)| t).collect();
+    assert_eq!(sent, [726, 102_726, 306_726, 706_726, 1_106_726]);
+    assert_eq!(end, 1_506_000);
+}
+
+/// Deadlines are not monotone in issue order: a 1-packet call issued 40 µs
+/// after a 65-packet call is due 88 µs before it, so the endpoint's one
+/// timer has to be pulled forward.
+#[test]
+fn a_short_call_issued_after_a_long_one_retransmits_first() {
+    let (sim, net, a, b) = rig();
+    let heard = sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10)
+            .config(RpcConfig {
+                rto_max: Duration::from_micros(100),
+                max_retries: 2,
+                ..rto_config()
+            })
+            .build();
+        let mut calls = Vec::new();
+        for size in [64 * 4096 + 1, 100] {
+            let client = client.clone();
+            calls.push(simcore::spawn(async move {
+                client.call(dst, 1, Bytes::from(vec![7u8; size])).await
+            }));
+            simcore::sleep(Duration::from_micros(40)).await;
+        }
+        for c in calls {
+            assert_eq!(c.await, Err(RpcError::Timeout { attempts: 3 }));
+        }
+        let heard = heard.borrow().clone();
+        heard
+    });
+    // The short call's second retransmission queues behind the long call's
+    // 65 packets on the NIC, hence 258 864 rather than 244 726.
+    assert_eq!(
+        heard,
+        [
+            (1366, 1),
+            (40_726, 2),
+            (142_726, 2),
+            (231_366, 1),
+            (258_864, 2),
+            (461_366, 1)
+        ]
+    );
+}
+
+/// One jitter draw per armed wait, in call order on the endpoint's one
+/// stream: eight concurrent calls of three sizes retransmit at the instants
+/// their eight watchdogs did.
+#[test]
+fn jittered_retransmission_instants_match_the_recorded_sequence() {
+    let (sim, net, a, b) = rig();
+    let heard = sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10)
+            .config(RpcConfig {
+                rto_max: Duration::from_micros(400),
+                max_retries: 3,
+                retry_jitter: 0.5,
+                ..rto_config()
+            })
+            .build();
+        let mut calls = Vec::new();
+        for i in 0..8usize {
+            let client = client.clone();
+            calls.push(simcore::spawn(async move {
+                let req = Bytes::from(vec![7u8; 100 + 5000 * (i % 3)]);
+                client.call(dst, 1, req).await
+            }));
+        }
+        for c in calls {
+            assert_eq!(c.await, Err(RpcError::Timeout { attempts: 4 }));
+        }
+        let heard = heard.borrow().clone();
+        heard
+    });
+    #[rustfmt::skip]
+    let recorded = [
+        (726, 1), (1479, 2), (2098, 3), (2902, 4), (3335, 5), (3954, 6), (4758, 7), (5191, 8),
+        (112_177, 2), (140_179, 1), (142_742, 7), (146_397, 4), (149_097, 6), (151_980, 3),
+        (154_712, 5), (155_973, 8), (350_668, 2), (350_967, 4), (368_401, 3), (369_205, 1),
+        (376_182, 7), (387_157, 8), (393_149, 5), (456_457, 6), (776_987, 4), (827_306, 3),
+        (892_524, 7), (925_784, 1), (934_508, 2), (965_925, 5), (979_914, 8), (1_041_060, 6),
+    ];
+    assert_eq!(heard, recorded);
+}
+
+/// An offline endpoint keeps its retransmission schedule but transmits
+/// nothing: the peer hears the transmissions made before the crash only,
+/// and the call still ends when its retries run out.
+#[test]
+fn offline_endpoint_suppresses_its_retransmissions() {
+    let (sim, net, a, b) = rig();
+    let (heard, r, end) = sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10)
+            .config(RpcConfig {
+                rto: Duration::from_micros(100),
+                rto_per_packet: Duration::ZERO,
+                rto_max: Duration::from_micros(100),
+                max_retries: 5,
+                ..Default::default()
+            })
+            .build();
+        let crashing = client.clone();
+        simcore::spawn_detached(async move {
+            simcore::sleep(Duration::from_micros(250)).await;
+            crashing.set_offline(true);
+        });
+        let r = client.call(dst, 1, Bytes::from_static(b"x")).await;
+        let heard = heard.borrow().clone();
+        (heard, r, simcore::now().nanos())
+    });
+    assert_eq!(r, Err(RpcError::Timeout { attempts: 6 }));
+    assert_eq!(heard, [(712, 1), (100_712, 1), (200_712, 1)]);
+    assert_eq!(end, 600_000);
+}
+
+/// A finished call leaves nothing behind. After 10 000 calls — one at a
+/// time, then eight at a time — the endpoint holds no request packet and no
+/// retransmission entry, the simulation has the tasks it had before the
+/// first call, and the timer queue holds at most the endpoint's one RTO
+/// timer (the per-call watchdog left 10 000 of each for 20 ms). Requests are
+/// one size per run: only a call due *before* the armed timer re-arms it,
+/// and the timer it replaces stays queued until its own deadline.
+#[test]
+fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
+    for concurrency in [1usize, 8] {
+        let (sim, net, a, b) = rig();
+        let sim2 = sim.clone();
+        sim.block_on(async move {
+            let server = RpcBuilder::new(&net, b, 10).build();
+            server.register(1, |ctx| async move { ctx.payload });
+            let client = RpcBuilder::new(&net, a, 10).build();
+            let tasks_before = sim2.live_tasks();
+            let mut workers = Vec::new();
+            for w in 0..concurrency {
+                let (client, dst) = (client.clone(), server.addr());
+                workers.push(simcore::spawn(async move {
+                    // One fragment when sequential, two when concurrent.
+                    let req = Bytes::from(vec![w as u8; 100 + 512 * concurrency]);
+                    for _ in 0..10_000 / concurrency {
+                        assert_eq!(client.call(dst, 1, req.clone()).await, Ok(req.clone()));
+                    }
+                }));
+            }
+            for w in workers {
+                w.await;
+            }
+            assert_eq!(client.stats().calls_completed.get(), 10_000);
+            assert_eq!(client.inflight_calls(), 0);
+            assert_eq!(sim2.live_tasks(), tasks_before, "concurrency {concurrency}");
+            assert!(
+                sim2.pending_timers() <= 1,
+                "concurrency {concurrency}: {} timers pending",
+                sim2.pending_timers()
+            );
+        });
+        assert_eq!(sim.pending_timers(), 0, "the run did not quiesce");
+    }
+}
+
+/// Dropping a call's future mid-flight takes its packets and its
+/// retransmission entry with it, and nothing is retransmitted afterwards.
+#[test]
+fn a_dropped_call_future_leaves_no_entry_and_retransmits_nothing() {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10).config(rto_config()).build();
+        let call = client.call(dst, 1, Bytes::from(vec![7u8; 3 * 4096]));
+        let gave_up = simcore::timeout(Duration::from_micros(50), call).await;
+        assert!(gave_up.is_err());
+        assert_eq!(client.inflight_calls(), 0);
+        simcore::sleep(Duration::from_millis(1)).await;
+        assert_eq!(heard.borrow().len(), 1, "a dropped call was retransmitted");
         assert_eq!(client.stats().retransmits.get(), 0);
     });
 }

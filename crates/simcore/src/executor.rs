@@ -321,6 +321,21 @@ impl Sim {
         self.inner.state.borrow().live
     }
 
+    /// Number of timers armed and not yet fired. A dropped [`sleep`] stays
+    /// counted until its deadline passes (timers are never cancelled).
+    pub fn pending_timers(&self) -> usize {
+        self.inner.state.borrow().timers.len()
+    }
+
+    /// Spawn a task nobody joins: no join slot is allocated and the
+    /// future's output is dropped when it completes.
+    pub fn spawn_detached<F>(&self, future: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.inner.spawn_boxed(Box::pin(future));
+    }
+
     /// Spawn a task onto the simulation, returning a handle to its output.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
@@ -329,14 +344,14 @@ impl Sim {
     {
         let slot: Rc<RefCell<JoinState<F::Output>>> = Rc::new(RefCell::new(JoinState::default()));
         let slot2 = slot.clone();
-        self.inner.spawn_boxed(Box::pin(async move {
+        self.spawn_detached(async move {
             let value = future.await;
             let mut s = slot2.borrow_mut();
             s.value = Some(value);
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
-        }));
+        });
         JoinHandle { slot }
     }
 
@@ -631,6 +646,18 @@ pub fn try_now() -> Option<SimTime> {
     CURRENT.with(|c| c.borrow().last().map(|inner| inner.now()))
 }
 
+/// The simulation whose run loop (or [`Sim::scope`]) is on the stack, or
+/// `None` outside any. Lets passive instrumentation read the executor's own
+/// gauges ([`Sim::live_tasks`], [`Sim::pending_timers`]) without holding a
+/// handle that would keep the simulation alive.
+pub fn try_current() -> Option<Sim> {
+    CURRENT.with(|c| {
+        c.borrow().last().map(|inner| Sim {
+            inner: inner.clone(),
+        })
+    })
+}
+
 /// Identity of the task currently being polled, or `None` when called
 /// outside a task poll (including outside any simulation). Unlike
 /// [`now`], this never panics, so instrumentation layers can call it
@@ -649,6 +676,18 @@ where
         inner: current_inner(),
     };
     sim.spawn(future)
+}
+
+/// Spawn a task nobody joins onto the current simulation (see
+/// [`Sim::spawn_detached`]).
+pub fn spawn_detached<F>(future: F)
+where
+    F: Future<Output = ()> + 'static,
+{
+    let sim = Sim {
+        inner: current_inner(),
+    };
+    sim.spawn_detached(future)
 }
 
 /// Sleep until the virtual clock reaches `deadline`.

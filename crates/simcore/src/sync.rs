@@ -452,15 +452,36 @@ impl Drop for Acquire {
 // Notify
 // ---------------------------------------------------------------------------
 
+/// Which call took a waiter off the queue.
+#[derive(Clone, Copy)]
+enum WokenBy {
+    One,
+    All,
+}
+
+struct NotifyWaiter {
+    waker: Waker,
+    woken: Option<WokenBy>,
+}
+
 struct NotifyState {
     permits: u64,
-    waiters: VecDeque<Waker>,
+    waiters: VecDeque<Rc<RefCell<NotifyWaiter>>>,
+}
+
+fn wake_waiter(waiter: &RefCell<NotifyWaiter>, by: WokenBy) {
+    let mut w = waiter.borrow_mut();
+    w.woken = Some(by);
+    w.waker.wake_by_ref();
 }
 
 /// Edge-triggered notification, in the style of `tokio::sync::Notify`.
 ///
 /// `notify_one` wakes one waiter, or stores one permit if no one is waiting
-/// (so a waiter arriving later does not miss the signal).
+/// (so a waiter arriving later does not miss the signal). A waiter dropped
+/// before it is notified (a `timeout` around [`Notify::notified`] elapsing,
+/// a cancelled call) leaves the queue; one dropped after `notify_one` chose
+/// it but before it ran hands the notification to the next in line.
 #[derive(Clone)]
 pub struct Notify {
     state: Rc<RefCell<NotifyState>>,
@@ -486,10 +507,9 @@ impl Notify {
     /// Wake one waiter (or bank a single permit).
     pub fn notify_one(&self) {
         let mut st = self.state.borrow_mut();
-        if let Some(w) = st.waiters.pop_front() {
-            w.wake();
-        } else {
-            st.permits = st.permits.saturating_add(1);
+        match st.waiters.pop_front() {
+            Some(w) => wake_waiter(&w, WokenBy::One),
+            None => st.permits = st.permits.saturating_add(1),
         }
     }
 
@@ -497,7 +517,7 @@ impl Notify {
     pub fn notify_all(&self) {
         let mut st = self.state.borrow_mut();
         for w in st.waiters.drain(..) {
-            w.wake();
+            wake_waiter(&w, WokenBy::All);
         }
     }
 
@@ -505,7 +525,7 @@ impl Notify {
     pub fn notified(&self) -> Notified {
         Notified {
             notify: self.clone(),
-            consumed_registration: false,
+            waiter: None,
         }
     }
 }
@@ -513,26 +533,60 @@ impl Notify {
 /// Future returned by [`Notify::notified`].
 pub struct Notified {
     notify: Notify,
-    consumed_registration: bool,
+    /// This future's queue entry, from its first pending poll until it
+    /// observes the notification.
+    waiter: Option<Rc<RefCell<NotifyWaiter>>>,
 }
 
 impl Future for Notified {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if let Some(w) = &self.waiter {
+            let mut wb = w.borrow_mut();
+            if wb.woken.is_none() {
+                // Polled for another reason (e.g. a sibling timer).
+                wb.waker.clone_from(cx.waker());
+                return Poll::Pending;
+            }
+            drop(wb);
+            self.waiter = None;
+            return Poll::Ready(());
+        }
         let mut st = self.notify.state.borrow_mut();
         if st.permits > 0 {
             st.permits -= 1;
             return Poll::Ready(());
         }
-        if self.consumed_registration {
-            // We were woken by notify_one/notify_all.
-            return Poll::Ready(());
-        }
-        st.waiters.push_back(cx.waker().clone());
+        let waiter = Rc::new(RefCell::new(NotifyWaiter {
+            waker: cx.waker().clone(),
+            woken: None,
+        }));
+        st.waiters.push_back(waiter.clone());
         drop(st);
-        self.consumed_registration = true;
+        self.waiter = Some(waiter);
         Poll::Pending
+    }
+}
+
+impl Drop for Notified {
+    fn drop(&mut self) {
+        let Some(w) = self.waiter.take() else {
+            return;
+        };
+        let woken = w.borrow().woken;
+        match woken {
+            None => self
+                .notify
+                .state
+                .borrow_mut()
+                .waiters
+                .retain(|q| !Rc::ptr_eq(q, &w)),
+            // Chosen by `notify_one` but never ran: the signal is not ours
+            // to swallow.
+            Some(WokenBy::One) => self.notify.notify_one(),
+            Some(WokenBy::All) => {}
+        }
     }
 }
 
@@ -730,6 +784,56 @@ mod tests {
             h.await
         });
         assert_eq!(v, 7);
+    }
+
+    /// A waiter that gives up (its `timeout` elapses) leaves the queue: the
+    /// next `notify_one` reaches the live waiter behind it, not a dead waker.
+    #[test]
+    fn notify_one_skips_a_waiter_that_timed_out() {
+        let sim = Sim::new();
+        let n = Notify::new();
+        let n1 = n.clone();
+        let first =
+            sim.spawn(async move { crate::timeout(Duration::from_nanos(10), n1.notified()).await });
+        let n2 = n.clone();
+        let second = sim.spawn(async move {
+            sleep(Duration::from_nanos(20)).await;
+            n2.notified().await;
+            crate::now().nanos()
+        });
+        sim.spawn(async move {
+            sleep(Duration::from_nanos(30)).await;
+            n.notify_one();
+        });
+        sim.run();
+        assert_eq!(first.try_take(), Some(Err(crate::Elapsed)));
+        assert_eq!(second.try_take(), Some(30), "the live waiter slept through");
+    }
+
+    /// A waiter chosen by `notify_one` and dropped before it runs hands the
+    /// notification on; one woken by `notify_all` banks nothing.
+    #[test]
+    fn notification_consumed_by_a_dropped_waiter_is_passed_on() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let n = Notify::new();
+            let waker = std::task::Waker::noop();
+            let mut cx = Context::from_waker(waker);
+            let mut chosen = Box::pin(n.notified());
+            let mut next = Box::pin(n.notified());
+            assert!(chosen.as_mut().poll(&mut cx).is_pending());
+            assert!(next.as_mut().poll(&mut cx).is_pending());
+            n.notify_one();
+            drop(chosen);
+            assert!(next.as_mut().poll(&mut cx).is_ready(), "signal lost");
+
+            let mut a = Box::pin(n.notified());
+            assert!(a.as_mut().poll(&mut cx).is_pending());
+            n.notify_all();
+            drop(a);
+            let mut b = Box::pin(n.notified());
+            assert!(b.as_mut().poll(&mut cx).is_pending(), "notify_all banked");
+        });
     }
 
     #[test]

@@ -532,7 +532,7 @@ impl Network {
             nodes[dgram.src.node.0 as usize].tx.reserve(wire_size)
         };
         let net = self.clone();
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             simcore::sleep_until(tx_done).await;
             let (latency, loss_p) = {
                 let f = net.inner.fabric.borrow();
@@ -771,7 +771,7 @@ impl Network {
     /// instant and charges the local rx NIC exactly like a local delivery.
     pub fn accept_xpart(&self, x: XDatagram) {
         let net = self.clone();
-        simcore::spawn(async move {
+        simcore::spawn_detached(async move {
             net.deliver_local(x.dgram, x.wire_size).await;
         });
     }
