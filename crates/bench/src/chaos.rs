@@ -959,16 +959,12 @@ pub fn sweep_parallel(
 }
 
 /// Run the full sweep (`CHAOS_SEEDS` seeds per fault class, on
-/// `SIM_THREADS` workers — by default as many as the host has, since the
-/// sweep is gated end to end on per-seed fingerprints) and write
-/// `results/xtra_chaos.csv`. Any violation fails the `violations` gate
-/// (the CI `chaos` job gates on the exit status).
+/// `SIM_THREADS` workers) and write `results/xtra_chaos.csv`. Any
+/// violation fails the `violations` gate (the CI `chaos` job gates on the
+/// exit status).
 pub fn run() {
     let knobs = crate::pool::knobs();
-    let threads = knobs
-        .sim_threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let out = sweep_parallel(0..knobs.chaos_seeds, 10, threads);
+    let out = sweep_parallel(0..knobs.chaos_seeds, 10, knobs.sim_threads);
     let mut t = Table::new(
         "xtra_chaos",
         &["fault", "cases", "completed", "errors", "violations"],
@@ -998,8 +994,9 @@ pub fn run() {
     );
     t.finish();
     println!(
-        "  chaos sweep: {} seeds x {} fault classes on {threads} threads",
+        "  chaos sweep: {} seeds x {} fault classes on {} threads",
         knobs.chaos_seeds,
-        FaultClass::ALL.len()
+        FaultClass::ALL.len(),
+        knobs.sim_threads,
     );
 }

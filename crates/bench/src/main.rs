@@ -79,13 +79,13 @@ fn listing() -> String {
 /// wall-time trajectory ROADMAP item 3 asks for. One file for the whole run
 /// rather than a `wall_ms` in every `BENCH_*.json`, which would fail the
 /// byte-diff every gated CI job runs.
-fn wall_clock(rows: &[(&str, std::time::Duration)], sim_threads: &str) {
+fn wall_clock(rows: &[(&str, std::time::Duration)]) {
     let mut t = Table::new("xtra_wall_clock", &["experiment", "wall_ms"]).trajectory("wall_clock");
     t.meta(
         "host_parallelism",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    t.meta("SIM_THREADS", sim_threads);
+    t.meta("SIM_THREADS", bench::pool::knobs().sim_threads);
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .stderr(std::process::Stdio::null())
@@ -135,12 +135,10 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let sim_threads = knobs
-        .sim_threads
-        .map_or("unset".to_string(), |n| n.to_string());
     println!(
-        "# DmRPC reproduction — {} experiment(s), SIM_THREADS={sim_threads}",
+        "# DmRPC reproduction — {} experiment(s), SIM_THREADS={}",
         picked.len(),
+        knobs.sim_threads,
     );
     let mut walls = Vec::new();
     for &&(name, _, run, _) in &picked {
@@ -149,7 +147,7 @@ fn main() {
         walls.push((name, started.elapsed()));
     }
     if args.iter().any(|a| a == "all") {
-        wall_clock(&walls, &sim_threads);
+        wall_clock(&walls);
     }
     println!("\ndone in {:.1}s wall time", t0.elapsed().as_secs_f64());
     let failures = bench::report::failures();

@@ -50,18 +50,21 @@ pub fn scoped_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sy
 /// independent simulations, so tables and CSVs never depend on the thread
 /// count.
 pub fn sweep<C: Sync, T: Send>(cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
-    scoped_map(cells.len(), knobs().sim_threads.unwrap_or(1), |i| {
-        f(&cells[i])
-    })
+    scoped_map(cells.len(), knobs().sim_threads, |i| f(&cells[i]))
+}
+
+/// Worker threads when `SIM_THREADS` is unset: every core the host has.
+fn host_width() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The environment knobs the harness takes, checked once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Knobs {
-    /// `SIM_THREADS`: worker threads for [`sweep`]. Unset means serial,
-    /// except for the chaos seed sweep, which then goes as wide as the
-    /// host (it is gated end to end on per-seed fingerprints).
-    pub sim_threads: Option<usize>,
+    /// `SIM_THREADS`: worker threads for [`sweep`]. Unset means as wide as
+    /// the host (`available_parallelism`); results come back in cell order
+    /// either way, and CI pins 1 and 8 and byte-diffs the two.
+    pub sim_threads: usize,
     /// `CHAOS_SEEDS`: seeds per fault class in `bench chaos` (default 100).
     pub chaos_seeds: u64,
 }
@@ -80,7 +83,7 @@ impl Knobs {
             },
         };
         Ok(Knobs {
-            sim_threads: positive("SIM_THREADS")?.map(|n| n as usize),
+            sim_threads: positive("SIM_THREADS")?.map_or_else(host_width, |n| n as usize),
             chaos_seeds: positive("CHAOS_SEEDS")?.unwrap_or(100),
         })
     }
@@ -118,8 +121,9 @@ mod tests {
             Knobs::parse(move |n| (n == name).then(|| raw.to_string()))
         };
         let unset = Knobs::parse(|_| None).unwrap();
-        assert_eq!((unset.sim_threads, unset.chaos_seeds), (None, 100));
-        assert_eq!(with("SIM_THREADS", "8").unwrap().sim_threads, Some(8));
+        assert_eq!((unset.sim_threads, unset.chaos_seeds), (host_width(), 100));
+        assert_eq!(with("SIM_THREADS", "1").unwrap().sim_threads, 1);
+        assert_eq!(with("SIM_THREADS", "8").unwrap().sim_threads, 8);
         assert_eq!(with("CHAOS_SEEDS", "20").unwrap().chaos_seeds, 20);
         for (name, raw) in [
             ("SIM_THREADS", "0"),

@@ -9,11 +9,8 @@
 
 use crate::report::{f2, gate, Bound, Table};
 use bytes::Bytes;
-use simcore::par::{run_partitioned, ParConfig, ParOutcome, PartitionBuilder};
 use simcore::sync::mpsc;
 use simcore::Sim;
-use std::cell::Cell;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 struct Outcome {
@@ -195,71 +192,17 @@ pub fn telemetry_overhead_gate() {
     );
 }
 
-/// Partitions in the scaling scenario (one single-node partition each).
-const PAR_PARTS: u32 = 8;
-/// RPC calls issued by each partition's client.
-const PAR_CALLS: u64 = 50;
-
-/// Partitioned full-stack scenario: [`PAR_PARTS`] single-node partitions
-/// in a ring; each node runs an rpclib echo server and a closed-loop
-/// client calling its successor with 4 KB payloads, all traffic crossing
-/// partition boundaries through the conservative window engine. Returns
-/// the outcome (whose fingerprint must be thread-count invariant) and
-/// the wall time.
-fn par_rpc_ring(threads: usize) -> (ParOutcome<u64>, Duration) {
-    fn topo() -> simnet::Network {
-        let net = simnet::Network::new(simnet::FabricConfig::default(), 7);
-        for i in 0..PAR_PARTS {
-            net.add_node(format!("n{i}"), simnet::NicConfig::default());
-        }
-        net
-    }
-    let lookahead = topo().xpart_lookahead();
-    let builders: Vec<PartitionBuilder<simnet::XDatagram, u64>> = (0..PAR_PARTS)
-        .map(|part| {
-            let b: PartitionBuilder<simnet::XDatagram, u64> = Box::new(move |ctx| {
-                let net = topo();
-                net.attach_to_partition(ctx, (0..PAR_PARTS).collect());
-                let rpc = rpclib::RpcBuilder::new(&net, simnet::NodeId(part), 10).build();
-                rpc.register(1, |c| async move { c.payload });
-                let next = simnet::Addr {
-                    node: simnet::NodeId((part + 1) % PAR_PARTS),
-                    port: 10,
-                };
-                let ok: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-                let ok2 = ok.clone();
-                ctx.sim().spawn(async move {
-                    let payload = Bytes::from(vec![part as u8; 4096]);
-                    for _ in 0..PAR_CALLS {
-                        if rpc.call(next, 1, payload.clone()).await.is_ok() {
-                            ok2.set(ok2.get() + 1);
-                        }
-                    }
-                });
-                Box::new(move || ok.get())
-            });
-            b
-        })
-        .collect();
-    let start = Instant::now();
-    let out = run_partitioned(builders, ParConfig { lookahead, threads });
-    let wall = start.elapsed();
-    (out, wall)
-}
-
-/// Run all scenarios — the serial engine stressors plus the partitioned
-/// scaling curve at 1/2/4/8 threads — and emit
+/// Run the five serial-engine stressors, each once for its retention
+/// peaks (which doubles as the warmup) and once timed, and emit
 /// `results/xtra_sim_throughput.csv` + `results/BENCH_sim_throughput.json`.
-/// Wall-clock numbers are machine-dependent by nature, so the artifact
-/// records `host_parallelism` beside them. The partitioned scenario's
-/// fingerprint is asserted identical at every thread count, so this
-/// doubles as a determinism gate.
+/// Polls and peaks are deterministic; wall-clock numbers are
+/// machine-dependent by nature, so the artifact records
+/// `host_parallelism` beside them.
 pub fn run() {
     let mut t = Table::new(
         "xtra_sim_throughput",
         &[
             "scenario",
-            "threads",
             "polls",
             "wall_ms",
             "polls_per_sec",
@@ -272,21 +215,6 @@ pub fn run() {
         "host_parallelism",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    // `peaks` is `None` for the partitioned rows: their engines live inside
-    // `run_partitioned`.
-    let mut row = |name: &str, threads: usize, o: Outcome, peaks: Option<(usize, usize)>| {
-        let secs = o.wall.as_secs_f64();
-        let peak = |p: Option<usize>| p.map_or(String::new(), |p| p.to_string());
-        t.row(&[
-            &name,
-            &threads,
-            &o.polls,
-            &f2(secs * 1e3),
-            &format!("{:.0}", o.polls as f64 / secs.max(1e-12)),
-            &peak(peaks.map(|p| p.0)),
-            &peak(peaks.map(|p| p.1)),
-        ]);
-    };
 
     type Scenario = (&'static str, fn(&Sim));
     let scenarios: [Scenario; 5] = [
@@ -297,30 +225,17 @@ pub fn run() {
         ("rpc_storm_64k", rpc_storm_64k),
     ];
     for (name, build) in scenarios {
-        let kept = peaks(build); // doubles as the warmup
-        row(name, 1, timed(build), Some(kept));
-    }
-
-    // Partitioned-engine scaling curve (warmup once, then one timed run
-    // per thread count). Byte-identical outcomes are asserted, not
-    // assumed.
-    par_rpc_ring(1);
-    let mut baseline_fp: Option<Vec<u64>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let (out, wall) = par_rpc_ring(threads);
-        for p in &out.partitions {
-            assert_eq!(p.result, PAR_CALLS, "every ring call must complete");
-        }
-        let fp = out.fingerprint();
-        match &baseline_fp {
-            None => baseline_fp = Some(fp),
-            Some(f) => assert_eq!(
-                *f, fp,
-                "par_rpc_ring fingerprint diverged at {threads} threads"
-            ),
-        }
-        let polls = out.partitions.iter().map(|p| p.polls).sum();
-        row("par_rpc_ring", threads, Outcome { polls, wall }, None);
+        let (live_tasks_peak, timers_peak) = peaks(build); // doubles as the warmup
+        let o = timed(build);
+        let secs = o.wall.as_secs_f64();
+        t.row(&[
+            &name,
+            &o.polls,
+            &f2(secs * 1e3),
+            &format!("{:.0}", o.polls as f64 / secs.max(1e-12)),
+            &live_tasks_peak,
+            &timers_peak,
+        ]);
     }
     t.finish();
 }

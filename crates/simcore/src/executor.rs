@@ -373,22 +373,6 @@ impl Sim {
     /// clock always lands on `limit` afterwards (even if no event reached
     /// it), and re-entering the run loop from inside a task panics.
     pub fn run_until(&self, limit: SimTime) {
-        self.run_bounded(limit, true);
-    }
-
-    /// Run the simulation, processing every event *strictly before*
-    /// `limit`, then set the clock to `limit`. Timers scheduled exactly at
-    /// `limit` are left pending and fire first in the next run call.
-    ///
-    /// This is the window primitive of the partitioned engine
-    /// ([`crate::par`]): a conservative time window `[start, limit)` must
-    /// exclude its right edge so that events injected *at* `limit` by the
-    /// cross-partition exchange still see the canonical injection order.
-    pub fn run_before(&self, limit: SimTime) {
-        self.run_bounded(limit, false);
-    }
-
-    fn run_bounded(&self, limit: SimTime, inclusive: bool) {
         let _guard = self.enter();
         loop {
             // Drain all currently-runnable tasks at the current instant.
@@ -400,7 +384,7 @@ impl Sim {
                 st.timers.peek().map(|Reverse(e)| e.at)
             };
             match next_at {
-                Some(at) if (inclusive && at <= limit) || (!inclusive && at < limit) => {
+                Some(at) if at <= limit => {
                     let mut st = self.inner.state.borrow_mut();
                     st.now = st.now.max(at);
                     // Fire every timer scheduled for exactly `at`, reusing the
@@ -438,12 +422,9 @@ impl Sim {
     /// The virtual time of the earliest pending event: the current instant
     /// if any task is runnable, else the earliest pending timer, else
     /// `None` (the simulation is quiescent — permanently blocked service
-    /// tasks may still be [`Sim::live_tasks`]).
-    ///
-    /// Used by the partitioned engine ([`crate::par`]) to compute the next
-    /// conservative window; stale ready-queue entries for completed tasks
-    /// are conservatively reported as runnable (the subsequent run simply
-    /// skips them).
+    /// tasks may still be [`Sim::live_tasks`]). Stale ready-queue entries
+    /// for completed tasks are conservatively reported as runnable (the
+    /// subsequent run simply skips them).
     pub fn next_event_time(&self) -> Option<SimTime> {
         let st = self.inner.state.borrow();
         if !st.ready.is_empty() {

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod executor;
-pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod stats;

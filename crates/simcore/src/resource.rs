@@ -90,12 +90,6 @@ impl RateResource {
         self.inner.bytes_per_sec.get()
     }
 
-    /// Configured fixed per-operation overhead (used e.g. to derive a
-    /// conservative lookahead bound for partitioned simulation).
-    pub fn per_op_overhead(&self) -> Duration {
-        self.inner.per_op_overhead.get()
-    }
-
     /// Total busy time accumulated.
     pub fn busy_time(&self) -> Duration {
         self.inner.busy.get()

@@ -1,7 +1,7 @@
-//! Regression tests pinning the `run_until`/`run_before`/`run_for`
-//! boundary semantics that the partitioned engine's window barrier leans
-//! on (ISSUE 6 satellite): timers exactly at the limit, the final clock
-//! value, `next_event_time`, and run-loop re-entrancy.
+//! Regression tests pinning the `run_until`/`run_for` boundary semantics
+//! that harnesses stepping a simulation in slices lean on: timers exactly
+//! at the limit, the final clock value, `next_event_time`, run-loop
+//! re-entrancy, and `scope`.
 
 use simcore::{Duration, Sim, SimTime};
 use std::cell::Cell;
@@ -35,27 +35,10 @@ fn run_until_includes_events_exactly_at_the_limit() {
 }
 
 #[test]
-fn run_before_excludes_events_exactly_at_the_limit() {
-    let sim = Sim::new();
-    let hits = Rc::new(Cell::new(0));
-    mark_at(&sim, 5, &hits);
-    mark_at(&sim, 10, &hits); // exactly at the limit: must NOT fire
-    sim.run_before(at_micros(10));
-    assert_eq!(hits.get(), 1, "the event at the limit is left pending");
-    assert_eq!(sim.now(), at_micros(10), "clock still lands on the limit");
-    // The deferred event is the next thing to run, at its original time.
-    assert_eq!(sim.next_event_time(), Some(at_micros(10)));
-    sim.run_before(at_micros(20));
-    assert_eq!(hits.get(), 2);
-}
-
-#[test]
 fn clock_lands_on_the_limit_even_without_events() {
     let sim = Sim::new();
     sim.run_until(at_micros(7));
     assert_eq!(sim.now(), at_micros(7));
-    sim.run_before(at_micros(9));
-    assert_eq!(sim.now(), at_micros(9));
     // run() with no events at all leaves the clock untouched.
     let idle = Sim::new();
     assert_eq!(idle.run(), SimTime::ZERO);
@@ -85,7 +68,7 @@ fn next_event_time_tracks_ready_then_timers_then_quiescence() {
     mark_at(&sim, 6, &hits);
     // The freshly spawned task is ready at the current instant.
     assert_eq!(sim.next_event_time(), Some(SimTime::ZERO));
-    sim.run_before(at_micros(3));
+    sim.run_until(at_micros(3));
     // Only the timer remains.
     assert_eq!(sim.next_event_time(), Some(at_micros(6)));
     sim.run();

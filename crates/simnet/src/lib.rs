@@ -26,9 +26,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use simcore::par::{PartitionCtx, XSender};
 use simcore::sync::mpsc;
-use simcore::{transfer_time, Counter, RateResource, SimRng};
+use simcore::{Counter, RateResource, SimRng};
 use telemetry::SpanKind;
 
 pub use faults::GilbertElliott;
@@ -180,26 +179,6 @@ impl Default for FabricConfig {
     }
 }
 
-/// A datagram crossing a partition boundary in a partitioned simulation
-/// (see [`simcore::par`]). Payloads are refcounted shared buffers, so the
-/// event is `Send` and crosses threads without copying.
-#[derive(Clone, Debug)]
-pub struct XDatagram {
-    /// The datagram itself.
-    pub dgram: Datagram,
-    /// Bytes on the wire (payload + framing), charged at the receiver NIC
-    /// by the destination partition's replica.
-    pub wire_size: u64,
-}
-
-/// Cross-partition routing state: which partition this replica is, which
-/// partition owns each node, and the engine handle for pushing events.
-struct XpartState {
-    local: u32,
-    node_part: Vec<u32>,
-    sender: XSender<XDatagram>,
-}
-
 struct NodeState {
     name: String,
     tx: RateResource,
@@ -215,12 +194,6 @@ struct NetInner {
     /// True iff any per-link fault or partition is configured. Keeps the
     /// fault-free delivery path free of borrows and RNG draws.
     faults_active: Cell<bool>,
-    /// Cross-partition routing, when this network is one partition's
-    /// replica of a partitioned topology ([`Network::enable_xpart`]).
-    xpart: RefCell<Option<XpartState>>,
-    /// True iff `xpart` is set. Keeps the common (non-partitioned) send
-    /// path at one `Cell` read.
-    xpart_active: Cell<bool>,
     rng: SimRng,
     delivered: Counter,
     dropped_loss: Counter,
@@ -246,8 +219,6 @@ impl Network {
                 fabric: RefCell::new(fabric),
                 faults: RefCell::new(FaultPlane::default()),
                 faults_active: Cell::new(false),
-                xpart: RefCell::new(None),
-                xpart_active: Cell::new(false),
                 rng: SimRng::new(seed),
                 delivered: Counter::new(),
                 dropped_loss: Counter::new(),
@@ -508,16 +479,8 @@ impl Network {
 
     /// Internal: transmit a datagram. Reserves the sender's NIC immediately
     /// (preserving per-sender FIFO order) and spawns the delivery pipeline.
-    /// Destinations owned by another partition are routed through the
-    /// cross-partition mailbox instead ([`Network::enable_xpart`]).
     fn send(&self, dgram: Datagram) {
         let wire_size = dgram.payload.len() as u64 + WIRE_HEADER_BYTES;
-        if self.inner.xpart_active.get() {
-            if let Some(dst_part) = self.xpart_remote(&dgram) {
-                self.send_xpart(dgram, wire_size, dst_part);
-                return;
-            }
-        }
         // Captured in the sender's task (where any trace context lives) and
         // moved into the delivery pipeline, so one hop span covers tx NIC
         // occupancy, switch latency, and rx NIC occupancy. Untraced sends
@@ -606,174 +569,6 @@ impl Network {
             Some(tx) if tx.send(dgram).is_ok() => self.inner.delivered.incr(),
             _ => self.inner.dropped_unbound.incr(),
         }
-    }
-
-    /// Enable cross-partition routing on this replica of a partitioned
-    /// topology. `node_part[n]` is the partition owning node `n`; the
-    /// replica's own partition is `sender.partition()`. Every partition
-    /// must build the *identical* topology (same `add_node` order, same
-    /// NICs and fabric config) so node ids and cost models agree; each
-    /// replica then binds endpoints and runs traffic only for the nodes it
-    /// owns. Prefer [`Network::attach_to_partition`], which also wires the
-    /// receive side.
-    pub fn enable_xpart(&self, node_part: Vec<u32>, sender: XSender<XDatagram>) {
-        assert_eq!(
-            node_part.len(),
-            self.node_count(),
-            "node→partition map must cover every node"
-        );
-        *self.inner.xpart.borrow_mut() = Some(XpartState {
-            local: sender.partition(),
-            node_part,
-            sender,
-        });
-        self.inner.xpart_active.set(true);
-    }
-
-    /// Wire this replica into a partition of a [`simcore::par`] run:
-    /// enables cross-partition routing and installs the partition's
-    /// delivery handler ([`Network::accept_xpart`]). Call once from the
-    /// partition builder, before any traffic.
-    pub fn attach_to_partition(&self, ctx: &PartitionCtx<XDatagram>, node_part: Vec<u32>) {
-        self.enable_xpart(node_part, ctx.sender());
-        let net = self.clone();
-        ctx.on_deliver(move |x: XDatagram| net.accept_xpart(x));
-    }
-
-    /// The partition owning `node` (`None` when cross-partition routing is
-    /// not enabled).
-    pub fn partition_of(&self, node: NodeId) -> Option<u32> {
-        self.inner
-            .xpart
-            .borrow()
-            .as_ref()
-            .map(|x| x.node_part[node.0 as usize])
-    }
-
-    /// Conservative lower bound on the delay of any cross-partition
-    /// delivery — the lookahead for [`simcore::par::ParConfig`]. Every
-    /// datagram pays its sender's per-packet NIC overhead plus at least
-    /// [`WIRE_HEADER_BYTES`] of serialization before the switch hop, so
-    /// `switch_latency + min over nodes of (per_packet_overhead +
-    /// transfer_time(WIRE_HEADER_BYTES))` bounds the earliest possible
-    /// arrival in another partition. Fault injection only adds delay or
-    /// drops, never accelerates. Compute this *after* the topology (and
-    /// any `set_rate` tuning) is final: raising a NIC rate mid-run could
-    /// shrink the true bound below a previously computed lookahead (the
-    /// engine's send-time assert would catch the violation).
-    pub fn xpart_lookahead(&self) -> Duration {
-        let nodes = self.inner.nodes.borrow();
-        assert!(!nodes.is_empty(), "lookahead of an empty fabric");
-        let min_nic = nodes
-            .iter()
-            .map(|st| st.tx.per_op_overhead() + transfer_time(WIRE_HEADER_BYTES, st.tx.rate()))
-            .min()
-            .expect("non-empty");
-        self.inner.fabric.borrow().switch_latency + min_nic
-    }
-
-    /// Transmit across a partition boundary: charge the local tx NIC and
-    /// the switch hop, evaluate the fault plane (at the packet's arrival
-    /// timestamp, drawn in deterministic send order on this replica's
-    /// RNG), and push the datagram to the owning partition as a
-    /// timestamped event. The receive-side NIC cost is charged by the
-    /// destination replica ([`Network::accept_xpart`]). The push happens
-    /// at send time with a future timestamp — the transmit + switch delay
-    /// is exactly what funds the engine's lookahead window.
-    fn send_xpart(&self, dgram: Datagram, wire_size: u64, dst_part: u32) {
-        let mut hop = telemetry::leaf_span(SpanKind::NetHop, "net.hop", dgram.src.node.0);
-        if let Some(s) = hop.as_mut() {
-            s.attr("wire_bytes", wire_size);
-            s.attr("dst_node", dgram.dst.node.0 as u64);
-            s.attr("xpart", 1);
-        }
-        let tx_done = {
-            let nodes = self.inner.nodes.borrow();
-            nodes[dgram.src.node.0 as usize].tx.reserve(wire_size)
-        };
-        let (latency, loss_p) = {
-            let f = self.inner.fabric.borrow();
-            (f.switch_latency, f.loss_probability)
-        };
-        let arrival = tx_done + latency;
-        let mut deliver_at = arrival;
-        let mut copies = 1u32;
-        if self.inner.faults_active.get() || loss_p > 0.0 {
-            let verdict = self.inner.faults.borrow_mut().verdict(
-                dgram.src.node,
-                dgram.dst.node,
-                arrival,
-                loss_p,
-                &self.inner.rng,
-            );
-            match verdict {
-                Verdict::DropLoss => {
-                    self.inner.dropped_loss.incr();
-                    if let Some(mut s) = hop {
-                        s.attr("dropped", 1);
-                    }
-                    return;
-                }
-                Verdict::DropPartition => {
-                    self.inner.dropped_partition.incr();
-                    if let Some(mut s) = hop {
-                        s.attr("dropped", 1);
-                    }
-                    return;
-                }
-                Verdict::Deliver {
-                    copies: c,
-                    extra_delay,
-                } => {
-                    if let Some(d) = extra_delay {
-                        self.inner.reordered.incr();
-                        deliver_at = arrival + d;
-                    }
-                    copies = c;
-                }
-            }
-        }
-        let sender = {
-            let x = self.inner.xpart.borrow();
-            x.as_ref().expect("xpart enabled").sender.clone()
-        };
-        for copy in 0..copies {
-            if copy > 0 {
-                self.inner.duplicated.incr();
-            }
-            sender.send(
-                dst_part,
-                deliver_at,
-                XDatagram {
-                    dgram: dgram.clone(),
-                    wire_size,
-                },
-            );
-        }
-    }
-
-    /// If cross-partition routing is on and `dgram`'s destination lives
-    /// in another partition, return that partition.
-    fn xpart_remote(&self, dgram: &Datagram) -> Option<u32> {
-        let x = self.inner.xpart.borrow();
-        let x = x.as_ref()?;
-        debug_assert_eq!(
-            x.node_part[dgram.src.node.0 as usize], x.local,
-            "send from node {} owned by another partition",
-            dgram.src.node.0,
-        );
-        let dst = x.node_part[dgram.dst.node.0 as usize];
-        (dst != x.local).then_some(dst)
-    }
-
-    /// Receive-side entry for a datagram forwarded from a peer partition:
-    /// runs (via the partition's delivery handler) at the packet's arrival
-    /// instant and charges the local rx NIC exactly like a local delivery.
-    pub fn accept_xpart(&self, x: XDatagram) {
-        let net = self.clone();
-        simcore::spawn_detached(async move {
-            net.deliver_local(x.dgram, x.wire_size).await;
-        });
     }
 
     fn unbind(&self, addr: Addr) {
@@ -1152,184 +947,6 @@ mod tests {
         // Same seed replays the exact same schedule.
         assert_eq!(run(42), (lost, delivered));
         assert_ne!(run(43), (lost, delivered));
-    }
-
-    #[test]
-    fn xpart_delivery_matches_serial_virtual_time() {
-        use simcore::par::{run_partitioned, ParConfig, PartitionBuilder};
-        use std::cell::Cell as StdCell;
-        use std::rc::Rc;
-
-        // Identical topology in every partition; node 0 in partition 0,
-        // node 1 in partition 1. The receive time must equal the serial
-        // single-Network run (`one_way_delivery_latency`: 708ns).
-        fn topo() -> (Network, NodeId, NodeId) {
-            let net = Network::new(FabricConfig::default(), 1);
-            let a = net.add_node("a", NicConfig::default());
-            let b = net.add_node("b", NicConfig::default());
-            (net, a, b)
-        }
-        let lookahead = topo().0.xpart_lookahead();
-        let builders: Vec<PartitionBuilder<XDatagram, u64>> = (0..2u32)
-            .map(|part| {
-                let b: PartitionBuilder<XDatagram, u64> = Box::new(move |ctx| {
-                    let (net, a, b) = topo();
-                    net.attach_to_partition(ctx, vec![0, 1]);
-                    let recv_ns: Rc<StdCell<u64>> = Rc::new(StdCell::new(0));
-                    if part == 0 {
-                        let ea = net.bind(a, 10);
-                        ctx.sim().spawn(async move {
-                            ea.send_to(Addr { node: b, port: 20 }, Bytes::from_static(b"hello"));
-                            // Keep the endpoint bound past the send.
-                            simcore::sleep(Duration::from_micros(10)).await;
-                        });
-                    } else {
-                        let mut eb = net.bind(b, 20);
-                        let recv_ns = recv_ns.clone();
-                        ctx.sim().spawn(async move {
-                            let d = eb.recv().await;
-                            assert_eq!(&d.payload.contiguous()[..], b"hello");
-                            recv_ns.set(simcore::now().nanos());
-                        });
-                    }
-                    Box::new(move || recv_ns.get())
-                });
-                b
-            })
-            .collect();
-        let out = run_partitioned(
-            builders,
-            ParConfig {
-                lookahead,
-                threads: 2,
-            },
-        );
-        assert_eq!(out.xevents, 1);
-        assert_eq!(out.partitions[1].result, 708, "matches the serial run");
-    }
-
-    /// A token circles a 4-node ring (one node per partition) with RPC-
-    /// sized payloads; the outcome fingerprint and per-partition receive
-    /// counts must be identical at every thread count.
-    fn xpart_ring(threads: usize) -> Vec<u64> {
-        use simcore::par::{run_partitioned, ParConfig, PartitionBuilder};
-        use std::cell::Cell as StdCell;
-        use std::rc::Rc;
-
-        const NODES: u32 = 4;
-        const LAPS: u64 = 8;
-        fn topo() -> Network {
-            let net = Network::new(FabricConfig::default(), 9);
-            for i in 0..NODES {
-                net.add_node(format!("n{i}"), NicConfig::default());
-            }
-            net
-        }
-        let lookahead = topo().xpart_lookahead();
-        let builders: Vec<PartitionBuilder<XDatagram, u64>> = (0..NODES)
-            .map(|part| {
-                let b: PartitionBuilder<XDatagram, u64> = Box::new(move |ctx| {
-                    let net = topo();
-                    net.attach_to_partition(ctx, (0..NODES).collect());
-                    let me = NodeId(part);
-                    let next = NodeId((part + 1) % NODES);
-                    let mut ep = net.bind(me, 7);
-                    let got: Rc<StdCell<u64>> = Rc::new(StdCell::new(0));
-                    let got2 = got.clone();
-                    ctx.sim().spawn(async move {
-                        if part == 0 {
-                            ep.send_to(
-                                Addr {
-                                    node: next,
-                                    port: 7,
-                                },
-                                vec![0u8; 256],
-                            );
-                        }
-                        loop {
-                            let d = ep.recv().await;
-                            got2.set(got2.get() + 1);
-                            let hops = got2.get() * NODES as u64;
-                            if part == 0 && hops >= LAPS * NODES as u64 {
-                                break;
-                            }
-                            ep.send_to(
-                                Addr {
-                                    node: next,
-                                    port: 7,
-                                },
-                                d.payload,
-                            );
-                        }
-                    });
-                    Box::new(move || got.get())
-                });
-                b
-            })
-            .collect();
-        let out = run_partitioned(builders, ParConfig { lookahead, threads });
-        assert_eq!(out.xevents, LAPS * NODES as u64);
-        for p in &out.partitions {
-            assert_eq!(p.result, LAPS, "each node relayed every lap");
-        }
-        out.fingerprint()
-    }
-
-    #[test]
-    fn xpart_ring_fingerprint_thread_count_invariant() {
-        let fp1 = xpart_ring(1);
-        assert_eq!(fp1, xpart_ring(2));
-        assert_eq!(fp1, xpart_ring(4));
-    }
-
-    #[test]
-    fn xpart_faults_drop_and_delay_deterministically() {
-        use simcore::par::{run_partitioned, ParConfig, PartitionBuilder};
-
-        // Partitioned link with loss: sender-side verdicts must be
-        // deterministic and thread-count invariant, and drops must be
-        // counted on the sender's replica.
-        fn run(threads: usize) -> (Vec<u64>, u64, u64) {
-            fn topo() -> (Network, NodeId, NodeId) {
-                let net = Network::new(FabricConfig::default(), 42);
-                let a = net.add_node("a", NicConfig::default());
-                let b = net.add_node("b", NicConfig::default());
-                (net, a, b)
-            }
-            let lookahead = topo().0.xpart_lookahead();
-            let builders: Vec<PartitionBuilder<XDatagram, (u64, u64)>> = (0..2u32)
-                .map(|part| {
-                    let b: PartitionBuilder<XDatagram, (u64, u64)> = Box::new(move |ctx| {
-                        let (net, a, b) = topo();
-                        net.attach_to_partition(ctx, vec![0, 1]);
-                        if part == 0 {
-                            net.set_link_loss(a, b, Some(0.3));
-                            let ea = net.bind(a, 1);
-                            ctx.sim().spawn(async move {
-                                for _ in 0..200 {
-                                    ea.send_to(Addr { node: b, port: 1 }, Bytes::from_static(b"x"));
-                                }
-                                simcore::sleep(Duration::from_millis(1)).await;
-                            });
-                        } else {
-                            // Receiver keeps the port bound for the whole run.
-                            let _eb = Box::leak(Box::new(net.bind(b, 1)));
-                        }
-                        let net2 = net.clone();
-                        Box::new(move || (net2.dropped_loss(), net2.delivered()))
-                    });
-                    b
-                })
-                .collect();
-            let out = run_partitioned(builders, ParConfig { lookahead, threads });
-            let dropped = out.partitions[0].result.0;
-            let delivered = out.partitions[1].result.1;
-            (out.fingerprint(), dropped, delivered)
-        }
-        let (fp1, dropped, delivered) = run(1);
-        assert_eq!(dropped + delivered, 200);
-        assert!((30..100).contains(&dropped), "dropped = {dropped}");
-        assert_eq!(run(2), (fp1, dropped, delivered));
     }
 
     #[test]

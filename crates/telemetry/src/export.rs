@@ -75,36 +75,6 @@ pub fn chrome_trace_json(records: &[SpanRecord], node_names: &[String]) -> Strin
     out
 }
 
-/// Merge per-partition span records (each partition's `Tracer::records`)
-/// into one stream in the canonical `(start, span_id)` order — the same
-/// order a single tracer would report. Span ids come from per-partition
-/// seeded RNG streams, so the merged order (and any export built from it)
-/// is a pure function of the partition contents: independent of thread
-/// count and of how partitions were packed onto threads.
-pub fn merge_partition_records(parts: Vec<Vec<SpanRecord>>) -> Vec<SpanRecord> {
-    let mut all: Vec<SpanRecord> = parts.into_iter().flatten().collect();
-    all.sort_by_key(|r| (r.start, r.span_id));
-    all
-}
-
-/// Merge per-partition node-name tables (each partition's
-/// `Tracer::node_names`) element-wise, preferring the first non-empty
-/// entry for each node id.
-pub fn merge_node_names(parts: Vec<Vec<String>>) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for names in parts {
-        if out.len() < names.len() {
-            out.resize(names.len(), String::new());
-        }
-        for (i, n) in names.into_iter().enumerate() {
-            if out[i].is_empty() {
-                out[i] = n;
-            }
-        }
-    }
-    out
-}
-
 /// Escape a string for inclusion in a JSON string literal. Span names are
 /// static identifiers, so this almost never rewrites anything, but the
 /// export must stay valid JSON for arbitrary node names.

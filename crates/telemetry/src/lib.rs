@@ -37,7 +37,7 @@ mod span;
 mod tracer;
 
 pub use breakdown::{analyze_trace, average, roots, Breakdown};
-pub use export::{chrome_trace_json, merge_node_names, merge_partition_records};
+pub use export::chrome_trace_json;
 pub use registry::{Metric, Registry, Snapshot};
 pub use slo::{SloBudget, SloReport};
 pub use span::{Category, SpanKind, SpanRecord, TraceCtx, MAX_ATTRS};
@@ -234,73 +234,6 @@ mod tests {
         assert_eq!(b.get(Category::Other), 100);
         assert_eq!(b.get(Category::Queueing), 50);
         assert_eq!(b.get(Category::Transport), 60);
-    }
-
-    #[test]
-    fn partitioned_tracing_merges_byte_identically() {
-        use simcore::par::{run_partitioned, ParConfig, PartitionBuilder};
-
-        // Three partitions, each with its own tracer installed only for
-        // its own window polls (wrap_windows), exchanging events in a
-        // ring. The merged chrome export must be byte-identical no matter
-        // how many threads ran the partitions.
-        type TraceDump = (Vec<SpanRecord>, Vec<String>);
-
-        fn run(threads: usize) -> String {
-            let builders: Vec<PartitionBuilder<u64, TraceDump>> = (0..3u32)
-                .map(|part| {
-                    let b: PartitionBuilder<u64, TraceDump> = Box::new(move |ctx| {
-                        let tracer = Tracer::new(100 + part as u64, 1);
-                        tracer.set_node_name(part, format!("p{part}"));
-                        {
-                            let t = tracer.clone();
-                            ctx.wrap_windows(move |w| {
-                                let _g = t.install();
-                                w();
-                            });
-                        }
-                        ctx.on_deliver(move |v: u64| {
-                            root_event(SpanKind::Retry, "xrecv", part, &[("v", v)]);
-                        });
-                        let sender = ctx.sender();
-                        ctx.sim().spawn(async move {
-                            // Stagger starts so span timestamps differ
-                            // per partition.
-                            simcore::sleep(Duration::from_nanos(part as u64 * 300)).await;
-                            let root = start_trace("req", part).expect("sampled");
-                            sleep_ns(100).await;
-                            let s = span(SpanKind::DmOp, "work", part).expect("child");
-                            sleep_ns(50).await;
-                            s.end();
-                            sender.send(
-                                (part + 1) % 3,
-                                simcore::now() + Duration::from_micros(2),
-                                part as u64,
-                            );
-                            root.end();
-                        });
-                        Box::new(move || (tracer.records(), tracer.node_names()))
-                    });
-                    b
-                })
-                .collect();
-            let out = run_partitioned(
-                builders,
-                ParConfig {
-                    lookahead: Duration::from_micros(2),
-                    threads,
-                },
-            );
-            assert_eq!(out.xevents, 3);
-            let (recs, names): (Vec<_>, Vec<_>) =
-                out.partitions.into_iter().map(|p| p.result).unzip();
-            chrome_trace_json(&merge_partition_records(recs), &merge_node_names(names))
-        }
-        let a = run(1);
-        assert_eq!(a, run(2), "2 threads export identical bytes");
-        assert_eq!(a, run(3), "3 threads export identical bytes");
-        assert!(a.contains("\"xrecv\""), "cross-partition events recorded");
-        assert!(a.contains("\"p0\"") && a.contains("\"p2\""), "names merged");
     }
 
     #[test]
