@@ -319,6 +319,13 @@ impl Cluster {
             reg.register_gauge(format!("node.{name}.nic.rx_pkts"), move || {
                 net.node_rx_packets(id)
             });
+            // Not a busy time and not a sum: the deepest the receive queue
+            // got since the last `reset_stats`. Read it from one snapshot,
+            // not from a delta.
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.rx_queue_peak"), move || {
+                net.node_rx_queue_peak(id)
+            });
         }
         for n in self.nodes.borrow().iter() {
             let name = self.net.node_name(n.id);
@@ -727,7 +734,7 @@ mod tests {
                 .into_iter()
                 .filter(|n| n.contains(".nic.") || n.contains(".cpu."))
                 .collect();
-            assert_eq!(new.len(), 3 * 4 + 3 * 2, "{new:?}");
+            assert_eq!(new.len(), 3 * 5 + 3 * 2, "{new:?}");
             let summed = [
                 ".traffic_bytes",
                 ".calls_completed",
@@ -738,6 +745,15 @@ mod tests {
             for n in &new {
                 assert!(n.starts_with("node."), "{n}");
                 assert!(!summed.iter().any(|s| n.ends_with(s)), "{n}");
+            }
+            // The queue-depth gauge is neither a packet count nor a busy
+            // time: `utilization` must not read it as a resource (the
+            // ledger length below) or as a resource's `_pkts`.
+            let queues: Vec<&String> = new.iter().filter(|n| n.contains("queue")).collect();
+            assert_eq!(queues.len(), 3, "{queues:?}");
+            for n in queues {
+                assert!(n.ends_with(".nic.rx_queue_peak"), "{n}");
+                assert!(!n.ends_with("_pkts") && !n.ends_with("busy_ns"), "{n}");
             }
 
             let before = reg.snapshot();
@@ -770,6 +786,10 @@ mod tests {
             server.rpc().register(9, |ctx| async move { ctx.payload });
             let client = cluster.endpoint(&cn, 100).await;
             let reg = cluster.metrics();
+            // The fabric's delivery pump is spawned by the first datagram
+            // sent and stays parked for good: one call before the baseline.
+            let req = Bytes::from(vec![0u8; 10_000]);
+            client.rpc().call(server.addr(), 9, req).await.unwrap();
             let tasks = reg.value("sim.live_tasks");
             assert_eq!(tasks, Some(sim2.live_tasks() as u64));
             for _ in 0..100 {

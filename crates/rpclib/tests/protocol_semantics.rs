@@ -586,6 +586,15 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
             let server = RpcBuilder::new(&net, b, 10).build();
             server.register(1, |ctx| async move { ctx.payload });
             let client = RpcBuilder::new(&net, a, 10).build();
+            // The fabric spawns its delivery pump on the first datagram
+            // sent, and the pump then stays parked for good: one warm-up
+            // call before the baseline.
+            let warm_up = Bytes::from_static(b"warm-up");
+            assert_eq!(
+                client.call(server.addr(), 1, warm_up.clone()).await,
+                Ok(warm_up)
+            );
+            assert_eq!(client.stats().calls_completed.get(), 1);
             let tasks_before = sim2.live_tasks();
             let mut workers = Vec::new();
             for w in 0..concurrency {
@@ -601,7 +610,7 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
             for w in workers {
                 w.await;
             }
-            assert_eq!(client.stats().calls_completed.get(), 10_000);
+            assert_eq!(client.stats().calls_completed.get(), 10_001);
             assert_eq!(client.inflight_calls(), 0);
             assert_eq!(sim2.live_tasks(), tasks_before, "concurrency {concurrency}");
             assert!(
@@ -612,6 +621,49 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
         });
         assert_eq!(sim.pending_timers(), 0, "the run did not quiesce");
     }
+}
+
+/// A datagram in flight is a queue entry in the fabric, not a task: while a
+/// 256 KiB call has its 64 fragments on the wire — request, then response —
+/// the executor holds the caller and the handler and nothing per packet.
+#[test]
+fn a_256_kib_call_in_flight_adds_no_task_per_fragment() {
+    let (sim, net, a, b) = rig();
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |ctx| async move {
+            // Long enough for the sampler below to catch the handler alive.
+            simcore::sleep(Duration::from_micros(5)).await;
+            ctx.payload
+        });
+        let client = RpcBuilder::new(&net, a, 10).build();
+        let warm_up = Bytes::from_static(b"warm-up");
+        client.call(server.addr(), 1, warm_up).await.unwrap();
+        let tasks_before = sim2.live_tasks();
+
+        let sent_before = net.node_tx_packets(a);
+        let (caller, dst) = (client.clone(), server.addr());
+        let call = simcore::spawn(async move {
+            let req = Bytes::from(vec![9u8; 256 << 10]);
+            assert_eq!(caller.call(dst, 1, req.clone()).await, Ok(req));
+        });
+        let mut census = Vec::new();
+        while !call.is_finished() {
+            simcore::sleep(Duration::from_micros(1)).await;
+            census.push(sim2.live_tasks() - tasks_before);
+        }
+        assert_eq!(net.node_tx_packets(a) - sent_before, 64);
+        assert!(census.len() > 50, "sampled {} times", census.len());
+        // The caller's task the whole way, the handler's for its 5 µs.
+        assert_eq!(census.iter().min(), Some(&0), "{census:?}");
+        assert_eq!(census.iter().max(), Some(&2), "{census:?}");
+        assert!(
+            census[..census.len() - 1].iter().all(|&n| n == 1 || n == 2),
+            "{census:?}"
+        );
+    });
+    assert_eq!(sim.pending_timers(), 0, "the run did not quiesce");
 }
 
 /// Dropping a call's future mid-flight takes its packets and its

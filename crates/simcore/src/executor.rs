@@ -711,6 +711,24 @@ impl Future for Sleep {
     }
 }
 
+/// Wake `waker` when the virtual clock reaches `at`: a bare timer with no
+/// future attached, for a long-lived task that keeps its own queue of
+/// deadlines (simnet's delivery pump) and would otherwise need one
+/// [`sleep_until`] — and one task to poll it — per entry.
+///
+/// Ordered like every other timer, by `(instant, registration)`, so it
+/// interleaves with [`sleep_until`]s exactly as one armed at this call
+/// would. Fires once and is never cancelled; an `at` that is not in
+/// the future wakes immediately, in the current instant.
+pub fn wake_at(at: SimTime, waker: &Waker) {
+    let inner = current_inner();
+    if at <= inner.now() {
+        waker.wake_by_ref();
+    } else {
+        inner.add_timer(at, waker.clone());
+    }
+}
+
 /// Yield to other runnable tasks once, without advancing the clock.
 pub fn yield_now() -> YieldNow {
     YieldNow { yielded: false }

@@ -48,8 +48,8 @@ pub mod time;
 mod timeutil;
 
 pub use executor::{
-    current_task, now, sleep, sleep_until, spawn, spawn_detached, try_current, try_now, yield_now,
-    JoinHandle, Sim, TaskId,
+    current_task, now, sleep, sleep_until, spawn, spawn_detached, try_current, try_now, wake_at,
+    yield_now, JoinHandle, Sim, TaskId,
 };
 pub use resource::{CpuPool, RateResource};
 pub use rng::{SimRng, Zipf};

@@ -111,3 +111,73 @@ fn scope_nests_setup_without_running() {
     sim.run();
     assert_eq!(hits.get(), 1);
 }
+
+/// `wake_at` is a bare timer for a task that keeps its own deadlines (a
+/// simnet delivery pump): it fires at its instant in `(instant,
+/// registration)` order among `sleep_until`s, fires once, wakes in the
+/// current instant when the instant is not in the future — and the task it
+/// wakes, parked with no timer armed, does not hold the run loop.
+#[test]
+fn wake_at_is_a_one_shot_timer_and_a_parked_task_does_not_hold_the_loop() {
+    use std::cell::RefCell;
+    use std::future::poll_fn;
+    use std::task::{Poll, Waker};
+
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    let waker: Rc<RefCell<Option<Waker>>> = Rc::default();
+    let (log2, waker2) = (log.clone(), waker.clone());
+    sim.spawn(poll_fn(move |cx| {
+        log2.borrow_mut().push(("parked", simcore::now()));
+        *waker2.borrow_mut() = Some(cx.waker().clone());
+        Poll::<()>::Pending
+    }));
+    assert_eq!(sim.run(), SimTime::ZERO, "parked with no timer: quiescent");
+    assert_eq!((sim.live_tasks(), sim.pending_timers()), (1, 0));
+    assert_eq!(sim.next_event_time(), None);
+    let waker = waker.borrow().clone().expect("polled once");
+    log.borrow_mut().clear();
+
+    let log3 = log.clone();
+    let mark = move |name: &'static str, us: u64| {
+        let log = log3.clone();
+        simcore::spawn(async move {
+            simcore::sleep_until(at_micros(us)).await;
+            log.borrow_mut().push((name, simcore::now()));
+        });
+    };
+    let (log2, sim2) = (log.clone(), sim.clone());
+    sim.block_on(async move {
+        // Three timers for 5 µs, registered in this order; the sleepers arm
+        // theirs at their first poll, hence the yields.
+        mark("before", 5);
+        simcore::yield_now().await;
+        simcore::wake_at(at_micros(5), &waker);
+        mark("after", 5);
+        simcore::yield_now().await;
+        assert_eq!(sim2.pending_timers(), 3);
+
+        simcore::sleep_until(at_micros(7)).await;
+        assert_eq!(sim2.pending_timers(), 0, "fired once, nothing re-armed");
+        // Not in the future: woken in the current instant, no timer armed.
+        simcore::wake_at(at_micros(3), &waker);
+        simcore::wake_at(at_micros(7), &waker);
+        assert_eq!(sim2.pending_timers(), 0);
+        simcore::yield_now().await;
+        log2.borrow_mut().push(("driver", simcore::now()));
+    });
+    assert_eq!(
+        *log.borrow(),
+        vec![
+            ("before", at_micros(5)),
+            ("parked", at_micros(5)),
+            ("after", at_micros(5)),
+            ("parked", at_micros(7)),
+            ("driver", at_micros(7)),
+        ]
+    );
+    // `block_on` returned and `run` returns at once: the parked task is
+    // live, but it is not an event.
+    assert_eq!(sim.run(), at_micros(7));
+    assert_eq!((sim.live_tasks(), sim.next_event_time()), (1, None));
+}

@@ -1,10 +1,12 @@
 //! Deterministic fault-injection plane for the simulated fabric.
 //!
 //! Faults are configured per *directed* link `(src, dst)` and evaluated
-//! inside the delivery pipeline, after switch latency and before the
-//! receive-side NIC. Every stochastic decision draws from the fabric's
-//! seeded [`SimRng`], so a `(seed, fault schedule)` pair replays the exact
-//! same packet fate sequence on every run.
+//! by the fabric's delivery pump at the datagram's arrival instant: after
+//! switch latency and before the receive-side NIC, one verdict per
+//! datagram, in fabric-wide `(arrival, send order)` order. Every stochastic
+//! decision draws from the fabric's seeded [`SimRng`], so a `(seed, fault
+//! schedule)` pair replays the exact same packet fate sequence on every
+//! run.
 //!
 //! Fault classes (DESIGN.md §8):
 //!
@@ -21,9 +23,11 @@
 //! * **reordering** — hold a packet for an extra uniformly-drawn delay so
 //!   it overtakes or is overtaken by its neighbors.
 //!
-//! The fault-free fast path draws **zero** random numbers (see
-//! [`crate::Network::send`]): a fabric with no configured faults and zero
-//! default loss is bit-identical to one built before this module existed.
+//! Fault-free traffic takes the same path and draws **zero** random
+//! numbers: the pump asks for a verdict only while [`FaultPlane::is_empty`]
+//! is false or the fabric-wide loss knob is on, so a fabric with no
+//! configured faults and zero default loss is bit-identical to one built
+//! before this module existed.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -121,7 +125,7 @@ impl FaultPlane {
     }
 
     /// Drop the entry again if every knob is back at its default, so the
-    /// fault-free fast path re-engages after faults are cleared.
+    /// plane reads empty again once faults are cleared.
     fn prune(&mut self, src: NodeId, dst: NodeId) {
         if self.links.get(&(src, dst)).is_some_and(|l| l.is_noop()) {
             self.links.remove(&(src, dst));

@@ -13,22 +13,33 @@
 //! Datagrams carry real [`bytes::Bytes`] payloads: data integrity is
 //! end-to-end testable, while *time* is charged by the cost model.
 //!
+//! A datagram in flight is a queue entry, not a task: [`Network::send_datagram`]
+//! books the sender's NIC and parks the datagram in the fabric, whose one
+//! long-lived *delivery pump* judges it at its arrival instant, books the
+//! receiver's NIC and hands it to the bound port — no spawn, and one bare
+//! timer ([`simcore::wake_at`]) per instant something happens in the
+//! fabric, not three per datagram (DESIGN.md §5).
+//!
 //! This substitutes for the paper's DPDK/UDP data plane (see DESIGN.md §2).
 
 #![warn(missing_docs)]
 
 mod faults;
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::sync::mpsc;
-use simcore::{Counter, RateResource, SimRng};
-use telemetry::SpanKind;
+use simcore::{Counter, RateResource, SimRng, SimTime};
+use telemetry::{SpanGuard, SpanKind};
 
 pub use faults::GilbertElliott;
 use faults::{FaultPlane, Verdict};
@@ -179,21 +190,163 @@ impl Default for FabricConfig {
     }
 }
 
+/// A datagram between `send` and its delivery or drop. It stays in one
+/// [`Parked`] slot the whole way; the queues it waits in hold its slot
+/// number only.
+struct InFlight {
+    dgram: Datagram,
+    wire_size: u64,
+    /// The hop span, opened in the sender's context; it ends when the slot
+    /// is freed (last copy delivered, or the drop). Boxed because a span
+    /// record is ~200 B and an untraced run never has one.
+    hop: Option<Box<SpanGuard>>,
+    /// Copies still to hand over; 0 until the fault verdict is drawn.
+    copies: u32,
+    /// When the receive NIC was last booked for it.
+    booked_at: SimTime,
+}
+
+impl InFlight {
+    /// The fault plane dropped it: say so on the hop span, which ends here.
+    fn dropped(mut self) {
+        if let Some(s) = self.hop.as_mut() {
+            s.attr("dropped", 1);
+        }
+    }
+}
+
+/// Slot store for the datagrams in flight. Slots are reused LIFO, so it
+/// grows to the most that were ever in flight at once.
+#[derive(Default)]
+struct Parked {
+    slots: Vec<Option<InFlight>>,
+    free: Vec<u32>,
+}
+
+impl Parked {
+    fn insert(&mut self, flight: InFlight) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(flight);
+                slot
+            }
+            None => {
+                self.slots.push(Some(flight));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut InFlight {
+        self.slots[slot as usize].as_mut().expect("queued slot")
+    }
+
+    fn remove(&mut self, slot: u32) -> InFlight {
+        self.free.push(slot);
+        self.slots[slot as usize].take().expect("queued slot")
+    }
+}
+
+/// Where the fabric's delivery pump is in its life.
+#[derive(Default)]
+enum PumpState {
+    /// Nothing has been sent yet (a `Network` is usually built outside a
+    /// simulation, where the pump cannot be spawned).
+    #[default]
+    Unspawned,
+    /// Spawned by the first `send`, not yet polled: there is no waker to
+    /// arm a timer on until its first poll, later in the same instant.
+    Spawned,
+    /// Parked between events, with its timers armed on this waker.
+    Parked(Waker),
+}
+
+/// `(due instant, tie-break, slot)`: the 24 bytes a queued datagram costs
+/// per queue.
+type QueueKey = (SimTime, u64, u32);
+
+/// Pop the head of `queue` if it is due.
+fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<QueueKey> {
+    let Reverse((at, ..)) = queue.peek()?;
+    if *at > now {
+        return None;
+    }
+    queue.pop().map(|Reverse(key)| key)
+}
+
+/// Every datagram in flight, and the two queues that order them. Both are
+/// fabric-wide so that one instant's work is done in one order whatever
+/// nodes it touches: the order in which one task per datagram would have
+/// been polled (DESIGN.md §5).
+#[derive(Default)]
+struct Flights {
+    pump: PumpState,
+    /// Bodies, from `send` to hand-over.
+    parked: Parked,
+    /// On the wire or the switch: `(arrival, send order, slot)`. Datagrams
+    /// arriving in the same nanosecond are served — and their fault
+    /// verdicts drawn — in send order.
+    arrivals: BinaryHeap<Reverse<QueueKey>>,
+    /// Waiting for or inside a receive NIC: `(rx_done, booking order,
+    /// slot)`.
+    deliveries: BinaryHeap<Reverse<QueueKey>>,
+    /// Datagrams handed to `send` so far.
+    sent: u64,
+    /// Receive-NIC bookings made so far.
+    booked: u64,
+    /// The earliest instant the pump has a timer for: the head of the
+    /// queues as of its last poll, or an earlier arrival `send` has queued
+    /// since. A timer superseded by an earlier one is not cancelled
+    /// (`simcore` timers never are); its entry is still due when it fires.
+    armed: Option<SimTime>,
+}
+
+impl Flights {
+    /// Book the destination's receive NIC for the datagram in `slot` and
+    /// queue it for hand-over when the NIC is done with it.
+    fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, now: SimTime) {
+        let flight = self.parked.get_mut(slot);
+        let node = &mut nodes[flight.dgram.dst.node.0 as usize];
+        let rx_done = node.rx.reserve(flight.wire_size);
+        flight.booked_at = now;
+        node.rx_queue += 1;
+        node.rx_queue_peak = node.rx_queue_peak.max(node.rx_queue);
+        self.deliveries.push(Reverse((rx_done, self.booked, slot)));
+        self.booked += 1;
+    }
+}
+
 struct NodeState {
     name: String,
     tx: RateResource,
     rx: RateResource,
     ports: HashMap<u16, mpsc::Sender<Datagram>>,
     next_ephemeral: u16,
+    /// Datagrams waiting for or inside the receive NIC right now.
+    rx_queue: u64,
+    /// Largest `rx_queue` since the last `reset_stats`.
+    rx_queue_peak: u64,
+}
+
+/// The fabric's delivery pump: a task that never finishes, spawned by the
+/// first datagram sent and parked between events. All its work is
+/// [`Network::pump`].
+struct Pump(Network);
+
+impl Future for Pump {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.0.pump(cx.waker());
+        Poll::Pending
+    }
 }
 
 struct NetInner {
     nodes: RefCell<Vec<NodeState>>,
     fabric: RefCell<FabricConfig>,
     faults: RefCell<FaultPlane>,
-    /// True iff any per-link fault or partition is configured. Keeps the
-    /// fault-free delivery path free of borrows and RNG draws.
-    faults_active: Cell<bool>,
+    flights: RefCell<Flights>,
     rng: SimRng,
     delivered: Counter,
     dropped_loss: Counter,
@@ -204,6 +357,10 @@ struct NetInner {
 }
 
 /// Handle onto the simulated fabric. Cloning shares the same network.
+///
+/// A fabric may be built and wired up outside any simulation, but it
+/// carries traffic in one: its delivery pump is spawned where the first
+/// datagram is sent and lives in that simulation from then on.
 #[derive(Clone)]
 pub struct Network {
     inner: Rc<NetInner>,
@@ -218,7 +375,7 @@ impl Network {
                 nodes: RefCell::new(Vec::new()),
                 fabric: RefCell::new(fabric),
                 faults: RefCell::new(FaultPlane::default()),
-                faults_active: Cell::new(false),
+                flights: RefCell::default(),
                 rng: SimRng::new(seed),
                 delivered: Counter::new(),
                 dropped_loss: Counter::new(),
@@ -249,6 +406,8 @@ impl Network {
             name,
             ports: HashMap::new(),
             next_ephemeral: 49152,
+            rx_queue: 0,
+            rx_queue_peak: 0,
         });
         id
     }
@@ -305,17 +464,10 @@ impl Network {
         self.inner.fabric.borrow_mut().loss_probability = p;
     }
 
-    fn refresh_faults_active(&self) {
-        self.inner
-            .faults_active
-            .set(!self.inner.faults.borrow().is_empty());
-    }
-
     /// Set (or with `None`, clear) a fixed i.i.d. loss probability on the
     /// directed link `src -> dst`, overriding the fabric-wide default.
     pub fn set_link_loss(&self, src: NodeId, dst: NodeId, p: Option<f64>) {
         self.inner.faults.borrow_mut().set_loss(src, dst, p);
-        self.refresh_faults_active();
     }
 
     /// Install (or with `None`, clear) a Gilbert–Elliott bursty-loss model
@@ -323,13 +475,11 @@ impl Network {
     /// state and advances once per packet.
     pub fn set_link_gilbert(&self, src: NodeId, dst: NodeId, cfg: Option<GilbertElliott>) {
         self.inner.faults.borrow_mut().set_gilbert(src, dst, cfg);
-        self.refresh_faults_active();
     }
 
     /// Duplicate packets on `src -> dst` with probability `p` (0 clears).
     pub fn set_link_duplicate(&self, src: NodeId, dst: NodeId, p: f64) {
         self.inner.faults.borrow_mut().set_duplicate(src, dst, p);
-        self.refresh_faults_active();
     }
 
     /// With probability `p`, hold a packet on `src -> dst` for an extra
@@ -340,21 +490,18 @@ impl Network {
             .faults
             .borrow_mut()
             .set_reorder(src, dst, p, max_delay);
-        self.refresh_faults_active();
     }
 
     /// Remove every fault (loss model, duplication, reordering, partition)
     /// from the directed link `src -> dst`.
     pub fn clear_link_faults(&self, src: NodeId, dst: NodeId) {
         self.inner.faults.borrow_mut().clear_link(src, dst);
-        self.refresh_faults_active();
     }
 
     /// Remove all per-link faults and partitions (the fabric-wide
     /// `loss_probability` is left untouched).
     pub fn clear_faults(&self) {
         self.inner.faults.borrow_mut().clear_all();
-        self.refresh_faults_active();
     }
 
     /// Partition nodes `a` and `b` (both directions) for `window` of
@@ -366,8 +513,6 @@ impl Network {
         let mut f = self.inner.faults.borrow_mut();
         f.partition_until(a, b, until);
         f.partition_until(b, a, until);
-        drop(f);
-        self.refresh_faults_active();
     }
 
     /// Remove any partition between `a` and `b` (both directions) before
@@ -376,8 +521,6 @@ impl Network {
         let mut f = self.inner.faults.borrow_mut();
         f.heal(a, b);
         f.heal(b, a);
-        drop(f);
-        self.refresh_faults_active();
     }
 
     /// Whether packets from `a` to `b` are currently inside a partition
@@ -450,13 +593,21 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].rx.busy_time()
     }
 
+    /// Most datagrams that were waiting for or inside a node's receive NIC
+    /// at once since the last [`Network::reset_stats`]: the queue depth
+    /// behind that NIC's `rx` busy time.
+    pub fn node_rx_queue_peak(&self, node: NodeId) -> u64 {
+        self.inner.nodes.borrow()[node.0 as usize].rx_queue_peak
+    }
+
     /// Reset all NIC byte/op counters and every delivery/drop counter —
     /// including the fault-injection counters — so scoped chaos phases
     /// start from a clean slate (between warmup and measurement).
     pub fn reset_stats(&self) {
-        for st in self.inner.nodes.borrow().iter() {
+        for st in self.inner.nodes.borrow_mut().iter_mut() {
             st.tx.reset_stats();
             st.rx.reset_stats();
+            st.rx_queue_peak = st.rx_queue;
         }
         self.inner.delivered.reset();
         self.inner.dropped_loss.reset();
@@ -478,11 +629,12 @@ impl Network {
     }
 
     /// Internal: transmit a datagram. Reserves the sender's NIC immediately
-    /// (preserving per-sender FIFO order) and spawns the delivery pipeline.
+    /// (preserving per-sender FIFO order), parks the datagram and makes
+    /// sure the pump wakes by its arrival instant.
     fn send(&self, dgram: Datagram) {
         let wire_size = dgram.payload.len() as u64 + WIRE_HEADER_BYTES;
         // Captured in the sender's task (where any trace context lives) and
-        // moved into the delivery pipeline, so one hop span covers tx NIC
+        // parked with the datagram, so one hop span covers tx NIC
         // occupancy, switch latency, and rx NIC occupancy. Untraced sends
         // cost one thread-local flag read.
         let mut hop = telemetry::leaf_span(SpanKind::NetHop, "net.hop", dgram.src.node.0);
@@ -490,84 +642,142 @@ impl Network {
             s.attr("wire_bytes", wire_size);
             s.attr("dst_node", dgram.dst.node.0 as u64);
         }
-        let tx_done = {
-            let nodes = self.inner.nodes.borrow();
-            nodes[dgram.src.node.0 as usize].tx.reserve(wire_size)
+        let tx_done = self.inner.nodes.borrow()[dgram.src.node.0 as usize]
+            .tx
+            .reserve(wire_size);
+        let arrival = tx_done + self.inner.fabric.borrow().switch_latency;
+        let mut fl = self.inner.flights.borrow_mut();
+        let slot = fl.parked.insert(InFlight {
+            dgram,
+            wire_size,
+            hop: hop.map(Box::new),
+            copies: 0,
+            booked_at: SimTime::ZERO,
+        });
+        let order = fl.sent;
+        fl.sent += 1;
+        fl.arrivals.push(Reverse((arrival, order, slot)));
+        match &fl.pump {
+            PumpState::Parked(waker) if fl.armed.is_none_or(|at| arrival < at) => {
+                simcore::wake_at(arrival, waker);
+                fl.armed = Some(arrival);
+            }
+            PumpState::Parked(_) | PumpState::Spawned => {}
+            PumpState::Unspawned => {
+                fl.pump = PumpState::Spawned;
+                simcore::spawn_detached(Pump(self.clone()));
+            }
+        }
+    }
+
+    /// One poll of the delivery pump: hand over what has cleared a receive
+    /// NIC, judge what has reached its node and book that NIC for the
+    /// survivors, then arm one timer for the earliest thing still queued.
+    fn pump(&self, waker: &Waker) {
+        let now = simcore::now();
+        let (latency, loss_p) = {
+            let f = self.inner.fabric.borrow();
+            (f.switch_latency, f.loss_probability)
         };
-        let net = self.clone();
-        simcore::spawn_detached(async move {
-            simcore::sleep_until(tx_done).await;
-            let (latency, loss_p) = {
-                let f = net.inner.fabric.borrow();
-                (f.switch_latency, f.loss_probability)
+        let mut faults = self.inner.faults.borrow_mut();
+        // The fault plane is consulted only when some fault is configured
+        // or the fabric-wide loss knob is on: fault-free traffic draws no
+        // random numbers and stays bit-identical.
+        let faulty = !faults.is_empty() || loss_p > 0.0;
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let mut fl = self.inner.flights.borrow_mut();
+        let fl = &mut *fl;
+        if !matches!(fl.pump, PumpState::Parked(_)) {
+            fl.pump = PumpState::Parked(waker.clone());
+        }
+
+        // Duplicates that take their NIC again behind this instant's
+        // arrivals (see below).
+        let mut owed = Vec::new();
+        while let Some((_, _, slot)) = pop_due(&mut fl.deliveries, now) {
+            let flight = fl.parked.get_mut(slot);
+            flight.copies -= 1;
+            nodes[flight.dgram.dst.node.0 as usize].rx_queue -= 1;
+            // The last copy frees the slot; its hop span ends at the bottom
+            // of the loop, once the datagram has been handed over.
+            let (dgram, _hop) = if flight.copies == 0 {
+                let done = fl.parked.remove(slot);
+                (done.dgram, done.hop)
+            } else {
+                // A duplicate's next copy takes the NIC when this one
+                // leaves it. Same-instant work goes in the order it was
+                // scheduled: the copy when its NIC was last booked, an
+                // arrival when it left its sender's NIC.
+                let copy = flight.dgram.clone();
+                if flight.booked_at + latency < now {
+                    self.inner.duplicated.incr();
+                    fl.book_rx(&mut nodes, slot, now);
+                } else {
+                    owed.push(slot);
+                }
+                (copy, None)
             };
-            simcore::sleep(latency).await;
-            // Fault plane: only consulted when some fault is configured or
-            // the fabric-wide loss knob is on — the fault-free path draws
-            // no random numbers and stays bit-identical.
-            if net.inner.faults_active.get() || loss_p > 0.0 {
-                let verdict = net.inner.faults.borrow_mut().verdict(
-                    dgram.src.node,
-                    dgram.dst.node,
-                    simcore::now(),
-                    loss_p,
-                    &net.inner.rng,
-                );
+            match nodes[dgram.dst.node.0 as usize].ports.get(&dgram.dst.port) {
+                Some(port) if port.send(dgram).is_ok() => self.inner.delivered.incr(),
+                _ => self.inner.dropped_unbound.incr(),
+            }
+        }
+
+        while let Some((_, order, slot)) = pop_due(&mut fl.arrivals, now) {
+            let flight = fl.parked.get_mut(slot);
+            // One verdict per datagram, drawn the first time it gets here.
+            if flight.copies == 0 {
+                let verdict = if faulty {
+                    let (src, dst) = (flight.dgram.src.node, flight.dgram.dst.node);
+                    faults.verdict(src, dst, now, loss_p, &self.inner.rng)
+                } else {
+                    Verdict::Deliver {
+                        copies: 1,
+                        extra_delay: None,
+                    }
+                };
                 match verdict {
                     Verdict::DropLoss => {
-                        net.inner.dropped_loss.incr();
-                        if let Some(mut s) = hop {
-                            s.attr("dropped", 1);
-                        }
-                        return;
+                        self.inner.dropped_loss.incr();
+                        fl.parked.remove(slot).dropped();
+                        continue;
                     }
                     Verdict::DropPartition => {
-                        net.inner.dropped_partition.incr();
-                        if let Some(mut s) = hop {
-                            s.attr("dropped", 1);
-                        }
-                        return;
+                        self.inner.dropped_partition.incr();
+                        fl.parked.remove(slot).dropped();
+                        continue;
                     }
                     Verdict::Deliver {
                         copies,
                         extra_delay,
                     } => {
-                        if let Some(d) = extra_delay {
-                            net.inner.reordered.incr();
-                            simcore::sleep(d).await;
+                        flight.copies = copies;
+                        if let Some(held) = extra_delay {
+                            // Held back: it gets here again later, judged.
+                            self.inner.reordered.incr();
+                            fl.arrivals.push(Reverse((now + held, order, slot)));
+                            continue;
                         }
-                        for copy in 0..copies {
-                            if copy > 0 {
-                                net.inner.duplicated.incr();
-                            }
-                            net.deliver_local(dgram.clone(), wire_size).await;
-                        }
-                        return;
                     }
                 }
             }
-            net.deliver_local(dgram, wire_size).await;
-        });
-    }
+            fl.book_rx(&mut nodes, slot, now);
+        }
 
-    /// Receive-side half of delivery: rx NIC occupancy, port lookup,
-    /// enqueue into the bound endpoint (or count the drop).
-    async fn deliver_local(&self, dgram: Datagram, wire_size: u64) {
-        let rx_done = {
-            let nodes = self.inner.nodes.borrow();
-            nodes[dgram.dst.node.0 as usize].rx.reserve(wire_size)
-        };
-        simcore::sleep_until(rx_done).await;
-        let sender = {
-            let nodes = self.inner.nodes.borrow();
-            nodes[dgram.dst.node.0 as usize]
-                .ports
-                .get(&dgram.dst.port)
-                .cloned()
-        };
-        match sender {
-            Some(tx) if tx.send(dgram).is_ok() => self.inner.delivered.incr(),
-            _ => self.inner.dropped_unbound.incr(),
+        for slot in owed {
+            self.inner.duplicated.incr();
+            fl.book_rx(&mut nodes, slot, now);
+        }
+
+        // Everything queued is due later than now, so this never wakes the
+        // pump in the instant it is running in.
+        fl.armed = [fl.arrivals.peek(), fl.deliveries.peek()]
+            .into_iter()
+            .flatten()
+            .map(|Reverse((at, ..))| *at)
+            .min();
+        if let Some(next) = fl.armed {
+            simcore::wake_at(next, waker);
         }
     }
 
@@ -776,6 +986,33 @@ mod tests {
     }
 
     #[test]
+    fn rx_queue_peak_is_the_deepest_the_receive_fifo_got() {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let a = net.add_node("a", gbe100());
+        let b = net.add_node("b", gbe100());
+        let c = net.add_node("c", gbe100());
+        let (ea, ec) = (net.bind(a, 1), net.bind(c, 1));
+        let mut eb = net.bind(b, 1);
+        sim.block_on(async move {
+            // Two senders at line rate into one NIC: pair k arrives when
+            // the NIC has finished k datagrams, so k + 2 are queued after
+            // it — 11 after the tenth pair.
+            for _ in 0..10 {
+                ea.send_to(eb.addr(), Bytes::from(vec![0u8; 1000]));
+                ec.send_to(eb.addr(), Bytes::from(vec![0u8; 1000]));
+            }
+            for _ in 0..20 {
+                eb.recv().await;
+            }
+        });
+        assert_eq!(net.node_rx_queue_peak(b), 11);
+        assert_eq!(net.node_rx_queue_peak(a), 0);
+        net.reset_stats();
+        assert_eq!(net.node_rx_queue_peak(b), 0);
+    }
+
+    #[test]
     fn ephemeral_ports_unique() {
         let net = Network::new(FabricConfig::default(), 1);
         let a = net.add_node("a", gbe100());
@@ -835,8 +1072,8 @@ mod tests {
         assert_eq!(net.delivered(), 100);
         net.set_link_loss(a, b, None);
         assert!(
-            !net.inner.faults_active.get(),
-            "cleared faults re-arm fast path"
+            net.inner.faults.borrow().is_empty(),
+            "cleared faults leave the plane empty: no verdict, no RNG draw"
         );
     }
 

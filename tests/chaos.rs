@@ -30,65 +30,65 @@ fn bounded_sweep_holds_all_invariants() {
 
 /// `CaseResult::fingerprint()` — (polls, end_ns, completed, errors,
 /// checksum) — of seeds 0–1 × 5 fault classes × 5 cases in sweep order,
-/// recorded once when `rpclib`'s per-call watchdog task became one
-/// retransmission table per endpoint (ISSUE 17), from runs identical at 1
-/// and 8 threads: against the previous recording every row lost polls (two
-/// per call, less the endpoint task's own) and kept its `end_ns`,
-/// completions, errors and checksum. The other tests only compare a run
-/// with itself; this compares it with that recording. Re-record only for a
-/// change that means to move the schedule.
+/// recorded once when `simnet`'s task per datagram became one delivery
+/// pump (ISSUE 19), from runs identical at 1 and 8 threads: against the
+/// previous recording every row lost polls (four per datagram became at
+/// most two) and every row kept its `end_ns`, completions, errors and
+/// checksum. The other tests only compare a run with itself; this compares
+/// it with that recording. Re-record only for a change that means to move
+/// the schedule.
 #[rustfmt::skip]
 const GOLDEN: [(u64, u64, u64, u64, u64); 50] = [
-    (42419, 2327617, 640, 0, 16607590119150452736),
-    (77890, 21372169, 675, 0, 2775746541747073024),
-    (39236, 3300000, 541, 0, 3419493524301013466),
-    (37300, 21640338, 484, 0, 1265935819964373505),
-    (142913, 3800000, 1267, 205, 16048915134348117110),
-    (42419, 2327617, 640, 0, 16607590119150452736),
-    (61362, 21369814, 507, 0, 6962149848249430016),
-    (34793, 21120000, 281, 956, 16125716307107751258),
-    (20880, 1420485660, 225, 54, 17852837325990347483),
-    (108465, 3800000, 898, 574, 14002793982519803142),
-    (42419, 2327617, 640, 0, 16607590119150452736),
-    (78697, 21366875, 675, 0, 2775746541747073024),
-    (38080, 3300000, 520, 0, 7805749023079703962),
-    (35985, 21637318, 466, 0, 12911099507215319682),
-    (143116, 3841153, 1279, 193, 14869333837317693437),
-    (42419, 2327617, 640, 0, 16607590119150452736),
-    (14410, 1421518856, 80, 0, 11647770628469977088),
-    (5284, 3724599, 50, 1, 17551138416216931290),
-    (6045, 1421078704, 18, 7, 12775768936345506197),
-    (67650, 21682908, 412, 1060, 3796013222092883218),
-    (42419, 2327617, 640, 0, 16607590119150452736),
-    (14410, 1421518856, 80, 0, 11647770628469977088),
-    (6890, 4624599, 41, 1, 10924419358618961792),
-    (6045, 1421078704, 18, 7, 12775768936345506197),
-    (67650, 21682908, 412, 1060, 3796013222092883218),
-    (40646, 2328197, 608, 0, 15012980976271753216),
-    (72664, 1421347097, 605, 0, 2220051872788803584),
-    (40131, 3300000, 552, 0, 2867668832742722880),
-    (39004, 21645052, 510, 0, 1987292717252381969),
-    (149455, 3812122, 1377, 200, 6380235231701608315),
-    (23585, 2328433, 317, 0, 5102585835025100800),
-    (35409, 1421297957, 224, 0, 15376600451673227264),
-    (35904, 20620000, 148, 1686, 9901911934741466),
-    (24968, 1421677610, 266, 31, 3597209504021268153),
-    (96351, 3801593, 749, 828, 10971582721421771062),
-    (37893, 2328131, 560, 0, 15845299204350017536),
-    (70745, 21363885, 591, 0, 8973770220378681344),
-    (38447, 3300000, 527, 0, 9740711954995428314),
-    (36657, 21643395, 473, 0, 13166206005597273343),
-    (146821, 3847215, 1349, 228, 2346126856912325456),
-    (23585, 2328433, 317, 0, 5102585835025100800),
-    (18935, 1420889613, 104, 0, 2199107218327236608),
-    (2813, 3738559, 14, 1, 1882284596114112192),
-    (5724, 1421063227, 8, 1, 876559019620240063),
-    (88915, 3846888, 711, 866, 1194042660656994265),
-    (23585, 2328433, 317, 0, 5102585835025100800),
-    (18935, 1420889613, 104, 0, 2199107218327236608),
-    (3700, 4538559, 12, 1, 2362988351365649280),
-    (5724, 1421063227, 8, 1, 876559019620240063),
-    (88915, 3846888, 711, 866, 1194042660656994265),
+    (28916, 2327617, 640, 0, 16607590119150452736),
+    (56313, 21372169, 675, 0, 2775746541747073024),
+    (28760, 3300000, 541, 0, 3419493524301013466),
+    (27313, 21640338, 484, 0, 1265935819964373505),
+    (97927, 3800000, 1267, 205, 16048915134348117110),
+    (28916, 2327617, 640, 0, 16607590119150452736),
+    (44353, 21369814, 507, 0, 6962149848249430016),
+    (24962, 21120000, 281, 956, 16125716307107751258),
+    (15207, 1420485660, 225, 54, 17852837325990347483),
+    (74646, 3800000, 898, 574, 14002793982519803142),
+    (28916, 2327617, 640, 0, 16607590119150452736),
+    (56923, 21366875, 675, 0, 2775746541747073024),
+    (27976, 3300000, 520, 0, 7805749023079703962),
+    (26442, 21637318, 466, 0, 12911099507215319682),
+    (98307, 3841153, 1279, 193, 14869333837317693437),
+    (28916, 2327617, 640, 0, 16607590119150452736),
+    (10454, 1421518856, 80, 0, 11647770628469977088),
+    (3889, 3724599, 50, 1, 17551138416216931290),
+    (4451, 1421078704, 18, 7, 12775768936345506197),
+    (47291, 21682908, 412, 1060, 3796013222092883218),
+    (28916, 2327617, 640, 0, 16607590119150452736),
+    (10454, 1421518856, 80, 0, 11647770628469977088),
+    (5106, 4624599, 41, 1, 10924419358618961792),
+    (4451, 1421078704, 18, 7, 12775768936345506197),
+    (47291, 21682908, 412, 1060, 3796013222092883218),
+    (27968, 2328197, 608, 0, 15012980976271753216),
+    (52469, 1421347097, 605, 0, 2220051872788803584),
+    (29466, 3300000, 552, 0, 2867668832742722880),
+    (28524, 21645052, 510, 0, 1987292717252381969),
+    (101950, 3812122, 1377, 200, 6380235231701608315),
+    (16156, 2328433, 317, 0, 5102585835025100800),
+    (25517, 1421297957, 224, 0, 15376600451673227264),
+    (25198, 20620000, 148, 1686, 9901911934741466),
+    (18223, 1421677610, 266, 31, 3597209504021268153),
+    (66114, 3801593, 749, 828, 10971582721421771062),
+    (26318, 2328131, 560, 0, 15845299204350017536),
+    (51294, 21363885, 591, 0, 8973770220378681344),
+    (28276, 3300000, 527, 0, 9740711954995428314),
+    (26817, 21643395, 473, 0, 13166206005597273343),
+    (100663, 3847215, 1349, 228, 2346126856912325456),
+    (16156, 2328433, 317, 0, 5102585835025100800),
+    (13707, 1420889613, 104, 0, 2199107218327236608),
+    (2071, 3738559, 14, 1, 1882284596114112192),
+    (4215, 1421063227, 8, 1, 876559019620240063),
+    (61250, 3846888, 711, 866, 1194042660656994265),
+    (16156, 2328433, 317, 0, 5102585835025100800),
+    (13707, 1420889613, 104, 0, 2199107218327236608),
+    (2749, 4538559, 12, 1, 2362988351365649280),
+    (4215, 1421063227, 8, 1, 876559019620240063),
+    (61250, 3846888, 711, 866, 1194042660656994265),
 ];
 
 #[test]
