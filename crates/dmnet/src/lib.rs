@@ -587,6 +587,53 @@ mod e2e_tests {
     }
 
     #[test]
+    fn publish_that_does_not_fit_leaves_the_server_untouched() {
+        let r = rig(1, 2);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
+        r.sim.block_on(async move {
+            let cfg = DmServerConfig {
+                capacity_pages: 4,
+                durability: Some(WalConfig::zero_cost()),
+                ..Default::default()
+            };
+            let servers = start_pool(&net, &[dm0], &params, cfg);
+            let srv = &servers[0];
+            let dm = DmNetClient::connect(client_rpc(&net, c0, 100), vec![srv.addr()])
+                .await
+                .unwrap();
+            let logged = srv.wal().unwrap().records();
+
+            // Six pages into a four-page pool: refused, and not one page,
+            // refcount or log record is left behind.
+            let r = dm.put_ref(&Bytes::from(vec![1u8; 6 * 4096])).await;
+            assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+            assert_eq!(srv.free_pages_total(), 4);
+            srv.check_invariants_all();
+            assert_eq!(srv.wal().unwrap().records(), logged);
+
+            // The next publish that fits gets the whole pool. Its pages are
+            // views into the request's buffer (the last one short), and a
+            // server rebuilt from the log — through the copying entry —
+            // digests the same.
+            let data = Bytes::from((0..3 * 4096 + 5u32).map(|i| i as u8).collect::<Vec<_>>());
+            let published = dm.put_ref(&data).await.unwrap();
+            assert_eq!(srv.free_pages_total(), 0);
+            let live = srv.pages_digest();
+            srv.crash();
+            srv.restart_from_log().await;
+            assert_eq!(srv.pages_digest(), live);
+            // Read by a client that never held the bytes.
+            let reader = DmNetClient::connect(client_rpc(&net, c1, 100), vec![srv.addr()])
+                .await
+                .unwrap();
+            let len = data.len() as u64;
+            assert_eq!(reader.read_ref(&published, 0, len).await.unwrap(), data);
+            srv.check_invariants_all();
+        });
+    }
+
+    #[test]
     fn concurrent_clients_keep_invariants() {
         let r = rig(1, 4);
         let (net, params) = (r.net.clone(), r.params.clone());

@@ -14,10 +14,21 @@
 //! returns an [`OpCost`] describing the work done (pages faulted, bytes
 //! copied, translation lookups) so the server layer can charge virtual time
 //! and memory bandwidth for it.
+//!
+//! What the model charges and what the host does are kept apart. A page
+//! published by `PUT_REF` is a *view* into the buffer the request arrived
+//! in ([`PageManager::put_ref_bytes`]): no allocation and no copy on the
+//! host, while [`OpCost`] still reports every page faulted. The view
+//! becomes a private 4 KiB buffer only when somebody writes the page, and
+//! since `Bytes` are immutable nobody can tell the difference (DESIGN.md
+//! §6.1).
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
+use bytes::{Bytes, SharedBuf};
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
+use simcore::FastMap;
 
 use crate::translator::{PageIdx, Translator};
 use crate::va_tree::VaTree;
@@ -52,18 +63,73 @@ struct RefEntry {
     owner: Option<u32>,
 }
 
+/// The bytes of one pinned page: a view of at most [`PAGE_SIZE`] bytes into
+/// a shared buffer, reading as zeros past its stored length. A page somebody
+/// wrote is a whole-page view of a buffer nobody else holds; a published
+/// page is a slice of the message it arrived in, and its tail page is short.
+struct Page {
+    buf: SharedBuf,
+    /// `offset << 16 | len`: where in `buf` the view starts and how many
+    /// bytes it stores.
+    span: u64,
+}
+
+// The pool builds one slot per page up front (65 536 × 2 servers by
+// default), so a slot wider than two words is resident memory on every
+// workload: `share_cow` reads ~8 MiB at 16 bytes and 11 MiB at 40.
+const _: () = assert!(std::mem::size_of::<Option<Page>>() == 16);
+
+impl Page {
+    fn view(buf: SharedBuf, off: usize, len: usize) -> Page {
+        debug_assert!(len <= PAGE_SIZE && (off as u64) < 1 << 48);
+        Page {
+            buf,
+            span: (off as u64) << 16 | len as u64,
+        }
+    }
+
+    /// A private whole page holding `stored`, then zeros.
+    fn private(stored: &[u8]) -> Page {
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        page.extend_from_slice(stored);
+        page.resize(PAGE_SIZE, 0);
+        Page::view(page.into(), 0, PAGE_SIZE)
+    }
+
+    /// Where in `buf` the stored bytes lie.
+    fn range(&self) -> Range<usize> {
+        let off = (self.span >> 16) as usize;
+        off..off + (self.span & 0xFFFF) as usize
+    }
+
+    /// The stored bytes; the rest of the page reads as zeros.
+    fn stored(&self) -> &[u8] {
+        &self.buf.as_slice()[self.range()]
+    }
+
+    /// The whole page, writable in place. A view that is short, or whose
+    /// buffer something else still holds, moves to a private page first.
+    fn make_mut(&mut self) -> &mut [u8] {
+        if self.range().len() != PAGE_SIZE || self.buf.get_mut().is_none() {
+            *self = Page::private(self.stored());
+        }
+        let whole = self.range();
+        &mut self.buf.get_mut().expect("sole handle")[whole]
+    }
+}
+
 /// The state of one DM server's Page manager.
 pub struct PageManager {
-    /// Pinned pages, materialized lazily on first use so huge pools do not
-    /// consume host RAM up front (the paper pins eagerly; the distinction
-    /// is invisible to the model).
-    pages: Vec<Option<Box<[u8]>>>,
+    /// Pinned pages: `Some` exactly while the page's refcount is non-zero,
+    /// so huge pools do not consume host RAM up front (the paper pins
+    /// eagerly; the distinction is invisible to the model).
+    pages: Vec<Option<Page>>,
     refcounts: Vec<u32>,
     free: VecDeque<PageIdx>,
     translator: Translator,
     processes: HashMap<u32, VaTree>,
     next_pid: u32,
-    refs: HashMap<u64, RefEntry>,
+    refs: FastMap<u64, RefEntry>,
     next_key: u64,
     copy_mode: CopyMode,
 }
@@ -78,7 +144,7 @@ impl PageManager {
             translator: Translator::new(),
             processes: HashMap::new(),
             next_pid: 1,
-            refs: HashMap::new(),
+            refs: FastMap::default(),
             next_key: 1,
             copy_mode,
         }
@@ -155,33 +221,25 @@ impl PageManager {
         }
     }
 
-    fn take_free_page(&mut self) -> DmResult<PageIdx> {
+    /// Pop the next free page and give it `page`'s bytes, at refcount 1.
+    fn take_free_page(&mut self, page: Page) -> DmResult<PageIdx> {
         let p = self.free.pop_front().ok_or(DmError::OutOfMemory)?;
         debug_assert_eq!(self.refcounts[p as usize], 0);
         self.refcounts[p as usize] = 1;
-        let slot = &mut self.pages[p as usize];
-        if slot.is_none() {
-            *slot = Some(vec![0u8; PAGE_SIZE].into_boxed_slice());
-        }
+        self.pages[p as usize] = Some(page);
         Ok(p)
     }
 
-    fn page(&self, p: PageIdx) -> &[u8] {
+    fn stored(&self, p: PageIdx) -> &[u8] {
         self.pages[p as usize]
-            .as_deref()
+            .as_ref()
             .expect("page materialized")
-    }
-
-    fn page_mut(&mut self, p: PageIdx) -> &mut [u8] {
-        self.pages[p as usize]
-            .as_deref_mut()
-            .expect("page materialized")
+            .stored()
     }
 
     /// Fault-in a zeroed page for `(pid, vpn)`.
     fn fault_in(&mut self, pid: GlobalPid, vpn: u64, cost: &mut OpCost) -> DmResult<PageIdx> {
-        let p = self.take_free_page()?;
-        self.page_mut(p).fill(0);
+        let p = self.take_free_page(Page::private(&[]))?;
         self.translator.insert(pid, vpn, p);
         cost.pages_faulted += 1;
         Ok(p)
@@ -210,9 +268,7 @@ impl PageManager {
                 Some(p) if self.refcounts[p as usize] > 1 => {
                     // Copy-on-write: pop a new page, copy the old content,
                     // retarget the translation, unref the old page.
-                    let newp = self.take_free_page()?;
-                    let (old_page, new_page) = two_pages(&mut self.pages, p, newp);
-                    new_page.copy_from_slice(old_page);
+                    let newp = self.take_free_page(Page::private(self.stored(p)))?;
                     cost.bytes_copied += PAGE_SIZE as u64;
                     cost.pages_faulted += 1;
                     self.translator.insert(pid, vpn, newp);
@@ -222,7 +278,8 @@ impl PageManager {
                 }
                 Some(p) => p,
             };
-            self.page_mut(p)[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            let page = self.pages[p as usize].as_mut().expect("page materialized");
+            page.make_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             off += n;
         }
         Ok(cost)
@@ -232,26 +289,31 @@ impl PageManager {
     /// (anonymous-memory semantics). Reads never check refcounts (paper
     /// §V-A2 "How to serve a read request").
     pub fn read(&mut self, pid: GlobalPid, va: u64, len: u64) -> DmResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_into(pid, va, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read`], appending to `out` (nothing on error). `out` keeps
+    /// the spare capacity it came with, so a caller that will append behind
+    /// the bytes reserves that room beforehand and the buffer is sized once.
+    pub fn read_into(
+        &mut self,
+        pid: GlobalPid,
+        va: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> DmResult<()> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let (start, rlen) = self.tree(pid)?.lookup(va)?;
-        if va + len > start + rlen {
+        if va.checked_add(len).is_none_or(|end| end > start + rlen) {
             return Err(DmError::OutOfBounds);
         }
-        let mut out = vec![0u8; len as usize];
-        let mut off = 0usize;
-        while off < len as usize {
-            let cur = va + off as u64;
-            let vpn = cur / PAGE_SIZE as u64;
-            let in_page = (cur % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(len as usize - off);
-            if let Some(p) = self.translator.lookup(pid, vpn) {
-                out[off..off + n].copy_from_slice(&self.page(p)[in_page..in_page + n]);
-            }
-            off += n;
-        }
-        Ok(out)
+        let translator = &mut self.translator;
+        gather(&self.pages, va, len, |vpn| translator.lookup(pid, vpn), out);
+        Ok(())
     }
 
     /// Create a shareable reference over `[va, va+len)` (paper §V-A1
@@ -268,16 +330,28 @@ impl PageManager {
             return Err(DmError::OutOfBounds);
         }
         let mut cost = OpCost::default();
-        let n_pages = len.div_ceil(PAGE_SIZE as u64);
-        let mut pages = Vec::with_capacity(n_pages as usize);
-        for i in 0..n_pages {
-            let vpn = va / PAGE_SIZE as u64 + i;
+        let first_vpn = va / PAGE_SIZE as u64;
+        let mapped: Vec<Option<PageIdx>> = (first_vpn..first_vpn + len.div_ceil(PAGE_SIZE as u64))
+            .map(|vpn| self.translator.lookup(pid, vpn))
+            .collect();
+        // All or nothing: running out of pages half-way would strand the
+        // ones already taken (an eager copy belongs to no ref until the
+        // last one succeeds).
+        let virgin = mapped.iter().filter(|p| p.is_none()).count();
+        let copies = match self.copy_mode {
+            CopyMode::CopyOnWrite => 0,
+            CopyMode::Eager => mapped.len(),
+        };
+        if self.free.len() < virgin + copies {
+            return Err(DmError::OutOfMemory);
+        }
+        let mut pages = Vec::with_capacity(mapped.len());
+        for (vpn, p) in (first_vpn..).zip(mapped) {
             // A ref must point at concrete pages; fault in still-virgin ones.
-            let p = match self.translator.lookup(pid, vpn) {
+            pages.push(match p {
                 Some(p) => p,
                 None => self.fault_in(pid, vpn, &mut cost)?,
-            };
-            pages.push(p);
+            });
         }
         let shared = match self.copy_mode {
             CopyMode::CopyOnWrite => {
@@ -290,9 +364,7 @@ impl PageManager {
             CopyMode::Eager => {
                 let mut copies = Vec::with_capacity(pages.len());
                 for &p in &pages {
-                    let newp = self.take_free_page()?;
-                    let (src, dst) = two_pages(&mut self.pages, p, newp);
-                    dst.copy_from_slice(src);
+                    let newp = self.take_free_page(Page::private(self.stored(p)))?;
                     cost.bytes_copied += PAGE_SIZE as u64;
                     cost.pages_faulted += 1;
                     copies.push(newp);
@@ -344,36 +416,48 @@ impl PageManager {
         Ok(cost)
     }
 
-    /// One-shot publish: write `data` into fresh pages owned directly by a
-    /// new reference (no creator VA mapping at all — the `PUT_REF` fast
-    /// path). `owner` attributes the ref for lease-based reclamation.
-    /// Returns `(key, cost)`.
+    /// One-shot publish: `data` becomes fresh pages owned directly by a new
+    /// reference (no creator VA mapping at all — the `PUT_REF` fast path).
+    /// `owner` attributes the ref for lease-based reclamation. Returns
+    /// `(key, cost)`. Copies `data` once; [`Self::put_ref_bytes`] does the
+    /// work.
     pub fn put_ref(&mut self, data: &[u8], owner: Option<GlobalPid>) -> DmResult<(u64, OpCost)> {
+        self.put_ref_bytes(Bytes::copy_from_slice(data), owner)
+    }
+
+    /// [`Self::put_ref`] without the copy: each page is a view of at most a
+    /// page into `data`'s storage, which stays alive while any of them
+    /// does. All or nothing — a publish that does not fit takes no page.
+    pub fn put_ref_bytes(
+        &mut self,
+        data: Bytes,
+        owner: Option<GlobalPid>,
+    ) -> DmResult<(u64, OpCost)> {
         if data.is_empty() {
             return Err(DmError::InvalidAddress);
         }
-        let n_pages = (data.len() as u64).div_ceil(PAGE_SIZE as u64) as usize;
-        let mut cost = OpCost::default();
-        let mut pages = Vec::with_capacity(n_pages);
-        for i in 0..n_pages {
-            let p = self.take_free_page()?;
-            cost.pages_faulted += 1;
-            let lo = i * PAGE_SIZE;
-            let hi = ((i + 1) * PAGE_SIZE).min(data.len());
-            let page = self.page_mut(p);
-            page[..hi - lo].copy_from_slice(&data[lo..hi]);
-            if hi - lo < PAGE_SIZE {
-                page[hi - lo..].fill(0);
-            }
-            pages.push(p);
+        let len = data.len();
+        let n_pages = len.div_ceil(PAGE_SIZE);
+        if self.free.len() < n_pages {
+            return Err(DmError::OutOfMemory);
         }
+        let (buf, base) = data.into_shared();
+        let mut pages = Vec::with_capacity(n_pages);
+        for lo in (0..len).step_by(PAGE_SIZE) {
+            let view = Page::view(buf.clone(), base + lo, PAGE_SIZE.min(len - lo));
+            pages.push(self.take_free_page(view)?);
+        }
+        let cost = OpCost {
+            pages_faulted: n_pages as u64,
+            ..OpCost::default()
+        };
         let key = self.next_key;
         self.next_key += 1;
         self.refs.insert(
             key,
             RefEntry {
                 pages,
-                len: data.len() as u64,
+                len: len as u64,
                 owner: owner.map(|p| p.0),
             },
         );
@@ -382,26 +466,21 @@ impl PageManager {
 
     /// Read `len` bytes at `off` within a reference's pages, without
     /// installing a mapping (the `READ_REF` fast path).
-    pub fn read_ref(&mut self, key: u64, off: u64, len: u64) -> DmResult<Vec<u8>> {
-        let (pages, rlen) = {
-            let e = self.refs.get(&key).ok_or(DmError::InvalidRef)?;
-            (e.pages.clone(), e.len)
-        };
-        if off + len > rlen {
+    pub fn read_ref(&self, key: u64, off: u64, len: u64) -> DmResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_ref_into(key, off, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read_ref`], appending to `out` under the contract of
+    /// [`Self::read_into`].
+    pub fn read_ref_into(&self, key: u64, off: u64, len: u64, out: &mut Vec<u8>) -> DmResult<()> {
+        let e = self.refs.get(&key).ok_or(DmError::InvalidRef)?;
+        if off.checked_add(len).is_none_or(|end| end > e.len) {
             return Err(DmError::OutOfBounds);
         }
-        let mut out = vec![0u8; len as usize];
-        let mut done = 0usize;
-        while done < len as usize {
-            let cur = off + done as u64;
-            let pi = (cur / PAGE_SIZE as u64) as usize;
-            let in_page = (cur % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(len as usize - done);
-            let p = pages[pi];
-            out[done..done + n].copy_from_slice(&self.page(p)[in_page..in_page + n]);
-            done += n;
-        }
-        Ok(out)
+        gather(&self.pages, off, len, |i| Some(e.pages[i as usize]), out);
+        Ok(())
     }
 
     /// Reclaim everything a (crashed) process pinned: every translation of
@@ -493,11 +572,16 @@ impl PageManager {
             seen[p as usize] = true;
             assert_eq!(self.refcounts[p as usize], 0, "free page {p} has rc != 0");
         }
-        // 2. Non-free pages have rc > 0.
+        // 2. Non-free pages have rc > 0, and exactly they hold bytes.
         for (p, &rc) in self.refcounts.iter().enumerate() {
             if !seen[p] {
                 assert!(rc > 0, "lost page {p}: rc == 0 but not in free FIFO");
             }
+            assert_eq!(
+                self.pages[p].is_some(),
+                rc > 0,
+                "page {p}: bytes vs rc {rc}"
+            );
         }
         // 3. Refcount conservation: rc(p) == #translations(p) + #refs(p).
         let mut expected = vec![0u32; cap];
@@ -540,7 +624,11 @@ impl PageManager {
         for p in used {
             out.extend_from_slice(&p.to_le_bytes());
             out.extend_from_slice(&self.refcounts[p as usize].to_le_bytes());
-            out.extend_from_slice(self.page(p));
+            // Whole pages whatever the storage: equal logical state, equal
+            // bytes, so a manager rebuilt by replay digests the same.
+            let stored = self.stored(p);
+            out.extend_from_slice(stored);
+            out.resize(out.len() + PAGE_SIZE - stored.len(), 0);
         }
         let mut pids: Vec<u32> = self.processes.keys().copied().collect();
         pids.sort_unstable();
@@ -614,7 +702,7 @@ impl PageManager {
                 return None;
             }
             pm.refcounts[p] = c.u32()?;
-            pm.pages[p] = Some(c.take(PAGE_SIZE)?.to_vec().into_boxed_slice());
+            pm.pages[p] = Some(Page::private(c.take(PAGE_SIZE)?));
         }
         for _ in 0..c.u32()? {
             let pid = c.u32()?;
@@ -687,22 +775,34 @@ impl<'a> SnapCursor<'a> {
     }
 }
 
-/// Split-borrow two distinct (materialized) pages as (src, dst).
-fn two_pages(pages: &mut [Option<Box<[u8]>>], src: PageIdx, dst: PageIdx) -> (&[u8], &mut [u8]) {
-    assert_ne!(src, dst);
-    let (a, b) = (src as usize, dst as usize);
-    if a < b {
-        let (lo, hi) = pages.split_at_mut(b);
-        (
-            lo[a].as_deref().expect("page materialized"),
-            hi[0].as_deref_mut().expect("page materialized"),
-        )
-    } else {
-        let (lo, hi) = pages.split_at_mut(a);
-        (
-            hi[0].as_deref().expect("page materialized"),
-            lo[b].as_deref_mut().expect("page materialized"),
-        )
+/// Append the `len` bytes at byte offset `start` of a page sequence to `out`:
+/// `page_at(n)` is the sequence's `n`-th page, an unmapped page reads as
+/// zeros and so does a page past its stored length. The one copy loop behind
+/// every read. `out` keeps its spare capacity (see
+/// [`PageManager::read_into`]).
+fn gather(
+    pages: &[Option<Page>],
+    start: u64,
+    len: u64,
+    mut page_at: impl FnMut(u64) -> Option<PageIdx>,
+    out: &mut Vec<u8>,
+) {
+    out.reserve(len as usize + (out.capacity() - out.len()));
+    let (mut cur, end) = (start, start + len);
+    while cur < end {
+        let in_page = (cur % PAGE_SIZE as u64) as usize;
+        let n = (PAGE_SIZE - in_page).min((end - cur) as usize);
+        let stored = page_at(cur / PAGE_SIZE as u64).map_or(&[][..], |p| {
+            pages[p as usize]
+                .as_ref()
+                .expect("page materialized")
+                .stored()
+        });
+        let have = stored.get(in_page..).unwrap_or(&[]);
+        let have = &have[..n.min(have.len())];
+        out.extend_from_slice(have);
+        out.resize(out.len() + n - have.len(), 0);
+        cur += n as u64;
     }
 }
 
@@ -861,6 +961,44 @@ mod tests {
         let va = pm.ralloc(pid, 3 * PS).unwrap(); // VA ok, pages lazy
         let r = pm.write(pid, va, &vec![1u8; 3 * PAGE_SIZE]);
         assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+    }
+
+    #[test]
+    fn publish_that_does_not_fit_takes_no_page() {
+        let mut pm = PageManager::new(4, CopyMode::CopyOnWrite);
+        let r = pm.put_ref(&[1u8; 6 * PAGE_SIZE], None);
+        assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+        assert_eq!(pm.free_pages(), 4, "a refused publish keeps no page");
+        pm.check_invariants();
+        pm.put_ref(&[1u8; 4 * PAGE_SIZE], None)
+            .expect("the pool is whole");
+    }
+
+    #[test]
+    fn create_ref_that_does_not_fit_takes_no_page() {
+        // Eager: three mapped pages need three copies, two pages are free.
+        let mut pm = PageManager::new(5, CopyMode::Eager);
+        let pid = pm.register_process();
+        let va = pm.ralloc(pid, 3 * PS).unwrap();
+        pm.write(pid, va, &vec![7u8; 3 * PAGE_SIZE]).unwrap();
+        let r = pm.create_ref(pid, va, 3 * PS);
+        assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+        assert_eq!(pm.free_pages(), 2, "no copy outlives a refused ref");
+        pm.check_invariants();
+
+        // Copy-on-write: two virgin pages to fault in, one page is free.
+        let mut pm = PageManager::new(2, CopyMode::CopyOnWrite);
+        let pid = pm.register_process();
+        let va = pm.ralloc(pid, 3 * PS).unwrap();
+        pm.write(pid, va, &[7u8]).unwrap();
+        let r = pm.create_ref(pid, va, 3 * PS);
+        assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+        assert_eq!(
+            pm.free_pages(),
+            1,
+            "no page is faulted in for a refused ref"
+        );
+        pm.check_invariants();
     }
 
     #[test]

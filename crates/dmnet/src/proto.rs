@@ -8,7 +8,7 @@
 //! were filled under can tell whether any ref it cached may have died since
 //! (DESIGN.md §9).
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult, GlobalPid};
 use telemetry::TraceCtx;
 
@@ -147,22 +147,88 @@ fn code_err(c: u8) -> DmError {
         .unwrap_or(DmError::Malformed)
 }
 
-/// Encode a successful response with `body`, carrying the server's current
-/// invalidation `epoch`.
-pub fn ok_response(epoch: u64, body: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(9 + body.len());
-    b.extend_from_slice(&[0u8]);
-    b.extend_from_slice(&epoch.to_le_bytes());
-    b.extend_from_slice(body);
-    b.freeze()
+/// Bytes in front of every response body: `[status u8][epoch u64]`.
+const RESPONSE_HEAD: usize = 9;
+
+/// Room a fresh [`Response`] leaves behind its body: one-ref version
+/// trailer (`[key u64][ver u64][n u8]`), which is what data responses carry.
+const RESPONSE_TAIL: usize = 17;
+
+/// A response under construction, in the buffer that goes on the wire: the
+/// head is reserved up front, the body is appended behind it (page bytes
+/// straight out of the page store, through [`Response::buf`]), and status,
+/// epoch and the optional version trailer are filled in by the method that
+/// finishes it — so a server that awaits between producing the body and
+/// answering reports the epoch of the answer, and no body is ever copied to
+/// be framed.
+pub struct Response {
+    buf: Vec<u8>,
 }
 
-/// Encode an error response, carrying the server's current `epoch`.
-pub fn err_response(epoch: u64, e: DmError) -> Bytes {
-    let mut b = BytesMut::with_capacity(9);
-    b.extend_from_slice(&[err_code(e)]);
-    b.extend_from_slice(&epoch.to_le_bytes());
-    b.freeze()
+impl Default for Response {
+    fn default() -> Self {
+        Response::new()
+    }
+}
+
+impl Response {
+    /// Start a response whose body is small (up to `MAP_REF`'s two words)
+    /// or of a length not yet known.
+    pub fn new() -> Response {
+        Response::with_capacity(16)
+    }
+
+    /// Start a response with room for a `body`-byte body.
+    pub fn with_capacity(body: usize) -> Response {
+        let mut buf = Vec::with_capacity(RESPONSE_HEAD + body + RESPONSE_TAIL);
+        buf.resize(RESPONSE_HEAD, 0);
+        Response { buf }
+    }
+
+    /// Append a PID to the body.
+    pub fn pid(mut self, p: GlobalPid) -> Self {
+        self.buf.put_u32_le(p.0);
+        self
+    }
+
+    /// Append a u64 to the body.
+    pub fn u64(mut self, v: u64) -> Self {
+        self.buf.put_u64_le(v);
+        self
+    }
+
+    /// The buffer, for appending body bytes in place.
+    pub fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    fn finish(mut self, status: u8, epoch: u64) -> Bytes {
+        self.buf[0] = status;
+        self.buf[1..RESPONSE_HEAD].copy_from_slice(&epoch.to_le_bytes());
+        Bytes::from(self.buf)
+    }
+
+    /// Finish as a success carrying the server's current invalidation
+    /// `epoch`. With `touched`, the body ends in a per-ref version trailer
+    /// (DESIGN.md §15): `n × ([key u64][ver u64])`, then `[n u8]` as the very
+    /// last byte. A coherence-mode server passes it on *every* success (an
+    /// untouched response gets `n = 0`), so a fine-grained client can strip
+    /// the trailer unambiguously ([`split_versions`]).
+    pub fn ok(mut self, epoch: u64, touched: Option<&[(u64, u64)]>) -> Bytes {
+        if let Some(touched) = touched {
+            assert!(touched.len() <= u8::MAX as usize, "trailer count is a u8");
+            for &(key, ver) in touched {
+                self = self.u64(key).u64(ver);
+            }
+            self.buf.push(touched.len() as u8);
+        }
+        self.finish(0, epoch)
+    }
+
+    /// An error response, carrying the server's current `epoch`.
+    pub fn err(epoch: u64, e: DmError) -> Bytes {
+        Response::with_capacity(0).finish(err_code(e), epoch)
+    }
 }
 
 /// What a response decodes to: a body, a one-hop redirect, or an error.
@@ -217,26 +283,7 @@ pub fn split_response(resp: &Bytes) -> (u64, Reply) {
     (epoch, reply)
 }
 
-/// Encode a successful response whose body carries a per-ref version
-/// trailer (DESIGN.md §15): `body`, then `n × ([key u64][ver u64])`, then
-/// `[n u8]` as the very last byte. A coherence-mode server wraps *every*
-/// successful response this way (an untouched response gets `n = 0`), so
-/// a fine-grained client can strip the trailer unambiguously.
-pub fn ok_response_versioned(epoch: u64, body: &[u8], touched: &[(u64, u64)]) -> Bytes {
-    assert!(touched.len() <= u8::MAX as usize, "trailer count is a u8");
-    let mut b = BytesMut::with_capacity(9 + body.len() + 16 * touched.len() + 1);
-    b.extend_from_slice(&[0u8]);
-    b.extend_from_slice(&epoch.to_le_bytes());
-    b.extend_from_slice(body);
-    for &(key, ver) in touched {
-        b.extend_from_slice(&key.to_le_bytes());
-        b.extend_from_slice(&ver.to_le_bytes());
-    }
-    b.extend_from_slice(&[touched.len() as u8]);
-    b.freeze()
-}
-
-/// Strip a [`ok_response_versioned`] trailer off a success body, returning
+/// Strip a [`Response::ok`] version trailer off a success body, returning
 /// the inner body plus the `(key, version)` pairs the response touched.
 /// Only meaningful on bodies produced by a coherence-mode server.
 pub fn split_versions(body: &Bytes) -> DmResult<(Bytes, Vec<(u64, u64)>)> {
@@ -268,12 +315,10 @@ pub const CODE_MOVED: u8 = 7;
 
 /// Encode a redirect response: the gkey now lives at `node:port`.
 pub fn moved_response(epoch: u64, node: u32, port: u16) -> Bytes {
-    let mut b = BytesMut::with_capacity(15);
-    b.extend_from_slice(&[CODE_MOVED]);
-    b.extend_from_slice(&epoch.to_le_bytes());
-    b.extend_from_slice(&node.to_le_bytes());
-    b.extend_from_slice(&port.to_le_bytes());
-    b.freeze()
+    let mut resp = Response::new();
+    resp.buf.put_u32_le(node);
+    resp.buf.put_u16_le(port);
+    resp.finish(CODE_MOVED, epoch)
 }
 
 /// High bit of a batch item tag: set when the item body starts with a
@@ -339,10 +384,12 @@ pub fn decode_batch(body: &Bytes) -> DmResult<Vec<(u8, Bytes, Option<TraceCtx>)>
         .collect()
 }
 
-/// Frame per-sub-request responses as a batch response body (rpclib's
-/// untagged multi-op framing; order mirrors the request).
-pub fn encode_batch_responses(resps: &[Bytes]) -> Bytes {
-    rpclib::multiframe::encode_plain(resps)
+/// A response whose body frames the per-sub-request responses of a batch
+/// (rpclib's untagged multi-op framing; order mirrors the request).
+pub fn batch_response(resps: &[Bytes]) -> Response {
+    let mut resp = Response::with_capacity(rpclib::multiframe::plain_len(resps));
+    rpclib::multiframe::encode_plain_into(resps, resp.buf());
+    resp
 }
 
 /// Decode a batch response body into the framed per-sub-request responses.
@@ -393,6 +440,18 @@ impl<'a> Reader<'a> {
     /// Remaining bytes; the cursor moves to the end.
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
+    /// [`Self::rest`] as a slice of `whole`, the `Bytes` this reader was
+    /// opened on, sharing its storage.
+    pub fn rest_of(&mut self, whole: &Bytes) -> Bytes {
+        assert!(
+            std::ptr::eq(&whole[..], self.buf),
+            "not this reader's buffer"
+        );
+        let s = whole.slice(self.pos..);
         self.pos = self.buf.len();
         s
     }
@@ -484,11 +543,13 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let ok = ok_response(42, b"abc");
+        let mut ok = Response::new();
+        ok.buf().extend_from_slice(b"abc");
+        let ok = ok.ok(42, None);
         let (epoch, reply) = split_response(&ok);
         assert_eq!(epoch, 42);
         assert_eq!(&reply.result().unwrap()[..], b"abc");
-        let err = err_response(7, DmError::OutOfMemory);
+        let err = Response::err(7, DmError::OutOfMemory);
         assert_eq!(split_response(&err), (7, Reply::Err(DmError::OutOfMemory)));
         // Too short to carry an epoch: malformed, epoch reads as 0.
         for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
@@ -503,7 +564,7 @@ mod tests {
         for &(e, code) in ERR_TABLE {
             assert_eq!(err_code(e), code);
             assert_eq!(code_err(code), e);
-            assert_eq!(split_response(&err_response(0, e)).1, Reply::Err(e));
+            assert_eq!(split_response(&Response::err(0, e)).1, Reply::Err(e));
         }
         // Unknown codes (and 0 in error position) decode as Malformed.
         assert_eq!(code_err(0), DmError::Malformed);
@@ -524,8 +585,12 @@ mod tests {
             .collect();
         assert_eq!(decoded, expect);
 
-        let resps = vec![ok_response(1, b""), err_response(2, DmError::InvalidRef)];
-        let back = decode_batch_responses(&encode_batch_responses(&resps)).unwrap();
+        let resps = vec![
+            Response::new().ok(1, None),
+            Response::err(2, DmError::InvalidRef),
+        ];
+        let framed = split_response(&batch_response(&resps).ok(3, None)).1;
+        let back = decode_batch_responses(&framed.result().unwrap()).unwrap();
         assert_eq!(back, resps);
     }
 
@@ -612,14 +677,16 @@ mod tests {
     #[test]
     fn version_trailer_roundtrip() {
         // Data bytes plus two touched refs; the trailer strips cleanly.
-        let resp = ok_response_versioned(5, b"payload", &[(11, 2), (GKEY_TEST, 7)]);
+        let mut resp = Response::new();
+        resp.buf().extend_from_slice(b"payload");
+        let resp = resp.ok(5, Some(&[(11, 2), (GKEY_TEST, 7)]));
         let (epoch, reply) = split_response(&resp);
         assert_eq!(epoch, 5);
         let (inner, touched) = split_versions(&reply.result().unwrap()).unwrap();
         assert_eq!(&inner[..], b"payload");
         assert_eq!(touched, vec![(11, 2), (GKEY_TEST, 7)]);
         // Untouched responses still carry an (empty) trailer.
-        let resp = ok_response_versioned(5, b"", &[]);
+        let resp = Response::new().ok(5, Some(&[]));
         let (inner, touched) = split_versions(&split_response(&resp).1.result().unwrap()).unwrap();
         assert!(inner.is_empty() && touched.is_empty());
         // A claimed trailer bigger than the body is malformed.

@@ -15,7 +15,7 @@ use simcore::SimTime;
 use simnet::{Addr, NodeId};
 
 use super::DmServer;
-use crate::proto::{self, req, Writer};
+use crate::proto::{req, Response, Writer};
 
 /// Fine-grained cache-coherence tuning (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
@@ -169,20 +169,16 @@ impl DmServer {
         out
     }
 
-    /// Wrap `body` in a success response carrying the current epoch.
-    /// A coherent server appends a version trailer to *every* ok
-    /// response (empty when the op touched no cacheable ref) so clients
-    /// can strip it unambiguously.
-    pub(super) fn ok(&self, body: &[u8]) -> Bytes {
-        self.ok_v(&[], body)
+    /// Finish `resp` as a success carrying the current epoch. A coherent
+    /// server appends a version trailer to *every* ok response (empty when
+    /// the op touched no cacheable ref) so clients can strip it
+    /// unambiguously.
+    pub(super) fn ok(&self, resp: Response) -> Bytes {
+        self.ok_v(&[], resp)
     }
 
     /// [`Self::ok`] with the `(key, version)` pairs this op touched.
-    pub(super) fn ok_v(&self, touched: &[(u64, u64)], body: &[u8]) -> Bytes {
-        if self.coherent() {
-            proto::ok_response_versioned(self.epoch.get(), body, touched)
-        } else {
-            proto::ok_response(self.epoch.get(), body)
-        }
+    pub(super) fn ok_v(&self, touched: &[(u64, u64)], resp: Response) -> Bytes {
+        resp.ok(self.epoch.get(), self.coherent().then_some(touched))
     }
 }

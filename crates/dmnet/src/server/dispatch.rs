@@ -13,7 +13,7 @@ use telemetry::SpanKind;
 
 use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
 use crate::page_manager::OpCost;
-use crate::proto::{self, err_response, req, Reader, Writer};
+use crate::proto::{self, req, Reader, Response};
 use crate::shard::GKEY_BIT;
 use crate::wal::Record;
 
@@ -64,7 +64,7 @@ impl DmServer {
             Some(_) if Self::admission_exempt(ty) => None,
             Some(a) => match a.try_admit() {
                 Some(guard) => Some(guard),
-                None => return err_response(self.epoch.get(), DmError::Busy),
+                None => return Response::err(self.epoch.get(), DmError::Busy),
             },
         };
         // Child of the RPC layer's server-handle span when the request was
@@ -79,29 +79,32 @@ impl DmServer {
                 if let Some(s) = op.as_mut() {
                     s.attr("error", 1);
                 }
-                err_response(self.epoch.get(), e)
+                Response::err(self.epoch.get(), e)
             }
         }
     }
 
-    /// Install `data` as a new ref on the next shard in rotation,
-    /// attributed to the pid `owner` registered here so lease expiry can
-    /// reclaim it (an unregistered owner is refused — an anonymous ref
-    /// could never be reclaimed; `None` is a migrated ref that was already
-    /// unowned at its source). With `bind = (gkey, version)` the ref is
-    /// also bound to that global key. Logs, charges and returns the ref's
-    /// shard-tagged key. The one body behind `PUT_REF`, `PUT_REF_AT` and
-    /// `MIGRATE_IN`.
+    /// Install `data` as a new ref on the next shard in rotation — its pages
+    /// are views into `data`'s storage, nothing is copied — attributed to
+    /// the pid `owner` registered here so lease expiry can reclaim it (an
+    /// unregistered owner is refused — an anonymous ref could never be
+    /// reclaimed; `None` is a migrated ref that was already unowned at its
+    /// source). With `bind = (gkey, version)` the ref is also bound to that
+    /// global key. Logs, charges and returns the ref's shard-tagged key. The
+    /// one body behind `PUT_REF`, `PUT_REF_AT` and `MIGRATE_IN`.
     pub(super) async fn install_ref(
         &self,
-        data: &[u8],
+        data: Bytes,
         owner: Option<Addr>,
         bind: Option<(u64, u64)>,
     ) -> DmResult<u64> {
         let len = data.len() as u64;
         let owner = owner.map(|addr| self.pid_of(addr)).transpose()?;
         let shard = self.pick_alloc_shard();
-        let (key, cost) = self.shards[shard].pm.borrow_mut().put_ref(data, owner)?;
+        let (key, cost) = self.shards[shard]
+            .pm
+            .borrow_mut()
+            .put_ref_bytes(data.clone(), owner)?;
         let tagged = self.tag(shard, key);
         if let Some((gkey, ver)) = bind {
             self.gmap.borrow_mut().insert(gkey, tagged);
@@ -153,9 +156,10 @@ impl DmServer {
                 // byte-identical to the pre-lease wire format.
                 if let Some(ttl) = self.config.lease_ttl {
                     self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
-                    return Ok(self.ok(&Writer::new().pid(pid).u64(ttl.as_nanos() as u64).finish()));
+                    let ttl = ttl.as_nanos() as u64;
+                    return Ok(self.ok(Response::new().pid(pid).u64(ttl)));
                 }
-                Ok(self.ok(&Writer::new().pid(pid).finish()))
+                Ok(self.ok(Response::new().pid(pid)))
             }
             req::RENEW_LEASE => {
                 let pid = r.pid()?;
@@ -168,7 +172,7 @@ impl DmServer {
                     None => return Err(DmError::InvalidAddress),
                 }
                 self.charge(0, OpCost::default(), 0).await;
-                Ok(self.ok(&[]))
+                Ok(self.ok(Response::new()))
             }
             req::ALLOC => {
                 let pid = r.pid()?;
@@ -186,7 +190,7 @@ impl DmServer {
                 })
                 .await;
                 self.charge(shard, OpCost::default(), 0).await;
-                Ok(self.ok(&Writer::new().u64(self.tag(shard, va)).finish()))
+                Ok(self.ok(Response::new().u64(self.tag(shard, va))))
             }
             req::FREE => {
                 let pid = r.pid()?;
@@ -202,7 +206,7 @@ impl DmServer {
                 })
                 .await;
                 self.charge(shard, cost, cost.refcount_updates).await;
-                Ok(self.ok(&[]))
+                Ok(self.ok(Response::new()))
             }
             req::CREATE_REF => {
                 let pid = r.pid()?;
@@ -226,7 +230,7 @@ impl DmServer {
                 let pages = len.div_ceil(PAGE_SIZE as u64);
                 self.charge(shard, cost, pages).await;
                 let tagged = self.tag(shard, key);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
             }
             req::MAP_REF => {
                 let pid = r.pid()?;
@@ -250,7 +254,7 @@ impl DmServer {
                 self.grant(raw, src);
                 Ok(self.ok_v(
                     &[(raw, self.current_version(raw))],
-                    &Writer::new().u64(self.tag(shard, va)).u64(len).finish(),
+                    Response::new().u64(self.tag(shard, va)).u64(len),
                 ))
             }
             req::READ => {
@@ -258,13 +262,17 @@ impl DmServer {
                 self.check_owner(pid, src)?;
                 let (shard, va) = self.route(r.u64()?)?;
                 let len = r.u64()?;
-                let data = self.shards[shard].pm.borrow_mut().read(pid, va, len)?;
+                let mut resp = Response::new();
+                self.shards[shard]
+                    .pm
+                    .borrow_mut()
+                    .read_into(pid, va, len, resp.buf())?;
                 self.charge(shard, OpCost::default(), translations_for(len))
                     .await;
                 // Reading pinned pages into the response path occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                Ok(self.ok(&data))
+                Ok(self.ok(resp))
             }
             req::WRITE => {
                 let pid = r.pid()?;
@@ -286,7 +294,7 @@ impl DmServer {
                 // Storing into pinned pages occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                Ok(self.ok(&[]))
+                Ok(self.ok(Response::new()))
             }
             req::RELEASE_REF => {
                 let raw = r.u64()?;
@@ -314,7 +322,7 @@ impl DmServer {
                 })
                 .await;
                 self.charge(shard, cost, cost.refcount_updates).await;
-                Ok(self.ok_v(&touched, &[]))
+                Ok(self.ok_v(&touched, Response::new()))
             }
             req::WRITE_CREATE_REF => {
                 // Fast path: write the data and create the ref in one RTT.
@@ -355,13 +363,13 @@ impl DmServer {
                 let tagged = self.tag(shard, key);
                 // The writer caches the bytes it just published.
                 self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
             }
             req::PUT_REF => {
-                let tagged = self.install_ref(body, Some(src), None).await?;
+                let tagged = self.install_ref(body.clone(), Some(src), None).await?;
                 // The publisher caches the bytes it just published.
                 self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
             }
             req::READ_REF => {
                 let raw = r.u64()?;
@@ -371,7 +379,11 @@ impl DmServer {
                 };
                 let off = r.u64()?;
                 let len = r.u64()?;
-                let data = self.shards[shard].pm.borrow_mut().read_ref(key, off, len)?;
+                let mut resp = Response::new();
+                self.shards[shard]
+                    .pm
+                    .borrow()
+                    .read_ref_into(key, off, len, resp.buf())?;
                 self.charge(shard, OpCost::default(), translations_for(len))
                     .await;
                 self.mem.touch(len).await;
@@ -379,7 +391,7 @@ impl DmServer {
                 // The reader may now cache these bytes: grant it a read
                 // lease and report the key's version alongside the data.
                 self.grant(raw, src);
-                Ok(self.ok_v(&[(raw, self.current_version(raw))], &data))
+                Ok(self.ok_v(&[(raw, self.current_version(raw))], resp))
             }
             req::PUT_REF_AT => {
                 // Sharded plane (DESIGN.md §13): publish under a
@@ -395,13 +407,13 @@ impl DmServer {
                 {
                     return Err(DmError::Malformed);
                 }
-                self.install_ref(r.rest(), Some(src), Some((gkey, 1)))
+                self.install_ref(r.rest_of(body), Some(src), Some((gkey, 1)))
                     .await?;
                 self.grant(gkey, src);
-                Ok(self.ok_v(&[(gkey, 1)], &[]))
+                Ok(self.ok_v(&[(gkey, 1)], Response::new()))
             }
             req::MIGRATE => self.migrate_out(&mut r).await,
-            req::MIGRATE_IN => self.migrate_in(&mut r).await,
+            req::MIGRATE_IN => self.migrate_in(&mut r, body).await,
             req::BATCH => {
                 // Coalesced control ops (DESIGN.md §9): one wire message,
                 // one framed response per sub-op. Each sub-op still pays
@@ -428,12 +440,12 @@ impl DmServer {
                     });
                     let resp = match Box::pin(self.dispatch(sub_ty, src, &sub_body)).await {
                         Ok(r) => r,
-                        Err(e) => err_response(self.epoch.get(), e),
+                        Err(e) => Response::err(self.epoch.get(), e),
                     };
                     drop(sub_span);
                     resps.push(resp);
                 }
-                Ok(self.ok(&proto::encode_batch_responses(&resps)))
+                Ok(self.ok(proto::batch_response(&resps)))
             }
             _ => Err(DmError::Malformed),
         }

@@ -7,7 +7,7 @@ use dmcommon::{DmError, DmResult};
 use simnet::{Addr, NodeId};
 
 use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
-use crate::proto::{self, req, Reader, Writer};
+use crate::proto::{self, req, Reader, Response, Writer};
 use crate::shard::GKEY_BIT;
 use crate::wal::Record;
 
@@ -55,7 +55,6 @@ impl DmServer {
             let pm = self.shards[shard].pm.borrow();
             (pm.ref_len(key)?, pm.ref_owner(key)?)
         };
-        let data = self.shards[shard].pm.borrow_mut().read_ref(key, 0, len)?;
         let owner_addr = owner.and_then(|p| self.owners.borrow().get(&p.0).copied());
         // An owned ref whose owner is no longer registered is
         // about to be lease-reclaimed; migrating it would install
@@ -63,23 +62,34 @@ impl DmServer {
         if owner.is_some() && owner_addr.is_none() {
             return Err(DmError::InvalidAddress);
         }
-        // Reading the pages out for the transfer occupies DRAM
-        // exactly like READ_REF.
-        self.mem.touch(len).await;
-        self.note_data_time(len);
+        // The transfer is built once, in the buffer that goes on the wire:
+        // header, room for the version, then the pages as they are now.
         let mut w = Writer::new().u64(gkey);
         w = match owner_addr {
             Some(a) => w.u32(a.node.0).u32(a.port as u32),
             None => w.u32(NO_OWNER_PID).u32(0),
         };
+        let mut fwd = w.into_vec();
+        let ver_at = fwd.len();
+        if self.coherent() {
+            fwd.extend_from_slice(&[0; 8]);
+        }
+        self.shards[shard]
+            .pm
+            .borrow()
+            .read_ref_into(key, 0, len, &mut fwd)?;
+        // Reading the pages out for the transfer occupies DRAM
+        // exactly like READ_REF.
+        self.mem.touch(len).await;
+        self.note_data_time(len);
         // Versions travel with ownership: the destination installs
         // the successor version, so clients that cached the ref
         // here can never mistake a pre-migration fill for current
         // once they reach the new home.
         if self.coherent() {
-            w = w.u64(self.current_version(gkey) + 1);
+            let ver = self.current_version(gkey) + 1;
+            fwd[ver_at..ver_at + 8].copy_from_slice(&ver.to_le_bytes());
         }
-        let fwd = w.bytes(&data).finish();
         // The transfer rides the simulated fabric: migration pays
         // real server-to-server bandwidth and latency. A transport
         // or destination failure leaves the local copy untouched —
@@ -88,7 +98,7 @@ impl DmServer {
         // lease teardown reclaims it.
         let resp = self
             .rpc
-            .call(dst, req::MIGRATE_IN, fwd)
+            .call(dst, req::MIGRATE_IN, fwd.into())
             .await
             .map_err(|_| DmError::Transport)?;
         proto::split_response(&resp).1.result()?;
@@ -116,7 +126,7 @@ impl DmServer {
         .await;
         self.migrations.set(self.migrations.get() + 1);
         self.charge(shard, cost, translations_for(len)).await;
-        Ok(self.ok_v(&touched, &[]))
+        Ok(self.ok_v(&touched, Response::new()))
     }
 
     /// `MIGRATE_IN`, the destination half of `MIGRATE`
@@ -125,7 +135,7 @@ impl DmServer {
     /// Ownership is re-attributed to this server's pid for the owning
     /// endpoint; a ref that was already unowned at the source arrives
     /// unowned (reclaimed only by explicit release).
-    pub(super) async fn migrate_in(&self, r: &mut Reader<'_>) -> DmResult<Bytes> {
+    pub(super) async fn migrate_in(&self, r: &mut Reader<'_>, body: &Bytes) -> DmResult<Bytes> {
         let gkey = r.u64()?;
         if gkey & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);
@@ -150,8 +160,9 @@ impl DmServer {
             node: NodeId(owner_node),
             port: owner_port as u16,
         });
-        self.install_ref(r.rest(), owner, Some((gkey, ver))).await?;
+        self.install_ref(r.rest_of(body), owner, Some((gkey, ver)))
+            .await?;
         self.migrations.set(self.migrations.get() + 1);
-        Ok(self.ok(&[]))
+        Ok(self.ok(Response::new()))
     }
 }

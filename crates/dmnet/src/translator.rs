@@ -6,9 +6,8 @@
 //! the model. Lookup counters feed the paper's 0.17%-of-access-time
 //! measurement (§V-A2).
 
-use std::collections::HashMap;
-
 use dmcommon::GlobalPid;
+use simcore::FastMap;
 
 /// Pinned-page index inside the DM server.
 pub type PageIdx = u32;
@@ -16,7 +15,7 @@ pub type PageIdx = u32;
 /// Hash-table translation from `(pid, vpn)` to pinned page.
 #[derive(Default)]
 pub struct Translator {
-    table: HashMap<(u32, u64), PageIdx>,
+    table: FastMap<(u32, u64), PageIdx>,
     lookups: u64,
     misses: u64,
 }

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
-use dmnet::proto::{moved_response, ok_response, req, split_response, Writer, DM_PORT};
+use dmnet::proto::{moved_response, req, split_response, Response, DM_PORT};
 use dmnet::{
     start_pool, CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT,
 };
@@ -25,7 +25,7 @@ fn parse_response(resp: &Bytes) -> DmResult<Bytes> {
 fn redirecting_server(net: &Network, node: NodeId, fwd_node: u32) -> Rc<Rpc> {
     let rpc = RpcBuilder::new(net, node, DM_PORT).build();
     rpc.register(req::REGISTER, |_| async {
-        ok_response(0, &Writer::new().pid(GlobalPid(1)).finish())
+        Response::new().pid(GlobalPid(1)).ok(0, None)
     });
     rpc.register(req::READ_REF, move |_| async move {
         moved_response(0, fwd_node, DM_PORT)

@@ -5,12 +5,90 @@
 //! are applied to both the real [`PageManager`] and the model; after every
 //! step reads must agree, and the page-pool invariants (refcount
 //! conservation, free-list exclusivity) must hold.
+//!
+//! Every sequence runs on two managers at once ([`Twin`]): one is fed
+//! publishes through the aliasing entry (`put_ref_bytes`, with `Bytes`
+//! carved at odd offsets out of larger buffers, so its pages are unaligned
+//! views and its tail pages short), the other through the copying
+//! `put_ref(&[u8])` and is rebuilt from its own checkpoint after every op,
+//! so each page it holds is a private 4 KiB buffer. Whether a page shares
+//! its storage with the message it arrived in must be unobservable: every
+//! result, every `OpCost` and the canonical snapshot after every op are
+//! required to be equal.
 
-use dmcommon::{CopyMode, GlobalPid, PAGE_SIZE};
-use dmnet::PageManager;
+use std::fmt::Debug;
+
+use bytes::Bytes;
+use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
+use dmnet::{OpCost, PageManager};
 use proptest::prelude::*;
 
 const PS: u64 = PAGE_SIZE as u64;
+
+/// The manager under test twice over: pages aliasing what was published in
+/// one, private in the other.
+struct Twin {
+    alias: PageManager,
+    owned: PageManager,
+}
+
+impl Twin {
+    fn new(capacity_pages: usize, copy_mode: CopyMode) -> Twin {
+        Twin {
+            alias: PageManager::new(capacity_pages, copy_mode),
+            owned: PageManager::new(capacity_pages, copy_mode),
+        }
+    }
+
+    /// Equal snapshots are equal `state_digest()`s: the digest is a hash
+    /// of the snapshot.
+    fn check(&mut self) {
+        self.alias.check_invariants();
+        self.owned.check_invariants();
+        let snap = self.owned.snapshot();
+        assert!(self.alias.snapshot() == snap, "aliased and owned diverged");
+        self.owned = PageManager::restore_from(&snap, &mut 0).expect("own snapshot");
+    }
+
+    /// Run `op` on both managers; results, errors and costs must agree.
+    fn both<R: PartialEq + Debug>(&mut self, op: impl Fn(&mut PageManager) -> R) -> R {
+        let (a, b) = (op(&mut self.alias), op(&mut self.owned));
+        assert_eq!(a, b, "aliased vs owned result");
+        self.check();
+        a
+    }
+
+    /// Publish `data`: a view `skew` bytes into a larger buffer (dropped by
+    /// the publisher at once) on one side, a plain slice on the other.
+    fn put(
+        &mut self,
+        data: &[u8],
+        skew: usize,
+        owner: Option<GlobalPid>,
+    ) -> DmResult<(u64, OpCost)> {
+        let mut big = vec![0xA5u8; skew];
+        big.extend_from_slice(data);
+        big.extend_from_slice(&[0x5A; 7]);
+        let carved = Bytes::from(big).slice(skew..skew + data.len());
+        let a = self.alias.put_ref_bytes(carved, owner);
+        let b = self.owned.put_ref(data, owner);
+        assert_eq!(a, b, "aliased vs owned publish");
+        self.check();
+        a
+    }
+}
+
+/// `len` bytes no two pages of which look alike.
+fn pattern(len: usize, seed: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| {
+            (i as u8)
+                .wrapping_mul(31)
+                .wrapping_add((i / PAGE_SIZE) as u8)
+                ^ seed
+        })
+        .collect()
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -36,6 +114,11 @@ enum Op {
     },
     ReadRefDirect {
         r: usize,
+    },
+    PutRef {
+        len: usize,
+        skew: usize,
+        seed: u8,
     },
     Free {
         region: usize,
@@ -64,6 +147,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..8).prop_map(|region| Op::CreateRef { region }),
         (0usize..8).prop_map(|r| Op::MapRef { r }),
         (0usize..8).prop_map(|r| Op::ReadRefDirect { r }),
+        (1usize..3 * PAGE_SIZE + 2, 0usize..40, any::<u8>()).prop_map(|(len, skew, seed)| {
+            Op::PutRef {
+                len,
+                skew: 2 * skew + 1,
+                seed,
+            }
+        }),
         (0usize..8).prop_map(|region| Op::Free { region }),
         (0usize..8).prop_map(|r| Op::ReleaseRef { r }),
     ]
@@ -91,16 +181,16 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         copy_mode in prop_oneof![Just(CopyMode::CopyOnWrite), Just(CopyMode::Eager)],
     ) {
-        let mut pm = PageManager::new(512, copy_mode);
-        let pid = pm.register_process();
-        let mapper = pm.register_process();
+        let mut pm = Twin::new(512, copy_mode);
+        let pid = pm.both(|pm| pm.register_process());
+        let mapper = pm.both(|pm| pm.register_process());
         let mut regions: Vec<ModelRegion> = Vec::new();
         let mut refs: Vec<ModelRef> = Vec::new();
 
         for op in ops {
             match op {
                 Op::Alloc { pages } => {
-                    if let Ok(va) = pm.ralloc(pid, pages * PS) {
+                    if let Ok(va) = pm.both(|pm| pm.ralloc(pid, pages * PS)) {
                         regions.push(ModelRegion {
                             pid,
                             va,
@@ -115,82 +205,93 @@ proptest! {
                     let r = &mut regions[idx];
                     if off + len as u64 > r.len { continue; }
                     let buf = vec![fill; len];
-                    pm.write(r.pid, r.va + off, &buf).expect("in-bounds write");
+                    pm.both(|pm| pm.write(r.pid, r.va + off, &buf)).expect("in-bounds write");
                     r.data[off as usize..off as usize + len].copy_from_slice(&buf);
                 }
                 Op::Read { region, off, len } => {
                     if regions.is_empty() { continue; }
                     let r = &regions[region % regions.len()];
                     if off + len as u64 > r.len { continue; }
-                    let got = pm.read(r.pid, r.va + off, len as u64).expect("in-bounds read");
+                    let got = pm.both(|pm| pm.read(r.pid, r.va + off, len as u64)).expect("in-bounds read");
                     prop_assert_eq!(&got[..], &r.data[off as usize..off as usize + len]);
                 }
                 Op::CreateRef { region } => {
                     if regions.is_empty() { continue; }
                     let r = &regions[region % regions.len()];
-                    if let Ok((key, _)) = pm.create_ref(r.pid, r.va, r.len) {
+                    if let Ok((key, _)) = pm.both(|pm| pm.create_ref(r.pid, r.va, r.len)) {
                         refs.push(ModelRef { key, snapshot: r.data.clone() });
                     }
                 }
                 Op::MapRef { r } => {
                     if refs.is_empty() { continue; }
                     let mr = &refs[r % refs.len()];
-                    if let Ok((va, len, _)) = pm.map_ref(mapper, mr.key) {
+                    if let Ok((va, len, _)) = pm.both(|pm| pm.map_ref(mapper, mr.key)) {
                         // A new region for the mapper, seeded with the
-                        // snapshot (shared until written).
-                        regions.push(ModelRegion {
-                            pid: mapper,
-                            va,
-                            len,
-                            data: mr.snapshot.clone(),
-                        });
+                        // snapshot (shared until written). It spans whole
+                        // pages: what lies past a published ref's last
+                        // byte reads as zeros.
+                        let len = len.div_ceil(PS) * PS;
+                        let mut data = mr.snapshot.clone();
+                        data.resize(len as usize, 0);
+                        regions.push(ModelRegion { pid: mapper, va, len, data });
                     }
                 }
                 Op::ReadRefDirect { r } => {
                     if refs.is_empty() { continue; }
                     let mr = &refs[r % refs.len()];
                     let got = pm
-                        .read_ref(mr.key, 0, mr.snapshot.len() as u64)
+                        .both(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64))
                         .expect("ref read");
                     prop_assert_eq!(&got[..], &mr.snapshot[..]);
+                }
+                Op::PutRef { len, skew, seed } => {
+                    let data = pattern(len, seed);
+                    if let Ok((key, cost)) = pm.put(&data, skew, Some(pid)) {
+                        prop_assert_eq!(cost.pages_faulted, len.div_ceil(PAGE_SIZE) as u64);
+                        refs.push(ModelRef { key, snapshot: data });
+                    }
                 }
                 Op::Free { region } => {
                     if regions.is_empty() { continue; }
                     let idx = region % regions.len();
                     let r = regions.remove(idx);
-                    pm.rfree(r.pid, r.va).expect("free live region");
+                    pm.both(|pm| pm.rfree(r.pid, r.va)).expect("free live region");
                 }
                 Op::ReleaseRef { r } => {
                     if refs.is_empty() { continue; }
                     let idx = r % refs.len();
                     let mr = refs.remove(idx);
-                    pm.release_ref(mr.key).expect("release live ref");
+                    pm.both(|pm| pm.release_ref(mr.key)).expect("release live ref");
                 }
             }
-            pm.check_invariants();
         }
+
+        // A checkpoint of the aliasing manager restores to the same state.
+        let back = PageManager::restore_from(&pm.alias.snapshot(), &mut 0).expect("own snapshot");
+        back.check_invariants();
+        prop_assert_eq!(back.state_digest(), pm.alias.state_digest());
+        prop_assert_eq!(back.state_digest(), pm.owned.state_digest());
 
         // Every ref snapshot must still read back exactly, no matter what
         // writes happened elsewhere (COW isolation).
         for mr in &refs {
-            let got = pm.read_ref(mr.key, 0, mr.snapshot.len() as u64).expect("ref read");
+            let got = pm.both(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64)).expect("ref read");
             prop_assert_eq!(&got[..], &mr.snapshot[..]);
         }
         // And every live region must still read back its model contents.
         for r in &regions {
-            let got = pm.read(r.pid, r.va, r.len).expect("region read");
+            let got = pm.both(|pm| pm.read(r.pid, r.va, r.len)).expect("region read");
             prop_assert_eq!(&got[..], &r.data[..]);
         }
 
         // Tear everything down: the pool must fully recover.
         for r in regions {
-            pm.rfree(r.pid, r.va).expect("final free");
+            pm.both(|pm| pm.rfree(r.pid, r.va)).expect("final free");
         }
         for mr in refs {
-            pm.release_ref(mr.key).expect("final release");
+            pm.both(|pm| pm.release_ref(mr.key)).expect("final release");
         }
-        pm.check_invariants();
-        prop_assert_eq!(pm.free_pages(), pm.capacity_pages());
+        prop_assert_eq!(pm.alias.free_pages(), pm.alias.capacity_pages());
     }
 
     #[test]
@@ -218,4 +319,93 @@ proptest! {
             }
         }
     }
+}
+
+/// A ref of two whole pages and a ten-byte tail, mapped by a second process.
+/// Returns `(twin, mapper, key, va, data)`.
+fn published_and_mapped(copy_mode: CopyMode) -> (Twin, GlobalPid, u64, u64, Vec<u8>) {
+    let mut pm = Twin::new(16, copy_mode);
+    let owner = pm.both(|pm| pm.register_process());
+    let mapper = pm.both(|pm| pm.register_process());
+    let data = pattern(2 * PAGE_SIZE + 10, 9);
+    let (key, _) = pm.put(&data, 3, Some(owner)).unwrap();
+    let (va, len, _) = pm.both(|pm| pm.map_ref(mapper, key)).unwrap();
+    assert_eq!(len, data.len() as u64);
+    (pm, mapper, key, va, data)
+}
+
+#[test]
+fn short_tail_page_reads_zero_padded() {
+    let (mut pm, mapper, key, va, data) = published_and_mapped(CopyMode::CopyOnWrite);
+    // Through the mapping the region spans three whole pages; the publisher
+    // dropped its buffer before this first read.
+    let mut padded = data.clone();
+    padded.resize(3 * PAGE_SIZE, 0);
+    assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), padded);
+    assert_eq!(
+        pm.both(|pm| pm.read(mapper, va + 3 * PS - 1, 1)).unwrap(),
+        [0]
+    );
+    // Through the ref the last byte is the last byte, and there is no next.
+    let last = data.len() as u64 - 1;
+    assert_eq!(
+        pm.both(|pm| pm.read_ref(key, last, 1)).unwrap(),
+        data[last as usize..]
+    );
+    assert_eq!(pm.both(|pm| pm.read_ref(key, 0, last + 1)).unwrap(), data);
+    assert_eq!(
+        pm.both(|pm| pm.read_ref(key, last, 2)),
+        Err(DmError::OutOfBounds)
+    );
+    assert_eq!(
+        pm.both(|pm| pm.read_ref(key, u64::MAX, 2)),
+        Err(DmError::OutOfBounds)
+    );
+}
+
+#[test]
+fn cow_fault_on_an_aliased_page_copies_its_bytes_and_spares_the_ref() {
+    let (mut pm, mapper, key, va, data) = published_and_mapped(CopyMode::CopyOnWrite);
+    // One byte into the short tail page, past its stored bytes.
+    let at = 2 * PS + 100;
+    let cost = pm.both(|pm| pm.write(mapper, va + at, &[0xEE])).unwrap();
+    assert_eq!((cost.bytes_copied, cost.pages_faulted), (PS, 1));
+    let mut expect = data.clone();
+    expect.resize(3 * PAGE_SIZE, 0);
+    expect[at as usize] = 0xEE;
+    assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), expect);
+    assert_eq!(
+        pm.both(|pm| pm.read_ref(key, 0, data.len() as u64))
+            .unwrap(),
+        data
+    );
+}
+
+#[test]
+fn write_in_place_to_an_aliased_page_at_refcount_one() {
+    let (mut pm, mapper, key, va, data) = published_and_mapped(CopyMode::CopyOnWrite);
+    // The ref goes; the mapping is now the pages' only holder, and they
+    // are still views into the published buffer.
+    pm.both(|pm| pm.release_ref(key)).unwrap();
+    let cost = pm
+        .both(|pm| pm.write(mapper, va + PS - 2, &[1, 2, 3, 4]))
+        .unwrap();
+    assert_eq!(cost, OpCost::default(), "no fault, no copy charged");
+    let mut expect = data.clone();
+    expect.resize(3 * PAGE_SIZE, 0);
+    expect[PAGE_SIZE - 2..PAGE_SIZE + 2].copy_from_slice(&[1, 2, 3, 4]);
+    assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), expect);
+    pm.both(|pm| pm.rfree(mapper, va)).unwrap();
+    assert_eq!(pm.alias.free_pages(), pm.alias.capacity_pages());
+}
+
+#[test]
+fn eager_copy_of_aliased_pages_pads_the_tail() {
+    let (mut pm, mapper, key, va, data) = published_and_mapped(CopyMode::Eager);
+    let (copy, cost) = pm.both(|pm| pm.create_ref(mapper, va, 3 * PS)).unwrap();
+    assert_eq!((cost.bytes_copied, cost.pages_faulted), (3 * PS, 3));
+    pm.both(|pm| pm.release_ref(key)).unwrap();
+    let mut padded = data.clone();
+    padded.resize(3 * PAGE_SIZE, 0);
+    assert_eq!(pm.both(|pm| pm.read_ref(copy, 0, 3 * PS)).unwrap(), padded);
 }

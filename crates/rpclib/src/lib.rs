@@ -37,7 +37,7 @@ pub mod wire;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -47,7 +47,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use memsim::NodeMemory;
 use simcore::sync::{oneshot, Notify, Semaphore};
-use simcore::{Counter, CpuPool, Histogram, SimRng, SimTime};
+use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
 use simnet::{Addr, Network, NodeId, Payload};
 use telemetry::{SpanKind, TraceCtx};
 use wire::{fragment, slot_of, Header, Kind, Packet, Reassembly};
@@ -328,9 +328,9 @@ pub struct Rpc {
     config: RpcConfig,
     cpu: Option<CpuPool>,
     mem: Option<NodeMemory>,
-    handlers: RefCell<HashMap<u8, Handler>>,
+    handlers: RefCell<FastMap<u8, Handler>>,
     next_req: Cell<u64>,
-    pending: RefCell<HashMap<u64, Pending>>,
+    pending: RefCell<FastMap<u64, Pending>>,
     /// The retransmission table: one entry per pending call, served
     /// earliest first by the endpoint's one RTO task.
     rto: RefCell<BTreeSet<RtoKey>>,
@@ -346,10 +346,10 @@ pub struct Rpc {
     /// run quiesces exactly when it did with a watchdog per call (some
     /// artifacts divide by time-to-quiescence).
     rto_horizon: Cell<SimTime>,
-    sessions: RefCell<HashMap<Addr, Session>>,
-    served: RefCell<HashMap<(Addr, u32), ServedSlot>>,
+    sessions: RefCell<FastMap<Addr, Session>>,
+    served: RefCell<FastMap<(Addr, u32), ServedSlot>>,
     stats: RpcStats,
-    handler_times: RefCell<HashMap<u8, Histogram>>,
+    handler_times: RefCell<FastMap<u8, Histogram>>,
     is_shutdown: Cell<bool>,
     /// Crash modeling: an offline endpoint neither receives nor transmits.
     offline: Cell<bool>,
@@ -412,18 +412,18 @@ impl RpcBuilder {
             config: self.config,
             cpu: self.cpu,
             mem: self.mem,
-            handlers: RefCell::new(HashMap::new()),
+            handlers: RefCell::default(),
             next_req: Cell::new(1),
-            pending: RefCell::new(HashMap::new()),
+            pending: RefCell::default(),
             rto: RefCell::new(BTreeSet::new()),
             rto_entered: Cell::new(0),
             rto_armed: Cell::new(None),
             rto_wake: Notify::new(),
             rto_horizon: Cell::new(SimTime::ZERO),
-            sessions: RefCell::new(HashMap::new()),
-            served: RefCell::new(HashMap::new()),
+            sessions: RefCell::default(),
+            served: RefCell::default(),
             stats: RpcStats::default(),
-            handler_times: RefCell::new(HashMap::new()),
+            handler_times: RefCell::default(),
             is_shutdown: Cell::new(false),
             offline: Cell::new(false),
             retry_rng: SimRng::new(

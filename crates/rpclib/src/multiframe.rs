@@ -61,15 +61,18 @@ pub fn decode_tagged(body: &Bytes) -> Option<Vec<(u8, Bytes)>> {
     Some(items)
 }
 
-/// Frame untagged sub-messages into one body.
-pub fn encode_plain(items: &[Bytes]) -> Bytes {
-    let len = items.iter().map(|b| 4 + b.len()).sum::<usize>();
-    let mut out = BytesMut::with_capacity(len);
+/// Bytes [`encode_plain_into`] appends for `items`.
+pub fn plain_len(items: &[Bytes]) -> usize {
+    items.iter().map(|b| 4 + b.len()).sum()
+}
+
+/// Frame untagged sub-messages behind whatever `out` already holds (a
+/// caller's own header), so the body is built in its final buffer.
+pub fn encode_plain_into(items: &[Bytes], out: &mut Vec<u8>) {
     for body in items {
         out.put_u32_le(body.len() as u32);
         out.extend_from_slice(body);
     }
-    out.freeze()
 }
 
 /// Decode an untagged body into its sub-messages, zero-copy. Returns
@@ -103,6 +106,13 @@ fn take(body: &Bytes, pos: &mut usize, len: usize) -> Option<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_plain(items: &[Bytes]) -> Bytes {
+        let mut out = Vec::with_capacity(plain_len(items));
+        encode_plain_into(items, &mut out);
+        assert_eq!(out.len(), plain_len(items));
+        Bytes::from(out)
+    }
 
     #[test]
     fn tagged_roundtrip() {

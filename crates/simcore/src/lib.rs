@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod executor;
+mod fasthash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -51,6 +52,7 @@ pub use executor::{
     current_task, now, sleep, sleep_until, spawn, spawn_detached, try_current, try_now, wake_at,
     yield_now, JoinHandle, Sim, TaskId,
 };
+pub use fasthash::{FastHasher, FastMap};
 pub use resource::{CpuPool, RateResource};
 pub use rng::{SimRng, Zipf};
 pub use stats::{Counter, Histogram};

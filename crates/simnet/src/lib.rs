@@ -28,7 +28,7 @@ mod faults;
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::sync::mpsc;
-use simcore::{Counter, RateResource, SimRng, SimTime};
+use simcore::{Counter, FastMap, RateResource, SimRng, SimTime};
 use telemetry::{SpanGuard, SpanKind};
 
 pub use faults::GilbertElliott;
@@ -320,7 +320,7 @@ struct NodeState {
     name: String,
     tx: RateResource,
     rx: RateResource,
-    ports: HashMap<u16, mpsc::Sender<Datagram>>,
+    ports: FastMap<u16, mpsc::Sender<Datagram>>,
     next_ephemeral: u16,
     /// Datagrams waiting for or inside the receive NIC right now.
     rx_queue: u64,
@@ -404,7 +404,7 @@ impl Network {
                 nic.per_packet_overhead,
             ),
             name,
-            ports: HashMap::new(),
+            ports: FastMap::default(),
             next_ephemeral: 49152,
             rx_queue: 0,
             rx_queue_peak: 0,

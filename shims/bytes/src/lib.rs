@@ -12,12 +12,14 @@
 //!   [`BytesMut::freeze`].
 //! * [`BufMut`] — the little-endian `put_*` appenders used by the codecs.
 //!
-//! One deliberate extension over the real crate:
+//! Two deliberate extensions over the real crate:
 //! [`Bytes::try_unsplit`] merges two slices that are adjacent views of the
 //! same allocation back into one `Bytes` without copying. `rpclib`'s
 //! reassembly path uses it to return the original message buffer when all
 //! fragments are contiguous slices of one send (`BytesMut::unsplit` is the
-//! upstream analogue, but only for mutable buffers).
+//! upstream analogue, but only for mutable buffers). [`SharedBuf`] is a
+//! one-pointer handle on a `Bytes`' storage ([`Bytes::into_shared`]) for
+//! holders of many small views; `dmnet`'s page store is the user.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -166,6 +168,52 @@ impl Default for Bytes {
     #[inline]
     fn default() -> Bytes {
         Bytes::new()
+    }
+}
+
+/// A one-pointer handle on the heap allocation behind a [`Bytes`] (the
+/// second extension over the real crate). A holder that keeps many small
+/// views of few large buffers — the DM server's page store keeps one per
+/// 4 KiB page — stores this plus its own offset and length instead of a
+/// four-word `Bytes` per view. The handle is immutable while shared;
+/// [`SharedBuf::get_mut`] hands out the bytes once it is the only one left.
+#[derive(Clone)]
+pub struct SharedBuf(Arc<Vec<u8>>);
+
+impl SharedBuf {
+    /// The whole allocation.
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        self.0.as_slice()
+    }
+
+    /// The whole allocation, mutably — `None` while any other handle or
+    /// `Bytes` view of it is alive.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        Arc::get_mut(&mut self.0).map(Vec::as_mut_slice)
+    }
+}
+
+impl From<Vec<u8>> for SharedBuf {
+    #[inline]
+    fn from(v: Vec<u8>) -> SharedBuf {
+        SharedBuf(Arc::new(v))
+    }
+}
+
+impl Bytes {
+    /// Split this view into its storage and the offset it starts at there;
+    /// the view is `storage.as_slice()[offset..offset + len]`. No copy,
+    /// except that a `'static` view moves to the heap first.
+    pub fn into_shared(self) -> (SharedBuf, usize) {
+        match self.repr {
+            Repr::Shared(a) => (SharedBuf(a), self.off),
+            Repr::Static(s) => (
+                SharedBuf::from(s[self.off..self.off + self.len].to_vec()),
+                0,
+            ),
+        }
     }
 }
 
@@ -526,6 +574,27 @@ mod tests {
         let b = Bytes::from(vec![9u8; 4]);
         assert_eq!(Bytes::new().try_unsplit(b.clone()).unwrap(), b);
         assert_eq!(b.clone().try_unsplit(Bytes::new()).unwrap(), b);
+    }
+
+    #[test]
+    fn shared_buf_aliases_until_it_is_the_last_handle() {
+        let b = Bytes::from((0u8..100).collect::<Vec<u8>>());
+        let view = b.slice(10..20);
+        let (mut buf, off) = view.into_shared();
+        assert_eq!(
+            std::mem::size_of::<Option<SharedBuf>>(),
+            8,
+            "thin, with a niche"
+        );
+        assert_eq!(off, 10);
+        assert_eq!(&buf.as_slice()[off..off + 10], &b[10..20]);
+        assert!(buf.get_mut().is_none(), "`b` still sees the storage");
+        drop(b);
+        buf.get_mut().expect("last handle")[10] = 0xFF;
+        assert_eq!(buf.as_slice()[10], 0xFF);
+        // A static view has no heap storage to share: it is copied once.
+        let (buf, off) = Bytes::from_static(b"hello").slice(1..3).into_shared();
+        assert_eq!((&buf.as_slice()[off..], off), (&b"el"[..], 0));
     }
 
     #[test]
