@@ -30,4 +30,4 @@ pub mod social;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig, DmPlacement, ServiceNode, SystemKind};
-pub use workload::{run_closed_loop, run_open_loop, Measured, Recorder, TraceRecord};
+pub use workload::{run_closed_loop, run_open_loop, Measured};

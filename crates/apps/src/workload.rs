@@ -251,91 +251,6 @@ where
     }
 }
 
-/// A per-request trace: one record per completed operation, for offline
-/// analysis (CDFs, time series) beyond the aggregate histogram.
-#[derive(Clone, Default)]
-pub struct Recorder {
-    records: Rc<std::cell::RefCell<Vec<TraceRecord>>>,
-}
-
-/// One completed operation.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceRecord {
-    /// Issue time (ns since simulation start).
-    pub start_ns: u64,
-    /// Completion time (ns).
-    pub end_ns: u64,
-    /// Worker / sequence tag assigned by the caller.
-    pub tag: u64,
-    /// Whether the operation succeeded.
-    pub ok: bool,
-}
-
-impl Recorder {
-    /// New empty recorder.
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
-    /// Record one operation.
-    pub fn record(&self, start: SimTime, end: SimTime, tag: u64, ok: bool) {
-        self.records.borrow_mut().push(TraceRecord {
-            start_ns: start.nanos(),
-            end_ns: end.nanos(),
-            tag,
-            ok,
-        });
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.borrow().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of all records (sorted by completion time).
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut v = self.records.borrow().clone();
-        v.sort_by_key(|r| r.end_ns);
-        v
-    }
-
-    /// Render as CSV (`start_ns,end_ns,latency_ns,tag,ok`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("start_ns,end_ns,latency_ns,tag,ok\n");
-        for r in self.snapshot() {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                r.start_ns,
-                r.end_ns,
-                r.end_ns - r.start_ns,
-                r.tag,
-                r.ok
-            ));
-        }
-        out
-    }
-
-    /// Write the CSV to `path`.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Throughput over a trailing window ending at the last completion, in
-    /// ops/sec — useful for spotting ramp-up vs steady state.
-    pub fn trailing_rate(&self, window: Duration) -> f64 {
-        let snap = self.snapshot();
-        let Some(last) = snap.last() else { return 0.0 };
-        let cut = last.end_ns.saturating_sub(window.as_nanos() as u64);
-        let n = snap.iter().filter(|r| r.end_ns > cut && r.ok).count();
-        n as f64 / window.as_secs_f64()
-    }
-}
-
 /// Measure a single operation's latency (paper-style unloaded latency).
 pub async fn measure_once<F, Fut, T>(op: F) -> (T, Duration)
 where
@@ -537,25 +452,6 @@ mod tests {
         assert_eq!(m.issued, m.completed + m.errors + m.rejected);
         let gf = m.goodput_fraction();
         assert!((gf - 0.5).abs() < 0.05, "goodput fraction {gf}");
-    }
-
-    #[test]
-    fn recorder_csv_and_rates() {
-        let rec = Recorder::new();
-        assert!(rec.is_empty());
-        rec.record(SimTime::from_micros(5), SimTime::from_micros(9), 1, true);
-        rec.record(SimTime::from_micros(1), SimTime::from_micros(2), 0, true);
-        rec.record(SimTime::from_micros(6), SimTime::from_micros(12), 2, false);
-        assert_eq!(rec.len(), 3);
-        let snap = rec.snapshot();
-        assert_eq!(snap[0].tag, 0, "sorted by completion");
-        let csv = rec.to_csv();
-        assert!(csv.starts_with("start_ns,end_ns,latency_ns,tag,ok\n"));
-        assert!(csv.contains("5000,9000,4000,1,true"));
-        assert!(csv.contains("6000,12000,6000,2,false"));
-        // Trailing window covering only the last two completions (ok only).
-        let rate = rec.trailing_rate(Duration::from_micros(4));
-        assert!((rate - 250_000.0).abs() < 1.0, "rate {rate}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rpclib::RpcBuilder;
 use simcore::Sim;
 use simnet::{FabricConfig, Network, NicConfig};
 
-use crate::report::{f2, f3, size_label, Table};
+use crate::report::{f2, f3, size_label, Bound, Table};
 
 /// Translation-overhead experiment: stream rreads through one DM server and
 /// report the fraction of (a) server op time and (b) end-to-end access time
@@ -59,6 +59,9 @@ pub fn translation_overhead() {
             )
         });
         t.row(&[&size_label(size), &f3(server_frac), &f3(e2e_frac)]);
+        if size == 4096 {
+            t.gate("e2e_pct_at_4k", e2e_frac, Bound::AtMost(1.0));
+        }
     }
     t.finish();
 }
@@ -76,6 +79,7 @@ pub fn size_threshold() {
             "winner",
         ],
     );
+    let mut wrong_side = 0u32;
     for size in [256usize, 1024, 2048, 4096, 8192, 32768, 131_072] {
         let lat = |threshold: Option<u64>| {
             let sim = Sim::new();
@@ -102,8 +106,10 @@ pub fn size_threshold() {
         } else {
             "by-ref"
         };
+        wrong_side += u32::from((by_value > by_ref) != (size >= dmcommon::PAGE_SIZE));
         t.row(&[&size_label(size), &f2(by_value), &f2(by_ref), &winner]);
     }
+    t.gate("sizes_off_threshold", wrong_side as f64, Bound::AtMost(0.0));
     t.finish();
 }
 
@@ -119,6 +125,7 @@ pub fn ownership_batching() {
             "pages_faulted",
         ],
     );
+    let mut base_rate = 0.0;
     for batch in [1usize, 4, 16, 64, 256] {
         let sim = Sim::new();
         let (rate, rpcs, faults) = sim.block_on(async move {
@@ -163,6 +170,12 @@ pub fn ownership_batching() {
             )
         });
         t.row(&[&batch, &f2(rate), &rpcs, &faults]);
+        if batch == 1 {
+            base_rate = rate;
+        } else if batch == 256 {
+            t.gate("rpcs_at_batch_256", rpcs as f64, Bound::AtMost(20.0));
+            t.gate("fault_rate_256_vs_1", rate / base_rate, Bound::AtLeast(1.0));
+        }
     }
     t.finish();
 }
@@ -175,6 +188,7 @@ pub fn hw_translation() {
         "xtra_hw_translation",
         &["translation", "rread_krps", "unloaded_us"],
     );
+    let mut software = 0.0;
     for (label, hw) in [("software", false), ("mmu-direct", true)] {
         let sim = Sim::new();
         let (rate, lat) = sim.block_on(async move {
@@ -213,6 +227,12 @@ pub fn hw_translation() {
             (m.throughput_rps() / 1e3, lat)
         });
         t.row(&[&label, &f2(rate), &f2(lat)]);
+        if hw {
+            // Software translation is not the bottleneck (§V-A2).
+            let diff = (rate / software - 1.0).abs();
+            t.gate("mmu_direct_vs_software", diff, Bound::AtMost(0.05));
+        }
+        software = rate;
     }
     t.finish();
 }
@@ -258,6 +278,9 @@ pub fn core_scaling() {
             base = krps.max(1e-9);
         }
         t.row(&[&cores, &f2(krps), &f2(krps / base)]);
+        if cores == 12 {
+            t.gate("scaling_at_12_cores", krps / base, Bound::AtLeast(11.0));
+        }
     }
     t.finish();
 }

@@ -187,7 +187,7 @@ mod tests {
         let names: BTreeSet<&str> = REGISTRY.iter().map(|&(name, ..)| name).collect();
         assert_eq!(names.len(), REGISTRY.len());
         assert!(!names.contains("all") && !names.contains("list") && !names.contains("scenario"));
-        // The set and order `results-deterministic` regenerates three
+        // The set and order `results` regenerates three
         // ways: changing it changes what that CI job costs and covers.
         let all: Vec<&str> = select(&["all".to_string()])
             .unwrap()

@@ -12,7 +12,7 @@
 //!    off, in zero-cost mode (full bookkeeping, no virtual-time charge),
 //!    and on NVMe-class media. Zero-cost durability must reproduce the
 //!    durability-off schedule *exactly* (same completions, same virtual
-//!    end time) — that is the property the CI `results-deterministic`
+//!    end time) — that is the property the CI `results`
 //!    job gates on — while the NVMe column shows the simulated price of
 //!    real media.
 
@@ -237,7 +237,7 @@ pub fn run() {
     }
     // The zero-cost contract: full WAL bookkeeping, bit-identical
     // schedule. This is what lets DM_DURABLE=1 regenerate every CSV
-    // byte-for-byte (CI `results-deterministic`).
+    // byte-for-byte (CI `results`).
     t.gate(
         "zero-cost durability schedule drift (completions + ns + polls)",
         (off.completed.abs_diff(zero.completed)

@@ -240,3 +240,125 @@ fn malformed_knobs_and_unknown_names_exit_2_before_any_work() {
     assert!(listing.contains("telemetry_overhead") && listing.contains("BENCH_slo_scale.json"));
     std::fs::remove_dir_all(cwd).ok();
 }
+
+/// Maximal runs of path, flag and identifier characters.
+fn words(text: &str) -> Vec<&str> {
+    let split = |c: char| !(c.is_ascii_alphanumeric() || "_./:-*<>".contains(c));
+    let trimmed = text.split(split).map(|w| w.trim_end_matches(['.', ':']));
+    trimmed.collect()
+}
+
+/// A target or experiment name; a flag or a placeholder like `<name>` is not.
+fn is_name(w: &str) -> bool {
+    let ok = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+    !w.is_empty() && w.bytes().all(ok)
+}
+
+/// The experiment names a line of code hands the driver: the words after
+/// `bench` / `…/bench` (and the `--` of `cargo run -p bench --`).
+fn bench_args(code: &str) -> Vec<&str> {
+    let mut words = code.split_whitespace();
+    let mut args = Vec::new();
+    while let Some(cmd) = words.next() {
+        if cmd == "bench" || cmd.ends_with("/bench") {
+            let rest = words.clone().skip_while(|a| *a == "--");
+            args.extend(rest.take_while(|a| is_name(a)));
+        }
+    }
+    args
+}
+
+/// The `N` of every `§N` / `§N.M` right after a `DESIGN.md` in `text`
+/// (`DESIGN.md §8, §12 / §13` names three).
+fn design_refs(text: &str) -> Vec<u32> {
+    let mut refs = Vec::new();
+    for tail in text.split("DESIGN.md").skip(1) {
+        let end = tail.find(|c: char| !(c.is_ascii_digit() || " \n§.,/`".contains(c)));
+        for section in tail[..end.unwrap_or(tail.len())].split('§').skip(1) {
+            let digits = section.split(|c: char| !c.is_ascii_digit()).next();
+            refs.extend(digits.unwrap().parse::<u32>());
+        }
+    }
+    refs
+}
+
+/// Every artifact, experiment, path, DESIGN.md section and cargo target a
+/// document names exists, and every example is named by one.
+#[test]
+fn the_prose_names_only_what_exists() {
+    const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
+    let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let exists = |rel: String| root.join(rel).exists();
+    let listing = String::from_utf8(bench(&root, &["list"], &[]).stdout).unwrap();
+    // The name column of `bench list` (`all` has a row), plus the two non-experiment verbs.
+    let rows = listing.lines().filter(|row| row.starts_with("  "));
+    let names = rows.filter_map(|row| row.trim_start_matches([' ', '*']).split(' ').next());
+    let experiments: Vec<&str> = names.chain(["list", "scenario"]).collect();
+    // The documents, then every Rust source under crates/ and examples/.
+    let mut sources: Vec<PathBuf> = docs.split(' ').map(|doc| root.join(doc)).collect();
+    let mut dirs = vec![root.join("crates"), root.join("examples")];
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            match path.extension() {
+                _ if path.is_dir() => dirs.push(path),
+                Some(ext) if ext == "rs" => sources.push(path),
+                _ => {}
+            }
+        }
+    }
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let mut wrong = Vec::new();
+    let mut prose = String::new();
+    for path in &sources {
+        let at = path.strip_prefix(&root).unwrap().display();
+        let text = std::fs::read_to_string(path).unwrap();
+        for n in design_refs(&text) {
+            if !design.contains(&format!("\n## {n}. ")) {
+                wrong.push(format!("{at}: DESIGN.md §{n} has no `## {n}.` heading"));
+            }
+        }
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            continue;
+        }
+        let w = words(&text);
+        for (i, word) in w.iter().enumerate() {
+            let next = w.get(i + 1).copied().unwrap_or("");
+            let file = word.rsplit('/').next().unwrap();
+            let rel = word.split(':').next().unwrap();
+            let named = file.ends_with(".csv") || file.starts_with("BENCH_");
+            // Bench targets would live in `crates/bench`, examples in the root package.
+            let missing = match *word {
+                _ if word.contains(['*', '<']) => false, // a glob or a placeholder
+                _ if named || word.starts_with("results/") => !exists(format!("results/{file}")),
+                _ if ROOTS.contains(&rel.split('/').next().unwrap()) => !exists(rel.to_string()),
+                "cargo" if next == "bench" => !exists("crates/bench/benches".to_string()),
+                "--bench" if is_name(next) => !exists(format!("crates/bench/benches/{next}.rs")),
+                "--example" if is_name(next) => !exists(format!("examples/{next}.rs")),
+                _ => false,
+            };
+            if missing {
+                wrong.push(format!("{at}: `{word} {next}` names nothing that exists"));
+            }
+        }
+        // Code is what sits between backticks, fenced blocks included.
+        let code = text.split('`').skip(1).step_by(2).flat_map(str::lines);
+        for arg in code.flat_map(bench_args) {
+            if !experiments.contains(&arg) {
+                wrong.push(format!("{at}: `bench {arg}` is not in `bench list`"));
+            }
+        }
+        prose += &text;
+    }
+    for path in sources
+        .iter()
+        .filter(|p| p.starts_with(root.join("examples")))
+    {
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        let cited = [format!("examples/{stem}.rs"), format!("--example {stem}")];
+        if !cited.iter().any(|c| prose.contains(c)) {
+            wrong.push(format!("examples/{stem}.rs is cited by no document"));
+        }
+    }
+    assert!(wrong.is_empty(), "stale references:\n{}", wrong.join("\n"));
+}

@@ -32,7 +32,6 @@ pub const COORD_PORT: u16 = 7100;
 pub struct Coordinator {
     free: RefCell<VecDeque<Ppn>>,
     rpc: Rc<rpclib::Rpc>,
-    grants: Counter,
     returns: Counter,
 }
 
@@ -43,7 +42,6 @@ impl Coordinator {
         let coord = Rc::new(Coordinator {
             free: RefCell::new((0..capacity_pages as Ppn).collect()),
             rpc: rpc.clone(),
-            grants: Counter::new(),
             returns: Counter::new(),
         });
         let c = coord.clone();
@@ -63,7 +61,6 @@ impl Coordinator {
                     let p = free.pop_front().expect("len checked");
                     out.extend_from_slice(&p.to_le_bytes());
                 }
-                c.grants.add(1);
                 Bytes::from(out)
             }
         });
@@ -114,11 +111,6 @@ impl Coordinator {
     /// Free pages currently owned by the coordinator.
     pub fn free_pages(&self) -> usize {
         self.free.borrow().len()
-    }
-
-    /// Number of page-request RPCs served (ownership-batching ablation).
-    pub fn grant_rpcs(&self) -> u64 {
-        self.grants.get()
     }
 
     /// Number of page-return RPCs served.

@@ -21,14 +21,12 @@
 pub mod coordinator;
 pub mod gfam;
 pub mod host;
-pub mod ldfam;
 
 use std::rc::Rc;
 
 pub use coordinator::Coordinator;
 pub use gfam::GFam;
 pub use host::{CxlHost, CxlHostConfig, CxlHostStats};
-pub use ldfam::{LdFam, LogicalDevice};
 
 use memsim::ModelParams;
 use rpclib::Rpc;

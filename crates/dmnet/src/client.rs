@@ -304,11 +304,6 @@ impl DmNetClient {
         self.cache.stats()
     }
 
-    /// The cache configuration this client was connected with.
-    pub fn cache_config(&self) -> &CacheConfig {
-        self.cache.config()
-    }
-
     /// Wire messages sent for request type `ty` (includes batched
     /// envelopes under [`req::BATCH`], not their folded sub-ops).
     pub fn wire_count(&self, ty: u8) -> u64 {
@@ -674,33 +669,6 @@ impl DmNetClient {
         })
     }
 
-    /// Fast path: write `data` into a freshly-allocated region and create a
-    /// shared reference in one round trip (DESIGN.md §6 optimization).
-    pub async fn write_create_ref(&self, addr: RemoteAddr, data: &Bytes) -> DmResult<Ref> {
-        self.flush_if_pending_va(addr.server, addr.va).await;
-        let body = Writer::new()
-            .pid(addr.pid)
-            .u64(addr.va)
-            .bytes(data)
-            .finish();
-        let (epoch, _, res) = self
-            .request_at(addr.server, None, req::WRITE_CREATE_REF, body)
-            .await;
-        let resp = res?;
-        let mut r = Reader::new(&resp);
-        let key = r.u64()?;
-        if self.cache.config().enabled {
-            // The publisher knows the ref's (immutable) bytes; cache them.
-            self.cache
-                .fill_data(addr.server.0 as usize, key, epoch, data.clone());
-        }
-        Ok(Ref::Net {
-            server: addr.server,
-            key,
-            len: data.len() as u64,
-        })
-    }
-
     /// Fast path: publish `data` as a new reference in one round trip.
     /// Clients without a ring spread refs round-robin across the pool and
     /// the server mints the key; clients with one mint a global key and
@@ -810,11 +778,7 @@ impl DmNetClient {
             return Err(DmError::InvalidRef);
         }
         let dst_addr = self.server_addr(dst)?;
-        let body = Writer::new()
-            .u64(key)
-            .u32(dst_addr.node.0)
-            .u32(dst_addr.port as u32)
-            .finish();
+        let body = Writer::new().u64(key).addr(dst_addr).finish();
         let (_, _, res) = self.request_at(home, Some(key), req::MIGRATE, body).await;
         res?;
         router.reloc.borrow_mut().insert(key, dst);

@@ -10,6 +10,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult, GlobalPid};
+use simnet::{Addr, NodeId};
 use telemetry::TraceCtx;
 
 /// RPC `req_type` values used by the DM protocol.
@@ -30,10 +31,6 @@ pub mod req {
     pub const WRITE: u8 = 16;
     /// Release a shared reference.
     pub const RELEASE_REF: u8 = 17;
-    /// Fast path: write a freshly-allocated region and create a ref in one
-    /// round trip (an engineering optimization over the paper's Listing 1,
-    /// see DESIGN.md §6).
-    pub const WRITE_CREATE_REF: u8 = 18;
     /// Fast path: read a ref's bytes by key without installing a mapping.
     pub const READ_REF: u8 = 19;
     /// Fast path: publish data as a new reference in one round trip, with
@@ -54,14 +51,15 @@ pub mod req {
     /// holding it (or a redirect tombstone for it) can answer.
     pub const PUT_REF_AT: u8 = 23;
     /// Migrate a gkey-bound ref to another server
-    /// (`[gkey u64][dst node u32][dst port u16]`). The source transfers
+    /// (`[gkey u64][dst node u32][dst port u32]`). The source transfers
     /// the bytes server-to-server, releases its copy and installs a
     /// redirect tombstone; clients naming the gkey chase one hop.
     pub const MIGRATE: u8 = 24;
-    /// Server-to-server half of [`MIGRATE`]
-    /// (`[gkey u64][owner node u32][owner port u16][data]`): the
-    /// destination binds the gkey to a fresh local ref holding `data`,
-    /// attributed to its own pid for the owning endpoint.
+    /// Server-to-server half of [`MIGRATE`] (`[gkey u64][owner node u32]
+    /// [owner port u32]([version u64])[data]`, the version only between
+    /// coherent servers): the destination binds the gkey to a fresh local
+    /// ref holding `data`, attributed to its own pid for the owning
+    /// endpoint. Both ops refuse a port above `u16::MAX` as `Malformed`.
     pub const MIGRATE_IN: u8 = 25;
     /// Server-to-client targeted invalidation push (`[key u64][ver u64]`,
     /// DESIGN.md §15): the named ref's version advanced (it was released,
@@ -87,7 +85,6 @@ pub fn req_name(ty: u8) -> &'static str {
         req::READ => "dm.read",
         req::WRITE => "dm.write",
         req::RELEASE_REF => "dm.release_ref",
-        req::WRITE_CREATE_REF => "dm.write_create_ref",
         req::READ_REF => "dm.read_ref",
         req::PUT_REF => "dm.put_ref",
         req::RENEW_LEASE => "dm.renew_lease",
@@ -107,13 +104,7 @@ pub fn req_name(ty: u8) -> &'static str {
 pub fn is_control(ty: u8) -> bool {
     !matches!(
         ty,
-        req::READ
-            | req::WRITE
-            | req::READ_REF
-            | req::PUT_REF
-            | req::WRITE_CREATE_REF
-            | req::PUT_REF_AT
-            | req::MIGRATE_IN
+        req::READ | req::WRITE | req::READ_REF | req::PUT_REF | req::PUT_REF_AT | req::MIGRATE_IN
     )
 }
 
@@ -437,6 +428,14 @@ impl<'a> Reader<'a> {
         Ok(GlobalPid(self.u32()?))
     }
 
+    /// Read an endpoint (`[node u32][port u32]`). A port above `u16::MAX`
+    /// is `Malformed`: truncated, it would name a port that exists.
+    pub fn addr(&mut self) -> DmResult<Addr> {
+        let node = NodeId(self.u32()?);
+        let port = u16::try_from(self.u32()?).map_err(|_| DmError::Malformed)?;
+        Ok(Addr { node, port })
+    }
+
     /// Remaining bytes; the cursor moves to the end.
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
@@ -507,6 +506,11 @@ impl Writer {
     pub fn u32(mut self, v: u32) -> Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
+    }
+
+    /// Append an endpoint as [`Reader::addr`] reads it.
+    pub fn addr(self, a: Addr) -> Self {
+        self.u32(a.node.0).u32(a.port as u32)
     }
 
     /// Append a u64.
@@ -666,7 +670,6 @@ mod tests {
             req::WRITE,
             req::READ_REF,
             req::PUT_REF,
-            req::WRITE_CREATE_REF,
             req::PUT_REF_AT,
             req::MIGRATE_IN,
         ] {

@@ -28,7 +28,6 @@ impl DmServer {
             req::READ,
             req::WRITE,
             req::RELEASE_REF,
-            req::WRITE_CREATE_REF,
             req::READ_REF,
             req::PUT_REF,
             req::RENEW_LEASE,
@@ -323,47 +322,6 @@ impl DmServer {
                 .await;
                 self.charge(shard, cost, cost.refcount_updates).await;
                 Ok(self.ok_v(&touched, Response::new()))
-            }
-            req::WRITE_CREATE_REF => {
-                // Fast path: write the data and create the ref in one RTT.
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let data = r.rest();
-                let len = data.len() as u64;
-                let (key, wcost, ccost) = {
-                    let mut pm = self.shards[shard].pm.borrow_mut();
-                    let wcost = pm.write(pid, va, data)?;
-                    let (key, ccost) = pm.create_ref(pid, va, len)?;
-                    (key, wcost, ccost)
-                };
-                self.persist(|| {
-                    vec![
-                        Record::Write {
-                            shard: shard as u16,
-                            pid: pid.0,
-                            va,
-                            data: data.to_vec(),
-                        },
-                        Record::CreateRef {
-                            shard: shard as u16,
-                            pid: pid.0,
-                            va,
-                            len,
-                            key,
-                        },
-                    ]
-                })
-                .await;
-                let mut cost = wcost;
-                cost.add(ccost);
-                self.charge(shard, cost, translations_for(len)).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                let tagged = self.tag(shard, key);
-                // The writer caches the bytes it just published.
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
             }
             req::PUT_REF => {
                 let tagged = self.install_ref(body.clone(), Some(src), None).await?;

@@ -4,7 +4,6 @@
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult};
-use simnet::{Addr, NodeId};
 
 use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
 use crate::proto::{self, req, Reader, Response, Writer};
@@ -40,10 +39,7 @@ impl DmServer {
         if gkey & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);
         }
-        let dst = Addr {
-            node: NodeId(r.u32()?),
-            port: r.u32()? as u16,
-        };
+        let dst = r.addr()?;
         if dst == self.addr() {
             return Err(DmError::InvalidAddress);
         }
@@ -66,7 +62,7 @@ impl DmServer {
         // header, room for the version, then the pages as they are now.
         let mut w = Writer::new().u64(gkey);
         w = match owner_addr {
-            Some(a) => w.u32(a.node.0).u32(a.port as u32),
+            Some(a) => w.addr(a),
             None => w.u32(NO_OWNER_PID).u32(0),
         };
         let mut fwd = w.into_vec();
@@ -140,8 +136,7 @@ impl DmServer {
         if gkey & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);
         }
-        let owner_node = r.u32()?;
-        let owner_port = r.u32()?;
+        let owner = r.addr()?;
         // A coherent source framed the transferred version between
         // the owner fields and the data (sources and destinations
         // always agree on the coherence setting — it is one
@@ -156,10 +151,7 @@ impl DmServer {
         // reclaim. (The owner can be unknown here when its
         // lease expired on this server — e.g. renewals lost to
         // a partition — while the source still holds one.)
-        let owner = (owner_node != NO_OWNER_PID).then_some(Addr {
-            node: NodeId(owner_node),
-            port: owner_port as u16,
-        });
+        let owner = (owner.node.0 != NO_OWNER_PID).then_some(owner);
         self.install_ref(r.rest_of(body), owner, Some((gkey, ver)))
             .await?;
         self.migrations.set(self.migrations.get() + 1);

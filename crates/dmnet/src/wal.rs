@@ -33,7 +33,7 @@
 //! device ([`WalConfig::zero_cost`], selected by `DM_DURABLE=1`) performs
 //! all of the bookkeeping with no virtual-time charge and no executor
 //! yield, so enabling it cannot perturb the simulation schedule — the CI
-//! `results-deterministic` job proves every committed CSV regenerates
+//! `results` job proves every committed CSV regenerates
 //! byte-identically with it on.
 
 use std::cell::{Cell, RefCell};
@@ -391,7 +391,7 @@ impl WalConfig {
 
     /// The `DM_DURABLE=1` env hook: every server built with
     /// `DmServerConfig::default()` gets a zero-cost durable tier, proving
-    /// (via the `results-deterministic` CI job) that durability
+    /// (via the `results` CI job) that durability
     /// bookkeeping is schedule-neutral.
     pub fn from_env() -> Option<WalConfig> {
         match std::env::var("DM_DURABLE") {

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
-use dmnet::proto::{moved_response, req, split_response, Response, DM_PORT};
+use dmnet::proto::{moved_response, req, split_response, Response, Writer, DM_PORT};
 use dmnet::{
     start_pool, CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT,
 };
@@ -169,6 +169,50 @@ fn malformed_bodies_get_error_responses() {
             .unwrap();
         assert_eq!(&dm.rread(a, 11).await.unwrap()[..], b"still alive");
         pool[0].with_page_manager(|pm| pm.check_invariants());
+    });
+}
+
+/// `MIGRATE` and `MIGRATE_IN` carry ports as `u32`. A value above
+/// `u16::MAX` must be refused, not truncated onto a port that exists.
+#[test]
+fn migrate_port_above_u16_is_malformed_not_truncated() {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let dm_nodes = ["dm0", "dm1"].map(|n| net.add_node(n, NicConfig::default()));
+        let c_node = net.add_node("c", NicConfig::default());
+        let cfg = DmServerConfig::default();
+        let pool = start_pool(&net, &dm_nodes, &ModelParams::new(), cfg);
+        let (src, dst) = (&pool[0], &pool[1]);
+        let rpc = RpcBuilder::new(&net, c_node, 100).build();
+        let call = |to, ty, body: Writer| {
+            let rpc = rpc.clone();
+            async move { parse_response(&rpc.call(to, ty, body.finish()).await.unwrap()) }
+        };
+        // Registered at both servers; one gkey-bound ref published at `src`.
+        for server in &pool {
+            let pid = call(server.addr(), req::REGISTER, Writer::new()).await;
+            pid.expect("registers anyone");
+        }
+        let put = Writer::new().u64(GKEY_BIT | 5).bytes(b"stay put");
+        call(src.addr(), req::PUT_REF_AT, put).await.unwrap();
+        let untouched = (0, dst.free_pages_total());
+
+        // MIGRATE naming `dst`'s port + 65536: truncation would migrate.
+        let body = Writer::new().u64(GKEY_BIT | 5).u32(dm_nodes[1].0);
+        let refused = call(src.addr(), req::MIGRATE, body.u32(DM_PORT as u32 + 65_536)).await;
+        assert_eq!(refused, Err(DmError::Malformed));
+        assert_eq!((src.gkeys_bound(), src.tombstones()), (1, 0), "source");
+        assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
+
+        // MIGRATE_IN attributing the client's port + 65536: truncation
+        // would find the registered owner and install the ref.
+        let body = Writer::new().u64(GKEY_BIT | 77).u32(c_node.0);
+        let body = body.u32(100 + 65_536).bytes(b"orphan");
+        let refused = call(dst.addr(), req::MIGRATE_IN, body).await;
+        assert_eq!(refused, Err(DmError::Malformed));
+        assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
+        dst.with_page_manager(|pm| pm.check_invariants());
     });
 }
 

@@ -69,13 +69,6 @@ pub enum RpcError {
     },
 }
 
-impl RpcError {
-    /// Whether this is a timeout (any attempt count).
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, RpcError::Timeout { .. })
-    }
-}
-
 impl fmt::Display for RpcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -318,6 +311,8 @@ pub struct RpcStats {
     pub requests_handled: Counter,
     /// Calls that ended in timeout.
     pub timeouts: Counter,
+    /// Complete requests dropped: no handler is registered for their type.
+    pub requests_unserved: Counter,
 }
 
 /// One RPC endpoint: client and server in a single object (services issue
@@ -350,7 +345,6 @@ pub struct Rpc {
     served: RefCell<FastMap<(Addr, u32), ServedSlot>>,
     stats: RpcStats,
     handler_times: RefCell<FastMap<u8, Histogram>>,
-    is_shutdown: Cell<bool>,
     /// Crash modeling: an offline endpoint neither receives nor transmits.
     offline: Cell<bool>,
     /// Private stream for retry jitter, seeded from the endpoint address so
@@ -424,7 +418,6 @@ impl RpcBuilder {
             served: RefCell::default(),
             stats: RpcStats::default(),
             handler_times: RefCell::default(),
-            is_shutdown: Cell::new(false),
             offline: Cell::new(false),
             retry_rng: SimRng::new(
                 ((endpoint.addr().node.0 as u64) << 16) ^ endpoint.addr().port as u64,
@@ -498,7 +491,6 @@ impl Rpc {
     /// when a simulated deployment is discarded. A handler already running
     /// keeps its slot: its caller is still waiting for the reply.
     pub fn shutdown(&self) {
-        self.is_shutdown.set(true);
         self.handlers.borrow_mut().clear();
         self.served
             .borrow_mut()
@@ -802,13 +794,10 @@ impl Rpc {
                     .await;
                 drop(ser);
             }
-            let handler = rpc.handlers.borrow().get(&hdr.req_type).cloned();
-            let Some(handler) = handler else {
-                if rpc.is_shutdown.get() {
-                    // Late requests during teardown are silently dropped.
-                    return;
-                }
-                panic!("no handler for req_type {} at {}", hdr.req_type, rpc.addr);
+            let Some(handler) = rpc.handlers.borrow().get(&hdr.req_type).cloned() else {
+                // Outside input, or late after `shutdown`: dropped and counted.
+                rpc.stats.requests_unserved.incr();
+                return;
             };
             let h_start = simcore::now();
             let resp = handler(CallCtx {
@@ -1327,6 +1316,9 @@ mod tests {
             let r2 = client.call(server.addr(), 2, Bytes::new()).await.unwrap();
             assert_eq!(&r1[..], b"one");
             assert_eq!(&r2[..], b"two");
+            // A type nobody serves: dropped once however often it is resent.
+            assert!(client.call(server.addr(), 3, Bytes::new()).await.is_err());
+            assert_eq!(server.stats().requests_unserved.get(), 1);
         });
     }
 }

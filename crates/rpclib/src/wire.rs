@@ -306,14 +306,6 @@ impl Packet {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Copy into one contiguous buffer (tests / legacy consumers).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.len());
-        b.extend_from_slice(&self.head);
-        b.extend_from_slice(&self.body);
-        b.freeze()
-    }
 }
 
 /// Fragment `payload` into MTU-sized packets with the given header template.

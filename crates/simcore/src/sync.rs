@@ -184,11 +184,6 @@ pub mod mpsc {
             }
             Ok(())
         }
-
-        /// Number of queued messages (for tests / queue-depth metrics).
-        pub fn queue_len(&self) -> usize {
-            self.chan.borrow().queue.len()
-        }
     }
 
     impl<T> Drop for Sender<T> {

@@ -182,13 +182,14 @@ async fn apply_op(
                 return;
             }
             let idx = region % regions.len();
-            let data = vec![fill; regions[idx].len as usize];
-            let addr = regions[idx].addr;
-            if let Ok(handle) = client
-                .write_create_ref(addr, &Bytes::from(data.clone()))
+            let r = &mut regions[idx];
+            let data = vec![fill; r.len as usize];
+            client
+                .rwrite(r.addr, &Bytes::from(data.clone()))
                 .await
-            {
-                regions[idx].data = data.clone();
+                .expect("in-bounds write");
+            r.data = data.clone();
+            if let Ok(handle) = client.create_ref(r.addr, r.len).await {
                 refs.push(ModelRef {
                     r: handle,
                     snapshot: data,
