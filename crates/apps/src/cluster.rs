@@ -462,7 +462,8 @@ impl Cluster {
             }
             // Sharded-plane counters (DESIGN.md §13). `ops` counts every
             // request the server dispatched, so the gauge doubles as the
-            // per-shard load-balance view even with sharding off.
+            // per-server load-balance view even with ring placement off
+            // (`<i>` is the server's index in the pool, i.e. in the ring).
             let srv = s.clone();
             reg.register_gauge(format!("dm.shard.{i}.ops"), move || srv.ops_served());
             let srv = s.clone();

@@ -5,7 +5,7 @@
 //! class driven by a deterministic schedule, then heals the fabric and
 //! verifies:
 //!
-//! * **refcount conservation** — every shard's `check_invariants` holds;
+//! * **refcount conservation** — every DM server's `check_invariants` holds;
 //! * **no page leaks** — once every client process is gone (crashed, with
 //!   its lease expired), the free list returns to the full pool capacity;
 //! * **COW isolation** — a shared ref always reads its original bytes, no

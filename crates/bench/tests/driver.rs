@@ -282,11 +282,80 @@ fn design_refs(text: &str) -> Vec<u32> {
     refs
 }
 
-/// Every artifact, experiment, path, DESIGN.md section and cargo target a
-/// document names exists, and every example is named by one.
+/// The identifier `s` starts with (empty if it starts with none).
+fn ident(s: &str) -> &str {
+    let end = s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    &s[..end.unwrap_or(s.len())]
+}
+
+/// Every `Type::member` a piece of code names — `Wal::scan()`,
+/// `dmnet::DmServer::{crash, restart}`, `Record::Checkpoint` — as
+/// `(Type, member)`. A module path or a constant before the `::` is not a type.
+fn type_members(code: &str) -> Vec<(&str, &str)> {
+    let mut pairs = Vec::new();
+    for (at, _) in code.match_indices("::") {
+        let head = &code[..at];
+        let ty = &head[head.len() - ident_rev(head)..];
+        let camel = ty.starts_with(|c: char| c.is_ascii_uppercase())
+            && ty.contains(|c: char| c.is_ascii_lowercase());
+        if !camel {
+            continue;
+        }
+        let tail = &code[at + 2..];
+        let members = match tail.strip_prefix('{') {
+            Some(list) => list.split('}').next().unwrap(),
+            None => ident(tail),
+        };
+        let members = members.split(',').map(|m| ident(m.trim()));
+        pairs.extend(members.filter(|m| !m.is_empty()).map(|m| (ty, m)));
+    }
+    pairs
+}
+
+/// Length of the identifier `s` ends with.
+fn ident_rev(s: &str) -> usize {
+    let start = s.rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    s.len() - start.map_or(0, |i| i + 1)
+}
+
+/// Whether Rust source `text` has an item, field or variant named `member`:
+/// a line that, past its qualifiers, is `fn member…`, `const member…`,
+/// `type member…` or starts with `member` itself.
+fn has_member(text: &str, member: &str) -> bool {
+    const QUALIFIERS: [&str; 6] = [
+        "pub ",
+        "pub(crate) ",
+        "pub(super) ",
+        "async ",
+        "unsafe ",
+        "fn ",
+    ];
+    text.lines().any(|line| {
+        let mut line = line.trim_start();
+        while let Some(rest) = QUALIFIERS.iter().find_map(|q| line.strip_prefix(q)) {
+            line = rest;
+        }
+        let line = line.strip_prefix("const ").unwrap_or(line);
+        let line = line.strip_prefix("type ").unwrap_or(line);
+        ident(line) == member
+    })
+}
+
+/// Whether Rust source `text` defines `ty` or implements something on it.
+fn mentions_type(text: &str, ty: &str) -> bool {
+    const BEFORE: [&str; 7] = ["struct ", "enum ", "trait ", "type ", "impl ", "> ", "for "];
+    let defined = |(at, _): (usize, &str)| {
+        BEFORE.iter().any(|b| text[..at].ends_with(b)) && ident(&text[at..]) == ty
+    };
+    text.match_indices(ty).any(defined)
+}
+
+/// Every artifact, experiment, path, DESIGN.md section, cargo target and
+/// `Type::member` a document names exists, and every example is named by one.
 #[test]
 fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
+    const STD_TYPES: [&str; 1] = ["Duration"];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let exists = |rel: String| root.join(rel).exists();
@@ -295,9 +364,11 @@ fn the_prose_names_only_what_exists() {
     let rows = listing.lines().filter(|row| row.starts_with("  "));
     let names = rows.filter_map(|row| row.trim_start_matches([' ', '*']).split(' ').next());
     let experiments: Vec<&str> = names.chain(["list", "scenario"]).collect();
-    // The documents, then every Rust source under crates/ and examples/.
+    // The documents, then every Rust source under crates/, shims/ and examples/.
     let mut sources: Vec<PathBuf> = docs.split(' ').map(|doc| root.join(doc)).collect();
-    let mut dirs = vec![root.join("crates"), root.join("examples")];
+    let mut dirs = ["crates", "shims", "examples"]
+        .map(|d| root.join(d))
+        .to_vec();
     while let Some(dir) = dirs.pop() {
         for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
             match path.extension() {
@@ -308,6 +379,12 @@ fn the_prose_names_only_what_exists() {
         }
     }
     let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    // Where a type of ours is defined: the sources outside `examples/`.
+    let is_lib = |p: &&PathBuf| {
+        p.extension().is_some_and(|e| e == "rs") && !p.starts_with(root.join("examples"))
+    };
+    let read = |p: &PathBuf| std::fs::read_to_string(p).unwrap();
+    let rust: Vec<String> = sources.iter().filter(is_lib).map(read).collect();
     let mut wrong = Vec::new();
     let mut prose = String::new();
     for path in &sources {
@@ -342,10 +419,18 @@ fn the_prose_names_only_what_exists() {
             }
         }
         // Code is what sits between backticks, fenced blocks included.
-        let code = text.split('`').skip(1).step_by(2).flat_map(str::lines);
-        for arg in code.flat_map(bench_args) {
+        let code = || text.split('`').skip(1).step_by(2);
+        for arg in code().flat_map(str::lines).flat_map(bench_args) {
             if !experiments.contains(&arg) {
                 wrong.push(format!("{at}: `bench {arg}` is not in `bench list`"));
+            }
+        }
+        // A `Type::member` names a member found in a source that defines
+        // `Type` or implements on it (types of `std` are not ours to check).
+        for (ty, member) in code().flat_map(type_members) {
+            let mut owners = rust.iter().filter(|src| mentions_type(src, ty));
+            if !STD_TYPES.contains(&ty) && !owners.any(|src| has_member(src, member)) {
+                wrong.push(format!("{at}: `{ty}::{member}` names no member of `{ty}`"));
             }
         }
         prose += &text;

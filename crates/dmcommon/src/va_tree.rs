@@ -27,15 +27,19 @@ impl VaTree {
     }
 
     /// Allocate a page-aligned range of `len` bytes (rounded up to pages).
-    /// Returns the starting VA.
+    /// Returns the starting VA; a length the address space cannot hold is
+    /// `OutOfMemory` (`len` comes off the wire: every sum is checked).
     pub fn alloc(&mut self, len: u64, page_size: u64) -> DmResult<u64> {
         if len == 0 {
             return Err(DmError::InvalidAddress);
         }
-        let need = len.div_ceil(page_size) * page_size;
+        let need = len
+            .div_ceil(page_size)
+            .checked_mul(page_size)
+            .ok_or(DmError::OutOfMemory)?;
         let mut candidate = VA_BASE;
         for (&start, &rlen) in &self.ranges {
-            if candidate + need <= start {
+            if candidate.checked_add(need).is_some_and(|end| end <= start) {
                 break;
             }
             candidate = candidate.max(start + rlen);
@@ -66,12 +70,21 @@ impl VaTree {
         }
     }
 
+    /// `[va, va+len)` must lie inside one allocated range: `InvalidAddress`
+    /// when `va` is in none, `OutOfBounds` when the range runs past the end
+    /// of the one it starts in — or past the end of the address space
+    /// (`len` comes off the wire).
+    pub fn check_range(&self, va: u64, len: u64) -> DmResult<()> {
+        let (start, rlen) = self.lookup(va)?;
+        match va.checked_add(len) {
+            Some(end) if end <= start + rlen => Ok(()),
+            _ => Err(DmError::OutOfBounds),
+        }
+    }
+
     /// Whether `[va, va+len)` lies entirely inside one allocated range.
     pub fn contains_range(&self, va: u64, len: u64) -> bool {
-        match self.lookup(va) {
-            Ok((start, rlen)) => va + len <= start + rlen,
-            Err(_) => false,
-        }
+        self.check_range(va, len).is_ok()
     }
 
     /// Number of allocated ranges.
@@ -147,6 +160,25 @@ mod tests {
         assert!(t.contains_range(a, 2 * PS));
         assert!(t.contains_range(a + 100, PS));
         assert!(!t.contains_range(a + PS, 2 * PS));
+    }
+
+    #[test]
+    fn wire_fed_lengths_are_refused_not_wrapped() {
+        let mut t = VaTree::new();
+        // Rounding `u64::MAX` up to pages overflows.
+        assert_eq!(t.alloc(u64::MAX, PS), Err(DmError::OutOfMemory));
+        // So does the end of a range that is one page short of 2^64, both
+        // in an empty tree and in front of an existing range.
+        assert_eq!(t.alloc(u64::MAX - PS, PS), Err(DmError::OutOfMemory));
+        let a = t.alloc(PS, PS).unwrap();
+        assert_eq!(t.alloc(u64::MAX - PS, PS), Err(DmError::OutOfMemory));
+        assert_eq!(t.len(), 1, "a refused allocation inserts nothing");
+        // `va + len` wrapping past zero is out of bounds, not inside.
+        assert!(!t.contains_range(a, u64::MAX));
+        assert_eq!(t.check_range(a, u64::MAX), Err(DmError::OutOfBounds));
+        assert_eq!(t.check_range(a + 1, PS), Err(DmError::OutOfBounds));
+        assert_eq!(t.check_range(a + PS, 1), Err(DmError::InvalidAddress));
+        assert_eq!(t.check_range(a, PS), Ok(()));
     }
 
     #[test]

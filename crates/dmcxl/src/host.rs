@@ -283,11 +283,7 @@ impl CxlHost {
     }
 
     fn check_bounds(&self, va: u64, len: u64) -> DmResult<()> {
-        let (start, rlen) = self.vma.borrow().lookup(va)?;
-        if va + len > start + rlen {
-            return Err(DmError::OutOfBounds);
-        }
-        Ok(())
+        self.vma.borrow().check_range(va, len)
     }
 
     /// `store`: write `data` at `va` through plain CXL stores, taking page

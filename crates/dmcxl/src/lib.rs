@@ -394,6 +394,12 @@ mod e2e_tests {
                 host.load(0x100, 1).await.unwrap_err(),
                 DmError::InvalidAddress
             );
+            // `va + len` wrapping past zero is out of bounds, not inside.
+            for len in [u64::MAX, u64::MAX - va + 1] {
+                assert_eq!(host.load(va, len).await.unwrap_err(), DmError::OutOfBounds);
+                let r = host.create_ref(va, len).await;
+                assert_eq!(r.unwrap_err(), DmError::OutOfBounds);
+            }
         });
     }
 

@@ -69,12 +69,12 @@ impl ClientLimitConfig {
     }
 }
 
-/// Client-side shard router (DESIGN.md §13). Present only on clients
+/// Client-side ring router (DESIGN.md §13). Present only on clients
 /// connected with a [`HashRing`]: `put_ref` then mints global keys
 /// and places them by consistent hashing, and every gkey-named op resolves
 /// its target locally — relocation cache first (learned from redirect
 /// chases, so tombstone chains collapse to one hop), ring second.
-struct ShardRouter {
+struct RingRouter {
     ring: HashRing,
     /// gkey → observed home, learned by chasing redirects. Entries drop
     /// when the gkey answers at its ring home again or is released.
@@ -87,7 +87,7 @@ struct ShardRouter {
     port: u16,
 }
 
-impl ShardRouter {
+impl RingRouter {
     /// Mint a fresh globally-unique key: bit 63, 15 bits of node, 16 bits
     /// of port, 32 bits of counter.
     fn mint(&self) -> u64 {
@@ -125,7 +125,7 @@ pub struct DmNetClient {
     cache: Rc<ClientCache>,
     /// Sharded placement (DESIGN.md §13), present only on clients
     /// connected with a [`HashRing`].
-    router: Option<ShardRouter>,
+    router: Option<RingRouter>,
     /// `Busy` rejections retried before one surfaces (DESIGN.md §14).
     busy_retries: u32,
     /// Token pool bounding concurrent wire ops, when
@@ -246,7 +246,7 @@ impl DmNetClient {
             assert_eq!(ring.n_servers(), servers.len(), "ring built for this pool");
             let addr = rpc.addr();
             assert!(addr.node.0 < (1 << 15), "gkey node space is 15 bits");
-            ShardRouter {
+            RingRouter {
                 ring,
                 reloc: RefCell::new(HashMap::new()),
                 next_gkey: Cell::new(0),

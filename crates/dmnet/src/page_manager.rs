@@ -30,6 +30,8 @@ use bytes::{Bytes, SharedBuf};
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use simcore::FastMap;
 
+use crate::proto::{Reader, Writer};
+use crate::shard::GKEY_BIT;
 use crate::translator::{PageIdx, Translator};
 use crate::va_tree::VaTree;
 
@@ -150,11 +152,6 @@ impl PageManager {
         }
     }
 
-    /// The copy policy in effect (COW vs the `-copy` ablation).
-    pub fn copy_mode(&self) -> CopyMode {
-        self.copy_mode
-    }
-
     /// Free pages remaining.
     pub fn free_pages(&self) -> usize {
         self.free.len()
@@ -186,9 +183,18 @@ impl PageManager {
     }
 
     /// Allocate `len` bytes of DM virtual address space. Pages are mapped
-    /// lazily on first write (paper §V-A1 `ralloc`).
+    /// lazily on first write (paper §V-A1 `ralloc`), so regions may
+    /// over-commit what is free — but a single region larger than the
+    /// whole pool could never be backed and is `OutOfMemory` (Linux's
+    /// heuristic overcommit refuses the same request). With it, no region,
+    /// and so no per-page loop over one, is longer than the pool.
     pub fn ralloc(&mut self, pid: GlobalPid, len: u64) -> DmResult<u64> {
-        self.tree(pid)?.alloc(len, PAGE_SIZE as u64)
+        let pool_pages = self.pages.len() as u64;
+        let tree = self.tree(pid)?;
+        if len.div_ceil(PAGE_SIZE as u64) > pool_pages {
+            return Err(DmError::OutOfMemory);
+        }
+        tree.alloc(len, PAGE_SIZE as u64)
     }
 
     /// Release a region: clear translations, unref pages, free the VA range
@@ -252,10 +258,7 @@ impl PageManager {
         if data.is_empty() {
             return Ok(OpCost::default());
         }
-        let (start, rlen) = self.tree(pid)?.lookup(va)?;
-        if va + data.len() as u64 > start + rlen {
-            return Err(DmError::OutOfBounds);
-        }
+        self.tree(pid)?.check_range(va, data.len() as u64)?;
         let mut cost = OpCost::default();
         let mut off = 0usize;
         while off < data.len() {
@@ -307,10 +310,7 @@ impl PageManager {
         if len == 0 {
             return Ok(());
         }
-        let (start, rlen) = self.tree(pid)?.lookup(va)?;
-        if va.checked_add(len).is_none_or(|end| end > start + rlen) {
-            return Err(DmError::OutOfBounds);
-        }
+        self.tree(pid)?.check_range(va, len)?;
         let translator = &mut self.translator;
         gather(&self.pages, va, len, |vpn| translator.lookup(pid, vpn), out);
         Ok(())
@@ -325,10 +325,7 @@ impl PageManager {
         if len == 0 || !va.is_multiple_of(PAGE_SIZE as u64) {
             return Err(DmError::InvalidAddress);
         }
-        let (start, rlen) = self.tree(pid)?.lookup(va)?;
-        if va + len > start + rlen {
-            return Err(DmError::OutOfBounds);
-        }
+        self.tree(pid)?.check_range(va, len)?;
         let mut cost = OpCost::default();
         let first_vpn = va / PAGE_SIZE as u64;
         let mapped: Vec<Option<PageIdx>> = (first_vpn..first_vpn + len.div_ceil(PAGE_SIZE as u64))
@@ -372,8 +369,7 @@ impl PageManager {
                 copies
             }
         };
-        let key = self.next_key;
-        self.next_key += 1;
+        let key = self.mint_key();
         self.refs.insert(
             key,
             RefEntry {
@@ -383,6 +379,15 @@ impl PageManager {
             },
         );
         Ok((key, cost))
+    }
+
+    /// The next ref key. Keys are a counter from 1 and never reach bit 63,
+    /// which is what leaves [`GKEY_BIT`] to client-minted global keys.
+    fn mint_key(&mut self) -> u64 {
+        let key = self.next_key;
+        assert!(key & GKEY_BIT == 0, "local ref keys exhausted");
+        self.next_key += 1;
+        key
     }
 
     /// Map a reference into `pid`'s address space (paper §V-A1 `map_ref`).
@@ -451,8 +456,7 @@ impl PageManager {
             pages_faulted: n_pages as u64,
             ..OpCost::default()
         };
-        let key = self.next_key;
-        self.next_key += 1;
+        let key = self.mint_key();
         self.refs.insert(
             key,
             RefEntry {
@@ -516,14 +520,7 @@ impl PageManager {
         }
         // Release refs it created that nobody consumed yet (sorted for the
         // same replay-determinism reason as the mappings above).
-        let mut keys: Vec<u64> = self
-            .refs
-            .iter()
-            .filter(|(_, e)| e.owner == Some(pid.0))
-            .map(|(&k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        for key in keys {
+        for key in self.keys_owned_by(pid) {
             cost.add(self.release_ref(key)?);
         }
         Ok(cost)
@@ -598,138 +595,123 @@ impl PageManager {
         }
     }
 
-    /// Append a canonical snapshot of the full state to `out` (the durable
+    /// Append a canonical snapshot of the full state to `w` (the durable
     /// tier's checkpoint payload, DESIGN.md §12). Canonical means two
     /// managers with equal logical state produce identical bytes: hash-map
     /// backed collections are emitted in sorted order, while the free FIFO
     /// is emitted in queue order because its order *is* logical state
     /// (future allocations pop from the front). The translator's
     /// lookup/miss statistics are volatile and excluded.
-    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
-        out.push(match self.copy_mode {
-            CopyMode::CopyOnWrite => 0,
-            CopyMode::Eager => 1,
-        });
-        out.extend_from_slice(&self.next_pid.to_le_bytes());
-        out.extend_from_slice(&self.next_key.to_le_bytes());
-        out.extend_from_slice(&(self.free.len() as u32).to_le_bytes());
+    pub fn snapshot_into(&self, w: Writer) -> Writer {
+        const ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        let mut w = w
+            .u32(self.pages.len() as u32)
+            .u8(match self.copy_mode {
+                CopyMode::CopyOnWrite => 0,
+                CopyMode::Eager => 1,
+            })
+            .u32(self.next_pid)
+            .u64(self.next_key)
+            .u32(self.free.len() as u32);
         for &p in &self.free {
-            out.extend_from_slice(&p.to_le_bytes());
+            w = w.u32(p);
         }
-        let used: Vec<u32> = (0..self.pages.len() as u32)
-            .filter(|&p| self.refcounts[p as usize] > 0)
-            .collect();
-        out.extend_from_slice(&(used.len() as u32).to_le_bytes());
-        for p in used {
-            out.extend_from_slice(&p.to_le_bytes());
-            out.extend_from_slice(&self.refcounts[p as usize].to_le_bytes());
+        let used = || (0..self.pages.len() as u32).filter(|&p| self.refcounts[p as usize] > 0);
+        w = w.u32(used().count() as u32);
+        for p in used() {
             // Whole pages whatever the storage: equal logical state, equal
             // bytes, so a manager rebuilt by replay digests the same.
             let stored = self.stored(p);
-            out.extend_from_slice(stored);
-            out.resize(out.len() + PAGE_SIZE - stored.len(), 0);
+            w = w
+                .u32(p)
+                .u32(self.refcounts[p as usize])
+                .bytes(stored)
+                .bytes(&ZEROS[stored.len()..]);
         }
         let mut pids: Vec<u32> = self.processes.keys().copied().collect();
         pids.sort_unstable();
-        out.extend_from_slice(&(pids.len() as u32).to_le_bytes());
+        w = w.u32(pids.len() as u32);
         for pid in pids {
             let tree = &self.processes[&pid];
-            out.extend_from_slice(&pid.to_le_bytes());
-            out.extend_from_slice(&(tree.len() as u32).to_le_bytes());
+            w = w.u32(pid).u32(tree.len() as u32);
             for (start, len) in tree.iter() {
-                out.extend_from_slice(&start.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
+                w = w.u64(start).u64(len);
             }
         }
         let mut xlations: Vec<((u32, u64), PageIdx)> = self.translator.iter().collect();
         xlations.sort_unstable_by_key(|&(k, _)| k);
-        out.extend_from_slice(&(xlations.len() as u32).to_le_bytes());
+        w = w.u32(xlations.len() as u32);
         for ((pid, vpn), p) in xlations {
-            out.extend_from_slice(&pid.to_le_bytes());
-            out.extend_from_slice(&vpn.to_le_bytes());
-            out.extend_from_slice(&p.to_le_bytes());
+            w = w.u32(pid).u64(vpn).u32(p);
         }
         let mut keys: Vec<u64> = self.refs.keys().copied().collect();
         keys.sort_unstable();
-        out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+        w = w.u32(keys.len() as u32);
         for key in keys {
             let e = &self.refs[&key];
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.push(e.owner.is_some() as u8);
-            out.extend_from_slice(&e.owner.unwrap_or(0).to_le_bytes());
-            out.extend_from_slice(&(e.pages.len() as u32).to_le_bytes());
+            w = w
+                .u64(key)
+                .u64(e.len)
+                .u8(e.owner.is_some() as u8)
+                .u32(e.owner.unwrap_or(0))
+                .u32(e.pages.len() as u32);
             for &p in &e.pages {
-                out.extend_from_slice(&p.to_le_bytes());
+                w = w.u32(p);
             }
         }
+        w
     }
 
     /// Canonical snapshot as a fresh buffer (see [`Self::snapshot_into`]).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.snapshot_into(&mut out);
-        out
+        self.snapshot_into(Writer::new()).into_vec()
     }
 
     /// Rebuild a manager from a snapshot produced by
-    /// [`Self::snapshot_into`], advancing `pos` past the consumed bytes
-    /// (a multi-shard server concatenates one snapshot per shard).
-    /// `None` on any malformed input.
-    pub fn restore_from(buf: &[u8], pos: &mut usize) -> Option<PageManager> {
-        let mut c = SnapCursor { buf, pos: *pos };
-        let capacity = c.u32()? as usize;
-        let copy_mode = match c.u8()? {
+    /// [`Self::snapshot_into`], leaving `r` behind the consumed bytes.
+    /// `Malformed` on any malformed input.
+    pub fn restore_from(r: &mut Reader<'_>) -> DmResult<PageManager> {
+        let capacity = r.u32()? as usize;
+        let copy_mode = match r.u8()? {
             0 => CopyMode::CopyOnWrite,
             1 => CopyMode::Eager,
-            _ => return None,
+            _ => return Err(DmError::Malformed),
+        };
+        let page_idx = |r: &mut Reader<'_>| match r.u32()? {
+            p if (p as usize) < capacity => Ok(p),
+            _ => Err(DmError::Malformed),
         };
         let mut pm = PageManager::new(capacity, copy_mode);
-        pm.next_pid = c.u32()?;
-        pm.next_key = c.u64()?;
+        pm.next_pid = r.u32()?;
+        pm.next_key = r.u64()?;
         pm.free.clear();
-        for _ in 0..c.u32()? {
-            let p = c.u32()?;
-            if p as usize >= capacity {
-                return None;
-            }
-            pm.free.push_back(p);
+        for _ in 0..r.u32()? {
+            pm.free.push_back(page_idx(r)?);
         }
-        for _ in 0..c.u32()? {
-            let p = c.u32()? as usize;
-            if p >= capacity {
-                return None;
-            }
-            pm.refcounts[p] = c.u32()?;
-            pm.pages[p] = Some(Page::private(c.take(PAGE_SIZE)?));
+        for _ in 0..r.u32()? {
+            let p = page_idx(r)? as usize;
+            pm.refcounts[p] = r.u32()?;
+            pm.pages[p] = Some(Page::private(r.take(PAGE_SIZE)?));
         }
-        for _ in 0..c.u32()? {
-            let pid = c.u32()?;
+        for _ in 0..r.u32()? {
+            let pid = r.u32()?;
             let mut tree = VaTree::new();
-            for _ in 0..c.u32()? {
-                let start = c.u64()?;
-                let len = c.u64()?;
-                tree.restore_range(start, len);
+            for _ in 0..r.u32()? {
+                tree.restore_range(r.u64()?, r.u64()?);
             }
             pm.processes.insert(pid, tree);
         }
-        for _ in 0..c.u32()? {
-            let pid = c.u32()?;
-            let vpn = c.u64()?;
-            let p = c.u32()?;
-            pm.translator.insert(GlobalPid(pid), vpn, p);
+        for _ in 0..r.u32()? {
+            let (pid, vpn) = (r.u32()?, r.u64()?);
+            pm.translator.insert(GlobalPid(pid), vpn, page_idx(r)?);
         }
-        for _ in 0..c.u32()? {
-            let key = c.u64()?;
-            let len = c.u64()?;
-            let has_owner = c.u8()? != 0;
-            let owner = c.u32()?;
-            let npages = c.u32()? as usize;
-            let mut pages = Vec::with_capacity(npages);
-            for _ in 0..npages {
-                pages.push(c.u32()?);
-            }
+        for _ in 0..r.u32()? {
+            let (key, len) = (r.u64()?, r.u64()?);
+            let has_owner = r.u8()? != 0;
+            let owner = r.u32()?;
+            let pages = (0..r.u32()?)
+                .map(|_| page_idx(r))
+                .collect::<DmResult<_>>()?;
             pm.refs.insert(
                 key,
                 RefEntry {
@@ -739,39 +721,13 @@ impl PageManager {
                 },
             );
         }
-        *pos = c.pos;
-        Some(pm)
+        Ok(pm)
     }
 
     /// FNV-1a digest of the canonical snapshot — equal digests mean equal
     /// logical state (recovery oracles compare recovered vs shadow).
     pub fn state_digest(&self) -> u64 {
         crate::wal::fnv1a(&self.snapshot())
-    }
-}
-
-struct SnapCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapCursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 }
 
@@ -958,9 +914,16 @@ mod tests {
     fn out_of_memory_reported() {
         let mut pm = PageManager::new(2, CopyMode::CopyOnWrite);
         let pid = pm.register_process();
-        let va = pm.ralloc(pid, 3 * PS).unwrap(); // VA ok, pages lazy
-        let r = pm.write(pid, va, &vec![1u8; 3 * PAGE_SIZE]);
-        assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+        // VA ok, pages lazy: two regions over-commit the two-page pool.
+        let (a, b) = (pm.ralloc(pid, 2 * PS).unwrap(), pm.ralloc(pid, PS).unwrap());
+        pm.write(pid, a, &vec![1u8; 2 * PAGE_SIZE]).unwrap();
+        assert_eq!(pm.write(pid, b, &[1]).unwrap_err(), DmError::OutOfMemory);
+        // One region the whole pool could not back is refused up front.
+        assert_eq!(
+            pm.ralloc(pid, 2 * PS + 1).unwrap_err(),
+            DmError::OutOfMemory
+        );
+        pm.check_invariants();
     }
 
     #[test]
@@ -987,8 +950,10 @@ mod tests {
         pm.check_invariants();
 
         // Copy-on-write: two virgin pages to fault in, one page is free.
-        let mut pm = PageManager::new(2, CopyMode::CopyOnWrite);
+        let mut pm = PageManager::new(3, CopyMode::CopyOnWrite);
         let pid = pm.register_process();
+        let other = pm.ralloc(pid, PS).unwrap();
+        pm.write(pid, other, &[7u8]).unwrap();
         let va = pm.ralloc(pid, 3 * PS).unwrap();
         pm.write(pid, va, &[7u8]).unwrap();
         let r = pm.create_ref(pid, va, 3 * PS);
@@ -1011,6 +976,37 @@ mod tests {
         );
         assert_eq!(pm.read(pid, va, PS + 1).unwrap_err(), DmError::OutOfBounds);
         assert!(pm.read(pid, va + 7, 0).is_ok());
+    }
+
+    #[test]
+    fn wire_fed_lengths_are_refused_not_wrapped() {
+        let (mut pm, pid) = pm();
+        let va = pm.ralloc(pid, 2 * PS).unwrap();
+        pm.write(pid, va, b"live").unwrap();
+        let free = pm.free_pages();
+        // `va + len` wraps past zero: out of bounds, not a 2^52-page ref.
+        for len in [u64::MAX, u64::MAX - va, u64::MAX - va + 1] {
+            let r = pm.create_ref(pid, va, len);
+            assert_eq!(r.unwrap_err(), DmError::OutOfBounds, "len {len:#x}");
+        }
+        // A write whose end wraps, at the highest address that can be live.
+        let top = u64::MAX - PS + 1;
+        pm.processes
+            .get_mut(&pid.0)
+            .unwrap()
+            .restore_range(top - PS, PS);
+        let r = pm.write(pid, top - 1, &[1; PAGE_SIZE + 1]);
+        assert_eq!(r.unwrap_err(), DmError::OutOfBounds);
+        let r = pm.read(pid, top - 1, PS + 1);
+        assert_eq!(r.unwrap_err(), DmError::OutOfBounds);
+        // Lengths no pool backs, up to the one whose page rounding overflows.
+        for len in [65 * PS, 1 << 48, 1 << 63, u64::MAX] {
+            let r = pm.ralloc(pid, len);
+            assert_eq!(r.unwrap_err(), DmError::OutOfMemory, "len {len:#x}");
+        }
+        assert_eq!(pm.free_pages(), free, "a refused op takes no page");
+        assert_eq!(&pm.read(pid, va, 4).unwrap(), b"live");
+        pm.check_invariants();
     }
 
     #[test]
@@ -1087,9 +1083,9 @@ mod tests {
         pm.put_ref(&[7u8; 100], Some(mapper)).unwrap();
 
         let snap = pm.snapshot();
-        let mut pos = 0;
-        let mut back = PageManager::restore_from(&snap, &mut pos).unwrap();
-        assert_eq!(pos, snap.len(), "restore consumes the whole snapshot");
+        let mut r = Reader::new(&snap);
+        let mut back = PageManager::restore_from(&mut r).unwrap();
+        assert!(r.is_empty(), "restore consumes the whole snapshot");
         back.check_invariants();
         assert_eq!(back.state_digest(), pm.state_digest());
         // Logical state identical: reads, free count, and future behavior.
@@ -1116,9 +1112,8 @@ mod tests {
         let snap = pm.snapshot();
         // Truncations at every boundary fail cleanly.
         for cut in [0, 1, 4, snap.len() / 2, snap.len() - 1] {
-            let mut pos = 0;
             assert!(
-                PageManager::restore_from(&snap[..cut], &mut pos).is_none(),
+                PageManager::restore_from(&mut Reader::new(&snap[..cut])).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -1128,8 +1123,7 @@ mod tests {
         bad[1] = 0;
         bad[2] = 0;
         bad[3] = 0;
-        let mut pos = 0;
-        assert!(PageManager::restore_from(&bad, &mut pos).is_none());
+        assert!(PageManager::restore_from(&mut Reader::new(&bad)).is_err());
     }
 
     #[test]

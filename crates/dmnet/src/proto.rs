@@ -436,6 +436,13 @@ impl<'a> Reader<'a> {
         Ok(Addr { node, port })
     }
 
+    /// Read the next `n` bytes.
+    pub fn take(&mut self, n: usize) -> DmResult<&'a [u8]> {
+        let s = self.buf[self.pos..].get(..n).ok_or(DmError::Malformed)?;
+        self.pos += n;
+        Ok(s)
+    }
+
     /// Remaining bytes; the cursor moves to the end.
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
@@ -458,15 +465,6 @@ impl<'a> Reader<'a> {
     /// Whether the cursor has consumed the whole buffer.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> DmResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(DmError::Malformed);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 }
 

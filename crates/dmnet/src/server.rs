@@ -10,14 +10,14 @@
 //! * DRAM bandwidth and traffic for data reads/writes and for every page
 //!   copied by COW or by the eager `-copy` ablation.
 //!
-//! **Sharding** (paper §VI-C): "Concurrent requests received in a single
-//! memory server will be dispatched to its different CPU cores, each
-//! responsible for managing a portion of the memory." With
-//! [`DmServerConfig::shards`] > 1 the server runs that many independent
-//! [`PageManager`] shards, each pinned to one core; allocations are spread
-//! round-robin and the owning shard is encoded in the top bits of every DM
-//! virtual address and ref key, so later operations route without any
-//! shared state between cores.
+//! **One page manager per server.** Paper §VI-C: "Concurrent requests
+//! received in a single memory server will be dispatched to its different
+//! CPU cores". Here that is [`DmServerConfig::cores`]: one [`PageManager`]
+//! served by a pool of that many cores. A VA on the wire is the VA the
+//! manager's tree returned and a plain ref key is the key it minted.
+//! Memory is partitioned across *servers* only, by the consistent-hash
+//! ring of DESIGN.md §13 — "shard" in this crate means a ring-placed
+//! server.
 //!
 //! The server is split by plane. This file holds the configuration, the
 //! process and lease lifecycle, key routing and the cost model. `dispatch`
@@ -53,10 +53,6 @@ use crate::wal::{Record, Wal, WalConfig};
 pub use coherence::CoherenceConfig;
 pub use recovery::RecoveryReport;
 
-/// Top bits of DM virtual addresses / ref keys carry the owning shard.
-const SHARD_SHIFT: u32 = 48;
-const LOW_MASK: u64 = (1u64 << SHARD_SHIFT) - 1;
-
 /// Sentinel pid in a `Record::PutRef` (and owner node in a `MIGRATE_IN`
 /// body) for an unowned ref (a migrated ref whose owner was not registered
 /// at the destination); replay maps it back to `None`.
@@ -68,35 +64,29 @@ fn translations_for(len: u64) -> u64 {
 }
 
 /// Outcome of resolving a wire ref key ([`DmServer::route_key`]): either
-/// the owning `(shard, local key)`, or a ready-made redirect response for
-/// a gkey that migrated away.
+/// the page manager's key, or a ready-made redirect response for a gkey
+/// that migrated away.
 enum KeyRoute {
-    Local(usize, u64),
+    Local(u64),
     Redirect(Bytes),
 }
 
 /// DM server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct DmServerConfig {
-    /// Pinned pool size in pages (default 64 Ki pages = 256 MiB), split
-    /// evenly across shards.
+    /// Pinned pool size in pages (default 64 Ki pages = 256 MiB).
     pub capacity_pages: usize,
     /// COW (DmRPC) or eager copy (the `-copy` ablation).
     pub copy_mode: CopyMode,
-    /// Worker cores serving DM requests when `shards == 1` (Fig. 7 uses 1).
+    /// Worker cores serving DM requests (paper §VI-C; Fig. 7 uses 1).
+    /// Request dispatch and every op's page-manager work share this pool.
     pub cores: u64,
-    /// Memory-partitioned shards, one core each (paper §VI-C). 1 = a single
-    /// page manager served by `cores` cores.
-    pub shards: usize,
     /// Fixed CPU cost per DM operation.
     pub per_op_cpu: Duration,
     /// CPU cost per page whose refcount / translation entry is updated.
     pub per_page_cpu: Duration,
     /// CPU cost of one software translation lookup.
     pub translation_cpu: Duration,
-    /// Request-dispatch CPU charged on the owning shard when sharded (the
-    /// unsharded path charges it in the RPC layer instead).
-    pub dispatch_cpu: Duration,
     /// Paper §V-A2 future work, implemented here as an option: "skip the
     /// software-based translation by modifying OS and letting MMU translate
     /// the DM virtual address directly to the physical address". When true,
@@ -141,11 +131,9 @@ impl Default for DmServerConfig {
             capacity_pages: 65536,
             copy_mode: CopyMode::CopyOnWrite,
             cores: 4,
-            shards: 1,
             per_op_cpu: Duration::from_nanos(300),
             per_page_cpu: Duration::from_nanos(10),
             translation_cpu: Duration::from_nanos(15),
-            dispatch_cpu: Duration::from_nanos(400),
             hw_translation: false,
             lease_ttl: None,
             durability: WalConfig::from_env(),
@@ -155,18 +143,15 @@ impl Default for DmServerConfig {
     }
 }
 
-struct Shard {
-    pm: RefCell<PageManager>,
-    cpu: CpuPool,
-}
-
 /// A running DM server.
 pub struct DmServer {
-    shards: Vec<Shard>,
+    pm: RefCell<PageManager>,
+    /// The server's cores: the RPC layer charges request dispatch on them
+    /// and [`DmServer::charge`] every op's page-manager work.
+    cpu: CpuPool,
     mem: NodeMemory,
     rpc: Rc<Rpc>,
     config: DmServerConfig,
-    next_alloc: Cell<usize>,
     /// PID ownership: which endpoint registered each PID. Requests naming a
     /// PID are only honored from its owner (process isolation — a buggy or
     /// malicious service cannot free another process's regions).
@@ -193,13 +178,14 @@ pub struct DmServer {
     wal: Option<Wal>,
     /// Completed `restart_from_log` recoveries (observability).
     recoveries: Cell<u64>,
-    /// Sharded plane (DESIGN.md §13): global key → tagged local ref key
+    /// Sharded plane (DESIGN.md §13): global key → page-manager ref key
     /// for every gkey currently homed here.
     gmap: RefCell<HashMap<u64, u64>>,
     /// Redirect tombstones: gkeys that migrated away, with the forwarding
     /// address clients chase (one hop per tombstone).
     moved: RefCell<HashMap<u64, Addr>>,
-    /// Requests served (per-shard `dm.shard.N.ops` telemetry).
+    /// Requests served (the `dm.shard.<i>.ops` gauge; `<i>` is this
+    /// server's index in the ring).
     ops_served: Cell<u64>,
     /// Migrations completed (outbound MIGRATE + inbound MIGRATE_IN).
     migrations: Cell<u64>,
@@ -210,7 +196,7 @@ pub struct DmServer {
     /// Overload controller, present when `config.admission` is set.
     admission: Option<Admission>,
     /// Coherence plane (DESIGN.md §15): per-ref versions, keyed by the
-    /// wire-visible ref key (gkey or shard-tagged key). Holds only keys
+    /// wire-visible ref key (gkey or page-manager key). Holds only keys
     /// whose version differs from the implicit creation version 1 — in
     /// practice, migrated-in gkeys. Dead keys are removed (keys are
     /// minted once, so a dead key's version never needs to be compared
@@ -239,42 +225,23 @@ impl DmServer {
         mem: NodeMemory,
         config: DmServerConfig,
     ) -> Rc<DmServer> {
-        assert!(config.shards >= 1, "at least one shard");
-        let sharded = config.shards > 1;
-        let shards: Vec<Shard> = if sharded {
-            let per = config.capacity_pages / config.shards;
-            assert!(per > 0, "capacity too small for shard count");
-            (0..config.shards)
-                .map(|_| Shard {
-                    pm: RefCell::new(PageManager::new(per, config.copy_mode)),
-                    cpu: CpuPool::new(1),
-                })
-                .collect()
-        } else {
-            vec![Shard {
-                pm: RefCell::new(PageManager::new(config.capacity_pages, config.copy_mode)),
-                cpu: CpuPool::new(config.cores),
-            }]
-        };
-        let mut builder = RpcBuilder::new(net, node, proto::DM_PORT)
+        let cpu = CpuPool::new(config.cores);
+        let rpc = RpcBuilder::new(net, node, proto::DM_PORT)
             .config(RpcConfig {
                 // DMA lands directly in pinned pages; the data-path costs
                 // are charged explicitly via the memory model instead.
                 per_kb_cpu: Duration::ZERO,
                 ..RpcConfig::default()
             })
-            .mem(mem.clone());
-        if !sharded {
-            // Unsharded: request dispatch runs on the shared core pool.
-            builder = builder.cpu(shards[0].cpu.clone());
-        }
-        let rpc = builder.build();
+            .mem(mem.clone())
+            .cpu(cpu.clone())
+            .build();
         let server = Rc::new(DmServer {
-            shards,
+            pm: RefCell::new(PageManager::new(config.capacity_pages, config.copy_mode)),
+            cpu,
             mem,
-            rpc: rpc.clone(),
+            rpc,
             config,
-            next_alloc: Cell::new(0),
             owners: RefCell::default(),
             leases: RefCell::default(),
             leases_reclaimed: Cell::new(0),
@@ -369,30 +336,19 @@ impl DmServer {
     fn reclaim_process(&self, pid: u32) {
         // The dying pid's refs must be enumerated *before* they are freed.
         let dying = self.wire_keys_owned_by(GlobalPid(pid));
-        for s in &self.shards {
-            // Already-released shards (or pids never touched here) are
-            // fine: reclamation must be idempotent.
-            let _ = s.pm.borrow_mut().release_process(GlobalPid(pid));
-        }
+        // A pid already released (or never seen here) is fine:
+        // reclamation must be idempotent.
+        let _ = self.pm.borrow_mut().release_process(GlobalPid(pid));
         self.leases.borrow_mut().remove(&pid);
         self.owners.borrow_mut().remove(&pid);
         // Reclamation drops refs: caches filled before it are suspect.
         self.refs_died(&dying, None);
     }
 
-    /// Register a process for the endpoint `owner` with every shard; page
-    /// managers assign pids deterministically so the ids agree. Shared by
-    /// `REGISTER` and the replay of its record.
+    /// Register a process for the endpoint `owner`. Shared by `REGISTER`
+    /// and the replay of its record.
     fn register_process(&self, owner: Addr) -> GlobalPid {
-        let mut pid = None;
-        for s in &self.shards {
-            let p = s.pm.borrow_mut().register_process();
-            match pid {
-                None => pid = Some(p),
-                Some(prev) => assert_eq!(prev, p, "shard pid divergence"),
-            }
-        }
-        let pid = pid.expect("at least one shard");
+        let pid = self.pm.borrow_mut().register_process();
         self.owners.borrow_mut().insert(pid.0, owner);
         pid
     }
@@ -447,29 +403,30 @@ impl DmServer {
         self.sweeper_armed.get()
     }
 
-    /// Worker cores across all shards.
+    /// Worker cores.
     pub fn cpu_cores(&self) -> u64 {
-        self.shards.iter().map(|s| s.cpu.cores()).sum()
+        self.cpu.cores()
     }
 
     /// CPU busy time summed over those cores (the `node.<name>.cpu.busy_ns`
     /// telemetry gauge).
     pub fn cpu_busy_time(&self) -> Duration {
-        self.shards.iter().map(|s| s.cpu.busy_time()).sum()
+        self.cpu.busy_time()
     }
 
-    /// Requests served (the `dm.shard.N.ops` telemetry gauge).
+    /// Requests served (the `dm.shard.<i>.ops` telemetry gauge; `<i>` is
+    /// the server's index in the ring).
     pub fn ops_served(&self) -> u64 {
         self.ops_served.get()
     }
 
     /// Requests refused because the admission queue was full (0 when
-    /// overload control is off — the `dm.shard.N.rejected` gauge).
+    /// overload control is off — the `dm.shard.<i>.rejected` gauge).
     pub fn admission_rejected(&self) -> u64 {
         self.admission.as_ref().map_or(0, |a| a.rejected())
     }
 
-    /// Requests refused by CoDel shedding (the `dm.shard.N.shed` gauge).
+    /// Requests refused by CoDel shedding (the `dm.shard.<i>.shed` gauge).
     pub fn admission_shed(&self) -> u64 {
         self.admission.as_ref().map_or(0, |a| a.shed())
     }
@@ -491,43 +448,24 @@ impl DmServer {
         &self.mem
     }
 
-    /// Number of memory shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Access the page manager (tests and invariant checks).
-    ///
-    /// # Panics
-    /// Panics on a sharded server — use [`DmServer::check_invariants_all`],
-    /// [`DmServer::free_pages_total`] or [`DmServer::capacity_pages_total`].
     pub fn with_page_manager<R>(&self, f: impl FnOnce(&mut PageManager) -> R) -> R {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "sharded server: use the *_all accessors"
-        );
-        f(&mut self.shards[0].pm.borrow_mut())
+        f(&mut self.pm.borrow_mut())
     }
 
-    /// Check every shard's invariants.
+    /// Check the page manager's invariants.
     pub fn check_invariants_all(&self) {
-        for s in &self.shards {
-            s.pm.borrow().check_invariants();
-        }
+        self.pm.borrow().check_invariants();
     }
 
-    /// Free pages across all shards.
+    /// Free pages in the pool.
     pub fn free_pages_total(&self) -> usize {
-        self.shards.iter().map(|s| s.pm.borrow().free_pages()).sum()
+        self.pm.borrow().free_pages()
     }
 
-    /// Capacity across all shards.
+    /// Pool capacity in pages.
     pub fn capacity_pages_total(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.pm.borrow().capacity_pages())
-            .sum()
+        self.pm.borrow().capacity_pages()
     }
 
     /// Fraction of DM operation time spent in software address translation
@@ -541,19 +479,6 @@ impl DmServer {
     }
 
     // -- routing -------------------------------------------------------------
-
-    fn tag(&self, shard: usize, v: u64) -> u64 {
-        debug_assert!(v <= LOW_MASK, "value overflows shard tag space");
-        ((shard as u64) << SHARD_SHIFT) | v
-    }
-
-    fn route(&self, tagged: u64) -> DmResult<(usize, u64)> {
-        let shard = (tagged >> SHARD_SHIFT) as usize;
-        if shard >= self.shards.len() {
-            return Err(DmError::InvalidAddress);
-        }
-        Ok((shard, tagged & LOW_MASK))
-    }
 
     /// Validate that `src` owns `pid`.
     fn check_owner(&self, pid: GlobalPid, src: Addr) -> DmResult<()> {
@@ -574,24 +499,16 @@ impl DmServer {
         lowest.map(GlobalPid).ok_or(DmError::InvalidAddress)
     }
 
-    fn pick_alloc_shard(&self) -> usize {
-        let s = self.next_alloc.get();
-        self.next_alloc.set((s + 1) % self.shards.len());
-        s
-    }
-
-    /// Resolve a wire ref key: a plain tagged key routes to its shard
-    /// directly; a gkey (bit 63) resolves through the binding table, or
-    /// yields the ready-made redirect response when only a tombstone
-    /// remains. An unknown gkey is an invalid ref.
+    /// Resolve a wire ref key: a plain key is the page manager's own; a
+    /// gkey (bit 63) resolves through the binding table, or yields the
+    /// ready-made redirect response when only a tombstone remains. An
+    /// unknown gkey is an invalid ref.
     fn route_key(&self, raw: u64) -> DmResult<KeyRoute> {
         if raw & GKEY_BIT == 0 {
-            let (shard, key) = self.route(raw)?;
-            return Ok(KeyRoute::Local(shard, key));
+            return Ok(KeyRoute::Local(raw));
         }
-        if let Some(&tagged) = self.gmap.borrow().get(&raw) {
-            let (shard, key) = self.route(tagged)?;
-            return Ok(KeyRoute::Local(shard, key));
+        if let Some(&key) = self.gmap.borrow().get(&raw) {
+            return Ok(KeyRoute::Local(key));
         }
         if let Some(&fwd) = self.moved.borrow().get(&raw) {
             self.redirects.set(self.redirects.get() + 1);
@@ -615,10 +532,11 @@ impl DmServer {
         self.op_ns.set(self.op_ns.get() + t.as_nanos() as u64);
     }
 
-    /// Charge CPU for an operation on `shard` and record the translation
-    /// share. Page copies (COW / eager) occupy the serving core for the
-    /// duration of the copy, on top of the DRAM traffic they generate.
-    async fn charge(&self, shard: usize, cost: OpCost, translations: u64) {
+    /// Charge CPU for an operation and record the translation share (the
+    /// RPC layer already charged the request's dispatch on the same cores).
+    /// Page copies (COW / eager) occupy the serving core for the duration
+    /// of the copy, on top of the DRAM traffic they generate.
+    async fn charge(&self, cost: OpCost, translations: u64) {
         let c = &self.config;
         let translations = if c.hw_translation { 0 } else { translations };
         let copy_time = if cost.bytes_copied > 0 {
@@ -627,13 +545,7 @@ impl DmServer {
         } else {
             Duration::ZERO
         };
-        let dispatch = if self.shards.len() > 1 {
-            c.dispatch_cpu
-        } else {
-            Duration::ZERO // charged by the RPC layer's core pool instead
-        };
-        let cpu_time = dispatch
-            + c.per_op_cpu
+        let cpu_time = c.per_op_cpu
             + c.per_page_cpu * (cost.refcount_updates + cost.pages_faulted) as u32
             + c.translation_cpu * translations as u32
             + copy_time;
@@ -651,7 +563,7 @@ impl DmServer {
             s.attr("bytes_copied", cost.bytes_copied);
             s.attr("copy_ns", copy_time.as_nanos() as u64);
         }
-        self.shards[shard].cpu.execute(cpu_time).await;
+        self.cpu.execute(cpu_time).await;
         drop(cow);
         self.translation_ns.set(
             self.translation_ns.get() + (c.translation_cpu * translations as u32).as_nanos() as u64,

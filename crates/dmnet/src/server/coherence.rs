@@ -150,21 +150,17 @@ impl DmServer {
     }
 
     /// Every wire-visible key of refs owned by `pid`, sorted (push order
-    /// must be deterministic): the shard-tagged local keys plus any gkeys
+    /// must be deterministic): the page manager's keys plus any gkeys
     /// bound to them.
     pub(super) fn wire_keys_owned_by(&self, pid: GlobalPid) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (shard, s) in self.shards.iter().enumerate() {
-            for key in s.pm.borrow().keys_owned_by(pid) {
-                out.push(self.tag(shard, key));
-            }
-        }
-        let tagged: HashSet<u64> = out.iter().copied().collect();
-        for (&gkey, &t) in self.gmap.borrow().iter() {
-            if tagged.contains(&t) {
-                out.push(gkey);
-            }
-        }
+        let mut out = self.pm.borrow().keys_owned_by(pid);
+        let local: HashSet<u64> = out.iter().copied().collect();
+        let gmap = self.gmap.borrow();
+        out.extend(
+            gmap.iter()
+                .filter(|(_, k)| local.contains(k))
+                .map(|(&g, _)| g),
+        );
         out.sort_unstable();
         out
     }

@@ -83,14 +83,14 @@ impl DmServer {
         }
     }
 
-    /// Install `data` as a new ref on the next shard in rotation — its pages
-    /// are views into `data`'s storage, nothing is copied — attributed to
-    /// the pid `owner` registered here so lease expiry can reclaim it (an
-    /// unregistered owner is refused — an anonymous ref could never be
-    /// reclaimed; `None` is a migrated ref that was already unowned at its
-    /// source). With `bind = (gkey, version)` the ref is also bound to that
-    /// global key. Logs, charges and returns the ref's shard-tagged key. The
-    /// one body behind `PUT_REF`, `PUT_REF_AT` and `MIGRATE_IN`.
+    /// Install `data` as a new ref — its pages are views into `data`'s
+    /// storage, nothing is copied — attributed to the pid `owner`
+    /// registered here so lease expiry can reclaim it (an unregistered
+    /// owner is refused — an anonymous ref could never be reclaimed; `None`
+    /// is a migrated ref that was already unowned at its source). With
+    /// `bind = (gkey, version)` the ref is also bound to that global key.
+    /// Logs, charges and returns the ref's key. The one body behind
+    /// `PUT_REF`, `PUT_REF_AT` and `MIGRATE_IN`.
     pub(super) async fn install_ref(
         &self,
         data: Bytes,
@@ -99,14 +99,9 @@ impl DmServer {
     ) -> DmResult<u64> {
         let len = data.len() as u64;
         let owner = owner.map(|addr| self.pid_of(addr)).transpose()?;
-        let shard = self.pick_alloc_shard();
-        let (key, cost) = self.shards[shard]
-            .pm
-            .borrow_mut()
-            .put_ref_bytes(data.clone(), owner)?;
-        let tagged = self.tag(shard, key);
+        let (key, cost) = self.pm.borrow_mut().put_ref_bytes(data.clone(), owner)?;
         if let Some((gkey, ver)) = bind {
-            self.gmap.borrow_mut().insert(gkey, tagged);
+            self.gmap.borrow_mut().insert(gkey, key);
             // A ref migrating back home clears its own stale tombstone.
             self.moved.borrow_mut().remove(&gkey);
             // Only non-creation versions occupy the table (and the log):
@@ -117,13 +112,12 @@ impl DmServer {
         }
         self.persist(|| {
             let mut records = vec![Record::PutRef {
-                shard: shard as u16,
                 pid: owner.map_or(NO_OWNER_PID, |p| p.0),
                 key,
                 data: data.to_vec(),
             }];
             if let Some((gkey, ver)) = bind {
-                records.push(Record::GBind { gkey, key: tagged });
+                records.push(Record::GBind { gkey, key });
                 if ver != 1 {
                     records.push(Record::GVer { gkey, ver });
                 }
@@ -131,10 +125,10 @@ impl DmServer {
             records
         })
         .await;
-        self.charge(shard, cost, translations_for(len)).await;
+        self.charge(cost, translations_for(len)).await;
         self.mem.touch(len).await;
         self.note_data_time(len);
-        Ok(tagged)
+        Ok(key)
     }
 
     pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Bytes) -> DmResult<Bytes> {
@@ -149,7 +143,7 @@ impl DmServer {
                     }]
                 })
                 .await;
-                self.charge(0, OpCost::default(), 0).await;
+                self.charge(OpCost::default(), 0).await;
                 // Only lease-granting servers append the TTL: the response
                 // (and thus the packet schedule) of a lease-free server is
                 // byte-identical to the pre-lease wire format.
@@ -170,55 +164,42 @@ impl DmServer {
                     // too late, the client must re-register.
                     None => return Err(DmError::InvalidAddress),
                 }
-                self.charge(0, OpCost::default(), 0).await;
+                self.charge(OpCost::default(), 0).await;
                 Ok(self.ok(Response::new()))
             }
             req::ALLOC => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
                 let len = r.u64()?;
-                let shard = self.pick_alloc_shard();
-                let va = self.shards[shard].pm.borrow_mut().ralloc(pid, len)?;
+                let va = self.pm.borrow_mut().ralloc(pid, len)?;
                 self.persist(|| {
                     vec![Record::Alloc {
-                        shard: shard as u16,
                         pid: pid.0,
                         len,
                         va,
                     }]
                 })
                 .await;
-                self.charge(shard, OpCost::default(), 0).await;
-                Ok(self.ok(Response::new().u64(self.tag(shard, va))))
+                self.charge(OpCost::default(), 0).await;
+                Ok(self.ok(Response::new().u64(va)))
             }
             req::FREE => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let cost = self.shards[shard].pm.borrow_mut().rfree(pid, va)?;
-                self.persist(|| {
-                    vec![Record::Free {
-                        shard: shard as u16,
-                        pid: pid.0,
-                        va,
-                    }]
-                })
-                .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
+                let va = r.u64()?;
+                let cost = self.pm.borrow_mut().rfree(pid, va)?;
+                self.persist(|| vec![Record::Free { pid: pid.0, va }]).await;
+                self.charge(cost, cost.refcount_updates).await;
                 Ok(self.ok(Response::new()))
             }
             req::CREATE_REF => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let len = r.u64()?;
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .create_ref(pid, va, len)?;
+                let (key, cost) = self.pm.borrow_mut().create_ref(pid, va, len)?;
                 self.persist(|| {
                     vec![Record::CreateRef {
-                        shard: shard as u16,
                         pid: pid.0,
                         va,
                         len,
@@ -227,47 +208,41 @@ impl DmServer {
                 })
                 .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
-                self.charge(shard, cost, pages).await;
-                let tagged = self.tag(shard, key);
-                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
+                self.charge(cost, pages).await;
+                Ok(self.ok_v(&[(key, 1)], Response::new().u64(key)))
             }
             req::MAP_REF => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
-                let (va, len, cost) = self.shards[shard].pm.borrow_mut().map_ref(pid, key)?;
+                let (va, len, cost) = self.pm.borrow_mut().map_ref(pid, key)?;
                 self.persist(|| {
                     vec![Record::MapRef {
-                        shard: shard as u16,
                         pid: pid.0,
                         key,
                         va,
                     }]
                 })
                 .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
+                self.charge(cost, cost.refcount_updates).await;
                 self.grant(raw, src);
                 Ok(self.ok_v(
                     &[(raw, self.current_version(raw))],
-                    Response::new().u64(self.tag(shard, va)).u64(len),
+                    Response::new().u64(va).u64(len),
                 ))
             }
             req::READ => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let len = r.u64()?;
                 let mut resp = Response::new();
-                self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .read_into(pid, va, len, resp.buf())?;
-                self.charge(shard, OpCost::default(), translations_for(len))
-                    .await;
+                self.pm.borrow_mut().read_into(pid, va, len, resp.buf())?;
+                self.charge(OpCost::default(), translations_for(len)).await;
                 // Reading pinned pages into the response path occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
@@ -276,20 +251,19 @@ impl DmServer {
             req::WRITE => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let data = r.rest();
                 let len = data.len() as u64;
-                let cost = self.shards[shard].pm.borrow_mut().write(pid, va, data)?;
+                let cost = self.pm.borrow_mut().write(pid, va, data)?;
                 self.persist(|| {
                     vec![Record::Write {
-                        shard: shard as u16,
                         pid: pid.0,
                         va,
                         data: data.to_vec(),
                     }]
                 })
                 .await;
-                self.charge(shard, cost, translations_for(len)).await;
+                self.charge(cost, translations_for(len)).await;
                 // Storing into pinned pages occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
@@ -297,11 +271,11 @@ impl DmServer {
             }
             req::RELEASE_REF => {
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
-                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+                let cost = self.pm.borrow_mut().release_ref(key)?;
                 // The ref is gone: invalidate client caches (the releaser's
                 // own response carries the new epoch or version).
                 let touched = self.refs_died(&[raw], Some(src));
@@ -310,40 +284,33 @@ impl DmServer {
                     self.gmap.borrow_mut().remove(&raw);
                 }
                 self.persist(|| {
-                    let mut records = vec![Record::ReleaseRef {
-                        shard: shard as u16,
-                        key,
-                    }];
+                    let mut records = vec![Record::ReleaseRef { key }];
                     if bound {
                         records.push(Record::GUnbind { gkey: raw });
                     }
                     records
                 })
                 .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
+                self.charge(cost, cost.refcount_updates).await;
                 Ok(self.ok_v(&touched, Response::new()))
             }
             req::PUT_REF => {
-                let tagged = self.install_ref(body.clone(), Some(src), None).await?;
+                let key = self.install_ref(body.clone(), Some(src), None).await?;
                 // The publisher caches the bytes it just published.
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], Response::new().u64(tagged)))
+                self.grant(key, src);
+                Ok(self.ok_v(&[(key, 1)], Response::new().u64(key)))
             }
             req::READ_REF => {
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
                 let off = r.u64()?;
                 let len = r.u64()?;
                 let mut resp = Response::new();
-                self.shards[shard]
-                    .pm
-                    .borrow()
-                    .read_ref_into(key, off, len, resp.buf())?;
-                self.charge(shard, OpCost::default(), translations_for(len))
-                    .await;
+                self.pm.borrow().read_ref_into(key, off, len, resp.buf())?;
+                self.charge(OpCost::default(), translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 // The reader may now cache these bytes: grant it a read

@@ -43,12 +43,12 @@ impl DmServer {
         if dst == self.addr() {
             return Err(DmError::InvalidAddress);
         }
-        let (shard, key) = match self.route_key(gkey)? {
-            KeyRoute::Local(s, k) => (s, k),
+        let key = match self.route_key(gkey)? {
+            KeyRoute::Local(k) => k,
             KeyRoute::Redirect(resp) => return Ok(resp),
         };
         let (len, owner) = {
-            let pm = self.shards[shard].pm.borrow();
+            let pm = self.pm.borrow();
             (pm.ref_len(key)?, pm.ref_owner(key)?)
         };
         let owner_addr = owner.and_then(|p| self.owners.borrow().get(&p.0).copied());
@@ -70,10 +70,7 @@ impl DmServer {
         if self.coherent() {
             fwd.extend_from_slice(&[0; 8]);
         }
-        self.shards[shard]
-            .pm
-            .borrow()
-            .read_ref_into(key, 0, len, &mut fwd)?;
+        self.pm.borrow().read_ref_into(key, 0, len, &mut fwd)?;
         // Reading the pages out for the transfer occupies DRAM
         // exactly like READ_REF.
         self.mem.touch(len).await;
@@ -102,16 +99,13 @@ impl DmServer {
         // forwarding tombstone, and invalidate caches (the ref's
         // home changed under every client that cached it; holders
         // re-read and chase the redirect to the new home).
-        let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+        let cost = self.pm.borrow_mut().release_ref(key)?;
         self.gmap.borrow_mut().remove(&gkey);
         self.moved.borrow_mut().insert(gkey, dst);
         let touched = self.refs_died(&[gkey], None);
         self.persist(|| {
             vec![
-                Record::ReleaseRef {
-                    shard: shard as u16,
-                    key,
-                },
+                Record::ReleaseRef { key },
                 Record::GMoved {
                     gkey,
                     node: dst.node.0,
@@ -121,7 +115,7 @@ impl DmServer {
         })
         .await;
         self.migrations.set(self.migrations.get() + 1);
-        self.charge(shard, cost, translations_for(len)).await;
+        self.charge(cost, translations_for(len)).await;
         Ok(self.ok_v(&touched, Response::new()))
     }
 

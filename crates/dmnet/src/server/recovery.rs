@@ -5,9 +5,11 @@
 //! (`register_process`, `reclaim_process`, `refs_died`), so the two
 //! cannot drift apart.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::rc::Rc;
 
-use dmcommon::GlobalPid;
+use dmcommon::{DmError, DmResult, GlobalPid};
 use simnet::{Addr, NodeId};
 use telemetry::SpanKind;
 
@@ -15,16 +17,6 @@ use super::{DmServer, NO_OWNER_PID};
 use crate::page_manager::PageManager;
 use crate::proto::{Reader, Writer};
 use crate::wal::{Record, Wal};
-
-/// Version byte of the whole-server checkpoint snapshot (DESIGN.md §12).
-/// Version 2 appends the sharded plane's gkey-binding and tombstone
-/// tables (DESIGN.md §13); version 3 additionally appends the coherence
-/// plane's per-ref version table (DESIGN.md §15). A server whose tables
-/// are empty still emits version 1, byte-identical to pre-sharding
-/// checkpoints.
-const SNAPSHOT_VERSION: u8 = 1;
-const SNAPSHOT_VERSION_SHARDED: u8 = 2;
-const SNAPSHOT_VERSION_COHERENT: u8 = 3;
 
 /// What [`DmServer::restart_from_log`] did.
 #[derive(Clone, Copy, Debug)]
@@ -37,11 +29,31 @@ pub struct RecoveryReport {
     pub log_bytes: u64,
 }
 
-/// `(key, value)` pairs of a table in key order: snapshots are canonical.
-fn sorted<V: Copy>(table: &std::collections::HashMap<u64, V>) -> Vec<(u64, V)> {
-    let mut rows: Vec<(u64, V)> = table.iter().map(|(&k, &v)| (k, v)).collect();
+/// Append `table` as a row count and its rows in key order (snapshots are
+/// canonical), each row written by `row`.
+fn write_table<K: Copy + Ord, V: Copy>(
+    w: Writer,
+    table: &HashMap<K, V>,
+    row: impl Fn(Writer, K, V) -> Writer,
+) -> Writer {
+    let mut rows: Vec<(K, V)> = table.iter().map(|(&k, &v)| (k, v)).collect();
     rows.sort_unstable_by_key(|&(k, _)| k);
-    rows
+    let w = w.u32(rows.len() as u32);
+    rows.into_iter().fold(w, |w, (k, v)| row(w, k, v))
+}
+
+/// Inverse of [`write_table`]: replace `table` with the rows `row` reads.
+fn read_table<K: Eq + Hash, V>(
+    r: &mut Reader<'_>,
+    table: &mut HashMap<K, V>,
+    row: impl Fn(&mut Reader<'_>) -> DmResult<(K, V)>,
+) -> DmResult<()> {
+    table.clear();
+    for _ in 0..r.u32()? {
+        let (k, v) = row(r)?;
+        table.insert(k, v);
+    }
+    Ok(())
 }
 
 impl DmServer {
@@ -56,128 +68,53 @@ impl DmServer {
         self.recoveries.get()
     }
 
-    /// FNV-1a digest of every shard's canonical page-manager snapshot —
-    /// the whole memory-plane state (pages, refcounts, VA trees, refs,
-    /// free-list order) excluding volatile serving state (epoch, leases,
-    /// owners, the round-robin allocation cursor). Recovery oracles
-    /// compare this across crash/restart: log-before-ack makes the
-    /// mutation and its record atomic, so the digest after
+    /// FNV-1a digest of the page manager's canonical snapshot — the whole
+    /// memory-plane state (pages, refcounts, VA trees, refs, free-list
+    /// order) excluding volatile serving state (epoch, leases, owners).
+    /// Recovery oracles compare this across crash/restart: log-before-ack
+    /// makes the mutation and its record atomic, so the digest after
     /// `restart_from_log` equals the digest at the instant of a clean
     /// crash.
     pub fn pages_digest(&self) -> u64 {
-        let mut buf = Vec::new();
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut buf);
-        }
-        crate::wal::fnv1a(&buf)
+        self.pm.borrow().state_digest()
     }
 
-    /// Canonical whole-server checkpoint: version, shard count, epoch,
-    /// owner table (sorted by pid), then each shard's page-manager
-    /// snapshot. Leases and the allocation cursor are volatile by design —
-    /// recovery re-grants full-TTL leases and restarts the cursor (failed
-    /// ops advance the cursor without producing records, so it is not
-    /// reconstructible from the log; it is only a placement hint).
+    /// Canonical whole-server checkpoint, the one layout (DESIGN.md §12):
+    /// epoch, then four tables in key order — owners, gkey bindings,
+    /// redirect tombstones, non-creation versions, each a count and its
+    /// rows, empty or not — then the page manager's snapshot. Leases are
+    /// volatile by design: recovery re-grants full-TTL leases.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let gmap = self.gmap.borrow();
-        let moved = self.moved.borrow();
-        // A server that never served the sharded plane emits the version-1
-        // layout, byte-for-byte — log sizes of pre-sharding workloads (and
-        // the CSVs derived from them) cannot shift. Likewise a coherent
-        // server with an empty version table (no live migrated refs)
-        // emits the pre-coherence layout.
-        let versions = self.versions.borrow();
-        let sharded_plane = !gmap.is_empty() || !moved.is_empty();
-        let coherent_plane = !versions.is_empty();
-        let version = if coherent_plane {
-            SNAPSHOT_VERSION_COHERENT
-        } else if sharded_plane {
-            SNAPSHOT_VERSION_SHARDED
-        } else {
-            SNAPSHOT_VERSION
-        };
-        let mut owners: Vec<(u32, Addr)> =
-            self.owners.borrow().iter().map(|(&p, &a)| (p, a)).collect();
-        owners.sort_unstable_by_key(|&(p, _)| p);
-        let mut w = Writer::new()
-            .u8(version)
-            .u16(self.shards.len() as u16)
-            .u64(self.epoch.get())
-            .u32(owners.len() as u32);
-        for (pid, addr) in owners {
-            w = w.u32(pid).u32(addr.node.0).u16(addr.port);
-        }
-        if sharded_plane || coherent_plane {
-            w = w.u32(gmap.len() as u32);
-            for (gkey, key) in sorted(&gmap) {
-                w = w.u64(gkey).u64(key);
-            }
-            w = w.u32(moved.len() as u32);
-            for (gkey, addr) in sorted(&moved) {
-                w = w.u64(gkey).u32(addr.node.0).u16(addr.port);
-            }
-        }
-        if coherent_plane {
-            w = w.u32(versions.len() as u32);
-            for (gkey, ver) in sorted(&versions) {
-                w = w.u64(gkey).u64(ver);
-            }
-        }
-        let mut out = w.into_vec();
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut out);
-        }
-        out
+        let w = Writer::new().u64(self.epoch.get());
+        let w = write_table(w, &self.owners.borrow(), |w, pid, a| w.u32(pid).addr(a));
+        let w = write_table(w, &self.gmap.borrow(), |w, g, key| w.u64(g).u64(key));
+        let w = write_table(w, &self.moved.borrow(), |w, g, a| w.u64(g).addr(a));
+        let w = write_table(w, &self.versions.borrow(), |w, g, v| w.u64(g).u64(v));
+        self.pm.borrow().snapshot_into(w).into_vec()
     }
 
     /// Inverse of [`Self::snapshot_bytes`], applied during replay of a
-    /// [`Record::Checkpoint`]. Panics on malformed input: the checkpoint
-    /// sits under the log's CRC, so damage here means the scan accepted a
-    /// record it should not have.
-    fn restore_snapshot(&self, buf: &[u8]) {
-        const BAD: &str = "replay: corrupt checkpoint";
-        let mut r = Reader::new(buf);
-        let version = r.u8().expect(BAD);
-        assert!(
-            (SNAPSHOT_VERSION..=SNAPSHOT_VERSION_COHERENT).contains(&version),
-            "{BAD}"
-        );
-        assert_eq!(r.u16().expect(BAD) as usize, self.shards.len(), "{BAD}");
-        self.epoch.set(r.u64().expect(BAD));
-        let addr = |r: &mut Reader| Addr {
-            node: NodeId(r.u32().expect(BAD)),
-            port: r.u16().expect(BAD),
-        };
-        let mut owners = self.owners.borrow_mut();
-        owners.clear();
-        for _ in 0..r.u32().expect(BAD) {
-            owners.insert(r.u32().expect(BAD), addr(&mut r));
+    /// [`Record::Checkpoint`]. The checkpoint sits under the log's CRC, so
+    /// damage here means the scan accepted a record it should not have.
+    fn restore_snapshot(&self, buf: &[u8]) -> DmResult<()> {
+        let r = &mut Reader::new(buf);
+        self.epoch.set(r.u64()?);
+        read_table(r, &mut self.owners.borrow_mut(), |r| {
+            Ok((r.u32()?, r.addr()?))
+        })?;
+        read_table(r, &mut self.gmap.borrow_mut(), |r| Ok((r.u64()?, r.u64()?)))?;
+        read_table(r, &mut self.moved.borrow_mut(), |r| {
+            Ok((r.u64()?, r.addr()?))
+        })?;
+        read_table(r, &mut self.versions.borrow_mut(), |r| {
+            Ok((r.u64()?, r.u64()?))
+        })?;
+        *self.pm.borrow_mut() = PageManager::restore_from(r)?;
+        if r.is_empty() {
+            Ok(())
+        } else {
+            Err(DmError::Malformed)
         }
-        let mut gmap = self.gmap.borrow_mut();
-        let mut moved = self.moved.borrow_mut();
-        let mut versions = self.versions.borrow_mut();
-        gmap.clear();
-        moved.clear();
-        versions.clear();
-        if version >= SNAPSHOT_VERSION_SHARDED {
-            for _ in 0..r.u32().expect(BAD) {
-                gmap.insert(r.u64().expect(BAD), r.u64().expect(BAD));
-            }
-            for _ in 0..r.u32().expect(BAD) {
-                moved.insert(r.u64().expect(BAD), addr(&mut r));
-            }
-        }
-        if version >= SNAPSHOT_VERSION_COHERENT {
-            for _ in 0..r.u32().expect(BAD) {
-                versions.insert(r.u64().expect(BAD), r.u64().expect(BAD));
-            }
-        }
-        let pages = r.rest();
-        let mut pos = 0;
-        for s in &self.shards {
-            *s.pm.borrow_mut() = PageManager::restore_from(pages, &mut pos).expect(BAD);
-        }
-        assert_eq!(pos, pages.len(), "{BAD}");
     }
 
     /// Install an op's records and return the media bytes to charge. All of
@@ -216,7 +153,7 @@ impl DmServer {
     /// again. Recorded result values (`va`, `key`) are divergence
     /// witnesses checked under `debug_assertions`.
     fn replay(&self, rec: &Record) {
-        let pm = |shard: &u16| self.shards[*shard as usize].pm.borrow_mut();
+        let pm = || self.pm.borrow_mut();
         match rec {
             Record::Register { node, port } => {
                 self.register_process(Addr {
@@ -224,70 +161,39 @@ impl DmServer {
                     port: *port,
                 });
             }
-            Record::Alloc {
-                shard,
-                pid,
-                len,
-                va,
-            } => {
-                let got = pm(shard)
-                    .ralloc(GlobalPid(*pid), *len)
-                    .expect("replay: ralloc");
+            Record::Alloc { pid, len, va } => {
+                let got = pm().ralloc(GlobalPid(*pid), *len).expect("replay: ralloc");
                 debug_assert_eq!(got, *va, "replay: alloc divergence");
             }
-            Record::Free { shard, pid, va } => {
-                pm(shard)
-                    .rfree(GlobalPid(*pid), *va)
-                    .expect("replay: rfree");
+            Record::Free { pid, va } => {
+                pm().rfree(GlobalPid(*pid), *va).expect("replay: rfree");
             }
-            Record::Write {
-                shard,
-                pid,
-                va,
-                data,
-            } => {
-                pm(shard)
-                    .write(GlobalPid(*pid), *va, data)
+            Record::Write { pid, va, data } => {
+                pm().write(GlobalPid(*pid), *va, data)
                     .expect("replay: write");
             }
-            Record::CreateRef {
-                shard,
-                pid,
-                va,
-                len,
-                key,
-            } => {
-                let (got, _) = pm(shard)
+            Record::CreateRef { pid, va, len, key } => {
+                let (got, _) = pm()
                     .create_ref(GlobalPid(*pid), *va, *len)
                     .expect("replay: create_ref");
                 debug_assert_eq!(got, *key, "replay: create_ref divergence");
             }
-            Record::MapRef {
-                shard,
-                pid,
-                key,
-                va,
-            } => {
-                let (got, _, _) = pm(shard)
+            Record::MapRef { pid, key, va } => {
+                let (got, _, _) = pm()
                     .map_ref(GlobalPid(*pid), *key)
                     .expect("replay: map_ref");
                 debug_assert_eq!(got, *va, "replay: map_ref divergence");
             }
-            Record::ReleaseRef { shard, key } => {
-                pm(shard).release_ref(*key).expect("replay: release_ref");
+            Record::ReleaseRef { key } => {
+                pm().release_ref(*key).expect("replay: release_ref");
                 // A gkey's version entry goes with its paired
-                // GUnbind/GMoved record; the tagged key never had one.
-                self.refs_died(&[self.tag(*shard as usize, *key)], None);
+                // GUnbind/GMoved record; the plain key never had one.
+                self.refs_died(&[*key], None);
             }
-            Record::PutRef {
-                shard,
-                pid,
-                key,
-                data,
-            } => {
+            Record::PutRef { pid, key, data } => {
                 // The sentinel pid marks an unowned migrated-in ref.
                 let owner = (*pid != NO_OWNER_PID).then_some(GlobalPid(*pid));
-                let (got, _) = pm(shard).put_ref(data, owner).expect("replay: put_ref");
+                let (got, _) = pm().put_ref(data, owner).expect("replay: put_ref");
                 debug_assert_eq!(got, *key, "replay: put_ref divergence");
             }
             Record::ReleaseProcess { pid } => self.reclaim_process(*pid),
@@ -314,7 +220,9 @@ impl DmServer {
             Record::GVer { gkey, ver } => {
                 self.versions.borrow_mut().insert(*gkey, *ver);
             }
-            Record::Checkpoint { snapshot } => self.restore_snapshot(snapshot),
+            Record::Checkpoint { snapshot } => self
+                .restore_snapshot(snapshot)
+                .expect("replay: corrupt checkpoint"),
         }
     }
 
@@ -323,8 +231,8 @@ impl DmServer {
     ///
     /// Steps: charge one sequential media scan of the log; validate it
     /// (CRC, framing, sequence continuity) and truncate any torn tail;
-    /// discard all volatile state (fresh page managers, empty owner/lease
-    /// tables, epoch 0, allocation cursor 0); replay the valid prefix
+    /// discard all volatile state (a fresh page manager, empty owner/lease
+    /// tables, epoch 0); replay the valid prefix
     /// (a checkpoint record restores its snapshot, subsequent records
     /// re-apply on top); advance the epoch once more past the replayed
     /// value so client caches filled before the crash can never be
@@ -344,13 +252,7 @@ impl DmServer {
         w.media().scan(w.log_bytes()).await;
         let report = w.scan();
         w.repair(&report);
-        for s in &self.shards {
-            let (cap, mode) = {
-                let pm = s.pm.borrow();
-                (pm.capacity_pages(), pm.copy_mode())
-            };
-            *s.pm.borrow_mut() = PageManager::new(cap, mode);
-        }
+        *self.pm.borrow_mut() = PageManager::new(self.config.capacity_pages, self.config.copy_mode);
         self.owners.borrow_mut().clear();
         self.leases.borrow_mut().clear();
         self.gmap.borrow_mut().clear();
@@ -362,7 +264,6 @@ impl DmServer {
         self.dir_grants.set(0);
         self.versions.borrow_mut().clear();
         self.epoch.set(0);
-        self.next_alloc.set(0);
         for rec in &report.records {
             self.replay(rec);
         }

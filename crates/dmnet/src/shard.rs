@@ -18,8 +18,8 @@
 use dmcommon::DmServerId;
 
 /// Bit 63 of a ref key marks a *global* key minted by a sharded client.
-/// Local keys tag their intra-server shard in the top 16 bits, but shard
-/// counts never approach 2^15, so the bit is free (asserted at tag time).
+/// Local keys are a counter from 1 and never reach bit 63, so the bit is
+/// free (asserted where `PageManager` mints a key).
 pub const GKEY_BIT: u64 = 1 << 63;
 
 /// Ring points per server. More points smooth placement and shrink the

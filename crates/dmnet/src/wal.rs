@@ -80,75 +80,61 @@ pub enum Record {
         /// Port of the registering endpoint.
         port: u16,
     },
-    /// `ALLOC` on `shard` for `pid`; the VA tree returned `va`.
+    /// `ALLOC` for `pid`; the VA tree returned `va`.
     Alloc {
-        /// Owning shard.
-        shard: u16,
         /// Allocating process.
         pid: u32,
         /// Requested length in bytes.
         len: u64,
-        /// VA the original execution returned (untagged).
+        /// VA the original execution returned.
         va: u64,
     },
     /// `FREE` of the region at `va`.
     Free {
-        /// Owning shard.
-        shard: u16,
         /// Freeing process.
         pid: u32,
-        /// Region start (untagged).
+        /// Region start.
         va: u64,
     },
     /// `WRITE` of `data` at `va` (COW decisions replay deterministically).
     Write {
-        /// Owning shard.
-        shard: u16,
         /// Writing process.
         pid: u32,
-        /// Write offset (untagged).
+        /// Write offset.
         va: u64,
         /// The written bytes.
         data: Vec<u8>,
     },
     /// `CREATE_REF` over `[va, va+len)`; the key space returned `key`.
     CreateRef {
-        /// Owning shard.
-        shard: u16,
         /// Creating process.
         pid: u32,
-        /// Region start (untagged).
+        /// Region start.
         va: u64,
         /// Region length.
         len: u64,
-        /// Key the original execution returned (untagged).
+        /// Key the original execution returned.
         key: u64,
     },
     /// `MAP_REF` of `key` into `pid`; the VA tree returned `va`.
     MapRef {
-        /// Owning shard.
-        shard: u16,
         /// Mapping process.
         pid: u32,
-        /// Mapped ref key (untagged).
+        /// Mapped ref key.
         key: u64,
-        /// VA the original execution returned (untagged).
+        /// VA the original execution returned.
         va: u64,
     },
     /// `RELEASE_REF` of `key` (advances the invalidation epoch on replay).
     ReleaseRef {
-        /// Owning shard.
-        shard: u16,
-        /// Released ref key (untagged).
+        /// Released ref key.
         key: u64,
     },
     /// `PUT_REF` of `data` owned by `pid`; the key space returned `key`.
     PutRef {
-        /// Owning shard.
-        shard: u16,
         /// Owning process.
         pid: u32,
-        /// Key the original execution returned (untagged).
+        /// Key the original execution returned.
         key: u64,
         /// The published bytes.
         data: Vec<u8>,
@@ -166,12 +152,12 @@ pub enum Record {
         snapshot: Vec<u8>,
     },
     /// Sharded plane (DESIGN.md §13): global key `gkey` bound to the
-    /// tagged local ref `key` (a `PUT_REF_AT` or `MIGRATE_IN`; the paired
+    /// local ref `key` (a `PUT_REF_AT` or `MIGRATE_IN`; the paired
     /// `PutRef` record replays the underlying allocation).
     GBind {
         /// Client-minted global key (bit 63 set).
         gkey: u64,
-        /// Tagged local ref key the gkey resolves to.
+        /// Page-manager ref key the gkey resolves to.
         key: u64,
     },
     /// Global key `gkey` released (`RELEASE_REF` naming a gkey; the
@@ -226,50 +212,20 @@ impl Record {
         let w = Writer::from(std::mem::take(out));
         *out = match self {
             Record::Register { node, port } => w.u8(kind::REGISTER).u32(*node).u16(*port),
-            Record::Alloc {
-                shard,
-                pid,
-                len,
-                va,
-            } => w.u8(kind::ALLOC).u16(*shard).u32(*pid).u64(*len).u64(*va),
-            Record::Free { shard, pid, va } => w.u8(kind::FREE).u16(*shard).u32(*pid).u64(*va),
-            Record::Write {
-                shard,
-                pid,
-                va,
-                data,
-            } => w.u8(kind::WRITE).u16(*shard).u32(*pid).u64(*va).bytes(data),
-            Record::CreateRef {
-                shard,
-                pid,
-                va,
-                len,
-                key,
-            } => w
+            Record::Alloc { pid, len, va } => w.u8(kind::ALLOC).u32(*pid).u64(*len).u64(*va),
+            Record::Free { pid, va } => w.u8(kind::FREE).u32(*pid).u64(*va),
+            Record::Write { pid, va, data } => w.u8(kind::WRITE).u32(*pid).u64(*va).bytes(data),
+            Record::CreateRef { pid, va, len, key } => w
                 .u8(kind::CREATE_REF)
-                .u16(*shard)
                 .u32(*pid)
                 .u64(*va)
                 .u64(*len)
                 .u64(*key),
-            Record::MapRef {
-                shard,
-                pid,
-                key,
-                va,
-            } => w.u8(kind::MAP_REF).u16(*shard).u32(*pid).u64(*key).u64(*va),
-            Record::ReleaseRef { shard, key } => w.u8(kind::RELEASE_REF).u16(*shard).u64(*key),
-            Record::PutRef {
-                shard,
-                pid,
-                key,
-                data,
-            } => w
-                .u8(kind::PUT_REF)
-                .u16(*shard)
-                .u32(*pid)
-                .u64(*key)
-                .bytes(data),
+            Record::MapRef { pid, key, va } => w.u8(kind::MAP_REF).u32(*pid).u64(*key).u64(*va),
+            Record::ReleaseRef { key } => w.u8(kind::RELEASE_REF).u64(*key),
+            Record::PutRef { pid, key, data } => {
+                w.u8(kind::PUT_REF).u32(*pid).u64(*key).bytes(data)
+            }
             Record::ReleaseProcess { pid } => w.u8(kind::RELEASE_PROCESS).u32(*pid),
             Record::Checkpoint { snapshot } => w.u8(kind::CHECKPOINT).bytes(snapshot),
             Record::GBind { gkey, key } => w.u8(kind::GBIND).u64(*gkey).u64(*key),
@@ -298,41 +254,32 @@ impl Record {
                 port: r.u16()?,
             },
             kind::ALLOC => Record::Alloc {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 len: r.u64()?,
                 va: r.u64()?,
             },
             kind::FREE => Record::Free {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 va: r.u64()?,
             },
             kind::WRITE => Record::Write {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 va: r.u64()?,
                 data: r.rest().to_vec(),
             },
             kind::CREATE_REF => Record::CreateRef {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 va: r.u64()?,
                 len: r.u64()?,
                 key: r.u64()?,
             },
             kind::MAP_REF => Record::MapRef {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 key: r.u64()?,
                 va: r.u64()?,
             },
-            kind::RELEASE_REF => Record::ReleaseRef {
-                shard: r.u16()?,
-                key: r.u64()?,
-            },
+            kind::RELEASE_REF => Record::ReleaseRef { key: r.u64()? },
             kind::PUT_REF => Record::PutRef {
-                shard: r.u16()?,
                 pid: r.u32()?,
                 key: r.u64()?,
                 data: r.rest().to_vec(),
@@ -595,49 +542,40 @@ mod tests {
                 port: 7000,
             },
             Record::Alloc {
-                shard: 1,
                 pid: 7,
                 len: 8192,
                 va: 0x1000,
             },
             Record::Write {
-                shard: 1,
                 pid: 7,
                 va: 0x1000,
                 data: vec![0xAB; 5],
             },
             Record::CreateRef {
-                shard: 1,
                 pid: 7,
                 va: 0x1000,
                 len: 8192,
                 key: 1,
             },
             Record::MapRef {
-                shard: 1,
                 pid: 8,
                 key: 1,
                 va: 0x3000,
             },
-            Record::ReleaseRef { shard: 1, key: 1 },
+            Record::ReleaseRef { key: 1 },
             Record::PutRef {
-                shard: 0,
                 pid: 7,
                 key: 2,
                 data: vec![1, 2, 3],
             },
-            Record::Free {
-                shard: 1,
-                pid: 7,
-                va: 0x1000,
-            },
+            Record::Free { pid: 7, va: 0x1000 },
             Record::ReleaseProcess { pid: 7 },
             Record::Checkpoint {
                 snapshot: vec![9, 9, 9],
             },
             Record::GBind {
                 gkey: (1 << 63) | 77,
-                key: (2 << 48) | 5,
+                key: 5,
             },
             Record::GUnbind {
                 gkey: (1 << 63) | 77,
@@ -678,22 +616,20 @@ mod tests {
     #[test]
     fn golden_wire_format() {
         // Pins the on-media wire format: frame header layout, field order,
-        // little-endian encoding, CRC-32/IEEE over seq||payload. If this
-        // test breaks, recovery of logs written by older builds breaks.
+        // little-endian encoding, CRC-32/IEEE over seq||payload — the one
+        // record layout (DESIGN.md §12).
         let w = Wal::new("golden", WalConfig::zero_cost());
         w.push(&Record::Alloc {
-            shard: 2,
             pid: 5,
             len: 4096,
             va: 0x1000,
         });
         let raw = w.raw();
         let expect: Vec<u8> = [
-            &23u32.to_le_bytes()[..],          // payload length
+            &21u32.to_le_bytes()[..],          // payload length
             &0u64.to_le_bytes()[..],           // seq 0
-            &0xA2F9_6547u32.to_le_bytes()[..], // crc32(seq || payload)
+            &0xE7A6_17C5u32.to_le_bytes()[..], // crc32(seq || payload)
             &[super::kind::ALLOC][..],         // kind
-            &2u16.to_le_bytes()[..],           // shard
             &5u32.to_le_bytes()[..],           // pid
             &4096u64.to_le_bytes()[..],        // len
             &0x1000u64.to_le_bytes()[..],      // va

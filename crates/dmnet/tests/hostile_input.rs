@@ -3,16 +3,19 @@
 //! server, and never corrupt the page pool.
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
-use dmnet::proto::{moved_response, req, split_response, Response, Writer, DM_PORT};
+use dmnet::proto::{
+    encode_batch, moved_response, req, split_response, Reader, Response, Writer, DM_PORT,
+};
 use dmnet::{
     start_pool, CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT,
 };
 use memsim::ModelParams;
 use proptest::prelude::*;
-use rpclib::{Rpc, RpcBuilder};
+use rpclib::{Rpc, RpcBuilder, RpcConfig};
 use simcore::Sim;
 use simnet::{FabricConfig, Network, NicConfig, NodeId};
 
@@ -185,22 +188,19 @@ fn migrate_port_above_u16_is_malformed_not_truncated() {
         let pool = start_pool(&net, &dm_nodes, &ModelParams::new(), cfg);
         let (src, dst) = (&pool[0], &pool[1]);
         let rpc = RpcBuilder::new(&net, c_node, 100).build();
-        let call = |to, ty, body: Writer| {
-            let rpc = rpc.clone();
-            async move { parse_response(&rpc.call(to, ty, body.finish()).await.unwrap()) }
-        };
         // Registered at both servers; one gkey-bound ref published at `src`.
         for server in &pool {
-            let pid = call(server.addr(), req::REGISTER, Writer::new()).await;
+            let pid = raw(&rpc, server, req::REGISTER, Writer::new()).await;
             pid.expect("registers anyone");
         }
         let put = Writer::new().u64(GKEY_BIT | 5).bytes(b"stay put");
-        call(src.addr(), req::PUT_REF_AT, put).await.unwrap();
+        raw(&rpc, src, req::PUT_REF_AT, put).await.unwrap();
         let untouched = (0, dst.free_pages_total());
 
         // MIGRATE naming `dst`'s port + 65536: truncation would migrate.
         let body = Writer::new().u64(GKEY_BIT | 5).u32(dm_nodes[1].0);
-        let refused = call(src.addr(), req::MIGRATE, body.u32(DM_PORT as u32 + 65_536)).await;
+        let body = body.u32(DM_PORT as u32 + 65_536);
+        let refused = raw(&rpc, src, req::MIGRATE, body).await;
         assert_eq!(refused, Err(DmError::Malformed));
         assert_eq!((src.gkeys_bound(), src.tombstones()), (1, 0), "source");
         assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
@@ -209,7 +209,7 @@ fn migrate_port_above_u16_is_malformed_not_truncated() {
         // would find the registered owner and install the ref.
         let body = Writer::new().u64(GKEY_BIT | 77).u32(c_node.0);
         let body = body.u32(100 + 65_536).bytes(b"orphan");
-        let refused = call(dst.addr(), req::MIGRATE_IN, body).await;
+        let refused = raw(&rpc, dst, req::MIGRATE_IN, body).await;
         assert_eq!(refused, Err(DmError::Malformed));
         assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
         dst.with_page_manager(|pm| pm.check_invariants());
@@ -315,38 +315,234 @@ fn pid_forgery_rejected() {
     });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One server with a 256-page pool and a raw endpoint registered at it.
+/// The endpoint gives up on a call after two short RTOs, so a type nobody
+/// serves costs microseconds of virtual time. Returns the pid.
+async fn registered(net: &Network) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
+    let dm_node = net.add_node("dm", NicConfig::default());
+    let c_node = net.add_node("c", NicConfig::default());
+    let cfg = DmServerConfig {
+        capacity_pages: 256,
+        ..Default::default()
+    };
+    let server = start_pool(net, &[dm_node], &ModelParams::new(), cfg).remove(0);
+    let rpc = RpcBuilder::new(net, c_node, 100)
+        .config(RpcConfig {
+            rto: Duration::from_micros(50),
+            max_retries: 1,
+            ..RpcConfig::default()
+        })
+        .build();
+    let pid = raw(&rpc, &server, req::REGISTER, Writer::new()).await;
+    let pid = Reader::new(&pid.expect("registers anyone")).u32().unwrap();
+    (server, rpc, pid)
+}
 
-    /// Arbitrary bodies to arbitrary DM ops never panic the server and
-    /// never violate page-pool invariants.
+/// One raw protocol message; `Transport` when nobody answered.
+async fn raw(rpc: &Rc<Rpc>, to: &dmnet::DmServer, ty: u8, body: Writer) -> DmResult<Bytes> {
+    let resp = rpc.call(to.addr(), ty, body.finish()).await;
+    parse_response(&resp.map_err(|_| DmError::Transport)?)
+}
+
+/// The server still allocates, stores and loads for `pid`, and its page
+/// pool is intact.
+async fn assert_still_serving(rpc: &Rc<Rpc>, server: &dmnet::DmServer, pid: u32) {
+    let va = raw(rpc, server, req::ALLOC, Writer::new().u32(pid).u64(4096)).await;
+    let va = Reader::new(&va.expect("alloc")).u64().unwrap();
+    let hello = Writer::new().u32(pid).u64(va).bytes(b"still alive");
+    raw(rpc, server, req::WRITE, hello).await.expect("write");
+    let read = Writer::new().u32(pid).u64(va).u64(11);
+    let back = raw(rpc, server, req::READ, read).await.expect("read");
+    assert_eq!(&back[..], b"still alive");
+    raw(rpc, server, req::FREE, Writer::new().u32(pid).u64(va))
+        .await
+        .expect("free");
+    server.check_invariants_all();
+}
+
+/// A VA or key on the wire is the value the page manager returned: no bit
+/// of it is a tag the server reads. `ALLOC(2^48)` then `ALLOC(4096)` is the
+/// pair that would run the second region's VA into bits 48..64; the second
+/// region must be served like any other.
+#[test]
+fn alloc_past_2_pow_48_then_alloc_again_serves_the_second_region() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let (server, rpc, pid) = registered(&net).await;
+        // No pool backs 2^48 bytes: refused, and nothing is left behind.
+        let huge = Writer::new().u32(pid).u64(1 << 48);
+        let r = raw(&rpc, &server, req::ALLOC, huge).await;
+        assert_still_serving(&rpc, &server, pid).await;
+        assert_eq!(r, Err(DmError::OutOfMemory));
+        // A VA with high bits set is not a routing failure, only unmapped.
+        let high = Writer::new().u32(pid).u64((1 << 48) + 0x1000).bytes(b"x");
+        let r = raw(&rpc, &server, req::WRITE, high).await;
+        assert_eq!(r, Err(DmError::InvalidAddress));
+        let high = Writer::new().u64((1 << 48) + 1).u64(0).u64(1);
+        let r = raw(&rpc, &server, req::READ_REF, high).await;
+        assert_eq!(r, Err(DmError::InvalidRef));
+    });
+}
+
+/// `CREATE_REF`'s `len` is wire-fed: a `va + len` that wraps past zero is
+/// out of bounds — it must not pass the bound and size a page vector from
+/// 2^52 pages.
+#[test]
+fn create_ref_with_len_u64_max_is_out_of_bounds() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let (server, rpc, pid) = registered(&net).await;
+        let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(8192)).await;
+        let va = Reader::new(&va.unwrap()).u64().unwrap();
+        for len in [u64::MAX, u64::MAX - va + 1, 8193] {
+            let body = Writer::new().u32(pid).u64(va).u64(len);
+            let r = raw(&rpc, &server, req::CREATE_REF, body).await;
+            assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
+        }
+        assert_eq!(server.free_pages_total(), 256, "no page was faulted in");
+        assert_still_serving(&rpc, &server, pid).await;
+    });
+}
+
+/// A fuzzed u64: the value the server last handed out for that position (a
+/// live VA, key or length), or an edge of the u64 space.
+#[derive(Clone, Copy, Debug)]
+enum Word {
+    Live,
+    Const(u64),
+}
+
+fn word() -> impl Strategy<Value = Word> {
+    prop_oneof![
+        Just(Word::Live),
+        Just(Word::Live),
+        Just(Word::Live),
+        Just(Word::Const(0)),
+        Just(Word::Const((1 << 48) - 1)),
+        Just(Word::Const(1 << 48)),
+        Just(Word::Const((1 << 48) + 1)),
+        Just(Word::Const(1 << 63)),
+        Just(Word::Const(u64::MAX)),
+        any::<u64>().prop_map(Word::Const),
+        (0u64..3 * 4096).prop_map(Word::Const),
+    ]
+}
+
+/// What the server handed out so far: a `Live` word takes the field its
+/// position in the op's body asks for.
+#[derive(Clone, Copy)]
+struct Live {
+    va: u64,
+    len: u64,
+    key: u64,
+}
+
+/// A u64 field of an op's body: which [`Live`] value fits there.
+#[derive(Clone, Copy)]
+enum Field {
+    Va,
+    Len,
+    Key,
+    Off,
+}
+
+/// Whether `ty`'s body starts with a pid, and its u64 fields after that.
+/// Types nobody serves get the widest shape.
+fn layout(ty: u8) -> (bool, &'static [Field]) {
+    use Field::*;
+    match ty {
+        req::ALLOC => (true, &[Len]),
+        req::FREE | req::WRITE => (true, &[Va]),
+        req::CREATE_REF | req::READ => (true, &[Va, Len]),
+        req::MAP_REF => (true, &[Key]),
+        req::RENEW_LEASE => (true, &[]),
+        req::PUT_REF => (false, &[]),
+        req::RELEASE_REF | req::PUT_REF_AT | req::MIGRATE | req::MIGRATE_IN => (false, &[Key]),
+        req::READ_REF => (false, &[Key, Off, Len]),
+        _ => (true, &[Va, Len, Key]),
+    }
+}
+
+/// The body of one fuzzed message: `[pid]` (the live one, or forged) then
+/// the op's u64 fields drawn from `words`, then `tail`. A `BATCH` wraps one
+/// such message of the type `tail` starts with.
+fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live) -> Bytes {
+    if ty == req::BATCH {
+        let sub = tail.first().copied().unwrap_or(req::ALLOC);
+        if sub != req::BATCH {
+            return encode_batch(&[(sub, body(sub, live_pid, words, tail, live))]);
+        }
+    }
+    let (has_pid, fields) = layout(ty);
+    let mut w = Writer::new();
+    if has_pid {
+        w = w.u32(live_pid.unwrap_or(0xDEAD));
+    }
+    for (field, word) in fields.iter().zip(words) {
+        w = w.u64(match (word, field) {
+            (Word::Const(v), _) => *v,
+            (Word::Live, Field::Va) => live.va,
+            (Word::Live, Field::Len) => live.len,
+            (Word::Live, Field::Key) => live.key,
+            (Word::Live, Field::Off) => 0,
+        });
+    }
+    w.bytes(tail).finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Structure-aware fuzz over the whole `u8` type range: bodies shaped
+    /// like the op they name, from a registered endpoint, with VAs, keys
+    /// and lengths drawn from live values and the edges of the u64 space.
+    /// Never a panic, an abort or a hang; the pool's invariants hold and
+    /// the server serves the next well-formed request.
     #[test]
     fn fuzz_dm_protocol(
         msgs in proptest::collection::vec(
-            (10u8..=20, proptest::collection::vec(any::<u8>(), 0..64)),
-            1..30
+            (
+                // Mostly the types a DM server serves.
+                prop_oneof![10u8..=26, 10u8..=26, 10u8..=26, any::<u8>()],
+                // Mostly the live pid: a forged one dies at `check_owner`.
+                prop_oneof![Just(true), Just(true), Just(true), Just(false)],
+                (word(), word(), word()),
+                proptest::collection::vec(any::<u8>(), 0..64),
+            ),
+            1..40
         ),
     ) {
-        let sim = Sim::new();
-        sim.block_on(async move {
+        Sim::new().block_on(async move {
             let net = Network::new(FabricConfig::default(), 3);
-            let dm_node = net.add_node("dm", NicConfig::default());
-            let c_node = net.add_node("c", NicConfig::default());
-            let pool = start_pool(
-                &net,
-                &[dm_node],
-                &ModelParams::new(),
-                DmServerConfig {
-                    capacity_pages: 256,
-                    ..Default::default()
-                },
-            );
-            let rpc = RpcBuilder::new(&net, c_node, 100).build();
-            for (ty, body) in msgs {
+            let (server, rpc, pid) = registered(&net).await;
+            // Something live to aim at from the first message on.
+            let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(8192)).await;
+            let key = raw(&rpc, &server, req::PUT_REF, Writer::new().bytes(b"live")).await;
+            let mut live = Live {
+                va: Reader::new(&va.unwrap()).u64().unwrap(),
+                len: 8192,
+                key: Reader::new(&key.unwrap()).u64().unwrap(),
+            };
+            for (ty, own_pid, (a, b, c), tail) in msgs {
+                let body = body(ty, own_pid.then_some(pid), &[a, b, c], &tail, &live);
+                let sent_len = Reader::new(&body[body.len().min(4)..]).u64();
                 // Any response (ok or error) is fine; no panic, no hang.
-                let _ = rpc.call(pool[0].addr(), ty, Bytes::from(body)).await;
+                let Ok(resp) = rpc.call(server.addr(), ty, body).await else {
+                    continue;
+                };
+                let Ok(resp) = parse_response(&resp) else {
+                    continue;
+                };
+                // Learn what the server handed out.
+                let mut r = Reader::new(&resp);
+                match ty {
+                    req::ALLOC => (live.va, live.len) = (r.u64().unwrap(), sent_len.unwrap()),
+                    req::MAP_REF => (live.va, live.len) = (r.u64().unwrap(), r.u64().unwrap()),
+                    req::CREATE_REF | req::PUT_REF => live.key = r.u64().unwrap(),
+                    _ => {}
+                }
             }
-            pool[0].with_page_manager(|pm| pm.check_invariants());
+            assert_still_serving(&rpc, &server, pid).await;
         });
     }
 }

@@ -20,6 +20,7 @@ use std::fmt::Debug;
 
 use bytes::Bytes;
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
+use dmnet::proto::Reader;
 use dmnet::{OpCost, PageManager};
 use proptest::prelude::*;
 
@@ -47,7 +48,7 @@ impl Twin {
         self.owned.check_invariants();
         let snap = self.owned.snapshot();
         assert!(self.alias.snapshot() == snap, "aliased and owned diverged");
-        self.owned = PageManager::restore_from(&snap, &mut 0).expect("own snapshot");
+        self.owned = PageManager::restore_from(&mut Reader::new(&snap)).expect("own snapshot");
     }
 
     /// Run `op` on both managers; results, errors and costs must agree.
@@ -267,7 +268,7 @@ proptest! {
         }
 
         // A checkpoint of the aliasing manager restores to the same state.
-        let back = PageManager::restore_from(&pm.alias.snapshot(), &mut 0).expect("own snapshot");
+        let back = PageManager::restore_from(&mut Reader::new(&pm.alias.snapshot())).expect("own snapshot");
         back.check_invariants();
         prop_assert_eq!(back.state_digest(), pm.alias.state_digest());
         prop_assert_eq!(back.state_digest(), pm.owned.state_digest());
