@@ -15,12 +15,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use dmcommon::{DmError, DmResult};
 use dmrpc::{DmRpc, Value};
 use simnet::Addr;
 
 use crate::cluster::{Cluster, ServiceNode};
+use crate::codec::{id_value, parse_id_value};
 
 /// Write a block: `[block_id u64][value]` → ack.
 pub const BLK_WRITE: u8 = 10;
@@ -61,11 +62,7 @@ pub async fn build_block_store(cluster: &Cluster, n_replicas: usize) -> BlockSto
                 let node = node.clone();
                 let data = data.clone();
                 async move {
-                    if ctx.payload.len() < 8 {
-                        return Bytes::new();
-                    }
-                    let id = u64::from_le_bytes(ctx.payload[..8].try_into().expect("len ok"));
-                    let Ok(v) = Value::decode(&ctx.payload.slice(8..)) else {
+                    let Ok((id, v)) = parse_id_value(&ctx.payload) else {
                         return Bytes::new();
                     };
                     // Pull the block bytes (from DM under DmRPC) and
@@ -97,11 +94,7 @@ pub async fn build_block_store(cluster: &Cluster, n_replicas: usize) -> BlockSto
             let index = index.clone();
             let replica_addrs = replica_addrs2.clone();
             async move {
-                if ctx.payload.len() < 8 {
-                    return Bytes::new();
-                }
-                let id = u64::from_le_bytes(ctx.payload[..8].try_into().expect("len ok"));
-                let Ok(v) = Value::decode(&ctx.payload.slice(8..)) else {
+                let Ok((id, v)) = parse_id_value(&ctx.payload) else {
                     return Bytes::new();
                 };
                 // Replicate in parallel: forward the value verbatim.
@@ -134,11 +127,8 @@ pub async fn build_block_store(cluster: &Cluster, n_replicas: usize) -> BlockSto
         primary_ep.rpc().register(BLK_READ, move |ctx| {
             let index = index.clone();
             async move {
-                if ctx.payload.len() < 8 {
-                    return Value::Inline(Bytes::new()).encode();
-                }
-                let id = u64::from_le_bytes(ctx.payload[..8].try_into().expect("len ok"));
-                match index.borrow().get(&id) {
+                let id = ctx.payload.array(0).map(u64::from_le_bytes);
+                match id.and_then(|id| index.borrow().get(&id).cloned()) {
                     Some(v) => v.encode(),
                     None => Value::Inline(Bytes::new()).encode(),
                 }
@@ -161,13 +151,10 @@ impl BlockStore {
     /// Write a block with 3-way replication.
     pub async fn write_block(&self, id: u64, block: &Bytes) -> DmResult<()> {
         let v = self.client.make_value(block.clone()).await?;
-        let mut req = BytesMut::with_capacity(8 + v.wire_bytes());
-        req.put_u64_le(id);
-        req.extend_from_slice(&v.encode());
         let resp = self
             .client
             .rpc()
-            .call(self.primary, BLK_WRITE, req.freeze())
+            .call(self.primary, BLK_WRITE, id_value(id, &v))
             .await
             .map_err(|_| DmError::Transport)?;
         // Ownership of the Ref passes to the primary's index.

@@ -186,8 +186,8 @@ impl Cluster {
                     durability: config.dm_durability,
                     admission: config.dm_admission,
                     // Fine-grained coherence is one knob: a cluster whose
-                    // clients fold version trailers gets servers that emit
-                    // them (the trailer changes the wire format, so the two
+                    // clients fold version blocks gets servers that emit
+                    // them (the block changes the wire format, so the two
                     // sides must agree). The server's lease grant mirrors
                     // the client's serve-side bound.
                     coherence: config.dm_client_cache.fine_grained.then(|| {
@@ -285,8 +285,12 @@ impl Cluster {
     /// `node.<name>.*` per-server memory traffic and resource busy time
     /// (what [`utilization`] ranks), `rpc.<name>.<port>.*` endpoint
     /// counters, `dmclient.<name>.<port>.*` cache and wire counters,
-    /// `dmserver.<i>.*` and `gfam.*` backend gauges. Gauges read live
-    /// values, so one registry serves warmup deltas and final dumps.
+    /// `dmserver.<i>.*` and `gfam.*` backend gauges. Two of them count host
+    /// copies the design promises not to make: `rpc.flattened_msgs`
+    /// ([`rpclib::flattened`], this thread's total — a simulation runs on
+    /// one) and `dmserver.<i>.read_gathered_bytes` beside
+    /// `read_viewed_bytes`. Gauges read live values, so one registry serves
+    /// warmup deltas and final dumps.
     pub fn metrics(&self) -> Registry {
         let reg = Registry::new();
         {
@@ -301,6 +305,7 @@ impl Cluster {
             "sim.timers_pending",
             sim_gauge(simcore::Sim::pending_timers),
         );
+        reg.register_gauge("rpc.flattened_msgs", rpclib::flattened);
         for id in (0..self.net.node_count() as u32).map(NodeId) {
             let name = self.net.node_name(id);
             let net = self.net.clone();
@@ -443,6 +448,16 @@ impl Cluster {
             let srv = s.clone();
             reg.register_gauge(format!("dmserver.{i}.traffic_bytes"), move || {
                 srv.memory().traffic_bytes()
+            });
+            // Bytes read out as a view of the buffer the pages lie in, and
+            // bytes that had to be gathered into a new one.
+            let srv = s.clone();
+            reg.register_gauge(format!("dmserver.{i}.read_viewed_bytes"), move || {
+                srv.with_page_manager(|pm| pm.read_bytes().0)
+            });
+            let srv = s.clone();
+            reg.register_gauge(format!("dmserver.{i}.read_gathered_bytes"), move || {
+                srv.with_page_manager(|pm| pm.read_bytes().1)
             });
             if s.wal().is_some() {
                 let srv = s.clone();

@@ -4,31 +4,44 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult};
 use dmrpc::Value;
+use rpclib::Message;
 
-/// Encode `[op][value]`.
-pub fn op_value(op: u8, v: &Value) -> Bytes {
-    let enc = v.encode();
-    let mut out = BytesMut::with_capacity(1 + enc.len());
-    out.put_u8(op);
-    out.extend_from_slice(&enc);
-    out.freeze()
+/// Encode `[op][value]`: the op byte joins the value's tag in the head, an
+/// inline value's bytes stay the body.
+pub fn op_value(op: u8, v: &Value) -> Message {
+    v.encode().prefixed(&[op])
 }
 
 /// Decode `[op][value]`.
-pub fn parse_op_value(b: &Bytes) -> DmResult<(u8, Value)> {
-    let op = *b.first().ok_or(DmError::Malformed)?;
-    let v = Value::decode(&b.slice(1..))?;
-    Ok((op, v))
+pub fn parse_op_value(m: &Message) -> DmResult<(u8, Value)> {
+    let op = m.get(0).ok_or(DmError::Malformed)?;
+    Ok((op, Value::decode(&m.skip(1))?))
 }
 
-/// Encode a list of values: `[count u16][len u32, value bytes]*`.
+/// Encode `[id u64][value]` (the storage services' request shape).
+pub fn id_value(id: u64, v: &Value) -> Message {
+    v.encode().prefixed(&id.to_le_bytes())
+}
+
+/// Decode `[id u64][value]`.
+pub fn parse_id_value(m: &Message) -> DmResult<(u64, Value)> {
+    let id = m.array(0).map(u64::from_le_bytes);
+    let id = id.ok_or(DmError::Malformed)?;
+    Ok((id, Value::decode(&m.skip(8))?))
+}
+
+/// Encode a list of values: `[count u16][len u32, value bytes]*`. A list is
+/// one frame: every value is copied into it (timelines carry refs and small
+/// posts; a payload to move travels as a value of its own).
 pub fn encode_values(values: &[Value]) -> Bytes {
     let mut out = BytesMut::new();
     out.put_u16_le(values.len() as u16);
     for v in values {
         let enc = v.encode();
         out.put_u32_le(enc.len() as u32);
-        out.extend_from_slice(&enc);
+        for part in enc.parts() {
+            out.extend_from_slice(part);
+        }
     }
     out.freeze()
 }
@@ -50,7 +63,7 @@ pub fn decode_values(b: &Bytes) -> DmResult<Vec<Value>> {
         if b.len() < pos + l {
             return Err(DmError::Malformed);
         }
-        out.push(Value::decode(&b.slice(pos..pos + l))?);
+        out.push(Value::decode(&b.slice(pos..pos + l).into())?);
         pos += l;
     }
     Ok(out)
@@ -80,9 +93,20 @@ mod tests {
     fn op_value_roundtrip() {
         let v = Value::Inline(Bytes::from_static(b"payload"));
         let enc = op_value(9, &v);
-        let (op, back) = parse_op_value(&enc).unwrap();
-        assert_eq!(op, 9);
-        assert_eq!(back, v);
+        assert_eq!(enc, b"\x09\x00payload"[..]);
+        assert_eq!(parse_op_value(&enc).unwrap(), (9, v.clone()));
+        let enc = id_value(0x0102, &v);
+        assert_eq!(
+            enc.body.as_ptr(),
+            b"payload".as_ptr(),
+            "attached, not copied"
+        );
+        assert_eq!(parse_id_value(&enc).unwrap(), (0x0102, v));
+        for short in [&b""[..], b"\x01\x02\x03"] {
+            let short = Message::from(Bytes::from_static(short));
+            assert!(parse_id_value(&short).is_err());
+        }
+        assert!(parse_op_value(&Message::default()).is_err());
     }
 
     #[test]

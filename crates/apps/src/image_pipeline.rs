@@ -144,8 +144,8 @@ pub async fn build_pipeline(cluster: &Cluster) -> ImagePipeline {
             let ep = ep.clone();
             async move {
                 // Permission check reads only the header byte.
-                match ctx.payload.first() {
-                    Some(&OP_UNAUTHORIZED) | None => Value::Inline(Bytes::new()).encode(),
+                match ctx.payload.get(0) {
+                    Some(OP_UNAUTHORIZED) | None => Value::Inline(Bytes::new()).encode(),
                     Some(_) => match ep.rpc().call(lb_addr, IMG_REQ, ctx.payload).await {
                         Ok(resp) => resp,
                         Err(_) => Value::Inline(Bytes::new()).encode(),

@@ -15,12 +15,13 @@ use std::rc::Rc;
 use bytes::Bytes;
 use datastore::{ray_config, spark_config, ObjectId, ObjectStore, StoreConfig};
 use dmcommon::{DmError, DmResult};
-use dmrpc::{DmRpc, Value};
+use dmrpc::DmRpc;
 use memsim::NodeMemory;
 use rpclib::RpcBuilder;
 use simnet::Addr;
 
 use crate::cluster::Cluster;
+use crate::codec::{op_value, parse_op_value};
 
 /// Request type for the share op.
 pub const SHARE_REQ: u8 = 4;
@@ -42,8 +43,7 @@ pub async fn build_sharebench(cluster: &Cluster) -> ShareBench {
         callee.rpc().register(SHARE_REQ, move |ctx| {
             let ep = ep.clone();
             async move {
-                let pct = ctx.payload.first().copied().unwrap_or(0);
-                let Ok(v) = Value::decode(&ctx.payload.slice(1..)) else {
+                let Ok((pct, v)) = parse_op_value(&ctx.payload) else {
                     return Bytes::new();
                 };
                 let frac = pct as f64 / 100.0;
@@ -65,12 +65,9 @@ impl ShareBench {
     /// `write_pct`% of it.
     pub async fn request(&self, block: &Bytes, write_pct: u8) -> DmResult<()> {
         let v = self.caller.make_value(block.clone()).await?;
-        let mut msg = Vec::with_capacity(1 + v.encode().len());
-        msg.push(write_pct);
-        msg.extend_from_slice(&v.encode());
         self.caller
             .rpc()
-            .call(self.callee, SHARE_REQ, Bytes::from(msg))
+            .call(self.callee, SHARE_REQ, op_value(write_pct, &v))
             .await
             .map_err(|_| DmError::Transport)?;
         self.caller.release_async(v);
@@ -137,8 +134,9 @@ pub async fn build_store_sharebench(cluster: &Cluster, kind: StoreKind) -> Store
             let store = store.clone();
             let mem = mem.clone();
             async move {
-                let pct = ctx.payload.first().copied().unwrap_or(0);
-                let Ok(id) = ObjectId::decode(&ctx.payload[1..]) else {
+                let payload = ctx.payload.into_bytes();
+                let pct = payload.first().copied().unwrap_or(0);
+                let Ok(id) = ObjectId::decode(payload.get(1..).unwrap_or(&[])) else {
                     return Bytes::new();
                 };
                 let Ok(data) = store.get(id).await else {
@@ -215,6 +213,24 @@ mod tests {
                 app.request(&block, 100).await.unwrap();
             });
         }
+    }
+
+    /// A `SHARE_REQ` with nothing in it (or nothing behind the percentage)
+    /// is answered empty; the callee used to slice past the end of it.
+    #[test]
+    fn empty_share_request_is_refused_not_sliced() {
+        Sim::new().block_on(async move {
+            let cluster = Cluster::new(SystemKind::DmNet, 1, ClusterConfig::default(), 3);
+            let app = build_sharebench(&cluster).await;
+            for body in [&b""[..], b"\x32"] {
+                let body = Bytes::from_static(body);
+                let reply = app.caller.rpc().call(app.callee, SHARE_REQ, body).await;
+                assert!(reply.expect("answered").is_empty());
+            }
+            app.request(&Bytes::from(vec![9u8; 32 * 1024]), 50)
+                .await
+                .expect("still serving");
+        });
     }
 
     #[test]

@@ -57,13 +57,15 @@ pub async fn build_shuffle(cluster: &Cluster, m: usize, r: usize) -> ShuffleApp 
                 let parts = parts.clone();
                 let node = node.clone();
                 async move {
-                    if ctx.payload.len() < 14 {
+                    let req = &ctx.payload;
+                    let (Some(n), Some(bytes), Some(seed)) = (
+                        req.array(0).map(u16::from_le_bytes),
+                        req.array(2).map(u32::from_le_bytes),
+                        req.array(6).map(u64::from_le_bytes),
+                    ) else {
                         return Bytes::new();
-                    }
-                    let n = u16::from_le_bytes(ctx.payload[0..2].try_into().expect("len ok"));
-                    let bytes =
-                        u32::from_le_bytes(ctx.payload[2..6].try_into().expect("len ok")) as usize;
-                    let seed = u64::from_le_bytes(ctx.payload[6..14].try_into().expect("len ok"));
+                    };
+                    let bytes = bytes as usize;
                     // Release any previous round's partitions (in key order:
                     // HashMap drain order would be nondeterministic).
                     let old: Vec<Value> = {
@@ -98,10 +100,9 @@ pub async fn build_shuffle(cluster: &Cluster, m: usize, r: usize) -> ShuffleApp 
             ep.rpc().register(FETCH_PART, move |ctx| {
                 let parts = parts.clone();
                 async move {
-                    let Some(id_bytes) = ctx.payload.get(..2) else {
+                    let Some(id) = ctx.payload.array(0).map(u16::from_le_bytes) else {
                         return Value::Inline(Bytes::new()).encode();
                     };
-                    let id = u16::from_le_bytes(id_bytes.try_into().expect("2 bytes"));
                     match parts.borrow().get(&id) {
                         Some(v) => v.encode(),
                         None => Value::Inline(Bytes::new()).encode(),

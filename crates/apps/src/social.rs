@@ -31,11 +31,12 @@ use dmcommon::{DmError, DmResult};
 use dmnet::admission::{Admission, AdmissionConfig};
 use dmrpc::{DmRpc, Value};
 use loadgen::Population;
+use rpclib::Message;
 use simcore::{SimRng, Zipf};
 use simnet::Addr;
 
 use crate::cluster::{Cluster, ServiceNode};
-use crate::codec::{decode_values, encode_values};
+use crate::codec::{decode_values, encode_values, parse_id_value};
 
 /// Front-door request (nginx, proxy, php-fpm route on the op byte).
 pub const SOC_REQ: u8 = 5;
@@ -240,11 +241,7 @@ async fn build_social_inner(
             let posts = posts.clone();
             let ep = ep.clone();
             async move {
-                if ctx.payload.len() < 8 {
-                    return Bytes::new();
-                }
-                let id = u64::from_le_bytes(ctx.payload[..8].try_into().expect("len ok"));
-                let Ok(v) = Value::decode(&ctx.payload.slice(8..)) else {
+                let Ok((id, v)) = parse_id_value(&ctx.payload) else {
                     return Bytes::new();
                 };
                 let evicted = {
@@ -272,7 +269,7 @@ async fn build_social_inner(
         storage_ep.rpc().register(SOC_FETCH, move |ctx| {
             let posts = posts.clone();
             async move {
-                let Ok((ids, _)) = get_ids(&ctx.payload) else {
+                let Ok((ids, _)) = get_ids(&ctx.payload.into_bytes()) else {
                     return encode_values(&[]);
                 };
                 let p = posts.borrow();
@@ -291,9 +288,9 @@ async fn build_social_inner(
         utl_ep.rpc().register(SOC_APPEND_UTL, move |ctx| {
             let utl = utl2.clone();
             async move {
-                if ctx.payload.len() >= 12 {
-                    let user = u32::from_le_bytes(ctx.payload[..4].try_into().expect("len ok"));
-                    let post = u64::from_le_bytes(ctx.payload[4..12].try_into().expect("len ok"));
+                let req = &ctx.payload;
+                if let (Some(user), Some(post)) = (req.array(0), req.array(4)) {
+                    let (user, post) = (u32::from_le_bytes(user), u64::from_le_bytes(post));
                     utl.borrow_mut().append(user, post);
                 }
                 Bytes::from_static(b"ok")
@@ -308,16 +305,15 @@ async fn build_social_inner(
             let utl = utl2.clone();
             let ep = ep.clone();
             async move {
-                if ctx.payload.len() < 4 {
-                    return encode_values(&[]);
-                }
-                let user = u32::from_le_bytes(ctx.payload[..4].try_into().expect("len ok"));
+                let Some(user) = ctx.payload.array(0).map(u32::from_le_bytes) else {
+                    return encode_values(&[]).into();
+                };
                 let ids = utl.borrow().recent(user, POSTS_PER_READ);
                 let mut req = BytesMut::new();
                 put_ids(&mut req, &ids);
                 match ep.rpc().call(storage_addr, SOC_FETCH, req.freeze()).await {
                     Ok(resp) => resp,
-                    Err(_) => encode_values(&[]),
+                    Err(_) => encode_values(&[]).into(),
                 }
             }
         });
@@ -335,7 +331,8 @@ async fn build_social_inner(
         htl_ep.rpc().register(SOC_APPEND_HTL, move |ctx| {
             let htl = htl2.clone();
             async move {
-                if let Some((post, followers)) = ctx.payload.split_first_chunk::<8>() {
+                let payload = ctx.payload.into_bytes();
+                if let Some((post, followers)) = payload.split_first_chunk::<8>() {
                     let post = u64::from_le_bytes(*post);
                     let mut htl = htl.borrow_mut();
                     for f in followers.chunks_exact(4) {
@@ -353,16 +350,15 @@ async fn build_social_inner(
             let htl = htl2.clone();
             let ep = ep.clone();
             async move {
-                if ctx.payload.len() < 4 {
-                    return encode_values(&[]);
-                }
-                let user = u32::from_le_bytes(ctx.payload[..4].try_into().expect("len ok"));
+                let Some(user) = ctx.payload.array(0).map(u32::from_le_bytes) else {
+                    return encode_values(&[]).into();
+                };
                 let ids = htl.borrow().recent(user, POSTS_PER_READ);
                 let mut req = BytesMut::new();
                 put_ids(&mut req, &ids);
                 match ep.rpc().call(storage_addr, SOC_FETCH, req.freeze()).await {
                     Ok(resp) => resp,
-                    Err(_) => encode_values(&[]),
+                    Err(_) => encode_values(&[]).into(),
                 }
             }
         });
@@ -395,20 +391,14 @@ async fn build_social_inner(
             let next_post = next_post.clone();
             async move {
                 // [user u32][value bytes]
-                if ctx.payload.len() < 4 {
+                let Some(user) = ctx.payload.array(0).map(u32::from_le_bytes) else {
                     return Bytes::new();
-                }
-                let user = u32::from_le_bytes(ctx.payload[..4].try_into().expect("len ok"));
+                };
                 let post_id = next_post.get();
                 next_post.set(post_id + 1);
                 // Store the post: forward the media value untouched.
-                let mut store_req = BytesMut::with_capacity(8 + ctx.payload.len());
-                store_req.put_u64_le(post_id);
-                store_req.extend_from_slice(&ctx.payload[4..]);
-                let _ = ep
-                    .rpc()
-                    .call(storage_addr, SOC_STORE, store_req.freeze())
-                    .await;
+                let store_req = ctx.payload.skip(4).prefixed(&post_id.to_le_bytes());
+                let _ = ep.rpc().call(storage_addr, SOC_STORE, store_req).await;
                 // Timeline updates (small control messages).
                 let mut app = BytesMut::with_capacity(12);
                 app.put_u32_le(user);
@@ -436,20 +426,17 @@ async fn build_social_inner(
         phpfpm_ep.rpc().register(SOC_REQ, move |ctx| {
             let ep = ep.clone();
             async move {
-                let Some(&op) = ctx.payload.first() else {
-                    return Bytes::new();
+                let target = match ctx.payload.get(0) {
+                    Some(OP_COMPOSE) => compose_addr,
+                    Some(OP_READ_HOME) => htl_addr,
+                    Some(OP_READ_USER) => utl_addr,
+                    _ => return Message::default(),
                 };
-                let body = ctx.payload.slice(1..);
-                let target = match op {
-                    OP_COMPOSE => compose_addr,
-                    OP_READ_HOME => htl_addr,
-                    OP_READ_USER => utl_addr,
-                    _ => return Bytes::new(),
-                };
-                match ep.rpc().call(target, SOC_REQ, body).await {
-                    Ok(resp) => resp,
-                    Err(_) => Bytes::new(),
-                }
+                let body = ctx.payload.skip(1);
+                ep.rpc()
+                    .call(target, SOC_REQ, body)
+                    .await
+                    .unwrap_or_default()
             }
         });
     }
@@ -461,10 +448,10 @@ async fn build_social_inner(
         proxy_ep.rpc().register(SOC_REQ, move |ctx| {
             let ep = ep.clone();
             async move {
-                match ep.rpc().call(phpfpm_addr, SOC_REQ, ctx.payload).await {
-                    Ok(resp) => resp,
-                    Err(_) => Bytes::new(),
-                }
+                ep.rpc()
+                    .call(phpfpm_addr, SOC_REQ, ctx.payload)
+                    .await
+                    .unwrap_or_default()
             }
         });
     }
@@ -491,13 +478,13 @@ async fn build_social_inner(
                     None => None,
                     Some(a) => match a.try_admit() {
                         Some(g) => Some(g),
-                        None => return Bytes::from_static(SOC_BUSY_RESP),
+                        None => return Bytes::from_static(SOC_BUSY_RESP).into(),
                     },
                 };
-                match ep.rpc().call(proxy_addr, SOC_REQ, ctx.payload).await {
-                    Ok(resp) => resp,
-                    Err(_) => Bytes::new(),
-                }
+                ep.rpc()
+                    .call(proxy_addr, SOC_REQ, ctx.payload)
+                    .await
+                    .unwrap_or_default()
             }
         });
     }
@@ -553,18 +540,17 @@ impl SocialApp {
         let _gate = self.gate()?;
         let media = Bytes::from(vec![(user % 251) as u8; self.media_size]);
         let v = writer.make_value(media).await?;
-        let mut req = BytesMut::with_capacity(5 + v.wire_bytes());
+        let mut req = BytesMut::with_capacity(5);
         req.put_u8(OP_COMPOSE);
         req.put_u32_le(user);
-        req.extend_from_slice(&v.encode());
         let resp = writer
             .rpc()
-            .call(self.entry, SOC_REQ, req.freeze())
+            .call(self.entry, SOC_REQ, v.encode().prefixed(&req))
             .await
             .map_err(|_| DmError::Transport)?;
         // NOTE: the Ref ownership passes to post-storage; the writer does
         // not release it.
-        if resp.as_ref() == SOC_BUSY_RESP {
+        if resp == *SOC_BUSY_RESP {
             // The front door shed us before the post reached storage, so
             // ownership never transferred — release the media ref here or
             // every rejected compose would pin a DM page.
@@ -588,6 +574,7 @@ impl SocialApp {
             .call(self.entry, SOC_REQ, req.freeze())
             .await
             .map_err(|_| DmError::Transport)?;
+        let resp = resp.into_bytes();
         if resp.as_ref() == SOC_BUSY_RESP {
             return Err(DmError::Busy);
         }
@@ -796,20 +783,42 @@ mod tests {
             };
 
             // 8 008 B: two fragments past the 4 KiB MTU.
-            assert_eq!(send(Some(1), 0..2000, b"").await.unwrap().as_ref(), b"ok");
+            assert_eq!(
+                send(Some(1), 0..2000, b"")
+                    .await
+                    .unwrap()
+                    .into_bytes()
+                    .as_ref(),
+                b"ok"
+            );
             assert_eq!(holders(1), (0..2000).collect::<Vec<u32>>());
             // No followers.
-            assert_eq!(send(Some(2), 0..0, b"").await.unwrap().as_ref(), b"ok");
+            assert_eq!(
+                send(Some(2), 0..0, b"")
+                    .await
+                    .unwrap()
+                    .into_bytes()
+                    .as_ref(),
+                b"ok"
+            );
             assert_eq!(holders(2), Vec::<u32>::new());
             // Shorter than a post id: nothing to apply, and nothing to read past.
             assert_eq!(
-                send(None, 0..0, b"\x03\0\0\0\x09").await.unwrap().as_ref(),
+                send(None, 0..0, b"\x03\0\0\0\x09")
+                    .await
+                    .unwrap()
+                    .into_bytes()
+                    .as_ref(),
                 b"ok"
             );
             assert_eq!(app.home_timeline(3), [1]);
             // Two whole ids, then half of one.
             assert_eq!(
-                send(Some(4), 5..7, b"\x07\0").await.unwrap().as_ref(),
+                send(Some(4), 5..7, b"\x07\0")
+                    .await
+                    .unwrap()
+                    .into_bytes()
+                    .as_ref(),
                 b"ok"
             );
             assert_eq!(holders(4), [5, 6]);

@@ -564,11 +564,11 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             // so hits must come from the recovered server itself rather
             // than a survivor's cache. (Trailer-aware but not caching: a
             // coherent server frames versions into every ok response.)
-            let trailers_only = CacheConfig {
+            let versions_only = CacheConfig {
                 fine_grained: true,
                 ..CacheConfig::default()
             };
-            let (_, verifier) = chaos_client(&net, "verify", &pool, trailers_only, None).await;
+            let (_, verifier) = chaos_client(&net, "verify", &pool, versions_only, None).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
                 let got = verifier.read_ref(r, 0, 512).await;

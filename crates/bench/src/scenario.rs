@@ -21,6 +21,10 @@
 //! `--app social` also prints the three busiest node resources of the run
 //! (the bottleneck ledger, `apps::cluster::utilization`), each with the
 //! deepest its node's receive queue got (`node.<name>.nic.rx_queue_peak`).
+//! Every app's ledger ends with the host copies the run made where the
+//! design makes none: messages flattened (`rpc.flattened_msgs`) and DM
+//! bytes read out by gathering beside those served as a view
+//! (`dmserver.<i>.read_gathered_bytes` / `read_viewed_bytes`).
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -104,8 +108,24 @@ fn report(label: &str, size: usize, m: &Measured, ledger: &[String]) {
     println!("  latency p99      {:.1} us", m.latency_us(0.99));
     println!("  latency p99.9    {:.1} us", m.latency_us(0.999));
     for row in ledger {
-        println!("  busiest          {row}");
+        println!("  {row}");
     }
+}
+
+/// The ledger's last row: copies made on the host where a message or a DM
+/// read could not stay a view (zero on the paths this stack produces).
+fn host_copies(metrics: &Registry) -> String {
+    let sum = |suffix: &str| -> u64 {
+        let names = metrics.names();
+        let matching = names.iter().filter(|n| n.ends_with(suffix));
+        matching.filter_map(|n| metrics.value(n)).sum()
+    };
+    format!(
+        "host copies      {} msgs flattened; DM reads {} B viewed, {} B gathered",
+        sum("rpc.flattened_msgs"),
+        sum(".read_viewed_bytes"),
+        sum(".read_gathered_bytes"),
+    )
 }
 
 /// One ledger row with the depth the node's receive queue reached beside
@@ -113,7 +133,7 @@ fn report(label: &str, size: usize, m: &Measured, ledger: &[String]) {
 fn busiest(u: &Utilization, metrics: &Registry) -> String {
     let gauge = format!("node.{}.nic.rx_queue_peak", u.node);
     let peak = metrics.value(&gauge).unwrap_or(0);
-    format!("{u}; {} rx queue peak {peak}", u.node)
+    format!("busiest          {u}; {} rx queue peak {peak}", u.node)
 }
 
 /// Run the scenario described by `argv` (everything after `scenario`).
@@ -283,6 +303,7 @@ pub fn run(argv: &[String]) {
                 std::process::exit(2);
             }
         };
+        ledger.push(host_copies(&cluster.metrics()));
         (m, ledger)
     });
     report(&label, a.size, &m, &ledger);

@@ -355,7 +355,7 @@ fn mentions_type(text: &str, ty: &str) -> bool {
 #[test]
 fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
-    const STD_TYPES: [&str; 1] = ["Duration"];
+    const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let exists = |rel: String| root.join(rel).exists();
@@ -446,4 +446,59 @@ fn the_prose_names_only_what_exists() {
         }
     }
     assert!(wrong.is_empty(), "stale references:\n{}", wrong.join("\n"));
+}
+
+/// The text of the item that opens with `opener`, through its closing brace.
+fn item<'a>(src: &'a str, opener: &str) -> &'a str {
+    let from = src.find(opener).unwrap_or_else(|| panic!("no `{opener}`"));
+    let mut depth = 0usize;
+    for (i, c) in src[from..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return &src[from..=from + i],
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("`{opener}` never closes");
+}
+
+/// A message is a head and a body (DESIGN.md §5): whatever puts a prefix in
+/// front of a payload writes fixed-width fields into the head and attaches
+/// the payload. Grep-level: none of the wire builders copies a slice it was
+/// handed — the only byte copies they contain are of a field's own
+/// `to_le_bytes()`.
+#[test]
+fn wire_builders_attach_a_payload_and_never_copy_it() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+    let (proto, value, codec) = (
+        read("crates/dmnet/src/proto.rs"),
+        read("crates/core/src/value.rs"),
+        read("crates/apps/src/codec.rs"),
+    );
+    let builders = [
+        ("proto::Writer", item(&proto, "impl Writer {")),
+        ("proto::Response", item(&proto, "impl Response {")),
+        ("Value::encode", item(&value, "pub fn encode(")),
+        ("codec::op_value", item(&codec, "pub fn op_value(")),
+    ];
+    const COPIES: [&str; 4] = [
+        "extend_from_slice(",
+        "copy_from_slice(",
+        "put_slice(",
+        ".concat()",
+    ];
+    for (name, text) in builders {
+        for line in text
+            .lines()
+            .filter(|l| COPIES.iter().any(|c| l.contains(c)))
+        {
+            assert!(
+                line.contains("to_le_bytes()"),
+                "{name} copies bytes it was handed: `{}`",
+                line.trim()
+            );
+        }
+    }
 }

@@ -7,8 +7,9 @@
 //! choose the appropriate mode based on the parameter object size, while
 //! users are not aware of the two different modes."
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dmcommon::{DmError, DmResult, Ref};
+use rpclib::Message;
 
 /// An RPC argument: either inline bytes or a DM reference.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -47,30 +48,22 @@ impl Value {
         matches!(self, Value::ByRef(_))
     }
 
-    /// Encode for transport.
-    pub fn encode(&self) -> Bytes {
+    /// Encode for transport: a one-byte tag, then the inline bytes — attached
+    /// as the message body, not copied behind the tag — or the encoded ref.
+    pub fn encode(&self) -> Message {
         match self {
-            Value::Inline(b) => {
-                let mut out = BytesMut::with_capacity(1 + b.len());
-                out.extend_from_slice(&[0u8]);
-                out.extend_from_slice(b);
-                out.freeze()
-            }
-            Value::ByRef(r) => {
-                let enc = r.encode();
-                let mut out = BytesMut::with_capacity(1 + enc.len());
-                out.extend_from_slice(&[1u8]);
-                out.extend_from_slice(&enc);
-                out.freeze()
-            }
+            Value::Inline(b) => Message::new(&[0u8][..], b.clone()),
+            Value::ByRef(r) => Message::new(&[1u8][..], r.encode()),
         }
     }
 
-    /// Decode from transport.
-    pub fn decode(b: &Bytes) -> DmResult<Value> {
-        match b.first() {
-            Some(0) => Ok(Value::Inline(b.slice(1..))),
-            Some(1) => Ok(Value::ByRef(Ref::decode(&b[1..])?)),
+    /// Decode from transport. An inline value is whatever follows the tag:
+    /// the sender's own buffer when the message is split where
+    /// [`Value::encode`] splits it, or not split at all.
+    pub fn decode(m: &Message) -> DmResult<Value> {
+        match m.get(0) {
+            Some(0) => Ok(Value::Inline(m.skip(1).into_bytes())),
+            Some(1) => Ok(Value::ByRef(Ref::decode(&m.skip(1).into_bytes())?)),
             _ => Err(DmError::Malformed),
         }
     }
@@ -119,9 +112,23 @@ mod tests {
 
     #[test]
     fn decode_garbage_fails() {
-        assert!(Value::decode(&Bytes::new()).is_err());
-        assert!(Value::decode(&Bytes::from_static(&[9, 9])).is_err());
-        assert!(Value::decode(&Bytes::from_static(&[1, 200])).is_err());
+        for garbage in [&[][..], &[9, 9], &[1, 200]] {
+            assert!(Value::decode(&Bytes::from_static(garbage).into()).is_err());
+        }
+    }
+
+    #[test]
+    fn an_inline_value_crosses_encode_and_decode_uncopied() {
+        let payload = Bytes::from(vec![5u8; 300]);
+        let enc = Value::Inline(payload.clone()).encode();
+        assert_eq!((enc.len(), enc.get(0)), (301, Some(0)));
+        let Value::Inline(back) = Value::decode(&enc).unwrap() else {
+            panic!("inline stays inline");
+        };
+        assert_eq!(back.as_ptr(), payload.as_ptr());
+        // The same bytes in one buffer (a foreign sender) decode the same.
+        let flat = Message::from(enc.into_bytes());
+        assert_eq!(Value::decode(&flat).unwrap(), Value::Inline(payload));
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl ObjectStore {
         rpc.register(FETCH, move |ctx| {
             let s = s.clone();
             async move {
-                let Some(key_bytes) = ctx.payload.get(..8) else {
+                let payload = ctx.payload.into_bytes();
+                let Some(key_bytes) = payload.get(..8) else {
                     return Bytes::new();
                 };
                 let key = u64::from_le_bytes(key_bytes.try_into().expect("8 bytes"));
@@ -228,7 +229,8 @@ impl ObjectStore {
                     .rpc
                     .call(id.owner, FETCH, Bytes::from(id.key.to_le_bytes().to_vec()))
                     .await
-                    .map_err(|_| DmError::Transport)?;
+                    .map_err(|_| DmError::Transport)?
+                    .into_bytes();
                 if resp.len() as u64 != id.len {
                     return Err(DmError::InvalidRef);
                 }

@@ -50,6 +50,7 @@ impl Coordinator {
             async move {
                 let n = ctx
                     .payload
+                    .into_bytes()
                     .get(..4)
                     .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
                     .unwrap_or(0) as usize;
@@ -68,7 +69,7 @@ impl Coordinator {
         rpc.register(req::RETURN_PAGES, move |ctx| {
             let c = c.clone();
             async move {
-                if let Some(pages) = decode_pages(&ctx.payload) {
+                if let Some(pages) = decode_pages(&ctx.payload.into_bytes()) {
                     let mut free = c.free.borrow_mut();
                     for p in pages {
                         free.push_back(p);
@@ -176,7 +177,7 @@ mod tests {
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(10))
                 .await
                 .unwrap();
-            let pages = decode_grant(&resp).unwrap();
+            let pages = decode_grant(&resp.into_bytes()).unwrap();
             let after = coord.free_pages();
             rpc.call(coord.addr(), req::RETURN_PAGES, encode_return(&pages[..4]))
                 .await
@@ -206,12 +207,12 @@ mod tests {
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(8))
                 .await
                 .unwrap();
-            assert_eq!(decode_grant(&resp).unwrap().len(), 5);
+            assert_eq!(decode_grant(&resp.into_bytes()).unwrap().len(), 5);
             let resp = rpc
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(1))
                 .await
                 .unwrap();
-            assert_eq!(decode_grant(&resp).unwrap().len(), 0);
+            assert_eq!(decode_grant(&resp.into_bytes()).unwrap().len(), 0);
         });
     }
 }

@@ -170,7 +170,7 @@ impl CxlHost {
             )
             .await
             .map_err(|_| DmError::Transport)?;
-        coordinator::decode_grant(&resp).ok_or(DmError::Malformed)
+        coordinator::decode_grant(&resp.into_bytes()).ok_or(DmError::Malformed)
     }
 
     async fn take_page(self: &Rc<Self>) -> DmResult<Ppn> {

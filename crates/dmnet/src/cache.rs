@@ -48,7 +48,7 @@ use crate::proto::req;
 const MAX_REQ: usize = req::INVALIDATE as usize + 1;
 
 /// Known-version entries kept per server in fine-grained mode (FIFO).
-/// A forgotten entry is re-learned from the next trailer or push for the
+/// A forgotten entry is re-learned from the next version block or push for the
 /// key; forgetting can only delay an invalidation until the entry's read
 /// lease expires, never serve diverged bytes.
 const KNOWN_MAX: usize = 1024;
@@ -70,10 +70,10 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Coalesce control ops into batched wire messages.
     pub batching: bool,
-    /// Per-ref coherence: fold piggybacked `(key, version)` trailers and
+    /// Per-ref coherence: fold piggybacked `(key, version)` blocks and
     /// targeted [`req::INVALIDATE`] pushes instead of relying on the
     /// global epoch alone. Must match the server's `coherence` setting
-    /// (the trailer changes the ok-response wire format).
+    /// (the block changes the ok-response wire format).
     pub fine_grained: bool,
     /// How long a fine-grained data entry may be served without hearing
     /// from the server (virtual time). Bounds the staleness window when a
@@ -350,7 +350,7 @@ impl ClientCache {
 
     // -- per-ref versions (fine-grained mode) --------------------------------
 
-    /// Fold a `(key, version)` report in — from a response trailer
+    /// Fold a `(key, version)` report in — from a response version block
     /// (`targeted == false`) or a server invalidation push
     /// (`targeted == true`). A version advance drops the key's stale data
     /// entry and turns its stale idle mapping's deferred release into a
@@ -441,7 +441,7 @@ impl ClientCache {
         if resp_epoch < s.epoch.get() {
             return;
         }
-        // Stamp the version known *now*: the response's trailer was folded
+        // Stamp the version known *now*: the response's version block was folded
         // into `known` before this fill (synchronously, no await between),
         // so an entry can never outrank what its own response reported.
         let (ver, leased_until) = if self.config.fine_grained {

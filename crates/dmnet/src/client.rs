@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref, RemoteAddr};
-use rpclib::{Backoff, Rpc};
+use rpclib::{Backoff, Message, Rpc, RpcError};
 use simcore::sync::Semaphore;
 use simnet::Addr;
 
@@ -175,14 +175,14 @@ impl DmNetClient {
             let (epoch, reply) = split_response(&resp);
             cache.observe_epoch(i, epoch);
             let body = reply.result()?;
-            // Coherent servers append a version trailer to every ok
-            // response (n = 0 here: REGISTER touches no refs).
+            // Coherent servers put a version block in every ok response
+            // (n = 0 here: REGISTER touches no refs).
             let body = if cache.config().fine_grained {
                 proto::split_versions(&body)?.0
             } else {
                 body
             };
-            let mut r = Reader::new(&body);
+            let mut r = Reader::of(&body);
             pids.push(r.pid()?);
             if let Ok(ns) = r.u64() {
                 lease_ttl = Some(Duration::from_nanos(ns));
@@ -201,7 +201,7 @@ impl DmNetClient {
                 let (cache, rpc, alive) = (cache_h.clone(), rpc_h.clone(), alive_h.clone());
                 let pool = pool.clone();
                 async move {
-                    let mut r = Reader::new(&ctx.payload);
+                    let mut r = Reader::of(&ctx.payload);
                     if let (Ok(key), Ok(ver)) = (r.u64(), r.u64()) {
                         if let Some(idx) = pool.iter().position(|&(a, _)| a == ctx.src) {
                             // An invalidated idle mapping becomes a queued
@@ -360,7 +360,7 @@ impl DmNetClient {
     ///
     /// In order: token acquisition (when a concurrency limit is installed);
     /// the send, counted per type; folding the response's epoch and version
-    /// trailer into the cache; then either a result, a backed-off retry of
+    /// block into the cache; then either a result, a backed-off retry of
     /// a typed `Busy` rejection, or — only for a `key` this client
     /// [routes](Self::routes) — one hop of a `Moved` redirect chase. Each
     /// hop follows a tombstone laid by a distinct migration and updates the
@@ -377,7 +377,7 @@ impl DmNetClient {
         mut server: DmServerId,
         key: Option<u64>,
         ty: u8,
-        body: Bytes,
+        body: Message,
     ) -> (u64, DmServerId, DmResult<Bytes>) {
         // The router and gkey, when this request names a key it routes.
         let chase = self.router.as_ref().zip(key.filter(|&k| self.routes(k)));
@@ -396,7 +396,10 @@ impl DmNetClient {
             self.cache.count_wire(ty);
             let resp = match self.rpc.call(addr, ty, body.clone()).await {
                 Ok(r) => r,
-                Err(_) => return (0, server, Err(DmError::Transport)),
+                // Nothing was sent: the request names more bytes than one
+                // message can carry.
+                Err(RpcError::TooLarge { .. }) => return (0, server, Err(DmError::OutOfBounds)),
+                Err(RpcError::Timeout { .. }) => return (0, server, Err(DmError::Transport)),
             };
             let (epoch, reply) = split_response(&resp);
             if self.cache.observe_epoch(server.0 as usize, epoch) {
@@ -451,22 +454,23 @@ impl DmNetClient {
                         hops = 0;
                     }
                 }
-                (other, _) => return (epoch, server, other.result()),
+                (other, _) => return (epoch, server, other.result().map(Message::into_bytes)),
             }
         }
     }
 
-    async fn request(&self, server: DmServerId, ty: u8, body: Bytes) -> DmResult<Bytes> {
+    async fn request(&self, server: DmServerId, ty: u8, body: Message) -> DmResult<Bytes> {
         self.request_at(server, None, ty, body).await.2
     }
 
-    /// Strip the per-ref version trailer a coherent server appends to every
-    /// ok response and fold each `(key, version)` into the cache, dropping
-    /// any entry the trailer proves stale. No-op (and no copy) for clients
-    /// connected without [`CacheConfig::fine_grained`].
-    fn fold_versions(&self, server: DmServerId, body: Bytes) -> DmResult<Bytes> {
+    /// Strip the per-ref version block a coherent server puts in every ok
+    /// response and fold each `(key, version)` into the cache, dropping any
+    /// entry the block proves stale; what is left is the op's own result,
+    /// for a read the server's payload buffer itself. Clients connected
+    /// without [`CacheConfig::fine_grained`] have no block to strip.
+    fn fold_versions(&self, server: DmServerId, body: Message) -> DmResult<Bytes> {
         if !self.cache.config().fine_grained {
-            return Ok(body);
+            return Ok(body.into_bytes());
         }
         let (body, touched) = proto::split_versions(&body)?;
         let idx = server.0 as usize;
@@ -477,7 +481,7 @@ impl DmNetClient {
         if needs_flush {
             self.schedule_flush(server);
         }
-        Ok(body)
+        Ok(body.into_bytes())
     }
 
     fn addr_to_server(&self, node: u32, port: u16) -> Option<DmServerId> {
@@ -605,7 +609,7 @@ impl DmNetClient {
         let body = Writer::new()
             .pid(addr.pid)
             .u64(addr.va)
-            .bytes(data)
+            .body(data.clone())
             .finish();
         self.request(addr.server, req::WRITE, body).await?;
         Ok(())
@@ -678,10 +682,10 @@ impl DmNetClient {
         let (server, gkey, ty, body) = match &self.router {
             Some(router) => {
                 let gkey = router.mint();
-                let body = Writer::new().u64(gkey).bytes(data).finish();
+                let body = Writer::new().u64(gkey).body(data.clone()).finish();
                 (router.route(gkey), Some(gkey), req::PUT_REF_AT, body)
             }
-            None => (self.next_round_robin(), None, req::PUT_REF, data.clone()),
+            None => (self.next_round_robin(), None, req::PUT_REF, data.into()),
         };
         let (epoch, home, res) = self.request_at(server, gkey, ty, body).await;
         let resp = res?;
@@ -747,7 +751,7 @@ impl DmNetClient {
             }
             if self
                 .cache
-                .enqueue(idx, req::RELEASE_REF, body, Some(key), None)
+                .enqueue(idx, req::RELEASE_REF, body.into_bytes(), Some(key), None)
             {
                 self.schedule_flush(target);
             }
@@ -833,7 +837,11 @@ async fn flush_batch(
         .map(|(ty, body, ctx)| {
             if ty == req::FREE {
                 let va = crate::cache::read_free_marker(&body);
-                (ty, Writer::new().pid(pid).u64(va).finish(), ctx)
+                (
+                    ty,
+                    Writer::new().pid(pid).u64(va).finish().into_bytes(),
+                    ctx,
+                )
             } else {
                 (ty, body, ctx)
             }

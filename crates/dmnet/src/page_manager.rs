@@ -21,8 +21,13 @@
 //! host, while [`OpCost`] still reports every page faulted. The view
 //! becomes a private 4 KiB buffer only when somebody writes the page, and
 //! since `Bytes` are immutable nobody can tell the difference (DESIGN.md
-//! §6.1).
+//! §6.1). A read goes the same way back: a range that is one run of one
+//! buffer — every never-written ref is — is answered with a view of that
+//! buffer, and only a range that crosses buffers, unmapped pages or a short
+//! page is gathered into a new one. A view handed out keeps what it shows:
+//! a later write finds the buffer shared and moves the page first.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -134,6 +139,10 @@ pub struct PageManager {
     refs: FastMap<u64, RefEntry>,
     next_key: u64,
     copy_mode: CopyMode,
+    /// Bytes reads returned as a view of a page buffer, and bytes they had
+    /// to gather into a new one (volatile, like the translator's counters).
+    read_viewed: Cell<u64>,
+    read_gathered: Cell<u64>,
 }
 
 impl PageManager {
@@ -149,7 +158,15 @@ impl PageManager {
             refs: FastMap::default(),
             next_key: 1,
             copy_mode,
+            read_viewed: Cell::new(0),
+            read_gathered: Cell::new(0),
         }
+    }
+
+    /// Bytes served by reads so far: `(viewed, gathered)` — returned as a
+    /// view of the buffer the pages already lie in, or copied out of them.
+    pub fn read_bytes(&self) -> (u64, u64) {
+        (self.read_viewed.get(), self.read_gathered.get())
     }
 
     /// Free pages remaining.
@@ -291,31 +308,18 @@ impl PageManager {
     /// Read `len` bytes at `(pid, va)`. Unmapped pages read as zeros
     /// (anonymous-memory semantics). Reads never check refcounts (paper
     /// §V-A2 "How to serve a read request").
-    pub fn read(&mut self, pid: GlobalPid, va: u64, len: u64) -> DmResult<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read_into(pid, va, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::read`], appending to `out` (nothing on error). `out` keeps
-    /// the spare capacity it came with, so a caller that will append behind
-    /// the bytes reserves that room beforehand and the buffer is sized once.
-    pub fn read_into(
-        &mut self,
-        pid: GlobalPid,
-        va: u64,
-        len: u64,
-        out: &mut Vec<u8>,
-    ) -> DmResult<()> {
+    pub fn read(&mut self, pid: GlobalPid, va: u64, len: u64) -> DmResult<Bytes> {
         if len == 0 {
-            return Ok(());
+            return Ok(Bytes::new());
         }
         self.tree(pid)?.check_range(va, len)?;
-        let translator = &mut self.translator;
-        gather(&self.pages, va, len, |vpn| translator.lookup(pid, vpn), out);
-        Ok(())
+        // One translation per page, whichever way the bytes come out.
+        let first = va / PAGE_SIZE as u64;
+        let mapped: Vec<Option<PageIdx>> = (first..=(va + len - 1) / PAGE_SIZE as u64)
+            .map(|vpn| self.translator.lookup(pid, vpn))
+            .collect();
+        Ok(self.read_pages(va, len, |vpn| mapped[(vpn - first) as usize]))
     }
-
     /// Create a shareable reference over `[va, va+len)` (paper §V-A1
     /// `create_ref`). In COW mode this bumps each page's refcount; in the
     /// `-copy` ablation it copies the whole region into fresh pages.
@@ -470,21 +474,30 @@ impl PageManager {
 
     /// Read `len` bytes at `off` within a reference's pages, without
     /// installing a mapping (the `READ_REF` fast path).
-    pub fn read_ref(&self, key: u64, off: u64, len: u64) -> DmResult<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read_ref_into(key, off, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::read_ref`], appending to `out` under the contract of
-    /// [`Self::read_into`].
-    pub fn read_ref_into(&self, key: u64, off: u64, len: u64, out: &mut Vec<u8>) -> DmResult<()> {
+    pub fn read_ref(&self, key: u64, off: u64, len: u64) -> DmResult<Bytes> {
         let e = self.refs.get(&key).ok_or(DmError::InvalidRef)?;
         if off.checked_add(len).is_none_or(|end| end > e.len) {
             return Err(DmError::OutOfBounds);
         }
-        gather(&self.pages, off, len, |i| Some(e.pages[i as usize]), out);
-        Ok(())
+        Ok(self.read_pages(off, len, |i| Some(e.pages[i as usize])))
+    }
+
+    /// The `len` bytes at byte offset `start` of a page sequence whose
+    /// `n`-th page is `page_at(n)`: a view when they lie in one buffer as
+    /// they are ([`run_of_one_buffer`]), a gathered copy otherwise. The one
+    /// body behind every read.
+    fn read_pages(&self, start: u64, len: u64, page_at: impl Fn(u64) -> Option<PageIdx>) -> Bytes {
+        if len == 0 {
+            return Bytes::new();
+        }
+        if let Some(view) = run_of_one_buffer(&self.pages, start, len, &page_at) {
+            self.read_viewed.set(self.read_viewed.get() + len);
+            return view;
+        }
+        self.read_gathered.set(self.read_gathered.get() + len);
+        let mut out = Vec::with_capacity(len as usize);
+        gather(&self.pages, start, len, page_at, &mut out);
+        Bytes::from(out)
     }
 
     /// Reclaim everything a (crashed) process pinned: every translation of
@@ -603,7 +616,6 @@ impl PageManager {
     /// (future allocations pop from the front). The translator's
     /// lookup/miss statistics are volatile and excluded.
     pub fn snapshot_into(&self, w: Writer) -> Writer {
-        const ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         let mut w = w
             .u32(self.pages.len() as u32)
             .u8(match self.copy_mode {
@@ -621,12 +633,11 @@ impl PageManager {
         for p in used() {
             // Whole pages whatever the storage: equal logical state, equal
             // bytes, so a manager rebuilt by replay digests the same.
-            let stored = self.stored(p);
-            w = w
-                .u32(p)
-                .u32(self.refcounts[p as usize])
-                .bytes(stored)
-                .bytes(&ZEROS[stored.len()..]);
+            let mut buf = w.u32(p).u32(self.refcounts[p as usize]).into_vec();
+            let end = buf.len() + PAGE_SIZE;
+            buf.extend_from_slice(self.stored(p));
+            buf.resize(end, 0);
+            w = Writer::from(buf);
         }
         let mut pids: Vec<u32> = self.processes.keys().copied().collect();
         pids.sort_unstable();
@@ -691,7 +702,7 @@ impl PageManager {
         for _ in 0..r.u32()? {
             let p = page_idx(r)? as usize;
             pm.refcounts[p] = r.u32()?;
-            pm.pages[p] = Some(Page::private(r.take(PAGE_SIZE)?));
+            pm.pages[p] = Some(Page::private(&r.take(PAGE_SIZE)?));
         }
         for _ in 0..r.u32()? {
             let pid = r.u32()?;
@@ -731,19 +742,47 @@ impl PageManager {
     }
 }
 
+/// The `len > 0` bytes at byte offset `start` of a page sequence as one view
+/// of the buffer they already lie in: every page of the range is a view of
+/// the same buffer, each a page further on than the one before, and stores
+/// every byte the range wants from it. `None` when a page is unmapped, was
+/// written (its buffer is its own), came from another message, or is a short
+/// tail the range reads past.
+fn run_of_one_buffer(
+    pages: &[Option<Page>],
+    start: u64,
+    len: u64,
+    page_at: impl Fn(u64) -> Option<PageIdx>,
+) -> Option<Bytes> {
+    const PS: u64 = PAGE_SIZE as u64;
+    let page = |n: u64| pages[page_at(n)? as usize].as_ref();
+    let (first, end) = (start / PS, start + len);
+    let head = page(first)?;
+    let base = head.range().start;
+    for n in first..=(end - 1) / PS {
+        let p = page(n)?;
+        let stored = p.range();
+        let wanted = (end - n * PS).min(PS) as usize;
+        let in_place = stored.start == base + ((n - first) * PS) as usize;
+        if !in_place || stored.len() < wanted || !p.buf.ptr_eq(&head.buf) {
+            return None;
+        }
+    }
+    let lo = base + (start % PS) as usize;
+    Some(head.buf.slice(lo..lo + len as usize))
+}
+
 /// Append the `len` bytes at byte offset `start` of a page sequence to `out`:
 /// `page_at(n)` is the sequence's `n`-th page, an unmapped page reads as
 /// zeros and so does a page past its stored length. The one copy loop behind
-/// every read. `out` keeps its spare capacity (see
-/// [`PageManager::read_into`]).
+/// every read that cannot be a view.
 fn gather(
     pages: &[Option<Page>],
     start: u64,
     len: u64,
-    mut page_at: impl FnMut(u64) -> Option<PageIdx>,
+    page_at: impl Fn(u64) -> Option<PageIdx>,
     out: &mut Vec<u8>,
 ) {
-    out.reserve(len as usize + (out.capacity() - out.len()));
     let (mut cur, end) = (start, start + len);
     while cur < end {
         let in_page = (cur % PAGE_SIZE as u64) as usize;
@@ -856,8 +895,8 @@ mod tests {
         assert_eq!(cost.bytes_copied, PS);
         let reader = pm.register_process();
         let (rva, _, _) = pm.map_ref(reader, key).unwrap();
-        assert_eq!(&pm.read(reader, rva, 6).unwrap(), b"before");
-        assert_eq!(&pm.read(pid, va, 6).unwrap(), b"after!");
+        assert_eq!(&pm.read(reader, rva, 6).unwrap()[..], b"before");
+        assert_eq!(&pm.read(pid, va, 6).unwrap()[..], b"after!");
         pm.check_invariants();
     }
 
@@ -870,7 +909,7 @@ mod tests {
         pm.rfree(pid, va).unwrap();
         let reader = pm.register_process();
         let (rva, _, _) = pm.map_ref(reader, key).unwrap();
-        assert_eq!(&pm.read(reader, rva, 7).unwrap(), b"persist");
+        assert_eq!(&pm.read(reader, rva, 7).unwrap()[..], b"persist");
         pm.check_invariants();
     }
 
@@ -1005,7 +1044,7 @@ mod tests {
             assert_eq!(r.unwrap_err(), DmError::OutOfMemory, "len {len:#x}");
         }
         assert_eq!(pm.free_pages(), free, "a refused op takes no page");
-        assert_eq!(&pm.read(pid, va, 4).unwrap(), b"live");
+        assert_eq!(&pm.read(pid, va, 4).unwrap()[..], b"live");
         pm.check_invariants();
     }
 
@@ -1027,9 +1066,9 @@ mod tests {
         let (bva, _, _) = pm.map_ref(b, key).unwrap();
         pm.write(a, ava, b"AAAAAA").unwrap();
         pm.write(b, bva, b"BBBBBB").unwrap();
-        assert_eq!(&pm.read(creator, va, 6).unwrap(), b"shared");
-        assert_eq!(&pm.read(a, ava, 6).unwrap(), b"AAAAAA");
-        assert_eq!(&pm.read(b, bva, 6).unwrap(), b"BBBBBB");
+        assert_eq!(&pm.read(creator, va, 6).unwrap()[..], b"shared");
+        assert_eq!(&pm.read(a, ava, 6).unwrap()[..], b"AAAAAA");
+        assert_eq!(&pm.read(b, bva, 6).unwrap()[..], b"BBBBBB");
         pm.check_invariants();
     }
 
@@ -1064,7 +1103,7 @@ mod tests {
         let (sva, _, _) = pm.map_ref(survivor, key).unwrap();
         pm.release_process(crasher).unwrap();
         // The survivor's mapping keeps the page alive and readable.
-        assert_eq!(&pm.read(survivor, sva, 7).unwrap(), b"handoff");
+        assert_eq!(&pm.read(survivor, sva, 7).unwrap()[..], b"handoff");
         // The crasher's own ref pin is gone.
         assert_eq!(pm.release_ref(key).unwrap_err(), DmError::InvalidRef);
         pm.check_invariants();
@@ -1090,7 +1129,7 @@ mod tests {
         assert_eq!(back.state_digest(), pm.state_digest());
         // Logical state identical: reads, free count, and future behavior.
         assert_eq!(back.read(pid, va, 3 * PS).unwrap(), data);
-        assert_eq!(&back.read(mapper, mva, 4).unwrap(), b"cow!");
+        assert_eq!(&back.read(mapper, mva, 4).unwrap()[..], b"cow!");
         assert_eq!(back.free_pages(), pm.free_pages());
         assert_eq!(
             back.register_process().0,

@@ -7,9 +7,17 @@
 //! client comparing the piggybacked epoch against the one its cache entries
 //! were filled under can tell whether any ref it cached may have died since
 //! (DESIGN.md §9).
+//!
+//! Requests and responses are [`rpclib::Message`]s: [`Writer`] and
+//! [`Response`] write every field into the head and *attach* a payload as
+//! the body, so no payload byte is copied to be framed; [`Reader`] and
+//! [`split_response`] read across the seam, wherever it falls.
+
+use std::borrow::Cow;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult, GlobalPid};
+use rpclib::Message;
 use simnet::{Addr, NodeId};
 use telemetry::TraceCtx;
 
@@ -141,19 +149,24 @@ fn code_err(c: u8) -> DmError {
 /// Bytes in front of every response body: `[status u8][epoch u64]`.
 const RESPONSE_HEAD: usize = 9;
 
-/// Room a fresh [`Response`] leaves behind its body: one-ref version
-/// trailer (`[key u64][ver u64][n u8]`), which is what data responses carry.
-const RESPONSE_TAIL: usize = 17;
+/// Bytes a data response carries around its payload: [`RESPONSE_HEAD`], plus
+/// the one-ref version block (`[n u8][key u64][ver u64]`) from a coherent
+/// server. A server checks a wire-fed read length against
+/// [`rpclib::wire::max_msg_len`] less this before it builds anything.
+pub(crate) fn data_response_overhead(coherent: bool) -> usize {
+    RESPONSE_HEAD + if coherent { 1 + 16 } else { 0 }
+}
 
-/// A response under construction, in the buffer that goes on the wire: the
-/// head is reserved up front, the body is appended behind it (page bytes
-/// straight out of the page store, through [`Response::buf`]), and status,
-/// epoch and the optional version trailer are filled in by the method that
-/// finishes it — so a server that awaits between producing the body and
-/// answering reports the epoch of the answer, and no body is ever copied to
-/// be framed.
+/// A response under construction: status and epoch are reserved up front,
+/// small fields are appended behind them, and a payload is *attached* as
+/// the body ([`Response::body`] — page bytes straight out of the page
+/// store). Status, epoch and the optional version block are filled in by
+/// the method that finishes it — so a server that awaits between producing
+/// the body and answering reports the epoch of the answer, and no body is
+/// ever copied to be framed.
 pub struct Response {
-    buf: Vec<u8>,
+    head: Vec<u8>,
+    body: Bytes,
 }
 
 impl Default for Response {
@@ -163,70 +176,71 @@ impl Default for Response {
 }
 
 impl Response {
-    /// Start a response whose body is small (up to `MAP_REF`'s two words)
-    /// or of a length not yet known.
+    /// Start a response.
     pub fn new() -> Response {
-        Response::with_capacity(16)
+        let mut head = Vec::with_capacity(RESPONSE_HEAD + 16);
+        head.resize(RESPONSE_HEAD, 0);
+        Response {
+            head,
+            body: Bytes::new(),
+        }
     }
 
-    /// Start a response with room for a `body`-byte body.
-    pub fn with_capacity(body: usize) -> Response {
-        let mut buf = Vec::with_capacity(RESPONSE_HEAD + body + RESPONSE_TAIL);
-        buf.resize(RESPONSE_HEAD, 0);
-        Response { buf }
-    }
-
-    /// Append a PID to the body.
+    /// Append a PID.
     pub fn pid(mut self, p: GlobalPid) -> Self {
-        self.buf.put_u32_le(p.0);
+        self.head.put_u32_le(p.0);
         self
     }
 
-    /// Append a u64 to the body.
+    /// Append a u64.
     pub fn u64(mut self, v: u64) -> Self {
-        self.buf.put_u64_le(v);
+        self.head.put_u64_le(v);
         self
     }
 
-    /// The buffer, for appending body bytes in place.
-    pub fn buf(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
+    /// Attach the payload: everything appended so far stays in front of it.
+    pub fn body(mut self, body: Bytes) -> Self {
+        debug_assert!(self.body.is_empty(), "one payload per response");
+        self.body = body;
+        self
     }
 
-    fn finish(mut self, status: u8, epoch: u64) -> Bytes {
-        self.buf[0] = status;
-        self.buf[1..RESPONSE_HEAD].copy_from_slice(&epoch.to_le_bytes());
-        Bytes::from(self.buf)
+    fn finish(mut self, status: u8, epoch: u64) -> Message {
+        self.head[0] = status;
+        self.head[1..RESPONSE_HEAD].copy_from_slice(&epoch.to_le_bytes());
+        Message::new(self.head, self.body)
     }
 
     /// Finish as a success carrying the server's current invalidation
-    /// `epoch`. With `touched`, the body ends in a per-ref version trailer
-    /// (DESIGN.md §15): `n × ([key u64][ver u64])`, then `[n u8]` as the very
-    /// last byte. A coherence-mode server passes it on *every* success (an
-    /// untouched response gets `n = 0`), so a fine-grained client can strip
-    /// the trailer unambiguously ([`split_versions`]).
-    pub fn ok(mut self, epoch: u64, touched: Option<&[(u64, u64)]>) -> Bytes {
+    /// `epoch`. With `touched`, a per-ref version block (DESIGN.md §15)
+    /// follows the epoch, in front of everything else:
+    /// `[n u8]`, then `n × ([key u64][ver u64])`. A coherence-mode server
+    /// passes it on *every* success (an untouched response gets `n = 0`),
+    /// so a fine-grained client can strip it unambiguously
+    /// ([`split_versions`]).
+    pub fn ok(mut self, epoch: u64, touched: Option<&[(u64, u64)]>) -> Message {
         if let Some(touched) = touched {
-            assert!(touched.len() <= u8::MAX as usize, "trailer count is a u8");
-            for &(key, ver) in touched {
-                self = self.u64(key).u64(ver);
-            }
-            self.buf.push(touched.len() as u8);
+            assert!(touched.len() <= u8::MAX as usize, "version count is a u8");
+            let pairs = touched
+                .iter()
+                .flat_map(|&(key, ver)| key.to_le_bytes().into_iter().chain(ver.to_le_bytes()));
+            let block = std::iter::once(touched.len() as u8).chain(pairs);
+            self.head.splice(RESPONSE_HEAD..RESPONSE_HEAD, block);
         }
         self.finish(0, epoch)
     }
 
     /// An error response, carrying the server's current `epoch`.
-    pub fn err(epoch: u64, e: DmError) -> Bytes {
-        Response::with_capacity(0).finish(err_code(e), epoch)
+    pub fn err(epoch: u64, e: DmError) -> Message {
+        Response::new().finish(err_code(e), epoch)
     }
 }
 
 /// What a response decodes to: a body, a one-hop redirect, or an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// Success body.
-    Ok(Bytes),
+    /// Success: everything behind the epoch.
+    Ok(Message),
     /// The gkey migrated to the server at `node:port`; retry there.
     Moved {
         /// Forwarding fabric node.
@@ -242,7 +256,7 @@ impl Reply {
     /// The body or the error, for requests that cannot be redirected: a
     /// [`CODE_MOVED`] answer to anything but a gkey-routed request is a
     /// protocol violation and reads as `Malformed`.
-    pub fn result(self) -> DmResult<Bytes> {
+    pub fn result(self) -> DmResult<Message> {
         match self {
             Reply::Ok(body) => Ok(body),
             Reply::Moved { .. } => Err(DmError::Malformed),
@@ -255,47 +269,32 @@ impl Reply {
 /// response decoder. A response too short to carry an epoch (or a redirect
 /// too short to carry its address) decodes as `Malformed`, the former with
 /// epoch 0.
-pub fn split_response(resp: &Bytes) -> (u64, Reply) {
-    if resp.len() < 9 {
+pub fn split_response(resp: &Message) -> (u64, Reply) {
+    let mut r = Reader::of(resp);
+    let (Ok(status), Ok(epoch)) = (r.u8(), r.u64()) else {
         return (0, Reply::Err(DmError::Malformed));
-    }
-    let epoch = u64::from_le_bytes(resp[1..9].try_into().expect("len checked"));
-    let reply = match resp[0] {
-        0 => Reply::Ok(resp.slice(9..)),
-        CODE_MOVED => {
-            let mut r = Reader::new(&resp[9..]);
-            match (r.u32(), r.u16()) {
-                (Ok(node), Ok(port)) => Reply::Moved { node, port },
-                _ => Reply::Err(DmError::Malformed),
-            }
-        }
+    };
+    let reply = match status {
+        0 => Reply::Ok(resp.skip(RESPONSE_HEAD)),
+        CODE_MOVED => match (r.u32(), r.u16()) {
+            (Ok(node), Ok(port)) => Reply::Moved { node, port },
+            _ => Reply::Err(DmError::Malformed),
+        },
         c => Reply::Err(code_err(c)),
     };
     (epoch, reply)
 }
 
-/// Strip a [`Response::ok`] version trailer off a success body, returning
-/// the inner body plus the `(key, version)` pairs the response touched.
-/// Only meaningful on bodies produced by a coherence-mode server.
-pub fn split_versions(body: &Bytes) -> DmResult<(Bytes, Vec<(u64, u64)>)> {
-    let len = body.len();
-    if len < 1 {
-        return Err(DmError::Malformed);
-    }
-    let n = body[len - 1] as usize;
-    let trailer = 16 * n + 1;
-    if len < trailer {
-        return Err(DmError::Malformed);
-    }
-    let base = len - trailer;
-    let mut touched = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = base + 16 * i;
-        let key = u64::from_le_bytes(body[at..at + 8].try_into().expect("len checked"));
-        let ver = u64::from_le_bytes(body[at + 8..at + 16].try_into().expect("len checked"));
-        touched.push((key, ver));
-    }
-    Ok((body.slice(..base), touched))
+/// Strip a [`Response::ok`] version block off the front of a success body,
+/// returning what follows it plus the `(key, version)` pairs the response
+/// touched. Only meaningful on bodies produced by a coherence-mode server.
+pub fn split_versions(body: &Message) -> DmResult<(Message, Vec<(u64, u64)>)> {
+    let mut r = Reader::of(body);
+    let n = r.u8()? as usize;
+    let touched = (0..n)
+        .map(|_| Ok((r.u64()?, r.u64()?)))
+        .collect::<DmResult<_>>()?;
+    Ok((body.skip(1 + 16 * n), touched))
 }
 
 /// Status byte of a *redirect* response (DESIGN.md §13): the named gkey
@@ -305,10 +304,10 @@ pub fn split_versions(body: &Bytes) -> DmResult<(Bytes, Vec<(u64, u64)>)> {
 pub const CODE_MOVED: u8 = 7;
 
 /// Encode a redirect response: the gkey now lives at `node:port`.
-pub fn moved_response(epoch: u64, node: u32, port: u16) -> Bytes {
+pub fn moved_response(epoch: u64, node: u32, port: u16) -> Message {
     let mut resp = Response::new();
-    resp.buf.put_u32_le(node);
-    resp.buf.put_u16_le(port);
+    resp.head.put_u32_le(node);
+    resp.head.put_u16_le(port);
     resp.finish(CODE_MOVED, epoch)
 }
 
@@ -375,11 +374,12 @@ pub fn decode_batch(body: &Bytes) -> DmResult<Vec<(u8, Bytes, Option<TraceCtx>)>
         .collect()
 }
 
-/// A response whose body frames the per-sub-request responses of a batch
+/// A response that frames the per-sub-request responses of a batch
 /// (rpclib's untagged multi-op framing; order mirrors the request).
-pub fn batch_response(resps: &[Bytes]) -> Response {
-    let mut resp = Response::with_capacity(rpclib::multiframe::plain_len(resps));
-    rpclib::multiframe::encode_plain_into(resps, resp.buf());
+pub fn batch_response(resps: &[Message]) -> Response {
+    let mut resp = Response::new();
+    resp.head.reserve(rpclib::multiframe::plain_len(resps));
+    rpclib::multiframe::encode_plain_into(resps, &mut resp.head);
     resp
 }
 
@@ -388,39 +388,58 @@ pub fn decode_batch_responses(body: &Bytes) -> DmResult<Vec<Bytes>> {
     rpclib::multiframe::decode_plain(body).ok_or(DmError::Malformed)
 }
 
-/// Cursor-style reader for request/response bodies.
+/// Cursor-style reader over a flat buffer (a log record, a snapshot) or over
+/// a [`Message`], whose seam it reads across: every method gives the same
+/// answer wherever the same bytes are split.
 pub struct Reader<'a> {
-    buf: &'a [u8],
+    parts: [&'a [u8]; 2],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Wrap a buffer.
+    /// Wrap a flat buffer.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            parts: [buf, &[]],
+            pos: 0,
+        }
+    }
+
+    /// Read a message, head then body.
+    pub fn of(msg: &'a Message) -> Reader<'a> {
+        Reader {
+            parts: msg.parts(),
+            pos: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parts[0].len() + self.parts[1].len()
+    }
+
+    fn array<const N: usize>(&mut self) -> DmResult<[u8; N]> {
+        let field = self.take(N)?;
+        Ok(field.as_ref().try_into().expect("took N bytes"))
     }
 
     /// Read a u8.
     pub fn u8(&mut self) -> DmResult<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Read a u16.
     pub fn u16(&mut self) -> DmResult<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes(b.try_into().expect("len checked")))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a u32.
     pub fn u32(&mut self) -> DmResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("len checked")))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a u64.
     pub fn u64(&mut self) -> DmResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("len checked")))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read a PID.
@@ -436,73 +455,89 @@ impl<'a> Reader<'a> {
         Ok(Addr { node, port })
     }
 
-    /// Read the next `n` bytes.
-    pub fn take(&mut self, n: usize) -> DmResult<&'a [u8]> {
-        let s = self.buf[self.pos..].get(..n).ok_or(DmError::Malformed)?;
-        self.pos += n;
-        Ok(s)
+    /// Read the next `n` bytes: borrowed, unless they straddle a message's
+    /// seam.
+    pub fn take(&mut self, n: usize) -> DmResult<Cow<'a, [u8]>> {
+        let [a, b] = self.parts;
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.len());
+        let end = end.ok_or(DmError::Malformed)?;
+        let out = if end <= a.len() {
+            Cow::Borrowed(&a[self.pos..end])
+        } else if self.pos >= a.len() {
+            Cow::Borrowed(&b[self.pos - a.len()..end - a.len()])
+        } else {
+            Cow::Owned([&a[self.pos..], &b[..end - a.len()]].concat())
+        };
+        self.pos = end;
+        Ok(out)
     }
 
     /// Remaining bytes; the cursor moves to the end.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
+    pub fn rest(&mut self) -> Cow<'a, [u8]> {
+        self.take(self.len() - self.pos)
+            .expect("what is left is there")
     }
 
-    /// [`Self::rest`] as a slice of `whole`, the `Bytes` this reader was
-    /// opened on, sharing its storage.
-    pub fn rest_of(&mut self, whole: &Bytes) -> Bytes {
+    /// [`Self::rest`] as a `Bytes` sharing the storage of `msg`, the
+    /// message this reader was opened on: the body itself when the cursor
+    /// stands on the seam (where [`Writer::body`] and [`Response::body`]
+    /// put it), one counted copy only when bytes on both sides are left.
+    pub fn rest_of(&mut self, msg: &Message) -> Bytes {
         assert!(
-            std::ptr::eq(&whole[..], self.buf),
-            "not this reader's buffer"
+            std::iter::zip(self.parts, msg.parts()).all(|(a, b)| std::ptr::eq(a, b)),
+            "not this reader's message"
         );
-        let s = whole.slice(self.pos..);
-        self.pos = self.buf.len();
-        s
+        let rest = msg.skip(self.pos).into_bytes();
+        self.pos = self.len();
+        rest
     }
 
-    /// Whether the cursor has consumed the whole buffer.
+    /// Whether the cursor has consumed everything.
     pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
+        self.pos >= self.len()
     }
 }
 
-/// Builder for request/response bodies, WAL records and checkpoint
-/// snapshots (everything little-endian).
+/// Builder for request bodies, WAL records and checkpoint snapshots
+/// (everything little-endian): fields go into the head, a payload is
+/// attached behind them, uncopied.
 #[derive(Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    head: Vec<u8>,
+    body: Bytes,
 }
 
 impl From<Vec<u8>> for Writer {
     /// Continue a buffer that already holds bytes.
-    fn from(buf: Vec<u8>) -> Writer {
-        Writer { buf }
+    fn from(head: Vec<u8>) -> Writer {
+        Writer {
+            head,
+            body: Bytes::new(),
+        }
     }
 }
 
 impl Writer {
-    /// Start an empty body.
+    /// Start an empty message.
     pub fn new() -> Writer {
         Writer::default()
     }
 
     /// Append a u8.
     pub fn u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
+        self.head.push(v);
         self
     }
 
     /// Append a u16.
     pub fn u16(mut self, v: u16) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.head.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a u32.
     pub fn u32(mut self, v: u32) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.head.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -513,7 +548,7 @@ impl Writer {
 
     /// Append a u64.
     pub fn u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.head.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -522,20 +557,22 @@ impl Writer {
         self.u32(p.0)
     }
 
-    /// Append raw bytes.
-    pub fn bytes(mut self, b: &[u8]) -> Self {
-        self.buf.extend_from_slice(b);
+    /// Attach the payload behind the fields, sharing its storage.
+    pub fn body(mut self, body: Bytes) -> Self {
+        debug_assert!(self.body.is_empty(), "one payload per message");
+        self.body = body;
         self
     }
 
-    /// Finish into `Bytes`.
-    pub fn finish(self) -> Bytes {
-        Bytes::from(self.buf)
+    /// Finish into the message.
+    pub fn finish(self) -> Message {
+        Message::new(self.head, self.body)
     }
 
-    /// Finish into the underlying buffer.
+    /// Finish into the fields' buffer (no payload was attached).
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf
+        debug_assert!(self.body.is_empty(), "a payload does not fit a Vec");
+        self.head
     }
 }
 
@@ -545,16 +582,18 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let mut ok = Response::new();
-        ok.buf().extend_from_slice(b"abc");
-        let ok = ok.ok(42, None);
+        let payload = Bytes::from_static(b"abc");
+        let ok = Response::new().body(payload.clone()).ok(42, None);
         let (epoch, reply) = split_response(&ok);
         assert_eq!(epoch, 42);
-        assert_eq!(&reply.result().unwrap()[..], b"abc");
+        // The payload is attached, not copied, and comes back the same way.
+        let body = reply.result().unwrap().into_bytes();
+        assert_eq!(body.as_ptr(), payload.as_ptr());
         let err = Response::err(7, DmError::OutOfMemory);
         assert_eq!(split_response(&err), (7, Reply::Err(DmError::OutOfMemory)));
         // Too short to carry an epoch: malformed, epoch reads as 0.
         for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
+            let short = Message::from(short);
             assert_eq!(split_response(&short), (0, Reply::Err(DmError::Malformed)));
         }
     }
@@ -576,8 +615,18 @@ mod tests {
     #[test]
     fn batch_framing_roundtrip() {
         let items = vec![
-            (req::RELEASE_REF, Writer::new().u64(11).finish()),
-            (req::FREE, Writer::new().pid(GlobalPid(3)).u64(22).finish()),
+            (
+                req::RELEASE_REF,
+                Writer::new().u64(11).finish().into_bytes(),
+            ),
+            (
+                req::FREE,
+                Writer::new()
+                    .pid(GlobalPid(3))
+                    .u64(22)
+                    .finish()
+                    .into_bytes(),
+            ),
             (req::RELEASE_REF, Bytes::new()),
         ];
         let decoded = decode_batch(&encode_batch(&items)).unwrap();
@@ -592,7 +641,8 @@ mod tests {
             Response::err(2, DmError::InvalidRef),
         ];
         let framed = split_response(&batch_response(&resps).ok(3, None)).1;
-        let back = decode_batch_responses(&framed.result().unwrap()).unwrap();
+        let back = decode_batch_responses(&framed.result().unwrap().into_bytes()).unwrap();
+        let back: Vec<Message> = back.into_iter().map(Message::from).collect();
         assert_eq!(back, resps);
     }
 
@@ -603,10 +653,18 @@ mod tests {
             span_id: 0x5555_6666_7777_8888,
         };
         let items = vec![
-            (req::RELEASE_REF, Writer::new().u64(11).finish(), Some(ctx)),
+            (
+                req::RELEASE_REF,
+                Writer::new().u64(11).finish().into_bytes(),
+                Some(ctx),
+            ),
             (
                 req::FREE,
-                Writer::new().pid(GlobalPid(3)).u64(22).finish(),
+                Writer::new()
+                    .pid(GlobalPid(3))
+                    .u64(22)
+                    .finish()
+                    .into_bytes(),
                 None,
             ),
             (req::RELEASE_REF, Bytes::new(), Some(ctx)),
@@ -616,7 +674,10 @@ mod tests {
 
         // An all-untraced batch is byte-identical to the legacy encoding:
         // the trace bit never appears on the wire unless a context rode in.
-        let plain = vec![(req::RELEASE_REF, Writer::new().u64(11).finish())];
+        let plain = vec![(
+            req::RELEASE_REF,
+            Writer::new().u64(11).finish().into_bytes(),
+        )];
         let traced_none: Vec<(u8, Bytes, Option<TraceCtx>)> =
             plain.iter().map(|(ty, b)| (*ty, b.clone(), None)).collect();
         assert_eq!(encode_batch(&plain), encode_batch_traced(&traced_none));
@@ -636,15 +697,11 @@ mod tests {
     fn batch_decode_rejects_garbage() {
         assert!(decode_batch(&Bytes::from_static(&[1, 2])).is_err());
         // Count claims more items than the body could possibly hold.
-        let huge = Writer::new().u32(u32::MAX).finish();
+        let huge = Writer::new().u32(u32::MAX).finish().into_bytes();
         assert_eq!(decode_batch(&huge).unwrap_err(), DmError::Malformed);
         // Truncated item body.
-        let trunc = Writer::new()
-            .u32(1)
-            .bytes(&[req::FREE])
-            .u32(100)
-            .bytes(b"short")
-            .finish();
+        let trunc = Writer::new().u32(1).u8(req::FREE).u32(100);
+        let trunc = [&trunc.into_vec()[..], b"short"].concat().into();
         assert_eq!(decode_batch(&trunc).unwrap_err(), DmError::Malformed);
     }
 
@@ -676,29 +733,29 @@ mod tests {
     }
 
     #[test]
-    fn version_trailer_roundtrip() {
-        // Data bytes plus two touched refs; the trailer strips cleanly.
-        let mut resp = Response::new();
-        resp.buf().extend_from_slice(b"payload");
-        let resp = resp.ok(5, Some(&[(11, 2), (GKEY_TEST, 7)]));
+    fn version_block_roundtrip() {
+        // Data bytes plus two touched refs: the versions sit in the head,
+        // in front of the small fields, and strip without touching the body.
+        let payload = Bytes::from_static(b"payload");
+        let resp = Response::new()
+            .u64(77)
+            .body(payload.clone())
+            .ok(5, Some(&[(11, 2), (GKEY_TEST, 7)]));
+        assert_eq!(resp.body.as_ptr(), payload.as_ptr());
         let (epoch, reply) = split_response(&resp);
         assert_eq!(epoch, 5);
         let (inner, touched) = split_versions(&reply.result().unwrap()).unwrap();
-        assert_eq!(&inner[..], b"payload");
         assert_eq!(touched, vec![(11, 2), (GKEY_TEST, 7)]);
-        // Untouched responses still carry an (empty) trailer.
+        assert_eq!(inner, [&77u64.to_le_bytes()[..], b"payload"].concat()[..]);
+        // Untouched responses still carry an (empty) block.
         let resp = Response::new().ok(5, Some(&[]));
         let (inner, touched) = split_versions(&split_response(&resp).1.result().unwrap()).unwrap();
         assert!(inner.is_empty() && touched.is_empty());
-        // A claimed trailer bigger than the body is malformed.
-        assert_eq!(
-            split_versions(&Bytes::from_static(&[0, 0, 3])).unwrap_err(),
-            DmError::Malformed
-        );
-        assert_eq!(
-            split_versions(&Bytes::new()).unwrap_err(),
-            DmError::Malformed
-        );
+        // A claimed block bigger than the body is malformed.
+        for short in [&[3u8, 0, 0][..], &[]] {
+            let short = Message::from(Bytes::copy_from_slice(short));
+            assert_eq!(split_versions(&short).unwrap_err(), DmError::Malformed);
+        }
     }
 
     const GKEY_TEST: u64 = 1 << 63 | 42;
@@ -722,35 +779,61 @@ mod tests {
             DmError::Malformed
         );
         // Truncated redirect body.
-        assert_eq!(
-            split_response(&m.slice(..12)),
-            (9, Reply::Err(DmError::Malformed))
-        );
+        let cut = Message::from(m.into_bytes().slice(..12));
+        assert_eq!(split_response(&cut), (9, Reply::Err(DmError::Malformed)));
     }
 
     #[test]
     fn reader_writer_roundtrip() {
+        let tail = Bytes::from_static(b"tail");
         let body = Writer::new()
             .pid(GlobalPid(9))
             .u64(0xABCD)
             .u32(77)
             .u16(0x0102)
             .u8(3)
-            .bytes(b"tail")
+            .body(tail.clone())
             .finish();
-        let mut r = Reader::new(&body);
+        let mut r = Reader::of(&body);
         assert_eq!(r.pid().unwrap(), GlobalPid(9));
         assert_eq!(r.u64().unwrap(), 0xABCD);
         assert_eq!(r.u32().unwrap(), 77);
         assert_eq!(r.u16().unwrap(), 0x0102);
         assert_eq!(r.u8().unwrap(), 3);
-        assert_eq!(r.rest(), b"tail");
-        assert!(r.is_empty(), "rest() consumes the buffer");
+        assert_eq!(
+            r.rest_of(&body).as_ptr(),
+            tail.as_ptr(),
+            "attached, not copied"
+        );
+        assert!(r.is_empty(), "rest_of() consumes the message");
+    }
+
+    /// The same bytes read the same wherever they are split — the sender's
+    /// seam, none at all (a hostile datagram), or one inside a field.
+    #[test]
+    fn reader_reads_across_any_seam() {
+        let flat = Writer::new().u8(1).u64(0x0102_0304_0506_0708).u16(9);
+        let flat = [&flat.into_vec()[..], b"payload"].concat();
+        for cut in 0..=flat.len() {
+            let msg = Message::new(flat[..cut].to_vec(), flat[cut..].to_vec().into());
+            let mut r = Reader::of(&msg);
+            assert_eq!(r.u8().unwrap(), 1, "cut {cut}");
+            assert_eq!(r.u64().unwrap(), 0x0102_0304_0506_0708, "cut {cut}");
+            assert_eq!(r.u16().unwrap(), 9, "cut {cut}");
+            assert_eq!(&r.take(3).unwrap()[..], b"pay", "cut {cut}");
+            assert_eq!(&r.rest_of(&msg)[..], b"load", "cut {cut}");
+            assert!(r.is_empty());
+            let mut r = Reader::of(&msg);
+            r.u8().unwrap();
+            assert_eq!(&r.rest()[..], &flat[1..], "cut {cut}");
+        }
     }
 
     #[test]
     fn reader_underflow_is_malformed() {
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(r.u64().unwrap_err(), DmError::Malformed);
+        assert_eq!(r.take(usize::MAX).unwrap_err(), DmError::Malformed);
+        assert_eq!(r.u16().unwrap(), 0x0201, "a refused read consumes nothing");
     }
 }

@@ -36,10 +36,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use memsim::NodeMemory;
-use rpclib::{Rpc, RpcBuilder, RpcConfig};
+use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
 use simcore::{CpuPool, SimTime};
 use simnet::{Addr, Network, NodeId};
 use telemetry::SpanKind;
@@ -68,7 +67,7 @@ fn translations_for(len: u64) -> u64 {
 /// that migrated away.
 enum KeyRoute {
     Local(u64),
-    Redirect(Bytes),
+    Redirect(Message),
 }
 
 /// DM server tuning knobs.
@@ -115,12 +114,12 @@ pub struct DmServerConfig {
     /// control existed.
     pub admission: Option<AdmissionConfig>,
     /// Fine-grained cache coherence (DESIGN.md §15): when set, successful
-    /// responses append a `(key, version)` trailer for the refs they
+    /// responses carry a `(key, version)` block for the refs they
     /// touched, mutating ops bump only the touched ref's version, and a
     /// bounded holder directory pushes targeted `INVALIDATE` messages
     /// instead of advancing the global epoch. Every client of a
     /// coherent server must run with `CacheConfig::fine_grained` (the
-    /// trailer changes the ok-response wire format). `None` (default)
+    /// block changes the ok-response wire format). `None` (default)
     /// keeps the global-epoch scheme and wire bytes unchanged.
     pub coherence: Option<CoherenceConfig>,
 }

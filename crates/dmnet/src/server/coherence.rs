@@ -9,8 +9,8 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
-use bytes::Bytes;
 use dmcommon::GlobalPid;
+use rpclib::Message;
 use simcore::SimTime;
 use simnet::{Addr, NodeId};
 
@@ -99,7 +99,7 @@ impl DmServer {
     /// live holder (fire-and-forget: a lost push is safe — the holder's
     /// read lease bounds how long it can keep serving, and a stale entry
     /// can only hold the dead ref's final immutable bytes). `exclude`
-    /// skips the requester, whose own response trailer already carries
+    /// skips the requester, whose own response version block already carries
     /// the new version.
     fn push_invalidations(&self, raw: u64, ver: u64, exclude: Option<Addr>) {
         let Some(holders) = self.dir.borrow_mut().remove(&raw) else {
@@ -133,7 +133,7 @@ impl DmServer {
     /// dropped (keys are minted once, so it will never be compared again)
     /// and its successor version is pushed to holders so their cached
     /// copies die promptly; the returned `(key, version)` pairs go into
-    /// the requester's response trailer, which is why `exclude` skips it.
+    /// the requester's response version block, which is why `exclude` skips it.
     /// During replay the (volatile) directory is empty and nothing is
     /// pushed.
     pub(super) fn refs_died(&self, raws: &[u64], exclude: Option<Addr>) -> Vec<(u64, u64)> {
@@ -166,15 +166,14 @@ impl DmServer {
     }
 
     /// Finish `resp` as a success carrying the current epoch. A coherent
-    /// server appends a version trailer to *every* ok response (empty when
-    /// the op touched no cacheable ref) so clients can strip it
-    /// unambiguously.
-    pub(super) fn ok(&self, resp: Response) -> Bytes {
+    /// server puts a version block in *every* ok response (empty when the
+    /// op touched no cacheable ref) so clients can strip it unambiguously.
+    pub(super) fn ok(&self, resp: Response) -> Message {
         self.ok_v(&[], resp)
     }
 
     /// [`Self::ok`] with the `(key, version)` pairs this op touched.
-    pub(super) fn ok_v(&self, touched: &[(u64, u64)], resp: Response) -> Bytes {
+    pub(super) fn ok_v(&self, touched: &[(u64, u64)], resp: Response) -> Message {
         resp.ok(self.epoch.get(), self.coherent().then_some(touched))
     }
 }

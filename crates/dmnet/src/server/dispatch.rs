@@ -8,6 +8,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, PAGE_SIZE};
+use rpclib::Message;
 use simnet::Addr;
 use telemetry::SpanKind;
 
@@ -53,7 +54,7 @@ impl DmServer {
         matches!(ty, req::REGISTER | req::RENEW_LEASE | req::BATCH)
     }
 
-    async fn handle(self: Rc<Self>, ty: u8, src: Addr, body: Bytes) -> Bytes {
+    async fn handle(self: Rc<Self>, ty: u8, src: Addr, body: Message) -> Message {
         self.ops_served.set(self.ops_served.get() + 1);
         // Overload control (DESIGN.md §14): refuse before any CPU is
         // charged or span opened — a rejected request must be as cheap
@@ -131,8 +132,19 @@ impl DmServer {
         Ok(key)
     }
 
-    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Bytes) -> DmResult<Bytes> {
-        let mut r = Reader::new(body);
+    /// Refuse a read whose reply no message can carry — `len` comes off the
+    /// wire — before any buffer is built for it.
+    fn check_reply_fits(&self, len: u64) -> DmResult<()> {
+        let room = rpclib::wire::max_msg_len(self.rpc.config().mtu)
+            - proto::data_response_overhead(self.coherent());
+        if len > room as u64 {
+            return Err(DmError::OutOfBounds);
+        }
+        Ok(())
+    }
+
+    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Message> {
+        let mut r = Reader::of(body);
         match ty {
             req::REGISTER => {
                 let pid = self.register_process(src);
@@ -240,21 +252,21 @@ impl DmServer {
                 self.check_owner(pid, src)?;
                 let va = r.u64()?;
                 let len = r.u64()?;
-                let mut resp = Response::new();
-                self.pm.borrow_mut().read_into(pid, va, len, resp.buf())?;
+                self.check_reply_fits(len)?;
+                let data = self.pm.borrow_mut().read(pid, va, len)?;
                 self.charge(OpCost::default(), translations_for(len)).await;
                 // Reading pinned pages into the response path occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                Ok(self.ok(resp))
+                Ok(self.ok(Response::new().body(data)))
             }
             req::WRITE => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
                 let va = r.u64()?;
-                let data = r.rest();
+                let data = r.rest_of(body);
                 let len = data.len() as u64;
-                let cost = self.pm.borrow_mut().write(pid, va, data)?;
+                let cost = self.pm.borrow_mut().write(pid, va, &data)?;
                 self.persist(|| {
                     vec![Record::Write {
                         pid: pid.0,
@@ -295,7 +307,8 @@ impl DmServer {
                 Ok(self.ok_v(&touched, Response::new()))
             }
             req::PUT_REF => {
-                let key = self.install_ref(body.clone(), Some(src), None).await?;
+                let data = body.clone().into_bytes();
+                let key = self.install_ref(data, Some(src), None).await?;
                 // The publisher caches the bytes it just published.
                 self.grant(key, src);
                 Ok(self.ok_v(&[(key, 1)], Response::new().u64(key)))
@@ -308,15 +321,20 @@ impl DmServer {
                 };
                 let off = r.u64()?;
                 let len = r.u64()?;
-                let mut resp = Response::new();
-                self.pm.borrow().read_ref_into(key, off, len, resp.buf())?;
+                self.check_reply_fits(len)?;
+                // A view of the buffer the ref was published in, whenever
+                // the range still lies there whole.
+                let data = self.pm.borrow().read_ref(key, off, len)?;
                 self.charge(OpCost::default(), translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 // The reader may now cache these bytes: grant it a read
                 // lease and report the key's version alongside the data.
                 self.grant(raw, src);
-                Ok(self.ok_v(&[(raw, self.current_version(raw))], resp))
+                Ok(self.ok_v(
+                    &[(raw, self.current_version(raw))],
+                    Response::new().body(data),
+                ))
             }
             req::PUT_REF_AT => {
                 // Sharded plane (DESIGN.md §13): publish under a
@@ -346,7 +364,7 @@ impl DmServer {
                 // per-message RPC and network overhead. A failing sub-op
                 // does not abort the rest — its framed slot carries the
                 // error.
-                let items = proto::decode_batch(body)?;
+                let items = proto::decode_batch(&body.clone().into_bytes())?;
                 let mut resps = Vec::with_capacity(items.len());
                 for (sub_ty, sub_body, sub_ctx) in items {
                     if sub_ty == req::BATCH {
@@ -363,6 +381,7 @@ impl DmServer {
                             c,
                         )
                     });
+                    let sub_body = Message::from(sub_body);
                     let resp = match Box::pin(self.dispatch(sub_ty, src, &sub_body)).await {
                         Ok(r) => r,
                         Err(e) => Response::err(self.epoch.get(), e),

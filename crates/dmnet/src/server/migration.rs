@@ -2,8 +2,8 @@
 //! that moves a gkey-bound ref's pages, refcount, lease attribution and
 //! version server-to-server, leaving a one-hop redirect tombstone behind.
 
-use bytes::Bytes;
 use dmcommon::{DmError, DmResult};
+use rpclib::Message;
 
 use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
 use crate::proto::{self, req, Reader, Response, Writer};
@@ -34,7 +34,7 @@ impl DmServer {
     /// `MIGRATE` (`[gkey u64][dst node u32][dst port u32]`): transfer the
     /// gkey's pages to `dst` server-to-server, release the local copy and
     /// leave a redirect tombstone for in-flight clients.
-    pub(super) async fn migrate_out(&self, r: &mut Reader<'_>) -> DmResult<Bytes> {
+    pub(super) async fn migrate_out(&self, r: &mut Reader<'_>) -> DmResult<Message> {
         let gkey = r.u64()?;
         if gkey & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);
@@ -58,30 +58,25 @@ impl DmServer {
         if owner.is_some() && owner_addr.is_none() {
             return Err(DmError::InvalidAddress);
         }
-        // The transfer is built once, in the buffer that goes on the wire:
-        // header, room for the version, then the pages as they are now.
-        let mut w = Writer::new().u64(gkey);
-        w = match owner_addr {
-            Some(a) => w.addr(a),
-            None => w.u32(NO_OWNER_PID).u32(0),
-        };
-        let mut fwd = w.into_vec();
-        let ver_at = fwd.len();
-        if self.coherent() {
-            fwd.extend_from_slice(&[0; 8]);
-        }
-        self.pm.borrow().read_ref_into(key, 0, len, &mut fwd)?;
+        // The transfer carries the pages as they are now — a view of the
+        // buffer they lie in, when they lie in one — behind a head written
+        // once the read is paid for.
+        let data = self.pm.borrow().read_ref(key, 0, len)?;
         // Reading the pages out for the transfer occupies DRAM
         // exactly like READ_REF.
         self.mem.touch(len).await;
         self.note_data_time(len);
+        let mut fwd = Writer::new().u64(gkey);
+        fwd = match owner_addr {
+            Some(a) => fwd.addr(a),
+            None => fwd.u32(NO_OWNER_PID).u32(0),
+        };
         // Versions travel with ownership: the destination installs
         // the successor version, so clients that cached the ref
         // here can never mistake a pre-migration fill for current
         // once they reach the new home.
         if self.coherent() {
-            let ver = self.current_version(gkey) + 1;
-            fwd[ver_at..ver_at + 8].copy_from_slice(&ver.to_le_bytes());
+            fwd = fwd.u64(self.current_version(gkey) + 1);
         }
         // The transfer rides the simulated fabric: migration pays
         // real server-to-server bandwidth and latency. A transport
@@ -91,7 +86,7 @@ impl DmServer {
         // lease teardown reclaims it.
         let resp = self
             .rpc
-            .call(dst, req::MIGRATE_IN, fwd.into())
+            .call(dst, req::MIGRATE_IN, fwd.body(data).finish())
             .await
             .map_err(|_| DmError::Transport)?;
         proto::split_response(&resp).1.result()?;
@@ -125,7 +120,7 @@ impl DmServer {
     /// Ownership is re-attributed to this server's pid for the owning
     /// endpoint; a ref that was already unowned at the source arrives
     /// unowned (reclaimed only by explicit release).
-    pub(super) async fn migrate_in(&self, r: &mut Reader<'_>, body: &Bytes) -> DmResult<Bytes> {
+    pub(super) async fn migrate_in(&self, r: &mut Reader<'_>, body: &Message) -> DmResult<Message> {
         let gkey = r.u64()?;
         if gkey & GKEY_BIT == 0 {
             return Err(DmError::InvalidRef);

@@ -210,11 +210,17 @@ impl Record {
     /// Encode the record payload (no frame) into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let w = Writer::from(std::mem::take(out));
+        // The log keeps its own copy of a record's bytes: they follow the
+        // fields, appended here rather than through the wire builder.
+        let mut tail: &[u8] = &[];
         *out = match self {
             Record::Register { node, port } => w.u8(kind::REGISTER).u32(*node).u16(*port),
             Record::Alloc { pid, len, va } => w.u8(kind::ALLOC).u32(*pid).u64(*len).u64(*va),
             Record::Free { pid, va } => w.u8(kind::FREE).u32(*pid).u64(*va),
-            Record::Write { pid, va, data } => w.u8(kind::WRITE).u32(*pid).u64(*va).bytes(data),
+            Record::Write { pid, va, data } => {
+                tail = data;
+                w.u8(kind::WRITE).u32(*pid).u64(*va)
+            }
             Record::CreateRef { pid, va, len, key } => w
                 .u8(kind::CREATE_REF)
                 .u32(*pid)
@@ -224,10 +230,14 @@ impl Record {
             Record::MapRef { pid, key, va } => w.u8(kind::MAP_REF).u32(*pid).u64(*key).u64(*va),
             Record::ReleaseRef { key } => w.u8(kind::RELEASE_REF).u64(*key),
             Record::PutRef { pid, key, data } => {
-                w.u8(kind::PUT_REF).u32(*pid).u64(*key).bytes(data)
+                tail = data;
+                w.u8(kind::PUT_REF).u32(*pid).u64(*key)
             }
             Record::ReleaseProcess { pid } => w.u8(kind::RELEASE_PROCESS).u32(*pid),
-            Record::Checkpoint { snapshot } => w.u8(kind::CHECKPOINT).bytes(snapshot),
+            Record::Checkpoint { snapshot } => {
+                tail = snapshot;
+                w.u8(kind::CHECKPOINT)
+            }
             Record::GBind { gkey, key } => w.u8(kind::GBIND).u64(*gkey).u64(*key),
             Record::GUnbind { gkey } => w.u8(kind::GUNBIND).u64(*gkey),
             Record::GMoved { gkey, node, port } => {
@@ -236,6 +246,7 @@ impl Record {
             Record::GVer { gkey, ver } => w.u8(kind::GVER).u64(*gkey).u64(*ver),
         }
         .into_vec();
+        out.extend_from_slice(tail);
     }
 
     /// Decode one record payload. `None` on any malformed input.
@@ -265,7 +276,7 @@ impl Record {
             kind::WRITE => Record::Write {
                 pid: r.u32()?,
                 va: r.u64()?,
-                data: r.rest().to_vec(),
+                data: r.rest().into_owned(),
             },
             kind::CREATE_REF => Record::CreateRef {
                 pid: r.u32()?,
@@ -282,11 +293,11 @@ impl Record {
             kind::PUT_REF => Record::PutRef {
                 pid: r.u32()?,
                 key: r.u64()?,
-                data: r.rest().to_vec(),
+                data: r.rest().into_owned(),
             },
             kind::RELEASE_PROCESS => Record::ReleaseProcess { pid: r.u32()? },
             kind::CHECKPOINT => Record::Checkpoint {
-                snapshot: r.rest().to_vec(),
+                snapshot: r.rest().into_owned(),
             },
             kind::GBIND => Record::GBind {
                 gkey: r.u64()?,

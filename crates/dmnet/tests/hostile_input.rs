@@ -15,12 +15,12 @@ use dmnet::{
 };
 use memsim::ModelParams;
 use proptest::prelude::*;
-use rpclib::{Rpc, RpcBuilder, RpcConfig};
+use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
 use simcore::Sim;
 use simnet::{FabricConfig, Network, NicConfig, NodeId};
 
-fn parse_response(resp: &Bytes) -> DmResult<Bytes> {
-    split_response(resp).1.result()
+fn parse_response(resp: &Message) -> DmResult<Bytes> {
+    split_response(resp).1.result().map(Message::into_bytes)
 }
 
 /// A hostile DM "server": registers every caller as pid 1 and answers
@@ -193,7 +193,9 @@ fn migrate_port_above_u16_is_malformed_not_truncated() {
             let pid = raw(&rpc, server, req::REGISTER, Writer::new()).await;
             pid.expect("registers anyone");
         }
-        let put = Writer::new().u64(GKEY_BIT | 5).bytes(b"stay put");
+        let put = Writer::new()
+            .u64(GKEY_BIT | 5)
+            .body(Bytes::from_static(b"stay put"));
         raw(&rpc, src, req::PUT_REF_AT, put).await.unwrap();
         let untouched = (0, dst.free_pages_total());
 
@@ -208,7 +210,7 @@ fn migrate_port_above_u16_is_malformed_not_truncated() {
         // MIGRATE_IN attributing the client's port + 65536: truncation
         // would find the registered owner and install the ref.
         let body = Writer::new().u64(GKEY_BIT | 77).u32(c_node.0);
-        let body = body.u32(100 + 65_536).bytes(b"orphan");
+        let body = body.u32(100 + 65_536).body(Bytes::from_static(b"orphan"));
         let refused = raw(&rpc, dst, req::MIGRATE_IN, body).await;
         assert_eq!(refused, Err(DmError::Malformed));
         assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
@@ -319,10 +321,18 @@ fn pid_forgery_rejected() {
 /// The endpoint gives up on a call after two short RTOs, so a type nobody
 /// serves costs microseconds of virtual time. Returns the pid.
 async fn registered(net: &Network) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
+    registered_to_pool_of(net, 256).await
+}
+
+/// [`registered`], to a server with a `capacity_pages`-page pool.
+async fn registered_to_pool_of(
+    net: &Network,
+    capacity_pages: usize,
+) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
     let dm_node = net.add_node("dm", NicConfig::default());
     let c_node = net.add_node("c", NicConfig::default());
     let cfg = DmServerConfig {
-        capacity_pages: 256,
+        capacity_pages,
         ..Default::default()
     };
     let server = start_pool(net, &[dm_node], &ModelParams::new(), cfg).remove(0);
@@ -349,7 +359,10 @@ async fn raw(rpc: &Rc<Rpc>, to: &dmnet::DmServer, ty: u8, body: Writer) -> DmRes
 async fn assert_still_serving(rpc: &Rc<Rpc>, server: &dmnet::DmServer, pid: u32) {
     let va = raw(rpc, server, req::ALLOC, Writer::new().u32(pid).u64(4096)).await;
     let va = Reader::new(&va.expect("alloc")).u64().unwrap();
-    let hello = Writer::new().u32(pid).u64(va).bytes(b"still alive");
+    let hello = Writer::new()
+        .u32(pid)
+        .u64(va)
+        .body(Bytes::from_static(b"still alive"));
     raw(rpc, server, req::WRITE, hello).await.expect("write");
     let read = Writer::new().u32(pid).u64(va).u64(11);
     let back = raw(rpc, server, req::READ, read).await.expect("read");
@@ -375,7 +388,10 @@ fn alloc_past_2_pow_48_then_alloc_again_serves_the_second_region() {
         assert_still_serving(&rpc, &server, pid).await;
         assert_eq!(r, Err(DmError::OutOfMemory));
         // A VA with high bits set is not a routing failure, only unmapped.
-        let high = Writer::new().u32(pid).u64((1 << 48) + 0x1000).bytes(b"x");
+        let high = Writer::new()
+            .u32(pid)
+            .u64((1 << 48) + 0x1000)
+            .body(Bytes::from_static(b"x"));
         let r = raw(&rpc, &server, req::WRITE, high).await;
         assert_eq!(r, Err(DmError::InvalidAddress));
         let high = Writer::new().u64((1 << 48) + 1).u64(0).u64(1);
@@ -401,6 +417,48 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
         }
         assert_eq!(server.free_pages_total(), 256, "no page was faulted in");
         assert_still_serving(&rpc, &server, pid).await;
+    });
+}
+
+/// `READ`'s `len` is wire-fed, and a default pool backs a region of 65 536
+/// pages: 256 MiB, one byte more than 65 535 packets carry. A reply nobody
+/// could frame is refused as out of bounds before a byte of it is built — it
+/// must not be zero-filled and then panic the process in `fragment`. A
+/// publish too long for its client's MTU is refused on that side of the wire.
+#[test]
+fn read_of_more_than_a_reply_can_carry_is_out_of_bounds() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let pool = DmServerConfig::default().capacity_pages;
+        let (server, rpc, pid) = registered_to_pool_of(&net, pool).await;
+        let whole = pool as u64 * 4096;
+        let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(whole)).await;
+        let va = Reader::new(&va.expect("the pool backs it")).u64().unwrap();
+        let most = (rpclib::wire::max_msg_len(rpc.config().mtu) - 9) as u64;
+        for len in [whole, most + 1] {
+            let read = Writer::new().u32(pid).u64(va).u64(len);
+            let r = raw(&rpc, &server, req::READ, read).await;
+            assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
+        }
+        let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
+        assert_eq!((viewed, gathered), (0, 0), "no reply was built");
+        assert_still_serving(&rpc, &server, pid).await;
+
+        let narrow = RpcConfig {
+            mtu: 16,
+            ..RpcConfig::default()
+        };
+        let node = net.add_node("narrow", NicConfig::default());
+        let narrow = RpcBuilder::new(&net, node, 100).config(narrow).build();
+        let dm = DmNetClient::connect(narrow, vec![server.addr()])
+            .await
+            .unwrap();
+        let most = rpclib::wire::max_msg_len(16);
+        let r = dm.put_ref(&Bytes::from(vec![1u8; most + 1])).await;
+        assert_eq!(r.unwrap_err(), DmError::OutOfBounds);
+        let fits = dm.put_ref(&Bytes::from(vec![1u8; most])).await.unwrap();
+        dm.release_ref(&fits).await.unwrap();
+        server.check_invariants_all();
     });
 }
 
@@ -466,11 +524,12 @@ fn layout(ty: u8) -> (bool, &'static [Field]) {
 /// The body of one fuzzed message: `[pid]` (the live one, or forged) then
 /// the op's u64 fields drawn from `words`, then `tail`. A `BATCH` wraps one
 /// such message of the type `tail` starts with.
-fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live) -> Bytes {
+fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live) -> Message {
     if ty == req::BATCH {
         let sub = tail.first().copied().unwrap_or(req::ALLOC);
         if sub != req::BATCH {
-            return encode_batch(&[(sub, body(sub, live_pid, words, tail, live))]);
+            let sub_body = body(sub, live_pid, words, tail, live).into_bytes();
+            return encode_batch(&[(sub, sub_body)]).into();
         }
     }
     let (has_pid, fields) = layout(ty);
@@ -487,7 +546,14 @@ fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live)
             (Word::Live, Field::Off) => 0,
         });
     }
-    w.bytes(tail).finish()
+    // Half as this stack's own clients frame it (fields, then the payload
+    // attached), half as one flat buffer from somewhere else.
+    let msg = w.body(Bytes::copy_from_slice(tail)).finish();
+    if tail.len().is_multiple_of(2) {
+        msg
+    } else {
+        msg.into_bytes().into()
+    }
 }
 
 proptest! {
@@ -517,7 +583,7 @@ proptest! {
             let (server, rpc, pid) = registered(&net).await;
             // Something live to aim at from the first message on.
             let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(8192)).await;
-            let key = raw(&rpc, &server, req::PUT_REF, Writer::new().bytes(b"live")).await;
+            let key = raw(&rpc, &server, req::PUT_REF, Writer::new().body(Bytes::from_static(b"live"))).await;
             let mut live = Live {
                 va: Reader::new(&va.unwrap()).u64().unwrap(),
                 len: 8192,
@@ -525,7 +591,7 @@ proptest! {
             };
             for (ty, own_pid, (a, b, c), tail) in msgs {
                 let body = body(ty, own_pid.then_some(pid), &[a, b, c], &tail, &live);
-                let sent_len = Reader::new(&body[body.len().min(4)..]).u64();
+                let sent_len = Reader::of(&body.skip(4)).u64();
                 // Any response (ok or error) is fine; no panic, no hang.
                 let Ok(resp) = rpc.call(server.addr(), ty, body).await else {
                     continue;

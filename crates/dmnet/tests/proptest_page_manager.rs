@@ -15,6 +15,15 @@
 //! its storage with the message it arrived in must be unobservable: every
 //! result, every `OpCost` and the canonical snapshot after every op are
 //! required to be equal.
+//!
+//! A read may hand out a view of the very buffer a page lies in, and a reply
+//! holds it for as long as it likes (the server awaits before it answers,
+//! `rpclib` keeps the answered packets). So the sequence keeps every view
+//! the aliasing manager ever returned and checks after every later op that
+//! each still shows the bytes it was read as: a write, COW fault, release or
+//! free that followed moved the page rather than the view. That this
+//! host-side move is no part of the model is the twin's job — the other
+//! manager holds no views, and costs and snapshots must still agree.
 
 use std::fmt::Debug;
 
@@ -31,6 +40,8 @@ const PS: u64 = PAGE_SIZE as u64;
 struct Twin {
     alias: PageManager,
     owned: PageManager,
+    /// Reads of `alias` kept alive, each with a copy of what it showed.
+    held: Vec<(Bytes, Vec<u8>)>,
 }
 
 impl Twin {
@@ -38,12 +49,23 @@ impl Twin {
         Twin {
             alias: PageManager::new(capacity_pages, copy_mode),
             owned: PageManager::new(capacity_pages, copy_mode),
+            held: Vec::new(),
         }
     }
 
+    /// A read on both managers; the aliasing one's answer stays held.
+    fn read(&mut self, op: impl Fn(&mut PageManager) -> DmResult<Bytes>) -> DmResult<Bytes> {
+        let got = self.both(op)?;
+        self.held.push((got.clone(), got.to_vec()));
+        Ok(got)
+    }
+
     /// Equal snapshots are equal `state_digest()`s: the digest is a hash
-    /// of the snapshot.
+    /// of the snapshot. Every view handed out so far still reads as it did.
     fn check(&mut self) {
+        for (view, seen) in &self.held {
+            assert!(view[..] == seen[..], "a held read changed under its holder");
+        }
         self.alias.check_invariants();
         self.owned.check_invariants();
         let snap = self.owned.snapshot();
@@ -213,7 +235,7 @@ proptest! {
                     if regions.is_empty() { continue; }
                     let r = &regions[region % regions.len()];
                     if off + len as u64 > r.len { continue; }
-                    let got = pm.both(|pm| pm.read(r.pid, r.va + off, len as u64)).expect("in-bounds read");
+                    let got = pm.read(|pm| pm.read(r.pid, r.va + off, len as u64)).expect("in-bounds read");
                     prop_assert_eq!(&got[..], &r.data[off as usize..off as usize + len]);
                 }
                 Op::CreateRef { region } => {
@@ -241,7 +263,7 @@ proptest! {
                     if refs.is_empty() { continue; }
                     let mr = &refs[r % refs.len()];
                     let got = pm
-                        .both(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64))
+                        .read(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64))
                         .expect("ref read");
                     prop_assert_eq!(&got[..], &mr.snapshot[..]);
                 }
@@ -276,12 +298,12 @@ proptest! {
         // Every ref snapshot must still read back exactly, no matter what
         // writes happened elsewhere (COW isolation).
         for mr in &refs {
-            let got = pm.both(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64)).expect("ref read");
+            let got = pm.read(|pm| pm.read_ref(mr.key, 0, mr.snapshot.len() as u64)).expect("ref read");
             prop_assert_eq!(&got[..], &mr.snapshot[..]);
         }
         // And every live region must still read back its model contents.
         for r in &regions {
-            let got = pm.both(|pm| pm.read(r.pid, r.va, r.len)).expect("region read");
+            let got = pm.read(|pm| pm.read(r.pid, r.va, r.len)).expect("region read");
             prop_assert_eq!(&got[..], &r.data[..]);
         }
 
@@ -293,6 +315,8 @@ proptest! {
             pm.both(|pm| pm.release_ref(mr.key)).expect("final release");
         }
         prop_assert_eq!(pm.alias.free_pages(), pm.alias.capacity_pages());
+        // The pool is empty and every read ever made still shows its bytes.
+        pm.check();
     }
 
     #[test]
@@ -345,7 +369,7 @@ fn short_tail_page_reads_zero_padded() {
     assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), padded);
     assert_eq!(
         pm.both(|pm| pm.read(mapper, va + 3 * PS - 1, 1)).unwrap(),
-        [0]
+        [0][..]
     );
     // Through the ref the last byte is the last byte, and there is no next.
     let last = data.len() as u64 - 1;
@@ -380,6 +404,61 @@ fn cow_fault_on_an_aliased_page_copies_its_bytes_and_spares_the_ref() {
             .unwrap(),
         data
     );
+}
+
+/// A never-written ref reads back as the buffer it was published in; a range
+/// that leaves that buffer (zero padding, a written page) is gathered. A view
+/// handed out pins what it showed: the page it came from moves before a
+/// write lands, and the model is charged nothing for the move.
+#[test]
+fn reads_are_views_of_the_published_buffer_until_a_page_is_written() {
+    let mut pm = PageManager::new(16, CopyMode::CopyOnWrite);
+    let mapper = pm.register_process();
+    let data = Bytes::from(pattern(2 * PAGE_SIZE + 10, 9));
+    let (key, _) = pm.put_ref_bytes(data.clone(), None).unwrap();
+    let (va, _, _) = pm.map_ref(mapper, key).unwrap();
+    // Whole, unaligned and across a page boundary: all the publisher's bytes.
+    for (off, len) in [(0, data.len()), (7, 100), (PAGE_SIZE - 3, PAGE_SIZE + 9)] {
+        let got = pm.read_ref(key, off as u64, len as u64).unwrap();
+        assert_eq!(got.as_ptr(), data[off..].as_ptr(), "read_ref({off}, {len})");
+        let got = pm.read(mapper, va + off as u64, len as u64).unwrap();
+        assert_eq!(got.as_ptr(), data[off..].as_ptr(), "read({off}, {len})");
+    }
+    assert_eq!(pm.read_bytes().1, 0, "nothing gathered so far");
+    // Past the stored tail the mapping reads zeros nobody published.
+    let padded = pm.read(mapper, va + 2 * PS, PS).unwrap();
+    assert_eq!(
+        (&padded[..10], &padded[10..]),
+        (&data[2 * PAGE_SIZE..], &[0; PAGE_SIZE - 10][..])
+    );
+    assert_eq!(pm.read_bytes().1, PS);
+    // The ref goes: the mapping is the pages' only holder and may write in
+    // place — but `held` (and `data`) still show the first page.
+    let held = pm.read_ref(key, 0, PS).unwrap();
+    pm.release_ref(key).unwrap();
+    let cost = pm.write(mapper, va, &[0xEE; 8]).unwrap();
+    assert_eq!(
+        cost,
+        OpCost::default(),
+        "the host-side move is not the model's COW"
+    );
+    assert_eq!(
+        held,
+        data.slice(..PAGE_SIZE),
+        "the view kept what it showed"
+    );
+    assert_eq!(
+        &pm.read(mapper, va, 9).unwrap()[..],
+        &[[0xEE; 8].as_slice(), &data[8..9]].concat()[..]
+    );
+    // A range over the written page and its untouched neighbour is two buffers.
+    let (_, gathered) = pm.read_bytes();
+    assert_eq!(
+        pm.read(mapper, va, 2 * PS).unwrap()[PAGE_SIZE..],
+        data[PAGE_SIZE..2 * PAGE_SIZE]
+    );
+    assert_eq!(pm.read_bytes().1, gathered + 2 * PS);
+    pm.check_invariants();
 }
 
 #[test]

@@ -22,7 +22,11 @@
 //!   response, never re-executed), a lower one is stale and dropped — so a
 //!   one-packet RPC is two datagrams and execution is at-most-once exactly;
 //! * **multi-op framing** — batching layers pack several logical ops into
-//!   one message body via the shared zero-copy framing in [`multiframe`].
+//!   one message body via the shared zero-copy framing in [`multiframe`];
+//! * **messages with a head** — what is sent, handled and returned is a
+//!   [`Message`]: a small head the layer above writes its prefix into, in
+//!   front of a shared body no layer copies (eRPC's msgbuf). A plain
+//!   `Bytes` is a message that is all body.
 //!
 //! Cost model hooks: an optional [`CpuPool`] charges per-request dispatch
 //! CPU, and an optional [`NodeMemory`] accounts DMA memory traffic for every
@@ -31,8 +35,11 @@
 
 #![warn(missing_docs)]
 
+mod message;
 pub mod multiframe;
 pub mod wire;
+
+pub use message::{flattened, Message};
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -44,7 +51,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use memsim::NodeMemory;
 use simcore::sync::{oneshot, Notify, Semaphore};
 use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
@@ -67,6 +73,14 @@ pub enum RpcError {
         /// before giving up — diagnosability for chaos reports.
         attempts: u32,
     },
+    /// The request cannot be framed at this endpoint's MTU
+    /// ([`wire::max_msg_len`]); nothing was sent.
+    TooLarge {
+        /// Length of the message.
+        len: usize,
+        /// The longest message this endpoint frames.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RpcError {
@@ -74,6 +88,9 @@ impl fmt::Display for RpcError {
         match self {
             RpcError::Timeout { attempts } => {
                 write!(f, "rpc timeout after {attempts} attempts")
+            }
+            RpcError::TooLarge { len, max } => {
+                write!(f, "{len}-byte message exceeds the framing limit of {max}")
             }
         }
     }
@@ -204,11 +221,11 @@ pub struct CallCtx {
     /// Request type the caller used.
     pub req_type: u8,
     /// Full request payload.
-    pub payload: Bytes,
+    pub payload: Message,
 }
 
 /// Boxed handler future.
-pub type HandlerFuture = Pin<Box<dyn Future<Output = Bytes>>>;
+pub type HandlerFuture = Pin<Box<dyn Future<Output = Message>>>;
 /// A registered request handler.
 pub type Handler = Rc<dyn Fn(CallCtx) -> HandlerFuture>;
 
@@ -221,7 +238,7 @@ type RtoKey = (SimTime, u64, u64);
 /// retransmission needs. Gone the moment the call ends.
 struct Pending {
     reassembly: Option<Reassembly>,
-    done: Option<oneshot::Sender<Result<Bytes, RpcError>>>,
+    done: Option<oneshot::Sender<Result<Message, RpcError>>>,
     dst: Addr,
     pkts: Vec<Packet>,
     /// Transmissions so far (1 = the initial one).
@@ -313,6 +330,9 @@ pub struct RpcStats {
     pub timeouts: Counter,
     /// Complete requests dropped: no handler is registered for their type.
     pub requests_unserved: Counter,
+    /// Handler replies too long to frame ([`wire::max_msg_len`]), answered
+    /// with an empty message instead.
+    pub replies_unframeable: Counter,
 }
 
 /// One RPC endpoint: client and server in a single object (services issue
@@ -520,24 +540,43 @@ impl Rpc {
         self.net.send_datagram(self.addr, dst, payload);
     }
 
-    /// Register the handler for `req_type`, replacing any previous one.
-    pub fn register<F, Fut>(&self, req_type: u8, f: F)
+    /// Register the handler for `req_type`, replacing any previous one. A
+    /// handler returns a [`Message`] or anything that becomes one (`Bytes`).
+    pub fn register<F, Fut, R>(&self, req_type: u8, f: F)
     where
         F: Fn(CallCtx) -> Fut + 'static,
-        Fut: Future<Output = Bytes> + 'static,
+        Fut: Future<Output = R> + 'static,
+        R: Into<Message>,
     {
-        self.handlers
-            .borrow_mut()
-            .insert(req_type, Rc::new(move |ctx| Box::pin(f(ctx))));
+        // The handler's future is built inside the boxed one, on its first
+        // poll: made outside, its whole state would be moved in twice.
+        let f = Rc::new(f);
+        self.handlers.borrow_mut().insert(
+            req_type,
+            Rc::new(move |ctx| {
+                let f = f.clone();
+                Box::pin(async move { f(ctx).await.into() })
+            }),
+        );
     }
 
-    /// Issue a request and await the response.
+    /// Issue a request and await the response. A request longer than
+    /// [`wire::max_msg_len`] at this endpoint's MTU is refused before
+    /// anything is sent.
     pub async fn call(
         self: &Rc<Self>,
         dst: Addr,
         req_type: u8,
-        payload: Bytes,
-    ) -> Result<Bytes, RpcError> {
+        payload: impl Into<Message>,
+    ) -> Result<Message, RpcError> {
+        let payload: Message = payload.into();
+        let max = wire::max_msg_len(self.config.mtu);
+        if payload.len() > max {
+            return Err(RpcError::TooLarge {
+                len: payload.len(),
+                max,
+            });
+        }
         // Optional per-peer flow control (session credits), then a slot.
         let _credit = match self.with_session(dst, |s| s.credits.clone()) {
             Some(sem) => Some(sem.acquire_one().await),
@@ -560,17 +599,17 @@ impl Rpc {
             s.attr("req_bytes", payload.len() as u64);
         }
         let trace = call_span.as_ref().map(|s| s.ctx());
+        if let Some(mem) = &self.mem {
+            mem.account(payload.len() as u64); // tx DMA
+        }
         let pkts = fragment(
             Kind::Request,
             req_type,
             req_num,
-            &payload,
+            payload,
             self.config.mtu,
             trace,
         );
-        if let Some(mem) = &self.mem {
-            mem.account(payload.len() as u64); // tx DMA
-        }
         for p in &pkts {
             self.transmit(dst, packet_payload(p));
         }
@@ -723,7 +762,7 @@ impl Rpc {
         }
     }
 
-    fn handle_request_pkt(self: &Rc<Self>, src: Addr, hdr: Header, frag: Bytes) {
+    fn handle_request_pkt(self: &Rc<Self>, src: Addr, hdr: Header, frag: Message) {
         let key = (src, slot_of(hdr.req_num));
         let fresh = |hdr: &Header, frag| ServedSlot {
             req_num: hdr.req_num,
@@ -800,7 +839,7 @@ impl Rpc {
                 return;
             };
             let h_start = simcore::now();
-            let resp = handler(CallCtx {
+            let mut resp = handler(CallCtx {
                 rpc: rpc.clone(),
                 src,
                 req_type: hdr.req_type,
@@ -822,6 +861,12 @@ impl Rpc {
                 // ran: nobody wants this reply.
                 return;
             };
+            if resp.len() > wire::max_msg_len(rpc.config.mtu) {
+                // Nothing this long can be framed: the caller gets an empty
+                // reply (no protocol here reads one as success), not silence.
+                rpc.stats.replies_unframeable.incr();
+                resp = Message::default();
+            }
             if let Some(mem) = &rpc.mem {
                 mem.account(resp.len() as u64); // tx DMA
             }
@@ -829,7 +874,7 @@ impl Rpc {
                 Kind::Response,
                 hdr.req_type,
                 hdr.req_num,
-                &resp,
+                resp,
                 rpc.config.mtu,
                 None, // responses never carry the trace extension
             ));
@@ -841,7 +886,7 @@ impl Rpc {
         });
     }
 
-    fn handle_response_pkt(&self, hdr: Header, frag: Bytes) {
+    fn handle_response_pkt(&self, hdr: Header, frag: Message) {
         let mut pending = self.pending.borrow_mut();
         let Some(p) = pending.get_mut(&hdr.req_num) else {
             return; // stale duplicate after completion
@@ -869,6 +914,7 @@ impl Rpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use memsim::ModelParams;
     use simcore::Sim;
     use simnet::{FabricConfig, NicConfig};
@@ -941,7 +987,7 @@ mod tests {
                 .call(server.addr(), 1, Bytes::from_static(b"ping"))
                 .await
                 .unwrap();
-            assert_eq!(&resp[..], b"ping");
+            assert_eq!(resp, b"ping"[..]);
             simcore::now()
         });
         // Small RPC should complete in a few microseconds, like eRPC.
@@ -955,7 +1001,7 @@ mod tests {
             let server = RpcBuilder::new(&net, nodes[1], 10).build();
             server.register(1, |ctx| async move {
                 // Reverse the payload to prove the server saw all bytes.
-                let mut v = ctx.payload.to_vec();
+                let mut v = ctx.payload.into_bytes().to_vec();
                 v.reverse();
                 Bytes::from(v)
             });
@@ -967,7 +1013,7 @@ mod tests {
                 .call(server.addr(), 1, Bytes::from(req))
                 .await
                 .unwrap();
-            assert_eq!(&resp[..], &expect[..]);
+            assert_eq!(resp, expect[..]);
         });
     }
 
@@ -980,7 +1026,7 @@ mod tests {
                 let c = RpcBuilder::new(&net, nodes[2], 10).build();
                 c_addr = c.addr();
                 c.register(1, |ctx| async move {
-                    let mut v = ctx.payload.to_vec();
+                    let mut v = ctx.payload.into_bytes().to_vec();
                     v.push(b'c');
                     Bytes::from(v)
                 });
@@ -988,13 +1034,13 @@ mod tests {
             let b = RpcBuilder::new(&net, nodes[1], 10).build();
             let b_addr = b.addr();
             b.register(1, move |ctx| async move {
-                let mut v = ctx.payload.to_vec();
+                let mut v = ctx.payload.into_bytes().to_vec();
                 v.push(b'b');
                 ctx.rpc.call(c_addr, 1, Bytes::from(v)).await.unwrap()
             });
             let a = RpcBuilder::new(&net, nodes[0], 10).build();
             let resp = a.call(b_addr, 1, Bytes::from_static(b"a")).await.unwrap();
-            assert_eq!(&resp[..], b"abc");
+            assert_eq!(resp, b"abc"[..]);
         });
     }
 
@@ -1017,7 +1063,7 @@ mod tests {
                         .call(dst, 1, Bytes::from(i.to_le_bytes().to_vec()))
                         .await
                         .unwrap();
-                    u32::from_le_bytes(resp[..4].try_into().unwrap())
+                    u32::from_le_bytes(resp.into_bytes()[..4].try_into().unwrap())
                 }));
             }
             let mut got = Vec::new();
@@ -1300,7 +1346,7 @@ mod tests {
                 .call(server.addr(), 1, Bytes::from_static(b"alive"))
                 .await
                 .unwrap();
-            assert_eq!(&r[..], b"alive");
+            assert_eq!(r, b"alive"[..]);
         });
     }
 
@@ -1314,8 +1360,8 @@ mod tests {
             let client = RpcBuilder::new(&net, nodes[0], 10).build();
             let r1 = client.call(server.addr(), 1, Bytes::new()).await.unwrap();
             let r2 = client.call(server.addr(), 2, Bytes::new()).await.unwrap();
-            assert_eq!(&r1[..], b"one");
-            assert_eq!(&r2[..], b"two");
+            assert_eq!(r1, b"one"[..]);
+            assert_eq!(r2, b"two"[..]);
             // A type nobody serves: dropped once however often it is resent.
             assert!(client.call(server.addr(), 3, Bytes::new()).await.is_err());
             assert_eq!(server.stats().requests_unserved.get(), 1);

@@ -14,9 +14,13 @@
 //!   sub-response order mirrors the request, so no tags are needed.
 //!
 //! Decoding slices the input [`Bytes`] instead of copying: each returned
-//! sub-message shares the received buffer's storage.
+//! sub-message shares the received buffer's storage. Encoding copies every
+//! sub-message into the frame, head and body alike — framing is for small
+//! control operations; a payload travels as a message of its own.
 
 use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::message::Message;
 
 /// Per-item framing overhead of the tagged layout (tag byte + u32 length).
 const TAGGED_ITEM_HEADER: usize = 5;
@@ -62,16 +66,18 @@ pub fn decode_tagged(body: &Bytes) -> Option<Vec<(u8, Bytes)>> {
 }
 
 /// Bytes [`encode_plain_into`] appends for `items`.
-pub fn plain_len(items: &[Bytes]) -> usize {
-    items.iter().map(|b| 4 + b.len()).sum()
+pub fn plain_len(items: &[Message]) -> usize {
+    items.iter().map(|m| 4 + m.len()).sum()
 }
 
 /// Frame untagged sub-messages behind whatever `out` already holds (a
-/// caller's own header), so the body is built in its final buffer.
-pub fn encode_plain_into(items: &[Bytes], out: &mut Vec<u8>) {
-    for body in items {
-        out.put_u32_le(body.len() as u32);
-        out.extend_from_slice(body);
+/// caller's own header), so the frame is built in its final buffer.
+pub fn encode_plain_into(items: &[Message], out: &mut Vec<u8>) {
+    for item in items {
+        out.put_u32_le(item.len() as u32);
+        for part in item.parts() {
+            out.extend_from_slice(part);
+        }
     }
 }
 
@@ -108,9 +114,14 @@ mod tests {
     use super::*;
 
     fn encode_plain(items: &[Bytes]) -> Bytes {
-        let mut out = Vec::with_capacity(plain_len(items));
-        encode_plain_into(items, &mut out);
-        assert_eq!(out.len(), plain_len(items));
+        // A seam inside a sub-message frames like the flat bytes.
+        let items: Vec<Message> = items
+            .iter()
+            .map(|b| Message::new(b.slice(..b.len() / 2), b.slice(b.len() / 2..)))
+            .collect();
+        let mut out = Vec::with_capacity(plain_len(&items));
+        encode_plain_into(&items, &mut out);
+        assert_eq!(out.len(), plain_len(&items));
         Bytes::from(out)
     }
 

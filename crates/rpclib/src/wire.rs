@@ -3,7 +3,11 @@
 //!
 //! Mirrors eRPC's design: messages are fragmented into MTU-sized packets;
 //! the header carries the request number, fragment index and total message
-//! length so the receiver can reassemble out-of-order fragments. The low
+//! length so the receiver can reassemble out-of-order fragments. A
+//! [`Message`] is `head ‖ body` and packet `i` carries bytes
+//! `[i × MTU, (i + 1) × MTU)` of that concatenation whatever the split:
+//! the head bytes a packet covers ride behind its header in the first
+//! gather segment, the body bytes are a shared slice in the second. The low
 //! [`SLOT_BITS`] of the request number name the caller's session slot, the
 //! bits above them a per-endpoint monotonic sequence ([`req_num`]), so a
 //! later request on a slot always carries a higher number than an earlier
@@ -17,6 +21,8 @@
 
 use bytes::{Bytes, BytesMut};
 use telemetry::TraceCtx;
+
+use crate::message::{count_flatten, Message};
 
 /// Packet kind discriminator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -141,30 +147,33 @@ impl Header {
         Some((hdr, packet.slice(used..)))
     }
 
-    /// Decode a packet delivered as separate header and fragment buffers (the
-    /// gather-list shape the transmit path produces). Falls back to treating
-    /// `head` as a contiguous packet when `body` is empty, so legacy
-    /// single-buffer packets and raw hostile datagrams decode identically.
-    pub fn decode_split(head: &Bytes, body: &Bytes) -> Option<(Header, Bytes)> {
-        // Fast path: the head segment is exactly one encoded header (with
-        // or without trace extension) — the body is the fragment, shared.
+    /// Decode a packet delivered as two gather segments, the shape the
+    /// transmit path produces: the header leads the first, and the fragment
+    /// is what is left of the first followed by the second — shared, not
+    /// copied. A contiguous packet in either segment (a raw hostile
+    /// datagram) decodes identically.
+    pub fn decode_split(head: &Bytes, body: &Bytes) -> Option<(Header, Message)> {
         if let Some((hdr, used)) = Self::parse(head) {
-            if used == head.len() {
-                return Some((hdr, body.clone()));
-            }
+            // All header (every packet but a message's first few): no share
+            // of the message head to keep the header block alive for.
+            let rest = if used == head.len() {
+                Bytes::new()
+            } else {
+                head.slice(used..)
+            };
+            return Some((hdr, Message::new(rest, body.clone())));
         }
-        if body.is_empty() {
-            return Self::decode(head);
+        if head.is_empty() || body.is_empty() {
+            let (hdr, frag) = Self::decode(if head.is_empty() { body } else { head })?;
+            return Some((hdr, frag.into()));
         }
-        if head.is_empty() {
-            return Self::decode(body);
-        }
-        // Irregular split (never produced by this stack): reassemble a
-        // contiguous view and decode that.
+        // The header itself straddles the segments (never produced by this
+        // stack): decode a contiguous copy.
         let mut whole = BytesMut::with_capacity(head.len() + body.len());
         whole.extend_from_slice(head);
         whole.extend_from_slice(body);
-        Self::decode(&whole.freeze())
+        let (hdr, frag) = Self::decode(&whole.freeze())?;
+        Some((hdr, frag.into()))
     }
 
     /// Parse the header (and trace extension, if flagged) at the front of
@@ -283,16 +292,17 @@ pub fn decode_trace_ext(buf: &[u8]) -> Result<(TraceCtx, usize), TraceExtError> 
     }
 }
 
-/// One wire packet as a two-part gather list: the encoded header plus a
-/// refcounted slice of the message payload. Keeping the fragment as a slice
-/// of the original message (instead of copying it behind the header) is what
-/// makes the transmit path zero-copy.
+/// One wire packet as a two-part gather list. Keeping the body bytes as a
+/// slice of the original message (instead of copying them behind the
+/// header) is what makes the transmit path zero-copy.
 #[derive(Clone, Debug)]
 pub struct Packet {
-    /// Encoded header: [`HEADER_BYTES`] long, plus [`TRACE_EXT_BYTES`]
-    /// when the packet carries a trace context.
+    /// Encoded header — [`HEADER_BYTES`] long, plus [`TRACE_EXT_BYTES`]
+    /// when the packet carries a trace context — followed by the bytes of
+    /// the message head this packet covers (packet 0 only, for any head
+    /// shorter than the MTU).
     pub head: Bytes,
-    /// Payload fragment: a shared slice of the original message.
+    /// The bytes of the message body this packet covers: a shared slice.
     pub body: Bytes,
 }
 
@@ -308,65 +318,86 @@ impl Packet {
     }
 }
 
-/// Fragment `payload` into MTU-sized packets with the given header template.
-/// Always emits at least one packet (possibly empty payload). Fragment bodies
-/// are shared slices of `payload` — no payload byte is copied — and every
-/// head is a slice of one header block encoded for the whole message, each
-/// byte-identical to that packet's [`Header::encode_header`]. A trace
-/// context, if given, rides every fragment's header so any one surviving
-/// packet lets the receiver parent its work correctly.
+/// The longest message [`fragment`] can frame at `mtu`: `num_pkts` is a
+/// `u16` and `msg_len` a `u32`. Callers holding a length from outside the
+/// program check it against this before building anything.
+pub fn max_msg_len(mtu: usize) -> usize {
+    (u16::MAX as usize)
+        .saturating_mul(mtu)
+        .min(u32::MAX as usize)
+}
+
+/// Fragment `msg` into MTU-sized packets with the given header template.
+/// Always emits at least one packet (possibly carrying nothing). Packet `i`
+/// covers bytes `[i × mtu, (i + 1) × mtu)` of `head ‖ body`, so the packets
+/// of a message are byte for byte those of its flat concatenation; body
+/// bytes are shared slices of `msg.body` — no payload byte is copied — and
+/// every first segment is a slice of one block encoded for the whole
+/// message: each packet's [`Header::encode_header`] followed by its share
+/// of the message head. A trace context, if given, rides every fragment's
+/// header so any one surviving packet lets the receiver parent its work
+/// correctly.
+///
+/// # Panics
+/// Panics if `msg` is longer than [`max_msg_len`].
 pub fn fragment(
     kind: Kind,
     req_type: u8,
     req_num: u64,
-    payload: &Bytes,
+    msg: impl Into<Message>,
     mtu: usize,
     trace: Option<TraceCtx>,
 ) -> Vec<Packet> {
     assert!(mtu > 0, "mtu must be positive");
+    let Message { head, body } = msg.into();
+    let (h, total) = (head.len(), head.len() + body.len());
     assert!(
-        payload.len() <= u32::MAX as usize,
-        "message too large for u32 msg_len"
+        total <= max_msg_len(mtu),
+        "message too large to frame: {total} bytes at mtu {mtu}"
     );
-    let num_pkts = payload.len().div_ceil(mtu).max(1);
-    assert!(
-        num_pkts <= u16::MAX as usize,
-        "message too large for u16 fragment count"
-    );
+    let num_pkts = total.div_ceil(mtu).max(1);
     let mut hdr = Header {
         kind,
         req_type,
         req_num,
         pkt_idx: 0,
         num_pkts: num_pkts as u16,
-        msg_len: payload.len() as u32,
+        msg_len: total as u32,
         trace,
     };
-    let head_len = hdr.encoded_len();
-    let mut heads = BytesMut::with_capacity(num_pkts * head_len);
+    let hdr_len = hdr.encoded_len();
+    // Where packet `i`'s range of the message starts and ends.
+    let cut = |i: usize| (i * mtu).min(total);
+    let mut block = BytesMut::with_capacity(num_pkts * hdr_len + h);
     for i in 0..num_pkts {
         hdr.pkt_idx = i as u16;
-        hdr.encode_into(&mut heads);
+        hdr.encode_into(&mut block);
+        if cut(i) < h {
+            block.extend_from_slice(&head[cut(i)..cut(i + 1).min(h)]);
+        }
     }
-    let heads = heads.freeze();
+    let block = block.freeze();
     (0..num_pkts)
-        .map(|i| Packet {
-            head: heads.slice(i * head_len..(i + 1) * head_len),
-            body: payload.slice(i * mtu..((i + 1) * mtu).min(payload.len())),
+        .map(|i| {
+            let (lo, hi) = (cut(i), cut(i + 1));
+            Packet {
+                head: block.slice(i * hdr_len + lo.min(h)..(i + 1) * hdr_len + hi.min(h)),
+                body: body.slice(lo.saturating_sub(h)..hi.saturating_sub(h)),
+            }
         })
         .collect()
 }
 
 /// Incremental message reassembly from fragments.
 pub struct Reassembly {
-    slots: Vec<Option<Bytes>>,
+    slots: Vec<Option<Message>>,
     received: usize,
     msg_len: u32,
 }
 
 impl Reassembly {
     /// Start reassembly from the first fragment seen (any index).
-    pub fn new(hdr: &Header, frag: Bytes) -> Reassembly {
+    pub fn new(hdr: &Header, frag: impl Into<Message>) -> Reassembly {
         let mut r = Reassembly {
             slots: vec![None; hdr.num_pkts as usize],
             received: 0,
@@ -383,13 +414,13 @@ impl Reassembly {
     /// fragment seen are rejected: they belong to a different (possibly
     /// forged) message and previously could corrupt the assembled payload by
     /// landing in a valid slot index.
-    pub fn offer(&mut self, hdr: &Header, frag: Bytes) -> bool {
+    pub fn offer(&mut self, hdr: &Header, frag: impl Into<Message>) -> bool {
         if hdr.num_pkts as usize != self.slots.len() || hdr.msg_len != self.msg_len {
             return self.is_complete();
         }
         let idx = hdr.pkt_idx as usize;
         if idx < self.slots.len() && self.slots[idx].is_none() {
-            self.slots[idx] = Some(frag);
+            self.slots[idx] = Some(frag.into());
             self.received += 1;
         }
         self.is_complete()
@@ -400,43 +431,54 @@ impl Reassembly {
         self.received == self.slots.len()
     }
 
-    /// Concatenate the fragments into the full message.
+    /// Put the fragments back together.
     ///
-    /// When the fragments are adjacent slices of one original buffer — the
-    /// shape [`fragment`] produces and the simulated fabric preserves — the
-    /// original `Bytes` is recovered without copying. Fragments from foreign
-    /// allocations (e.g. deserialized from a real socket) fall back to one
-    /// concatenating copy.
+    /// The pieces (each fragment's first part, then its second) are merged
+    /// wherever they are adjacent views of one buffer. The last merged run
+    /// is the body: for the shape [`fragment`] produces and the simulated
+    /// fabric preserves, that is the sender's own body buffer, and the one
+    /// piece in front of it — packet 0's share of the header block — is the
+    /// head, so nothing is copied. Pieces from foreign allocations (e.g.
+    /// deserialized from a real socket) leave more than one piece in front;
+    /// those are concatenated into the head by one copy, counted in
+    /// [`crate::flattened`].
     ///
     /// # Panics
     /// Panics if the message is not complete.
-    pub fn assemble(self) -> Bytes {
+    pub fn assemble(self) -> Message {
         assert!(self.is_complete(), "assembling incomplete message");
         let mut slots = self.slots;
         if slots.len() == 1 {
+            // One packet: its two parts are the message's.
             return slots.pop().flatten().expect("slot filled");
         }
-        // Fast path: refuse-to-copy merge of adjacent views.
-        let mut acc = slots[0].clone().expect("slot filled");
-        let mut contiguous = true;
-        for s in &slots[1..] {
-            match acc.try_unsplit(s.clone().expect("slot filled")) {
-                Ok(merged) => acc = merged,
-                Err((lhs, _)) => {
-                    acc = lhs;
-                    contiguous = false;
-                    break;
+        let mut head = Bytes::new();
+        let mut spill: Option<Vec<u8>> = None;
+        let mut run = Bytes::new();
+        let pieces = slots.into_iter().flat_map(|s| {
+            let frag = s.expect("slot filled");
+            [frag.head, frag.body]
+        });
+        for piece in pieces {
+            run = match run.try_unsplit(piece) {
+                Ok(merged) => merged,
+                Err((done, next)) => {
+                    if head.is_empty() && spill.is_none() {
+                        head = done;
+                    } else {
+                        spill
+                            .get_or_insert_with(|| head.to_vec())
+                            .extend_from_slice(&done);
+                    }
+                    next
                 }
-            }
+            };
         }
-        if contiguous {
-            return acc;
+        if let Some(spill) = spill {
+            count_flatten();
+            head = Bytes::from(spill);
         }
-        let mut out = BytesMut::with_capacity(self.msg_len as usize);
-        for s in slots {
-            out.extend_from_slice(&s.expect("slot filled"));
-        }
-        out.freeze()
+        Message { head, body: run }
     }
 }
 
@@ -497,7 +539,8 @@ mod tests {
             let (h, frag) = Header::decode_split(&pkts[0].head, &pkts[0].body).unwrap();
             assert_eq!(h.trace, trace);
             // Zero-copy: the returned fragment is the body slice itself.
-            assert_eq!(frag.as_ptr(), pkts[0].body.as_ptr());
+            assert!(frag.head.is_empty());
+            assert_eq!(frag.body.as_ptr(), pkts[0].body.as_ptr());
         }
     }
 
@@ -623,7 +666,7 @@ mod tests {
 
     #[test]
     fn fragment_empty_payload_one_packet() {
-        let pkts = fragment(Kind::Request, 1, 9, &Bytes::new(), 100, None);
+        let pkts = fragment(Kind::Request, 1, 9, Bytes::new(), 100, None);
         assert_eq!(pkts.len(), 1);
         let (h, frag) = Header::decode_split(&pkts[0].head, &pkts[0].body).unwrap();
         assert_eq!(h.num_pkts, 1);
@@ -640,7 +683,7 @@ mod tests {
         let pkts = fragment(Kind::Response, 2, 11, &payload, 4096, None);
         assert_eq!(pkts.len(), 10); // 40_000 / 4096 = 9.7 -> 10
                                     // Reassemble out of order with a duplicate.
-        let mut parsed: Vec<(Header, Bytes)> = pkts
+        let mut parsed: Vec<(Header, Message)> = pkts
             .iter()
             .map(|p| Header::decode_split(&p.head, &p.body).unwrap())
             .collect();
@@ -668,6 +711,67 @@ mod tests {
         }
     }
 
+    /// A head in front of the body moves every cut by its length and
+    /// nothing else: same packet sizes, body bytes still shared, and the
+    /// receiver gets the head and the sender's body buffer back.
+    #[test]
+    fn head_rides_packet_zero_and_the_body_comes_back_uncopied() {
+        const MTU: usize = 4096;
+        let body = Bytes::from((0..10_000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let msg = Message::new(&b"nine byte"[..], body.clone());
+        let flat = msg.clone().into_bytes();
+        let pkts = fragment(Kind::Response, 0, 1, msg, MTU, None);
+        let flat_pkts = fragment(Kind::Response, 0, 1, &flat, MTU, None);
+        assert_eq!(pkts.len(), flat_pkts.len());
+        for (p, f) in pkts.iter().zip(&flat_pkts) {
+            let wire = |p: &Packet| Message::new(p.head.clone(), p.body.clone());
+            assert_eq!(wire(p), wire(f));
+        }
+        assert_eq!(pkts[0].head.len(), HEADER_BYTES + 9);
+        assert_eq!(pkts[0].body.as_ptr(), body.as_ptr());
+        assert_eq!(pkts[1].body.as_ptr(), body[MTU - 9..].as_ptr());
+        let before = crate::flattened();
+        let mut r: Option<Reassembly> = None;
+        for p in pkts.iter().rev() {
+            let (h, f) = Header::decode_split(&p.head, &p.body).unwrap();
+            match r.as_mut() {
+                None => r = Some(Reassembly::new(&h, f)),
+                Some(r) => {
+                    r.offer(&h, f);
+                }
+            }
+        }
+        let out = r.unwrap().assemble();
+        assert_eq!(&out.head[..], b"nine byte");
+        assert_eq!(out.body.as_ptr(), body.as_ptr());
+        assert_eq!(out.body.len(), body.len());
+        assert_eq!(crate::flattened(), before);
+        // A head longer than the MTU spills into the packets it covers.
+        let long = Message::new(vec![3u8; 2 * MTU + 5], body.clone());
+        let pkts = fragment(Kind::Request, 0, 2, long.clone(), MTU, None);
+        assert_eq!(
+            pkts.iter()
+                .map(|p| (p.head.len() - HEADER_BYTES, p.body.len()))
+                .collect::<Vec<_>>(),
+            [
+                (MTU, 0),
+                (MTU, 0),
+                (5, MTU - 5),
+                (0, MTU),
+                (0, 10_000 - 2 * MTU + 5)
+            ]
+        );
+    }
+
+    #[test]
+    fn unframeable_lengths_are_named_not_asserted_on() {
+        assert_eq!(max_msg_len(4096), 65_535 * 4096);
+        assert_eq!(max_msg_len(16), 65_535 * 16);
+        assert_eq!(max_msg_len(1 << 20), u32::MAX as usize);
+        let at = Bytes::from(vec![0u8; max_msg_len(16)]);
+        assert_eq!(fragment(Kind::Request, 0, 1, &at, 16, None).len(), 65_535);
+    }
+
     #[test]
     fn fragment_bodies_share_payload_storage() {
         let payload = Bytes::from(vec![3u8; 10_000]);
@@ -682,7 +786,7 @@ mod tests {
     fn assemble_in_order_recovers_original_without_copy() {
         let payload = Bytes::from(vec![9u8; 20_000]);
         let pkts = fragment(Kind::Response, 0, 5, &payload, 4096, None);
-        let parsed: Vec<(Header, Bytes)> = pkts
+        let parsed: Vec<(Header, Message)> = pkts
             .iter()
             .map(|p| Header::decode_split(&p.head, &p.body).unwrap())
             .collect();
@@ -694,7 +798,8 @@ mod tests {
         let out = r.assemble();
         assert_eq!(out, payload);
         // Same backing storage, not a concatenating copy.
-        assert_eq!(out.as_ptr(), payload.as_ptr());
+        assert!(out.head.is_empty());
+        assert_eq!(out.body.as_ptr(), payload.as_ptr());
     }
 
     #[test]
@@ -703,7 +808,7 @@ mod tests {
         // the adjacency check.
         let payload = Bytes::from(vec![5u8; 12_000]);
         let pkts = fragment(Kind::Response, 0, 5, &payload, 4096, None);
-        let mut parsed: Vec<(Header, Bytes)> = pkts
+        let mut parsed: Vec<(Header, Message)> = pkts
             .iter()
             .map(|p| Header::decode_split(&p.head, &p.body).unwrap())
             .collect();
@@ -715,7 +820,7 @@ mod tests {
         }
         let out = r.assemble();
         assert_eq!(out, payload);
-        assert_eq!(out.as_ptr(), payload.as_ptr());
+        assert_eq!(out.body.as_ptr(), payload.as_ptr());
     }
 
     #[test]
@@ -732,7 +837,14 @@ mod tests {
         };
         let mut r = Reassembly::new(&h(0), Bytes::from(vec![1u8; 4]));
         assert!(r.offer(&h(1), Bytes::from(vec![2u8; 4])));
+        let before = crate::flattened();
         assert_eq!(r.assemble(), Bytes::from(vec![1, 1, 1, 1, 2, 2, 2, 2]));
+        assert_eq!(crate::flattened(), before, "two pieces: a head and a body");
+        // A third foreign piece is one more than a message has parts.
+        let mut r = Reassembly::new(&h(0), Message::new(vec![1u8; 2], vec![1u8; 2].into()));
+        assert!(r.offer(&h(1), Bytes::from(vec![2u8; 4])));
+        assert_eq!(r.assemble(), Bytes::from(vec![1, 1, 1, 1, 2, 2, 2, 2]));
+        assert_eq!(crate::flattened(), before + 1);
     }
 
     #[test]
@@ -769,16 +881,18 @@ mod tests {
         // Whole packet in the head segment (raw send path).
         let (h2, f2) = Header::decode_split(&contiguous, &Bytes::new()).unwrap();
         assert_eq!(h, h2);
-        assert_eq!(&f2[..], b"hello");
+        assert_eq!(f2, b"hello"[..]);
         // Whole packet in the body segment.
         let (h3, f3) = Header::decode_split(&Bytes::new(), &contiguous).unwrap();
         assert_eq!(h, h3);
-        assert_eq!(&f3[..], b"hello");
-        // Irregular split across the two segments.
-        let (h4, f4) =
-            Header::decode_split(&contiguous.slice(..10), &contiguous.slice(10..)).unwrap();
-        assert_eq!(h, h4);
-        assert_eq!(&f4[..], b"hello");
+        assert_eq!(f3, b"hello"[..]);
+        // A split inside the header, and one inside the fragment.
+        for cut in [10, HEADER_BYTES + 2] {
+            let (h4, f4) =
+                Header::decode_split(&contiguous.slice(..cut), &contiguous.slice(cut..)).unwrap();
+            assert_eq!(h, h4);
+            assert_eq!(f4, b"hello"[..], "cut {cut}");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property tests for the RPC wire layer: fragmentation/reassembly is the
-//! identity for every payload, under any delivery order, with duplicates —
-//! and header/trace-extension decoding is total over hostile input.
+//! identity for every payload, under any delivery order, with duplicates;
+//! where a message's head ends changes no byte of any packet; and
+//! header/trace-extension decoding is total over hostile input.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpclib::wire::{
-    decode_trace_ext, encode_trace_ext, fragment, Header, Kind, Reassembly, TraceExtError,
+    decode_trace_ext, encode_trace_ext, fragment, Header, Kind, Packet, Reassembly, TraceExtError,
     TRACE_EXT_BYTES,
 };
+use rpclib::Message;
 use telemetry::TraceCtx;
 
 proptest! {
@@ -25,7 +27,7 @@ proptest! {
         prop_assert_eq!(pkts.len(), payload.len().div_ceil(mtu).max(1));
 
         // Parse and shuffle deterministically.
-        let mut parsed: Vec<(Header, Bytes)> = pkts
+        let mut parsed: Vec<(Header, Message)> = pkts
             .iter()
             .map(|p| Header::decode_split(&p.head, &p.body).expect("own packets decode"))
             .collect();
@@ -35,7 +37,7 @@ proptest! {
             parsed.swap(i, (rng >> 33) as usize % (i + 1));
         }
         // Inject duplicates.
-        let dups: Vec<(Header, Bytes)> = parsed
+        let dups: Vec<(Header, Message)> = parsed
             .iter()
             .enumerate()
             .filter(|(i, _)| dup_mask.get(*i).copied().unwrap_or(false))
@@ -49,6 +51,52 @@ proptest! {
         }
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.assemble(), payload);
+    }
+
+    /// The seam is not on the wire: wherever `head ‖ body` is split, traced
+    /// or not, every packet carries the bytes the flat message's packet
+    /// carries, and the receiver — fed the packets in any rotation — gets
+    /// the same message back with the body still the sender's buffer.
+    #[test]
+    fn packets_of_head_and_body_are_those_of_the_flat_message(
+        bytes in proptest::collection::vec(any::<u8>(), 0..20_000),
+        seam in any::<u16>(),
+        mtu in 1usize..6000,
+        traced in any::<bool>(),
+        rotate in any::<u16>(),
+    ) {
+        let flat = Bytes::from(bytes);
+        let seam = seam as usize % (flat.len() + 1);
+        let trace = traced.then_some(TraceCtx { trace_id: 7, span_id: 9 });
+        // The head is the sender's own small buffer, the body shared.
+        let body = flat.slice(seam..);
+        let msg = Message::new(flat[..seam].to_vec(), body.clone());
+        let split = fragment(Kind::Response, 3, 17, msg, mtu, trace);
+        let whole = fragment(Kind::Response, 3, 17, &flat, mtu, trace);
+        prop_assert_eq!(split.len(), whole.len());
+        let wire = |p: &Packet| [&p.head[..], &p.body[..]].concat();
+        for (i, (s, w)) in split.iter().zip(&whole).enumerate() {
+            prop_assert_eq!(wire(s), wire(w), "packet {}", i);
+        }
+        let mut parsed: Vec<(Header, Message)> = split
+            .iter()
+            .map(|p| Header::decode_split(&p.head, &p.body).expect("own packets decode"))
+            .collect();
+        let by = rotate as usize % parsed.len();
+        parsed.rotate_left(by);
+        let (h0, f0) = parsed[0].clone();
+        let mut r = Reassembly::new(&h0, f0);
+        for (h, f) in parsed.into_iter().skip(1) {
+            r.offer(&h, f);
+        }
+        let before = rpclib::flattened();
+        let got = r.assemble();
+        prop_assert_eq!(&got, &flat);
+        if !body.is_empty() && seam <= mtu {
+            prop_assert_eq!(got.body.as_ptr(), body.as_ptr(), "the body is not copied");
+            prop_assert_eq!(got.head.len(), seam);
+            prop_assert_eq!(rpclib::flattened(), before);
+        }
     }
 
     /// Several senders' fragment streams interleaved on one wire — shuffled
@@ -66,7 +114,7 @@ proptest! {
     ) {
         // One message per sender, distinguished by req_num.
         let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from).collect();
-        let mut wire: Vec<(Header, Bytes)> = Vec::new();
+        let mut wire: Vec<(Header, Message)> = Vec::new();
         for (sender, payload) in payloads.iter().enumerate() {
             for p in fragment(Kind::Request, req_type, sender as u64, payload, mtu, None) {
                 wire.push(Header::decode_split(&p.head, &p.body).expect("own packets decode"));
@@ -80,7 +128,7 @@ proptest! {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             wire.swap(i, (rng >> 33) as usize % (i + 1));
         }
-        let dups: Vec<(Header, Bytes)> = wire
+        let dups: Vec<(Header, Message)> = wire
             .iter()
             .enumerate()
             .filter(|(i, _)| dup_mask.get(*i).copied().unwrap_or(false))
@@ -218,12 +266,12 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let ctx = TraceCtx { trace_id, span_id };
-        let pkts = fragment(Kind::Request, 7, 99, &Bytes::from(body.clone()), 4096, Some(ctx));
+        let pkts = fragment(Kind::Request, 7, 99, Bytes::from(body.clone()), 4096, Some(ctx));
         prop_assert_eq!(pkts.len(), 1);
         let (h, f) = Header::decode_split(&pkts[0].head, &pkts[0].body)
             .expect("traced packet decodes");
         prop_assert_eq!(h.trace, Some(ctx));
-        prop_assert_eq!(&f[..], &body[..]);
+        prop_assert_eq!(f, body[..]);
 
         // Flip bits anywhere in the 39-byte traced header: decode must
         // return (possibly garbage) Ok or None, never panic.

@@ -59,7 +59,7 @@ fn handler_runs_at_most_once_under_retransmission() {
                 .call(server.addr(), 1, Bytes::from(i.to_le_bytes().to_vec()))
                 .await;
             if let Ok(resp) = r {
-                assert_eq!(u32::from_le_bytes(resp[..4].try_into().unwrap()), i);
+                assert_eq!(u32::from_le_bytes(resp.body[..4].try_into().unwrap()), i);
                 completed += 1;
             }
         }
@@ -105,7 +105,7 @@ fn handler_runs_at_most_once_under_forced_duplication() {
                 .call(server.addr(), 1, Bytes::from(i.to_le_bytes().to_vec()))
                 .await;
             if let Ok(resp) = r {
-                assert_eq!(u32::from_le_bytes(resp[..4].try_into().unwrap()), i);
+                assert_eq!(u32::from_le_bytes(resp.body[..4].try_into().unwrap()), i);
                 completed += 1;
             }
         }
@@ -164,7 +164,7 @@ fn two_thousand_duplicated_calls_execute_exactly_once_each() {
         let server = RpcBuilder::new(&net2, b, 10).build();
         let r2 = runs.clone();
         server.register(1, move |ctx| {
-            let i = u32::from_le_bytes(ctx.payload[..4].try_into().unwrap());
+            let i = u32::from_le_bytes(ctx.payload.body[..4].try_into().unwrap());
             r2.borrow_mut()[i as usize] += 1;
             async move { ctx.payload }
         });
@@ -174,7 +174,7 @@ fn two_thousand_duplicated_calls_execute_exactly_once_each() {
                 .call(server.addr(), 1, Bytes::from(i.to_le_bytes().to_vec()))
                 .await
                 .unwrap();
-            assert_eq!(u32::from_le_bytes(resp[..4].try_into().unwrap()), i);
+            assert_eq!(u32::from_le_bytes(resp.body[..4].try_into().unwrap()), i);
         }
         // Late duplicates of every call are still in flight: let them land.
         simcore::sleep(Duration::from_millis(1)).await;
@@ -195,7 +195,7 @@ fn timed_out_call_frees_its_slot_and_its_late_reply_is_discarded() {
     sim.block_on(async move {
         let server = RpcBuilder::new(&net2, b, 10).build();
         server.register(1, |ctx| async move {
-            if &ctx.payload[..] == b"slow" {
+            if ctx.payload == b"slow"[..] {
                 simcore::sleep(Duration::from_millis(1)).await;
             }
             ctx.payload
@@ -223,7 +223,7 @@ fn timed_out_call_frees_its_slot_and_its_late_reply_is_discarded() {
             .call(server.addr(), 1, Bytes::from_static(b"fast"))
             .await
             .unwrap();
-        assert_eq!(&fast[..], b"fast");
+        assert_eq!(fast, b"fast"[..]);
         // Same slot: the new request replaced the abandoned one.
         let done = ServedSlots {
             done: 1,
@@ -253,7 +253,7 @@ fn server_retains_at_most_one_response_per_live_slot() {
     sim.block_on(async move {
         let server = RpcBuilder::new(&net, b, 10).build();
         server.register(1, |ctx| async move {
-            simcore::sleep(Duration::from_nanos(100 * ctx.payload[0] as u64)).await;
+            simcore::sleep(Duration::from_nanos(100 * ctx.payload.body[0] as u64)).await;
             ctx.payload
         });
         let client = RpcBuilder::new(&net, a, 10).build();
@@ -266,7 +266,7 @@ fn server_retains_at_most_one_response_per_live_slot() {
                     let mut req = vec![(w * 31 + i) as u8; 4097];
                     req[1] = w as u8;
                     let resp = client.call(dst, 1, Bytes::from(req.clone())).await;
-                    assert_eq!(resp.unwrap(), req);
+                    assert_eq!(resp.unwrap(), req[..]);
                 }
             }));
         }
@@ -302,13 +302,61 @@ fn multi_packet_response_under_loss() {
         for _ in 0..15 {
             let resp = client.call(server.addr(), 1, Bytes::new()).await.unwrap();
             assert_eq!(resp.len(), 50_000);
-            assert!(resp.iter().enumerate().all(|(i, &v)| v == (i % 247) as u8));
+            assert!(resp
+                .body
+                .iter()
+                .enumerate()
+                .all(|(i, &v)| v == (i % 247) as u8));
         }
     });
 }
 
 /// After shutdown, a server silently ignores requests instead of panicking,
 /// and the caller times out cleanly.
+/// `num_pkts` is a `u16`: a message of more than 65 535 packets cannot be
+/// framed. The caller gets a typed error with nothing sent and nothing kept;
+/// a handler's reply that long is answered empty (no protocol reads that as
+/// success) and counted. Either way both endpoints go on serving.
+#[test]
+fn an_unframeable_message_is_a_typed_error_on_both_sides() {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let small_mtu = RpcConfig {
+            mtu: 16,
+            ..Default::default()
+        };
+        let max = wire::max_msg_len(16);
+        let server = RpcBuilder::new(&net, b, 10).config(small_mtu).build();
+        server.register(1, move |ctx| async move {
+            match ctx.payload.get(0) {
+                Some(b'!') => Bytes::from(vec![7u8; max + 1]),
+                _ => ctx.payload.into_bytes(),
+            }
+        });
+        let client = RpcBuilder::new(&net, a, 10).config(small_mtu).build();
+        let sent = net.node_tx_packets(a);
+        let r = client
+            .call(server.addr(), 1, Bytes::from(vec![1u8; max + 1]))
+            .await;
+        assert_eq!(r, Err(RpcError::TooLarge { len: max + 1, max }));
+        assert_eq!(net.node_tx_packets(a), sent, "refused before the wire");
+        assert_eq!(client.inflight_calls(), 0);
+        // The longest message that can be framed still goes through.
+        let at = Bytes::from(vec![2u8; max]);
+        assert_eq!(client.call(server.addr(), 1, at.clone()).await.unwrap(), at);
+        // The handler's oversize reply: empty, counted, and the slot lives on.
+        let r = client
+            .call(server.addr(), 1, Bytes::from_static(b"!"))
+            .await;
+        assert!(r.unwrap().is_empty());
+        assert_eq!(server.stats().replies_unframeable.get(), 1);
+        let r = client
+            .call(server.addr(), 1, Bytes::from_static(b"ok"))
+            .await;
+        assert_eq!(r.unwrap(), b"ok"[..]);
+    });
+}
+
 #[test]
 fn shutdown_server_times_out_cleanly() {
     let (sim, net, a, b) = rig();
@@ -354,7 +402,7 @@ fn handler_running_at_shutdown_still_replies() {
         simcore::sleep(Duration::from_micros(10)).await;
         assert_eq!(server.served_slots().executing, 1);
         server.shutdown();
-        assert_eq!(call.await.as_deref(), Ok(&b"late"[..]));
+        assert_eq!(call.await.unwrap(), b"late"[..]);
         assert_eq!(client.stats().retransmits.get(), 0);
     });
 }
@@ -592,7 +640,7 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
             let warm_up = Bytes::from_static(b"warm-up");
             assert_eq!(
                 client.call(server.addr(), 1, warm_up.clone()).await,
-                Ok(warm_up)
+                Ok(warm_up.into())
             );
             assert_eq!(client.stats().calls_completed.get(), 1);
             let tasks_before = sim2.live_tasks();
@@ -603,7 +651,10 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
                     // One fragment when sequential, two when concurrent.
                     let req = Bytes::from(vec![w as u8; 100 + 512 * concurrency]);
                     for _ in 0..10_000 / concurrency {
-                        assert_eq!(client.call(dst, 1, req.clone()).await, Ok(req.clone()));
+                        assert_eq!(
+                            client.call(dst, 1, req.clone()).await,
+                            Ok(req.clone().into())
+                        );
                     }
                 }));
             }
@@ -646,7 +697,7 @@ fn a_256_kib_call_in_flight_adds_no_task_per_fragment() {
         let (caller, dst) = (client.clone(), server.addr());
         let call = simcore::spawn(async move {
             let req = Bytes::from(vec![9u8; 256 << 10]);
-            assert_eq!(caller.call(dst, 1, req.clone()).await, Ok(req));
+            assert_eq!(caller.call(dst, 1, req.clone()).await, Ok(req.into()));
         });
         let mut census = Vec::new();
         while !call.is_finished() {
@@ -699,7 +750,7 @@ fn many_clients_no_response_crosstalk() {
         server.register(1, |ctx| async move {
             // Echo with a delay inversely related to payload so responses
             // complete out of request order.
-            let d = 50u64.saturating_sub(ctx.payload[0] as u64);
+            let d = 50u64.saturating_sub(ctx.payload.body[0] as u64);
             simcore::sleep(Duration::from_micros(d)).await;
             ctx.payload
         });
@@ -715,7 +766,7 @@ fn many_clients_no_response_crosstalk() {
                         .call(dst, 1, Bytes::from(vec![tag, 0xAB]))
                         .await
                         .unwrap();
-                    assert_eq!(&resp[..], &[tag, 0xAB], "cross-talk detected");
+                    assert_eq!(resp, [tag, 0xAB][..], "cross-talk detected");
                 }
             }));
         }
@@ -817,7 +868,7 @@ proptest! {
                 let req_num = wire::req_num(i as u64 + 1, (i % 3) as u32);
                 let mut body = req_num.to_le_bytes().to_vec();
                 body.resize(n * MTU, i as u8);
-                let pkts = fragment(Kind::Request, 1, req_num, &Bytes::from(body), MTU, None);
+                let pkts = fragment(Kind::Request, 1, req_num, Bytes::from(body), MTU, None);
                 (req_num, pkts.iter().map(|p| Payload::two(p.head.clone(), p.body.clone())).collect())
             })
             .collect();
@@ -838,7 +889,7 @@ proptest! {
             let server = RpcBuilder::new(&net2, b, 10).build();
             let r2 = runs.clone();
             server.register(1, move |ctx| {
-                let req_num = u64::from_le_bytes(ctx.payload[..8].try_into().unwrap());
+                let req_num = u64::from_le_bytes(ctx.payload.body[..8].try_into().unwrap());
                 *r2.borrow_mut().entry(req_num).or_default() += 1;
                 async move {
                     // Uneven handler times leave duplicates arriving in
@@ -869,7 +920,7 @@ proptest! {
             prop_assert_eq!(hdr.kind, Kind::Response);
             prop_assert!(runs.contains_key(&hdr.req_num), "reply to a request that never ran");
             if hdr.pkt_idx == 0 {
-                let echoed = u64::from_le_bytes(frag[..8].try_into().unwrap());
+                let echoed = u64::from_le_bytes(frag.body[..8].try_into().unwrap());
                 prop_assert_eq!(echoed, hdr.req_num, "reply carries another request's data");
                 *answered.entry(hdr.req_num).or_default() += 1;
             }

@@ -52,7 +52,7 @@ fn main() {
                 let who = who.clone();
                 async move {
                     // RPC_Worker(Ref ref):
-                    let r = Ref::decode(&ctx.payload).expect("ref argument");
+                    let r = Ref::decode(&ctx.payload.into_bytes()).expect("ref argument");
                     // Map ref to local virtual address that maps to DM.
                     let r_addr = dm.map_ref(&r).await.expect("map_ref");
                     // Read from DM to local buffer.
@@ -125,7 +125,7 @@ fn main() {
                 .call(lb_addr, RPC_LB, r.encode())
                 .await
                 .expect("RPC_LB");
-            let sum = u64::from_le_bytes(resp[..8].try_into().expect("8 bytes"));
+            let sum = resp.array(0).map(u64::from_le_bytes).expect("8 bytes");
             let expect: u64 = (0..LEN as u64).map(|i| i + round as u64).sum();
             assert_eq!(sum, expect);
             println!("client round {round}: worker returned {sum} (correct)");

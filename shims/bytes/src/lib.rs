@@ -18,8 +18,9 @@
 //! reassembly path uses it to return the original message buffer when all
 //! fragments are contiguous slices of one send (`BytesMut::unsplit` is the
 //! upstream analogue, but only for mutable buffers). [`SharedBuf`] is a
-//! one-pointer handle on a `Bytes`' storage ([`Bytes::into_shared`]) for
-//! holders of many small views; `dmnet`'s page store is the user.
+//! one-pointer handle on a `Bytes`' storage ([`Bytes::into_shared`], and
+//! back through [`SharedBuf::slice`]) for holders of many small views;
+//! `dmnet`'s page store is the user.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -192,6 +193,30 @@ impl SharedBuf {
     #[inline]
     pub fn get_mut(&mut self) -> Option<&mut [u8]> {
         Arc::get_mut(&mut self.0).map(Vec::as_mut_slice)
+    }
+
+    /// Whether `self` and `other` are handles on one allocation.
+    #[inline]
+    pub fn ptr_eq(&self, other: &SharedBuf) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// A [`Bytes`] view of `range` of the allocation, sharing it — the
+    /// inverse of [`Bytes::into_shared`]. No copy.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
+        assert!(
+            range.start <= range.end && range.end <= self.0.len(),
+            "slice range {range:?} out of bounds for SharedBuf of length {}",
+            self.0.len()
+        );
+        Bytes {
+            repr: Repr::Shared(self.0.clone()),
+            off: range.start,
+            len: range.len(),
+        }
     }
 }
 
@@ -589,7 +614,12 @@ mod tests {
         assert_eq!(off, 10);
         assert_eq!(&buf.as_slice()[off..off + 10], &b[10..20]);
         assert!(buf.get_mut().is_none(), "`b` still sees the storage");
-        drop(b);
+        // And back: a view of the storage is the bytes it came from.
+        let back = buf.slice(off + 2..off + 6);
+        assert_eq!(back.as_ptr(), b[12..].as_ptr());
+        assert_eq!(back, b.slice(12..16));
+        assert!(buf.ptr_eq(&back.clone().into_shared().0));
+        drop((b, back));
         buf.get_mut().expect("last handle")[10] = 0xFF;
         assert_eq!(buf.as_slice()[10], 0xFF);
         // A static view has no heap storage to share: it is copied once.

@@ -170,3 +170,82 @@ fn small_arguments_ride_inline_everywhere() {
         });
     }
 }
+
+/// Host passes per payload byte, publisher to final reader: none. Five
+/// services forward a 256 KiB argument and the last one fetches it. On
+/// DmRPC-net the bytes it gets are the buffer the client published — the DM
+/// server's pages are views of it and `READ_REF` answers with a view of
+/// them — and on eRPC the inline argument crosses every hop as the body of
+/// its message, so there too the last service reads the client's own
+/// buffer. Neither chain flattens a message or gathers a DM read.
+#[test]
+fn a_large_argument_reaches_the_last_service_uncopied() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use dmrpc::Value;
+
+    const REQ: u8 = 1;
+    for kind in [SystemKind::DmNet, SystemKind::Erpc] {
+        Sim::new().block_on(async move {
+            let cluster = Cluster::new(kind, 2, ClusterConfig::default(), 5);
+            let mut hops = Vec::new();
+            for i in 0..5 {
+                let node = cluster.add_server(format!("svc{i}"));
+                hops.push(cluster.endpoint(&node, 100).await);
+            }
+            let fetched_at = Rc::new(Cell::new(std::ptr::null::<u8>()));
+            for (i, ep) in hops.iter().enumerate() {
+                let next = hops.get(i + 1).map(|e| e.addr());
+                let (me, fetched_at) = (ep.clone(), fetched_at.clone());
+                ep.rpc().register(REQ, move |ctx| {
+                    let (me, fetched_at) = (me.clone(), fetched_at.clone());
+                    async move {
+                        if let Some(next) = next {
+                            return me.rpc().call(next, REQ, ctx.payload).await.expect("hop");
+                        }
+                        let v = Value::decode(&ctx.payload).expect("a value");
+                        let data = me.fetch(&v).await.expect("fetch");
+                        fetched_at.set(data.as_ptr());
+                        Value::Inline(Bytes::from(vec![data[data.len() - 1]])).encode()
+                    }
+                });
+            }
+            let node = cluster.add_server("client");
+            let client = cluster.endpoint(&node, 100).await;
+            let payload = Bytes::from(
+                (0..256 * 1024u32)
+                    .map(|i| (i % 239) as u8)
+                    .collect::<Vec<_>>(),
+            );
+            let metrics = cluster.metrics();
+            let before = metrics.snapshot();
+
+            let v = client.make_value(payload.clone()).await.expect("publish");
+            assert_eq!(v.is_by_ref(), kind == SystemKind::DmNet);
+            let reply = client.call(hops[0].addr(), REQ, &v).await.expect("chain");
+            assert_eq!(reply, Value::Inline(payload.slice(payload.len() - 1..)));
+            assert_eq!(
+                fetched_at.get(),
+                payload.as_ptr(),
+                "{kind:?}: the publisher's buffer"
+            );
+
+            let moved = metrics.snapshot().delta(&before);
+            assert_eq!(moved.get("rpc.flattened_msgs"), Some(0), "{kind:?}");
+            let gathered: u64 = moved
+                .iter()
+                .filter(|(name, _)| name.ends_with(".read_gathered_bytes"))
+                .map(|(_, bytes)| bytes)
+                .sum();
+            assert_eq!(gathered, 0, "{kind:?}");
+            if kind == SystemKind::DmNet {
+                let viewed = moved
+                    .iter()
+                    .filter(|(n, _)| n.ends_with(".read_viewed_bytes"));
+                assert_eq!(viewed.map(|(_, b)| b).sum::<u64>(), payload.len() as u64);
+                client.release(&v).await.expect("release");
+            }
+        });
+    }
+}

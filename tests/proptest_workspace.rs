@@ -1,12 +1,16 @@
 //! Workspace-level property tests: random request patterns through full
 //! deployments keep application-observable behavior identical across the
-//! three systems, and `Value` semantics hold under arbitrary data.
+//! three systems, `Value` semantics hold under arbitrary data, and no
+//! decoder can tell where a message's head ends.
 
 use apps::chain::build_chain;
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::codec::{op_value, parse_id_value, parse_op_value};
 use bytes::Bytes;
+use dmnet::proto::{split_response, split_versions, Reader, Response};
 use dmrpc::Value;
 use proptest::prelude::*;
+use rpclib::Message;
 use simcore::Sim;
 
 proptest! {
@@ -81,10 +85,52 @@ proptest! {
     /// never panics, and any value that decodes re-encodes identically.
     #[test]
     fn value_decode_total(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let b = Bytes::from(bytes);
+        let b = Message::from(Bytes::from(bytes));
         if let Ok(v) = Value::decode(&b) {
             let enc = v.encode();
             prop_assert_eq!(Value::decode(&enc).unwrap(), v);
+        }
+    }
+
+    /// The seam between a message's head and body is not part of the
+    /// message: every decoder gives the same answer for every split point
+    /// of the same bytes — the sender's own (a response head, an op byte
+    /// and a value tag in front of a payload), none at all (a datagram from
+    /// outside this stack arrives in one piece), or one inside a field.
+    /// Random bytes half the time, a well-formed message the other half, so
+    /// both the error and the success arms are compared.
+    #[test]
+    fn decoding_is_seam_agnostic(
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        well_formed in any::<bool>(),
+        kind in 0usize..3,
+    ) {
+        let payload = Bytes::from(noise.clone());
+        let flat = match (well_formed, kind) {
+            (false, _) => payload,
+            (true, 0) => Response::new().u64(7).body(payload).ok(3, Some(&[(11, 2)])).into_bytes(),
+            (true, 1) => op_value(9, &Value::Inline(payload)).into_bytes(),
+            (true, _) => op_value(9, &Value::Inline(payload)).prefixed(&[1, 2, 3, 4, 5, 6, 7]).into_bytes(),
+        };
+        let decode = |m: &Message| {
+            let (epoch, reply) = split_response(m);
+            let versions = reply.clone().result().and_then(|body| split_versions(&body));
+            let mut r = Reader::of(m);
+            let fields = (r.u8(), r.u64(), r.u16(), r.u32(), r.take(5).map(|c| c.into_owned()));
+            let rest = r.rest_of(m);
+            (
+                (epoch, reply, versions),
+                Value::decode(m),
+                parse_op_value(m),
+                parse_id_value(m),
+                (fields, rest),
+            )
+        };
+        let whole = decode(&Message::from(flat.clone()));
+        for cut in 0..=flat.len() {
+            // The head is the sender's own buffer; the body shared.
+            let split = Message::new(flat[..cut].to_vec(), flat.slice(cut..));
+            prop_assert_eq!(decode(&split), whole.clone(), "cut {} of {}", cut, flat.len());
         }
     }
 }
