@@ -5,7 +5,6 @@ use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
-use dmcommon::CopyMode;
 use dmcxl::{CxlFabric, CxlHostConfig};
 use dmnet::{DmNetClient, DmServer, DmServerConfig};
 use dmrpc::{DmHandle, DmRpc};
@@ -68,57 +67,42 @@ pub struct ServiceNode {
 pub struct ClusterConfig {
     /// Cores per compute server.
     pub cores_per_node: u64,
-    /// Copy policy of the DM backend (COW vs the `-copy` ablation).
-    pub copy_mode: CopyMode,
-    /// DM-server worker cores (DmRPC-net).
-    pub dm_server_cores: u64,
-    /// Pool capacity in pages per DM server / for the whole G-FAM device.
-    pub dm_capacity_pages: usize,
     /// Pass-by-reference threshold override (None = dmrpc default).
     pub threshold: Option<u64>,
     /// RPC tuning applied to every endpoint created via
     /// [`Cluster::endpoint`] (chaos runs shorten RTOs and set a retry
     /// budget so faulted requests fail in bounded time).
     pub rpc: RpcConfig,
-    /// DM-server lease TTL (DmNet only). `None` (default) disables
-    /// lease-based reclamation, matching the pre-lease wire format.
-    pub lease_ttl: Option<std::time::Duration>,
+    /// The DM pool: every DmNet server starts with exactly this, and every
+    /// plane it turns on (leases, durability, admission, coherence) is
+    /// stated here and nowhere else — endpoints learn what they need when
+    /// they register. The CXL backend reads the two fields that mean
+    /// something to it: `capacity_pages` sizes the whole G-FAM device and
+    /// `copy_mode` selects COW or the `-copy` ablation.
+    pub dm: DmServerConfig,
     /// Client-side translation/ref cache and control-op coalescer applied
     /// to every DmNet endpoint (DESIGN.md §9). Defaults to all-on — the
     /// DmRPC-net system is measured with its cached client; benches ablate
     /// it by passing [`dmnet::CacheConfig::default`] (all off).
     pub dm_client_cache: dmnet::CacheConfig,
-    /// Durable DM tier (DESIGN.md §12), applied to every DmNet server.
-    /// Defaults to [`dmnet::WalConfig::from_env`] (`DM_DURABLE=1` turns on
-    /// the zero-cost log, otherwise off).
-    pub dm_durability: Option<dmnet::WalConfig>,
     /// Ref placement policy for DmNet endpoints (DESIGN.md §13). Defaults
     /// to [`DmPlacement::RoundRobin`], the paper's scheme.
     pub dm_placement: DmPlacement,
-    /// DM-server admission control + CoDel shedding (DESIGN.md §14).
-    /// `None` (default) admits everything — schedule-identical to a
-    /// cluster built before overload control existed.
-    pub dm_admission: Option<dmnet::AdmissionConfig>,
-    /// Client-side token limiting and `Busy` retry for every DmNet
-    /// endpoint (DESIGN.md §14). Default: off.
-    pub dm_client_limit: dmnet::ClientLimitConfig,
+    /// Bound on each DmNet endpoint's concurrent DM wire ops (DESIGN.md
+    /// §14). Default: unlimited.
+    pub dm_client_max_inflight: Option<u64>,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             cores_per_node: 12,
-            copy_mode: CopyMode::CopyOnWrite,
-            dm_server_cores: 4,
-            dm_capacity_pages: 65_536, // 256 MiB
             threshold: None,
             rpc: RpcConfig::default(),
-            lease_ttl: None,
+            dm: DmServerConfig::default(),
             dm_client_cache: dmnet::CacheConfig::all_on(),
-            dm_durability: dmnet::WalConfig::from_env(),
             dm_placement: DmPlacement::RoundRobin,
-            dm_admission: None,
-            dm_client_limit: dmnet::ClientLimitConfig::default(),
+            dm_client_max_inflight: None,
         }
     }
 }
@@ -178,26 +162,6 @@ impl Cluster {
         match kind {
             SystemKind::Erpc => {}
             SystemKind::DmNet => {
-                let cfg = DmServerConfig {
-                    capacity_pages: config.dm_capacity_pages,
-                    copy_mode: config.copy_mode,
-                    cores: config.dm_server_cores,
-                    lease_ttl: config.lease_ttl,
-                    durability: config.dm_durability,
-                    admission: config.dm_admission,
-                    // Fine-grained coherence is one knob: a cluster whose
-                    // clients fold version blocks gets servers that emit
-                    // them (the block changes the wire format, so the two
-                    // sides must agree). The server's lease grant mirrors
-                    // the client's serve-side bound.
-                    coherence: config.dm_client_cache.fine_grained.then(|| {
-                        dmnet::CoherenceConfig {
-                            read_lease: config.dm_client_cache.read_lease,
-                            ..Default::default()
-                        }
-                    }),
-                    ..Default::default()
-                };
                 // A DmNet cluster without memory servers is a configuration
                 // bug; fail loudly instead of silently provisioning one.
                 assert!(
@@ -207,7 +171,7 @@ impl Cluster {
                 for i in 0..n_dm_servers {
                     let node = net.add_node(format!("dm{i}"), NicConfig::default());
                     let mem = NodeMemory::with_defaults(format!("dm{i}"), params.clone());
-                    let s = DmServer::start(&net, node, mem, cfg);
+                    let s = DmServer::start(&net, node, mem, config.dm);
                     dm_pool.push(s.addr());
                     dm_servers.push(s);
                 }
@@ -215,13 +179,13 @@ impl Cluster {
             SystemKind::DmCxl => {
                 let coord = net.add_node("coord", NicConfig::default());
                 let host_cfg = CxlHostConfig {
-                    copy_mode: config.copy_mode,
+                    copy_mode: config.dm.copy_mode,
                     ..Default::default()
                 };
                 fabric = Some(CxlFabric::new(
                     &net,
                     coord,
-                    config.dm_capacity_pages,
+                    config.dm.capacity_pages,
                     params.clone(),
                     host_cfg,
                 ));
@@ -389,110 +353,86 @@ impl Cluster {
                 }
             }
         }
-        // Fine-grained coherence view (DESIGN.md §15), registered only when
-        // the cluster runs it so default-config telemetry dumps are
-        // unchanged: cluster-wide cache outcomes plus invalidation mix.
-        if self.config.dm_client_cache.fine_grained {
-            let stat = |eps: Vec<Weak<DmRpc>>, f: fn(&DmNetClient) -> u64| {
-                move || {
-                    eps.iter()
-                        .filter_map(|w| w.upgrade())
-                        .filter_map(|ep| match ep.dm() {
-                            Some(DmHandle::Net(c)) => Some(f(c)),
-                            _ => None,
-                        })
-                        .sum::<u64>()
-                }
-            };
-            let eps = self.endpoints.borrow().clone();
-            reg.register_gauge(
-                "dm.cache.hits",
-                stat(eps.clone(), |c| c.cache_stats().hits()),
-            );
-            reg.register_gauge(
-                "dm.cache.misses",
-                stat(eps.clone(), |c| c.cache_stats().misses()),
-            );
-            reg.register_gauge(
-                "dm.cache.targeted_inv",
-                stat(eps.clone(), |c| c.cache_stats().targeted_inv()),
-            );
-            reg.register_gauge(
-                "dm.cache.broadcast_inv",
-                stat(eps, |c| c.cache_stats().broadcast_inv()),
-            );
+        // Coherence view (DESIGN.md §15), registered only when the pool is
+        // coherent so default-config telemetry dumps are unchanged:
+        // cluster-wide cache outcomes plus invalidation mix.
+        if self.config.dm.coherence.is_some() {
+            use dmnet::CacheStats;
+            type View = fn(&CacheStats) -> u64;
+            let views: [(&str, View); 4] = [
+                ("hits", CacheStats::hits),
+                ("misses", CacheStats::misses),
+                ("targeted_inv", CacheStats::targeted_inv),
+                ("broadcast_inv", CacheStats::broadcast_inv),
+            ];
+            for (name, read) in views {
+                let eps = self.endpoints.borrow().clone();
+                reg.register_gauge(format!("dm.cache.{name}"), move || {
+                    let live = eps.iter().filter_map(Weak::upgrade);
+                    let of_endpoint = |ep: Rc<DmRpc>| match ep.dm() {
+                        Some(DmHandle::Net(c)) => read(c.cache_stats()),
+                        _ => 0,
+                    };
+                    live.map(of_endpoint).sum()
+                });
+            }
             for (i, s) in self.dm_servers.iter().enumerate() {
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.inv_pushed"), move || {
-                    srv.invalidations_pushed()
-                });
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.inv_broadcasts"), move || {
-                    srv.coherence_broadcasts()
-                });
+                let pushed = format!("dmserver.{i}.inv_pushed");
+                server_gauge(&reg, s, pushed, DmServer::invalidations_pushed);
+                let broadcasts = format!("dmserver.{i}.inv_broadcasts");
+                server_gauge(&reg, s, broadcasts, DmServer::coherence_broadcasts);
             }
         }
         for (i, s) in self.dm_servers.iter().enumerate() {
             let name = self.net.node_name(s.addr().node);
-            let (srv, cores) = (s.clone(), s.cpu_cores());
-            reg.register_gauge(format!("node.{name}.cpu.busy_ns"), move || {
-                srv.cpu_busy_time().as_nanos() as u64
+            let gauge =
+                |name: String, read: fn(&DmServer) -> u64| server_gauge(&reg, s, name, read);
+            gauge(format!("node.{name}.cpu.busy_ns"), |s| {
+                s.cpu_busy_time().as_nanos() as u64
             });
-            reg.register_gauge(format!("node.{name}.cpu.cores"), move || cores);
-            let srv = s.clone();
-            reg.register_gauge(format!("dmserver.{i}.leases_reclaimed"), move || {
-                srv.leases_reclaimed()
-            });
-            let srv = s.clone();
-            reg.register_gauge(format!("dmserver.{i}.epoch"), move || srv.epoch());
-            let srv = s.clone();
-            reg.register_gauge(format!("dmserver.{i}.traffic_bytes"), move || {
-                srv.memory().traffic_bytes()
+            gauge(format!("node.{name}.cpu.cores"), DmServer::cpu_cores);
+            gauge(
+                format!("dmserver.{i}.leases_reclaimed"),
+                DmServer::leases_reclaimed,
+            );
+            gauge(format!("dmserver.{i}.epoch"), DmServer::epoch);
+            gauge(format!("dmserver.{i}.traffic_bytes"), |s| {
+                s.memory().traffic_bytes()
             });
             // Bytes read out as a view of the buffer the pages lie in, and
             // bytes that had to be gathered into a new one.
-            let srv = s.clone();
-            reg.register_gauge(format!("dmserver.{i}.read_viewed_bytes"), move || {
-                srv.with_page_manager(|pm| pm.read_bytes().0)
+            gauge(format!("dmserver.{i}.read_viewed_bytes"), |s| {
+                s.with_page_manager(|pm| pm.read_bytes().0)
             });
-            let srv = s.clone();
-            reg.register_gauge(format!("dmserver.{i}.read_gathered_bytes"), move || {
-                srv.with_page_manager(|pm| pm.read_bytes().1)
+            gauge(format!("dmserver.{i}.read_gathered_bytes"), |s| {
+                s.with_page_manager(|pm| pm.read_bytes().1)
             });
             if s.wal().is_some() {
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.wal.records"), move || {
-                    srv.wal().map_or(0, |w| w.records())
+                gauge(format!("dmserver.{i}.wal.records"), |s| {
+                    s.wal().map_or(0, |w| w.records())
                 });
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.wal.log_bytes"), move || {
-                    srv.wal().map_or(0, |w| w.log_bytes())
+                gauge(format!("dmserver.{i}.wal.log_bytes"), |s| {
+                    s.wal().map_or(0, |w| w.log_bytes())
                 });
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.wal.compactions"), move || {
-                    srv.wal().map_or(0, |w| w.compactions())
+                gauge(format!("dmserver.{i}.wal.compactions"), |s| {
+                    s.wal().map_or(0, |w| w.compactions())
                 });
-                let srv = s.clone();
-                reg.register_gauge(format!("dmserver.{i}.recoveries"), move || srv.recoveries());
+                gauge(format!("dmserver.{i}.recoveries"), DmServer::recoveries);
             }
             // Sharded-plane counters (DESIGN.md §13). `ops` counts every
             // request the server dispatched, so the gauge doubles as the
             // per-server load-balance view even with ring placement off
             // (`<i>` is the server's index in the pool, i.e. in the ring).
-            let srv = s.clone();
-            reg.register_gauge(format!("dm.shard.{i}.ops"), move || srv.ops_served());
-            let srv = s.clone();
-            reg.register_gauge(format!("dm.shard.{i}.migrations"), move || srv.migrations());
-            let srv = s.clone();
-            reg.register_gauge(format!("dm.shard.{i}.redirects"), move || srv.redirects());
+            gauge(format!("dm.shard.{i}.ops"), DmServer::ops_served);
+            gauge(format!("dm.shard.{i}.migrations"), DmServer::migrations);
+            gauge(format!("dm.shard.{i}.redirects"), DmServer::redirects);
             // Overload-control counters (DESIGN.md §14): 0 unless the
-            // cluster was built with `dm_admission`.
-            let srv = s.clone();
-            reg.register_gauge(format!("dm.shard.{i}.rejected"), move || {
-                srv.admission_rejected()
-            });
-            let srv = s.clone();
-            reg.register_gauge(format!("dm.shard.{i}.shed"), move || srv.admission_shed());
+            // pool runs admission control.
+            gauge(
+                format!("dm.shard.{i}.rejected"),
+                DmServer::admission_rejected,
+            );
+            gauge(format!("dm.shard.{i}.shed"), DmServer::admission_shed);
         }
         if let Some(f) = &self.fabric {
             let g = f.gfam().clone();
@@ -564,7 +504,7 @@ impl Cluster {
                     rpc.clone(),
                     self.dm_pool.clone(),
                     self.config.dm_client_cache,
-                    self.config.dm_client_limit,
+                    self.config.dm_client_max_inflight,
                     ring,
                 )
                 .await
@@ -645,6 +585,12 @@ impl Cluster {
     }
 }
 
+/// Register `name` as a gauge reading `read` off the DM server `s`.
+fn server_gauge(reg: &Registry, s: &Rc<DmServer>, name: String, read: fn(&DmServer) -> u64) {
+    let s = s.clone();
+    reg.register_gauge(name, move || read(&s));
+}
+
 /// How busy one node's resource was over a window.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Utilization {
@@ -713,7 +659,7 @@ mod tests {
     fn defaults_match_paper_testbed() {
         let c = ClusterConfig::default();
         assert_eq!(c.cores_per_node, 12, "12 usable cores per socket");
-        assert_eq!(c.copy_mode, CopyMode::CopyOnWrite);
+        assert_eq!(c.dm.copy_mode, dmcommon::CopyMode::CopyOnWrite);
         assert!(c.threshold.is_none());
     }
 

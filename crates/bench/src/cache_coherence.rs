@@ -33,7 +33,7 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::social::build_social_capped;
 use apps::workload::run_closed_loop;
 use bytes::Bytes;
-use dmnet::CacheConfig;
+use dmnet::{CoherenceConfig, DmServerConfig};
 use simcore::Sim;
 
 use crate::report::{f2, Bound, Table};
@@ -93,20 +93,20 @@ pub fn hit_rate_ratio(global: &RttPoint, fg: &RttPoint) -> f64 {
     }
 }
 
-/// The fine-grained client config used by every fg cell (the cluster
-/// derives the matching server-side `CoherenceConfig` from it).
-pub fn fg_config() -> CacheConfig {
-    CacheConfig {
+/// The deployment of one cell: the default cluster, its DM servers
+/// coherent on a [`LEASE`] read lease for the fg cells. Nothing changes on
+/// the client side — the endpoints learn the scheme when they register.
+fn config_for(fine_grained: bool) -> ClusterConfig {
+    let coherence = fine_grained.then(|| CoherenceConfig {
         read_lease: LEASE,
-        ..CacheConfig::fine_grained()
-    }
-}
-
-fn cache_for(fine_grained: bool) -> CacheConfig {
-    if fine_grained {
-        fg_config()
-    } else {
-        CacheConfig::all_on()
+        ..Default::default()
+    });
+    ClusterConfig {
+        dm: DmServerConfig {
+            coherence,
+            ..Default::default()
+        },
+        ..Default::default()
     }
 }
 
@@ -123,11 +123,7 @@ fn mix_draw(w: usize, i: u64) -> u64 {
 pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
-        let config = ClusterConfig {
-            dm_client_cache: cache_for(fine_grained),
-            ..Default::default()
-        };
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config, 17);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, config_for(fine_grained), 17);
         let app = Rc::new(build_social_capped(&cluster, USERS, MEDIA, 7, POST_CAP).await);
         // All writes go through a second client endpoint: the reading
         // client's cache is warmed by reads alone, so an "unrelated
@@ -182,11 +178,7 @@ pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
 pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
-        let config = ClusterConfig {
-            dm_client_cache: cache_for(fine_grained),
-            ..Default::default()
-        };
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config, 42);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, config_for(fine_grained), 42);
         let app = Rc::new(build_chain(&cluster, CHAIN_LEN).await);
         let payload = Bytes::from(vec![7u8; ARG_SIZE]);
         // The stable read set: long-lived by-ref arguments owned by the

@@ -157,37 +157,31 @@ pub fn chaos_rpc_config() -> RpcConfig {
 /// drain phase).
 const LEASE_TTL: Duration = Duration::from_micros(200);
 
-/// The one chaos deployment, as a cluster config (chain, social) and as
-/// the matching bare-pool server config (COW, sharded): bounded retries,
-/// short leases, a small pool so leaks show, fine-grained coherence forced
-/// on (DESIGN.md §15) so every fault window also races targeted pushes,
-/// read leases and the bounded holder directory. Durability is set per
-/// fault class, never inherited from `DM_DURABLE`, so chaos fingerprints
-/// do not depend on the environment: only the recovery class runs the WAL
-/// (`None` is a fault-free run).
-fn chaos_config(fault: Option<FaultClass>) -> (ClusterConfig, DmServerConfig) {
-    let durability =
-        (fault == Some(FaultClass::ServerCrashRecovery)).then(dmnet::WalConfig::zero_cost);
-    let cluster = ClusterConfig {
+/// The one chaos deployment (the bare-pool cases — COW, sharded — start
+/// their servers from its `.dm`): bounded retries, short leases, a small
+/// pool so leaks show, fine-grained coherence forced on (DESIGN.md §15) so
+/// every fault window also races targeted pushes, read leases and the
+/// bounded holder directory. Durability is set per fault class, never
+/// inherited from `DM_DURABLE`, so chaos fingerprints do not depend on the
+/// environment: only the recovery class runs the WAL (`None` is a
+/// fault-free run).
+fn chaos_config(fault: Option<FaultClass>) -> ClusterConfig {
+    ClusterConfig {
         rpc: chaos_rpc_config(),
-        lease_ttl: Some(LEASE_TTL),
-        dm_capacity_pages: 4096,
-        dm_durability: durability,
-        dm_client_cache: CacheConfig::fine_grained(),
+        dm: DmServerConfig {
+            capacity_pages: 4096,
+            lease_ttl: Some(LEASE_TTL),
+            durability: (fault == Some(FaultClass::ServerCrashRecovery))
+                .then(dmnet::WalConfig::zero_cost),
+            coherence: Some(dmnet::CoherenceConfig::default()),
+            ..Default::default()
+        },
         ..Default::default()
-    };
-    let server = DmServerConfig {
-        capacity_pages: cluster.dm_capacity_pages,
-        lease_ttl: cluster.lease_ttl,
-        durability,
-        coherence: Some(dmnet::CoherenceConfig::default()),
-        ..Default::default()
-    };
-    (cluster, server)
+    }
 }
 
-/// A bare-pool chaos client on its own node: chaos RPC tuning, no client
-/// limiter, `cache` and `ring` as the case needs.
+/// A bare-pool chaos client on its own node: chaos RPC tuning, no
+/// concurrency limit, `cache` and `ring` as the case needs.
 async fn chaos_client(
     net: &Network,
     name: &str,
@@ -199,8 +193,7 @@ async fn chaos_client(
     let rpc = RpcBuilder::new(net, node, 100)
         .config(chaos_rpc_config())
         .build();
-    let limit = dmnet::ClientLimitConfig::default();
-    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, limit, ring)
+    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, None, ring)
         .await
         .expect("fault-free connect");
     (node, Rc::new(client))
@@ -404,7 +397,7 @@ fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeI
 pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let cluster = Cluster::new(kind, 2, chaos_config(Some(fault)).0, seed);
+        let cluster = Cluster::new(kind, 2, chaos_config(Some(fault)), seed);
         let app = Rc::new(build_chain(&cluster, 3).await);
         let payload = Bytes::from(vec![7u8; 4096]);
         let want: u64 = payload.iter().map(|&b| b as u64).sum();
@@ -454,15 +447,15 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let net = Network::new(FabricConfig::default(), seed);
         let params = ModelParams::new();
         let dm_node = net.add_node("dm0", NicConfig::default());
-        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(Some(fault)).1);
+        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(Some(fault)).dm);
         let pool = vec![servers[0].addr()];
         let mut clients = Vec::new();
         let mut links = Vec::new();
         for i in 0..4 {
-            // Caching + batching + per-ref coherence on: the fault sweep
-            // must hold every invariant with the DESIGN.md §9/§15 client
-            // cache in play.
-            let cache = CacheConfig::fine_grained();
+            // Caching + batching on, under a coherent server: the fault
+            // sweep must hold every invariant with the DESIGN.md §9/§15
+            // client cache in play.
+            let cache = CacheConfig::all_on();
             let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, None).await;
             clients.push(c);
             links.push((node, dm_node));
@@ -562,13 +555,9 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             }
             // Read every acked ref back through a fresh cache-off client,
             // so hits must come from the recovered server itself rather
-            // than a survivor's cache. (Trailer-aware but not caching: a
-            // coherent server frames versions into every ok response.)
-            let versions_only = CacheConfig {
-                fine_grained: true,
-                ..CacheConfig::default()
-            };
-            let (_, verifier) = chaos_client(&net, "verify", &pool, versions_only, None).await;
+            // than a survivor's cache.
+            let cache_off = CacheConfig::default();
+            let (_, verifier) = chaos_client(&net, "verify", &pool, cache_off, None).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
                 let got = verifier.read_ref(r, 0, 512).await;
@@ -627,7 +616,7 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
             .collect();
         // Coherence on: MIGRATE version transfer, `GVer` replay and
         // targeted pushes all race the fault windows here.
-        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(Some(fault)).1);
+        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(Some(fault)).dm);
         let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
         let mut clients = Vec::new();
         // Fault candidates: every client↔DM link plus the DM↔DM links the
@@ -635,7 +624,7 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
         let mut links = Vec::new();
         for i in 0..3 {
             let ring = Some(dmnet::HashRing::new(pool.len(), seed));
-            let cache = CacheConfig::fine_grained();
+            let cache = CacheConfig::all_on();
             let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, ring).await;
             clients.push(c);
             links.extend(dm_nodes.iter().map(|&d| (node, d)));
@@ -744,11 +733,7 @@ pub fn run_slo_social_fault_free(seed: u64) -> CaseResult {
 fn slo_social(fault: Option<FaultClass>, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let config = ClusterConfig {
-            dm_admission: Some(dmnet::AdmissionConfig::default()),
-            dm_client_limit: dmnet::ClientLimitConfig::enabled(),
-            ..chaos_config(fault).0
-        };
+        let config = crate::slo_scale::with_dm_overload_control(chaos_config(fault));
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, seed);
         let pop = Population::new(SLO_SOCIAL_SF, 42);
         let app = Rc::new(

@@ -13,6 +13,7 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::workload::run_closed_loop;
 use bytes::Bytes;
 use dmcommon::CopyMode;
+use dmnet::DmServerConfig;
 use simcore::Sim;
 
 use crate::report::{f2, size_label, Table};
@@ -25,9 +26,12 @@ fn run_point(kind: SystemKind, copy_mode: CopyMode, size: usize) -> (f64, f64, f
     let sim = Sim::new();
     sim.block_on(async move {
         let config = ClusterConfig {
-            copy_mode,
-            dm_server_cores: 1, // paper: one core in a single memory server
-            dm_capacity_pages: 1 << 20,
+            dm: DmServerConfig {
+                copy_mode,
+                cores: 1, // paper: one core in a single memory server
+                capacity_pages: 1 << 20,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let cluster = Cluster::new(kind, 1, config, 7);

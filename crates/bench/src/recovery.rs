@@ -147,10 +147,8 @@ pub struct OverheadPoint {
 pub fn overhead_point(durability: Option<WalConfig>) -> OverheadPoint {
     let sim = Sim::new();
     let (completed, wal_records, wal_bytes) = sim.block_on(async move {
-        let config = ClusterConfig {
-            dm_durability: durability,
-            ..Default::default()
-        };
+        let mut config = ClusterConfig::default();
+        config.dm.durability = durability;
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, 42);
         let app = Rc::new(build_chain(&cluster, 3).await);
         let payload = Bytes::from(vec![7u8; 4096]);

@@ -148,14 +148,10 @@ pub fn run(argv: &[String]) {
         a.window
     );
     let sim = Sim::new();
-    let config = ClusterConfig {
-        copy_mode: if a.copy {
-            CopyMode::Eager
-        } else {
-            CopyMode::CopyOnWrite
-        },
-        ..Default::default()
-    };
+    let mut config = ClusterConfig::default();
+    if a.copy {
+        config.dm.copy_mode = CopyMode::Eager;
+    }
     let (m, ledger) = sim.block_on(async move {
         let cluster = Cluster::new(a.system, 2, config, a.seed);
         if let Some(ns) = a.cxl_ns {

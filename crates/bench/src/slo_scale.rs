@@ -33,7 +33,7 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind, Utilization};
 use apps::social::build_social_scaled;
 use apps::workload::run_open_loop_classified;
 use dmcommon::DmError;
-use dmnet::{AdmissionConfig, ClientLimitConfig};
+use dmnet::{AdmissionConfig, DmServerConfig};
 use loadgen::Population;
 use simcore::{Sim, SimRng};
 use telemetry::{SloBudget, SloReport};
@@ -109,6 +109,21 @@ pub fn front_admission() -> AdmissionConfig {
     }
 }
 
+/// `base` with the DM side of overload control on: bounded admission at
+/// every DM server (which then answers `Busy`, and clients retry it) and a
+/// token limit on each client's concurrent DM ops. (Shared with the chaos
+/// `slo-social` case, like [`front_admission`].)
+pub fn with_dm_overload_control(base: ClusterConfig) -> ClusterConfig {
+    ClusterConfig {
+        dm: DmServerConfig {
+            admission: Some(AdmissionConfig::default()),
+            ..base.dm
+        },
+        dm_client_max_inflight: Some(64),
+        ..base
+    }
+}
+
 /// What one cell measured, flattened for transport out of the sweep.
 pub struct CellOut {
     /// Achieved completions per second.
@@ -140,11 +155,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
     sim.block_on(async move {
         let config = match overload {
             Overload::Off => ClusterConfig::default(),
-            Overload::On => ClusterConfig {
-                dm_admission: Some(AdmissionConfig::default()),
-                dm_client_limit: ClientLimitConfig::enabled(),
-                ..ClusterConfig::default()
-            },
+            Overload::On => with_dm_overload_control(ClusterConfig::default()),
         };
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, 11);
         let pop = Population::new(sf, POP_SEED);

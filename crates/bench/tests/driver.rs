@@ -366,18 +366,7 @@ fn the_prose_names_only_what_exists() {
     let experiments: Vec<&str> = names.chain(["list", "scenario"]).collect();
     // The documents, then every Rust source under crates/, shims/ and examples/.
     let mut sources: Vec<PathBuf> = docs.split(' ').map(|doc| root.join(doc)).collect();
-    let mut dirs = ["crates", "shims", "examples"]
-        .map(|d| root.join(d))
-        .to_vec();
-    while let Some(dir) = dirs.pop() {
-        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
-            match path.extension() {
-                _ if path.is_dir() => dirs.push(path),
-                Some(ext) if ext == "rs" => sources.push(path),
-                _ => {}
-            }
-        }
-    }
+    sources.extend(rust_sources(&root, &["crates", "shims", "examples"]));
     let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
     // Where a type of ours is defined: the sources outside `examples/`.
     let is_lib = |p: &&PathBuf| {
@@ -500,5 +489,94 @@ fn wire_builders_attach_a_payload_and_never_copy_it() {
                 line.trim()
             );
         }
+    }
+}
+
+/// Every Rust source under the directories `dirs` of `root`.
+fn rust_sources(root: &std::path::Path, dirs: &[&str]) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
+    let mut out = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            match path.extension() {
+                _ if path.is_dir() => dirs.push(path),
+                Some(ext) if ext == "rs" => out.push(path),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// `(struct, field)` for every named field of every braced struct `src`
+/// declares.
+fn struct_fields(src: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    for (at, _) in src.match_indices("struct ") {
+        let name = ident(&src[at + "struct ".len()..]);
+        let opens = src[at..].find(['{', ';', '(']).map(|i| at + i);
+        let Some(open) = opens.filter(|&i| !name.is_empty() && src[i..].starts_with('{')) else {
+            continue;
+        };
+        for line in item(&src[at..], &src[at..=open]).lines().skip(1) {
+            let line = line.trim_start();
+            let line = line.strip_prefix("pub ").unwrap_or(line);
+            let field = ident(line);
+            if !field.is_empty() && line[field.len()..].starts_with(": ") {
+                out.push((name, field));
+            }
+        }
+    }
+    out
+}
+
+/// A plane of the DM pool is configured in one place, the server's config,
+/// and a client finds out over the wire (DESIGN.md §15). Grep-level: the
+/// cluster config re-declares no `DmServerConfig` field, the read lease is
+/// a field of one struct and `fine_grained` of none, and the process
+/// environment is read only where a set-but-unreadable value ends the run.
+#[test]
+fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let at = |p: &PathBuf| p.strip_prefix(&root).unwrap().display().to_string();
+    let read = |p: &PathBuf| (at(p), std::fs::read_to_string(p).unwrap());
+    let sources: Vec<(String, String)> =
+        rust_sources(&root, &["crates"]).iter().map(read).collect();
+    let text_of = |rel: &str| &sources.iter().find(|(at, _)| at == rel).expect(rel).1;
+    let declaring = |field: &str| -> Vec<&str> {
+        let fields = sources.iter().flat_map(|(_, text)| struct_fields(text));
+        let named = fields.filter(|&(_, f)| f == field);
+        named.map(|(s, _)| s).collect()
+    };
+    let server = struct_fields(text_of("crates/dmnet/src/server.rs"));
+    let server = server.iter().filter(|(s, _)| *s == "DmServerConfig");
+    let server: Vec<&str> = server.map(|&(_, field)| field).collect();
+    assert!(
+        server.contains(&"lease_ttl") && server.contains(&"coherence"),
+        "{server:?}"
+    );
+    for (s, field) in struct_fields(text_of("crates/apps/src/cluster.rs")) {
+        assert!(
+            !server.contains(&field),
+            "`{s}::{field}` re-declares a `DmServerConfig` field"
+        );
+    }
+    assert_eq!(declaring("read_lease"), ["CoherenceConfig"]);
+    assert_eq!(declaring("fine_grained"), [""; 0]);
+
+    let needle = ["env", "var"].join("::");
+    let allowed = [
+        ("crates/bench/src/pool.rs", "pub fn knobs("),
+        ("crates/bench/src/report.rs", "pub fn results_dir("),
+        ("crates/dmnet/src/wal.rs", "pub fn from_env("),
+    ];
+    for (at, text) in sources.iter().filter(|(_, text)| text.contains(&needle)) {
+        let reader = allowed.iter().find(|(file, _)| file == at);
+        let (_, opener) = reader.unwrap_or_else(|| panic!("{at} reads the environment"));
+        assert_eq!(
+            item(text, opener).matches(&needle).count(),
+            text.matches(&needle).count(),
+            "{at}"
+        );
     }
 }

@@ -21,17 +21,19 @@
 //! message within a bounded flush window. Any synchronous request that
 //! names a queued key or region flushes first, preserving program order.
 //!
-//! **Fine-grained mode** (DESIGN.md §15) replaces the all-or-nothing
-//! epoch with per-ref versions: responses from a coherence-enabled server
-//! piggyback `(key, version)` pairs for the refs they touched, and the
-//! server pushes targeted [`req::INVALIDATE`] messages to clients whose
-//! cached copy of a ref just died. Entries are stamped with the version
-//! known at fill time plus a bounded *read lease*; a serve requires the
+//! **A coherent server** (DESIGN.md §15) replaces the all-or-nothing
+//! epoch with per-ref versions: its responses piggyback `(key, version)`
+//! pairs for the refs they touched, and it pushes targeted
+//! [`req::INVALIDATE`] messages to clients whose cached copy of a ref just
+//! died. Which kind a server is, and its *read lease*, the client learns
+//! when it registers. Entries are stamped with
+//! the version known at fill time plus that lease; a serve requires the
 //! entry's version to be at least the latest known version of its key
 //! **and** the lease to be unexpired, so an invalidation lost to the
 //! network can delay eviction only until the lease runs out — and even
 //! then the stale entry can only hold the dead ref's final (immutable)
-//! bytes, never diverged ones.
+//! bytes, never diverged ones. Under a server that reports no versions
+//! every version reads 0 and no entry carries a lease: the epoch decides.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -42,12 +44,9 @@ use dmcommon::GlobalPid;
 use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
-use crate::proto::req;
+use crate::proto::{req, N_REQ_TYPES};
 
-/// Highest request-type value tracked by the per-type wire counters.
-const MAX_REQ: usize = req::INVALIDATE as usize + 1;
-
-/// Known-version entries kept per server in fine-grained mode (FIFO).
+/// Known-version entries kept per server (FIFO).
 /// A forgotten entry is re-learned from the next version block or push for the
 /// key; forgetting can only delay an invalidation until the entry's read
 /// lease expires, never serve diverged bytes.
@@ -64,32 +63,12 @@ const MAX_ENTRIES: usize = 256;
 /// both, keeping a raw [`crate::DmNetClient`]'s wire behavior identical to
 /// the pre-cache client; [`CacheConfig::all_on`] is what the cluster layer
 /// uses for DmRPC-net.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CacheConfig {
     /// Cache ref bytes and idle ref mappings client-side.
     pub enabled: bool,
     /// Coalesce control ops into batched wire messages.
     pub batching: bool,
-    /// Per-ref coherence: fold piggybacked `(key, version)` blocks and
-    /// targeted [`req::INVALIDATE`] pushes instead of relying on the
-    /// global epoch alone. Must match the server's `coherence` setting
-    /// (the block changes the ok-response wire format).
-    pub fine_grained: bool,
-    /// How long a fine-grained data entry may be served without hearing
-    /// from the server (virtual time). Bounds the staleness window when a
-    /// targeted invalidation is lost.
-    pub read_lease: Duration,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            enabled: false,
-            batching: false,
-            fine_grained: false,
-            read_lease: Duration::from_micros(50),
-        }
-    }
 }
 
 impl CacheConfig {
@@ -98,16 +77,6 @@ impl CacheConfig {
         CacheConfig {
             enabled: true,
             batching: true,
-            ..CacheConfig::default()
-        }
-    }
-
-    /// Everything on plus per-ref coherence (requires a server started
-    /// with `coherence: Some(..)`).
-    pub fn fine_grained() -> CacheConfig {
-        CacheConfig {
-            fine_grained: true,
-            ..CacheConfig::all_on()
         }
     }
 }
@@ -151,13 +120,13 @@ impl CacheStats {
         self.batches.get()
     }
 
-    /// Targeted invalidation pushes received (fine-grained mode).
+    /// Targeted invalidation pushes received (from coherent servers).
     pub fn targeted_inv(&self) -> u64 {
         self.targeted_inv.get()
     }
 
-    /// Epoch advances observed while in fine-grained mode (the server's
-    /// broadcast fallback, e.g. directory overflow or restart).
+    /// Epoch advances observed from coherent servers (their broadcast
+    /// fallback, e.g. directory overflow or restart).
     pub fn broadcast_inv(&self) -> u64 {
         self.broadcast_inv.get()
     }
@@ -167,10 +136,10 @@ impl CacheStats {
 struct DataEntry {
     epoch: u64,
     bytes: Bytes,
-    /// Version of the ref known when the entry was filled (fine-grained
-    /// mode; 0 when the key's version has never been reported).
+    /// Version of the ref known when the entry was filled (0 when the
+    /// key's version has never been reported).
     ver: u64,
-    /// Serve deadline (fine-grained mode only; `None` otherwise).
+    /// Serve deadline under a coherent server's read lease.
     leased_until: Option<simcore::SimTime>,
 }
 
@@ -181,8 +150,8 @@ struct MapEntry {
     va: u64,
     len: u64,
     epoch: u64,
-    /// Version of the ref known when the mapping was noted (fine-grained
-    /// mode; 0 otherwise).
+    /// Version of the ref known when the mapping was noted (0 when never
+    /// reported).
     ver: u64,
     /// The app currently holds this mapping (not reusable).
     in_use: bool,
@@ -207,6 +176,10 @@ pub(crate) enum FreeAction {
 struct ServerCache {
     /// Latest invalidation epoch observed from this server.
     epoch: Cell<u64>,
+    /// How long an entry filled from this server may be served without
+    /// hearing from it — the server's read lease, as its `REGISTER` reply
+    /// stated it: `Some` iff the server is coherent (DESIGN.md §15).
+    serve_for: Cell<Option<Duration>>,
     data: RefCell<HashMap<u64, DataEntry>>,
     /// Insertion order of `data` keys (FIFO eviction).
     data_order: RefCell<VecDeque<u64>>,
@@ -226,8 +199,8 @@ struct ServerCache {
     batches_in_flight: Cell<u32>,
     /// Signalled whenever `batches_in_flight` falls.
     batch_landed: Notify,
-    /// Latest per-ref versions reported by this server (fine-grained
-    /// mode), FIFO-bounded by [`KNOWN_MAX`].
+    /// Latest per-ref versions reported by this server, FIFO-bounded by
+    /// [`KNOWN_MAX`].
     known: RefCell<HashMap<u64, u64>>,
     /// Insertion order of `known` keys.
     known_order: RefCell<VecDeque<u64>>,
@@ -258,7 +231,7 @@ pub(crate) struct ClientCache {
     config: CacheConfig,
     servers: Vec<ServerCache>,
     stats: CacheStats,
-    wire: RefCell<[u64; MAX_REQ]>,
+    wire: RefCell<[u64; N_REQ_TYPES]>,
 }
 
 impl ClientCache {
@@ -267,7 +240,7 @@ impl ClientCache {
             config,
             servers: (0..n_servers).map(|_| ServerCache::default()).collect(),
             stats: CacheStats::default(),
-            wire: RefCell::new([0; MAX_REQ]),
+            wire: RefCell::new([0; N_REQ_TYPES]),
         }
     }
 
@@ -277,6 +250,11 @@ impl ClientCache {
 
     pub(crate) fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Record what server `idx`'s `REGISTER` reply said about coherence.
+    pub(crate) fn set_serve_for(&self, idx: usize, read_lease: Option<Duration>) {
+        self.servers[idx].serve_for.set(read_lease);
     }
 
     // -- wire accounting -----------------------------------------------------
@@ -317,9 +295,9 @@ impl ClientCache {
             return false;
         }
         s.epoch.set(epoch);
-        if self.config.fine_grained {
-            // In fine-grained mode an epoch advance is the server's
-            // broadcast fallback (directory overflow or restart).
+        if s.serve_for.get().is_some() {
+            // A coherent server's epoch only moves as its broadcast
+            // fallback (directory overflow or restart).
             self.stats
                 .broadcast_inv
                 .set(self.stats.broadcast_inv.get() + 1);
@@ -348,18 +326,15 @@ impl ClientCache {
         needs_flush
     }
 
-    // -- per-ref versions (fine-grained mode) --------------------------------
+    // -- per-ref versions ----------------------------------------------------
 
     /// Fold a `(key, version)` report in — from a response version block
     /// (`targeted == false`) or a server invalidation push
     /// (`targeted == true`). A version advance drops the key's stale data
     /// entry and turns its stale idle mapping's deferred release into a
     /// queued wire free. Returns true if the caller should schedule a
-    /// flush. No-op unless fine-grained mode is on.
+    /// flush.
     pub(crate) fn observe_version(&self, idx: usize, key: u64, ver: u64, targeted: bool) -> bool {
-        if !self.config.fine_grained {
-            return false;
-        }
         if targeted {
             self.stats
                 .targeted_inv
@@ -380,25 +355,29 @@ impl ClientCache {
                 }
             }
         }
-        let mut invalidated = 0u64;
-        let stale_data = matches!(s.data.borrow().get(&key), Some(e) if e.ver < ver);
-        if stale_data {
+        self.drop_entries(s, key, |filled_at| filled_at < ver)
+    }
+
+    /// Drop what is cached under `key` — its data entry and its idle
+    /// mapping, whose deferred release becomes a queued wire free — where
+    /// `stale` says so of the version the entry was filled at. Returns true
+    /// if the caller should schedule a flush.
+    fn drop_entries(&self, s: &ServerCache, key: u64, stale: impl Fn(u64) -> bool) -> bool {
+        let mut invalidated = 0;
+        if matches!(s.data.borrow().get(&key), Some(e) if stale(e.ver)) {
             s.data.borrow_mut().remove(&key);
             s.data_order.borrow_mut().retain(|&k| k != key);
             invalidated += 1;
         }
         let mut needs_flush = false;
-        let idle_stale = matches!(s.maps.borrow().get(&key), Some(e) if !e.in_use && e.ver < ver);
-        if idle_stale {
+        if matches!(s.maps.borrow().get(&key), Some(e) if !e.in_use && stale(e.ver)) {
             let e = s.maps.borrow_mut().remove(&key).expect("checked above");
             invalidated += 1;
             needs_flush = self.queue_free_locked(s, e.va);
         }
-        if invalidated > 0 {
-            self.stats
-                .invalidations
-                .set(self.stats.invalidations.get() + invalidated);
-        }
+        self.stats
+            .invalidations
+            .set(self.stats.invalidations.get() + invalidated);
         needs_flush
     }
 
@@ -408,12 +387,10 @@ impl ClientCache {
     /// it.
     pub(crate) fn lookup_data(&self, idx: usize, key: u64, off: u64, len: u64) -> Option<Bytes> {
         let s = &self.servers[idx];
-        // Fine-grained freshness: the entry's fill-time version must still
-        // be current and its read lease unexpired.
-        let fg = self.config.fine_grained;
-        let stale = fg
-            && matches!(s.data.borrow().get(&key), Some(e) if e.ver < s.known_ver(key)
-                || e.leased_until.is_some_and(|t| t <= simcore::now()));
+        // The entry's fill-time version must still be current and its read
+        // lease, if it has one, unexpired.
+        let stale = matches!(s.data.borrow().get(&key), Some(e) if e.ver < s.known_ver(key)
+            || e.leased_until.is_some_and(|t| t <= simcore::now()));
         if stale {
             s.data.borrow_mut().remove(&key);
             s.data_order.borrow_mut().retain(|&k| k != key);
@@ -444,14 +421,8 @@ impl ClientCache {
         // Stamp the version known *now*: the response's version block was folded
         // into `known` before this fill (synchronously, no await between),
         // so an entry can never outrank what its own response reported.
-        let (ver, leased_until) = if self.config.fine_grained {
-            (
-                s.known_ver(key),
-                Some(simcore::now() + self.config.read_lease),
-            )
-        } else {
-            (0, None)
-        };
+        let ver = s.known_ver(key);
+        let leased_until = s.serve_for.get().map(|lease| simcore::now() + lease);
         let mut data = s.data.borrow_mut();
         let mut order = s.data_order.borrow_mut();
         if data
@@ -477,23 +448,7 @@ impl ClientCache {
     /// Drop everything cached under `key` (the client is releasing it).
     /// Returns true if the caller should schedule a flush.
     pub(crate) fn invalidate_key(&self, idx: usize, key: u64) -> bool {
-        let s = &self.servers[idx];
-        let mut invalidated = 0;
-        if s.data.borrow_mut().remove(&key).is_some() {
-            s.data_order.borrow_mut().retain(|&k| k != key);
-            invalidated += 1;
-        }
-        let mut needs_flush = false;
-        let idle = matches!(s.maps.borrow().get(&key), Some(e) if !e.in_use);
-        if idle {
-            let e = s.maps.borrow_mut().remove(&key).expect("checked above");
-            invalidated += 1;
-            needs_flush = self.queue_free_locked(s, e.va);
-        }
-        self.stats
-            .invalidations
-            .set(self.stats.invalidations.get() + invalidated);
-        needs_flush
+        self.drop_entries(&self.servers[idx], key, |_| true)
     }
 
     // -- mappings ------------------------------------------------------------
@@ -509,7 +464,7 @@ impl ClientCache {
         let reusable = matches!(
             maps.get(&key),
             Some(e) if !e.in_use && !e.dirty && e.epoch == s.epoch.get()
-                && (!self.config.fine_grained || e.ver >= s.known_ver(key))
+                && e.ver >= s.known_ver(key)
         );
         if reusable {
             let e = maps.get_mut(&key).expect("checked above");
@@ -537,11 +492,7 @@ impl ClientCache {
                 va,
                 len,
                 epoch: resp_epoch.max(s.epoch.get()),
-                ver: if self.config.fine_grained {
-                    s.known_ver(key)
-                } else {
-                    0
-                },
+                ver: s.known_ver(key),
                 in_use: true,
                 dirty: false,
             },
@@ -568,10 +519,7 @@ impl ClientCache {
         if !e.in_use {
             return FreeAction::AlreadyFreed;
         }
-        if !e.dirty
-            && e.epoch == s.epoch.get()
-            && (!self.config.fine_grained || e.ver >= s.known_ver(key))
-        {
+        if !e.dirty && e.epoch == s.epoch.get() && e.ver >= s.known_ver(key) {
             e.in_use = false;
             return FreeAction::Deferred;
         }
@@ -630,9 +578,6 @@ impl ClientCache {
     /// batch is encoded — the cache does not know pids). Returns true if a
     /// flush should be scheduled.
     fn queue_free_locked(&self, s: &ServerCache, va: u64) -> bool {
-        // The pid placeholder is resolved by the client before encoding;
-        // see `DmNetClient::frame_free`. To keep the cache self-contained
-        // we store the va and let the client frame the body.
         s.pending
             .borrow_mut()
             .push((req::FREE, free_marker(va), telemetry::current_ctx()));
@@ -691,12 +636,10 @@ impl ClientCache {
             .any(|&(_, v)| v == va)
     }
 
-    /// Count one flushed batch of `ops` ops.
-    pub(crate) fn note_batch(&self, ops: usize) {
+    /// Count one flushed batch (its ops were counted at enqueue, its
+    /// envelope by `count_wire(req::BATCH)`).
+    pub(crate) fn note_batch(&self) {
         self.stats.batches.set(self.stats.batches.get() + 1);
-        // The ops themselves were counted at enqueue; nothing more here —
-        // the batch envelope is counted via `count_wire(req::BATCH)`.
-        let _ = ops;
     }
 }
 
@@ -810,8 +753,11 @@ mod tests {
         assert!(!c.has_pending(0));
     }
 
+    /// A cache whose one server said it is coherent, on the default lease.
     fn fg_cache() -> ClientCache {
-        ClientCache::new(1, CacheConfig::fine_grained())
+        let c = cache();
+        c.set_serve_for(0, Some(crate::proto::DEFAULT_READ_LEASE));
+        c
     }
 
     #[test]
@@ -841,7 +787,7 @@ mod tests {
             let c = fg_cache();
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
             assert!(c.lookup_data(0, 1, 0, 1).is_some());
-            simcore::sleep(CacheConfig::default().read_lease * 2).await;
+            simcore::sleep(crate::proto::DEFAULT_READ_LEASE * 2).await;
             assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
             // A refill re-arms the lease.
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
@@ -867,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advance_counts_as_broadcast_in_fine_grained_mode() {
+    fn epoch_advance_counts_as_broadcast_under_a_coherent_server() {
         let sim = simcore::Sim::new();
         sim.block_on(async {
             let c = fg_cache();

@@ -15,8 +15,9 @@
 //! both off, preserving the raw one-op-one-RPC behavior.
 //!
 //! Every op reaches the wire through one function (`request_at`);
-//! placement, key kind, coherence and overload behavior are data it reads,
-//! not separate paths.
+//! placement, key kind and overload behavior are data it reads, not
+//! separate paths. What each server does about leases and coherence the
+//! client is never told: it reads it off that server's `REGISTER` reply.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -37,37 +38,16 @@ use crate::shard::{HashRing, GKEY_BIT};
 /// timer (bounds batch size and client-side queue memory).
 const MAX_BATCH_OPS: usize = 64;
 
+/// How many times a typed [`DmError::Busy`] rejection (DESIGN.md §14) is
+/// retried before it surfaces to the caller. Only a server running
+/// admission control ever sends one, so against any other server the retry
+/// arm is never taken.
+const BUSY_RETRIES: u32 = 3;
+
 /// First wait before retrying a `Busy` rejection; doubles per attempt (the
 /// PR 2 backoff schedule, via [`rpclib::Backoff`]) up to the cap.
 const BUSY_BACKOFF: Duration = Duration::from_micros(20);
 const BUSY_BACKOFF_CAP: Duration = Duration::from_micros(640);
-
-/// Client-side overload behavior (DESIGN.md §14): an optional token
-/// limit bounding this process's concurrent DM wire ops, and a
-/// backpressure-aware retry policy for the server's typed
-/// [`DmError::Busy`] rejection. The default turns both off — a client
-/// built with it behaves draw-for-draw like one built before overload
-/// control existed (`Busy` then surfaces to the caller like any error).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientLimitConfig {
-    /// Max concurrent wire requests from this client (`None` = unlimited).
-    /// Excess callers wait locally — backpressure instead of offered load.
-    pub max_inflight: Option<u64>,
-    /// How many times a `Busy` rejection is retried (with backoff) before
-    /// surfacing to the caller. 0 = never retry.
-    pub busy_retries: u32,
-}
-
-impl ClientLimitConfig {
-    /// A sensible "on" policy for overload experiments: bounded client
-    /// concurrency plus three backed-off retries.
-    pub fn enabled() -> ClientLimitConfig {
-        ClientLimitConfig {
-            max_inflight: Some(64),
-            busy_retries: 3,
-        }
-    }
-}
 
 /// Client-side ring router (DESIGN.md §13). Present only on clients
 /// connected with a [`HashRing`]: `put_ref` then mints global keys
@@ -126,10 +106,8 @@ pub struct DmNetClient {
     /// Sharded placement (DESIGN.md §13), present only on clients
     /// connected with a [`HashRing`].
     router: Option<RingRouter>,
-    /// `Busy` rejections retried before one surfaces (DESIGN.md §14).
-    busy_retries: u32,
-    /// Token pool bounding concurrent wire ops, when
-    /// [`ClientLimitConfig::max_inflight`] is set.
+    /// Token pool bounding concurrent wire ops (DESIGN.md §14), when the
+    /// client was connected with a `max_inflight`.
     tokens: Option<Semaphore>,
     /// `Busy` rejections absorbed by the retry loop (observability).
     busy_retried: Cell<u64>,
@@ -138,20 +116,21 @@ pub struct DmNetClient {
 impl DmNetClient {
     /// Register this process with every DM server in the pool, with the
     /// client cache and coalescer off ([`CacheConfig::default`]), no
-    /// overload behavior and round-robin placement.
+    /// concurrency limit and round-robin placement.
     pub async fn connect(rpc: Rc<Rpc>, servers: Vec<Addr>) -> DmResult<DmNetClient> {
-        let (cache, limit) = (CacheConfig::default(), ClientLimitConfig::default());
-        DmNetClient::connect_with(rpc, servers, cache, limit, None).await
+        DmNetClient::connect_with(rpc, servers, CacheConfig::default(), None, None).await
     }
 
     /// Register this process with every DM server in the pool. If the
     /// servers grant leases, a background task renews them until the client
-    /// is dropped or [`DmNetClient::simulate_crash`] is called.
+    /// is dropped or [`DmNetClient::simulate_crash`] is called; if any is
+    /// coherent (DESIGN.md §15), the client serves its invalidation pushes
+    /// and honours its read lease. Both are learned here, per server.
     ///
     /// `cache` selects the DESIGN.md §9 caching/batching behavior and
-    /// `limit` the DESIGN.md §14 overload behavior (a token pool bounding
-    /// this process's concurrent wire ops and a backed-off retry loop for
-    /// typed `Busy` rejections). With `ring` set, `put_ref` places refs by
+    /// `max_inflight` bounds this process's concurrent wire ops (DESIGN.md
+    /// §14: excess callers wait locally — backpressure instead of offered
+    /// load; `None` = unlimited). With `ring` set, `put_ref` places refs by
     /// consistent hashing over the pool instead of round-robin (every
     /// client must be handed the same ring, i.e. the same seed), and
     /// gkey-named ops chase migration redirects transparently.
@@ -159,13 +138,13 @@ impl DmNetClient {
         rpc: Rc<Rpc>,
         servers: Vec<Addr>,
         cache: CacheConfig,
-        limit: ClientLimitConfig,
+        max_inflight: Option<u64>,
         ring: Option<HashRing>,
     ) -> DmResult<DmNetClient> {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
         let cache = Rc::new(ClientCache::new(servers.len(), cache));
         let mut pids = Vec::with_capacity(servers.len());
-        let mut lease_ttl = None;
+        let (mut lease_ttl, mut any_coherent) = (None, false);
         for (i, &s) in servers.iter().enumerate() {
             cache.count_wire(req::REGISTER);
             let resp = rpc
@@ -174,22 +153,27 @@ impl DmNetClient {
                 .map_err(|_| DmError::Transport)?;
             let (epoch, reply) = split_response(&resp);
             cache.observe_epoch(i, epoch);
+            // `[pid]([lease ttl]([read lease]))`, see `req::REGISTER`; the
+            // server is coherent iff it answered with a version block.
+            let coherent = matches!(
+                reply,
+                Reply::Ok {
+                    versions: Some(_),
+                    ..
+                }
+            );
             let body = reply.result()?;
-            // Coherent servers put a version block in every ok response
-            // (n = 0 here: REGISTER touches no refs).
-            let body = if cache.config().fine_grained {
-                proto::split_versions(&body)?.0
-            } else {
-                body
-            };
             let mut r = Reader::of(&body);
             pids.push(r.pid()?);
-            if let Ok(ns) = r.u64() {
-                lease_ttl = Some(Duration::from_nanos(ns));
-            }
+            let mut field = || r.u64().ok().filter(|&ns| ns > 0).map(Duration::from_nanos);
+            let (ttl, read_lease) = (field(), field());
+            lease_ttl = ttl.or(lease_ttl);
+            let read_lease = coherent.then(|| read_lease.unwrap_or(proto::DEFAULT_READ_LEASE));
+            cache.set_serve_for(i, read_lease);
+            any_coherent |= read_lease.is_some();
         }
         let alive = Rc::new(Cell::new(true));
-        if cache.config().fine_grained {
+        if any_coherent {
             // Targeted invalidation push (DESIGN.md §15): a coherent server
             // that bumps a ref's version sends `[key u64][ver u64]` to every
             // read-lease holder. Folding the version drops exactly the named
@@ -264,8 +248,7 @@ impl DmNetClient {
             alive,
             cache,
             router,
-            busy_retries: limit.busy_retries,
-            tokens: limit.max_inflight.map(Semaphore::new),
+            tokens: max_inflight.map(Semaphore::new),
             busy_retried: Cell::new(0),
         })
     }
@@ -328,7 +311,7 @@ impl DmNetClient {
     }
 
     /// `Busy` rejections this client absorbed by retrying (0 unless a
-    /// [`ClientLimitConfig`] with retries is installed).
+    /// server of the pool runs admission control).
     pub fn busy_retried(&self) -> u64 {
         self.busy_retried.get()
     }
@@ -369,9 +352,9 @@ impl DmNetClient {
     /// a server without the gkey having answered there). A redirect
     /// answering any other request is a protocol violation (`Malformed`).
     ///
-    /// With the default (off) limit config neither the token nor the retry
-    /// path touches an await point or RNG, so the schedule is identical to
-    /// a bare send.
+    /// Without a concurrency limit, and against servers that never answer
+    /// `Busy`, neither the token nor the retry path touches an await point
+    /// or RNG, so the schedule is identical to a bare send.
     async fn request_at(
         &self,
         mut server: DmServerId,
@@ -386,7 +369,7 @@ impl DmNetClient {
             None => None,
         };
         let mut backoff = Backoff::new(BUSY_BACKOFF, BUSY_BACKOFF_CAP);
-        let mut retries_left = self.busy_retries;
+        let mut retries_left = BUSY_RETRIES;
         let mut hops = 0;
         loop {
             let addr = match self.server_addr(server) {
@@ -406,9 +389,18 @@ impl DmNetClient {
                 self.schedule_flush(server);
             }
             match (reply, chase) {
-                (Reply::Ok(body), _) => {
-                    let result = self.fold_versions(server, body);
-                    if let (Ok(_), Some((router, gkey))) = (&result, chase) {
+                (Reply::Ok { body, versions }, _) => {
+                    // What a coherent server says about the refs this op
+                    // touched: each pair drops any entry it proves stale.
+                    let idx = server.0 as usize;
+                    let mut needs_flush = false;
+                    for (key, ver) in versions.into_iter().flatten() {
+                        needs_flush |= self.cache.observe_version(idx, key, ver, false);
+                    }
+                    if needs_flush {
+                        self.schedule_flush(server);
+                    }
+                    if let Some((router, gkey)) = chase {
                         // Remember an off-ring home; forget a stale entry the
                         // moment the gkey answers at its ring home again.
                         if router.ring.route(gkey) != server {
@@ -417,7 +409,8 @@ impl DmNetClient {
                             router.reloc.borrow_mut().remove(&gkey);
                         }
                     }
-                    return (epoch, server, result);
+                    // For a read, the server's payload buffer itself.
+                    return (epoch, server, Ok(body.into_bytes()));
                 }
                 (Reply::Moved { node, port }, Some((router, gkey))) => {
                     let Some(next) = self.addr_to_server(node, port) else {
@@ -461,27 +454,6 @@ impl DmNetClient {
 
     async fn request(&self, server: DmServerId, ty: u8, body: Message) -> DmResult<Bytes> {
         self.request_at(server, None, ty, body).await.2
-    }
-
-    /// Strip the per-ref version block a coherent server puts in every ok
-    /// response and fold each `(key, version)` into the cache, dropping any
-    /// entry the block proves stale; what is left is the op's own result,
-    /// for a read the server's payload buffer itself. Clients connected
-    /// without [`CacheConfig::fine_grained`] have no block to strip.
-    fn fold_versions(&self, server: DmServerId, body: Message) -> DmResult<Bytes> {
-        if !self.cache.config().fine_grained {
-            return Ok(body.into_bytes());
-        }
-        let (body, touched) = proto::split_versions(&body)?;
-        let idx = server.0 as usize;
-        let mut needs_flush = false;
-        for (key, ver) in touched {
-            needs_flush |= self.cache.observe_version(idx, key, ver, false);
-        }
-        if needs_flush {
-            self.schedule_flush(server);
-        }
-        Ok(body.into_bytes())
     }
 
     fn addr_to_server(&self, node: u32, port: u16) -> Option<DmServerId> {
@@ -848,7 +820,7 @@ async fn flush_batch(
         })
         .collect();
     cache.count_wire(req::BATCH);
-    cache.note_batch(ops.len());
+    cache.note_batch();
     let body = proto::encode_batch_traced(&ops);
     let _in_flight = cache.batch_in_flight(idx);
     let Ok(resp) = rpc.call(addr, req::BATCH, body).await else {

@@ -37,7 +37,7 @@ pub use dmcommon::va_tree;
 
 pub use admission::{Admission, AdmissionConfig};
 pub use cache::{CacheConfig, CacheStats};
-pub use client::{ClientLimitConfig, DmNetClient};
+pub use client::DmNetClient;
 pub use page_manager::{OpCost, PageManager};
 pub use server::{start_pool, CoherenceConfig, DmServer, DmServerConfig, RecoveryReport};
 pub use shard::{HashRing, GKEY_BIT};
@@ -86,8 +86,8 @@ mod e2e_tests {
         RpcBuilder::new(net, node, port).build()
     }
 
-    /// Connect with `cache`, default overload behavior and, given a seed,
-    /// ring placement over the pool.
+    /// Connect with `cache`, no concurrency limit and, given a seed, ring
+    /// placement over the pool.
     async fn connect_cfg(
         rpc: Rc<Rpc>,
         pool: &[simnet::Addr],
@@ -95,15 +95,9 @@ mod e2e_tests {
         ring_seed: Option<u64>,
     ) -> DmNetClient {
         let ring = ring_seed.map(|seed| HashRing::new(pool.len(), seed));
-        DmNetClient::connect_with(
-            rpc,
-            pool.to_vec(),
-            cache,
-            ClientLimitConfig::default(),
-            ring,
-        )
-        .await
-        .unwrap()
+        DmNetClient::connect_with(rpc, pool.to_vec(), cache, None, ring)
+            .await
+            .unwrap()
     }
 
     #[test]
@@ -832,7 +826,6 @@ mod e2e_tests {
                 CacheConfig {
                     enabled: true,
                     batching: false,
-                    ..CacheConfig::default()
                 },
                 None,
             )
@@ -1036,68 +1029,124 @@ mod e2e_tests {
         });
     }
 
+    /// A server config that is coherent (DESIGN.md §15) on `read_lease`.
+    fn coherent(read_lease: std::time::Duration) -> DmServerConfig {
+        DmServerConfig {
+            coherence: Some(CoherenceConfig {
+                read_lease,
+                ..Default::default()
+            }),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn targeted_invalidation_drops_only_the_released_ref() {
         // Fine-grained coherence (DESIGN.md §15): releasing one ref pushes
         // an invalidation to its read-lease holders and bumps nothing else.
         // The global epoch stays put, so unrelated cached entries keep
-        // serving.
-        let r = rig(1, 2);
+        // serving. The pool is mixed — server 0 coherent, with a process
+        // lease and a non-default read lease to state at `REGISTER`, server 1
+        // plain — and nothing tells the clients: each answer says what it
+        // carries, so they keep per-ref versions under the first server and
+        // the bare epoch under the second.
+        let r = rig(2, 2);
         let (net, params) = (r.net.clone(), r.params.clone());
-        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
+        let (dms, c0, c1) = (r.dm_nodes.clone(), r.compute[0], r.compute[1]);
         r.sim.block_on(async move {
-            let lease = std::time::Duration::from_millis(10);
-            let cfg = DmServerConfig {
-                coherence: Some(CoherenceConfig {
-                    read_lease: lease,
-                    ..Default::default()
-                }),
-                ..Default::default()
+            let ttl = std::time::Duration::from_millis(2);
+            let leased = DmServerConfig {
+                lease_ttl: Some(ttl),
+                ..coherent(std::time::Duration::from_millis(10))
             };
-            let servers = start_pool(&net, &[dm0], &params, cfg);
-            let pool = vec![servers[0].addr()];
-            let ccfg = CacheConfig {
-                read_lease: lease,
-                ..CacheConfig::fine_grained()
-            };
+            let plain = DmServerConfig::default();
+            let mut servers = start_pool(&net, &dms[..1], &params, leased);
+            servers.extend(start_pool(&net, &dms[1..], &params, plain));
+            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+            let ccfg = CacheConfig::all_on();
             let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
             let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, None).await;
+            assert_eq!(reader.lease_ttl(), Some(ttl));
 
-            let da = Bytes::from(vec![0xAA; 4096]);
-            let db = Bytes::from(vec![0xBB; 4096]);
-            let ra = owner.put_ref(&da).await.unwrap();
-            let rb = owner.put_ref(&db).await.unwrap();
-            assert_eq!(reader.read_ref(&ra, 0, 4096).await.unwrap(), da);
-            assert_eq!(reader.read_ref(&rb, 0, 4096).await.unwrap(), db);
+            // Round-robin: refs 0 and 2 on the coherent server, 1 and 3 on
+            // the plain one. The reader fills its cache with all four.
+            let mut refs = Vec::new();
+            for i in 0..4u8 {
+                let r = owner.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap();
+                assert!(matches!(r, Ref::Net { server, .. } if server.0 == i % 2));
+                assert!(reader.read_ref(&r, 0, 4096).await.is_ok());
+                refs.push(r);
+            }
+            let wire_reads = || reader.wire_count(proto::req::READ_REF);
+            let read = |i: usize| reader.read_ref(&refs[i], 0, 4096);
 
-            let epoch_before = servers[0].epoch();
-            owner.release_ref(&ra).await.unwrap();
-            owner.flush_cache().await; // send the queued release
+            let epochs = [servers[0].epoch(), servers[1].epoch()];
+            owner.release_ref(&refs[0]).await.unwrap();
+            owner.release_ref(&refs[1]).await.unwrap();
+            owner.flush_cache().await; // send the queued releases
             simcore::sleep(std::time::Duration::from_micros(100)).await; // push lands
 
-            assert!(servers[0].invalidations_pushed() >= 1, "no push sent");
+            assert_eq!(servers[0].invalidations_pushed(), 1, "no push sent");
             assert_eq!(
                 servers[0].epoch(),
-                epoch_before,
+                epochs[0],
                 "a coherent release must not move the global epoch"
             );
-            assert!(reader.cache_stats().targeted_inv() >= 1, "push not folded");
+            assert_eq!(servers[1].invalidations_pushed(), 0);
+            assert_eq!(servers[1].epoch(), epochs[1] + 1);
+            assert_eq!(reader.cache_stats().targeted_inv(), 1, "push not folded");
+
+            // Coherent server: the released ref's entry is gone and the
+            // wire reports the truth; the untouched ref keeps serving from
+            // cache.
+            let wire = wire_reads();
+            assert_eq!(read(0).await.unwrap_err(), DmError::InvalidRef);
+            assert!(read(2).await.is_ok());
+            assert_eq!(wire_reads(), wire + 1);
+            // Plain server: its epoch reaches this reader with its next
+            // answer, after which neither of that server's entries serves.
+            for _ in 0..2 {
+                let probe = reader.ralloc(4096).await.unwrap(); // one per server
+                reader.rfree(probe).await.unwrap();
+            }
+            assert_eq!(read(1).await.unwrap_err(), DmError::InvalidRef);
+            assert!(read(3).await.is_ok());
+            assert_eq!(wire_reads(), wire + 3);
             assert_eq!(reader.cache_stats().broadcast_inv(), 0);
 
-            // The untouched ref keeps serving from cache: zero wire reads.
-            let wire = reader.wire_count(proto::req::READ_REF);
-            assert_eq!(reader.read_ref(&rb, 0, 4096).await.unwrap(), db);
-            assert_eq!(reader.wire_count(proto::req::READ_REF), wire);
+            // A client told nothing at all (plain `connect`: no cache, no
+            // word about coherence) joins the same pool under the pid each
+            // server issued it. (Read as a plain success, the coherent
+            // server's `REGISTER` reply put the version block's count byte
+            // in the pid's low byte — 3 became 768 — and `put_ref` returned
+            // a key the server never issued, leaking the ref.)
+            let bare = DmNetClient::connect(client_rpc(&net, c1, 101), pool.clone());
+            let bare = bare.await.unwrap();
+            let data = Bytes::from(vec![0x3C; 8192]);
+            for home in 0..2u8 {
+                let addr = bare.ralloc(8192).await.unwrap();
+                assert_eq!((addr.server.0, addr.pid.0), (home, 3));
+                bare.rfree(addr).await.unwrap();
+            }
+            for _ in 0..2 {
+                let r = bare.put_ref(&data).await.unwrap();
+                assert!(matches!(r, Ref::Net { key: 3, .. }), "{r:?}");
+                assert_eq!(bare.read_ref(&r, 0, 8192).await.unwrap(), data);
+                assert_eq!(reader.read_ref(&r, 4096, 16).await.unwrap()[..], data[..16]);
+                bare.release_ref(&r).await.unwrap();
+                let gone = bare.read_ref(&r, 0, 1).await;
+                assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
+            }
 
-            // The released ref's entry is gone; the wire reports the truth.
-            assert_eq!(
-                reader.read_ref(&ra, 0, 4096).await.unwrap_err(),
-                DmError::InvalidRef
-            );
-            owner.release_ref(&rb).await.unwrap();
+            owner.release_ref(&refs[2]).await.unwrap();
+            owner.release_ref(&refs[3]).await.unwrap();
             owner.flush_cache().await;
             reader.flush_cache().await;
-            servers[0].check_invariants_all();
+            for s in &servers {
+                s.check_invariants_all();
+                assert_eq!(s.free_pages_total(), s.capacity_pages_total());
+                s.shutdown(); // stops the lease sweeper
+            }
         });
     }
 
@@ -1112,19 +1161,9 @@ mod e2e_tests {
         let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
         r.sim.block_on(async move {
             let lease = std::time::Duration::from_micros(500);
-            let cfg = DmServerConfig {
-                coherence: Some(CoherenceConfig {
-                    read_lease: lease,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            };
-            let servers = start_pool(&net, &[dm0], &params, cfg);
+            let servers = start_pool(&net, &[dm0], &params, coherent(lease));
             let pool = vec![servers[0].addr()];
-            let ccfg = CacheConfig {
-                read_lease: lease,
-                ..CacheConfig::fine_grained()
-            };
+            let ccfg = CacheConfig::all_on();
             let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
             let rrpc = client_rpc(&net, c1, 100);
             let reader = connect_cfg(rrpc.clone(), &pool, ccfg, None).await;
@@ -1177,14 +1216,14 @@ mod e2e_tests {
             let owner = connect_cfg(
                 client_rpc(&net, c0, 100),
                 &pool,
-                CacheConfig::fine_grained(),
+                CacheConfig::all_on(),
                 None,
             )
             .await;
             let reader = connect_cfg(
                 client_rpc(&net, c1, 100),
                 &pool,
-                CacheConfig::fine_grained(),
+                CacheConfig::all_on(),
                 None,
             )
             .await;
@@ -1228,18 +1267,11 @@ mod e2e_tests {
         r.sim.block_on(async move {
             let cfg = DmServerConfig {
                 durability: Some(WalConfig::zero_cost()),
-                coherence: Some(CoherenceConfig {
-                    read_lease: std::time::Duration::from_millis(10),
-                    ..Default::default()
-                }),
-                ..Default::default()
+                ..coherent(std::time::Duration::from_millis(10))
             };
             let servers = start_pool(&net, &dms, &params, cfg);
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let ccfg = CacheConfig {
-                read_lease: std::time::Duration::from_millis(10),
-                ..CacheConfig::fine_grained()
-            };
+            let ccfg = CacheConfig::all_on();
             let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, Some(3)).await;
             let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, Some(3)).await;
 

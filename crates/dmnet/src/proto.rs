@@ -1,12 +1,16 @@
 //! DM wire protocol: request/response encoding over [`rpclib`].
 //!
 //! Each DM operation is one RPC to the owning DM server. Responses carry a
-//! leading status byte (0 = ok, otherwise a [`DmError`] code) followed by
-//! the server's current *invalidation epoch* (u64 LE). The epoch advances
-//! whenever a ref is released (explicitly or by lease reclamation), so a
-//! client comparing the piggybacked epoch against the one its cache entries
-//! were filled under can tell whether any ref it cached may have died since
-//! (DESIGN.md §9).
+//! leading status byte followed by the server's current *invalidation
+//! epoch* (u64 LE). The status says what the rest is: a plain success
+//! ([`STATUS_OK`]), a success that starts with the per-ref version block of
+//! a coherent server ([`STATUS_OK_VERSIONED`], DESIGN.md §15), a redirect
+//! ([`CODE_MOVED`]) or a [`DmError`] code — so a client decodes any server's
+//! answer without being told how that server was configured. The epoch
+//! advances whenever a ref is released (explicitly or by lease
+//! reclamation), so a client comparing the piggybacked epoch against the
+//! one its cache entries were filled under can tell whether any ref it
+//! cached may have died since (DESIGN.md §9).
 //!
 //! Requests and responses are [`rpclib::Message`]s: [`Writer`] and
 //! [`Response`] write every field into the head and *attach* a payload as
@@ -14,6 +18,7 @@
 //! [`split_response`] read across the seam, wherever it falls.
 
 use std::borrow::Cow;
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult, GlobalPid};
@@ -23,7 +28,14 @@ use telemetry::TraceCtx;
 
 /// RPC `req_type` values used by the DM protocol.
 pub mod req {
-    /// Register a process, returns its global PID.
+    /// Register a process. The reply is where it learns what it has to
+    /// share with this server: `[pid u32]([lease ttl u64 ns]([read lease
+    /// u64 ns]))`, its global PID and then one trailing field per setting,
+    /// sent only when the server has one to state. A later field forces the
+    /// earlier one, where 0 says "none"; the read lease is a coherent
+    /// server's (the reply's status says whether it is one) and goes out
+    /// only when it is not [`super::DEFAULT_READ_LEASE`] — so a default
+    /// server replies with the pid alone.
     pub const REGISTER: u8 = 10;
     /// Allocate DM virtual address space.
     pub const ALLOC: u8 = 11;
@@ -81,39 +93,57 @@ pub mod req {
 /// Well-known port DM servers listen on.
 pub const DM_PORT: u16 = 7000;
 
+/// The one table of wire ops — `(code, span name, control-plane,
+/// admission-exempt)`, codes ascending — that the classifiers below, the
+/// handlers a DM server registers and the client's per-type counters are
+/// read off. *Control-plane* is metadata (registration, pin/unpin, release,
+/// lease renewal) as opposed to ops carrying payload bytes; `xtra_rtt_budget`
+/// counts the two apart. *Admission-exempt* ops bypass overload control
+/// (DESIGN.md §14): shedding a registration or a lease renewal would turn a
+/// latency problem into spurious reclamation, and `BATCH` carries deferred
+/// releases whose loss would leak pins.
+pub const OPS: &[(u8, &str, bool, bool)] = &[
+    (req::REGISTER, "dm.register", true, true),
+    (req::ALLOC, "dm.alloc", true, false),
+    (req::FREE, "dm.free", true, false),
+    (req::CREATE_REF, "dm.create_ref", true, false),
+    (req::MAP_REF, "dm.map_ref", true, false),
+    (req::READ, "dm.read", false, false),
+    (req::WRITE, "dm.write", false, false),
+    (req::RELEASE_REF, "dm.release_ref", true, false),
+    (req::READ_REF, "dm.read_ref", false, false),
+    (req::PUT_REF, "dm.put_ref", false, false),
+    (req::RENEW_LEASE, "dm.renew_lease", true, true),
+    (req::BATCH, "dm.batch", true, true),
+    (req::PUT_REF_AT, "dm.put_ref_at", false, false),
+    (req::MIGRATE, "dm.migrate", true, false),
+    (req::MIGRATE_IN, "dm.migrate_in", false, false),
+    // Served by clients, pushed by servers.
+    (req::INVALIDATE, "dm.invalidate", true, false),
+];
+
+/// One past the highest op code: the size of a per-type counter array.
+pub(crate) const N_REQ_TYPES: usize = OPS[OPS.len() - 1].0 as usize + 1;
+
+fn op(ty: u8) -> Option<&'static (u8, &'static str, bool, bool)> {
+    OPS.iter().find(|op| op.0 == ty)
+}
+
 /// Stable human-readable name for a request type, used as the span name
 /// when tracing server-side dispatch.
 pub fn req_name(ty: u8) -> &'static str {
-    match ty {
-        req::REGISTER => "dm.register",
-        req::ALLOC => "dm.alloc",
-        req::FREE => "dm.free",
-        req::CREATE_REF => "dm.create_ref",
-        req::MAP_REF => "dm.map_ref",
-        req::READ => "dm.read",
-        req::WRITE => "dm.write",
-        req::RELEASE_REF => "dm.release_ref",
-        req::READ_REF => "dm.read_ref",
-        req::PUT_REF => "dm.put_ref",
-        req::RENEW_LEASE => "dm.renew_lease",
-        req::BATCH => "dm.batch",
-        req::PUT_REF_AT => "dm.put_ref_at",
-        req::MIGRATE => "dm.migrate",
-        req::MIGRATE_IN => "dm.migrate_in",
-        req::INVALIDATE => "dm.invalidate",
-        _ => "dm.unknown",
-    }
+    op(ty).map_or("dm.unknown", |op| op.1)
 }
 
-/// Whether a request type is control-plane (metadata: registration,
-/// pin/unpin, release, lease renewal) as opposed to data-plane (carrying
-/// payload bytes). The `xtra_rtt_budget` experiment counts the two classes
-/// separately.
+/// Whether a request type is control-plane ([`OPS`]); a type the table does
+/// not name carries no payload either.
 pub fn is_control(ty: u8) -> bool {
-    !matches!(
-        ty,
-        req::READ | req::WRITE | req::READ_REF | req::PUT_REF | req::PUT_REF_AT | req::MIGRATE_IN
-    )
+    op(ty).is_none_or(|op| op.2)
+}
+
+/// Whether a request type bypasses admission control ([`OPS`]).
+pub(crate) fn admission_exempt(ty: u8) -> bool {
+    op(ty).is_some_and(|op| op.3)
 }
 
 /// The single source of truth for the `DmError` ↔ wire-code mapping.
@@ -128,6 +158,7 @@ const ERR_TABLE: &[(DmError, u8)] = &[
     (DmError::Transport, 6),
     // 7 is CODE_MOVED (a redirect, not an error); Busy takes the next slot.
     (DmError::Busy, 8),
+    // 9 is STATUS_OK_VERSIONED.
 ];
 
 fn err_code(e: DmError) -> u8 {
@@ -145,6 +176,17 @@ fn code_err(c: u8) -> DmError {
         .map(|&(e, _)| e)
         .unwrap_or(DmError::Malformed)
 }
+
+/// Status byte of a plain success: the op's result follows the epoch.
+pub const STATUS_OK: u8 = 0;
+
+/// Status byte of every success from a coherent server (DESIGN.md §15): a
+/// version block — `[n u8]`, then `n × ([key u64][ver u64])`, `n = 0` when
+/// the op touched no ref — sits between the epoch and the op's result.
+pub const STATUS_OK_VERSIONED: u8 = 9;
+
+/// Read lease of a coherent server whose `REGISTER` reply names none.
+pub const DEFAULT_READ_LEASE: Duration = Duration::from_micros(50);
 
 /// Bytes in front of every response body: `[status u8][epoch u64]`.
 const RESPONSE_HEAD: usize = 9;
@@ -212,22 +254,20 @@ impl Response {
     }
 
     /// Finish as a success carrying the server's current invalidation
-    /// `epoch`. With `touched`, a per-ref version block (DESIGN.md §15)
-    /// follows the epoch, in front of everything else:
-    /// `[n u8]`, then `n × ([key u64][ver u64])`. A coherence-mode server
-    /// passes it on *every* success (an untouched response gets `n = 0`),
-    /// so a fine-grained client can strip it unambiguously
-    /// ([`split_versions`]).
+    /// `epoch`: [`STATUS_OK`], or with `touched` (what a coherent server
+    /// passes, on every success) [`STATUS_OK_VERSIONED`] with the version
+    /// block in front of everything appended so far.
     pub fn ok(mut self, epoch: u64, touched: Option<&[(u64, u64)]>) -> Message {
-        if let Some(touched) = touched {
-            assert!(touched.len() <= u8::MAX as usize, "version count is a u8");
-            let pairs = touched
-                .iter()
-                .flat_map(|&(key, ver)| key.to_le_bytes().into_iter().chain(ver.to_le_bytes()));
-            let block = std::iter::once(touched.len() as u8).chain(pairs);
-            self.head.splice(RESPONSE_HEAD..RESPONSE_HEAD, block);
-        }
-        self.finish(0, epoch)
+        let Some(touched) = touched else {
+            return self.finish(STATUS_OK, epoch);
+        };
+        assert!(touched.len() <= u8::MAX as usize, "version count is a u8");
+        let pairs = touched
+            .iter()
+            .flat_map(|&(key, ver)| key.to_le_bytes().into_iter().chain(ver.to_le_bytes()));
+        let block = std::iter::once(touched.len() as u8).chain(pairs);
+        self.head.splice(RESPONSE_HEAD..RESPONSE_HEAD, block);
+        self.finish(STATUS_OK_VERSIONED, epoch)
     }
 
     /// An error response, carrying the server's current `epoch`.
@@ -236,11 +276,19 @@ impl Response {
     }
 }
 
-/// What a response decodes to: a body, a one-hop redirect, or an error.
+/// What a response decodes to: a result, a one-hop redirect, or an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// Success: everything behind the epoch.
-    Ok(Message),
+    /// Success.
+    Ok {
+        /// The op's own result: everything behind the epoch and the
+        /// version block, if there was one.
+        body: Message,
+        /// The `(key, version)` pairs the op touched, from a coherent
+        /// server (`Some`, possibly empty); `None` from a server that keeps
+        /// the global epoch only.
+        versions: Option<Vec<(u64, u64)>>,
+    },
     /// The gkey migrated to the server at `node:port`; retry there.
     Moved {
         /// Forwarding fabric node.
@@ -258,7 +306,7 @@ impl Reply {
     /// protocol violation and reads as `Malformed`.
     pub fn result(self) -> DmResult<Message> {
         match self {
-            Reply::Ok(body) => Ok(body),
+            Reply::Ok { body, .. } => Ok(body),
             Reply::Moved { .. } => Err(DmError::Malformed),
             Reply::Err(e) => Err(e),
         }
@@ -267,15 +315,25 @@ impl Reply {
 
 /// Split a response into its piggybacked epoch plus [`Reply`] — the one
 /// response decoder. A response too short to carry an epoch (or a redirect
-/// too short to carry its address) decodes as `Malformed`, the former with
-/// epoch 0.
+/// too short to carry its address, or a version block longer than what
+/// follows) decodes as `Malformed`, the first with epoch 0.
 pub fn split_response(resp: &Message) -> (u64, Reply) {
     let mut r = Reader::of(resp);
     let (Ok(status), Ok(epoch)) = (r.u8(), r.u64()) else {
         return (0, Reply::Err(DmError::Malformed));
     };
     let reply = match status {
-        0 => Reply::Ok(resp.skip(RESPONSE_HEAD)),
+        STATUS_OK => Reply::Ok {
+            body: resp.skip(RESPONSE_HEAD),
+            versions: None,
+        },
+        STATUS_OK_VERSIONED => match read_versions(&mut r) {
+            Ok(versions) => Reply::Ok {
+                body: resp.skip(RESPONSE_HEAD + 1 + 16 * versions.len()),
+                versions: Some(versions),
+            },
+            Err(e) => Reply::Err(e),
+        },
         CODE_MOVED => match (r.u32(), r.u16()) {
             (Ok(node), Ok(port)) => Reply::Moved { node, port },
             _ => Reply::Err(DmError::Malformed),
@@ -285,16 +343,9 @@ pub fn split_response(resp: &Message) -> (u64, Reply) {
     (epoch, reply)
 }
 
-/// Strip a [`Response::ok`] version block off the front of a success body,
-/// returning what follows it plus the `(key, version)` pairs the response
-/// touched. Only meaningful on bodies produced by a coherence-mode server.
-pub fn split_versions(body: &Message) -> DmResult<(Message, Vec<(u64, u64)>)> {
-    let mut r = Reader::of(body);
-    let n = r.u8()? as usize;
-    let touched = (0..n)
-        .map(|_| Ok((r.u64()?, r.u64()?)))
-        .collect::<DmResult<_>>()?;
-    Ok((body.skip(1 + 16 * n), touched))
+fn read_versions(r: &mut Reader<'_>) -> DmResult<Vec<(u64, u64)>> {
+    let n = r.u8()?;
+    (0..n).map(|_| Ok((r.u64()?, r.u64()?))).collect()
 }
 
 /// Status byte of a *redirect* response (DESIGN.md §13): the named gkey
@@ -706,30 +757,17 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_classification() {
-        for ty in [
-            req::REGISTER,
-            req::ALLOC,
-            req::FREE,
-            req::CREATE_REF,
-            req::MAP_REF,
-            req::RELEASE_REF,
-            req::RENEW_LEASE,
-            req::BATCH,
-            req::MIGRATE,
-        ] {
-            assert!(is_control(ty), "type {ty} is control-plane");
+    fn op_table_names_each_code_once_and_classifies_it() {
+        let data = [15, 16, 19, 20, 23, 25]; // READ WRITE READ_REF PUT_REF PUT_REF_AT MIGRATE_IN
+        for (i, a) in OPS.iter().enumerate() {
+            assert!(OPS[..i].iter().all(|b| b.0 < a.0 && b.1 != a.1), "{a:?}");
+            assert!(a.0 & BATCH_TRACE_BIT == 0, "{a:?} takes the trace bit");
+            assert_eq!((req_name(a.0), is_control(a.0)), (a.1, a.2));
+            assert_eq!((admission_exempt(a.0), a.2), (a.3, !data.contains(&a.0)));
         }
-        for ty in [
-            req::READ,
-            req::WRITE,
-            req::READ_REF,
-            req::PUT_REF,
-            req::PUT_REF_AT,
-            req::MIGRATE_IN,
-        ] {
-            assert!(!is_control(ty), "type {ty} is data-plane");
-        }
+        // A code outside the table: unnamed, payload-free, never exempt.
+        assert_eq!((op(18), req_name(18)), (None, "dm.unknown"));
+        assert!(is_control(18) && !admission_exempt(18));
     }
 
     #[test]
@@ -742,19 +780,25 @@ mod tests {
             .body(payload.clone())
             .ok(5, Some(&[(11, 2), (GKEY_TEST, 7)]));
         assert_eq!(resp.body.as_ptr(), payload.as_ptr());
+        assert_eq!(resp.head[0], STATUS_OK_VERSIONED);
         let (epoch, reply) = split_response(&resp);
+        let Reply::Ok { body, versions } = reply else {
+            panic!("{reply:?}")
+        };
         assert_eq!(epoch, 5);
-        let (inner, touched) = split_versions(&reply.result().unwrap()).unwrap();
-        assert_eq!(touched, vec![(11, 2), (GKEY_TEST, 7)]);
-        assert_eq!(inner, [&77u64.to_le_bytes()[..], b"payload"].concat()[..]);
-        // Untouched responses still carry an (empty) block.
-        let resp = Response::new().ok(5, Some(&[]));
-        let (inner, touched) = split_versions(&split_response(&resp).1.result().unwrap()).unwrap();
-        assert!(inner.is_empty() && touched.is_empty());
+        assert_eq!(versions, Some(vec![(11, 2), (GKEY_TEST, 7)]));
+        assert_eq!(body, [&77u64.to_le_bytes()[..], b"payload"].concat()[..]);
+        // Untouched responses still carry an (empty) block; plain ones none.
+        for touched in [Some(&[][..]), None] {
+            let reply = split_response(&Response::new().ok(5, touched)).1;
+            let (body, versions) = (Message::default(), touched.map(|_| Vec::new()));
+            assert_eq!(reply, Reply::Ok { body, versions });
+        }
         // A claimed block bigger than the body is malformed.
         for short in [&[3u8, 0, 0][..], &[]] {
-            let short = Message::from(Bytes::copy_from_slice(short));
-            assert_eq!(split_versions(&short).unwrap_err(), DmError::Malformed);
+            let flat = [&[STATUS_OK_VERSIONED, 5, 0, 0, 0, 0, 0, 0, 0][..], short].concat();
+            let short = Message::from(Bytes::from(flat));
+            assert_eq!(split_response(&short), (5, Reply::Err(DmError::Malformed)));
         }
     }
 

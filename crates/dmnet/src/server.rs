@@ -70,7 +70,9 @@ enum KeyRoute {
     Redirect(Message),
 }
 
-/// DM server tuning knobs.
+/// DM server tuning knobs. The four planes at the end are configured here
+/// and nowhere else: what a client has to know about them it reads off the
+/// reply to its `REGISTER` and the status of each response (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
 pub struct DmServerConfig {
     /// Pinned pool size in pages (default 64 Ki pages = 256 MiB).
@@ -92,35 +94,29 @@ pub struct DmServerConfig {
     /// translation lookups cost no CPU.
     pub hw_translation: bool,
     /// Lease-based reclamation (DESIGN.md §8): when set, `REGISTER` grants
-    /// each process a lease of this TTL (returned in the response) and a
+    /// each process a lease of this TTL (stated in the reply) and a
     /// background sweeper reclaims every pin of processes whose lease
-    /// expires without renewal. `None` (default) disables leases entirely —
-    /// the wire format and event schedule are then identical to a server
-    /// built before leases existed.
+    /// expires without renewal. `None` (default): no leases.
     pub lease_ttl: Option<Duration>,
     /// Durable tier (DESIGN.md §12): when set, every acknowledged mutating
     /// op appends a checksummed record to a write-ahead log *before* its
     /// response is sent, and [`DmServer::restart_from_log`] rebuilds the
-    /// exact acknowledged state after a crash. The default comes from
-    /// [`WalConfig::from_env`]: `None` unless `DM_DURABLE=1`, which
+    /// exact acknowledged state after a crash. The default is the one read
+    /// of [`WalConfig::from_env`]: `None` unless `DM_DURABLE=1`, which
     /// selects the zero-cost media model (full bookkeeping, unchanged
     /// schedule — committed CSVs stay byte-identical).
     pub durability: Option<WalConfig>,
-    /// Overload control (DESIGN.md §14): when set, requests pass a
-    /// bounded admission queue with CoDel-style queue-delay shedding and
-    /// are refused with the typed `Busy` wire code when the server is
-    /// saturated. `None` (default) admits everything — the schedule and
-    /// wire bytes are then identical to a server built before admission
-    /// control existed.
+    /// Overload control (DESIGN.md §14): when set, requests pass a bounded
+    /// admission queue with CoDel-style queue-delay shedding and are
+    /// refused with the typed `Busy` wire code (which every client retries)
+    /// when the server is saturated. `None` (default) admits everything.
     pub admission: Option<AdmissionConfig>,
     /// Fine-grained cache coherence (DESIGN.md §15): when set, successful
-    /// responses carry a `(key, version)` block for the refs they
-    /// touched, mutating ops bump only the touched ref's version, and a
-    /// bounded holder directory pushes targeted `INVALIDATE` messages
-    /// instead of advancing the global epoch. Every client of a
-    /// coherent server must run with `CacheConfig::fine_grained` (the
-    /// block changes the ok-response wire format). `None` (default)
-    /// keeps the global-epoch scheme and wire bytes unchanged.
+    /// responses carry a `(key, version)` block for the refs they touched
+    /// under their own ok status, mutating ops bump only the touched ref's
+    /// version, and a bounded holder directory pushes targeted `INVALIDATE`
+    /// messages instead of advancing the global epoch. `None` (default)
+    /// keeps the global-epoch scheme.
     pub coherence: Option<CoherenceConfig>,
 }
 

@@ -15,7 +15,7 @@ use simcore::SimTime;
 use simnet::{Addr, NodeId};
 
 use super::DmServer;
-use crate::proto::{req, Response, Writer};
+use crate::proto::{req, Response, Writer, DEFAULT_READ_LEASE};
 
 /// Fine-grained cache-coherence tuning (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
@@ -24,9 +24,11 @@ pub struct CoherenceConfig {
     /// On overflow the server falls back to one epoch broadcast and a
     /// cleared directory rather than growing without bound.
     pub dir_max: usize,
-    /// How long a directory grant is considered live — must match the
-    /// client cache's `read_lease` (an expired grant is skipped at push
-    /// time because the holder already stopped serving the entry).
+    /// How long a holder may serve a cached entry without hearing from
+    /// this server, and so how long a directory grant is considered live
+    /// (an expired grant is skipped at push time because the holder already
+    /// stopped serving the entry). Stated here only: every client learns it
+    /// from its `REGISTER` reply.
     pub read_lease: Duration,
 }
 
@@ -34,7 +36,7 @@ impl Default for CoherenceConfig {
     fn default() -> Self {
         CoherenceConfig {
             dir_max: 1024,
-            read_lease: Duration::from_micros(50),
+            read_lease: DEFAULT_READ_LEASE,
         }
     }
 }
@@ -54,18 +56,13 @@ impl DmServer {
         self.broadcasts.get()
     }
 
-    /// Current version of the wire key `raw` (1 unless it migrated).
-    pub fn ref_version(&self, raw: u64) -> u64 {
-        self.current_version(raw)
-    }
-
     pub(super) fn coherent(&self) -> bool {
         self.config.coherence.is_some()
     }
 
     /// Current version of the wire key `raw`. Creation is the implicit
     /// version 1, so only keys that moved (MIGRATE) occupy the table.
-    pub(super) fn current_version(&self, raw: u64) -> u64 {
+    pub fn ref_version(&self, raw: u64) -> u64 {
         self.versions.borrow().get(&raw).copied().unwrap_or(1)
     }
 
@@ -167,7 +164,7 @@ impl DmServer {
 
     /// Finish `resp` as a success carrying the current epoch. A coherent
     /// server puts a version block in *every* ok response (empty when the
-    /// op touched no cacheable ref) so clients can strip it unambiguously.
+    /// op touched no cacheable ref); the status byte says it is there.
     pub(super) fn ok(&self, resp: Response) -> Message {
         self.ok_v(&[], resp)
     }

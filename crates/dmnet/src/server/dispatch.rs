@@ -5,6 +5,7 @@
 //! ([`DmServer::refs_died`], [`DmServer::grant`], [`DmServer::ok_v`]).
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, PAGE_SIZE};
@@ -14,44 +15,21 @@ use telemetry::SpanKind;
 
 use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
 use crate::page_manager::OpCost;
-use crate::proto::{self, req, Reader, Response};
+use crate::proto::{self, req, Reader, Response, DEFAULT_READ_LEASE};
 use crate::shard::GKEY_BIT;
 use crate::wal::Record;
 
 impl DmServer {
+    /// Serve every op of [`proto::OPS`] but the one servers push to clients.
     pub(super) fn register_handlers(self: &Rc<Self>) {
-        let types: &[u8] = &[
-            req::REGISTER,
-            req::ALLOC,
-            req::FREE,
-            req::CREATE_REF,
-            req::MAP_REF,
-            req::READ,
-            req::WRITE,
-            req::RELEASE_REF,
-            req::READ_REF,
-            req::PUT_REF,
-            req::RENEW_LEASE,
-            req::BATCH,
-            req::PUT_REF_AT,
-            req::MIGRATE,
-            req::MIGRATE_IN,
-        ];
-        for &ty in types {
+        let served = proto::OPS.iter().map(|op| op.0);
+        for ty in served.filter(|&ty| ty != req::INVALIDATE) {
             let srv = self.clone();
             self.rpc.register(ty, move |ctx| {
                 let srv = srv.clone();
                 async move { srv.handle(ty, ctx.src, ctx.payload).await }
             });
         }
-    }
-
-    /// Ops that bypass admission control: registration and lease renewal
-    /// are liveness traffic — shedding a renewal under overload would
-    /// convert a latency problem into spurious lease reclamation — and
-    /// `BATCH` carries deferred releases whose loss would leak pins.
-    fn admission_exempt(ty: u8) -> bool {
-        matches!(ty, req::REGISTER | req::RENEW_LEASE | req::BATCH)
     }
 
     async fn handle(self: Rc<Self>, ty: u8, src: Addr, body: Message) -> Message {
@@ -61,7 +39,7 @@ impl DmServer {
         // as possible. Servers without admission skip this entirely.
         let _admit = match &self.admission {
             None => None,
-            Some(_) if Self::admission_exempt(ty) => None,
+            Some(_) if proto::admission_exempt(ty) => None,
             Some(a) => match a.try_admit() {
                 Some(guard) => Some(guard),
                 None => return Response::err(self.epoch.get(), DmError::Busy),
@@ -156,15 +134,21 @@ impl DmServer {
                 })
                 .await;
                 self.charge(OpCost::default(), 0).await;
-                // Only lease-granting servers append the TTL: the response
-                // (and thus the packet schedule) of a lease-free server is
-                // byte-identical to the pre-lease wire format.
-                if let Some(ttl) = self.config.lease_ttl {
+                let ttl = self.config.lease_ttl;
+                if let Some(ttl) = ttl {
                     self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
-                    let ttl = ttl.as_nanos() as u64;
-                    return Ok(self.ok(Response::new().pid(pid).u64(ttl)));
                 }
-                Ok(self.ok(Response::new().pid(pid)))
+                // The reply's trailing fields (`req::REGISTER`): up to the
+                // last one this server has to state, 0 for none before it.
+                let read_lease = self.config.coherence.map(|c| c.read_lease);
+                let fields = [ttl, read_lease.filter(|&l| l != DEFAULT_READ_LEASE)];
+                let sent = fields
+                    .iter()
+                    .rposition(Option::is_some)
+                    .map_or(0, |i| i + 1);
+                let ns = |f: &Option<Duration>| f.map_or(0, |d| d.as_nanos() as u64);
+                let resp = Response::new().pid(pid);
+                Ok(self.ok(fields[..sent].iter().fold(resp, |r, f| r.u64(ns(f)))))
             }
             req::RENEW_LEASE => {
                 let pid = r.pid()?;
@@ -243,7 +227,7 @@ impl DmServer {
                 self.charge(cost, cost.refcount_updates).await;
                 self.grant(raw, src);
                 Ok(self.ok_v(
-                    &[(raw, self.current_version(raw))],
+                    &[(raw, self.ref_version(raw))],
                     Response::new().u64(va).u64(len),
                 ))
             }
@@ -331,10 +315,7 @@ impl DmServer {
                 // The reader may now cache these bytes: grant it a read
                 // lease and report the key's version alongside the data.
                 self.grant(raw, src);
-                Ok(self.ok_v(
-                    &[(raw, self.current_version(raw))],
-                    Response::new().body(data),
-                ))
+                Ok(self.ok_v(&[(raw, self.ref_version(raw))], Response::new().body(data)))
             }
             req::PUT_REF_AT => {
                 // Sharded plane (DESIGN.md §13): publish under a

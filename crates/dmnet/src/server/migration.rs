@@ -76,7 +76,7 @@ impl DmServer {
         // here can never mistake a pre-migration fill for current
         // once they reach the new home.
         if self.coherent() {
-            fwd = fwd.u64(self.current_version(gkey) + 1);
+            fwd = fwd.u64(self.ref_version(gkey) + 1);
         }
         // The transfer rides the simulated fabric: migration pays
         // real server-to-server bandwidth and latency. A transport

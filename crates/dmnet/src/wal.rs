@@ -347,14 +347,26 @@ impl WalConfig {
         }
     }
 
-    /// The `DM_DURABLE=1` env hook: every server built with
-    /// `DmServerConfig::default()` gets a zero-cost durable tier, proving
-    /// (via the `results` CI job) that durability
-    /// bookkeeping is schedule-neutral.
+    /// The `DM_DURABLE` env hook: with `DM_DURABLE=1` every server built
+    /// with `DmServerConfig::default()` gets a zero-cost durable tier,
+    /// proving (via the `results` CI job) that durability bookkeeping is
+    /// schedule-neutral. Unset or `0` is off; anything else ends the process
+    /// with status 2 — a typo in `ci.yml` must not turn the durable pass
+    /// into a second non-durable one that proves nothing.
     pub fn from_env() -> Option<WalConfig> {
-        match std::env::var("DM_DURABLE") {
-            Ok(v) if v == "1" => Some(WalConfig::zero_cost()),
-            _ => None,
+        let raw = std::env::var_os("DM_DURABLE").map(|v| v.to_string_lossy().into_owned());
+        WalConfig::parse_env(raw.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Self::from_env`] of what `DM_DURABLE` holds (`None` = unset).
+    fn parse_env(raw: Option<&str>) -> Result<Option<WalConfig>, String> {
+        match raw {
+            None | Some("0") => Ok(None),
+            Some("1") => Ok(Some(WalConfig::zero_cost())),
+            Some(raw) => Err(format!("DM_DURABLE={raw:?}: expected 0 or 1")),
         }
     }
 }
@@ -769,5 +781,19 @@ mod tests {
     fn fnv_distinguishes_inputs() {
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn dm_durable_is_off_on_or_refused() {
+        assert_eq!(WalConfig::parse_env(None), Ok(None));
+        assert_eq!(WalConfig::parse_env(Some("0")), Ok(None));
+        assert_eq!(
+            WalConfig::parse_env(Some("1")),
+            Ok(Some(WalConfig::zero_cost()))
+        );
+        for raw in ["true", "yes", "1 ", "", "2", "\u{fffd}"] {
+            let err = WalConfig::parse_env(Some(raw)).unwrap_err();
+            assert!(err.contains("DM_DURABLE"), "{err} must name the variable");
+        }
     }
 }

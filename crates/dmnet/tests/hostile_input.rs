@@ -8,11 +8,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
 use dmnet::proto::{
-    encode_batch, moved_response, req, split_response, Reader, Response, Writer, DM_PORT,
+    encode_batch, moved_response, req, split_response, Reader, Response, Writer, DM_PORT, OPS,
 };
-use dmnet::{
-    start_pool, CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT,
-};
+use dmnet::{start_pool, CacheConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
@@ -48,7 +46,7 @@ async fn connect(
         RpcBuilder::new(net, node, port).build(),
         vec![fake.addr()],
         CacheConfig::default(),
-        ClientLimitConfig::default(),
+        None,
         ring.then(|| HashRing::new(1, 3)),
     )
     .await
@@ -373,6 +371,24 @@ async fn assert_still_serving(rpc: &Rc<Rpc>, server: &dmnet::DmServer, pid: u32)
     server.check_invariants_all();
 }
 
+/// The type sweep: every `u8`, with an empty body, from a registered
+/// endpoint. A DM server answers exactly the ops [`OPS`] names, less the
+/// push it sends itself — so each of them has had a handler since
+/// `DmServer::start` — and stays silent to every other type.
+#[test]
+fn every_request_type_is_answered_or_ignored_as_the_op_table_says() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let (server, rpc, pid) = registered(&net).await;
+        for ty in 0..=u8::MAX {
+            let served = ty != req::INVALIDATE && OPS.iter().any(|op| op.0 == ty);
+            let answer = raw(&rpc, &server, ty, Writer::new()).await;
+            assert_eq!(answer != Err(DmError::Transport), served, "type {ty}");
+        }
+        assert_still_serving(&rpc, &server, pid).await;
+    });
+}
+
 /// A VA or key on the wire is the value the page manager returned: no bit
 /// of it is a tag the server reads. `ALLOC(2^48)` then `ALLOC(4096)` is the
 /// pair that would run the second region's VA into bits 48..64; the second
@@ -556,6 +572,10 @@ fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live)
     }
 }
 
+fn op_type() -> impl Strategy<Value = u8> {
+    (0..OPS.len()).prop_map(|i| OPS[i].0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -568,8 +588,8 @@ proptest! {
     fn fuzz_dm_protocol(
         msgs in proptest::collection::vec(
             (
-                // Mostly the types a DM server serves.
-                prop_oneof![10u8..=26, 10u8..=26, 10u8..=26, any::<u8>()],
+                // Mostly the types the op table names.
+                prop_oneof![op_type(), op_type(), op_type(), any::<u8>()],
                 // Mostly the live pid: a forged one dies at `check_owner`.
                 prop_oneof![Just(true), Just(true), Just(true), Just(false)],
                 (word(), word(), word()),

@@ -13,9 +13,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::Ref;
-use dmnet::{
-    start_pool, CacheConfig, ClientLimitConfig, CoherenceConfig, DmNetClient, DmServerConfig,
-};
+use dmnet::{start_pool, CacheConfig, CoherenceConfig, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Rpc, RpcBuilder};
@@ -91,7 +89,7 @@ proptest! {
                 client_rpc(&net, c_b, 100),
                 vec![servers[1].addr()],
                 CacheConfig::all_on(),
-                ClientLimitConfig::default(),
+                None,
                 None,
             )
             .await
@@ -283,22 +281,18 @@ proptest! {
                     ..Default::default()
                 },
             );
-            let fg_cfg = CacheConfig {
-                read_lease: lease,
-                ..CacheConfig::fine_grained()
-            };
+            let fg_cfg = CacheConfig::all_on();
             let raw = DmNetClient::connect(client_rpc(&net, c_a, 100), vec![raw_srv[0].addr()])
                 .await
                 .unwrap();
             let reader_rpc = client_rpc(&net, c_b, 100);
-            let limit = ClientLimitConfig::default();
             let fg_pool = vec![fg_srv[0].addr()];
             let reader =
-                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, limit, None)
+                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, None, None)
                     .await
                     .unwrap();
             let writer =
-                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, limit, None)
+                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, None, None)
                     .await
                     .unwrap();
 

@@ -52,7 +52,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use memsim::NodeMemory;
-use simcore::sync::{oneshot, Notify, Semaphore};
+use simcore::sync::{oneshot, Notify};
 use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
 use simnet::{Addr, Network, NodeId, Payload};
 use telemetry::{SpanKind, TraceCtx};
@@ -133,12 +133,6 @@ pub struct RpcConfig {
     /// serialization/copy work a single-threaded service spends on
     /// pass-by-value arguments (~1 us for a 4 KiB argument by default).
     pub per_kb_cpu: Duration,
-    /// Optional flow control: cap on this endpoint's concurrent outstanding
-    /// requests per destination (eRPC-style session credits, at request
-    /// granularity), which also caps the session's slots. `None` =
-    /// unlimited. Bounding this prevents incast collapse when many workers
-    /// hammer one server.
-    pub max_inflight_per_peer: Option<u64>,
 }
 
 impl Default for RpcConfig {
@@ -156,7 +150,6 @@ impl Default for RpcConfig {
             retry_budget: None,
             per_rpc_cpu: Duration::from_nanos(400),
             per_kb_cpu: Duration::from_nanos(400),
-            max_inflight_per_peer: None,
         }
     }
 }
@@ -254,8 +247,6 @@ struct Pending {
 
 /// Client half of a session: this endpoint's state towards one peer.
 struct Session {
-    /// `max_inflight_per_peer` credits, when configured.
-    credits: Option<Semaphore>,
     /// Idle slots, most recently freed last: reusing that one first keeps
     /// the live set dense, so the slots a burst grew sit idle at the bottom
     /// and the peer holds at most one answered response for each.
@@ -577,11 +568,6 @@ impl Rpc {
                 max,
             });
         }
-        // Optional per-peer flow control (session credits), then a slot.
-        let _credit = match self.with_session(dst, |s| s.credits.clone()) {
-            Some(sem) => Some(sem.acquire_one().await),
-            None => None,
-        };
         let seq = self.next_req.get();
         self.next_req.set(seq + 1);
         let req_num = wire::req_num(seq, self.with_session(dst, Session::take_slot));
@@ -742,7 +728,6 @@ impl Rpc {
     fn with_session<R>(&self, dst: Addr, f: impl FnOnce(&mut Session) -> R) -> R {
         let mut sessions = self.sessions.borrow_mut();
         f(sessions.entry(dst).or_insert_with(|| Session {
-            credits: self.config.max_inflight_per_peer.map(Semaphore::new),
             free: Vec::new(),
             issued: 0,
         }))

@@ -776,48 +776,39 @@ fn many_clients_no_response_crosstalk() {
     });
 }
 
-/// Per-peer flow control bounds concurrent handler executions and keeps
-/// queueing delay bounded under heavy fan-in.
+/// A session grows one slot per concurrent call and no further: forty calls
+/// at once leave forty answered slots at the server, which forty more calls,
+/// one at a time, reuse. Nothing in `rpclib` bounds a session's concurrency.
 #[test]
-fn session_credits_bound_inflight() {
+fn session_slots_grow_to_peak_concurrency() {
     let (sim, net, a, b) = rig();
-    let (peak, all_done) = sim.block_on(async move {
-        let active = Rc::new(Cell::new((0u32, 0u32))); // (cur, peak)
+    sim.block_on(async move {
         let server = RpcBuilder::new(&net, b, 10).build();
-        let a2 = active.clone();
-        server.register(1, move |ctx| {
-            let active = a2.clone();
-            async move {
-                let (cur, peak) = active.get();
-                active.set((cur + 1, peak.max(cur + 1)));
-                simcore::sleep(Duration::from_micros(20)).await;
-                let (cur, peak) = active.get();
-                active.set((cur - 1, peak));
-                ctx.payload
-            }
+        server.register(1, move |ctx| async move {
+            simcore::sleep(Duration::from_micros(20)).await;
+            ctx.payload
         });
-        let client = RpcBuilder::new(&net, a, 10)
-            .config(RpcConfig {
-                max_inflight_per_peer: Some(4),
-                ..Default::default()
-            })
-            .build();
-        let mut handles = Vec::new();
-        for _ in 0..40 {
-            let client = client.clone();
-            let dst = server.addr();
-            handles.push(simcore::spawn(async move {
-                client.call(dst, 1, Bytes::from_static(b"x")).await.is_ok()
-            }));
-        }
-        let mut ok = true;
+        let client = RpcBuilder::new(&net, a, 10).build();
+        let call = || {
+            let (client, dst) = (client.clone(), server.addr());
+            async move { client.call(dst, 1, Bytes::from_static(b"x")).await.is_ok() }
+        };
+        let handles: Vec<_> = (0..40).map(|_| simcore::spawn(call())).collect();
+        simcore::sleep(Duration::from_micros(10)).await;
+        assert_eq!(server.served_slots().executing, 40);
         for h in handles {
-            ok &= h.await;
+            assert!(h.await);
         }
-        (active.get().1, ok)
+        assert_eq!(server.served_slots().done, 40);
+        for _ in 0..40 {
+            assert!(call().await);
+        }
+        assert_eq!(
+            server.served_slots().done,
+            40,
+            "sequential calls reuse a slot"
+        );
     });
-    assert!(all_done);
-    assert!(peak <= 4, "credits exceeded: peak {peak}");
 }
 
 /// Stats counters reflect what actually happened.

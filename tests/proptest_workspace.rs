@@ -7,7 +7,7 @@ use apps::chain::build_chain;
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::codec::{op_value, parse_id_value, parse_op_value};
 use bytes::Bytes;
-use dmnet::proto::{split_response, split_versions, Reader, Response};
+use dmnet::proto::{split_response, Reader, Response};
 use dmrpc::Value;
 use proptest::prelude::*;
 use rpclib::Message;
@@ -114,12 +114,11 @@ proptest! {
         };
         let decode = |m: &Message| {
             let (epoch, reply) = split_response(m);
-            let versions = reply.clone().result().and_then(|body| split_versions(&body));
             let mut r = Reader::of(m);
             let fields = (r.u8(), r.u64(), r.u16(), r.u32(), r.take(5).map(|c| c.into_owned()));
             let rest = r.rest_of(m);
             (
-                (epoch, reply, versions),
+                (epoch, reply),
                 Value::decode(m),
                 parse_op_value(m),
                 parse_id_value(m),

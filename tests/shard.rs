@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use dmcommon::{DmServerId, Ref};
-use dmnet::{CacheConfig, ClientLimitConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT};
+use dmnet::{CacheConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::RpcBuilder;
@@ -114,7 +114,7 @@ proptest! {
                         rpc,
                         pool.clone(),
                         CacheConfig::all_on(),
-                        ClientLimitConfig::default(),
+                        None,
                         Some(HashRing::new(pool.len(), seed)),
                     )
                     .await
