@@ -39,18 +39,6 @@ impl SystemKind {
     }
 }
 
-/// How DmNet endpoints place `put_ref` data across the DM pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DmPlacement {
-    /// Round-robin across the pool (paper §VI-A; the default, preserving
-    /// the pre-sharding wire behavior exactly).
-    RoundRobin,
-    /// Consistent-hash sharded placement with ownership migration
-    /// (DESIGN.md §13). Every endpoint builds the same ring off the
-    /// cluster seed and routes refs locally; workloads ride it unchanged.
-    Sharded,
-}
-
 /// One compute server: node id plus its CPU and memory models.
 #[derive(Clone)]
 pub struct ServiceNode {
@@ -85,9 +73,6 @@ pub struct ClusterConfig {
     /// DmRPC-net system is measured with its cached client; benches ablate
     /// it by passing [`dmnet::CacheConfig::default`] (all off).
     pub dm_client_cache: dmnet::CacheConfig,
-    /// Ref placement policy for DmNet endpoints (DESIGN.md §13). Defaults
-    /// to [`DmPlacement::RoundRobin`], the paper's scheme.
-    pub dm_placement: DmPlacement,
     /// Bound on each DmNet endpoint's concurrent DM wire ops (DESIGN.md
     /// §14). Default: unlimited.
     pub dm_client_max_inflight: Option<u64>,
@@ -101,7 +86,6 @@ impl Default for ClusterConfig {
             rpc: RpcConfig::default(),
             dm: DmServerConfig::default(),
             dm_client_cache: dmnet::CacheConfig::all_on(),
-            dm_placement: DmPlacement::RoundRobin,
             dm_client_max_inflight: None,
         }
     }
@@ -116,9 +100,6 @@ pub struct Cluster {
     /// Which system this cluster runs.
     pub kind: SystemKind,
     config: ClusterConfig,
-    /// Simulation seed the cluster was built with; sharded endpoints
-    /// derive their placement ring from it.
-    seed: u64,
     nodes: RefCell<Vec<ServiceNode>>,
     /// DM servers (DmNet only).
     pub dm_servers: Vec<Rc<DmServer>>,
@@ -196,7 +177,6 @@ impl Cluster {
             params,
             kind,
             config,
-            seed,
             nodes: RefCell::new(Vec::new()),
             dm_servers,
             dm_pool,
@@ -419,13 +399,9 @@ impl Cluster {
                 });
                 gauge(format!("dmserver.{i}.recoveries"), DmServer::recoveries);
             }
-            // Sharded-plane counters (DESIGN.md §13). `ops` counts every
-            // request the server dispatched, so the gauge doubles as the
-            // per-server load-balance view even with ring placement off
-            // (`<i>` is the server's index in the pool, i.e. in the ring).
+            // Per-server load (DESIGN.md §13): every request the server
+            // dispatched, `<i>` its index in the pool — the balance view.
             gauge(format!("dm.shard.{i}.ops"), DmServer::ops_served);
-            gauge(format!("dm.shard.{i}.migrations"), DmServer::migrations);
-            gauge(format!("dm.shard.{i}.redirects"), DmServer::redirects);
             // Overload-control counters (DESIGN.md §14): 0 unless the
             // pool runs admission control.
             gauge(
@@ -498,14 +474,11 @@ impl Cluster {
         let ep = match self.kind {
             SystemKind::Erpc => DmRpc::baseline(rpc),
             SystemKind::DmNet => {
-                let ring = (self.config.dm_placement == DmPlacement::Sharded)
-                    .then(|| dmnet::HashRing::new(self.dm_pool.len(), self.seed));
                 let dm = DmNetClient::connect_with(
                     rpc.clone(),
                     self.dm_pool.clone(),
                     self.config.dm_client_cache,
                     self.config.dm_client_max_inflight,
-                    ring,
                 )
                 .await
                 .expect("DM pool registration");

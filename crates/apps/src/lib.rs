@@ -29,5 +29,5 @@ pub mod shuffle;
 pub mod social;
 pub mod workload;
 
-pub use cluster::{Cluster, ClusterConfig, DmPlacement, ServiceNode, SystemKind};
+pub use cluster::{Cluster, ClusterConfig, ServiceNode, SystemKind};
 pub use workload::{run_closed_loop, run_open_loop, Measured};

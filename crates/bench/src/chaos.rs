@@ -157,8 +157,8 @@ pub fn chaos_rpc_config() -> RpcConfig {
 /// drain phase).
 const LEASE_TTL: Duration = Duration::from_micros(200);
 
-/// The one chaos deployment (the bare-pool cases — COW, sharded — start
-/// their servers from its `.dm`): bounded retries, short leases, a small
+/// The one chaos deployment (the bare-pool COW case starts its server from
+/// its `.dm`): bounded retries, short leases, a small
 /// pool so leaks show, fine-grained coherence forced on (DESIGN.md §15) so
 /// every fault window also races targeted pushes, read leases and the
 /// bounded holder directory. Durability is set per fault class, never
@@ -181,19 +181,18 @@ fn chaos_config(fault: Option<FaultClass>) -> ClusterConfig {
 }
 
 /// A bare-pool chaos client on its own node: chaos RPC tuning, no
-/// concurrency limit, `cache` and `ring` as the case needs.
+/// concurrency limit, `cache` as the case needs.
 async fn chaos_client(
     net: &Network,
     name: &str,
     pool: &[simnet::Addr],
     cache: CacheConfig,
-    ring: Option<dmnet::HashRing>,
 ) -> (NodeId, Rc<DmNetClient>) {
     let node = net.add_node(name, NicConfig::default());
     let rpc = RpcBuilder::new(net, node, 100)
         .config(chaos_rpc_config())
         .build();
-    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, None, ring)
+    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, None)
         .await
         .expect("fault-free connect");
     (node, Rc::new(client))
@@ -280,8 +279,8 @@ impl Rig {
 
     /// Fail-stop every client process; once the leases expire the sweeper
     /// must return every page — mappings leaked by faulted ops, a crashed
-    /// client's pins, migrated duplicates, media of shed composes — to the
-    /// free lists. Returns the case's violations.
+    /// client's pins, media of shed composes — to the free lists. Returns
+    /// the case's violations.
     async fn reclaim(&self, clients: &[Rc<DmNetClient>]) -> Vec<String> {
         // eRPC has no DM plane: nothing to reclaim, no lease to wait out.
         if !self.servers.is_empty() {
@@ -456,7 +455,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             // sweep must hold every invariant with the DESIGN.md §9/§15
             // client cache in play.
             let cache = CacheConfig::all_on();
-            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, None).await;
+            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache).await;
             clients.push(c);
             links.push((node, dm_node));
         }
@@ -557,7 +556,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             // so hits must come from the recovered server itself rather
             // than a survivor's cache.
             let cache_off = CacheConfig::default();
-            let (_, verifier) = chaos_client(&net, "verify", &pool, cache_off, None).await;
+            let (_, verifier) = chaos_client(&net, "verify", &pool, cache_off).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
                 let got = verifier.read_ref(r, 0, 512).await;
@@ -588,109 +587,6 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
 
         let violations = rig.reclaim(&clients).await;
         servers[0].shutdown(); // stops the lease sweeper
-        (m.completed, m.errors, rig.checksum.get(), violations)
-    });
-    CaseResult::of(&sim, tally)
-}
-
-/// Sharded DM plane under one fault class (DESIGN.md §13): three DM
-/// servers, three consistent-hash clients doing put/read/migrate/release
-/// cycles — so every fault window can hit a MIGRATE mid-flight. Checks on
-/// top of the shared invariants:
-///
-/// * a successful post-migration read is byte-exact (the transfer, the
-///   redirect tombstone and the relocation cache never corrupt data);
-/// * a MIGRATE that faults is atomic — the source keeps serving the gkey,
-///   and any duplicate the destination installed is owner-attributed, so
-///   the lease teardown reclaims it (the free-pages check proves it);
-/// * under [`FaultClass::ServerCrashRecovery`] the gkey bindings and
-///   tombstones are part of the durable state the digest oracle replays.
-pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
-    const REF_LEN: usize = 2048;
-    let sim = Sim::new();
-    let tally = sim.block_on(async move {
-        let net = Network::new(FabricConfig::default(), seed);
-        let params = ModelParams::new();
-        let dm_nodes: Vec<NodeId> = (0..3)
-            .map(|i| net.add_node(format!("dm{i}"), NicConfig::default()))
-            .collect();
-        // Coherence on: MIGRATE version transfer, `GVer` replay and
-        // targeted pushes all race the fault windows here.
-        let servers = dmnet::start_pool(&net, &dm_nodes, &params, chaos_config(Some(fault)).dm);
-        let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        let mut clients = Vec::new();
-        // Fault candidates: every client↔DM link plus the DM↔DM links the
-        // MIGRATE transfers ride.
-        let mut links = Vec::new();
-        for i in 0..3 {
-            let ring = Some(dmnet::HashRing::new(pool.len(), seed));
-            let cache = CacheConfig::all_on();
-            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache, ring).await;
-            clients.push(c);
-            links.extend(dm_nodes.iter().map(|&d| (node, d)));
-        }
-        links.extend(mesh(&dm_nodes));
-
-        let rig = Rig::start(&net, &servers, links, Some(fault), seed);
-        if fault.crashes_servers() {
-            // One client fail-stops mid-run: its gkeys (wherever migration
-            // put them) must be lease-reclaimed on every shard.
-            let victim = clients[2].clone();
-            simcore::spawn(async move {
-                simcore::sleep(Duration::from_micros(800)).await;
-                victim.simulate_crash();
-            });
-        }
-
-        let m = {
-            let clients = clients.clone();
-            let rig = rig.clone();
-            run_closed_loop(
-                3,
-                Duration::from_micros(100),
-                Duration::from_micros(1500),
-                Rc::new(move |w: usize, i: u64| {
-                    let c = clients[w % clients.len()].clone();
-                    let rig = rig.clone();
-                    async move {
-                        let fill = (w as u8).wrapping_mul(37).wrapping_add(i as u8) | 1;
-                        let data = Bytes::from(vec![fill; REF_LEN]);
-                        let r = c.put_ref(&data).await?;
-                        if let Ok(b) = c.read_ref(&r, 0, REF_LEN as u64).await {
-                            if !b.iter().all(|&x| x == fill) {
-                                rig.violation("sharded: put_ref read back wrong bytes");
-                            }
-                        }
-                        if i.is_multiple_of(2) {
-                            // Migrate off the ring home; a typed error
-                            // (faulted transfer) must leave the ref served
-                            // at the source, which the re-read proves.
-                            let dmcommon::Ref::Net { server, .. } = &r else {
-                                unreachable!("sharded client mints Net refs")
-                            };
-                            let dst = dmcommon::DmServerId((server.0 + 1 + w as u8 % 2) % 3);
-                            let _ = c.migrate_ref(&r, dst).await;
-                            match c.read_ref(&r, 0, REF_LEN as u64).await {
-                                Ok(b) if !b.iter().all(|&x| x == fill) => {
-                                    rig.violation("sharded: migration corrupted ref bytes");
-                                }
-                                _ => {}
-                            }
-                        }
-                        rig.fold(fill as u64);
-                        c.release_ref(&r).await?;
-                        Ok::<(), dmcommon::DmError>(())
-                    }
-                }),
-            )
-            .await
-        };
-
-        rig.heal().await;
-        let violations = rig.reclaim(&clients).await;
-        for s in &servers {
-            s.shutdown();
-        }
         (m.completed, m.errors, rig.checksum.get(), violations)
     });
     CaseResult::of(&sim, tally)
@@ -806,7 +702,7 @@ fn slo_social(fault: Option<FaultClass>, seed: u64) -> CaseResult {
 type Case = fn(FaultClass, u64) -> CaseResult;
 
 /// Every workload the sweep runs under every fault class, in sweep order.
-const CASES: [(&str, Case); 5] = [
+const CASES: [(&str, Case); 4] = [
     ("fig5-chain/erpc", |f, s| {
         run_chain_case(SystemKind::Erpc, f, s)
     }),
@@ -814,7 +710,6 @@ const CASES: [(&str, Case); 5] = [
         run_chain_case(SystemKind::DmNet, f, s)
     }),
     ("fig7-cow/dmnet", run_cow_case),
-    ("shard-migrate/dmnet", run_sharded_case),
     ("slo-social/dmnet", run_slo_social_case),
 ];
 

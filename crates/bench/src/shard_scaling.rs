@@ -1,20 +1,23 @@
-//! xtra_shard_scaling — DmRPC-net throughput versus number of DM shards
-//! (DESIGN.md §13).
+//! xtra_shard_scaling — DmRPC-net throughput versus number of DM servers
+//! ("shards", DESIGN.md §13).
 //!
-//! Sweeps the sharded DM plane over 1→16 servers with the consistent-hash
+//! Sweeps the DM pool over 1→16 servers with the paper's round-robin
 //! placement on two workloads: the Fig. 10a 7-tier image pipeline (8 KB
 //! images, closed loop) and the Fig. 11 DeathStarBench social network at a
 //! saturating offered rate. A single DM server's NIC bounds both at N=1;
-//! the ring spreads refs across shards so aggregate DM bandwidth — and
-//! end-to-end throughput — grows with N until the worker/client tiers
-//! take over as the bottleneck.
+//! round-robin spreads refs evenly across servers, so aggregate DM
+//! bandwidth — and end-to-end throughput — grows with N until the
+//! worker/client tiers take over as the bottleneck. Even spreading is the
+//! reason round-robin is the one placement, so it is gated: every row's
+//! `shard_balance` (min/max requests per server) stays at or above
+//! [`MIN_BALANCE`].
 //!
 //! Emits `results/xtra_shard_scaling.csv` and
 //! `results/BENCH_shard_scaling.json`. All measurements are virtual-time,
 //! so both artifacts are byte-deterministic and CI diffs them against the
 //! committed copies.
 
-use apps::cluster::{Cluster, ClusterConfig, DmPlacement, SystemKind};
+use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use simcore::Sim;
 
 use crate::report::{f2, Bound, Table};
@@ -30,68 +33,48 @@ pub const IMAGE_SIZE: usize = 8192;
 /// knee in the committed Fig. 11 curve).
 pub const SOCIAL_RATE: f64 = 1400e3;
 
-/// Per-shard balance snapshot taken after a run.
-pub struct ShardStats {
-    /// Requests served per DM server.
-    pub ops: Vec<u64>,
-    /// MIGRATE/MIGRATE_IN operations executed per server.
-    pub migrations: u64,
-    /// Redirect responses served (tombstone hits) per the whole pool.
-    pub redirects: u64,
-}
-
-impl ShardStats {
-    fn collect(cluster: &Cluster) -> ShardStats {
-        ShardStats {
-            ops: cluster.dm_servers.iter().map(|s| s.ops_served()).collect(),
-            migrations: cluster.dm_servers.iter().map(|s| s.migrations()).sum(),
-            redirects: cluster.dm_servers.iter().map(|s| s.redirects()).sum(),
-        }
+/// min/max requests served across the cluster's DM servers after a run
+/// (1.0 = perfectly balanced).
+fn balance(cluster: &Cluster) -> f64 {
+    let ops = cluster.dm_servers.iter().map(|s| s.ops_served());
+    let (min, max) = ops.fold((u64::MAX, 0), |(lo, hi), n| (lo.min(n), hi.max(n)));
+    if max == 0 {
+        return 1.0;
     }
-
-    /// min/max ops ratio across shards (1.0 = perfectly balanced).
-    pub fn balance(&self) -> f64 {
-        let min = self.ops.iter().copied().min().unwrap_or(0);
-        let max = self.ops.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return 1.0;
-        }
-        min as f64 / max as f64
-    }
-}
-
-fn sharded_config() -> ClusterConfig {
-    ClusterConfig {
-        dm_placement: DmPlacement::Sharded,
-        ..ClusterConfig::default()
-    }
+    min as f64 / max as f64
 }
 
 /// One image-pipeline cell: the Fig. 10a closed loop with `n_dm` DM
 /// shards, and enough generator clients that no single client NIC bounds
-/// the sweep (same trick as Fig. 10a, scaled for the larger pool).
-pub fn run_image_point(n_dm: usize, workers: usize) -> (apps::Measured, ShardStats) {
+/// the sweep (same trick as Fig. 10a, scaled for the larger pool). Returns
+/// the measurement and the `shard_balance` column.
+pub fn run_image_point(n_dm: usize, workers: usize) -> (apps::Measured, f64) {
     let sim = Sim::new();
     sim.block_on(async move {
-        let cluster = Cluster::new(SystemKind::DmNet, n_dm, sharded_config(), 10);
+        let cluster = Cluster::new(SystemKind::DmNet, n_dm, ClusterConfig::default(), 10);
         let m = crate::fig10::drive(&cluster, 6, IMAGE_SIZE, workers).await;
-        (m, ShardStats::collect(&cluster))
+        (m, balance(&cluster))
     })
 }
 
 /// One social-network cell: the Fig. 11 open loop at a saturating rate
-/// with `n_dm` DM shards.
-pub fn run_social_point(n_dm: usize) -> (apps::Measured, ShardStats) {
+/// with `n_dm` DM shards. Returns the measurement and the `shard_balance`
+/// column.
+pub fn run_social_point(n_dm: usize) -> (apps::Measured, f64) {
     let sim = Sim::new();
     sim.block_on(async move {
-        let cluster = Cluster::new(SystemKind::DmNet, n_dm, sharded_config(), 11);
+        let cluster = Cluster::new(SystemKind::DmNet, n_dm, ClusterConfig::default(), 11);
         let m = crate::fig11::drive(&cluster, SOCIAL_RATE).await;
-        (m, ShardStats::collect(&cluster))
+        (m, balance(&cluster))
     })
 }
 
 /// Minimum `8-shard / 1-shard` image throughput for the sweep to pass.
 pub const MIN_SPEEDUP_8_SHARDS: f64 = 3.0;
+
+/// Minimum `shard_balance` of every row (0.97–1.00 measured under
+/// round-robin, 0.48–0.86 under the consistent-hash ring it replaced).
+pub const MIN_BALANCE: f64 = 0.95;
 
 /// Run the sweep and emit both artifacts. Cells are independent
 /// simulations fanned out over `SIM_THREADS`; rows assemble in sweep
@@ -103,13 +86,11 @@ pub fn run() {
         .flat_map(|&w| SHARDS.iter().map(move |&n| (w, n)))
         .collect();
     let results = crate::pool::sweep(&cells, |&(workload, shards)| {
-        let (m, s) = match workload {
+        let (m, balance) = match workload {
             "image_8k" => run_image_point(shards, 64),
             _ => run_social_point(shards),
         };
-        assert_eq!(s.migrations, 0, "steady-state sweep must not migrate");
-        assert_eq!(s.redirects, 0, "steady-state sweep must not redirect");
-        (m.throughput_rps(), m.avg_latency_us(), s.balance())
+        (m.throughput_rps(), m.avg_latency_us(), balance)
     });
 
     let mut t = Table::new(
@@ -146,6 +127,12 @@ pub fn run() {
         "image_8k speedup at 8 shards vs 1",
         speedup8,
         Bound::AtLeast(MIN_SPEEDUP_8_SHARDS),
+    );
+    let balance = results.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
+    t.gate(
+        "shard_balance of every row",
+        balance,
+        Bound::AtLeast(MIN_BALANCE),
     );
     t.finish();
     t.bars(

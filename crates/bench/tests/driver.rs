@@ -533,8 +533,9 @@ fn struct_fields(src: &str) -> Vec<(&str, &str)> {
 /// A plane of the DM pool is configured in one place, the server's config,
 /// and a client finds out over the wire (DESIGN.md §15). Grep-level: the
 /// cluster config re-declares no `DmServerConfig` field, the read lease is
-/// a field of one struct and `fine_grained` of none, and the process
-/// environment is read only where a set-but-unreadable value ends the run.
+/// a field of one struct, `fine_grained` and `dm_placement` (round-robin is
+/// the one placement, DESIGN.md §13) of none, and the process environment
+/// is read only where a set-but-unreadable value ends the run.
 #[test]
 fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -563,6 +564,7 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
     }
     assert_eq!(declaring("read_lease"), ["CoherenceConfig"]);
     assert_eq!(declaring("fine_grained"), [""; 0]);
+    assert_eq!(declaring("dm_placement"), [""; 0]);
 
     let needle = ["env", "var"].join("::");
     let allowed = [

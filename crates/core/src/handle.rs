@@ -128,16 +128,6 @@ impl DmHandle {
         }
     }
 
-    /// Migrate a globally-keyed reference to DM server `dst` (the sharded
-    /// network backend only — see DESIGN.md §13). The CXL backend has one
-    /// flat G-FAM pool, so there is nowhere to migrate to.
-    pub async fn migrate(&self, r: &Ref, dst: dmcommon::DmServerId) -> DmResult<()> {
-        match self {
-            DmHandle::Net(c) => c.migrate_ref(r, dst).await,
-            DmHandle::Cxl(_) => Err(DmError::InvalidRef),
-        }
-    }
-
     /// Materialize a reference's full contents, using each backend's
     /// fastest path (one-RTT `read_ref` for net; map + load + unmap for
     /// CXL, all local operations).

@@ -54,30 +54,6 @@ pub struct RemoteAddr {
 }
 
 impl RemoteAddr {
-    /// Serialized size in bytes.
-    pub const WIRE_BYTES: usize = 13;
-
-    /// Encode to the fixed wire representation.
-    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
-        let mut b = [0u8; Self::WIRE_BYTES];
-        b[0] = self.server.0;
-        b[1..5].copy_from_slice(&self.pid.0.to_le_bytes());
-        b[5..13].copy_from_slice(&self.va.to_le_bytes());
-        b
-    }
-
-    /// Decode from the wire representation.
-    pub fn decode(b: &[u8]) -> Result<RemoteAddr, DmError> {
-        if b.len() < Self::WIRE_BYTES {
-            return Err(DmError::Malformed);
-        }
-        Ok(RemoteAddr {
-            server: DmServerId(b[0]),
-            pid: GlobalPid(u32::from_le_bytes(b[1..5].try_into().expect("len checked"))),
-            va: u64::from_le_bytes(b[5..13].try_into().expect("len checked")),
-        })
-    }
-
     /// Byte offset added to the VA.
     pub fn offset(&self, delta: u64) -> RemoteAddr {
         RemoteAddr {
@@ -263,18 +239,6 @@ mod tests {
         assert_eq!(pages_for(4096), 1);
         assert_eq!(pages_for(4097), 2);
         assert_eq!(pages_for(10 * 4096), 10);
-    }
-
-    #[test]
-    fn remote_addr_roundtrip() {
-        let a = RemoteAddr {
-            server: DmServerId(3),
-            pid: GlobalPid(1234),
-            va: 0xDEAD_0000,
-        };
-        let enc = a.encode();
-        assert_eq!(RemoteAddr::decode(&enc).unwrap(), a);
-        assert!(RemoteAddr::decode(&enc[..5]).is_err());
     }
 
     #[test]

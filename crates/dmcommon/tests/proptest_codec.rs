@@ -2,20 +2,10 @@
 //! maintains allocation discipline under arbitrary interleavings.
 
 use dmcommon::va_tree::VaTree;
-use dmcommon::{DmServerId, GlobalPid, Ref, RemoteAddr};
+use dmcommon::{DmServerId, Ref};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn remote_addr_roundtrips(server in any::<u8>(), pid in any::<u32>(), va in any::<u64>()) {
-        let a = RemoteAddr {
-            server: DmServerId(server),
-            pid: GlobalPid(pid),
-            va,
-        };
-        prop_assert_eq!(RemoteAddr::decode(&a.encode()).unwrap(), a);
-    }
-
     #[test]
     fn net_ref_roundtrips(server in any::<u8>(), key in any::<u64>(), len in any::<u64>()) {
         let r = Ref::Net {

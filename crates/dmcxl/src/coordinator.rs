@@ -6,6 +6,13 @@
 //! protocol." Hosts reserve batches of free pages and return surplus pages
 //! when their local FIFO exceeds a high watermark — batching is what makes
 //! page-ownership coordination cheap.
+//!
+//! A return is outside input: any endpoint on the fabric can send one. A
+//! returned page the coordinator would grant twice — one past the device,
+//! or one already on its free list — is dropped and counted, because the
+//! host it went to next would panic initializing its refcount. A page
+//! returned while another host still uses it cannot be told apart without
+//! reading G-FAM (ROADMAP item 3).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -30,9 +37,13 @@ pub const COORD_PORT: u16 = 7100;
 
 /// The coordinator service.
 pub struct Coordinator {
+    /// Pages the coordinator owns, in grant order.
     free: RefCell<VecDeque<Ppn>>,
+    /// `is_free[p]`: whether page `p` is on `free`.
+    is_free: RefCell<Vec<bool>>,
     rpc: Rc<rpclib::Rpc>,
     returns: Counter,
+    rejected: Counter,
 }
 
 impl Coordinator {
@@ -41,8 +52,10 @@ impl Coordinator {
         let rpc = rpclib::RpcBuilder::new(net, node, COORD_PORT).build();
         let coord = Rc::new(Coordinator {
             free: RefCell::new((0..capacity_pages as Ppn).collect()),
+            is_free: RefCell::new(vec![true; capacity_pages]),
             rpc: rpc.clone(),
             returns: Counter::new(),
+            rejected: Counter::new(),
         });
         let c = coord.clone();
         rpc.register(req::REQUEST_PAGES, move |ctx| {
@@ -60,6 +73,7 @@ impl Coordinator {
                 out.extend_from_slice(&(take as u32).to_le_bytes());
                 for _ in 0..take {
                     let p = free.pop_front().expect("len checked");
+                    c.is_free.borrow_mut()[p as usize] = false;
                     out.extend_from_slice(&p.to_le_bytes());
                 }
                 Bytes::from(out)
@@ -71,8 +85,15 @@ impl Coordinator {
             async move {
                 if let Some(pages) = decode_pages(&ctx.payload.into_bytes()) {
                     let mut free = c.free.borrow_mut();
+                    let mut is_free = c.is_free.borrow_mut();
                     for p in pages {
-                        free.push_back(p);
+                        match is_free.get_mut(p as usize) {
+                            Some(owned) if !*owned => {
+                                *owned = true;
+                                free.push_back(p);
+                            }
+                            _ => c.rejected.add(1),
+                        }
                     }
                 }
                 c.returns.add(1);
@@ -118,6 +139,11 @@ impl Coordinator {
     pub fn return_rpcs(&self) -> u64 {
         self.returns.get()
     }
+
+    /// Returned pages dropped: past the device, or already free here.
+    pub fn rejected_returns(&self) -> u64 {
+        self.rejected.get()
+    }
 }
 
 /// Encode a `REQUEST_PAGES` body.
@@ -161,6 +187,9 @@ fn decode_pages(body: &Bytes) -> Option<Vec<Ppn>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{check_fabric_invariants, CxlFabric, CxlHostConfig};
+    use dmcommon::{DmError, PAGE_SIZE};
+    use memsim::ModelParams;
     use simcore::Sim;
     use simnet::{FabricConfig, NicConfig};
 
@@ -192,6 +221,50 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10);
+    }
+
+    /// A raw endpoint returns a page past the device and returns a granted
+    /// page twice. Neither may reach a host: the whole device is then
+    /// faulted in by two hosts, each page granted exactly once.
+    #[test]
+    fn hostile_returns_are_dropped_not_granted() {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 3);
+        let cnode = net.add_node("coord", NicConfig::default());
+        let raw_node = net.add_node("raw", NicConfig::default());
+        let hnode = net.add_node("host", NicConfig::default());
+        sim.block_on(async move {
+            // One page per grant, no background refill: every fault asks
+            // the coordinator for the next page on its free list.
+            let cfg = CxlHostConfig {
+                request_batch: 1,
+                low_watermark: 0,
+                ..Default::default()
+            };
+            let fabric = CxlFabric::new(&net, cnode, 8, ModelParams::new(), cfg);
+            let coord = fabric.coordinator().clone();
+            let raw = rpclib::RpcBuilder::new(&net, raw_node, 50).build();
+            let ret =
+                |pages: Vec<Ppn>| raw.call(coord.addr(), req::RETURN_PAGES, encode_return(&pages));
+            ret(vec![u32::MAX]).await.unwrap();
+            let grant = raw.call(coord.addr(), req::REQUEST_PAGES, encode_request(1));
+            let page = decode_grant(&grant.await.unwrap().into_bytes()).unwrap();
+            ret(page.clone()).await.unwrap();
+            ret(page).await.unwrap();
+            assert_eq!((coord.free_pages(), coord.rejected_returns()), (8, 2));
+
+            let hosts: Vec<_> = (100..102)
+                .map(|port| fabric.new_host(rpclib::RpcBuilder::new(&net, hnode, port).build()))
+                .collect();
+            for h in &hosts {
+                let va = h.alloc(4 * PAGE_SIZE as u64).unwrap();
+                h.store(va, &[1u8; 4 * PAGE_SIZE]).await.unwrap();
+            }
+            let va = hosts[0].alloc(PAGE_SIZE as u64).unwrap();
+            let ninth = hosts[0].store(va, &[1u8]).await;
+            assert_eq!(ninth.unwrap_err(), DmError::OutOfMemory);
+            check_fabric_invariants(fabric.gfam(), &coord, &hosts, &[]);
+        });
     }
 
     #[test]

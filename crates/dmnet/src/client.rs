@@ -2,10 +2,10 @@
 //!
 //! Provides the Table-II API — `ralloc`, `rfree`, `create_ref`, `map_ref`,
 //! `rread`, `rwrite` (the latter two are specific to DmRPC-net) — by talking
-//! the [`crate::proto`] protocol to a pool of DM servers. Allocation
-//! requests are spread round-robin across the pool (paper §VI-A: "its
+//! the [`crate::proto`] protocol to a pool of DM servers. Allocations and
+//! published refs are spread round-robin across the pool (paper §VI-A: "its
 //! allocation request would be forwarded to one of the memory servers in a
-//! round-robin manner").
+//! round-robin manner"), the one placement (DESIGN.md §13).
 //!
 //! [`DmNetClient::connect_with`] additionally layers the DESIGN.md §9
 //! translation/ref cache and control-op coalescer over the wire protocol:
@@ -14,13 +14,13 @@
 //! [`req::BATCH`] message per flush window. [`DmNetClient::connect`] keeps
 //! both off, preserving the raw one-op-one-RPC behavior.
 //!
-//! Every op reaches the wire through one function (`request_at`);
-//! placement, key kind and overload behavior are data it reads, not
-//! separate paths. What each server does about leases and coherence the
-//! client is never told: it reads it off that server's `REGISTER` reply.
+//! Every op reaches the wire through one function (`request_at`), sent to
+//! the server its address or [`Ref`] names; overload behavior is data it
+//! reads, not a separate path. What each server does about leases and
+//! coherence the client is never told: it reads it off that server's
+//! `REGISTER` reply.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -32,7 +32,6 @@ use simnet::Addr;
 
 use crate::cache::{CacheConfig, CacheStats, ClientCache, FreeAction, FLUSH_WINDOW};
 use crate::proto::{self, req, split_response, Reader, Reply, Writer};
-use crate::shard::{HashRing, GKEY_BIT};
 
 /// Queued control ops per server before a flush is forced ahead of the
 /// timer (bounds batch size and client-side queue memory).
@@ -48,43 +47,6 @@ const BUSY_RETRIES: u32 = 3;
 /// PR 2 backoff schedule, via [`rpclib::Backoff`]) up to the cap.
 const BUSY_BACKOFF: Duration = Duration::from_micros(20);
 const BUSY_BACKOFF_CAP: Duration = Duration::from_micros(640);
-
-/// Client-side ring router (DESIGN.md §13). Present only on clients
-/// connected with a [`HashRing`]: `put_ref` then mints global keys
-/// and places them by consistent hashing, and every gkey-named op resolves
-/// its target locally — relocation cache first (learned from redirect
-/// chases, so tombstone chains collapse to one hop), ring second.
-struct RingRouter {
-    ring: HashRing,
-    /// gkey → observed home, learned by chasing redirects. Entries drop
-    /// when the gkey answers at its ring home again or is released.
-    reloc: RefCell<HashMap<u64, DmServerId>>,
-    next_gkey: Cell<u32>,
-    redirects_chased: Cell<u64>,
-    /// This client's fabric address, baked into every minted gkey so two
-    /// clients can never mint the same key.
-    node: u32,
-    port: u16,
-}
-
-impl RingRouter {
-    /// Mint a fresh globally-unique key: bit 63, 15 bits of node, 16 bits
-    /// of port, 32 bits of counter.
-    fn mint(&self) -> u64 {
-        let c = self.next_gkey.get();
-        self.next_gkey.set(c + 1);
-        GKEY_BIT | ((self.node as u64) << 48) | ((self.port as u64) << 32) | c as u64
-    }
-
-    /// Current target for `gkey`: relocation cache first (a chased
-    /// redirect), ring placement second.
-    fn route(&self, gkey: u64) -> DmServerId {
-        match self.reloc.borrow().get(&gkey) {
-            Some(&s) => s,
-            None => self.ring.route(gkey),
-        }
-    }
-}
 
 /// Handle to the DM pool for one process.
 ///
@@ -103,9 +65,6 @@ pub struct DmNetClient {
     /// stops the renewal task and any pending batch flush.
     alive: Rc<Cell<bool>>,
     cache: Rc<ClientCache>,
-    /// Sharded placement (DESIGN.md §13), present only on clients
-    /// connected with a [`HashRing`].
-    router: Option<RingRouter>,
     /// Token pool bounding concurrent wire ops (DESIGN.md §14), when the
     /// client was connected with a `max_inflight`.
     tokens: Option<Semaphore>,
@@ -115,10 +74,10 @@ pub struct DmNetClient {
 
 impl DmNetClient {
     /// Register this process with every DM server in the pool, with the
-    /// client cache and coalescer off ([`CacheConfig::default`]), no
-    /// concurrency limit and round-robin placement.
+    /// client cache and coalescer off ([`CacheConfig::default`]) and no
+    /// concurrency limit.
     pub async fn connect(rpc: Rc<Rpc>, servers: Vec<Addr>) -> DmResult<DmNetClient> {
-        DmNetClient::connect_with(rpc, servers, CacheConfig::default(), None, None).await
+        DmNetClient::connect_with(rpc, servers, CacheConfig::default(), None).await
     }
 
     /// Register this process with every DM server in the pool. If the
@@ -130,16 +89,12 @@ impl DmNetClient {
     /// `cache` selects the DESIGN.md §9 caching/batching behavior and
     /// `max_inflight` bounds this process's concurrent wire ops (DESIGN.md
     /// §14: excess callers wait locally — backpressure instead of offered
-    /// load; `None` = unlimited). With `ring` set, `put_ref` places refs by
-    /// consistent hashing over the pool instead of round-robin (every
-    /// client must be handed the same ring, i.e. the same seed), and
-    /// gkey-named ops chase migration redirects transparently.
+    /// load; `None` = unlimited).
     pub async fn connect_with(
         rpc: Rc<Rpc>,
         servers: Vec<Addr>,
         cache: CacheConfig,
         max_inflight: Option<u64>,
-        ring: Option<HashRing>,
     ) -> DmResult<DmNetClient> {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
         let cache = Rc::new(ClientCache::new(servers.len(), cache));
@@ -226,19 +181,6 @@ impl DmNetClient {
                 });
             }
         }
-        let router = ring.map(|ring| {
-            assert_eq!(ring.n_servers(), servers.len(), "ring built for this pool");
-            let addr = rpc.addr();
-            assert!(addr.node.0 < (1 << 15), "gkey node space is 15 bits");
-            RingRouter {
-                ring,
-                reloc: RefCell::new(HashMap::new()),
-                next_gkey: Cell::new(0),
-                redirects_chased: Cell::new(0),
-                node: addr.node.0,
-                port: addr.port,
-            }
-        });
         Ok(DmNetClient {
             rpc,
             servers,
@@ -247,20 +189,16 @@ impl DmNetClient {
             lease_ttl,
             alive,
             cache,
-            router,
             tokens: max_inflight.map(Semaphore::new),
             busy_retried: Cell::new(0),
         })
     }
 
-    /// Whether this client routes `put_ref` through the shard ring.
-    pub fn is_sharded(&self) -> bool {
-        self.router.is_some()
-    }
-
-    /// Redirect hops this client chased (sharded clients only).
+    /// Always 0: a ref names its server, so there is no redirect to chase.
+    /// Kept for the repo benchmark's `dmnet.client.redirects_chased`
+    /// column, which reads it (ROADMAP item 5(iv) retires the column).
     pub fn redirects_chased(&self) -> u64 {
-        self.router.as_ref().map_or(0, |r| r.redirects_chased.get())
+        0
     }
 
     /// The lease TTL granted by the pool, if any.
@@ -316,83 +254,60 @@ impl DmNetClient {
         self.busy_retried.get()
     }
 
-    /// Whether ops naming `key` are routed by this client (ring placement
-    /// and redirect chasing) rather than sent to the server their [`Ref`]
-    /// names: global keys, on a client connected with a ring.
-    fn routes(&self, key: u64) -> bool {
-        self.router.is_some() && key & GKEY_BIT != 0
-    }
-
-    /// Resolve a ref to its `(home, key)`: routed keys home where the
-    /// relocation cache or the ring says, every other key at the server
-    /// the ref names.
-    fn resolve(&self, r: &Ref) -> DmResult<(DmServerId, u64)> {
-        let Ref::Net { server, key, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
-        match &self.router {
-            Some(router) if self.routes(*key) => Ok((router.route(*key), *key)),
-            _ => Ok((*server, *key)),
+    /// The `(server, key)` a ref names.
+    fn resolve(r: &Ref) -> DmResult<(DmServerId, u64)> {
+        match r {
+            Ref::Net { server, key, .. } => Ok((*server, *key)),
+            Ref::Cxl { .. } => Err(DmError::InvalidRef),
         }
     }
 
-    /// Send one wire request — the only way any op reaches the wire.
-    /// Returns `(epoch, home, result)`: the invalidation epoch piggybacked
-    /// on the response (fill paths stamp entries with the epoch their
-    /// bytes were read under) and the server that answered.
+    /// Send one wire request to `server` — the only way any op reaches the
+    /// wire. Returns `(epoch, result)`: the invalidation epoch piggybacked
+    /// on the response, which fill paths stamp entries with.
     ///
     /// In order: token acquisition (when a concurrency limit is installed);
     /// the send, counted per type; folding the response's epoch and version
-    /// block into the cache; then either a result, a backed-off retry of
-    /// a typed `Busy` rejection, or — only for a `key` this client
-    /// [routes](Self::routes) — one hop of a `Moved` redirect chase. Each
-    /// hop follows a tombstone laid by a distinct migration and updates the
-    /// relocation cache, so the next op on the same gkey goes direct; the
-    /// chase is bounded by the pool size (a tombstone chain cannot revisit
-    /// a server without the gkey having answered there). A redirect
-    /// answering any other request is a protocol violation (`Malformed`).
+    /// block into the cache; then either a result or a backed-off retry of
+    /// a typed `Busy` rejection.
     ///
     /// Without a concurrency limit, and against servers that never answer
     /// `Busy`, neither the token nor the retry path touches an await point
     /// or RNG, so the schedule is identical to a bare send.
     async fn request_at(
         &self,
-        mut server: DmServerId,
-        key: Option<u64>,
+        server: DmServerId,
         ty: u8,
         body: Message,
-    ) -> (u64, DmServerId, DmResult<Bytes>) {
-        // The router and gkey, when this request names a key it routes.
-        let chase = self.router.as_ref().zip(key.filter(|&k| self.routes(k)));
+    ) -> (u64, DmResult<Bytes>) {
         let _token = match &self.tokens {
             Some(sem) => Some(sem.acquire_one().await),
             None => None,
         };
+        let addr = match self.server_addr(server) {
+            Ok(a) => a,
+            Err(e) => return (0, Err(e)),
+        };
+        let idx = server.0 as usize;
         let mut backoff = Backoff::new(BUSY_BACKOFF, BUSY_BACKOFF_CAP);
         let mut retries_left = BUSY_RETRIES;
-        let mut hops = 0;
         loop {
-            let addr = match self.server_addr(server) {
-                Ok(a) => a,
-                Err(e) => return (0, server, Err(e)),
-            };
             self.cache.count_wire(ty);
             let resp = match self.rpc.call(addr, ty, body.clone()).await {
                 Ok(r) => r,
                 // Nothing was sent: the request names more bytes than one
                 // message can carry.
-                Err(RpcError::TooLarge { .. }) => return (0, server, Err(DmError::OutOfBounds)),
-                Err(RpcError::Timeout { .. }) => return (0, server, Err(DmError::Transport)),
+                Err(RpcError::TooLarge { .. }) => return (0, Err(DmError::OutOfBounds)),
+                Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
             };
             let (epoch, reply) = split_response(&resp);
-            if self.cache.observe_epoch(server.0 as usize, epoch) {
+            if self.cache.observe_epoch(idx, epoch) {
                 self.schedule_flush(server);
             }
-            match (reply, chase) {
-                (Reply::Ok { body, versions }, _) => {
+            match reply {
+                Reply::Ok { body, versions } => {
                     // What a coherent server says about the refs this op
                     // touched: each pair drops any entry it proves stale.
-                    let idx = server.0 as usize;
                     let mut needs_flush = false;
                     for (key, ver) in versions.into_iter().flatten() {
                         needs_flush |= self.cache.observe_version(idx, key, ver, false);
@@ -400,67 +315,21 @@ impl DmNetClient {
                     if needs_flush {
                         self.schedule_flush(server);
                     }
-                    if let Some((router, gkey)) = chase {
-                        // Remember an off-ring home; forget a stale entry the
-                        // moment the gkey answers at its ring home again.
-                        if router.ring.route(gkey) != server {
-                            router.reloc.borrow_mut().insert(gkey, server);
-                        } else {
-                            router.reloc.borrow_mut().remove(&gkey);
-                        }
-                    }
                     // For a read, the server's payload buffer itself.
-                    return (epoch, server, Ok(body.into_bytes()));
+                    return (epoch, Ok(body.into_bytes()));
                 }
-                (Reply::Moved { node, port }, Some((router, gkey))) => {
-                    let Some(next) = self.addr_to_server(node, port) else {
-                        return (epoch, server, Err(DmError::InvalidAddress));
-                    };
-                    // The tombstone proves the gkey left this server: its
-                    // cached bytes/mappings under this index are orphaned
-                    // (the general epoch sweep would only reap them after
-                    // an unrelated bump). Drop them now so a future
-                    // migration back cannot resurrect pre-move bytes.
-                    if self.cache.config().enabled
-                        && self.cache.invalidate_key(server.0 as usize, gkey)
-                    {
-                        self.schedule_flush(server);
-                    }
-                    router
-                        .redirects_chased
-                        .set(router.redirects_chased.get() + 1);
-                    router.reloc.borrow_mut().insert(gkey, next);
-                    server = next;
-                    hops += 1;
-                    if hops > self.servers.len() {
-                        return (0, server, Err(DmError::InvalidRef));
-                    }
-                }
-                (Reply::Err(DmError::Busy), _) if retries_left > 0 => {
+                Reply::Err(DmError::Busy) if retries_left > 0 => {
                     retries_left -= 1;
                     self.busy_retried.set(self.busy_retried.get() + 1);
                     simcore::sleep(backoff.next_wait()).await;
-                    // Re-resolve the route after the wait: the gkey may
-                    // have migrated while the server was saturated.
-                    if let Some((router, gkey)) = chase {
-                        server = router.route(gkey);
-                        hops = 0;
-                    }
                 }
-                (other, _) => return (epoch, server, other.result().map(Message::into_bytes)),
+                Reply::Err(e) => return (epoch, Err(e)),
             }
         }
     }
 
     async fn request(&self, server: DmServerId, ty: u8, body: Message) -> DmResult<Bytes> {
-        self.request_at(server, None, ty, body).await.2
-    }
-
-    fn addr_to_server(&self, node: u32, port: u16) -> Option<DmServerId> {
-        self.servers
-            .iter()
-            .position(|a| a.node.0 == node && a.port == port)
-            .map(|i| DmServerId(i as u8))
+        self.request_at(server, ty, body).await.1
     }
 
     /// Next server in this client's round-robin over the pool.
@@ -613,65 +482,41 @@ impl DmNetClient {
     /// mapped (and cleanly freed) is served from the cache without a round
     /// trip.
     pub async fn map_ref(&self, r: &Ref) -> DmResult<RemoteAddr> {
-        let (target, key) = self.resolve(r)?;
-        let pid = self.pid_at(target);
-        self.flush_if_pending_key(target, key).await;
+        let (server, key) = Self::resolve(r)?;
+        let pid = self.pid_at(server);
+        self.flush_if_pending_key(server, key).await;
         if self.cache.config().enabled {
-            if let Some((va, _len)) = self.cache.take_mapping(target.0 as usize, key) {
-                return Ok(RemoteAddr {
-                    server: target,
-                    pid,
-                    va,
-                });
+            if let Some((va, _len)) = self.cache.take_mapping(server.0 as usize, key) {
+                return Ok(RemoteAddr { server, pid, va });
             }
         }
         let body = Writer::new().pid(pid).u64(key).finish();
-        let (epoch, home, res) = self.request_at(target, Some(key), req::MAP_REF, body).await;
+        let (epoch, res) = self.request_at(server, req::MAP_REF, body).await;
         let resp = res?;
         let mut rd = Reader::new(&resp);
         let va = rd.u64()?;
         let len = rd.u64()?;
-        // The mapping lives on whichever server answered (for a routed key,
-        // the post-chase home); the RemoteAddr must name it so rread /
-        // rfree go there directly.
         if self.cache.config().enabled {
             self.cache
-                .note_mapping(home.0 as usize, key, va, len, epoch);
+                .note_mapping(server.0 as usize, key, va, len, epoch);
         }
-        Ok(RemoteAddr {
-            server: home,
-            pid: self.pid_at(home),
-            va,
-        })
+        Ok(RemoteAddr { server, pid, va })
     }
 
-    /// Fast path: publish `data` as a new reference in one round trip.
-    /// Clients without a ring spread refs round-robin across the pool and
-    /// the server mints the key; clients with one mint a global key and
-    /// place it by consistent hashing, so every client agrees on the ref's
-    /// home without coordination.
+    /// Fast path: publish `data` as a new reference in one round trip, on
+    /// the next server of this client's round-robin over the pool, which
+    /// mints the key.
     pub async fn put_ref(&self, data: &Bytes) -> DmResult<Ref> {
-        let (server, gkey, ty, body) = match &self.router {
-            Some(router) => {
-                let gkey = router.mint();
-                let body = Writer::new().u64(gkey).body(data.clone()).finish();
-                (router.route(gkey), Some(gkey), req::PUT_REF_AT, body)
-            }
-            None => (self.next_round_robin(), None, req::PUT_REF, data.into()),
-        };
-        let (epoch, home, res) = self.request_at(server, gkey, ty, body).await;
-        let resp = res?;
-        let key = match gkey {
-            Some(gkey) => gkey,
-            None => Reader::new(&resp).u64()?,
-        };
+        let server = self.next_round_robin();
+        let (epoch, res) = self.request_at(server, req::PUT_REF, data.into()).await;
+        let key = Reader::new(&res?).u64()?;
         if self.cache.config().enabled {
             // Write-allocate: the publisher knows the ref's bytes.
             self.cache
-                .fill_data(home.0 as usize, key, epoch, data.clone());
+                .fill_data(server.0 as usize, key, epoch, data.clone());
         }
         Ok(Ref::Net {
-            server: home,
+            server,
             key,
             len: data.len() as u64,
         })
@@ -680,23 +525,20 @@ impl DmNetClient {
     /// Fast path: read `len` bytes at `off` of a reference without mapping.
     /// Served from the client cache when a fresh entry covers the range.
     pub async fn read_ref(&self, r: &Ref, off: u64, len: u64) -> DmResult<Bytes> {
-        let (target, key) = self.resolve(r)?;
-        self.flush_if_pending_key(target, key).await;
+        let (server, key) = Self::resolve(r)?;
+        self.flush_if_pending_key(server, key).await;
         if self.cache.config().enabled {
-            if let Some(bytes) = self.cache.lookup_data(target.0 as usize, key, off, len) {
+            if let Some(bytes) = self.cache.lookup_data(server.0 as usize, key, off, len) {
                 return Ok(bytes);
             }
         }
         let body = Writer::new().u64(key).u64(off).u64(len).finish();
-        let (epoch, home, res) = self
-            .request_at(target, Some(key), req::READ_REF, body)
-            .await;
+        let (epoch, res) = self.request_at(server, req::READ_REF, body).await;
         if self.cache.config().enabled && off == 0 {
             if let Ok(bytes) = &res {
-                // Fill under the server that answered (for a routed key,
-                // the post-chase home) so the next read hits.
+                // Fill so the next read hits.
                 self.cache
-                    .fill_data(home.0 as usize, key, epoch, bytes.clone());
+                    .fill_data(server.0 as usize, key, epoch, bytes.clone());
             }
         }
         res
@@ -707,57 +549,29 @@ impl DmNetClient {
     /// coalesced [`req::BATCH`] message (bounded by the flush window); the
     /// local cache entries for the key are dropped immediately.
     pub async fn release_ref(&self, r: &Ref) -> DmResult<()> {
-        let (target, key) = self.resolve(r)?;
-        let idx = target.0 as usize;
+        let (server, key) = Self::resolve(r)?;
+        let idx = server.0 as usize;
         if self.cache.config().enabled && self.cache.invalidate_key(idx, key) {
-            self.schedule_flush(target);
+            self.schedule_flush(server);
         }
         let body = Writer::new().u64(key).finish();
-        // Routed keys never ride the batch coalescer: a batched slot is
-        // fire-and-forget, so a `Moved` redirect laid down by a concurrent
-        // migration would be dropped silently and the ref leaked. They go
-        // out synchronously and chase redirects like any other routed op.
-        if self.cache.config().batching && !self.routes(key) {
+        if self.cache.config().batching {
             if self.cache.pending_len(idx) >= MAX_BATCH_OPS {
-                self.flush_server(target).await;
+                self.flush_server(server).await;
             }
             if self
                 .cache
                 .enqueue(idx, req::RELEASE_REF, body.into_bytes(), Some(key), None)
             {
-                self.schedule_flush(target);
+                self.schedule_flush(server);
             }
             // Fire-and-forget, like `DmRpc::release_async`: a failed
             // release of an already-dead ref is reported per-slot in the
             // batch response and dropped.
             return Ok(());
         }
-        self.flush_if_pending_key(target, key).await;
-        let (_, _, res) = self
-            .request_at(target, Some(key), req::RELEASE_REF, body)
-            .await;
-        res?;
-        if let Some(router) = &self.router {
-            router.reloc.borrow_mut().remove(&key);
-        }
-        Ok(())
-    }
-
-    /// Migrate a gkey-bound ref to `dst` (clients with a ring only): the
-    /// current home transfers the pages server-to-server, releases its
-    /// copy and leaves a redirect tombstone; other clients chase one hop,
-    /// and this client's relocation cache learns the new home immediately.
-    pub async fn migrate_ref(&self, r: &Ref, dst: DmServerId) -> DmResult<()> {
-        let router = self.router.as_ref().ok_or(DmError::InvalidRef)?;
-        let (home, key) = self.resolve(r)?;
-        if key & GKEY_BIT == 0 {
-            return Err(DmError::InvalidRef);
-        }
-        let dst_addr = self.server_addr(dst)?;
-        let body = Writer::new().u64(key).addr(dst_addr).finish();
-        let (_, _, res) = self.request_at(home, Some(key), req::MIGRATE, body).await;
-        res?;
-        router.reloc.borrow_mut().insert(key, dst);
+        self.flush_if_pending_key(server, key).await;
+        self.request(server, req::RELEASE_REF, body).await?;
         Ok(())
     }
 }

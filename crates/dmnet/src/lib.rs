@@ -28,7 +28,6 @@ pub mod client;
 pub mod page_manager;
 pub mod proto;
 pub mod server;
-pub mod shard;
 pub mod translator;
 pub mod wal;
 
@@ -40,7 +39,6 @@ pub use cache::{CacheConfig, CacheStats};
 pub use client::DmNetClient;
 pub use page_manager::{OpCost, PageManager};
 pub use server::{start_pool, CoherenceConfig, DmServer, DmServerConfig, RecoveryReport};
-pub use shard::{HashRing, GKEY_BIT};
 pub use wal::{Record, Wal, WalConfig};
 
 #[cfg(test)]
@@ -86,16 +84,9 @@ mod e2e_tests {
         RpcBuilder::new(net, node, port).build()
     }
 
-    /// Connect with `cache`, no concurrency limit and, given a seed, ring
-    /// placement over the pool.
-    async fn connect_cfg(
-        rpc: Rc<Rpc>,
-        pool: &[simnet::Addr],
-        cache: CacheConfig,
-        ring_seed: Option<u64>,
-    ) -> DmNetClient {
-        let ring = ring_seed.map(|seed| HashRing::new(pool.len(), seed));
-        DmNetClient::connect_with(rpc, pool.to_vec(), cache, None, ring)
+    /// Connect with `cache` and no concurrency limit.
+    async fn connect_cfg(rpc: Rc<Rpc>, pool: &[simnet::Addr], cache: CacheConfig) -> DmNetClient {
+        DmNetClient::connect_with(rpc, pool.to_vec(), cache, None)
             .await
             .unwrap()
     }
@@ -770,7 +761,6 @@ mod e2e_tests {
                 client_rpc(&net, c0, 100),
                 &[servers[0].addr()],
                 CacheConfig::all_on(),
-                None,
             )
             .await;
 
@@ -827,7 +817,6 @@ mod e2e_tests {
                     enabled: true,
                     batching: false,
                 },
-                None,
             )
             .await;
 
@@ -876,7 +865,6 @@ mod e2e_tests {
                 client_rpc(&net, c0, 100),
                 &[servers[0].addr()],
                 CacheConfig::all_on(),
-                None,
             )
             .await;
 
@@ -896,136 +884,6 @@ mod e2e_tests {
                 pm.check_invariants();
                 assert_eq!(pm.free_pages(), pm.capacity_pages(), "releases not applied");
             });
-        });
-    }
-
-    #[test]
-    fn sharded_placement_routes_by_ring() {
-        // Two sharded clients with the same seed agree on every ref's home
-        // without coordination, placement covers the whole pool, and no
-        // redirects are chased when nothing migrates.
-        let r = rig(4, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let dms = r.dm_nodes.clone();
-        let (c0, c1) = (r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let servers = start_pool(&net, &dms, &params, DmServerConfig::default());
-            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let writer = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &pool,
-                CacheConfig::default(),
-                Some(7),
-            )
-            .await;
-            let reader = connect_cfg(
-                client_rpc(&net, c1, 100),
-                &pool,
-                CacheConfig::default(),
-                Some(7),
-            )
-            .await;
-            assert!(writer.is_sharded());
-
-            let mut refs = Vec::new();
-            for i in 0..32u8 {
-                let data = Bytes::from(vec![i; 4096]);
-                let r = writer.put_ref(&data).await.unwrap();
-                let Ref::Net { key, .. } = r else {
-                    unreachable!()
-                };
-                assert!(key & GKEY_BIT != 0, "sharded put_ref mints gkeys");
-                refs.push((i, r));
-            }
-            // 32 refs over 4 servers: the ring spreads them (every server
-            // holds at least one with overwhelming probability).
-            for (idx, s) in servers.iter().enumerate() {
-                assert!(s.gkeys_bound() > 0, "server {idx} got no refs");
-            }
-            // The second client resolves every gkey off its own ring copy.
-            for (i, r) in &refs {
-                let back = reader.read_ref(r, 0, 4096).await.unwrap();
-                assert!(back.iter().all(|&b| b == *i), "wrong bytes for ref {i}");
-            }
-            assert_eq!(reader.redirects_chased(), 0, "no migrations, no hops");
-            for (_, r) in &refs {
-                reader.release_ref(r).await.unwrap();
-            }
-            for s in &servers {
-                s.check_invariants_all();
-                assert_eq!(s.free_pages_total(), s.capacity_pages_total());
-                assert_eq!(s.gkeys_bound(), 0);
-            }
-        });
-    }
-
-    #[test]
-    fn migration_redirects_one_hop_and_reloc_cache_goes_direct() {
-        let r = rig(3, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let dms = r.dm_nodes.clone();
-        let (c0, c1) = (r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let servers = start_pool(&net, &dms, &params, DmServerConfig::default());
-            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            // Caches off so every read is a wire op (redirects observable).
-            let owner = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &pool,
-                CacheConfig::default(),
-                Some(3),
-            )
-            .await;
-            let other = connect_cfg(
-                client_rpc(&net, c1, 100),
-                &pool,
-                CacheConfig::default(),
-                Some(3),
-            )
-            .await;
-
-            let data = Bytes::from((0..8192u32).map(|i| (i % 239) as u8).collect::<Vec<_>>());
-            let r = owner.put_ref(&data).await.unwrap();
-            let Ref::Net { server: home, .. } = r else {
-                unreachable!()
-            };
-            // The other client reads once pre-migration (knows the home).
-            assert_eq!(other.read_ref(&r, 0, 8192).await.unwrap(), data);
-            assert_eq!(other.redirects_chased(), 0);
-
-            // Migrate to a different server.
-            let dst = dmcommon::DmServerId((home.0 + 1) % 3);
-            owner.migrate_ref(&r, dst).await.unwrap();
-            let src = &servers[home.0 as usize];
-            let dstv = &servers[dst.0 as usize];
-            assert_eq!(src.gkeys_bound(), 0, "source still holds the gkey");
-            assert_eq!(src.tombstones(), 1, "no redirect tombstone");
-            assert_eq!(dstv.gkeys_bound(), 1, "destination missing the gkey");
-            assert_eq!(src.migrations(), 1);
-            assert_eq!(dstv.migrations(), 1);
-
-            // The other client's next read chases exactly one hop...
-            assert_eq!(other.read_ref(&r, 0, 8192).await.unwrap(), data);
-            assert_eq!(other.redirects_chased(), 1, "one-hop chase");
-            assert_eq!(src.redirects(), 1);
-            // ...and its relocation cache then goes direct: more reads, no
-            // more hops.
-            assert_eq!(
-                other.read_ref(&r, 100, 64).await.unwrap()[..],
-                data[100..164]
-            );
-            assert_eq!(other.redirects_chased(), 1, "reloc cache not used");
-            // The migrating client learned the new home synchronously.
-            assert_eq!(owner.read_ref(&r, 0, 16).await.unwrap()[..], data[..16]);
-            assert_eq!(owner.redirects_chased(), 0);
-
-            // Release through the redirect path reclaims everything.
-            other.release_ref(&r).await.unwrap();
-            for s in &servers {
-                s.check_invariants_all();
-                assert_eq!(s.free_pages_total(), s.capacity_pages_total());
-                assert_eq!(s.gkeys_bound(), 0);
-            }
         });
     }
 
@@ -1064,8 +922,8 @@ mod e2e_tests {
             servers.extend(start_pool(&net, &dms[1..], &params, plain));
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
             let ccfg = CacheConfig::all_on();
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
-            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, None).await;
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg).await;
+            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg).await;
             assert_eq!(reader.lease_ttl(), Some(ttl));
 
             // Round-robin: refs 0 and 2 on the coherent server, 1 and 3 on
@@ -1164,9 +1022,9 @@ mod e2e_tests {
             let servers = start_pool(&net, &[dm0], &params, coherent(lease));
             let pool = vec![servers[0].addr()];
             let ccfg = CacheConfig::all_on();
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, None).await;
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg).await;
             let rrpc = client_rpc(&net, c1, 100);
-            let reader = connect_cfg(rrpc.clone(), &pool, ccfg, None).await;
+            let reader = connect_cfg(rrpc.clone(), &pool, ccfg).await;
 
             let da = Bytes::from(vec![0xCD; 4096]);
             let ra = owner.put_ref(&da).await.unwrap();
@@ -1213,20 +1071,8 @@ mod e2e_tests {
             let servers = start_pool(&net, &[dm0], &params, cfg);
             let epoch0 = servers[0].epoch();
             let pool = vec![servers[0].addr()];
-            let owner = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &pool,
-                CacheConfig::all_on(),
-                None,
-            )
-            .await;
-            let reader = connect_cfg(
-                client_rpc(&net, c1, 100),
-                &pool,
-                CacheConfig::all_on(),
-                None,
-            )
-            .await;
+            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, CacheConfig::all_on()).await;
+            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, CacheConfig::all_on()).await;
 
             let mut refs = Vec::new();
             for i in 0..4u8 {
@@ -1251,141 +1097,6 @@ mod e2e_tests {
             owner.flush_cache().await;
             reader.flush_cache().await;
             servers[0].check_invariants_all();
-        });
-    }
-
-    #[test]
-    fn coherent_migration_bumps_version_and_survives_restart() {
-        // MIGRATE under coherence: the version travels with the pages
-        // (current + 1), holders of the old home get a targeted push, and
-        // the destination's version table survives crash + replay (the
-        // `GVer` WAL record).
-        let r = rig(2, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let dms = r.dm_nodes.clone();
-        let (c0, c1) = (r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let cfg = DmServerConfig {
-                durability: Some(WalConfig::zero_cost()),
-                ..coherent(std::time::Duration::from_millis(10))
-            };
-            let servers = start_pool(&net, &dms, &params, cfg);
-            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let ccfg = CacheConfig::all_on();
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg, Some(3)).await;
-            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg, Some(3)).await;
-
-            let data = Bytes::from((0..8192u32).map(|i| (i % 239) as u8).collect::<Vec<_>>());
-            let r = owner.put_ref(&data).await.unwrap();
-            let Ref::Net {
-                server: home, key, ..
-            } = r
-            else {
-                unreachable!()
-            };
-            assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
-
-            let dst = dmcommon::DmServerId((home.0 + 1) % 2);
-            owner.migrate_ref(&r, dst).await.unwrap();
-            simcore::sleep(std::time::Duration::from_micros(100)).await;
-
-            // The reader's stale entry under the old home was dropped by
-            // the push; the re-read chases the tombstone and still agrees.
-            assert!(reader.cache_stats().targeted_inv() >= 1, "no push folded");
-            assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
-            assert_eq!(servers[dst.0 as usize].ref_version(key), 2);
-
-            // The version table is durable: crash + replay restores it.
-            servers[dst.0 as usize].crash();
-            servers[dst.0 as usize].restart_from_log().await;
-            assert_eq!(
-                servers[dst.0 as usize].ref_version(key),
-                2,
-                "GVer lost in replay"
-            );
-            assert_eq!(
-                reader.read_ref(&r, 100, 64).await.unwrap()[..],
-                data[100..164]
-            );
-
-            reader.release_ref(&r).await.unwrap();
-            owner.flush_cache().await;
-            reader.flush_cache().await;
-            for s in &servers {
-                s.check_invariants_all();
-                assert_eq!(s.free_pages_total(), s.capacity_pages_total());
-            }
-        });
-    }
-
-    #[test]
-    fn sharded_recovery_restores_bindings_and_tombstones() {
-        // Durable sharded plane: gkey bindings and redirect tombstones
-        // survive a crash + restart_from_log, including across WAL
-        // compaction (v2 checkpoints).
-        let r = rig(2, 1);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let dms = r.dm_nodes.clone();
-        let c0 = r.compute[0];
-        r.sim.block_on(async move {
-            let cfg = DmServerConfig {
-                durability: Some(WalConfig::zero_cost()),
-                ..Default::default()
-            };
-            let servers = start_pool(&net, &dms, &params, cfg);
-            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let dm = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &pool,
-                CacheConfig::default(),
-                Some(5),
-            )
-            .await;
-
-            let mut refs = Vec::new();
-            for i in 0..12u8 {
-                let data = Bytes::from(vec![i ^ 0x5A; 4096]);
-                refs.push(dm.put_ref(&data).await.unwrap());
-            }
-            // Migrate a few refs off server 0 so it holds tombstones and
-            // server 1 holds migrated-in (possibly unowned-sentinel) refs.
-            let mut moved = 0;
-            for r in &refs {
-                let Ref::Net { server, .. } = r else {
-                    unreachable!()
-                };
-                if server.0 == 0 && moved < 3 {
-                    dm.migrate_ref(r, dmcommon::DmServerId(1)).await.unwrap();
-                    moved += 1;
-                }
-            }
-            assert!(moved > 0, "seed 5 should place some refs on server 0");
-            let pre: Vec<_> = servers
-                .iter()
-                .map(|s| (s.pages_digest(), s.gkeys_bound(), s.tombstones()))
-                .collect();
-
-            for s in &servers {
-                s.crash();
-                s.restart_from_log().await;
-            }
-            for (s, (digest, bound, tombs)) in servers.iter().zip(&pre) {
-                assert_eq!(s.pages_digest(), *digest, "page state diverged");
-                assert_eq!(s.gkeys_bound(), *bound, "gkey bindings lost");
-                assert_eq!(s.tombstones(), *tombs, "tombstones lost");
-            }
-            // Every ref still reads back (through redirects where needed).
-            for (i, r) in refs.iter().enumerate() {
-                let back = dm.read_ref(r, 0, 4096).await.unwrap();
-                assert!(back.iter().all(|&b| b == (i as u8) ^ 0x5A));
-            }
-            for r in &refs {
-                dm.release_ref(r).await.unwrap();
-            }
-            for s in &servers {
-                s.check_invariants_all();
-                assert_eq!(s.free_pages_total(), s.capacity_pages_total());
-            }
         });
     }
 }

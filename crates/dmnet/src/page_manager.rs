@@ -36,7 +36,6 @@ use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use simcore::FastMap;
 
 use crate::proto::{Reader, Writer};
-use crate::shard::GKEY_BIT;
 use crate::translator::{PageIdx, Translator};
 use crate::va_tree::VaTree;
 
@@ -385,11 +384,9 @@ impl PageManager {
         Ok((key, cost))
     }
 
-    /// The next ref key. Keys are a counter from 1 and never reach bit 63,
-    /// which is what leaves [`GKEY_BIT`] to client-minted global keys.
+    /// The next ref key: a counter from 1, so a key is never reused.
     fn mint_key(&mut self) -> u64 {
         let key = self.next_key;
-        assert!(key & GKEY_BIT == 0, "local ref keys exhausted");
         self.next_key += 1;
         key
     }
@@ -537,24 +534,6 @@ impl PageManager {
             cost.add(self.release_ref(key)?);
         }
         Ok(cost)
-    }
-
-    /// Length of the region a ref covers.
-    pub fn ref_len(&self, key: u64) -> DmResult<u64> {
-        self.refs
-            .get(&key)
-            .map(|e| e.len)
-            .ok_or(DmError::InvalidRef)
-    }
-
-    /// PID a ref is attributed to for lease reclamation (`None` for
-    /// unowned refs). Migration forwards the attribution to the target
-    /// server.
-    pub fn ref_owner(&self, key: u64) -> DmResult<Option<GlobalPid>> {
-        self.refs
-            .get(&key)
-            .map(|e| e.owner.map(GlobalPid))
-            .ok_or(DmError::InvalidRef)
     }
 
     /// Keys of every live ref attributed to `pid`, sorted (the coherence

@@ -4,9 +4,9 @@
 //! leading status byte followed by the server's current *invalidation
 //! epoch* (u64 LE). The status says what the rest is: a plain success
 //! ([`STATUS_OK`]), a success that starts with the per-ref version block of
-//! a coherent server ([`STATUS_OK_VERSIONED`], DESIGN.md §15), a redirect
-//! ([`CODE_MOVED`]) or a [`DmError`] code — so a client decodes any server's
-//! answer without being told how that server was configured. The epoch
+//! a coherent server ([`STATUS_OK_VERSIONED`], DESIGN.md §15) or a
+//! [`DmError`] code — so a client decodes any server's answer without being
+//! told how that server was configured. The epoch
 //! advances whenever a ref is released (explicitly or by lease
 //! reclamation), so a client comparing the piggybacked epoch against the
 //! one its cache entries were filled under can tell whether any ref it
@@ -65,25 +65,9 @@ pub mod req {
     /// one full response per sub-request in order. Nested batches are
     /// rejected.
     pub const BATCH: u8 = 22;
-    /// Sharded plane (DESIGN.md §13): publish data under a client-minted
-    /// global key (`[gkey u64][data]`). The server binds the gkey to a
-    /// locally-allocated ref; later ops name the gkey and any server
-    /// holding it (or a redirect tombstone for it) can answer.
-    pub const PUT_REF_AT: u8 = 23;
-    /// Migrate a gkey-bound ref to another server
-    /// (`[gkey u64][dst node u32][dst port u32]`). The source transfers
-    /// the bytes server-to-server, releases its copy and installs a
-    /// redirect tombstone; clients naming the gkey chase one hop.
-    pub const MIGRATE: u8 = 24;
-    /// Server-to-server half of [`MIGRATE`] (`[gkey u64][owner node u32]
-    /// [owner port u32]([version u64])[data]`, the version only between
-    /// coherent servers): the destination binds the gkey to a fresh local
-    /// ref holding `data`, attributed to its own pid for the owning
-    /// endpoint. Both ops refuse a port above `u16::MAX` as `Malformed`.
-    pub const MIGRATE_IN: u8 = 25;
     /// Server-to-client targeted invalidation push (`[key u64][ver u64]`,
-    /// DESIGN.md §15): the named ref's version advanced (it was released,
-    /// reclaimed, or migrated), so any cached copy filled under an older
+    /// DESIGN.md §15): the named ref's version advanced (it was released
+    /// or reclaimed), so any cached copy filled under an older
     /// version must be dropped. Fire-and-forget — a lost push is safe
     /// because cached entries also carry a bounded read lease and a
     /// version check on serve, and ref bytes are immutable while live.
@@ -115,9 +99,6 @@ pub const OPS: &[(u8, &str, bool, bool)] = &[
     (req::PUT_REF, "dm.put_ref", false, false),
     (req::RENEW_LEASE, "dm.renew_lease", true, true),
     (req::BATCH, "dm.batch", true, true),
-    (req::PUT_REF_AT, "dm.put_ref_at", false, false),
-    (req::MIGRATE, "dm.migrate", true, false),
-    (req::MIGRATE_IN, "dm.migrate_in", false, false),
     // Served by clients, pushed by servers.
     (req::INVALIDATE, "dm.invalidate", true, false),
 ];
@@ -156,7 +137,7 @@ const ERR_TABLE: &[(DmError, u8)] = &[
     (DmError::OutOfBounds, 4),
     (DmError::Malformed, 5),
     (DmError::Transport, 6),
-    // 7 is CODE_MOVED (a redirect, not an error); Busy takes the next slot.
+    // 7 is retired (it was a redirect) and decodes as `Malformed`.
     (DmError::Busy, 8),
     // 9 is STATUS_OK_VERSIONED.
 ];
@@ -276,7 +257,7 @@ impl Response {
     }
 }
 
-/// What a response decodes to: a result, a one-hop redirect, or an error.
+/// What a response decodes to: a result or an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Success.
@@ -289,34 +270,24 @@ pub enum Reply {
         /// the global epoch only.
         versions: Option<Vec<(u64, u64)>>,
     },
-    /// The gkey migrated to the server at `node:port`; retry there.
-    Moved {
-        /// Forwarding fabric node.
-        node: u32,
-        /// Forwarding port.
-        port: u16,
-    },
     /// Typed failure.
     Err(DmError),
 }
 
 impl Reply {
-    /// The body or the error, for requests that cannot be redirected: a
-    /// [`CODE_MOVED`] answer to anything but a gkey-routed request is a
-    /// protocol violation and reads as `Malformed`.
+    /// The body or the error.
     pub fn result(self) -> DmResult<Message> {
         match self {
             Reply::Ok { body, .. } => Ok(body),
-            Reply::Moved { .. } => Err(DmError::Malformed),
             Reply::Err(e) => Err(e),
         }
     }
 }
 
 /// Split a response into its piggybacked epoch plus [`Reply`] — the one
-/// response decoder. A response too short to carry an epoch (or a redirect
-/// too short to carry its address, or a version block longer than what
-/// follows) decodes as `Malformed`, the first with epoch 0.
+/// response decoder. A response too short to carry an epoch (or a version
+/// block longer than what follows) decodes as `Malformed`, the first with
+/// epoch 0.
 pub fn split_response(resp: &Message) -> (u64, Reply) {
     let mut r = Reader::of(resp);
     let (Ok(status), Ok(epoch)) = (r.u8(), r.u64()) else {
@@ -334,10 +305,6 @@ pub fn split_response(resp: &Message) -> (u64, Reply) {
             },
             Err(e) => Reply::Err(e),
         },
-        CODE_MOVED => match (r.u32(), r.u16()) {
-            (Ok(node), Ok(port)) => Reply::Moved { node, port },
-            _ => Reply::Err(DmError::Malformed),
-        },
         c => Reply::Err(code_err(c)),
     };
     (epoch, reply)
@@ -348,24 +315,10 @@ fn read_versions(r: &mut Reader<'_>) -> DmResult<Vec<(u64, u64)>> {
     (0..n).map(|_| Ok((r.u64()?, r.u64()?))).collect()
 }
 
-/// Status byte of a *redirect* response (DESIGN.md §13): the named gkey
-/// migrated away and the body carries the forwarding address. Deliberately
-/// not a [`DmError`]: only gkey-routed requests may be answered with it,
-/// and [`Reply::result`] maps it to `Malformed` for everything else.
-pub const CODE_MOVED: u8 = 7;
-
-/// Encode a redirect response: the gkey now lives at `node:port`.
-pub fn moved_response(epoch: u64, node: u32, port: u16) -> Message {
-    let mut resp = Response::new();
-    resp.head.put_u32_le(node);
-    resp.head.put_u16_le(port);
-    resp.finish(CODE_MOVED, epoch)
-}
-
 /// High bit of a batch item tag: set when the item body starts with a
 /// 16-byte trace context (`trace_id` LE u64, `span_id` LE u64) captured
-/// where the op was enqueued. Request types stay ≤ [`req::MIGRATE_IN`]
-/// (25), so the bit is free; untraced batches are byte-identical to the
+/// where the op was enqueued. Request types stay ≤ [`req::INVALIDATE`]
+/// (26), so the bit is free; untraced batches are byte-identical to the
 /// pre-telemetry encoding.
 pub const BATCH_TRACE_BIT: u8 = 0x80;
 
@@ -758,7 +711,7 @@ mod tests {
 
     #[test]
     fn op_table_names_each_code_once_and_classifies_it() {
-        let data = [15, 16, 19, 20, 23, 25]; // READ WRITE READ_REF PUT_REF PUT_REF_AT MIGRATE_IN
+        let data = [15, 16, 19, 20]; // READ WRITE READ_REF PUT_REF
         for (i, a) in OPS.iter().enumerate() {
             assert!(OPS[..i].iter().all(|b| b.0 < a.0 && b.1 != a.1), "{a:?}");
             assert!(a.0 & BATCH_TRACE_BIT == 0, "{a:?} takes the trace bit");
@@ -770,6 +723,25 @@ mod tests {
         assert!(is_control(18) && !admission_exempt(18));
     }
 
+    /// Every surviving op and status keeps the code it had when the ring's
+    /// ops (23–25) and the redirect status (7) were retired; the retired
+    /// codes are nobody's.
+    #[test]
+    fn wire_codes_are_pinned() {
+        let codes: Vec<u8> = OPS.iter().map(|op| op.0).collect();
+        assert_eq!(codes, [10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22, 26]);
+        assert_eq!((STATUS_OK, STATUS_OK_VERSIONED), (0, 9));
+        let errs: Vec<u8> = ERR_TABLE.iter().map(|&(_, c)| c).collect();
+        assert_eq!(errs, [1, 2, 3, 4, 5, 6, 8]);
+        // A response with the retired redirect status is malformed, whatever
+        // follows the epoch.
+        for tail in [&[][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
+            let flat = [&[7u8, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
+            let resp = Message::from(Bytes::from(flat));
+            assert_eq!(split_response(&resp), (9, Reply::Err(DmError::Malformed)));
+        }
+    }
+
     #[test]
     fn version_block_roundtrip() {
         // Data bytes plus two touched refs: the versions sit in the head,
@@ -778,7 +750,7 @@ mod tests {
         let resp = Response::new()
             .u64(77)
             .body(payload.clone())
-            .ok(5, Some(&[(11, 2), (GKEY_TEST, 7)]));
+            .ok(5, Some(&[(11, 2), (u64::MAX, 7)]));
         assert_eq!(resp.body.as_ptr(), payload.as_ptr());
         assert_eq!(resp.head[0], STATUS_OK_VERSIONED);
         let (epoch, reply) = split_response(&resp);
@@ -786,7 +758,7 @@ mod tests {
             panic!("{reply:?}")
         };
         assert_eq!(epoch, 5);
-        assert_eq!(versions, Some(vec![(11, 2), (GKEY_TEST, 7)]));
+        assert_eq!(versions, Some(vec![(11, 2), (u64::MAX, 7)]));
         assert_eq!(body, [&77u64.to_le_bytes()[..], b"payload"].concat()[..]);
         // Untouched responses still carry an (empty) block; plain ones none.
         for touched in [Some(&[][..]), None] {
@@ -800,31 +772,6 @@ mod tests {
             let short = Message::from(Bytes::from(flat));
             assert_eq!(split_response(&short), (5, Reply::Err(DmError::Malformed)));
         }
-    }
-
-    const GKEY_TEST: u64 = 1 << 63 | 42;
-
-    #[test]
-    fn moved_response_roundtrip() {
-        let m = moved_response(9, 42, 7000);
-        assert_eq!(
-            split_response(&m),
-            (
-                9,
-                Reply::Moved {
-                    node: 42,
-                    port: 7000
-                }
-            )
-        );
-        // A request that cannot be redirected reads it as Malformed, never Ok.
-        assert_eq!(
-            split_response(&m).1.result().unwrap_err(),
-            DmError::Malformed
-        );
-        // Truncated redirect body.
-        let cut = Message::from(m.into_bytes().slice(..12));
-        assert_eq!(split_response(&cut), (9, Reply::Err(DmError::Malformed)));
     }
 
     #[test]

@@ -14,21 +14,19 @@
 //! received in a single memory server will be dispatched to its different
 //! CPU cores". Here that is [`DmServerConfig::cores`]: one [`PageManager`]
 //! served by a pool of that many cores. A VA on the wire is the VA the
-//! manager's tree returned and a plain ref key is the key it minted.
-//! Memory is partitioned across *servers* only, by the consistent-hash
-//! ring of DESIGN.md §13 — "shard" in this crate means a ring-placed
-//! server.
+//! manager's tree returned and a ref key is the key it minted. Memory is
+//! partitioned across *servers* only: clients place refs round-robin over
+//! the pool (DESIGN.md §13), and a ref names the server that holds it.
 //!
 //! The server is split by plane. This file holds the configuration, the
-//! process and lease lifecycle, key routing and the cost model. `dispatch`
+//! process and lease lifecycle, owner checks and the cost model. `dispatch`
 //! holds the one body of every wire op; `recovery` the durable tier
 //! (persist, snapshot, replay, `restart_from_log`); `coherence` everything
 //! that decides how a change reaches client caches (epoch, versions, holder
-//! directory, pushes); `migration` the `MIGRATE`/`MIGRATE_IN` pair.
+//! directory, pushes).
 
 mod coherence;
 mod dispatch;
-mod migration;
 mod recovery;
 
 use std::cell::{Cell, RefCell};
@@ -38,36 +36,22 @@ use std::time::Duration;
 
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use memsim::NodeMemory;
-use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
+use rpclib::{Rpc, RpcBuilder, RpcConfig};
 use simcore::{CpuPool, SimTime};
 use simnet::{Addr, Network, NodeId};
 use telemetry::SpanKind;
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::page_manager::{OpCost, PageManager};
-use crate::proto::{self, moved_response};
-use crate::shard::GKEY_BIT;
+use crate::proto;
 use crate::wal::{Record, Wal, WalConfig};
 
 pub use coherence::CoherenceConfig;
 pub use recovery::RecoveryReport;
 
-/// Sentinel pid in a `Record::PutRef` (and owner node in a `MIGRATE_IN`
-/// body) for an unowned ref (a migrated ref whose owner was not registered
-/// at the destination); replay maps it back to `None`.
-const NO_OWNER_PID: u32 = u32::MAX;
-
 /// Translation lookups charged for touching `len` bytes of DM.
 fn translations_for(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE as u64).max(1)
-}
-
-/// Outcome of resolving a wire ref key ([`DmServer::route_key`]): either
-/// the page manager's key, or a ready-made redirect response for a gkey
-/// that migrated away.
-enum KeyRoute {
-    Local(u64),
-    Redirect(Message),
 }
 
 /// DM server tuning knobs. The four planes at the end are configured here
@@ -173,31 +157,14 @@ pub struct DmServer {
     wal: Option<Wal>,
     /// Completed `restart_from_log` recoveries (observability).
     recoveries: Cell<u64>,
-    /// Sharded plane (DESIGN.md §13): global key → page-manager ref key
-    /// for every gkey currently homed here.
-    gmap: RefCell<HashMap<u64, u64>>,
-    /// Redirect tombstones: gkeys that migrated away, with the forwarding
-    /// address clients chase (one hop per tombstone).
-    moved: RefCell<HashMap<u64, Addr>>,
     /// Requests served (the `dm.shard.<i>.ops` gauge; `<i>` is this
-    /// server's index in the ring).
+    /// server's index in the pool).
     ops_served: Cell<u64>,
-    /// Migrations completed (outbound MIGRATE + inbound MIGRATE_IN).
-    migrations: Cell<u64>,
-    /// Redirect responses served off tombstones.
-    redirects: Cell<u64>,
     translation_ns: Cell<u64>,
     op_ns: Cell<u64>,
     /// Overload controller, present when `config.admission` is set.
     admission: Option<Admission>,
-    /// Coherence plane (DESIGN.md §15): per-ref versions, keyed by the
-    /// wire-visible ref key (gkey or page-manager key). Holds only keys
-    /// whose version differs from the implicit creation version 1 — in
-    /// practice, migrated-in gkeys. Dead keys are removed (keys are
-    /// minted once, so a dead key's version never needs to be compared
-    /// again).
-    versions: RefCell<HashMap<u64, u64>>,
-    /// Holder directory: wire key → client endpoints granted a read
+    /// Holder directory: ref key → client endpoints granted a read
     /// lease on it, with grant expiry (BTreeMap: push order must be
     /// deterministic). Bounded by `CoherenceConfig::dir_max` total
     /// grants; overflow clears it and falls back to an epoch broadcast.
@@ -247,15 +214,10 @@ impl DmServer {
                 .durability
                 .map(|w| Wal::new(format!("dmwal{}", node.0), w)),
             recoveries: Cell::new(0),
-            gmap: RefCell::default(),
-            moved: RefCell::default(),
             ops_served: Cell::new(0),
-            migrations: Cell::new(0),
-            redirects: Cell::new(0),
             translation_ns: Cell::new(0),
             op_ns: Cell::new(0),
             admission: config.admission.map(Admission::new),
-            versions: RefCell::default(),
             dir: RefCell::default(),
             dir_grants: Cell::new(0),
             inv_pushed: Cell::new(0),
@@ -330,7 +292,7 @@ impl DmServer {
     /// body shared by the live sweep and the replay of its record.
     fn reclaim_process(&self, pid: u32) {
         // The dying pid's refs must be enumerated *before* they are freed.
-        let dying = self.wire_keys_owned_by(GlobalPid(pid));
+        let dying = self.pm.borrow().keys_owned_by(GlobalPid(pid));
         // A pid already released (or never seen here) is fine:
         // reclamation must be idempotent.
         let _ = self.pm.borrow_mut().release_process(GlobalPid(pid));
@@ -410,7 +372,7 @@ impl DmServer {
     }
 
     /// Requests served (the `dm.shard.<i>.ops` telemetry gauge; `<i>` is
-    /// the server's index in the ring).
+    /// the server's index in the pool).
     pub fn ops_served(&self) -> u64 {
         self.ops_served.get()
     }
@@ -473,7 +435,7 @@ impl DmServer {
         self.translation_ns.get() as f64 / total as f64
     }
 
-    // -- routing -------------------------------------------------------------
+    // -- owners --------------------------------------------------------------
 
     /// Validate that `src` owns `pid`.
     fn check_owner(&self, pid: GlobalPid, src: Addr) -> DmResult<()> {
@@ -492,28 +454,6 @@ impl DmServer {
         let pids = owners.iter().filter(|&(_, &a)| a == addr);
         let lowest = pids.map(|(&pid, _)| pid).min();
         lowest.map(GlobalPid).ok_or(DmError::InvalidAddress)
-    }
-
-    /// Resolve a wire ref key: a plain key is the page manager's own; a
-    /// gkey (bit 63) resolves through the binding table, or yields the
-    /// ready-made redirect response when only a tombstone remains. An
-    /// unknown gkey is an invalid ref.
-    fn route_key(&self, raw: u64) -> DmResult<KeyRoute> {
-        if raw & GKEY_BIT == 0 {
-            return Ok(KeyRoute::Local(raw));
-        }
-        if let Some(&key) = self.gmap.borrow().get(&raw) {
-            return Ok(KeyRoute::Local(key));
-        }
-        if let Some(&fwd) = self.moved.borrow().get(&raw) {
-            self.redirects.set(self.redirects.get() + 1);
-            return Ok(KeyRoute::Redirect(moved_response(
-                self.epoch.get(),
-                fwd.node.0,
-                fwd.port,
-            )));
-        }
-        Err(DmError::InvalidRef)
     }
 
     // -- cost model ----------------------------------------------------------

@@ -7,16 +7,15 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dmcommon::{DmError, DmResult, PAGE_SIZE};
 use rpclib::Message;
 use simnet::Addr;
 use telemetry::SpanKind;
 
-use super::{translations_for, DmServer, KeyRoute, NO_OWNER_PID};
+use super::coherence::LIVE;
+use super::{translations_for, DmServer};
 use crate::page_manager::OpCost;
 use crate::proto::{self, req, Reader, Response, DEFAULT_READ_LEASE};
-use crate::shard::GKEY_BIT;
 use crate::wal::Record;
 
 impl DmServer {
@@ -60,54 +59,6 @@ impl DmServer {
                 Response::err(self.epoch.get(), e)
             }
         }
-    }
-
-    /// Install `data` as a new ref — its pages are views into `data`'s
-    /// storage, nothing is copied — attributed to the pid `owner`
-    /// registered here so lease expiry can reclaim it (an unregistered
-    /// owner is refused — an anonymous ref could never be reclaimed; `None`
-    /// is a migrated ref that was already unowned at its source). With
-    /// `bind = (gkey, version)` the ref is also bound to that global key.
-    /// Logs, charges and returns the ref's key. The one body behind
-    /// `PUT_REF`, `PUT_REF_AT` and `MIGRATE_IN`.
-    pub(super) async fn install_ref(
-        &self,
-        data: Bytes,
-        owner: Option<Addr>,
-        bind: Option<(u64, u64)>,
-    ) -> DmResult<u64> {
-        let len = data.len() as u64;
-        let owner = owner.map(|addr| self.pid_of(addr)).transpose()?;
-        let (key, cost) = self.pm.borrow_mut().put_ref_bytes(data.clone(), owner)?;
-        if let Some((gkey, ver)) = bind {
-            self.gmap.borrow_mut().insert(gkey, key);
-            // A ref migrating back home clears its own stale tombstone.
-            self.moved.borrow_mut().remove(&gkey);
-            // Only non-creation versions occupy the table (and the log):
-            // a once-migrated gkey keeps its history.
-            if ver != 1 {
-                self.versions.borrow_mut().insert(gkey, ver);
-            }
-        }
-        self.persist(|| {
-            let mut records = vec![Record::PutRef {
-                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
-                key,
-                data: data.to_vec(),
-            }];
-            if let Some((gkey, ver)) = bind {
-                records.push(Record::GBind { gkey, key });
-                if ver != 1 {
-                    records.push(Record::GVer { gkey, ver });
-                }
-            }
-            records
-        })
-        .await;
-        self.charge(cost, translations_for(len)).await;
-        self.mem.touch(len).await;
-        self.note_data_time(len);
-        Ok(key)
     }
 
     /// Refuse a read whose reply no message can carry — `len` comes off the
@@ -205,16 +156,12 @@ impl DmServer {
                 .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
                 self.charge(cost, pages).await;
-                Ok(self.ok_v(&[(key, 1)], Response::new().u64(key)))
+                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(key)))
             }
             req::MAP_REF => {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let raw = r.u64()?;
-                let key = match self.route_key(raw)? {
-                    KeyRoute::Local(k) => k,
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
+                let key = r.u64()?;
                 let (va, len, cost) = self.pm.borrow_mut().map_ref(pid, key)?;
                 self.persist(|| {
                     vec![Record::MapRef {
@@ -225,11 +172,8 @@ impl DmServer {
                 })
                 .await;
                 self.charge(cost, cost.refcount_updates).await;
-                self.grant(raw, src);
-                Ok(self.ok_v(
-                    &[(raw, self.ref_version(raw))],
-                    Response::new().u64(va).u64(len),
-                ))
+                self.grant(key, src);
+                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(va).u64(len)))
             }
             req::READ => {
                 let pid = r.pid()?;
@@ -266,43 +210,45 @@ impl DmServer {
                 Ok(self.ok(Response::new()))
             }
             req::RELEASE_REF => {
-                let raw = r.u64()?;
-                let key = match self.route_key(raw)? {
-                    KeyRoute::Local(k) => k,
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
+                let key = r.u64()?;
                 let cost = self.pm.borrow_mut().release_ref(key)?;
                 // The ref is gone: invalidate client caches (the releaser's
                 // own response carries the new epoch or version).
-                let touched = self.refs_died(&[raw], Some(src));
-                let bound = raw & GKEY_BIT != 0;
-                if bound {
-                    self.gmap.borrow_mut().remove(&raw);
-                }
-                self.persist(|| {
-                    let mut records = vec![Record::ReleaseRef { key }];
-                    if bound {
-                        records.push(Record::GUnbind { gkey: raw });
-                    }
-                    records
-                })
-                .await;
+                let touched = self.refs_died(&[key], Some(src));
+                self.persist(|| vec![Record::ReleaseRef { key }]).await;
                 self.charge(cost, cost.refcount_updates).await;
                 Ok(self.ok_v(&touched, Response::new()))
             }
             req::PUT_REF => {
+                // The new ref's pages are views into the request's storage:
+                // nothing is copied. It is attributed to the pid `src`
+                // registered here so lease expiry can reclaim it (an
+                // unregistered publisher is refused — an anonymous ref could
+                // never be reclaimed).
                 let data = body.clone().into_bytes();
-                let key = self.install_ref(data, Some(src), None).await?;
+                let len = data.len() as u64;
+                let owner = self.pid_of(src)?;
+                let (key, cost) = self
+                    .pm
+                    .borrow_mut()
+                    .put_ref_bytes(data.clone(), Some(owner))?;
+                self.persist(|| {
+                    vec![Record::PutRef {
+                        pid: owner.0,
+                        key,
+                        data: data.to_vec(),
+                    }]
+                })
+                .await;
+                self.charge(cost, translations_for(len)).await;
+                self.mem.touch(len).await;
+                self.note_data_time(len);
                 // The publisher caches the bytes it just published.
                 self.grant(key, src);
-                Ok(self.ok_v(&[(key, 1)], Response::new().u64(key)))
+                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(key)))
             }
             req::READ_REF => {
-                let raw = r.u64()?;
-                let key = match self.route_key(raw)? {
-                    KeyRoute::Local(k) => k,
-                    KeyRoute::Redirect(resp) => return Ok(resp),
-                };
+                let key = r.u64()?;
                 let off = r.u64()?;
                 let len = r.u64()?;
                 self.check_reply_fits(len)?;
@@ -314,30 +260,9 @@ impl DmServer {
                 self.note_data_time(len);
                 // The reader may now cache these bytes: grant it a read
                 // lease and report the key's version alongside the data.
-                self.grant(raw, src);
-                Ok(self.ok_v(&[(raw, self.ref_version(raw))], Response::new().body(data)))
+                self.grant(key, src);
+                Ok(self.ok_v(&[(key, LIVE)], Response::new().body(data)))
             }
-            req::PUT_REF_AT => {
-                // Sharded plane (DESIGN.md §13): publish under a
-                // client-minted global key. Placement was the client's
-                // choice (the consistent-hash ring); this server only binds.
-                let gkey = r.u64()?;
-                if gkey & GKEY_BIT == 0 {
-                    return Err(DmError::InvalidRef);
-                }
-                // Gkeys are mint-once: a rebind would orphan pages and
-                // break the one-hop redirect contract.
-                if self.gmap.borrow().contains_key(&gkey) || self.moved.borrow().contains_key(&gkey)
-                {
-                    return Err(DmError::Malformed);
-                }
-                self.install_ref(r.rest_of(body), Some(src), Some((gkey, 1)))
-                    .await?;
-                self.grant(gkey, src);
-                Ok(self.ok_v(&[(gkey, 1)], Response::new()))
-            }
-            req::MIGRATE => self.migrate_out(&mut r).await,
-            req::MIGRATE_IN => self.migrate_in(&mut r, body).await,
             req::BATCH => {
                 // Coalesced control ops (DESIGN.md §9): one wire message,
                 // one framed response per sub-op. Each sub-op still pays

@@ -13,7 +13,7 @@ use dmcommon::{DmError, DmResult, GlobalPid};
 use simnet::{Addr, NodeId};
 use telemetry::SpanKind;
 
-use super::{DmServer, NO_OWNER_PID};
+use super::DmServer;
 use crate::page_manager::PageManager;
 use crate::proto::{Reader, Writer};
 use crate::wal::{Record, Wal};
@@ -80,16 +80,12 @@ impl DmServer {
     }
 
     /// Canonical whole-server checkpoint, the one layout (DESIGN.md §12):
-    /// epoch, then four tables in key order — owners, gkey bindings,
-    /// redirect tombstones, non-creation versions, each a count and its
-    /// rows, empty or not — then the page manager's snapshot. Leases are
-    /// volatile by design: recovery re-grants full-TTL leases.
+    /// epoch, then the owners table (a count and its rows in pid order),
+    /// then the page manager's snapshot. Leases are volatile by design:
+    /// recovery re-grants full-TTL leases.
     fn snapshot_bytes(&self) -> Vec<u8> {
         let w = Writer::new().u64(self.epoch.get());
         let w = write_table(w, &self.owners.borrow(), |w, pid, a| w.u32(pid).addr(a));
-        let w = write_table(w, &self.gmap.borrow(), |w, g, key| w.u64(g).u64(key));
-        let w = write_table(w, &self.moved.borrow(), |w, g, a| w.u64(g).addr(a));
-        let w = write_table(w, &self.versions.borrow(), |w, g, v| w.u64(g).u64(v));
         self.pm.borrow().snapshot_into(w).into_vec()
     }
 
@@ -101,13 +97,6 @@ impl DmServer {
         self.epoch.set(r.u64()?);
         read_table(r, &mut self.owners.borrow_mut(), |r| {
             Ok((r.u32()?, r.addr()?))
-        })?;
-        read_table(r, &mut self.gmap.borrow_mut(), |r| Ok((r.u64()?, r.u64()?)))?;
-        read_table(r, &mut self.moved.borrow_mut(), |r| {
-            Ok((r.u64()?, r.addr()?))
-        })?;
-        read_table(r, &mut self.versions.borrow_mut(), |r| {
-            Ok((r.u64()?, r.u64()?))
         })?;
         *self.pm.borrow_mut() = PageManager::restore_from(r)?;
         if r.is_empty() {
@@ -186,40 +175,14 @@ impl DmServer {
             }
             Record::ReleaseRef { key } => {
                 pm().release_ref(*key).expect("replay: release_ref");
-                // A gkey's version entry goes with its paired
-                // GUnbind/GMoved record; the plain key never had one.
                 self.refs_died(&[*key], None);
             }
             Record::PutRef { pid, key, data } => {
-                // The sentinel pid marks an unowned migrated-in ref.
-                let owner = (*pid != NO_OWNER_PID).then_some(GlobalPid(*pid));
+                let owner = Some(GlobalPid(*pid));
                 let (got, _) = pm().put_ref(data, owner).expect("replay: put_ref");
                 debug_assert_eq!(got, *key, "replay: put_ref divergence");
             }
             Record::ReleaseProcess { pid } => self.reclaim_process(*pid),
-            Record::GBind { gkey, key } => {
-                self.gmap.borrow_mut().insert(*gkey, *key);
-                // A migrated-back gkey overwrites its stale tombstone.
-                self.moved.borrow_mut().remove(gkey);
-            }
-            Record::GUnbind { gkey } => {
-                self.gmap.borrow_mut().remove(gkey);
-                self.versions.borrow_mut().remove(gkey);
-            }
-            Record::GMoved { gkey, node, port } => {
-                self.gmap.borrow_mut().remove(gkey);
-                self.versions.borrow_mut().remove(gkey);
-                self.moved.borrow_mut().insert(
-                    *gkey,
-                    Addr {
-                        node: NodeId(*node),
-                        port: *port,
-                    },
-                );
-            }
-            Record::GVer { gkey, ver } => {
-                self.versions.borrow_mut().insert(*gkey, *ver);
-            }
             Record::Checkpoint { snapshot } => self
                 .restore_snapshot(snapshot)
                 .expect("replay: corrupt checkpoint"),
@@ -255,14 +218,10 @@ impl DmServer {
         *self.pm.borrow_mut() = PageManager::new(self.config.capacity_pages, self.config.copy_mode);
         self.owners.borrow_mut().clear();
         self.leases.borrow_mut().clear();
-        self.gmap.borrow_mut().clear();
-        self.moved.borrow_mut().clear();
-        // The holder directory and version table are rebuilt from scratch:
-        // grants are volatile (the post-recovery epoch bump broadcasts to
-        // every pre-crash holder anyway), versions replay from the log.
+        // Grants are volatile: the post-recovery epoch bump broadcasts to
+        // every pre-crash holder anyway.
         self.dir.borrow_mut().clear();
         self.dir_grants.set(0);
-        self.versions.borrow_mut().clear();
         self.epoch.set(0);
         for rec in &report.records {
             self.replay(rec);

@@ -151,42 +151,6 @@ pub enum Record {
         /// Canonical snapshot bytes (see `DmServer::snapshot_bytes`).
         snapshot: Vec<u8>,
     },
-    /// Sharded plane (DESIGN.md §13): global key `gkey` bound to the
-    /// local ref `key` (a `PUT_REF_AT` or `MIGRATE_IN`; the paired
-    /// `PutRef` record replays the underlying allocation).
-    GBind {
-        /// Client-minted global key (bit 63 set).
-        gkey: u64,
-        /// Page-manager ref key the gkey resolves to.
-        key: u64,
-    },
-    /// Global key `gkey` released (`RELEASE_REF` naming a gkey; the
-    /// paired `ReleaseRef` record replays the underlying release).
-    GUnbind {
-        /// The released global key.
-        gkey: u64,
-    },
-    /// Global key `gkey` migrated away to `node:port`; replay reinstalls
-    /// the redirect tombstone (the paired `ReleaseRef` record replays the
-    /// local release).
-    GMoved {
-        /// The migrated global key.
-        gkey: u64,
-        /// Destination fabric node.
-        node: u32,
-        /// Destination port.
-        port: u16,
-    },
-    /// Coherence plane (DESIGN.md §15): `gkey` arrived by MIGRATE_IN
-    /// carrying per-ref version `ver` (versions travel with ownership;
-    /// only non-creation versions are logged — creation is the implicit
-    /// version 1).
-    GVer {
-        /// The migrated-in global key.
-        gkey: u64,
-        /// Its transferred version (always ≥ 2).
-        ver: u64,
-    },
 }
 
 mod kind {
@@ -200,10 +164,6 @@ mod kind {
     pub const PUT_REF: u8 = 8;
     pub const RELEASE_PROCESS: u8 = 9;
     pub const CHECKPOINT: u8 = 10;
-    pub const GBIND: u8 = 11;
-    pub const GUNBIND: u8 = 12;
-    pub const GMOVED: u8 = 13;
-    pub const GVER: u8 = 14;
 }
 
 impl Record {
@@ -238,12 +198,6 @@ impl Record {
                 tail = snapshot;
                 w.u8(kind::CHECKPOINT)
             }
-            Record::GBind { gkey, key } => w.u8(kind::GBIND).u64(*gkey).u64(*key),
-            Record::GUnbind { gkey } => w.u8(kind::GUNBIND).u64(*gkey),
-            Record::GMoved { gkey, node, port } => {
-                w.u8(kind::GMOVED).u64(*gkey).u32(*node).u16(*port)
-            }
-            Record::GVer { gkey, ver } => w.u8(kind::GVER).u64(*gkey).u64(*ver),
         }
         .into_vec();
         out.extend_from_slice(tail);
@@ -298,20 +252,6 @@ impl Record {
             kind::RELEASE_PROCESS => Record::ReleaseProcess { pid: r.u32()? },
             kind::CHECKPOINT => Record::Checkpoint {
                 snapshot: r.rest().into_owned(),
-            },
-            kind::GBIND => Record::GBind {
-                gkey: r.u64()?,
-                key: r.u64()?,
-            },
-            kind::GUNBIND => Record::GUnbind { gkey: r.u64()? },
-            kind::GMOVED => Record::GMoved {
-                gkey: r.u64()?,
-                node: r.u32()?,
-                port: r.u16()?,
-            },
-            kind::GVER => Record::GVer {
-                gkey: r.u64()?,
-                ver: r.u64()?,
             },
             _ => return Err(DmError::Malformed),
         })
@@ -595,22 +535,6 @@ mod tests {
             Record::ReleaseProcess { pid: 7 },
             Record::Checkpoint {
                 snapshot: vec![9, 9, 9],
-            },
-            Record::GBind {
-                gkey: (1 << 63) | 77,
-                key: 5,
-            },
-            Record::GUnbind {
-                gkey: (1 << 63) | 77,
-            },
-            Record::GMoved {
-                gkey: (1 << 63) | 78,
-                node: 4,
-                port: 7000,
-            },
-            Record::GVer {
-                gkey: (1 << 63) | 78,
-                ver: 3,
             },
         ]
     }

@@ -7,105 +7,48 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
-use dmnet::proto::{
-    encode_batch, moved_response, req, split_response, Reader, Response, Writer, DM_PORT, OPS,
-};
-use dmnet::{start_pool, CacheConfig, DmNetClient, DmServerConfig, HashRing, GKEY_BIT};
+use dmnet::proto::{encode_batch, req, split_response, Reader, Response, Writer, DM_PORT, OPS};
+use dmnet::{start_pool, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
 use simcore::Sim;
-use simnet::{FabricConfig, Network, NicConfig, NodeId};
+use simnet::{FabricConfig, Network, NicConfig};
 
 fn parse_response(resp: &Message) -> DmResult<Bytes> {
     split_response(resp).1.result().map(Message::into_bytes)
 }
 
-/// A hostile DM "server": registers every caller as pid 1 and answers
-/// every `READ_REF` with a redirect to `fwd_node:DM_PORT`.
-fn redirecting_server(net: &Network, node: NodeId, fwd_node: u32) -> Rc<Rpc> {
-    let rpc = RpcBuilder::new(net, node, DM_PORT).build();
-    rpc.register(req::REGISTER, |_| async {
-        Response::new().pid(GlobalPid(1)).ok(0, None)
-    });
-    rpc.register(req::READ_REF, move |_| async move {
-        moved_response(0, fwd_node, DM_PORT)
-    });
-    rpc
-}
-
-/// Connect a raw client (bound to `node:port`) to the one-server pool
-/// `fake`, with or without a placement ring.
-async fn connect(
-    net: &Network,
-    (node, port): (NodeId, u16),
-    fake: &Rc<Rpc>,
-    ring: bool,
-) -> DmNetClient {
-    DmNetClient::connect_with(
-        RpcBuilder::new(net, node, port).build(),
-        vec![fake.addr()],
-        CacheConfig::default(),
-        None,
-        ring.then(|| HashRing::new(1, 3)),
-    )
-    .await
-    .expect("fake server registers anyone")
-}
-
+/// A hostile DM "server" registers every caller as pid 1 and answers every
+/// `READ_REF` with status 7 — the retired redirect code — naming itself as
+/// the place to go. The client reads it as `Malformed` and goes nowhere.
 #[test]
-fn redirect_answer_to_an_unrouted_key_is_malformed_not_chased() {
+fn the_retired_redirect_status_is_malformed_and_not_followed() {
     let sim = Sim::new();
     sim.block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let dm_node = net.add_node("dm", NicConfig::default());
         let c_node = net.add_node("c", NicConfig::default());
-        // The redirect names the fake server itself: a client that chased
-        // it would loop and send more than one message.
-        let fake = redirecting_server(&net, dm_node, dm_node.0);
-        // Chasing needs a gkey *and* a ring; neither alone is enough.
-        for (port, with_ring, key) in [(100, true, 5u64), (101, false, GKEY_BIT | 5)] {
-            let dm = connect(&net, (c_node, port), &fake, with_ring).await;
+        let fake = RpcBuilder::new(&net, dm_node, DM_PORT).build();
+        fake.register(req::REGISTER, |_| async {
+            Response::new().pid(GlobalPid(1)).ok(0, None)
+        });
+        fake.register(req::READ_REF, move |_| async move {
+            let flat = Writer::new().u8(7).u64(0).u32(dm_node.0).u16(DM_PORT);
+            Message::from(Bytes::from(flat.into_vec()))
+        });
+        let rpc = RpcBuilder::new(&net, c_node, 100).build();
+        let dm = DmNetClient::connect(rpc, vec![fake.addr()]).await.unwrap();
+        for key in [5, 1 << 63 | 5] {
             let r = Ref::Net {
                 server: DmServerId(0),
                 key,
                 len: 8,
             };
-            assert_eq!(
-                dm.read_ref(&r, 0, 8).await.unwrap_err(),
-                DmError::Malformed,
-                "ring {with_ring}, key {key:#x}"
-            );
-            assert_eq!(dm.wire_count(req::READ_REF), 1, "exactly one message");
-            assert_eq!(dm.redirects_chased(), 0);
+            let err = dm.read_ref(&r, 0, 8).await.unwrap_err();
+            assert_eq!(err, DmError::Malformed, "key {key:#x}");
         }
-    });
-}
-
-#[test]
-fn redirect_outside_the_pool_is_invalid_address_without_looping() {
-    let sim = Sim::new();
-    sim.block_on(async move {
-        let net = Network::new(FabricConfig::default(), 3);
-        let dm_node = net.add_node("dm", NicConfig::default());
-        let c_node = net.add_node("c", NicConfig::default());
-        let fake = redirecting_server(&net, dm_node, 9_999);
-        let dm = connect(&net, (c_node, 100), &fake, true).await;
-        let r = Ref::Net {
-            server: DmServerId(0),
-            key: GKEY_BIT | 5,
-            len: 8,
-        };
-        assert_eq!(
-            dm.read_ref(&r, 0, 8).await.unwrap_err(),
-            DmError::InvalidAddress
-        );
-        assert_eq!(dm.wire_count(req::READ_REF), 1, "no second hop");
-        assert_eq!(
-            dm.redirects_chased(),
-            0,
-            "a hop outside the pool is not a chase"
-        );
+        assert_eq!(dm.wire_count(req::READ_REF), 2, "one message per read");
     });
 }
 
@@ -170,49 +113,6 @@ fn malformed_bodies_get_error_responses() {
             .unwrap();
         assert_eq!(&dm.rread(a, 11).await.unwrap()[..], b"still alive");
         pool[0].with_page_manager(|pm| pm.check_invariants());
-    });
-}
-
-/// `MIGRATE` and `MIGRATE_IN` carry ports as `u32`. A value above
-/// `u16::MAX` must be refused, not truncated onto a port that exists.
-#[test]
-fn migrate_port_above_u16_is_malformed_not_truncated() {
-    let sim = Sim::new();
-    sim.block_on(async move {
-        let net = Network::new(FabricConfig::default(), 3);
-        let dm_nodes = ["dm0", "dm1"].map(|n| net.add_node(n, NicConfig::default()));
-        let c_node = net.add_node("c", NicConfig::default());
-        let cfg = DmServerConfig::default();
-        let pool = start_pool(&net, &dm_nodes, &ModelParams::new(), cfg);
-        let (src, dst) = (&pool[0], &pool[1]);
-        let rpc = RpcBuilder::new(&net, c_node, 100).build();
-        // Registered at both servers; one gkey-bound ref published at `src`.
-        for server in &pool {
-            let pid = raw(&rpc, server, req::REGISTER, Writer::new()).await;
-            pid.expect("registers anyone");
-        }
-        let put = Writer::new()
-            .u64(GKEY_BIT | 5)
-            .body(Bytes::from_static(b"stay put"));
-        raw(&rpc, src, req::PUT_REF_AT, put).await.unwrap();
-        let untouched = (0, dst.free_pages_total());
-
-        // MIGRATE naming `dst`'s port + 65536: truncation would migrate.
-        let body = Writer::new().u64(GKEY_BIT | 5).u32(dm_nodes[1].0);
-        let body = body.u32(DM_PORT as u32 + 65_536);
-        let refused = raw(&rpc, src, req::MIGRATE, body).await;
-        assert_eq!(refused, Err(DmError::Malformed));
-        assert_eq!((src.gkeys_bound(), src.tombstones()), (1, 0), "source");
-        assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
-
-        // MIGRATE_IN attributing the client's port + 65536: truncation
-        // would find the registered owner and install the ref.
-        let body = Writer::new().u64(GKEY_BIT | 77).u32(c_node.0);
-        let body = body.u32(100 + 65_536).body(Bytes::from_static(b"orphan"));
-        let refused = raw(&rpc, dst, req::MIGRATE_IN, body).await;
-        assert_eq!(refused, Err(DmError::Malformed));
-        assert_eq!((dst.gkeys_bound(), dst.free_pages_total()), untouched);
-        dst.with_page_manager(|pm| pm.check_invariants());
     });
 }
 
@@ -374,12 +274,14 @@ async fn assert_still_serving(rpc: &Rc<Rpc>, server: &dmnet::DmServer, pid: u32)
 /// The type sweep: every `u8`, with an empty body, from a registered
 /// endpoint. A DM server answers exactly the ops [`OPS`] names, less the
 /// push it sends itself — so each of them has had a handler since
-/// `DmServer::start` — and stays silent to every other type.
+/// `DmServer::start` — and stays silent to every other type, the retired
+/// ring ops 23–25 among them.
 #[test]
 fn every_request_type_is_answered_or_ignored_as_the_op_table_says() {
     Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let (server, rpc, pid) = registered(&net).await;
+        assert!(OPS.iter().all(|op| !(23..=25).contains(&op.0)));
         for ty in 0..=u8::MAX {
             let served = ty != req::INVALIDATE && OPS.iter().any(|op| op.0 == ty);
             let answer = raw(&rpc, &server, ty, Writer::new()).await;
@@ -413,6 +315,31 @@ fn alloc_past_2_pow_48_then_alloc_again_serves_the_second_region() {
         let high = Writer::new().u64((1 << 48) + 1).u64(0).u64(1);
         let r = raw(&rpc, &server, req::READ_REF, high).await;
         assert_eq!(r, Err(DmError::InvalidRef));
+    });
+}
+
+/// A key with bit 63 set — what a ring client used to mint — is an unknown
+/// key like any other: no op reads the bit, and none of them touches the
+/// pool.
+#[test]
+fn a_key_with_bit_63_set_is_an_ordinary_unknown_key() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let (server, rpc, pid) = registered(&net).await;
+        let put = Writer::new().body(Bytes::from_static(b"live"));
+        let live = raw(&rpc, &server, req::PUT_REF, put).await.unwrap();
+        let key = 1 << 63 | Reader::new(&live).u64().unwrap();
+        let ops = [
+            (req::MAP_REF, Writer::new().u32(pid).u64(key)),
+            (req::READ_REF, Writer::new().u64(key).u64(0).u64(4)),
+            (req::RELEASE_REF, Writer::new().u64(key)),
+        ];
+        for (ty, body) in ops {
+            let r = raw(&rpc, &server, ty, body).await;
+            assert_eq!(r, Err(DmError::InvalidRef), "op {ty}");
+        }
+        assert_eq!(server.free_pages_total(), 255, "the live ref is untouched");
+        assert_still_serving(&rpc, &server, pid).await;
     });
 }
 
@@ -531,7 +458,7 @@ fn layout(ty: u8) -> (bool, &'static [Field]) {
         req::MAP_REF => (true, &[Key]),
         req::RENEW_LEASE => (true, &[]),
         req::PUT_REF => (false, &[]),
-        req::RELEASE_REF | req::PUT_REF_AT | req::MIGRATE | req::MIGRATE_IN => (false, &[Key]),
+        req::RELEASE_REF => (false, &[Key]),
         req::READ_REF => (false, &[Key, Off, Len]),
         _ => (true, &[Va, Len, Key]),
     }

@@ -90,7 +90,6 @@ proptest! {
                 vec![servers[1].addr()],
                 CacheConfig::all_on(),
                 None,
-                None,
             )
             .await
             .unwrap();
@@ -288,11 +287,11 @@ proptest! {
             let reader_rpc = client_rpc(&net, c_b, 100);
             let fg_pool = vec![fg_srv[0].addr()];
             let reader =
-                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, None, None)
+                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, None)
                     .await
                     .unwrap();
             let writer =
-                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, None, None)
+                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, None)
                     .await
                     .unwrap();
 
