@@ -62,7 +62,7 @@ pub struct ClusterConfig {
     /// budget so faulted requests fail in bounded time).
     pub rpc: RpcConfig,
     /// The DM pool: every DmNet server starts with exactly this, and every
-    /// plane it turns on (leases, durability, admission, coherence) is
+    /// plane it turns on (leases, durability, coherence) is
     /// stated here and nowhere else — endpoints learn what they need when
     /// they register. The CXL backend reads the two fields that mean
     /// something to it: `capacity_pages` sizes the whole G-FAM device and
@@ -73,9 +73,6 @@ pub struct ClusterConfig {
     /// DmRPC-net system is measured with its cached client; benches ablate
     /// it by passing [`dmnet::CacheConfig::default`] (all off).
     pub dm_client_cache: dmnet::CacheConfig,
-    /// Bound on each DmNet endpoint's concurrent DM wire ops (DESIGN.md
-    /// §14). Default: unlimited.
-    pub dm_client_max_inflight: Option<u64>,
 }
 
 impl Default for ClusterConfig {
@@ -86,7 +83,6 @@ impl Default for ClusterConfig {
             rpc: RpcConfig::default(),
             dm: DmServerConfig::default(),
             dm_client_cache: dmnet::CacheConfig::all_on(),
-            dm_client_max_inflight: None,
         }
     }
 }
@@ -402,13 +398,6 @@ impl Cluster {
             // Per-server load (DESIGN.md §13): every request the server
             // dispatched, `<i>` its index in the pool — the balance view.
             gauge(format!("dm.shard.{i}.ops"), DmServer::ops_served);
-            // Overload-control counters (DESIGN.md §14): 0 unless the
-            // pool runs admission control.
-            gauge(
-                format!("dm.shard.{i}.rejected"),
-                DmServer::admission_rejected,
-            );
-            gauge(format!("dm.shard.{i}.shed"), DmServer::admission_shed);
         }
         if let Some(f) = &self.fabric {
             let g = f.gfam().clone();
@@ -478,7 +467,6 @@ impl Cluster {
                     rpc.clone(),
                     self.dm_pool.clone(),
                     self.config.dm_client_cache,
-                    self.config.dm_client_max_inflight,
                 )
                 .await
                 .expect("DM pool registration");

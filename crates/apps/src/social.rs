@@ -28,10 +28,10 @@ use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult};
-use dmnet::admission::{Admission, AdmissionConfig};
 use dmrpc::{DmRpc, Value};
 use loadgen::Population;
 use rpclib::Message;
+use simcore::sync::{Permit, Semaphore};
 use simcore::{SimRng, Zipf};
 use simnet::Addr;
 
@@ -151,14 +151,13 @@ pub struct SocialApp {
     pub media_size: usize,
     /// The three server nodes (stats).
     pub servers: Vec<ServiceNode>,
-    /// Client-side whole-request admission gate (None when overload
-    /// control is not installed — the historical default). Shares the
-    /// nginx config: the gateway advertises its admission state and
+    /// The client's gate onto the front-door window (`None` when overload
+    /// control is off, the default). It is the same size as nginx's:
     /// cooperative clients fail fast *before* uploading media or issuing
-    /// DM fetches, so shed requests cost neither NIC bandwidth nor DM
+    /// DM fetches, so a shed request costs neither NIC bandwidth nor DM
     /// allocations. The nginx entry handler keeps its own authoritative
-    /// instance for non-cooperative callers.
-    pub admission: Option<Rc<Admission>>,
+    /// window for non-cooperative callers.
+    gate: Option<Semaphore>,
     htl: Rc<RefCell<TimelineMap>>,
     rng: SimRng,
     zipf: Zipf,
@@ -189,18 +188,20 @@ pub async fn build_social_capped(
 }
 
 /// Deploy the social network over a scale-factor [`Population`], optionally
-/// installing front-door admission control at the nginx entry point.
+/// bounding the requests in flight through the front door to `window`
+/// (DESIGN.md §14).
 ///
 /// The fan-out graph and hot-key sampler come from the population (so the
 /// same `SF` always produces the same workload, regardless of thread
-/// count), and the entry handler sheds with [`SOC_BUSY_RESP`] when the
-/// admission queue is full or CoDel is in a shedding episode.
+/// count). With a window, a request that finds it full is refused on the
+/// spot: by the client's gate with [`DmError::Busy`], or by the nginx
+/// entry handler with [`SOC_BUSY_RESP`].
 pub async fn build_social_scaled(
     cluster: &Cluster,
     pop: Population,
     media_size: usize,
     seed: u64,
-    entry_admission: Option<AdmissionConfig>,
+    window: Option<u64>,
 ) -> SocialApp {
     build_social_inner(
         cluster,
@@ -208,7 +209,7 @@ pub async fn build_social_scaled(
         media_size,
         seed,
         Some(pop),
-        entry_admission,
+        window,
         POST_CAPACITY,
     )
     .await
@@ -220,7 +221,7 @@ async fn build_social_inner(
     media_size: usize,
     seed: u64,
     pop: Option<Population>,
-    entry_admission: Option<AdmissionConfig>,
+    window: Option<u64>,
     post_capacity: usize,
 ) -> SocialApp {
     let rng = SimRng::new(seed);
@@ -458,28 +459,20 @@ async fn build_social_inner(
     let proxy_addr = proxy_ep.addr();
 
     let nginx_ep = cluster.endpoint(&server_a, 100).await;
-    // Two limiter instances from one config: the nginx-side one protects
-    // the service tier from any caller; the client-side gate (returned in
-    // the app) bounds whole-request concurrency including the media
-    // upload and DM fetch phases the front door never sees.
-    let nginx_admission = entry_admission.map(|c| Rc::new(Admission::new(c)));
-    let admission: Option<Rc<Admission>> = entry_admission.map(|c| Rc::new(Admission::new(c)));
+    // Two gates of one size: nginx's protects the service tier from any
+    // caller; the client's (returned in the app) bounds whole-request
+    // concurrency, including the media upload and DM fetch phases the front
+    // door never sees.
     {
         let ep = nginx_ep.clone();
-        let adm = nginx_admission.clone();
+        let gate = window.map(Semaphore::new);
         nginx_ep.rpc().register(SOC_REQ, move |ctx| {
             let ep = ep.clone();
-            let adm = adm.clone();
+            let gate = gate.clone();
             async move {
-                // The guard is held across the downstream call so CoDel
-                // observes the full end-to-end sojourn time at the front
-                // door; dropping it on shed keeps the counters exact.
-                let _guard = match &adm {
-                    None => None,
-                    Some(a) => match a.try_admit() {
-                        Some(g) => Some(g),
-                        None => return Bytes::from_static(SOC_BUSY_RESP).into(),
-                    },
+                // The slot is held across the downstream call.
+                let Ok(_slot) = try_enter(&gate) else {
+                    return Bytes::from_static(SOC_BUSY_RESP).into();
                 };
                 ep.rpc()
                     .call(proxy_addr, SOC_REQ, ctx.payload)
@@ -498,7 +491,7 @@ async fn build_social_inner(
         users,
         media_size,
         servers: vec![server_a, server_b, server_c],
-        admission,
+        gate: window.map(Semaphore::new),
         htl,
         // Scaled populations bring their own hot-key sampler (derived from
         // the population seed, so SF alone pins the workload); the fixed
@@ -511,21 +504,16 @@ async fn build_social_inner(
     }
 }
 
-impl SocialApp {
-    /// Fail fast at the client gate when overload control is installed.
-    /// The returned guard spans the whole request, so the gate bounds
-    /// end-to-end concurrency (media upload + movers + DM fetches) and
-    /// its CoDel sees full-request sojourn times.
-    fn gate(&self) -> DmResult<Option<dmnet::admission::AdmitGuard<'_>>> {
-        match &self.admission {
-            None => Ok(None),
-            Some(a) => match a.try_admit() {
-                Some(g) => Ok(Some(g)),
-                None => Err(DmError::Busy),
-            },
-        }
+/// A slot in a front-door window, when there is one; `Busy` when it is
+/// full. The slot frees when the returned permit drops.
+fn try_enter(gate: &Option<Semaphore>) -> DmResult<Option<Permit>> {
+    match gate {
+        None => Ok(None),
+        Some(g) => g.try_acquire(1).map(Some).ok_or(DmError::Busy),
     }
+}
 
+impl SocialApp {
     /// Compose a post with fresh media for `user`.
     pub async fn compose(&self, user: u32) -> DmResult<()> {
         let client = self.client.clone();
@@ -537,7 +525,8 @@ impl SocialApp {
     /// churns this app client's cache. The cache-coherence bench uses
     /// this to separate the reading client from the writing one.
     pub async fn compose_from(&self, writer: &Rc<DmRpc>, user: u32) -> DmResult<()> {
-        let _gate = self.gate()?;
+        // The slot spans the whole request: media upload, movers, DM fetches.
+        let _slot = try_enter(&self.gate)?;
         let media = Bytes::from(vec![(user % 251) as u8; self.media_size]);
         let v = writer.make_value(media).await?;
         let mut req = BytesMut::with_capacity(5);
@@ -564,7 +553,7 @@ impl SocialApp {
     }
 
     async fn read(&self, op: u8, user: u32) -> DmResult<usize> {
-        let _gate = self.gate()?;
+        let _slot = try_enter(&self.gate)?;
         let mut req = BytesMut::with_capacity(5);
         req.put_u8(op);
         req.put_u32_le(user);
@@ -941,7 +930,7 @@ mod tests {
             let pop = Population::new(1, 42);
             let app = build_social_scaled(&cluster, pop, 2048, 7, None).await;
             assert_eq!(app.users, 1000);
-            assert!(app.admission.is_none());
+            assert!(app.gate.is_none());
             app.preload(20).await.unwrap();
             for _ in 0..20 {
                 app.mixed_request().await.unwrap();
@@ -955,13 +944,8 @@ mod tests {
         sim.block_on(async move {
             let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
             let pop = Population::new(1, 42);
-            // max_inflight: 0 would reject everything including the probe
-            // path; use a queue of 1 and race two composes instead.
-            let cfg = AdmissionConfig {
-                max_inflight: 1,
-                ..AdmissionConfig::default()
-            };
-            let app = Rc::new(build_social_scaled(&cluster, pop, 4096, 7, Some(cfg)).await);
+            // A window of 1, and two composes racing for it.
+            let app = Rc::new(build_social_scaled(&cluster, pop, 4096, 7, Some(1)).await);
             let used_before = {
                 let pm = &cluster.dm_servers[0];
                 pm.with_page_manager(|pm| pm.capacity_pages() - pm.free_pages())
@@ -975,14 +959,14 @@ mod tests {
                 simcore::spawn(async move { app.compose(2).await })
             };
             let (ra, rb) = (a.await, b.await);
-            let adm = app.admission.as_ref().expect("installed");
-            // Exactly one of the two composes must have been shed.
-            let shed_err = [&ra, &rb]
-                .iter()
-                .filter(|r| matches!(r, Err(DmError::Busy)))
-                .count();
-            assert_eq!(shed_err, 1, "got {ra:?} / {rb:?}");
-            assert_eq!(adm.rejected(), 1);
+            // Exactly one of the two composes was shed; the other went through.
+            assert!(
+                matches!(
+                    (&ra, &rb),
+                    (Ok(()), Err(DmError::Busy)) | (Err(DmError::Busy), Ok(()))
+                ),
+                "got {ra:?} / {rb:?}"
+            );
             // The shed compose released its media ref: only the stored
             // post's page remains pinned.
             let used_after = {

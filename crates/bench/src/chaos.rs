@@ -192,7 +192,7 @@ async fn chaos_client(
     let rpc = RpcBuilder::new(net, node, 100)
         .config(chaos_rpc_config())
         .build();
-    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache, None)
+    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache)
         .await
         .expect("fault-free connect");
     (node, Rc::new(client))
@@ -599,13 +599,12 @@ const SLO_SOCIAL_SF: u32 = 10;
 
 /// Offered rate for the social case: 1.2× the SF=10 knee `slo_scale`
 /// measures (and gates against its pin) — past saturation by design, so
-/// the admission plane sheds under every fault class.
+/// the front-door window sheds under every fault class.
 const SLO_SOCIAL_RATE: f64 = 1.2 * crate::slo_scale::SF10_KNEE_RPS;
 
 /// DeathStarBench social workload over a scaled population, offered 1.2×
-/// its measured knee with the full overload-control plane ON (front-door
-/// admission + CoDel at nginx, bounded DM-server admission, client token
-/// limiting), under one fault class. On top of the shared invariants:
+/// its measured knee with overload control ON (the front-door window of
+/// `slo_scale`), under one fault class. On top of the shared invariants:
 ///
 /// * **graceful degradation** — even overloaded and faulted, goodput
 ///   never collapses to zero: some requests complete, and `Busy` sheds
@@ -629,19 +628,10 @@ pub fn run_slo_social_fault_free(seed: u64) -> CaseResult {
 fn slo_social(fault: Option<FaultClass>, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let config = crate::slo_scale::with_dm_overload_control(chaos_config(fault));
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config, seed);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, chaos_config(fault), seed);
         let pop = Population::new(SLO_SOCIAL_SF, 42);
-        let app = Rc::new(
-            build_social_scaled(
-                &cluster,
-                pop,
-                8192,
-                seed,
-                Some(crate::slo_scale::front_admission()),
-            )
-            .await,
-        );
+        let window = Some(crate::slo_scale::FRONT_WINDOW);
+        let app = Rc::new(build_social_scaled(&cluster, pop, 8192, seed, window).await);
         // Preload is fault-free: the driver spawns after it.
         app.preload(50).await.expect("fault-free preload");
 

@@ -12,15 +12,14 @@
 //! gauges of `Cluster::metrics` (`apps::cluster::utilization`), and how
 //! many datagrams the fabric delivered per request.
 //!
-//! Phase 2 then offers 2× and 8× each knee with the overload-control
-//! plane OFF (an open loop past saturation: the backlog at the saturated
-//! NIC grows for the whole window and no request finishes within budget)
-//! and ON (front-door admission + CoDel shedding at nginx, bounded
-//! DM-server admission, client token limiting): shed requests fail fast
-//! with a typed `Busy`, the admitted remainder stays near knee latency,
-//! and SLO goodput plateaus instead of collapsing. The sweep gates the
-//! ON cell retaining ≥50% of the knee's SLO goodput at 2× for every SF,
-//! and still holding that plateau at 8×.
+//! Phase 2 then offers 2× and 8× each knee with overload control OFF (an
+//! open loop past saturation: the backlog at the saturated NIC grows for
+//! the whole window and no request finishes within budget) and ON (a
+//! window of [`FRONT_WINDOW`] requests in flight through the front door):
+//! shed requests fail fast with a typed `Busy`, the admitted remainder
+//! stays near knee latency, and SLO goodput plateaus instead of
+//! collapsing. The sweep gates the ON cell retaining ≥50% of the knee's
+//! SLO goodput at 2× for every SF, and still holding that plateau at 8×.
 //!
 //! Emits `results/xtra_slo_scale.csv` and `results/BENCH_slo_scale.json`.
 //! Cells fan out over `SIM_THREADS`; rows assemble in sweep order, so
@@ -33,7 +32,6 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind, Utilization};
 use apps::social::build_social_scaled;
 use apps::workload::run_open_loop_classified;
 use dmcommon::DmError;
-use dmnet::{AdmissionConfig, DmServerConfig};
 use loadgen::Population;
 use simcore::{Sim, SimRng};
 use telemetry::{SloBudget, SloReport};
@@ -75,13 +73,12 @@ pub const SF10_KNEE_RPS: f64 = 1300e3;
 /// Knee multiples driven in phase 2 (overload ON vs OFF at each).
 pub const OVERLOAD_MULTIPLES: [f64; 2] = [2.0, 8.0];
 
-/// Overload-control plane configuration for one cell.
+/// Overload control for one cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Overload {
-    /// No admission anywhere — the historical open-loop behaviour.
+    /// No window: every arrival is let in.
     Off,
-    /// Front-door admission + CoDel at nginx, bounded DM-server
-    /// admission, client-side token limiting with Busy retries.
+    /// The front door admits at most [`FRONT_WINDOW`] requests at a time.
     On,
 }
 
@@ -94,35 +91,10 @@ impl Overload {
     }
 }
 
-/// Front-door admission at nginx: bound the end-to-end inflight window
-/// and shed when sojourn stays above target for a full interval. The
-/// inflight cap is the binding mechanism — bounding end-to-end
-/// concurrency bounds every downstream NIC and CPU queue a request
-/// crosses; CoDel is the backstop for sustained sojourn inflation.
-/// (Also used by the chaos `slo-social` case, so the knob values live
-/// in exactly one place.)
-pub fn front_admission() -> AdmissionConfig {
-    AdmissionConfig {
-        max_inflight: 32,
-        codel_target: Duration::from_millis(1),
-        codel_interval: Duration::from_millis(2),
-    }
-}
-
-/// `base` with the DM side of overload control on: bounded admission at
-/// every DM server (which then answers `Busy`, and clients retry it) and a
-/// token limit on each client's concurrent DM ops. (Shared with the chaos
-/// `slo-social` case, like [`front_admission`].)
-pub fn with_dm_overload_control(base: ClusterConfig) -> ClusterConfig {
-    ClusterConfig {
-        dm: DmServerConfig {
-            admission: Some(AdmissionConfig::default()),
-            ..base.dm
-        },
-        dm_client_max_inflight: Some(64),
-        ..base
-    }
-}
+/// Requests in flight the front door admits with overload control on:
+/// bounding end-to-end concurrency bounds every NIC and CPU queue a
+/// request crosses behind it. (Also the chaos `slo-social` case's window.)
+pub const FRONT_WINDOW: u64 = 32;
 
 /// What one cell measured, flattened for transport out of the sweep.
 pub struct CellOut {
@@ -153,17 +125,10 @@ pub struct CellOut {
 pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
     let sim = Sim::new();
     sim.block_on(async move {
-        let config = match overload {
-            Overload::Off => ClusterConfig::default(),
-            Overload::On => with_dm_overload_control(ClusterConfig::default()),
-        };
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config, 11);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 11);
         let pop = Population::new(sf, POP_SEED);
-        let front = match overload {
-            Overload::Off => None,
-            Overload::On => Some(front_admission()),
-        };
-        let app = Rc::new(build_social_scaled(&cluster, pop, MEDIA, 3, front).await);
+        let window = (overload == Overload::On).then_some(FRONT_WINDOW);
+        let app = Rc::new(build_social_scaled(&cluster, pop, MEDIA, 3, window).await);
         app.preload(200).await.expect("preload");
         let ledger = cluster.utilization_over(WARMUP + WINDOW);
         let net = cluster.net.clone();

@@ -534,8 +534,10 @@ fn struct_fields(src: &str) -> Vec<(&str, &str)> {
 /// and a client finds out over the wire (DESIGN.md §15). Grep-level: the
 /// cluster config re-declares no `DmServerConfig` field, the read lease is
 /// a field of one struct, `fine_grained` and `dm_placement` (round-robin is
-/// the one placement, DESIGN.md §13) of none, and the process environment
-/// is read only where a set-but-unreadable value ends the run.
+/// the one placement, DESIGN.md §13) of none, nor `admission`,
+/// `dm_client_max_inflight` or `codel_target` (the front-door window is the
+/// one overload control, DESIGN.md §14), and the process environment is
+/// read only where a set-but-unreadable value ends the run.
 #[test]
 fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -563,8 +565,16 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
         );
     }
     assert_eq!(declaring("read_lease"), ["CoherenceConfig"]);
-    assert_eq!(declaring("fine_grained"), [""; 0]);
-    assert_eq!(declaring("dm_placement"), [""; 0]);
+    let gone = [
+        "fine_grained",
+        "dm_placement",
+        "admission",
+        "dm_client_max_inflight",
+        "codel_target",
+    ];
+    for field in gone {
+        assert_eq!(declaring(field), [""; 0], "{field}");
+    }
 
     let needle = ["env", "var"].join("::");
     let allowed = [

@@ -203,8 +203,8 @@ pub enum DmError {
     Malformed,
     /// The underlying RPC transport failed.
     Transport,
-    /// The server's admission queue is full (or it is shedding load);
-    /// the request was rejected without being executed — retry later.
+    /// The front-door window was full: the request was refused before any
+    /// work was done on it (DESIGN.md §14). No DM server sends it.
     Busy,
 }
 
@@ -217,7 +217,7 @@ impl fmt::Display for DmError {
             DmError::OutOfBounds => "DM access out of bounds",
             DmError::Malformed => "malformed DM message",
             DmError::Transport => "DM transport failure",
-            DmError::Busy => "DM server busy, retry later",
+            DmError::Busy => "shed by overload control",
         };
         f.write_str(s)
     }

@@ -15,10 +15,9 @@
 //! both off, preserving the raw one-op-one-RPC behavior.
 //!
 //! Every op reaches the wire through one function (`request_at`), sent to
-//! the server its address or [`Ref`] names; overload behavior is data it
-//! reads, not a separate path. What each server does about leases and
-//! coherence the client is never told: it reads it off that server's
-//! `REGISTER` reply.
+//! the server its address or [`Ref`] names. What each server does about
+//! leases and coherence the client is never told: it reads it off that
+//! server's `REGISTER` reply.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -26,8 +25,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref, RemoteAddr};
-use rpclib::{Backoff, Message, Rpc, RpcError};
-use simcore::sync::Semaphore;
+use rpclib::{Message, Rpc, RpcError};
 use simnet::Addr;
 
 use crate::cache::{CacheConfig, CacheStats, ClientCache, FreeAction, FLUSH_WINDOW};
@@ -36,17 +34,6 @@ use crate::proto::{self, req, split_response, Reader, Reply, Writer};
 /// Queued control ops per server before a flush is forced ahead of the
 /// timer (bounds batch size and client-side queue memory).
 const MAX_BATCH_OPS: usize = 64;
-
-/// How many times a typed [`DmError::Busy`] rejection (DESIGN.md §14) is
-/// retried before it surfaces to the caller. Only a server running
-/// admission control ever sends one, so against any other server the retry
-/// arm is never taken.
-const BUSY_RETRIES: u32 = 3;
-
-/// First wait before retrying a `Busy` rejection; doubles per attempt (the
-/// PR 2 backoff schedule, via [`rpclib::Backoff`]) up to the cap.
-const BUSY_BACKOFF: Duration = Duration::from_micros(20);
-const BUSY_BACKOFF_CAP: Duration = Duration::from_micros(640);
 
 /// Handle to the DM pool for one process.
 ///
@@ -65,19 +52,13 @@ pub struct DmNetClient {
     /// stops the renewal task and any pending batch flush.
     alive: Rc<Cell<bool>>,
     cache: Rc<ClientCache>,
-    /// Token pool bounding concurrent wire ops (DESIGN.md §14), when the
-    /// client was connected with a `max_inflight`.
-    tokens: Option<Semaphore>,
-    /// `Busy` rejections absorbed by the retry loop (observability).
-    busy_retried: Cell<u64>,
 }
 
 impl DmNetClient {
     /// Register this process with every DM server in the pool, with the
-    /// client cache and coalescer off ([`CacheConfig::default`]) and no
-    /// concurrency limit.
+    /// client cache and coalescer off ([`CacheConfig::default`]).
     pub async fn connect(rpc: Rc<Rpc>, servers: Vec<Addr>) -> DmResult<DmNetClient> {
-        DmNetClient::connect_with(rpc, servers, CacheConfig::default(), None).await
+        DmNetClient::connect_with(rpc, servers, CacheConfig::default()).await
     }
 
     /// Register this process with every DM server in the pool. If the
@@ -86,15 +67,11 @@ impl DmNetClient {
     /// coherent (DESIGN.md §15), the client serves its invalidation pushes
     /// and honours its read lease. Both are learned here, per server.
     ///
-    /// `cache` selects the DESIGN.md §9 caching/batching behavior and
-    /// `max_inflight` bounds this process's concurrent wire ops (DESIGN.md
-    /// §14: excess callers wait locally — backpressure instead of offered
-    /// load; `None` = unlimited).
+    /// `cache` selects the DESIGN.md §9 caching/batching behavior.
     pub async fn connect_with(
         rpc: Rc<Rpc>,
         servers: Vec<Addr>,
         cache: CacheConfig,
-        max_inflight: Option<u64>,
     ) -> DmResult<DmNetClient> {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
         let cache = Rc::new(ClientCache::new(servers.len(), cache));
@@ -189,15 +166,20 @@ impl DmNetClient {
             lease_ttl,
             alive,
             cache,
-            tokens: max_inflight.map(Semaphore::new),
-            busy_retried: Cell::new(0),
         })
     }
 
     /// Always 0: a ref names its server, so there is no redirect to chase.
     /// Kept for the repo benchmark's `dmnet.client.redirects_chased`
-    /// column, which reads it (ROADMAP item 5(iv) retires the column).
+    /// column, which reads it (ROADMAP item 1 retires the column).
     pub fn redirects_chased(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: no DM server refuses a request, so there is no `Busy` to
+    /// retry. Kept for the repo benchmark's `dmnet.client.busy_retried`
+    /// column, which reads it (ROADMAP item 1 retires the column).
+    pub fn busy_retried(&self) -> u64 {
         0
     }
 
@@ -248,12 +230,6 @@ impl DmNetClient {
         self.pids[id.0 as usize]
     }
 
-    /// `Busy` rejections this client absorbed by retrying (0 unless a
-    /// server of the pool runs admission control).
-    pub fn busy_retried(&self) -> u64 {
-        self.busy_retried.get()
-    }
-
     /// The `(server, key)` a ref names.
     fn resolve(r: &Ref) -> DmResult<(DmServerId, u64)> {
         match r {
@@ -266,65 +242,46 @@ impl DmNetClient {
     /// wire. Returns `(epoch, result)`: the invalidation epoch piggybacked
     /// on the response, which fill paths stamp entries with.
     ///
-    /// In order: token acquisition (when a concurrency limit is installed);
-    /// the send, counted per type; folding the response's epoch and version
-    /// block into the cache; then either a result or a backed-off retry of
-    /// a typed `Busy` rejection.
-    ///
-    /// Without a concurrency limit, and against servers that never answer
-    /// `Busy`, neither the token nor the retry path touches an await point
-    /// or RNG, so the schedule is identical to a bare send.
+    /// In order: the send, counted per type; folding the response's epoch
+    /// and version block into the cache; then the result.
     async fn request_at(
         &self,
         server: DmServerId,
         ty: u8,
         body: Message,
     ) -> (u64, DmResult<Bytes>) {
-        let _token = match &self.tokens {
-            Some(sem) => Some(sem.acquire_one().await),
-            None => None,
-        };
         let addr = match self.server_addr(server) {
             Ok(a) => a,
             Err(e) => return (0, Err(e)),
         };
         let idx = server.0 as usize;
-        let mut backoff = Backoff::new(BUSY_BACKOFF, BUSY_BACKOFF_CAP);
-        let mut retries_left = BUSY_RETRIES;
-        loop {
-            self.cache.count_wire(ty);
-            let resp = match self.rpc.call(addr, ty, body.clone()).await {
-                Ok(r) => r,
-                // Nothing was sent: the request names more bytes than one
-                // message can carry.
-                Err(RpcError::TooLarge { .. }) => return (0, Err(DmError::OutOfBounds)),
-                Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
-            };
-            let (epoch, reply) = split_response(&resp);
-            if self.cache.observe_epoch(idx, epoch) {
-                self.schedule_flush(server);
-            }
-            match reply {
-                Reply::Ok { body, versions } => {
-                    // What a coherent server says about the refs this op
-                    // touched: each pair drops any entry it proves stale.
-                    let mut needs_flush = false;
-                    for (key, ver) in versions.into_iter().flatten() {
-                        needs_flush |= self.cache.observe_version(idx, key, ver, false);
-                    }
-                    if needs_flush {
-                        self.schedule_flush(server);
-                    }
-                    // For a read, the server's payload buffer itself.
-                    return (epoch, Ok(body.into_bytes()));
+        self.cache.count_wire(ty);
+        let resp = match self.rpc.call(addr, ty, body).await {
+            Ok(r) => r,
+            // Nothing was sent: the request names more bytes than one
+            // message can carry.
+            Err(RpcError::TooLarge { .. }) => return (0, Err(DmError::OutOfBounds)),
+            Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
+        };
+        let (epoch, reply) = split_response(&resp);
+        if self.cache.observe_epoch(idx, epoch) {
+            self.schedule_flush(server);
+        }
+        match reply {
+            Reply::Ok { body, versions } => {
+                // What a coherent server says about the refs this op
+                // touched: each pair drops any entry it proves stale.
+                let mut needs_flush = false;
+                for (key, ver) in versions.into_iter().flatten() {
+                    needs_flush |= self.cache.observe_version(idx, key, ver, false);
                 }
-                Reply::Err(DmError::Busy) if retries_left > 0 => {
-                    retries_left -= 1;
-                    self.busy_retried.set(self.busy_retried.get() + 1);
-                    simcore::sleep(backoff.next_wait()).await;
+                if needs_flush {
+                    self.schedule_flush(server);
                 }
-                Reply::Err(e) => return (epoch, Err(e)),
+                // For a read, the server's payload buffer itself.
+                (epoch, Ok(body.into_bytes()))
             }
+            Reply::Err(e) => (epoch, Err(e)),
         }
     }
 

@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod page_manager;
@@ -34,7 +33,6 @@ pub mod wal;
 /// Re-export of the shared VA-range allocator (lives in [`dmcommon`]).
 pub use dmcommon::va_tree;
 
-pub use admission::{Admission, AdmissionConfig};
 pub use cache::{CacheConfig, CacheStats};
 pub use client::DmNetClient;
 pub use page_manager::{OpCost, PageManager};
@@ -84,9 +82,9 @@ mod e2e_tests {
         RpcBuilder::new(net, node, port).build()
     }
 
-    /// Connect with `cache` and no concurrency limit.
+    /// Connect with `cache`.
     async fn connect_cfg(rpc: Rc<Rpc>, pool: &[simnet::Addr], cache: CacheConfig) -> DmNetClient {
-        DmNetClient::connect_with(rpc, pool.to_vec(), cache, None)
+        DmNetClient::connect_with(rpc, pool.to_vec(), cache)
             .await
             .unwrap()
     }

@@ -77,36 +77,33 @@ pub mod req {
 /// Well-known port DM servers listen on.
 pub const DM_PORT: u16 = 7000;
 
-/// The one table of wire ops — `(code, span name, control-plane,
-/// admission-exempt)`, codes ascending — that the classifiers below, the
-/// handlers a DM server registers and the client's per-type counters are
-/// read off. *Control-plane* is metadata (registration, pin/unpin, release,
-/// lease renewal) as opposed to ops carrying payload bytes; `xtra_rtt_budget`
-/// counts the two apart. *Admission-exempt* ops bypass overload control
-/// (DESIGN.md §14): shedding a registration or a lease renewal would turn a
-/// latency problem into spurious reclamation, and `BATCH` carries deferred
-/// releases whose loss would leak pins.
-pub const OPS: &[(u8, &str, bool, bool)] = &[
-    (req::REGISTER, "dm.register", true, true),
-    (req::ALLOC, "dm.alloc", true, false),
-    (req::FREE, "dm.free", true, false),
-    (req::CREATE_REF, "dm.create_ref", true, false),
-    (req::MAP_REF, "dm.map_ref", true, false),
-    (req::READ, "dm.read", false, false),
-    (req::WRITE, "dm.write", false, false),
-    (req::RELEASE_REF, "dm.release_ref", true, false),
-    (req::READ_REF, "dm.read_ref", false, false),
-    (req::PUT_REF, "dm.put_ref", false, false),
-    (req::RENEW_LEASE, "dm.renew_lease", true, true),
-    (req::BATCH, "dm.batch", true, true),
+/// The one table of wire ops — `(code, span name, control-plane)`, codes
+/// ascending — that the classifiers below, the handlers a DM server
+/// registers and the client's per-type counters are read off.
+/// *Control-plane* is metadata (registration, pin/unpin, release, lease
+/// renewal) as opposed to ops carrying payload bytes; `xtra_rtt_budget`
+/// counts the two apart.
+pub const OPS: &[(u8, &str, bool)] = &[
+    (req::REGISTER, "dm.register", true),
+    (req::ALLOC, "dm.alloc", true),
+    (req::FREE, "dm.free", true),
+    (req::CREATE_REF, "dm.create_ref", true),
+    (req::MAP_REF, "dm.map_ref", true),
+    (req::READ, "dm.read", false),
+    (req::WRITE, "dm.write", false),
+    (req::RELEASE_REF, "dm.release_ref", true),
+    (req::READ_REF, "dm.read_ref", false),
+    (req::PUT_REF, "dm.put_ref", false),
+    (req::RENEW_LEASE, "dm.renew_lease", true),
+    (req::BATCH, "dm.batch", true),
     // Served by clients, pushed by servers.
-    (req::INVALIDATE, "dm.invalidate", true, false),
+    (req::INVALIDATE, "dm.invalidate", true),
 ];
 
 /// One past the highest op code: the size of a per-type counter array.
 pub(crate) const N_REQ_TYPES: usize = OPS[OPS.len() - 1].0 as usize + 1;
 
-fn op(ty: u8) -> Option<&'static (u8, &'static str, bool, bool)> {
+fn op(ty: u8) -> Option<&'static (u8, &'static str, bool)> {
     OPS.iter().find(|op| op.0 == ty)
 }
 
@@ -122,14 +119,10 @@ pub fn is_control(ty: u8) -> bool {
     op(ty).is_none_or(|op| op.2)
 }
 
-/// Whether a request type bypasses admission control ([`OPS`]).
-pub(crate) fn admission_exempt(ty: u8) -> bool {
-    op(ty).is_some_and(|op| op.3)
-}
-
 /// The single source of truth for the `DmError` ↔ wire-code mapping.
 /// Encode and decode both walk this table, so they cannot disagree and
-/// every code (including 5 = `Malformed`) has an explicit entry.
+/// every code a DM server sends (including 5 = `Malformed`) has an explicit
+/// entry.
 const ERR_TABLE: &[(DmError, u8)] = &[
     (DmError::OutOfMemory, 1),
     (DmError::InvalidAddress, 2),
@@ -137,9 +130,9 @@ const ERR_TABLE: &[(DmError, u8)] = &[
     (DmError::OutOfBounds, 4),
     (DmError::Malformed, 5),
     (DmError::Transport, 6),
-    // 7 is retired (it was a redirect) and decodes as `Malformed`.
-    (DmError::Busy, 8),
-    // 9 is STATUS_OK_VERSIONED.
+    // 7 (a redirect) and 8 (a DM server's `Busy`) are retired and decode
+    // as `Malformed`; 9 is STATUS_OK_VERSIONED. `Busy` has no code: it is
+    // the social front door's, and no DM server answers with it.
 ];
 
 fn err_code(e: DmError) -> u8 {
@@ -147,7 +140,7 @@ fn err_code(e: DmError) -> u8 {
         .iter()
         .find(|&&(err, _)| err == e)
         .map(|&(_, c)| c)
-        .expect("every DmError variant is in ERR_TABLE")
+        .expect("a DM server answers only with errors ERR_TABLE names")
 }
 
 fn code_err(c: u8) -> DmError {
@@ -716,29 +709,31 @@ mod tests {
             assert!(OPS[..i].iter().all(|b| b.0 < a.0 && b.1 != a.1), "{a:?}");
             assert!(a.0 & BATCH_TRACE_BIT == 0, "{a:?} takes the trace bit");
             assert_eq!((req_name(a.0), is_control(a.0)), (a.1, a.2));
-            assert_eq!((admission_exempt(a.0), a.2), (a.3, !data.contains(&a.0)));
+            assert_eq!(a.2, !data.contains(&a.0), "{a:?}");
         }
-        // A code outside the table: unnamed, payload-free, never exempt.
+        // A code outside the table: unnamed and payload-free.
         assert_eq!((op(18), req_name(18)), (None, "dm.unknown"));
-        assert!(is_control(18) && !admission_exempt(18));
+        assert!(is_control(18));
     }
 
     /// Every surviving op and status keeps the code it had when the ring's
-    /// ops (23–25) and the redirect status (7) were retired; the retired
-    /// codes are nobody's.
+    /// ops (23–25), the redirect status (7) and the `Busy` status (8) were
+    /// retired; the retired codes are nobody's.
     #[test]
     fn wire_codes_are_pinned() {
         let codes: Vec<u8> = OPS.iter().map(|op| op.0).collect();
         assert_eq!(codes, [10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22, 26]);
         assert_eq!((STATUS_OK, STATUS_OK_VERSIONED), (0, 9));
         let errs: Vec<u8> = ERR_TABLE.iter().map(|&(_, c)| c).collect();
-        assert_eq!(errs, [1, 2, 3, 4, 5, 6, 8]);
-        // A response with the retired redirect status is malformed, whatever
-        // follows the epoch.
-        for tail in [&[][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
-            let flat = [&[7u8, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
-            let resp = Message::from(Bytes::from(flat));
-            assert_eq!(split_response(&resp), (9, Reply::Err(DmError::Malformed)));
+        assert_eq!(errs, [1, 2, 3, 4, 5, 6]);
+        // A response with a retired status is malformed, whatever follows
+        // the epoch, and `Malformed` is never retried.
+        for status in [7u8, 8] {
+            for tail in [&[][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
+                let flat = [&[status, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
+                let resp = Message::from(Bytes::from(flat));
+                assert_eq!(split_response(&resp), (9, Reply::Err(DmError::Malformed)));
+            }
         }
     }
 

@@ -41,7 +41,6 @@ use simcore::{CpuPool, SimTime};
 use simnet::{Addr, Network, NodeId};
 use telemetry::SpanKind;
 
-use crate::admission::{Admission, AdmissionConfig};
 use crate::page_manager::{OpCost, PageManager};
 use crate::proto;
 use crate::wal::{Record, Wal, WalConfig};
@@ -54,7 +53,7 @@ fn translations_for(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE as u64).max(1)
 }
 
-/// DM server tuning knobs. The four planes at the end are configured here
+/// DM server tuning knobs. The three planes at the end are configured here
 /// and nowhere else: what a client has to know about them it reads off the
 /// reply to its `REGISTER` and the status of each response (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
@@ -90,11 +89,6 @@ pub struct DmServerConfig {
     /// selects the zero-cost media model (full bookkeeping, unchanged
     /// schedule — committed CSVs stay byte-identical).
     pub durability: Option<WalConfig>,
-    /// Overload control (DESIGN.md §14): when set, requests pass a bounded
-    /// admission queue with CoDel-style queue-delay shedding and are
-    /// refused with the typed `Busy` wire code (which every client retries)
-    /// when the server is saturated. `None` (default) admits everything.
-    pub admission: Option<AdmissionConfig>,
     /// Fine-grained cache coherence (DESIGN.md §15): when set, successful
     /// responses carry a `(key, version)` block for the refs they touched
     /// under their own ok status, mutating ops bump only the touched ref's
@@ -116,7 +110,6 @@ impl Default for DmServerConfig {
             hw_translation: false,
             lease_ttl: None,
             durability: WalConfig::from_env(),
-            admission: None,
             coherence: None,
         }
     }
@@ -162,8 +155,6 @@ pub struct DmServer {
     ops_served: Cell<u64>,
     translation_ns: Cell<u64>,
     op_ns: Cell<u64>,
-    /// Overload controller, present when `config.admission` is set.
-    admission: Option<Admission>,
     /// Holder directory: ref key → client endpoints granted a read
     /// lease on it, with grant expiry (BTreeMap: push order must be
     /// deterministic). Bounded by `CoherenceConfig::dir_max` total
@@ -217,7 +208,6 @@ impl DmServer {
             ops_served: Cell::new(0),
             translation_ns: Cell::new(0),
             op_ns: Cell::new(0),
-            admission: config.admission.map(Admission::new),
             dir: RefCell::default(),
             dir_grants: Cell::new(0),
             inv_pushed: Cell::new(0),
@@ -335,11 +325,6 @@ impl DmServer {
                 *exp = (*exp).max(grace);
             }
         }
-        // Pre-crash queue-delay streaks say nothing about the restarted
-        // server; shedding must not survive a restart.
-        if let Some(a) = &self.admission {
-            a.reset_transient();
-        }
         self.spawn_sweeper();
     }
 
@@ -375,17 +360,6 @@ impl DmServer {
     /// the server's index in the pool).
     pub fn ops_served(&self) -> u64 {
         self.ops_served.get()
-    }
-
-    /// Requests refused because the admission queue was full (0 when
-    /// overload control is off — the `dm.shard.<i>.rejected` gauge).
-    pub fn admission_rejected(&self) -> u64 {
-        self.admission.as_ref().map_or(0, |a| a.rejected())
-    }
-
-    /// Requests refused by CoDel shedding (the `dm.shard.<i>.shed` gauge).
-    pub fn admission_shed(&self) -> u64 {
-        self.admission.as_ref().map_or(0, |a| a.shed())
     }
 
     /// Tear down: unregister handlers so the `Rc` cycle through them is

@@ -1,4 +1,4 @@
-//! Request dispatch: admission, tracing, and the one body of every wire
+//! Request dispatch: tracing and the one body of every wire
 //! op. Each arm validates, mutates the page manager, persists
 //! (log-before-ack), charges CPU/memory and answers; how the change
 //! reaches client caches is the coherence plane's decision
@@ -33,17 +33,6 @@ impl DmServer {
 
     async fn handle(self: Rc<Self>, ty: u8, src: Addr, body: Message) -> Message {
         self.ops_served.set(self.ops_served.get() + 1);
-        // Overload control (DESIGN.md §14): refuse before any CPU is
-        // charged or span opened — a rejected request must be as cheap
-        // as possible. Servers without admission skip this entirely.
-        let _admit = match &self.admission {
-            None => None,
-            Some(_) if proto::admission_exempt(ty) => None,
-            Some(a) => match a.try_admit() {
-                Some(guard) => Some(guard),
-                None => return Response::err(self.epoch.get(), DmError::Busy),
-            },
-        };
         // Child of the RPC layer's server-handle span when the request was
         // traced; a no-op (one flag read) otherwise.
         let mut op = telemetry::span(SpanKind::DmOp, proto::req_name(ty), self.addr().node.0);

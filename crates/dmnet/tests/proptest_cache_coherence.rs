@@ -89,7 +89,6 @@ proptest! {
                 client_rpc(&net, c_b, 100),
                 vec![servers[1].addr()],
                 CacheConfig::all_on(),
-                None,
             )
             .await
             .unwrap();
@@ -286,14 +285,12 @@ proptest! {
                 .unwrap();
             let reader_rpc = client_rpc(&net, c_b, 100);
             let fg_pool = vec![fg_srv[0].addr()];
-            let reader =
-                DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg, None)
-                    .await
-                    .unwrap();
-            let writer =
-                DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg, None)
-                    .await
-                    .unwrap();
+            let reader = DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg)
+                .await
+                .unwrap();
+            let writer = DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg)
+                .await
+                .unwrap();
 
             let mut refs: Vec<Slot> = Vec::new();
             // Zombies: refs released while the reader was partitioned, with

@@ -155,50 +155,36 @@ impl Default for RpcConfig {
 }
 
 /// Exponential backoff with optional multiplicative jitter — the policy
-/// behind the retransmission table, exposed so higher layers (e.g. the
-/// DM client's `Busy`-retry loop) reuse the exact same wait schedule
-/// instead of inventing a second one.
+/// behind the retransmission table.
 ///
 /// Each [`Backoff::next_wait`] returns the current interval (jittered by
-/// `1 + U[0,1) × jitter` when a jitter fraction and RNG are supplied) and
-/// then doubles the base, saturating at `cap`.
-#[derive(Clone)]
-pub struct Backoff {
+/// `1 + U[0,1) × jitter`) and then doubles the base, saturating at `cap`.
+pub(crate) struct Backoff {
     next: Duration,
     cap: Duration,
     jitter: f64,
-    rng: Option<SimRng>,
+    rng: SimRng,
 }
 
 impl Backoff {
-    /// Deterministic (jitter-free) backoff starting at `base`, doubling
-    /// up to `cap` (raised to `base` if smaller).
-    pub fn new(base: Duration, cap: Duration) -> Backoff {
-        Backoff {
-            next: base,
-            cap: cap.max(base),
-            jitter: 0.0,
-            rng: None,
-        }
-    }
-
-    /// Backoff whose waits are multiplied by `1 + U[0,1) × jitter`. The
-    /// RNG is only consulted when `jitter > 0`, so a zero-jitter policy
-    /// draws nothing and stays schedule-identical to [`Backoff::new`].
-    pub fn with_jitter(base: Duration, cap: Duration, jitter: f64, rng: SimRng) -> Backoff {
+    /// Backoff starting at `base`, doubling up to `cap` (raised to `base`
+    /// if smaller). The RNG is only consulted when `jitter > 0`, so a
+    /// zero-jitter policy draws nothing.
+    pub(crate) fn new(base: Duration, cap: Duration, jitter: f64, rng: SimRng) -> Backoff {
         Backoff {
             next: base,
             cap: cap.max(base),
             jitter,
-            rng: Some(rng),
+            rng,
         }
     }
 
     /// The wait before the next retry attempt; advances the schedule.
-    pub fn next_wait(&mut self) -> Duration {
-        let wait = match (&self.rng, self.jitter > 0.0) {
-            (Some(rng), true) => self.next.mul_f64(1.0 + rng.gen_f64() * self.jitter),
-            _ => self.next,
+    pub(crate) fn next_wait(&mut self) -> Duration {
+        let wait = if self.jitter > 0.0 {
+            self.next.mul_f64(1.0 + self.rng.gen_f64() * self.jitter)
+        } else {
+            self.next
         };
         self.next = (self.next * 2).min(self.cap);
         wait
@@ -606,8 +592,7 @@ impl Rpc {
         let base = self.config.rto + self.config.rto_per_packet * (pkts.len() as u32);
         let cap = self.config.rto_max.max(base);
         // retry_rng clones share one stream: draws happen in arming order.
-        let mut backoff =
-            Backoff::with_jitter(base, cap, self.config.retry_jitter, self.retry_rng.clone());
+        let mut backoff = Backoff::new(base, cap, self.config.retry_jitter, self.retry_rng.clone());
         let rto_key = self.arm(now + backoff.next_wait(), req_num);
         let (done_tx, done_rx) = oneshot::channel();
         self.pending.borrow_mut().insert(
@@ -915,21 +900,22 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_cap() {
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(35));
-        assert_eq!(b.next_wait(), Duration::from_millis(10));
-        assert_eq!(b.next_wait(), Duration::from_millis(20));
-        assert_eq!(b.next_wait(), Duration::from_millis(35));
-        assert_eq!(b.next_wait(), Duration::from_millis(35), "saturates at cap");
+        let ms = Duration::from_millis;
+        let mut b = Backoff::new(ms(10), ms(35), 0.0, SimRng::new(0));
+        assert_eq!(b.next_wait(), ms(10));
+        assert_eq!(b.next_wait(), ms(20));
+        assert_eq!(b.next_wait(), ms(35));
+        assert_eq!(b.next_wait(), ms(35), "saturates at cap");
         // A cap below base is raised to base.
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(1));
-        assert_eq!(b.next_wait(), Duration::from_millis(10));
-        assert_eq!(b.next_wait(), Duration::from_millis(10));
+        let mut b = Backoff::new(ms(10), ms(1), 0.0, SimRng::new(0));
+        assert_eq!(b.next_wait(), ms(10));
+        assert_eq!(b.next_wait(), ms(10));
     }
 
     #[test]
     fn backoff_jitter_bounds_and_determinism() {
         let mk = || {
-            Backoff::with_jitter(
+            Backoff::new(
                 Duration::from_millis(10),
                 Duration::from_millis(160),
                 0.5,
@@ -946,7 +932,7 @@ mod tests {
         // Zero jitter never consults the RNG: the shared stream is
         // untouched after several waits.
         let rng = SimRng::new(3);
-        let mut z = Backoff::with_jitter(
+        let mut z = Backoff::new(
             Duration::from_millis(5),
             Duration::from_millis(20),
             0.0,

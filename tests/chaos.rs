@@ -165,7 +165,7 @@ fn cow_case_is_reproducible_per_seed() {
 #[test]
 fn overloaded_social_survives_faults_without_leaks() {
     // The DESIGN.md §14 case: an SF=10 population offered 1.2x its
-    // measured knee with the admission plane fully on. The case itself
+    // measured knee with the front-door window on. The case itself
     // flags goodput-collapse-to-zero and post-heal page leaks as
     // violations, and its fault-free twin flags a rate that sheds nothing
     // (every sweep seed runs the twin); here we additionally pin that the
