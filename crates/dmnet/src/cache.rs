@@ -56,8 +56,12 @@ const KNOWN_MAX: usize = 1024;
 /// flushed (virtual time).
 pub(crate) const FLUSH_WINDOW: Duration = Duration::from_micros(10);
 
-/// Ref-data entries kept per server (FIFO eviction).
+/// Ref-data entries kept per server (second-chance eviction).
 const MAX_ENTRIES: usize = 256;
+
+/// Saturation point of a data entry's reference count: an entry hit this
+/// often survives that many eviction passes without another hit.
+const REF_MAX: u8 = 3;
 
 /// Tuning for the client-side cache and coalescer. The default disables
 /// both, keeping a raw [`crate::DmNetClient`]'s wire behavior identical to
@@ -141,6 +145,9 @@ struct DataEntry {
     ver: u64,
     /// Serve deadline under a coherent server's read lease.
     leased_until: Option<simcore::SimTime>,
+    /// Second chances left: raised by each covering hit up to [`REF_MAX`],
+    /// spent one per eviction scan that passes the entry over.
+    refs: Cell<u8>,
 }
 
 /// This client's own mapping of a ref, tracked for sequential reuse: after
@@ -181,7 +188,8 @@ struct ServerCache {
     /// stated it: `Some` iff the server is coherent (DESIGN.md §15).
     serve_for: Cell<Option<Duration>>,
     data: RefCell<HashMap<u64, DataEntry>>,
-    /// Insertion order of `data` keys (FIFO eviction).
+    /// Eviction scan order of `data` keys: insertion order, with a key that
+    /// was given a second chance moved to the back.
     data_order: RefCell<VecDeque<u64>>,
     /// Tracked mappings by ref key (BTreeMap: drain order must be
     /// deterministic).
@@ -401,7 +409,10 @@ impl ClientCache {
         let data = s.data.borrow();
         let hit = data.get(&key).and_then(|e| {
             let covered = e.epoch == s.epoch.get() && off + len <= e.bytes.len() as u64;
-            covered.then(|| e.bytes.slice(off as usize..(off + len) as usize))
+            covered.then(|| {
+                e.refs.set((e.refs.get() + 1).min(REF_MAX));
+                e.bytes.slice(off as usize..(off + len) as usize)
+            })
         });
         match &hit {
             Some(_) => self.stats.hits.set(self.stats.hits.get() + 1),
@@ -412,7 +423,10 @@ impl ClientCache {
 
     /// Cache `bytes` as the prefix of `key`, filled under `resp_epoch` (the
     /// epoch piggybacked on the response that produced the bytes). A fill
-    /// from before the latest observed epoch is discarded.
+    /// from before the latest observed epoch is discarded. Over the bound,
+    /// the scan from the front of `data_order` evicts the first entry with
+    /// no references left and sends each one it passes to the back with
+    /// one fewer (CLOCK); with no hits at all that is FIFO.
     pub(crate) fn fill_data(&self, idx: usize, key: u64, resp_epoch: u64, bytes: Bytes) {
         let s = &self.servers[idx];
         if resp_epoch < s.epoch.get() {
@@ -433,6 +447,7 @@ impl ClientCache {
                     bytes,
                     ver,
                     leased_until,
+                    refs: Cell::new(0),
                 },
             )
             .is_none()
@@ -441,7 +456,13 @@ impl ClientCache {
         }
         while data.len() > MAX_ENTRIES {
             let oldest = order.pop_front().expect("order tracks data");
-            data.remove(&oldest);
+            let refs = &data[&oldest].refs;
+            if refs.get() == 0 {
+                data.remove(&oldest);
+            } else {
+                refs.set(refs.get() - 1);
+                order.push_back(oldest);
+            }
         }
     }
 
@@ -675,6 +696,66 @@ mod tests {
         assert_eq!(c.lookup_data(0, n, 0, 1).unwrap(), Bytes::from_static(b"a"));
         assert_eq!(c.stats().hits(), 2);
         assert_eq!(c.stats().misses(), 1);
+    }
+
+    /// Fill keys `1..=n` with one byte each.
+    fn fill_keys(c: &ClientCache, n: u64) {
+        for key in 1..=n {
+            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+        }
+    }
+
+    #[test]
+    fn data_hit_earns_a_second_chance() {
+        let c = cache();
+        let n = MAX_ENTRIES as u64;
+        fill_keys(&c, n);
+        assert!(c.lookup_data(0, 1, 0, 1).is_some());
+        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
+        // The scan passes the hit key 1 (to the back, count spent) and
+        // evicts key 2, the oldest never hit.
+        assert!(c.lookup_data(0, 2, 0, 1).is_none(), "never-hit key evicted");
+        assert!(c.lookup_data(0, 1, 0, 1).is_some(), "hit key kept");
+        assert!(c.lookup_data(0, n + 1, 0, 1).is_some());
+    }
+
+    #[test]
+    fn saturated_cache_evicts_exactly_one_per_fill() {
+        let c = cache();
+        let n = MAX_ENTRIES as u64;
+        fill_keys(&c, n);
+        for key in 1..=n {
+            for _ in 0..=REF_MAX {
+                assert!(c.lookup_data(0, key, 0, 1).is_some());
+            }
+        }
+        let s = &c.servers[0];
+        let all_at = |refs: u8| s.data.borrow().values().all(|e| e.refs.get() == refs);
+        assert!(all_at(REF_MAX));
+        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
+        assert_eq!(s.data.borrow().len(), MAX_ENTRIES);
+        assert_eq!(s.data_order.borrow().len(), MAX_ENTRIES);
+        // One pass spent one count of every old entry, then reached the
+        // newcomer, the only entry with none left.
+        assert!(all_at(REF_MAX - 1));
+        assert!(!s.data.borrow().contains_key(&(n + 1)));
+    }
+
+    #[test]
+    fn partial_range_miss_does_not_mark_the_entry() {
+        let c = cache();
+        let n = MAX_ENTRIES as u64;
+        c.fill_data(0, 1, 0, Bytes::from_static(b"ab"));
+        for key in 2..=n {
+            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+        }
+        assert!(c.lookup_data(0, 1, 1, 2).is_none(), "past the prefix");
+        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
+        assert!(
+            c.lookup_data(0, 1, 0, 1).is_none(),
+            "evicted as if never read"
+        );
+        assert!(c.lookup_data(0, 2, 0, 1).is_some());
     }
 
     #[test]

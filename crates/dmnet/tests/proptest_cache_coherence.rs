@@ -186,6 +186,113 @@ proptest! {
     }
 }
 
+/// Entries the cached client keeps per server (`cache::MAX_ENTRIES`).
+const CACHE_BOUND: usize = 256;
+
+/// Refs in the re-read subset of `cached_client_is_coherent_while_evicting`.
+const HOT: usize = 16;
+
+/// Read a sub-range of one tracked ref (`off` and `len` folded into its
+/// bounds as the ops above fold them) on both clients, and check both
+/// against the model.
+async fn read_both(
+    raw: &DmNetClient,
+    cached: &DmNetClient,
+    (r1, r2, data): &(Ref, Ref, Vec<u8>),
+    off: u64,
+    len: u64,
+) {
+    let total = data.len() as u64;
+    let off = off % total;
+    let len = len % (total - off) + 1;
+    let a = raw.read_ref(r1, off, len).await.unwrap();
+    let b = cached.read_ref(r2, off, len).await.unwrap();
+    assert_eq!(a, b, "cached bytes diverge from uncached while evicting");
+    assert_eq!(
+        &a[..],
+        &data[off as usize..(off + len) as usize],
+        "bytes diverge from the model"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// More refs than the cache keeps, with a hot subset re-read between
+    /// publishes: second-chance eviction keeps hit entries and drops cold
+    /// ones all through the run, and every read stays byte-identical to
+    /// the raw client's.
+    #[test]
+    fn cached_client_is_coherent_while_evicting(
+        lens in proptest::collection::vec(0u16..1024, CACHE_BOUND + 8..CACHE_BOUND + 64),
+        reads in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..64),
+    ) {
+        let sim = Sim::new();
+        sim.block_on(async move {
+            let net = Network::new(FabricConfig::default(), 29);
+            let params = ModelParams::new();
+            let dm_a = net.add_node("dm-raw", NicConfig::default());
+            let dm_b = net.add_node("dm-cached", NicConfig::default());
+            let c_a = net.add_node("c-raw", NicConfig::default());
+            let c_b = net.add_node("c-cached", NicConfig::default());
+            let servers = start_pool(&net, &[dm_a, dm_b], &params, DmServerConfig::default());
+            let raw = DmNetClient::connect(client_rpc(&net, c_a, 100), vec![servers[0].addr()])
+                .await
+                .unwrap();
+            let cached = DmNetClient::connect_with(
+                client_rpc(&net, c_b, 100),
+                vec![servers[1].addr()],
+                CacheConfig::all_on(),
+            )
+            .await
+            .unwrap();
+
+            let mut refs: Vec<(Ref, Ref, Vec<u8>)> = Vec::new();
+            for (n, len) in lens.iter().enumerate() {
+                let data = Bytes::from(vec![n as u8; *len as usize + 1]);
+                let r1 = raw.put_ref(&data).await.unwrap();
+                let r2 = cached.put_ref(&data).await.unwrap();
+                refs.push((r1, r2, data.to_vec()));
+                // Three reads in four go to the hot subset, the rest
+                // anywhere; a read at offset 0 refills an evicted entry.
+                let (pick, off, len) = reads[n % reads.len()];
+                let i = if pick % 4 != 0 {
+                    pick as usize % HOT.min(refs.len())
+                } else {
+                    pick as usize % refs.len()
+                };
+                let off = if pick % 8 == 0 { 0 } else { off as u64 };
+                read_both(&raw, &cached, &refs[i], off, len as u64).await;
+            }
+            // One whole read of every ref: at most the bound's worth were
+            // cached when it began, so the rest miss — and must still agree.
+            let misses = cached.cache_stats().misses();
+            for slot in &refs {
+                read_both(&raw, &cached, slot, 0, slot.2.len() as u64 - 1).await;
+            }
+            assert!(
+                cached.cache_stats().misses() - misses >= (refs.len() - CACHE_BOUND) as u64,
+                "the run never evicted"
+            );
+
+            for (r1, r2, _) in refs {
+                raw.release_ref(&r1).await.unwrap();
+                cached.release_ref(&r2).await.unwrap();
+            }
+            cached.flush_cache().await;
+            for s in &servers {
+                s.with_page_manager(|pm| pm.check_invariants());
+            }
+            assert_eq!(servers[0].free_pages_total(), servers[1].free_pages_total());
+            assert_eq!(
+                servers[1].free_pages_total(),
+                servers[1].capacity_pages_total(),
+                "cached client leaked pages"
+            );
+        });
+    }
+}
+
 /// Operations for the fine-grained (per-ref version + read lease) oracle:
 /// the cached plane additionally has a second *writer* client whose
 /// mutations reach the reader only through targeted invalidation pushes,

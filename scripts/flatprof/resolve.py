@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Resolve a flatprof dump against the profiled binary.
 
-    resolve.py <binary> <flatprof.out> [rows]
+    resolve.py <binary> <flatprof.out> [rows] [leaf-regex]
 
 Prints the leaf table (where the program counter was), then, for samples
 whose leaf lies outside the binary (libc: the allocator, memmove, memset),
 the same samples keyed by their first three callers inside the binary —
-the table that says *whose* malloc and *whose* memmove it was.
+the table that says *whose* malloc and *whose* memmove it was. With a
+leaf-regex, a third table keys the samples whose leaf matches it by their
+first two callers inside the binary: one generic leaf (`BinaryHeap::pop`)
+split into the call sites it serves.
 """
 import bisect
 import collections
@@ -29,6 +32,7 @@ def symbols(binary):
 def main():
     binary, dump = sys.argv[1], sys.argv[2]
     rows = int(sys.argv[3]) if len(sys.argv) > 3 else 25
+    chosen_leaf = re.compile(sys.argv[4]) if len(sys.argv) > 4 else None
     samples, maps = [], []
     with open(dump) as f:
         for line in f:
@@ -55,7 +59,7 @@ def main():
                 return True, names[i] if i >= 0 else "?"
         return False, "?"
 
-    leaves, foreign = collections.Counter(), collections.Counter()
+    leaves, foreign, chosen = (collections.Counter() for _ in range(3))
     for stack in samples:
         if not stack:
             continue
@@ -66,6 +70,9 @@ def main():
         if not inside:
             callers = [name for own, name in frames[1:] if own][:3]
             foreign[(leaf, " <- ".join(callers) or "?")] += 1
+        if chosen_leaf and chosen_leaf.search(leaf):
+            callers = [name for own, name in frames[1:] if own][:2]
+            chosen[" <- ".join(callers) or "?"] += 1
 
     total = sum(leaves.values())
     print(f"{total} samples\n\nleaf")
@@ -74,6 +81,10 @@ def main():
     print("\nleaves outside the binary, by their first three callers inside it")
     for (leaf, callers), n in foreign.most_common(rows):
         print(f"{100 * n / total:6.2f}%  {n:6d}  {leaf}: {callers}")
+    if chosen_leaf:
+        print(f"\nleaves matching /{chosen_leaf.pattern}/, by their first two callers")
+        for callers, n in chosen.most_common(rows):
+            print(f"{100 * n / total:6.2f}%  {n:6d}  {callers}")
 
 
 if __name__ == "__main__":
