@@ -111,20 +111,16 @@ impl DmHandle {
         }
     }
 
-    /// Store `data` into DM and return a shareable [`Ref`], using each
-    /// backend's fastest path. The creator's own mapping is released
-    /// immediately (asynchronously for the network backend): the `Ref`
-    /// keeps the pages alive, matching Listing 1's `rfree` after the call.
+    /// Store `data` into DM and return a shareable [`Ref`] in one step
+    /// (`PUT_REF` on DmRPC-net, [`CxlHost::put_ref`] on DmRPC-CXL). The
+    /// bytes go straight into pages the `Ref` owns and the creator never
+    /// maps them: Listing 1's `alloc` + write + `create_ref` + `rfree`
+    /// without the mapping that only the `rfree` uses. Empty `data` is
+    /// `InvalidAddress`, as an empty `create_ref` is.
     pub async fn put(&self, data: &Bytes) -> DmResult<Ref> {
         match self {
             DmHandle::Net(c) => c.put_ref(data).await,
-            DmHandle::Cxl(h) => {
-                let va = h.alloc(data.len() as u64)?;
-                h.store(va, data).await?;
-                let r = h.create_ref(va, data.len() as u64).await?;
-                h.free(va)?;
-                Ok(r)
-            }
+            DmHandle::Cxl(h) => h.put_ref(data).await,
         }
     }
 

@@ -118,9 +118,9 @@ impl DmRpc {
     /// Turn raw bytes into an RPC argument, automatically choosing inline
     /// vs DM-reference by size (paper §IV-B, Listing 1 lines 2–6).
     ///
-    /// For the by-reference path the creator's own mapping is freed right
-    /// away — the `Ref` keeps the pages alive — matching Listing 1's
-    /// `rfree` after the call.
+    /// The by-reference path publishes through [`DmHandle::put`]: the bytes
+    /// land in pages the `Ref` owns, and the creator keeps no mapping,
+    /// matching Listing 1's `rfree` after the call.
     pub async fn make_value(&self, data: Bytes) -> DmResult<Value> {
         match &self.transfer {
             Transfer::PassByValue => Ok(Value::Inline(data)),

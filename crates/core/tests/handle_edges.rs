@@ -59,6 +59,72 @@ fn mismatched_backend_refs_rejected() {
 }
 
 #[test]
+fn a_cxl_put_larger_than_the_device_fails_and_leaves_nothing_behind() {
+    let (sim, net) = net_rig();
+    sim.block_on(async move {
+        let coord = net.add_node("coord", NicConfig::default());
+        let c_node = net.add_node("c", NicConfig::default());
+        let capacity = 8;
+        let fabric = CxlFabric::new(
+            &net,
+            coord,
+            capacity,
+            ModelParams::new(),
+            CxlHostConfig::default(),
+        );
+        let host = fabric.new_host(RpcBuilder::new(&net, c_node, 100).build());
+        let dm = DmHandle::Cxl(host.clone());
+        let too_big = Bytes::from(vec![3u8; 2 * capacity * 4096]);
+        assert_eq!(dm.put(&too_big).await.unwrap_err(), DmError::OutOfMemory);
+        // Let background refills and watermark returns land.
+        simcore::sleep(std::time::Duration::from_millis(1)).await;
+        assert!(host.pte_snapshot().is_empty(), "a failed put left PTEs");
+        assert_eq!(
+            host.owned_free_pages() + fabric.coordinator().free_pages(),
+            capacity,
+            "a failed put kept pages"
+        );
+        dmcxl::check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &[host], &[]);
+        // The device is whole again: a put that fits succeeds.
+        let fits = dm
+            .put(&Bytes::from(vec![4u8; capacity * 4096]))
+            .await
+            .unwrap();
+        let back = dm.get_all(&fits).await.unwrap();
+        assert_eq!(&back[..], &vec![4u8; capacity * 4096][..]);
+    });
+}
+
+#[test]
+fn an_empty_put_is_an_invalid_address_on_both_backends() {
+    let (sim, net) = net_rig();
+    sim.block_on(async move {
+        let dm_node = net.add_node("dm", NicConfig::default());
+        let c_node = net.add_node("c", NicConfig::default());
+        let coord = net.add_node("coord", NicConfig::default());
+        let params = ModelParams::new();
+        let pool = start_pool(&net, &[dm_node], &params, DmServerConfig::default());
+        let fabric = CxlFabric::new(&net, coord, 64, params, CxlHostConfig::default());
+        let rpc = RpcBuilder::new(&net, c_node, 100).build();
+        let net_dm = DmHandle::Net(Rc::new(
+            DmNetClient::connect(rpc.clone(), vec![pool[0].addr()])
+                .await
+                .unwrap(),
+        ));
+        let host = fabric.new_host(rpc);
+        let cxl_dm = DmHandle::Cxl(host.clone());
+        for dm in [&net_dm, &cxl_dm] {
+            assert_eq!(
+                dm.put(&Bytes::new()).await.unwrap_err(),
+                DmError::InvalidAddress
+            );
+        }
+        assert!(host.pte_snapshot().is_empty());
+        assert_eq!(host.stats().faults.get(), 0);
+    });
+}
+
+#[test]
 fn double_release_is_an_error_not_corruption() {
     let (sim, net) = net_rig();
     sim.block_on(async move {

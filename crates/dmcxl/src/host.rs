@@ -493,6 +493,48 @@ impl CxlHost {
         Ok(Ref::Cxl { len, pages: shared })
     }
 
+    /// Fast path: publish `data` as a new reference in one step, the twin
+    /// of DmRPC-net's `PUT_REF`. Each page comes from the owned free FIFO
+    /// and is written in place; its refcount stays at 1, the ref's own pin,
+    /// which is where `alloc` + `store` + `create_ref` + `free` end. The
+    /// creator never maps the pages, so there is no VMA, no PTE and no
+    /// fault, and the copy mode does not apply: there is no mapping to copy
+    /// away from. Costs the stores plus one pipelined batch of the N
+    /// refcount initialisations. All or nothing: a publish that runs out
+    /// of pages hands back the ones it took.
+    pub async fn put_ref(self: &Rc<Self>, data: &[u8]) -> DmResult<Ref> {
+        if data.is_empty() {
+            return Err(DmError::InvalidAddress);
+        }
+        let mut op = telemetry::span(SpanKind::DmOp, "cxl.put_ref", self.node_id());
+        if let Some(s) = op.as_mut() {
+            s.attr("len", data.len() as u64);
+        }
+        let mut pages = Vec::with_capacity(data.len().div_ceil(PAGE_SIZE));
+        for chunk in data.chunks(PAGE_SIZE) {
+            let p = match self.take_page().await {
+                Ok(p) => p,
+                Err(e) => {
+                    for p in pages {
+                        let rc = self.gfam.rc_dec(p);
+                        debug_assert_eq!(rc, 0, "an unpublished page has one pin");
+                        self.give_back_page(p);
+                    }
+                    return Err(e);
+                }
+            };
+            self.gfam.zero_page(p);
+            self.gfam.write_page(p, 0, chunk);
+            pages.push(p);
+        }
+        self.gfam.access(data.len() as u64).await;
+        self.charge_atomics(pages.len()).await;
+        Ok(Ref::Cxl {
+            len: data.len() as u64,
+            pages,
+        })
+    }
+
     /// `map_ref` (paper §V-B3): allocate a CXL virtual range and install
     /// read-only PTEs onto the shared physical pages.
     pub async fn map_ref(self: &Rc<Self>, r: &Ref) -> DmResult<u64> {

@@ -308,6 +308,67 @@ mod e2e_tests {
     }
 
     #[test]
+    fn put_ref_costs_its_stores_and_one_atomic_batch() {
+        let r = rig(1);
+        let (net, params, cn, c0) = (r.net.clone(), r.params.clone(), r.coord_node, r.compute[0]);
+        r.sim.block_on(async move {
+            let fabric = CxlFabric::new(&net, cn, 1024, params, CxlHostConfig::default());
+            let host = fabric.new_host(RpcBuilder::new(&net, c0, 100).build());
+            // Fill the owned-free FIFO so no publish waits on the coordinator.
+            let warm = host.put_ref(&vec![0u8; 32 * PAGE_SIZE]).await.unwrap();
+            host.release_ref(&warm).await.unwrap();
+            let g = fabric.gfam().clone();
+            let stats = host.stats().clone();
+            // (elapsed ns, faults, atomics) of one unloaded call.
+            let measure = |before: (simcore::SimTime, u64, u64)| {
+                (
+                    (simcore::now() - before.0).as_nanos() as u64,
+                    stats.faults.get() - before.1,
+                    g.atomic_ops() - before.2,
+                )
+            };
+            let start = || (simcore::now(), stats.faults.get(), g.atomic_ops());
+
+            // len / 64 GB/s of stores behind one CXL latency, then the N
+            // refcount initialisations as one pipelined batch.
+            for len in [
+                1,
+                PAGE_SIZE - 1,
+                PAGE_SIZE,
+                3 * PAGE_SIZE + 1,
+                16 * PAGE_SIZE,
+            ] {
+                let n = len.div_ceil(PAGE_SIZE) as u64;
+                let s = start();
+                let r = host.put_ref(&vec![7u8; len]).await.unwrap();
+                let want = (len as u64).div_ceil(64) + 2 * 265 + 20 * n;
+                assert_eq!(measure(s), (want, 0, n), "put_ref of {len} B");
+                assert!(host.pte_snapshot().is_empty());
+                host.release_ref(&r).await.unwrap();
+            }
+            let s = start();
+            let fast = host.put_ref(&vec![7u8; 16 * PAGE_SIZE]).await.unwrap();
+            assert_eq!(measure(s), (1_874, 0, 16), "64 KiB put_ref");
+
+            // Listing 1's publish of the same bytes: one fault (400 ns trap +
+            // 30 ns PTE) per page, the stores, a 30 ns PTE flip per page and
+            // the increment batch; the synchronous `free` charges nothing.
+            // Atomics: 16 initialisations, 16 increments, 16 decrements.
+            let s = start();
+            let va = host.alloc(16 * PS).unwrap();
+            host.store(va, &vec![7u8; 16 * PAGE_SIZE]).await.unwrap();
+            let slow = host.create_ref(va, 16 * PS).await.unwrap();
+            host.free(va).unwrap();
+            assert_eq!(measure(s), (9_234, 16, 48), "64 KiB Listing-1 publish");
+
+            for r in [fast, slow] {
+                host.release_ref(&r).await.unwrap();
+            }
+            check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &[host], &[]);
+        });
+    }
+
+    #[test]
     fn ownership_batching_amortizes_coordinator_rpcs() {
         let r = rig(1);
         let (net, params, cn, c0) = (r.net.clone(), r.params.clone(), r.coord_node, r.compute[0]);

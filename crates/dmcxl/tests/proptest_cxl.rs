@@ -1,7 +1,8 @@
 //! Property tests for the CXL G-FAM backend: random multi-host write
-//! patterns never violate COW isolation or page-conservation invariants.
+//! patterns never violate COW isolation or page-conservation invariants,
+//! and the one-step publish leaves the fabric as Listing 1's does.
 
-use dmcommon::{Ref, PAGE_SIZE};
+use dmcommon::{CopyMode, Ref, PAGE_SIZE};
 use dmcxl::{check_fabric_invariants, CxlFabric, CxlHostConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
@@ -10,6 +11,86 @@ use simcore::Sim;
 use simnet::{FabricConfig, Network, NicConfig};
 
 const PS: u64 = PAGE_SIZE as u64;
+
+/// `put_ref` and the `alloc` / `store` / `create_ref` / `free` sequence
+/// leave the same fabric state under both copy modes: the same bytes, one
+/// pin per page and no PTE, every page free again after `release_ref`. A
+/// second host that maps either ref and writes still copies on write.
+#[test]
+fn put_ref_leaves_the_fabric_as_the_listing1_publish_does() {
+    let sizes = [
+        1,
+        PAGE_SIZE - 1,
+        PAGE_SIZE,
+        PAGE_SIZE + 1,
+        3 * PAGE_SIZE + 1,
+        128 << 10,
+    ];
+    for copy_mode in [CopyMode::CopyOnWrite, CopyMode::Eager] {
+        for len in sizes {
+            let sim = Sim::new();
+            sim.block_on(async move {
+                let net = Network::new(FabricConfig::default(), 29);
+                let coord = net.add_node("coord", NicConfig::default());
+                let capacity = 1024;
+                let cfg = CxlHostConfig {
+                    copy_mode,
+                    ..Default::default()
+                };
+                let fabric = CxlFabric::new(&net, coord, capacity, ModelParams::new(), cfg);
+                let mk = |name: &str| {
+                    let node = net.add_node(name, NicConfig::default());
+                    fabric.new_host(RpcBuilder::new(&net, node, 100).build())
+                };
+                let (publisher, reader) = (mk("publisher"), mk("reader"));
+                let hosts = [publisher.clone(), reader.clone()];
+                let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8 | 1).collect();
+
+                let fast = publisher.put_ref(&data).await.unwrap();
+                let va = publisher.alloc(len as u64).unwrap();
+                publisher.store(va, &data).await.unwrap();
+                let listing1 = publisher.create_ref(va, len as u64).await.unwrap();
+                publisher.free(va).unwrap();
+
+                let mut pins = Vec::new();
+                for r in [&fast, &listing1] {
+                    let Ref::Cxl { len: rlen, pages } = r else {
+                        unreachable!()
+                    };
+                    assert_eq!(*rlen, len as u64);
+                    assert_eq!(pages.len(), len.div_ceil(PAGE_SIZE));
+                    pins.extend(pages.iter().map(|&p| (p, 1)));
+                    let rva = reader.map_ref(r).await.unwrap();
+                    let got = reader.load(rva, len as u64).await.unwrap();
+                    assert_eq!(&got[..], &data[..], "{copy_mode:?} {len} B");
+                    reader.free(rva).unwrap();
+                }
+                for h in &hosts {
+                    assert!(h.pte_snapshot().is_empty(), "{copy_mode:?} {len} B");
+                }
+                // rc == PTEs + pins, and no PTE: exactly one pin per page.
+                check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &hosts, &pins);
+
+                for (i, r) in [&fast, &listing1].into_iter().enumerate() {
+                    let rva = reader.map_ref(r).await.unwrap();
+                    reader.store(rva, &[0]).await.unwrap();
+                    assert_eq!(reader.stats().cow_copies.get(), i as u64 + 1);
+                    reader.free(rva).unwrap();
+                    let rva = reader.map_ref(r).await.unwrap();
+                    let got = reader.load(rva, len as u64).await.unwrap();
+                    assert_eq!(&got[..], &data[..], "a COW write reached the ref");
+                    reader.free(rva).unwrap();
+                    publisher.release_ref(r).await.unwrap();
+                }
+                // Let watermark returns drain.
+                simcore::sleep(std::time::Duration::from_millis(1)).await;
+                check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &hosts, &[]);
+                let free: usize = hosts.iter().map(|h| h.owned_free_pages()).sum();
+                assert_eq!(free + fabric.coordinator().free_pages(), capacity);
+            });
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
