@@ -68,11 +68,10 @@ pub struct ClusterConfig {
     /// something to it: `capacity_pages` sizes the whole G-FAM device and
     /// `copy_mode` selects COW or the `-copy` ablation.
     pub dm: DmServerConfig,
-    /// Client-side translation/ref cache and control-op coalescer applied
-    /// to every DmNet endpoint (DESIGN.md §9). Defaults to all-on — the
-    /// DmRPC-net system is measured with its cached client; benches ablate
-    /// it by passing [`dmnet::CacheConfig::default`] (all off).
-    pub dm_client_cache: dmnet::CacheConfig,
+    /// Client-side ref cache and control-op coalescer on every DmNet
+    /// endpoint (DESIGN.md §9). Defaults to on — the DmRPC-net system is
+    /// measured with its cached client; benches ablate it with `false`.
+    pub dm_client_cache: bool,
 }
 
 impl Default for ClusterConfig {
@@ -82,7 +81,7 @@ impl Default for ClusterConfig {
             threshold: None,
             rpc: RpcConfig::default(),
             dm: DmServerConfig::default(),
-            dm_client_cache: dmnet::CacheConfig::all_on(),
+            dm_client_cache: true,
         }
     }
 }

@@ -31,7 +31,7 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::social::build_social_scaled;
 use apps::workload::{run_closed_loop, run_open_loop_classified};
 use bytes::Bytes;
-use dmnet::{CacheConfig, DmNetClient, DmServer, DmServerConfig};
+use dmnet::{DmNetClient, DmServer, DmServerConfig};
 use loadgen::Population;
 use memsim::ModelParams;
 use rpclib::{RpcBuilder, RpcConfig};
@@ -181,18 +181,18 @@ fn chaos_config(fault: Option<FaultClass>) -> ClusterConfig {
 }
 
 /// A bare-pool chaos client on its own node: chaos RPC tuning, no
-/// concurrency limit, `cache` as the case needs.
+/// concurrency limit, the client cache on iff `cached`.
 async fn chaos_client(
     net: &Network,
     name: &str,
     pool: &[simnet::Addr],
-    cache: CacheConfig,
+    cached: bool,
 ) -> (NodeId, Rc<DmNetClient>) {
     let node = net.add_node(name, NicConfig::default());
     let rpc = RpcBuilder::new(net, node, 100)
         .config(chaos_rpc_config())
         .build();
-    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cache)
+    let client = DmNetClient::connect_with(rpc, pool.to_vec(), cached)
         .await
         .expect("fault-free connect");
     (node, Rc::new(client))
@@ -451,11 +451,10 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let mut clients = Vec::new();
         let mut links = Vec::new();
         for i in 0..4 {
-            // Caching + batching on, under a coherent server: the fault
-            // sweep must hold every invariant with the DESIGN.md §9/§15
-            // client cache in play.
-            let cache = CacheConfig::all_on();
-            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, cache).await;
+            // Client cache on, under a coherent server: the fault sweep
+            // must hold every invariant with the DESIGN.md §9/§15 client
+            // cache in play.
+            let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, true).await;
             clients.push(c);
             links.push((node, dm_node));
         }
@@ -555,8 +554,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             // Read every acked ref back through a fresh cache-off client,
             // so hits must come from the recovered server itself rather
             // than a survivor's cache.
-            let cache_off = CacheConfig::default();
-            let (_, verifier) = chaos_client(&net, "verify", &pool, cache_off).await;
+            let (_, verifier) = chaos_client(&net, "verify", &pool, false).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
                 let got = verifier.read_ref(r, 0, 512).await;

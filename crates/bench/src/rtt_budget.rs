@@ -20,7 +20,6 @@ use apps::chain::build_chain;
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::workload::run_closed_loop;
 use bytes::Bytes;
-use dmnet::CacheConfig;
 use simcore::Sim;
 
 use crate::report::{f2, Table};
@@ -38,7 +37,7 @@ pub struct RttPoint {
     pub ctrl: u64,
     /// Data-plane wire messages across every endpoint's DM client.
     pub data: u64,
-    /// Cache hits (data reads + mapping reuses).
+    /// Cache hits (`read_ref`s served locally).
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
@@ -150,14 +149,14 @@ where
     }
 }
 
-/// Run the Fig. 5 chain at `length` under `cache` and count every wire
-/// message the cluster's DM clients send after setup and one warm-up
-/// request.
-pub fn run_point(length: usize, cache: CacheConfig) -> RttPoint {
+/// Run the Fig. 5 chain at `length`, the client cache on iff `cached`, and
+/// count every wire message the cluster's DM clients send after setup and
+/// one warm-up request.
+pub fn run_point(length: usize, cached: bool) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
         let config = ClusterConfig {
-            dm_client_cache: cache,
+            dm_client_cache: cached,
             ..Default::default()
         };
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, 42);
@@ -208,8 +207,8 @@ pub fn run() {
         ],
     );
     for length in [1usize, 3, 5] {
-        let base = run_point(length, CacheConfig::default());
-        let cached = run_point(length, CacheConfig::all_on());
+        let base = run_point(length, false);
+        let cached = run_point(length, true);
         for (label, p, reduction) in [
             ("uncached", &base, 0.0),
             (
@@ -245,8 +244,8 @@ mod tests {
     fn caching_and_batching_cut_control_rtts_by_a_third() {
         // The ISSUE 3 acceptance bar: >= 30% fewer control-plane round
         // trips per op on the Fig. 5 chain with caching + batching on.
-        let base = run_point(3, CacheConfig::default());
-        let cached = run_point(3, CacheConfig::all_on());
+        let base = run_point(3, false);
+        let cached = run_point(3, true);
         assert!(base.ops > 0 && cached.ops > 0);
         assert!(base.ctrl > 0, "chain has a control-plane cost to amortize");
         let reduction = ctrl_reduction_pct(&base, &cached);

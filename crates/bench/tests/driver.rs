@@ -571,6 +571,7 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
         "admission",
         "dm_client_max_inflight",
         "codel_target",
+        "batching",
     ];
     for field in gone {
         assert_eq!(declaring(field), [""; 0], "{field}");

@@ -1,32 +1,31 @@
-//! Client-side translation/ref cache and control-op coalescer
-//! (DESIGN.md §9).
+//! Client-side ref cache and control-op coalescer (DESIGN.md §9).
 //!
 //! COW makes a live ref's bytes immutable: every write goes through a
 //! `(pid, va)` translation and copies first whenever the ref still pins the
-//! page, and a ref without any mapping cannot be written at all. So a
-//! client may cache both a ref's bytes (`read_ref`) and its own idle
-//! mapping of a ref (`map_ref`) and reuse them without a round trip — the
-//! only hazard is a ref that has *died* (released explicitly or reclaimed
-//! with its owner's lease). The server therefore piggybacks an
-//! *invalidation epoch* on every response, advanced on each ref-releasing
-//! event; entries are only served while their fill epoch equals the latest
-//! epoch this client has observed from that server. A stale entry can thus
-//! never serve bytes that diverge from what the ref held while it was
-//! alive; at worst a read that raced a foreign release returns the ref's
-//! final bytes instead of `InvalidRef`, exactly the race an uncached
-//! client loses to in-flight.
+//! page. So a client may cache a ref's bytes (`read_ref`) and serve repeat
+//! reads without a round trip — the only hazard is a ref that has *died*
+//! (released explicitly or reclaimed with its owner's lease). The server
+//! therefore piggybacks an *invalidation epoch* on every response, advanced
+//! on each ref-releasing event; entries are only served while their fill
+//! epoch equals the latest epoch this client has observed from that server.
+//! A stale entry can thus never serve bytes that diverge from what the ref
+//! held while it was alive; at worst a read that raced a foreign release
+//! returns the ref's final bytes instead of `InvalidRef`, exactly the race
+//! an uncached client loses to in-flight.
 //!
-//! The coalescer queues small control ops (`release_ref`, deferred
-//! mapping frees) per server and folds them into one [`req::BATCH`] wire
-//! message within a bounded flush window. Any synchronous request that
-//! names a queued key or region flushes first, preserving program order.
+//! The coalescer queues `release_ref`s per server and folds them into one
+//! [`crate::proto::req::BATCH`] wire message within a bounded flush
+//! window. Any synchronous request that names a queued key flushes first,
+//! preserving program order. The cache pins nothing server-side, and a
+//! queued release keeps its ref alive at most one `FLUSH_WINDOW` (plus
+//! the batch's round trip) past the app's `release_ref`.
 //!
 //! **A coherent server** (DESIGN.md §15) replaces the all-or-nothing
 //! epoch with per-ref versions: its responses piggyback `(key, version)`
 //! pairs for the refs they touched, and it pushes targeted
-//! [`req::INVALIDATE`] messages to clients whose cached copy of a ref just
-//! died. Which kind a server is, and its *read lease*, the client learns
-//! when it registers. Entries are stamped with
+//! [`crate::proto::req::INVALIDATE`] messages to clients whose cached copy
+//! of a ref just died. Which kind a server is, and its *read lease*, the
+//! client learns when it registers. Entries are stamped with
 //! the version known at fill time plus that lease; a serve requires the
 //! entry's version to be at least the latest known version of its key
 //! **and** the lease to be unexpired, so an invalidation lost to the
@@ -36,15 +35,14 @@
 //! every version reads 0 and no entry carries a lease: the epoch decides.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
-use dmcommon::GlobalPid;
 use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
-use crate::proto::{req, N_REQ_TYPES};
+use crate::proto::N_REQ_TYPES;
 
 /// Known-version entries kept per server (FIFO).
 /// A forgotten entry is re-learned from the next version block or push for the
@@ -56,34 +54,16 @@ const KNOWN_MAX: usize = 1024;
 /// flushed (virtual time).
 pub(crate) const FLUSH_WINDOW: Duration = Duration::from_micros(10);
 
+/// Queued control ops per server before a flush is forced ahead of the
+/// timer (bounds batch size and client-side queue memory).
+pub(crate) const MAX_BATCH_OPS: usize = 64;
+
 /// Ref-data entries kept per server (second-chance eviction).
 const MAX_ENTRIES: usize = 256;
 
 /// Saturation point of a data entry's reference count: an entry hit this
 /// often survives that many eviction passes without another hit.
 const REF_MAX: u8 = 3;
-
-/// Tuning for the client-side cache and coalescer. The default disables
-/// both, keeping a raw [`crate::DmNetClient`]'s wire behavior identical to
-/// the pre-cache client; [`CacheConfig::all_on`] is what the cluster layer
-/// uses for DmRPC-net.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheConfig {
-    /// Cache ref bytes and idle ref mappings client-side.
-    pub enabled: bool,
-    /// Coalesce control ops into batched wire messages.
-    pub batching: bool,
-}
-
-impl CacheConfig {
-    /// Caching and batching both on (the DmRPC-net cluster default).
-    pub fn all_on() -> CacheConfig {
-        CacheConfig {
-            enabled: true,
-            batching: true,
-        }
-    }
-}
 
 /// Cache observability counters ([`crate::translator::Translator`]-style),
 /// fed into the bench report by `xtra_rtt_budget`.
@@ -99,12 +79,12 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Lookups served without a round trip (data reads + mapping reuses).
+    /// `read_ref`s served without a round trip.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Lookups that went to the wire.
+    /// `read_ref`s that went to the wire.
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
@@ -150,35 +130,6 @@ struct DataEntry {
     refs: Cell<u8>,
 }
 
-/// This client's own mapping of a ref, tracked for sequential reuse: after
-/// the app frees a *clean* mapping the release is deferred and the mapping
-/// handed back on the next `map_ref` of the same key without a round trip.
-struct MapEntry {
-    va: u64,
-    len: u64,
-    epoch: u64,
-    /// Version of the ref known when the mapping was noted (0 when never
-    /// reported).
-    ver: u64,
-    /// The app currently holds this mapping (not reusable).
-    in_use: bool,
-    /// Written through since mapped; a dirty mapping is never reused (its
-    /// pages may have COW-diverged from the ref) and its free is not
-    /// deferred.
-    dirty: bool,
-}
-
-/// What the client should do with an `rfree` aimed at a tracked mapping.
-pub(crate) enum FreeAction {
-    /// Clean idle-able mapping: release deferred, no wire op.
-    Deferred,
-    /// The va matches a mapping the app already freed: the double free
-    /// fails locally exactly as the server would fail it.
-    AlreadyFreed,
-    /// Untracked (or dirty / epoch-stale) mapping: send the wire free.
-    PassThrough,
-}
-
 #[derive(Default)]
 struct ServerCache {
     /// Latest invalidation epoch observed from this server.
@@ -191,16 +142,11 @@ struct ServerCache {
     /// Eviction scan order of `data` keys: insertion order, with a key that
     /// was given a second chance moved to the back.
     data_order: RefCell<VecDeque<u64>>,
-    /// Tracked mappings by ref key (BTreeMap: drain order must be
-    /// deterministic).
-    maps: RefCell<BTreeMap<u64, MapEntry>>,
     /// Coalescer queue: framed control ops awaiting a flush, each with
     /// the trace context of the request that enqueued it (if sampled).
     pending: RefCell<Vec<(u8, Bytes, Option<TraceCtx>)>>,
     /// Ref keys named by queued ops (conflict detection).
     pending_keys: RefCell<BTreeSet<u64>>,
-    /// Regions named by queued ops (conflict detection).
-    pending_vas: RefCell<BTreeSet<(u32, u64)>>,
     /// A flush timer is already scheduled for this server.
     flush_scheduled: Cell<bool>,
     /// Drained batches whose `BATCH` call has not returned yet.
@@ -233,27 +179,21 @@ impl Drop for BatchInFlight<'_> {
     }
 }
 
-/// Per-client cache state: one [`ServerCache`] per DM server plus shared
-/// configuration, cache counters and wire-message counters.
+/// Per-client cache state: one [`ServerCache`] per DM server plus cache
+/// counters and wire-message counters.
 pub(crate) struct ClientCache {
-    config: CacheConfig,
     servers: Vec<ServerCache>,
     stats: CacheStats,
     wire: RefCell<[u64; N_REQ_TYPES]>,
 }
 
 impl ClientCache {
-    pub(crate) fn new(n_servers: usize, config: CacheConfig) -> ClientCache {
+    pub(crate) fn new(n_servers: usize) -> ClientCache {
         ClientCache {
-            config,
             servers: (0..n_servers).map(|_| ServerCache::default()).collect(),
             stats: CacheStats::default(),
             wire: RefCell::new([0; N_REQ_TYPES]),
         }
-    }
-
-    pub(crate) fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     pub(crate) fn stats(&self) -> &CacheStats {
@@ -294,13 +234,11 @@ impl ClientCache {
     // -- epochs --------------------------------------------------------------
 
     /// Fold a response's piggybacked epoch in. An advance invalidates every
-    /// cached entry filled before it; idle deferred mappings are enqueued
-    /// for their real frees (their pins must not outlive the entry).
-    /// Returns true if the caller should (re)schedule a flush.
-    pub(crate) fn observe_epoch(&self, idx: usize, epoch: u64) -> bool {
+    /// cached entry filled before it.
+    pub(crate) fn observe_epoch(&self, idx: usize, epoch: u64) {
         let s = &self.servers[idx];
         if epoch <= s.epoch.get() {
-            return false;
+            return;
         }
         s.epoch.set(epoch);
         if s.serve_for.get().is_some() {
@@ -313,25 +251,9 @@ impl ClientCache {
         let dropped = s.data.borrow().len();
         s.data.borrow_mut().clear();
         s.data_order.borrow_mut().clear();
-        let mut invalidated = dropped as u64;
-        let mut needs_flush = false;
-        // Idle mappings filled under an older epoch are no longer
-        // reusable; turn their deferred releases into queued wire frees.
-        let mut maps = s.maps.borrow_mut();
-        let stale: Vec<u64> = maps
-            .iter()
-            .filter(|&(_, e)| !e.in_use && e.epoch < epoch)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in stale {
-            let e = maps.remove(&key).expect("key collected above");
-            invalidated += 1;
-            needs_flush |= self.queue_free_locked(s, e.va);
-        }
         self.stats
             .invalidations
-            .set(self.stats.invalidations.get() + invalidated);
-        needs_flush
+            .set(self.stats.invalidations.get() + dropped as u64);
     }
 
     // -- per-ref versions ----------------------------------------------------
@@ -339,10 +261,8 @@ impl ClientCache {
     /// Fold a `(key, version)` report in — from a response version block
     /// (`targeted == false`) or a server invalidation push
     /// (`targeted == true`). A version advance drops the key's stale data
-    /// entry and turns its stale idle mapping's deferred release into a
-    /// queued wire free. Returns true if the caller should schedule a
-    /// flush.
-    pub(crate) fn observe_version(&self, idx: usize, key: u64, ver: u64, targeted: bool) -> bool {
+    /// entry.
+    pub(crate) fn observe_version(&self, idx: usize, key: u64, ver: u64, targeted: bool) {
         if targeted {
             self.stats
                 .targeted_inv
@@ -350,7 +270,7 @@ impl ClientCache {
         }
         let s = &self.servers[idx];
         if ver <= s.known_ver(key) {
-            return false;
+            return;
         }
         {
             let mut known = s.known.borrow_mut();
@@ -363,30 +283,18 @@ impl ClientCache {
                 }
             }
         }
-        self.drop_entries(s, key, |filled_at| filled_at < ver)
+        self.drop_data(s, key, |e| e.ver < ver);
     }
 
-    /// Drop what is cached under `key` — its data entry and its idle
-    /// mapping, whose deferred release becomes a queued wire free — where
-    /// `stale` says so of the version the entry was filled at. Returns true
-    /// if the caller should schedule a flush.
-    fn drop_entries(&self, s: &ServerCache, key: u64, stale: impl Fn(u64) -> bool) -> bool {
-        let mut invalidated = 0;
-        if matches!(s.data.borrow().get(&key), Some(e) if stale(e.ver)) {
+    /// Drop `key`'s data entry where `stale` says so of it.
+    fn drop_data(&self, s: &ServerCache, key: u64, stale: impl Fn(&DataEntry) -> bool) {
+        if matches!(s.data.borrow().get(&key), Some(e) if stale(e)) {
             s.data.borrow_mut().remove(&key);
             s.data_order.borrow_mut().retain(|&k| k != key);
-            invalidated += 1;
+            self.stats
+                .invalidations
+                .set(self.stats.invalidations.get() + 1);
         }
-        let mut needs_flush = false;
-        if matches!(s.maps.borrow().get(&key), Some(e) if !e.in_use && stale(e.ver)) {
-            let e = s.maps.borrow_mut().remove(&key).expect("checked above");
-            invalidated += 1;
-            needs_flush = self.queue_free_locked(s, e.va);
-        }
-        self.stats
-            .invalidations
-            .set(self.stats.invalidations.get() + invalidated);
-        needs_flush
     }
 
     // -- ref data ------------------------------------------------------------
@@ -397,15 +305,9 @@ impl ClientCache {
         let s = &self.servers[idx];
         // The entry's fill-time version must still be current and its read
         // lease, if it has one, unexpired.
-        let stale = matches!(s.data.borrow().get(&key), Some(e) if e.ver < s.known_ver(key)
-            || e.leased_until.is_some_and(|t| t <= simcore::now()));
-        if stale {
-            s.data.borrow_mut().remove(&key);
-            s.data_order.borrow_mut().retain(|&k| k != key);
-            self.stats
-                .invalidations
-                .set(self.stats.invalidations.get() + 1);
-        }
+        self.drop_data(s, key, |e| {
+            e.ver < s.known_ver(key) || e.leased_until.is_some_and(|t| t <= simcore::now())
+        });
         let data = s.data.borrow();
         let hit = data.get(&key).and_then(|e| {
             let covered = e.epoch == s.epoch.get() && off + len <= e.bytes.len() as u64;
@@ -466,159 +368,44 @@ impl ClientCache {
         }
     }
 
-    /// Drop everything cached under `key` (the client is releasing it).
-    /// Returns true if the caller should schedule a flush.
-    pub(crate) fn invalidate_key(&self, idx: usize, key: u64) -> bool {
-        self.drop_entries(&self.servers[idx], key, |_| true)
-    }
-
-    // -- mappings ------------------------------------------------------------
-
-    /// Reuse this client's idle, clean, epoch-fresh mapping of `key`.
-    pub(crate) fn take_mapping(&self, idx: usize, key: u64) -> Option<(u64, u64)> {
-        let s = &self.servers[idx];
-        let mut maps = s.maps.borrow_mut();
-        // Mappings are real server-side pins, so unlike data entries they
-        // need no read lease: a reused mapping of a dead ref still holds
-        // its (immutable) pages. Version-gate them anyway so a known-dead
-        // ref's mapping is not handed back.
-        let reusable = matches!(
-            maps.get(&key),
-            Some(e) if !e.in_use && !e.dirty && e.epoch == s.epoch.get()
-                && e.ver >= s.known_ver(key)
-        );
-        if reusable {
-            let e = maps.get_mut(&key).expect("checked above");
-            e.in_use = true;
-            self.stats.hits.set(self.stats.hits.get() + 1);
-            Some((e.va, e.len))
-        } else {
-            self.stats.misses.set(self.stats.misses.get() + 1);
-            None
-        }
-    }
-
-    /// Track a fresh server-side mapping of `key`. A key whose previous
-    /// mapping the app still holds is left untracked: two live mappings of
-    /// one ref must stay distinct (COW isolation between them).
-    pub(crate) fn note_mapping(&self, idx: usize, key: u64, va: u64, len: u64, resp_epoch: u64) {
-        let s = &self.servers[idx];
-        let mut maps = s.maps.borrow_mut();
-        if maps.contains_key(&key) {
-            return;
-        }
-        maps.insert(
-            key,
-            MapEntry {
-                va,
-                len,
-                epoch: resp_epoch.max(s.epoch.get()),
-                ver: s.known_ver(key),
-                in_use: true,
-                dirty: false,
-            },
-        );
-    }
-
-    /// Note a write through `va`: a tracked mapping containing it becomes
-    /// dirty (its pages may COW-diverge from the ref, so it is never
-    /// reused).
-    pub(crate) fn mark_dirty(&self, idx: usize, va: u64) {
-        let mut maps = self.servers[idx].maps.borrow_mut();
-        if let Some(e) = maps.values_mut().find(|e| e.va <= va && va < e.va + e.len) {
-            e.dirty = true;
-        }
-    }
-
-    /// Decide how an `rfree(va)` interacts with tracked mappings.
-    pub(crate) fn on_rfree(&self, idx: usize, va: u64) -> FreeAction {
-        let s = &self.servers[idx];
-        let mut maps = s.maps.borrow_mut();
-        let Some((&key, e)) = maps.iter_mut().find(|(_, e)| e.va == va) else {
-            return FreeAction::PassThrough;
-        };
-        if !e.in_use {
-            return FreeAction::AlreadyFreed;
-        }
-        if !e.dirty && e.epoch == s.epoch.get() && e.ver >= s.known_ver(key) {
-            e.in_use = false;
-            return FreeAction::Deferred;
-        }
-        maps.remove(&key);
-        FreeAction::PassThrough
-    }
-
-    /// Remove every deferred (idle) mapping, queueing their real frees.
-    /// Returns true if the caller should flush. Used by
-    /// [`crate::DmNetClient::flush_cache`].
-    pub(crate) fn purge_deferred(&self, idx: usize) -> bool {
-        let s = &self.servers[idx];
-        let mut maps = s.maps.borrow_mut();
-        let idle: Vec<u64> = maps
-            .iter()
-            .filter(|&(_, e)| !e.in_use)
-            .map(|(&k, _)| k)
-            .collect();
-        let mut needs_flush = false;
-        for key in idle {
-            let e = maps.remove(&key).expect("key collected above");
-            needs_flush |= self.queue_free_locked(s, e.va);
-        }
-        needs_flush
+    /// Drop what is cached under `key` (the client is releasing it).
+    pub(crate) fn invalidate_key(&self, idx: usize, key: u64) {
+        self.drop_data(&self.servers[idx], key, |_| true);
     }
 
     // -- coalescer -----------------------------------------------------------
 
-    /// Queue a framed control op. Returns true if the caller should
-    /// schedule a flush timer (none is pending yet).
-    pub(crate) fn enqueue(
-        &self,
-        idx: usize,
-        ty: u8,
-        body: Bytes,
-        key: Option<u64>,
-        region: Option<(GlobalPid, u64)>,
-    ) -> bool {
+    /// Queue a framed control op naming `key`. Returns true if the caller
+    /// should schedule a flush timer (none is pending yet).
+    pub(crate) fn enqueue(&self, idx: usize, ty: u8, body: Bytes, key: u64) -> bool {
         let s = &self.servers[idx];
         // Captured here, not at flush: the flush timer task has no trace
         // context, but the request that queued the op does.
         s.pending
             .borrow_mut()
             .push((ty, body, telemetry::current_ctx()));
-        if let Some(k) = key {
-            s.pending_keys.borrow_mut().insert(k);
-        }
-        if let Some((pid, va)) = region {
-            s.pending_vas.borrow_mut().insert((pid.0, va));
-        }
+        s.pending_keys.borrow_mut().insert(key);
         self.stats.batched_ops.set(self.stats.batched_ops.get() + 1);
         !s.flush_scheduled.replace(true)
     }
 
-    /// Queue a deferred-mapping free (pid is filled by the client when the
-    /// batch is encoded — the cache does not know pids). Returns true if a
-    /// flush should be scheduled.
-    fn queue_free_locked(&self, s: &ServerCache, va: u64) -> bool {
-        s.pending
-            .borrow_mut()
-            .push((req::FREE, free_marker(va), telemetry::current_ctx()));
-        s.pending_vas.borrow_mut().insert((u32::MAX, va));
-        self.stats.batched_ops.set(self.stats.batched_ops.get() + 1);
-        !s.flush_scheduled.replace(true)
-    }
-
-    /// Take the queued ops for `idx`, clearing conflict sets and the
+    /// Take the queued ops for `idx`, clearing the conflict set and the
     /// flush-scheduled flag.
     pub(crate) fn drain(&self, idx: usize) -> Vec<(u8, Bytes, Option<TraceCtx>)> {
         let s = &self.servers[idx];
         s.flush_scheduled.set(false);
         s.pending_keys.borrow_mut().clear();
-        s.pending_vas.borrow_mut().clear();
         std::mem::take(&mut *s.pending.borrow_mut())
     }
 
     pub(crate) fn has_pending(&self, idx: usize) -> bool {
         !self.servers[idx].pending.borrow().is_empty()
+    }
+
+    /// Whether `idx`'s queue holds [`MAX_BATCH_OPS`] ops, so the next one
+    /// must wait for a flush.
+    pub(crate) fn queue_full(&self, idx: usize) -> bool {
+        self.servers[idx].pending.borrow().len() >= MAX_BATCH_OPS
     }
 
     /// Mark a drained batch as on the wire until the returned guard drops.
@@ -628,33 +415,17 @@ impl ClientCache {
         BatchInFlight(s)
     }
 
-    /// Wait until no drained batch is still on the wire. Returns whether
-    /// it had to wait (a landed batch's reply may have queued more ops).
-    pub(crate) async fn batches_landed(&self, idx: usize) -> bool {
+    /// Wait until no drained batch is still on the wire.
+    pub(crate) async fn batches_landed(&self, idx: usize) {
         let s = &self.servers[idx];
-        let waited = s.batches_in_flight.get() > 0;
         while s.batches_in_flight.get() > 0 {
             s.batch_landed.notified().await;
         }
-        waited
-    }
-
-    pub(crate) fn pending_len(&self, idx: usize) -> usize {
-        self.servers[idx].pending.borrow().len()
     }
 
     /// Whether a queued op names `key`.
     pub(crate) fn pending_names_key(&self, idx: usize, key: u64) -> bool {
         self.servers[idx].pending_keys.borrow().contains(&key)
-    }
-
-    /// Whether a queued op names the region at `va` (any pid).
-    pub(crate) fn pending_names_va(&self, idx: usize, va: u64) -> bool {
-        self.servers[idx]
-            .pending_vas
-            .borrow()
-            .iter()
-            .any(|&(_, v)| v == va)
     }
 
     /// Count one flushed batch (its ops were counted at enqueue, its
@@ -664,23 +435,13 @@ impl ClientCache {
     }
 }
 
-/// Marker body for a deferred free queued before the client frames the
-/// real `[pid][va]` body (the cache layer does not know pids).
-fn free_marker(va: u64) -> Bytes {
-    Bytes::from(va.to_le_bytes().to_vec())
-}
-
-/// Decode a [`free_marker`] body back into its va.
-pub(crate) fn read_free_marker(body: &Bytes) -> u64 {
-    u64::from_le_bytes(body[..8].try_into().expect("marker is 8 bytes"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::req;
 
     fn cache() -> ClientCache {
-        ClientCache::new(1, CacheConfig::all_on())
+        ClientCache::new(1)
     }
 
     #[test]
@@ -763,7 +524,7 @@ mod tests {
         let c = cache();
         c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
         assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        assert!(!c.observe_epoch(0, 3), "no deferred mappings to free");
+        c.observe_epoch(0, 3);
         assert!(c.lookup_data(0, 1, 0, 1).is_none());
         assert_eq!(c.stats().invalidations(), 1);
         // A late fill from before the advance is discarded.
@@ -786,44 +547,11 @@ mod tests {
     }
 
     #[test]
-    fn mapping_defer_and_reuse_state_machine() {
-        let c = cache();
-        c.note_mapping(0, 9, 0x1000, 4096, 0);
-        // In use: a second map of the same key is not served from cache.
-        assert!(c.take_mapping(0, 9).is_none());
-        // Clean free defers; the next map reuses without a round trip.
-        assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::Deferred));
-        assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::AlreadyFreed));
-        assert_eq!(c.take_mapping(0, 9), Some((0x1000, 4096)));
-        // Dirty mappings are never deferred.
-        c.mark_dirty(0, 0x1000 + 64);
-        assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::PassThrough));
-        assert!(
-            c.take_mapping(0, 9).is_none(),
-            "entry dropped with the free"
-        );
-    }
-
-    #[test]
-    fn epoch_advance_frees_deferred_mappings() {
-        let c = cache();
-        c.note_mapping(0, 9, 0x1000, 4096, 0);
-        assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::Deferred));
-        // The advance must queue the real free and ask for a flush.
-        assert!(c.observe_epoch(0, 1));
-        assert!(c.take_mapping(0, 9).is_none());
-        let ops = c.drain(0);
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].0, req::FREE);
-        assert_eq!(read_free_marker(&ops[0].1), 0x1000);
-    }
-
-    #[test]
     fn conflict_sets_track_queued_ops() {
         let c = cache();
-        assert!(c.enqueue(0, req::RELEASE_REF, Bytes::new(), Some(5), None));
+        assert!(c.enqueue(0, req::RELEASE_REF, Bytes::new(), 5));
         assert!(
-            !c.enqueue(0, req::RELEASE_REF, Bytes::new(), Some(6), None),
+            !c.enqueue(0, req::RELEASE_REF, Bytes::new(), 6),
             "flush already scheduled"
         );
         assert!(c.pending_names_key(0, 5));
@@ -832,6 +560,44 @@ mod tests {
         assert_eq!(c.drain(0).len(), 2);
         assert!(!c.pending_names_key(0, 5), "drain clears conflicts");
         assert!(!c.has_pending(0));
+    }
+
+    #[test]
+    fn a_full_queue_flushes_before_the_window() {
+        use crate::e2e_tests::{client_rpc, connect_cached, rig};
+        use crate::{start_pool, DmServerConfig};
+
+        let r = rig(1, 1);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
+        r.sim.block_on(async move {
+            let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
+            let dm = connect_cached(client_rpc(&net, c0, 100), &[servers[0].addr()]).await;
+            let free = || servers[0].with_page_manager(|pm| pm.free_pages());
+            let mut refs = Vec::new();
+            for _ in 0..=MAX_BATCH_OPS {
+                refs.push(dm.put_ref(&Bytes::from(vec![1; 4096])).await.unwrap());
+            }
+            let pinned = free();
+            let dm = std::rc::Rc::new(dm);
+            let app = dm.clone();
+            simcore::spawn_detached(async move {
+                for r in &refs {
+                    app.release_ref(r).await.unwrap();
+                }
+            });
+            // The 65th release found the queue full and sent the first 64
+            // as one batch inside the window the first of them opened; it
+            // waits for that batch's reply before queueing itself.
+            simcore::sleep(FLUSH_WINDOW - Duration::from_nanos(1)).await;
+            assert_eq!(dm.wire_count(req::BATCH), 1);
+            assert_eq!(dm.cache_stats().batched_ops(), MAX_BATCH_OPS as u64);
+            // It rides the next batch.
+            simcore::sleep(FLUSH_WINDOW * 10).await;
+            assert_eq!(dm.wire_count(req::BATCH), 2);
+            assert_eq!(dm.cache_stats().batched_ops(), MAX_BATCH_OPS as u64 + 1);
+            assert_eq!(free(), pinned + MAX_BATCH_OPS + 1);
+        });
     }
 
     /// A cache whose one server said it is coherent, on the default lease.
@@ -850,11 +616,12 @@ mod tests {
             c.observe_version(0, 2, 1, false);
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
             c.fill_data(0, 2, 0, Bytes::from_static(b"b"));
-            assert!(!c.observe_version(0, 1, 2, true), "no mapping to free");
+            c.observe_version(0, 1, 2, true);
             assert!(c.lookup_data(0, 1, 0, 1).is_none(), "stale key dropped");
             assert!(c.lookup_data(0, 2, 0, 1).is_some(), "unrelated key kept");
             assert_eq!(c.stats().targeted_inv(), 1);
             assert_eq!(c.stats().broadcast_inv(), 0);
+            assert_eq!(c.stats().invalidations(), 1);
             // Replayed/reordered push for an older version is a no-op.
             c.observe_version(0, 2, 1, true);
             assert!(c.lookup_data(0, 2, 0, 1).is_some());
@@ -877,19 +644,28 @@ mod tests {
     }
 
     #[test]
-    fn version_advance_reclaims_stale_idle_mapping() {
+    fn forgotten_versions_fall_back_to_the_read_lease() {
         let sim = simcore::Sim::new();
         sim.block_on(async {
             let c = fg_cache();
-            c.observe_version(0, 9, 1, false);
-            c.note_mapping(0, 9, 0x1000, 4096, 0);
-            assert!(matches!(c.on_rfree(0, 0x1000), FreeAction::Deferred));
-            assert!(c.observe_version(0, 9, 2, true), "queues the real free");
-            assert!(c.take_mapping(0, 9).is_none());
-            let ops = c.drain(0);
-            assert_eq!(ops.len(), 1);
-            assert_eq!(ops[0].0, req::FREE);
-            assert_eq!(read_free_marker(&ops[0].1), 0x1000);
+            let s = &c.servers[0];
+            c.observe_version(0, 1, 1, false);
+            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
+            // One report past the bound forgets exactly the oldest key.
+            for key in 2..=KNOWN_MAX as u64 + 1 {
+                c.observe_version(0, key, 1, false);
+            }
+            assert_eq!(s.known.borrow().len(), KNOWN_MAX);
+            assert_eq!(s.known_order.borrow().len(), KNOWN_MAX);
+            assert_eq!(s.known_ver(1), 0, "oldest forgotten");
+            assert_eq!(s.known_ver(2), 1);
+            // Key 1's invalidation is lost: its entry keeps serving the
+            // ref's final bytes until the read lease runs out, no longer.
+            let lease = crate::proto::DEFAULT_READ_LEASE;
+            simcore::sleep(lease - Duration::from_nanos(1)).await;
+            assert!(c.lookup_data(0, 1, 0, 1).is_some());
+            simcore::sleep(Duration::from_nanos(1)).await;
+            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
         });
     }
 

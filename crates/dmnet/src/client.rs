@@ -7,12 +7,13 @@
 //! allocation request would be forwarded to one of the memory servers in a
 //! round-robin manner"), the one placement (DESIGN.md §13).
 //!
-//! [`DmNetClient::connect_with`] additionally layers the DESIGN.md §9
-//! translation/ref cache and control-op coalescer over the wire protocol:
-//! repeat `read_ref`/`map_ref` of a live ref are served locally, and small
-//! control ops (`release_ref`, deferred mapping frees) ride a single
-//! [`req::BATCH`] message per flush window. [`DmNetClient::connect`] keeps
-//! both off, preserving the raw one-op-one-RPC behavior.
+//! [`DmNetClient::connect_with`] can additionally layer the DESIGN.md §9
+//! ref cache and control-op coalescer over the wire protocol: repeat
+//! `read_ref`s of a live ref are served locally, and `release_ref`s ride a
+//! single [`req::BATCH`] message per flush window. Every other op, `map_ref`
+//! and `rfree` included, is one wire request either way.
+//! [`DmNetClient::connect`] keeps both off, preserving the raw
+//! one-op-one-RPC behavior.
 //!
 //! Every op reaches the wire through one function (`request_at`), sent to
 //! the server its address or [`Ref`] names. What each server does about
@@ -28,12 +29,8 @@ use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref, RemoteAddr};
 use rpclib::{Message, Rpc, RpcError};
 use simnet::Addr;
 
-use crate::cache::{CacheConfig, CacheStats, ClientCache, FreeAction, FLUSH_WINDOW};
+use crate::cache::{CacheStats, ClientCache, FLUSH_WINDOW};
 use crate::proto::{self, req, split_response, Reader, Reply, Writer};
-
-/// Queued control ops per server before a flush is forced ahead of the
-/// timer (bounds batch size and client-side queue memory).
-const MAX_BATCH_OPS: usize = 64;
 
 /// Handle to the DM pool for one process.
 ///
@@ -51,14 +48,16 @@ pub struct DmNetClient {
     /// Shared liveness flag: cleared on drop or simulated crash, which
     /// stops the renewal task and any pending batch flush.
     alive: Rc<Cell<bool>>,
+    /// The DESIGN.md §9 ref cache and coalescer are on.
+    cached: bool,
     cache: Rc<ClientCache>,
 }
 
 impl DmNetClient {
     /// Register this process with every DM server in the pool, with the
-    /// client cache and coalescer off ([`CacheConfig::default`]).
+    /// client cache and coalescer off.
     pub async fn connect(rpc: Rc<Rpc>, servers: Vec<Addr>) -> DmResult<DmNetClient> {
-        DmNetClient::connect_with(rpc, servers, CacheConfig::default()).await
+        DmNetClient::connect_with(rpc, servers, false).await
     }
 
     /// Register this process with every DM server in the pool. If the
@@ -67,14 +66,14 @@ impl DmNetClient {
     /// coherent (DESIGN.md §15), the client serves its invalidation pushes
     /// and honours its read lease. Both are learned here, per server.
     ///
-    /// `cache` selects the DESIGN.md §9 caching/batching behavior.
+    /// `cached` turns on the DESIGN.md §9 ref cache and coalescer.
     pub async fn connect_with(
         rpc: Rc<Rpc>,
         servers: Vec<Addr>,
-        cache: CacheConfig,
+        cached: bool,
     ) -> DmResult<DmNetClient> {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
-        let cache = Rc::new(ClientCache::new(servers.len(), cache));
+        let cache = Rc::new(ClientCache::new(servers.len()));
         let mut pids = Vec::with_capacity(servers.len());
         let (mut lease_ttl, mut any_coherent) = (None, false);
         for (i, &s) in servers.iter().enumerate() {
@@ -109,27 +108,16 @@ impl DmNetClient {
             // Targeted invalidation push (DESIGN.md §15): a coherent server
             // that bumps a ref's version sends `[key u64][ver u64]` to every
             // read-lease holder. Folding the version drops exactly the named
-            // key's cached entries; everything else keeps serving.
-            let pool: Rc<[(Addr, GlobalPid)]> =
-                servers.iter().copied().zip(pids.iter().copied()).collect();
-            let (cache_h, rpc_h, alive_h) = (cache.clone(), rpc.clone(), alive.clone());
+            // key's cached entry; everything else keeps serving.
+            let (cache, pool) = (cache.clone(), servers.clone());
             rpc.register(req::INVALIDATE, move |ctx| {
-                let (cache, rpc, alive) = (cache_h.clone(), rpc_h.clone(), alive_h.clone());
-                let pool = pool.clone();
-                async move {
-                    let mut r = Reader::of(&ctx.payload);
-                    if let (Ok(key), Ok(ver)) = (r.u64(), r.u64()) {
-                        if let Some(idx) = pool.iter().position(|&(a, _)| a == ctx.src) {
-                            // An invalidated idle mapping becomes a queued
-                            // free; drain it on the usual flush window.
-                            if cache.observe_version(idx, key, ver, true) && alive.get() {
-                                let (addr, pid) = pool[idx];
-                                spawn_flush(&rpc, &cache, &alive, idx, addr, pid);
-                            }
-                        }
+                let mut r = Reader::of(&ctx.payload);
+                if let (Ok(key), Ok(ver)) = (r.u64(), r.u64()) {
+                    if let Some(idx) = pool.iter().position(|&a| a == ctx.src) {
+                        cache.observe_version(idx, key, ver, true);
                     }
-                    Bytes::new()
                 }
+                std::future::ready(Bytes::new())
             });
         }
         if let Some(ttl) = lease_ttl {
@@ -165,6 +153,7 @@ impl DmNetClient {
             next_rr: Cell::new(0),
             lease_ttl,
             alive,
+            cached,
             cache,
         })
     }
@@ -264,19 +253,13 @@ impl DmNetClient {
             Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
         };
         let (epoch, reply) = split_response(&resp);
-        if self.cache.observe_epoch(idx, epoch) {
-            self.schedule_flush(server);
-        }
+        self.cache.observe_epoch(idx, epoch);
         match reply {
             Reply::Ok { body, versions } => {
                 // What a coherent server says about the refs this op
                 // touched: each pair drops any entry it proves stale.
-                let mut needs_flush = false;
                 for (key, ver) in versions.into_iter().flatten() {
-                    needs_flush |= self.cache.observe_version(idx, key, ver, false);
-                }
-                if needs_flush {
-                    self.schedule_flush(server);
+                    self.cache.observe_version(idx, key, ver, false);
                 }
                 // For a read, the server's payload buffer itself.
                 (epoch, Ok(body.into_bytes()))
@@ -301,22 +284,27 @@ impl DmNetClient {
     /// pending.
     fn schedule_flush(&self, server: DmServerId) {
         let idx = server.0 as usize;
-        let (addr, pid) = (self.servers[idx], self.pids[idx]);
-        spawn_flush(&self.rpc, &self.cache, &self.alive, idx, addr, pid);
+        let addr = self.servers[idx];
+        let (rpc, cache, alive) = (self.rpc.clone(), self.cache.clone(), self.alive.clone());
+        simcore::spawn_detached(async move {
+            loop {
+                simcore::sleep(FLUSH_WINDOW).await;
+                flush_batch(&rpc, &cache, &alive, idx, addr).await;
+                // Releases queued while the batch was on the wire armed a
+                // timer of their own, which fires first and leaves this
+                // pass an empty queue; the pass is kept because the chaos
+                // sweep's pinned poll counts include its wake-ups.
+                if !alive.get() || !cache.has_pending(idx) {
+                    return;
+                }
+            }
+        });
     }
 
     /// Flush `server`'s queued control ops now (ahead of the timer).
     async fn flush_server(&self, server: DmServerId) {
         let idx = server.0 as usize;
-        flush_batch(
-            &self.rpc,
-            &self.cache,
-            &self.alive,
-            idx,
-            self.servers[idx],
-            self.pids[idx],
-        )
-        .await;
+        flush_batch(&self.rpc, &self.cache, &self.alive, idx, self.servers[idx]).await;
         if self.cache.has_pending(idx) {
             self.schedule_flush(server);
         }
@@ -330,31 +318,17 @@ impl DmNetClient {
         }
     }
 
-    /// Program-order fence for requests naming a region with a queued free.
-    async fn flush_if_pending_va(&self, server: DmServerId, va: u64) {
-        if self.cache.pending_names_va(server.0 as usize, va) {
-            self.flush_server(server).await;
-        }
-    }
-
-    /// Flush every queued control op and release every deferred mapping,
-    /// returning the client to a no-hidden-state condition (all its pins
-    /// and pages are visible server-side). Tests and graceful teardown use
-    /// this before asserting server-side invariants.
+    /// Send every queued control op now and wait for each batch to land,
+    /// instead of leaving the last ones to the flush window. Tests and
+    /// measurements use this before reading server-side state.
     pub async fn flush_cache(&self) {
         for i in 0..self.servers.len() {
-            let server = DmServerId(i as u8);
-            loop {
-                self.cache.purge_deferred(i);
-                while self.cache.has_pending(i) {
-                    self.flush_server(server).await;
-                }
-                // A batch the flush timer drained may still be on the
-                // wire, its frees not applied yet.
-                if !self.cache.batches_landed(i).await {
-                    break;
-                }
+            while self.cache.has_pending(i) {
+                self.flush_server(DmServerId(i as u8)).await;
             }
+            // A batch the flush timer drained may still be on the wire,
+            // its releases not applied yet.
+            self.cache.batches_landed(i).await;
         }
     }
 
@@ -374,23 +348,7 @@ impl DmNetClient {
     }
 
     /// Deallocate a region. Table II: `rfree(remote_addr)`.
-    ///
-    /// Freeing this client's own clean mapping of a ref defers the release
-    /// (the mapping is kept for reuse by the next `map_ref` of the same
-    /// key); the real free is sent when the entry is invalidated or
-    /// [`DmNetClient::flush_cache`] runs.
     pub async fn rfree(&self, addr: RemoteAddr) -> DmResult<()> {
-        let idx = addr.server.0 as usize;
-        self.flush_if_pending_va(addr.server, addr.va).await;
-        if self.cache.config().enabled {
-            match self.cache.on_rfree(idx, addr.va) {
-                FreeAction::Deferred => return Ok(()),
-                // Double free of a deferred mapping: fail locally exactly
-                // as the server would.
-                FreeAction::AlreadyFreed => return Err(DmError::InvalidAddress),
-                FreeAction::PassThrough => {}
-            }
-        }
         let body = Writer::new().pid(addr.pid).u64(addr.va).finish();
         self.request(addr.server, req::FREE, body).await?;
         Ok(())
@@ -398,12 +356,6 @@ impl DmNetClient {
 
     /// Write `data` to DM at `addr`. Table II: `rwrite`.
     pub async fn rwrite(&self, addr: RemoteAddr, data: &Bytes) -> DmResult<()> {
-        self.flush_if_pending_va(addr.server, addr.va).await;
-        if self.cache.config().enabled {
-            // A written-through mapping may COW-diverge from its ref; it
-            // must never be handed back by a cached `map_ref`.
-            self.cache.mark_dirty(addr.server.0 as usize, addr.va);
-        }
         let body = Writer::new()
             .pid(addr.pid)
             .u64(addr.va)
@@ -415,7 +367,6 @@ impl DmNetClient {
 
     /// Read `len` bytes of DM from `addr`. Table II: `rread`.
     pub async fn rread(&self, addr: RemoteAddr, len: u64) -> DmResult<Bytes> {
-        self.flush_if_pending_va(addr.server, addr.va).await;
         let body = Writer::new().pid(addr.pid).u64(addr.va).u64(len).finish();
         self.request(addr.server, req::READ, body).await
     }
@@ -423,7 +374,6 @@ impl DmNetClient {
     /// Create a shared reference to `[addr, addr+len)`. Table II:
     /// `create_ref(remote_addr, size)`.
     pub async fn create_ref(&self, addr: RemoteAddr, len: u64) -> DmResult<Ref> {
-        self.flush_if_pending_va(addr.server, addr.va).await;
         let body = Writer::new().pid(addr.pid).u64(addr.va).u64(len).finish();
         let resp = self.request(addr.server, req::CREATE_REF, body).await?;
         let mut r = Reader::new(&resp);
@@ -435,28 +385,14 @@ impl DmNetClient {
     }
 
     /// Map a reference into this process's DM address space. Table II:
-    /// `map_ref(ref)`. A back-to-back re-map of a ref this client already
-    /// mapped (and cleanly freed) is served from the cache without a round
-    /// trip.
+    /// `map_ref(ref)`.
     pub async fn map_ref(&self, r: &Ref) -> DmResult<RemoteAddr> {
         let (server, key) = Self::resolve(r)?;
         let pid = self.pid_at(server);
         self.flush_if_pending_key(server, key).await;
-        if self.cache.config().enabled {
-            if let Some((va, _len)) = self.cache.take_mapping(server.0 as usize, key) {
-                return Ok(RemoteAddr { server, pid, va });
-            }
-        }
         let body = Writer::new().pid(pid).u64(key).finish();
-        let (epoch, res) = self.request_at(server, req::MAP_REF, body).await;
-        let resp = res?;
-        let mut rd = Reader::new(&resp);
-        let va = rd.u64()?;
-        let len = rd.u64()?;
-        if self.cache.config().enabled {
-            self.cache
-                .note_mapping(server.0 as usize, key, va, len, epoch);
-        }
+        let resp = self.request(server, req::MAP_REF, body).await?;
+        let va = Reader::new(&resp).u64()?;
         Ok(RemoteAddr { server, pid, va })
     }
 
@@ -467,7 +403,7 @@ impl DmNetClient {
         let server = self.next_round_robin();
         let (epoch, res) = self.request_at(server, req::PUT_REF, data.into()).await;
         let key = Reader::new(&res?).u64()?;
-        if self.cache.config().enabled {
+        if self.cached {
             // Write-allocate: the publisher knows the ref's bytes.
             self.cache
                 .fill_data(server.0 as usize, key, epoch, data.clone());
@@ -484,14 +420,14 @@ impl DmNetClient {
     pub async fn read_ref(&self, r: &Ref, off: u64, len: u64) -> DmResult<Bytes> {
         let (server, key) = Self::resolve(r)?;
         self.flush_if_pending_key(server, key).await;
-        if self.cache.config().enabled {
+        if self.cached {
             if let Some(bytes) = self.cache.lookup_data(server.0 as usize, key, off, len) {
                 return Ok(bytes);
             }
         }
         let body = Writer::new().u64(key).u64(off).u64(len).finish();
         let (epoch, res) = self.request_at(server, req::READ_REF, body).await;
-        if self.cache.config().enabled && off == 0 {
+        if self.cached && off == 0 {
             if let Ok(bytes) = &res {
                 // Fill so the next read hits.
                 self.cache
@@ -501,24 +437,22 @@ impl DmNetClient {
         res
     }
 
-    /// Release a reference (API extension; see DESIGN.md §6). With
-    /// batching on, the release is queued and folded into the next
-    /// coalesced [`req::BATCH`] message (bounded by the flush window); the
-    /// local cache entries for the key are dropped immediately.
+    /// Release a reference (API extension; see DESIGN.md §6). With the
+    /// cache on, the key's cached bytes are dropped immediately and the
+    /// release is queued and folded into the next coalesced [`req::BATCH`]
+    /// message (bounded by the flush window).
     pub async fn release_ref(&self, r: &Ref) -> DmResult<()> {
         let (server, key) = Self::resolve(r)?;
         let idx = server.0 as usize;
-        if self.cache.config().enabled && self.cache.invalidate_key(idx, key) {
-            self.schedule_flush(server);
-        }
         let body = Writer::new().u64(key).finish();
-        if self.cache.config().batching {
-            if self.cache.pending_len(idx) >= MAX_BATCH_OPS {
+        if self.cached {
+            self.cache.invalidate_key(idx, key);
+            if self.cache.queue_full(idx) {
                 self.flush_server(server).await;
             }
             if self
                 .cache
-                .enqueue(idx, req::RELEASE_REF, body.into_bytes(), Some(key), None)
+                .enqueue(idx, req::RELEASE_REF, body.into_bytes(), key)
             {
                 self.schedule_flush(server);
             }
@@ -527,69 +461,25 @@ impl DmNetClient {
             // batch response and dropped.
             return Ok(());
         }
-        self.flush_if_pending_key(server, key).await;
         self.request(server, req::RELEASE_REF, body).await?;
         Ok(())
     }
 }
 
-/// Spawn the bounded-window flush timer for server `idx`'s queued control
-/// ops. A free function over the shared handles because the `INVALIDATE`
-/// handler schedules flushes too, and it outlives any `&DmNetClient`.
-fn spawn_flush(
-    rpc: &Rc<Rpc>,
-    cache: &Rc<ClientCache>,
-    alive: &Rc<Cell<bool>>,
-    idx: usize,
-    addr: Addr,
-    pid: GlobalPid,
-) {
-    let (rpc, cache, alive) = (rpc.clone(), cache.clone(), alive.clone());
-    simcore::spawn_detached(async move {
-        loop {
-            simcore::sleep(FLUSH_WINDOW).await;
-            flush_batch(&rpc, &cache, &alive, idx, addr, pid).await;
-            // The flush response's epoch may have turned deferred
-            // mapping releases into queued frees; drain those too.
-            if !alive.get() || !cache.has_pending(idx) {
-                return;
-            }
-        }
-    });
-}
-
-/// Drain and send one coalesced [`req::BATCH`] for server `idx`. Deferred
-/// mapping frees are queued by the cache as bare-va markers (the cache
-/// layer does not know pids); they are framed into real `FREE` bodies
-/// here. Sub-op failures are reported per-slot by the server and dropped,
-/// matching the fire-and-forget contract of the batched ops.
+/// Drain and send one coalesced [`req::BATCH`] for server `idx`. Sub-op
+/// failures are reported per-slot by the server and dropped, matching the
+/// fire-and-forget contract of the batched ops.
 async fn flush_batch(
     rpc: &Rc<Rpc>,
-    cache: &Rc<ClientCache>,
-    alive: &Rc<Cell<bool>>,
+    cache: &ClientCache,
+    alive: &Cell<bool>,
     idx: usize,
     addr: Addr,
-    pid: GlobalPid,
 ) {
     let ops = cache.drain(idx);
     if ops.is_empty() || !alive.get() {
         return;
     }
-    let ops: Vec<(u8, Bytes, Option<telemetry::TraceCtx>)> = ops
-        .into_iter()
-        .map(|(ty, body, ctx)| {
-            if ty == req::FREE {
-                let va = crate::cache::read_free_marker(&body);
-                (
-                    ty,
-                    Writer::new().pid(pid).u64(va).finish().into_bytes(),
-                    ctx,
-                )
-            } else {
-                (ty, body, ctx)
-            }
-        })
-        .collect();
     cache.count_wire(req::BATCH);
     cache.note_batch();
     let body = proto::encode_batch_traced(&ops);

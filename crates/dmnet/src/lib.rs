@@ -33,7 +33,7 @@ pub mod wal;
 /// Re-export of the shared VA-range allocator (lives in [`dmcommon`]).
 pub use dmcommon::va_tree;
 
-pub use cache::{CacheConfig, CacheStats};
+pub use cache::CacheStats;
 pub use client::DmNetClient;
 pub use page_manager::{OpCost, PageManager};
 pub use server::{start_pool, CoherenceConfig, DmServer, DmServerConfig, RecoveryReport};
@@ -52,15 +52,15 @@ mod e2e_tests {
 
     use super::*;
 
-    struct Rig {
-        sim: Sim,
-        net: Network,
-        params: ModelParams,
-        dm_nodes: Vec<NodeId>,
-        compute: Vec<NodeId>,
+    pub(crate) struct Rig {
+        pub(crate) sim: Sim,
+        pub(crate) net: Network,
+        pub(crate) params: ModelParams,
+        pub(crate) dm_nodes: Vec<NodeId>,
+        pub(crate) compute: Vec<NodeId>,
     }
 
-    fn rig(n_dm: usize, n_compute: usize) -> Rig {
+    pub(crate) fn rig(n_dm: usize, n_compute: usize) -> Rig {
         let sim = Sim::new();
         let net = Network::new(FabricConfig::default(), 11);
         let dm_nodes = (0..n_dm)
@@ -78,13 +78,13 @@ mod e2e_tests {
         }
     }
 
-    fn client_rpc(net: &Network, node: NodeId, port: u16) -> Rc<Rpc> {
+    pub(crate) fn client_rpc(net: &Network, node: NodeId, port: u16) -> Rc<Rpc> {
         RpcBuilder::new(net, node, port).build()
     }
 
-    /// Connect with `cache`.
-    async fn connect_cfg(rpc: Rc<Rpc>, pool: &[simnet::Addr], cache: CacheConfig) -> DmNetClient {
-        DmNetClient::connect_with(rpc, pool.to_vec(), cache)
+    /// Connect with the client cache on.
+    pub(crate) async fn connect_cached(rpc: Rc<Rpc>, pool: &[simnet::Addr]) -> DmNetClient {
+        DmNetClient::connect_with(rpc, pool.to_vec(), true)
             .await
             .unwrap()
     }
@@ -745,55 +745,34 @@ mod e2e_tests {
     }
 
     #[test]
-    fn map_ref_memoizes_repeat_maps() {
-        // Regression: back-to-back map_ref of the same ref used to issue a
-        // duplicate round trip. With the cache on, the second map (after a
-        // clean rfree) is served locally: exactly one MAP_REF wire message
-        // and zero FREE wire messages until the cache is flushed.
+    fn cached_client_holds_no_hidden_pins() {
+        // With the cache on, `map_ref` and `rfree` are one wire op each, as
+        // on the raw client: a clean free reaches the server at once, and a
+        // released ref is back in the free list one flush window later,
+        // with no `flush_cache` to surface anything.
         let r = rig(1, 1);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
         r.sim.block_on(async move {
             let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
-            let dm = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &[servers[0].addr()],
-                CacheConfig::all_on(),
-            )
-            .await;
+            let dm = connect_cached(client_rpc(&net, c0, 100), &[servers[0].addr()]).await;
+            let free = || servers[0].with_page_manager(|pm| pm.free_pages());
+            let capacity = servers[0].with_page_manager(|pm| pm.capacity_pages());
 
-            let addr = dm.ralloc(8192).await.unwrap();
-            dm.rwrite(addr, &Bytes::from(vec![0x42; 8192]))
-                .await
-                .unwrap();
-            let r = dm.create_ref(addr, 8192).await.unwrap();
-            dm.rfree(addr).await.unwrap();
+            let r = dm.put_ref(&Bytes::from(vec![0x42; 8192])).await.unwrap();
+            let m = dm.map_ref(&r).await.unwrap();
+            assert_eq!(&dm.rread(m, 8).await.unwrap()[..], &[0x42; 8]);
+            dm.rfree(m).await.unwrap(); // clean
+            assert_eq!(dm.wire_count(proto::req::FREE), 1, "free held back");
+            assert_eq!(free(), capacity - 2, "only the ref's own pages pinned");
+            // The server, not the client, answers the double free.
+            assert_eq!(dm.rfree(m).await.unwrap_err(), DmError::InvalidAddress);
+            assert_eq!(dm.wire_count(proto::req::FREE), 2);
 
-            let m1 = dm.map_ref(&r).await.unwrap();
-            assert_eq!(&dm.rread(m1, 8).await.unwrap()[..], &[0x42; 8]);
-            dm.rfree(m1).await.unwrap(); // clean: release deferred
-            let m2 = dm.map_ref(&r).await.unwrap();
-            assert_eq!(m2.va, m1.va, "same mapping handed back");
-            assert_eq!(&dm.rread(m2, 8).await.unwrap()[..], &[0x42; 8]);
-
-            assert_eq!(dm.wire_count(proto::req::MAP_REF), 1, "duplicate map RTT");
-            // Exactly one wire FREE so far: the raw region free above. The
-            // mapping free was deferred, not sent.
-            assert_eq!(dm.wire_count(proto::req::FREE), 1, "deferred free leaked");
-            assert!(dm.cache_stats().hits() >= 1);
-
-            // Double free of the deferred mapping fails locally, like the
-            // server would fail it.
-            dm.rfree(m2).await.unwrap();
-            assert_eq!(dm.rfree(m2).await.unwrap_err(), DmError::InvalidAddress);
-
-            // Flushing surfaces the hidden state; everything reclaims.
             dm.release_ref(&r).await.unwrap();
-            dm.flush_cache().await;
-            servers[0].with_page_manager(|pm| {
-                pm.check_invariants();
-                assert_eq!(pm.free_pages(), pm.capacity_pages(), "pages leaked");
-            });
+            simcore::sleep(cache::FLUSH_WINDOW * 2).await;
+            assert_eq!(free(), capacity, "release held back");
+            servers[0].with_page_manager(|pm| pm.check_invariants());
         });
     }
 
@@ -808,15 +787,7 @@ mod e2e_tests {
             let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone())
                 .await
                 .unwrap();
-            let reader = connect_cfg(
-                client_rpc(&net, c1, 100),
-                &pool,
-                CacheConfig {
-                    enabled: true,
-                    batching: false,
-                },
-            )
-            .await;
+            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
 
             let data = Bytes::from((0..8192u32).map(|i| (i % 241) as u8).collect::<Vec<_>>());
             let r = owner.put_ref(&data).await.unwrap();
@@ -859,12 +830,7 @@ mod e2e_tests {
         let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
         r.sim.block_on(async move {
             let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
-            let dm = connect_cfg(
-                client_rpc(&net, c0, 100),
-                &[servers[0].addr()],
-                CacheConfig::all_on(),
-            )
-            .await;
+            let dm = connect_cached(client_rpc(&net, c0, 100), &[servers[0].addr()]).await;
 
             let mut refs = Vec::new();
             for i in 0..8u8 {
@@ -919,9 +885,8 @@ mod e2e_tests {
             let mut servers = start_pool(&net, &dms[..1], &params, leased);
             servers.extend(start_pool(&net, &dms[1..], &params, plain));
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let ccfg = CacheConfig::all_on();
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg).await;
-            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, ccfg).await;
+            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
+            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
             assert_eq!(reader.lease_ttl(), Some(ttl));
 
             // Round-robin: refs 0 and 2 on the coherent server, 1 and 3 on
@@ -1019,10 +984,9 @@ mod e2e_tests {
             let lease = std::time::Duration::from_micros(500);
             let servers = start_pool(&net, &[dm0], &params, coherent(lease));
             let pool = vec![servers[0].addr()];
-            let ccfg = CacheConfig::all_on();
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, ccfg).await;
+            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
             let rrpc = client_rpc(&net, c1, 100);
-            let reader = connect_cfg(rrpc.clone(), &pool, ccfg).await;
+            let reader = connect_cached(rrpc.clone(), &pool).await;
 
             let da = Bytes::from(vec![0xCD; 4096]);
             let ra = owner.put_ref(&da).await.unwrap();
@@ -1069,8 +1033,8 @@ mod e2e_tests {
             let servers = start_pool(&net, &[dm0], &params, cfg);
             let epoch0 = servers[0].epoch();
             let pool = vec![servers[0].addr()];
-            let owner = connect_cfg(client_rpc(&net, c0, 100), &pool, CacheConfig::all_on()).await;
-            let reader = connect_cfg(client_rpc(&net, c1, 100), &pool, CacheConfig::all_on()).await;
+            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
+            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
 
             let mut refs = Vec::new();
             for i in 0..4u8 {

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::Ref;
-use dmnet::{start_pool, CacheConfig, CoherenceConfig, DmNetClient, DmServerConfig};
+use dmnet::{start_pool, CoherenceConfig, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Rpc, RpcBuilder};
@@ -28,8 +28,8 @@ enum Op {
     ReadRef { slot: u8, off: u16, len: u16 },
     /// Map a live ref, COW-write through the mapping, read it back, free.
     CowWrite { slot: u8, fill: u8 },
-    /// Map a live ref, read the snapshot, free the mapping (repeats of
-    /// this hit the cached client's memoized mapping).
+    /// Map a live ref, read the snapshot, free the mapping: a cached
+    /// client's mapping reads equal the raw client's.
     MapReadFree { slot: u8 },
     /// Release a live ref on both clients.
     Release { slot: u8 },
@@ -88,7 +88,7 @@ proptest! {
             let cached = DmNetClient::connect_with(
                 client_rpc(&net, c_b, 100),
                 vec![servers[1].addr()],
-                CacheConfig::all_on(),
+                true,
             )
             .await
             .unwrap();
@@ -242,7 +242,7 @@ proptest! {
             let cached = DmNetClient::connect_with(
                 client_rpc(&net, c_b, 100),
                 vec![servers[1].addr()],
-                CacheConfig::all_on(),
+                true,
             )
             .await
             .unwrap();
@@ -386,16 +386,15 @@ proptest! {
                     ..Default::default()
                 },
             );
-            let fg_cfg = CacheConfig::all_on();
             let raw = DmNetClient::connect(client_rpc(&net, c_a, 100), vec![raw_srv[0].addr()])
                 .await
                 .unwrap();
             let reader_rpc = client_rpc(&net, c_b, 100);
             let fg_pool = vec![fg_srv[0].addr()];
-            let reader = DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), fg_cfg)
+            let reader = DmNetClient::connect_with(reader_rpc.clone(), fg_pool.clone(), true)
                 .await
                 .unwrap();
-            let writer = DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, fg_cfg)
+            let writer = DmNetClient::connect_with(client_rpc(&net, c_w, 100), fg_pool, true)
                 .await
                 .unwrap();
 
