@@ -400,20 +400,29 @@ async fn build_social_inner(
                 // Store the post: forward the media value untouched.
                 let store_req = ctx.payload.skip(4).prefixed(&post_id.to_le_bytes());
                 let _ = ep.rpc().call(storage_addr, SOC_STORE, store_req).await;
-                // Timeline updates (small control messages).
-                let mut app = BytesMut::with_capacity(12);
-                app.put_u32_le(user);
-                app.put_u64_le(post_id);
-                let _ = ep.rpc().call(utl_addr, SOC_APPEND_UTL, app.freeze()).await;
-                // Last, so no timeline names a post storage does not hold:
-                // one request carries the whole follower list.
+                // Only then the two timelines, so none names a post storage
+                // does not hold; they go out together, as DeathStarBench's
+                // ComposePost writes them. One request carries the whole
+                // follower list.
                 let followers = graph.followers(user);
                 let mut fan = BytesMut::with_capacity(8 + 4 * followers.len());
                 fan.put_u64_le(post_id);
                 for f in followers {
                     fan.put_u32_le(f);
                 }
-                let _ = ep.rpc().call(htl_addr, SOC_APPEND_HTL, fan.freeze()).await;
+                let trace = telemetry::current_ctx();
+                let htl_call = {
+                    let ep = ep.clone();
+                    simcore::spawn(async move {
+                        let _trace = trace.and_then(telemetry::set_ctx);
+                        let _ = ep.rpc().call(htl_addr, SOC_APPEND_HTL, fan.freeze()).await;
+                    })
+                };
+                let mut app = BytesMut::with_capacity(12);
+                app.put_u32_le(user);
+                app.put_u64_le(post_id);
+                let _ = ep.rpc().call(utl_addr, SOC_APPEND_UTL, app.freeze()).await;
+                htl_call.await;
                 Bytes::from_static(b"ok")
             }
         });
@@ -816,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn compose_issues_three_calls_whatever_the_fanout_in_store_utl_htl_order() {
+    fn compose_issues_three_calls_whatever_the_fanout_storing_before_both_timelines() {
         let sim = Sim::new();
         sim.block_on(async move {
             // 8 followers.
@@ -837,36 +846,36 @@ mod tests {
             let follower = pop.followers(user)[0];
             let app = Rc::new(build_social_scaled(&cluster, pop, 4096, 1, None).await);
             let compose = endpoint(&cluster, &app.servers[1], 101);
-            let calls = move || compose.rpc().stats().calls_completed.get();
-            let before = calls();
+            let before = compose.rpc().stats().calls_completed.get();
             let handled = |port| {
                 let ep = endpoint(&cluster, &app.servers[2], port);
                 move || ep.rpc().stats().requests_handled.get()
             };
             let (utl, storage) = (handled(100), handled(101));
-            // A timeline must never name a post storage does not hold:
+            // A timeline must never name a post storage does not hold, and
+            // once storage holds it, both appends are on the wire together:
             // watch the services while the compose is in flight.
             let watcher = {
-                let app = app.clone();
+                let (app, compose) = (app.clone(), compose.clone());
                 simcore::spawn(async move {
-                    let mut utl_seen_after_store = false;
-                    while app.home_timeline(follower).is_empty() {
-                        if utl() == 1 {
-                            assert_eq!(storage(), 1, "user timeline written before the store");
-                            utl_seen_after_store = true;
+                    let mut both_in_flight = false;
+                    loop {
+                        let htl_written = !app.home_timeline(follower).is_empty();
+                        if utl() > 0 || htl_written {
+                            assert_eq!(storage(), 1, "a timeline written before the store");
+                        }
+                        both_in_flight |= compose.rpc().inflight_calls() == 2;
+                        if utl() == 1 && htl_written {
+                            break;
                         }
                         simcore::sleep(std::time::Duration::from_nanos(50)).await;
                     }
-                    assert_eq!((storage(), utl()), (1, 1), "fan-out ran before the store");
-                    assert!(
-                        utl_seen_after_store,
-                        "watcher never saw the UTL-before-HTL gap"
-                    );
+                    assert!(both_in_flight, "the two appends never overlapped");
                 })
             };
             app.compose(user).await.unwrap();
             watcher.await;
-            assert_eq!(calls() - before, 3);
+            assert_eq!(compose.rpc().stats().calls_completed.get() - before, 3);
             assert_eq!(app.home_timeline(follower), [1]);
         });
     }

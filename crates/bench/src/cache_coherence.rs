@@ -39,8 +39,9 @@ use simcore::Sim;
 use crate::report::{f2, Bound, Table};
 use crate::rtt_budget::{measure, RttPoint};
 
-/// Social-network population (small enough that the hot set fits the
-/// 256-entry per-server cache in *both* modes — the sweep isolates
+/// Social-network population (small enough that the hot set fits each
+/// client's cache in *both* modes: [`POST_CAP`] two-page posts are 320
+/// pages, under a 1536-page share of two DM servers — the sweep isolates
 /// coherence churn, not capacity misses).
 pub const USERS: u32 = 32;
 

@@ -42,9 +42,9 @@ use crate::report::{f2, Bound, Table};
 pub const SCALE_FACTORS: [u32; 4] = [1, 10, 100, 1000];
 
 /// Offered-rate ladder (requests/second) for the knee search: coarse
-/// where latency is flat, 100 krps steps where the knees are (SF=10 near
-/// 1.7 Mrps, the rest near 2.3–2.4 Mrps), and one rung (2.5 Mrps) no scale
-/// factor meets, so every knee is bracketed.
+/// where latency is flat, 100 krps steps where the knees are (2.4 Mrps at
+/// every scale factor), and one rung (2.5 Mrps) no scale factor meets, so
+/// every knee is bracketed.
 pub const RATES: [f64; 20] = [
     50e3, 100e3, 200e3, 300e3, 400e3, 600e3, 800e3, 1000e3, 1200e3, 1300e3, 1400e3, 1500e3, 1600e3,
     1700e3, 1800e3, 2000e3, 2200e3, 2300e3, 2400e3, 2500e3,
@@ -68,7 +68,7 @@ const WINDOW: Duration = Duration::from_millis(5);
 /// The SF=10 knee this sweep finds. The chaos `slo-social` case offers a
 /// multiple of it, so it has to be a constant; [`run`] gates that the
 /// measured knee still equals it.
-pub const SF10_KNEE_RPS: f64 = 1700e3;
+pub const SF10_KNEE_RPS: f64 = 2400e3;
 
 /// Knee multiples driven in phase 2 (overload ON vs OFF at each).
 pub const OVERLOAD_MULTIPLES: [f64; 2] = [2.0, 8.0];

@@ -39,6 +39,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
+use dmcommon::PAGE_SIZE;
 use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
@@ -58,8 +59,10 @@ pub(crate) const FLUSH_WINDOW: Duration = Duration::from_micros(10);
 /// timer (bounds batch size and client-side queue memory).
 pub(crate) const MAX_BATCH_OPS: usize = 64;
 
-/// Ref-data entries kept per server (second-chance eviction).
-const MAX_ENTRIES: usize = 256;
+/// DM pages of ref data one client caches, split evenly among its pool's
+/// servers. An entry is charged [`pages`] against its server's share
+/// (second-chance eviction); one larger than a share is not cached.
+const CACHE_PAGES: usize = 3072;
 
 /// Saturation point of a data entry's reference count: an entry hit this
 /// often survives that many eviction passes without another hit.
@@ -130,6 +133,12 @@ struct DataEntry {
     refs: Cell<u8>,
 }
 
+/// What a cached prefix of `len` bytes is charged: the DM pages it spans,
+/// at least one.
+fn pages(len: usize) -> usize {
+    len.div_ceil(PAGE_SIZE).max(1)
+}
+
 #[derive(Default)]
 struct ServerCache {
     /// Latest invalidation epoch observed from this server.
@@ -142,6 +151,8 @@ struct ServerCache {
     /// Eviction scan order of `data` keys: insertion order, with a key that
     /// was given a second chance moved to the back.
     data_order: RefCell<VecDeque<u64>>,
+    /// Pages charged by the entries in `data`.
+    data_pages: Cell<usize>,
     /// Coalescer queue: framed control ops awaiting a flush, each with
     /// the trace context of the request that enqueued it (if sampled).
     pending: RefCell<Vec<(u8, Bytes, Option<TraceCtx>)>>,
@@ -183,6 +194,8 @@ impl Drop for BatchInFlight<'_> {
 /// counters and wire-message counters.
 pub(crate) struct ClientCache {
     servers: Vec<ServerCache>,
+    /// Each server's share of [`CACHE_PAGES`].
+    share: usize,
     stats: CacheStats,
     wire: RefCell<[u64; N_REQ_TYPES]>,
 }
@@ -191,6 +204,7 @@ impl ClientCache {
     pub(crate) fn new(n_servers: usize) -> ClientCache {
         ClientCache {
             servers: (0..n_servers).map(|_| ServerCache::default()).collect(),
+            share: CACHE_PAGES / n_servers.max(1),
             stats: CacheStats::default(),
             wire: RefCell::new([0; N_REQ_TYPES]),
         }
@@ -251,6 +265,7 @@ impl ClientCache {
         let dropped = s.data.borrow().len();
         s.data.borrow_mut().clear();
         s.data_order.borrow_mut().clear();
+        s.data_pages.set(0);
         self.stats
             .invalidations
             .set(self.stats.invalidations.get() + dropped as u64);
@@ -289,7 +304,8 @@ impl ClientCache {
     /// Drop `key`'s data entry where `stale` says so of it.
     fn drop_data(&self, s: &ServerCache, key: u64, stale: impl Fn(&DataEntry) -> bool) {
         if matches!(s.data.borrow().get(&key), Some(e) if stale(e)) {
-            s.data.borrow_mut().remove(&key);
+            let e = s.data.borrow_mut().remove(&key).expect("just matched");
+            s.data_pages.set(s.data_pages.get() - pages(e.bytes.len()));
             s.data_order.borrow_mut().retain(|&k| k != key);
             self.stats
                 .invalidations
@@ -325,13 +341,15 @@ impl ClientCache {
 
     /// Cache `bytes` as the prefix of `key`, filled under `resp_epoch` (the
     /// epoch piggybacked on the response that produced the bytes). A fill
-    /// from before the latest observed epoch is discarded. Over the bound,
-    /// the scan from the front of `data_order` evicts the first entry with
-    /// no references left and sends each one it passes to the back with
-    /// one fewer (CLOCK); with no hits at all that is FIFO.
+    /// from before the latest observed epoch, or one charged more
+    /// [`pages`] than the server's share, is discarded. Over the share, the
+    /// scan from the front of `data_order` evicts each entry with no
+    /// references left and sends each one it passes to the back with one
+    /// fewer (CLOCK) until the share fits; with no hits at all that is FIFO.
     pub(crate) fn fill_data(&self, idx: usize, key: u64, resp_epoch: u64, bytes: Bytes) {
         let s = &self.servers[idx];
-        if resp_epoch < s.epoch.get() {
+        let charge = pages(bytes.len());
+        if resp_epoch < s.epoch.get() || charge > self.share {
             return;
         }
         // Stamp the version known *now*: the response's version block was folded
@@ -341,31 +359,29 @@ impl ClientCache {
         let leased_until = s.serve_for.get().map(|lease| simcore::now() + lease);
         let mut data = s.data.borrow_mut();
         let mut order = s.data_order.borrow_mut();
-        if data
-            .insert(
-                key,
-                DataEntry {
-                    epoch: resp_epoch,
-                    bytes,
-                    ver,
-                    leased_until,
-                    refs: Cell::new(0),
-                },
-            )
-            .is_none()
-        {
-            order.push_back(key);
+        let entry = DataEntry {
+            epoch: resp_epoch,
+            bytes,
+            ver,
+            leased_until,
+            refs: Cell::new(0),
+        };
+        let mut used = s.data_pages.get() + charge;
+        match data.insert(key, entry) {
+            Some(old) => used -= pages(old.bytes.len()),
+            None => order.push_back(key),
         }
-        while data.len() > MAX_ENTRIES {
+        while used > self.share {
             let oldest = order.pop_front().expect("order tracks data");
             let refs = &data[&oldest].refs;
             if refs.get() == 0 {
-                data.remove(&oldest);
+                used -= pages(data.remove(&oldest).expect("order tracks data").bytes.len());
             } else {
                 refs.set(refs.get() - 1);
                 order.push_back(oldest);
             }
         }
+        s.data_pages.set(used);
     }
 
     /// Drop what is cached under `key` (the client is releasing it).
@@ -444,35 +460,53 @@ mod tests {
         ClientCache::new(1)
     }
 
+    /// A one-byte prefix: charged one page.
+    const ONE: Bytes = Bytes::from_static(b"a");
+
+    /// A prefix of `n` whole pages.
+    fn of_pages(n: usize) -> Bytes {
+        Bytes::from(vec![7; n * PAGE_SIZE])
+    }
+
+    /// Server `idx`'s running page count, checked against its entries.
+    fn used(c: &ClientCache, idx: usize) -> usize {
+        let s = &c.servers[idx];
+        let sum = s.data.borrow().values().map(|e| pages(e.bytes.len())).sum();
+        assert_eq!(s.data_pages.get(), sum, "running count drifted");
+        assert_eq!(s.data_order.borrow().len(), s.data.borrow().len());
+        sum
+    }
+
     #[test]
     fn data_fifo_eviction() {
         let c = cache();
-        // One entry past the bound evicts exactly the oldest.
-        let n = MAX_ENTRIES as u64 + 1;
+        // One page past the share evicts exactly the oldest entry.
+        let n = c.share as u64 + 1;
         for key in 1..=n {
-            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+            c.fill_data(0, key, 0, ONE);
         }
+        assert_eq!(used(&c, 0), c.share);
         assert!(c.lookup_data(0, 1, 0, 1).is_none(), "oldest evicted");
-        assert_eq!(c.lookup_data(0, 2, 0, 1).unwrap(), Bytes::from_static(b"a"));
-        assert_eq!(c.lookup_data(0, n, 0, 1).unwrap(), Bytes::from_static(b"a"));
+        assert_eq!(c.lookup_data(0, 2, 0, 1).unwrap(), ONE);
+        assert_eq!(c.lookup_data(0, n, 0, 1).unwrap(), ONE);
         assert_eq!(c.stats().hits(), 2);
         assert_eq!(c.stats().misses(), 1);
     }
 
-    /// Fill keys `1..=n` with one byte each.
+    /// Fill keys `1..=n` with one byte (one page) each.
     fn fill_keys(c: &ClientCache, n: u64) {
         for key in 1..=n {
-            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+            c.fill_data(0, key, 0, ONE);
         }
     }
 
     #[test]
     fn data_hit_earns_a_second_chance() {
         let c = cache();
-        let n = MAX_ENTRIES as u64;
+        let n = c.share as u64;
         fill_keys(&c, n);
         assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
+        c.fill_data(0, n + 1, 0, ONE);
         // The scan passes the hit key 1 (to the back, count spent) and
         // evicts key 2, the oldest never hit.
         assert!(c.lookup_data(0, 2, 0, 1).is_none(), "never-hit key evicted");
@@ -483,7 +517,7 @@ mod tests {
     #[test]
     fn saturated_cache_evicts_exactly_one_per_fill() {
         let c = cache();
-        let n = MAX_ENTRIES as u64;
+        let n = c.share as u64;
         fill_keys(&c, n);
         for key in 1..=n {
             for _ in 0..=REF_MAX {
@@ -493,9 +527,9 @@ mod tests {
         let s = &c.servers[0];
         let all_at = |refs: u8| s.data.borrow().values().all(|e| e.refs.get() == refs);
         assert!(all_at(REF_MAX));
-        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
-        assert_eq!(s.data.borrow().len(), MAX_ENTRIES);
-        assert_eq!(s.data_order.borrow().len(), MAX_ENTRIES);
+        c.fill_data(0, n + 1, 0, ONE);
+        assert_eq!(s.data.borrow().len(), c.share);
+        assert_eq!(used(&c, 0), c.share);
         // One pass spent one count of every old entry, then reached the
         // newcomer, the only entry with none left.
         assert!(all_at(REF_MAX - 1));
@@ -505,18 +539,96 @@ mod tests {
     #[test]
     fn partial_range_miss_does_not_mark_the_entry() {
         let c = cache();
-        let n = MAX_ENTRIES as u64;
+        let n = c.share as u64;
         c.fill_data(0, 1, 0, Bytes::from_static(b"ab"));
         for key in 2..=n {
-            c.fill_data(0, key, 0, Bytes::from_static(b"a"));
+            c.fill_data(0, key, 0, ONE);
         }
         assert!(c.lookup_data(0, 1, 1, 2).is_none(), "past the prefix");
-        c.fill_data(0, n + 1, 0, Bytes::from_static(b"a"));
+        c.fill_data(0, n + 1, 0, ONE);
         assert!(
             c.lookup_data(0, 1, 0, 1).is_none(),
             "evicted as if never read"
         );
         assert!(c.lookup_data(0, 2, 0, 1).is_some());
+    }
+
+    #[test]
+    fn one_byte_entries_cap_at_one_page_each() {
+        assert_eq!((pages(0), pages(1), pages(PAGE_SIZE)), (1, 1, 1));
+        assert_eq!(pages(PAGE_SIZE + 1), 2);
+        // However the pool is split, one client holds at most CACHE_PAGES
+        // entries, and a full share of one-byte entries is exactly that.
+        for n_servers in [1, 2, 16] {
+            let c = ClientCache::new(n_servers);
+            assert_eq!(c.share * n_servers, CACHE_PAGES);
+            for idx in 0..n_servers {
+                for key in 0..2 * c.share as u64 {
+                    c.fill_data(idx, key, 0, ONE);
+                }
+                assert_eq!(used(&c, idx), c.share);
+            }
+            let held: usize = c.servers.iter().map(|s| s.data.borrow().len()).sum();
+            assert_eq!(held, CACHE_PAGES, "{n_servers} servers");
+        }
+    }
+
+    #[test]
+    fn an_entry_larger_than_a_share_is_refused_and_leaves_the_share_intact() {
+        let c = ClientCache::new(16);
+        let n = c.share as u64;
+        let over = || Bytes::from(vec![7; c.share * PAGE_SIZE + 1]);
+        fill_keys(&c, n);
+        c.fill_data(0, n + 1, 0, over());
+        assert_eq!(used(&c, 0), c.share);
+        assert!(c.lookup_data(0, n + 1, 0, 1).is_none(), "not cached");
+        assert!((1..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
+        // A refused refill of a cached key keeps the entry it would replace.
+        c.fill_data(0, 1, 0, over());
+        assert_eq!(c.lookup_data(0, 1, 0, 1).unwrap(), ONE);
+        assert_eq!(used(&c, 0), c.share);
+
+        // Exactly a share is admitted: over never-hit entries it evicts
+        // every one of them.
+        let c = ClientCache::new(16);
+        fill_keys(&c, n);
+        c.fill_data(0, n + 1, 0, of_pages(c.share));
+        assert_eq!(c.servers[0].data.borrow().len(), 1);
+        assert_eq!(used(&c, 0), c.share);
+    }
+
+    #[test]
+    fn one_fill_evicts_several_small_entries_to_seat_a_large_one() {
+        let c = cache();
+        let n = c.share as u64;
+        fill_keys(&c, n);
+        c.fill_data(0, n + 1, 0, of_pages(4));
+        assert_eq!(used(&c, 0), c.share);
+        assert!((1..=4).all(|key| c.lookup_data(0, key, 0, 1).is_none()));
+        assert!((5..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
+        assert!(c.lookup_data(0, n + 1, 0, 4 * PAGE_SIZE as u64).is_some());
+        // Refilling a key with a shorter prefix charges only the new length.
+        c.fill_data(0, n + 1, 0, ONE);
+        assert_eq!(used(&c, 0), c.share - 3);
+    }
+
+    #[test]
+    fn an_epoch_advance_on_one_server_leaves_the_others_share_serving() {
+        let c = ClientCache::new(2);
+        let n = c.share as u64;
+        for idx in 0..2 {
+            for key in 1..=n {
+                c.fill_data(idx, key, 0, ONE);
+            }
+        }
+        c.observe_epoch(0, 1);
+        assert_eq!((used(&c, 0), used(&c, 1)), (0, c.share));
+        assert_eq!(c.stats().invalidations(), n);
+        assert!(c.lookup_data(0, 1, 0, 1).is_none());
+        assert!((1..=n).all(|key| c.lookup_data(1, key, 0, 1).is_some()));
+        // Server 0's share refills to the full share; server 1's is untouched.
+        c.fill_data(0, n + 1, 1, of_pages(c.share));
+        assert_eq!((used(&c, 0), used(&c, 1)), (c.share, c.share));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dmcommon::Ref;
+use dmcommon::{Ref, PAGE_SIZE};
 use dmnet::{start_pool, CoherenceConfig, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
@@ -186,8 +186,15 @@ proptest! {
     }
 }
 
-/// Entries the cached client keeps per server (`cache::MAX_ENTRIES`).
-const CACHE_BOUND: usize = 256;
+/// Pages the cached client keeps of a one-server pool (`cache::CACHE_PAGES`,
+/// all of it that server's share).
+const CACHE_PAGES: usize = 3072;
+
+/// Pages each ref of `cached_client_is_coherent_while_evicting` is charged.
+const REF_PAGES: usize = 12;
+
+/// Refs the share holds at once.
+const CACHE_BOUND: usize = CACHE_PAGES / REF_PAGES;
 
 /// Refs in the re-read subset of `cached_client_is_coherent_while_evicting`.
 const HOT: usize = 16;
@@ -221,10 +228,11 @@ proptest! {
     /// More refs than the cache keeps, with a hot subset re-read between
     /// publishes: second-chance eviction keeps hit entries and drops cold
     /// ones all through the run, and every read stays byte-identical to
-    /// the raw client's.
+    /// the raw client's. Each ref spans [`REF_PAGES`] pages, so the tracked
+    /// set passes the share by 8..64 refs.
     #[test]
     fn cached_client_is_coherent_while_evicting(
-        lens in proptest::collection::vec(0u16..1024, CACHE_BOUND + 8..CACHE_BOUND + 64),
+        tails in proptest::collection::vec(0..PAGE_SIZE, CACHE_BOUND + 8..CACHE_BOUND + 64),
         reads in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..64),
     ) {
         let sim = Sim::new();
@@ -248,8 +256,8 @@ proptest! {
             .unwrap();
 
             let mut refs: Vec<(Ref, Ref, Vec<u8>)> = Vec::new();
-            for (n, len) in lens.iter().enumerate() {
-                let data = Bytes::from(vec![n as u8; *len as usize + 1]);
+            for (n, tail) in tails.iter().enumerate() {
+                let data = Bytes::from(vec![n as u8; (REF_PAGES - 1) * PAGE_SIZE + tail + 1]);
                 let r1 = raw.put_ref(&data).await.unwrap();
                 let r2 = cached.put_ref(&data).await.unwrap();
                 refs.push((r1, r2, data.to_vec()));
@@ -264,14 +272,15 @@ proptest! {
                 let off = if pick % 8 == 0 { 0 } else { off as u64 };
                 read_both(&raw, &cached, &refs[i], off, len as u64).await;
             }
-            // One whole read of every ref: at most the bound's worth were
+            // One whole read of every ref: at most the share's pages were
             // cached when it began, so the rest miss — and must still agree.
             let misses = cached.cache_stats().misses();
             for slot in &refs {
                 read_both(&raw, &cached, slot, 0, slot.2.len() as u64 - 1).await;
             }
+            let missed_pages = (cached.cache_stats().misses() - misses) as usize * REF_PAGES;
             assert!(
-                cached.cache_stats().misses() - misses >= (refs.len() - CACHE_BOUND) as u64,
+                missed_pages >= refs.len() * REF_PAGES - CACHE_PAGES,
                 "the run never evicted"
             );
 
