@@ -8,7 +8,8 @@
 //! * store to an unmapped page → fault: take an owned free page, map
 //!   writable, refcount 1;
 //! * store to a read-only page with refcount > 1 → COW: copy the page on
-//!   the device, retarget the PTE, atomically decrement the old refcount;
+//!   the device (unless the store covers it whole), retarget the PTE,
+//!   atomically decrement the old refcount;
 //! * store to a read-only page with refcount 1 → just flip the permission
 //!   flag (sole owner);
 //! * store to a writable page → no fault at all (the common case — this is
@@ -287,7 +288,9 @@ impl CxlHost {
     }
 
     /// `store`: write `data` at `va` through plain CXL stores, taking page
-    /// faults as described in paper §V-B3.
+    /// faults as described in paper §V-B3. The call knows its range before
+    /// its first store lands, so a COW fault on a page the range covers
+    /// whole skips the copy.
     pub async fn store(self: &Rc<Self>, va: u64, data: &[u8]) -> DmResult<()> {
         if data.is_empty() {
             return Ok(());
@@ -309,7 +312,7 @@ impl CxlHost {
                 // waited.
                 _ => {
                     self.lock_vpn(vpn).await;
-                    let r = self.handle_store_fault(vpn).await;
+                    let r = self.handle_store_fault(vpn, n == PAGE_SIZE).await;
                     self.unlock_vpn(vpn);
                     match r {
                         Ok((ppn, cpu)) => {
@@ -331,9 +334,14 @@ impl CxlHost {
         Ok(())
     }
 
-    /// Resolve a store fault on `vpn` (fault lock held). Returns the target
-    /// PPN and the CPU time to charge.
-    async fn handle_store_fault(self: &Rc<Self>, vpn: u64) -> DmResult<(Ppn, Duration)> {
+    /// Resolve a store fault on `vpn` (fault lock held); `whole` says the
+    /// store overwrites the entire page. Returns the target PPN and the CPU
+    /// time to charge.
+    async fn handle_store_fault(
+        self: &Rc<Self>,
+        vpn: u64,
+        whole: bool,
+    ) -> DmResult<(Ppn, Duration)> {
         let pte = self.page_table.borrow().get(&vpn).copied();
         match pte {
             // Resolved by a concurrent fault while we queued on the lock.
@@ -357,17 +365,20 @@ impl CxlHost {
                 self.stats.faults.incr();
                 let cpu = self.config.fault_cpu + self.config.pte_cpu;
                 if self.gfam.rc_get(pte.ppn) > 1 {
-                    // COW: allocate, copy on the device, retarget PTE.
+                    // COW: allocate, copy on the device unless the store
+                    // replaces the whole page, retarget PTE.
                     let newp = self.take_page().await?;
-                    let mut cow =
-                        telemetry::leaf_span(SpanKind::Cow, "cxl.cow_copy", self.node_id());
-                    if let Some(s) = cow.as_mut() {
-                        s.attr("bytes_copied", PAGE_SIZE as u64);
+                    if !whole {
+                        let mut cow =
+                            telemetry::leaf_span(SpanKind::Cow, "cxl.cow_copy", self.node_id());
+                        if let Some(s) = cow.as_mut() {
+                            s.attr("bytes_copied", PAGE_SIZE as u64);
+                        }
+                        self.gfam.copy_page(pte.ppn, newp);
+                        self.gfam.access(2 * PAGE_SIZE as u64).await;
+                        drop(cow);
+                        self.stats.cow_copies.incr();
                     }
-                    self.gfam.copy_page(pte.ppn, newp);
-                    self.gfam.access(2 * PAGE_SIZE as u64).await;
-                    drop(cow);
-                    self.stats.cow_copies.incr();
                     self.page_table.borrow_mut().insert(
                         vpn,
                         Pte {

@@ -92,6 +92,59 @@ fn put_ref_leaves_the_fabric_as_the_listing1_publish_does() {
     }
 }
 
+/// A store that covers a shared page whole takes a fresh page without the
+/// device copy: no COW is counted and G-FAM carries only the stored bytes.
+/// One byte into the next shared page still copies it. The ref reads what
+/// was published either way.
+#[test]
+fn a_whole_page_store_to_a_shared_page_copies_nothing() {
+    Sim::new().block_on(async {
+        let net = Network::new(FabricConfig::default(), 31);
+        let coord = net.add_node("coord", NicConfig::default());
+        let fabric = CxlFabric::new(
+            &net,
+            coord,
+            256,
+            ModelParams::new(),
+            CxlHostConfig::default(),
+        );
+        let mk = |name: &str| {
+            let node = net.add_node(name, NicConfig::default());
+            fabric.new_host(RpcBuilder::new(&net, node, 100).build())
+        };
+        let (publisher, writer) = (mk("publisher"), mk("writer"));
+        let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let r = publisher.put_ref(&data).await.unwrap();
+        let va = writer.map_ref(&r).await.unwrap();
+        let gfam = fabric.gfam();
+
+        let before = gfam.traffic_bytes();
+        writer.store(va, &[0xEE; PAGE_SIZE]).await.unwrap();
+        assert_eq!(writer.stats().cow_copies.get(), 0);
+        assert_eq!(writer.stats().faults.get(), 1);
+        assert_eq!(gfam.traffic_bytes() - before, PS, "the stores alone");
+
+        let before = gfam.traffic_bytes();
+        writer.store(va + PS, &[0xEE]).await.unwrap();
+        assert_eq!(writer.stats().cow_copies.get(), 1);
+        assert_eq!(gfam.traffic_bytes() - before, 2 * PS + 1, "copy + store");
+
+        let mut expect = data.clone();
+        expect[..=PAGE_SIZE].fill(0xEE);
+        assert_eq!(&writer.load(va, 2 * PS).await.unwrap()[..], &expect[..]);
+        let fresh = publisher.map_ref(&r).await.unwrap();
+        assert_eq!(&publisher.load(fresh, 2 * PS).await.unwrap()[..], &data[..]);
+    });
+}
+
+/// A store's `(offset, length)`: page-aligned half the time and up to three
+/// pages long, so stores cover shared pages whole (no copy) as well as in
+/// part (a copy).
+fn write_range() -> impl Strategy<Value = (u64, usize)> {
+    let aligned = (0u64..6).prop_map(|page| page * PS);
+    (prop_oneof![aligned, 0u64..6 * PS], 1usize..=3 * PAGE_SIZE)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -101,10 +154,7 @@ proptest! {
     #[test]
     fn cow_isolation_under_random_writes(
         pages in 1u64..6,
-        writes in proptest::collection::vec(
-            (0usize..3, 0u64..6 * PS, 1usize..3000, any::<u8>()),
-            0..20
-        ),
+        writes in proptest::collection::vec((0usize..3, write_range(), any::<u8>()), 0..20),
     ) {
         let sim = Sim::new();
         sim.block_on(async move {
@@ -138,7 +188,7 @@ proptest! {
                 views.push(original.clone());
             }
 
-            for (who, off, wlen, fill) in writes {
+            for (who, (off, wlen), fill) in writes {
                 let who = who % hosts.len();
                 if off + wlen as u64 > len { continue; }
                 let buf = vec![fill; wlen];

@@ -269,8 +269,32 @@ impl PageManager {
 
     /// Write `data` at `(pid, va)`, faulting pages in and performing
     /// copy-on-write on shared pages (paper §V-A2 "How to serve a write
-    /// request").
+    /// request"), as the paper states it: every shared page the write
+    /// touches is copied first. The DM server serves `WRITE` with
+    /// [`PageManager::overwrite`]; this copying write is what
+    /// `benchmark/src/micro.rs` times as one COW fault.
     pub fn write(&mut self, pid: GlobalPid, va: u64, data: &[u8]) -> DmResult<OpCost> {
+        self.write_pages(pid, va, data, true)
+    }
+
+    /// [`PageManager::write`] as the DM server serves a `WRITE`: a shared
+    /// page the write covers whole is not copied, since every old byte would
+    /// be overwritten before anyone read it. It is replaced by a fresh page,
+    /// at the same fault and refcount charge. A page written in part is
+    /// still copied, so COW stays page-granular.
+    pub fn overwrite(&mut self, pid: GlobalPid, va: u64, data: &[u8]) -> DmResult<OpCost> {
+        self.write_pages(pid, va, data, false)
+    }
+
+    /// The write itself; `copy_whole` says whether a shared page the write
+    /// covers whole is copied before it is overwritten.
+    fn write_pages(
+        &mut self,
+        pid: GlobalPid,
+        va: u64,
+        data: &[u8],
+        copy_whole: bool,
+    ) -> DmResult<OpCost> {
         if data.is_empty() {
             return Ok(OpCost::default());
         }
@@ -285,10 +309,16 @@ impl PageManager {
             let p = match self.translator.lookup(pid, vpn) {
                 None => self.fault_in(pid, vpn, &mut cost)?,
                 Some(p) if self.refcounts[p as usize] > 1 => {
-                    // Copy-on-write: pop a new page, copy the old content,
-                    // retarget the translation, unref the old page.
-                    let newp = self.take_free_page(Page::private(self.stored(p)))?;
-                    cost.bytes_copied += PAGE_SIZE as u64;
+                    // Copy-on-write: pop a new page, copy the old content
+                    // (not when an `overwrite` replaces all of it), retarget
+                    // the translation, unref the old page.
+                    let page = if n == PAGE_SIZE && !copy_whole {
+                        Page::private(&[])
+                    } else {
+                        cost.bytes_copied += PAGE_SIZE as u64;
+                        Page::private(self.stored(p))
+                    };
+                    let newp = self.take_free_page(page)?;
                     cost.pages_faulted += 1;
                     self.translator.insert(pid, vpn, newp);
                     self.unref(p);

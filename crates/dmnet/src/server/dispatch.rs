@@ -183,7 +183,7 @@ impl DmServer {
                 let va = r.u64()?;
                 let data = r.rest_of(body);
                 let len = data.len() as u64;
-                let cost = self.pm.borrow_mut().write(pid, va, &data)?;
+                let cost = self.pm.borrow_mut().overwrite(pid, va, &data)?;
                 self.persist(|| {
                     vec![Record::Write {
                         pid: pid.0,

@@ -158,7 +158,7 @@ impl DmServer {
                 pm().rfree(GlobalPid(*pid), *va).expect("replay: rfree");
             }
             Record::Write { pid, va, data } => {
-                pm().write(GlobalPid(*pid), *va, data)
+                pm().overwrite(GlobalPid(*pid), *va, data)
                     .expect("replay: write");
             }
             Record::CreateRef { pid, va, len, key } => {

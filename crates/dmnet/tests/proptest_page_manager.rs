@@ -123,6 +123,9 @@ enum Op {
         off: u64,
         len: usize,
         fill: u8,
+        /// `write`, which copies every shared page it touches, rather than
+        /// the `overwrite` the server runs.
+        copying: bool,
     },
     Read {
         region: usize,
@@ -151,15 +154,24 @@ enum Op {
     },
 }
 
+/// A write's `(offset, length)`: page-aligned half the time and up to three
+/// pages long, so writes cover shared pages whole (no copy) as well as in
+/// part (a copy).
+fn write_range() -> impl Strategy<Value = (u64, usize)> {
+    let aligned = (0u64..3).prop_map(|page| page * PS);
+    (prop_oneof![aligned, 0u64..3 * PS], 1usize..=3 * PAGE_SIZE)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u64..4).prop_map(|pages| Op::Alloc { pages }),
-        (0usize..8, 0u64..3 * PS, 1usize..2000, any::<u8>()).prop_map(
-            |(region, off, len, fill)| Op::Write {
+        (0usize..8, write_range(), any::<u8>(), any::<bool>()).prop_map(
+            |(region, (off, len), fill, copying)| Op::Write {
                 region,
                 off,
                 len,
-                fill
+                fill,
+                copying,
             }
         ),
         (0usize..8, 0u64..3 * PS, 1usize..2000).prop_map(|(region, off, len)| Op::Read {
@@ -222,13 +234,14 @@ proptest! {
                         });
                     }
                 }
-                Op::Write { region, off, len, fill } => {
+                Op::Write { region, off, len, fill, copying } => {
                     if regions.is_empty() { continue; }
                     let idx = region % regions.len();
                     let r = &mut regions[idx];
                     if off + len as u64 > r.len { continue; }
                     let buf = vec![fill; len];
-                    pm.both(|pm| pm.write(r.pid, r.va + off, &buf)).expect("in-bounds write");
+                    let write = if copying { PageManager::write } else { PageManager::overwrite };
+                    pm.both(|pm| write(pm, r.pid, r.va + off, &buf)).expect("in-bounds write");
                     r.data[off as usize..off as usize + len].copy_from_slice(&buf);
                 }
                 Op::Read { region, off, len } => {
@@ -398,6 +411,36 @@ fn cow_fault_on_an_aliased_page_copies_its_bytes_and_spares_the_ref() {
     let mut expect = data.clone();
     expect.resize(3 * PAGE_SIZE, 0);
     expect[at as usize] = 0xEE;
+    assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), expect);
+    assert_eq!(
+        pm.both(|pm| pm.read_ref(key, 0, data.len() as u64))
+            .unwrap(),
+        data
+    );
+}
+
+/// An `overwrite` that covers a shared page whole takes a fresh page and
+/// copies nothing into it, where `write` copies the page first; one byte
+/// into the next shared page is copied either way. The ref reads what was
+/// published throughout.
+#[test]
+fn a_whole_page_overwrite_of_a_shared_page_copies_nothing() {
+    let (mut pm, mapper, key, va, data) = published_and_mapped(CopyMode::CopyOnWrite);
+    let cow = |bytes_copied| OpCost {
+        bytes_copied,
+        pages_faulted: 1,
+        refcount_updates: 1,
+    };
+    let whole = [0xEE; PAGE_SIZE];
+    assert_eq!(pm.both(|pm| pm.overwrite(mapper, va, &whole)), Ok(cow(0)));
+    let again = pm.both(|pm| pm.map_ref(mapper, key)).unwrap().0;
+    assert_eq!(pm.both(|pm| pm.write(mapper, again, &whole)), Ok(cow(PS)));
+    pm.both(|pm| pm.rfree(mapper, again)).unwrap();
+    let one = pm.both(|pm| pm.overwrite(mapper, va + PS, &[0xEE]));
+    assert_eq!(one, Ok(cow(PS)));
+    let mut expect = data.clone();
+    expect.resize(3 * PAGE_SIZE, 0);
+    expect[..=PAGE_SIZE].fill(0xEE);
     assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), expect);
     assert_eq!(
         pm.both(|pm| pm.read_ref(key, 0, data.len() as u64))

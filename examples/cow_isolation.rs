@@ -1,6 +1,6 @@
 //! Copy-on-write isolation, shown directly on the Table-II DM API: two
 //! processes share one region through a `Ref`; a write by either is
-//! invisible to the other, and only written pages are copied.
+//! invisible to the other, and only pages written in part are copied.
 //!
 //! ```text
 //! cargo run --example cow_isolation
@@ -49,26 +49,44 @@ fn main() {
         let view = bob.rread(bob_addr, 8).await.expect("rread");
         println!("bob reads:  {:?} (shared pages)", &view[..]);
 
-        let traffic_before = pool[0].memory().traffic_bytes();
-        // Bob writes one byte in page 2 -> exactly one page is copied.
-        bob.rwrite(bob_addr.offset(2 * 4096), &Bytes::from_static(b"B"))
-            .await
-            .expect("cow write");
-        let copied = pool[0].memory().traffic_bytes() - traffic_before;
-        println!("bob writes 1 byte -> server copied ~{copied} bytes (one 4 KiB page, read+write)");
+        // Bob writes one byte in page 2 -> that page is copied before the
+        // byte lands. Bob overwrites page 3 whole -> it gets a fresh page
+        // and nothing is copied: no old byte would survive the write.
+        for (page, data) in [(2, vec![b'B']), (3, vec![b'B'; 4096])] {
+            // The same write twice: the second finds the page private, so
+            // the DRAM traffic the first made beyond it is the copy (read +
+            // write).
+            let data = Bytes::from(data);
+            let mut traffic = [0; 2];
+            for t in &mut traffic {
+                let before = pool[0].memory().traffic_bytes();
+                bob.rwrite(bob_addr.offset(page * 4096), &data)
+                    .await
+                    .expect("write");
+                *t = pool[0].memory().traffic_bytes() - before;
+            }
+            let copied = (traffic[0] - traffic[1]) / 2;
+            println!(
+                "bob writes {} B into page {page} -> server copied {copied} bytes",
+                data.len()
+            );
 
-        // Isolation: alice still sees 'A' everywhere.
-        let alice_view = alice.rread(addr.offset(2 * 4096), 1).await.expect("rread");
-        let bob_view = bob
-            .rread(bob_addr.offset(2 * 4096), 1)
-            .await
-            .expect("rread");
-        println!(
-            "page 2, first byte — alice: {:?}, bob: {:?}",
-            alice_view[0] as char, bob_view[0] as char
-        );
-        assert_eq!(alice_view[0], b'A');
-        assert_eq!(bob_view[0], b'B');
+            // Isolation: alice still sees 'A' there.
+            let alice_view = alice
+                .rread(addr.offset(page * 4096), 1)
+                .await
+                .expect("rread");
+            let bob_view = bob
+                .rread(bob_addr.offset(page * 4096), 1)
+                .await
+                .expect("rread");
+            println!(
+                "page {page}, first byte — alice: {:?}, bob: {:?}",
+                alice_view[0] as char, bob_view[0] as char
+            );
+            assert_eq!(alice_view[0], b'A');
+            assert_eq!(bob_view[0], b'B');
+        }
 
         // Tear down and prove nothing leaked.
         alice.rfree(addr).await.expect("rfree");

@@ -1,0 +1,146 @@
+//! The data path in closed form: what one request moves, written as a
+//! function of the argument size, the bytes written, the MTU and the header
+//! sizes of DESIGN.md §5, and asserted exactly against a quiet simulated
+//! cluster. A mismatch is either a term DESIGN.md §5 must name or a bug.
+//!
+//! Cells so far: one Fig. 8 sharebench request on DmRPC-net (a 32 KiB block
+//! published by reference, the callee overwriting its leading 0–100 %).
+
+use std::time::Duration;
+
+use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::sharebench::build_sharebench;
+use bytes::Bytes;
+use dmcommon::PAGE_SIZE;
+use rpclib::wire::HEADER_BYTES;
+use simcore::Sim;
+use simnet::{NodeId, WIRE_HEADER_BYTES};
+
+const PS: u64 = PAGE_SIZE as u64;
+
+/// The shared block of the sharebench (and of the `share_cow` workload).
+const BLOCK: u64 = 32 * 1024;
+
+/// A response's `[status u8][epoch u64]`, in front of every DM reply.
+const RESPONSE_HEAD: u64 = 9;
+/// A `GlobalPid` and a `u64` field of the DM protocol.
+const PID: u64 = 4;
+const U64: u64 = 8;
+/// A `Ref::Net` on the wire: `[tag][server][key u64][len u64]`.
+const NET_REF: u64 = 1 + 1 + 8 + 8;
+
+/// One RPC of a request: request and response lengths, and whether a DM
+/// server answers it (its NIC DMA is DM-server memory traffic).
+struct Rpc {
+    req: u64,
+    resp: u64,
+    dm: bool,
+}
+
+/// Packets of a message of `len` bytes: one per MTU, and at least one.
+fn packets(len: u64, mtu: u64) -> u64 {
+    len.div_ceil(mtu).max(1)
+}
+
+/// NIC tx bytes of a message of `len` bytes: the bytes plus, per packet,
+/// the RPC header and the modeled Ethernet/IP/UDP framing.
+fn on_wire(len: u64, mtu: u64) -> u64 {
+    len + packets(len, mtu) * (HEADER_BYTES as u64 + WIRE_HEADER_BYTES)
+}
+
+/// Every RPC of one sharebench request whose callee writes `write` bytes of
+/// a `block`-byte ref. The callee maps, writes and frees only when it
+/// writes something; the caller's release rides a coalesced `BATCH` of one.
+fn sharebench_rpcs(block: u64, write: u64) -> Vec<Rpc> {
+    let rpc = |req, resp, dm| Rpc { req, resp, dm };
+    let mut rpcs = vec![
+        // PUT_REF: the bytes alone → the key.
+        rpc(block, RESPONSE_HEAD + U64, true),
+        // SHARE_REQ: [pct][value tag][ref] → "ok".
+        rpc(1 + 1 + NET_REF, 2, false),
+        // BATCH: [count u32], then [tag][len u32][key] → [len u32][reply].
+        rpc(4 + 1 + 4 + U64, RESPONSE_HEAD + 4 + RESPONSE_HEAD, true),
+    ];
+    if write > 0 {
+        rpcs.extend([
+            // MAP_REF: [pid][key] → [va][len].
+            rpc(PID + U64, RESPONSE_HEAD + 2 * U64, true),
+            // WRITE: [pid][va] and the bytes → nothing.
+            rpc(PID + U64 + write, RESPONSE_HEAD, true),
+            // FREE: [pid][va] → nothing.
+            rpc(PID + U64, RESPONSE_HEAD, true),
+        ]);
+    }
+    rpcs
+}
+
+/// What one request moved: DM-server memory traffic, NIC tx bytes summed
+/// over every node, and datagrams delivered.
+#[derive(Debug, PartialEq, Eq)]
+struct Moved {
+    dm_bytes: u64,
+    tx_bytes: u64,
+    datagrams: u64,
+}
+
+/// The model. DM-server memory sees the NIC DMA of every message it
+/// receives and sends, the published block and the written bytes stored,
+/// and each copied page read and written once.
+fn sharebench_model(block: u64, write: u64, pages_copied: u64, mtu: u64) -> Moved {
+    let rpcs = sharebench_rpcs(block, write);
+    let dm_dma: u64 = rpcs.iter().filter(|r| r.dm).map(|r| r.req + r.resp).sum();
+    Moved {
+        dm_bytes: dm_dma + block + write + 2 * pages_copied * PS,
+        tx_bytes: rpcs
+            .iter()
+            .map(|r| on_wire(r.req, mtu) + on_wire(r.resp, mtu))
+            .sum(),
+        datagrams: rpcs
+            .iter()
+            .map(|r| packets(r.req, mtu) + packets(r.resp, mtu))
+            .sum(),
+    }
+}
+
+/// One sharebench request at `write_pct` on a quiet two-server DmRPC-net
+/// cluster, after deployment.
+fn sharebench_measured(write_pct: u8) -> Moved {
+    Sim::new().block_on(async move {
+        let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 5);
+        let app = build_sharebench(&cluster).await;
+        let block = Bytes::from(vec![7u8; BLOCK as usize]);
+        cluster.reset_stats();
+        let delivered = cluster.net.delivered();
+        app.request(&block, write_pct).await.expect("request");
+        // The coalesced release goes out after its flush window.
+        simcore::sleep(Duration::from_millis(1)).await;
+        let nodes = (0..cluster.net.node_count() as u32).map(NodeId);
+        Moved {
+            dm_bytes: cluster.dm_traffic_bytes(),
+            tx_bytes: nodes.map(|n| cluster.net.node_tx_bytes(n)).sum(),
+            datagrams: cluster.net.delivered() - delivered,
+        }
+    })
+}
+
+/// Each write percentage with the bytes the callee writes and the pages it
+/// copies: a COW fault copies a shared page only when the write leaves some
+/// of it standing. 10 % ends inside page 0, which is copied; 25 % and up end
+/// on a page boundary, so every page they touch is replaced whole.
+#[test]
+fn a_sharebench_request_moves_what_the_model_says() {
+    let mtu = ClusterConfig::default().rpc.mtu as u64;
+    for (pct, write, pages_copied) in [
+        (0, 0, 0),
+        (10, 3277, 1),
+        (25, 2 * PS, 0),
+        (50, 4 * PS, 0),
+        (100, BLOCK, 0),
+    ] {
+        assert_eq!(
+            sharebench_measured(pct),
+            sharebench_model(BLOCK, write, pages_copied, mtu),
+            "{pct} % writes"
+        );
+    }
+}

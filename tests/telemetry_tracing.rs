@@ -27,8 +27,12 @@ fn traced_chain_spans() -> (Vec<SpanRecord>, u64) {
             trace_id = root.ctx().trace_id;
             let v = client.make_value(payload.clone()).await.expect("upload");
             assert!(v.is_by_ref(), "8 KiB argument must go by reference");
-            // Writing a shared ref's pages forces the DM server to COW.
-            client.overwrite_fraction(&v, 0.5).await.expect("overwrite");
+            // Writing part of a shared ref's page forces the DM server to
+            // COW it (a page overwritten whole is not copied).
+            client
+                .overwrite_fraction(&v, 0.25)
+                .await
+                .expect("overwrite");
             let reply = client.call(app.entry, CHAIN_REQ, &v).await.expect("chain");
             drop(reply);
             client.release_async(v);
@@ -101,11 +105,19 @@ fn chain_request_forms_one_causal_span_tree() {
                 SpanKind::ClientCall,
                 "server handling parents under the originating client call"
             ),
-            SpanKind::Cow => assert_eq!(
-                parent_kind(s),
-                SpanKind::DmOp,
-                "COW copies happen inside a DM operation"
-            ),
+            SpanKind::Cow => {
+                assert_eq!(
+                    parent_kind(s),
+                    SpanKind::DmOp,
+                    "COW copies happen inside a DM operation"
+                );
+                // 2 KiB of the first page: that one page is copied.
+                let copied = s.attrs().iter().find(|a| a.0 == "bytes_copied");
+                assert_eq!(
+                    (s.name, copied),
+                    ("dm.cow_copy", Some(&("bytes_copied", 4096)))
+                );
+            }
             SpanKind::Serialize => assert_eq!(
                 parent_kind(s),
                 SpanKind::ServerHandle,
