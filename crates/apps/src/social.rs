@@ -73,13 +73,25 @@ pub const SOC_BUSY_RESP: &[u8] = &[0xEE];
 
 /// Who receives home-timeline fan-out when a user composes.
 ///
-/// `Fixed` is the fig11 graph ([`FOLLOWERS`] targets per user from a
-/// per-user reseeded RNG); `Scaled` defers to a [`loadgen::Population`]
-/// (~100 followers/user, materialised lazily per compose). Either list
-/// goes out as one [`SOC_APPEND_HTL`] request.
+/// `Fixed` is the fig11 graph ([`fixed_followers`]); `Scaled` defers to a
+/// [`loadgen::Population`] (~100 followers/user, materialised lazily per
+/// compose). Either list goes out as one [`SOC_APPEND_HTL`] request.
 enum FanoutGraph {
     Fixed(Vec<Vec<u32>>),
     Scaled(Population),
+}
+
+/// The fixed graph of `users` users: [`FOLLOWERS`] uniform draws per user,
+/// user 0's first, all from one RNG seeded by the build seed.
+fn fixed_followers(users: u32, seed: u64) -> Vec<Vec<u32>> {
+    let g = SimRng::new(seed ^ 0xF00D);
+    (0..users)
+        .map(|_| {
+            (0..FOLLOWERS)
+                .map(|_| g.gen_range(users as u64) as u32)
+                .collect()
+        })
+        .collect()
 }
 
 impl FanoutGraph {
@@ -370,16 +382,7 @@ async fn build_social_inner(
     let compose_ep = cluster.endpoint(&server_b, 101).await;
     let graph: Rc<FanoutGraph> = Rc::new(match pop {
         Some(p) => FanoutGraph::Scaled(p),
-        None => FanoutGraph::Fixed(
-            (0..users)
-                .map(|_| {
-                    let g = SimRng::new(seed ^ 0xF00D);
-                    (0..FOLLOWERS)
-                        .map(|_| g.gen_range(users as u64) as u32)
-                        .collect()
-                })
-                .collect(),
-        ),
+        None => FanoutGraph::Fixed(fixed_followers(users, seed)),
     });
     let next_post = Rc::new(std::cell::Cell::new(1u64));
     {
@@ -719,19 +722,25 @@ mod tests {
         const COMPOSERS: [u32; 4] = [7, 3, 7, 12];
         let sim = Sim::new();
         sim.block_on(async move {
-            // Fixed graph: every user shares one reseeded follower list.
+            // Fixed graph: each user's own list, drawn in user order from
+            // one RNG.
             let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
             let app = build_social(&cluster, 100, 4096, 1).await;
             let g = SimRng::new(1 ^ 0xF00D);
-            let fixed: Vec<u32> = (0..FOLLOWERS).map(|_| g.gen_range(100) as u32).collect();
-            let mut distinct = fixed.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert_eq!(distinct.len(), FOLLOWERS, "seed 1 draws distinct followers");
+            let fixed: Vec<Vec<u32>> = (0..100)
+                .map(|_| (0..FOLLOWERS).map(|_| g.gen_range(100) as u32).collect())
+                .collect();
+            for c in COMPOSERS {
+                let mut distinct = fixed[c as usize].clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), FOLLOWERS, "seed 1 draws distinct followers");
+            }
+            assert_ne!(fixed[7], fixed[3], "users do not share a list");
             for c in COMPOSERS {
                 app.compose(c).await.unwrap();
             }
-            let want = expected_timelines(&COMPOSERS, |_| fixed.clone());
+            let want = expected_timelines(&COMPOSERS, |c| fixed[c as usize].clone());
             for u in 0..app.users {
                 let want = want.get(&u).cloned().unwrap_or_default();
                 assert_eq!(app.home_timeline(u), want, "fixed graph, user {u}");

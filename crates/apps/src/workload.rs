@@ -267,6 +267,98 @@ pub fn since(t0: SimTime) -> Duration {
     simcore::now() - t0
 }
 
+/// Where the knee lies relative to the searched bracket.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Edge {
+    /// Some rate in the bracket meets the SLO and some rate does not.
+    Inside,
+    /// Not even the lowest rate meets the SLO; the knee is reported as it.
+    NoRateMeets,
+    /// Even the highest rate meets the SLO; the knee is reported as it.
+    AllRatesMeet,
+}
+
+/// The SLO knee: the highest offered rate that still meets the latency
+/// limit without a growing backlog, as [`bisect`] found it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Knee {
+    /// Highest rate known to meet the SLO (the bracket's low end when none does).
+    pub rate: f64,
+    /// Where that rate lies relative to the bracket.
+    pub edge: Edge,
+    /// How many rates were probed.
+    pub probes: u32,
+}
+
+/// Bisect `[lo, hi]` until the bracket is at most `tol` wide, assuming
+/// `meets` is monotone (true below the knee, false above). The ends are
+/// probed only when every interior probe agreed, so the common case costs
+/// `ceil(log2((hi - lo) / tol))` probes.
+pub fn bisect(mut meets: impl FnMut(f64) -> bool, lo: f64, hi: f64, tol: f64) -> Knee {
+    assert!(lo < hi && tol > 0.0, "degenerate bracket");
+    let (mut good, mut bad) = (lo, hi);
+    let mut probes = 0;
+    let mut probe = |rate: f64| {
+        probes += 1;
+        meets(rate)
+    };
+    while bad - good > tol {
+        let mid = (good + bad) / 2.0;
+        if probe(mid) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    let edge = if good == lo && !probe(lo) {
+        Edge::NoRateMeets
+    } else if bad == hi && probe(hi) {
+        good = hi;
+        Edge::AllRatesMeet
+    } else {
+        Edge::Inside
+    };
+    Knee {
+        rate: good,
+        edge,
+        probes,
+    }
+}
+
+/// A [`bisect`] that keeps what each probe measured.
+pub struct Search<T> {
+    /// The knee found.
+    pub knee: Knee,
+    /// `(offered rate, what the probe measured)`, in probe order.
+    pub probes: Vec<(f64, T)>,
+}
+
+impl<T> Search<T> {
+    /// What the probe at the knee measured (every knee rate is a probed
+    /// one).
+    pub fn at_knee(&self) -> &T {
+        let at = self.probes.iter().find(|(rate, _)| *rate == self.knee.rate);
+        &at.expect("the knee is a probed rate").1
+    }
+}
+
+/// [`bisect`] `[lo, hi]` to `tol` with a `probe` that returns whether the
+/// rate meets the SLO and what it measured there.
+pub fn search<T>(mut probe: impl FnMut(f64) -> (bool, T), lo: f64, hi: f64, tol: f64) -> Search<T> {
+    let mut probes = Vec::new();
+    let knee = bisect(
+        |rate| {
+            let (met, out) = probe(rate);
+            probes.push((rate, out));
+            met
+        },
+        lo,
+        hi,
+        tol,
+    );
+    Search { knee, probes }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,5 +558,64 @@ mod tests {
         });
         assert_eq!(v, 42);
         assert_eq!(d, Duration::from_micros(7));
+    }
+
+    #[test]
+    fn finds_the_knee_of_a_monotone_curve() {
+        for knee in [101.0, 137.5, 212.0, 299.0] {
+            let k = bisect(|r| r <= knee, 100.0, 300.0, 5.0);
+            assert_eq!(k.edge, Edge::Inside, "{knee}");
+            assert!(k.rate <= knee && knee - k.rate <= 5.0, "{knee}: {k:?}");
+            // 200 / 2^6 = 3.125 <= 5; one end probe when the knee hugs an edge.
+            assert!((6..=7).contains(&k.probes), "{knee}: {k:?}");
+        }
+    }
+
+    #[test]
+    fn reports_both_edges() {
+        let none = bisect(|_| false, 100.0, 300.0, 5.0);
+        assert_eq!((none.rate, none.edge), (100.0, Edge::NoRateMeets));
+        let all = bisect(|_| true, 100.0, 300.0, 5.0);
+        assert_eq!((all.rate, all.edge), (300.0, Edge::AllRatesMeet));
+        // The low end itself meets, nothing above it does.
+        let at_lo = bisect(|r| r <= 100.0, 100.0, 300.0, 5.0);
+        assert_eq!((at_lo.rate, at_lo.edge), (100.0, Edge::Inside));
+    }
+
+    #[test]
+    fn probes_the_same_rates_whatever_the_answers() {
+        // Probe rates depend on earlier answers only, never on a clock or
+        // an RNG: the same curve gives the same probe sequence.
+        let run = || {
+            let mut seen = Vec::new();
+            bisect(
+                |r| {
+                    seen.push(r);
+                    r <= 212.0
+                },
+                100.0,
+                300.0,
+                5.0,
+            );
+            seen
+        };
+        assert_eq!(run(), run());
+        assert_eq!(run()[..2], [200.0, 250.0]);
+    }
+
+    #[test]
+    fn a_search_keeps_every_probe_and_finds_the_knees_own() {
+        // Inside, and at both edges, the knee is a rate the probe saw.
+        for (knee, edge) in [
+            (212.0, Edge::Inside),
+            (50.0, Edge::NoRateMeets),
+            (400.0, Edge::AllRatesMeet),
+        ] {
+            let s = search(|r| (r <= knee, r * 2.0), 100.0, 300.0, 5.0);
+            assert_eq!(s.knee.edge, edge, "{knee}");
+            assert_eq!(s.probes.len(), s.knee.probes as usize, "{knee}");
+            assert!(s.probes.iter().all(|&(r, out)| out == r * 2.0));
+            assert_eq!(*s.at_knee(), s.knee.rate * 2.0, "{knee}");
+        }
     }
 }

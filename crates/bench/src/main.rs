@@ -39,7 +39,7 @@ const REGISTRY: &[Experiment] = &[
     ("fig7",                 true,  fig7::run,                               &["fig7_cow.csv"]),
     ("fig8",                 true,  fig8::run,                               &["fig8_datastore.csv"]),
     ("fig10",                true,  fig10::run,                              &["fig10a_image_throughput.csv", "fig10b_image_latency.csv"]),
-    ("fig11",                true,  fig11::run,                              &["fig11_deathstarbench.csv"]),
+    ("fig11",                true,  fig11::run,                              &["fig11_deathstarbench.csv", "BENCH_fig11.json"]),
     ("fig12",                true,  fig12::run,                              &["fig12_cxl_latency.csv"]),
     ("translation_overhead", true,  extras::translation_overhead,            &["xtra_translation_overhead.csv"]),
     ("size_threshold",       true,  extras::size_threshold,                  &["xtra_size_threshold.csv"]),

@@ -1,18 +1,20 @@
 //! Shared scoped thread-pool: the one parallelism idiom for every bench
 //! harness.
 //!
-//! PR 3's chaos sweep introduced round-robin work assignment over
-//! `std::thread::scope` with results merged in index order, gated on
-//! byte-identical per-seed fingerprints. This module extracts that idiom
-//! so the chaos sweep and the per-figure cell parallelism ([`sweep`],
-//! `SIM_THREADS`) share one implementation: work item `i` runs on thread
-//! `i mod threads`, and results come back in index order, so output
-//! (tables, CSVs, fingerprints) never depends on the thread count.
+//! The chaos sweep and the per-figure cell parallelism ([`sweep`],
+//! `SIM_THREADS`) share one implementation over `std::thread::scope`:
+//! each worker claims the next unclaimed work item until none is left, and
+//! results come back in index order, so output (tables, CSVs,
+//! fingerprints) never depends on the thread count or on which worker ran
+//! what.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `f(i)` for every `i in 0..n` across up to `threads` scoped OS
-/// threads and return the results in index order. Each worker owns its
-/// indices exclusively (`i mod threads`), so `f` needs no locking for
-/// per-item state; panics in `f` propagate to the caller.
+/// threads and return the results in index order. Each index is claimed
+/// by exactly one worker, so `f` needs no locking for per-item state; a
+/// worker that drew cheap items claims more, so a few expensive ones do
+/// not leave the rest idle. Panics in `f` propagate to the caller.
 ///
 /// `threads <= 1` (or `n <= 1`) degrades to a plain serial loop on the
 /// calling thread — the zero-risk default.
@@ -21,13 +23,15 @@ pub fn scoped_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sy
     if threads == 1 {
         return (0..n).map(f).collect();
     }
-    let f = &f;
+    // `next` hands out indices and publishes nothing else (results come
+    // back through `join`), so `Relaxed` is enough.
+    let (f, next) = (&f, &AtomicUsize::new(0));
     let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
+            .map(|_| {
                 scope.spawn(move || {
-                    (t..n)
-                        .step_by(threads)
+                    std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                        .take_while(|&i| i < n)
                         .map(|i| (i, f(i)))
                         .collect::<Vec<(usize, T)>>()
                 })

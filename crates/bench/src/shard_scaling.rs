@@ -4,13 +4,15 @@
 //! Sweeps the DM pool over 1→16 servers with the paper's round-robin
 //! placement on two workloads: the Fig. 10a 7-tier image pipeline (8 KB
 //! images, closed loop) and the Fig. 11 DeathStarBench social network at a
-//! saturating offered rate. A single DM server's NIC bounds both at N=1;
-//! round-robin spreads refs evenly across servers, so aggregate DM
+//! fixed offered rate. A single DM server's NIC bounds the image pipeline
+//! at N=1; round-robin spreads refs evenly across servers, so aggregate DM
 //! bandwidth — and end-to-end throughput — grows with N until the
-//! worker/client tiers take over as the bottleneck. Even spreading is the
-//! reason round-robin is the one placement, so it is gated: every row's
-//! `shard_balance` (min/max requests per server) stays at or above
-//! [`MIN_BALANCE`].
+//! worker/client tiers take over as the bottleneck. The social rows sit
+//! below that deployment's knee (`BENCH_fig11.json`), so they read the
+//! offered rate at every N and show only latency and balance. Even
+//! spreading is the reason round-robin is the one placement, so it is
+//! gated: every row's `shard_balance` (min/max requests per server) stays
+//! at or above [`MIN_BALANCE`].
 //!
 //! Emits `results/xtra_shard_scaling.csv` and
 //! `results/BENCH_shard_scaling.json`. All measurements are virtual-time,
@@ -29,8 +31,8 @@ pub const SHARDS: [usize; 5] = [1, 2, 4, 8, 16];
 /// the DM tier is bandwidth-bound rather than RTT-bound).
 pub const IMAGE_SIZE: usize = 8192;
 
-/// Offered rate for the social workload (past the 2-server saturation
-/// knee in the committed Fig. 11 curve).
+/// Offered rate for the social workload (the top of Fig. 11's ladder,
+/// below its 2-server DmRPC-net knee).
 pub const SOCIAL_RATE: f64 = 1400e3;
 
 /// min/max requests served across the cluster's DM servers after a run
@@ -57,14 +59,14 @@ pub fn run_image_point(n_dm: usize, workers: usize) -> (apps::Measured, f64) {
     })
 }
 
-/// One social-network cell: the Fig. 11 open loop at a saturating rate
+/// One social-network cell: the Fig. 11 open loop at [`SOCIAL_RATE`]
 /// with `n_dm` DM shards. Returns the measurement and the `shard_balance`
 /// column.
 pub fn run_social_point(n_dm: usize) -> (apps::Measured, f64) {
     let sim = Sim::new();
     sim.block_on(async move {
         let cluster = Cluster::new(SystemKind::DmNet, n_dm, ClusterConfig::default(), 11);
-        let m = crate::fig11::drive(&cluster, SOCIAL_RATE).await;
+        let m = crate::fig11::drive(&cluster, SOCIAL_RATE).await.0;
         (m, balance(&cluster))
     })
 }

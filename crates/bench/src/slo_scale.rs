@@ -4,13 +4,14 @@
 //! Phase 1 drives the DeathStarBench social workload over synthetic
 //! populations of `SF × 1000` users ([`loadgen::Population`]: ~100
 //! follows/user, ~50 posts/user, Zipf(0.99) hot keys, byte-reproducible
-//! at any `SIM_THREADS`) at a ladder of offered rates and finds, per SF,
-//! the **knee**: the highest rate that still meets the SLO (p99 from
-//! intended arrival ≤ [`SLO_BUDGET`], ≥99% of issued requests completed
-//! within budget). Every cell also records its bottleneck: the busiest
-//! node resource over warm-up and window, from the `node.<name>.*busy_ns`
-//! gauges of `Cluster::metrics` (`apps::cluster::utilization`), and how
-//! many datagrams the fabric delivered per request.
+//! at any `SIM_THREADS`) and bisects, per SF, for the **knee**: the
+//! highest offered rate that still meets the SLO (p99 from intended
+//! arrival ≤ [`SLO_BUDGET`], ≥99% of issued requests completed within
+//! budget), over [`KNEE_BRACKET`] to [`KNEE_TOL`]. Every probe is a row,
+//! and records its bottleneck: the busiest node resource over warm-up and
+//! window, from the `node.<name>.*busy_ns` gauges of `Cluster::metrics`
+//! (`apps::cluster::utilization`), and how many datagrams the fabric
+//! delivered per request.
 //!
 //! Phase 2 then offers 2× and 8× each knee with overload control OFF (an
 //! open loop past saturation: the backlog at the saturated NIC grows for
@@ -22,15 +23,16 @@
 //! SLO goodput at 2× for every SF, and still holding that plateau at 8×.
 //!
 //! Emits `results/xtra_slo_scale.csv` and `results/BENCH_slo_scale.json`.
-//! Cells fan out over `SIM_THREADS`; rows assemble in sweep order, so
-//! both artifacts are byte-identical at every thread count.
+//! Each SF's search runs on one `SIM_THREADS` worker (its probes depend on
+//! each other); rows assemble in sweep order, so both artifacts are
+//! byte-identical at every thread count.
 
 use std::rc::Rc;
 use std::time::Duration;
 
 use apps::cluster::{Cluster, ClusterConfig, SystemKind, Utilization};
 use apps::social::build_social_scaled;
-use apps::workload::run_open_loop_classified;
+use apps::workload::{run_open_loop_classified, search, Edge, Search};
 use dmcommon::DmError;
 use loadgen::Population;
 use simcore::{Sim, SimRng};
@@ -41,19 +43,29 @@ use crate::report::{f2, Bound, Table};
 /// Scale factors swept: 1k → 1M users.
 pub const SCALE_FACTORS: [u32; 4] = [1, 10, 100, 1000];
 
-/// Offered-rate ladder (requests/second) for the knee search: coarse
-/// where latency is flat, 100 krps steps where the knees are (2.4 Mrps at
-/// every scale factor), and one rung (2.5 Mrps) no scale factor meets, so
-/// every knee is bracketed.
-pub const RATES: [f64; 20] = [
-    50e3, 100e3, 200e3, 300e3, 400e3, 600e3, 800e3, 1000e3, 1200e3, 1300e3, 1400e3, 1500e3, 1600e3,
-    1700e3, 1800e3, 2000e3, 2200e3, 2300e3, 2400e3, 2500e3,
-];
+/// The offered rates (requests/second) the knee search brackets. For a
+/// knee in [2.4, 2.5) Mrps it probes 1.7, 2.5, 2.1, 2.3 and 2.4 Mrps, a
+/// sequence a test pins because [`SF10_KNEE_RPS`] rests on it.
+pub const KNEE_BRACKET: (f64, f64) = (100e3, 3300e3);
+
+/// The search stops once the bracket is this narrow.
+pub const KNEE_TOL: f64 = 100e3;
+
+/// [`search`] over [`KNEE_BRACKET`] to [`KNEE_TOL`].
+pub fn find_knee<T>(probe: impl FnMut(f64) -> (bool, T)) -> Search<T> {
+    search(probe, KNEE_BRACKET.0, KNEE_BRACKET.1, KNEE_TOL)
+}
 
 /// The p99 latency budget (the repo benchmark's `social_open` uses the
 /// same). Unloaded p99 is ~20µs, so a cell only misses it once a queue
 /// is growing somewhere.
 pub const SLO_BUDGET: Duration = Duration::from_micros(500);
+
+/// A window of `latency` over `issued` requests against the SLO: met when
+/// p99 ≤ [`SLO_BUDGET`] with ≥99% of issued requests within it.
+pub fn slo_report(latency: &simcore::Histogram, issued: u64) -> SloReport {
+    SloReport::evaluate(latency, issued, SloBudget::p99(SLO_BUDGET))
+}
 
 /// Population seed (decoupled from the sim seed so the workload is pinned
 /// by `SF` alone).
@@ -106,7 +118,7 @@ pub struct CellOut {
     pub goodput_frac: f64,
     /// Fraction of issued requests shed by overload control.
     pub rejected_frac: f64,
-    /// p50 / p99 / p99.9 latency in µs.
+    /// p50 latency in µs.
     pub p50_us: f64,
     /// p99 latency in µs.
     pub p99_us: f64,
@@ -152,7 +164,7 @@ pub fn run_point(sf: u32, rate: f64, overload: Overload) -> CellOut {
         )
         .await;
         let bottleneck = ledger.await.swap_remove(0);
-        let slo = SloReport::evaluate(&m.latency, m.issued, SloBudget::p99(SLO_BUDGET));
+        let slo = slo_report(&m.latency, m.issued);
         CellOut {
             achieved_rps: m.throughput_rps(),
             slo_goodput_rps: m.goodput_rps(SLO_BUDGET),
@@ -179,11 +191,12 @@ pub const MIN_RETAINED_FRAC: f64 = 0.5;
 /// Run the sweep and emit both artifacts.
 pub fn run() {
     // ---- phase 1: knee search (overload control OFF) ----------------------
-    let cells: Vec<(u32, f64)> = SCALE_FACTORS
-        .iter()
-        .flat_map(|&sf| RATES.iter().map(move |&r| (sf, r)))
-        .collect();
-    let phase1 = crate::pool::sweep(&cells, |&(sf, rate)| run_point(sf, rate, Overload::Off));
+    let searches = crate::pool::sweep(&SCALE_FACTORS, |&sf| {
+        find_knee(|rate| {
+            let cell = run_point(sf, rate, Overload::Off);
+            (cell.met, cell)
+        })
+    });
 
     let mut t = Table::new(
         "xtra_slo_scale",
@@ -209,6 +222,11 @@ pub fn run() {
     .trajectory("slo_scale");
     t.meta("slo_p99_us", SLO_BUDGET.as_micros());
     t.meta("users_per_sf", loadgen::USERS_PER_SF);
+    t.meta(
+        "knee_bracket_krps",
+        format!("{}-{}", KNEE_BRACKET.0 / 1e3, KNEE_BRACKET.1 / 1e3),
+    );
+    t.meta("knee_tol_krps", KNEE_TOL / 1e3);
     let row = |t: &mut Table, sf: u32, rate: f64, mode: Overload, c: &CellOut| {
         t.row(&[
             &sf,
@@ -230,23 +248,27 @@ pub fn run() {
         ]);
     };
 
-    // Knee per SF: highest laddered rate whose cell met the SLO.
+    // One row per probe, in rate order.
     let mut knees: Vec<(u32, f64, f64)> = Vec::new();
-    for (&sf, ladder) in SCALE_FACTORS.iter().zip(phase1.chunks(RATES.len())) {
-        let mut knee = None;
-        for (&rate, c) in RATES.iter().zip(ladder) {
-            row(&mut t, sf, rate, Overload::Off, c);
-            if c.met {
-                knee = Some((rate, c.slo_goodput_rps, &c.bottleneck));
-            }
+    for (&sf, s) in SCALE_FACTORS.iter().zip(&searches) {
+        let mut probes: Vec<&(f64, CellOut)> = s.probes.iter().collect();
+        probes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (rate, c) in probes {
+            row(&mut t, sf, *rate, Overload::Off, c);
         }
-        let (rate, goodput, bottleneck) = knee.unwrap_or_else(|| {
-            panic!("SF {sf}: no laddered rate met the SLO — ladder starts too high")
-        });
-        knees.push((sf, rate, goodput));
+        let (rate, at) = (s.knee.rate, s.at_knee());
+        knees.push((sf, rate, at.slo_goodput_rps));
         t.headline(&format!("sf{sf}_knee_krps"), f2(rate / 1e3));
-        t.headline(&format!("sf{sf}_knee_slo_goodput_krps"), f2(goodput / 1e3));
-        t.headline(&format!("sf{sf}_knee_bottleneck"), bottleneck);
+        t.headline(
+            &format!("sf{sf}_knee_slo_goodput_krps"),
+            f2(at.slo_goodput_rps / 1e3),
+        );
+        t.headline(&format!("sf{sf}_knee_bottleneck"), &at.bottleneck);
+        t.gate(
+            &format!("sf{sf}_knee_inside_bracket"),
+            f64::from(u8::from(s.knee.edge == Edge::Inside)),
+            Bound::AtLeast(1.0),
+        );
         if sf == 10 {
             t.gate(
                 "sf10_knee_off_chaos_pin_krps",
@@ -306,4 +328,24 @@ pub fn run() {
         }
     }
     t.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_knee_in_the_2400_krps_step_is_found_by_five_probes_at_pinned_rates() {
+        // The chaos `slo-social` rate follows SF10_KNEE_RPS, which these
+        // probes' cells decide: a bracket or tolerance edit that moves a
+        // probe can move the pin.
+        for knee in [2400e3, 2450e3, 2499e3] {
+            let s = find_knee(|rate| (rate <= knee, ()));
+            let seen: Vec<f64> = s.probes.iter().map(|p| p.0).collect();
+            assert_eq!(seen, [1700e3, 2500e3, 2100e3, 2300e3, 2400e3], "{knee}");
+            let k = s.knee;
+            assert_eq!((k.rate, k.edge, k.probes), (2400e3, Edge::Inside, 5));
+        }
+        assert_eq!(SF10_KNEE_RPS, 2400e3);
+    }
 }

@@ -10,8 +10,9 @@
 //! The log is *logical redo*: records name operations, not physical state,
 //! and the [`crate::PageManager`] is deterministic, so replay reproduces
 //! every internal detail including the FIFO free-list order. Background
-//! growth is bounded by **checkpoint compaction**: when the live log
-//! exceeds [`WalConfig::compact_threshold_bytes`], the whole log is
+//! growth is bounded by **checkpoint compaction**: when the records
+//! appended since the last checkpoint exceed
+//! [`WalConfig::compact_threshold_bytes`], the whole log is
 //! replaced by one [`Record::Checkpoint`] carrying a canonical snapshot of
 //! the server state. The swap is atomic (the write-new-then-rename idiom
 //! of log-structured stores); the modeled failure mode is a *torn tail* of
@@ -43,18 +44,44 @@ use memsim::{DurableMedia, DurableMediaParams};
 
 use crate::proto::{Reader, Writer};
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise — no
-/// table, no dependency; the log is not on any hot path.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
+    !crc32_update(!0, data)
+}
+
+/// One byte's worth of the CRC-32 division, for every byte value.
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+}
+
+/// Feed `data` through a running CRC-32 register (pre- and
+/// post-inversion are the caller's): `crc32(a ‖ b)` is
+/// `!crc32_update(crc32_update(!0, a), b)`.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The checksum a record frame carries: CRC-32 over `seq ‖ payload`.
+fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &seq.to_le_bytes()), payload)
 }
 
 /// FNV-1a 64-bit hash, used for state digests (recovery oracles compare
@@ -264,8 +291,9 @@ impl Record {
 pub struct WalConfig {
     /// Timing model of the log device.
     pub media: DurableMediaParams,
-    /// Compact (checkpoint + truncate) once the live log exceeds this many
-    /// bytes. 0 disables compaction (tests pin log contents with it).
+    /// Compact (checkpoint + truncate) once the records appended since the
+    /// last checkpoint exceed this many bytes. 0 disables compaction (tests
+    /// pin log contents with it).
     pub compact_threshold_bytes: u64,
 }
 
@@ -340,6 +368,8 @@ pub struct Wal {
     next_seq: Cell<u64>,
     records: Cell<u64>,
     compactions: Cell<u64>,
+    /// Framed size of the checkpoint at the head of the log (0: none).
+    checkpoint_bytes: Cell<u64>,
     media: DurableMedia,
     config: WalConfig,
 }
@@ -352,6 +382,7 @@ impl Wal {
             next_seq: Cell::new(0),
             records: Cell::new(0),
             compactions: Cell::new(0),
+            checkpoint_bytes: Cell::new(0),
             media: DurableMedia::new(name, config.media),
             config,
         }
@@ -374,10 +405,7 @@ impl Wal {
         self.next_seq.set(seq + 1);
         let mut payload = Vec::new();
         rec.encode_into(&mut payload);
-        let mut check = Vec::with_capacity(8 + payload.len());
-        check.extend_from_slice(&seq.to_le_bytes());
-        check.extend_from_slice(&payload);
-        let crc = crc32(&check);
+        let crc = frame_crc(seq, &payload);
         let mut buf = self.buf.borrow_mut();
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&seq.to_le_bytes());
@@ -387,10 +415,13 @@ impl Wal {
         (16 + payload.len()) as u64
     }
 
-    /// Whether the live log has outgrown the compaction threshold.
+    /// Whether the records appended since the last checkpoint have
+    /// outgrown the compaction threshold. The checkpoint itself does not
+    /// count: a snapshot larger than the threshold would otherwise make
+    /// every later op write another one.
     pub fn should_compact(&self) -> bool {
-        self.config.compact_threshold_bytes > 0
-            && self.buf.borrow().len() as u64 > self.config.compact_threshold_bytes
+        let appended = self.log_bytes().saturating_sub(self.checkpoint_bytes.get());
+        self.config.compact_threshold_bytes > 0 && appended > self.config.compact_threshold_bytes
     }
 
     /// Replace the whole log with one checkpoint record (atomic install —
@@ -401,7 +432,9 @@ impl Wal {
         self.buf.borrow_mut().clear();
         self.records.set(0);
         self.compactions.set(self.compactions.get() + 1);
-        self.push(&Record::Checkpoint { snapshot })
+        let framed = self.push(&Record::Checkpoint { snapshot });
+        self.checkpoint_bytes.set(framed);
+        framed
     }
 
     /// Bytes in the live log.
@@ -442,10 +475,7 @@ impl Wal {
                 break;
             }
             let payload = &buf[pos + 16..pos + 16 + len];
-            let mut check = Vec::with_capacity(8 + len);
-            check.extend_from_slice(&seq.to_le_bytes());
-            check.extend_from_slice(payload);
-            if crc32(&check) != crc {
+            if frame_crc(seq, payload) != crc {
                 torn = true;
                 break;
             }
@@ -475,6 +505,10 @@ impl Wal {
     /// valid prefix and realign the sequence/record counters.
     pub fn repair(&self, report: &ScanReport) {
         self.buf.borrow_mut().truncate(report.valid_bytes);
+        // A checkpoint heads the log; a tear inside it leaves none.
+        let valid = report.valid_bytes as u64;
+        self.checkpoint_bytes
+            .set(self.checkpoint_bytes.get().min(valid));
         if let Some(next) = report.next_seq {
             self.next_seq.set(next);
         }
@@ -688,6 +722,36 @@ mod tests {
         assert_eq!(report.next_seq, Some(11));
     }
 
+    #[test]
+    fn a_checkpoint_over_the_threshold_does_not_compact_again() {
+        let w = Wal::new(
+            "t",
+            WalConfig {
+                compact_threshold_bytes: 64,
+                ..WalConfig::zero_cost()
+            },
+        );
+        w.compact(vec![7; 256]);
+        w.push(&Record::ReleaseProcess { pid: 9 });
+        assert!(w.log_bytes() > 64);
+        assert!(!w.should_compact(), "one small record after the checkpoint");
+        // 16 + 5 B per record: the fourth passes 64 B appended.
+        for _ in 0..3 {
+            w.push(&Record::ReleaseProcess { pid: 9 });
+        }
+        assert!(w.should_compact());
+        // A torn checkpoint leaves no checkpoint to discount.
+        let mut raw = w.raw();
+        raw.truncate(100);
+        w.set_raw(raw);
+        w.repair(&w.scan());
+        assert_eq!(w.log_bytes(), 0);
+        for _ in 0..4 {
+            w.push(&Record::ReleaseProcess { pid: 9 });
+        }
+        assert!(w.should_compact());
+    }
+
     impl AsRef<Record> for Record {
         fn as_ref(&self) -> &Record {
             self
@@ -699,6 +763,18 @@ mod tests {
         // The IEEE check value: crc32("123456789") == 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn the_running_crc_equals_the_crc_of_the_concatenation() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for seq in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
+            let whole = [&seq.to_le_bytes()[..], &payload].concat();
+            assert_eq!(frame_crc(seq, &payload), crc32(&whole), "seq {seq}");
+            assert_eq!(frame_crc(seq, &[]), crc32(&seq.to_le_bytes()));
+        }
+        let (a, b) = b"123456789".split_at(4);
+        assert_eq!(!crc32_update(crc32_update(!0, a), b), 0xCBF4_3926);
     }
 
     #[test]
