@@ -5,10 +5,9 @@
 //! Under the §9 global epoch, *any* ref-releasing event on a server
 //! invalidates *every* entry each of its clients cached, so even a small
 //! write fraction collapses the read hit rate cluster-wide. Fine-grained
-//! mode keeps a per-ref version instead: responses piggyback `(key,
-//! version)` pairs for the refs they touched, the server pushes targeted
-//! `INVALIDATE` messages to the read-lease holders of a ref that just
-//! died, and unrelated cached entries keep serving.
+//! mode invalidates per ref instead: the server pushes a targeted
+//! `INVALIDATE` to the read-lease holders of a ref that just died, and
+//! unrelated cached entries keep serving.
 //!
 //! Two workloads measure the difference at the same write rate:
 //!

@@ -41,7 +41,7 @@ pub struct RttPoint {
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
-    /// Entries invalidated (epoch advances, version advances, local
+    /// Entries invalidated (epoch advances, invalidation pushes, local
     /// releases).
     pub invalidations: u64,
     /// Targeted invalidation pushes received (fine-grained only).

@@ -572,6 +572,11 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
         "dm_client_max_inflight",
         "codel_target",
         "batching",
+        // The client's known-version table and the version each cache entry
+        // was filled under: a coherent server pushes deaths, not versions.
+        "known",
+        "known_order",
+        "ver",
     ];
     for field in gone {
         assert_eq!(declaring(field), [""; 0], "{field}");

@@ -21,18 +21,14 @@
 //! the batch's round trip) past the app's `release_ref`.
 //!
 //! **A coherent server** (DESIGN.md §15) replaces the all-or-nothing
-//! epoch with per-ref versions: its responses piggyback `(key, version)`
-//! pairs for the refs they touched, and it pushes targeted
-//! [`crate::proto::req::INVALIDATE`] messages to clients whose cached copy
-//! of a ref just died. Which kind a server is, and its *read lease*, the
-//! client learns when it registers. Entries are stamped with
-//! the version known at fill time plus that lease; a serve requires the
-//! entry's version to be at least the latest known version of its key
-//! **and** the lease to be unexpired, so an invalidation lost to the
-//! network can delay eviction only until the lease runs out — and even
-//! then the stale entry can only hold the dead ref's final (immutable)
-//! bytes, never diverged ones. Under a server that reports no versions
-//! every version reads 0 and no entry carries a lease: the epoch decides.
+//! epoch with targeted [`crate::proto::req::INVALIDATE`] pushes, naming the
+//! one ref that died, to the clients whose cached copy of it is still under
+//! its *read lease*. Which kind a server is, and that lease, the client
+//! learns when it registers. An entry filled from a coherent server is
+//! served only until its lease runs out, so a push lost to the network can
+//! delay eviction only that long — and even then the stale entry can only
+//! hold the dead ref's final (immutable) bytes, never diverged ones. Under
+//! a plain server no entry carries a lease: the epoch decides.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -44,12 +40,6 @@ use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
 use crate::proto::N_REQ_TYPES;
-
-/// Known-version entries kept per server (FIFO).
-/// A forgotten entry is re-learned from the next version block or push for the
-/// key; forgetting can only delay an invalidation until the entry's read
-/// lease expires, never serve diverged bytes.
-const KNOWN_MAX: usize = 1024;
 
 /// How long queued control ops may wait for company before a batch is
 /// flushed (virtual time).
@@ -92,7 +82,8 @@ impl CacheStats {
         self.misses.get()
     }
 
-    /// Entries dropped by epoch advances or local releases.
+    /// Entries dropped by epoch advances, invalidation pushes or local
+    /// releases.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.get()
     }
@@ -123,9 +114,6 @@ impl CacheStats {
 struct DataEntry {
     epoch: u64,
     bytes: Bytes,
-    /// Version of the ref known when the entry was filled (0 when the
-    /// key's version has never been reported).
-    ver: u64,
     /// Serve deadline under a coherent server's read lease.
     leased_until: Option<simcore::SimTime>,
     /// Second chances left: raised by each covering hit up to [`REF_MAX`],
@@ -164,18 +152,6 @@ struct ServerCache {
     batches_in_flight: Cell<u32>,
     /// Signalled whenever `batches_in_flight` falls.
     batch_landed: Notify,
-    /// Latest per-ref versions reported by this server, FIFO-bounded by
-    /// [`KNOWN_MAX`].
-    known: RefCell<HashMap<u64, u64>>,
-    /// Insertion order of `known` keys.
-    known_order: RefCell<VecDeque<u64>>,
-}
-
-impl ServerCache {
-    /// Latest version this client has heard for `key` (0 if never).
-    fn known_ver(&self, key: u64) -> u64 {
-        self.known.borrow().get(&key).copied().unwrap_or(0)
-    }
 }
 
 /// A drained batch between its transmission and its reply (see
@@ -271,34 +247,12 @@ impl ClientCache {
             .set(self.stats.invalidations.get() + dropped as u64);
     }
 
-    // -- per-ref versions ----------------------------------------------------
-
-    /// Fold a `(key, version)` report in — from a response version block
-    /// (`targeted == false`) or a server invalidation push
-    /// (`targeted == true`). A version advance drops the key's stale data
-    /// entry.
-    pub(crate) fn observe_version(&self, idx: usize, key: u64, ver: u64, targeted: bool) {
-        if targeted {
-            self.stats
-                .targeted_inv
-                .set(self.stats.targeted_inv.get() + 1);
-        }
-        let s = &self.servers[idx];
-        if ver <= s.known_ver(key) {
-            return;
-        }
-        {
-            let mut known = s.known.borrow_mut();
-            if known.insert(key, ver).is_none() {
-                let mut order = s.known_order.borrow_mut();
-                order.push_back(key);
-                while known.len() > KNOWN_MAX {
-                    let oldest = order.pop_front().expect("order tracks known");
-                    known.remove(&oldest);
-                }
-            }
-        }
-        self.drop_data(s, key, |e| e.ver < ver);
+    /// Server `idx` pushed that `key` died: drop its entry.
+    pub(crate) fn observe_invalidate(&self, idx: usize, key: u64) {
+        self.stats
+            .targeted_inv
+            .set(self.stats.targeted_inv.get() + 1);
+        self.invalidate_key(idx, key);
     }
 
     /// Drop `key`'s data entry where `stale` says so of it.
@@ -319,10 +273,9 @@ impl ClientCache {
     /// it.
     pub(crate) fn lookup_data(&self, idx: usize, key: u64, off: u64, len: u64) -> Option<Bytes> {
         let s = &self.servers[idx];
-        // The entry's fill-time version must still be current and its read
-        // lease, if it has one, unexpired.
+        // The entry's read lease, if it has one, must be unexpired.
         self.drop_data(s, key, |e| {
-            e.ver < s.known_ver(key) || e.leased_until.is_some_and(|t| t <= simcore::now())
+            e.leased_until.is_some_and(|t| t <= simcore::now())
         });
         let data = s.data.borrow();
         let hit = data.get(&key).and_then(|e| {
@@ -352,17 +305,12 @@ impl ClientCache {
         if resp_epoch < s.epoch.get() || charge > self.share {
             return;
         }
-        // Stamp the version known *now*: the response's version block was folded
-        // into `known` before this fill (synchronously, no await between),
-        // so an entry can never outrank what its own response reported.
-        let ver = s.known_ver(key);
         let leased_until = s.serve_for.get().map(|lease| simcore::now() + lease);
         let mut data = s.data.borrow_mut();
         let mut order = s.data_order.borrow_mut();
         let entry = DataEntry {
             epoch: resp_epoch,
             bytes,
-            ver,
             leased_until,
             refs: Cell::new(0),
         };
@@ -712,31 +660,37 @@ mod tests {
         });
     }
 
-    /// A cache whose one server said it is coherent, on the default lease.
+    /// The read lease a coherent server states by default.
+    const LEASE: Duration = Duration::from_micros(50);
+
+    /// A cache whose one server said it is coherent, on [`LEASE`].
     fn fg_cache() -> ClientCache {
         let c = cache();
-        c.set_serve_for(0, Some(crate::proto::DEFAULT_READ_LEASE));
+        c.set_serve_for(0, Some(LEASE));
         c
     }
 
     #[test]
-    fn version_advance_drops_only_the_named_key() {
+    fn a_push_drops_only_its_key_and_a_later_fill_serves_out_its_lease() {
         let sim = simcore::Sim::new();
         sim.block_on(async {
             let c = fg_cache();
-            c.observe_version(0, 1, 1, false);
-            c.observe_version(0, 2, 1, false);
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
             c.fill_data(0, 2, 0, Bytes::from_static(b"b"));
-            c.observe_version(0, 1, 2, true);
-            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "stale key dropped");
+            c.observe_invalidate(0, 1);
+            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "pushed key dropped");
             assert!(c.lookup_data(0, 2, 0, 1).is_some(), "unrelated key kept");
             assert_eq!(c.stats().targeted_inv(), 1);
             assert_eq!(c.stats().broadcast_inv(), 0);
             assert_eq!(c.stats().invalidations(), 1);
-            // Replayed/reordered push for an older version is a no-op.
-            c.observe_version(0, 2, 1, true);
-            assert!(c.lookup_data(0, 2, 0, 1).is_some());
+            // A read that was on the wire when key 1 died lands after its
+            // push: the entry holds the ref's final bytes and serves them
+            // until its read lease runs out, not a nanosecond longer.
+            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
+            simcore::sleep(LEASE - Duration::from_nanos(1)).await;
+            assert_eq!(c.lookup_data(0, 1, 0, 1).unwrap(), ONE);
+            simcore::sleep(Duration::from_nanos(1)).await;
+            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
         });
     }
 
@@ -747,37 +701,11 @@ mod tests {
             let c = fg_cache();
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
             assert!(c.lookup_data(0, 1, 0, 1).is_some());
-            simcore::sleep(crate::proto::DEFAULT_READ_LEASE * 2).await;
+            simcore::sleep(LEASE * 2).await;
             assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
             // A refill re-arms the lease.
             c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
             assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        });
-    }
-
-    #[test]
-    fn forgotten_versions_fall_back_to_the_read_lease() {
-        let sim = simcore::Sim::new();
-        sim.block_on(async {
-            let c = fg_cache();
-            let s = &c.servers[0];
-            c.observe_version(0, 1, 1, false);
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            // One report past the bound forgets exactly the oldest key.
-            for key in 2..=KNOWN_MAX as u64 + 1 {
-                c.observe_version(0, key, 1, false);
-            }
-            assert_eq!(s.known.borrow().len(), KNOWN_MAX);
-            assert_eq!(s.known_order.borrow().len(), KNOWN_MAX);
-            assert_eq!(s.known_ver(1), 0, "oldest forgotten");
-            assert_eq!(s.known_ver(2), 1);
-            // Key 1's invalidation is lost: its entry keeps serving the
-            // ref's final bytes until the read lease runs out, no longer.
-            let lease = crate::proto::DEFAULT_READ_LEASE;
-            simcore::sleep(lease - Duration::from_nanos(1)).await;
-            assert!(c.lookup_data(0, 1, 0, 1).is_some());
-            simcore::sleep(Duration::from_nanos(1)).await;
-            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
         });
     }
 

@@ -30,7 +30,7 @@ use rpclib::{Message, Rpc, RpcError};
 use simnet::Addr;
 
 use crate::cache::{CacheStats, ClientCache, FLUSH_WINDOW};
-use crate::proto::{self, req, split_response, Reader, Reply, Writer};
+use crate::proto::{self, req, split_response, Reader, Writer};
 
 /// Handle to the DM pool for one process.
 ///
@@ -42,9 +42,9 @@ pub struct DmNetClient {
     servers: Vec<Addr>,
     pids: Vec<GlobalPid>,
     next_rr: Cell<usize>,
-    /// Lease TTL granted by the pool (`None` when the servers do not grant
-    /// leases). When set, a background task renews every lease at TTL/3.
-    lease_ttl: Option<Duration>,
+    /// Lease TTL each server granted (`None` where it grants no leases).
+    /// A background task per leased server renews at its own TTL/3.
+    lease_ttls: Vec<Option<Duration>>,
     /// Shared liveness flag: cleared on drop or simulated crash, which
     /// stops the renewal task and any pending batch flush.
     alive: Rc<Cell<bool>>,
@@ -60,11 +60,12 @@ impl DmNetClient {
         DmNetClient::connect_with(rpc, servers, false).await
     }
 
-    /// Register this process with every DM server in the pool. If the
-    /// servers grant leases, a background task renews them until the client
-    /// is dropped or [`DmNetClient::simulate_crash`] is called; if any is
-    /// coherent (DESIGN.md §15), the client serves its invalidation pushes
-    /// and honours its read lease. Both are learned here, per server.
+    /// Register this process with every DM server in the pool. Each server
+    /// that grants a lease is renewed at its own TTL by a background task
+    /// until the client is dropped or [`DmNetClient::simulate_crash`] is
+    /// called; if any is coherent (DESIGN.md §15), the client serves its
+    /// invalidation pushes and honours its read lease. Both are learned
+    /// here, per server.
     ///
     /// `cached` turns on the DESIGN.md §9 ref cache and coalescer.
     pub async fn connect_with(
@@ -75,7 +76,8 @@ impl DmNetClient {
         assert!(!servers.is_empty(), "DM pool must have at least one server");
         let cache = Rc::new(ClientCache::new(servers.len()));
         let mut pids = Vec::with_capacity(servers.len());
-        let (mut lease_ttl, mut any_coherent) = (None, false);
+        let mut lease_ttls = Vec::with_capacity(servers.len());
+        let mut any_coherent = false;
         for (i, &s) in servers.iter().enumerate() {
             cache.count_wire(req::REGISTER);
             let resp = rpc
@@ -84,74 +86,65 @@ impl DmNetClient {
                 .map_err(|_| DmError::Transport)?;
             let (epoch, reply) = split_response(&resp);
             cache.observe_epoch(i, epoch);
-            // `[pid]([lease ttl]([read lease]))`, see `req::REGISTER`; the
-            // server is coherent iff it answered with a version block.
-            let coherent = matches!(
-                reply,
-                Reply::Ok {
-                    versions: Some(_),
-                    ..
-                }
-            );
-            let body = reply.result()?;
+            // `[pid]([lease ttl]([read lease]))`, see `req::REGISTER`: a TTL
+            // of 0 grants no lease, and a read lease at all, whatever its
+            // value, says the server is coherent.
+            let body = reply?;
             let mut r = Reader::of(&body);
             pids.push(r.pid()?);
-            let mut field = || r.u64().ok().filter(|&ns| ns > 0).map(Duration::from_nanos);
-            let (ttl, read_lease) = (field(), field());
-            lease_ttl = ttl.or(lease_ttl);
-            let read_lease = coherent.then(|| read_lease.unwrap_or(proto::DEFAULT_READ_LEASE));
+            let ttl = r.u64().ok().filter(|&ns| ns > 0).map(Duration::from_nanos);
+            lease_ttls.push(ttl);
+            let read_lease = r.u64().ok().map(Duration::from_nanos);
             cache.set_serve_for(i, read_lease);
             any_coherent |= read_lease.is_some();
         }
         let alive = Rc::new(Cell::new(true));
         if any_coherent {
             // Targeted invalidation push (DESIGN.md §15): a coherent server
-            // that bumps a ref's version sends `[key u64][ver u64]` to every
-            // read-lease holder. Folding the version drops exactly the named
-            // key's cached entry; everything else keeps serving.
+            // sends `[key u64]` to every read-lease holder of a ref that
+            // died, which drops exactly that key's cached entry; everything
+            // else keeps serving. Anything else is ignored.
             let (cache, pool) = (cache.clone(), servers.clone());
             rpc.register(req::INVALIDATE, move |ctx| {
-                let mut r = Reader::of(&ctx.payload);
-                if let (Ok(key), Ok(ver)) = (r.u64(), r.u64()) {
-                    if let Some(idx) = pool.iter().position(|&a| a == ctx.src) {
-                        cache.observe_version(idx, key, ver, true);
-                    }
+                let idx = pool.iter().position(|&a| a == ctx.src);
+                let key = Reader::of(&ctx.payload).u64();
+                if let (Some(idx), Ok(key), 8) = (idx, key, ctx.payload.len()) {
+                    cache.observe_invalidate(idx, key);
                 }
                 std::future::ready(Bytes::new())
             });
         }
-        if let Some(ttl) = lease_ttl {
-            // One renewal task per server: a renewal stalled on a crashed
-            // server (waiting out the retry budget) must not delay the
-            // renewals that keep the healthy servers' leases alive.
-            for (i, &s) in servers.iter().enumerate() {
-                let rpc = rpc.clone();
-                let pid = pids[i];
-                let alive = alive.clone();
-                simcore::spawn_detached(async move {
-                    // Renew well inside the TTL so one lost renewal (or a
-                    // short partition) does not expire the lease.
-                    let period = ttl / 3;
-                    loop {
-                        simcore::sleep(period).await;
-                        if !alive.get() {
-                            return;
-                        }
-                        let body = Writer::new().pid(pid).finish();
-                        let _ = rpc.call(s, req::RENEW_LEASE, body).await;
-                        if !alive.get() {
-                            return;
-                        }
+        // One renewal task per leased server, at that server's own TTL: a
+        // renewal stalled on a crashed server (waiting out the retry
+        // budget) must not delay the renewals that keep the healthy
+        // servers' leases alive.
+        for ((&s, &pid), &ttl) in servers.iter().zip(&pids).zip(&lease_ttls) {
+            let Some(ttl) = ttl else { continue };
+            let rpc = rpc.clone();
+            let alive = alive.clone();
+            simcore::spawn_detached(async move {
+                // Renew well inside the TTL so one lost renewal (or a
+                // short partition) does not expire the lease.
+                let period = ttl / 3;
+                loop {
+                    simcore::sleep(period).await;
+                    if !alive.get() {
+                        return;
                     }
-                });
-            }
+                    let body = Writer::new().pid(pid).finish();
+                    let _ = rpc.call(s, req::RENEW_LEASE, body).await;
+                    if !alive.get() {
+                        return;
+                    }
+                }
+            });
         }
         Ok(DmNetClient {
             rpc,
             servers,
             pids,
             next_rr: Cell::new(0),
-            lease_ttl,
+            lease_ttls,
             alive,
             cached,
             cache,
@@ -172,9 +165,9 @@ impl DmNetClient {
         0
     }
 
-    /// The lease TTL granted by the pool, if any.
-    pub fn lease_ttl(&self) -> Option<Duration> {
-        self.lease_ttl
+    /// The lease TTL `server` granted, if any.
+    pub fn lease_ttl(&self, server: DmServerId) -> Option<Duration> {
+        self.lease_ttls.get(server.0 as usize).copied().flatten()
     }
 
     /// Chaos hook: fail-stop this client. Lease renewal ceases and the
@@ -232,7 +225,7 @@ impl DmNetClient {
     /// on the response, which fill paths stamp entries with.
     ///
     /// In order: the send, counted per type; folding the response's epoch
-    /// and version block into the cache; then the result.
+    /// into the cache; then the result.
     async fn request_at(
         &self,
         server: DmServerId,
@@ -243,7 +236,6 @@ impl DmNetClient {
             Ok(a) => a,
             Err(e) => return (0, Err(e)),
         };
-        let idx = server.0 as usize;
         self.cache.count_wire(ty);
         let resp = match self.rpc.call(addr, ty, body).await {
             Ok(r) => r,
@@ -253,19 +245,9 @@ impl DmNetClient {
             Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
         };
         let (epoch, reply) = split_response(&resp);
-        self.cache.observe_epoch(idx, epoch);
-        match reply {
-            Reply::Ok { body, versions } => {
-                // What a coherent server says about the refs this op
-                // touched: each pair drops any entry it proves stale.
-                for (key, ver) in versions.into_iter().flatten() {
-                    self.cache.observe_version(idx, key, ver, false);
-                }
-                // For a read, the server's payload buffer itself.
-                (epoch, Ok(body.into_bytes()))
-            }
-            Reply::Err(e) => (epoch, Err(e)),
-        }
+        self.cache.observe_epoch(server.0 as usize, epoch);
+        // For a read, the server's payload buffer itself.
+        (epoch, reply.map(Message::into_bytes))
     }
 
     async fn request(&self, server: DmServerId, ty: u8, body: Message) -> DmResult<Bytes> {

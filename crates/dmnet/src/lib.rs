@@ -44,7 +44,7 @@ mod e2e_tests {
     use std::rc::Rc;
 
     use bytes::Bytes;
-    use dmcommon::{CopyMode, DmError, Ref};
+    use dmcommon::{CopyMode, DmError, DmServerId, Ref};
     use memsim::ModelParams;
     use rpclib::{Rpc, RpcBuilder};
     use simcore::Sim;
@@ -188,7 +188,7 @@ mod e2e_tests {
             let doomed = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone())
                 .await
                 .unwrap();
-            assert_eq!(doomed.lease_ttl(), Some(ttl));
+            assert_eq!(doomed.lease_ttl(DmServerId(0)), Some(ttl));
             let survivor = DmNetClient::connect(client_rpc(&net, c1, 100), pool)
                 .await
                 .unwrap();
@@ -237,6 +237,53 @@ mod e2e_tests {
             servers[0].check_invariants_all();
             assert_eq!(servers[0].free_pages_total(), baseline, "pages leaked");
             servers[0].shutdown(); // stops the lease sweeper
+        });
+    }
+
+    #[test]
+    fn each_server_is_renewed_at_its_own_ttl_and_a_lease_free_one_never() {
+        // A pool of a 200 µs lease, a 2 ms lease and no lease. (Renewing the
+        // whole pool at the last TTL seen, 2 ms / 3, let the 200 µs server
+        // reclaim this live client within a millisecond, and sent the
+        // lease-free server a `RENEW_LEASE` it answers `Malformed` every
+        // period.)
+        let r = rig(3, 1);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dms, c0) = (r.dm_nodes.clone(), r.compute[0]);
+        r.sim.block_on(async move {
+            let us = std::time::Duration::from_micros;
+            let mut servers = Vec::new();
+            for (node, ttl) in dms.into_iter().zip([Some(us(200)), Some(us(2000)), None]) {
+                let cfg = DmServerConfig {
+                    lease_ttl: ttl,
+                    ..Default::default()
+                };
+                servers.extend(start_pool(&net, &[node], &params, cfg));
+            }
+            let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+            let dm = DmNetClient::connect(client_rpc(&net, c0, 100), pool)
+                .await
+                .unwrap();
+            let ttls: Vec<_> = (0..3).map(|i| dm.lease_ttl(DmServerId(i))).collect();
+            assert_eq!(ttls, [Some(us(200)), Some(us(2000)), None]);
+            let served = servers[2].ops_served();
+
+            simcore::sleep(us(5000)).await;
+            for s in &servers {
+                assert_eq!(s.leases_reclaimed(), 0, "a live client was reclaimed");
+            }
+            assert_eq!(
+                servers[2].ops_served(),
+                served,
+                "a lease-free server was renewed"
+            );
+            for _ in 0..3 {
+                let a = dm.ralloc(4096).await.unwrap();
+                dm.rfree(a).await.unwrap();
+            }
+            for s in &servers {
+                s.shutdown(); // stops the lease sweepers
+            }
         });
     }
 
@@ -868,10 +915,10 @@ mod e2e_tests {
         // an invalidation to its read-lease holders and bumps nothing else.
         // The global epoch stays put, so unrelated cached entries keep
         // serving. The pool is mixed — server 0 coherent, with a process
-        // lease and a non-default read lease to state at `REGISTER`, server 1
-        // plain — and nothing tells the clients: each answer says what it
-        // carries, so they keep per-ref versions under the first server and
-        // the bare epoch under the second.
+        // lease and a read lease to state at `REGISTER`, server 1 plain —
+        // and nothing tells the clients: each `REGISTER` reply says what
+        // that server does, so they take pushes and read leases from the
+        // first server and the bare epoch from the second.
         let r = rig(2, 2);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dms, c0, c1) = (r.dm_nodes.clone(), r.compute[0], r.compute[1]);
@@ -887,7 +934,8 @@ mod e2e_tests {
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
             let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
             let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
-            assert_eq!(reader.lease_ttl(), Some(ttl));
+            assert_eq!(reader.lease_ttl(DmServerId(0)), Some(ttl));
+            assert_eq!(reader.lease_ttl(DmServerId(1)), None);
 
             // Round-robin: refs 0 and 2 on the coherent server, 1 and 3 on
             // the plain one. The reader fills its cache with all four.
@@ -937,10 +985,8 @@ mod e2e_tests {
 
             // A client told nothing at all (plain `connect`: no cache, no
             // word about coherence) joins the same pool under the pid each
-            // server issued it. (Read as a plain success, the coherent
-            // server's `REGISTER` reply put the version block's count byte
-            // in the pid's low byte — 3 became 768 — and `put_ref` returned
-            // a key the server never issued, leaking the ref.)
+            // server issued it, and `put_ref` returns the key the server
+            // minted.
             let bare = DmNetClient::connect(client_rpc(&net, c1, 101), pool.clone());
             let bare = bare.await.unwrap();
             let data = Bytes::from(vec![0x3C; 8192]);
@@ -1010,6 +1056,38 @@ mod e2e_tests {
                 DmError::InvalidRef
             );
             owner.flush_cache().await;
+            servers[0].check_invariants_all();
+        });
+    }
+
+    #[test]
+    fn a_zero_read_lease_caches_nothing_so_a_released_ref_reads_invalid() {
+        // A coherent server on a zero read lease states it at `REGISTER`
+        // like any other: its grants expire at once, so it pushes no
+        // invalidation, and the reader's entries must not serve at all.
+        // (When 0 read as "no lease stated", the reader fell back to 50 µs
+        // and served the dead ref's bytes 10 µs after its release.)
+        let r = rig(1, 2);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
+        r.sim.block_on(async move {
+            let zero = std::time::Duration::ZERO;
+            let servers = start_pool(&net, &[dm0], &params, coherent(zero));
+            let pool = vec![servers[0].addr()];
+            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
+            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
+            let data = Bytes::from(vec![0x5E; 4096]);
+            let r = owner.put_ref(&data).await.unwrap();
+            assert_eq!(reader.read_ref(&r, 0, 4096).await.unwrap(), data);
+
+            owner.release_ref(&r).await.unwrap();
+            owner.flush_cache().await;
+            assert_eq!(servers[0].invalidations_pushed(), 0);
+            let wire = reader.wire_count(proto::req::READ_REF);
+            let gone = reader.read_ref(&r, 0, 4096).await;
+            assert_eq!(gone.map(|b| b.len()), Err(DmError::InvalidRef));
+            assert_eq!(reader.wire_count(proto::req::READ_REF), wire + 1);
+            assert_eq!(reader.cache_stats().hits(), 0);
             servers[0].check_invariants_all();
         });
     }

@@ -2,11 +2,9 @@
 //!
 //! Each DM operation is one RPC to the owning DM server. Responses carry a
 //! leading status byte followed by the server's current *invalidation
-//! epoch* (u64 LE). The status says what the rest is: a plain success
-//! ([`STATUS_OK`]), a success that starts with the per-ref version block of
-//! a coherent server ([`STATUS_OK_VERSIONED`], DESIGN.md §15) or a
-//! [`DmError`] code — so a client decodes any server's answer without being
-//! told how that server was configured. The epoch
+//! epoch* (u64 LE). The status says what the rest is: the op's result
+//! ([`STATUS_OK`]) or nothing ([`DmError`] codes), whatever the server's
+//! configuration. The epoch
 //! advances whenever a ref is released (explicitly or by lease
 //! reclamation), so a client comparing the piggybacked epoch against the
 //! one its cache entries were filled under can tell whether any ref it
@@ -18,7 +16,6 @@
 //! [`split_response`] read across the seam, wherever it falls.
 
 use std::borrow::Cow;
-use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dmcommon::{DmError, DmResult, GlobalPid};
@@ -32,10 +29,10 @@ pub mod req {
     /// share with this server: `[pid u32]([lease ttl u64 ns]([read lease
     /// u64 ns]))`, its global PID and then one trailing field per setting,
     /// sent only when the server has one to state. A later field forces the
-    /// earlier one, where 0 says "none"; the read lease is a coherent
-    /// server's (the reply's status says whether it is one) and goes out
-    /// only when it is not [`super::DEFAULT_READ_LEASE`] — so a default
-    /// server replies with the pid alone.
+    /// earlier one, where a TTL of 0 says "no leases". A coherent server
+    /// (DESIGN.md §15) always states its read lease, whatever its value, and
+    /// only a coherent server sends that third field — so a default server
+    /// replies with the pid alone.
     pub const REGISTER: u8 = 10;
     /// Allocate DM virtual address space.
     pub const ALLOC: u8 = 11;
@@ -65,12 +62,11 @@ pub mod req {
     /// one full response per sub-request in order. Nested batches are
     /// rejected.
     pub const BATCH: u8 = 22;
-    /// Server-to-client targeted invalidation push (`[key u64][ver u64]`,
-    /// DESIGN.md §15): the named ref's version advanced (it was released
-    /// or reclaimed), so any cached copy filled under an older
-    /// version must be dropped. Fire-and-forget — a lost push is safe
-    /// because cached entries also carry a bounded read lease and a
-    /// version check on serve, and ref bytes are immutable while live.
+    /// Server-to-client targeted invalidation push (`[key u64]`, DESIGN.md
+    /// §15): the named ref died (it was released or reclaimed), so any
+    /// cached copy of it must be dropped. Fire-and-forget — a lost push is
+    /// safe because cached entries also carry a bounded read lease, and ref
+    /// bytes are immutable while live.
     pub const INVALIDATE: u8 = 26;
 }
 
@@ -130,9 +126,10 @@ const ERR_TABLE: &[(DmError, u8)] = &[
     (DmError::OutOfBounds, 4),
     (DmError::Malformed, 5),
     (DmError::Transport, 6),
-    // 7 (a redirect) and 8 (a DM server's `Busy`) are retired and decode
-    // as `Malformed`; 9 is STATUS_OK_VERSIONED. `Busy` has no code: it is
-    // the social front door's, and no DM server answers with it.
+    // 7 (a redirect), 8 (a DM server's `Busy`) and 9 (a success carrying
+    // per-ref versions) are retired and decode as `Malformed`. `Busy` has
+    // no code: it is the social front door's, and no DM server answers
+    // with it.
 ];
 
 fn err_code(e: DmError) -> u8 {
@@ -151,35 +148,21 @@ fn code_err(c: u8) -> DmError {
         .unwrap_or(DmError::Malformed)
 }
 
-/// Status byte of a plain success: the op's result follows the epoch.
+/// Status byte of a success: the op's result follows the epoch.
 pub const STATUS_OK: u8 = 0;
 
-/// Status byte of every success from a coherent server (DESIGN.md §15): a
-/// version block — `[n u8]`, then `n × ([key u64][ver u64])`, `n = 0` when
-/// the op touched no ref — sits between the epoch and the op's result.
-pub const STATUS_OK_VERSIONED: u8 = 9;
-
-/// Read lease of a coherent server whose `REGISTER` reply names none.
-pub const DEFAULT_READ_LEASE: Duration = Duration::from_micros(50);
-
-/// Bytes in front of every response body: `[status u8][epoch u64]`.
-const RESPONSE_HEAD: usize = 9;
-
-/// Bytes a data response carries around its payload: [`RESPONSE_HEAD`], plus
-/// the one-ref version block (`[n u8][key u64][ver u64]`) from a coherent
-/// server. A server checks a wire-fed read length against
+/// Bytes in front of every response body: `[status u8][epoch u64]`. A
+/// server checks a wire-fed read length against
 /// [`rpclib::wire::max_msg_len`] less this before it builds anything.
-pub(crate) fn data_response_overhead(coherent: bool) -> usize {
-    RESPONSE_HEAD + if coherent { 1 + 16 } else { 0 }
-}
+pub(crate) const RESPONSE_HEAD: usize = 9;
 
 /// A response under construction: status and epoch are reserved up front,
 /// small fields are appended behind them, and a payload is *attached* as
 /// the body ([`Response::body`] — page bytes straight out of the page
-/// store). Status, epoch and the optional version block are filled in by
-/// the method that finishes it — so a server that awaits between producing
-/// the body and answering reports the epoch of the answer, and no body is
-/// ever copied to be framed.
+/// store). Status and epoch are filled in by the method that finishes it —
+/// so a server that awaits between producing the body and answering
+/// reports the epoch of the answer, and no body is ever copied to be
+/// framed.
 pub struct Response {
     head: Vec<u8>,
     body: Bytes,
@@ -228,20 +211,9 @@ impl Response {
     }
 
     /// Finish as a success carrying the server's current invalidation
-    /// `epoch`: [`STATUS_OK`], or with `touched` (what a coherent server
-    /// passes, on every success) [`STATUS_OK_VERSIONED`] with the version
-    /// block in front of everything appended so far.
-    pub fn ok(mut self, epoch: u64, touched: Option<&[(u64, u64)]>) -> Message {
-        let Some(touched) = touched else {
-            return self.finish(STATUS_OK, epoch);
-        };
-        assert!(touched.len() <= u8::MAX as usize, "version count is a u8");
-        let pairs = touched
-            .iter()
-            .flat_map(|&(key, ver)| key.to_le_bytes().into_iter().chain(ver.to_le_bytes()));
-        let block = std::iter::once(touched.len() as u8).chain(pairs);
-        self.head.splice(RESPONSE_HEAD..RESPONSE_HEAD, block);
-        self.finish(STATUS_OK_VERSIONED, epoch)
+    /// `epoch`.
+    pub fn ok(self, epoch: u64) -> Message {
+        self.finish(STATUS_OK, epoch)
     }
 
     /// An error response, carrying the server's current `epoch`.
@@ -250,62 +222,20 @@ impl Response {
     }
 }
 
-/// What a response decodes to: a result or an error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Success.
-    Ok {
-        /// The op's own result: everything behind the epoch and the
-        /// version block, if there was one.
-        body: Message,
-        /// The `(key, version)` pairs the op touched, from a coherent
-        /// server (`Some`, possibly empty); `None` from a server that keeps
-        /// the global epoch only.
-        versions: Option<Vec<(u64, u64)>>,
-    },
-    /// Typed failure.
-    Err(DmError),
-}
-
-impl Reply {
-    /// The body or the error.
-    pub fn result(self) -> DmResult<Message> {
-        match self {
-            Reply::Ok { body, .. } => Ok(body),
-            Reply::Err(e) => Err(e),
-        }
-    }
-}
-
-/// Split a response into its piggybacked epoch plus [`Reply`] — the one
-/// response decoder. A response too short to carry an epoch (or a version
-/// block longer than what follows) decodes as `Malformed`, the first with
-/// epoch 0.
-pub fn split_response(resp: &Message) -> (u64, Reply) {
+/// Split a response into its piggybacked epoch plus the op's result — the
+/// body behind the epoch, or the error — the one response decoder. A
+/// response too short to carry an epoch decodes as `Malformed` with epoch
+/// 0.
+pub fn split_response(resp: &Message) -> (u64, DmResult<Message>) {
     let mut r = Reader::of(resp);
     let (Ok(status), Ok(epoch)) = (r.u8(), r.u64()) else {
-        return (0, Reply::Err(DmError::Malformed));
+        return (0, Err(DmError::Malformed));
     };
     let reply = match status {
-        STATUS_OK => Reply::Ok {
-            body: resp.skip(RESPONSE_HEAD),
-            versions: None,
-        },
-        STATUS_OK_VERSIONED => match read_versions(&mut r) {
-            Ok(versions) => Reply::Ok {
-                body: resp.skip(RESPONSE_HEAD + 1 + 16 * versions.len()),
-                versions: Some(versions),
-            },
-            Err(e) => Reply::Err(e),
-        },
-        c => Reply::Err(code_err(c)),
+        STATUS_OK => Ok(resp.skip(RESPONSE_HEAD)),
+        c => Err(code_err(c)),
     };
     (epoch, reply)
-}
-
-fn read_versions(r: &mut Reader<'_>) -> DmResult<Vec<(u64, u64)>> {
-    let n = r.u8()?;
-    (0..n).map(|_| Ok((r.u64()?, r.u64()?))).collect()
 }
 
 /// High bit of a batch item tag: set when the item body starts with a
@@ -580,18 +510,20 @@ mod tests {
     #[test]
     fn response_roundtrip() {
         let payload = Bytes::from_static(b"abc");
-        let ok = Response::new().body(payload.clone()).ok(42, None);
+        let ok = Response::new().u64(77).body(payload.clone()).ok(42);
         let (epoch, reply) = split_response(&ok);
         assert_eq!(epoch, 42);
         // The payload is attached, not copied, and comes back the same way.
-        let body = reply.result().unwrap().into_bytes();
+        let body = reply.unwrap();
+        assert_eq!(body, [&77u64.to_le_bytes()[..], b"abc"].concat()[..]);
+        let body = body.skip(8).into_bytes();
         assert_eq!(body.as_ptr(), payload.as_ptr());
         let err = Response::err(7, DmError::OutOfMemory);
-        assert_eq!(split_response(&err), (7, Reply::Err(DmError::OutOfMemory)));
+        assert_eq!(split_response(&err), (7, Err(DmError::OutOfMemory)));
         // Too short to carry an epoch: malformed, epoch reads as 0.
         for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
             let short = Message::from(short);
-            assert_eq!(split_response(&short), (0, Reply::Err(DmError::Malformed)));
+            assert_eq!(split_response(&short), (0, Err(DmError::Malformed)));
         }
     }
 
@@ -602,7 +534,7 @@ mod tests {
         for &(e, code) in ERR_TABLE {
             assert_eq!(err_code(e), code);
             assert_eq!(code_err(code), e);
-            assert_eq!(split_response(&Response::err(0, e)).1, Reply::Err(e));
+            assert_eq!(split_response(&Response::err(0, e)).1, Err(e));
         }
         // Unknown codes (and 0 in error position) decode as Malformed.
         assert_eq!(code_err(0), DmError::Malformed);
@@ -633,12 +565,9 @@ mod tests {
             .collect();
         assert_eq!(decoded, expect);
 
-        let resps = vec![
-            Response::new().ok(1, None),
-            Response::err(2, DmError::InvalidRef),
-        ];
-        let framed = split_response(&batch_response(&resps).ok(3, None)).1;
-        let back = decode_batch_responses(&framed.result().unwrap().into_bytes()).unwrap();
+        let resps = vec![Response::new().ok(1), Response::err(2, DmError::InvalidRef)];
+        let framed = split_response(&batch_response(&resps).ok(3)).1;
+        let back = decode_batch_responses(&framed.unwrap().into_bytes()).unwrap();
         let back: Vec<Message> = back.into_iter().map(Message::from).collect();
         assert_eq!(back, resps);
     }
@@ -717,55 +646,23 @@ mod tests {
     }
 
     /// Every surviving op and status keeps the code it had when the ring's
-    /// ops (23–25), the redirect status (7) and the `Busy` status (8) were
-    /// retired; the retired codes are nobody's.
+    /// ops (23–25), the redirect status (7), the `Busy` status (8) and the
+    /// versioned success (9) were retired; the retired codes are nobody's.
     #[test]
     fn wire_codes_are_pinned() {
         let codes: Vec<u8> = OPS.iter().map(|op| op.0).collect();
         assert_eq!(codes, [10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22, 26]);
-        assert_eq!((STATUS_OK, STATUS_OK_VERSIONED), (0, 9));
+        assert_eq!(STATUS_OK, 0);
         let errs: Vec<u8> = ERR_TABLE.iter().map(|&(_, c)| c).collect();
         assert_eq!(errs, [1, 2, 3, 4, 5, 6]);
         // A response with a retired status is malformed, whatever follows
         // the epoch, and `Malformed` is never retried.
-        for status in [7u8, 8] {
-            for tail in [&[][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
+        for status in [7u8, 8, 9] {
+            for tail in [&[][..], &[0][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
                 let flat = [&[status, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
                 let resp = Message::from(Bytes::from(flat));
-                assert_eq!(split_response(&resp), (9, Reply::Err(DmError::Malformed)));
+                assert_eq!(split_response(&resp), (9, Err(DmError::Malformed)));
             }
-        }
-    }
-
-    #[test]
-    fn version_block_roundtrip() {
-        // Data bytes plus two touched refs: the versions sit in the head,
-        // in front of the small fields, and strip without touching the body.
-        let payload = Bytes::from_static(b"payload");
-        let resp = Response::new()
-            .u64(77)
-            .body(payload.clone())
-            .ok(5, Some(&[(11, 2), (u64::MAX, 7)]));
-        assert_eq!(resp.body.as_ptr(), payload.as_ptr());
-        assert_eq!(resp.head[0], STATUS_OK_VERSIONED);
-        let (epoch, reply) = split_response(&resp);
-        let Reply::Ok { body, versions } = reply else {
-            panic!("{reply:?}")
-        };
-        assert_eq!(epoch, 5);
-        assert_eq!(versions, Some(vec![(11, 2), (u64::MAX, 7)]));
-        assert_eq!(body, [&77u64.to_le_bytes()[..], b"payload"].concat()[..]);
-        // Untouched responses still carry an (empty) block; plain ones none.
-        for touched in [Some(&[][..]), None] {
-            let reply = split_response(&Response::new().ok(5, touched)).1;
-            let (body, versions) = (Message::default(), touched.map(|_| Vec::new()));
-            assert_eq!(reply, Reply::Ok { body, versions });
-        }
-        // A claimed block bigger than the body is malformed.
-        for short in [&[3u8, 0, 0][..], &[]] {
-            let flat = [&[STATUS_OK_VERSIONED, 5, 0, 0, 0, 0, 0, 0, 0][..], short].concat();
-            let short = Message::from(Bytes::from(flat));
-            assert_eq!(split_response(&short), (5, Reply::Err(DmError::Malformed)));
         }
     }
 

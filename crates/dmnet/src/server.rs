@@ -22,7 +22,7 @@
 //! process and lease lifecycle, owner checks and the cost model. `dispatch`
 //! holds the one body of every wire op; `recovery` the durable tier
 //! (persist, snapshot, replay, `restart_from_log`); `coherence` everything
-//! that decides how a change reaches client caches (epoch, versions, holder
+//! that decides how a change reaches client caches (epoch, holder
 //! directory, pushes).
 
 mod coherence;
@@ -55,7 +55,7 @@ fn translations_for(len: u64) -> u64 {
 
 /// DM server tuning knobs. The three planes at the end are configured here
 /// and nowhere else: what a client has to know about them it reads off the
-/// reply to its `REGISTER` and the status of each response (DESIGN.md §15).
+/// reply to its `REGISTER` (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
 pub struct DmServerConfig {
     /// Pinned pool size in pages (default 64 Ki pages = 256 MiB).
@@ -89,12 +89,11 @@ pub struct DmServerConfig {
     /// selects the zero-cost media model (full bookkeeping, unchanged
     /// schedule — committed CSVs stay byte-identical).
     pub durability: Option<WalConfig>,
-    /// Fine-grained cache coherence (DESIGN.md §15): when set, successful
-    /// responses carry a `(key, version)` block for the refs they touched
-    /// under their own ok status, mutating ops bump only the touched ref's
-    /// version, and a bounded holder directory pushes targeted `INVALIDATE`
-    /// messages instead of advancing the global epoch. `None` (default)
-    /// keeps the global-epoch scheme.
+    /// Fine-grained cache coherence (DESIGN.md §15): when set, a ref's
+    /// death is pushed as a targeted `INVALIDATE` to the clients a bounded
+    /// holder directory names, instead of advancing the global epoch, and
+    /// `REGISTER` states the read lease those clients serve under. `None`
+    /// (default) keeps the global-epoch scheme.
     pub coherence: Option<CoherenceConfig>,
 }
 

@@ -2,9 +2,9 @@
 //! visible to client caches. Two mechanisms share every call site — the
 //! global invalidation epoch piggybacked on all responses, and (when
 //! [`DmServerConfig::coherence`](super::DmServerConfig::coherence) is set)
-//! per-ref versions with a bounded holder directory and targeted
-//! `INVALIDATE` pushes. Which one a ref's death takes is decided in exactly
-//! one place, [`DmServer::refs_died`]; the op bodies never ask.
+//! a bounded holder directory that a ref's death is pushed to as a targeted
+//! `INVALIDATE`. Which one a ref's death takes is decided in exactly one
+//! place, [`DmServer::refs_died`]; the op bodies never ask.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -14,7 +14,7 @@ use simcore::SimTime;
 use simnet::{Addr, NodeId};
 
 use super::DmServer;
-use crate::proto::{req, Response, Writer, DEFAULT_READ_LEASE};
+use crate::proto::{req, Response, Writer};
 
 /// Fine-grained cache-coherence tuning (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
@@ -35,7 +35,7 @@ impl Default for CoherenceConfig {
     fn default() -> Self {
         CoherenceConfig {
             dir_max: 1024,
-            read_lease: DEFAULT_READ_LEASE,
+            read_lease: Duration::from_micros(50),
         }
     }
 }
@@ -43,14 +43,6 @@ impl Default for CoherenceConfig {
 /// The holder directory's storage: ref key → (client node, port) → grant
 /// expiry.
 pub(super) type HolderDir = HashMap<u64, BTreeMap<(u32, u16), SimTime>>;
-
-/// The version of every live ref. A ref is born at version 1 and nothing
-/// but its death advances it, so the server keeps no version table.
-pub(super) const LIVE: u64 = 1;
-
-/// The version of a dead ref: what its holders are pushed and the
-/// releaser's response says.
-const RELEASED: u64 = LIVE + 1;
 
 impl DmServer {
     /// Targeted INVALIDATE messages pushed to holders so far.
@@ -61,10 +53,6 @@ impl DmServer {
     /// Directory-overflow broadcasts (epoch bumps) taken so far.
     pub fn coherence_broadcasts(&self) -> u64 {
         self.broadcasts.get()
-    }
-
-    pub(super) fn coherent(&self) -> bool {
-        self.config.coherence.is_some()
     }
 
     /// Record that `src` now holds a cached copy of `key` (no-op unless
@@ -93,13 +81,12 @@ impl DmServer {
         self.dir_grants.set(self.dir_grants.get() + 1);
     }
 
-    /// Push targeted INVALIDATE messages for `key` at `ver` to every
-    /// live holder (fire-and-forget: a lost push is safe — the holder's
-    /// read lease bounds how long it can keep serving, and a stale entry
-    /// can only hold the dead ref's final immutable bytes). `exclude`
-    /// skips the requester, whose own response version block already carries
-    /// the new version.
-    fn push_invalidations(&self, key: u64, ver: u64, exclude: Option<Addr>) {
+    /// Push a targeted INVALIDATE for `key` to every live holder
+    /// (fire-and-forget: a lost push is safe — the holder's read lease
+    /// bounds how long it can keep serving, and a stale entry can only hold
+    /// the dead ref's final immutable bytes). `exclude` skips the
+    /// requester, which dropped its own copy when it asked for the release.
+    fn push_invalidations(&self, key: u64, exclude: Option<Addr>) {
         let Some(holders) = self.dir.borrow_mut().remove(&key) else {
             return;
         };
@@ -115,7 +102,7 @@ impl DmServer {
             }
             self.inv_pushed.set(self.inv_pushed.get() + 1);
             let rpc = self.rpc.clone();
-            let body = Writer::new().u64(key).u64(ver).finish();
+            let body = Writer::new().u64(key).finish();
             simcore::spawn_detached(async move {
                 let _ = rpc.call(dst, req::INVALIDATE, body).await;
             });
@@ -127,32 +114,21 @@ impl DmServer {
     /// only place that chooses between the two schemes. Without per-ref
     /// coherence the global epoch advances once, whatever the number of
     /// keys, and the response's own epoch tells the requester. With it,
-    /// each key's [`RELEASED`] version is pushed to its holders so their
-    /// cached copies die promptly; the returned `(key, version)` pairs go
-    /// into the requester's response version block, which is why `exclude`
-    /// skips it. During replay the (volatile) directory is empty and
-    /// nothing is pushed.
-    pub(super) fn refs_died(&self, keys: &[u64], exclude: Option<Addr>) -> Vec<(u64, u64)> {
-        if !self.coherent() {
+    /// each key's death is pushed to its holders so their cached copies die
+    /// promptly; `exclude` (the requester) is skipped. During replay the
+    /// (volatile) directory is empty and nothing is pushed.
+    pub(super) fn refs_died(&self, keys: &[u64], exclude: Option<Addr>) {
+        if self.config.coherence.is_none() {
             self.epoch.set(self.epoch.get() + 1);
-            return Vec::new();
+            return;
         }
-        let bump = |&key: &u64| {
-            self.push_invalidations(key, RELEASED, exclude);
-            (key, RELEASED)
-        };
-        keys.iter().map(bump).collect()
+        for &key in keys {
+            self.push_invalidations(key, exclude);
+        }
     }
 
-    /// Finish `resp` as a success carrying the current epoch. A coherent
-    /// server puts a version block in *every* ok response (empty when the
-    /// op touched no cacheable ref); the status byte says it is there.
+    /// Finish `resp` as a success carrying the current epoch.
     pub(super) fn ok(&self, resp: Response) -> Message {
-        self.ok_v(&[], resp)
-    }
-
-    /// [`Self::ok`] with the `(key, version)` pairs this op touched.
-    pub(super) fn ok_v(&self, touched: &[(u64, u64)], resp: Response) -> Message {
-        resp.ok(self.epoch.get(), self.coherent().then_some(touched))
+        resp.ok(self.epoch.get())
     }
 }

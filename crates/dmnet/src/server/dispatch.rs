@@ -2,7 +2,7 @@
 //! op. Each arm validates, mutates the page manager, persists
 //! (log-before-ack), charges CPU/memory and answers; how the change
 //! reaches client caches is the coherence plane's decision
-//! ([`DmServer::refs_died`], [`DmServer::grant`], [`DmServer::ok_v`]).
+//! ([`DmServer::refs_died`], [`DmServer::grant`]).
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -12,10 +12,9 @@ use rpclib::Message;
 use simnet::Addr;
 use telemetry::SpanKind;
 
-use super::coherence::LIVE;
 use super::{translations_for, DmServer};
 use crate::page_manager::OpCost;
-use crate::proto::{self, req, Reader, Response, DEFAULT_READ_LEASE};
+use crate::proto::{self, req, Reader, Response};
 use crate::wal::Record;
 
 impl DmServer {
@@ -53,8 +52,7 @@ impl DmServer {
     /// Refuse a read whose reply no message can carry — `len` comes off the
     /// wire — before any buffer is built for it.
     fn check_reply_fits(&self, len: u64) -> DmResult<()> {
-        let room = rpclib::wire::max_msg_len(self.rpc.config().mtu)
-            - proto::data_response_overhead(self.coherent());
+        let room = rpclib::wire::max_msg_len(self.rpc.config().mtu) - proto::RESPONSE_HEAD;
         if len > room as u64 {
             return Err(DmError::OutOfBounds);
         }
@@ -80,8 +78,7 @@ impl DmServer {
                 }
                 // The reply's trailing fields (`req::REGISTER`): up to the
                 // last one this server has to state, 0 for none before it.
-                let read_lease = self.config.coherence.map(|c| c.read_lease);
-                let fields = [ttl, read_lease.filter(|&l| l != DEFAULT_READ_LEASE)];
+                let fields = [ttl, self.config.coherence.map(|c| c.read_lease)];
                 let sent = fields
                     .iter()
                     .rposition(Option::is_some)
@@ -145,7 +142,7 @@ impl DmServer {
                 .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
                 self.charge(cost, pages).await;
-                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(key)))
+                Ok(self.ok(Response::new().u64(key)))
             }
             req::MAP_REF => {
                 let pid = r.pid()?;
@@ -162,7 +159,7 @@ impl DmServer {
                 .await;
                 self.charge(cost, cost.refcount_updates).await;
                 self.grant(key, src);
-                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(va).u64(len)))
+                Ok(self.ok(Response::new().u64(va).u64(len)))
             }
             req::READ => {
                 let pid = r.pid()?;
@@ -201,12 +198,13 @@ impl DmServer {
             req::RELEASE_REF => {
                 let key = r.u64()?;
                 let cost = self.pm.borrow_mut().release_ref(key)?;
-                // The ref is gone: invalidate client caches (the releaser's
-                // own response carries the new epoch or version).
-                let touched = self.refs_died(&[key], Some(src));
+                // The ref is gone: invalidate client caches. The releaser
+                // is told by its own response's epoch, or, by a coherent
+                // server, not at all: it dropped its copy when it asked.
+                self.refs_died(&[key], Some(src));
                 self.persist(|| vec![Record::ReleaseRef { key }]).await;
                 self.charge(cost, cost.refcount_updates).await;
-                Ok(self.ok_v(&touched, Response::new()))
+                Ok(self.ok(Response::new()))
             }
             req::PUT_REF => {
                 // The new ref's pages are views into the request's storage:
@@ -234,7 +232,7 @@ impl DmServer {
                 self.note_data_time(len);
                 // The publisher caches the bytes it just published.
                 self.grant(key, src);
-                Ok(self.ok_v(&[(key, LIVE)], Response::new().u64(key)))
+                Ok(self.ok(Response::new().u64(key)))
             }
             req::READ_REF => {
                 let key = r.u64()?;
@@ -248,9 +246,9 @@ impl DmServer {
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 // The reader may now cache these bytes: grant it a read
-                // lease and report the key's version alongside the data.
+                // lease.
                 self.grant(key, src);
-                Ok(self.ok_v(&[(key, LIVE)], Response::new().body(data)))
+                Ok(self.ok(Response::new().body(data)))
             }
             req::BATCH => {
                 // Coalesced control ops (DESIGN.md §9): one wire message,

@@ -8,7 +8,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
 use dmnet::proto::{encode_batch, req, split_response, Reader, Response, Writer, DM_PORT, OPS};
-use dmnet::{start_pool, DmNetClient, DmServerConfig};
+use dmnet::{start_pool, CoherenceConfig, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
@@ -16,40 +16,116 @@ use simcore::Sim;
 use simnet::{FabricConfig, Network, NicConfig};
 
 fn parse_response(resp: &Message) -> DmResult<Bytes> {
-    split_response(resp).1.result().map(Message::into_bytes)
+    split_response(resp).1.map(Message::into_bytes)
 }
 
 /// A hostile DM "server" registers every caller as pid 1 and answers every
-/// `READ_REF` with status 7 — the retired redirect code — naming itself as
-/// the place to go. The client reads it as `Malformed` and goes nowhere.
+/// `READ_REF` with a retired status — 7, the redirect code, or 9, the
+/// success that carried per-ref versions — followed by itself as the place
+/// to go. The client reads either as `Malformed` and goes nowhere.
 #[test]
 fn the_retired_redirect_status_is_malformed_and_not_followed() {
-    let sim = Sim::new();
-    sim.block_on(async move {
+    for status in [7u8, 9] {
+        Sim::new().block_on(async move {
+            let net = Network::new(FabricConfig::default(), 3);
+            let dm_node = net.add_node("dm", NicConfig::default());
+            let c_node = net.add_node("c", NicConfig::default());
+            let fake = RpcBuilder::new(&net, dm_node, DM_PORT).build();
+            fake.register(req::REGISTER, |_| async {
+                Response::new().pid(GlobalPid(1)).ok(0)
+            });
+            fake.register(req::READ_REF, move |_| async move {
+                let flat = Writer::new().u8(status).u64(0).u32(dm_node.0).u16(DM_PORT);
+                Message::from(Bytes::from(flat.into_vec()))
+            });
+            let rpc = RpcBuilder::new(&net, c_node, 100).build();
+            let dm = DmNetClient::connect(rpc, vec![fake.addr()]).await.unwrap();
+            for key in [5, 1 << 63 | 5] {
+                let r = Ref::Net {
+                    server: DmServerId(0),
+                    key,
+                    len: 8,
+                };
+                let err = dm.read_ref(&r, 0, 8).await.unwrap_err();
+                assert_eq!(err, DmError::Malformed, "status {status} key {key:#x}");
+            }
+            assert_eq!(dm.wire_count(req::READ_REF), 2, "one message per read");
+        });
+    }
+}
+
+/// A client takes an `INVALIDATE` push only as a coherent server of its
+/// pool sends it: `[key u64]` from that server's address. A fake coherent
+/// server (a 1 s read lease) fills the client's cache with keys 1 and 2;
+/// then the same push from an address outside the pool, and from the server
+/// with every other body length 0–24, is ignored without a panic and drops
+/// nothing; the well-formed push drops key 1 alone.
+#[test]
+fn an_invalidate_push_from_outside_the_pool_or_of_the_wrong_length_is_ignored() {
+    Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let dm_node = net.add_node("dm", NicConfig::default());
         let c_node = net.add_node("c", NicConfig::default());
+        let m_node = net.add_node("mallory", NicConfig::default());
         let fake = RpcBuilder::new(&net, dm_node, DM_PORT).build();
         fake.register(req::REGISTER, |_| async {
-            Response::new().pid(GlobalPid(1)).ok(0, None)
+            let lease = Duration::from_secs(1).as_nanos() as u64;
+            Response::new().pid(GlobalPid(1)).u64(0).u64(lease).ok(0)
         });
-        fake.register(req::READ_REF, move |_| async move {
-            let flat = Writer::new().u8(7).u64(0).u32(dm_node.0).u16(DM_PORT);
-            Message::from(Bytes::from(flat.into_vec()))
+        fake.register(req::READ_REF, |ctx| async move {
+            let key = Reader::of(&ctx.payload).u64().unwrap();
+            Response::new().body(Bytes::from(vec![key as u8; 8])).ok(0)
         });
         let rpc = RpcBuilder::new(&net, c_node, 100).build();
-        let dm = DmNetClient::connect(rpc, vec![fake.addr()]).await.unwrap();
-        for key in [5, 1 << 63 | 5] {
-            let r = Ref::Net {
-                server: DmServerId(0),
-                key,
-                len: 8,
-            };
-            let err = dm.read_ref(&r, 0, 8).await.unwrap_err();
-            assert_eq!(err, DmError::Malformed, "key {key:#x}");
+        let dm = DmNetClient::connect_with(rpc.clone(), vec![fake.addr()], true)
+            .await
+            .unwrap();
+        let r = |key| Ref::Net {
+            server: DmServerId(0),
+            key,
+            len: 8,
+        };
+        for key in [1, 2] {
+            assert_eq!(
+                dm.read_ref(&r(key), 0, 8).await.unwrap()[..],
+                [key as u8; 8]
+            );
         }
-        assert_eq!(dm.wire_count(req::READ_REF), 2, "one message per read");
+        // Both keys cached: reading them sends nothing.
+        let cached = || async {
+            let wire = dm.wire_count(req::READ_REF);
+            for key in [1, 2] {
+                dm.read_ref(&r(key), 0, 8).await.unwrap();
+            }
+            dm.wire_count(req::READ_REF) == wire
+        };
+        let mallory = RpcBuilder::new(&net, m_node, DM_PORT).build();
+        push(&mallory, rpc.addr(), 8).await;
+        assert!(cached().await, "a push from outside the pool dropped a key");
+        for len in (0..=24).filter(|&len| len != 8) {
+            push(&fake, rpc.addr(), len).await;
+            assert!(cached().await, "a {len}-byte push dropped a key");
+        }
+        assert_eq!(dm.cache_stats().targeted_inv(), 0);
+
+        push(&fake, rpc.addr(), 8).await;
+        assert_eq!(dm.cache_stats().targeted_inv(), 1);
+        let wire = dm.wire_count(req::READ_REF);
+        dm.read_ref(&r(2), 0, 8).await.unwrap();
+        assert_eq!(dm.wire_count(req::READ_REF), wire, "key 2 still cached");
+        dm.read_ref(&r(1), 0, 8).await.unwrap();
+        assert_eq!(dm.wire_count(req::READ_REF), wire + 1, "key 1 dropped");
     });
+}
+
+/// Push the first `len` bytes of `[key 1 u64]` and 16 bytes of 0xFF as an
+/// `INVALIDATE` from `from` to the client at `to`, which answers every push.
+async fn push(from: &Rc<Rpc>, to: simnet::Addr, len: usize) {
+    let body = [&1u64.to_le_bytes()[..], &[0xFF; 16]].concat();
+    let body = Bytes::from(body[..len].to_vec());
+    from.call(to, req::INVALIDATE, body)
+        .await
+        .expect("answered");
 }
 
 #[test]
@@ -219,20 +295,17 @@ fn pid_forgery_rejected() {
 /// The endpoint gives up on a call after two short RTOs, so a type nobody
 /// serves costs microseconds of virtual time. Returns the pid.
 async fn registered(net: &Network) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
-    registered_to_pool_of(net, 256).await
-}
-
-/// [`registered`], to a server with a `capacity_pages`-page pool.
-async fn registered_to_pool_of(
-    net: &Network,
-    capacity_pages: usize,
-) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
-    let dm_node = net.add_node("dm", NicConfig::default());
-    let c_node = net.add_node("c", NicConfig::default());
     let cfg = DmServerConfig {
-        capacity_pages,
+        capacity_pages: 256,
         ..Default::default()
     };
+    registered_to(net, cfg).await
+}
+
+/// [`registered`], to a server started with `cfg`.
+async fn registered_to(net: &Network, cfg: DmServerConfig) -> (Rc<dmnet::DmServer>, Rc<Rpc>, u32) {
+    let dm_node = net.add_node("dm", NicConfig::default());
+    let c_node = net.add_node("c", NicConfig::default());
     let server = start_pool(net, &[dm_node], &ModelParams::new(), cfg).remove(0);
     let rpc = RpcBuilder::new(net, c_node, 100)
         .config(RpcConfig {
@@ -366,27 +439,46 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
 /// `READ`'s `len` is wire-fed, and a default pool backs a region of 65 536
 /// pages: 256 MiB, one byte more than 65 535 packets carry. A reply nobody
 /// could frame is refused as out of bounds before a byte of it is built — it
-/// must not be zero-filled and then panic the process in `fragment`. A
-/// publish too long for its client's MTU is refused on that side of the wire.
+/// must not be zero-filled and then panic the process in `fragment`. The
+/// limit is the message less the 9-byte response head on a plain and on a
+/// coherent server alike: a `READ_REF` of exactly that many bytes passes it
+/// and fails only on its unknown key. A publish too long for its client's
+/// MTU is refused on that side of the wire.
 #[test]
 fn read_of_more_than_a_reply_can_carry_is_out_of_bounds() {
+    for coherence in [None, Some(CoherenceConfig::default())] {
+        Sim::new().block_on(async move {
+            let net = Network::new(FabricConfig::default(), 3);
+            let cfg = DmServerConfig {
+                coherence,
+                ..Default::default()
+            };
+            let (server, rpc, pid) = registered_to(&net, cfg).await;
+            let whole = cfg.capacity_pages as u64 * 4096;
+            let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(whole)).await;
+            let va = Reader::new(&va.expect("the pool backs it")).u64().unwrap();
+            let most = (rpclib::wire::max_msg_len(rpc.config().mtu) - 9) as u64;
+            for len in [whole, most + 1] {
+                let read = Writer::new().u32(pid).u64(va).u64(len);
+                let r = raw(&rpc, &server, req::READ, read).await;
+                assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
+            }
+            for (len, refused) in [
+                (most, DmError::InvalidRef),
+                (most + 1, DmError::OutOfBounds),
+            ] {
+                let read = Writer::new().u64(u64::MAX).u64(0).u64(len);
+                let r = raw(&rpc, &server, req::READ_REF, read).await;
+                assert_eq!(r, Err(refused), "{coherence:?} len {len:#x}");
+            }
+            let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
+            assert_eq!((viewed, gathered), (0, 0), "no reply was built");
+            assert_still_serving(&rpc, &server, pid).await;
+        });
+    }
     Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
-        let pool = DmServerConfig::default().capacity_pages;
-        let (server, rpc, pid) = registered_to_pool_of(&net, pool).await;
-        let whole = pool as u64 * 4096;
-        let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(whole)).await;
-        let va = Reader::new(&va.expect("the pool backs it")).u64().unwrap();
-        let most = (rpclib::wire::max_msg_len(rpc.config().mtu) - 9) as u64;
-        for len in [whole, most + 1] {
-            let read = Writer::new().u32(pid).u64(va).u64(len);
-            let r = raw(&rpc, &server, req::READ, read).await;
-            assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
-        }
-        let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
-        assert_eq!((viewed, gathered), (0, 0), "no reply was built");
-        assert_still_serving(&rpc, &server, pid).await;
-
+        let (server, _, _) = registered_to(&net, DmServerConfig::default()).await;
         let narrow = RpcConfig {
             mtu: 16,
             ..RpcConfig::default()

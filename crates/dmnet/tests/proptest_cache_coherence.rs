@@ -302,7 +302,7 @@ proptest! {
     }
 }
 
-/// Operations for the fine-grained (per-ref version + read lease) oracle:
+/// Operations for the fine-grained (targeted push + read lease) oracle:
 /// the cached plane additionally has a second *writer* client whose
 /// mutations reach the reader only through targeted invalidation pushes,
 /// and a chaos op that loses those pushes on the wire.

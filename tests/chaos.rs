@@ -40,51 +40,57 @@ fn bounded_sweep_holds_all_invariants() {
 /// writing both timelines at once, which raised the SF=10 knee `slo_scale`
 /// measures from 1700 to 2400 krps: that case offers 1.2× the knee, so it
 /// now runs at 2880 instead of 2040 krps; the other 30 rows did not move.
+/// The 30 DmRPC-net rows (`fig5-chain/dmnet`, `fig7-cow/dmnet`,
+/// `slo-social/dmnet`) were re-recorded when a coherent server stopped
+/// putting a per-ref version block in every success and began stating its
+/// read lease in every `REGISTER` reply: each response is shorter, so its
+/// schedule shifts. The ten `fig5-chain/erpc` rows stay verbatim, since
+/// eRPC never talks to a DM server.
 /// The other tests only compare a run with itself; this compares it with
 /// that recording. Re-record only for a change that means to move the
 /// schedule.
 #[rustfmt::skip]
 const GOLDEN: [(u64, u64, u64, u64, u64); 40] = [
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (56313, 21372169, 675, 0, 2775746541747073024),
-    (28760, 3300000, 541, 0, 3419493524301013466),
-    (111044, 3700000, 1399, 1394, 4808999026650606739),
+    (56345, 21373392, 676, 0, 12261166499321085952),
+    (28691, 3300000, 541, 0, 3419493524301013466),
+    (113585, 3700000, 1455, 1338, 1750681676916994718),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (44353, 21369814, 507, 0, 6962149848249430016),
-    (24962, 21120000, 281, 956, 16125716307107751258),
-    (87484, 3736206, 1029, 1764, 7572614360911582323),
+    (43972, 21365120, 501, 0, 8357379164467916800),
+    (24984, 21120000, 280, 958, 16125716307107751258),
+    (87701, 3700000, 1034, 1759, 2669207494345446557),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (56923, 21366875, 675, 0, 2775746541747073024),
-    (27976, 3300000, 520, 0, 7805749023079703962),
-    (110515, 3714900, 1397, 1396, 15016909303906164989),
+    (56379, 21363935, 673, 0, 9043904479978090496),
+    (27984, 3300000, 519, 0, 7805749023079703962),
+    (111934, 3700000, 1419, 1374, 9779365401590354073),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (10454, 1421518856, 80, 0, 11647770628469977088),
-    (3889, 3724599, 50, 1, 17551138416216931290),
-    (47269, 3953261, 413, 2380, 937171329067023703),
+    (10459, 1421518952, 80, 0, 11647770628469977088),
+    (3891, 3724605, 50, 1, 17551138416216931290),
+    (45277, 3940653, 376, 2417, 12689228911642003702),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (10454, 1421518856, 80, 0, 11647770628469977088),
-    (5106, 4624599, 41, 1, 10924419358618961792),
-    (47269, 3953261, 413, 2380, 937171329067023703),
+    (10459, 1421518952, 80, 0, 11647770628469977088),
+    (5112, 4624605, 41, 1, 10924419358618961792),
+    (45277, 3940653, 376, 2417, 12689228911642003702),
     (27968, 2328197, 608, 0, 15012980976271753216),
-    (52469, 1421347097, 605, 0, 2220051872788803584),
-    (29466, 3300000, 552, 0, 2867668832742722880),
-    (112216, 3700000, 1449, 1354, 2189700180123590119),
+    (55598, 1421411908, 657, 0, 9277664715626541056),
+    (29454, 3300000, 552, 0, 2867668832742722880),
+    (109836, 3700000, 1402, 1401, 15495097073502881831),
     (16156, 2328433, 317, 0, 5102585835025100800),
-    (25517, 1421297957, 224, 0, 15376600451673227264),
-    (25198, 20620000, 148, 1686, 9901911934741466),
-    (76273, 3700000, 840, 1963, 3249873562294591557),
+    (26139, 1421294148, 233, 0, 6738719797178036224),
+    (24657, 20620000, 147, 1595, 9901911934741466),
+    (76830, 3700000, 841, 1962, 17400233135125364149),
     (26318, 2328131, 560, 0, 15845299204350017536),
-    (51294, 21363885, 591, 0, 8973770220378681344),
-    (28276, 3300000, 527, 0, 9740711954995428314),
-    (110967, 3700000, 1437, 1366, 9970817236577941872),
+    (51147, 21365927, 592, 0, 1485715726095876096),
+    (28453, 3300000, 530, 0, 18265571817558072064),
+    (110715, 3711672, 1424, 1379, 18036858915691306175),
     (16156, 2328433, 317, 0, 5102585835025100800),
-    (13707, 1420889613, 104, 0, 2199107218327236608),
-    (2071, 3738559, 14, 1, 1882284596114112192),
-    (62416, 3740627, 664, 2139, 12339903471317786183),
+    (13831, 1420889573, 105, 0, 1261051463411171328),
+    (2071, 3738549, 14, 1, 1882284596114112192),
+    (64909, 3740637, 710, 2093, 8779483624368381817),
     (16156, 2328433, 317, 0, 5102585835025100800),
-    (13707, 1420889613, 104, 0, 2199107218327236608),
-    (2749, 4538559, 12, 1, 2362988351365649280),
-    (62416, 3740627, 664, 2139, 12339903471317786183),
+    (13831, 1420889573, 105, 0, 1261051463411171328),
+    (2748, 4538549, 12, 1, 2362988351365649280),
+    (64909, 3740637, 710, 2093, 8779483624368381817),
 ];
 
 #[test]

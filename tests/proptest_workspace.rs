@@ -108,7 +108,7 @@ proptest! {
         let payload = Bytes::from(noise.clone());
         let flat = match (well_formed, kind) {
             (false, _) => payload,
-            (true, 0) => Response::new().u64(7).body(payload).ok(3, Some(&[(11, 2)])).into_bytes(),
+            (true, 0) => Response::new().u64(7).body(payload).ok(3).into_bytes(),
             (true, 1) => op_value(9, &Value::Inline(payload)).into_bytes(),
             (true, _) => op_value(9, &Value::Inline(payload)).prefixed(&[1, 2, 3, 4, 5, 6, 7]).into_bytes(),
         };
