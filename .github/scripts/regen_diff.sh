@@ -5,7 +5,7 @@
 # virtual-time results may not depend on how the host schedules independent
 # simulations. Every BENCH_*.json must also be strict JSON. Environment
 # (e.g. DM_DURABLE=1) passes through to the runs; THREADS="1" or "8" makes
-# it one pass at that width (a durable `all` takes ~80 s on two cores).
+# it one pass at that width (a durable `all` takes ~31 s on two cores).
 #
 # Exempt from the diff: the wall-clock engine benchmark and the per-
 # experiment wall times `bench all` records. (The chaos table is committed

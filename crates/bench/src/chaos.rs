@@ -14,9 +14,9 @@
 //!   typed error (a hang would deadlock `block_on`, failing the run);
 //! * **determinism** — the same seed and fault class reproduce the same
 //!   virtual-time fingerprint, bit for bit;
-//! * **crash durability** — under the server-crash-recovery class every
-//!   crash heals via `restart_from_log` and the rebuilt memory plane must
-//!   be digest-identical to the acknowledged pre-crash state. Every
+//! * **crash durability** — under the server-crash class every crash
+//!   heals via `restart_from_log` and the rebuilt memory plane must be
+//!   digest-identical to the acknowledged pre-crash state. Every
 //!   acknowledged `put_ref` whose owner's lease survived must read back
 //!   byte-exact; every ref of a lease-reclaimed owner must be fully
 //!   released (zero lost acknowledged puts, zero resurrected frees —
@@ -49,26 +49,21 @@ pub enum FaultClass {
     Partition,
     /// Packet duplication + reordering on random links.
     DupReorder,
-    /// DM-server crash/restart windows plus one client fail-stop
-    /// (exercises lease-based reclamation). State survives the crash
-    /// (fail-stop with intact memory).
-    ServerCrash,
-    /// DM-server crash/recovery windows against the durable tier
-    /// (DESIGN.md §12): servers run with the write-ahead log on, every
-    /// crash is healed by `restart_from_log`, and the driver asserts the
-    /// rebuilt memory plane is digest-identical to the pre-recovery state
+    /// DM-server crash windows plus one client fail-stop (exercises
+    /// lease-based reclamation). Every crash comes back through
+    /// `restart_from_log` (DESIGN.md §12), and the driver asserts the
+    /// rebuilt memory plane is digest-identical to the pre-crash state
     /// (zero lost acknowledged ops, zero resurrected frees).
-    ServerCrashRecovery,
+    ServerCrash,
 }
 
 impl FaultClass {
     /// All fault classes, in sweep order.
-    pub const ALL: [FaultClass; 5] = [
+    pub const ALL: [FaultClass; 4] = [
         FaultClass::BurstyLoss,
         FaultClass::Partition,
         FaultClass::DupReorder,
         FaultClass::ServerCrash,
-        FaultClass::ServerCrashRecovery,
     ];
 
     /// Short label for reports.
@@ -78,17 +73,7 @@ impl FaultClass {
             FaultClass::Partition => "partition",
             FaultClass::DupReorder => "dup-reorder",
             FaultClass::ServerCrash => "server-crash",
-            FaultClass::ServerCrashRecovery => "server-crash-recovery",
         }
-    }
-
-    /// Whether this class crashes DM servers (both crash classes share
-    /// the victim-client and reclamation checks).
-    pub fn crashes_servers(&self) -> bool {
-        matches!(
-            self,
-            FaultClass::ServerCrash | FaultClass::ServerCrashRecovery
-        )
     }
 }
 
@@ -157,22 +142,21 @@ pub fn chaos_rpc_config() -> RpcConfig {
 /// drain phase).
 const LEASE_TTL: Duration = Duration::from_micros(200);
 
-/// The one chaos deployment (the bare-pool COW case starts its server from
-/// its `.dm`): bounded retries, short leases, a small
-/// pool so leaks show, fine-grained coherence forced on (DESIGN.md §15) so
-/// every fault window also races targeted pushes, read leases and the
-/// bounded holder directory. Durability is set per fault class, never
-/// inherited from `DM_DURABLE`, so chaos fingerprints do not depend on the
-/// environment: only the recovery class runs the WAL (`None` is a
-/// fault-free run).
-fn chaos_config(fault: Option<FaultClass>) -> ClusterConfig {
+/// The one chaos deployment, every plane composed (the bare-pool COW case
+/// starts its server from its `.dm`): bounded retries, short leases, a
+/// small pool so leaks show, fine-grained coherence forced on (DESIGN.md
+/// §15) so every fault window also races targeted pushes, read leases and
+/// the bounded holder directory, and the zero-cost write-ahead log
+/// (DESIGN.md §12), the only way a crashed server comes back. Durability is
+/// set here, never inherited from `DM_DURABLE`, so chaos fingerprints do
+/// not depend on the environment.
+fn chaos_config() -> ClusterConfig {
     ClusterConfig {
         rpc: chaos_rpc_config(),
         dm: DmServerConfig {
             capacity_pages: 4096,
             lease_ttl: Some(LEASE_TTL),
-            durability: (fault == Some(FaultClass::ServerCrashRecovery))
-                .then(dmnet::WalConfig::zero_cost),
+            durability: Some(dmnet::WalConfig::zero_cost()),
             coherence: Some(dmnet::CoherenceConfig::default()),
             ..Default::default()
         },
@@ -222,7 +206,8 @@ struct Rig {
 
 impl Rig {
     /// Start the fault schedule for `seed` over `links`, crashing
-    /// `servers` under the crash classes.
+    /// `servers` under [`FaultClass::ServerCrash`]. Each of them must have
+    /// a log to come back through.
     fn start(
         net: &Network,
         servers: &[Rc<DmServer>],
@@ -230,6 +215,10 @@ impl Rig {
         fault: Option<FaultClass>,
         seed: u64,
     ) -> Rc<Rig> {
+        assert!(
+            servers.iter().all(|s| s.wal().is_some()),
+            "a chaos DM server without a write-ahead log cannot recover from a crash"
+        );
         let rig = Rc::new(Rig {
             net: net.clone(),
             servers: servers.to_vec(),
@@ -262,14 +251,35 @@ impl Rig {
             .set(self.checksum.get().wrapping_mul(31).wrapping_add(v));
     }
 
-    /// Heal and drain: stop the schedule, clear every fault, bring every
-    /// server back; surviving retransmissions and async releases finish
-    /// inside the retry budget.
+    /// Bring crashed `s` back through its log. Its crashed memory is
+    /// intact (fail-stop), so its digest is the recovery oracle: replaying
+    /// the log must rebuild exactly the acknowledged pre-crash state.
+    async fn recover(&self, s: &Rc<DmServer>) {
+        let pre = s.pages_digest();
+        let report = s.restart_from_log().await;
+        if report.torn_tail {
+            self.violation("recovery: torn tail in an uncorrupted log");
+        }
+        let post = s.pages_digest();
+        if post != pre {
+            self.violation(format!(
+                "recovery: digest {post:#018x} != pre-crash {pre:#018x} \
+                 ({} records replayed)",
+                report.records_replayed
+            ));
+        }
+    }
+
+    /// Heal and drain: stop the schedule, clear every fault, recover any
+    /// server still down; surviving retransmissions and async releases
+    /// finish inside the retry budget.
     async fn heal(&self) {
         self.stop.set(true);
         self.net.clear_faults();
         for s in &self.servers {
-            s.restart();
+            if s.is_crashed() {
+                self.recover(s).await;
+            }
         }
         simcore::sleep(Duration::from_millis(1)).await;
         for s in &self.servers {
@@ -301,7 +311,7 @@ impl Rig {
                     "page leak after lease reclamation: {free} free of {capacity}"
                 ));
             }
-            if self.fault.is_some_and(|f| f.crashes_servers()) && reclaimed == 0 {
+            if self.fault == Some(FaultClass::ServerCrash) && reclaimed == 0 {
                 self.violation("crashed client's lease never reclaimed");
             }
         }
@@ -311,12 +321,10 @@ impl Rig {
 
 /// The `fault` schedule of `rig`: toggles faults between random pairs from
 /// `links` until the rig stops it, entirely driven by `rng`. The rig's
-/// servers are the ones crashed by the server-crash classes; with none,
-/// those classes degrade to partition windows (a fail-stop node is
-/// indistinguishable from a partitioned one). For
-/// [`FaultClass::ServerCrashRecovery`] every crash heals through
-/// `restart_from_log` and the rebuilt memory plane must be digest-equal
-/// to the pre-recovery state; mismatches become violations.
+/// servers are the ones [`FaultClass::ServerCrash`] crashes; with none,
+/// that class degrades to partition windows (a fail-stop node is
+/// indistinguishable from a partitioned one). A crash ends in
+/// [`Rig::recover`] unless the rig's heal already recovered the server.
 fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeId)>, rng: SimRng) {
     assert!(!links.is_empty(), "fault driver needs at least one link");
     simcore::spawn(async move {
@@ -346,7 +354,7 @@ fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeI
                     net.clear_link_faults(a, b);
                     net.clear_link_faults(b, a);
                 }
-                FaultClass::ServerCrash | FaultClass::ServerCrashRecovery => {
+                FaultClass::ServerCrash => {
                     if crash.is_empty() {
                         net.partition_for(a, b, window);
                         simcore::sleep(window).await;
@@ -354,26 +362,8 @@ fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeI
                         let s = &crash[rng.gen_range(crash.len() as u64) as usize];
                         s.crash();
                         simcore::sleep(window).await;
-                        if fault == FaultClass::ServerCrashRecovery {
-                            // The crashed memory is intact (fail-stop), so
-                            // its digest is the recovery oracle: replaying
-                            // the log must rebuild exactly the acknowledged
-                            // pre-crash state.
-                            let pre = s.pages_digest();
-                            let report = s.restart_from_log().await;
-                            if report.torn_tail {
-                                rig.violation("recovery: torn tail in an uncorrupted log");
-                            }
-                            let post = s.pages_digest();
-                            if post != pre {
-                                rig.violation(format!(
-                                    "recovery: digest {post:#018x} != pre-crash {pre:#018x} \
-                                     ({} records replayed)",
-                                    report.records_replayed
-                                ));
-                            }
-                        } else {
-                            s.restart();
+                        if s.is_crashed() {
+                            rig.recover(s).await;
                         }
                     }
                 }
@@ -396,7 +386,7 @@ fn spawn_fault_driver(rig: Rc<Rig>, fault: FaultClass, links: Vec<(NodeId, NodeI
 pub fn run_chain_case(kind: SystemKind, fault: FaultClass, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let cluster = Cluster::new(kind, 2, chaos_config(Some(fault)), seed);
+        let cluster = Cluster::new(kind, 2, chaos_config(), seed);
         let app = Rc::new(build_chain(&cluster, 3).await);
         let payload = Bytes::from(vec![7u8; 4096]);
         let want: u64 = payload.iter().map(|&b| b as u64).sum();
@@ -446,7 +436,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let net = Network::new(FabricConfig::default(), seed);
         let params = ModelParams::new();
         let dm_node = net.add_node("dm0", NicConfig::default());
-        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config(Some(fault)).dm);
+        let servers = dmnet::start_pool(&net, &[dm_node], &params, chaos_config().dm);
         let pool = vec![servers[0].addr()];
         let mut clients = Vec::new();
         let mut links = Vec::new();
@@ -468,7 +458,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let shared = Rc::new(clients[0].create_ref(addr, REGION as u64).await.unwrap());
 
         let rig = Rig::start(&net, &servers, links, Some(fault), seed);
-        if fault.crashes_servers() {
+        if fault == FaultClass::ServerCrash {
             // One client fail-stops mid-run; its lease must reclaim the
             // mapping it inevitably leaks.
             let victim = clients[3].clone();
@@ -478,7 +468,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             });
         }
 
-        // Zero-lost-acks oracle (recovery class only): every acknowledged
+        // Zero-lost-acks oracle (crash class only): every acknowledged
         // `put_ref` from a non-victim client is recorded with its owner and
         // fill byte. After the last recovery the contract is a dichotomy:
         // an owner whose lease survived must read every acked ref back
@@ -524,7 +514,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                         // (non-victim clients only — the victim fail-stops
                         // mid-run, racing its own worker). An errored put
                         // is indeterminate and stays out.
-                        if fault == FaultClass::ServerCrashRecovery && !victim {
+                        if fault == FaultClass::ServerCrash && !victim {
                             let fill = (w as u8).wrapping_mul(31).wrapping_add(i as u8) | 1;
                             if let Ok(r) = c.put_ref(&Bytes::from(vec![fill; 512])).await {
                                 acked.borrow_mut().push((ci, r, fill));
@@ -540,7 +530,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
 
         rig.heal().await;
 
-        if fault == FaultClass::ServerCrashRecovery {
+        if fault == FaultClass::ServerCrash {
             // Which owners does the lease plane still recognize? A probe
             // alloc succeeds iff the pid is still registered (a reclaimed
             // owner gets `InvalidAddress` and would have to re-register).
@@ -626,7 +616,7 @@ pub fn run_slo_social_fault_free(seed: u64) -> CaseResult {
 fn slo_social(fault: Option<FaultClass>, seed: u64) -> CaseResult {
     let sim = Sim::new();
     let tally = sim.block_on(async move {
-        let cluster = Cluster::new(SystemKind::DmNet, 2, chaos_config(fault), seed);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, chaos_config(), seed);
         let pop = Population::new(SLO_SOCIAL_SF, 42);
         let window = Some(crate::slo_scale::FRONT_WINDOW);
         let app = Rc::new(build_social_scaled(&cluster, pop, 8192, seed, window).await);

@@ -289,7 +289,7 @@ fn ident(s: &str) -> &str {
 }
 
 /// Every `Type::member` a piece of code names — `Wal::scan()`,
-/// `dmnet::DmServer::{crash, restart}`, `Record::Checkpoint` — as
+/// `dmnet::DmServer::{crash, restart_from_log}`, `Record::Checkpoint` — as
 /// `(Type, member)`. A module path or a constant before the `::` is not a type.
 fn type_members(code: &str) -> Vec<(&str, &str)> {
     let mut pairs = Vec::new();

@@ -108,23 +108,6 @@ impl Coordinator {
         self.rpc.shutdown();
     }
 
-    /// Chaos hook: crash the coordinator. Page-ownership state survives
-    /// (fail-stop); hosts' grant/return RPCs time out until
-    /// [`Coordinator::restart`].
-    pub fn crash(&self) {
-        self.rpc.set_offline(true);
-    }
-
-    /// Recover from [`Coordinator::crash`].
-    pub fn restart(&self) {
-        self.rpc.set_offline(false);
-    }
-
-    /// Whether the coordinator is currently crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.rpc.is_offline()
-    }
-
     /// The coordinator's RPC address.
     pub fn addr(&self) -> Addr {
         self.rpc.addr()

@@ -296,6 +296,7 @@ mod e2e_tests {
             let ttl = std::time::Duration::from_millis(2);
             let cfg = DmServerConfig {
                 lease_ttl: Some(ttl),
+                durability: Some(WalConfig::zero_cost()),
                 ..Default::default()
             };
             let servers = start_pool(&net, &[dm0], &params, cfg);
@@ -309,11 +310,12 @@ mod e2e_tests {
 
             // Crash the server across more than a full TTL. The live
             // client's renewals are lost while the server is down, but
-            // restart() grants a grace period instead of reclaiming.
+            // recovery re-grants every owner a full TTL instead of
+            // reclaiming.
             servers[0].crash();
             assert!(servers[0].is_crashed());
             simcore::sleep(2 * ttl).await;
-            servers[0].restart();
+            servers[0].restart_from_log().await;
             simcore::sleep(ttl / 2).await;
 
             assert_eq!(servers[0].leases_reclaimed(), 0, "live client reclaimed");
@@ -328,7 +330,7 @@ mod e2e_tests {
     fn crash_cancels_sweeper_outright() {
         // Regression: crash() used to leave the sweeper task armed forever
         // on the dead replica (it skipped per-tick). It must cancel at its
-        // next tick, and the restart paths must re-arm exactly one.
+        // next tick, and recovery must re-arm one.
         let r = rig(1, 1);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
@@ -336,6 +338,7 @@ mod e2e_tests {
             let ttl = std::time::Duration::from_millis(2);
             let cfg = DmServerConfig {
                 lease_ttl: Some(ttl),
+                durability: Some(WalConfig::zero_cost()),
                 ..Default::default()
             };
             let servers = start_pool(&net, &[dm0], &params, cfg);
@@ -354,11 +357,10 @@ mod e2e_tests {
                 "crash left the sweeper armed on a dead replica"
             );
 
-            // Restart re-arms exactly one sweeper, which still works: a
-            // client that crashes afterwards is reclaimed as usual.
-            servers[0].restart();
-            assert!(servers[0].sweeper_armed(), "restart must re-arm");
-            servers[0].restart(); // idempotent: no second sweeper
+            // Recovery re-arms one sweeper, which still works: a client
+            // that crashes afterwards is reclaimed as usual.
+            servers[0].restart_from_log().await;
+            assert!(servers[0].sweeper_armed(), "recovery must re-arm");
             dm.rwrite(addr, &Bytes::from(vec![3u8; 16])).await.unwrap();
             dm.simulate_crash();
             simcore::sleep(5 * ttl).await;

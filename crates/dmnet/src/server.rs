@@ -141,8 +141,8 @@ pub struct DmServer {
     /// Set by [`DmServer::shutdown`]; stops the lease sweeper.
     stopping: Cell<bool>,
     /// Whether a lease-sweeper task is currently live. Crash cancels the
-    /// sweeper outright (it disarms and exits at its next tick); restart
-    /// paths re-arm a fresh one, and this flag keeps re-arming idempotent.
+    /// sweeper outright (it disarms and exits at its next tick); recovery
+    /// re-arms a fresh one, and this flag keeps re-arming idempotent.
     sweeper_armed: Cell<bool>,
     /// The durable tier's write-ahead log, present when
     /// `config.durability` is set.
@@ -220,8 +220,8 @@ impl DmServer {
     /// Arm the lease sweeper (no-op when leases are off or one is already
     /// armed). The task holds only a Weak so dropping the server's last
     /// `Rc` also stops it; a crash cancels it outright at its next tick
-    /// (it must not stay armed on a dead replica), and the restart paths
-    /// call this again to re-arm.
+    /// (it must not stay armed on a dead replica), and recovery calls this
+    /// again to re-arm.
     fn spawn_sweeper(self: &Rc<Self>) {
         let Some(ttl) = self.config.lease_ttl else {
             return;
@@ -304,27 +304,13 @@ impl DmServer {
         self.epoch.get()
     }
 
-    /// Crash the server: it stops receiving and sending until
-    /// [`DmServer::restart`]. Page state survives (fail-stop with durable
-    /// pinned memory — see DESIGN.md §8).
+    /// Crash the server (fail-stop, DESIGN.md §8): it stops receiving and
+    /// sending, and [`DmServer::restart_from_log`] is the only way back.
+    /// The memory it leaves in place is only the recovery oracle's witness
+    /// (`pages_digest` before vs after replay); nothing serves from it
+    /// again.
     pub fn crash(&self) {
         self.rpc.set_offline(true);
-    }
-
-    /// Recover from [`DmServer::crash`] with in-memory state intact (the
-    /// fail-stop model of DESIGN.md §8; see [`DmServer::restart_from_log`]
-    /// for the durable-tier recovery that rebuilds state from the log).
-    /// Every live lease is extended by a full TTL from now so clients that
-    /// outlived the crash can renew before the sweeper runs again.
-    pub fn restart(self: &Rc<Self>) {
-        self.rpc.set_offline(false);
-        if let Some(ttl) = self.config.lease_ttl {
-            let grace = simcore::now() + ttl;
-            for exp in self.leases.borrow_mut().values_mut() {
-                *exp = (*exp).max(grace);
-            }
-        }
-        self.spawn_sweeper();
     }
 
     /// Whether the server is currently crashed.

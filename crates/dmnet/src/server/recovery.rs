@@ -204,7 +204,7 @@ impl DmServer {
     /// online and re-arm the sweeper.
     ///
     /// The recovery invariant (tested by `tests/recovery.rs` and the
-    /// chaos `server-crash-recovery` class): zero lost acknowledged ops,
+    /// chaos `server-crash` class): zero lost acknowledged ops,
     /// zero resurrected frees — the rebuilt state is exactly the
     /// acknowledged pre-crash state.
     ///

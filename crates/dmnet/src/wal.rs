@@ -11,13 +11,13 @@
 //! and the [`crate::PageManager`] is deterministic, so replay reproduces
 //! every internal detail including the FIFO free-list order. Background
 //! growth is bounded by **checkpoint compaction**: when the records
-//! appended since the last checkpoint exceed
-//! [`WalConfig::compact_threshold_bytes`], the whole log is
-//! replaced by one [`Record::Checkpoint`] carrying a canonical snapshot of
-//! the server state. The swap is atomic (the write-new-then-rename idiom
-//! of log-structured stores); the modeled failure mode is a *torn tail* of
-//! the append stream, which recovery handles by stopping at the last
-//! record with a valid checksum.
+//! appended since the last checkpoint exceed both
+//! [`WalConfig::compact_threshold_bytes`] and that checkpoint's size, the
+//! whole log is replaced by one [`Record::Checkpoint`] carrying a canonical
+//! snapshot of the server state. The swap is atomic (the
+//! write-new-then-rename idiom of log-structured stores); the modeled
+//! failure mode is a *torn tail* of the append stream, which recovery
+//! handles by stopping at the last record with a valid checksum.
 //!
 //! Record framing (all integers little-endian):
 //!
@@ -49,11 +49,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
 
-/// One byte's worth of the CRC-32 division, for every byte value.
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-8 tables: `[0]` is one byte's worth of the CRC-32 division
+/// for every byte value, and `[k]` is that byte followed by `k` zero
+/// bytes, so eight bytes fold into the register with eight lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -63,18 +65,35 @@ const fn crc32_table() -> [u32; 256] {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Feed `data` through a running CRC-32 register (pre- and
 /// post-inversion are the caller's): `crc32(a ‖ b)` is
 /// `!crc32_update(crc32_update(!0, a), b)`.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        // Byte i of the register-folded word is followed by 7 - i more.
+        let x = crc as u64 ^ u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        crc = (0..8).fold(0, |c, i| c ^ t[7 - i][(x >> (8 * i)) as u8 as usize]);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -292,8 +311,8 @@ pub struct WalConfig {
     /// Timing model of the log device.
     pub media: DurableMediaParams,
     /// Compact (checkpoint + truncate) once the records appended since the
-    /// last checkpoint exceed this many bytes. 0 disables compaction (tests
-    /// pin log contents with it).
+    /// last checkpoint exceed this many bytes and the checkpoint's own
+    /// size. 0 disables compaction (tests pin log contents with it).
     pub compact_threshold_bytes: u64,
 }
 
@@ -416,12 +435,15 @@ impl Wal {
     }
 
     /// Whether the records appended since the last checkpoint have
-    /// outgrown the compaction threshold. The checkpoint itself does not
-    /// count: a snapshot larger than the threshold would otherwise make
-    /// every later op write another one.
+    /// outgrown both the compaction threshold and the checkpoint they would
+    /// replace. The second bound amortises a checkpoint: a live state
+    /// bigger than the threshold is checksummed again only once as many
+    /// bytes of records have followed it.
     pub fn should_compact(&self) -> bool {
-        let appended = self.log_bytes().saturating_sub(self.checkpoint_bytes.get());
-        self.config.compact_threshold_bytes > 0 && appended > self.config.compact_threshold_bytes
+        let checkpoint = self.checkpoint_bytes.get();
+        let appended = self.log_bytes().saturating_sub(checkpoint);
+        let threshold = self.config.compact_threshold_bytes;
+        threshold > 0 && appended > threshold.max(checkpoint)
     }
 
     /// Replace the whole log with one checkpoint record (atomic install —
@@ -731,15 +753,14 @@ mod tests {
                 ..WalConfig::zero_cost()
             },
         );
-        w.compact(vec![7; 256]);
-        w.push(&Record::ReleaseProcess { pid: 9 });
-        assert!(w.log_bytes() > 64);
-        assert!(!w.should_compact(), "one small record after the checkpoint");
-        // 16 + 5 B per record: the fourth passes 64 B appended.
-        for _ in 0..3 {
+        assert_eq!(w.compact(vec![7; 256]), 273);
+        // 16 + 5 B per record: the fourth passes the 64 B threshold, but a
+        // checkpoint is replaced only once the records outgrow it too, and
+        // the thirteenth reaches 273 B.
+        for n in 1..=14 {
             w.push(&Record::ReleaseProcess { pid: 9 });
+            assert_eq!(w.should_compact(), n == 14, "{n} records after it");
         }
-        assert!(w.should_compact());
         // A torn checkpoint leaves no checkpoint to discount.
         let mut raw = w.raw();
         raw.truncate(100);
@@ -763,6 +784,25 @@ mod tests {
         // The IEEE check value: crc32("123456789") == 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn eight_bytes_at_a_time_equals_one_bit_at_a_time() {
+        // The definition: shift one bit at a time, folding the polynomial in.
+        let bitwise = |data: &[u8]| {
+            let mut crc = !0u32;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..40u32).map(|i| (i * 97 + 13) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use bench::chaos::{
 
 #[test]
 fn bounded_sweep_holds_all_invariants() {
-    // 6 seeds x 5 fault classes x 4 cases, with a determinism double-run
+    // 6 seeds x 4 fault classes x 4 cases, with a determinism double-run
     // every 3rd seed.
     let out = sweep(0..6, 3);
     assert!(
@@ -25,32 +25,26 @@ fn bounded_sweep_holds_all_invariants() {
         out.violations.join("\n")
     );
     assert!(out.completed > 0, "no request ever completed");
-    assert!(out.cases >= 6 * 5 * 4, "sweep ran {} cases", out.cases);
+    assert!(out.cases >= 6 * 4 * 4, "sweep ran {} cases", out.cases);
 }
 
 /// `CaseResult::fingerprint()` — (polls, end_ns, completed, errors,
-/// checksum) — of seeds 0–1 × 5 fault classes × 4 cases in sweep order,
-/// recorded once when `simnet`'s task per datagram became one delivery
-/// pump (ISSUE 19), from runs identical at 1 and 8 threads: against the
-/// previous recording every row lost polls (four per datagram became at
-/// most two) and every row kept its `end_ns`, completions, errors and
-/// checksum. The sharded-migration case's rows went with that case; no
-/// other row moved. The ten `slo-social/dmnet` rows were re-recorded when
-/// the client cache became one page budget per client and compose began
-/// writing both timelines at once, which raised the SF=10 knee `slo_scale`
-/// measures from 1700 to 2400 krps: that case offers 1.2× the knee, so it
-/// now runs at 2880 instead of 2040 krps; the other 30 rows did not move.
-/// The 30 DmRPC-net rows (`fig5-chain/dmnet`, `fig7-cow/dmnet`,
-/// `slo-social/dmnet`) were re-recorded when a coherent server stopped
-/// putting a per-ref version block in every success and began stating its
-/// read lease in every `REGISTER` reply: each response is shorter, so its
-/// schedule shifts. The ten `fig5-chain/erpc` rows stay verbatim, since
-/// eRPC never talks to a DM server.
+/// checksum) — of seeds 0–1 × 4 fault classes × 4 cases in sweep order,
+/// from runs identical at 1 and 8 threads. The DmRPC-net rows were last
+/// re-recorded when a coherent server stopped putting a version block in
+/// every success (each response got shorter); the `fig5-chain/erpc` rows
+/// never talk to a DM server. The table then went from 40 to 32 rows when
+/// a crashed DM server stopped coming back with its memory intact: that
+/// `server-crash` class went, and the 8 rows of the class that recovers
+/// through the log took its label, verbatim but one (`fig7-cow/dmnet` seed
+/// 1 lost 46 polls, a second replay of a server the heal had recovered).
+/// The other 24 rows stayed verbatim with the write-ahead log on in every
+/// case, which is schedule-neutral.
 /// The other tests only compare a run with itself; this compares it with
 /// that recording. Re-record only for a change that means to move the
 /// schedule.
 #[rustfmt::skip]
-const GOLDEN: [(u64, u64, u64, u64, u64); 40] = [
+const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (28916, 2327617, 640, 0, 16607590119150452736),
     (56345, 21373392, 676, 0, 12261166499321085952),
     (28691, 3300000, 541, 0, 3419493524301013466),
@@ -63,10 +57,6 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 40] = [
     (56379, 21363935, 673, 0, 9043904479978090496),
     (27984, 3300000, 519, 0, 7805749023079703962),
     (111934, 3700000, 1419, 1374, 9779365401590354073),
-    (28916, 2327617, 640, 0, 16607590119150452736),
-    (10459, 1421518952, 80, 0, 11647770628469977088),
-    (3891, 3724605, 50, 1, 17551138416216931290),
-    (45277, 3940653, 376, 2417, 12689228911642003702),
     (28916, 2327617, 640, 0, 16607590119150452736),
     (10459, 1421518952, 80, 0, 11647770628469977088),
     (5112, 4624605, 41, 1, 10924419358618961792),
@@ -85,11 +75,7 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 40] = [
     (110715, 3711672, 1424, 1379, 18036858915691306175),
     (16156, 2328433, 317, 0, 5102585835025100800),
     (13831, 1420889573, 105, 0, 1261051463411171328),
-    (2071, 3738549, 14, 1, 1882284596114112192),
-    (64909, 3740637, 710, 2093, 8779483624368381817),
-    (16156, 2328433, 317, 0, 5102585835025100800),
-    (13831, 1420889573, 105, 0, 1261051463411171328),
-    (2748, 4538549, 12, 1, 2362988351365649280),
+    (2702, 4538549, 12, 1, 2362988351365649280),
     (64909, 3740637, 710, 2093, 8779483624368381817),
 ];
 
@@ -202,24 +188,14 @@ fn overloaded_social_survives_faults_without_leaks() {
 }
 
 #[test]
-fn server_crash_class_reclaims_crashed_client() {
-    let r = run_cow_case(FaultClass::ServerCrash, 7);
-    assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
-    assert!(
-        r.completed > 0,
-        "nothing completed around the crash windows"
-    );
-}
-
-#[test]
 fn server_crash_recovery_rebuilds_acknowledged_state() {
-    // The durable-tier fault class: every server crash heals through
-    // `restart_from_log`, so beyond the shared invariants the case checks
-    // digest-exact recovery and byte-exact readback of every acknowledged
-    // put (DESIGN.md §12). A handful of seeds hits crash windows at many
-    // different log lengths.
-    for seed in [3, 11, 29] {
-        let r = run_cow_case(FaultClass::ServerCrashRecovery, seed);
+    // Every server crash heals through `restart_from_log`, so beyond the
+    // shared invariants (the fail-stopped victim client's lease among
+    // them) the case checks digest-exact recovery and byte-exact readback
+    // of every acknowledged put (DESIGN.md §12). A handful of seeds hits
+    // crash windows at many different log lengths.
+    for seed in [3, 7, 11, 29] {
+        let r = run_cow_case(FaultClass::ServerCrash, seed);
         assert!(
             r.violations.is_empty(),
             "seed {seed} violations: {:?}",
