@@ -110,12 +110,26 @@ pub async fn build_chain(cluster: &Cluster, length: usize) -> ChainApp {
 }
 
 /// Sum of the bytes of `data`. Host-only kernel: a u8→u64 widening sum
-/// vectorises badly on the x86-64 baseline, so accumulate in `u32` over
-/// chunks too short to overflow it (64 KiB × 255 < 2³²) and widen per chunk.
+/// vectorises badly on the x86-64 baseline, so add 32-byte blocks into 32
+/// `u16` lanes and fold the lanes into the total every 256 blocks, before a
+/// lane can overflow (256 × 255 < 2¹⁶).
 fn byte_sum(data: &[u8]) -> u64 {
-    data.chunks(1 << 16)
-        .map(|chunk| chunk.iter().map(|&b| b as u32).sum::<u32>() as u64)
-        .sum()
+    const LANES: usize = 32;
+    const FOLD: usize = 256;
+    let mut total = 0;
+    for run in data.chunks(LANES * FOLD) {
+        let blocks = run.chunks_exact(LANES);
+        total += blocks.remainder().iter().map(|&b| b as u64).sum::<u64>();
+        let mut lanes = [0u16; LANES];
+        for block in blocks {
+            let block: &[u8; LANES] = block.try_into().expect("exact chunk");
+            for (lane, &b) in lanes.iter_mut().zip(block) {
+                *lane += b as u16;
+            }
+        }
+        total += lanes.iter().map(|&l| l as u64).sum::<u64>();
+    }
+    total
 }
 
 impl ChainApp {
@@ -151,7 +165,10 @@ mod tests {
 
     #[test]
     fn byte_sum_matches_the_widening_sum_across_chunk_edges() {
-        for len in [0usize, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 17] {
+        let lens = [
+            0, 1, 31, 32, 33, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537, 196_625,
+        ];
+        for len in lens {
             let ones = Bytes::from(vec![0xFFu8; len]);
             assert_eq!(byte_sum(&ones), expected_sum(&ones), "0xFF × {len}");
             let mixed = Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<_>>());

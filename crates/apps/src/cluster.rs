@@ -270,6 +270,22 @@ impl Cluster {
             reg.register_gauge(format!("node.{name}.nic.rx_queue_peak"), move || {
                 net.node_rx_queue_peak(id)
             });
+            // Summed queueing wait in front of each NIC: which queue a
+            // window's time went to, beside how busy the NIC was.
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.tx.wait_ns"), move || {
+                net.node_tx_wait(id).as_nanos() as u64
+            });
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.rx.wait_ns"), move || {
+                net.node_rx_wait(id).as_nanos() as u64
+            });
+            // A peak like `rx_queue_peak`: the most bulk datagrams that
+            // waited for a place to the switch at once.
+            let net = self.net.clone();
+            reg.register_gauge(format!("node.{name}.nic.bulk_queue_peak"), move || {
+                net.node_bulk_queue_peak(id)
+            });
         }
         for n in self.nodes.borrow().iter() {
             let name = self.net.node_name(n.id);
@@ -656,7 +672,7 @@ mod tests {
                 .into_iter()
                 .filter(|n| n.contains(".nic.") || n.contains(".cpu."))
                 .collect();
-            assert_eq!(new.len(), 3 * 5 + 3 * 2, "{new:?}");
+            assert_eq!(new.len(), 3 * 8 + 3 * 2, "{new:?}");
             let summed = [
                 ".traffic_bytes",
                 ".calls_completed",
@@ -668,13 +684,16 @@ mod tests {
                 assert!(n.starts_with("node."), "{n}");
                 assert!(!summed.iter().any(|s| n.ends_with(s)), "{n}");
             }
-            // The queue-depth gauge is neither a packet count nor a busy
-            // time: `utilization` must not read it as a resource (the
-            // ledger length below) or as a resource's `_pkts`.
-            let queues: Vec<&String> = new.iter().filter(|n| n.contains("queue")).collect();
-            assert_eq!(queues.len(), 3, "{queues:?}");
+            // The queue-depth and queueing-wait gauges are neither packet
+            // counts nor busy times: `utilization` must not read them as a
+            // resource (the ledger length below) or as a resource's `_pkts`.
+            let queues: Vec<&String> = new
+                .iter()
+                .filter(|n| n.contains("queue") || n.contains("wait"))
+                .collect();
+            assert_eq!(queues.len(), 3 * 4, "{queues:?}");
             for n in queues {
-                assert!(n.ends_with(".nic.rx_queue_peak"), "{n}");
+                assert!(n.ends_with("_queue_peak") || n.ends_with(".wait_ns"), "{n}");
                 assert!(!n.ends_with("_pkts") && !n.ends_with("busy_ns"), "{n}");
             }
 
@@ -763,6 +782,45 @@ mod tests {
             let (sent, share) = tx_row(64 << 10, 1).await;
             assert_eq!(sent, Some(16));
             assert!(share < 0.3, "{share}");
+        });
+    }
+
+    #[test]
+    fn incast_receive_wait_is_the_closed_form_sum_over_the_queue() {
+        // Every sender puts one datagram on the wire at 0 ns, so all reach
+        // the sink together and its receive NIC serves them one after
+        // another: the k-th waits k services, n · N(N − 1) / 2 in all. No
+        // sender waits for its own NIC.
+        const SENDERS: u64 = 6;
+        const LEN: u64 = 1000;
+        let sim = Sim::new();
+        sim.block_on(async {
+            let cluster = Cluster::new(SystemKind::Erpc, 0, ClusterConfig::default(), 1);
+            let sink = cluster.add_server("sink");
+            let mut rx = cluster.net.bind(sink.id, 7);
+            let senders: Vec<NodeId> = (0..SENDERS)
+                .map(|i| cluster.add_server(format!("s{i}")).id)
+                .collect();
+            let reg = cluster.metrics();
+            let before = reg.snapshot();
+            for &node in &senders {
+                let src = Addr { node, port: 7 };
+                let payload = Bytes::from(vec![0u8; LEN as usize]);
+                cluster.net.send_datagram(src, rx.addr(), payload);
+            }
+            for _ in 0..SENDERS {
+                rx.recv().await;
+            }
+            let delta = reg.snapshot().delta(&before);
+            let nic = NicConfig::default();
+            let wire = LEN + simnet::WIRE_HEADER_BYTES;
+            let service = nic.per_packet_overhead.as_nanos() as u64 + (wire * 8).div_ceil(100);
+            let incast = service * SENDERS * (SENDERS - 1) / 2;
+            assert_eq!(delta.get("node.sink.nic.rx.wait_ns"), Some(incast));
+            for i in 0..SENDERS {
+                assert_eq!(delta.get(&format!("node.s{i}.nic.tx.wait_ns")), Some(0));
+                assert_eq!(delta.get(&format!("node.s{i}.nic.rx.wait_ns")), Some(0));
+            }
         });
     }
 

@@ -81,7 +81,7 @@ impl DmNetClient {
         for (i, &s) in servers.iter().enumerate() {
             cache.count_wire(req::REGISTER);
             let resp = rpc
-                .call(s, req::REGISTER, Bytes::new())
+                .call(s, req::REGISTER, Message::default().bulk())
                 .await
                 .map_err(|_| DmError::Transport)?;
             let (epoch, reply) = split_response(&resp);
@@ -132,7 +132,7 @@ impl DmNetClient {
                         return;
                     }
                     let body = Writer::new().pid(pid).finish();
-                    let _ = rpc.call(s, req::RENEW_LEASE, body).await;
+                    let _ = rpc.call(s, req::RENEW_LEASE, body.bulk()).await;
                     if !alive.get() {
                         return;
                     }
@@ -237,7 +237,7 @@ impl DmNetClient {
             Err(e) => return (0, Err(e)),
         };
         self.cache.count_wire(ty);
-        let resp = match self.rpc.call(addr, ty, body).await {
+        let resp = match self.rpc.call(addr, ty, body.bulk()).await {
             Ok(r) => r,
             // Nothing was sent: the request names more bytes than one
             // message can carry.
@@ -466,7 +466,7 @@ async fn flush_batch(
     cache.note_batch();
     let body = proto::encode_batch_traced(&ops);
     let _in_flight = cache.batch_in_flight(idx);
-    let Ok(resp) = rpc.call(addr, req::BATCH, body).await else {
+    let Ok(resp) = rpc.call(addr, req::BATCH, Message::from(body).bulk()).await else {
         return;
     };
     cache.observe_epoch(idx, split_response(&resp).0);

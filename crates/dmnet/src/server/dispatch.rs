@@ -38,7 +38,7 @@ impl DmServer {
         if let Some(s) = op.as_mut() {
             s.attr("body_bytes", body.len() as u64);
         }
-        match self.dispatch(ty, src, &body).await {
+        let resp = match self.dispatch(ty, src, &body).await {
             Ok(resp) => resp,
             Err(e) => {
                 if let Some(s) = op.as_mut() {
@@ -46,7 +46,10 @@ impl DmServer {
                 }
                 Response::err(self.epoch.get(), e)
             }
-        }
+        };
+        // A long reply (a `READ` / `READ_REF` payload) yields the NIC to
+        // the refs and control replies behind it.
+        resp.bulk()
     }
 
     /// Refuse a read whose reply no message can carry — `len` comes off the

@@ -26,7 +26,11 @@
 //! * **messages with a head** — what is sent, handled and returned is a
 //!   [`Message`]: a small head the layer above writes its prefix into, in
 //!   front of a shared body no layer copies (eRPC's msgbuf). A plain
-//!   `Bytes` is a message that is all body.
+//!   `Bytes` is a message that is all body;
+//! * **two transmit classes** — a message marked [`Message::bulk`] and
+//!   longer than [`RTT_PKTS`] packets goes out in the fabric's bulk class,
+//!   so the sender's short messages do not queue behind it (Homa's
+//!   RTTbytes rule).
 //!
 //! Cost model hooks: an optional [`CpuPool`] charges per-request dispatch
 //! CPU, and an optional [`NodeMemory`] accounts DMA memory traffic for every
@@ -62,6 +66,19 @@ use wire::{fragment, slot_of, Header, Kind, Packet, Reassembly};
 /// byte copies).
 fn packet_payload(p: &Packet) -> Payload {
     Payload::two(p.head.clone(), p.body.clone())
+}
+
+/// Homa's RTTbytes at the default configuration, in packets: one round
+/// trip of a one-packet RPC is 2 × (105 ns NIC + 500 ns switch + 105 ns
+/// NIC) + 400 ns of dispatch CPU ≈ 1.82 µs, which is ≈ 22.7 KB at 100 Gb/s,
+/// or 6 packets of 4 KiB. A message marked [`Message::bulk`] that is longer
+/// than this goes out in the bulk class; a shorter one fits in one round
+/// trip and gains nothing from yielding.
+pub const RTT_PKTS: usize = 6;
+
+/// Whether a message cut into `pkts` packets goes out in the bulk class.
+fn bulk_class(marked: bool, pkts: &[Packet]) -> bool {
+    marked && pkts.len() > RTT_PKTS
 }
 
 /// Errors surfaced to RPC callers.
@@ -220,6 +237,8 @@ struct Pending {
     done: Option<oneshot::Sender<Result<Message, RpcError>>>,
     dst: Addr,
     pkts: Vec<Packet>,
+    /// Sent in the bulk class, retransmissions too.
+    bulk: bool,
     /// Transmissions so far (1 = the initial one).
     attempts: u32,
     backoff: Backoff,
@@ -278,9 +297,10 @@ enum SlotState {
     Receiving(Reassembly),
     /// Handler running; duplicates are ignored until it answers.
     Executing,
-    /// Answered: duplicates are served these packets until a higher
-    /// `req_num` on the slot acknowledges them.
-    Done(Rc<Vec<Packet>>),
+    /// Answered: duplicates are served these packets, in the class the
+    /// reply was sent in, until a higher `req_num` on the slot acknowledges
+    /// them.
+    Done { pkts: Rc<Vec<Packet>>, bulk: bool },
 }
 
 /// How many server-side slots are in each state (see [`Rpc::served_slots`]).
@@ -476,7 +496,7 @@ impl Rpc {
             match slot.state {
                 SlotState::Receiving(_) => census.receiving += 1,
                 SlotState::Executing => census.executing += 1,
-                SlotState::Done(_) => census.done += 1,
+                SlotState::Done { .. } => census.done += 1,
             }
         }
         census
@@ -509,12 +529,19 @@ impl Rpc {
     }
 
     /// All outgoing traffic funnels through here so crash modeling can
-    /// suppress it in one place.
-    fn transmit(&self, dst: Addr, payload: Payload) {
+    /// suppress it in one place: every packet of one message, in its class.
+    fn transmit(&self, dst: Addr, pkts: &[Packet], bulk: bool) {
         if self.offline.get() {
             return;
         }
-        self.net.send_datagram(self.addr, dst, payload);
+        for p in pkts {
+            if bulk {
+                self.net
+                    .send_bulk_datagram(self.addr, dst, packet_payload(p));
+            } else {
+                self.net.send_datagram(self.addr, dst, packet_payload(p));
+            }
+        }
     }
 
     /// Register the handler for `req_type`, replacing any previous one. A
@@ -574,6 +601,7 @@ impl Rpc {
         if let Some(mem) = &self.mem {
             mem.account(payload.len() as u64); // tx DMA
         }
+        let marked = payload.is_bulk();
         let pkts = fragment(
             Kind::Request,
             req_type,
@@ -582,9 +610,8 @@ impl Rpc {
             self.config.mtu,
             trace,
         );
-        for p in &pkts {
-            self.transmit(dst, packet_payload(p));
-        }
+        let bulk = bulk_class(marked, &pkts);
+        self.transmit(dst, &pkts, bulk);
         // Client-driven retransmission: exponential backoff with optional
         // jitter, bounded by both a retry count and (optionally) a total
         // retry-time budget. The endpoint's RTO task acts on `due`.
@@ -602,6 +629,7 @@ impl Rpc {
                 done: Some(done_tx),
                 dst,
                 pkts,
+                bulk,
                 attempts: 1,
                 backoff,
                 deadline: self.config.retry_budget.map(|b| now + b),
@@ -702,9 +730,7 @@ impl Rpc {
                     &[("attempt", p.attempts as u64)],
                 );
             }
-            for pkt in &p.pkts {
-                self.transmit(p.dst, packet_payload(pkt));
-            }
+            self.transmit(p.dst, &p.pkts, p.bulk);
             self.rto.borrow_mut().remove(&p.rto_key);
             p.rto_key = self.enter(now + p.backoff.next_wait(), req_num);
         }
@@ -756,12 +782,10 @@ impl Rpc {
                             r.offer(&hdr, frag);
                         }
                         SlotState::Executing => return,
-                        SlotState::Done(pkts) => {
-                            let pkts = pkts.clone();
+                        SlotState::Done { pkts, bulk } => {
+                            let (pkts, bulk) = (pkts.clone(), *bulk);
                             drop(served);
-                            for p in pkts.iter() {
-                                self.transmit(src, packet_payload(p));
-                            }
+                            self.transmit(src, &pkts, bulk);
                             return;
                         }
                     },
@@ -840,6 +864,7 @@ impl Rpc {
             if let Some(mem) = &rpc.mem {
                 mem.account(resp.len() as u64); // tx DMA
             }
+            let marked = resp.is_bulk();
             let pkts = Rc::new(fragment(
                 Kind::Response,
                 hdr.req_type,
@@ -848,11 +873,13 @@ impl Rpc {
                 rpc.config.mtu,
                 None, // responses never carry the trace extension
             ));
-            slot.state = SlotState::Done(pkts.clone());
+            let bulk = bulk_class(marked, &pkts);
+            slot.state = SlotState::Done {
+                pkts: pkts.clone(),
+                bulk,
+            };
             drop(served);
-            for p in pkts.iter() {
-                rpc.transmit(src, packet_payload(p));
-            }
+            rpc.transmit(src, &pkts, bulk);
         });
     }
 
@@ -896,6 +923,23 @@ mod tests {
             .map(|i| net.add_node(format!("n{i}"), NicConfig::default()))
             .collect();
         (sim, net, nodes)
+    }
+
+    #[test]
+    fn rtt_pkts_is_one_small_round_trip_of_bytes_at_the_defaults() {
+        let (nic, fabric, rpc) = (
+            NicConfig::default(),
+            FabricConfig::default(),
+            RpcConfig::default(),
+        );
+        // A one-packet request or reply: header only, plus framing.
+        let wire = (wire::HEADER_BYTES as u64 + simnet::WIRE_HEADER_BYTES) as f64;
+        let nic_s = nic.per_packet_overhead.as_secs_f64() + wire / nic.bytes_per_sec();
+        let one_way = 2.0 * nic_s + fabric.switch_latency.as_secs_f64();
+        let rtt = 2.0 * one_way + rpc.per_rpc_cpu.as_secs_f64();
+        assert!((1.81e-6..1.83e-6).contains(&rtt), "rtt {rtt}");
+        let rtt_bytes = rtt * nic.bytes_per_sec();
+        assert_eq!((rtt_bytes / rpc.mtu as f64).ceil() as usize, RTT_PKTS);
     }
 
     #[test]

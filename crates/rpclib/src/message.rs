@@ -41,6 +41,9 @@ pub struct Message {
     pub head: Bytes,
     /// The payload: shared, never copied on the way.
     pub body: Bytes,
+    /// Marked for the bulk transmit class ([`Message::bulk`]). Not part of
+    /// what the message means: the receiver gets an unmarked message.
+    bulk: bool,
 }
 
 impl Message {
@@ -49,7 +52,23 @@ impl Message {
         Message {
             head: head.into(),
             body,
+            bulk: false,
         }
+    }
+
+    /// The message marked bulk: if it is longer than [`crate::RTT_PKTS`]
+    /// packets, every packet of it — retransmissions and resent replies
+    /// included — goes out in the fabric's bulk class
+    /// ([`simnet::Network::send_bulk_datagram`]), behind the sender's
+    /// shorter messages.
+    pub fn bulk(mut self) -> Message {
+        self.bulk = true;
+        self
+    }
+
+    /// Whether [`Message::bulk`] marked it.
+    pub fn is_bulk(&self) -> bool {
+        self.bulk
     }
 
     /// Total length.
@@ -92,18 +111,22 @@ impl Message {
             None => Message {
                 head: self.head.slice(n..),
                 body: self.body.clone(),
+                bulk: self.bulk,
             },
             Some(m) => Message {
                 head: Bytes::new(),
                 body: self.body.slice(m.min(self.body.len())..),
+                bulk: self.bulk,
             },
         }
     }
 
     /// `prefix ‖ self`: the prefix joins the head (both are copied into a new
-    /// one, so keep them small); the body is left where it is.
+    /// one, so keep them small); the body is left where it is, and so is the
+    /// bulk mark.
     pub fn prefixed(self, prefix: &[u8]) -> Message {
-        Message::new([prefix, &self.head].concat(), self.body)
+        let head = [prefix, &self.head].concat().into();
+        Message { head, ..self }
     }
 
     /// The message as one buffer: the part that holds all of it, or — only
@@ -127,10 +150,7 @@ impl Message {
 impl From<Bytes> for Message {
     /// A message that is all body.
     fn from(body: Bytes) -> Message {
-        Message {
-            head: Bytes::new(),
-            body,
-        }
+        Message::new(Bytes::new(), body)
     }
 }
 

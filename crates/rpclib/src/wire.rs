@@ -349,7 +349,7 @@ pub fn fragment(
     trace: Option<TraceCtx>,
 ) -> Vec<Packet> {
     assert!(mtu > 0, "mtu must be positive");
-    let Message { head, body } = msg.into();
+    let Message { head, body, .. } = msg.into();
     let (h, total) = (head.len(), head.len() + body.len());
     assert!(
         total <= max_msg_len(mtu),
@@ -478,7 +478,7 @@ impl Reassembly {
             count_flatten();
             head = Bytes::from(spill);
         }
-        Message { head, body: run }
+        Message::new(head, run)
     }
 }
 

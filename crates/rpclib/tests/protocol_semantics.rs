@@ -12,9 +12,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use rpclib::wire::{self, fragment, Header, Kind};
-use rpclib::{RpcBuilder, RpcConfig, RpcError, ServedSlots};
+use rpclib::{Message, RpcBuilder, RpcConfig, RpcError, ServedSlots, RTT_PKTS};
 use simcore::Sim;
-use simnet::{Addr, FabricConfig, Network, NicConfig, NodeId, Payload};
+use simnet::{Addr, FabricConfig, Network, NicConfig, NodeId, Payload, BULK_AHEAD};
 
 fn rig() -> (Sim, Network, NodeId, NodeId) {
     let sim = Sim::new();
@@ -544,6 +544,101 @@ fn a_short_call_issued_after_a_long_one_retransmits_first() {
             (461_366, 1)
         ]
     );
+}
+
+/// The same two calls with the long one marked bulk: its retransmission
+/// goes out in the bulk class again, so the short call's second
+/// retransmission waits behind the few of its packets that hold a place
+/// (`BULK_AHEAD`), not all 65 — 246 201 rather than 258 864 — and the long
+/// call itself is heard when it was before.
+#[test]
+fn a_retransmitted_bulk_request_keeps_its_class() {
+    let (sim, net, a, b) = rig();
+    let heard = sim.block_on(async move {
+        let (dst, heard) = silent_peer(&net, b);
+        let client = RpcBuilder::new(&net, a, 10)
+            .config(RpcConfig {
+                rto_max: Duration::from_micros(100),
+                max_retries: 2,
+                ..rto_config()
+            })
+            .build();
+        let mut calls = Vec::new();
+        for (size, bulk) in [(64 * 4096 + 1, true), (100, false)] {
+            let client = client.clone();
+            let msg = Message::from(Bytes::from(vec![7u8; size]));
+            let msg = if bulk { msg.bulk() } else { msg };
+            calls.push(simcore::spawn(
+                async move { client.call(dst, 1, msg).await },
+            ));
+            simcore::sleep(Duration::from_micros(40)).await;
+        }
+        for c in calls {
+            assert_eq!(c.await, Err(RpcError::Timeout { attempts: 3 }));
+        }
+        let heard = heard.borrow().clone();
+        heard
+    });
+    assert_eq!(
+        heard,
+        [
+            (1366, 1),
+            (40_726, 2),
+            (142_726, 2),
+            (231_366, 1),
+            (246_201, 2),
+            (461_366, 1)
+        ]
+    );
+}
+
+/// A reply marked bulk and longer than `RTT_PKTS` packets goes out in the
+/// bulk class, and so does its resend to a duplicate request; an unmarked
+/// reply, or a marked one that fits in `RTT_PKTS` packets, never does. The
+/// class shows as the server's bulk queue: all but `BULK_AHEAD` packets of
+/// a bulk reply wait in it.
+#[test]
+fn a_bulk_reply_resent_to_a_duplicate_keeps_its_class() {
+    let pkts = RTT_PKTS + 26;
+    for (marked, reply_pkts, queued) in [
+        (true, pkts, pkts - BULK_AHEAD as usize),
+        (false, pkts, 0),
+        (true, RTT_PKTS, 0),
+    ] {
+        let (sim, net, a, b) = rig();
+        let net2 = net.clone();
+        let (first, resent, runs) = sim.block_on(async move {
+            let runs = Rc::new(Cell::new(0u32));
+            let server = RpcBuilder::new(&net2, b, 10).build();
+            let runs2 = runs.clone();
+            server.register(1, move |_| {
+                runs2.set(runs2.get() + 1);
+                let reply = Message::from(Bytes::from(vec![9u8; reply_pkts * 4096]));
+                std::future::ready(if marked { reply.bulk() } else { reply })
+            });
+            let client = RpcBuilder::new(&net2, a, 10).config(rto_config()).build();
+            // The first reply is lost whole; the retransmitted request
+            // (102 µs later) finds the slot answered and gets it resent.
+            net2.set_link_loss(b, a, Some(1.0));
+            let dst = server.addr();
+            let call = simcore::spawn(async move { client.call(dst, 1, Bytes::new()).await });
+            simcore::sleep(Duration::from_micros(60)).await;
+            let first = net2.node_bulk_queue_peak(b);
+            net2.set_link_loss(b, a, None);
+            net2.reset_stats();
+            let reply = call.await.expect("answered by the resend");
+            assert_eq!(reply.len(), reply_pkts * 4096);
+            (first, net2.node_bulk_queue_peak(b), runs.get())
+        });
+        let case = format!("marked {marked}, {reply_pkts} packets");
+        assert_eq!((first, resent), (queued as u64, queued as u64), "{case}");
+        assert_eq!(runs, 1, "{case}");
+        assert_eq!(
+            net.dropped_loss(),
+            0,
+            "{case}: only the first reply was lost"
+        );
+    }
 }
 
 /// One jitter draw per armed wait, in call order on the endpoint's one

@@ -30,6 +30,8 @@ struct RateInner {
     per_op_overhead: Cell<Duration>,
     next_free: Cell<SimTime>,
     busy: Cell<Duration>,
+    /// Summed queueing wait, in ns (a plain add on every reservation).
+    wait_ns: Cell<u64>,
     ops: Counter,
     bytes: Counter,
 }
@@ -45,6 +47,7 @@ impl RateResource {
                 per_op_overhead: Cell::new(per_op_overhead),
                 next_free: Cell::new(SimTime::ZERO),
                 busy: Cell::new(Duration::ZERO),
+                wait_ns: Cell::new(0),
                 ops: Counter::new(),
                 bytes: Counter::new(),
             }),
@@ -75,6 +78,8 @@ impl RateResource {
         let finish = start + service;
         self.inner.next_free.set(finish);
         self.inner.busy.set(self.inner.busy.get() + service);
+        let waited = start.nanos() - t.nanos();
+        self.inner.wait_ns.set(self.inner.wait_ns.get() + waited);
         self.inner.ops.add(1);
         self.inner.bytes.add(bytes);
         finish
@@ -93,6 +98,12 @@ impl RateResource {
     /// Total busy time accumulated.
     pub fn busy_time(&self) -> Duration {
         self.inner.busy.get()
+    }
+
+    /// Total queueing wait accumulated: for each operation, its service
+    /// start minus the instant it was requested.
+    pub fn wait_time(&self) -> Duration {
+        Duration::from_nanos(self.inner.wait_ns.get())
     }
 
     /// Total operations served.
@@ -116,6 +127,7 @@ impl RateResource {
     /// Reset counters (between measurement phases).
     pub fn reset_stats(&self) {
         self.inner.busy.set(Duration::ZERO);
+        self.inner.wait_ns.set(0);
         self.inner.ops.reset();
         self.inner.bytes.reset();
     }
@@ -205,6 +217,9 @@ mod tests {
         assert_eq!(res.ops(), 3);
         assert_eq!(res.bytes(), 3000);
         assert_eq!(res.busy_time(), Duration::from_micros(3));
+        assert_eq!(res.wait_time(), Duration::from_micros(1 + 2));
+        res.reset_stats();
+        assert_eq!(res.wait_time(), Duration::ZERO);
     }
 
     #[test]
@@ -229,6 +244,11 @@ mod tests {
             res2.access(500).await;
         });
         assert_eq!(res.busy_time(), Duration::from_micros(1));
+        assert_eq!(
+            res.wait_time(),
+            Duration::ZERO,
+            "an idle resource makes no one wait"
+        );
         assert!(res.utilization(Duration::from_micros(11)) < 0.1);
     }
 

@@ -20,6 +20,14 @@
 //! timer ([`simcore::wake_at`]) per instant something happens in the
 //! fabric, not three per datagram (DESIGN.md §5).
 //!
+//! Each transmit NIC serves two classes. A plain datagram takes the NIC the
+//! moment it is sent. A *bulk* one ([`Network::send_bulk_datagram`]) takes
+//! it only while fewer than [`BULK_AHEAD`] of its node's bulk datagrams are
+//! between the NIC and the switch, and otherwise waits in the node's bulk
+//! FIFO; the pump lets the next one go each time a bulk datagram reaches
+//! the switch. Small datagrams sent behind a long bulk message therefore
+//! queue behind at most `BULK_AHEAD` of its packets (Homa's RTTbytes rule).
+//!
 //! This substitutes for the paper's DPDK/UDP data plane (see DESIGN.md §2).
 
 #![warn(missing_docs)]
@@ -28,7 +36,7 @@ mod faults;
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -46,6 +54,13 @@ use faults::{FaultPlane, Verdict};
 
 /// Ethernet + IP + UDP framing overhead added to every datagram on the wire.
 pub const WIRE_HEADER_BYTES: u64 = 42;
+
+/// Bulk datagrams one node may have between its transmit NIC and the
+/// switch at once. A place is handed on 500 ns (the switch latency) after
+/// its packet left the NIC, while the three full packets behind it still
+/// hold the NIC for 3 × 433 ns, so a bulk message alone on its NIC leaves
+/// at the instants a plain one would.
+pub const BULK_AHEAD: u32 = 4;
 
 /// Identifies a server in the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -204,6 +219,9 @@ struct InFlight {
     copies: u32,
     /// When the receive NIC was last booked for it.
     booked_at: SimTime,
+    /// Sent in the bulk class: it holds one of its node's `BULK_AHEAD`
+    /// places until it reaches the switch.
+    bulk: bool,
 }
 
 impl InFlight {
@@ -302,6 +320,22 @@ struct Flights {
 }
 
 impl Flights {
+    /// Book `node`'s transmit NIC for the `wire_size` bytes of the datagram
+    /// in `slot` and queue it to reach the switch `latency` after the NIC is
+    /// done with it. Returns that arrival instant.
+    fn depart(
+        &mut self,
+        node: &NodeState,
+        slot: u32,
+        wire_size: u64,
+        latency: Duration,
+    ) -> SimTime {
+        let arrival = node.tx.reserve(wire_size) + latency;
+        self.arrivals.push(Reverse((arrival, self.sent, slot)));
+        self.sent += 1;
+        arrival
+    }
+
     /// Book the destination's receive NIC for the datagram in `slot` and
     /// queue it for hand-over when the NIC is done with it.
     fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, now: SimTime) {
@@ -326,6 +360,26 @@ struct NodeState {
     rx_queue: u64,
     /// Largest `rx_queue` since the last `reset_stats`.
     rx_queue_peak: u64,
+    /// Bulk datagrams between the transmit NIC and the switch right now
+    /// (at most [`BULK_AHEAD`]).
+    bulk_ahead: u32,
+    /// Bulk datagrams waiting for one of those places, in send order.
+    bulk_queue: VecDeque<u32>,
+    /// Largest `bulk_queue` length since the last `reset_stats`.
+    bulk_queue_peak: u64,
+}
+
+impl NodeState {
+    /// A bulk datagram of this node reached the switch: its place goes to
+    /// the next one waiting, which departs now.
+    fn bulk_arrived(&mut self, fl: &mut Flights, latency: Duration) {
+        self.bulk_ahead -= 1;
+        if let Some(next) = self.bulk_queue.pop_front() {
+            self.bulk_ahead += 1;
+            let wire_size = fl.parked.get_mut(next).wire_size;
+            fl.depart(self, next, wire_size, latency);
+        }
+    }
 }
 
 /// The fabric's delivery pump: a task that never finishes, spawned by the
@@ -408,6 +462,9 @@ impl Network {
             next_ephemeral: 49152,
             rx_queue: 0,
             rx_queue_peak: 0,
+            bulk_ahead: 0,
+            bulk_queue: VecDeque::new(),
+            bulk_queue_peak: 0,
         });
         id
     }
@@ -600,6 +657,30 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].rx_queue_peak
     }
 
+    /// Time datagrams waited for a node's transmit NIC to free up, summed
+    /// (a bulk datagram's wait in its node's bulk FIFO is not included).
+    pub fn node_tx_wait(&self, node: NodeId) -> Duration {
+        self.inner.nodes.borrow()[node.0 as usize].tx.wait_time()
+    }
+
+    /// Time datagrams waited for a node's receive NIC to free up, summed.
+    pub fn node_rx_wait(&self, node: NodeId) -> Duration {
+        self.inner.nodes.borrow()[node.0 as usize].rx.wait_time()
+    }
+
+    /// Most bulk datagrams that waited in a node's bulk FIFO at once since
+    /// the last [`Network::reset_stats`].
+    pub fn node_bulk_queue_peak(&self, node: NodeId) -> u64 {
+        self.inner.nodes.borrow()[node.0 as usize].bulk_queue_peak
+    }
+
+    /// Datagrams sent and not yet delivered or dropped, fabric-wide: bulk
+    /// ones still waiting for their NIC included.
+    pub fn in_flight(&self) -> usize {
+        let fl = self.inner.flights.borrow();
+        fl.parked.slots.len() - fl.parked.free.len()
+    }
+
     /// Reset all NIC byte/op counters and every delivery/drop counter —
     /// including the fault-injection counters — so scoped chaos phases
     /// start from a clean slate (between warmup and measurement).
@@ -608,6 +689,7 @@ impl Network {
             st.tx.reset_stats();
             st.rx.reset_stats();
             st.rx_queue_peak = st.rx_queue;
+            st.bulk_queue_peak = st.bulk_queue.len() as u64;
         }
         self.inner.delivered.reset();
         self.inner.dropped_loss.reset();
@@ -621,17 +703,24 @@ impl Network {
     /// [`Endpoint`] (protocol stacks whose dispatch loop owns the endpoint
     /// use this for their transmit path).
     pub fn send_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
-        self.send(Datagram {
-            src,
-            dst,
-            payload: payload.into(),
-        });
+        let payload = payload.into();
+        self.send(Datagram { src, dst, payload }, false);
     }
 
-    /// Internal: transmit a datagram. Reserves the sender's NIC immediately
-    /// (preserving per-sender FIFO order), parks the datagram and makes
-    /// sure the pump wakes by its arrival instant.
-    fn send(&self, dgram: Datagram) {
+    /// [`Network::send_datagram`] in the bulk class: the datagram takes the
+    /// sender's NIC only while fewer than [`BULK_AHEAD`] of that node's bulk
+    /// datagrams are between its NIC and the switch, and otherwise waits in
+    /// the node's bulk FIFO, so plain datagrams sent later overtake it.
+    pub fn send_bulk_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
+        let payload = payload.into();
+        self.send(Datagram { src, dst, payload }, true);
+    }
+
+    /// Internal: transmit a datagram. A plain one — or a bulk one with a
+    /// place free — reserves the sender's NIC immediately (preserving
+    /// per-sender FIFO order within its class); the datagram is parked and
+    /// the pump made sure to wake by its arrival instant.
+    fn send(&self, dgram: Datagram, bulk: bool) {
         let wire_size = dgram.payload.len() as u64 + WIRE_HEADER_BYTES;
         // Captured in the sender's task (where any trace context lives) and
         // parked with the datagram, so one hop span covers tx NIC
@@ -642,10 +731,9 @@ impl Network {
             s.attr("wire_bytes", wire_size);
             s.attr("dst_node", dgram.dst.node.0 as u64);
         }
-        let tx_done = self.inner.nodes.borrow()[dgram.src.node.0 as usize]
-            .tx
-            .reserve(wire_size);
-        let arrival = tx_done + self.inner.fabric.borrow().switch_latency;
+        let latency = self.inner.fabric.borrow().switch_latency;
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let node = &mut nodes[dgram.src.node.0 as usize];
         let mut fl = self.inner.flights.borrow_mut();
         let slot = fl.parked.insert(InFlight {
             dgram,
@@ -653,10 +741,19 @@ impl Network {
             hop: hop.map(Box::new),
             copies: 0,
             booked_at: SimTime::ZERO,
+            bulk,
         });
-        let order = fl.sent;
-        fl.sent += 1;
-        fl.arrivals.push(Reverse((arrival, order, slot)));
+        if bulk {
+            if node.bulk_ahead == BULK_AHEAD {
+                // The pump is running: the datagrams ahead are its arrivals.
+                node.bulk_queue.push_back(slot);
+                node.bulk_queue_peak = node.bulk_queue_peak.max(node.bulk_queue.len() as u64);
+                return;
+            }
+            node.bulk_ahead += 1;
+        }
+        let arrival = fl.depart(node, slot, wire_size, latency);
+        drop(nodes);
         match &fl.pump {
             PumpState::Parked(waker) if fl.armed.is_none_or(|at| arrival < at) => {
                 simcore::wake_at(arrival, waker);
@@ -724,9 +821,14 @@ impl Network {
         }
 
         while let Some((_, order, slot)) = pop_due(&mut fl.arrivals, now) {
-            let flight = fl.parked.get_mut(slot);
+            let mut flight = fl.parked.get_mut(slot);
             // One verdict per datagram, drawn the first time it gets here.
             if flight.copies == 0 {
+                if flight.bulk {
+                    let src = flight.dgram.src.node.0 as usize;
+                    nodes[src].bulk_arrived(fl, latency);
+                    flight = fl.parked.get_mut(slot);
+                }
                 let verdict = if faulty {
                     let (src, dst) = (flight.dgram.src.node, flight.dgram.dst.node);
                     faults.verdict(src, dst, now, loss_p, &self.inner.rng)
@@ -809,11 +911,7 @@ impl Endpoint {
 
     /// Send `payload` to `dst` (fire-and-forget, unreliable datagram).
     pub fn send_to(&self, dst: Addr, payload: impl Into<Payload>) {
-        self.net.send(Datagram {
-            src: self.addr,
-            dst,
-            payload: payload.into(),
-        });
+        self.net.send_datagram(self.addr, dst, payload);
     }
 
     /// Receive the next datagram (never resolves while the endpoint has no

@@ -10,6 +10,11 @@
 //! shared RNG — is pinned as fixed-seed fingerprints instead: counters and
 //! delivery instants of a 200-packet stream under each fault class,
 //! recorded once from the task-per-datagram implementation at 1fcf9f4.
+//!
+//! The bulk transmit class is pinned last: against the same model when a
+//! bulk message is alone on its NIC, by position and instant when a
+//! datagram is sent behind one, and by a drained fabric under every fault
+//! class.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,7 +23,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use simcore::{Sim, SimTime};
-use simnet::{Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId};
+use simnet::{Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId, BULK_AHEAD};
 
 const PORT: u16 = 1;
 const SWITCH_NS: u64 = 500;
@@ -381,4 +386,111 @@ fn a_port_unbound_in_flight_counts_the_drop_at_rx_done_not_earlier() {
     assert_eq!((net.dropped_unbound(), net.delivered()), (1, 0));
     sim.run();
     assert_eq!((net.dropped_unbound(), net.delivered()), (1, 0));
+}
+
+// ---------------------------------------------------------------------------
+// The bulk class.
+// ---------------------------------------------------------------------------
+
+/// A full packet at the default 4 KiB MTU.
+const PKT: usize = 4096;
+
+/// `n` full packets from `src` to `dst` in one instant, packet `i` carrying
+/// `i` (as the model's payloads do), in the bulk class or not.
+fn message(net: &Network, src: NodeId, dst: NodeId, n: usize, bulk: bool) {
+    for i in 0..n {
+        let payload = Bytes::from(vec![i as u8; PKT]);
+        if bulk {
+            net.send_bulk_datagram(on(src), on(dst), payload);
+        } else {
+            net.send_datagram(on(src), on(dst), payload);
+        }
+    }
+}
+
+#[test]
+fn a_bulk_message_alone_on_its_nic_is_delivered_when_a_plain_one_is() {
+    // The next bulk packet departs when the one `BULK_AHEAD` ahead of it
+    // reaches the switch, which is before the NIC is free again.
+    assert!((BULK_AHEAD as u64 - 1) * nic_ns(PKT) >= SWITCH_NS);
+    let want = model(2, &vec![(0, 0, 1, PKT); 64])[1].clone();
+    for bulk in [false, true] {
+        let rig = rig(2, 1);
+        let (net, ids) = (rig.net.clone(), rig.ids.clone());
+        rig.sim
+            .block_on(async move { message(&net, ids[0], ids[1], 64, bulk) });
+        rig.sim.run();
+        assert_eq!(rig.seen(1), want, "bulk {bulk}");
+        assert_eq!(rig.net.in_flight(), 0);
+    }
+}
+
+#[test]
+fn a_datagram_sent_behind_a_bulk_message_overtakes_all_but_bulk_ahead_of_its_packets() {
+    for (bulk, ahead) in [(true, BULK_AHEAD as usize), (false, 64)] {
+        let rig = rig(2, 1);
+        let (net, ids) = (rig.net.clone(), rig.ids.clone());
+        rig.sim.block_on(async move {
+            message(&net, ids[0], ids[1], 64, bulk);
+            net.send_datagram(on(ids[0]), on(ids[1]), Bytes::from_static(&[0xEE]));
+        });
+        rig.sim.run();
+        let seen = rig.seen(1);
+        assert_eq!(seen.len(), 65);
+        let small = seen.iter().position(|s| s.2 == [0xEE]).expect("delivered");
+        assert_eq!(small, ahead, "bulk {bulk}");
+        if bulk {
+            // It takes the NIC right after the four bulk packets that hold
+            // it, and the receiver's right after the fourth of them.
+            let at = (BULK_AHEAD as u64 + 1) * nic_ns(PKT) + SWITCH_NS + nic_ns(1);
+            assert_eq!(seen[small].0, at);
+            let waited = 64 - BULK_AHEAD as u64;
+            assert_eq!(rig.net.node_bulk_queue_peak(rig.ids[0]), waited);
+        }
+    }
+}
+
+#[test]
+fn the_bulk_queue_drains_under_every_fault_class() {
+    let rig = rig(3, 5);
+    let (net, ids) = (rig.net.clone(), rig.ids.clone());
+    let (n0, n1, n2) = (ids[0], ids[1], ids[2]);
+    net.set_loss_probability(0.05);
+    net.set_link_duplicate(n0, n1, 0.3);
+    net.set_link_reorder(n2, n1, 0.3, Duration::from_micros(20));
+    rig.sim.block_on(async move {
+        net.partition_for(n0, n2, Duration::from_micros(40));
+        for round in 0..6u64 {
+            simcore::sleep_until(SimTime::from_nanos(round * 15_000)).await;
+            for (src, dst) in [(n0, n1), (n2, n1), (n0, n2), (n2, n0)] {
+                message(&net, src, dst, 24, true);
+                net.send_datagram(on(src), on(dst), Bytes::from_static(&[0xEE]));
+            }
+        }
+    });
+    // Quiesced: the pump has nothing left to wake for.
+    rig.sim.run();
+    let net = &rig.net;
+    assert_eq!(net.in_flight(), 0, "a bulk datagram is stuck in its queue");
+    let sent = 6 * 4 * 25;
+    let lost = net.dropped_loss() + net.dropped_partition();
+    assert!(net.dropped_partition() > 0 && net.dropped_loss() > 0);
+    assert!(net.duplicated() > 0 && net.reordered() > 0);
+    assert_eq!(net.delivered(), sent - lost + net.duplicated());
+    assert!(net.node_bulk_queue_peak(n0) > 0 && net.node_bulk_queue_peak(n2) > 0);
+    // Every place in flight came back: a fresh message leaves at the lone
+    // message's instants again, offset by when it was sent.
+    net.clear_faults();
+    net.set_loss_probability(0.0);
+    let before = rig.seen(1).len();
+    let t0 = rig.sim.now().nanos();
+    let net2 = net.clone();
+    rig.sim
+        .block_on(async move { message(&net2, n0, n1, 64, true) });
+    rig.sim.run();
+    let again: Vec<Seen> = rig.seen(1)[before..]
+        .iter()
+        .map(|(at, src, payload)| (at - t0, *src, payload.clone()))
+        .collect();
+    assert_eq!(again, model(2, &vec![(0, 0, 1, PKT); 64])[1]);
 }
