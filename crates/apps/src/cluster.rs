@@ -62,7 +62,7 @@ pub struct ClusterConfig {
     /// budget so faulted requests fail in bounded time).
     pub rpc: RpcConfig,
     /// The DM pool: every DmNet server starts with exactly this, and every
-    /// plane it turns on (leases, durability, coherence) is
+    /// plane it turns on (leases, durability) is
     /// stated here and nowhere else — endpoints learn what they need when
     /// they register. The CXL backend reads the two fields that mean
     /// something to it: `capacity_pages` sizes the whole G-FAM device and
@@ -323,6 +323,10 @@ impl Cluster {
                     cache.cache_stats().invalidations()
                 });
                 let cache = c.clone();
+                reg.register_gauge(format!("{base}.cache.resets"), move || {
+                    cache.cache_stats().resets()
+                });
+                let cache = c.clone();
                 reg.register_gauge(format!("{base}.cache.batched_ops"), move || {
                     cache.cache_stats().batched_ops()
                 });
@@ -344,36 +348,6 @@ impl Cluster {
                 }
             }
         }
-        // Coherence view (DESIGN.md §15), registered only when the pool is
-        // coherent so default-config telemetry dumps are unchanged:
-        // cluster-wide cache outcomes plus invalidation mix.
-        if self.config.dm.coherence.is_some() {
-            use dmnet::CacheStats;
-            type View = fn(&CacheStats) -> u64;
-            let views: [(&str, View); 4] = [
-                ("hits", CacheStats::hits),
-                ("misses", CacheStats::misses),
-                ("targeted_inv", CacheStats::targeted_inv),
-                ("broadcast_inv", CacheStats::broadcast_inv),
-            ];
-            for (name, read) in views {
-                let eps = self.endpoints.borrow().clone();
-                reg.register_gauge(format!("dm.cache.{name}"), move || {
-                    let live = eps.iter().filter_map(Weak::upgrade);
-                    let of_endpoint = |ep: Rc<DmRpc>| match ep.dm() {
-                        Some(DmHandle::Net(c)) => read(c.cache_stats()),
-                        _ => 0,
-                    };
-                    live.map(of_endpoint).sum()
-                });
-            }
-            for (i, s) in self.dm_servers.iter().enumerate() {
-                let pushed = format!("dmserver.{i}.inv_pushed");
-                server_gauge(&reg, s, pushed, DmServer::invalidations_pushed);
-                let broadcasts = format!("dmserver.{i}.inv_broadcasts");
-                server_gauge(&reg, s, broadcasts, DmServer::coherence_broadcasts);
-            }
-        }
         for (i, s) in self.dm_servers.iter().enumerate() {
             let name = self.net.node_name(s.addr().node);
             let gauge =
@@ -386,7 +360,10 @@ impl Cluster {
                 format!("dmserver.{i}.leases_reclaimed"),
                 DmServer::leases_reclaimed,
             );
-            gauge(format!("dmserver.{i}.epoch"), DmServer::epoch);
+            gauge(
+                format!("dmserver.{i}.deaths_listed"),
+                DmServer::invalidations_pushed,
+            );
             gauge(format!("dmserver.{i}.traffic_bytes"), |s| {
                 s.memory().traffic_bytes()
             });

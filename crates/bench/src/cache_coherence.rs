@@ -1,20 +1,19 @@
-//! `xtra_cache_coherence` — client-cache hit rate under write churn: the
-//! global invalidation epoch versus per-ref fine-grained coherence with
-//! targeted invalidation (DESIGN.md §15).
+//! `xtra_cache_coherence` — client-cache hit rate under write churn, with
+//! each ref's death listed to the clients that cached it (DESIGN.md §9).
 //!
-//! Under the §9 global epoch, *any* ref-releasing event on a server
-//! invalidates *every* entry each of its clients cached, so even a small
-//! write fraction collapses the read hit rate cluster-wide. Fine-grained
-//! mode invalidates per ref instead: the server pushes a targeted
-//! `INVALIDATE` to the read-lease holders of a ref that just died, and
-//! unrelated cached entries keep serving.
+//! A DM server lists a dead key on the next answer each client that may
+//! cache it gets, so unrelated cached entries keep serving. The global
+//! epoch this replaced dropped *every* entry a server's clients cached on
+//! any ref's death, so even a small write fraction collapsed the read hit
+//! rate cluster-wide; its last hit rates at [`GATE_PCT`] are kept as
+//! [`EPOCH_HIT_RATE`], the bar this scheme must stay twice over.
 //!
-//! Two workloads measure the difference at the same write rate:
+//! Two workloads measure it:
 //!
 //! * **mixed chain** — the Fig. 5 chain where reads re-send one of a
 //!   fixed set of long-lived by-ref arguments (the final service's fetch
 //!   is cacheable) and writes run the standard fresh-argument
-//!   put/forward/release cycle, whose release churns the global epoch;
+//!   put/forward/release cycle, whose release is a death;
 //! * **social** — the DeathStarBench mix with a capped post storage, so
 //!   every steady-state compose evicts and releases the oldest post's
 //!   media ref while readers fetch the recent posts of hot timelines.
@@ -32,16 +31,15 @@ use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::social::build_social_capped;
 use apps::workload::run_closed_loop;
 use bytes::Bytes;
-use dmnet::{CoherenceConfig, DmServerConfig};
 use simcore::Sim;
 
 use crate::report::{f2, Bound, Table};
 use crate::rtt_budget::{measure, RttPoint};
 
 /// Social-network population (small enough that the hot set fits each
-/// client's cache in *both* modes: [`POST_CAP`] two-page posts are 320
-/// pages, under a 1536-page share of two DM servers — the sweep isolates
-/// coherence churn, not capacity misses).
+/// client's cache: [`POST_CAP`] two-page posts are 320 pages, under a
+/// 1536-page share of two DM servers — the sweep isolates coherence churn,
+/// not capacity misses).
 pub const USERS: u32 = 32;
 
 /// Media payload per post. Above the one-page pass-by-reference
@@ -63,8 +61,12 @@ pub const WRITE_PCTS: [u32; 4] = [0, 5, 10, 25];
 /// The write fraction at which the ≥2× gate is evaluated.
 pub const GATE_PCT: u32 = 10;
 
-/// Minimum `fine-grained hit rate / global hit rate` at [`GATE_PCT`].
+/// Minimum `hit rate / the global epoch's` at [`GATE_PCT`].
 pub const MIN_HIT_RATE_RATIO: f64 = 2.0;
+
+/// The global epoch's hit rate at [`GATE_PCT`] per workload, from the last
+/// `BENCH_cache_coherence.json` that ran it (its `global_epoch` rows).
+pub const EPOCH_HIT_RATE: [(&str, f64); 2] = [("chain", 0.29), ("social", 0.48)];
 
 /// Chain length for the mixed read/write chain (Fig. 5 shape).
 pub const CHAIN_LEN: usize = 3;
@@ -76,42 +78,17 @@ pub const ARG_SIZE: usize = 4096;
 /// Long-lived by-ref arguments the chain's read side cycles over.
 pub const STABLE_REFS: usize = 16;
 
-/// Read lease used by the fine-grained cells. Long enough that hot
-/// entries are not cycled by lease expiry inside the measurement window
-/// and that the server's holder directory still covers a post when the
-/// capped storage evicts it; staleness on a *lost* push is still bounded
-/// by it (the chaos suite exercises that path — this bench is
-/// fault-free).
-pub const LEASE: Duration = Duration::from_millis(10);
-
-/// `fine-grained hit rate / global hit rate` for one (workload, pct) pair.
-pub fn hit_rate_ratio(global: &RttPoint, fg: &RttPoint) -> f64 {
-    if global.hit_rate() == 0.0 {
-        f64::INFINITY
-    } else {
-        fg.hit_rate() / global.hit_rate()
-    }
-}
-
-/// The deployment of one cell: the default cluster, its DM servers
-/// coherent on a [`LEASE`] read lease for the fg cells. Nothing changes on
-/// the client side — the endpoints learn the scheme when they register.
-fn config_for(fine_grained: bool) -> ClusterConfig {
-    let coherence = fine_grained.then(|| CoherenceConfig {
-        read_lease: LEASE,
-        ..Default::default()
-    });
-    ClusterConfig {
-        dm: DmServerConfig {
-            coherence,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+/// `hit rate / the global epoch's` at [`GATE_PCT`] for `workload`.
+pub fn hit_rate_ratio(workload: &str, p: &RttPoint) -> f64 {
+    let (_, epoch) = EPOCH_HIT_RATE
+        .iter()
+        .find(|(w, _)| *w == workload)
+        .expect("a swept workload");
+    p.hit_rate() / epoch
 }
 
 /// Deterministic per-(worker, iteration) draw — identical op sequence
-/// for every cell, so the only degree of freedom is the coherence mode.
+/// for every cell, so the only degree of freedom is the write fraction.
 fn mix_draw(w: usize, i: u64) -> u64 {
     (w as u64 + 1)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -120,10 +97,10 @@ fn mix_draw(w: usize, i: u64) -> u64 {
 
 /// One social cell: `write_pct`% composes (each evicting + releasing an
 /// old post from the capped storage), the rest home-timeline reads.
-pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
+pub fn run_social_point(write_pct: u32) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config_for(fine_grained), 17);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 17);
         let app = Rc::new(build_social_capped(&cluster, USERS, MEDIA, 7, POST_CAP).await);
         // All writes go through a second client endpoint: the reading
         // client's cache is warmed by reads alone, so an "unrelated
@@ -136,7 +113,7 @@ pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
                 .expect("preload");
         }
         // Warm every timeline once so the measured window starts from a
-        // populated cache in both modes.
+        // populated cache.
         for u in 0..USERS {
             app.read_home(u).await.expect("warm");
             app.read_user(u).await.expect("warm");
@@ -174,11 +151,11 @@ pub fn run_social_point(write_pct: u32, fine_grained: bool) -> RttPoint {
 
 /// One chain cell: reads re-send a long-lived by-ref argument down the
 /// chain (the final service's fetch of it is cacheable), writes run the
-/// standard fresh-argument request whose release churns the epoch.
-pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> RttPoint {
+/// standard fresh-argument request whose release is a death.
+pub fn run_chain_point(write_pct: u32) -> RttPoint {
     let sim = Sim::new();
     sim.block_on(async move {
-        let cluster = Cluster::new(SystemKind::DmNet, 2, config_for(fine_grained), 42);
+        let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 42);
         let app = Rc::new(build_chain(&cluster, CHAIN_LEN).await);
         let payload = Bytes::from(vec![7u8; ARG_SIZE]);
         // The stable read set: long-lived by-ref arguments owned by the
@@ -233,19 +210,15 @@ pub fn run_chain_point(write_pct: u32, fine_grained: bool) -> RttPoint {
 /// Run the sweep, emit both artifacts, and gate the ≥2× retention on
 /// both workloads at [`GATE_PCT`].
 pub fn run() {
-    // Cell layout: for each workload, (global, fg) per write pct. All
-    // cells are independent sims, fanned out in a fixed order.
-    let specs: Vec<(&'static str, u32, bool)> = ["chain", "social"]
+    // One cell per (workload, write pct), independent sims fanned out in
+    // a fixed order.
+    let specs: Vec<(&'static str, u32)> = ["chain", "social"]
         .iter()
-        .flat_map(|&w| {
-            WRITE_PCTS
-                .iter()
-                .flat_map(move |&pct| [false, true].into_iter().map(move |fg| (w, pct, fg)))
-        })
+        .flat_map(|&w| WRITE_PCTS.iter().map(move |&pct| (w, pct)))
         .collect();
-    let cells = crate::pool::sweep(&specs, |&(workload, pct, fg)| match workload {
-        "chain" => run_chain_point(pct, fg),
-        _ => run_social_point(pct, fg),
+    let cells = crate::pool::sweep(&specs, |&(workload, pct)| match workload {
+        "chain" => run_chain_point(pct),
+        _ => run_social_point(pct),
     });
 
     let mut t = Table::new(
@@ -253,14 +226,13 @@ pub fn run() {
         &[
             "workload",
             "write_pct",
-            "config",
             "ops",
             "hits",
             "misses",
             "hit_rate",
             "invalidations",
-            "targeted_inv",
-            "broadcast_inv",
+            "listed",
+            "resets",
             "ctrl_msgs",
             "ctrl_per_op",
             "throughput_krps",
@@ -268,49 +240,40 @@ pub fn run() {
     )
     .trajectory("cache_coherence");
     t.meta("users", USERS);
-    t.meta("read_lease_us", LEASE.as_micros());
     t.meta("gate_write_pct", GATE_PCT);
-    for (&(workload, pct, fg), p) in specs.iter().zip(&cells) {
-        let label = if fg { "fine_grained" } else { "global_epoch" };
+    for (&(workload, pct), p) in specs.iter().zip(&cells) {
         t.row(&[
             &workload,
             &pct,
-            &label,
             &p.ops,
             &p.hits,
             &p.misses,
             &f2(p.hit_rate()),
             &p.invalidations,
-            &p.targeted_inv,
-            &p.broadcast_inv,
+            &p.listed,
+            &p.resets,
             &p.ctrl,
             &f2(p.ctrl_per_op()),
             &f2(p.tput_krps),
         ]);
     }
-    for (spec, pair) in specs.chunks(2).zip(cells.chunks(2)) {
-        let ((workload, pct, _), [global, fg]) = (spec[0], pair) else {
-            unreachable!("cells come in (global, fine-grained) pairs")
-        };
-        let ratio = hit_rate_ratio(global, fg);
-        let name = format!("{workload}_hit_rate_ratio_at_{pct}pct");
-        t.headline(&name, f2(ratio));
+    for (&(workload, pct), p) in specs.iter().zip(&cells) {
+        t.headline(
+            &format!("{workload}_hit_rate_at_{pct}pct"),
+            f2(p.hit_rate()),
+        );
         if pct != GATE_PCT {
             continue;
         }
+        let name = format!("{workload}_hit_rate_ratio_at_{pct}pct");
+        let ratio = hit_rate_ratio(workload, p);
+        t.headline(&name, f2(ratio));
         t.gate(&name, ratio, Bound::AtLeast(MIN_HIT_RATE_RATIO));
-        // The coherence plane must be engaged (pushes observed) and a
-        // fault-free cell must never fall back to an epoch broadcast.
-        t.gate(
-            &format!("{workload}_targeted_inv_at_{pct}pct"),
-            fg.targeted_inv as f64,
-            Bound::AtLeast(1.0),
-        );
-        t.gate(
-            &format!("{workload}_broadcast_inv_at_{pct}pct"),
-            fg.broadcast_inv as f64,
-            Bound::AtMost(0.0),
-        );
+        // Deaths must be listed, and a fault-free cell must never reset.
+        let listed = format!("{workload}_listed_at_{pct}pct");
+        t.gate(&listed, p.listed as f64, Bound::AtLeast(1.0));
+        let resets = format!("{workload}_resets_at_{pct}pct");
+        t.gate(&resets, p.resets as f64, Bound::AtMost(0.0));
     }
     t.finish();
 }
@@ -319,38 +282,27 @@ pub fn run() {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fine_grained_retains_twice_the_hit_rate_under_social_churn() {
-        // The ISSUE 10 acceptance bar, evaluated on the gate cells only
-        // (the full sweep runs in the binary / CI).
-        let global = run_social_point(GATE_PCT, false);
-        let fg = run_social_point(GATE_PCT, true);
-        assert!(global.ops > 0 && fg.ops > 0);
-        assert!(fg.targeted_inv > 0, "targeted invalidations flowed");
-        assert_eq!(fg.broadcast_inv, 0, "no broadcast fallback");
-        let ratio = hit_rate_ratio(&global, &fg);
+    /// The acceptance bar on one workload, evaluated on its gate cell only
+    /// (the full sweep runs in the binary / CI).
+    fn retains_twice_the_epochs_hit_rate(workload: &str, p: RttPoint) {
+        assert!(p.ops > 0);
+        assert!(p.listed > 0, "deaths were listed");
+        assert_eq!(p.resets, 0, "a fault-free run must not reset");
+        let ratio = hit_rate_ratio(workload, &p);
         assert!(
             ratio >= MIN_HIT_RATE_RATIO,
-            "social hit-rate ratio {ratio:.2}x < {MIN_HIT_RATE_RATIO}x \
-             (global {:.3}, fine-grained {:.3})",
-            global.hit_rate(),
-            fg.hit_rate(),
+            "{workload} hit-rate ratio {ratio:.2}x < {MIN_HIT_RATE_RATIO}x (hit rate {:.3})",
+            p.hit_rate(),
         );
     }
 
     #[test]
-    fn fine_grained_retains_twice_the_hit_rate_on_mixed_chain() {
-        let global = run_chain_point(GATE_PCT, false);
-        let fg = run_chain_point(GATE_PCT, true);
-        assert!(global.ops > 0 && fg.ops > 0);
-        assert_eq!(fg.broadcast_inv, 0, "fault-free run must not broadcast");
-        let ratio = hit_rate_ratio(&global, &fg);
-        assert!(
-            ratio >= MIN_HIT_RATE_RATIO,
-            "chain hit-rate ratio {ratio:.2}x < {MIN_HIT_RATE_RATIO}x \
-             (global {:.3}, fine-grained {:.3})",
-            global.hit_rate(),
-            fg.hit_rate(),
-        );
+    fn social_churn_keeps_twice_the_epochs_hit_rate() {
+        retains_twice_the_epochs_hit_rate("social", run_social_point(GATE_PCT));
+    }
+
+    #[test]
+    fn mixed_chain_keeps_twice_the_epochs_hit_rate() {
+        retains_twice_the_epochs_hit_rate("chain", run_chain_point(GATE_PCT));
     }
 }

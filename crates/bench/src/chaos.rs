@@ -144,10 +144,9 @@ const LEASE_TTL: Duration = Duration::from_micros(200);
 
 /// The one chaos deployment, every plane composed (the bare-pool COW case
 /// starts its server from its `.dm`): bounded retries, short leases, a
-/// small pool so leaks show, fine-grained coherence forced on (DESIGN.md
-/// §15) so every fault window also races targeted pushes, read leases and
-/// the bounded holder directory, and the zero-cost write-ahead log
-/// (DESIGN.md §12), the only way a crashed server comes back. Durability is
+/// small pool so leaks show, and the zero-cost write-ahead log (DESIGN.md
+/// §12), the only way a crashed server comes back. Every fault window also
+/// races the death lists and counts of DESIGN.md §9, which are always on. Durability is
 /// set here, never inherited from `DM_DURABLE`, so chaos fingerprints do
 /// not depend on the environment.
 fn chaos_config() -> ClusterConfig {
@@ -157,7 +156,6 @@ fn chaos_config() -> ClusterConfig {
             capacity_pages: 4096,
             lease_ttl: Some(LEASE_TTL),
             durability: Some(dmnet::WalConfig::zero_cost()),
-            coherence: Some(dmnet::CoherenceConfig::default()),
             ..Default::default()
         },
         ..Default::default()
@@ -441,9 +439,8 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
         let mut clients = Vec::new();
         let mut links = Vec::new();
         for i in 0..4 {
-            // Client cache on, under a coherent server: the fault sweep
-            // must hold every invariant with the DESIGN.md §9/§15 client
-            // cache in play.
+            // Client cache on: the fault sweep must hold every invariant
+            // with the DESIGN.md §9 client cache in play.
             let (node, c) = chaos_client(&net, &format!("c{i}"), &pool, true).await;
             clients.push(c);
             links.push((node, dm_node));

@@ -41,13 +41,13 @@ pub struct RttPoint {
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
-    /// Entries invalidated (epoch advances, invalidation pushes, local
-    /// releases).
+    /// Entries invalidated (listed deaths, resets, local releases).
     pub invalidations: u64,
-    /// Targeted invalidation pushes received (fine-grained only).
-    pub targeted_inv: u64,
-    /// Epoch broadcasts observed while fine-grained (fallback path).
-    pub broadcast_inv: u64,
+    /// Dead keys listed to the clients (DESIGN.md §9).
+    pub listed: u64,
+    /// Answers whose death count skipped a listing, each dropping every
+    /// entry its client held from that server.
+    pub resets: u64,
     /// Control ops that rode a coalesced batch.
     pub batched_ops: u64,
     /// Coalesced batch envelopes sent.
@@ -114,8 +114,8 @@ where
                     s.hits(),
                     s.misses(),
                     s.invalidations(),
-                    s.targeted_inv(),
-                    s.broadcast_inv(),
+                    s.listed(),
+                    s.resets(),
                     s.batched_ops(),
                     s.batches(),
                 ]
@@ -141,8 +141,8 @@ where
         hits: d[2],
         misses: d[3],
         invalidations: d[4],
-        targeted_inv: d[5],
-        broadcast_inv: d[6],
+        listed: d[5],
+        resets: d[6],
         batched_ops: d[7],
         batches: d[8],
         tput_krps,

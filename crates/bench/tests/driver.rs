@@ -351,11 +351,26 @@ fn mentions_type(text: &str, ty: &str) -> bool {
 }
 
 /// Every artifact, experiment, path, DESIGN.md section, cargo target and
-/// `Type::member` a document names exists, and every example is named by one.
+/// `Type::member` a document names exists, no deleted name is named as
+/// code, and every example is named by one.
 #[test]
 fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
     const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
+    // Deleted with the two coherence schemes one replaced (DESIGN.md §9):
+    // no document names them as code.
+    const GONE: [&str; 10] = [
+        "CoherenceConfig",
+        "INVALIDATE",
+        "read_lease",
+        "serve_for",
+        "leased_until",
+        "observe_invalidate",
+        "observe_epoch",
+        "dir_max",
+        "targeted_inv",
+        "broadcast_inv",
+    ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let exists = |rel: String| root.join(rel).exists();
@@ -409,6 +424,11 @@ fn the_prose_names_only_what_exists() {
         }
         // Code is what sits between backticks, fenced blocks included.
         let code = || text.split('`').skip(1).step_by(2);
+        for name in GONE {
+            if code().any(|c| c.contains(name)) {
+                wrong.push(format!("{at}: `{name}` was deleted"));
+            }
+        }
         for arg in code().flat_map(str::lines).flat_map(bench_args) {
             if !experiments.contains(&arg) {
                 wrong.push(format!("{at}: `bench {arg}` is not in `bench list`"));
@@ -532,9 +552,10 @@ fn struct_fields(src: &str) -> Vec<(&str, &str)> {
 
 /// A plane of the DM pool is configured in one place, the server's config,
 /// and a client finds out over the wire (DESIGN.md §15). Grep-level: the
-/// cluster config re-declares no `DmServerConfig` field, the read lease is
-/// a field of one struct, `fine_grained` and `dm_placement` (round-robin is
-/// the one placement, DESIGN.md §13) of none, nor `admission`,
+/// cluster config re-declares no `DmServerConfig` field; `coherence`, the
+/// read lease and the directory bound (one scheme, always on, DESIGN.md
+/// §9), `fine_grained` and `dm_placement` (round-robin is the one
+/// placement, DESIGN.md §13) are fields of no struct, nor `admission`,
 /// `dm_client_max_inflight` or `codel_target` (the front-door window is the
 /// one overload control, DESIGN.md §14), and the process environment is
 /// read only where a set-but-unreadable value ends the run.
@@ -555,7 +576,7 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
     let server = server.iter().filter(|(s, _)| *s == "DmServerConfig");
     let server: Vec<&str> = server.map(|&(_, field)| field).collect();
     assert!(
-        server.contains(&"lease_ttl") && server.contains(&"coherence"),
+        server.contains(&"lease_ttl") && server.contains(&"durability"),
         "{server:?}"
     );
     for (s, field) in struct_fields(text_of("crates/apps/src/cluster.rs")) {
@@ -564,8 +585,14 @@ fn a_plane_setting_is_declared_once_and_the_environment_read_strictly() {
             "`{s}::{field}` re-declares a `DmServerConfig` field"
         );
     }
-    assert_eq!(declaring("read_lease"), ["CoherenceConfig"]);
     let gone = [
+        // One coherence scheme, always on (DESIGN.md §9): no switch, no
+        // read lease, no holder-directory bound of its own.
+        "coherence",
+        "read_lease",
+        "dir_max",
+        "serve_for",
+        "leased_until",
         "fine_grained",
         "dm_placement",
         "admission",

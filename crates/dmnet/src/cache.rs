@@ -5,13 +5,16 @@
 //! page. So a client may cache a ref's bytes (`read_ref`) and serve repeat
 //! reads without a round trip — the only hazard is a ref that has *died*
 //! (released explicitly or reclaimed with its owner's lease). The server
-//! therefore piggybacks an *invalidation epoch* on every response, advanced
-//! on each ref-releasing event; entries are only served while their fill
-//! epoch equals the latest epoch this client has observed from that server.
-//! A stale entry can thus never serve bytes that diverge from what the ref
-//! held while it was alive; at worst a read that raced a foreign release
-//! returns the ref's final bytes instead of `InvalidRef`, exactly the race
-//! an uncached client loses to in-flight.
+//! therefore lists each dead key to the clients it let cache that key, on
+//! the next response each of them gets from it, and every response carries
+//! the client's running count of listed keys. A response whose count is
+//! the applied count plus the keys it lists is the next one: its keys are
+//! dropped. A count below that is a late reply, which changes nothing; one
+//! above it means a listing went missing (a lost reply, a restarted
+//! server), and every entry from that server is dropped. A stale entry thus
+//! only ever serves the dead ref's final bytes, and only until the client's
+//! next response from that server — exactly the race an uncached client
+//! loses to in-flight.
 //!
 //! The coalescer queues `release_ref`s per server and folds them into one
 //! [`crate::proto::req::BATCH`] wire message within a bounded flush
@@ -19,16 +22,6 @@
 //! preserving program order. The cache pins nothing server-side, and a
 //! queued release keeps its ref alive at most one `FLUSH_WINDOW` (plus
 //! the batch's round trip) past the app's `release_ref`.
-//!
-//! **A coherent server** (DESIGN.md §15) replaces the all-or-nothing
-//! epoch with targeted [`crate::proto::req::INVALIDATE`] pushes, naming the
-//! one ref that died, to the clients whose cached copy of it is still under
-//! its *read lease*. Which kind a server is, and that lease, the client
-//! learns when it registers. An entry filled from a coherent server is
-//! served only until its lease runs out, so a push lost to the network can
-//! delay eviction only that long — and even then the stale entry can only
-//! hold the dead ref's final (immutable) bytes, never diverged ones. Under
-//! a plain server no entry carries a lease: the epoch decides.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -39,7 +32,7 @@ use dmcommon::PAGE_SIZE;
 use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
-use crate::proto::N_REQ_TYPES;
+use crate::proto::{Deaths, N_REQ_TYPES};
 
 /// How long queued control ops may wait for company before a batch is
 /// flushed (virtual time).
@@ -51,8 +44,10 @@ pub(crate) const MAX_BATCH_OPS: usize = 64;
 
 /// DM pages of ref data one client caches, split evenly among its pool's
 /// servers. An entry is charged [`pages`] against its server's share
-/// (second-chance eviction); one larger than a share is not cached.
-const CACHE_PAGES: usize = 3072;
+/// (second-chance eviction); one larger than a share is not cached. So no
+/// client holds more than this many entries from one server, which is
+/// what a server bounds each client's grants by.
+pub(crate) const CACHE_PAGES: usize = 3072;
 
 /// Saturation point of a data entry's reference count: an entry hit this
 /// often survives that many eviction passes without another hit.
@@ -67,8 +62,8 @@ pub struct CacheStats {
     invalidations: Cell<u64>,
     batched_ops: Cell<u64>,
     batches: Cell<u64>,
-    targeted_inv: Cell<u64>,
-    broadcast_inv: Cell<u64>,
+    listed: Cell<u64>,
+    resets: Cell<u64>,
 }
 
 impl CacheStats {
@@ -82,8 +77,7 @@ impl CacheStats {
         self.misses.get()
     }
 
-    /// Entries dropped by epoch advances, invalidation pushes or local
-    /// releases.
+    /// Entries dropped by listed deaths, resets or local releases.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.get()
     }
@@ -98,24 +92,21 @@ impl CacheStats {
         self.batches.get()
     }
 
-    /// Targeted invalidation pushes received (from coherent servers).
-    pub fn targeted_inv(&self) -> u64 {
-        self.targeted_inv.get()
+    /// Dead keys that in-order responses listed to this client.
+    pub fn listed(&self) -> u64 {
+        self.listed.get()
     }
 
-    /// Epoch advances observed from coherent servers (their broadcast
-    /// fallback, e.g. directory overflow or restart).
-    pub fn broadcast_inv(&self) -> u64 {
-        self.broadcast_inv.get()
+    /// Responses whose count skipped a listing, so every entry from their
+    /// server was dropped.
+    pub fn resets(&self) -> u64 {
+        self.resets.get()
     }
 }
 
 /// A cached prefix of a ref's bytes (always starting at offset 0).
 struct DataEntry {
-    epoch: u64,
     bytes: Bytes,
-    /// Serve deadline under a coherent server's read lease.
-    leased_until: Option<simcore::SimTime>,
     /// Second chances left: raised by each covering hit up to [`REF_MAX`],
     /// spent one per eviction scan that passes the entry over.
     refs: Cell<u8>,
@@ -129,12 +120,8 @@ fn pages(len: usize) -> usize {
 
 #[derive(Default)]
 struct ServerCache {
-    /// Latest invalidation epoch observed from this server.
-    epoch: Cell<u64>,
-    /// How long an entry filled from this server may be served without
-    /// hearing from it — the server's read lease, as its `REGISTER` reply
-    /// stated it: `Some` iff the server is coherent (DESIGN.md §15).
-    serve_for: Cell<Option<Duration>>,
+    /// The highest death count a response from this server has reported.
+    applied: Cell<u64>,
     data: RefCell<HashMap<u64, DataEntry>>,
     /// Eviction scan order of `data` keys: insertion order, with a key that
     /// was given a second chance moved to the back.
@@ -190,11 +177,6 @@ impl ClientCache {
         &self.stats
     }
 
-    /// Record what server `idx`'s `REGISTER` reply said about coherence.
-    pub(crate) fn set_serve_for(&self, idx: usize, read_lease: Option<Duration>) {
-        self.servers[idx].serve_for.set(read_lease);
-    }
-
     // -- wire accounting -----------------------------------------------------
 
     /// Count one outgoing wire message of `ty`.
@@ -221,65 +203,52 @@ impl ClientCache {
         (control, data)
     }
 
-    // -- epochs --------------------------------------------------------------
+    // -- deaths --------------------------------------------------------------
 
-    /// Fold a response's piggybacked epoch in. An advance invalidates every
-    /// cached entry filled before it.
-    pub(crate) fn observe_epoch(&self, idx: usize, epoch: u64) {
-        let s = &self.servers[idx];
-        if epoch <= s.epoch.get() {
+    /// Fold in what a response from server `idx` says about its deaths,
+    /// with the ref bytes `fill` it carries for the cache, if any. In
+    /// order (its count is the applied count plus the keys it lists), the
+    /// fill is cached and then the listed keys are dropped, so a fill of a
+    /// key its own response lists never serves. A late response (count at
+    /// or below the applied one) lists nothing not already dropped, and its
+    /// fill may predate a death applied since: it is not cached. Any other
+    /// count skipped a listing, and every entry from `idx` is dropped. A
+    /// malformed response (no `deaths`) changes nothing.
+    pub(crate) fn observe(&self, idx: usize, deaths: Option<Deaths>, fill: Option<(u64, Bytes)>) {
+        let Some(deaths) = deaths else {
             return;
-        }
-        s.epoch.set(epoch);
-        if s.serve_for.get().is_some() {
-            // A coherent server's epoch only moves as its broadcast
-            // fallback (directory overflow or restart).
-            self.stats
-                .broadcast_inv
-                .set(self.stats.broadcast_inv.get() + 1);
-        }
-        let dropped = s.data.borrow().len();
-        s.data.borrow_mut().clear();
-        s.data_order.borrow_mut().clear();
-        s.data_pages.set(0);
-        self.stats
-            .invalidations
-            .set(self.stats.invalidations.get() + dropped as u64);
-    }
-
-    /// Server `idx` pushed that `key` died: drop its entry.
-    pub(crate) fn observe_invalidate(&self, idx: usize, key: u64) {
-        self.stats
-            .targeted_inv
-            .set(self.stats.targeted_inv.get() + 1);
-        self.invalidate_key(idx, key);
-    }
-
-    /// Drop `key`'s data entry where `stale` says so of it.
-    fn drop_data(&self, s: &ServerCache, key: u64, stale: impl Fn(&DataEntry) -> bool) {
-        if matches!(s.data.borrow().get(&key), Some(e) if stale(e)) {
-            let e = s.data.borrow_mut().remove(&key).expect("just matched");
-            s.data_pages.set(s.data_pages.get() - pages(e.bytes.len()));
-            s.data_order.borrow_mut().retain(|&k| k != key);
+        };
+        let s = &self.servers[idx];
+        let applied = s.applied.get();
+        let n = deaths.died.len() as u64;
+        if applied.checked_add(n) == Some(deaths.count) {
+            if let Some((key, bytes)) = fill {
+                self.fill_data(idx, key, bytes);
+            }
+            for &key in &deaths.died {
+                self.invalidate_key(idx, key);
+            }
+            self.stats.listed.set(self.stats.listed.get() + n);
+        } else if deaths.count > applied {
+            self.stats.resets.set(self.stats.resets.get() + 1);
+            let dropped = s.data.borrow().len();
+            s.data.borrow_mut().clear();
+            s.data_order.borrow_mut().clear();
+            s.data_pages.set(0);
             self.stats
                 .invalidations
-                .set(self.stats.invalidations.get() + 1);
+                .set(self.stats.invalidations.get() + dropped as u64);
         }
+        s.applied.set(applied.max(deaths.count));
     }
 
     // -- ref data ------------------------------------------------------------
 
-    /// Serve `[off, off+len)` of `key` from cache, if a fresh entry covers
-    /// it.
+    /// Serve `[off, off+len)` of `key` from cache, if an entry covers it.
     pub(crate) fn lookup_data(&self, idx: usize, key: u64, off: u64, len: u64) -> Option<Bytes> {
-        let s = &self.servers[idx];
-        // The entry's read lease, if it has one, must be unexpired.
-        self.drop_data(s, key, |e| {
-            e.leased_until.is_some_and(|t| t <= simcore::now())
-        });
-        let data = s.data.borrow();
+        let data = self.servers[idx].data.borrow();
         let hit = data.get(&key).and_then(|e| {
-            let covered = e.epoch == s.epoch.get() && off + len <= e.bytes.len() as u64;
+            let covered = off + len <= e.bytes.len() as u64;
             covered.then(|| {
                 e.refs.set((e.refs.get() + 1).min(REF_MAX));
                 e.bytes.slice(off as usize..(off + len) as usize)
@@ -292,26 +261,21 @@ impl ClientCache {
         hit
     }
 
-    /// Cache `bytes` as the prefix of `key`, filled under `resp_epoch` (the
-    /// epoch piggybacked on the response that produced the bytes). A fill
-    /// from before the latest observed epoch, or one charged more
-    /// [`pages`] than the server's share, is discarded. Over the share, the
-    /// scan from the front of `data_order` evicts each entry with no
-    /// references left and sends each one it passes to the back with one
-    /// fewer (CLOCK) until the share fits; with no hits at all that is FIFO.
-    pub(crate) fn fill_data(&self, idx: usize, key: u64, resp_epoch: u64, bytes: Bytes) {
+    /// Cache `bytes` as the prefix of `key`. A fill charged more [`pages`]
+    /// than the server's share is discarded. Over the share, the scan from
+    /// the front of `data_order` evicts each entry with no references left
+    /// and sends each one it passes to the back with one fewer (CLOCK)
+    /// until the share fits; with no hits at all that is FIFO.
+    fn fill_data(&self, idx: usize, key: u64, bytes: Bytes) {
         let s = &self.servers[idx];
         let charge = pages(bytes.len());
-        if resp_epoch < s.epoch.get() || charge > self.share {
+        if charge > self.share {
             return;
         }
-        let leased_until = s.serve_for.get().map(|lease| simcore::now() + lease);
         let mut data = s.data.borrow_mut();
         let mut order = s.data_order.borrow_mut();
         let entry = DataEntry {
-            epoch: resp_epoch,
             bytes,
-            leased_until,
             refs: Cell::new(0),
         };
         let mut used = s.data_pages.get() + charge;
@@ -332,9 +296,18 @@ impl ClientCache {
         s.data_pages.set(used);
     }
 
-    /// Drop what is cached under `key` (the client is releasing it).
+    /// Drop what is cached under `key` (it died, or the client is
+    /// releasing it).
     pub(crate) fn invalidate_key(&self, idx: usize, key: u64) {
-        self.drop_data(&self.servers[idx], key, |_| true);
+        let s = &self.servers[idx];
+        let Some(e) = s.data.borrow_mut().remove(&key) else {
+            return;
+        };
+        s.data_pages.set(s.data_pages.get() - pages(e.bytes.len()));
+        s.data_order.borrow_mut().retain(|&k| k != key);
+        self.stats
+            .invalidations
+            .set(self.stats.invalidations.get() + 1);
     }
 
     // -- coalescer -----------------------------------------------------------
@@ -431,7 +404,7 @@ mod tests {
         // One page past the share evicts exactly the oldest entry.
         let n = c.share as u64 + 1;
         for key in 1..=n {
-            c.fill_data(0, key, 0, ONE);
+            c.fill_data(0, key, ONE);
         }
         assert_eq!(used(&c, 0), c.share);
         assert!(c.lookup_data(0, 1, 0, 1).is_none(), "oldest evicted");
@@ -444,7 +417,7 @@ mod tests {
     /// Fill keys `1..=n` with one byte (one page) each.
     fn fill_keys(c: &ClientCache, n: u64) {
         for key in 1..=n {
-            c.fill_data(0, key, 0, ONE);
+            c.fill_data(0, key, ONE);
         }
     }
 
@@ -454,7 +427,7 @@ mod tests {
         let n = c.share as u64;
         fill_keys(&c, n);
         assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        c.fill_data(0, n + 1, 0, ONE);
+        c.fill_data(0, n + 1, ONE);
         // The scan passes the hit key 1 (to the back, count spent) and
         // evicts key 2, the oldest never hit.
         assert!(c.lookup_data(0, 2, 0, 1).is_none(), "never-hit key evicted");
@@ -475,7 +448,7 @@ mod tests {
         let s = &c.servers[0];
         let all_at = |refs: u8| s.data.borrow().values().all(|e| e.refs.get() == refs);
         assert!(all_at(REF_MAX));
-        c.fill_data(0, n + 1, 0, ONE);
+        c.fill_data(0, n + 1, ONE);
         assert_eq!(s.data.borrow().len(), c.share);
         assert_eq!(used(&c, 0), c.share);
         // One pass spent one count of every old entry, then reached the
@@ -488,12 +461,12 @@ mod tests {
     fn partial_range_miss_does_not_mark_the_entry() {
         let c = cache();
         let n = c.share as u64;
-        c.fill_data(0, 1, 0, Bytes::from_static(b"ab"));
+        c.fill_data(0, 1, Bytes::from_static(b"ab"));
         for key in 2..=n {
-            c.fill_data(0, key, 0, ONE);
+            c.fill_data(0, key, ONE);
         }
         assert!(c.lookup_data(0, 1, 1, 2).is_none(), "past the prefix");
-        c.fill_data(0, n + 1, 0, ONE);
+        c.fill_data(0, n + 1, ONE);
         assert!(
             c.lookup_data(0, 1, 0, 1).is_none(),
             "evicted as if never read"
@@ -512,7 +485,7 @@ mod tests {
             assert_eq!(c.share * n_servers, CACHE_PAGES);
             for idx in 0..n_servers {
                 for key in 0..2 * c.share as u64 {
-                    c.fill_data(idx, key, 0, ONE);
+                    c.fill_data(idx, key, ONE);
                 }
                 assert_eq!(used(&c, idx), c.share);
             }
@@ -527,12 +500,12 @@ mod tests {
         let n = c.share as u64;
         let over = || Bytes::from(vec![7; c.share * PAGE_SIZE + 1]);
         fill_keys(&c, n);
-        c.fill_data(0, n + 1, 0, over());
+        c.fill_data(0, n + 1, over());
         assert_eq!(used(&c, 0), c.share);
         assert!(c.lookup_data(0, n + 1, 0, 1).is_none(), "not cached");
         assert!((1..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
         // A refused refill of a cached key keeps the entry it would replace.
-        c.fill_data(0, 1, 0, over());
+        c.fill_data(0, 1, over());
         assert_eq!(c.lookup_data(0, 1, 0, 1).unwrap(), ONE);
         assert_eq!(used(&c, 0), c.share);
 
@@ -540,7 +513,7 @@ mod tests {
         // every one of them.
         let c = ClientCache::new(16);
         fill_keys(&c, n);
-        c.fill_data(0, n + 1, 0, of_pages(c.share));
+        c.fill_data(0, n + 1, of_pages(c.share));
         assert_eq!(c.servers[0].data.borrow().len(), 1);
         assert_eq!(used(&c, 0), c.share);
     }
@@ -550,55 +523,82 @@ mod tests {
         let c = cache();
         let n = c.share as u64;
         fill_keys(&c, n);
-        c.fill_data(0, n + 1, 0, of_pages(4));
+        c.fill_data(0, n + 1, of_pages(4));
         assert_eq!(used(&c, 0), c.share);
         assert!((1..=4).all(|key| c.lookup_data(0, key, 0, 1).is_none()));
         assert!((5..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
         assert!(c.lookup_data(0, n + 1, 0, 4 * PAGE_SIZE as u64).is_some());
         // Refilling a key with a shorter prefix charges only the new length.
-        c.fill_data(0, n + 1, 0, ONE);
+        c.fill_data(0, n + 1, ONE);
         assert_eq!(used(&c, 0), c.share - 3);
     }
 
+    /// The head of a response that lists `died` under `count`.
+    fn deaths(count: u64, died: &[u64]) -> Option<Deaths> {
+        let died = died.to_vec();
+        Some(Deaths { count, died })
+    }
+
     #[test]
-    fn an_epoch_advance_on_one_server_leaves_the_others_share_serving() {
+    fn a_reset_on_one_server_leaves_the_others_share_serving() {
         let c = ClientCache::new(2);
         let n = c.share as u64;
         for idx in 0..2 {
             for key in 1..=n {
-                c.fill_data(idx, key, 0, ONE);
+                c.fill_data(idx, key, ONE);
             }
         }
-        c.observe_epoch(0, 1);
+        // Server 0's count jumps past a listing this client never saw.
+        c.observe(0, deaths(1, &[]), None);
         assert_eq!((used(&c, 0), used(&c, 1)), (0, c.share));
-        assert_eq!(c.stats().invalidations(), n);
+        assert_eq!((c.stats().invalidations(), c.stats().resets()), (n, 1));
         assert!(c.lookup_data(0, 1, 0, 1).is_none());
         assert!((1..=n).all(|key| c.lookup_data(1, key, 0, 1).is_some()));
         // Server 0's share refills to the full share; server 1's is untouched.
-        c.fill_data(0, n + 1, 1, of_pages(c.share));
+        c.observe(0, deaths(1, &[]), Some((n + 1, of_pages(c.share))));
         assert_eq!((used(&c, 0), used(&c, 1)), (c.share, c.share));
     }
 
     #[test]
-    fn epoch_advance_invalidates_everything() {
+    fn the_next_count_drops_its_keys_a_late_one_nothing_and_a_gap_everything() {
         let c = cache();
-        c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
+        for key in 1..=3 {
+            c.observe(0, deaths(0, &[]), Some((key, ONE)));
+        }
+        // In order: exactly the listed key goes.
+        c.observe(0, deaths(1, &[2]), None);
+        assert!(c.lookup_data(0, 2, 0, 1).is_none());
+        assert!(c.lookup_data(0, 1, 0, 1).is_some() && c.lookup_data(0, 3, 0, 1).is_some());
+        assert_eq!((c.stats().listed(), c.stats().resets()), (1, 0));
+        // Late (a reply sent before that listing): its fill is refused and
+        // nothing else moves.
+        c.observe(0, deaths(0, &[]), Some((4, ONE)));
+        assert!(c.lookup_data(0, 4, 0, 1).is_none(), "late fill kept");
         assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        c.observe_epoch(0, 3);
-        assert!(c.lookup_data(0, 1, 0, 1).is_none());
-        assert_eq!(c.stats().invalidations(), 1);
-        // A late fill from before the advance is discarded.
-        c.fill_data(0, 2, 1, Bytes::from_static(b"old"));
-        assert!(c.lookup_data(0, 2, 0, 3).is_none());
-        // A fill at the current epoch sticks.
-        c.fill_data(0, 2, 3, Bytes::from_static(b"new"));
-        assert!(c.lookup_data(0, 2, 0, 3).is_some());
+        // A count that skips a listing (a lost reply, a restarted server):
+        // the key it lists is not enough, everything goes.
+        c.observe(0, deaths(3, &[1]), None);
+        assert!(c.lookup_data(0, 3, 0, 1).is_none());
+        assert_eq!((c.stats().listed(), c.stats().resets()), (1, 1));
+        assert_eq!(used(&c, 0), 0);
+        // Counts never run backwards: the next in-order reply fills again.
+        c.observe(0, deaths(3, &[]), Some((6, ONE)));
+        assert!(c.lookup_data(0, 6, 0, 1).is_some());
+    }
+
+    #[test]
+    fn a_fill_its_own_response_lists_is_not_kept() {
+        let c = cache();
+        c.observe(0, deaths(1, &[7]), Some((7, ONE)));
+        assert!(c.lookup_data(0, 7, 0, 1).is_none());
+        assert_eq!(used(&c, 0), 0);
+        assert_eq!(c.stats().listed(), 1);
     }
 
     #[test]
     fn partial_reads_served_from_prefix() {
         let c = cache();
-        c.fill_data(0, 7, 0, Bytes::from_static(b"abcdef"));
+        c.fill_data(0, 7, Bytes::from_static(b"abcdef"));
         assert_eq!(
             c.lookup_data(0, 7, 2, 3).unwrap(),
             Bytes::from_static(b"cde")
@@ -657,67 +657,6 @@ mod tests {
             assert_eq!(dm.wire_count(req::BATCH), 2);
             assert_eq!(dm.cache_stats().batched_ops(), MAX_BATCH_OPS as u64 + 1);
             assert_eq!(free(), pinned + MAX_BATCH_OPS + 1);
-        });
-    }
-
-    /// The read lease a coherent server states by default.
-    const LEASE: Duration = Duration::from_micros(50);
-
-    /// A cache whose one server said it is coherent, on [`LEASE`].
-    fn fg_cache() -> ClientCache {
-        let c = cache();
-        c.set_serve_for(0, Some(LEASE));
-        c
-    }
-
-    #[test]
-    fn a_push_drops_only_its_key_and_a_later_fill_serves_out_its_lease() {
-        let sim = simcore::Sim::new();
-        sim.block_on(async {
-            let c = fg_cache();
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            c.fill_data(0, 2, 0, Bytes::from_static(b"b"));
-            c.observe_invalidate(0, 1);
-            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "pushed key dropped");
-            assert!(c.lookup_data(0, 2, 0, 1).is_some(), "unrelated key kept");
-            assert_eq!(c.stats().targeted_inv(), 1);
-            assert_eq!(c.stats().broadcast_inv(), 0);
-            assert_eq!(c.stats().invalidations(), 1);
-            // A read that was on the wire when key 1 died lands after its
-            // push: the entry holds the ref's final bytes and serves them
-            // until its read lease runs out, not a nanosecond longer.
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            simcore::sleep(LEASE - Duration::from_nanos(1)).await;
-            assert_eq!(c.lookup_data(0, 1, 0, 1).unwrap(), ONE);
-            simcore::sleep(Duration::from_nanos(1)).await;
-            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
-        });
-    }
-
-    #[test]
-    fn read_lease_expiry_stops_serving() {
-        let sim = simcore::Sim::new();
-        sim.block_on(async {
-            let c = fg_cache();
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            assert!(c.lookup_data(0, 1, 0, 1).is_some());
-            simcore::sleep(LEASE * 2).await;
-            assert!(c.lookup_data(0, 1, 0, 1).is_none(), "lease expired");
-            // A refill re-arms the lease.
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            assert!(c.lookup_data(0, 1, 0, 1).is_some());
-        });
-    }
-
-    #[test]
-    fn epoch_advance_counts_as_broadcast_under_a_coherent_server() {
-        let sim = simcore::Sim::new();
-        sim.block_on(async {
-            let c = fg_cache();
-            c.fill_data(0, 1, 0, Bytes::from_static(b"a"));
-            c.observe_epoch(0, 1);
-            assert_eq!(c.stats().broadcast_inv(), 1);
-            assert!(c.lookup_data(0, 1, 0, 1).is_none());
         });
     }
 }

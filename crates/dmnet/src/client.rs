@@ -16,8 +16,9 @@
 //! one-op-one-RPC behavior.
 //!
 //! Every op reaches the wire through one function (`request_at`), sent to
-//! the server its address or [`Ref`] names. What each server does about
-//! leases and coherence the client is never told: it reads it off that
+//! the server its address or [`Ref`] names, and every answer's death count
+//! and list are folded into the cache before the op returns. Whether a
+//! server grants leases the client is never told: it reads it off that
 //! server's `REGISTER` reply.
 
 use std::cell::Cell;
@@ -30,7 +31,7 @@ use rpclib::{Message, Rpc, RpcError};
 use simnet::Addr;
 
 use crate::cache::{CacheStats, ClientCache, FLUSH_WINDOW};
-use crate::proto::{self, req, split_response, Reader, Writer};
+use crate::proto::{self, req, split_response, Deaths, Reader, Writer};
 
 /// Handle to the DM pool for one process.
 ///
@@ -61,11 +62,9 @@ impl DmNetClient {
     }
 
     /// Register this process with every DM server in the pool. Each server
-    /// that grants a lease is renewed at its own TTL by a background task
-    /// until the client is dropped or [`DmNetClient::simulate_crash`] is
-    /// called; if any is coherent (DESIGN.md §15), the client serves its
-    /// invalidation pushes and honours its read lease. Both are learned
-    /// here, per server.
+    /// that grants a lease (its `REGISTER` reply says so) is renewed at its
+    /// own TTL by a background task until the client is dropped or
+    /// [`DmNetClient::simulate_crash`] is called.
     ///
     /// `cached` turns on the DESIGN.md §9 ref cache and coalescer.
     pub async fn connect_with(
@@ -77,43 +76,23 @@ impl DmNetClient {
         let cache = Rc::new(ClientCache::new(servers.len()));
         let mut pids = Vec::with_capacity(servers.len());
         let mut lease_ttls = Vec::with_capacity(servers.len());
-        let mut any_coherent = false;
         for (i, &s) in servers.iter().enumerate() {
             cache.count_wire(req::REGISTER);
             let resp = rpc
                 .call(s, req::REGISTER, Message::default().bulk())
                 .await
                 .map_err(|_| DmError::Transport)?;
-            let (epoch, reply) = split_response(&resp);
-            cache.observe_epoch(i, epoch);
-            // `[pid]([lease ttl]([read lease]))`, see `req::REGISTER`: a TTL
-            // of 0 grants no lease, and a read lease at all, whatever its
-            // value, says the server is coherent.
+            let (deaths, reply) = split_response(&resp);
+            cache.observe(i, deaths, None);
+            // `[pid]([lease ttl])`, see `req::REGISTER`: a TTL of 0 grants
+            // no lease either.
             let body = reply?;
             let mut r = Reader::of(&body);
             pids.push(r.pid()?);
             let ttl = r.u64().ok().filter(|&ns| ns > 0).map(Duration::from_nanos);
             lease_ttls.push(ttl);
-            let read_lease = r.u64().ok().map(Duration::from_nanos);
-            cache.set_serve_for(i, read_lease);
-            any_coherent |= read_lease.is_some();
         }
         let alive = Rc::new(Cell::new(true));
-        if any_coherent {
-            // Targeted invalidation push (DESIGN.md §15): a coherent server
-            // sends `[key u64]` to every read-lease holder of a ref that
-            // died, which drops exactly that key's cached entry; everything
-            // else keeps serving. Anything else is ignored.
-            let (cache, pool) = (cache.clone(), servers.clone());
-            rpc.register(req::INVALIDATE, move |ctx| {
-                let idx = pool.iter().position(|&a| a == ctx.src);
-                let key = Reader::of(&ctx.payload).u64();
-                if let (Some(idx), Ok(key), 8) = (idx, key, ctx.payload.len()) {
-                    cache.observe_invalidate(idx, key);
-                }
-                std::future::ready(Bytes::new())
-            });
-        }
         // One renewal task per leased server, at that server's own TTL: a
         // renewal stalled on a crashed server (waiting out the retry
         // budget) must not delay the renewals that keep the healthy
@@ -221,37 +200,42 @@ impl DmNetClient {
     }
 
     /// Send one wire request to `server` — the only way any op reaches the
-    /// wire. Returns `(epoch, result)`: the invalidation epoch piggybacked
-    /// on the response, which fill paths stamp entries with.
-    ///
-    /// In order: the send, counted per type; folding the response's epoch
-    /// into the cache; then the result.
+    /// wire. Returns the answer's [`Deaths`] (`None` if it was malformed),
+    /// which the caller folds in with [`Self::observe`], and the result.
     async fn request_at(
         &self,
         server: DmServerId,
         ty: u8,
         body: Message,
-    ) -> (u64, DmResult<Bytes>) {
+    ) -> (Option<Deaths>, DmResult<Bytes>) {
         let addr = match self.server_addr(server) {
             Ok(a) => a,
-            Err(e) => return (0, Err(e)),
+            Err(e) => return (None, Err(e)),
         };
         self.cache.count_wire(ty);
         let resp = match self.rpc.call(addr, ty, body.bulk()).await {
             Ok(r) => r,
             // Nothing was sent: the request names more bytes than one
             // message can carry.
-            Err(RpcError::TooLarge { .. }) => return (0, Err(DmError::OutOfBounds)),
-            Err(RpcError::Timeout { .. }) => return (0, Err(DmError::Transport)),
+            Err(RpcError::TooLarge { .. }) => return (None, Err(DmError::OutOfBounds)),
+            Err(RpcError::Timeout { .. }) => return (None, Err(DmError::Transport)),
         };
-        let (epoch, reply) = split_response(&resp);
-        self.cache.observe_epoch(server.0 as usize, epoch);
+        let (deaths, reply) = split_response(&resp);
         // For a read, the server's payload buffer itself.
-        (epoch, reply.map(Message::into_bytes))
+        (deaths, reply.map(Message::into_bytes))
+    }
+
+    /// Fold an answer's `deaths` from `server` into the cache, with the
+    /// entry `(key, bytes)` the answer lets this client cache, if any.
+    fn observe(&self, server: DmServerId, deaths: Option<Deaths>, fill: Option<(u64, Bytes)>) {
+        let fill = fill.filter(|_| self.cached);
+        self.cache.observe(server.0 as usize, deaths, fill);
     }
 
     async fn request(&self, server: DmServerId, ty: u8, body: Message) -> DmResult<Bytes> {
-        self.request_at(server, ty, body).await.1
+        let (deaths, res) = self.request_at(server, ty, body).await;
+        self.observe(server, deaths, None);
+        res
     }
 
     /// Next server in this client's round-robin over the pool.
@@ -383,13 +367,12 @@ impl DmNetClient {
     /// mints the key.
     pub async fn put_ref(&self, data: &Bytes) -> DmResult<Ref> {
         let server = self.next_round_robin();
-        let (epoch, res) = self.request_at(server, req::PUT_REF, data.into()).await;
-        let key = Reader::new(&res?).u64()?;
-        if self.cached {
-            // Write-allocate: the publisher knows the ref's bytes.
-            self.cache
-                .fill_data(server.0 as usize, key, epoch, data.clone());
-        }
+        let (deaths, res) = self.request_at(server, req::PUT_REF, data.into()).await;
+        let key = res.and_then(|resp| Reader::new(&resp).u64());
+        // Write-allocate: the publisher knows the ref's bytes.
+        let fill = key.as_ref().ok().map(|&key| (key, data.clone()));
+        self.observe(server, deaths, fill);
+        let key = key?;
         Ok(Ref::Net {
             server,
             key,
@@ -408,14 +391,10 @@ impl DmNetClient {
             }
         }
         let body = Writer::new().u64(key).u64(off).u64(len).finish();
-        let (epoch, res) = self.request_at(server, req::READ_REF, body).await;
-        if self.cached && off == 0 {
-            if let Ok(bytes) = &res {
-                // Fill so the next read hits.
-                self.cache
-                    .fill_data(server.0 as usize, key, epoch, bytes.clone());
-            }
-        }
+        let (deaths, res) = self.request_at(server, req::READ_REF, body).await;
+        // Fill so the next read hits.
+        let fill = res.as_ref().ok().filter(|_| off == 0);
+        self.observe(server, deaths, fill.map(|bytes| (key, bytes.clone())));
         res
     }
 
@@ -469,7 +448,7 @@ async fn flush_batch(
     let Ok(resp) = rpc.call(addr, req::BATCH, Message::from(body).bulk()).await else {
         return;
     };
-    cache.observe_epoch(idx, split_response(&resp).0);
+    cache.observe(idx, split_response(&resp).0, None);
 }
 
 impl Drop for DmNetClient {

@@ -36,7 +36,7 @@ pub use dmcommon::va_tree;
 pub use cache::CacheStats;
 pub use client::DmNetClient;
 pub use page_manager::{OpCost, PageManager};
-pub use server::{start_pool, CoherenceConfig, DmServer, DmServerConfig, RecoveryReport};
+pub use server::{start_pool, DmServer, DmServerConfig, RecoveryReport};
 pub use wal::{Record, Wal, WalConfig};
 
 #[cfg(test)]
@@ -413,7 +413,6 @@ mod e2e_tests {
             a.rfree(gone).await.unwrap();
 
             let pre_digest = servers[0].pages_digest();
-            let pre_epoch = servers[0].epoch();
             assert!(servers[0].wal().unwrap().records() > 0, "ops were logged");
 
             servers[0].crash();
@@ -425,10 +424,7 @@ mod e2e_tests {
             // Zero lost acknowledged ops, zero resurrected frees: the
             // memory plane is byte-identical to the pre-crash state.
             assert_eq!(servers[0].pages_digest(), pre_digest);
-            assert!(
-                servers[0].epoch() > pre_epoch,
-                "epoch-after-restart must advance past everything clients saw"
-            );
+            assert_eq!(servers[0].incarnation(), 1, "the restart is counted");
             servers[0].check_invariants_all();
 
             // Clients keep working against the recovered server: old data
@@ -826,7 +822,7 @@ mod e2e_tests {
     }
 
     #[test]
-    fn cached_read_ref_hits_and_epoch_invalidates() {
+    fn cached_read_ref_hits_and_a_listed_death_invalidates() {
         let r = rig(1, 2);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
@@ -852,12 +848,11 @@ mod e2e_tests {
             assert_eq!(reader.wire_count(proto::req::READ_REF), wire_reads);
             assert!(reader.cache_stats().hits() >= 2);
 
-            // The owner releases the ref: the server's invalidation epoch
-            // advances. The reader observes it on its next wire op, after
-            // which the stale entry is gone and the read fails exactly as
-            // an uncached read would.
+            // The owner releases the ref: the server lists its key to the
+            // reader on its next wire op, after which the stale entry is
+            // gone and the read fails exactly as an uncached read would.
             owner.release_ref(&r).await.unwrap();
-            let scratch = reader.ralloc(4096).await.unwrap(); // observes epoch
+            let scratch = reader.ralloc(4096).await.unwrap(); // lists the key
             assert!(reader.cache_stats().invalidations() >= 1);
             assert_eq!(
                 reader.read_ref(&r, 0, 8192).await.unwrap_err(),
@@ -900,27 +895,13 @@ mod e2e_tests {
         });
     }
 
-    /// A server config that is coherent (DESIGN.md §15) on `read_lease`.
-    fn coherent(read_lease: std::time::Duration) -> DmServerConfig {
-        DmServerConfig {
-            coherence: Some(CoherenceConfig {
-                read_lease,
-                ..Default::default()
-            }),
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn targeted_invalidation_drops_only_the_released_ref() {
-        // Fine-grained coherence (DESIGN.md §15): releasing one ref pushes
-        // an invalidation to its read-lease holders and bumps nothing else.
-        // The global epoch stays put, so unrelated cached entries keep
-        // serving. The pool is mixed — server 0 coherent, with a process
-        // lease and a read lease to state at `REGISTER`, server 1 plain —
-        // and nothing tells the clients: each `REGISTER` reply says what
-        // that server does, so they take pushes and read leases from the
-        // first server and the bare epoch from the second.
+    fn a_release_is_listed_to_the_other_holders_only() {
+        // DESIGN.md §9: releasing one ref lists its key to the clients that
+        // may cache it, on the next answer each gets from its server, and
+        // to nobody else; unrelated cached entries keep serving. The pool
+        // mixes a server that grants process leases with one that does not,
+        // and nothing tells the clients but each `REGISTER` reply.
         let r = rig(2, 2);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dms, c0, c1) = (r.dm_nodes.clone(), r.compute[0], r.compute[1]);
@@ -928,19 +909,18 @@ mod e2e_tests {
             let ttl = std::time::Duration::from_millis(2);
             let leased = DmServerConfig {
                 lease_ttl: Some(ttl),
-                ..coherent(std::time::Duration::from_millis(10))
+                ..Default::default()
             };
-            let plain = DmServerConfig::default();
             let mut servers = start_pool(&net, &dms[..1], &params, leased);
-            servers.extend(start_pool(&net, &dms[1..], &params, plain));
+            servers.extend(start_pool(&net, &dms[1..], &params, Default::default()));
             let pool: Vec<_> = servers.iter().map(|s| s.addr()).collect();
             let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
             let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
             assert_eq!(reader.lease_ttl(DmServerId(0)), Some(ttl));
             assert_eq!(reader.lease_ttl(DmServerId(1)), None);
 
-            // Round-robin: refs 0 and 2 on the coherent server, 1 and 3 on
-            // the plain one. The reader fills its cache with all four.
+            // Round-robin: refs 0 and 2 on server 0, 1 and 3 on server 1.
+            // The reader fills its cache with all four.
             let mut refs = Vec::new();
             for i in 0..4u8 {
                 let r = owner.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap();
@@ -951,44 +931,32 @@ mod e2e_tests {
             let wire_reads = || reader.wire_count(proto::req::READ_REF);
             let read = |i: usize| reader.read_ref(&refs[i], 0, 4096);
 
-            let epochs = [servers[0].epoch(), servers[1].epoch()];
             owner.release_ref(&refs[0]).await.unwrap();
-            owner.release_ref(&refs[1]).await.unwrap();
-            owner.flush_cache().await; // send the queued releases
-            simcore::sleep(std::time::Duration::from_micros(100)).await; // push lands
-
-            assert_eq!(servers[0].invalidations_pushed(), 1, "no push sent");
-            assert_eq!(
-                servers[0].epoch(),
-                epochs[0],
-                "a coherent release must not move the global epoch"
-            );
-            assert_eq!(servers[1].invalidations_pushed(), 0);
-            assert_eq!(servers[1].epoch(), epochs[1] + 1);
-            assert_eq!(reader.cache_stats().targeted_inv(), 1, "push not folded");
-
-            // Coherent server: the released ref's entry is gone and the
-            // wire reports the truth; the untouched ref keeps serving from
-            // cache.
+            owner.flush_cache().await;
+            // Until the reader hears from server 0, its entry serves the
+            // dead ref's final bytes, which never diverge.
             let wire = wire_reads();
-            assert_eq!(read(0).await.unwrap_err(), DmError::InvalidRef);
-            assert!(read(2).await.is_ok());
-            assert_eq!(wire_reads(), wire + 1);
-            // Plain server: its epoch reaches this reader with its next
-            // answer, after which neither of that server's entries serves.
-            for _ in 0..2 {
-                let probe = reader.ralloc(4096).await.unwrap(); // one per server
-                reader.rfree(probe).await.unwrap();
-            }
-            assert_eq!(read(1).await.unwrap_err(), DmError::InvalidRef);
-            assert!(read(3).await.is_ok());
-            assert_eq!(wire_reads(), wire + 3);
-            assert_eq!(reader.cache_stats().broadcast_inv(), 0);
+            assert_eq!(read(0).await.unwrap()[..], [0; 4096]);
+            assert_eq!(wire_reads(), wire);
+            let probe = reader.ralloc(4096).await.unwrap(); // server 0 answers
+            reader.rfree(probe).await.unwrap();
+            assert_eq!(servers[0].invalidations_pushed(), 1);
+            assert_eq!(servers[1].invalidations_pushed(), 0);
+            assert_eq!(reader.cache_stats().listed(), 1);
+            assert_eq!(owner.cache_stats().listed(), 0, "the releaser is not told");
 
-            // A client told nothing at all (plain `connect`: no cache, no
-            // word about coherence) joins the same pool under the pid each
-            // server issued it, and `put_ref` returns the key the server
-            // minted.
+            // The released ref's entry is gone and the wire reports the
+            // truth; every other entry keeps serving from cache.
+            assert_eq!(read(0).await.unwrap_err(), DmError::InvalidRef);
+            for i in 1..4 {
+                assert!(read(i).await.is_ok());
+            }
+            assert_eq!(wire_reads(), wire + 1);
+            assert_eq!(reader.cache_stats().resets(), 0);
+
+            // A client told nothing at all (plain `connect`: no cache)
+            // joins the same pool under the pid each server issued it, and
+            // `put_ref` returns the key the server minted.
             let bare = DmNetClient::connect(client_rpc(&net, c1, 101), pool.clone());
             let bare = bare.await.unwrap();
             let data = Bytes::from(vec![0x3C; 8192]);
@@ -1007,8 +975,9 @@ mod e2e_tests {
                 assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
             }
 
-            owner.release_ref(&refs[2]).await.unwrap();
-            owner.release_ref(&refs[3]).await.unwrap();
+            for r in &refs[1..] {
+                owner.release_ref(r).await.unwrap();
+            }
             owner.flush_cache().await;
             reader.flush_cache().await;
             for s in &servers {
@@ -1020,125 +989,149 @@ mod e2e_tests {
     }
 
     #[test]
-    fn lost_invalidation_is_bounded_by_the_read_lease() {
-        // Safety under a lost push: a partitioned holder may serve the
-        // ref's final bytes until its read lease expires (COW refs are
-        // immutable, so those bytes are never diverged), after which the
-        // entry stops serving and the wire reports the release.
-        let r = rig(1, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let lease = std::time::Duration::from_micros(500);
-            let servers = start_pool(&net, &[dm0], &params, coherent(lease));
-            let pool = vec![servers[0].addr()];
-            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
-            let rrpc = client_rpc(&net, c1, 100);
-            let reader = connect_cached(rrpc.clone(), &pool).await;
-
-            let da = Bytes::from(vec![0xCD; 4096]);
-            let ra = owner.put_ref(&da).await.unwrap();
-            assert_eq!(reader.read_ref(&ra, 0, 4096).await.unwrap(), da);
-
-            // Partition the holder; the release's push is lost on the wire.
-            rrpc.set_offline(true);
-            owner.release_ref(&ra).await.unwrap();
-            owner.flush_cache().await;
-            simcore::sleep(std::time::Duration::from_micros(100)).await;
-
-            // Within the lease the cache still serves the final bytes —
-            // stale, never diverged — without touching the (dead) wire.
-            assert_eq!(reader.read_ref(&ra, 0, 4096).await.unwrap(), da);
-
-            // Past the lease the entry stops serving on its own.
-            simcore::sleep(lease).await;
-            rrpc.set_offline(false);
-            assert_eq!(
-                reader.read_ref(&ra, 0, 4096).await.unwrap_err(),
-                DmError::InvalidRef
-            );
-            owner.flush_cache().await;
-            servers[0].check_invariants_all();
-        });
-    }
-
-    #[test]
-    fn a_zero_read_lease_caches_nothing_so_a_released_ref_reads_invalid() {
-        // A coherent server on a zero read lease states it at `REGISTER`
-        // like any other: its grants expire at once, so it pushes no
-        // invalidation, and the reader's entries must not serve at all.
-        // (When 0 read as "no lease stated", the reader fell back to 50 µs
-        // and served the dead ref's bytes 10 µs after its release.)
-        let r = rig(1, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let zero = std::time::Duration::ZERO;
-            let servers = start_pool(&net, &[dm0], &params, coherent(zero));
-            let pool = vec![servers[0].addr()];
-            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
-            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
-            let data = Bytes::from(vec![0x5E; 4096]);
-            let r = owner.put_ref(&data).await.unwrap();
-            assert_eq!(reader.read_ref(&r, 0, 4096).await.unwrap(), data);
-
-            owner.release_ref(&r).await.unwrap();
-            owner.flush_cache().await;
-            assert_eq!(servers[0].invalidations_pushed(), 0);
-            let wire = reader.wire_count(proto::req::READ_REF);
-            let gone = reader.read_ref(&r, 0, 4096).await;
-            assert_eq!(gone.map(|b| b.len()), Err(DmError::InvalidRef));
-            assert_eq!(reader.wire_count(proto::req::READ_REF), wire + 1);
-            assert_eq!(reader.cache_stats().hits(), 0);
-            servers[0].check_invariants_all();
-        });
-    }
-
-    #[test]
-    fn directory_overflow_falls_back_to_epoch_broadcast() {
-        // The holder directory is bounded: once grants exceed `dir_max`,
-        // the server drops the directory and bumps the global epoch — the
-        // pre-§15 broadcast — instead of growing without bound.
-        let r = rig(1, 2);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
-        r.sim.block_on(async move {
-            let cfg = DmServerConfig {
-                coherence: Some(CoherenceConfig {
-                    dir_max: 2,
+    fn a_ref_cached_before_any_of_several_crashes_is_never_served_after_its_release() {
+        // Holders and counts are volatile; only the log survives a crash.
+        // On the zero-cost log, with no checkpoint between crashes, a
+        // reader caches one ref per incarnation; after the last restart
+        // every ref is released, which the server can list to no one. The
+        // reader's next answer from the server must still make it drop
+        // them all, however many crashes came before.
+        for crashes in [2u64, 3] {
+            let r = rig(1, 2);
+            let (net, params) = (r.net.clone(), r.params.clone());
+            let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
+            r.sim.block_on(async move {
+                let cfg = DmServerConfig {
+                    durability: Some(WalConfig {
+                        compact_threshold_bytes: 0,
+                        ..WalConfig::zero_cost()
+                    }),
                     ..Default::default()
-                }),
-                ..Default::default()
-            };
-            let servers = start_pool(&net, &[dm0], &params, cfg);
-            let epoch0 = servers[0].epoch();
+                };
+                let servers = start_pool(&net, &[dm0], &params, cfg);
+                let pool = vec![servers[0].addr()];
+                let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone());
+                let owner = owner.await.unwrap();
+                let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
+                let mut refs = Vec::new();
+                for i in 0..crashes {
+                    let r = owner
+                        .put_ref(&Bytes::from(vec![i as u8; 64]))
+                        .await
+                        .unwrap();
+                    assert!(reader.read_ref(&r, 0, 64).await.is_ok());
+                    refs.push(r);
+                    servers[0].crash();
+                    servers[0].restart_from_log().await;
+                    assert_eq!(servers[0].incarnation(), i + 1);
+                }
+                for r in &refs {
+                    owner.release_ref(r).await.unwrap();
+                }
+                assert_eq!(servers[0].invalidations_pushed(), 0, "no holder known");
+                let probe = reader.ralloc(4096).await.unwrap();
+                reader.rfree(probe).await.unwrap();
+                for r in &refs {
+                    let stale = reader.read_ref(r, 0, 64).await;
+                    assert_eq!(stale.unwrap_err(), DmError::InvalidRef, "{crashes} crashes");
+                }
+                assert_eq!(reader.cache_stats().hits(), 0);
+                servers[0].check_invariants_all();
+            });
+        }
+    }
+
+    #[test]
+    fn a_fill_overtaken_by_the_listing_of_its_death_is_discarded() {
+        // A 256 KiB `READ_REF` reply rides the NIC's bulk class, so the
+        // reply to a small request sent after it overtakes it. The ref dies
+        // while its bytes are on the wire: 14 µs in, after the read was
+        // answered, so the small reply lists the death first and the late
+        // reply changes nothing; 3 µs in, while the read still waits for
+        // the server's memory, so the read's own reply lists it, arrives
+        // last, and the small reply's count shows a gap. Either way the
+        // late fill must not be cached.
+        for (wait_us, listed, resets) in [(14, 1, 0), (3, 0, 1)] {
+            let r = rig(1, 2);
+            let (net, params) = (r.net.clone(), r.params.clone());
+            let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
+            r.sim.block_on(async move {
+                let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
+                let pool = vec![servers[0].addr()];
+                let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone());
+                let owner = owner.await.unwrap();
+                let reader = Rc::new(connect_cached(client_rpc(&net, c1, 100), &pool).await);
+                let data = Bytes::from(vec![0x77; 256 << 10]);
+                let r = owner.put_ref(&data).await.unwrap();
+                let probe = reader.ralloc(4096).await.unwrap();
+
+                let (app, big) = (reader.clone(), r.clone());
+                let read = simcore::spawn(async move { app.read_ref(&big, 0, 256 << 10).await });
+                simcore::sleep(std::time::Duration::from_micros(wait_us)).await;
+                owner.release_ref(&r).await.unwrap();
+                reader.rfree(probe).await.unwrap();
+                assert!(!read.is_finished(), "the bulk reply was not overtaken");
+                let stats = reader.cache_stats();
+                assert_eq!(
+                    (stats.listed(), stats.resets()),
+                    (listed, resets),
+                    "{wait_us} µs"
+                );
+
+                // The read itself returns the ref's final bytes (it was
+                // served while the ref lived), but nothing of it is cached.
+                assert_eq!(read.await.unwrap(), data);
+                let stats = reader.cache_stats();
+                assert_eq!(
+                    (stats.listed(), stats.resets()),
+                    (listed, resets),
+                    "late reply"
+                );
+                let wire = reader.wire_count(proto::req::READ_REF);
+                let gone = reader.read_ref(&r, 0, 1).await;
+                assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
+                assert_eq!(reader.wire_count(proto::req::READ_REF), wire + 1);
+                servers[0].check_invariants_all();
+            });
+        }
+    }
+
+    #[test]
+    fn a_holder_past_a_clients_capacity_has_its_oldest_grant_revoked() {
+        // A client caches at most `CACHE_PAGES` entries from one server, so
+        // a server keeps no more grants per client than that: the next one
+        // revokes the oldest by listing its key, which the client drops.
+        let r = rig(1, 1);
+        let (net, params) = (r.net.clone(), r.params.clone());
+        let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
+        r.sim.block_on(async move {
+            let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
             let pool = vec![servers[0].addr()];
-            let owner = connect_cached(client_rpc(&net, c0, 100), &pool).await;
-            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
-
+            let dm = connect_cached(client_rpc(&net, c0, 100), &pool).await;
+            let one = Bytes::from_static(b"x");
             let mut refs = Vec::new();
-            for i in 0..4u8 {
-                refs.push(owner.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap());
+            for _ in 0..cache::CACHE_PAGES {
+                refs.push(dm.put_ref(&one).await.unwrap());
             }
-            assert!(
-                servers[0].coherence_broadcasts() >= 1,
-                "4 grants through a 2-slot directory must overflow"
-            );
-            assert!(servers[0].epoch() > epoch0, "overflow must bump the epoch");
-
-            // Correctness is unaffected: every ref still reads back, and
-            // the reader accounts the epoch movement as a broadcast.
-            for (i, r) in refs.iter().enumerate() {
-                let back = reader.read_ref(r, 0, 4096).await.unwrap();
-                assert!(back.iter().all(|&b| b == i as u8));
-            }
-            assert!(reader.cache_stats().broadcast_inv() >= 1);
+            // Hit the oldest, so the client's own eviction passes it over.
+            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
+            assert_eq!(dm.wire_count(proto::req::READ_REF), 0);
+            // One grant too many: its own answer lists the oldest.
+            refs.push(dm.put_ref(&one).await.unwrap());
+            assert_eq!(servers[0].invalidations_pushed(), 1);
+            assert_eq!(dm.cache_stats().listed(), 1);
+            // The revoked ref is alive: read from the wire, then cached again.
+            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
+            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
+            assert_eq!(dm.wire_count(proto::req::READ_REF), 1);
             for r in &refs {
-                owner.release_ref(r).await.unwrap();
+                dm.release_ref(r).await.unwrap();
             }
-            owner.flush_cache().await;
-            reader.flush_cache().await;
-            servers[0].check_invariants_all();
+            dm.flush_cache().await;
+            assert_eq!(
+                servers[0].free_pages_total(),
+                servers[0].capacity_pages_total()
+            );
         });
     }
 }

@@ -1,14 +1,13 @@
 //! DM wire protocol: request/response encoding over [`rpclib`].
 //!
 //! Each DM operation is one RPC to the owning DM server. Responses carry a
-//! leading status byte followed by the server's current *invalidation
-//! epoch* (u64 LE). The status says what the rest is: the op's result
-//! ([`STATUS_OK`]) or nothing ([`DmError`] codes), whatever the server's
-//! configuration. The epoch
-//! advances whenever a ref is released (explicitly or by lease
-//! reclamation), so a client comparing the piggybacked epoch against the
-//! one its cache entries were filled under can tell whether any ref it
-//! cached may have died since (DESIGN.md §9).
+//! leading status byte followed by the receiving client's *death count*
+//! (u64 LE, DESIGN.md §9): how many ref keys this server has listed to that
+//! client so far. The status says what the rest is: the op's result
+//! ([`STATUS_OK`]), a death list and then the result ([`STATUS_OK_DIED`]),
+//! or nothing ([`DmError`] codes). A client compares each count against the
+//! keys it has applied, so it can tell whether a response is the next one,
+//! a late one, or whether it missed some.
 //!
 //! Requests and responses are [`rpclib::Message`]s: [`Writer`] and
 //! [`Response`] write every field into the head and *attach* a payload as
@@ -26,13 +25,9 @@ use telemetry::TraceCtx;
 /// RPC `req_type` values used by the DM protocol.
 pub mod req {
     /// Register a process. The reply is where it learns what it has to
-    /// share with this server: `[pid u32]([lease ttl u64 ns]([read lease
-    /// u64 ns]))`, its global PID and then one trailing field per setting,
-    /// sent only when the server has one to state. A later field forces the
-    /// earlier one, where a TTL of 0 says "no leases". A coherent server
-    /// (DESIGN.md §15) always states its read lease, whatever its value, and
-    /// only a coherent server sends that third field — so a default server
-    /// replies with the pid alone.
+    /// share with this server: `[pid u32]([lease ttl u64 ns])`, its global
+    /// PID and, only from a server that grants leases, their TTL — so a
+    /// default server replies with the pid alone.
     pub const REGISTER: u8 = 10;
     /// Allocate DM virtual address space.
     pub const ALLOC: u8 = 11;
@@ -62,12 +57,6 @@ pub mod req {
     /// one full response per sub-request in order. Nested batches are
     /// rejected.
     pub const BATCH: u8 = 22;
-    /// Server-to-client targeted invalidation push (`[key u64]`, DESIGN.md
-    /// §15): the named ref died (it was released or reclaimed), so any
-    /// cached copy of it must be dropped. Fire-and-forget — a lost push is
-    /// safe because cached entries also carry a bounded read lease, and ref
-    /// bytes are immutable while live.
-    pub const INVALIDATE: u8 = 26;
 }
 
 /// Well-known port DM servers listen on.
@@ -75,7 +64,8 @@ pub const DM_PORT: u16 = 7000;
 
 /// The one table of wire ops — `(code, span name, control-plane)`, codes
 /// ascending — that the classifiers below, the handlers a DM server
-/// registers and the client's per-type counters are read off.
+/// registers and the client's per-type counters are read off. Every op is a
+/// client's request to a server: a client serves nothing.
 /// *Control-plane* is metadata (registration, pin/unpin, release, lease
 /// renewal) as opposed to ops carrying payload bytes; `xtra_rtt_budget`
 /// counts the two apart.
@@ -92,8 +82,6 @@ pub const OPS: &[(u8, &str, bool)] = &[
     (req::PUT_REF, "dm.put_ref", false),
     (req::RENEW_LEASE, "dm.renew_lease", true),
     (req::BATCH, "dm.batch", true),
-    // Served by clients, pushed by servers.
-    (req::INVALIDATE, "dm.invalidate", true),
 ];
 
 /// One past the highest op code: the size of a per-type counter array.
@@ -129,7 +117,7 @@ const ERR_TABLE: &[(DmError, u8)] = &[
     // 7 (a redirect), 8 (a DM server's `Busy`) and 9 (a success carrying
     // per-ref versions) are retired and decode as `Malformed`. `Busy` has
     // no code: it is the social front door's, and no DM server answers
-    // with it.
+    // with it. 10 is `STATUS_OK_DIED`, a success.
 ];
 
 fn err_code(e: DmError) -> u8 {
@@ -148,21 +136,27 @@ fn code_err(c: u8) -> DmError {
         .unwrap_or(DmError::Malformed)
 }
 
-/// Status byte of a success: the op's result follows the epoch.
+/// Status byte of a success: the op's result follows the count.
 pub const STATUS_OK: u8 = 0;
 
-/// Bytes in front of every response body: `[status u8][epoch u64]`. A
+/// Status byte of a success that lists deaths: behind the count come
+/// `[n u32]` and `n` ref keys (u64 each) this server tells the client are
+/// dead, then the op's result. The count already includes the `n`.
+pub const STATUS_OK_DIED: u8 = 10;
+
+/// Bytes in front of every response body: `[status u8][count u64]`. A
 /// server checks a wire-fed read length against
-/// [`rpclib::wire::max_msg_len`] less this before it builds anything.
+/// [`rpclib::wire::max_msg_len`] less this before it builds anything; a
+/// death list only takes room a response leaves.
 pub(crate) const RESPONSE_HEAD: usize = 9;
 
-/// A response under construction: status and epoch are reserved up front,
+/// A response under construction: status and count are reserved up front,
 /// small fields are appended behind them, and a payload is *attached* as
 /// the body ([`Response::body`] — page bytes straight out of the page
-/// store). Status and epoch are filled in by the method that finishes it —
-/// so a server that awaits between producing the body and answering
-/// reports the epoch of the answer, and no body is ever copied to be
-/// framed.
+/// store). Status, count and the death list are filled in by the method
+/// that finishes it — so a server that awaits between producing the body
+/// and answering reports what it knows when it answers, and no body is
+/// ever copied to be framed.
 pub struct Response {
     head: Vec<u8>,
     body: Bytes,
@@ -204,44 +198,76 @@ impl Response {
         self
     }
 
-    fn finish(mut self, status: u8, epoch: u64) -> Message {
+    /// Bytes the response holds so far, its head included.
+    pub(crate) fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    fn finish(mut self, status: u8, count: u64) -> Message {
         self.head[0] = status;
-        self.head[1..RESPONSE_HEAD].copy_from_slice(&epoch.to_le_bytes());
+        self.head[1..RESPONSE_HEAD].copy_from_slice(&count.to_le_bytes());
         Message::new(self.head, self.body)
     }
 
-    /// Finish as a success carrying the server's current invalidation
-    /// `epoch`.
-    pub fn ok(self, epoch: u64) -> Message {
-        self.finish(STATUS_OK, epoch)
+    /// Finish as a success carrying the client's death `count` and, in
+    /// front of the result, the keys `died` it lists (none: [`STATUS_OK`]).
+    pub fn ok(mut self, count: u64, died: &[u64]) -> Message {
+        if died.is_empty() {
+            return self.finish(STATUS_OK, count);
+        }
+        let mut list = Vec::with_capacity(4 + 8 * died.len());
+        list.put_u32_le(died.len() as u32);
+        died.iter().for_each(|&key| list.put_u64_le(key));
+        self.head.splice(RESPONSE_HEAD..RESPONSE_HEAD, list);
+        self.finish(STATUS_OK_DIED, count)
     }
 
-    /// An error response, carrying the server's current `epoch`.
-    pub fn err(epoch: u64, e: DmError) -> Message {
-        Response::new().finish(err_code(e), epoch)
+    /// An error response, carrying the client's death `count`.
+    pub fn err(count: u64, e: DmError) -> Message {
+        Response::new().finish(err_code(e), count)
     }
 }
 
-/// Split a response into its piggybacked epoch plus the op's result — the
-/// body behind the epoch, or the error — the one response decoder. A
-/// response too short to carry an epoch decodes as `Malformed` with epoch
-/// 0.
-pub fn split_response(resp: &Message) -> (u64, DmResult<Message>) {
+/// What a response's head tells its client about refs it may have cached
+/// (DESIGN.md §9): the running `count` of keys listed to it, and the keys
+/// `died` this response lists.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Deaths {
+    /// Keys listed to this client so far, `died` included.
+    pub count: u64,
+    /// Ref keys this response lists as dead.
+    pub died: Vec<u64>,
+}
+
+/// Split a response into its [`Deaths`] plus the op's result — the body
+/// behind them, or the error — the one response decoder. A response whose
+/// head or death list runs past its end decodes as `Malformed` with no
+/// `Deaths` at all: nothing of it may be applied.
+pub fn split_response(resp: &Message) -> (Option<Deaths>, DmResult<Message>) {
     let mut r = Reader::of(resp);
-    let (Ok(status), Ok(epoch)) = (r.u8(), r.u64()) else {
-        return (0, Err(DmError::Malformed));
+    let (Ok(status), Ok(count)) = (r.u8(), r.u64()) else {
+        return (None, Err(DmError::Malformed));
     };
+    let mut died = Vec::new();
+    if status == STATUS_OK_DIED {
+        let n = r.u32().ok().filter(|&n| n as usize <= resp.len() / 8);
+        let keys = n.map(|n| (0..n).map(|_| r.u64()).collect::<DmResult<Vec<_>>>());
+        match keys {
+            Some(Ok(keys)) => died = keys,
+            _ => return (None, Err(DmError::Malformed)),
+        }
+    }
     let reply = match status {
-        STATUS_OK => Ok(resp.skip(RESPONSE_HEAD)),
+        STATUS_OK | STATUS_OK_DIED => Ok(resp.skip(r.pos)),
         c => Err(code_err(c)),
     };
-    (epoch, reply)
+    (Some(Deaths { count, died }), reply)
 }
 
 /// High bit of a batch item tag: set when the item body starts with a
 /// 16-byte trace context (`trace_id` LE u64, `span_id` LE u64) captured
-/// where the op was enqueued. Request types stay ≤ [`req::INVALIDATE`]
-/// (26), so the bit is free; untraced batches are byte-identical to the
+/// where the op was enqueued. Request types stay ≤ [`req::BATCH`] (22),
+/// so the bit is free; untraced batches are byte-identical to the
 /// pre-telemetry encoding.
 pub const BATCH_TRACE_BIT: u8 = 0x80;
 
@@ -510,20 +536,76 @@ mod tests {
     #[test]
     fn response_roundtrip() {
         let payload = Bytes::from_static(b"abc");
-        let ok = Response::new().u64(77).body(payload.clone()).ok(42);
-        let (epoch, reply) = split_response(&ok);
-        assert_eq!(epoch, 42);
+        let ok = Response::new().u64(77).body(payload.clone()).ok(42, &[]);
+        let (deaths, reply) = split_response(&ok);
+        assert_eq!(
+            deaths,
+            Some(Deaths {
+                count: 42,
+                died: vec![]
+            })
+        );
         // The payload is attached, not copied, and comes back the same way.
         let body = reply.unwrap();
         assert_eq!(body, [&77u64.to_le_bytes()[..], b"abc"].concat()[..]);
         let body = body.skip(8).into_bytes();
         assert_eq!(body.as_ptr(), payload.as_ptr());
         let err = Response::err(7, DmError::OutOfMemory);
-        assert_eq!(split_response(&err), (7, Err(DmError::OutOfMemory)));
-        // Too short to carry an epoch: malformed, epoch reads as 0.
+        let count = |count| {
+            Some(Deaths {
+                count,
+                died: vec![],
+            })
+        };
+        assert_eq!(split_response(&err), (count(7), Err(DmError::OutOfMemory)));
+        // Too short to carry a count: malformed, and nothing to apply.
         for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
             let short = Message::from(short);
-            assert_eq!(split_response(&short), (0, Err(DmError::Malformed)));
+            assert_eq!(split_response(&short), (None, Err(DmError::Malformed)));
+        }
+    }
+
+    /// A death list sits between the count and the op's result, which reads
+    /// back unmoved; a list whose `n` or keys run past the response (or a
+    /// list with no room for `n` at all) is `Malformed` with nothing to
+    /// apply — never the keys that did fit.
+    #[test]
+    fn a_death_list_roundtrips_and_a_truncated_one_is_malformed_whole() {
+        let payload = Bytes::from_static(b"data");
+        let ok = Response::new().u64(5).body(payload.clone()).ok(9, &[3, 4]);
+        assert_eq!(ok.len(), RESPONSE_HEAD + 4 + 16 + 8 + 4);
+        let (deaths, reply) = split_response(&ok);
+        assert_eq!(
+            deaths,
+            Some(Deaths {
+                count: 9,
+                died: vec![3, 4]
+            })
+        );
+        let body = reply.unwrap();
+        assert_eq!(Reader::of(&body).u64(), Ok(5));
+        assert_eq!(body.skip(8).into_bytes().as_ptr(), payload.as_ptr());
+
+        let flat = ok.into_bytes();
+        let list_end = RESPONSE_HEAD + 4 + 16;
+        for cut in RESPONSE_HEAD..list_end {
+            let resp = Message::from(flat.slice(..cut));
+            assert_eq!(
+                split_response(&resp),
+                (None, Err(DmError::Malformed)),
+                "cut {cut}"
+            );
+        }
+        // `n` claims more keys than the bytes behind it hold.
+        for n in [3, u32::MAX] {
+            let mut lie = flat.to_vec();
+            lie[RESPONSE_HEAD..RESPONSE_HEAD + 4].copy_from_slice(&n.to_le_bytes());
+            let resp = Message::from(Bytes::from(lie[..list_end].to_vec()));
+            assert_eq!(
+                split_response(&resp),
+                (None, Err(DmError::Malformed)),
+                "n {n}"
+            );
         }
     }
 
@@ -565,8 +647,11 @@ mod tests {
             .collect();
         assert_eq!(decoded, expect);
 
-        let resps = vec![Response::new().ok(1), Response::err(2, DmError::InvalidRef)];
-        let framed = split_response(&batch_response(&resps).ok(3)).1;
+        let resps = vec![
+            Response::new().ok(1, &[]),
+            Response::err(2, DmError::InvalidRef),
+        ];
+        let framed = split_response(&batch_response(&resps).ok(3, &[7])).1;
         let back = decode_batch_responses(&framed.unwrap().into_bytes()).unwrap();
         let back: Vec<Message> = back.into_iter().map(Message::from).collect();
         assert_eq!(back, resps);
@@ -646,22 +731,27 @@ mod tests {
     }
 
     /// Every surviving op and status keeps the code it had when the ring's
-    /// ops (23–25), the redirect status (7), the `Busy` status (8) and the
-    /// versioned success (9) were retired; the retired codes are nobody's.
+    /// ops (23–25), the redirect status (7), the `Busy` status (8), the
+    /// versioned success (9) and the invalidation push (op 26) were
+    /// retired; the retired codes are nobody's.
     #[test]
     fn wire_codes_are_pinned() {
         let codes: Vec<u8> = OPS.iter().map(|op| op.0).collect();
-        assert_eq!(codes, [10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22, 26]);
-        assert_eq!(STATUS_OK, 0);
+        assert_eq!(codes, [10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22]);
+        assert_eq!((STATUS_OK, STATUS_OK_DIED), (0, 10));
         let errs: Vec<u8> = ERR_TABLE.iter().map(|&(_, c)| c).collect();
         assert_eq!(errs, [1, 2, 3, 4, 5, 6]);
         // A response with a retired status is malformed, whatever follows
-        // the epoch, and `Malformed` is never retried.
+        // the count, and `Malformed` is never retried.
         for status in [7u8, 8, 9] {
             for tail in [&[][..], &[0][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
                 let flat = [&[status, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
                 let resp = Message::from(Bytes::from(flat));
-                assert_eq!(split_response(&resp), (9, Err(DmError::Malformed)));
+                let count = Some(Deaths {
+                    count: 9,
+                    died: vec![],
+                });
+                assert_eq!(split_response(&resp), (count, Err(DmError::Malformed)));
             }
         }
     }

@@ -21,9 +21,9 @@
 //! The server is split by plane. This file holds the configuration, the
 //! process and lease lifecycle, owner checks and the cost model. `dispatch`
 //! holds the one body of every wire op; `recovery` the durable tier
-//! (persist, snapshot, replay, `restart_from_log`); `coherence` everything
-//! that decides how a change reaches client caches (epoch, holder
-//! directory, pushes).
+//! (persist, snapshot, replay, `restart_from_log`); `coherence` how a ref's
+//! death reaches the client caches that hold it (grants, death lists, the
+//! count every answer carries).
 
 mod coherence;
 mod dispatch;
@@ -45,7 +45,6 @@ use crate::page_manager::{OpCost, PageManager};
 use crate::proto;
 use crate::wal::{Record, Wal, WalConfig};
 
-pub use coherence::CoherenceConfig;
 pub use recovery::RecoveryReport;
 
 /// Translation lookups charged for touching `len` bytes of DM.
@@ -53,7 +52,7 @@ fn translations_for(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE as u64).max(1)
 }
 
-/// DM server tuning knobs. The three planes at the end are configured here
+/// DM server tuning knobs. The two planes at the end are configured here
 /// and nowhere else: what a client has to know about them it reads off the
 /// reply to its `REGISTER` (DESIGN.md §15).
 #[derive(Clone, Copy, Debug)]
@@ -89,12 +88,6 @@ pub struct DmServerConfig {
     /// selects the zero-cost media model (full bookkeeping, unchanged
     /// schedule — committed CSVs stay byte-identical).
     pub durability: Option<WalConfig>,
-    /// Fine-grained cache coherence (DESIGN.md §15): when set, a ref's
-    /// death is pushed as a targeted `INVALIDATE` to the clients a bounded
-    /// holder directory names, instead of advancing the global epoch, and
-    /// `REGISTER` states the read lease those clients serve under. `None`
-    /// (default) keeps the global-epoch scheme.
-    pub coherence: Option<CoherenceConfig>,
 }
 
 impl Default for DmServerConfig {
@@ -109,7 +102,6 @@ impl Default for DmServerConfig {
             hw_translation: false,
             lease_ttl: None,
             durability: WalConfig::from_env(),
-            coherence: None,
         }
     }
 }
@@ -132,12 +124,9 @@ pub struct DmServer {
     leases: RefCell<HashMap<u32, SimTime>>,
     /// PIDs reclaimed by lease expiry (observability for chaos reports).
     leases_reclaimed: Cell<u64>,
-    /// Invalidation epoch, piggybacked on every response (DESIGN.md §9).
-    /// Advances whenever refs may have died: an explicit `RELEASE_REF` or a
-    /// lease reclamation. Client caches fill at the epoch a response
-    /// reports and self-invalidate when a later response reports a newer
-    /// one.
-    epoch: Cell<u64>,
+    /// Restarts this server's log has recorded (DESIGN.md §12): the high
+    /// half of every death count it sends (DESIGN.md §9).
+    incarnation: Cell<u64>,
     /// Set by [`DmServer::shutdown`]; stops the lease sweeper.
     stopping: Cell<bool>,
     /// Whether a lease-sweeper task is currently live. Crash cancels the
@@ -154,17 +143,11 @@ pub struct DmServer {
     ops_served: Cell<u64>,
     translation_ns: Cell<u64>,
     op_ns: Cell<u64>,
-    /// Holder directory: ref key → client endpoints granted a read
-    /// lease on it, with grant expiry (BTreeMap: push order must be
-    /// deterministic). Bounded by `CoherenceConfig::dir_max` total
-    /// grants; overflow clears it and falls back to an epoch broadcast.
-    dir: RefCell<coherence::HolderDir>,
-    /// Total grants across `dir` (the bound is on grants, not keys).
-    dir_grants: Cell<usize>,
-    /// Targeted INVALIDATE messages pushed (observability).
-    inv_pushed: Cell<u64>,
-    /// Directory-overflow broadcasts (epoch bumps) taken (observability).
-    broadcasts: Cell<u64>,
+    /// What each client endpoint may cache from this server and the deaths
+    /// it has not been told of (DESIGN.md §9). Volatile.
+    holders: RefCell<HashMap<Addr, coherence::Holder>>,
+    /// Keys listed in responses so far (observability).
+    listed_total: Cell<u64>,
 }
 
 impl DmServer {
@@ -197,7 +180,7 @@ impl DmServer {
             owners: RefCell::default(),
             leases: RefCell::default(),
             leases_reclaimed: Cell::new(0),
-            epoch: Cell::new(0),
+            incarnation: Cell::new(0),
             stopping: Cell::new(false),
             sweeper_armed: Cell::new(false),
             wal: config
@@ -207,10 +190,8 @@ impl DmServer {
             ops_served: Cell::new(0),
             translation_ns: Cell::new(0),
             op_ns: Cell::new(0),
-            dir: RefCell::default(),
-            dir_grants: Cell::new(0),
-            inv_pushed: Cell::new(0),
-            broadcasts: Cell::new(0),
+            holders: RefCell::default(),
+            listed_total: Cell::new(0),
         });
         server.register_handlers();
         server.spawn_sweeper();
@@ -272,7 +253,7 @@ impl DmServer {
                 SpanKind::LeaseReclaim,
                 "dm.lease_reclaim",
                 self.addr().node.0,
-                &[("pid", pid as u64), ("epoch", self.epoch.get())],
+                &[("pid", pid as u64)],
             );
         }
     }
@@ -287,7 +268,7 @@ impl DmServer {
         let _ = self.pm.borrow_mut().release_process(GlobalPid(pid));
         self.leases.borrow_mut().remove(&pid);
         self.owners.borrow_mut().remove(&pid);
-        // Reclamation drops refs: caches filled before it are suspect.
+        // Reclamation kills refs: list them to every client holding one.
         self.refs_died(&dying, None);
     }
 
@@ -299,9 +280,9 @@ impl DmServer {
         pid
     }
 
-    /// Current invalidation epoch (observability for tests).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.get()
+    /// Restarts this server's log has recorded (observability for tests).
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation.get()
     }
 
     /// Crash the server (fail-stop, DESIGN.md §8): it stops receiving and

@@ -1,134 +1,113 @@
-//! Coherence plane (DESIGN.md §9, §15): how a server-side change becomes
-//! visible to client caches. Two mechanisms share every call site — the
-//! global invalidation epoch piggybacked on all responses, and (when
-//! [`DmServerConfig::coherence`](super::DmServerConfig::coherence) is set)
-//! a bounded holder directory that a ref's death is pushed to as a targeted
-//! `INVALIDATE`. Which one a ref's death takes is decided in exactly one
-//! place, [`DmServer::refs_died`]; the op bodies never ask.
+//! Coherence (DESIGN.md §9): how a ref's death reaches the client caches
+//! that hold it. A fill grants its client the key; when the ref dies, the
+//! key is appended to each other holder's pending list, and every response
+//! to a client carries its running count of listed keys plus as many
+//! pending keys as the message has room for ([`DmServer::answer`]). The op
+//! bodies only say who may cache what ([`DmServer::grant`]) and what died
+//! ([`DmServer::refs_died`]).
 
-use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use dmcommon::DmResult;
 use rpclib::Message;
-use simcore::SimTime;
-use simnet::{Addr, NodeId};
+use simnet::Addr;
 
 use super::DmServer;
-use crate::proto::{req, Response, Writer};
+use crate::cache::CACHE_PAGES;
+use crate::proto::Response;
 
-/// Fine-grained cache-coherence tuning (DESIGN.md §15).
-#[derive(Clone, Copy, Debug)]
-pub struct CoherenceConfig {
-    /// Total read grants the holder directory may track across all keys.
-    /// On overflow the server falls back to one epoch broadcast and a
-    /// cleared directory rather than growing without bound.
-    pub dir_max: usize,
-    /// How long a holder may serve a cached entry without hearing from
-    /// this server, and so how long a directory grant is considered live
-    /// (an expired grant is skipped at push time because the holder already
-    /// stopped serving the entry). Stated here only: every client learns it
-    /// from its `REGISTER` reply.
-    pub read_lease: Duration,
+/// What one client endpoint may cache from this server and which deaths it
+/// has not been told of yet. Volatile: a restart starts every holder over.
+#[derive(Default)]
+pub(super) struct Holder {
+    /// Keys listed to this holder in this incarnation.
+    listed: u64,
+    /// Dead (or revoked) keys not listed yet, oldest first.
+    pending: VecDeque<u64>,
+    /// Granted keys by grant order, oldest first.
+    grants: BTreeMap<u64, u64>,
+    /// Each granted key's place in `grants`.
+    order_of: HashMap<u64, u64>,
+    /// The place the next grant takes.
+    next: u64,
 }
-
-impl Default for CoherenceConfig {
-    fn default() -> Self {
-        CoherenceConfig {
-            dir_max: 1024,
-            read_lease: Duration::from_micros(50),
-        }
-    }
-}
-
-/// The holder directory's storage: ref key → (client node, port) → grant
-/// expiry.
-pub(super) type HolderDir = HashMap<u64, BTreeMap<(u32, u16), SimTime>>;
 
 impl DmServer {
-    /// Targeted INVALIDATE messages pushed to holders so far.
+    /// Dead or revoked keys listed in responses so far.
     pub fn invalidations_pushed(&self) -> u64 {
-        self.inv_pushed.get()
+        self.listed_total.get()
     }
 
-    /// Directory-overflow broadcasts (epoch bumps) taken so far.
+    /// Restarts so far: after each, every holder's next response makes it
+    /// drop what it cached from this server.
     pub fn coherence_broadcasts(&self) -> u64 {
-        self.broadcasts.get()
+        self.incarnation.get()
     }
 
-    /// Record that `src` now holds a cached copy of `key` (no-op unless
-    /// coherent). On directory overflow every grant is dropped and the
-    /// epoch advances once — the broadcast fallback — so the directory
-    /// stays bounded without ever missing a holder.
+    /// Let `src` cache `key`'s bytes. A holder is never granted more than
+    /// a client can cache from one server: past [`CACHE_PAGES`] grants, its
+    /// oldest is revoked by listing the key like a death.
     pub(super) fn grant(&self, key: u64, src: Addr) {
-        let Some(c) = self.config.coherence else {
-            return;
-        };
-        let expiry = simcore::now() + c.read_lease;
-        let mut dir = self.dir.borrow_mut();
-        let holders = dir.entry(key).or_default();
-        if holders.insert((src.node.0, src.port), expiry).is_some() {
-            return; // refreshed an existing grant
+        let mut holders = self.holders.borrow_mut();
+        let h = holders.entry(src).or_default();
+        if let Some(old) = h.order_of.insert(key, h.next) {
+            h.grants.remove(&old);
         }
-        if self.dir_grants.get() + 1 > c.dir_max {
-            dir.clear();
-            self.dir_grants.set(0);
-            self.epoch.set(self.epoch.get() + 1);
-            self.broadcasts.set(self.broadcasts.get() + 1);
-            dir.entry(key)
-                .or_default()
-                .insert((src.node.0, src.port), expiry);
-        }
-        self.dir_grants.set(self.dir_grants.get() + 1);
-    }
-
-    /// Push a targeted INVALIDATE for `key` to every live holder
-    /// (fire-and-forget: a lost push is safe — the holder's read lease
-    /// bounds how long it can keep serving, and a stale entry can only hold
-    /// the dead ref's final immutable bytes). `exclude` skips the
-    /// requester, which dropped its own copy when it asked for the release.
-    fn push_invalidations(&self, key: u64, exclude: Option<Addr>) {
-        let Some(holders) = self.dir.borrow_mut().remove(&key) else {
-            return;
-        };
-        self.dir_grants.set(self.dir_grants.get() - holders.len());
-        let now = simcore::now();
-        for ((node, port), expiry) in holders {
-            let dst = Addr {
-                node: NodeId(node),
-                port,
-            };
-            if expiry <= now || Some(dst) == exclude {
-                continue;
-            }
-            self.inv_pushed.set(self.inv_pushed.get() + 1);
-            let rpc = self.rpc.clone();
-            let body = Writer::new().u64(key).finish();
-            simcore::spawn_detached(async move {
-                let _ = rpc.call(dst, req::INVALIDATE, body).await;
-            });
+        h.grants.insert(h.next, key);
+        h.next += 1;
+        if h.grants.len() > CACHE_PAGES {
+            let (_, oldest) = h.grants.pop_first().expect("over the bound");
+            h.order_of.remove(&oldest);
+            h.pending.push_back(oldest);
         }
     }
 
     /// The refs `keys` just died (explicit release or lease reclamation —
-    /// live or replayed): make that visible to client caches. This is the
-    /// only place that chooses between the two schemes. Without per-ref
-    /// coherence the global epoch advances once, whatever the number of
-    /// keys, and the response's own epoch tells the requester. With it,
-    /// each key's death is pushed to its holders so their cached copies die
-    /// promptly; `exclude` (the requester) is skipped. During replay the
-    /// (volatile) directory is empty and nothing is pushed.
+    /// live or replayed): drop their grants and list them to every holder
+    /// but `exclude`, the releaser, which dropped its own copy when it
+    /// asked. During replay no holder is known and nothing is listed.
     pub(super) fn refs_died(&self, keys: &[u64], exclude: Option<Addr>) {
-        if self.config.coherence.is_none() {
-            self.epoch.set(self.epoch.get() + 1);
-            return;
-        }
-        for &key in keys {
-            self.push_invalidations(key, exclude);
+        for (&addr, h) in self.holders.borrow_mut().iter_mut() {
+            for key in keys {
+                let Some(order) = h.order_of.remove(key) else {
+                    continue;
+                };
+                h.grants.remove(&order);
+                if Some(addr) != exclude {
+                    h.pending.push_back(*key);
+                }
+            }
         }
     }
 
-    /// Finish `resp` as a success carrying the current epoch.
-    pub(super) fn ok(&self, resp: Response) -> Message {
-        resp.ok(self.epoch.get())
+    /// `dst`'s running count and the pending keys that fit in `room`
+    /// bytes, which leave its pending list. The count's high 32 bits are
+    /// this server's incarnation, so no count sent after a restart equals
+    /// one sent before it.
+    pub(super) fn news(&self, dst: Addr, room: usize) -> (u64, Vec<u64>) {
+        let base = self.incarnation.get() << 32;
+        let mut holders = self.holders.borrow_mut();
+        let Some(h) = holders.get_mut(&dst) else {
+            return (base, Vec::new());
+        };
+        let n = h.pending.len().min(room.saturating_sub(4) / 8);
+        let died: Vec<u64> = h.pending.drain(..n).collect();
+        h.listed += n as u64;
+        self.listed_total.set(self.listed_total.get() + n as u64);
+        (base + h.listed, died)
+    }
+
+    /// Finish `resp` for `dst`: its count and, ahead of a success's result,
+    /// as many of its pending deaths as one message has room for beside it
+    /// (a read of the whole `max_msg_len − 9` room carries none).
+    pub(super) fn answer(&self, dst: Addr, resp: DmResult<Response>) -> Message {
+        match resp {
+            Ok(resp) => {
+                let room = rpclib::wire::max_msg_len(self.rpc.config().mtu);
+                let (count, died) = self.news(dst, room.saturating_sub(resp.len()));
+                resp.ok(count, &died)
+            }
+            Err(e) => Response::err(self.news(dst, 0).0, e),
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Request dispatch: tracing and the one body of every wire
 //! op. Each arm validates, mutates the page manager, persists
-//! (log-before-ack), charges CPU/memory and answers; how the change
-//! reaches client caches is the coherence plane's decision
-//! ([`DmServer::refs_died`], [`DmServer::grant`]).
+//! (log-before-ack), charges CPU/memory and returns its result; which
+//! client may cache what and which refs died it tells the coherence plane
+//! ([`DmServer::grant`], [`DmServer::refs_died`]), which finishes every
+//! answer ([`DmServer::answer`]).
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use dmcommon::{DmError, DmResult, PAGE_SIZE};
 use rpclib::Message;
@@ -18,10 +18,9 @@ use crate::proto::{self, req, Reader, Response};
 use crate::wal::Record;
 
 impl DmServer {
-    /// Serve every op of [`proto::OPS`] but the one servers push to clients.
+    /// Serve every op of [`proto::OPS`].
     pub(super) fn register_handlers(self: &Rc<Self>) {
-        let served = proto::OPS.iter().map(|op| op.0);
-        for ty in served.filter(|&ty| ty != req::INVALIDATE) {
+        for ty in proto::OPS.iter().map(|op| op.0) {
             let srv = self.clone();
             self.rpc.register(ty, move |ctx| {
                 let srv = srv.clone();
@@ -38,18 +37,13 @@ impl DmServer {
         if let Some(s) = op.as_mut() {
             s.attr("body_bytes", body.len() as u64);
         }
-        let resp = match self.dispatch(ty, src, &body).await {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(s) = op.as_mut() {
-                    s.attr("error", 1);
-                }
-                Response::err(self.epoch.get(), e)
-            }
-        };
+        let resp = self.dispatch(ty, src, &body).await;
+        if let (Err(_), Some(s)) = (&resp, op.as_mut()) {
+            s.attr("error", 1);
+        }
         // A long reply (a `READ` / `READ_REF` payload) yields the NIC to
         // the refs and control replies behind it.
-        resp.bulk()
+        self.answer(src, resp).bulk()
     }
 
     /// Refuse a read whose reply no message can carry — `len` comes off the
@@ -62,7 +56,7 @@ impl DmServer {
         Ok(())
     }
 
-    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Message> {
+    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
         let mut r = Reader::of(body);
         match ty {
             req::REGISTER => {
@@ -75,20 +69,14 @@ impl DmServer {
                 })
                 .await;
                 self.charge(OpCost::default(), 0).await;
-                let ttl = self.config.lease_ttl;
-                if let Some(ttl) = ttl {
-                    self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
-                }
-                // The reply's trailing fields (`req::REGISTER`): up to the
-                // last one this server has to state, 0 for none before it.
-                let fields = [ttl, self.config.coherence.map(|c| c.read_lease)];
-                let sent = fields
-                    .iter()
-                    .rposition(Option::is_some)
-                    .map_or(0, |i| i + 1);
-                let ns = |f: &Option<Duration>| f.map_or(0, |d| d.as_nanos() as u64);
                 let resp = Response::new().pid(pid);
-                Ok(self.ok(fields[..sent].iter().fold(resp, |r, f| r.u64(ns(f)))))
+                // The reply states the lease TTL only where there is one
+                // (`req::REGISTER`).
+                let Some(ttl) = self.config.lease_ttl else {
+                    return Ok(resp);
+                };
+                self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
+                Ok(resp.u64(ttl.as_nanos() as u64))
             }
             req::RENEW_LEASE => {
                 let pid = r.pid()?;
@@ -101,7 +89,7 @@ impl DmServer {
                     None => return Err(DmError::InvalidAddress),
                 }
                 self.charge(OpCost::default(), 0).await;
-                Ok(self.ok(Response::new()))
+                Ok(Response::new())
             }
             req::ALLOC => {
                 let pid = r.pid()?;
@@ -117,7 +105,7 @@ impl DmServer {
                 })
                 .await;
                 self.charge(OpCost::default(), 0).await;
-                Ok(self.ok(Response::new().u64(va)))
+                Ok(Response::new().u64(va))
             }
             req::FREE => {
                 let pid = r.pid()?;
@@ -126,7 +114,7 @@ impl DmServer {
                 let cost = self.pm.borrow_mut().rfree(pid, va)?;
                 self.persist(|| vec![Record::Free { pid: pid.0, va }]).await;
                 self.charge(cost, cost.refcount_updates).await;
-                Ok(self.ok(Response::new()))
+                Ok(Response::new())
             }
             req::CREATE_REF => {
                 let pid = r.pid()?;
@@ -145,7 +133,7 @@ impl DmServer {
                 .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
                 self.charge(cost, pages).await;
-                Ok(self.ok(Response::new().u64(key)))
+                Ok(Response::new().u64(key))
             }
             req::MAP_REF => {
                 let pid = r.pid()?;
@@ -161,8 +149,7 @@ impl DmServer {
                 })
                 .await;
                 self.charge(cost, cost.refcount_updates).await;
-                self.grant(key, src);
-                Ok(self.ok(Response::new().u64(va).u64(len)))
+                Ok(Response::new().u64(va).u64(len))
             }
             req::READ => {
                 let pid = r.pid()?;
@@ -175,7 +162,7 @@ impl DmServer {
                 // Reading pinned pages into the response path occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                Ok(self.ok(Response::new().body(data)))
+                Ok(Response::new().body(data))
             }
             req::WRITE => {
                 let pid = r.pid()?;
@@ -196,18 +183,18 @@ impl DmServer {
                 // Storing into pinned pages occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                Ok(self.ok(Response::new()))
+                Ok(Response::new())
             }
             req::RELEASE_REF => {
                 let key = r.u64()?;
                 let cost = self.pm.borrow_mut().release_ref(key)?;
-                // The ref is gone: invalidate client caches. The releaser
-                // is told by its own response's epoch, or, by a coherent
-                // server, not at all: it dropped its copy when it asked.
+                // The ref is gone: list it to the clients that may cache
+                // it, but not to the releaser, which dropped its copy when
+                // it asked.
                 self.refs_died(&[key], Some(src));
                 self.persist(|| vec![Record::ReleaseRef { key }]).await;
                 self.charge(cost, cost.refcount_updates).await;
-                Ok(self.ok(Response::new()))
+                Ok(Response::new())
             }
             req::PUT_REF => {
                 // The new ref's pages are views into the request's storage:
@@ -222,6 +209,9 @@ impl DmServer {
                     .pm
                     .borrow_mut()
                     .put_ref_bytes(data.clone(), Some(owner))?;
+                // The publisher caches the bytes it just published. Granted
+                // before any await: a death while this op waits is listed.
+                self.grant(key, src);
                 self.persist(|| {
                     vec![Record::PutRef {
                         pid: owner.0,
@@ -233,9 +223,7 @@ impl DmServer {
                 self.charge(cost, translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                // The publisher caches the bytes it just published.
-                self.grant(key, src);
-                Ok(self.ok(Response::new().u64(key)))
+                Ok(Response::new().u64(key))
             }
             req::READ_REF => {
                 let key = r.u64()?;
@@ -245,13 +233,13 @@ impl DmServer {
                 // A view of the buffer the ref was published in, whenever
                 // the range still lies there whole.
                 let data = self.pm.borrow().read_ref(key, off, len)?;
+                // The reader may now cache these bytes. Granted while they
+                // are the live ref's: a death while this op waits is listed.
+                self.grant(key, src);
                 self.charge(OpCost::default(), translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                // The reader may now cache these bytes: grant it a read
-                // lease.
-                self.grant(key, src);
-                Ok(self.ok(Response::new().body(data)))
+                Ok(Response::new().body(data))
             }
             req::BATCH => {
                 // Coalesced control ops (DESIGN.md §9): one wire message,
@@ -278,14 +266,17 @@ impl DmServer {
                         )
                     });
                     let sub_body = Message::from(sub_body);
-                    let resp = match Box::pin(self.dispatch(sub_ty, src, &sub_body)).await {
-                        Ok(r) => r,
-                        Err(e) => Response::err(self.epoch.get(), e),
+                    let resp = Box::pin(self.dispatch(sub_ty, src, &sub_body)).await;
+                    // Deaths ride the batch's own answer, never a sub-op's.
+                    let count = self.news(src, 0).0;
+                    let resp = match resp {
+                        Ok(r) => r.ok(count, &[]),
+                        Err(e) => Response::err(count, e),
                     };
                     drop(sub_span);
                     resps.push(resp);
                 }
-                Ok(self.ok(proto::batch_response(&resps)))
+                Ok(proto::batch_response(&resps))
             }
             _ => Err(DmError::Malformed),
         }

@@ -70,7 +70,8 @@ impl DmServer {
 
     /// FNV-1a digest of the page manager's canonical snapshot — the whole
     /// memory-plane state (pages, refcounts, VA trees, refs, free-list
-    /// order) excluding volatile serving state (epoch, leases, owners).
+    /// order) excluding serving state (incarnation, leases, owners,
+    /// holders).
     /// Recovery oracles compare this across crash/restart: log-before-ack
     /// makes the mutation and its record atomic, so the digest after
     /// `restart_from_log` equals the digest at the instant of a clean
@@ -80,11 +81,12 @@ impl DmServer {
     }
 
     /// Canonical whole-server checkpoint, the one layout (DESIGN.md §12):
-    /// epoch, then the owners table (a count and its rows in pid order),
-    /// then the page manager's snapshot. Leases are volatile by design:
-    /// recovery re-grants full-TTL leases.
+    /// the incarnation, then the owners table (a count and its rows in pid
+    /// order), then the page manager's snapshot. Leases and holders are
+    /// volatile by design: recovery re-grants full-TTL leases, and every
+    /// holder's next answer tells it to drop this server's entries.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let w = Writer::new().u64(self.epoch.get());
+        let w = Writer::new().u64(self.incarnation.get());
         let w = write_table(w, &self.owners.borrow(), |w, pid, a| w.u32(pid).addr(a));
         self.pm.borrow().snapshot_into(w).into_vec()
     }
@@ -94,7 +96,7 @@ impl DmServer {
     /// damage here means the scan accepted a record it should not have.
     fn restore_snapshot(&self, buf: &[u8]) -> DmResult<()> {
         let r = &mut Reader::new(buf);
-        self.epoch.set(r.u64()?);
+        self.incarnation.set(r.u64()?);
         read_table(r, &mut self.owners.borrow_mut(), |r| {
             Ok((r.u32()?, r.addr()?))
         })?;
@@ -183,6 +185,7 @@ impl DmServer {
                 debug_assert_eq!(got, *key, "replay: put_ref divergence");
             }
             Record::ReleaseProcess { pid } => self.reclaim_process(*pid),
+            Record::Restart => self.incarnation.set(self.incarnation.get() + 1),
             Record::Checkpoint { snapshot } => self
                 .restore_snapshot(snapshot)
                 .expect("replay: corrupt checkpoint"),
@@ -195,13 +198,15 @@ impl DmServer {
     /// Steps: charge one sequential media scan of the log; validate it
     /// (CRC, framing, sequence continuity) and truncate any torn tail;
     /// discard all volatile state (a fresh page manager, empty owner/lease
-    /// tables, epoch 0); replay the valid prefix
+    /// tables, no holders, incarnation 0); replay the valid prefix
     /// (a checkpoint record restores its snapshot, subsequent records
-    /// re-apply on top); advance the epoch once more past the replayed
-    /// value so client caches filled before the crash can never be
-    /// trusted across it; re-grant every recovered owner a full-TTL lease
-    /// (crashed clients stop renewing and get swept as usual); come back
-    /// online and re-arm the sweeper.
+    /// re-apply on top, each [`Record::Restart`] counts one incarnation);
+    /// log one more restart, so every death count this incarnation sends
+    /// exceeds any count sent before this crash or an earlier one and
+    /// each client drops this server's entries on its next answer;
+    /// re-grant every recovered owner a full-TTL lease (crashed clients
+    /// stop renewing and get swept as usual); come back online and re-arm
+    /// the sweeper.
     ///
     /// The recovery invariant (tested by `tests/recovery.rs` and the
     /// chaos `server-crash` class): zero lost acknowledged ops,
@@ -218,19 +223,15 @@ impl DmServer {
         *self.pm.borrow_mut() = PageManager::new(self.config.capacity_pages, self.config.copy_mode);
         self.owners.borrow_mut().clear();
         self.leases.borrow_mut().clear();
-        // Grants are volatile: the post-recovery epoch bump broadcasts to
-        // every pre-crash holder anyway.
-        self.dir.borrow_mut().clear();
-        self.dir_grants.set(0);
-        self.epoch.set(0);
+        self.holders.borrow_mut().clear();
+        self.incarnation.set(0);
         for rec in &report.records {
             self.replay(rec);
         }
-        // Epoch-after-restart rule: one conservative bump past everything
-        // the replay reconstructed, so any response a client sees after
-        // recovery reports a strictly newer epoch than any it saw before
-        // the crash, invalidating its cache.
-        self.epoch.set(self.epoch.get() + 1);
+        // Incarnation-after-restart rule: logged before the server answers
+        // anyone, so the next restart replays it and counts past it too.
+        self.incarnation.set(self.incarnation.get() + 1);
+        self.persist(|| vec![Record::Restart]).await;
         if let Some(ttl) = self.config.lease_ttl {
             let exp = simcore::now() + ttl;
             let mut leases = self.leases.borrow_mut();
@@ -248,7 +249,7 @@ impl DmServer {
             &[
                 ("records", report.records.len() as u64),
                 ("torn", report.torn as u64),
-                ("epoch", self.epoch.get()),
+                ("incarnation", self.incarnation.get()),
             ],
         );
         RecoveryReport {

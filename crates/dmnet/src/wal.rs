@@ -4,7 +4,7 @@
 //! the server appends a checksummed [`Record`] to the log *before* the
 //! response for the op is sent (log-before-ack), so a crashed server can
 //! rebuild the exact acknowledged state — page bytes, refcounts, COW
-//! sharing, VA trees, process registrations and the invalidation epoch —
+//! sharing, VA trees, process registrations and the restart count —
 //! by replaying the log ([`crate::DmServer::restart_from_log`]).
 //!
 //! The log is *logical redo*: records name operations, not physical state,
@@ -171,7 +171,7 @@ pub enum Record {
         /// VA the original execution returned.
         va: u64,
     },
-    /// `RELEASE_REF` of `key` (advances the invalidation epoch on replay).
+    /// `RELEASE_REF` of `key`.
     ReleaseRef {
         /// Released ref key.
         key: u64,
@@ -185,8 +185,8 @@ pub enum Record {
         /// The published bytes.
         data: Vec<u8>,
     },
-    /// Lease expiry reclaimed every pin of `pid` (advances the epoch on
-    /// replay, exactly like the live sweep does).
+    /// Lease expiry reclaimed every pin of `pid` (replayed exactly like the
+    /// live sweep does it).
     ReleaseProcess {
         /// Reclaimed process.
         pid: u32,
@@ -197,6 +197,9 @@ pub enum Record {
         /// Canonical snapshot bytes (see `DmServer::snapshot_bytes`).
         snapshot: Vec<u8>,
     },
+    /// The server came back from a crash (`DmServer::restart_from_log`):
+    /// one more incarnation, which every later death count carries.
+    Restart,
 }
 
 mod kind {
@@ -210,6 +213,7 @@ mod kind {
     pub const PUT_REF: u8 = 8;
     pub const RELEASE_PROCESS: u8 = 9;
     pub const CHECKPOINT: u8 = 10;
+    pub const RESTART: u8 = 11;
 }
 
 impl Record {
@@ -244,6 +248,7 @@ impl Record {
                 tail = snapshot;
                 w.u8(kind::CHECKPOINT)
             }
+            Record::Restart => w.u8(kind::RESTART),
         }
         .into_vec();
         out.extend_from_slice(tail);
@@ -299,6 +304,7 @@ impl Record {
             kind::CHECKPOINT => Record::Checkpoint {
                 snapshot: r.rest().into_owned(),
             },
+            kind::RESTART => Record::Restart,
             _ => return Err(DmError::Malformed),
         })
     }
@@ -592,6 +598,7 @@ mod tests {
             Record::Checkpoint {
                 snapshot: vec![9, 9, 9],
             },
+            Record::Restart,
         ]
     }
 

@@ -8,7 +8,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
 use dmnet::proto::{encode_batch, req, split_response, Reader, Response, Writer, DM_PORT, OPS};
-use dmnet::{start_pool, CoherenceConfig, DmNetClient, DmServerConfig};
+use dmnet::{start_pool, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
@@ -32,7 +32,7 @@ fn the_retired_redirect_status_is_malformed_and_not_followed() {
             let c_node = net.add_node("c", NicConfig::default());
             let fake = RpcBuilder::new(&net, dm_node, DM_PORT).build();
             fake.register(req::REGISTER, |_| async {
-                Response::new().pid(GlobalPid(1)).ok(0)
+                Response::new().pid(GlobalPid(1)).ok(0, &[])
             });
             fake.register(req::READ_REF, move |_| async move {
                 let flat = Writer::new().u8(status).u64(0).u32(dm_node.0).u16(DM_PORT);
@@ -54,27 +54,51 @@ fn the_retired_redirect_status_is_malformed_and_not_followed() {
     }
 }
 
-/// A client takes an `INVALIDATE` push only as a coherent server of its
-/// pool sends it: `[key u64]` from that server's address. A fake coherent
-/// server (a 1 s read lease) fills the client's cache with keys 1 and 2;
-/// then the same push from an address outside the pool, and from the server
-/// with every other body length 0–24, is ignored without a panic and drops
-/// nothing; the well-formed push drops key 1 alone.
+/// A death list is applied whole or not at all. A fake DM server fills the
+/// client's cache with keys 1 and 2, then answers each `ALLOC` in turn with
+/// a list whose `n` runs past the answer, one whose only key is cut short,
+/// one cut inside the count, and last a well-formed list of key 1. Each
+/// malformed answer is `Malformed` to the caller and drops nothing — not
+/// the keys that did fit, not everything as a reset; the well-formed one
+/// drops key 1 alone. And a client serves nothing: op 26, the retired
+/// invalidation push, goes unanswered.
 #[test]
-fn an_invalidate_push_from_outside_the_pool_or_of_the_wrong_length_is_ignored() {
+fn a_death_list_that_runs_past_its_answer_is_malformed_and_drops_nothing() {
     Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let dm_node = net.add_node("dm", NicConfig::default());
         let c_node = net.add_node("c", NicConfig::default());
-        let m_node = net.add_node("mallory", NicConfig::default());
-        let fake = RpcBuilder::new(&net, dm_node, DM_PORT).build();
+        let fake = RpcBuilder::new(&net, dm_node, DM_PORT)
+            .config(RpcConfig {
+                rto: Duration::from_micros(50),
+                max_retries: 1,
+                ..RpcConfig::default()
+            })
+            .build();
         fake.register(req::REGISTER, |_| async {
-            let lease = Duration::from_secs(1).as_nanos() as u64;
-            Response::new().pid(GlobalPid(1)).u64(0).u64(lease).ok(0)
+            Response::new().pid(GlobalPid(1)).ok(0, &[])
         });
         fake.register(req::READ_REF, |ctx| async move {
             let key = Reader::of(&ctx.payload).u64().unwrap();
-            Response::new().body(Bytes::from(vec![key as u8; 8])).ok(0)
+            Response::new()
+                .body(Bytes::from(vec![key as u8; 8]))
+                .ok(0, &[])
+        });
+        let head = |count: u64| Writer::new().u8(10).u64(count);
+        let answers = vec![
+            head(2).u32(2).u64(1).into_vec(),
+            head(1).u32(1).u16(1).into_vec(),
+            vec![10, 1, 0, 0],
+            Response::new()
+                .u64(0x1000)
+                .ok(1, &[1])
+                .into_bytes()
+                .to_vec(),
+        ];
+        let answers = Rc::new(std::cell::RefCell::new(answers.into_iter()));
+        fake.register(req::ALLOC, move |_| {
+            let next = answers.borrow_mut().next().expect("one answer per alloc");
+            async move { Message::from(Bytes::from(next)) }
         });
         let rpc = RpcBuilder::new(&net, c_node, 100).build();
         let dm = DmNetClient::connect_with(rpc.clone(), vec![fake.addr()], true)
@@ -91,41 +115,40 @@ fn an_invalidate_push_from_outside_the_pool_or_of_the_wrong_length_is_ignored() 
                 [key as u8; 8]
             );
         }
-        // Both keys cached: reading them sends nothing.
+        // Which keys a read still finds in the cache.
         let cached = || async {
-            let wire = dm.wire_count(req::READ_REF);
+            let mut hit = Vec::new();
             for key in [1, 2] {
+                let wire = dm.wire_count(req::READ_REF);
                 dm.read_ref(&r(key), 0, 8).await.unwrap();
+                if dm.wire_count(req::READ_REF) == wire {
+                    hit.push(key);
+                }
             }
-            dm.wire_count(req::READ_REF) == wire
+            hit
         };
-        let mallory = RpcBuilder::new(&net, m_node, DM_PORT).build();
-        push(&mallory, rpc.addr(), 8).await;
-        assert!(cached().await, "a push from outside the pool dropped a key");
-        for len in (0..=24).filter(|&len| len != 8) {
-            push(&fake, rpc.addr(), len).await;
-            assert!(cached().await, "a {len}-byte push dropped a key");
+        for malformed in 0..3 {
+            assert_eq!(
+                dm.ralloc(8).await.unwrap_err(),
+                DmError::Malformed,
+                "{malformed}"
+            );
+            assert_eq!(cached().await, [1, 2], "answer {malformed} dropped a key");
         }
-        assert_eq!(dm.cache_stats().targeted_inv(), 0);
+        assert_eq!(dm.ralloc(8).await.unwrap().va, 0x1000);
+        assert_eq!(cached().await, [2]);
+        let stats = dm.cache_stats();
+        assert_eq!((stats.listed(), stats.resets()), (1, 0));
 
-        push(&fake, rpc.addr(), 8).await;
-        assert_eq!(dm.cache_stats().targeted_inv(), 1);
-        let wire = dm.wire_count(req::READ_REF);
-        dm.read_ref(&r(2), 0, 8).await.unwrap();
-        assert_eq!(dm.wire_count(req::READ_REF), wire, "key 2 still cached");
-        dm.read_ref(&r(1), 0, 8).await.unwrap();
-        assert_eq!(dm.wire_count(req::READ_REF), wire + 1, "key 1 dropped");
+        // The fake still answers reads under count 0, now a late count:
+        // key 1 reads from the wire each time and is not cached again.
+        assert_eq!(cached().await, [2]);
+        let push = fake
+            .call(rpc.addr(), 26, Writer::new().u64(2).finish())
+            .await;
+        assert!(push.is_err(), "a client answered op 26");
+        assert_eq!(cached().await, [2]);
     });
-}
-
-/// Push the first `len` bytes of `[key 1 u64]` and 16 bytes of 0xFF as an
-/// `INVALIDATE` from `from` to the client at `to`, which answers every push.
-async fn push(from: &Rc<Rpc>, to: simnet::Addr, len: usize) {
-    let body = [&1u64.to_le_bytes()[..], &[0xFF; 16]].concat();
-    let body = Bytes::from(body[..len].to_vec());
-    from.call(to, req::INVALIDATE, body)
-        .await
-        .expect("answered");
 }
 
 #[test]
@@ -345,18 +368,17 @@ async fn assert_still_serving(rpc: &Rc<Rpc>, server: &dmnet::DmServer, pid: u32)
 }
 
 /// The type sweep: every `u8`, with an empty body, from a registered
-/// endpoint. A DM server answers exactly the ops [`OPS`] names, less the
-/// push it sends itself — so each of them has had a handler since
-/// `DmServer::start` — and stays silent to every other type, the retired
-/// ring ops 23–25 among them.
+/// endpoint. A DM server answers exactly the ops [`OPS`] names — so each
+/// of them has had a handler since `DmServer::start` — and stays silent to
+/// every other type, the retired ring ops 23–25 and push 26 among them.
 #[test]
 fn every_request_type_is_answered_or_ignored_as_the_op_table_says() {
     Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let (server, rpc, pid) = registered(&net).await;
-        assert!(OPS.iter().all(|op| !(23..=25).contains(&op.0)));
+        assert!(OPS.iter().all(|op| !(23..=26).contains(&op.0)));
         for ty in 0..=u8::MAX {
-            let served = ty != req::INVALIDATE && OPS.iter().any(|op| op.0 == ty);
+            let served = OPS.iter().any(|op| op.0 == ty);
             let answer = raw(&rpc, &server, ty, Writer::new()).await;
             assert_eq!(answer != Err(DmError::Transport), served, "type {ty}");
         }
@@ -440,42 +462,37 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
 /// pages: 256 MiB, one byte more than 65 535 packets carry. A reply nobody
 /// could frame is refused as out of bounds before a byte of it is built — it
 /// must not be zero-filled and then panic the process in `fragment`. The
-/// limit is the message less the 9-byte response head on a plain and on a
-/// coherent server alike: a `READ_REF` of exactly that many bytes passes it
-/// and fails only on its unknown key. A publish too long for its client's
-/// MTU is refused on that side of the wire.
+/// limit is the message less the 9-byte response head, which a death list
+/// never shrinks: a `READ_REF` of exactly that many bytes passes it and
+/// fails only on its unknown key. A publish too long for its client's MTU
+/// is refused on that side of the wire.
 #[test]
 fn read_of_more_than_a_reply_can_carry_is_out_of_bounds() {
-    for coherence in [None, Some(CoherenceConfig::default())] {
-        Sim::new().block_on(async move {
-            let net = Network::new(FabricConfig::default(), 3);
-            let cfg = DmServerConfig {
-                coherence,
-                ..Default::default()
-            };
-            let (server, rpc, pid) = registered_to(&net, cfg).await;
-            let whole = cfg.capacity_pages as u64 * 4096;
-            let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(whole)).await;
-            let va = Reader::new(&va.expect("the pool backs it")).u64().unwrap();
-            let most = (rpclib::wire::max_msg_len(rpc.config().mtu) - 9) as u64;
-            for len in [whole, most + 1] {
-                let read = Writer::new().u32(pid).u64(va).u64(len);
-                let r = raw(&rpc, &server, req::READ, read).await;
-                assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
-            }
-            for (len, refused) in [
-                (most, DmError::InvalidRef),
-                (most + 1, DmError::OutOfBounds),
-            ] {
-                let read = Writer::new().u64(u64::MAX).u64(0).u64(len);
-                let r = raw(&rpc, &server, req::READ_REF, read).await;
-                assert_eq!(r, Err(refused), "{coherence:?} len {len:#x}");
-            }
-            let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
-            assert_eq!((viewed, gathered), (0, 0), "no reply was built");
-            assert_still_serving(&rpc, &server, pid).await;
-        });
-    }
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let cfg = DmServerConfig::default();
+        let (server, rpc, pid) = registered_to(&net, cfg).await;
+        let whole = cfg.capacity_pages as u64 * 4096;
+        let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(whole)).await;
+        let va = Reader::new(&va.expect("the pool backs it")).u64().unwrap();
+        let most = (rpclib::wire::max_msg_len(rpc.config().mtu) - 9) as u64;
+        for len in [whole, most + 1] {
+            let read = Writer::new().u32(pid).u64(va).u64(len);
+            let r = raw(&rpc, &server, req::READ, read).await;
+            assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
+        }
+        for (len, refused) in [
+            (most, DmError::InvalidRef),
+            (most + 1, DmError::OutOfBounds),
+        ] {
+            let read = Writer::new().u64(u64::MAX).u64(0).u64(len);
+            let r = raw(&rpc, &server, req::READ_REF, read).await;
+            assert_eq!(r, Err(refused), "len {len:#x}");
+        }
+        let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
+        assert_eq!((viewed, gathered), (0, 0), "no reply was built");
+        assert_still_serving(&rpc, &server, pid).await;
+    });
     Sim::new().block_on(async move {
         let net = Network::new(FabricConfig::default(), 3);
         let (server, _, _) = registered_to(&net, DmServerConfig::default()).await;

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcommon::{Ref, PAGE_SIZE};
-use dmnet::{start_pool, CoherenceConfig, DmNetClient, DmServerConfig};
+use dmnet::{start_pool, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Rpc, RpcBuilder};
@@ -302,10 +302,10 @@ proptest! {
     }
 }
 
-/// Operations for the fine-grained (targeted push + read lease) oracle:
-/// the cached plane additionally has a second *writer* client whose
-/// mutations reach the reader only through targeted invalidation pushes,
-/// and a chaos op that loses those pushes on the wire.
+/// Operations for the multi-client oracle: the cached plane additionally
+/// has a second *writer* client whose releases reach the reader only as
+/// death lists on the reader's own answers, and a chaos op that releases
+/// while the reader is partitioned.
 #[derive(Clone, Debug)]
 enum FgOp {
     Put {
@@ -327,19 +327,21 @@ enum FgOp {
     Release {
         slot: u8,
     },
-    /// The reader is partitioned while the writer releases the ref, so the
-    /// targeted invalidation push is lost. The ref becomes a zombie: its
-    /// final bytes are recorded for the safety assertion.
+    /// The reader is partitioned while the writer releases the ref, so it
+    /// hears nothing of it then. The ref becomes a zombie: its final bytes
+    /// are recorded for the safety assertion.
     ChaosRelease {
         slot: u8,
     },
-    /// Read a zombie ref on the reader. Allowed outcomes: the recorded
-    /// final bytes (a lease-bounded stale serve) or an error — anything
-    /// else means a lost invalidation served diverged bytes.
+    /// Read a zombie ref on the reader, first letting it hear from the
+    /// server (`heard`) or not. Unheard, the allowed outcomes are the
+    /// recorded final bytes (a stale serve) or an error — anything else
+    /// served diverged bytes; heard, only the release's `InvalidRef`.
     ZombieRead {
         slot: u8,
         off: u16,
         len: u16,
+        heard: bool,
     },
 }
 
@@ -354,22 +356,24 @@ fn fg_op_strategy() -> impl Strategy<Value = FgOp> {
         (any::<u8>(), any::<u8>()).prop_map(|(slot, fill)| FgOp::WriterCow { slot, fill }),
         any::<u8>().prop_map(|slot| FgOp::Release { slot }),
         any::<u8>().prop_map(|slot| FgOp::ChaosRelease { slot }),
-        (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(slot, off, len)| FgOp::ZombieRead {
-            slot,
-            off,
-            len
-        }),
+        (any::<u8>(), any::<u16>(), any::<u16>(), any::<bool>()).prop_map(
+            |(slot, off, len, heard)| FgOp::ZombieRead {
+                slot,
+                off,
+                len,
+                heard
+            }
+        ),
     ]
 }
 
 proptest! {
-    /// ISSUE 10 satellite: the fine-grained client stays coherent with an
-    /// uncached client under interleaved multi-client writes, and a lost
-    /// targeted invalidation can never make it serve diverged bytes —
-    /// only the dead ref's final (immutable) bytes, until its read lease
-    /// runs out.
+    /// The cached client stays coherent with an uncached client under
+    /// interleaved multi-client writes, and a release it did not hear of
+    /// can never make it serve diverged bytes — only the dead ref's final
+    /// (immutable) bytes, and only until its next answer from the server.
     #[test]
-    fn fine_grained_client_is_coherent_under_multi_client_writes(
+    fn cached_client_is_coherent_under_multi_client_writes(
         ops in proptest::collection::vec(fg_op_strategy(), 1..40)
     ) {
         let sim = Sim::new();
@@ -377,24 +381,12 @@ proptest! {
             let net = Network::new(FabricConfig::default(), 23);
             let params = ModelParams::new();
             let dm_a = net.add_node("dm-raw", NicConfig::default());
-            let dm_b = net.add_node("dm-fg", NicConfig::default());
+            let dm_b = net.add_node("dm-cached", NicConfig::default());
             let c_a = net.add_node("c-raw", NicConfig::default());
             let c_b = net.add_node("c-reader", NicConfig::default());
             let c_w = net.add_node("c-writer", NicConfig::default());
-            let lease = std::time::Duration::from_millis(5);
             let raw_srv = start_pool(&net, &[dm_a], &params, DmServerConfig::default());
-            let fg_srv = start_pool(
-                &net,
-                &[dm_b],
-                &params,
-                DmServerConfig {
-                    coherence: Some(CoherenceConfig {
-                        read_lease: lease,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-            );
+            let fg_srv = start_pool(&net, &[dm_b], &params, DmServerConfig::default());
             let raw = DmNetClient::connect(client_rpc(&net, c_a, 100), vec![raw_srv[0].addr()])
                 .await
                 .unwrap();
@@ -428,7 +420,7 @@ proptest! {
                         let len = (len as u64 % (total - off)) + 1;
                         let a = raw.read_ref(r1, off, len).await.unwrap();
                         let b = reader.read_ref(r2, off, len).await.unwrap();
-                        assert_eq!(a, b, "fine-grained bytes diverge from uncached");
+                        assert_eq!(a, b, "cached bytes diverge from uncached");
                         assert_eq!(
                             &a[..],
                             &data[off as usize..(off + len) as usize],
@@ -465,10 +457,9 @@ proptest! {
                         // Drain the reader's queued control ops first: a
                         // partition drops in-flight batches (fire-and-forget
                         // semantics), which is client-crash behavior, not
-                        // the lost-push scenario under test.
+                        // the unheard release under test.
                         reader.flush_cache().await;
-                        // Lose the push: the reader is dark while the
-                        // writer releases.
+                        // The reader is dark while the writer releases.
                         reader_rpc.set_offline(true);
                         raw.release_ref(&r1).await.unwrap();
                         writer.release_ref(&r2).await.unwrap();
@@ -477,7 +468,7 @@ proptest! {
                         reader_rpc.set_offline(false);
                         zombies.push((r2, data));
                     }
-                    FgOp::ZombieRead { slot, off, len } => {
+                    FgOp::ZombieRead { slot, off, len, heard } => {
                         if zombies.is_empty() {
                             continue;
                         }
@@ -485,9 +476,19 @@ proptest! {
                         let total = data.len() as u64;
                         let off = off as u64 % total;
                         let len = (len as u64 % (total - off)) + 1;
-                        // A stale serve inside the lease window must be the
-                        // dead ref's final bytes, nothing else; past the
-                        // lease (or after the entry dropped) the wire
+                        if heard {
+                            let probe = reader.ralloc(1).await.unwrap();
+                            reader.rfree(probe).await.unwrap();
+                            let gone = reader.read_ref(r2, off, len).await;
+                            assert_eq!(
+                                gone.unwrap_err(),
+                                dmcommon::DmError::InvalidRef,
+                                "served a release the reader was told of"
+                            );
+                            continue;
+                        }
+                        // A stale serve must be the dead ref's final bytes,
+                        // nothing else; once the entry is dropped the wire
                         // reports the release as an error.
                         if let Ok(b) = reader.read_ref(r2, off, len).await {
                             assert_eq!(
@@ -519,7 +520,7 @@ proptest! {
             assert_eq!(
                 fg_srv[0].free_pages_total(),
                 fg_srv[0].capacity_pages_total(),
-                "fine-grained plane leaked pages"
+                "cached plane leaked pages"
             );
         });
     }

@@ -21,7 +21,7 @@ const PS: u64 = PAGE_SIZE as u64;
 /// The shared block of the sharebench (and of the `share_cow` workload).
 const BLOCK: u64 = 32 * 1024;
 
-/// A response's `[status u8][epoch u64]`, in front of every DM reply.
+/// A response's `[status u8][count u64]`, in front of every DM reply.
 const RESPONSE_HEAD: u64 = 9;
 /// A `GlobalPid` and a `u64` field of the DM protocol.
 const PID: u64 = 4;

@@ -108,17 +108,17 @@ proptest! {
         let payload = Bytes::from(noise.clone());
         let flat = match (well_formed, kind) {
             (false, _) => payload,
-            (true, 0) => Response::new().u64(7).body(payload).ok(3).into_bytes(),
+            (true, 0) => Response::new().u64(7).body(payload).ok(3, &[5, 6]).into_bytes(),
             (true, 1) => op_value(9, &Value::Inline(payload)).into_bytes(),
             (true, _) => op_value(9, &Value::Inline(payload)).prefixed(&[1, 2, 3, 4, 5, 6, 7]).into_bytes(),
         };
         let decode = |m: &Message| {
-            let (epoch, reply) = split_response(m);
+            let (deaths, reply) = split_response(m);
             let mut r = Reader::of(m);
             let fields = (r.u8(), r.u64(), r.u16(), r.u32(), r.take(5).map(|c| c.into_owned()));
             let rest = r.rest_of(m);
             (
-                (epoch, reply),
+                (deaths, reply),
                 Value::decode(m),
                 parse_op_value(m),
                 parse_id_value(m),

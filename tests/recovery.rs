@@ -282,8 +282,9 @@ proptest! {
 
     /// The tentpole invariant, exhaustively: crash + recover after EVERY
     /// acknowledged op in a random sequence. Each recovery must rebuild a
-    /// digest-identical memory plane, keep the invalidation epoch
-    /// monotone, hold the refcount invariants, and serve every byte the
+    /// digest-identical memory plane, count one more incarnation than the
+    /// crash before it (so every client drops what it cached from the
+    /// server), hold the refcount invariants, and serve every byte the
     /// shadow model predicts.
     #[test]
     fn recovery_at_every_prefix_rebuilds_acknowledged_state(
@@ -303,7 +304,7 @@ proptest! {
 
                 // Crash at this prefix point and recover in place.
                 let pre_digest = server.pages_digest();
-                let pre_epoch = server.epoch();
+                let pre_incarnation = server.incarnation();
                 server.crash();
                 let report = server.restart_from_log().await;
                 if report.torn_tail {
@@ -314,11 +315,11 @@ proptest! {
                         "op {n} ({op:?}): recovered digest diverges from acknowledged state"
                     ));
                 }
-                if server.epoch() < pre_epoch {
+                if server.incarnation() != pre_incarnation + 1 {
                     violations.push(format!(
-                        "op {n}: invalidation epoch regressed {} -> {}",
-                        pre_epoch,
-                        server.epoch()
+                        "op {n}: incarnation {} -> {} across one restart",
+                        pre_incarnation,
+                        server.incarnation()
                     ));
                 }
                 server.check_invariants_all();
