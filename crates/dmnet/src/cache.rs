@@ -584,15 +584,10 @@ mod tests {
         // Counts never run backwards: the next in-order reply fills again.
         c.observe(0, deaths(3, &[]), Some((6, ONE)));
         assert!(c.lookup_data(0, 6, 0, 1).is_some());
-    }
-
-    #[test]
-    fn a_fill_its_own_response_lists_is_not_kept() {
-        let c = cache();
-        c.observe(0, deaths(1, &[7]), Some((7, ONE)));
+        // A fill its own in-order response lists never serves.
+        c.observe(0, deaths(4, &[7]), Some((7, ONE)));
         assert!(c.lookup_data(0, 7, 0, 1).is_none());
-        assert_eq!(used(&c, 0), 0);
-        assert_eq!(c.stats().listed(), 1);
+        assert_eq!((c.stats().listed(), used(&c, 0)), (2, 1));
     }
 
     #[test]

@@ -822,48 +822,72 @@ mod e2e_tests {
     }
 
     #[test]
-    fn cached_read_ref_hits_and_a_listed_death_invalidates() {
+    fn cached_reads_hit_until_a_listed_death_or_a_reclaimed_lease_resets() {
+        // Repeats and sub-range reads hit; a death is listed on the
+        // reader's next answer (DESIGN.md §9). A lease reclamation drops
+        // the reader's grants and pending keys and keeps its count one
+        // higher: a reader that was only partitioned is told of no later
+        // death, and its next answer drops all it cached from the server.
         let r = rig(1, 2);
         let (net, params) = (r.net.clone(), r.params.clone());
         let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
         r.sim.block_on(async move {
-            let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
+            let ttl = std::time::Duration::from_millis(2);
+            let cfg = DmServerConfig {
+                lease_ttl: Some(ttl),
+                ..Default::default()
+            };
+            let servers = start_pool(&net, &[dm0], &params, cfg);
             let pool = vec![servers[0].addr()];
-            let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone())
-                .await
-                .unwrap();
-            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
+            let owner = DmNetClient::connect(client_rpc(&net, c0, 100), pool.clone());
+            let owner = owner.await.unwrap();
+            let reader_rpc = client_rpc(&net, c1, 100);
+            let reader = connect_cached(reader_rpc.clone(), &pool).await;
 
             let data = Bytes::from((0..8192u32).map(|i| (i % 241) as u8).collect::<Vec<_>>());
-            let r = owner.put_ref(&data).await.unwrap();
+            let mut refs = Vec::new();
+            for _ in 0..3 {
+                let r = owner.put_ref(&data).await.unwrap();
+                assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
+                refs.push(r);
+            }
+            let wire = || reader.wire_count(proto::req::READ_REF);
+            let filled = wire();
+            let part = reader.read_ref(&refs[0], 100, 8).await.unwrap();
+            assert_eq!((&part[..], wire()), (&data[100..108], filled));
 
-            // First read fills; repeats (including sub-range reads) hit.
-            assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
-            let wire_reads = reader.wire_count(proto::req::READ_REF);
-            assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
-            assert_eq!(
-                &reader.read_ref(&r, 100, 8).await.unwrap()[..],
-                &data[100..108]
-            );
-            assert_eq!(reader.wire_count(proto::req::READ_REF), wire_reads);
-            assert!(reader.cache_stats().hits() >= 2);
-
-            // The owner releases the ref: the server lists its key to the
-            // reader on its next wire op, after which the stale entry is
-            // gone and the read fails exactly as an uncached read would.
-            owner.release_ref(&r).await.unwrap();
+            owner.release_ref(&refs[0]).await.unwrap();
             let scratch = reader.ralloc(4096).await.unwrap(); // lists the key
-            assert!(reader.cache_stats().invalidations() >= 1);
+            assert_eq!(reader.cache_stats().listed(), 1);
+            let gone = reader.read_ref(&refs[0], 0, 8192).await;
+            assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
+
+            // The reader goes dark past its lease, then `refs[1]` dies.
+            reader_rpc.set_offline(true);
+            simcore::sleep(5 * ttl).await;
+            assert_eq!(servers[0].leases_reclaimed(), 1);
+            owner.release_ref(&refs[1]).await.unwrap();
+            reader_rpc.set_offline(false);
+            // Unheard, its entry serves the final bytes; the next answer
+            // (an error: the reader's pid is gone) resets the reader.
+            assert_eq!(reader.read_ref(&refs[1], 0, 8192).await.unwrap(), data);
+            assert!(reader.rfree(scratch).await.is_err());
+            assert_eq!(reader.cache_stats().resets(), 1);
+            let gone = reader.read_ref(&refs[1], 0, 8192).await;
+            assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
+            assert_eq!(reader.read_ref(&refs[2], 0, 8192).await.unwrap(), data);
+            assert_eq!(wire(), filled + 3);
             assert_eq!(
-                reader.read_ref(&r, 0, 8192).await.unwrap_err(),
-                DmError::InvalidRef
+                servers[0].invalidations_pushed(),
+                1,
+                "a forgotten grant was listed"
             );
-            reader.rfree(scratch).await.unwrap();
-            reader.flush_cache().await;
+            owner.release_ref(&refs[2]).await.unwrap();
             servers[0].with_page_manager(|pm| {
                 pm.check_invariants();
                 assert_eq!(pm.free_pages(), pm.capacity_pages(), "pages leaked");
             });
+            servers[0].shutdown(); // stops the lease sweeper
         });
     }
 
@@ -1049,9 +1073,12 @@ mod e2e_tests {
         // answered, so the small reply lists the death first and the late
         // reply changes nothing; 3 µs in, while the read still waits for
         // the server's memory, so the read's own reply lists it, arrives
-        // last, and the small reply's count shows a gap. Either way the
-        // late fill must not be cached.
-        for (wait_us, listed, resets) in [(14, 1, 0), (3, 0, 1)] {
+        // last, and the small reply's count shows a gap. 1 µs in, the ref
+        // dies and the small op is answered while the read still waits:
+        // the small reply lists the death before the fill exists, so the
+        // read's own reply, in order, must list it again. Whatever the
+        // timing, the late fill must not be cached.
+        for (wait_us, listed, resets) in [(14, [1, 1], 0), (3, [0, 0], 1), (1, [1, 2], 0)] {
             let r = rig(1, 2);
             let (net, params) = (r.net.clone(), r.params.clone());
             let (dm0, c0, c1) = (r.dm_nodes[0], r.compute[0], r.compute[1]);
@@ -1071,22 +1098,13 @@ mod e2e_tests {
                 owner.release_ref(&r).await.unwrap();
                 reader.rfree(probe).await.unwrap();
                 assert!(!read.is_finished(), "the bulk reply was not overtaken");
-                let stats = reader.cache_stats();
-                assert_eq!(
-                    (stats.listed(), stats.resets()),
-                    (listed, resets),
-                    "{wait_us} µs"
-                );
+                let seen = || (reader.cache_stats().listed(), reader.cache_stats().resets());
+                assert_eq!(seen(), (listed[0], resets), "{wait_us} µs");
 
                 // The read itself returns the ref's final bytes (it was
                 // served while the ref lived), but nothing of it is cached.
                 assert_eq!(read.await.unwrap(), data);
-                let stats = reader.cache_stats();
-                assert_eq!(
-                    (stats.listed(), stats.resets()),
-                    (listed, resets),
-                    "late reply"
-                );
+                assert_eq!(seen(), (listed[1], resets), "{wait_us} µs, late reply");
                 let wire = reader.wire_count(proto::req::READ_REF);
                 let gone = reader.read_ref(&r, 0, 1).await;
                 assert_eq!(gone.unwrap_err(), DmError::InvalidRef);

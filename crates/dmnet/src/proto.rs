@@ -336,11 +336,6 @@ pub fn batch_response(resps: &[Message]) -> Response {
     resp
 }
 
-/// Decode a batch response body into the framed per-sub-request responses.
-pub fn decode_batch_responses(body: &Bytes) -> DmResult<Vec<Bytes>> {
-    rpclib::multiframe::decode_plain(body).ok_or(DmError::Malformed)
-}
-
 /// Cursor-style reader over a flat buffer (a log record, a snapshot) or over
 /// a [`Message`], whose seam it reads across: every method gives the same
 /// answer wherever the same bytes are split.
@@ -533,31 +528,28 @@ impl Writer {
 mod tests {
     use super::*;
 
+    /// The head of a response that lists `died` under `count`.
+    fn deaths(count: u64, died: &[u64]) -> Option<Deaths> {
+        let died = died.to_vec();
+        Some(Deaths { count, died })
+    }
+
     #[test]
     fn response_roundtrip() {
         let payload = Bytes::from_static(b"abc");
         let ok = Response::new().u64(77).body(payload.clone()).ok(42, &[]);
-        let (deaths, reply) = split_response(&ok);
-        assert_eq!(
-            deaths,
-            Some(Deaths {
-                count: 42,
-                died: vec![]
-            })
-        );
+        let (head, reply) = split_response(&ok);
+        assert_eq!(head, deaths(42, &[]));
         // The payload is attached, not copied, and comes back the same way.
         let body = reply.unwrap();
         assert_eq!(body, [&77u64.to_le_bytes()[..], b"abc"].concat()[..]);
         let body = body.skip(8).into_bytes();
         assert_eq!(body.as_ptr(), payload.as_ptr());
         let err = Response::err(7, DmError::OutOfMemory);
-        let count = |count| {
-            Some(Deaths {
-                count,
-                died: vec![],
-            })
-        };
-        assert_eq!(split_response(&err), (count(7), Err(DmError::OutOfMemory)));
+        assert_eq!(
+            split_response(&err),
+            (deaths(7, &[]), Err(DmError::OutOfMemory))
+        );
         // Too short to carry a count: malformed, and nothing to apply.
         for short in [Bytes::new(), Bytes::from_static(&[0, 1, 2])] {
             let short = Message::from(short);
@@ -574,14 +566,8 @@ mod tests {
         let payload = Bytes::from_static(b"data");
         let ok = Response::new().u64(5).body(payload.clone()).ok(9, &[3, 4]);
         assert_eq!(ok.len(), RESPONSE_HEAD + 4 + 16 + 8 + 4);
-        let (deaths, reply) = split_response(&ok);
-        assert_eq!(
-            deaths,
-            Some(Deaths {
-                count: 9,
-                died: vec![3, 4]
-            })
-        );
+        let (head, reply) = split_response(&ok);
+        assert_eq!(head, deaths(9, &[3, 4]));
         let body = reply.unwrap();
         assert_eq!(Reader::of(&body).u64(), Ok(5));
         assert_eq!(body.skip(8).into_bytes().as_ptr(), payload.as_ptr());
@@ -652,7 +638,7 @@ mod tests {
             Response::err(2, DmError::InvalidRef),
         ];
         let framed = split_response(&batch_response(&resps).ok(3, &[7])).1;
-        let back = decode_batch_responses(&framed.unwrap().into_bytes()).unwrap();
+        let back = rpclib::multiframe::decode_plain(&framed.unwrap().into_bytes()).unwrap();
         let back: Vec<Message> = back.into_iter().map(Message::from).collect();
         assert_eq!(back, resps);
     }
@@ -747,11 +733,10 @@ mod tests {
             for tail in [&[][..], &[0][..], &[42, 0, 0, 0, 0x58, 0x1B]] {
                 let flat = [&[status, 9, 0, 0, 0, 0, 0, 0, 0][..], tail].concat();
                 let resp = Message::from(Bytes::from(flat));
-                let count = Some(Deaths {
-                    count: 9,
-                    died: vec![],
-                });
-                assert_eq!(split_response(&resp), (count, Err(DmError::Malformed)));
+                assert_eq!(
+                    split_response(&resp),
+                    (deaths(9, &[]), Err(DmError::Malformed))
+                );
             }
         }
     }

@@ -267,9 +267,12 @@ impl DmServer {
         // reclamation must be idempotent.
         let _ = self.pm.borrow_mut().release_process(GlobalPid(pid));
         self.leases.borrow_mut().remove(&pid);
-        self.owners.borrow_mut().remove(&pid);
+        let owner = self.owners.borrow_mut().remove(&pid);
         // Reclamation kills refs: list them to every client holding one.
         self.refs_died(&dying, None);
+        if let Some(addr) = owner {
+            self.forget_holder(addr);
+        }
     }
 
     /// Register a process for the endpoint `owner`. Shared by `REGISTER`

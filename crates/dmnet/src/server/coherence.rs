@@ -62,6 +62,33 @@ impl DmServer {
         }
     }
 
+    /// Finish a fill of `key` for `src` granted before the op's awaits. If
+    /// the grant is gone by now (the ref died, or the grant was revoked,
+    /// while the op waited), that listing may already have reached `src`
+    /// in the answer to a concurrent op, ahead of this fill: the key is
+    /// listed again, first, so this answer drops the fill (or, with no
+    /// room, the next one drops the entry).
+    pub(super) fn confirm_grant(&self, key: u64, src: Addr) {
+        let mut holders = self.holders.borrow_mut();
+        let h = holders.entry(src).or_default();
+        if !h.order_of.contains_key(&key) {
+            h.pending.retain(|&k| k != key);
+            h.pending.push_front(key);
+        }
+    }
+
+    /// The endpoint `addr` lost its process here (its lease was
+    /// reclaimed): drop its grants and pending keys, and skip a count, so
+    /// that its next response, if it is still alive, drops every entry it
+    /// cached from this server. What remains is its count.
+    pub(super) fn forget_holder(&self, addr: Addr) {
+        if let Some(h) = self.holders.borrow_mut().get_mut(&addr) {
+            let listed = h.listed + 1;
+            *h = Holder::default();
+            h.listed = listed;
+        }
+    }
+
     /// The refs `keys` just died (explicit release or lease reclamation —
     /// live or replayed): drop their grants and list them to every holder
     /// but `exclude`, the releaser, which dropped its own copy when it

@@ -223,6 +223,7 @@ impl DmServer {
                 self.charge(cost, translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
+                self.confirm_grant(key, src);
                 Ok(Response::new().u64(key))
             }
             req::READ_REF => {
@@ -233,12 +234,18 @@ impl DmServer {
                 // A view of the buffer the ref was published in, whenever
                 // the range still lies there whole.
                 let data = self.pm.borrow().read_ref(key, off, len)?;
-                // The reader may now cache these bytes. Granted while they
-                // are the live ref's: a death while this op waits is listed.
-                self.grant(key, src);
+                // A client caches a read from the ref's start only, and
+                // may now cache these bytes. Granted while they are the
+                // live ref's: a death while this op waits is listed.
+                if off == 0 {
+                    self.grant(key, src);
+                }
                 self.charge(OpCost::default(), translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
+                if off == 0 {
+                    self.confirm_grant(key, src);
+                }
                 Ok(Response::new().body(data))
             }
             req::BATCH => {
@@ -267,11 +274,11 @@ impl DmServer {
                     });
                     let sub_body = Message::from(sub_body);
                     let resp = Box::pin(self.dispatch(sub_ty, src, &sub_body)).await;
-                    // Deaths ride the batch's own answer, never a sub-op's.
-                    let count = self.news(src, 0).0;
+                    // Deaths ride the batch's own answer, never a sub-op's,
+                    // whose count no client reads.
                     let resp = match resp {
-                        Ok(r) => r.ok(count, &[]),
-                        Err(e) => Response::err(count, e),
+                        Ok(r) => r.ok(0, &[]),
+                        Err(e) => Response::err(0, e),
                     };
                     drop(sub_span);
                     resps.push(resp);

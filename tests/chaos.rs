@@ -30,13 +30,17 @@ fn bounded_sweep_holds_all_invariants() {
 
 /// `CaseResult::fingerprint()` — (polls, end_ns, completed, errors,
 /// checksum) — of seeds 0–1 × 4 fault classes × 4 cases in sweep order,
-/// from runs identical at 1 and 8 threads. The 24 DmRPC-net rows were last
+/// from runs identical at 1 and 8 threads. The 24 DmRPC-net rows were
 /// re-recorded when every DM server stopped pushing `INVALIDATE`s under a
 /// read lease and instead listed each death on its holders' next answers
 /// (DESIGN.md §9): no push RPC is retried into a fault window any more,
 /// so `fig5-chain/dmnet` ends at ~3 ms instead of running its pushes' retry
 /// budgets out to 21 ms (1.4 s under `server-crash`), and more requests
-/// complete. The 8 `fig5-chain/erpc` rows never talk to a DM server and
+/// complete. The two `fig7-cow/dmnet partition` rows were re-recorded
+/// when a lease reclamation began to drop its endpoint's grants and
+/// pending keys, so a partitioned client resets at its next answer
+/// instead of being listed its deaths: a few polls and errors moved. The
+/// 8 `fig5-chain/erpc` rows never talk to a DM server and
 /// have stayed verbatim since the table was first recorded.
 /// The other tests only compare a run with itself; this compares it with
 /// that recording. Re-record only for a change that means to move the
@@ -49,7 +53,7 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (123250, 3700000, 1950, 843, 15198582716520478635),
     (28916, 2327617, 640, 0, 16607590119150452736),
     (38459, 3000000, 502, 0, 824337066571726848),
-    (24768, 3326698, 291, 966, 3036057869190319744),
+    (24771, 3326698, 291, 965, 3036057869190319744),
     (93385, 3700000, 1340, 1453, 14140131224647268649),
     (28916, 2327617, 640, 0, 16607590119150452736),
     (49198, 3000000, 675, 0, 2775746541747073024),
@@ -65,7 +69,7 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (117963, 3700000, 1834, 969, 5087018755026633742),
     (16156, 2328433, 317, 0, 5102585835025100800),
     (22953, 3000000, 235, 0, 1102555216041111552),
-    (24231, 3500000, 348, 581, 1484996825265603482),
+    (24210, 3500000, 348, 578, 1484996825265603482),
     (77955, 3700000, 1007, 1796, 10269998357988293737),
     (26318, 2328131, 560, 0, 15845299204350017536),
     (44622, 3054938, 594, 0, 7373519102502371328),
