@@ -332,7 +332,7 @@ impl Cluster {
                 });
                 let cache = c.clone();
                 reg.register_gauge(format!("{base}.cache.batches"), move || {
-                    cache.cache_stats().batches()
+                    cache.wire_count(dmnet::proto::req::BATCH)
                 });
                 for ty in [
                     dmnet::proto::req::RELEASE_REF,

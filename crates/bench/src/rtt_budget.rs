@@ -117,7 +117,7 @@ where
                     s.listed(),
                     s.resets(),
                     s.batched_ops(),
-                    s.batches(),
+                    c.wire_count(dmnet::proto::req::BATCH),
                 ]
             })
             .collect()

@@ -357,9 +357,10 @@ fn mentions_type(text: &str, ty: &str) -> bool {
 fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
     const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
-    // Deleted with the two coherence schemes one replaced (DESIGN.md §9):
-    // no document names them as code.
-    const GONE: [&str; 10] = [
+    // Deleted with the two coherence schemes one replaced and with the
+    // generic multi-op `BATCH` a key list replaced (DESIGN.md §9): no
+    // document names them as code.
+    const GONE: [&str; 16] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -370,6 +371,12 @@ fn the_prose_names_only_what_exists() {
         "dir_max",
         "targeted_inv",
         "broadcast_inv",
+        "multiframe",
+        "encode_batch",
+        "decode_batch",
+        "batch_response",
+        "BATCH_TRACE_BIT",
+        "pending_keys",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -24,7 +24,7 @@
 //! the batch's round trip) past the app's `release_ref`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -34,11 +34,11 @@ use telemetry::TraceCtx;
 
 use crate::proto::{Deaths, N_REQ_TYPES};
 
-/// How long queued control ops may wait for company before a batch is
+/// How long a queued release may wait for company before its batch is
 /// flushed (virtual time).
 pub(crate) const FLUSH_WINDOW: Duration = Duration::from_micros(10);
 
-/// Queued control ops per server before a flush is forced ahead of the
+/// Queued releases per server before a flush is forced ahead of the
 /// timer (bounds batch size and client-side queue memory).
 pub(crate) const MAX_BATCH_OPS: usize = 64;
 
@@ -61,7 +61,6 @@ pub struct CacheStats {
     misses: Cell<u64>,
     invalidations: Cell<u64>,
     batched_ops: Cell<u64>,
-    batches: Cell<u64>,
     listed: Cell<u64>,
     resets: Cell<u64>,
 }
@@ -82,14 +81,10 @@ impl CacheStats {
         self.invalidations.get()
     }
 
-    /// Control ops that rode a coalesced batch instead of their own RPC.
+    /// Releases that rode a coalesced batch instead of their own RPC (the
+    /// batches are `DmNetClient::wire_count(req::BATCH)`).
     pub fn batched_ops(&self) -> u64 {
         self.batched_ops.get()
-    }
-
-    /// Batch wire messages sent.
-    pub fn batches(&self) -> u64 {
-        self.batches.get()
     }
 
     /// Dead keys that in-order responses listed to this client.
@@ -128,13 +123,11 @@ struct ServerCache {
     data_order: RefCell<VecDeque<u64>>,
     /// Pages charged by the entries in `data`.
     data_pages: Cell<usize>,
-    /// Coalescer queue: framed control ops awaiting a flush, each with
-    /// the trace context of the request that enqueued it (if sampled).
-    pending: RefCell<Vec<(u8, Bytes, Option<TraceCtx>)>>,
-    /// Ref keys named by queued ops (conflict detection).
-    pending_keys: RefCell<BTreeSet<u64>>,
-    /// A flush timer is already scheduled for this server.
-    flush_scheduled: Cell<bool>,
+    /// Coalescer queue: keys whose releases await a flush, each with the
+    /// trace context of the request that queued it (if sampled). At most
+    /// [`MAX_BATCH_OPS`] long, so a key is found by a scan. A flush timer
+    /// is pending whenever it is not empty.
+    pending: RefCell<Vec<(u64, Option<TraceCtx>)>>,
     /// Drained batches whose `BATCH` call has not returned yet.
     batches_in_flight: Cell<u32>,
     /// Signalled whenever `batches_in_flight` falls.
@@ -312,37 +305,26 @@ impl ClientCache {
 
     // -- coalescer -----------------------------------------------------------
 
-    /// Queue a framed control op naming `key`. Returns true if the caller
-    /// should schedule a flush timer (none is pending yet).
-    pub(crate) fn enqueue(&self, idx: usize, ty: u8, body: Bytes, key: u64) -> bool {
-        let s = &self.servers[idx];
+    /// Queue the release of `key`. Returns true if the caller should
+    /// schedule a flush timer: the queue was empty, so none is pending.
+    pub(crate) fn enqueue(&self, idx: usize, key: u64) -> bool {
+        let mut pending = self.servers[idx].pending.borrow_mut();
         // Captured here, not at flush: the flush timer task has no trace
-        // context, but the request that queued the op does.
-        s.pending
-            .borrow_mut()
-            .push((ty, body, telemetry::current_ctx()));
-        s.pending_keys.borrow_mut().insert(key);
+        // context, but the request that queued the release does.
+        pending.push((key, telemetry::current_ctx()));
         self.stats.batched_ops.set(self.stats.batched_ops.get() + 1);
-        !s.flush_scheduled.replace(true)
+        pending.len() == 1
     }
 
-    /// Take the queued ops for `idx`, clearing the conflict set and the
-    /// flush-scheduled flag.
-    pub(crate) fn drain(&self, idx: usize) -> Vec<(u8, Bytes, Option<TraceCtx>)> {
-        let s = &self.servers[idx];
-        s.flush_scheduled.set(false);
-        s.pending_keys.borrow_mut().clear();
-        std::mem::take(&mut *s.pending.borrow_mut())
+    /// Take the queued releases for `idx`.
+    pub(crate) fn drain(&self, idx: usize) -> Vec<(u64, Option<TraceCtx>)> {
+        std::mem::take(&mut *self.servers[idx].pending.borrow_mut())
     }
 
-    pub(crate) fn has_pending(&self, idx: usize) -> bool {
-        !self.servers[idx].pending.borrow().is_empty()
-    }
-
-    /// Whether `idx`'s queue holds [`MAX_BATCH_OPS`] ops, so the next one
-    /// must wait for a flush.
-    pub(crate) fn queue_full(&self, idx: usize) -> bool {
-        self.servers[idx].pending.borrow().len() >= MAX_BATCH_OPS
+    /// Releases queued for `idx`: at [`MAX_BATCH_OPS`], the next one must
+    /// wait for a flush.
+    pub(crate) fn queued(&self, idx: usize) -> usize {
+        self.servers[idx].pending.borrow().len()
     }
 
     /// Mark a drained batch as on the wire until the returned guard drops.
@@ -360,15 +342,10 @@ impl ClientCache {
         }
     }
 
-    /// Whether a queued op names `key`.
+    /// Whether a queued release names `key`.
     pub(crate) fn pending_names_key(&self, idx: usize, key: u64) -> bool {
-        self.servers[idx].pending_keys.borrow().contains(&key)
-    }
-
-    /// Count one flushed batch (its ops were counted at enqueue, its
-    /// envelope by `count_wire(req::BATCH)`).
-    pub(crate) fn note_batch(&self) {
-        self.stats.batches.set(self.stats.batches.get() + 1);
+        let pending = self.servers[idx].pending.borrow();
+        pending.iter().any(|&(k, _)| k == key)
     }
 }
 
@@ -602,19 +579,17 @@ mod tests {
     }
 
     #[test]
-    fn conflict_sets_track_queued_ops() {
+    fn the_queue_names_its_keys_and_its_first_release_arms_the_timer() {
         let c = cache();
-        assert!(c.enqueue(0, req::RELEASE_REF, Bytes::new(), 5));
-        assert!(
-            !c.enqueue(0, req::RELEASE_REF, Bytes::new(), 6),
-            "flush already scheduled"
-        );
+        assert!(c.enqueue(0, 5));
+        assert!(!c.enqueue(0, 6), "flush already scheduled");
         assert!(c.pending_names_key(0, 5));
         assert!(c.pending_names_key(0, 6));
         assert!(!c.pending_names_key(0, 7));
         assert_eq!(c.drain(0).len(), 2);
         assert!(!c.pending_names_key(0, 5), "drain clears conflicts");
-        assert!(!c.has_pending(0));
+        assert_eq!(c.queued(0), 0);
+        assert!(c.enqueue(0, 7), "a drained queue arms a new timer");
     }
 
     #[test]
@@ -646,12 +621,14 @@ mod tests {
             // waits for that batch's reply before queueing itself.
             simcore::sleep(FLUSH_WINDOW - Duration::from_nanos(1)).await;
             assert_eq!(dm.wire_count(req::BATCH), 1);
+            assert_eq!(dm.wire_count(req::RELEASE_REF), 0);
             assert_eq!(dm.cache_stats().batched_ops(), MAX_BATCH_OPS as u64);
             // It rides the next batch.
             simcore::sleep(FLUSH_WINDOW * 10).await;
             assert_eq!(dm.wire_count(req::BATCH), 2);
             assert_eq!(dm.cache_stats().batched_ops(), MAX_BATCH_OPS as u64 + 1);
             assert_eq!(free(), pinned + MAX_BATCH_OPS + 1);
+            servers[0].with_page_manager(|pm| pm.check_invariants());
         });
     }
 }

@@ -30,7 +30,7 @@ use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref, RemoteAddr};
 use rpclib::{Message, Rpc, RpcError};
 use simnet::Addr;
 
-use crate::cache::{CacheStats, ClientCache, FLUSH_WINDOW};
+use crate::cache::{CacheStats, ClientCache, FLUSH_WINDOW, MAX_BATCH_OPS};
 use crate::proto::{self, req, split_response, Deaths, Reader, Writer};
 
 /// Handle to the DM pool for one process.
@@ -151,7 +151,7 @@ impl DmNetClient {
 
     /// Chaos hook: fail-stop this client. Lease renewal ceases and the
     /// underlying RPC endpoint goes silent, so the servers reclaim every
-    /// pin of this process once its lease expires. Queued control ops are
+    /// pin of this process once its lease expires. Queued releases are
     /// lost with the process, like any unsent traffic.
     pub fn simulate_crash(&self) {
         self.alive.set(false);
@@ -169,7 +169,7 @@ impl DmNetClient {
     }
 
     /// Wire messages sent for request type `ty` (includes batched
-    /// envelopes under [`req::BATCH`], not their folded sub-ops).
+    /// messages under [`req::BATCH`], not the releases they carry).
     pub fn wire_count(&self, ty: u8) -> u64 {
         self.cache.wire_count(ty)
     }
@@ -192,7 +192,7 @@ impl DmNetClient {
     }
 
     /// The `(server, key)` a ref names.
-    fn resolve(r: &Ref) -> DmResult<(DmServerId, u64)> {
+    pub(crate) fn resolve(r: &Ref) -> DmResult<(DmServerId, u64)> {
         match r {
             Ref::Net { server, key, .. } => Ok((*server, *key)),
             Ref::Cxl { .. } => Err(DmError::InvalidRef),
@@ -245,51 +245,40 @@ impl DmNetClient {
         DmServerId(idx as u8)
     }
 
-    /// Spawn the bounded-window flush timer for `server`'s queued control
-    /// ops (DESIGN.md §9). Called whenever an enqueue reports no timer is
-    /// pending.
+    /// Spawn the bounded-window flush timer for `server`'s queued releases
+    /// (DESIGN.md §9). Called whenever an enqueue reports no timer is
+    /// pending; it fires once, and releases queued while its batch is on
+    /// the wire arm a timer of their own.
     fn schedule_flush(&self, server: DmServerId) {
         let idx = server.0 as usize;
         let addr = self.servers[idx];
         let (rpc, cache, alive) = (self.rpc.clone(), self.cache.clone(), self.alive.clone());
         simcore::spawn_detached(async move {
-            loop {
-                simcore::sleep(FLUSH_WINDOW).await;
-                flush_batch(&rpc, &cache, &alive, idx, addr).await;
-                // Releases queued while the batch was on the wire armed a
-                // timer of their own, which fires first and leaves this
-                // pass an empty queue; the pass is kept because the chaos
-                // sweep's pinned poll counts include its wake-ups.
-                if !alive.get() || !cache.has_pending(idx) {
-                    return;
-                }
-            }
+            simcore::sleep(FLUSH_WINDOW).await;
+            flush_batch(&rpc, &cache, &alive, idx, addr).await;
         });
     }
 
-    /// Flush `server`'s queued control ops now (ahead of the timer).
+    /// Flush `server`'s queued releases now (ahead of the timer).
     async fn flush_server(&self, server: DmServerId) {
         let idx = server.0 as usize;
         flush_batch(&self.rpc, &self.cache, &self.alive, idx, self.servers[idx]).await;
-        if self.cache.has_pending(idx) {
-            self.schedule_flush(server);
-        }
     }
 
     /// Program-order fence: a synchronous request that names a queued
-    /// ref key must not overtake the queued op.
+    /// ref key must not overtake the queued release.
     async fn flush_if_pending_key(&self, server: DmServerId, key: u64) {
         if self.cache.pending_names_key(server.0 as usize, key) {
             self.flush_server(server).await;
         }
     }
 
-    /// Send every queued control op now and wait for each batch to land,
+    /// Send every queued release now and wait for each batch to land,
     /// instead of leaving the last ones to the flush window. Tests and
     /// measurements use this before reading server-side state.
     pub async fn flush_cache(&self) {
         for i in 0..self.servers.len() {
-            while self.cache.has_pending(i) {
+            while self.cache.queued(i) > 0 {
                 self.flush_server(DmServerId(i as u8)).await;
             }
             // A batch the flush timer drained may still be on the wire,
@@ -405,31 +394,32 @@ impl DmNetClient {
     pub async fn release_ref(&self, r: &Ref) -> DmResult<()> {
         let (server, key) = Self::resolve(r)?;
         let idx = server.0 as usize;
-        let body = Writer::new().u64(key).finish();
         if self.cached {
+            // A key no server mints: queued, it would read as carrying a
+            // trace context and void the batch of every other release.
+            if key & proto::TRACED_KEY != 0 {
+                return Err(DmError::InvalidRef);
+            }
             self.cache.invalidate_key(idx, key);
-            if self.cache.queue_full(idx) {
+            if self.cache.queued(idx) >= MAX_BATCH_OPS {
                 self.flush_server(server).await;
             }
-            if self
-                .cache
-                .enqueue(idx, req::RELEASE_REF, body.into_bytes(), key)
-            {
+            if self.cache.enqueue(idx, key) {
                 self.schedule_flush(server);
             }
-            // Fire-and-forget, like `DmRpc::release_async`: a failed
-            // release of an already-dead ref is reported per-slot in the
-            // batch response and dropped.
+            // Fire-and-forget, like `DmRpc::release_async`: the server
+            // skips a key that is already dead.
             return Ok(());
         }
+        let body = Writer::new().u64(key).finish();
         self.request(server, req::RELEASE_REF, body).await?;
         Ok(())
     }
 }
 
-/// Drain and send one coalesced [`req::BATCH`] for server `idx`. Sub-op
-/// failures are reported per-slot by the server and dropped, matching the
-/// fire-and-forget contract of the batched ops.
+/// Drain and send one coalesced [`req::BATCH`] for server `idx`. Its
+/// answer carries no result: a release of a dead key is skipped by the
+/// server, matching the fire-and-forget contract of batched releases.
 async fn flush_batch(
     rpc: &Rc<Rpc>,
     cache: &ClientCache,
@@ -437,15 +427,14 @@ async fn flush_batch(
     idx: usize,
     addr: Addr,
 ) {
-    let ops = cache.drain(idx);
-    if ops.is_empty() || !alive.get() {
+    let releases = cache.drain(idx);
+    if releases.is_empty() || !alive.get() {
         return;
     }
     cache.count_wire(req::BATCH);
-    cache.note_batch();
-    let body = proto::encode_batch_traced(&ops);
+    let body = proto::encode_releases(&releases);
     let _in_flight = cache.batch_in_flight(idx);
-    let Ok(resp) = rpc.call(addr, req::BATCH, Message::from(body).bulk()).await else {
+    let Ok(resp) = rpc.call(addr, req::BATCH, body.bulk()).await else {
         return;
     };
     cache.observe(idx, split_response(&resp).0, None);
@@ -455,7 +444,7 @@ impl Drop for DmNetClient {
     fn drop(&mut self) {
         // Stop the lease-renewal task; the servers will reclaim this
         // process's pins after the TTL (a graceful client frees them
-        // explicitly before dropping). Queued control ops die with the
+        // explicitly before dropping). Queued releases die with the
         // client for the same reason.
         self.alive.set(false);
     }

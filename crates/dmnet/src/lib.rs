@@ -44,7 +44,7 @@ mod e2e_tests {
     use std::rc::Rc;
 
     use bytes::Bytes;
-    use dmcommon::{CopyMode, DmError, DmServerId, Ref};
+    use dmcommon::{CopyMode, DmError, DmResult, DmServerId, Ref};
     use memsim::ModelParams;
     use rpclib::{Rpc, RpcBuilder};
     use simcore::Sim;
@@ -891,31 +891,73 @@ mod e2e_tests {
         });
     }
 
+    /// A `BATCH` over `rpc` releasing what `refs` name, its count set to
+    /// `n`: the op's result.
+    async fn raw_batch(rpc: &Rc<Rpc>, server: &DmServer, n: u32, refs: &[Ref]) -> DmResult<()> {
+        let keys: Vec<_> = refs
+            .iter()
+            .map(|r| (DmNetClient::resolve(r).unwrap().1, None))
+            .collect();
+        let mut body = proto::encode_releases(&keys).into_bytes().to_vec();
+        body[..4].copy_from_slice(&n.to_le_bytes());
+        let resp = rpc.call(server.addr(), proto::req::BATCH, Bytes::from(body));
+        proto::split_response(&resp.await.unwrap()).1.map(drop)
+    }
+
     #[test]
-    fn batched_releases_coalesce_into_one_wire_message() {
+    fn a_batch_whose_list_overruns_its_body_releases_nothing() {
         let r = rig(1, 1);
-        let (net, params) = (r.net.clone(), r.params.clone());
-        let (dm0, c0) = (r.dm_nodes[0], r.compute[0]);
+        let (net, params, dm0, c0) = (r.net.clone(), r.params.clone(), r.dm_nodes[0], r.compute[0]);
         r.sim.block_on(async move {
             let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
-            let dm = connect_cached(client_rpc(&net, c0, 100), &[servers[0].addr()]).await;
+            let (s, rpc) = (&servers[0], client_rpc(&net, c0, 100));
+            let dm = DmNetClient::connect(rpc.clone(), vec![s.addr()]);
+            let (dm, data) = (dm.await.unwrap(), Bytes::from(vec![1; 4096]));
+            let refs = [dm.put_ref(&data).await, dm.put_ref(&data).await].map(Result::unwrap);
+            let free = || s.with_page_manager(|pm| pm.free_pages());
+            let pinned = free();
+            // Three keys counted, two sent: neither live ref is released.
+            let overrun = raw_batch(&rpc, s, 3, &refs).await;
+            assert_eq!((overrun, free()), (Err(DmError::Malformed), pinned));
+            let whole = raw_batch(&rpc, s, 2, &refs).await;
+            assert_eq!((whole, free()), (Ok(()), pinned + 2));
+        });
+    }
 
+    #[test]
+    fn a_batch_of_live_dead_and_live_keys_releases_the_live_refs_and_lists_them() {
+        let r = rig(1, 2);
+        let (net, params, dm0) = (r.net.clone(), r.params.clone(), r.dm_nodes[0]);
+        let (c0, c1) = (r.compute[0], r.compute[1]);
+        r.sim.block_on(async move {
+            let servers = start_pool(&net, &[dm0], &params, DmServerConfig::default());
+            let (s, pool, rpc) = (&servers[0], [servers[0].addr()], client_rpc(&net, c0, 100));
+            let owner = DmNetClient::connect(rpc.clone(), pool.to_vec());
+            let owner = owner.await.unwrap();
+            let reader = connect_cached(client_rpc(&net, c1, 100), &pool).await;
             let mut refs = Vec::new();
-            for i in 0..8u8 {
-                refs.push(dm.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap());
+            for i in 0..3u8 {
+                refs.push(owner.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap());
             }
-            for r in &refs {
-                dm.release_ref(r).await.unwrap(); // queued, not sent
-            }
-            assert_eq!(dm.wire_count(proto::req::RELEASE_REF), 0);
-            // The flush window elapses; all eight releases ride one BATCH.
-            simcore::sleep(std::time::Duration::from_millis(1)).await;
-            assert_eq!(dm.wire_count(proto::req::BATCH), 1);
-            assert_eq!(dm.cache_stats().batched_ops(), 8);
-            servers[0].with_page_manager(|pm| {
-                pm.check_invariants();
-                assert_eq!(pm.free_pages(), pm.capacity_pages(), "releases not applied");
-            });
+            // The middle ref dies first; the reader caches the first.
+            owner.release_ref(&refs[1]).await.unwrap();
+            assert!(reader.read_ref(&refs[0], 0, 4096).await.is_ok());
+            assert_eq!(raw_batch(&rpc, s, 3, &refs).await, Ok(()));
+            s.check_invariants_all();
+            assert_eq!(s.free_pages_total(), s.capacity_pages_total());
+            // The reader's next answer lists the released key it holds.
+            let probe = reader.ralloc(4096).await.unwrap();
+            reader.rfree(probe).await.unwrap();
+            assert_eq!(reader.cache_stats().listed(), 1);
+            let gone = reader.read_ref(&refs[0], 0, 4096).await;
+            assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
+            // A key with the trace bit is refused, never queued.
+            let forged = Ref::Net {
+                server: DmServerId(0),
+                key: 1 << 63 | 3,
+                len: 1,
+            };
+            assert_eq!(reader.release_ref(&forged).await, Err(DmError::InvalidRef));
         });
     }
 

@@ -16,7 +16,7 @@
 
 use std::borrow::Cow;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use dmcommon::{DmError, DmResult, GlobalPid};
 use rpclib::Message;
 use simnet::{Addr, NodeId};
@@ -52,10 +52,10 @@ pub mod req {
     /// leases; body = pid). A process whose lease expires has all its pins
     /// reclaimed — see DESIGN.md §8.
     pub const RENEW_LEASE: u8 = 21;
-    /// Batched control ops: `u32` count, then `count` framed sub-requests
-    /// (`u8` req type, `u32` body length, body). The response body frames
-    /// one full response per sub-request in order. Nested batches are
-    /// rejected.
+    /// Coalesced releases: `[n u32]`, then `n` ref keys, each released as
+    /// by [`RELEASE_REF`] (a key already dead is skipped). A key marked
+    /// [`super::TRACED_KEY`] is followed by a trace context. The answer
+    /// carries no result.
     pub const BATCH: u8 = 22;
 }
 
@@ -264,76 +264,47 @@ pub fn split_response(resp: &Message) -> (Option<Deaths>, DmResult<Message>) {
     (Some(Deaths { count, died }), reply)
 }
 
-/// High bit of a batch item tag: set when the item body starts with a
-/// 16-byte trace context (`trace_id` LE u64, `span_id` LE u64) captured
-/// where the op was enqueued. Request types stay ≤ [`req::BATCH`] (22),
-/// so the bit is free; untraced batches are byte-identical to the
-/// pre-telemetry encoding.
-pub const BATCH_TRACE_BIT: u8 = 0x80;
+/// Bit 63 of a key in a [`req::BATCH`] list: the key is followed by the
+/// 16-byte trace context (`trace_id`, `span_id`) of the request that
+/// queued its release. No server mints such a key.
+pub const TRACED_KEY: u64 = 1 << 63;
 
-/// Frame `items` (req type, body) as a [`req::BATCH`] request body
-/// (rpclib's tagged multi-op framing), with no trace contexts.
-pub fn encode_batch(items: &[(u8, Bytes)]) -> Bytes {
-    let untraced: Vec<(u8, Bytes, Option<TraceCtx>)> = items
-        .iter()
-        .map(|(ty, body)| (*ty, body.clone(), None))
-        .collect();
-    encode_batch_traced(&untraced)
+/// A [`req::BATCH`] body: `[n u32]`, then the `n` ref keys `releases`
+/// names, each one that carries a context marked [`TRACED_KEY`] and
+/// followed by it, so a batched release stays attributable to the request
+/// that queued it although the flush runs in a timer task.
+pub fn encode_releases(releases: &[(u64, Option<TraceCtx>)]) -> Message {
+    let w = Writer::new().u32(releases.len() as u32);
+    let w = releases.iter().fold(w, |w, &(key, ctx)| match ctx {
+        None => w.u64(key),
+        Some(c) => w.u64(key | TRACED_KEY).u64(c.trace_id).u64(c.span_id),
+    });
+    w.finish()
 }
 
-/// Frame `items` (req type, body, optional trace context) as a
-/// [`req::BATCH`] request body. Items carrying a context get the
-/// [`BATCH_TRACE_BIT`] tag bit and a 16-byte context prefix, so batched
-/// control ops stay attributable to the request that enqueued them even
-/// though the flush RPC itself runs in a timer task.
-pub fn encode_batch_traced(items: &[(u8, Bytes, Option<TraceCtx>)]) -> Bytes {
-    let framed: Vec<(u8, Bytes)> = items
-        .iter()
-        .map(|(ty, body, ctx)| match ctx {
-            None => (*ty, body.clone()),
-            Some(c) => {
-                let mut b = BytesMut::with_capacity(16 + body.len());
-                b.extend_from_slice(&c.trace_id.to_le_bytes());
-                b.extend_from_slice(&c.span_id.to_le_bytes());
-                b.extend_from_slice(body);
-                (*ty | BATCH_TRACE_BIT, b.freeze())
-            }
-        })
-        .collect();
-    rpclib::multiframe::encode_tagged(&framed)
-}
-
-/// Decode a [`req::BATCH`] request body into (req type, body, optional
-/// trace context) items. Zero-copy: the returned bodies share the input
-/// buffer's storage (traced items slice past their context prefix).
-pub fn decode_batch(body: &Bytes) -> DmResult<Vec<(u8, Bytes, Option<TraceCtx>)>> {
-    let raw = rpclib::multiframe::decode_tagged(body).ok_or(DmError::Malformed)?;
-    raw.into_iter()
-        .map(|(tag, body)| {
-            if tag & BATCH_TRACE_BIT == 0 {
-                return Ok((tag, body, None));
-            }
-            if body.len() < 16 {
-                return Err(DmError::Malformed);
-            }
-            let trace_id = u64::from_le_bytes(body[..8].try_into().expect("len checked"));
-            let span_id = u64::from_le_bytes(body[8..16].try_into().expect("len checked"));
-            Ok((
-                tag & !BATCH_TRACE_BIT,
-                body.slice(16..),
-                Some(TraceCtx { trace_id, span_id }),
-            ))
-        })
-        .collect()
-}
-
-/// A response that frames the per-sub-request responses of a batch
-/// (rpclib's untagged multi-op framing; order mirrors the request).
-pub fn batch_response(resps: &[Message]) -> Response {
-    let mut resp = Response::new();
-    resp.head.reserve(rpclib::multiframe::plain_len(resps));
-    rpclib::multiframe::encode_plain_into(resps, &mut resp.head);
-    resp
+/// Decode a [`req::BATCH`] body whole: a list that runs past the body, a
+/// traced key without its context, or bytes behind the last key are
+/// `Malformed`, so nothing of it is released.
+pub fn decode_releases(body: &Message) -> DmResult<Vec<(u64, Option<TraceCtx>)>> {
+    let mut r = Reader::of(body);
+    // Nothing is allocated up front: a forged count fails at the first key
+    // past the body.
+    let mut releases = Vec::new();
+    for _ in 0..r.u32()? {
+        let key = r.u64()?;
+        let ctx = if key & TRACED_KEY == 0 {
+            None
+        } else {
+            let trace_id = r.u64()?;
+            let span_id = r.u64()?;
+            Some(TraceCtx { trace_id, span_id })
+        };
+        releases.push((key & !TRACED_KEY, ctx));
+    }
+    if !r.is_empty() {
+        return Err(DmError::Malformed);
+    }
+    Ok(releases)
 }
 
 /// Cursor-style reader over a flat buffer (a log record, a snapshot) or over
@@ -609,97 +580,34 @@ mod tests {
         assert_eq!(code_err(99), DmError::Malformed);
     }
 
+    /// A release list reads back with its contexts; a count past the body,
+    /// a traced key cut off before its context and trailing bytes are each
+    /// `Malformed`.
     #[test]
-    fn batch_framing_roundtrip() {
-        let items = vec![
-            (
-                req::RELEASE_REF,
-                Writer::new().u64(11).finish().into_bytes(),
-            ),
-            (
-                req::FREE,
-                Writer::new()
-                    .pid(GlobalPid(3))
-                    .u64(22)
-                    .finish()
-                    .into_bytes(),
-            ),
-            (req::RELEASE_REF, Bytes::new()),
-        ];
-        let decoded = decode_batch(&encode_batch(&items)).unwrap();
-        let expect: Vec<(u8, Bytes, Option<TraceCtx>)> = items
-            .iter()
-            .map(|(ty, body)| (*ty, body.clone(), None))
-            .collect();
-        assert_eq!(decoded, expect);
-
-        let resps = vec![
-            Response::new().ok(1, &[]),
-            Response::err(2, DmError::InvalidRef),
-        ];
-        let framed = split_response(&batch_response(&resps).ok(3, &[7])).1;
-        let back = rpclib::multiframe::decode_plain(&framed.unwrap().into_bytes()).unwrap();
-        let back: Vec<Message> = back.into_iter().map(Message::from).collect();
-        assert_eq!(back, resps);
-    }
-
-    #[test]
-    fn traced_batch_items_roundtrip_and_mix_with_untraced() {
+    fn a_release_list_roundtrips_and_only_a_whole_one_decodes() {
         let ctx = TraceCtx {
             trace_id: 0x1111_2222_3333_4444,
             span_id: 0x5555_6666_7777_8888,
         };
-        let items = vec![
-            (
-                req::RELEASE_REF,
-                Writer::new().u64(11).finish().into_bytes(),
-                Some(ctx),
-            ),
-            (
-                req::FREE,
-                Writer::new()
-                    .pid(GlobalPid(3))
-                    .u64(22)
-                    .finish()
-                    .into_bytes(),
-                None,
-            ),
-            (req::RELEASE_REF, Bytes::new(), Some(ctx)),
-        ];
-        let body = encode_batch_traced(&items);
-        assert_eq!(decode_batch(&body).unwrap(), items);
+        let releases = vec![(11, Some(ctx)), (22, None), (u64::MAX >> 1, Some(ctx))];
+        let body = encode_releases(&releases);
+        assert_eq!(body.len(), 4 + 3 * 8 + 2 * 16);
+        assert_eq!(decode_releases(&body), Ok(releases));
+        assert_eq!(decode_releases(&encode_releases(&[])), Ok(vec![]));
 
-        // An all-untraced batch is byte-identical to the legacy encoding:
-        // the trace bit never appears on the wire unless a context rode in.
-        let plain = vec![(
-            req::RELEASE_REF,
-            Writer::new().u64(11).finish().into_bytes(),
-        )];
-        let traced_none: Vec<(u8, Bytes, Option<TraceCtx>)> =
-            plain.iter().map(|(ty, b)| (*ty, b.clone(), None)).collect();
-        assert_eq!(encode_batch(&plain), encode_batch_traced(&traced_none));
-    }
-
-    #[test]
-    fn traced_batch_truncated_context_is_malformed() {
-        // Tag claims a context prefix but the body is too short for one.
-        let raw = rpclib::multiframe::encode_tagged(&[(
-            req::RELEASE_REF | BATCH_TRACE_BIT,
-            Bytes::from_static(&[0u8; 15]),
-        )]);
-        assert_eq!(decode_batch(&raw).unwrap_err(), DmError::Malformed);
-    }
-
-    #[test]
-    fn batch_decode_rejects_garbage() {
-        assert!(decode_batch(&Bytes::from_static(&[1, 2])).is_err());
-        // Count claims more items than the body could possibly hold.
-        let huge = Writer::new().u32(u32::MAX).finish().into_bytes();
-        assert_eq!(decode_batch(&huge).unwrap_err(), DmError::Malformed);
-        // Truncated item body.
-        let trunc = Writer::new().u32(1).u8(req::FREE).u32(100);
-        let trunc = [&trunc.into_vec()[..], b"short"].concat().into();
-        assert_eq!(decode_batch(&trunc).unwrap_err(), DmError::Malformed);
+        let flat = body.into_bytes();
+        let malformed = |bytes: Vec<u8>| decode_releases(&Bytes::from(bytes).into());
+        for n in [4, u32::MAX] {
+            let mut lie = flat.to_vec();
+            lie[..4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(malformed(lie), Err(DmError::Malformed), "n {n}");
+        }
+        for cut in [0, 3, 4 + 8, 4 + 8 + 15, flat.len() - 1] {
+            let short = flat[..cut].to_vec();
+            assert_eq!(malformed(short), Err(DmError::Malformed), "cut {cut}");
+        }
+        let trailing = [&flat[..], &[0]].concat();
+        assert_eq!(malformed(trailing), Err(DmError::Malformed));
     }
 
     #[test]
@@ -707,7 +615,6 @@ mod tests {
         let data = [15, 16, 19, 20]; // READ WRITE READ_REF PUT_REF
         for (i, a) in OPS.iter().enumerate() {
             assert!(OPS[..i].iter().all(|b| b.0 < a.0 && b.1 != a.1), "{a:?}");
-            assert!(a.0 & BATCH_TRACE_BIT == 0, "{a:?} takes the trace bit");
             assert_eq!((req_name(a.0), is_control(a.0)), (a.1, a.2));
             assert_eq!(a.2, !data.contains(&a.0), "{a:?}");
         }

@@ -68,13 +68,11 @@ pub struct DmServerConfig {
     pub per_op_cpu: Duration,
     /// CPU cost per page whose refcount / translation entry is updated.
     pub per_page_cpu: Duration,
-    /// CPU cost of one software translation lookup.
+    /// CPU cost of one software translation lookup. Zero models paper
+    /// §V-A2's future work, "letting MMU translate the DM virtual address
+    /// directly to the physical address": lookups then cost and count
+    /// nothing.
     pub translation_cpu: Duration,
-    /// Paper §V-A2 future work, implemented here as an option: "skip the
-    /// software-based translation by modifying OS and letting MMU translate
-    /// the DM virtual address directly to the physical address". When true,
-    /// translation lookups cost no CPU.
-    pub hw_translation: bool,
     /// Lease-based reclamation (DESIGN.md §8): when set, `REGISTER` grants
     /// each process a lease of this TTL (stated in the reply) and a
     /// background sweeper reclaims every pin of processes whose lease
@@ -99,7 +97,6 @@ impl Default for DmServerConfig {
             per_op_cpu: Duration::from_nanos(300),
             per_page_cpu: Duration::from_nanos(10),
             translation_cpu: Duration::from_nanos(15),
-            hw_translation: false,
             lease_ttl: None,
             durability: WalConfig::from_env(),
         }
@@ -416,7 +413,6 @@ impl DmServer {
     /// of the copy, on top of the DRAM traffic they generate.
     async fn charge(&self, cost: OpCost, translations: u64) {
         let c = &self.config;
-        let translations = if c.hw_translation { 0 } else { translations };
         let copy_time = if cost.bytes_copied > 0 {
             self.mem.account(2 * cost.bytes_copied); // read + write traffic
             self.mem.params().copy_time(cost.bytes_copied)

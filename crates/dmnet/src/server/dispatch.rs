@@ -56,7 +56,7 @@ impl DmServer {
         Ok(())
     }
 
-    pub(super) async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
+    async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
         let mut r = Reader::of(body);
         match ty {
             req::REGISTER => {
@@ -186,14 +186,7 @@ impl DmServer {
                 Ok(Response::new())
             }
             req::RELEASE_REF => {
-                let key = r.u64()?;
-                let cost = self.pm.borrow_mut().release_ref(key)?;
-                // The ref is gone: list it to the clients that may cache
-                // it, but not to the releaser, which dropped its copy when
-                // it asked.
-                self.refs_died(&[key], Some(src));
-                self.persist(|| vec![Record::ReleaseRef { key }]).await;
-                self.charge(cost, cost.refcount_updates).await;
+                self.release(r.u64()?, src).await?;
                 Ok(Response::new())
             }
             req::PUT_REF => {
@@ -249,43 +242,40 @@ impl DmServer {
                 Ok(Response::new().body(data))
             }
             req::BATCH => {
-                // Coalesced control ops (DESIGN.md §9): one wire message,
-                // one framed response per sub-op. Each sub-op still pays
-                // its own page-manager CPU; what the batch saves is the
-                // per-message RPC and network overhead. A failing sub-op
-                // does not abort the rest — its framed slot carries the
-                // error.
-                let items = proto::decode_batch(&body.clone().into_bytes())?;
-                let mut resps = Vec::with_capacity(items.len());
-                for (sub_ty, sub_body, sub_ctx) in items {
-                    if sub_ty == req::BATCH {
-                        return Err(DmError::Malformed); // no nesting
-                    }
-                    // A sub-op that rode in with its enqueuer's context is
-                    // parented there, reconnecting the deferred op to the
-                    // request that caused it (the flush RPC is untraced).
-                    let sub_span = sub_ctx.and_then(|c| {
+                // Coalesced releases (DESIGN.md §9): the list is decoded
+                // whole before any key is released, and each key then pays
+                // what a `RELEASE_REF` of it would; what the batch saves is
+                // the per-message RPC and network overhead. A key already
+                // dead is skipped: a batched release is fire-and-forget.
+                for (key, ctx) in proto::decode_releases(body)? {
+                    // A release that rode in with its enqueuer's context is
+                    // parented there, reconnecting it to the request that
+                    // caused it (the flush RPC is untraced).
+                    let _span = ctx.and_then(|c| {
                         telemetry::span_with_parent(
                             SpanKind::DmOp,
-                            proto::req_name(sub_ty),
+                            proto::req_name(req::RELEASE_REF),
                             self.addr().node.0,
                             c,
                         )
                     });
-                    let sub_body = Message::from(sub_body);
-                    let resp = Box::pin(self.dispatch(sub_ty, src, &sub_body)).await;
-                    // Deaths ride the batch's own answer, never a sub-op's,
-                    // whose count no client reads.
-                    let resp = match resp {
-                        Ok(r) => r.ok(0, &[]),
-                        Err(e) => Response::err(0, e),
-                    };
-                    drop(sub_span);
-                    resps.push(resp);
+                    let _ = self.release(key, src).await;
                 }
-                Ok(proto::batch_response(&resps))
+                Ok(Response::new())
             }
             _ => Err(DmError::Malformed),
         }
+    }
+
+    /// Release the ref `key` for `src`, the body of `RELEASE_REF` and of
+    /// each key of a `BATCH`. The ref is gone: it is listed to the clients
+    /// that may cache it, but not to the releaser, which dropped its copy
+    /// when it asked.
+    async fn release(&self, key: u64, src: Addr) -> DmResult<()> {
+        let cost = self.pm.borrow_mut().release_ref(key)?;
+        self.refs_died(&[key], Some(src));
+        self.persist(|| vec![Record::ReleaseRef { key }]).await;
+        self.charge(cost, cost.refcount_updates).await;
+        Ok(())
     }
 }

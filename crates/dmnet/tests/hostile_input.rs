@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
-use dmnet::proto::{encode_batch, req, split_response, Reader, Response, Writer, DM_PORT, OPS};
+use dmnet::proto::{req, split_response, Reader, Response, Writer, DM_PORT, OPS};
 use dmnet::{start_pool, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
@@ -569,42 +569,49 @@ fn layout(ty: u8) -> (bool, &'static [Field]) {
         req::PUT_REF => (false, &[]),
         req::RELEASE_REF => (false, &[Key]),
         req::READ_REF => (false, &[Key, Off, Len]),
+        req::BATCH => (false, &[Key, Key, Key]),
         _ => (true, &[Va, Len, Key]),
     }
 }
 
 /// The body of one fuzzed message: `[pid]` (the live one, or forged) then
-/// the op's u64 fields drawn from `words`, then `tail`. A `BATCH` wraps one
-/// such message of the type `tail` starts with.
+/// the op's u64 fields drawn from `words`, then `tail`. A `BATCH` is a key
+/// list: its count, then keys — the live key, the edges of the u64 space,
+/// bit 63 set (a traced key, followed by its context) — which `tail`'s
+/// first byte leaves well-formed (0 mod 4, or no tail) or breaks: 1 forges
+/// the count, 2 cuts off every context, 3 appends `tail` behind the list.
 fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live) -> Message {
-    if ty == req::BATCH {
-        let sub = tail.first().copied().unwrap_or(req::ALLOC);
-        if sub != req::BATCH {
-            let sub_body = body(sub, live_pid, words, tail, live).into_bytes();
-            return encode_batch(&[(sub, sub_body)]).into();
-        }
-    }
     let (has_pid, fields) = layout(ty);
+    let (batch, lie) = (ty == req::BATCH, tail.first().map_or(0, |b| b % 4));
     let mut w = Writer::new();
+    if batch {
+        w = w.u32(if lie == 1 { tail[0].into() } else { 3 });
+    }
     if has_pid {
         w = w.u32(live_pid.unwrap_or(0xDEAD));
     }
     for (field, word) in fields.iter().zip(words) {
-        w = w.u64(match (word, field) {
+        let v = match (word, field) {
             (Word::Const(v), _) => *v,
             (Word::Live, Field::Va) => live.va,
             (Word::Live, Field::Len) => live.len,
             (Word::Live, Field::Key) => live.key,
             (Word::Live, Field::Off) => 0,
-        });
+        };
+        w = w.u64(v);
+        if batch && v >> 63 == 1 && lie != 2 {
+            w = w.u64(7).u64(9);
+        }
     }
+    let flat = !tail.len().is_multiple_of(2);
+    let tail = if batch && lie != 3 { &[] } else { tail };
     // Half as this stack's own clients frame it (fields, then the payload
     // attached), half as one flat buffer from somewhere else.
     let msg = w.body(Bytes::copy_from_slice(tail)).finish();
-    if tail.len().is_multiple_of(2) {
-        msg
-    } else {
+    if flat {
         msg.into_bytes().into()
+    } else {
+        msg
     }
 }
 

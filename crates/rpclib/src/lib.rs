@@ -21,8 +21,6 @@
 //!   previous one, an equal one is a duplicate (answered from the kept
 //!   response, never re-executed), a lower one is stale and dropped — so a
 //!   one-packet RPC is two datagrams and execution is at-most-once exactly;
-//! * **multi-op framing** — batching layers pack several logical ops into
-//!   one message body via the shared zero-copy framing in [`multiframe`];
 //! * **messages with a head** — what is sent, handled and returned is a
 //!   [`Message`]: a small head the layer above writes its prefix into, in
 //!   front of a shared body no layer copies (eRPC's msgbuf). A plain
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod message;
-pub mod multiframe;
 pub mod wire;
 
 pub use message::{flattened, Message};

@@ -40,6 +40,11 @@ fn bounded_sweep_holds_all_invariants() {
 /// when a lease reclamation began to drop its endpoint's grants and
 /// pending keys, so a partitioned client resets at its next answer
 /// instead of being listed its deaths: a few polls and errors moved. The
+/// 8 `fig5-chain/dmnet` rows were re-recorded when a `BATCH` became the
+/// list of keys it releases (8 bytes a key instead of 13, and no
+/// sub-answers) and its flush timer began to fire once: the chain's
+/// batches are fewer and shorter, so its polls and completions moved;
+/// `fig7-cow/dmnet` and `slo-social/dmnet` did not. The
 /// 8 `fig5-chain/erpc` rows never talk to a DM server and
 /// have stayed verbatim since the table was first recorded.
 /// The other tests only compare a run with itself; this compares it with
@@ -48,35 +53,35 @@ fn bounded_sweep_holds_all_invariants() {
 #[rustfmt::skip]
 const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (49751, 3026249, 687, 0, 15286952566744051712),
+    (49575, 3000000, 688, 0, 12726927726326841344),
     (28616, 3300000, 562, 0, 9430884807597387290),
     (123250, 3700000, 1950, 843, 15198582716520478635),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (38459, 3000000, 502, 0, 824337066571726848),
+    (38226, 3000000, 502, 0, 824337066571726848),
     (24771, 3326698, 291, 965, 3036057869190319744),
     (93385, 3700000, 1340, 1453, 14140131224647268649),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (49198, 3000000, 675, 0, 2775746541747073024),
+    (48570, 3000000, 670, 0, 768118108015165440),
     (27822, 3300000, 542, 0, 13770578884783659456),
     (123485, 3700000, 1942, 851, 10993031750835146444),
     (28916, 2327617, 640, 0, 16607590119150452736),
-    (9493, 3297129, 80, 0, 11647770628469977088),
+    (9483, 3297129, 80, 0, 11647770628469977088),
     (5099, 4624597, 41, 1, 10924419358618961792),
     (87174, 3952128, 1200, 1593, 10586266938266445605),
     (27968, 2328197, 608, 0, 15012980976271753216),
-    (45898, 3000000, 618, 0, 15915857018454147072),
+    (46179, 3044031, 625, 0, 4611293596811292672),
     (29325, 3300000, 575, 0, 16935387748475597888),
     (117963, 3700000, 1834, 969, 5087018755026633742),
     (16156, 2328433, 317, 0, 5102585835025100800),
-    (22953, 3000000, 235, 0, 1102555216041111552),
+    (22856, 3000000, 235, 0, 1102555216041111552),
     (24210, 3500000, 348, 578, 1484996825265603482),
     (77955, 3700000, 1007, 1796, 10269998357988293737),
     (26318, 2328131, 560, 0, 15845299204350017536),
-    (44622, 3054938, 594, 0, 7373519102502371328),
+    (44508, 3000000, 595, 0, 7218163293058920448),
     (28116, 3300000, 549, 0, 10853159378854917338),
     (119688, 3710177, 1872, 931, 8605068841184819823),
     (16156, 2328433, 317, 0, 5102585835025100800),
-    (12231, 3213886, 106, 0, 12832091547015708672),
+    (12154, 3213886, 105, 0, 16702254371847696384),
     (2693, 4538443, 11, 1, 2362988351365649280),
     (94730, 3740621, 1332, 1471, 6550884002328629340),
 ];

@@ -58,8 +58,8 @@ fn sharebench_rpcs(block: u64, write: u64) -> Vec<Rpc> {
         rpc(block, RESPONSE_HEAD + U64, true),
         // SHARE_REQ: [pct][value tag][ref] → "ok".
         rpc(1 + 1 + NET_REF, 2, false),
-        // BATCH: [count u32], then [tag][len u32][key] → [len u32][reply].
-        rpc(4 + 1 + 4 + U64, RESPONSE_HEAD + 4 + RESPONSE_HEAD, true),
+        // BATCH: [count u32][key] → nothing.
+        rpc(4 + U64, RESPONSE_HEAD, true),
     ];
     if write > 0 {
         rpcs.extend([
