@@ -4,11 +4,13 @@
 //! cluster. A mismatch is either a term DESIGN.md §5 must name or a bug.
 //!
 //! Cells so far: one Fig. 8 sharebench request on DmRPC-net (a 32 KiB block
-//! published by reference, the callee overwriting its leading 0–100 %).
+//! published by reference, the callee overwriting its leading 0–100 %), and
+//! one image-pipeline request on DmRPC-CXL per image size and operation.
 
 use std::time::Duration;
 
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::image_pipeline::{build_pipeline, OP_COMPRESS, OP_TRANSCODE};
 use apps::sharebench::build_sharebench;
 use bytes::Bytes;
 use dmcommon::PAGE_SIZE;
@@ -142,5 +144,89 @@ fn a_sharebench_request_moves_what_the_model_says() {
             sharebench_model(BLOCK, write, pages_copied, mtu),
             "{pct} % writes"
         );
+    }
+}
+
+/// What one image request moved: G-FAM traffic, compute-node memory traffic
+/// summed over every node, NIC tx bytes and datagrams delivered.
+#[derive(Debug, PartialEq, Eq)]
+struct ImageMoved {
+    gfam_bytes: u64,
+    node_bytes: u64,
+    tx_bytes: u64,
+    datagrams: u64,
+}
+
+/// A value of `len` bytes on the wire: `[tag]`, then the bytes inline below
+/// one page, else a `Ref::Cxl` (`[tag][len u64][n u32]` and a `u32` a page).
+fn cxl_value(len: u64) -> u64 {
+    1 + if len < PS {
+        len
+    } else {
+        1 + U64 + 4 + 4 * len.div_ceil(PS)
+    }
+}
+
+/// The model of one image request of `input` bytes whose worker returns
+/// `output` bytes. The request `[op][value]` and the response `[value]`
+/// each cross four hops (client → firewall → load balancer → image
+/// processing → worker), so eight messages. G-FAM carries a by-reference
+/// value twice, once published and once read; compute-node memory sees the
+/// NIC DMA of each message at both ends and the worker's kernel streaming
+/// its input and output once.
+fn image_model(input: u64, output: u64, mtu: u64) -> ImageMoved {
+    let by_ref = |len: u64| if len < PS { 0 } else { len };
+    let (req, resp) = (1 + cxl_value(input), cxl_value(output));
+    ImageMoved {
+        gfam_bytes: 2 * by_ref(input) + 2 * by_ref(output),
+        node_bytes: 4 * 2 * (req + resp) + input + output,
+        tx_bytes: 4 * (on_wire(req, mtu) + on_wire(resp, mtu)),
+        datagrams: 4 * (packets(req, mtu) + packets(resp, mtu)),
+    }
+}
+
+/// One image request on a quiet DmRPC-CXL cluster, after deployment and
+/// after each process's owned-free FIFO is warm enough that no page grant
+/// or return rides the measured request.
+fn image_measured(op: u8, input: u64) -> ImageMoved {
+    Sim::new().block_on(async move {
+        let cluster = Cluster::new(SystemKind::DmCxl, 0, ClusterConfig::default(), 5);
+        let app = build_pipeline(&cluster).await;
+        for ep in cluster.endpoints() {
+            let warm = ep.make_value(Bytes::from(vec![0u8; 96 * PAGE_SIZE])).await;
+            ep.release(&warm.expect("warm-up publish")).await.expect("release");
+        }
+        simcore::sleep(Duration::from_millis(1)).await;
+        let image = Bytes::from(vec![7u8; input as usize]);
+        cluster.reset_stats();
+        let delivered = cluster.net.delivered();
+        app.request(op, &image).await.expect("request");
+        // The two releases are fire-and-forget.
+        simcore::sleep(Duration::from_millis(1)).await;
+        let nodes = (0..cluster.net.node_count() as u32).map(NodeId);
+        ImageMoved {
+            gfam_bytes: cluster.dm_traffic_bytes(),
+            node_bytes: cluster.servers().iter().map(|n| n.mem.traffic_bytes()).sum(),
+            tx_bytes: nodes.map(|n| cluster.net.node_tx_bytes(n)).sum(),
+            datagrams: cluster.net.delivered() - delivered,
+        }
+    })
+}
+
+/// Every image size of the `image_cxl` workload, transcoded (same-size
+/// output) and compressed (half-size output; 4 KiB compresses to 2 KiB,
+/// which returns inline).
+#[test]
+fn an_image_cxl_request_moves_what_the_model_says() {
+    let mtu = ClusterConfig::default().rpc.mtu as u64;
+    for kib in [4, 8, 32, 128] {
+        let input = kib * 1024;
+        for (op, output) in [(OP_TRANSCODE, input), (OP_COMPRESS, input / 2)] {
+            assert_eq!(
+                image_measured(op, input),
+                image_model(input, output, mtu),
+                "{kib} KiB, op {op}"
+            );
+        }
     }
 }
