@@ -124,18 +124,13 @@ impl DmHandle {
         }
     }
 
-    /// Materialize a reference's full contents, using each backend's
-    /// fastest path (one-RTT `read_ref` for net; map + load + unmap for
-    /// CXL, all local operations).
+    /// Materialize a reference's full contents in one step: `READ_REF` on
+    /// DmRPC-net, [`CxlHost::read_ref`] on DmRPC-CXL. Neither maps or pins
+    /// the ref; the caller holds it for the duration of the read.
     pub async fn get_all(&self, r: &Ref) -> DmResult<Bytes> {
         match self {
             DmHandle::Net(c) => c.read_ref(r, 0, r.len()).await,
-            DmHandle::Cxl(h) => {
-                let va = h.map_ref(r).await?;
-                let data = h.load(va, r.len()).await?;
-                h.free(va)?;
-                Ok(data)
-            }
+            DmHandle::Cxl(h) => h.read_ref(r).await,
         }
     }
 }

@@ -129,9 +129,9 @@ impl DmRpc {
         }
     }
 
-    /// Materialize an argument's bytes locally (Listing 1's
-    /// `map_ref` + `rread`). For `ByRef`, the temporary mapping is freed
-    /// after reading.
+    /// Materialize an argument's bytes locally: Listing 1's `map_ref` +
+    /// `rread` as one read ([`DmHandle::get_all`]) that maps nothing. The
+    /// caller holds a `ByRef` value for the duration of the read.
     pub async fn fetch(&self, v: &Value) -> DmResult<Bytes> {
         match v {
             Value::Inline(b) => Ok(b.clone()),

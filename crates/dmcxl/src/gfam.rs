@@ -83,9 +83,16 @@ impl GFam {
     /// Charge one CXL access of `bytes` (latency + shared device bandwidth)
     /// and wait until it completes. Returns the completion instant.
     pub async fn access(&self, bytes: u64) -> SimTime {
+        self.access_alongside(bytes, Duration::ZERO).await
+    }
+
+    /// [`GFam::access`] with other requests (fabric atomics) taking `issue`
+    /// to send beside the data: one completion wait, one CXL latency after
+    /// the later of the two has gone out.
+    pub async fn access_alongside(&self, bytes: u64, issue: Duration) -> SimTime {
         self.traffic.add(bytes);
-        let finish = self.bw.reserve(bytes);
-        let done = finish + self.params.latency(MemClass::Cxl);
+        let sent = self.bw.reserve(bytes).max(simcore::now() + issue);
+        let done = sent + self.params.latency(MemClass::Cxl);
         simcore::sleep_until(done).await;
         done
     }
@@ -169,6 +176,17 @@ impl GFam {
         self.atomics.incr();
         let prev = self.refcounts[ppn as usize].swap(1, Ordering::AcqRel);
         assert_eq!(prev, 0, "initializing refcount of in-use CXL page {ppn}");
+    }
+
+    /// Whether every one of `pages` is a device page with at least one pin.
+    /// Not counted as atomics: a host reads these words in an access or
+    /// beside the atomics it issues anyway.
+    pub fn all_pinned(&self, pages: &[Ppn]) -> bool {
+        pages.iter().all(|&p| {
+            self.refcounts
+                .get(p as usize)
+                .is_some_and(|rc| rc.load(Ordering::Acquire) > 0)
+        })
     }
 
     /// Non-counting refcount peek for invariant checks.

@@ -32,6 +32,9 @@ use telemetry::SpanKind;
 use crate::coordinator::{self, encode_request, encode_return};
 use crate::gfam::{GFam, Ppn};
 
+/// Issue cost of one pipelined fabric atomic.
+const ATOMIC_ISSUE: Duration = Duration::from_nanos(20);
+
 /// Host DM-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CxlHostConfig {
@@ -280,7 +283,25 @@ impl CxlHost {
             return;
         }
         let lat = self.gfam.params().latency(memsim::MemClass::Cxl);
-        simcore::sleep(lat + Duration::from_nanos(20) * n as u32).await;
+        simcore::sleep(lat + ATOMIC_ISSUE * n as u32).await;
+    }
+
+    /// The length and pages of `r` if it is a live CXL ref: a page per
+    /// `PAGE_SIZE` of its non-zero length, each on the device and pinned.
+    /// Anything else, a released ref included, is `InvalidRef`, as
+    /// DmRPC-net answers. A released page that another ref has re-owned
+    /// since cannot be told apart (DESIGN.md §6).
+    fn live_pages<'r>(&self, r: &'r Ref) -> DmResult<(u64, &'r [Ppn])> {
+        match r {
+            Ref::Cxl { len, pages }
+                if *len > 0
+                    && pages.len() as u64 == len.div_ceil(PAGE_SIZE as u64)
+                    && self.gfam.all_pinned(pages) =>
+            {
+                Ok((*len, pages))
+            }
+            _ => Err(DmError::InvalidRef),
+        }
     }
 
     fn check_bounds(&self, va: u64, len: u64) -> DmResult<()> {
@@ -510,9 +531,11 @@ impl CxlHost {
     /// which is where `alloc` + `store` + `create_ref` + `free` end. The
     /// creator never maps the pages, so there is no VMA, no PTE and no
     /// fault, and the copy mode does not apply: there is no mapping to copy
-    /// away from. Costs the stores plus one pipelined batch of the N
-    /// refcount initialisations. All or nothing: a publish that runs out
-    /// of pages hands back the ones it took.
+    /// away from. The N refcount initialisations go out beside the stores
+    /// and one completion wait covers both: the pages sit in this host's
+    /// owned free FIFO, so no other host reads their refcount words before
+    /// the `Ref` exists. All or nothing: a publish that runs out of pages
+    /// hands back the ones it took.
     pub async fn put_ref(self: &Rc<Self>, data: &[u8]) -> DmResult<Ref> {
         if data.is_empty() {
             return Err(DmError::InvalidAddress);
@@ -538,22 +561,37 @@ impl CxlHost {
             self.gfam.write_page(p, 0, chunk);
             pages.push(p);
         }
-        self.gfam.access(data.len() as u64).await;
-        self.charge_atomics(pages.len()).await;
+        self.gfam
+            .access_alongside(data.len() as u64, ATOMIC_ISSUE * pages.len() as u32)
+            .await;
         Ok(Ref::Cxl {
             len: data.len() as u64,
             pages,
         })
     }
 
+    /// Fast path: a whole reference's bytes straight from G-FAM, the twin
+    /// of DmRPC-net's `READ_REF`: one access of its length, with no VMA, no
+    /// PTE and no pin. The caller holds the ref for the duration of the
+    /// read. The refcount words ride the same access, so a released ref is
+    /// `InvalidRef` at no extra round trip.
+    pub async fn read_ref(&self, r: &Ref) -> DmResult<Bytes> {
+        let (len, pages) = self.live_pages(r)?;
+        let _op = telemetry::span(SpanKind::DmOp, "cxl.read_ref", self.node_id());
+        let mut out = vec![0u8; len as usize];
+        for (chunk, &ppn) in out.chunks_mut(PAGE_SIZE).zip(pages) {
+            self.gfam.read_page(ppn, 0, chunk);
+        }
+        self.gfam.access(len).await;
+        Ok(Bytes::from(out))
+    }
+
     /// `map_ref` (paper §V-B3): allocate a CXL virtual range and install
     /// read-only PTEs onto the shared physical pages.
     pub async fn map_ref(self: &Rc<Self>, r: &Ref) -> DmResult<u64> {
-        let Ref::Cxl { len, pages } = r else {
-            return Err(DmError::InvalidRef);
-        };
+        let (len, pages) = self.live_pages(r)?;
         let _op = telemetry::span(SpanKind::DmOp, "cxl.map_ref", self.node_id());
-        let va = self.vma.borrow_mut().alloc(*len, PAGE_SIZE as u64)?;
+        let va = self.vma.borrow_mut().alloc(len, PAGE_SIZE as u64)?;
         for (i, &ppn) in pages.iter().enumerate() {
             self.gfam.rc_inc(ppn);
             self.page_table.borrow_mut().insert(
@@ -571,9 +609,7 @@ impl CxlHost {
 
     /// Release a reference's pin on its pages (API extension; DESIGN.md §6).
     pub async fn release_ref(self: &Rc<Self>, r: &Ref) -> DmResult<()> {
-        let Ref::Cxl { pages, .. } = r else {
-            return Err(DmError::InvalidRef);
-        };
+        let (_, pages) = self.live_pages(r)?;
         let _op = telemetry::span(SpanKind::DmOp, "cxl.release_ref", self.node_id());
         for &ppn in pages {
             if self.gfam.rc_dec(ppn) == 0 {

@@ -1,8 +1,12 @@
 //! Property tests for the CXL G-FAM backend: random multi-host write
 //! patterns never violate COW isolation or page-conservation invariants,
-//! and the one-step publish leaves the fabric as Listing 1's does.
+//! the one-step publish leaves the fabric as Listing 1's does, and random
+//! publish / read / map / release sequences on a scarce pool keep every
+//! page accounted for.
 
-use dmcommon::{CopyMode, Ref, PAGE_SIZE};
+use std::time::Duration;
+
+use dmcommon::{CopyMode, DmError, Ref, PAGE_SIZE};
 use dmcxl::{check_fabric_invariants, CxlFabric, CxlHostConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
@@ -260,6 +264,109 @@ proptest! {
             }
             let got = host.load(va, len).await.unwrap();
             assert_eq!(&got[..], &model[..]);
+        });
+    }
+
+    /// Hosts publish 1 B to 40 pages on a pool too small for all of them,
+    /// so some publishes fail part-way and hand back what they took, then
+    /// read refs in place, map, load and free them, and release them, dead
+    /// ones included. After every step the fabric holds its invariants
+    /// against the live pins; both reads return exactly the bytes published;
+    /// a dead ref is refused by every op. At the end every page is free.
+    #[test]
+    fn data_path_ops_keep_the_fabric_whole(
+        ops in proptest::collection::vec((0u8..4, 0usize..3, 1usize..=40 * PAGE_SIZE), 1..40),
+    ) {
+        Sim::new().block_on(async move {
+            let net = Network::new(FabricConfig::default(), 37);
+            let coord = net.add_node("coord", NicConfig::default());
+            let capacity = 96;
+            let cfg = CxlHostConfig {
+                request_batch: 16,
+                low_watermark: 4,
+                high_watermark: 48,
+                ..Default::default()
+            };
+            let fabric = CxlFabric::new(&net, coord, capacity, ModelParams::new(), cfg);
+            let hosts: Vec<_> = (0..3)
+                .map(|i| {
+                    let node = net.add_node(format!("h{i}"), NicConfig::default());
+                    fabric.new_host(RpcBuilder::new(&net, node, 100).build())
+                })
+                .collect();
+            let gfam = fabric.gfam();
+            // Every ref published so far, its bytes, and whether it is live.
+            let mut refs: Vec<(Ref, Vec<u8>, bool)> = Vec::new();
+            for (i, (kind, who, arg)) in ops.into_iter().enumerate() {
+                let host = &hosts[who];
+                if kind == 0 {
+                    let data: Vec<u8> = (0..arg).map(|b| (b * 7 + i) as u8).collect();
+                    match host.put_ref(&data).await {
+                        Ok(r) => refs.push((r, data, true)),
+                        Err(e) => assert_eq!(e, DmError::OutOfMemory),
+                    }
+                } else if !refs.is_empty() {
+                    let n = refs.len();
+                    let (r, data, live) = &mut refs[arg % n];
+                    let Ref::Cxl { pages, .. } = &*r else { unreachable!() };
+                    // A dead ref whose pages all carry another ref's pin is
+                    // indistinguishable from a live one (DESIGN.md §6).
+                    let dead = !*live;
+                    if dead && pages.iter().all(|&p| gfam.rc_peek(p) > 0) {
+                        continue;
+                    }
+                    let got = match kind {
+                        1 => host.read_ref(r).await.map(Some),
+                        2 => match host.map_ref(r).await {
+                            Ok(va) => {
+                                let bytes = host.load(va, data.len() as u64).await.unwrap();
+                                host.free(va).unwrap();
+                                Ok(Some(bytes))
+                            }
+                            Err(e) => Err(e),
+                        },
+                        _ => host.release_ref(r).await.map(|()| None),
+                    };
+                    match got {
+                        Err(e) => {
+                            assert!(dead, "a live ref refused: {e:?}");
+                            assert_eq!(e, DmError::InvalidRef);
+                        }
+                        Ok(bytes) => {
+                            assert!(!dead, "a dead ref was served");
+                            if let Some(bytes) = bytes {
+                                assert_eq!(&bytes[..], &data[..], "read {} B", data.len());
+                            } else {
+                                *live = false;
+                            }
+                        }
+                    }
+                }
+                // Background refills and returns land, then the fabric must
+                // balance against the pins of the live refs.
+                simcore::sleep(Duration::from_millis(1)).await;
+                let pins: Vec<(u32, u32)> = refs
+                    .iter()
+                    .filter(|(_, _, live)| *live)
+                    .flat_map(|(r, _, _)| {
+                        let Ref::Cxl { pages, .. } = r else { unreachable!() };
+                        pages.iter().map(|&p| (p, 1))
+                    })
+                    .collect();
+                check_fabric_invariants(gfam, fabric.coordinator(), &hosts, &pins);
+                for h in &hosts {
+                    assert!(h.pte_snapshot().is_empty(), "a mapping outlived its op");
+                }
+            }
+            for (r, _, live) in &refs {
+                if *live {
+                    hosts[0].release_ref(r).await.unwrap();
+                }
+            }
+            simcore::sleep(Duration::from_millis(1)).await;
+            check_fabric_invariants(gfam, fabric.coordinator(), &hosts, &[]);
+            let free: usize = hosts.iter().map(|h| h.owned_free_pages()).sum();
+            assert_eq!(free + fabric.coordinator().free_pages(), capacity);
         });
     }
 }

@@ -50,7 +50,8 @@ struct ParamsInner {
     cxl_latency: Cell<Duration>,
     /// Single-thread copy bandwidth (bytes/s) for modeled memcpy.
     copy_bandwidth: Cell<f64>,
-    /// CXL link bandwidth per host (bytes/s).
+    /// G-FAM data-path bandwidth (bytes/s): one resource that every host
+    /// on the fabric shares, not a link per host.
     cxl_bandwidth: Cell<f64>,
 }
 
@@ -103,7 +104,8 @@ impl ModelParams {
         self.inner.copy_bandwidth.set(bps);
     }
 
-    /// CXL link bandwidth in bytes/s.
+    /// G-FAM data-path bandwidth in bytes/s, shared by every host on the
+    /// fabric: `dmcxl::GFam` charges all hosts' accesses to one resource.
     pub fn cxl_bandwidth(&self) -> f64 {
         self.inner.cxl_bandwidth.get()
     }

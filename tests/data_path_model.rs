@@ -194,7 +194,9 @@ fn image_measured(op: u8, input: u64) -> ImageMoved {
         let app = build_pipeline(&cluster).await;
         for ep in cluster.endpoints() {
             let warm = ep.make_value(Bytes::from(vec![0u8; 96 * PAGE_SIZE])).await;
-            ep.release(&warm.expect("warm-up publish")).await.expect("release");
+            ep.release(&warm.expect("warm-up publish"))
+                .await
+                .expect("release");
         }
         simcore::sleep(Duration::from_millis(1)).await;
         let image = Bytes::from(vec![7u8; input as usize]);
@@ -206,7 +208,11 @@ fn image_measured(op: u8, input: u64) -> ImageMoved {
         let nodes = (0..cluster.net.node_count() as u32).map(NodeId);
         ImageMoved {
             gfam_bytes: cluster.dm_traffic_bytes(),
-            node_bytes: cluster.servers().iter().map(|n| n.mem.traffic_bytes()).sum(),
+            node_bytes: cluster
+                .servers()
+                .iter()
+                .map(|n| n.mem.traffic_bytes())
+                .sum(),
             tx_bytes: nodes.map(|n| cluster.net.node_tx_bytes(n)).sum(),
             datagrams: cluster.net.delivered() - delivered,
         }
