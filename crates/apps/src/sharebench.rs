@@ -16,7 +16,6 @@ use bytes::Bytes;
 use datastore::{ray_config, spark_config, ObjectId, ObjectStore, StoreConfig};
 use dmcommon::{DmError, DmResult};
 use dmrpc::DmRpc;
-use memsim::NodeMemory;
 use rpclib::RpcBuilder;
 use simnet::Addr;
 
@@ -78,10 +77,8 @@ impl ShareBench {
 /// The Ray/Spark flavor of the same benchmark.
 pub struct StoreShareBench {
     caller_store: Rc<ObjectStore>,
-    callee_store: Rc<ObjectStore>,
     caller_rpc: Rc<rpclib::Rpc>,
     callee_addr: Addr,
-    callee_mem: NodeMemory,
 }
 
 /// Which store system to deploy.
@@ -157,13 +154,11 @@ pub async fn build_store_sharebench(cluster: &Cluster, kind: StoreKind) -> Store
         .build();
     StoreShareBench {
         caller_store,
-        callee_store,
         caller_rpc,
         callee_addr: Addr {
             node: callee_node.id,
             port: 101,
         },
-        callee_mem: callee_node.mem.clone(),
     }
 }
 
@@ -180,16 +175,6 @@ impl StoreShareBench {
             .map_err(|_| DmError::Transport)?;
         self.caller_store.delete(id);
         Ok(())
-    }
-
-    /// Callee-side store (tests).
-    pub fn callee_store(&self) -> &Rc<ObjectStore> {
-        &self.callee_store
-    }
-
-    /// Callee memory model (tests).
-    pub fn callee_mem(&self) -> &NodeMemory {
-        &self.callee_mem
     }
 }
 

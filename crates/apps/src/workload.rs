@@ -45,18 +45,6 @@ impl Measured {
         self.throughput_rps() * bytes_per_op as f64 * 8.0 / 1e9
     }
 
-    /// Fraction of issued in-window requests that completed successfully
-    /// (1.0 when nothing was issued). Under overload this is what the
-    /// offered load actually got served: rejections and errors both
-    /// count against it.
-    pub fn goodput_fraction(&self) -> f64 {
-        if self.issued == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.issued as f64
-        }
-    }
-
     /// SLO goodput: completed operations whose latency (from intended
     /// arrival) stayed within `budget`, per second. The metric overload
     /// control optimizes — requests served late count for nothing.
@@ -542,8 +530,6 @@ mod tests {
             m.errors
         );
         assert_eq!(m.issued, m.completed + m.errors + m.rejected);
-        let gf = m.goodput_fraction();
-        assert!((gf - 0.5).abs() < 0.05, "goodput fraction {gf}");
     }
 
     #[test]

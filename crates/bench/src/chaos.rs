@@ -493,7 +493,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
                     async move {
                         // COW isolation: the shared ref always reads its
                         // original bytes, even while other workers write.
-                        let probe = c.read_ref(&shared, 0, 64).await?;
+                        let probe = c.read_ref(&shared).await?;
                         if !probe.iter().all(|&b| b == PATTERN) {
                             rig.violation("COW isolation: shared ref mutated");
                         }
@@ -544,7 +544,7 @@ pub fn run_cow_case(fault: FaultClass, seed: u64) -> CaseResult {
             let (_, verifier) = chaos_client(&net, "verify", &pool, false).await;
             let acked_snapshot = acked.borrow().clone();
             for (ci, r, fill) in acked_snapshot.iter() {
-                let got = verifier.read_ref(r, 0, 512).await;
+                let got = verifier.read_ref(r).await;
                 if alive[*ci] {
                     // Zero lost acknowledged puts.
                     match got {

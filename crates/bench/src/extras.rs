@@ -40,14 +40,15 @@ pub fn translation_overhead() {
             let node = cluster.add_server("client");
             let ep = cluster.endpoint(&node, 100).await;
             let dm = ep.dm().expect("dm").clone();
-            let addr = dm.alloc(size as u64).await.expect("alloc");
-            dm.write(addr, &Bytes::from(vec![1u8; size]))
+            let region = dm.alloc(size as u64).await.expect("alloc");
+            region
+                .write(0, &Bytes::from(vec![1u8; size]))
                 .await
                 .expect("write");
             let t0 = simcore::now();
             let n = 50;
             for _ in 0..n {
-                dm.read(addr, size as u64).await.expect("read");
+                region.read(0, size as u64).await.expect("read");
             }
             let total = (simcore::now() - t0).as_nanos() as f64;
             let lookups = cluster.dm_servers[0].with_page_manager(|pm| pm.translator().lookups());

@@ -40,14 +40,15 @@ fn run_point(kind: SystemKind, copy_mode: CopyMode, size: usize) -> (f64, f64, f
         let dm = ep.dm().expect("dm backend").clone();
 
         // One shared region, written once; each op is create_ref + release.
-        let addr = dm.alloc(size as u64).await.expect("alloc");
-        dm.write(addr, &Bytes::from(vec![0xA5u8; size]))
+        let region = dm.alloc(size as u64).await.expect("alloc");
+        region
+            .write(0, &Bytes::from(vec![0xA5u8; size]))
             .await
             .expect("write");
 
         // (b) unloaded response time of a single create_ref.
         let t0 = simcore::now();
-        let r = dm.create_ref(addr, size as u64).await.expect("create_ref");
+        let r = region.create_ref().await.expect("create_ref");
         let resp_us = (simcore::now() - t0).as_nanos() as f64 / 1e3;
         dm.release_ref(&r).await.expect("release");
 
@@ -84,15 +85,14 @@ fn run_point(kind: SystemKind, copy_mode: CopyMode, size: usize) -> (f64, f64, f
                 cluster_traffic.set(snap());
             });
         }
-        let dm2 = dm.clone();
         let m = run_closed_loop(
             workers,
             warmup,
             Duration::from_millis(4),
             Rc::new(move |_w, _i| {
-                let dm = dm2.clone();
+                let (dm, region) = (dm.clone(), region.clone());
                 async move {
-                    let r = dm.create_ref(addr, size as u64).await?;
+                    let r = region.create_ref().await?;
                     dm.release_ref(&r).await
                 }
             }),

@@ -132,6 +132,8 @@ pub fn recovery_point(ops: u64, compact_threshold: u64) -> RecoveryPoint {
 pub struct OverheadPoint {
     /// Requests completed inside the measurement window.
     pub completed: u64,
+    /// Those requests per second of the window.
+    pub rps: f64,
     /// Virtual end time of the run, ns.
     pub end_ns: u64,
     /// Executor poll count (schedule fingerprint).
@@ -146,7 +148,7 @@ pub struct OverheadPoint {
 /// plus WAL volume.
 pub fn overhead_point(durability: Option<WalConfig>) -> OverheadPoint {
     let sim = Sim::new();
-    let (completed, wal_records, wal_bytes) = sim.block_on(async move {
+    let (m, wal_records, wal_bytes) = sim.block_on(async move {
         let mut config = ClusterConfig::default();
         config.dm.durability = durability;
         let cluster = Cluster::new(SystemKind::DmNet, 2, config, 42);
@@ -173,10 +175,11 @@ pub fn overhead_point(durability: Option<WalConfig>) -> OverheadPoint {
                 bytes += w.log_bytes();
             }
         }
-        (m.completed, records, bytes)
+        (m, records, bytes)
     });
     OverheadPoint {
-        completed,
+        completed: m.completed,
+        rps: m.throughput_rps(),
         end_ns: sim.now().nanos(),
         polls: sim.poll_count(),
         wal_records,
@@ -222,7 +225,6 @@ pub fn run() {
     let zero = overhead_point(Some(WalConfig::zero_cost()));
     let nvme = overhead_point(Some(WalConfig::nvme()));
     for (label, p) in [("off", &off), ("zero-cost", &zero), ("nvme", &nvme)] {
-        let tput = p.completed as f64 / (p.end_ns as f64 / 1e9) / 1000.0;
         t.row(&[
             &"overhead",
             &label,
@@ -230,7 +232,7 @@ pub fn run() {
             &f2(p.wal_bytes as f64 / 1024.0),
             &p.wal_records,
             &0u64,
-            &format!("{:.1}krps", tput),
+            &format!("{:.1}krps", p.rps / 1e3),
         ]);
     }
     // The zero-cost contract: full WAL bookkeeping, bit-identical

@@ -360,7 +360,7 @@ fn the_prose_names_only_what_exists() {
     // Deleted with the two coherence schemes one replaced and with the
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9): no
     // document names them as code.
-    const GONE: [&str; 16] = [
+    const GONE: [&str; 19] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -377,6 +377,9 @@ fn the_prose_names_only_what_exists() {
         "batch_response",
         "BATCH_TRACE_BIT",
         "pending_keys",
+        "DmAddr",
+        "MappedValue",
+        "rto_horizon",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

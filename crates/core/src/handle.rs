@@ -12,21 +12,103 @@ use dmcommon::{DmError, DmResult, Ref, RemoteAddr};
 use dmcxl::CxlHost;
 use dmnet::DmNetClient;
 
-/// An address in whichever backend is in use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DmAddr {
-    /// Network backend address.
-    Net(RemoteAddr),
-    /// CXL virtual address of the calling process.
-    Cxl(u64),
+/// A region of DM mapped into this process — what Listing 1's `ralloc`
+/// and `map_ref` return — typed by its backend: each variant holds its
+/// backend's handle beside the address, so no op can pair one backend's
+/// handle with the other's address. Reads and writes are bounds-checked
+/// against the region's length; a write to a mapped ref's page copies it
+/// first (COW), so the ref itself never changes.
+#[derive(Clone)]
+pub enum Region {
+    /// A DmRPC-net region: `rread` / `rwrite` messages to its server.
+    Net {
+        /// The client that mapped it.
+        dm: Rc<DmNetClient>,
+        /// Its start.
+        addr: RemoteAddr,
+        /// Its length in bytes.
+        len: u64,
+    },
+    /// A DmRPC-CXL region: loads and stores at a VA of this process.
+    Cxl {
+        /// The host that mapped it.
+        dm: Rc<CxlHost>,
+        /// Its start.
+        va: u64,
+        /// Its length in bytes.
+        len: u64,
+    },
 }
 
-impl DmAddr {
-    /// Offset the address by `delta` bytes.
-    pub fn offset(&self, delta: u64) -> DmAddr {
+/// The backend, address and length; the handle is left out.
+impl std::fmt::Debug for Region {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DmAddr::Net(a) => DmAddr::Net(a.offset(delta)),
-            DmAddr::Cxl(va) => DmAddr::Cxl(va + delta),
+            Region::Net { addr, len, .. } => f
+                .debug_struct("Net")
+                .field("addr", addr)
+                .field("len", len)
+                .finish(),
+            Region::Cxl { va, len, .. } => f
+                .debug_struct("Cxl")
+                .field("va", &format_args!("{va:#x}"))
+                .field("len", len)
+                .finish(),
+        }
+    }
+}
+
+impl Region {
+    /// Region length.
+    pub fn len(&self) -> u64 {
+        match self {
+            Region::Net { len, .. } | Region::Cxl { len, .. } => *len,
+        }
+    }
+
+    /// Whether the region is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn check(&self, off: u64, len: u64) -> DmResult<()> {
+        match off.checked_add(len) {
+            Some(end) if end <= self.len() => Ok(()),
+            _ => Err(DmError::OutOfBounds),
+        }
+    }
+
+    /// Read `len` bytes at `off` (rread / load).
+    pub async fn read(&self, off: u64, len: u64) -> DmResult<Bytes> {
+        self.check(off, len)?;
+        match self {
+            Region::Net { dm, addr, .. } => dm.rread(addr.offset(off), len).await,
+            Region::Cxl { dm, va, .. } => dm.load(va + off, len).await,
+        }
+    }
+
+    /// Write `data` at `off` (rwrite / store).
+    pub async fn write(&self, off: u64, data: &Bytes) -> DmResult<()> {
+        self.check(off, data.len() as u64)?;
+        match self {
+            Region::Net { dm, addr, .. } => dm.rwrite(addr.offset(off), data).await,
+            Region::Cxl { dm, va, .. } => dm.store(va + off, data).await,
+        }
+    }
+
+    /// Create a shareable reference over the whole region.
+    pub async fn create_ref(&self) -> DmResult<Ref> {
+        match self {
+            Region::Net { dm, addr, len } => dm.create_ref(*addr, *len).await,
+            Region::Cxl { dm, va, len } => dm.create_ref(*va, *len).await,
+        }
+    }
+
+    /// Unmap the region (rfree / free).
+    pub async fn free(self) -> DmResult<()> {
+        match self {
+            Region::Net { dm, addr, .. } => dm.rfree(addr).await,
+            Region::Cxl { dm, va, .. } => dm.free(va),
         }
     }
 }
@@ -52,55 +134,36 @@ impl DmHandle {
     }
 
     /// Allocate `len` bytes of DM.
-    pub async fn alloc(&self, len: u64) -> DmResult<DmAddr> {
-        match self {
-            DmHandle::Net(c) => Ok(DmAddr::Net(c.ralloc(len).await?)),
-            DmHandle::Cxl(h) => Ok(DmAddr::Cxl(h.alloc(len)?)),
-        }
-    }
-
-    /// Free a region.
-    pub async fn free(&self, addr: DmAddr) -> DmResult<()> {
-        match (self, addr) {
-            (DmHandle::Net(c), DmAddr::Net(a)) => c.rfree(a).await,
-            (DmHandle::Cxl(h), DmAddr::Cxl(va)) => h.free(va),
-            _ => Err(DmError::InvalidAddress),
-        }
-    }
-
-    /// Write `data` at `addr` (rwrite / store).
-    pub async fn write(&self, addr: DmAddr, data: &Bytes) -> DmResult<()> {
-        match (self, addr) {
-            (DmHandle::Net(c), DmAddr::Net(a)) => c.rwrite(a, data).await,
-            (DmHandle::Cxl(h), DmAddr::Cxl(va)) => h.store(va, data).await,
-            _ => Err(DmError::InvalidAddress),
-        }
-    }
-
-    /// Read `len` bytes at `addr` (rread / load).
-    pub async fn read(&self, addr: DmAddr, len: u64) -> DmResult<Bytes> {
-        match (self, addr) {
-            (DmHandle::Net(c), DmAddr::Net(a)) => c.rread(a, len).await,
-            (DmHandle::Cxl(h), DmAddr::Cxl(va)) => h.load(va, len).await,
-            _ => Err(DmError::InvalidAddress),
-        }
-    }
-
-    /// Create a shareable reference over `[addr, addr+len)`.
-    pub async fn create_ref(&self, addr: DmAddr, len: u64) -> DmResult<Ref> {
-        match (self, addr) {
-            (DmHandle::Net(c), DmAddr::Net(a)) => c.create_ref(a, len).await,
-            (DmHandle::Cxl(h), DmAddr::Cxl(va)) => h.create_ref(va, len).await,
-            _ => Err(DmError::InvalidAddress),
-        }
+    pub async fn alloc(&self, len: u64) -> DmResult<Region> {
+        Ok(match self {
+            DmHandle::Net(dm) => Region::Net {
+                addr: dm.ralloc(len).await?,
+                dm: dm.clone(),
+                len,
+            },
+            DmHandle::Cxl(dm) => Region::Cxl {
+                va: dm.alloc(len)?,
+                dm: dm.clone(),
+                len,
+            },
+        })
     }
 
     /// Map a reference into this process's DM address space.
-    pub async fn map_ref(&self, r: &Ref) -> DmResult<DmAddr> {
-        match self {
-            DmHandle::Net(c) => Ok(DmAddr::Net(c.map_ref(r).await?)),
-            DmHandle::Cxl(h) => Ok(DmAddr::Cxl(h.map_ref(r).await?)),
-        }
+    pub async fn map_ref(&self, r: &Ref) -> DmResult<Region> {
+        let len = r.len();
+        Ok(match self {
+            DmHandle::Net(dm) => Region::Net {
+                addr: dm.map_ref(r).await?,
+                dm: dm.clone(),
+                len,
+            },
+            DmHandle::Cxl(dm) => Region::Cxl {
+                va: dm.map_ref(r).await?,
+                dm: dm.clone(),
+                len,
+            },
+        })
     }
 
     /// Release a reference's pin.
@@ -125,11 +188,12 @@ impl DmHandle {
     }
 
     /// Materialize a reference's full contents in one step: `READ_REF` on
-    /// DmRPC-net, [`CxlHost::read_ref`] on DmRPC-CXL. Neither maps or pins
-    /// the ref; the caller holds it for the duration of the read.
+    /// DmRPC-net, [`CxlHost::read_ref`] on DmRPC-CXL, twins that read a
+    /// whole ref. Neither maps or pins the ref; the caller holds it for the
+    /// duration of the read.
     pub async fn get_all(&self, r: &Ref) -> DmResult<Bytes> {
         match self {
-            DmHandle::Net(c) => c.read_ref(r, 0, r.len()).await,
+            DmHandle::Net(c) => c.read_ref(r).await,
             DmHandle::Cxl(h) => h.read_ref(r).await,
         }
     }

@@ -14,16 +14,16 @@
 //!   overhead is never paid where it cannot win.
 //!
 //! Two DM backends are supported behind [`DmHandle`]: network-attached
-//! ([`dmnet`]) and CXL G-FAM ([`dmcxl`]). With [`Transfer::PassByValue`]
-//! the same API degrades to the eRPC baseline, which is how the paper's
-//! comparisons are run.
+//! ([`dmnet`]) and CXL G-FAM ([`dmcxl`]). Without one
+//! ([`DmRpc::baseline`]) the same API degrades to the eRPC baseline, which
+//! is how the paper's comparisons are run.
 //!
 //! ## Quick start
 //!
 //! ```no_run
 //! use std::rc::Rc;
 //! use bytes::Bytes;
-//! use dmrpc::{DmRpc, Transfer, Value};
+//! use dmrpc::{DmRpc, Value};
 //!
 //! async fn example(client: Rc<DmRpc>, worker: simnet::Addr) {
 //!     // 1 MiB argument: stored in DM once, forwarded as a ~18-byte Ref.
@@ -41,7 +41,7 @@ mod handle;
 mod value;
 
 pub use dmcommon::{CopyMode, DmError, DmResult, Ref, PAGE_SIZE};
-pub use handle::{DmAddr, DmHandle};
+pub use handle::{DmHandle, Region};
 pub use value::Value;
 
 use std::rc::Rc;
@@ -54,20 +54,13 @@ use simnet::Addr;
 /// this size go to DM; smaller ones ride inline (paper §IV-B).
 pub const DEFAULT_THRESHOLD: u64 = PAGE_SIZE as u64;
 
-/// How large arguments are transferred.
-#[derive(Clone)]
-pub enum Transfer {
-    /// Always inline — the eRPC pass-by-value baseline.
-    PassByValue,
-    /// Pass-by-reference through disaggregated memory for large arguments.
-    Dm(DmHandle),
-}
-
 /// The DmRPC endpoint for one microservice process: an RPC endpoint plus a
 /// transfer policy.
 pub struct DmRpc {
     rpc: Rc<Rpc>,
-    transfer: Transfer,
+    /// Where large arguments go by reference; `None` is the eRPC
+    /// pass-by-value baseline.
+    dm: Option<DmHandle>,
     threshold: u64,
 }
 
@@ -76,7 +69,7 @@ impl DmRpc {
     pub fn baseline(rpc: Rc<Rpc>) -> Rc<DmRpc> {
         Rc::new(DmRpc {
             rpc,
-            transfer: Transfer::PassByValue,
+            dm: None,
             threshold: u64::MAX,
         })
     }
@@ -92,7 +85,7 @@ impl DmRpc {
     pub fn with_threshold(rpc: Rc<Rpc>, dm: DmHandle, threshold: u64) -> Rc<DmRpc> {
         Rc::new(DmRpc {
             rpc,
-            transfer: Transfer::Dm(dm),
+            dm: Some(dm),
             threshold,
         })
     }
@@ -109,10 +102,7 @@ impl DmRpc {
 
     /// The DM handle, if pass-by-reference is enabled.
     pub fn dm(&self) -> Option<&DmHandle> {
-        match &self.transfer {
-            Transfer::PassByValue => None,
-            Transfer::Dm(h) => Some(h),
-        }
+        self.dm.as_ref()
     }
 
     /// Turn raw bytes into an RPC argument, automatically choosing inline
@@ -122,10 +112,11 @@ impl DmRpc {
     /// land in pages the `Ref` owns, and the creator keeps no mapping,
     /// matching Listing 1's `rfree` after the call.
     pub async fn make_value(&self, data: Bytes) -> DmResult<Value> {
-        match &self.transfer {
-            Transfer::PassByValue => Ok(Value::Inline(data)),
-            Transfer::Dm(_) if (data.len() as u64) < self.threshold => Ok(Value::Inline(data)),
-            Transfer::Dm(dm) => Ok(Value::ByRef(dm.put(&data).await?)),
+        match &self.dm {
+            Some(dm) if data.len() as u64 >= self.threshold => {
+                Ok(Value::ByRef(dm.put(&data).await?))
+            }
+            _ => Ok(Value::Inline(data)),
         }
     }
 
@@ -142,19 +133,15 @@ impl DmRpc {
         }
     }
 
-    /// Map a by-reference argument for fine-grained access. Returns `None`
+    /// Map a by-reference argument for fine-grained access: reads and
+    /// writes against the process's own (COW-isolated) view. Returns `None`
     /// for inline values (the bytes are already local).
-    pub async fn map_value(&self, v: &Value) -> DmResult<Option<MappedValue>> {
+    pub async fn map_value(&self, v: &Value) -> DmResult<Option<Region>> {
         match v {
             Value::Inline(_) => Ok(None),
             Value::ByRef(r) => {
-                let dm = self.dm().ok_or(DmError::InvalidRef)?.clone();
-                let addr = dm.map_ref(r).await?;
-                Ok(Some(MappedValue {
-                    dm,
-                    addr,
-                    len: r.len(),
-                }))
+                let dm = self.dm().ok_or(DmError::InvalidRef)?;
+                Ok(Some(dm.map_ref(r).await?))
             }
         }
     }
@@ -171,7 +158,7 @@ impl DmRpc {
             None => Ok(n), // inline: the caller's local buffer, no DM work
             Some(m) => {
                 m.write(0, &Bytes::from(vec![0xD7u8; n as usize])).await?;
-                m.close().await?;
+                m.free().await?;
                 Ok(n)
             }
         }
@@ -213,47 +200,6 @@ impl DmRpc {
             .await
             .map_err(|_| DmError::Transport)?;
         Value::decode(&resp)
-    }
-}
-
-/// A mapped by-reference argument: fine-grained reads and writes against
-/// the process's own (COW-isolated) view.
-pub struct MappedValue {
-    dm: DmHandle,
-    addr: DmAddr,
-    len: u64,
-}
-
-impl MappedValue {
-    /// Region length.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Read `len` bytes at `off`.
-    pub async fn read(&self, off: u64, len: u64) -> DmResult<Bytes> {
-        if off + len > self.len {
-            return Err(DmError::OutOfBounds);
-        }
-        self.dm.read(self.addr.offset(off), len).await
-    }
-
-    /// Write bytes at `off` (triggers COW on shared pages).
-    pub async fn write(&self, off: u64, data: &Bytes) -> DmResult<()> {
-        if off + data.len() as u64 > self.len {
-            return Err(DmError::OutOfBounds);
-        }
-        self.dm.write(self.addr.offset(off), data).await
-    }
-
-    /// Unmap the region.
-    pub async fn close(self) -> DmResult<()> {
-        self.dm.free(self.addr).await
     }
 }
 
@@ -443,7 +389,7 @@ mod tests {
             m.write(4096, &Bytes::from_static(&[1, 2])).await.unwrap();
             assert_eq!(&m.read(4095, 4).await.unwrap()[..], &[7, 1, 2, 7]);
             assert!(m.read(16383, 2).await.is_err());
-            m.close().await.unwrap();
+            m.free().await.unwrap();
             // The ref itself is unchanged.
             assert_eq!(ep.fetch(&v).await.unwrap(), Bytes::from(vec![7u8; 16384]));
             ep.release(&v).await.unwrap();

@@ -1,12 +1,12 @@
 //! Edge-case tests for the dmrpc public API: mismatched backends, double
-//! release, zero-sized values, threshold boundaries, and DmAddr arithmetic.
+//! release, zero-sized values and threshold boundaries.
 
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dmcxl::{CxlFabric, CxlHostConfig};
 use dmnet::{start_pool, DmNetClient, DmServerConfig};
-use dmrpc::{DmAddr, DmError, DmHandle, DmRpc, Value, DEFAULT_THRESHOLD};
+use dmrpc::{DmError, DmHandle, DmRpc, Value, DEFAULT_THRESHOLD};
 use memsim::ModelParams;
 use rpclib::RpcBuilder;
 use simcore::Sim;
@@ -45,13 +45,6 @@ fn mismatched_backend_refs_rejected() {
         assert_eq!(
             net_dm.map_ref(&cxl_ref).await.unwrap_err(),
             DmError::InvalidRef
-        );
-        // Cross-backend addresses too.
-        let net_addr = net_dm.alloc(4096).await.unwrap();
-        assert!(matches!(net_addr, DmAddr::Net(_)));
-        assert_eq!(
-            cxl_dm.read(net_addr, 1).await.unwrap_err(),
-            DmError::InvalidAddress
         );
         net_dm.release_ref(&net_ref).await.unwrap();
         cxl_dm.release_ref(&cxl_ref).await.unwrap();
@@ -185,24 +178,6 @@ fn empty_value_stays_inline_and_roundtrips() {
         assert_eq!(ep.fetch(&v).await.unwrap(), Bytes::new());
         assert_eq!(ep.overwrite_fraction(&v, 1.0).await.unwrap(), 0);
     });
-}
-
-#[test]
-fn dm_addr_offset_arithmetic() {
-    let net_addr = DmAddr::Net(dmcommon::RemoteAddr {
-        server: dmcommon::DmServerId(0),
-        pid: dmcommon::GlobalPid(1),
-        va: 0x1000,
-    });
-    match net_addr.offset(0x234) {
-        DmAddr::Net(a) => assert_eq!(a.va, 0x1234),
-        _ => panic!("variant changed"),
-    }
-    let cxl_addr = DmAddr::Cxl(0x2000);
-    match cxl_addr.offset(8) {
-        DmAddr::Cxl(va) => assert_eq!(va, 0x2008),
-        _ => panic!("variant changed"),
-    }
 }
 
 #[test]

@@ -23,12 +23,6 @@ use bytes::Bytes;
 /// changeable, 4 KB in our case").
 pub const PAGE_SIZE: usize = 4096;
 
-/// Number of pages needed to hold `len` bytes (at least 1 for len 0 is NOT
-/// assumed; zero-length regions occupy zero pages).
-pub fn pages_for(len: u64) -> u64 {
-    len.div_ceil(PAGE_SIZE as u64)
-}
-
 /// Identifies one DM server in the pool (network backend) or the G-FAM
 /// device (CXL backend uses id 0).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -231,15 +225,6 @@ pub type DmResult<T> = Result<T, DmError>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pages_for_rounding() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(4096), 1);
-        assert_eq!(pages_for(4097), 2);
-        assert_eq!(pages_for(10 * 4096), 10);
-    }
 
     #[test]
     fn remote_addr_offset() {

@@ -82,11 +82,6 @@ impl VaTree {
         }
     }
 
-    /// Whether `[va, va+len)` lies entirely inside one allocated range.
-    pub fn contains_range(&self, va: u64, len: u64) -> bool {
-        self.check_range(va, len).is_ok()
-    }
-
     /// Number of allocated ranges.
     pub fn len(&self) -> usize {
         self.ranges.len()
@@ -154,15 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_range_checks_bounds() {
-        let mut t = VaTree::new();
-        let a = t.alloc(2 * PS, PS).unwrap();
-        assert!(t.contains_range(a, 2 * PS));
-        assert!(t.contains_range(a + 100, PS));
-        assert!(!t.contains_range(a + PS, 2 * PS));
-    }
-
-    #[test]
     fn wire_fed_lengths_are_refused_not_wrapped() {
         let mut t = VaTree::new();
         // Rounding `u64::MAX` up to pages overflows.
@@ -174,7 +160,6 @@ mod tests {
         assert_eq!(t.alloc(u64::MAX - PS, PS), Err(DmError::OutOfMemory));
         assert_eq!(t.len(), 1, "a refused allocation inserts nothing");
         // `va + len` wrapping past zero is out of bounds, not inside.
-        assert!(!t.contains_range(a, u64::MAX));
         assert_eq!(t.check_range(a, u64::MAX), Err(DmError::OutOfBounds));
         assert_eq!(t.check_range(a + 1, PS), Err(DmError::OutOfBounds));
         assert_eq!(t.check_range(a + PS, 1), Err(DmError::InvalidAddress));

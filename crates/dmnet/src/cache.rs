@@ -99,15 +99,15 @@ impl CacheStats {
     }
 }
 
-/// A cached prefix of a ref's bytes (always starting at offset 0).
+/// A cached ref: its bytes, whole.
 struct DataEntry {
     bytes: Bytes,
-    /// Second chances left: raised by each covering hit up to [`REF_MAX`],
+    /// Second chances left: raised by each hit up to [`REF_MAX`],
     /// spent one per eviction scan that passes the entry over.
     refs: Cell<u8>,
 }
 
-/// What a cached prefix of `len` bytes is charged: the DM pages it spans,
+/// What a cached ref of `len` bytes is charged: the DM pages it spans,
 /// at least one.
 fn pages(len: usize) -> usize {
     len.div_ceil(PAGE_SIZE).max(1)
@@ -237,15 +237,12 @@ impl ClientCache {
 
     // -- ref data ------------------------------------------------------------
 
-    /// Serve `[off, off+len)` of `key` from cache, if an entry covers it.
-    pub(crate) fn lookup_data(&self, idx: usize, key: u64, off: u64, len: u64) -> Option<Bytes> {
+    /// Serve the ref `key` from cache, if it is there.
+    pub(crate) fn lookup_data(&self, idx: usize, key: u64) -> Option<Bytes> {
         let data = self.servers[idx].data.borrow();
-        let hit = data.get(&key).and_then(|e| {
-            let covered = off + len <= e.bytes.len() as u64;
-            covered.then(|| {
-                e.refs.set((e.refs.get() + 1).min(REF_MAX));
-                e.bytes.slice(off as usize..(off + len) as usize)
-            })
+        let hit = data.get(&key).map(|e| {
+            e.refs.set((e.refs.get() + 1).min(REF_MAX));
+            e.bytes.clone()
         });
         match &hit {
             Some(_) => self.stats.hits.set(self.stats.hits.get() + 1),
@@ -254,7 +251,7 @@ impl ClientCache {
         hit
     }
 
-    /// Cache `bytes` as the prefix of `key`. A fill charged more [`pages`]
+    /// Cache `bytes` as the ref `key`. A fill charged more [`pages`]
     /// than the server's share is discarded. Over the share, the scan from
     /// the front of `data_order` evicts each entry with no references left
     /// and sends each one it passes to the back with one fewer (CLOCK)
@@ -358,10 +355,10 @@ mod tests {
         ClientCache::new(1)
     }
 
-    /// A one-byte prefix: charged one page.
+    /// A one-byte ref: charged one page.
     const ONE: Bytes = Bytes::from_static(b"a");
 
-    /// A prefix of `n` whole pages.
+    /// A ref of `n` whole pages.
     fn of_pages(n: usize) -> Bytes {
         Bytes::from(vec![7; n * PAGE_SIZE])
     }
@@ -384,9 +381,9 @@ mod tests {
             c.fill_data(0, key, ONE);
         }
         assert_eq!(used(&c, 0), c.share);
-        assert!(c.lookup_data(0, 1, 0, 1).is_none(), "oldest evicted");
-        assert_eq!(c.lookup_data(0, 2, 0, 1).unwrap(), ONE);
-        assert_eq!(c.lookup_data(0, n, 0, 1).unwrap(), ONE);
+        assert!(c.lookup_data(0, 1).is_none(), "oldest evicted");
+        assert_eq!(c.lookup_data(0, 2).unwrap(), ONE);
+        assert_eq!(c.lookup_data(0, n).unwrap(), ONE);
         assert_eq!(c.stats().hits(), 2);
         assert_eq!(c.stats().misses(), 1);
     }
@@ -403,13 +400,13 @@ mod tests {
         let c = cache();
         let n = c.share as u64;
         fill_keys(&c, n);
-        assert!(c.lookup_data(0, 1, 0, 1).is_some());
+        assert!(c.lookup_data(0, 1).is_some());
         c.fill_data(0, n + 1, ONE);
         // The scan passes the hit key 1 (to the back, count spent) and
         // evicts key 2, the oldest never hit.
-        assert!(c.lookup_data(0, 2, 0, 1).is_none(), "never-hit key evicted");
-        assert!(c.lookup_data(0, 1, 0, 1).is_some(), "hit key kept");
-        assert!(c.lookup_data(0, n + 1, 0, 1).is_some());
+        assert!(c.lookup_data(0, 2).is_none(), "never-hit key evicted");
+        assert!(c.lookup_data(0, 1).is_some(), "hit key kept");
+        assert!(c.lookup_data(0, n + 1).is_some());
     }
 
     #[test]
@@ -419,7 +416,7 @@ mod tests {
         fill_keys(&c, n);
         for key in 1..=n {
             for _ in 0..=REF_MAX {
-                assert!(c.lookup_data(0, key, 0, 1).is_some());
+                assert!(c.lookup_data(0, key).is_some());
             }
         }
         let s = &c.servers[0];
@@ -432,23 +429,6 @@ mod tests {
         // newcomer, the only entry with none left.
         assert!(all_at(REF_MAX - 1));
         assert!(!s.data.borrow().contains_key(&(n + 1)));
-    }
-
-    #[test]
-    fn partial_range_miss_does_not_mark_the_entry() {
-        let c = cache();
-        let n = c.share as u64;
-        c.fill_data(0, 1, Bytes::from_static(b"ab"));
-        for key in 2..=n {
-            c.fill_data(0, key, ONE);
-        }
-        assert!(c.lookup_data(0, 1, 1, 2).is_none(), "past the prefix");
-        c.fill_data(0, n + 1, ONE);
-        assert!(
-            c.lookup_data(0, 1, 0, 1).is_none(),
-            "evicted as if never read"
-        );
-        assert!(c.lookup_data(0, 2, 0, 1).is_some());
     }
 
     #[test]
@@ -479,11 +459,11 @@ mod tests {
         fill_keys(&c, n);
         c.fill_data(0, n + 1, over());
         assert_eq!(used(&c, 0), c.share);
-        assert!(c.lookup_data(0, n + 1, 0, 1).is_none(), "not cached");
-        assert!((1..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
+        assert!(c.lookup_data(0, n + 1).is_none(), "not cached");
+        assert!((1..=n).all(|key| c.lookup_data(0, key).is_some()));
         // A refused refill of a cached key keeps the entry it would replace.
         c.fill_data(0, 1, over());
-        assert_eq!(c.lookup_data(0, 1, 0, 1).unwrap(), ONE);
+        assert_eq!(c.lookup_data(0, 1).unwrap(), ONE);
         assert_eq!(used(&c, 0), c.share);
 
         // Exactly a share is admitted: over never-hit entries it evicts
@@ -502,10 +482,10 @@ mod tests {
         fill_keys(&c, n);
         c.fill_data(0, n + 1, of_pages(4));
         assert_eq!(used(&c, 0), c.share);
-        assert!((1..=4).all(|key| c.lookup_data(0, key, 0, 1).is_none()));
-        assert!((5..=n).all(|key| c.lookup_data(0, key, 0, 1).is_some()));
-        assert!(c.lookup_data(0, n + 1, 0, 4 * PAGE_SIZE as u64).is_some());
-        // Refilling a key with a shorter prefix charges only the new length.
+        assert!((1..=4).all(|key| c.lookup_data(0, key).is_none()));
+        assert!((5..=n).all(|key| c.lookup_data(0, key).is_some()));
+        assert_eq!(c.lookup_data(0, n + 1).unwrap().len(), 4 * PAGE_SIZE);
+        // Refilling a key with shorter bytes charges only the new length.
         c.fill_data(0, n + 1, ONE);
         assert_eq!(used(&c, 0), c.share - 3);
     }
@@ -529,8 +509,8 @@ mod tests {
         c.observe(0, deaths(1, &[]), None);
         assert_eq!((used(&c, 0), used(&c, 1)), (0, c.share));
         assert_eq!((c.stats().invalidations(), c.stats().resets()), (n, 1));
-        assert!(c.lookup_data(0, 1, 0, 1).is_none());
-        assert!((1..=n).all(|key| c.lookup_data(1, key, 0, 1).is_some()));
+        assert!(c.lookup_data(0, 1).is_none());
+        assert!((1..=n).all(|key| c.lookup_data(1, key).is_some()));
         // Server 0's share refills to the full share; server 1's is untouched.
         c.observe(0, deaths(1, &[]), Some((n + 1, of_pages(c.share))));
         assert_eq!((used(&c, 0), used(&c, 1)), (c.share, c.share));
@@ -544,38 +524,27 @@ mod tests {
         }
         // In order: exactly the listed key goes.
         c.observe(0, deaths(1, &[2]), None);
-        assert!(c.lookup_data(0, 2, 0, 1).is_none());
-        assert!(c.lookup_data(0, 1, 0, 1).is_some() && c.lookup_data(0, 3, 0, 1).is_some());
+        assert!(c.lookup_data(0, 2).is_none());
+        assert!(c.lookup_data(0, 1).is_some() && c.lookup_data(0, 3).is_some());
         assert_eq!((c.stats().listed(), c.stats().resets()), (1, 0));
         // Late (a reply sent before that listing): its fill is refused and
         // nothing else moves.
         c.observe(0, deaths(0, &[]), Some((4, ONE)));
-        assert!(c.lookup_data(0, 4, 0, 1).is_none(), "late fill kept");
-        assert!(c.lookup_data(0, 1, 0, 1).is_some());
+        assert!(c.lookup_data(0, 4).is_none(), "late fill kept");
+        assert!(c.lookup_data(0, 1).is_some());
         // A count that skips a listing (a lost reply, a restarted server):
         // the key it lists is not enough, everything goes.
         c.observe(0, deaths(3, &[1]), None);
-        assert!(c.lookup_data(0, 3, 0, 1).is_none());
+        assert!(c.lookup_data(0, 3).is_none());
         assert_eq!((c.stats().listed(), c.stats().resets()), (1, 1));
         assert_eq!(used(&c, 0), 0);
         // Counts never run backwards: the next in-order reply fills again.
         c.observe(0, deaths(3, &[]), Some((6, ONE)));
-        assert!(c.lookup_data(0, 6, 0, 1).is_some());
+        assert!(c.lookup_data(0, 6).is_some());
         // A fill its own in-order response lists never serves.
         c.observe(0, deaths(4, &[7]), Some((7, ONE)));
-        assert!(c.lookup_data(0, 7, 0, 1).is_none());
+        assert!(c.lookup_data(0, 7).is_none());
         assert_eq!((c.stats().listed(), used(&c, 0)), (2, 1));
-    }
-
-    #[test]
-    fn partial_reads_served_from_prefix() {
-        let c = cache();
-        c.fill_data(0, 7, Bytes::from_static(b"abcdef"));
-        assert_eq!(
-            c.lookup_data(0, 7, 2, 3).unwrap(),
-            Bytes::from_static(b"cde")
-        );
-        assert!(c.lookup_data(0, 7, 4, 4).is_none(), "beyond cached prefix");
     }
 
     #[test]

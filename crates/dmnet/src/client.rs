@@ -369,21 +369,22 @@ impl DmNetClient {
         })
     }
 
-    /// Fast path: read `len` bytes at `off` of a reference without mapping.
-    /// Served from the client cache when a fresh entry covers the range.
-    pub async fn read_ref(&self, r: &Ref, off: u64, len: u64) -> DmResult<Bytes> {
+    /// Fast path: read a whole reference without mapping, the twin of
+    /// `CxlHost::read_ref`. Served from the client cache while it holds
+    /// the ref. A sub-range is Listing 1's `map_ref` + `rread`.
+    pub async fn read_ref(&self, r: &Ref) -> DmResult<Bytes> {
         let (server, key) = Self::resolve(r)?;
         self.flush_if_pending_key(server, key).await;
         if self.cached {
-            if let Some(bytes) = self.cache.lookup_data(server.0 as usize, key, off, len) {
+            if let Some(bytes) = self.cache.lookup_data(server.0 as usize, key) {
                 return Ok(bytes);
             }
         }
-        let body = Writer::new().u64(key).u64(off).u64(len).finish();
+        let body = Writer::new().u64(key).finish();
         let (deaths, res) = self.request_at(server, req::READ_REF, body).await;
         // Fill so the next read hits.
-        let fill = res.as_ref().ok().filter(|_| off == 0);
-        self.observe(server, deaths, fill.map(|bytes| (key, bytes.clone())));
+        let fill = res.as_ref().ok().map(|bytes| (key, bytes.clone()));
+        self.observe(server, deaths, fill);
         res
     }
 

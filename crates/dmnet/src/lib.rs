@@ -226,7 +226,7 @@ mod e2e_tests {
             assert!(back.iter().all(|&b| b == 9));
             // The doomed process's ref is gone along with its pins.
             assert_eq!(
-                survivor.read_ref(&doomed_ref, 0, 16).await.unwrap_err(),
+                survivor.read_ref(&doomed_ref).await.unwrap_err(),
                 DmError::InvalidRef
             );
 
@@ -662,8 +662,7 @@ mod e2e_tests {
             let reader = DmNetClient::connect(client_rpc(&net, c1, 100), vec![srv.addr()])
                 .await
                 .unwrap();
-            let len = data.len() as u64;
-            assert_eq!(reader.read_ref(&published, 0, len).await.unwrap(), data);
+            assert_eq!(reader.read_ref(&published).await.unwrap(), data);
             srv.check_invariants_all();
         });
     }
@@ -823,7 +822,7 @@ mod e2e_tests {
 
     #[test]
     fn cached_reads_hit_until_a_listed_death_or_a_reclaimed_lease_resets() {
-        // Repeats and sub-range reads hit; a death is listed on the
+        // Repeat reads hit; a death is listed on the
         // reader's next answer (DESIGN.md §9). A lease reclamation drops
         // the reader's grants and pending keys and keeps its count one
         // higher: a reader that was only partitioned is told of no later
@@ -848,18 +847,20 @@ mod e2e_tests {
             let mut refs = Vec::new();
             for _ in 0..3 {
                 let r = owner.put_ref(&data).await.unwrap();
-                assert_eq!(reader.read_ref(&r, 0, 8192).await.unwrap(), data);
+                assert_eq!(reader.read_ref(&r).await.unwrap(), data);
                 refs.push(r);
             }
             let wire = || reader.wire_count(proto::req::READ_REF);
             let filled = wire();
-            let part = reader.read_ref(&refs[0], 100, 8).await.unwrap();
-            assert_eq!((&part[..], wire()), (&data[100..108], filled));
+            assert_eq!(
+                (reader.read_ref(&refs[0]).await.unwrap(), wire()),
+                (data.clone(), filled)
+            );
 
             owner.release_ref(&refs[0]).await.unwrap();
             let scratch = reader.ralloc(4096).await.unwrap(); // lists the key
             assert_eq!(reader.cache_stats().listed(), 1);
-            let gone = reader.read_ref(&refs[0], 0, 8192).await;
+            let gone = reader.read_ref(&refs[0]).await;
             assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
 
             // The reader goes dark past its lease, then `refs[1]` dies.
@@ -870,12 +871,12 @@ mod e2e_tests {
             reader_rpc.set_offline(false);
             // Unheard, its entry serves the final bytes; the next answer
             // (an error: the reader's pid is gone) resets the reader.
-            assert_eq!(reader.read_ref(&refs[1], 0, 8192).await.unwrap(), data);
+            assert_eq!(reader.read_ref(&refs[1]).await.unwrap(), data);
             assert!(reader.rfree(scratch).await.is_err());
             assert_eq!(reader.cache_stats().resets(), 1);
-            let gone = reader.read_ref(&refs[1], 0, 8192).await;
+            let gone = reader.read_ref(&refs[1]).await;
             assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
-            assert_eq!(reader.read_ref(&refs[2], 0, 8192).await.unwrap(), data);
+            assert_eq!(reader.read_ref(&refs[2]).await.unwrap(), data);
             assert_eq!(wire(), filled + 3);
             assert_eq!(
                 servers[0].invalidations_pushed(),
@@ -941,7 +942,7 @@ mod e2e_tests {
             }
             // The middle ref dies first; the reader caches the first.
             owner.release_ref(&refs[1]).await.unwrap();
-            assert!(reader.read_ref(&refs[0], 0, 4096).await.is_ok());
+            assert!(reader.read_ref(&refs[0]).await.is_ok());
             assert_eq!(raw_batch(&rpc, s, 3, &refs).await, Ok(()));
             s.check_invariants_all();
             assert_eq!(s.free_pages_total(), s.capacity_pages_total());
@@ -949,7 +950,7 @@ mod e2e_tests {
             let probe = reader.ralloc(4096).await.unwrap();
             reader.rfree(probe).await.unwrap();
             assert_eq!(reader.cache_stats().listed(), 1);
-            let gone = reader.read_ref(&refs[0], 0, 4096).await;
+            let gone = reader.read_ref(&refs[0]).await;
             assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
             // A key with the trace bit is refused, never queued.
             let forged = Ref::Net {
@@ -991,11 +992,11 @@ mod e2e_tests {
             for i in 0..4u8 {
                 let r = owner.put_ref(&Bytes::from(vec![i; 4096])).await.unwrap();
                 assert!(matches!(r, Ref::Net { server, .. } if server.0 == i % 2));
-                assert!(reader.read_ref(&r, 0, 4096).await.is_ok());
+                assert!(reader.read_ref(&r).await.is_ok());
                 refs.push(r);
             }
             let wire_reads = || reader.wire_count(proto::req::READ_REF);
-            let read = |i: usize| reader.read_ref(&refs[i], 0, 4096);
+            let read = |i: usize| reader.read_ref(&refs[i]);
 
             owner.release_ref(&refs[0]).await.unwrap();
             owner.flush_cache().await;
@@ -1034,10 +1035,10 @@ mod e2e_tests {
             for _ in 0..2 {
                 let r = bare.put_ref(&data).await.unwrap();
                 assert!(matches!(r, Ref::Net { key: 3, .. }), "{r:?}");
-                assert_eq!(bare.read_ref(&r, 0, 8192).await.unwrap(), data);
-                assert_eq!(reader.read_ref(&r, 4096, 16).await.unwrap()[..], data[..16]);
+                assert_eq!(bare.read_ref(&r).await.unwrap(), data);
+                assert_eq!(reader.read_ref(&r).await.unwrap(), data);
                 bare.release_ref(&r).await.unwrap();
-                let gone = bare.read_ref(&r, 0, 1).await;
+                let gone = bare.read_ref(&r).await;
                 assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
             }
 
@@ -1085,7 +1086,7 @@ mod e2e_tests {
                         .put_ref(&Bytes::from(vec![i as u8; 64]))
                         .await
                         .unwrap();
-                    assert!(reader.read_ref(&r, 0, 64).await.is_ok());
+                    assert!(reader.read_ref(&r).await.is_ok());
                     refs.push(r);
                     servers[0].crash();
                     servers[0].restart_from_log().await;
@@ -1098,7 +1099,7 @@ mod e2e_tests {
                 let probe = reader.ralloc(4096).await.unwrap();
                 reader.rfree(probe).await.unwrap();
                 for r in &refs {
-                    let stale = reader.read_ref(r, 0, 64).await;
+                    let stale = reader.read_ref(r).await;
                     assert_eq!(stale.unwrap_err(), DmError::InvalidRef, "{crashes} crashes");
                 }
                 assert_eq!(reader.cache_stats().hits(), 0);
@@ -1135,7 +1136,7 @@ mod e2e_tests {
                 let probe = reader.ralloc(4096).await.unwrap();
 
                 let (app, big) = (reader.clone(), r.clone());
-                let read = simcore::spawn(async move { app.read_ref(&big, 0, 256 << 10).await });
+                let read = simcore::spawn(async move { app.read_ref(&big).await });
                 simcore::sleep(std::time::Duration::from_micros(wait_us)).await;
                 owner.release_ref(&r).await.unwrap();
                 reader.rfree(probe).await.unwrap();
@@ -1148,7 +1149,7 @@ mod e2e_tests {
                 assert_eq!(read.await.unwrap(), data);
                 assert_eq!(seen(), (listed[1], resets), "{wait_us} µs, late reply");
                 let wire = reader.wire_count(proto::req::READ_REF);
-                let gone = reader.read_ref(&r, 0, 1).await;
+                let gone = reader.read_ref(&r).await;
                 assert_eq!(gone.unwrap_err(), DmError::InvalidRef);
                 assert_eq!(reader.wire_count(proto::req::READ_REF), wire + 1);
                 servers[0].check_invariants_all();
@@ -1174,15 +1175,15 @@ mod e2e_tests {
                 refs.push(dm.put_ref(&one).await.unwrap());
             }
             // Hit the oldest, so the client's own eviction passes it over.
-            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
+            assert_eq!(dm.read_ref(&refs[0]).await.unwrap(), one);
             assert_eq!(dm.wire_count(proto::req::READ_REF), 0);
             // One grant too many: its own answer lists the oldest.
             refs.push(dm.put_ref(&one).await.unwrap());
             assert_eq!(servers[0].invalidations_pushed(), 1);
             assert_eq!(dm.cache_stats().listed(), 1);
             // The revoked ref is alive: read from the wire, then cached again.
-            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
-            assert_eq!(dm.read_ref(&refs[0], 0, 1).await.unwrap(), one);
+            assert_eq!(dm.read_ref(&refs[0]).await.unwrap(), one);
+            assert_eq!(dm.read_ref(&refs[0]).await.unwrap(), one);
             assert_eq!(dm.wire_count(proto::req::READ_REF), 1);
             for r in &refs {
                 dm.release_ref(r).await.unwrap();

@@ -499,8 +499,13 @@ impl PageManager {
         Ok((key, cost))
     }
 
+    /// The length of the live reference `key`.
+    pub(crate) fn ref_len(&self, key: u64) -> DmResult<u64> {
+        Ok(self.refs.get(&key).ok_or(DmError::InvalidRef)?.len)
+    }
+
     /// Read `len` bytes at `off` within a reference's pages, without
-    /// installing a mapping (the `READ_REF` fast path).
+    /// installing a mapping (what `READ_REF` reads, the whole ref).
     pub fn read_ref(&self, key: u64, off: u64, len: u64) -> DmResult<Bytes> {
         let e = self.refs.get(&key).ok_or(DmError::InvalidRef)?;
         if off.checked_add(len).is_none_or(|end| end > e.len) {

@@ -43,7 +43,8 @@ pub mod req {
     pub const WRITE: u8 = 16;
     /// Release a shared reference.
     pub const RELEASE_REF: u8 = 17;
-    /// Fast path: read a ref's bytes by key without installing a mapping.
+    /// Fast path: read a whole ref by key (`[key u64]`) without
+    /// installing a mapping.
     pub const READ_REF: u8 = 19;
     /// Fast path: publish data as a new reference in one round trip, with
     /// no creator mapping (server-side allocation).

@@ -138,3 +138,28 @@ impl DmServer {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::e2e_tests::rig;
+    use crate::{start_pool, DmServerConfig};
+
+    #[test]
+    fn keys_past_an_answers_room_wait_in_order_for_the_next_one() {
+        let r = rig(1, 0);
+        let (net, params, dm0) = (r.net.clone(), r.params.clone(), r.dm_nodes[0]);
+        r.sim.block_on(async move {
+            let srv = start_pool(&net, &[dm0], &params, DmServerConfig::default()).remove(0);
+            // Any endpoint will do as the holder.
+            let dst = srv.addr();
+            srv.holders.borrow_mut().entry(dst).or_default().pending = (1..=5).collect();
+            // Room for the 4-byte list length and two keys.
+            assert_eq!(srv.news(dst, 4 + 2 * 8), (2, vec![1, 2]));
+            assert_eq!(srv.invalidations_pushed(), 2);
+            assert_eq!(srv.holders.borrow()[&dst].pending, [3, 4, 5]);
+            assert_eq!(srv.news(dst, 0), (2, vec![]));
+            assert_eq!(srv.news(dst, 1 << 20), (5, vec![3, 4, 5]));
+            assert_eq!(srv.invalidations_pushed(), 5);
+        });
+    }
+}

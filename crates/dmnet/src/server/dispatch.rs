@@ -46,8 +46,8 @@ impl DmServer {
         self.answer(src, resp).bulk()
     }
 
-    /// Refuse a read whose reply no message can carry — `len` comes off the
-    /// wire — before any buffer is built for it.
+    /// Refuse a read whose reply no message can carry before any buffer is
+    /// built for it.
     fn check_reply_fits(&self, len: u64) -> DmResult<()> {
         let room = rpclib::wire::max_msg_len(self.rpc.config().mtu) - proto::RESPONSE_HEAD;
         if len > room as u64 {
@@ -221,24 +221,19 @@ impl DmServer {
             }
             req::READ_REF => {
                 let key = r.u64()?;
-                let off = r.u64()?;
-                let len = r.u64()?;
+                let len = self.pm.borrow().ref_len(key)?;
                 self.check_reply_fits(len)?;
                 // A view of the buffer the ref was published in, whenever
-                // the range still lies there whole.
-                let data = self.pm.borrow().read_ref(key, off, len)?;
-                // A client caches a read from the ref's start only, and
-                // may now cache these bytes. Granted while they are the
-                // live ref's: a death while this op waits is listed.
-                if off == 0 {
-                    self.grant(key, src);
-                }
+                // it still lies there whole.
+                let data = self.pm.borrow().read_ref(key, 0, len)?;
+                // The client may now cache the ref. Granted while these are
+                // the live ref's bytes: a death while this op waits is
+                // listed.
+                self.grant(key, src);
                 self.charge(OpCost::default(), translations_for(len)).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                if off == 0 {
-                    self.confirm_grant(key, src);
-                }
+                self.confirm_grant(key, src);
                 Ok(Response::new().body(data))
             }
             req::BATCH => {

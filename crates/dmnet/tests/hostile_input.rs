@@ -46,7 +46,7 @@ fn the_retired_redirect_status_is_malformed_and_not_followed() {
                     key,
                     len: 8,
                 };
-                let err = dm.read_ref(&r, 0, 8).await.unwrap_err();
+                let err = dm.read_ref(&r).await.unwrap_err();
                 assert_eq!(err, DmError::Malformed, "status {status} key {key:#x}");
             }
             assert_eq!(dm.wire_count(req::READ_REF), 2, "one message per read");
@@ -110,17 +110,14 @@ fn a_death_list_that_runs_past_its_answer_is_malformed_and_drops_nothing() {
             len: 8,
         };
         for key in [1, 2] {
-            assert_eq!(
-                dm.read_ref(&r(key), 0, 8).await.unwrap()[..],
-                [key as u8; 8]
-            );
+            assert_eq!(dm.read_ref(&r(key)).await.unwrap()[..], [key as u8; 8]);
         }
         // Which keys a read still finds in the cache.
         let cached = || async {
             let mut hit = Vec::new();
             for key in [1, 2] {
                 let wire = dm.wire_count(req::READ_REF);
-                dm.read_ref(&r(key), 0, 8).await.unwrap();
+                dm.read_ref(&r(key)).await.unwrap();
                 if dm.wire_count(req::READ_REF) == wire {
                     hit.push(key);
                 }
@@ -407,7 +404,7 @@ fn alloc_past_2_pow_48_then_alloc_again_serves_the_second_region() {
             .body(Bytes::from_static(b"x"));
         let r = raw(&rpc, &server, req::WRITE, high).await;
         assert_eq!(r, Err(DmError::InvalidAddress));
-        let high = Writer::new().u64((1 << 48) + 1).u64(0).u64(1);
+        let high = Writer::new().u64((1 << 48) + 1);
         let r = raw(&rpc, &server, req::READ_REF, high).await;
         assert_eq!(r, Err(DmError::InvalidRef));
     });
@@ -426,7 +423,7 @@ fn a_key_with_bit_63_set_is_an_ordinary_unknown_key() {
         let key = 1 << 63 | Reader::new(&live).u64().unwrap();
         let ops = [
             (req::MAP_REF, Writer::new().u32(pid).u64(key)),
-            (req::READ_REF, Writer::new().u64(key).u64(0).u64(4)),
+            (req::READ_REF, Writer::new().u64(key)),
             (req::RELEASE_REF, Writer::new().u64(key)),
         ];
         for (ty, body) in ops {
@@ -463,9 +460,10 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
 /// could frame is refused as out of bounds before a byte of it is built — it
 /// must not be zero-filled and then panic the process in `fragment`. The
 /// limit is the message less the 9-byte response head, which a death list
-/// never shrinks: a `READ_REF` of exactly that many bytes passes it and
-/// fails only on its unknown key. A publish too long for its client's MTU
-/// is refused on that side of the wire.
+/// never shrinks. A `READ_REF` is the key alone, answered with the whole
+/// ref: a ref over that region is refused the same way, and an unknown key
+/// before a byte is built. A publish too long for its client's MTU is
+/// refused on that side of the wire.
 #[test]
 fn read_of_more_than_a_reply_can_carry_is_out_of_bounds() {
     Sim::new().block_on(async move {
@@ -481,16 +479,20 @@ fn read_of_more_than_a_reply_can_carry_is_out_of_bounds() {
             let r = raw(&rpc, &server, req::READ, read).await;
             assert_eq!(r, Err(DmError::OutOfBounds), "len {len:#x}");
         }
-        for (len, refused) in [
-            (most, DmError::InvalidRef),
-            (most + 1, DmError::OutOfBounds),
-        ] {
-            let read = Writer::new().u64(u64::MAX).u64(0).u64(len);
-            let r = raw(&rpc, &server, req::READ_REF, read).await;
-            assert_eq!(r, Err(refused), "len {len:#x}");
+        // Published beside the wire: a `CREATE_REF` of 65 536 pages outlasts
+        // this client's 100 µs of retries.
+        let key = server.with_page_manager(|pm| pm.create_ref(GlobalPid(pid), va, whole));
+        let key = key.expect("the region is owned").0;
+        for (key, refused) in [(key, DmError::OutOfBounds), (u64::MAX, DmError::InvalidRef)] {
+            let r = raw(&rpc, &server, req::READ_REF, Writer::new().u64(key)).await;
+            assert_eq!(r, Err(refused), "key {key:#x}");
         }
         let (viewed, gathered) = server.with_page_manager(|pm| pm.read_bytes());
         assert_eq!((viewed, gathered), (0, 0), "no reply was built");
+        server.with_page_manager(|pm| {
+            pm.release_ref(key).unwrap();
+            pm.rfree(GlobalPid(pid), va).unwrap();
+        });
         assert_still_serving(&rpc, &server, pid).await;
     });
     Sim::new().block_on(async move {
@@ -553,7 +555,6 @@ enum Field {
     Va,
     Len,
     Key,
-    Off,
 }
 
 /// Whether `ty`'s body starts with a pid, and its u64 fields after that.
@@ -567,8 +568,7 @@ fn layout(ty: u8) -> (bool, &'static [Field]) {
         req::MAP_REF => (true, &[Key]),
         req::RENEW_LEASE => (true, &[]),
         req::PUT_REF => (false, &[]),
-        req::RELEASE_REF => (false, &[Key]),
-        req::READ_REF => (false, &[Key, Off, Len]),
+        req::RELEASE_REF | req::READ_REF => (false, &[Key]),
         req::BATCH => (false, &[Key, Key, Key]),
         _ => (true, &[Va, Len, Key]),
     }
@@ -596,7 +596,6 @@ fn body(ty: u8, live_pid: Option<u32>, words: &[Word], tail: &[u8], live: &Live)
             (Word::Live, Field::Va) => live.va,
             (Word::Live, Field::Len) => live.len,
             (Word::Live, Field::Key) => live.key,
-            (Word::Live, Field::Off) => 0,
         };
         w = w.u64(v);
         if batch && v >> 63 == 1 && lie != 2 {

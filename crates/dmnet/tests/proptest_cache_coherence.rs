@@ -24,8 +24,8 @@ use simnet::{FabricConfig, Network, NicConfig, NodeId};
 enum Op {
     /// Publish a fresh ref of `len+1` bytes filled with `fill`.
     Put { len: u16, fill: u8 },
-    /// Read a sub-range of a live ref on both clients.
-    ReadRef { slot: u8, off: u16, len: u16 },
+    /// Read a live ref on both clients.
+    ReadRef { slot: u8 },
     /// Map a live ref, COW-write through the mapping, read it back, free.
     CowWrite { slot: u8, fill: u8 },
     /// Map a live ref, read the snapshot, free the mapping: a cached
@@ -38,11 +38,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u16>(), any::<u8>()).prop_map(|(len, fill)| Op::Put { len, fill }),
-        (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(slot, off, len)| Op::ReadRef {
-            slot,
-            off,
-            len
-        }),
+        any::<u8>().prop_map(|slot| Op::ReadRef { slot }),
         (any::<u8>(), any::<u8>()).prop_map(|(slot, fill)| Op::CowWrite { slot, fill }),
         any::<u8>().prop_map(|slot| Op::MapReadFree { slot }),
         any::<u8>().prop_map(|slot| Op::Release { slot }),
@@ -103,20 +99,13 @@ proptest! {
                         let r2 = cached.put_ref(&data).await.unwrap();
                         refs.push(Some((r1, r2, data.to_vec())));
                     }
-                    Op::ReadRef { slot, off, len } => {
+                    Op::ReadRef { slot } => {
                         let Some(i) = live_slot(&refs, slot) else { continue };
                         let (r1, r2, data) = refs[i].as_ref().unwrap();
-                        let total = data.len() as u64;
-                        let off = off as u64 % total;
-                        let len = (len as u64 % (total - off)) + 1;
-                        let a = raw.read_ref(r1, off, len).await.unwrap();
-                        let b = cached.read_ref(r2, off, len).await.unwrap();
+                        let a = raw.read_ref(r1).await.unwrap();
+                        let b = cached.read_ref(r2).await.unwrap();
                         assert_eq!(a, b, "cached bytes diverge from uncached");
-                        assert_eq!(
-                            &a[..],
-                            &data[off as usize..(off + len) as usize],
-                            "bytes diverge from the model"
-                        );
+                        assert_eq!(&a[..], &data[..], "bytes diverge from the model");
                     }
                     Op::CowWrite { slot, fill } => {
                         let Some(i) = live_slot(&refs, slot) else { continue };
@@ -132,11 +121,10 @@ proptest! {
                         assert_eq!(a, patch);
                         // The write went to a private copy: the ref's
                         // snapshot is untouched on both systems.
-                        let probe = 8.min(data.len() as u64);
-                        let s1 = raw.read_ref(r1, 0, probe).await.unwrap();
-                        let s2 = cached.read_ref(r2, 0, probe).await.unwrap();
+                        let s1 = raw.read_ref(r1).await.unwrap();
+                        let s2 = cached.read_ref(r2).await.unwrap();
                         assert_eq!(s1, s2, "ref snapshot diverges after COW");
-                        assert_eq!(&s1[..], &data[..probe as usize]);
+                        assert_eq!(&s1[..], &data[..]);
                         raw.rfree(m1).await.unwrap();
                         cached.rfree(m2).await.unwrap();
                     }
@@ -199,27 +187,13 @@ const CACHE_BOUND: usize = CACHE_PAGES / REF_PAGES;
 /// Refs in the re-read subset of `cached_client_is_coherent_while_evicting`.
 const HOT: usize = 16;
 
-/// Read a sub-range of one tracked ref (`off` and `len` folded into its
-/// bounds as the ops above fold them) on both clients, and check both
-/// against the model.
-async fn read_both(
-    raw: &DmNetClient,
-    cached: &DmNetClient,
-    (r1, r2, data): &(Ref, Ref, Vec<u8>),
-    off: u64,
-    len: u64,
-) {
-    let total = data.len() as u64;
-    let off = off % total;
-    let len = len % (total - off) + 1;
-    let a = raw.read_ref(r1, off, len).await.unwrap();
-    let b = cached.read_ref(r2, off, len).await.unwrap();
+/// Read one tracked ref on both clients, and check both against the
+/// model.
+async fn read_both(raw: &DmNetClient, cached: &DmNetClient, (r1, r2, data): &(Ref, Ref, Vec<u8>)) {
+    let a = raw.read_ref(r1).await.unwrap();
+    let b = cached.read_ref(r2).await.unwrap();
     assert_eq!(a, b, "cached bytes diverge from uncached while evicting");
-    assert_eq!(
-        &a[..],
-        &data[off as usize..(off + len) as usize],
-        "bytes diverge from the model"
-    );
+    assert_eq!(&a[..], &data[..], "bytes diverge from the model");
 }
 
 proptest! {
@@ -233,7 +207,7 @@ proptest! {
     #[test]
     fn cached_client_is_coherent_while_evicting(
         tails in proptest::collection::vec(0..PAGE_SIZE, CACHE_BOUND + 8..CACHE_BOUND + 64),
-        reads in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..64),
+        reads in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
         let sim = Sim::new();
         sim.block_on(async move {
@@ -262,21 +236,20 @@ proptest! {
                 let r2 = cached.put_ref(&data).await.unwrap();
                 refs.push((r1, r2, data.to_vec()));
                 // Three reads in four go to the hot subset, the rest
-                // anywhere; a read at offset 0 refills an evicted entry.
-                let (pick, off, len) = reads[n % reads.len()];
+                // anywhere; a miss refills an evicted entry.
+                let pick = reads[n % reads.len()];
                 let i = if pick % 4 != 0 {
                     pick as usize % HOT.min(refs.len())
                 } else {
                     pick as usize % refs.len()
                 };
-                let off = if pick % 8 == 0 { 0 } else { off as u64 };
-                read_both(&raw, &cached, &refs[i], off, len as u64).await;
+                read_both(&raw, &cached, &refs[i]).await;
             }
             // One whole read of every ref: at most the share's pages were
             // cached when it began, so the rest miss — and must still agree.
             let misses = cached.cache_stats().misses();
             for slot in &refs {
-                read_both(&raw, &cached, slot, 0, slot.2.len() as u64 - 1).await;
+                read_both(&raw, &cached, slot).await;
             }
             let missed_pages = (cached.cache_stats().misses() - misses) as usize * REF_PAGES;
             assert!(
@@ -314,8 +287,6 @@ enum FgOp {
     },
     ReadRef {
         slot: u8,
-        off: u16,
-        len: u16,
     },
     /// The *writer* client maps a live ref on the coherent plane and
     /// COW-writes through the mapping (the raw plane mirrors it); the
@@ -339,8 +310,6 @@ enum FgOp {
     /// served diverged bytes; heard, only the release's `InvalidRef`.
     ZombieRead {
         slot: u8,
-        off: u16,
-        len: u16,
         heard: bool,
     },
 }
@@ -348,22 +317,11 @@ enum FgOp {
 fn fg_op_strategy() -> impl Strategy<Value = FgOp> {
     prop_oneof![
         (any::<u16>(), any::<u8>()).prop_map(|(len, fill)| FgOp::Put { len, fill }),
-        (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(slot, off, len)| FgOp::ReadRef {
-            slot,
-            off,
-            len
-        }),
+        any::<u8>().prop_map(|slot| FgOp::ReadRef { slot }),
         (any::<u8>(), any::<u8>()).prop_map(|(slot, fill)| FgOp::WriterCow { slot, fill }),
         any::<u8>().prop_map(|slot| FgOp::Release { slot }),
         any::<u8>().prop_map(|slot| FgOp::ChaosRelease { slot }),
-        (any::<u8>(), any::<u16>(), any::<u16>(), any::<bool>()).prop_map(
-            |(slot, off, len, heard)| FgOp::ZombieRead {
-                slot,
-                off,
-                len,
-                heard
-            }
-        ),
+        (any::<u8>(), any::<bool>()).prop_map(|(slot, heard)| FgOp::ZombieRead { slot, heard }),
     ]
 }
 
@@ -412,20 +370,13 @@ proptest! {
                         let r2 = reader.put_ref(&data).await.unwrap();
                         refs.push(Some((r1, r2, data.to_vec())));
                     }
-                    FgOp::ReadRef { slot, off, len } => {
+                    FgOp::ReadRef { slot } => {
                         let Some(i) = live_slot(&refs, slot) else { continue };
                         let (r1, r2, data) = refs[i].as_ref().unwrap();
-                        let total = data.len() as u64;
-                        let off = off as u64 % total;
-                        let len = (len as u64 % (total - off)) + 1;
-                        let a = raw.read_ref(r1, off, len).await.unwrap();
-                        let b = reader.read_ref(r2, off, len).await.unwrap();
+                        let a = raw.read_ref(r1).await.unwrap();
+                        let b = reader.read_ref(r2).await.unwrap();
                         assert_eq!(a, b, "cached bytes diverge from uncached");
-                        assert_eq!(
-                            &a[..],
-                            &data[off as usize..(off + len) as usize],
-                            "bytes diverge from the model"
-                        );
+                        assert_eq!(&a[..], &data[..], "bytes diverge from the model");
                     }
                     FgOp::WriterCow { slot, fill } => {
                         let Some(i) = live_slot(&refs, slot) else { continue };
@@ -437,11 +388,10 @@ proptest! {
                         writer.rwrite(m2, &patch).await.unwrap();
                         // COW isolation: the writer's divergence must never
                         // leak into the reader's cached snapshot.
-                        let probe = 8.min(data.len() as u64);
-                        let s1 = raw.read_ref(r1, 0, probe).await.unwrap();
-                        let s2 = reader.read_ref(r2, 0, probe).await.unwrap();
+                        let s1 = raw.read_ref(r1).await.unwrap();
+                        let s2 = reader.read_ref(r2).await.unwrap();
                         assert_eq!(s1, s2, "snapshot diverges after writer COW");
-                        assert_eq!(&s1[..], &data[..probe as usize]);
+                        assert_eq!(&s1[..], &data[..]);
                         raw.rfree(m1).await.unwrap();
                         writer.rfree(m2).await.unwrap();
                     }
@@ -468,18 +418,15 @@ proptest! {
                         reader_rpc.set_offline(false);
                         zombies.push((r2, data));
                     }
-                    FgOp::ZombieRead { slot, off, len, heard } => {
+                    FgOp::ZombieRead { slot, heard } => {
                         if zombies.is_empty() {
                             continue;
                         }
                         let (r2, data) = &zombies[slot as usize % zombies.len()];
-                        let total = data.len() as u64;
-                        let off = off as u64 % total;
-                        let len = (len as u64 % (total - off)) + 1;
                         if heard {
                             let probe = reader.ralloc(1).await.unwrap();
                             reader.rfree(probe).await.unwrap();
-                            let gone = reader.read_ref(r2, off, len).await;
+                            let gone = reader.read_ref(r2).await;
                             assert_eq!(
                                 gone.unwrap_err(),
                                 dmcommon::DmError::InvalidRef,
@@ -490,12 +437,8 @@ proptest! {
                         // A stale serve must be the dead ref's final bytes,
                         // nothing else; once the entry is dropped the wire
                         // reports the release as an error.
-                        if let Ok(b) = reader.read_ref(r2, off, len).await {
-                            assert_eq!(
-                                &b[..],
-                                &data[off as usize..(off + len) as usize],
-                                "lost invalidation served diverged bytes"
-                            );
+                        if let Ok(b) = reader.read_ref(r2).await {
+                            assert_eq!(&b[..], &data[..], "lost invalidation served diverged bytes");
                         }
                     }
                 }

@@ -49,7 +49,7 @@ struct ParamsInner {
     cross_socket_latency: Cell<Duration>,
     cxl_latency: Cell<Duration>,
     /// Single-thread copy bandwidth (bytes/s) for modeled memcpy.
-    copy_bandwidth: Cell<f64>,
+    copy_bandwidth: f64,
     /// G-FAM data-path bandwidth (bytes/s): one resource that every host
     /// on the fabric shares, not a link per host.
     cxl_bandwidth: Cell<f64>,
@@ -62,7 +62,7 @@ impl Default for ModelParams {
                 local_latency: Cell::new(Duration::from_nanos(75)),
                 cross_socket_latency: Cell::new(Duration::from_nanos(125)),
                 cxl_latency: Cell::new(Duration::from_nanos(265)),
-                copy_bandwidth: Cell::new(12e9),
+                copy_bandwidth: 12e9,
                 cxl_bandwidth: Cell::new(64e9),
             }),
         }
@@ -96,12 +96,7 @@ impl ModelParams {
 
     /// Single-thread copy bandwidth in bytes/s.
     pub fn copy_bandwidth(&self) -> f64 {
-        self.inner.copy_bandwidth.get()
-    }
-
-    /// Override the copy bandwidth.
-    pub fn set_copy_bandwidth(&self, bps: f64) {
-        self.inner.copy_bandwidth.set(bps);
+        self.inner.copy_bandwidth
     }
 
     /// G-FAM data-path bandwidth in bytes/s, shared by every host on the

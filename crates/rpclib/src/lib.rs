@@ -350,11 +350,6 @@ pub struct Rpc {
     rto_armed: Cell<Option<SimTime>>,
     /// Wakes the RTO task when a call arms a `due` earlier than its timer.
     rto_wake: Notify,
-    /// The latest `due` ever entered into the table. With nothing in flight
-    /// the RTO task keeps its one timer until this instant has passed, so a
-    /// run quiesces exactly when it did with a watchdog per call (some
-    /// artifacts divide by time-to-quiescence).
-    rto_horizon: Cell<SimTime>,
     sessions: RefCell<FastMap<Addr, Session>>,
     served: RefCell<FastMap<(Addr, u32), ServedSlot>>,
     stats: RpcStats,
@@ -427,7 +422,6 @@ impl RpcBuilder {
             rto_entered: Cell::new(0),
             rto_armed: Cell::new(None),
             rto_wake: Notify::new(),
-            rto_horizon: Cell::new(SimTime::ZERO),
             sessions: RefCell::default(),
             served: RefCell::default(),
             stats: RpcStats::default(),
@@ -662,7 +656,6 @@ impl Rpc {
         let key = (due, self.rto_entered.get(), req_num);
         self.rto_entered.set(key.1 + 1);
         self.rto.borrow_mut().insert(key);
-        self.rto_horizon.set(self.rto_horizon.get().max(due));
         key
     }
 
@@ -676,15 +669,13 @@ impl Rpc {
 
     /// The endpoint's one retransmission task: sleeps until the earliest
     /// `due`, is woken early only by [`Rpc::arm`], and parks with no timer
-    /// once nothing is in flight and `rto_horizon` has passed (so the
-    /// simulation can quiesce). An entry removed before its `due` costs
+    /// as soon as nothing is in flight (so the simulation can quiesce). An entry removed before its `due` costs
     /// nothing but a wakeup that finds nothing to do.
     async fn rto_loop(self: Rc<Self>) {
         loop {
             let now = simcore::now();
             self.fire_due(now);
-            let earliest = self.rto.borrow().first().map(|&(due, ..)| due);
-            let next = earliest.or(Some(self.rto_horizon.get()).filter(|&h| h > now));
+            let next = self.rto.borrow().first().map(|&(due, ..)| due);
             self.rto_armed.set(next);
             match next {
                 None => self.rto_wake.notified().await,

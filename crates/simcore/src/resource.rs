@@ -26,8 +26,8 @@ pub struct RateResource {
 
 struct RateInner {
     name: String,
-    bytes_per_sec: Cell<f64>,
-    per_op_overhead: Cell<Duration>,
+    bytes_per_sec: f64,
+    per_op_overhead: Duration,
     next_free: Cell<SimTime>,
     busy: Cell<Duration>,
     /// Summed queueing wait, in ns (a plain add on every reservation).
@@ -43,8 +43,8 @@ impl RateResource {
         RateResource {
             inner: Rc::new(RateInner {
                 name: name.into(),
-                bytes_per_sec: Cell::new(bytes_per_sec),
-                per_op_overhead: Cell::new(per_op_overhead),
+                bytes_per_sec,
+                per_op_overhead,
                 next_free: Cell::new(SimTime::ZERO),
                 busy: Cell::new(Duration::ZERO),
                 wait_ns: Cell::new(0),
@@ -73,8 +73,7 @@ impl RateResource {
     pub fn reserve(&self, bytes: u64) -> SimTime {
         let t = now();
         let start = self.inner.next_free.get().max(t);
-        let service =
-            self.inner.per_op_overhead.get() + transfer_time(bytes, self.inner.bytes_per_sec.get());
+        let service = self.inner.per_op_overhead + transfer_time(bytes, self.inner.bytes_per_sec);
         let finish = start + service;
         self.inner.next_free.set(finish);
         self.inner.busy.set(self.inner.busy.get() + service);
@@ -85,14 +84,9 @@ impl RateResource {
         finish
     }
 
-    /// Change the service rate (e.g. Fig. 12's memory-latency sweep).
-    pub fn set_rate(&self, bytes_per_sec: f64) {
-        self.inner.bytes_per_sec.set(bytes_per_sec);
-    }
-
     /// Configured service rate in bytes/second.
     pub fn rate(&self) -> f64 {
-        self.inner.bytes_per_sec.get()
+        self.inner.bytes_per_sec
     }
 
     /// Total busy time accumulated.
@@ -261,19 +255,6 @@ mod tests {
             let f2 = res.reserve(1000);
             assert_eq!(f1.nanos(), 1_000);
             assert_eq!(f2.nanos(), 2_000);
-        });
-    }
-
-    #[test]
-    fn set_rate_affects_future_ops() {
-        let sim = Sim::new();
-        let res = RateResource::new("mem", 1e9, Duration::ZERO);
-        sim.block_on(async move {
-            res.access(1000).await;
-            assert_eq!(now().nanos(), 1_000);
-            res.set_rate(2e9);
-            res.access(1000).await;
-            assert_eq!(now().nanos(), 1_500);
         });
     }
 

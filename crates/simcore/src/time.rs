@@ -59,12 +59,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Elapsed time since `earlier`, or zero if `earlier` is in the future.
-    #[inline]
-    pub fn saturating_duration_since(self, earlier: SimTime) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -171,14 +165,6 @@ mod tests {
         let a = SimTime::from_micros(10);
         let b = SimTime::from_micros(4);
         assert_eq!(a - b, Duration::from_micros(6));
-    }
-
-    #[test]
-    fn saturating_duration_since_clamps() {
-        let a = SimTime::from_micros(4);
-        let b = SimTime::from_micros(10);
-        assert_eq!(a.saturating_duration_since(b), Duration::ZERO);
-        assert_eq!(b.saturating_duration_since(a), Duration::from_micros(6));
     }
 
     #[test]

@@ -355,7 +355,6 @@ struct NodeState {
     tx: RateResource,
     rx: RateResource,
     ports: FastMap<u16, mpsc::Sender<Datagram>>,
-    next_ephemeral: u16,
     /// Datagrams waiting for or inside the receive NIC right now.
     rx_queue: u64,
     /// Largest `rx_queue` since the last `reset_stats`.
@@ -459,7 +458,6 @@ impl Network {
             ),
             name,
             ports: FastMap::default(),
-            next_ephemeral: 49152,
             rx_queue: 0,
             rx_queue_peak: 0,
             bulk_ahead: 0,
@@ -496,22 +494,6 @@ impl Network {
             addr: Addr { node, port },
             rx,
         }
-    }
-
-    /// Bind an ephemeral port on a node.
-    pub fn bind_ephemeral(&self, node: NodeId) -> Endpoint {
-        let port = {
-            let mut nodes = self.inner.nodes.borrow_mut();
-            let st = &mut nodes[node.0 as usize];
-            loop {
-                let p = st.next_ephemeral;
-                st.next_ephemeral = st.next_ephemeral.wrapping_add(1).max(49152);
-                if !st.ports.contains_key(&p) {
-                    break p;
-                }
-            }
-        };
-        self.bind(node, port)
     }
 
     /// Set the fabric-wide per-packet loss probability (for reliability
@@ -1108,15 +1090,6 @@ mod tests {
         assert_eq!(net.node_rx_queue_peak(a), 0);
         net.reset_stats();
         assert_eq!(net.node_rx_queue_peak(b), 0);
-    }
-
-    #[test]
-    fn ephemeral_ports_unique() {
-        let net = Network::new(FabricConfig::default(), 1);
-        let a = net.add_node("a", gbe100());
-        let e1 = net.bind_ephemeral(a);
-        let e2 = net.bind_ephemeral(a);
-        assert_ne!(e1.addr().port, e2.addr().port);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! cluster. A mismatch is either a term DESIGN.md §5 must name or a bug.
 //!
 //! Cells so far: one Fig. 8 sharebench request on DmRPC-net (a 32 KiB block
-//! published by reference, the callee overwriting its leading 0–100 %), and
-//! one image-pipeline request on DmRPC-CXL per image size and operation.
+//! published by reference, the callee overwriting its leading 0–100 %), one
+//! five-service chain request on DmRPC-net per argument size (the last
+//! service's key-only `READ_REF`), and one image-pipeline request on
+//! DmRPC-CXL per image size and operation.
 
 use std::time::Duration;
 
+use apps::chain::build_chain;
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
 use apps::image_pipeline::{build_pipeline, OP_COMPRESS, OP_TRANSCODE};
 use apps::sharebench::build_sharebench;
@@ -143,6 +146,79 @@ fn a_sharebench_request_moves_what_the_model_says() {
             sharebench_measured(pct),
             sharebench_model(BLOCK, write, pages_copied, mtu),
             "{pct} % writes"
+        );
+    }
+}
+
+/// Every RPC of one request through a chain of `hops` services with an
+/// argument of `len` bytes (at least a page, so it goes by reference): the
+/// client publishes it, the ref rides every hop, the last service reads
+/// the whole ref by its key alone, the checksum (an inline u64) comes back
+/// along the chain, and the client's release rides a `BATCH` of one.
+fn chain_rpcs(len: u64, hops: u64) -> Vec<Rpc> {
+    let rpc = |req, resp, dm| Rpc { req, resp, dm };
+    let mut rpcs = vec![
+        // PUT_REF: the bytes alone → the key.
+        rpc(len, RESPONSE_HEAD + U64, true),
+        // READ_REF: the key → the whole ref.
+        rpc(U64, RESPONSE_HEAD + len, true),
+        // BATCH: [count u32][key] → nothing.
+        rpc(4 + U64, RESPONSE_HEAD, true),
+    ];
+    // CHAIN_REQ, once per hop: [value tag][ref] → [value tag][u64].
+    rpcs.extend((0..hops).map(|_| rpc(1 + NET_REF, 1 + U64, false)));
+    rpcs
+}
+
+/// The model: DM-server memory sees the NIC DMA of every message it
+/// receives and sends, the published bytes stored and the ref read out.
+fn chain_model(len: u64, hops: u64, mtu: u64) -> Moved {
+    let rpcs = chain_rpcs(len, hops);
+    let dm_dma: u64 = rpcs.iter().filter(|r| r.dm).map(|r| r.req + r.resp).sum();
+    Moved {
+        dm_bytes: dm_dma + 2 * len,
+        tx_bytes: rpcs
+            .iter()
+            .map(|r| on_wire(r.req, mtu) + on_wire(r.resp, mtu))
+            .sum(),
+        datagrams: rpcs
+            .iter()
+            .map(|r| packets(r.req, mtu) + packets(r.resp, mtu))
+            .sum(),
+    }
+}
+
+/// One chain request of `len` bytes through `hops` services on a quiet
+/// two-server DmRPC-net cluster, after deployment.
+fn chain_measured(len: u64, hops: usize) -> Moved {
+    Sim::new().block_on(async move {
+        let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 5);
+        let app = build_chain(&cluster, hops).await;
+        let arg = Bytes::from(vec![3u8; len as usize]);
+        cluster.reset_stats();
+        let delivered = cluster.net.delivered();
+        assert_eq!(app.request(&arg).await.expect("request"), 3 * len);
+        // The coalesced release goes out after its flush window.
+        simcore::sleep(Duration::from_millis(1)).await;
+        let nodes = (0..cluster.net.node_count() as u32).map(NodeId);
+        Moved {
+            dm_bytes: cluster.dm_traffic_bytes(),
+            tx_bytes: nodes.map(|n| cluster.net.node_tx_bytes(n)).sum(),
+            datagrams: cluster.net.delivered() - delivered,
+        }
+    })
+}
+
+/// The `chain_byref` workload's path at each by-reference size it draws.
+#[test]
+fn a_chain_request_moves_what_the_model_says() {
+    let mtu = ClusterConfig::default().rpc.mtu as u64;
+    for kib in [4, 16, 64, 256] {
+        let len = kib * 1024;
+        assert_eq!(
+            chain_measured(len, 5),
+            chain_model(len, 5, mtu),
+            "{kib} KiB"
         );
     }
 }

@@ -261,14 +261,14 @@ async fn verify_model(
         }
     }
     for (i, mr) in refs.iter().enumerate() {
-        match client.read_ref(&mr.r, 0, mr.snapshot.len() as u64).await {
+        match client.read_ref(&mr.r).await {
             Ok(b) if b[..] == mr.snapshot[..] => {}
             Ok(_) => out.push(format!("ref {i}: snapshot diverged after recovery")),
             Err(e) => out.push(format!("ref {i}: lost after recovery: {e:?}")),
         }
     }
     for (i, r) in released.iter().enumerate() {
-        match client.read_ref(r, 0, 1).await {
+        match client.read_ref(r).await {
             Err(DmError::InvalidRef) => {}
             other => out.push(format!(
                 "released ref {i} resurrected by recovery: {other:?}"
