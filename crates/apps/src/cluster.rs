@@ -227,8 +227,8 @@ impl Cluster {
     /// `dmserver.<i>.*` and `gfam.*` backend gauges. Two of them count host
     /// copies the design promises not to make: `rpc.flattened_msgs`
     /// ([`rpclib::flattened`], this thread's total — a simulation runs on
-    /// one) and `dmserver.<i>.read_gathered_bytes` beside
-    /// `read_viewed_bytes`. Gauges read live values, so one registry serves
+    /// one) and `dmserver.<i>.read_gathered_bytes` / `gfam.read_gathered_bytes`
+    /// beside their `read_viewed_bytes`. Gauges read live values, so one registry serves
     /// warmup deltas and final dumps.
     pub fn metrics(&self) -> Registry {
         let reg = Registry::new();
@@ -394,6 +394,10 @@ impl Cluster {
         if let Some(f) = &self.fabric {
             let g = f.gfam().clone();
             reg.register_gauge("gfam.traffic_bytes", move || g.traffic_bytes());
+            let g = f.gfam().clone();
+            reg.register_gauge("gfam.read_viewed_bytes", move || g.read_viewed_bytes());
+            let g = f.gfam().clone();
+            reg.register_gauge("gfam.read_gathered_bytes", move || g.read_gathered_bytes());
         }
         reg
     }

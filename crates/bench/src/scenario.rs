@@ -24,7 +24,8 @@
 //! Every app's ledger ends with the host copies the run made where the
 //! design makes none: messages flattened (`rpc.flattened_msgs`) and DM
 //! bytes read out by gathering beside those served as a view
-//! (`dmserver.<i>.read_gathered_bytes` / `read_viewed_bytes`).
+//! (`dmserver.<i>.read_gathered_bytes` / `read_viewed_bytes` on DmRPC-net,
+//! `gfam.read_gathered_bytes` / `gfam.read_viewed_bytes` on DmRPC-CXL).
 
 use std::rc::Rc;
 use std::time::Duration;

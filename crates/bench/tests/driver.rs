@@ -312,6 +312,36 @@ fn type_members(code: &str) -> Vec<(&str, &str)> {
     pairs
 }
 
+/// Every backticked snake_case name in the "pinned by" column of a
+/// Markdown table in `text`: the tests a bound's row says hold it.
+fn pinned_by(text: &str) -> Vec<&str> {
+    let snake = |c: &&str| {
+        let ok = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+        c.contains('_') && c.starts_with(|c: char| c.is_ascii_lowercase()) && c.bytes().all(ok)
+    };
+    let mut names = Vec::new();
+    let mut column = None;
+    for line in text.lines() {
+        if !line.starts_with('|') {
+            column = None;
+            continue;
+        }
+        let cells: Vec<&str> = line.split('|').collect();
+        match column {
+            None => {
+                column = cells
+                    .iter()
+                    .position(|c| c.trim().eq_ignore_ascii_case("pinned by"))
+            }
+            Some(i) => {
+                let cell = cells.get(i).copied().unwrap_or("");
+                names.extend(cell.split('`').skip(1).step_by(2).filter(snake));
+            }
+        }
+    }
+    names
+}
+
 /// Length of the identifier `s` ends with.
 fn ident_rev(s: &str) -> usize {
     let start = s.rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
@@ -399,6 +429,11 @@ fn the_prose_names_only_what_exists() {
     };
     let read = |p: &PathBuf| std::fs::read_to_string(p).unwrap();
     let rust: Vec<String> = sources.iter().filter(is_lib).map(read).collect();
+    // Where a test a table says pins a bound may live.
+    let tested: Vec<String> = rust_sources(&root, &["crates", "tests"])
+        .iter()
+        .map(read)
+        .collect();
     let mut wrong = Vec::new();
     let mut prose = String::new();
     for path in &sources {
@@ -450,6 +485,11 @@ fn the_prose_names_only_what_exists() {
             let mut owners = rust.iter().filter(|src| mentions_type(src, ty));
             if !STD_TYPES.contains(&ty) && !owners.any(|src| has_member(src, member)) {
                 wrong.push(format!("{at}: `{ty}::{member}` names no member of `{ty}`"));
+            }
+        }
+        for name in pinned_by(&text) {
+            if !tested.iter().any(|src| has_member(src, name)) {
+                wrong.push(format!("{at}: `{name}` pins a bound but is no `fn`"));
             }
         }
         prose += &text;

@@ -178,12 +178,12 @@ impl DmHandle {
     /// (`PUT_REF` on DmRPC-net, [`CxlHost::put_ref`] on DmRPC-CXL). The
     /// bytes go straight into pages the `Ref` owns and the creator never
     /// maps them: Listing 1's `alloc` + write + `create_ref` + `rfree`
-    /// without the mapping that only the `rfree` uses. Empty `data` is
-    /// `InvalidAddress`, as an empty `create_ref` is.
+    /// without the mapping that only the `rfree` uses. Neither copies
+    /// `data` on the host. Empty `data` is `InvalidAddress`.
     pub async fn put(&self, data: &Bytes) -> DmResult<Ref> {
         match self {
             DmHandle::Net(c) => c.put_ref(data).await,
-            DmHandle::Cxl(h) => h.put_ref(data).await,
+            DmHandle::Cxl(h) => h.put_ref(data.clone()).await,
         }
     }
 

@@ -6,13 +6,14 @@
 //! network backend and `load`/`store` semantics for CXL. This crate holds
 //! the vocabulary types: DM virtual addresses, the `Ref` token that travels
 //! inside RPC messages, page-size constants, copy-mode (the COW-vs-eager
-//! ablation switch), and the error type.
+//! ablation switch), the error type, and the [`page_store`] of both.
 //!
 //! [`dmnet`]: ../dmnet/index.html
 //! [`dmcxl`]: ../dmcxl/index.html
 
 #![warn(missing_docs)]
 
+pub mod page_store;
 pub mod va_tree;
 
 use std::fmt;

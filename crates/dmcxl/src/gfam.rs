@@ -3,7 +3,9 @@
 //! One Device-Physical-Address (DPA) space shared by every host on the CXL
 //! fabric. The device holds:
 //!
-//! * the CXL physical pages themselves (real bytes);
+//! * the CXL physical pages themselves (real bytes), in the [`PageStore`]
+//!   a DM server keeps its pages in: views of the buffers they were
+//!   published from until written (DESIGN.md §6.6);
 //! * the per-page **reference counts**, stored in device memory and updated
 //!   with atomic operations ("CXL 3.0 allows each host to perform arbitrary
 //!   ISA-supported atomic operations on its connected CXL memory");
@@ -18,7 +20,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use dmcommon::PAGE_SIZE;
+use bytes::Bytes;
+use dmcommon::page_store::{Page, PageStore};
 use memsim::{MemClass, ModelParams};
 use simcore::{Counter, RateResource, SimTime};
 
@@ -27,9 +30,9 @@ pub type Ppn = u32;
 
 /// The shared G-FAM device. Every host holds an `Rc<GFam>`.
 pub struct GFam {
-    /// Device pages, materialized lazily on first touch (host-RAM saving;
-    /// invisible to the model).
-    pages: Vec<RefCell<Option<Box<[u8]>>>>,
+    /// Device pages: bytes only while pinned and written or published, an
+    /// empty slot reading as zeros (host RAM only; invisible to the model).
+    pages: RefCell<PageStore>,
     refcounts: Vec<AtomicU32>,
     params: ModelParams,
     /// Device + switch data-path bandwidth, shared by all hosts.
@@ -43,7 +46,7 @@ impl GFam {
     pub fn new(capacity_pages: usize, params: ModelParams) -> Rc<GFam> {
         let bw = RateResource::new("gfam", params.cxl_bandwidth(), Duration::ZERO);
         Rc::new(GFam {
-            pages: (0..capacity_pages).map(|_| RefCell::new(None)).collect(),
+            pages: RefCell::new(PageStore::new(capacity_pages)),
             refcounts: (0..capacity_pages).map(|_| AtomicU32::new(0)).collect(),
             params,
             bw,
@@ -54,7 +57,7 @@ impl GFam {
 
     /// Number of CXL physical pages.
     pub fn capacity_pages(&self) -> usize {
-        self.pages.len()
+        self.refcounts.len()
     }
 
     /// The shared model parameters (CXL latency knob).
@@ -70,6 +73,16 @@ impl GFam {
     /// Total fabric atomic operations performed.
     pub fn atomic_ops(&self) -> u64 {
         self.atomics.get()
+    }
+
+    /// Bytes host reads got as a view of the buffer the pages lie in.
+    pub fn read_viewed_bytes(&self) -> u64 {
+        self.pages.borrow().read_bytes().0
+    }
+
+    /// Bytes host reads gathered into a new buffer instead.
+    pub fn read_gathered_bytes(&self) -> u64 {
+        self.pages.borrow().read_bytes().1
     }
 
     /// Reset traffic counters (between warmup and measurement).
@@ -97,54 +110,39 @@ impl GFam {
         done
     }
 
-    fn ensure(&self, ppn: Ppn) {
-        let mut slot = self.pages[ppn as usize].borrow_mut();
-        if slot.is_none() {
-            *slot = Some(vec![0u8; PAGE_SIZE].into_boxed_slice());
-        }
+    /// Raw read of device bytes, charged separately via [`GFam::access`]
+    /// ([`PageStore::read`]: a view when the pages are one run of a buffer).
+    pub fn read(&self, start: u64, len: u64, page_at: impl Fn(u64) -> Option<Ppn>) -> Bytes {
+        self.pages.borrow().read(start, len, page_at)
     }
 
-    /// Raw read of device bytes (time must be charged separately via
-    /// [`GFam::access`]). Untouched pages read as zeros.
-    pub fn read_page(&self, ppn: Ppn, offset: usize, out: &mut [u8]) {
-        match self.pages[ppn as usize].borrow().as_deref() {
-            Some(p) => out.copy_from_slice(&p[offset..offset + out.len()]),
-            None => out.fill(0),
-        }
-    }
-
-    /// Raw write of device bytes.
+    /// Raw write of device bytes ([`PageStore::write`]).
     pub fn write_page(&self, ppn: Ppn, offset: usize, data: &[u8]) {
-        self.ensure(ppn);
-        let mut p = self.pages[ppn as usize].borrow_mut();
-        let p = p.as_deref_mut().expect("ensured");
-        p[offset..offset + data.len()].copy_from_slice(data);
+        self.pages.borrow_mut().write(ppn, offset, data);
     }
 
-    /// Copy one whole page `src` → `dst` on the device (COW data move).
+    /// Make `page` the bytes of `ppn` (a publish, no copy).
+    pub fn put_page(&self, ppn: Ppn, page: Page) {
+        *self.pages.borrow_mut().slot_mut(ppn) = Some(page);
+    }
+
+    /// Copy one whole page `src` → `dst` on the device (COW data move):
+    /// `dst` becomes a second view of `src`'s bytes until either is written.
     pub fn copy_page(&self, src: Ppn, dst: Ppn) {
         assert_ne!(src, dst);
-        self.ensure(src);
-        self.ensure(dst);
-        let s = self.pages[src as usize].borrow();
-        let mut d = self.pages[dst as usize].borrow_mut();
-        d.as_deref_mut()
-            .expect("ensured")
-            .copy_from_slice(s.as_deref().expect("ensured"));
+        let mut pages = self.pages.borrow_mut();
+        *pages.slot_mut(dst) = pages.get(src).cloned();
     }
 
-    /// Drop a page's backing storage (called when the page returns to a
-    /// free list; it reads as zeros until re-materialized).
+    /// Drop a page's bytes (called when the page returns to a free list; it
+    /// reads as zeros until written or published again).
     pub fn discard_page(&self, ppn: Ppn) {
-        *self.pages[ppn as usize].borrow_mut() = None;
+        *self.pages.borrow_mut().slot_mut(ppn) = None;
     }
 
-    /// Zero a page (fresh mapping).
-    pub fn zero_page(&self, ppn: Ppn) {
-        if let Some(p) = self.pages[ppn as usize].borrow_mut().as_deref_mut() {
-            p.fill(0);
-        }
-        // Unmaterialized pages already read as zeros.
+    /// Whether `ppn` holds bytes (invariant checks: only pinned pages do).
+    pub fn holds_bytes(&self, ppn: Ppn) -> bool {
+        self.pages.borrow().get(ppn).is_some()
     }
 
     // -- fabric atomics on refcounts ----------------------------------------
@@ -200,26 +198,38 @@ mod tests {
     use super::*;
     use simcore::Sim;
 
+    use dmcommon::PAGE_SIZE;
+
     #[test]
     fn page_data_roundtrip() {
         let g = GFam::new(4, ModelParams::new());
         g.write_page(1, 100, b"hello");
-        let mut buf = [0u8; 5];
-        g.read_page(1, 100, &mut buf);
-        assert_eq!(&buf, b"hello");
+        assert_eq!(&g.read(100, 5, |_| Some(1))[..], b"hello");
+        assert_eq!(&g.read(100, 5, |_| Some(2))[..], &[0; 5], "untouched");
     }
 
     #[test]
-    fn copy_and_zero() {
+    fn copy_shares_until_a_write_and_discard_zeroes() {
         let g = GFam::new(4, ModelParams::new());
-        g.write_page(0, 0, &[7u8; PAGE_SIZE]);
+        let data = Bytes::from(vec![7u8; PAGE_SIZE]);
+        g.put_page(0, Page::views_of(data.clone()).next().unwrap());
         g.copy_page(0, 2);
-        let mut buf = [0u8; 4];
-        g.read_page(2, 4000, &mut buf);
-        assert_eq!(buf, [7u8; 4]);
-        g.zero_page(2);
-        g.read_page(2, 4000, &mut buf);
-        assert_eq!(buf, [0u8; 4]);
+        let copy = g.read(0, PAGE_SIZE as u64, |_| Some(2));
+        assert_eq!(copy.as_ptr(), data.as_ptr(), "the copy is a view");
+        g.write_page(2, 4000, &[1; 4]);
+        assert_eq!(&g.read(4000, 4, |_| Some(2))[..], &[1; 4]);
+        assert_eq!(&g.read(4000, 4, |_| Some(0))[..], &[7; 4], "src untouched");
+        assert_eq!(copy, data, "a read keeps what it showed");
+        g.discard_page(2);
+        assert!(!g.holds_bytes(2));
+        assert_eq!(&g.read(4000, 4, |_| Some(2))[..], &[0; 4]);
+        // Every read but the last was one run of one buffer, the written
+        // page's own included.
+        let viewed = PAGE_SIZE as u64 + 8;
+        assert_eq!(
+            (g.read_viewed_bytes(), g.read_gathered_bytes()),
+            (viewed, 4)
+        );
     }
 
     #[test]

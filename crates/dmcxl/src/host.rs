@@ -21,6 +21,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use dmcommon::page_store::Page;
 use dmcommon::va_tree::VaTree;
 use dmcommon::{CopyMode, DmError, DmResult, Ref, PAGE_SIZE};
 use rpclib::Rpc;
@@ -130,11 +131,6 @@ impl CxlHost {
         &self.stats
     }
 
-    /// The shared G-FAM device.
-    pub fn gfam(&self) -> &Rc<GFam> {
-        &self.gfam
-    }
-
     /// Owned free pages (tests).
     pub fn owned_free_pages(&self) -> usize {
         self.free.borrow().len()
@@ -181,6 +177,9 @@ impl CxlHost {
         loop {
             let popped = self.free.borrow_mut().pop_front();
             if let Some(p) = popped {
+                // A free page holds no bytes, so a fresh mapping reads as
+                // zeros without zeroing anything.
+                debug_assert!(!self.gfam.holds_bytes(p), "free page {p} holds bytes");
                 self.maybe_background_refill();
                 self.gfam.rc_init(p);
                 return Ok(p);
@@ -251,10 +250,7 @@ impl CxlHost {
         for vpn in (start / PAGE_SIZE as u64)..((start + len) / PAGE_SIZE as u64) {
             let pte = self.page_table.borrow_mut().remove(&vpn);
             if let Some(pte) = pte {
-                if self.gfam.rc_dec(pte.ppn) == 0 {
-                    // Last owner reclaims the page.
-                    self.give_back_page(pte.ppn);
-                }
+                self.unpin(pte.ppn);
             }
         }
         self.vma.borrow_mut().free(start)?;
@@ -304,6 +300,20 @@ impl CxlHost {
         }
     }
 
+    /// Install `vpn → ppn` in the page table.
+    fn map(&self, vpn: u64, ppn: Ppn, writable: bool) {
+        self.page_table
+            .borrow_mut()
+            .insert(vpn, Pte { ppn, writable });
+    }
+
+    /// Drop one pin on `ppn`; the last owner reclaims the page.
+    fn unpin(self: &Rc<Self>, ppn: Ppn) {
+        if self.gfam.rc_dec(ppn) == 0 {
+            self.give_back_page(ppn);
+        }
+    }
+
     fn check_bounds(&self, va: u64, len: u64) -> DmResult<()> {
         self.vma.borrow().check_range(va, len)
     }
@@ -335,13 +345,9 @@ impl CxlHost {
                     self.lock_vpn(vpn).await;
                     let r = self.handle_store_fault(vpn, n == PAGE_SIZE).await;
                     self.unlock_vpn(vpn);
-                    match r {
-                        Ok((ppn, cpu)) => {
-                            fault_cpu += cpu;
-                            ppn
-                        }
-                        Err(e) => return Err(e),
-                    }
+                    let (ppn, cpu) = r?;
+                    fault_cpu += cpu;
+                    ppn
                 }
             };
             self.gfam.write_page(ppn, in_page, &data[off..off + n]);
@@ -370,14 +376,7 @@ impl CxlHost {
             // Unmapped — take an owned free page.
             None => {
                 let p = self.take_page().await?;
-                self.gfam.zero_page(p);
-                self.page_table.borrow_mut().insert(
-                    vpn,
-                    Pte {
-                        ppn: p,
-                        writable: true,
-                    },
-                );
+                self.map(vpn, p, true);
                 self.stats.faults.incr();
                 Ok((p, self.config.fault_cpu + self.config.pte_cpu))
             }
@@ -400,26 +399,12 @@ impl CxlHost {
                         drop(cow);
                         self.stats.cow_copies.incr();
                     }
-                    self.page_table.borrow_mut().insert(
-                        vpn,
-                        Pte {
-                            ppn: newp,
-                            writable: true,
-                        },
-                    );
-                    if self.gfam.rc_dec(pte.ppn) == 0 {
-                        self.give_back_page(pte.ppn);
-                    }
+                    self.map(vpn, newp, true);
+                    self.unpin(pte.ppn);
                     Ok((newp, cpu))
                 } else {
                     // Sole owner: flip the permission flag.
-                    self.page_table.borrow_mut().insert(
-                        vpn,
-                        Pte {
-                            ppn: pte.ppn,
-                            writable: true,
-                        },
-                    );
+                    self.map(vpn, pte.ppn, true);
                     Ok((pte.ppn, cpu))
                 }
             }
@@ -428,27 +413,21 @@ impl CxlHost {
 
     /// `load`: read `len` bytes at `va` through plain CXL loads (paper
     /// §V-B3: "completely the same as regular memory"). Unmapped pages read
-    /// as zeros.
+    /// as zeros. Pages that are one run of one buffer come back as a view
+    /// of it.
     pub async fn load(self: &Rc<Self>, va: u64, len: u64) -> DmResult<Bytes> {
         if len == 0 {
             return Ok(Bytes::new());
         }
         self.check_bounds(va, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut off = 0usize;
-        while off < len as usize {
-            let cur = va + off as u64;
-            let vpn = cur / PAGE_SIZE as u64;
-            let in_page = (cur % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(len as usize - off);
-            if let Some(pte) = self.page_table.borrow().get(&vpn) {
-                self.gfam
-                    .read_page(pte.ppn, in_page, &mut out[off..off + n]);
-            }
-            off += n;
-        }
+        let first = va / PAGE_SIZE as u64;
+        let out = {
+            let pt = self.page_table.borrow();
+            let ppn_at = |n: u64| pt.get(&(first + n)).map(|pte| pte.ppn);
+            self.gfam.read(va % PAGE_SIZE as u64, len, ppn_at)
+        };
         self.gfam.access(len).await;
-        Ok(Bytes::from(out))
+        Ok(out)
     }
 
     /// `create_ref` (paper §V-B3): atomically bump each page's refcount and
@@ -471,16 +450,9 @@ impl CxlHost {
             let ppn = match pte {
                 Some(pte) => pte.ppn,
                 None => {
-                    // Virgin page inside the ref'd region: materialize it.
+                    // Virgin page inside the ref'd region: map a zero page.
                     let p = self.take_page().await?;
-                    self.gfam.zero_page(p);
-                    self.page_table.borrow_mut().insert(
-                        vpn,
-                        Pte {
-                            ppn: p,
-                            writable: true,
-                        },
-                    );
+                    self.map(vpn, p, true);
                     self.stats.faults.incr();
                     p
                 }
@@ -489,22 +461,14 @@ impl CxlHost {
         }
         let shared: Vec<Ppn> = match self.config.copy_mode {
             CopyMode::CopyOnWrite => {
-                let mut out = Vec::with_capacity(pages.len());
                 for &(vpn, ppn) in &pages {
                     self.gfam.rc_inc(ppn);
                     // Mark read-only so the next creator write COWs.
-                    self.page_table.borrow_mut().insert(
-                        vpn,
-                        Pte {
-                            ppn,
-                            writable: false,
-                        },
-                    );
-                    out.push(ppn);
+                    self.map(vpn, ppn, false);
                 }
                 simcore::sleep(self.config.pte_cpu * pages.len() as u32).await;
                 self.charge_atomics(pages.len()).await;
-                out
+                pages.iter().map(|&(_, ppn)| ppn).collect()
             }
             CopyMode::Eager => {
                 let mut out = Vec::with_capacity(pages.len());
@@ -527,63 +491,56 @@ impl CxlHost {
 
     /// Fast path: publish `data` as a new reference in one step, the twin
     /// of DmRPC-net's `PUT_REF`. Each page comes from the owned free FIFO
-    /// and is written in place; its refcount stays at 1, the ref's own pin,
-    /// which is where `alloc` + `store` + `create_ref` + `free` end. The
-    /// creator never maps the pages, so there is no VMA, no PTE and no
-    /// fault, and the copy mode does not apply: there is no mapping to copy
-    /// away from. The N refcount initialisations go out beside the stores
-    /// and one completion wait covers both: the pages sit in this host's
-    /// owned free FIFO, so no other host reads their refcount words before
-    /// the `Ref` exists. All or nothing: a publish that runs out of pages
-    /// hands back the ones it took.
-    pub async fn put_ref(self: &Rc<Self>, data: &[u8]) -> DmResult<Ref> {
-        if data.is_empty() {
+    /// and is stored in place (on the host, a view of `data`'s buffer, as
+    /// `PageManager::put_ref_bytes` keeps it); its refcount stays at 1, the
+    /// ref's own pin, which is where `alloc` + `store` + `create_ref` +
+    /// `free` end. The creator never maps the pages, so there is no VMA, no
+    /// PTE and no fault, and the copy mode does not apply: there is no
+    /// mapping to copy away from. The N refcount initialisations go out
+    /// beside the stores and one completion wait covers both: the pages sit
+    /// in this host's owned free FIFO, so no other host reads their
+    /// refcount words before the `Ref` exists. All or nothing: a publish
+    /// that runs out of pages hands back the ones it took.
+    pub async fn put_ref(self: &Rc<Self>, data: Bytes) -> DmResult<Ref> {
+        let len = data.len() as u64;
+        if len == 0 {
             return Err(DmError::InvalidAddress);
         }
         let mut op = telemetry::span(SpanKind::DmOp, "cxl.put_ref", self.node_id());
         if let Some(s) = op.as_mut() {
-            s.attr("len", data.len() as u64);
+            s.attr("len", len);
         }
         let mut pages = Vec::with_capacity(data.len().div_ceil(PAGE_SIZE));
-        for chunk in data.chunks(PAGE_SIZE) {
+        for view in Page::views_of(data) {
             let p = match self.take_page().await {
                 Ok(p) => p,
                 Err(e) => {
-                    for p in pages {
-                        let rc = self.gfam.rc_dec(p);
-                        debug_assert_eq!(rc, 0, "an unpublished page has one pin");
-                        self.give_back_page(p);
-                    }
+                    // An unpublished page has one pin: the last.
+                    pages.into_iter().for_each(|p| self.unpin(p));
                     return Err(e);
                 }
             };
-            self.gfam.zero_page(p);
-            self.gfam.write_page(p, 0, chunk);
+            self.gfam.put_page(p, view);
             pages.push(p);
         }
         self.gfam
-            .access_alongside(data.len() as u64, ATOMIC_ISSUE * pages.len() as u32)
+            .access_alongside(len, ATOMIC_ISSUE * pages.len() as u32)
             .await;
-        Ok(Ref::Cxl {
-            len: data.len() as u64,
-            pages,
-        })
+        Ok(Ref::Cxl { len, pages })
     }
 
     /// Fast path: a whole reference's bytes straight from G-FAM, the twin
     /// of DmRPC-net's `READ_REF`: one access of its length, with no VMA, no
     /// PTE and no pin. The caller holds the ref for the duration of the
     /// read. The refcount words ride the same access, so a released ref is
-    /// `InvalidRef` at no extra round trip.
+    /// `InvalidRef` at no extra round trip. A never-written ref reads back
+    /// as a view of the buffer it was published from.
     pub async fn read_ref(&self, r: &Ref) -> DmResult<Bytes> {
         let (len, pages) = self.live_pages(r)?;
         let _op = telemetry::span(SpanKind::DmOp, "cxl.read_ref", self.node_id());
-        let mut out = vec![0u8; len as usize];
-        for (chunk, &ppn) in out.chunks_mut(PAGE_SIZE).zip(pages) {
-            self.gfam.read_page(ppn, 0, chunk);
-        }
+        let out = self.gfam.read(0, len, |n| Some(pages[n as usize]));
         self.gfam.access(len).await;
-        Ok(Bytes::from(out))
+        Ok(out)
     }
 
     /// `map_ref` (paper §V-B3): allocate a CXL virtual range and install
@@ -594,13 +551,7 @@ impl CxlHost {
         let va = self.vma.borrow_mut().alloc(len, PAGE_SIZE as u64)?;
         for (i, &ppn) in pages.iter().enumerate() {
             self.gfam.rc_inc(ppn);
-            self.page_table.borrow_mut().insert(
-                va / PAGE_SIZE as u64 + i as u64,
-                Pte {
-                    ppn,
-                    writable: false,
-                },
-            );
+            self.map(va / PAGE_SIZE as u64 + i as u64, ppn, false);
         }
         simcore::sleep(self.config.pte_cpu * pages.len() as u32).await;
         self.charge_atomics(pages.len()).await;
@@ -612,9 +563,7 @@ impl CxlHost {
         let (_, pages) = self.live_pages(r)?;
         let _op = telemetry::span(SpanKind::DmOp, "cxl.release_ref", self.node_id());
         for &ppn in pages {
-            if self.gfam.rc_dec(ppn) == 0 {
-                self.give_back_page(ppn);
-            }
+            self.unpin(ppn);
         }
         self.charge_atomics(pages.len()).await;
         Ok(())

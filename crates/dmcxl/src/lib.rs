@@ -101,11 +101,15 @@ pub fn check_fabric_invariants(
             host_free += 1;
         }
     }
-    // 1. No page owned free by two hosts; free pages have rc == 0.
+    // 1. No page owned free by two hosts; free pages have rc == 0; only a
+    //    pinned page holds bytes, so a fresh mapping reads zeros.
     for (p, &n) in free_owner.iter().enumerate() {
         assert!(n <= 1, "page {p} in {n} host free lists");
         if n == 1 {
             assert_eq!(gfam.rc_peek(p as u32), 0, "free page {p} has rc != 0");
+        }
+        if gfam.holds_bytes(p as u32) {
+            assert!(gfam.rc_peek(p as u32) > 0, "unpinned page {p} holds bytes");
         }
     }
     // 2. rc(p) == #PTEs(p) + #live ref pins(p).
@@ -119,13 +123,8 @@ pub fn check_fabric_invariants(
         expected[ppn as usize] += pins;
     }
     for (p, &exp) in expected.iter().enumerate() {
-        assert_eq!(
-            gfam.rc_peek(p as u32),
-            exp,
-            "page {p}: rc {} != PTEs+refs {}",
-            gfam.rc_peek(p as u32),
-            exp
-        );
+        let rc = gfam.rc_peek(p as u32);
+        assert_eq!(rc, exp, "page {p}: rc {rc} != PTEs+refs {exp}");
     }
     // 3. Conservation: free everywhere + in-use == capacity.
     let in_use = (0..cap).filter(|&p| gfam.rc_peek(p as u32) > 0).count();
@@ -140,6 +139,7 @@ pub fn check_fabric_invariants(
 mod e2e_tests {
     use std::time::Duration;
 
+    use bytes::Bytes;
     use dmcommon::{CopyMode, DmError, Ref, PAGE_SIZE};
     use memsim::ModelParams;
     use rpclib::RpcBuilder;
@@ -315,7 +315,10 @@ mod e2e_tests {
             let fabric = CxlFabric::new(&net, cn, 1024, params, CxlHostConfig::default());
             let host = fabric.new_host(RpcBuilder::new(&net, c0, 100).build());
             // Fill the owned-free FIFO so no publish waits on the coordinator.
-            let warm = host.put_ref(&vec![0u8; 32 * PAGE_SIZE]).await.unwrap();
+            let warm = host
+                .put_ref(Bytes::from(vec![0u8; 32 * PAGE_SIZE]))
+                .await
+                .unwrap();
             host.release_ref(&warm).await.unwrap();
             let g = fabric.gfam().clone();
             let stats = host.stats().clone();
@@ -340,14 +343,17 @@ mod e2e_tests {
             ] {
                 let n = len.div_ceil(PAGE_SIZE) as u64;
                 let s = start();
-                let r = host.put_ref(&vec![7u8; len]).await.unwrap();
+                let r = host.put_ref(Bytes::from(vec![7u8; len])).await.unwrap();
                 let want = (len as u64).div_ceil(64).max(20 * n) + 265;
                 assert_eq!(measure(s), (want, 0, n), "put_ref of {len} B");
                 assert!(host.pte_snapshot().is_empty());
                 host.release_ref(&r).await.unwrap();
             }
             let s = start();
-            let fast = host.put_ref(&vec![7u8; 16 * PAGE_SIZE]).await.unwrap();
+            let fast = host
+                .put_ref(Bytes::from(vec![7u8; 16 * PAGE_SIZE]))
+                .await
+                .unwrap();
             assert_eq!(measure(s), (1_289, 0, 16), "64 KiB put_ref");
 
             // Listing 1's publish of the same bytes: one fault (400 ns trap +
@@ -575,7 +581,10 @@ mod e2e_tests {
         let fabric = CxlFabric::new(net, cn, 256, params, CxlHostConfig::default());
         let a = fabric.new_host(RpcBuilder::new(net, nodes.0, 100).build());
         let b = fabric.new_host(RpcBuilder::new(net, nodes.1, 100).build());
-        let r = a.put_ref(&vec![3u8; 2 * PAGE_SIZE]).await.unwrap();
+        let r = a
+            .put_ref(Bytes::from(vec![3u8; 2 * PAGE_SIZE]))
+            .await
+            .unwrap();
         a.release_ref(&r).await.unwrap();
         (fabric, [a, b], r)
     }
@@ -591,7 +600,7 @@ mod e2e_tests {
             assert_eq!(b.map_ref(&dead).await.unwrap_err(), DmError::InvalidRef);
             // One live page beside a dead one: refused, and the live page
             // keeps its one pin.
-            let live = a.put_ref(&[1u8; 8]).await.unwrap();
+            let live = a.put_ref(Bytes::from(vec![1u8; 8])).await.unwrap();
             let (Ref::Cxl { pages: lp, .. }, Ref::Cxl { pages: dp, .. }) = (&live, &dead) else {
                 unreachable!()
             };
@@ -623,7 +632,10 @@ mod e2e_tests {
             let [a, b] = &hosts;
             assert_eq!(b.read_ref(&dead).await.unwrap_err(), DmError::InvalidRef);
             // A live ref reads in one access: its bytes and no atomic.
-            let live = a.put_ref(&[5u8; PAGE_SIZE + 1]).await.unwrap();
+            let live = a
+                .put_ref(Bytes::from(vec![5u8; PAGE_SIZE + 1]))
+                .await
+                .unwrap();
             let (atomics, t0) = (fabric.gfam().atomic_ops(), simcore::now());
             assert_eq!(
                 &b.read_ref(&live).await.unwrap()[..],
@@ -636,6 +648,54 @@ mod e2e_tests {
             );
             a.release_ref(&live).await.unwrap();
             check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &hosts, &[]);
+        });
+    }
+
+    /// An unwritten ref reads back as a slice of the buffer it was
+    /// published from, with no host copy. Writes through a mapping, a COW
+    /// fault while the ref lives and a sole-owner write after it is gone,
+    /// move the page before they land: neither that slice nor the
+    /// publisher's `Bytes` changes.
+    #[test]
+    fn read_ref_is_a_view_of_the_published_buffer_that_writes_leave_alone() {
+        let r = rig(2);
+        let (net, params, cn) = (r.net.clone(), r.params.clone(), r.coord_node);
+        let (c0, c1) = (r.compute[0], r.compute[1]);
+        r.sim.block_on(async move {
+            let fabric = CxlFabric::new(&net, cn, 256, params, CxlHostConfig::default());
+            let a = fabric.new_host(RpcBuilder::new(&net, c0, 100).build());
+            let b = fabric.new_host(RpcBuilder::new(&net, c1, 100).build());
+            let original: Vec<u8> = (0..2 * PAGE_SIZE + 10).map(|i| (i % 251) as u8).collect();
+            let data = Bytes::from(original.clone());
+            let r = a.put_ref(data.clone()).await.unwrap();
+            let seen = b.read_ref(&r).await.unwrap();
+            assert_eq!(
+                seen.as_ptr(),
+                data.as_ptr(),
+                "a slice of the published buffer"
+            );
+            let g = fabric.gfam();
+            assert_eq!(
+                (g.read_viewed_bytes(), g.read_gathered_bytes()),
+                (seen.len() as u64, 0)
+            );
+
+            let va = b.map_ref(&r).await.unwrap();
+            b.store(va + PS + 1, &[0xEE]).await.unwrap();
+            assert_eq!(b.stats().cow_copies.get(), 1);
+            a.release_ref(&r).await.unwrap();
+            b.store(va, &[0xDD; 8]).await.unwrap();
+            assert_eq!(b.stats().cow_copies.get(), 1, "sole owner: no COW");
+
+            assert_eq!(&seen[..], &original[..], "the slice kept what it showed");
+            assert_eq!(&data[..], &original[..], "the publisher's bytes");
+            let mut expect = original;
+            expect[..8].fill(0xDD);
+            expect[PAGE_SIZE + 1] = 0xEE;
+            let len = expect.len() as u64;
+            assert_eq!(&b.load(va, len).await.unwrap()[..], &expect[..]);
+            b.free(va).unwrap();
+            check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &[a, b], &[]);
         });
     }
 

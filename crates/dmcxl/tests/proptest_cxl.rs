@@ -1,13 +1,15 @@
 //! Property tests for the CXL G-FAM backend: random multi-host write
 //! patterns never violate COW isolation or page-conservation invariants,
-//! the one-step publish leaves the fabric as Listing 1's does, and random
+//! the one-step publish leaves the fabric as Listing 1's does, random
 //! publish / read / map / release sequences on a scarce pool keep every
-//! page accounted for.
+//! page accounted for, and every read handed out — often a view of the
+//! buffer a page lies in — keeps what it showed whatever happens next.
 
 use std::time::Duration;
 
+use bytes::Bytes;
 use dmcommon::{CopyMode, DmError, Ref, PAGE_SIZE};
-use dmcxl::{check_fabric_invariants, CxlFabric, CxlHostConfig};
+use dmcxl::{check_fabric_invariants, CxlFabric, CxlHost, CxlHostConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::RpcBuilder;
@@ -50,7 +52,7 @@ fn put_ref_leaves_the_fabric_as_the_listing1_publish_does() {
                 let hosts = [publisher.clone(), reader.clone()];
                 let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8 | 1).collect();
 
-                let fast = publisher.put_ref(&data).await.unwrap();
+                let fast = publisher.put_ref(Bytes::from(data.clone())).await.unwrap();
                 let va = publisher.alloc(len as u64).unwrap();
                 publisher.store(va, &data).await.unwrap();
                 let listing1 = publisher.create_ref(va, len as u64).await.unwrap();
@@ -118,7 +120,7 @@ fn a_whole_page_store_to_a_shared_page_copies_nothing() {
         };
         let (publisher, writer) = (mk("publisher"), mk("writer"));
         let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-        let r = publisher.put_ref(&data).await.unwrap();
+        let r = publisher.put_ref(Bytes::from(data.clone())).await.unwrap();
         let va = writer.map_ref(&r).await.unwrap();
         let gfam = fabric.gfam();
 
@@ -301,7 +303,7 @@ proptest! {
                 let host = &hosts[who];
                 if kind == 0 {
                     let data: Vec<u8> = (0..arg).map(|b| (b * 7 + i) as u8).collect();
-                    match host.put_ref(&data).await {
+                    match host.put_ref(Bytes::from(data.clone())).await {
                         Ok(r) => refs.push((r, data, true)),
                         Err(e) => assert_eq!(e, DmError::OutOfMemory),
                     }
@@ -367,6 +369,115 @@ proptest! {
             check_fabric_invariants(gfam, fabric.coordinator(), &hosts, &[]);
             let free: usize = hosts.iter().map(|h| h.owned_free_pages()).sum();
             assert_eq!(free + fabric.coordinator().free_pages(), capacity);
+        });
+    }
+
+    /// A copy-on-write host and an eager-copy (`-copy`) host publish, read
+    /// refs in place, map them, store into the mappings (COW faults, whole
+    /// pages and parts), load, create refs from the mappings, release refs
+    /// and free mappings. Every `read_ref` and `load` result is kept, and
+    /// so is every buffer a publisher handed over: after each step each of
+    /// them still reads as it did when it was handed out — a page store
+    /// that wrote into a shared view would change one under its holder —
+    /// and the fabric balances against the live pins. The twin of the
+    /// aliasing check in `dmnet`'s `proptest_page_manager.rs`.
+    #[test]
+    fn every_read_keeps_what_it_showed(
+        ops in proptest::collection::vec((0u8..7, 0usize..2, any::<u64>(), any::<u8>()), 1..40),
+    ) {
+        Sim::new().block_on(async move {
+            let net = Network::new(FabricConfig::default(), 41);
+            let coord = net.add_node("coord", NicConfig::default());
+            let fabric = CxlFabric::new(
+                &net,
+                coord,
+                1024,
+                ModelParams::new(),
+                CxlHostConfig::default(),
+            );
+            let hosts: Vec<_> = [CopyMode::CopyOnWrite, CopyMode::Eager]
+                .into_iter()
+                .enumerate()
+                .map(|(i, copy_mode)| {
+                    let node = net.add_node(format!("h{i}"), NicConfig::default());
+                    let cfg = CxlHostConfig { copy_mode, ..Default::default() };
+                    let rpc = RpcBuilder::new(&net, node, 100).build();
+                    CxlHost::new(fabric.gfam().clone(), rpc, fabric.coordinator().addr(), cfg)
+                })
+                .collect();
+            // Everything handed out, with what it showed then.
+            let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            // Live refs and their bytes; live mappings `(host, va, bytes)`.
+            let mut refs: Vec<(Ref, Vec<u8>)> = Vec::new();
+            let mut maps: Vec<(usize, u64, Vec<u8>)> = Vec::new();
+            for (i, (kind, who, arg, fill)) in ops.into_iter().enumerate() {
+                let host = &hosts[who];
+                let pick = |n: usize| (arg % n as u64) as usize;
+                match kind {
+                    0 => {
+                        let len = 1 + pick(3 * PAGE_SIZE + 1);
+                        let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+                        let published = Bytes::from(data.clone());
+                        held.push((published.clone(), data.clone()));
+                        refs.push((host.put_ref(published).await.unwrap(), data));
+                    }
+                    1 if !refs.is_empty() => {
+                        let (r, data) = &refs[pick(refs.len())];
+                        let got = host.read_ref(r).await.unwrap();
+                        assert_eq!(&got[..], &data[..]);
+                        held.push((got, data.clone()));
+                    }
+                    2 if !refs.is_empty() => {
+                        let (r, data) = &refs[pick(refs.len())];
+                        maps.push((who, host.map_ref(r).await.unwrap(), data.clone()));
+                    }
+                    3 if !maps.is_empty() => {
+                        // Half the stores start on a page boundary, so some
+                        // cover a shared page whole.
+                        let m = pick(maps.len());
+                        let (h, va, bytes) = &mut maps[m];
+                        let off = match arg >> 32 & 1 {
+                            0 => (arg >> 33) as usize % bytes.len() / PAGE_SIZE * PAGE_SIZE,
+                            _ => (arg >> 33) as usize % bytes.len(),
+                        };
+                        let n = (1 + (arg >> 8) as usize % (2 * PAGE_SIZE)).min(bytes.len() - off);
+                        hosts[*h].store(*va + off as u64, &vec![fill; n]).await.unwrap();
+                        bytes[off..off + n].fill(fill);
+                    }
+                    4 if !maps.is_empty() => {
+                        let (h, va, bytes) = &maps[pick(maps.len())];
+                        let got = hosts[*h].load(*va, bytes.len() as u64).await.unwrap();
+                        assert_eq!(&got[..], &bytes[..]);
+                        held.push((got, bytes.clone()));
+                    }
+                    5 if !maps.is_empty() => {
+                        let (h, va, bytes) = &maps[pick(maps.len())];
+                        let len = bytes.len() as u64;
+                        refs.push((hosts[*h].create_ref(*va, len).await.unwrap(), bytes.clone()));
+                    }
+                    6 if arg & 1 == 0 && !refs.is_empty() => {
+                        let (r, _) = refs.swap_remove(pick(refs.len()));
+                        host.release_ref(&r).await.unwrap();
+                    }
+                    6 if !maps.is_empty() => {
+                        let (h, va, _) = maps.swap_remove(pick(maps.len()));
+                        hosts[h].free(va).unwrap();
+                    }
+                    _ => {}
+                }
+                for (got, seen) in &held {
+                    assert!(got[..] == seen[..], "a read changed under its holder at step {i}");
+                }
+                simcore::sleep(Duration::from_millis(1)).await;
+                let pins: Vec<(u32, u32)> = refs
+                    .iter()
+                    .flat_map(|(r, _)| {
+                        let Ref::Cxl { pages, .. } = r else { unreachable!() };
+                        pages.iter().map(|&p| (p, 1))
+                    })
+                    .collect();
+                check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &hosts, &pins);
+            }
         });
     }
 }

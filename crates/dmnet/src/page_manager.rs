@@ -15,23 +15,17 @@
 //! copied, translation lookups) so the server layer can charge virtual time
 //! and memory bandwidth for it.
 //!
-//! What the model charges and what the host does are kept apart. A page
+//! What the model charges and what the host does are kept apart. The page
+//! bytes live in the [`PageStore`] G-FAM keeps its pages in too: a page
 //! published by `PUT_REF` is a *view* into the buffer the request arrived
-//! in ([`PageManager::put_ref_bytes`]): no allocation and no copy on the
-//! host, while [`OpCost`] still reports every page faulted. The view
-//! becomes a private 4 KiB buffer only when somebody writes the page, and
-//! since `Bytes` are immutable nobody can tell the difference (DESIGN.md
-//! §6.1). A read goes the same way back: a range that is one run of one
-//! buffer — every never-written ref is — is answered with a view of that
-//! buffer, and only a range that crosses buffers, unmapped pages or a short
-//! page is gathered into a new one. A view handed out keeps what it shows:
-//! a later write finds the buffer shared and moves the page first.
+//! in ([`PageManager::put_ref_bytes`]), no allocation and no copy on the
+//! host, while [`OpCost`] still reports every page faulted; a read of a
+//! never-written ref is a view of that buffer again (DESIGN.md §6.1).
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 
-use bytes::{Bytes, SharedBuf};
+use bytes::Bytes;
+use dmcommon::page_store::{Page, PageStore};
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use simcore::FastMap;
 
@@ -69,67 +63,12 @@ struct RefEntry {
     owner: Option<u32>,
 }
 
-/// The bytes of one pinned page: a view of at most [`PAGE_SIZE`] bytes into
-/// a shared buffer, reading as zeros past its stored length. A page somebody
-/// wrote is a whole-page view of a buffer nobody else holds; a published
-/// page is a slice of the message it arrived in, and its tail page is short.
-struct Page {
-    buf: SharedBuf,
-    /// `offset << 16 | len`: where in `buf` the view starts and how many
-    /// bytes it stores.
-    span: u64,
-}
-
-// The pool builds one slot per page up front (65 536 × 2 servers by
-// default), so a slot wider than two words is resident memory on every
-// workload: `share_cow` reads ~8 MiB at 16 bytes and 11 MiB at 40.
-const _: () = assert!(std::mem::size_of::<Option<Page>>() == 16);
-
-impl Page {
-    fn view(buf: SharedBuf, off: usize, len: usize) -> Page {
-        debug_assert!(len <= PAGE_SIZE && (off as u64) < 1 << 48);
-        Page {
-            buf,
-            span: (off as u64) << 16 | len as u64,
-        }
-    }
-
-    /// A private whole page holding `stored`, then zeros.
-    fn private(stored: &[u8]) -> Page {
-        let mut page = Vec::with_capacity(PAGE_SIZE);
-        page.extend_from_slice(stored);
-        page.resize(PAGE_SIZE, 0);
-        Page::view(page.into(), 0, PAGE_SIZE)
-    }
-
-    /// Where in `buf` the stored bytes lie.
-    fn range(&self) -> Range<usize> {
-        let off = (self.span >> 16) as usize;
-        off..off + (self.span & 0xFFFF) as usize
-    }
-
-    /// The stored bytes; the rest of the page reads as zeros.
-    fn stored(&self) -> &[u8] {
-        &self.buf.as_slice()[self.range()]
-    }
-
-    /// The whole page, writable in place. A view that is short, or whose
-    /// buffer something else still holds, moves to a private page first.
-    fn make_mut(&mut self) -> &mut [u8] {
-        if self.range().len() != PAGE_SIZE || self.buf.get_mut().is_none() {
-            *self = Page::private(self.stored());
-        }
-        let whole = self.range();
-        &mut self.buf.get_mut().expect("sole handle")[whole]
-    }
-}
-
 /// The state of one DM server's Page manager.
 pub struct PageManager {
-    /// Pinned pages: `Some` exactly while the page's refcount is non-zero,
-    /// so huge pools do not consume host RAM up front (the paper pins
-    /// eagerly; the distinction is invisible to the model).
-    pages: Vec<Option<Page>>,
+    /// Pinned pages: a slot holds bytes exactly while the page's refcount
+    /// is non-zero, so huge pools do not consume host RAM up front (the
+    /// paper pins eagerly; the distinction is invisible to the model).
+    pages: PageStore,
     refcounts: Vec<u32>,
     free: VecDeque<PageIdx>,
     translator: Translator,
@@ -138,17 +77,13 @@ pub struct PageManager {
     refs: FastMap<u64, RefEntry>,
     next_key: u64,
     copy_mode: CopyMode,
-    /// Bytes reads returned as a view of a page buffer, and bytes they had
-    /// to gather into a new one (volatile, like the translator's counters).
-    read_viewed: Cell<u64>,
-    read_gathered: Cell<u64>,
 }
 
 impl PageManager {
     /// Create a Page manager with `capacity_pages` pinned pages.
     pub fn new(capacity_pages: usize, copy_mode: CopyMode) -> PageManager {
         PageManager {
-            pages: (0..capacity_pages).map(|_| None).collect(),
+            pages: PageStore::new(capacity_pages),
             refcounts: vec![0; capacity_pages],
             free: (0..capacity_pages as u32).collect(),
             translator: Translator::new(),
@@ -157,15 +92,13 @@ impl PageManager {
             refs: FastMap::default(),
             next_key: 1,
             copy_mode,
-            read_viewed: Cell::new(0),
-            read_gathered: Cell::new(0),
         }
     }
 
     /// Bytes served by reads so far: `(viewed, gathered)` — returned as a
     /// view of the buffer the pages already lie in, or copied out of them.
     pub fn read_bytes(&self) -> (u64, u64) {
-        (self.read_viewed.get(), self.read_gathered.get())
+        self.pages.read_bytes()
     }
 
     /// Free pages remaining.
@@ -175,7 +108,7 @@ impl PageManager {
 
     /// Total pinned pages.
     pub fn capacity_pages(&self) -> usize {
-        self.pages.len()
+        self.refcounts.len()
     }
 
     /// The translator (for overhead statistics).
@@ -205,7 +138,7 @@ impl PageManager {
     /// heuristic overcommit refuses the same request). With it, no region,
     /// and so no per-page loop over one, is longer than the pool.
     pub fn ralloc(&mut self, pid: GlobalPid, len: u64) -> DmResult<u64> {
-        let pool_pages = self.pages.len() as u64;
+        let pool_pages = self.refcounts.len() as u64;
         let tree = self.tree(pid)?;
         if len.div_ceil(PAGE_SIZE as u64) > pool_pages {
             return Err(DmError::OutOfMemory);
@@ -239,7 +172,7 @@ impl PageManager {
             self.free.push_back(p);
             // De-materialize: FIFO rotation would otherwise touch every
             // slot of a large pool and pin host RAM for the whole capacity.
-            self.pages[p as usize] = None;
+            *self.pages.slot_mut(p) = None;
         }
     }
 
@@ -248,15 +181,12 @@ impl PageManager {
         let p = self.free.pop_front().ok_or(DmError::OutOfMemory)?;
         debug_assert_eq!(self.refcounts[p as usize], 0);
         self.refcounts[p as usize] = 1;
-        self.pages[p as usize] = Some(page);
+        *self.pages.slot_mut(p) = Some(page);
         Ok(p)
     }
 
     fn stored(&self, p: PageIdx) -> &[u8] {
-        self.pages[p as usize]
-            .as_ref()
-            .expect("page materialized")
-            .stored()
+        self.pages.get(p).expect("page materialized").stored()
     }
 
     /// Fault-in a zeroed page for `(pid, vpn)`.
@@ -327,8 +257,7 @@ impl PageManager {
                 }
                 Some(p) => p,
             };
-            let page = self.pages[p as usize].as_mut().expect("page materialized");
-            page.make_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            self.pages.write(p, in_page, &data[off..off + n]);
             off += n;
         }
         Ok(cost)
@@ -347,7 +276,7 @@ impl PageManager {
         let mapped: Vec<Option<PageIdx>> = (first..=(va + len - 1) / PAGE_SIZE as u64)
             .map(|vpn| self.translator.lookup(pid, vpn))
             .collect();
-        Ok(self.read_pages(va, len, |vpn| mapped[(vpn - first) as usize]))
+        Ok(self.pages.read(va, len, |n| mapped[(n - first) as usize]))
     }
     /// Create a shareable reference over `[va, va+len)` (paper §V-A1
     /// `create_ref`). In COW mode this bumps each page's refcount; in the
@@ -477,10 +406,8 @@ impl PageManager {
         if self.free.len() < n_pages {
             return Err(DmError::OutOfMemory);
         }
-        let (buf, base) = data.into_shared();
         let mut pages = Vec::with_capacity(n_pages);
-        for lo in (0..len).step_by(PAGE_SIZE) {
-            let view = Page::view(buf.clone(), base + lo, PAGE_SIZE.min(len - lo));
+        for view in Page::views_of(data) {
             pages.push(self.take_free_page(view)?);
         }
         let cost = OpCost {
@@ -511,25 +438,7 @@ impl PageManager {
         if off.checked_add(len).is_none_or(|end| end > e.len) {
             return Err(DmError::OutOfBounds);
         }
-        Ok(self.read_pages(off, len, |i| Some(e.pages[i as usize])))
-    }
-
-    /// The `len` bytes at byte offset `start` of a page sequence whose
-    /// `n`-th page is `page_at(n)`: a view when they lie in one buffer as
-    /// they are ([`run_of_one_buffer`]), a gathered copy otherwise. The one
-    /// body behind every read.
-    fn read_pages(&self, start: u64, len: u64, page_at: impl Fn(u64) -> Option<PageIdx>) -> Bytes {
-        if len == 0 {
-            return Bytes::new();
-        }
-        if let Some(view) = run_of_one_buffer(&self.pages, start, len, &page_at) {
-            self.read_viewed.set(self.read_viewed.get() + len);
-            return view;
-        }
-        self.read_gathered.set(self.read_gathered.get() + len);
-        let mut out = Vec::with_capacity(len as usize);
-        gather(&self.pages, start, len, page_at, &mut out);
-        Bytes::from(out)
+        Ok(self.pages.read(off, len, |i| Some(e.pages[i as usize])))
     }
 
     /// Reclaim everything a (crashed) process pinned: every translation of
@@ -588,7 +497,7 @@ impl PageManager {
     /// Verify internal invariants; panics with a description on violation.
     /// Used by unit and property tests.
     pub fn check_invariants(&self) {
-        let cap = self.pages.len();
+        let cap = self.refcounts.len();
         // 1. Free pages have rc == 0 and appear exactly once in the FIFO.
         let mut seen = vec![false; cap];
         for &p in &self.free {
@@ -602,7 +511,7 @@ impl PageManager {
                 assert!(rc > 0, "lost page {p}: rc == 0 but not in free FIFO");
             }
             assert_eq!(
-                self.pages[p].is_some(),
+                self.pages.get(p as PageIdx).is_some(),
                 rc > 0,
                 "page {p}: bytes vs rc {rc}"
             );
@@ -631,7 +540,7 @@ impl PageManager {
     /// lookup/miss statistics are volatile and excluded.
     pub fn snapshot_into(&self, w: Writer) -> Writer {
         let mut w = w
-            .u32(self.pages.len() as u32)
+            .u32(self.refcounts.len() as u32)
             .u8(match self.copy_mode {
                 CopyMode::CopyOnWrite => 0,
                 CopyMode::Eager => 1,
@@ -642,7 +551,7 @@ impl PageManager {
         for &p in &self.free {
             w = w.u32(p);
         }
-        let used = || (0..self.pages.len() as u32).filter(|&p| self.refcounts[p as usize] > 0);
+        let used = || (0..self.refcounts.len() as u32).filter(|&p| self.refcounts[p as usize] > 0);
         w = w.u32(used().count() as u32);
         for p in used() {
             // Whole pages whatever the storage: equal logical state, equal
@@ -714,9 +623,9 @@ impl PageManager {
             pm.free.push_back(page_idx(r)?);
         }
         for _ in 0..r.u32()? {
-            let p = page_idx(r)? as usize;
-            pm.refcounts[p] = r.u32()?;
-            pm.pages[p] = Some(Page::private(&r.take(PAGE_SIZE)?));
+            let p = page_idx(r)?;
+            pm.refcounts[p as usize] = r.u32()?;
+            *pm.pages.slot_mut(p) = Some(Page::private(&r.take(PAGE_SIZE)?));
         }
         for _ in 0..r.u32()? {
             let pid = r.u32()?;
@@ -753,65 +662,6 @@ impl PageManager {
     /// logical state (recovery oracles compare recovered vs shadow).
     pub fn state_digest(&self) -> u64 {
         crate::wal::fnv1a(&self.snapshot())
-    }
-}
-
-/// The `len > 0` bytes at byte offset `start` of a page sequence as one view
-/// of the buffer they already lie in: every page of the range is a view of
-/// the same buffer, each a page further on than the one before, and stores
-/// every byte the range wants from it. `None` when a page is unmapped, was
-/// written (its buffer is its own), came from another message, or is a short
-/// tail the range reads past.
-fn run_of_one_buffer(
-    pages: &[Option<Page>],
-    start: u64,
-    len: u64,
-    page_at: impl Fn(u64) -> Option<PageIdx>,
-) -> Option<Bytes> {
-    const PS: u64 = PAGE_SIZE as u64;
-    let page = |n: u64| pages[page_at(n)? as usize].as_ref();
-    let (first, end) = (start / PS, start + len);
-    let head = page(first)?;
-    let base = head.range().start;
-    for n in first..=(end - 1) / PS {
-        let p = page(n)?;
-        let stored = p.range();
-        let wanted = (end - n * PS).min(PS) as usize;
-        let in_place = stored.start == base + ((n - first) * PS) as usize;
-        if !in_place || stored.len() < wanted || !p.buf.ptr_eq(&head.buf) {
-            return None;
-        }
-    }
-    let lo = base + (start % PS) as usize;
-    Some(head.buf.slice(lo..lo + len as usize))
-}
-
-/// Append the `len` bytes at byte offset `start` of a page sequence to `out`:
-/// `page_at(n)` is the sequence's `n`-th page, an unmapped page reads as
-/// zeros and so does a page past its stored length. The one copy loop behind
-/// every read that cannot be a view.
-fn gather(
-    pages: &[Option<Page>],
-    start: u64,
-    len: u64,
-    page_at: impl Fn(u64) -> Option<PageIdx>,
-    out: &mut Vec<u8>,
-) {
-    let (mut cur, end) = (start, start + len);
-    while cur < end {
-        let in_page = (cur % PAGE_SIZE as u64) as usize;
-        let n = (PAGE_SIZE - in_page).min((end - cur) as usize);
-        let stored = page_at(cur / PAGE_SIZE as u64).map_or(&[][..], |p| {
-            pages[p as usize]
-                .as_ref()
-                .expect("page materialized")
-                .stored()
-        });
-        let have = stored.get(in_page..).unwrap_or(&[]);
-        let have = &have[..n.min(have.len())];
-        out.extend_from_slice(have);
-        out.resize(out.len() + n - have.len(), 0);
-        cur += n as u64;
     }
 }
 

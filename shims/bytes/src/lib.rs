@@ -20,7 +20,7 @@
 //! upstream analogue, but only for mutable buffers). [`SharedBuf`] is a
 //! one-pointer handle on a `Bytes`' storage ([`Bytes::into_shared`], and
 //! back through [`SharedBuf::slice`]) for holders of many small views;
-//! `dmnet`'s page store is the user.
+//! `dmcommon`'s page store, behind both DM backends, is the user.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -174,7 +174,7 @@ impl Default for Bytes {
 
 /// A one-pointer handle on the heap allocation behind a [`Bytes`] (the
 /// second extension over the real crate). A holder that keeps many small
-/// views of few large buffers — the DM server's page store keeps one per
+/// views of few large buffers — the DM page store keeps one per
 /// 4 KiB page — stores this plus its own offset and length instead of a
 /// four-word `Bytes` per view. The handle is immutable while shared;
 /// [`SharedBuf::get_mut`] hands out the bytes once it is the only one left.

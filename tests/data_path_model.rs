@@ -224,10 +224,14 @@ fn a_chain_request_moves_what_the_model_says() {
 }
 
 /// What one image request moved: G-FAM traffic, compute-node memory traffic
-/// summed over every node, NIC tx bytes and datagrams delivered.
+/// summed over every node, NIC tx bytes and datagrams delivered; and the
+/// G-FAM bytes host reads got as a view of the published buffer and those
+/// they had to gather.
 #[derive(Debug, PartialEq, Eq)]
 struct ImageMoved {
     gfam_bytes: u64,
+    read_viewed: u64,
+    read_gathered: u64,
     node_bytes: u64,
     tx_bytes: u64,
     datagrams: u64,
@@ -247,14 +251,17 @@ fn cxl_value(len: u64) -> u64 {
 /// `output` bytes. The request `[op][value]` and the response `[value]`
 /// each cross four hops (client → firewall → load balancer → image
 /// processing → worker), so eight messages. G-FAM carries a by-reference
-/// value twice, once published and once read; compute-node memory sees the
-/// NIC DMA of each message at both ends and the worker's kernel streaming
-/// its input and output once.
+/// value twice, once published and once read, and the read is all a view
+/// of the buffer it was published from (100 % viewed); compute-node memory
+/// sees the NIC DMA of each message at both ends and the worker's kernel
+/// streaming its input and output once.
 fn image_model(input: u64, output: u64, mtu: u64) -> ImageMoved {
     let by_ref = |len: u64| if len < PS { 0 } else { len };
     let (req, resp) = (1 + cxl_value(input), cxl_value(output));
     ImageMoved {
         gfam_bytes: 2 * by_ref(input) + 2 * by_ref(output),
+        read_viewed: by_ref(input) + by_ref(output),
+        read_gathered: 0,
         node_bytes: 4 * 2 * (req + resp) + input + output,
         tx_bytes: 4 * (on_wire(req, mtu) + on_wire(resp, mtu)),
         datagrams: 4 * (packets(req, mtu) + packets(resp, mtu)),
@@ -278,12 +285,16 @@ fn image_measured(op: u8, input: u64) -> ImageMoved {
         let image = Bytes::from(vec![7u8; input as usize]);
         cluster.reset_stats();
         let delivered = cluster.net.delivered();
+        let gfam = cluster.cxl_fabric().expect("a DmRPC-CXL cluster").gfam();
+        let reads = (gfam.read_viewed_bytes(), gfam.read_gathered_bytes());
         app.request(op, &image).await.expect("request");
         // The two releases are fire-and-forget.
         simcore::sleep(Duration::from_millis(1)).await;
         let nodes = (0..cluster.net.node_count() as u32).map(NodeId);
         ImageMoved {
             gfam_bytes: cluster.dm_traffic_bytes(),
+            read_viewed: gfam.read_viewed_bytes() - reads.0,
+            read_gathered: gfam.read_gathered_bytes() - reads.1,
             node_bytes: cluster
                 .servers()
                 .iter()
