@@ -1,14 +1,18 @@
-//! The page store behind both DM backends, a DM server's pinned pages and
-//! G-FAM's device pages alike (DESIGN.md §6.1, §6.6). Host work only: each
-//! backend charges the model for the faults, copies and accesses it stands
-//! for, whatever the store does. `Bytes` are immutable, so a view handed
-//! out keeps what it shows: a write finds the buffer shared and moves the
-//! page first ([`Page::make_mut`]).
+//! The page table behind both DM backends, a DM server's pinned pages and
+//! G-FAM's device pages alike (DESIGN.md §6.1, §6.6): for each page whose
+//! refcount is above zero, that count and the page's bytes. Host work only:
+//! each backend charges the model for the faults, copies, atomics and
+//! accesses it stands for, whatever the table does. A page leaves the table
+//! with its last pin, bytes and all, so the host holds memory for live pages
+//! only, however large the pool, and a page pinned again reads as zeros.
+//! `Bytes` are immutable, so a view handed out keeps what it shows: a write
+//! finds the buffer shared and moves the page first ([`Page::make_mut`]).
 
 use std::cell::Cell;
 use std::ops::Range;
 
 use bytes::{Bytes, SharedBuf};
+use simcore::FastMap;
 
 use crate::PAGE_SIZE;
 
@@ -23,12 +27,6 @@ pub struct Page {
     /// bytes it stores.
     span: u64,
 }
-
-// Both backends build one slot per page up front (65 536 × 2 DM servers by
-// default, and the whole G-FAM device), so a slot wider than two words is
-// resident memory on every workload: `share_cow` reads ~8 MiB at 16 bytes
-// and 11 MiB at 40.
-const _: () = assert!(std::mem::size_of::<Option<Page>>() == 16);
 
 impl Page {
     /// The `len <= PAGE_SIZE` bytes at `off` of `buf`.
@@ -86,43 +84,155 @@ impl Page {
     }
 }
 
-/// One optional [`Page`] per page index (the backend's: a DM server's
-/// pinned page, a G-FAM physical page), an empty slot reading as zeros, and
-/// the bytes reads served as views and as gathered copies.
+/// The live pages of one pool of `capacity` pages (a DM server's pinned
+/// pages, a G-FAM device's physical pages), keyed by page index: a page is
+/// in the table exactly while its refcount is above zero, with the bytes it
+/// holds, if any (a pinned page without bytes reads as zeros). An index past
+/// the pool panics. Also counts the bytes reads served as views and as
+/// gathered copies.
 pub struct PageStore {
-    slots: Vec<Option<Page>>,
+    capacity: usize,
+    live: FastMap<u32, Live>,
     read_viewed: Cell<u64>,
     read_gathered: Cell<u64>,
 }
 
+/// One live page: its refcount (above zero) and bytes.
+struct Live {
+    rc: u32,
+    page: Option<Page>,
+}
+
 impl PageStore {
-    /// A store of `capacity` empty slots.
+    /// An empty table over a pool of `capacity` pages (allocates nothing).
     pub fn new(capacity: usize) -> PageStore {
         PageStore {
-            slots: (0..capacity).map(|_| None).collect(),
+            capacity,
+            live: FastMap::default(),
             read_viewed: Cell::new(0),
             read_gathered: Cell::new(0),
         }
     }
 
-    /// The page in slot `p`, if it holds one.
+    /// Pages in the pool, live or not.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    #[inline]
+    fn check(&self, p: u32) {
+        assert!(
+            (p as usize) < self.capacity,
+            "page {p} past a pool of {} pages",
+            self.capacity
+        );
+    }
+
+    #[inline]
+    fn live_mut(&mut self, p: u32) -> &mut Live {
+        self.check(p);
+        self.live
+            .get_mut(&p)
+            .unwrap_or_else(|| panic!("page {p} is not pinned"))
+    }
+
+    /// Page `p`'s refcount, 0 when it is not live.
+    #[inline]
+    pub fn refcount(&self, p: u32) -> u32 {
+        self.check(p);
+        self.live.get(&p).map_or(0, |l| l.rc)
+    }
+
+    /// The bytes of page `p`, if it is live and holds any.
     #[inline]
     pub fn get(&self, p: u32) -> Option<&Page> {
-        self.slots[p as usize].as_ref()
+        self.check(p);
+        self.live.get(&p)?.page.as_ref()
     }
 
-    /// Slot `p`, to fill, empty or write through.
+    /// Add one pin to page `p`; returns the new refcount. A page pinned from
+    /// zero enters the table holding no bytes.
     #[inline]
-    pub fn slot_mut(&mut self, p: u32) -> &mut Option<Page> {
-        &mut self.slots[p as usize]
+    pub fn pin(&mut self, p: u32) -> u32 {
+        self.check(p);
+        let live = self.live.entry(p).or_insert(Live { rc: 0, page: None });
+        live.rc += 1;
+        live.rc
     }
 
-    /// Write `data` at byte `off` of page `p`; an empty slot becomes a
-    /// zeroed private page first.
+    /// Drop one pin from page `p`; returns the new refcount. The last pin
+    /// takes the page out of the table, bytes and all.
+    #[inline]
+    pub fn unpin(&mut self, p: u32) -> u32 {
+        self.check(p);
+        let Some(live) = self.live.get_mut(&p) else {
+            panic!("refcount underflow on page {p}");
+        };
+        live.rc -= 1;
+        let rc = live.rc;
+        if rc == 0 {
+            self.live.remove(&p);
+        }
+        rc
+    }
+
+    /// Make `page` the bytes of the pinned page `p`.
+    #[inline]
+    pub fn put(&mut self, p: u32, page: Page) {
+        self.live_mut(p).page = Some(page);
+    }
+
+    /// Make the pinned page `dst` a second view of `src`'s bytes (none if
+    /// `src` holds none).
+    #[inline]
+    pub fn copy(&mut self, src: u32, dst: u32) {
+        let page = self.get(src).cloned();
+        self.live_mut(dst).page = page;
+    }
+
+    /// Write `data` at byte `off` of the pinned page `p`; a page without
+    /// bytes becomes a zeroed private page first.
     #[inline]
     pub fn write(&mut self, p: u32, off: usize, data: &[u8]) {
-        let page = self.slots[p as usize].get_or_insert_with(|| Page::private(&[]));
+        let page = self
+            .live_mut(p)
+            .page
+            .get_or_insert_with(|| Page::private(&[]));
         page.make_mut()[off..off + data.len()].copy_from_slice(data);
+    }
+
+    /// Restore page `p` at refcount `rc` holding `page` (a checkpoint's
+    /// used page). `false`, changing nothing, when `rc` is 0 or `p` is
+    /// already live.
+    pub fn restore(&mut self, p: u32, rc: u32, page: Page) -> bool {
+        self.check(p);
+        if rc == 0 || self.live.contains_key(&p) {
+            return false;
+        }
+        self.live.insert(
+            p,
+            Live {
+                rc,
+                page: Some(page),
+            },
+        );
+        true
+    }
+
+    /// How many pages are live.
+    pub fn live_count(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Every live page as `(index, refcount, bytes)`, in ascending index.
+    pub fn live(&self) -> Vec<(u32, u32, Option<&Page>)> {
+        let mut live: Vec<_> = self
+            .live
+            .iter()
+            .map(|(&p, l)| (p, l.rc, l.page.as_ref()))
+            .collect();
+        live.sort_unstable_by_key(|&(p, ..)| p);
+        live
     }
 
     /// Bytes served by reads so far: `(viewed, gathered)` — returned as a
@@ -145,9 +255,9 @@ impl PageStore {
             self.read_viewed.set(self.read_viewed.get() + len);
             return view;
         }
-        self.read_gathered.set(self.read_gathered.get() + len);
         let mut out = Vec::with_capacity(len as usize);
         gather(start, len, page, &mut out);
+        self.read_gathered.set(self.read_gathered.get() + len);
         Bytes::from(out)
     }
 }

@@ -3,21 +3,18 @@
 //! One Device-Physical-Address (DPA) space shared by every host on the CXL
 //! fabric. The device holds:
 //!
-//! * the CXL physical pages themselves (real bytes), in the [`PageStore`]
-//!   a DM server keeps its pages in: views of the buffers they were
-//!   published from until written (DESIGN.md §6.6);
-//! * the per-page **reference counts**, stored in device memory and updated
-//!   with atomic operations ("CXL 3.0 allows each host to perform arbitrary
-//!   ISA-supported atomic operations on its connected CXL memory");
+//! * the CXL physical pages themselves (real bytes) and their per-page
+//!   **reference counts**, in the [`PageStore`] a DM server keeps its pages
+//!   in: a page is there while its count is above zero, its bytes views of
+//!   the buffers they were published from until written (DESIGN.md §6.6);
+//!   hosts update the counts with fabric atomics ("CXL 3.0 allows each host
+//!   to perform arbitrary ISA-supported atomic operations on its connected
+//!   CXL memory"), each one counted and charged;
 //! * a shared bandwidth resource modeling the device + switch data path,
 //!   with the latency knob driven by [`memsim::ModelParams`] (Fig. 12).
-//!
-//! Refcounts use real `AtomicU32`s to mirror the fabric-atomic semantics
-//! even though the simulation itself is single-threaded.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -30,10 +27,10 @@ pub type Ppn = u32;
 
 /// The shared G-FAM device. Every host holds an `Rc<GFam>`.
 pub struct GFam {
-    /// Device pages: bytes only while pinned and written or published, an
-    /// empty slot reading as zeros (host RAM only; invisible to the model).
+    /// Refcount and bytes of every pinned device page; a page holds bytes
+    /// only once written or published, reading as zeros before (host RAM
+    /// only; invisible to the model).
     pages: RefCell<PageStore>,
-    refcounts: Vec<AtomicU32>,
     params: ModelParams,
     /// Device + switch data-path bandwidth, shared by all hosts.
     bw: RateResource,
@@ -47,7 +44,6 @@ impl GFam {
         let bw = RateResource::new("gfam", params.cxl_bandwidth(), Duration::ZERO);
         Rc::new(GFam {
             pages: RefCell::new(PageStore::new(capacity_pages)),
-            refcounts: (0..capacity_pages).map(|_| AtomicU32::new(0)).collect(),
             params,
             bw,
             traffic: Counter::new(),
@@ -57,7 +53,7 @@ impl GFam {
 
     /// Number of CXL physical pages.
     pub fn capacity_pages(&self) -> usize {
-        self.refcounts.len()
+        self.pages.borrow().capacity()
     }
 
     /// The shared model parameters (CXL latency knob).
@@ -121,28 +117,23 @@ impl GFam {
         self.pages.borrow_mut().write(ppn, offset, data);
     }
 
-    /// Make `page` the bytes of `ppn` (a publish, no copy).
+    /// Make `page` the bytes of the pinned `ppn` (a publish, no copy).
     pub fn put_page(&self, ppn: Ppn, page: Page) {
-        *self.pages.borrow_mut().slot_mut(ppn) = Some(page);
+        self.pages.borrow_mut().put(ppn, page);
     }
 
     /// Copy one whole page `src` → `dst` on the device (COW data move):
     /// `dst` becomes a second view of `src`'s bytes until either is written.
     pub fn copy_page(&self, src: Ppn, dst: Ppn) {
         assert_ne!(src, dst);
-        let mut pages = self.pages.borrow_mut();
-        *pages.slot_mut(dst) = pages.get(src).cloned();
+        self.pages.borrow_mut().copy(src, dst);
     }
 
-    /// Drop a page's bytes (called when the page returns to a free list; it
-    /// reads as zeros until written or published again).
-    pub fn discard_page(&self, ppn: Ppn) {
-        *self.pages.borrow_mut().slot_mut(ppn) = None;
-    }
-
-    /// Whether `ppn` holds bytes (invariant checks: only pinned pages do).
-    pub fn holds_bytes(&self, ppn: Ppn) -> bool {
-        self.pages.borrow().get(ppn).is_some()
+    /// Every pinned page as `(ppn, refcount)`, in ascending `ppn`
+    /// (invariant checks; not counted as atomics).
+    pub fn pinned_pages(&self) -> Vec<(Ppn, u32)> {
+        let pages = self.pages.borrow();
+        pages.live().into_iter().map(|(p, rc, _)| (p, rc)).collect()
     }
 
     // -- fabric atomics on refcounts ----------------------------------------
@@ -150,21 +141,21 @@ impl GFam {
     /// Atomically increment a page's refcount; returns the new value.
     pub fn rc_inc(&self, ppn: Ppn) -> u32 {
         self.atomics.incr();
-        self.refcounts[ppn as usize].fetch_add(1, Ordering::AcqRel) + 1
+        self.pages.borrow_mut().pin(ppn)
     }
 
-    /// Atomically decrement a page's refcount; returns the new value.
+    /// Atomically decrement a page's refcount; returns the new value. The
+    /// last pin drops the page's bytes: it reads as zeros until written or
+    /// published again.
     pub fn rc_dec(&self, ppn: Ppn) -> u32 {
         self.atomics.incr();
-        let prev = self.refcounts[ppn as usize].fetch_sub(1, Ordering::AcqRel);
-        assert!(prev > 0, "refcount underflow on CXL page {ppn}");
-        prev - 1
+        self.pages.borrow_mut().unpin(ppn)
     }
 
     /// Read a page's refcount.
     pub fn rc_get(&self, ppn: Ppn) -> u32 {
         self.atomics.incr();
-        self.refcounts[ppn as usize].load(Ordering::Acquire)
+        self.rc_peek(ppn)
     }
 
     /// Set a freshly-granted page's refcount to 1 (first mapping; paper
@@ -172,24 +163,23 @@ impl GFam {
     /// its ref count would be initialized to one").
     pub fn rc_init(&self, ppn: Ppn) {
         self.atomics.incr();
-        let prev = self.refcounts[ppn as usize].swap(1, Ordering::AcqRel);
-        assert_eq!(prev, 0, "initializing refcount of in-use CXL page {ppn}");
+        let rc = self.pages.borrow_mut().pin(ppn);
+        assert_eq!(rc, 1, "initializing refcount of in-use CXL page {ppn}");
     }
 
     /// Whether every one of `pages` is a device page with at least one pin.
     /// Not counted as atomics: a host reads these words in an access or
     /// beside the atomics it issues anyway.
     pub fn all_pinned(&self, pages: &[Ppn]) -> bool {
-        pages.iter().all(|&p| {
-            self.refcounts
-                .get(p as usize)
-                .is_some_and(|rc| rc.load(Ordering::Acquire) > 0)
-        })
+        let store = self.pages.borrow();
+        pages
+            .iter()
+            .all(|&p| (p as usize) < store.capacity() && store.refcount(p) > 0)
     }
 
     /// Non-counting refcount peek for invariant checks.
     pub fn rc_peek(&self, ppn: Ppn) -> u32 {
-        self.refcounts[ppn as usize].load(Ordering::Relaxed)
+        self.pages.borrow().refcount(ppn)
     }
 }
 
@@ -203,6 +193,7 @@ mod tests {
     #[test]
     fn page_data_roundtrip() {
         let g = GFam::new(4, ModelParams::new());
+        g.rc_init(1);
         g.write_page(1, 100, b"hello");
         assert_eq!(&g.read(100, 5, |_| Some(1))[..], b"hello");
         assert_eq!(&g.read(100, 5, |_| Some(2))[..], &[0; 5], "untouched");
@@ -212,6 +203,8 @@ mod tests {
     fn copy_shares_until_a_write_and_discard_zeroes() {
         let g = GFam::new(4, ModelParams::new());
         let data = Bytes::from(vec![7u8; PAGE_SIZE]);
+        g.rc_init(0);
+        g.rc_init(2);
         g.put_page(0, Page::views_of(data.clone()).next().unwrap());
         g.copy_page(0, 2);
         let copy = g.read(0, PAGE_SIZE as u64, |_| Some(2));
@@ -220,8 +213,10 @@ mod tests {
         assert_eq!(&g.read(4000, 4, |_| Some(2))[..], &[1; 4]);
         assert_eq!(&g.read(4000, 4, |_| Some(0))[..], &[7; 4], "src untouched");
         assert_eq!(copy, data, "a read keeps what it showed");
-        g.discard_page(2);
-        assert!(!g.holds_bytes(2));
+        // The last pin drops the bytes: pinned again, the page reads zeros.
+        assert_eq!(g.rc_dec(2), 0);
+        assert!(g.pinned_pages().iter().all(|&(p, _)| p != 2));
+        g.rc_init(2);
         assert_eq!(&g.read(4000, 4, |_| Some(2))[..], &[0; 4]);
         // Every read but the last was one run of one buffer, the written
         // page's own included.
@@ -239,7 +234,13 @@ mod tests {
         assert_eq!(g.rc_get(0), 1);
         assert_eq!(g.rc_inc(0), 2);
         assert_eq!(g.rc_dec(0), 1);
+        assert!(g.all_pinned(&[0]));
+        assert!(
+            !g.all_pinned(&[0, 2]),
+            "a ppn past the device is not pinned"
+        );
         assert_eq!(g.rc_dec(0), 0);
+        assert!(!g.all_pinned(&[0]));
         assert!(g.atomic_ops() >= 5);
     }
 

@@ -177,9 +177,8 @@ impl CxlHost {
         loop {
             let popped = self.free.borrow_mut().pop_front();
             if let Some(p) = popped {
-                // A free page holds no bytes, so a fresh mapping reads as
-                // zeros without zeroing anything.
-                debug_assert!(!self.gfam.holds_bytes(p), "free page {p} holds bytes");
+                // A free page holds no bytes (its last pin dropped them), so
+                // a fresh mapping reads as zeros without zeroing anything.
                 self.maybe_background_refill();
                 self.gfam.rc_init(p);
                 return Ok(p);
@@ -209,7 +208,6 @@ impl CxlHost {
     }
 
     fn give_back_page(self: &Rc<Self>, p: Ppn) {
-        self.gfam.discard_page(p);
         let mut free = self.free.borrow_mut();
         free.push_back(p);
         if free.len() > self.config.high_watermark {

@@ -22,6 +22,7 @@ pub mod coordinator;
 pub mod gfam;
 pub mod host;
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 pub use coordinator::Coordinator;
@@ -90,47 +91,40 @@ pub fn check_fabric_invariants(
     hosts: &[Rc<CxlHost>],
     live_refs: &[(u32, u32)],
 ) {
-    let cap = gfam.capacity_pages();
-    let mut free_owner = vec![0u32; cap];
     // The coordinator exposes only a count; host FIFOs expose contents.
     let coord_free = coordinator.free_pages();
-    let mut host_free = 0usize;
-    for h in hosts {
-        for p in h.free_snapshot() {
-            free_owner[p as usize] += 1;
-            host_free += 1;
-        }
+    let mut host_free: Vec<u32> = hosts.iter().flat_map(|h| h.free_snapshot()).collect();
+    host_free.sort_unstable();
+    // 1. No page owned free by two hosts; free pages have rc == 0. Only a
+    //    pinned page is in G-FAM's table, so only it holds bytes and a
+    //    fresh mapping reads zeros.
+    for w in host_free.windows(2) {
+        assert_ne!(w[0], w[1], "page {} in two host free lists", w[0]);
     }
-    // 1. No page owned free by two hosts; free pages have rc == 0; only a
-    //    pinned page holds bytes, so a fresh mapping reads zeros.
-    for (p, &n) in free_owner.iter().enumerate() {
-        assert!(n <= 1, "page {p} in {n} host free lists");
-        if n == 1 {
-            assert_eq!(gfam.rc_peek(p as u32), 0, "free page {p} has rc != 0");
-        }
-        if gfam.holds_bytes(p as u32) {
-            assert!(gfam.rc_peek(p as u32) > 0, "unpinned page {p} holds bytes");
-        }
+    for &p in &host_free {
+        assert_eq!(gfam.rc_peek(p), 0, "free page {p} has rc != 0");
     }
     // 2. rc(p) == #PTEs(p) + #live ref pins(p).
-    let mut expected = vec![0u32; cap];
-    for h in hosts {
-        for (_vpn, ppn, _w) in h.pte_snapshot() {
-            expected[ppn as usize] += 1;
-        }
+    let mut expected: BTreeMap<u32, u32> = BTreeMap::new();
+    let ptes = hosts
+        .iter()
+        .flat_map(|h| h.pte_snapshot())
+        .map(|(_, ppn, _)| (ppn, 1));
+    for (ppn, pins) in ptes.chain(live_refs.iter().copied()) {
+        *expected.entry(ppn).or_default() += pins;
     }
-    for &(ppn, pins) in live_refs {
-        expected[ppn as usize] += pins;
-    }
-    for (p, &exp) in expected.iter().enumerate() {
-        let rc = gfam.rc_peek(p as u32);
+    let pinned = gfam.pinned_pages();
+    for &(p, rc) in &pinned {
+        let exp = expected.remove(&p).unwrap_or(0);
         assert_eq!(rc, exp, "page {p}: rc {rc} != PTEs+refs {exp}");
     }
+    if let Some((p, exp)) = expected.into_iter().find(|&(_, exp)| exp > 0) {
+        panic!("page {p}: rc 0 != PTEs+refs {exp}");
+    }
     // 3. Conservation: free everywhere + in-use == capacity.
-    let in_use = (0..cap).filter(|&p| gfam.rc_peek(p as u32) > 0).count();
     assert_eq!(
-        coord_free + host_free + in_use,
-        cap,
+        coord_free + host_free.len() + pinned.len(),
+        gfam.capacity_pages(),
         "page conservation violated"
     );
 }

@@ -3,8 +3,8 @@
 //! Owns the pinned memory of one DM server:
 //!
 //! * a fixed pool of pinned pages managed in a **FIFO** free list;
-//! * a 4-byte **reference count** per page ("stored linearly in the
-//!   memory");
+//! * a **reference count** per page, kept with the page's bytes in the
+//!   [`PageStore`] for exactly the pages whose count is above zero;
 //! * per-process **VA allocation trees** ([`crate::va_tree::VaTree`]);
 //! * the **`Ref` map** from `create_ref` keys to the pinned pages they
 //!   share;
@@ -16,7 +16,8 @@
 //! and memory bandwidth for it.
 //!
 //! What the model charges and what the host does are kept apart. The page
-//! bytes live in the [`PageStore`] G-FAM keeps its pages in too: a page
+//! bytes live in the [`PageStore`] G-FAM keeps its pages in too, which
+//! holds host memory for live pages only: a page
 //! published by `PUT_REF` is a *view* into the buffer the request arrived
 //! in ([`PageManager::put_ref_bytes`]), no allocation and no copy on the
 //! host, while [`OpCost`] still reports every page faulted; a read of a
@@ -65,11 +66,11 @@ struct RefEntry {
 
 /// The state of one DM server's Page manager.
 pub struct PageManager {
-    /// Pinned pages: a slot holds bytes exactly while the page's refcount
-    /// is non-zero, so huge pools do not consume host RAM up front (the
-    /// paper pins eagerly; the distinction is invisible to the model).
+    /// Refcount and bytes of every page in use: a page is in the store
+    /// exactly while its refcount is non-zero, so a huge pool costs host
+    /// RAM for its live pages only (the paper pins eagerly; the distinction
+    /// is invisible to the model).
     pages: PageStore,
-    refcounts: Vec<u32>,
     free: VecDeque<PageIdx>,
     translator: Translator,
     processes: HashMap<u32, VaTree>,
@@ -84,7 +85,6 @@ impl PageManager {
     pub fn new(capacity_pages: usize, copy_mode: CopyMode) -> PageManager {
         PageManager {
             pages: PageStore::new(capacity_pages),
-            refcounts: vec![0; capacity_pages],
             free: (0..capacity_pages as u32).collect(),
             translator: Translator::new(),
             processes: HashMap::new(),
@@ -108,7 +108,7 @@ impl PageManager {
 
     /// Total pinned pages.
     pub fn capacity_pages(&self) -> usize {
-        self.refcounts.len()
+        self.pages.capacity()
     }
 
     /// The translator (for overhead statistics).
@@ -138,7 +138,7 @@ impl PageManager {
     /// heuristic overcommit refuses the same request). With it, no region,
     /// and so no per-page loop over one, is longer than the pool.
     pub fn ralloc(&mut self, pid: GlobalPid, len: u64) -> DmResult<u64> {
-        let pool_pages = self.refcounts.len() as u64;
+        let pool_pages = self.pages.capacity() as u64;
         let tree = self.tree(pid)?;
         if len.div_ceil(PAGE_SIZE as u64) > pool_pages {
             return Err(DmError::OutOfMemory);
@@ -164,24 +164,19 @@ impl PageManager {
         Ok(cost)
     }
 
+    /// Drop one pin; the last one frees the page, and its bytes with it.
     fn unref(&mut self, p: PageIdx) {
-        let rc = &mut self.refcounts[p as usize];
-        debug_assert!(*rc > 0, "unref of free page");
-        *rc -= 1;
-        if *rc == 0 {
+        if self.pages.unpin(p) == 0 {
             self.free.push_back(p);
-            // De-materialize: FIFO rotation would otherwise touch every
-            // slot of a large pool and pin host RAM for the whole capacity.
-            *self.pages.slot_mut(p) = None;
         }
     }
 
     /// Pop the next free page and give it `page`'s bytes, at refcount 1.
     fn take_free_page(&mut self, page: Page) -> DmResult<PageIdx> {
         let p = self.free.pop_front().ok_or(DmError::OutOfMemory)?;
-        debug_assert_eq!(self.refcounts[p as usize], 0);
-        self.refcounts[p as usize] = 1;
-        *self.pages.slot_mut(p) = Some(page);
+        let rc = self.pages.pin(p);
+        debug_assert_eq!(rc, 1, "free page {p} was pinned");
+        self.pages.put(p, page);
         Ok(p)
     }
 
@@ -238,7 +233,7 @@ impl PageManager {
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
             let p = match self.translator.lookup(pid, vpn) {
                 None => self.fault_in(pid, vpn, &mut cost)?,
-                Some(p) if self.refcounts[p as usize] > 1 => {
+                Some(p) if self.pages.refcount(p) > 1 => {
                     // Copy-on-write: pop a new page, copy the old content
                     // (not when an `overwrite` replaces all of it), retarget
                     // the translation, unref the old page.
@@ -315,7 +310,7 @@ impl PageManager {
         let shared = match self.copy_mode {
             CopyMode::CopyOnWrite => {
                 for &p in &pages {
-                    self.refcounts[p as usize] += 1;
+                    self.pages.pin(p);
                     cost.refcount_updates += 1;
                 }
                 pages
@@ -362,7 +357,7 @@ impl PageManager {
         for (i, &p) in pages.iter().enumerate() {
             self.translator
                 .insert(pid, va / PAGE_SIZE as u64 + i as u64, p);
-            self.refcounts[p as usize] += 1;
+            self.pages.pin(p);
             cost.refcount_updates += 1;
         }
         Ok((va, len, cost))
@@ -497,38 +492,37 @@ impl PageManager {
     /// Verify internal invariants; panics with a description on violation.
     /// Used by unit and property tests.
     pub fn check_invariants(&self) {
-        let cap = self.refcounts.len();
-        // 1. Free pages have rc == 0 and appear exactly once in the FIFO.
-        let mut seen = vec![false; cap];
-        for &p in &self.free {
-            assert!(!seen[p as usize], "page {p} twice in free FIFO");
-            seen[p as usize] = true;
-            assert_eq!(self.refcounts[p as usize], 0, "free page {p} has rc != 0");
+        // 1. Every page is either once in the free FIFO or live (rc > 0).
+        assert!(
+            self.covers_the_pool(),
+            "free FIFO and live pages do not cover the pool exactly once"
+        );
+        // 2. Refcount conservation: rc(p) == #translations(p) + #refs(p),
+        //    and a live page holds bytes.
+        let mut expected: FastMap<PageIdx, u32> = FastMap::default();
+        let holders = self.refs.values().flat_map(|e| e.pages.iter().copied());
+        for p in self.translator.iter().map(|(_, p)| p).chain(holders) {
+            *expected.entry(p).or_default() += 1;
         }
-        // 2. Non-free pages have rc > 0, and exactly they hold bytes.
-        for (p, &rc) in self.refcounts.iter().enumerate() {
-            if !seen[p] {
-                assert!(rc > 0, "lost page {p}: rc == 0 but not in free FIFO");
-            }
-            assert_eq!(
-                self.pages.get(p as PageIdx).is_some(),
-                rc > 0,
-                "page {p}: bytes vs rc {rc}"
-            );
-        }
-        // 3. Refcount conservation: rc(p) == #translations(p) + #refs(p).
-        let mut expected = vec![0u32; cap];
-        for (_, p) in self.translator.iter() {
-            expected[p as usize] += 1;
-        }
-        for e in self.refs.values() {
-            for &p in &e.pages {
-                expected[p as usize] += 1;
-            }
-        }
-        for (p, (&rc, &exp)) in self.refcounts.iter().zip(&expected).enumerate() {
+        for (p, rc, page) in self.pages.live() {
+            assert!(page.is_some(), "live page {p} holds no bytes");
+            let exp = expected.remove(&p).unwrap_or(0);
             assert_eq!(rc, exp, "page {p}: rc {rc} != mappings+refs {exp}");
         }
+        if let Some((p, exp)) = expected.into_iter().min() {
+            panic!("page {p}: rc 0 != mappings+refs {exp}");
+        }
+    }
+
+    /// Whether the free FIFO and the live pages cover the pool exactly once:
+    /// no page twice in the FIFO, none of them live, and as many of both as
+    /// the pool has pages.
+    fn covers_the_pool(&self) -> bool {
+        let mut free: Vec<PageIdx> = self.free.iter().copied().collect();
+        free.sort_unstable();
+        free.len() + self.pages.live_count() == self.capacity_pages()
+            && free.windows(2).all(|w| w[0] != w[1])
+            && free.iter().all(|&p| self.pages.refcount(p) == 0)
     }
 
     /// Append a canonical snapshot of the full state to `w` (the durable
@@ -540,7 +534,7 @@ impl PageManager {
     /// lookup/miss statistics are volatile and excluded.
     pub fn snapshot_into(&self, w: Writer) -> Writer {
         let mut w = w
-            .u32(self.refcounts.len() as u32)
+            .u32(self.capacity_pages() as u32)
             .u8(match self.copy_mode {
                 CopyMode::CopyOnWrite => 0,
                 CopyMode::Eager => 1,
@@ -551,14 +545,14 @@ impl PageManager {
         for &p in &self.free {
             w = w.u32(p);
         }
-        let used = || (0..self.refcounts.len() as u32).filter(|&p| self.refcounts[p as usize] > 0);
-        w = w.u32(used().count() as u32);
-        for p in used() {
+        let used = self.pages.live();
+        w = w.u32(used.len() as u32);
+        for (p, rc, page) in used {
             // Whole pages whatever the storage: equal logical state, equal
             // bytes, so a manager rebuilt by replay digests the same.
-            let mut buf = w.u32(p).u32(self.refcounts[p as usize]).into_vec();
+            let mut buf = w.u32(p).u32(rc).into_vec();
             let end = buf.len() + PAGE_SIZE;
-            buf.extend_from_slice(self.stored(p));
+            buf.extend_from_slice(page.expect("a live page holds bytes").stored());
             buf.resize(end, 0);
             w = Writer::from(buf);
         }
@@ -603,7 +597,9 @@ impl PageManager {
 
     /// Rebuild a manager from a snapshot produced by
     /// [`Self::snapshot_into`], leaving `r` behind the consumed bytes.
-    /// `Malformed` on any malformed input.
+    /// `Malformed` on any malformed input, and on a pool the free FIFO and
+    /// the used pages do not cover exactly once, or a used page at
+    /// refcount 0: either would hand a live page out again.
     pub fn restore_from(r: &mut Reader<'_>) -> DmResult<PageManager> {
         let capacity = r.u32()? as usize;
         let copy_mode = match r.u8()? {
@@ -623,9 +619,13 @@ impl PageManager {
             pm.free.push_back(page_idx(r)?);
         }
         for _ in 0..r.u32()? {
-            let p = page_idx(r)?;
-            pm.refcounts[p as usize] = r.u32()?;
-            *pm.pages.slot_mut(p) = Some(Page::private(&r.take(PAGE_SIZE)?));
+            let (p, rc) = (page_idx(r)?, r.u32()?);
+            if !pm.pages.restore(p, rc, Page::private(&r.take(PAGE_SIZE)?)) {
+                return Err(DmError::Malformed);
+            }
+        }
+        if !pm.covers_the_pool() {
+            return Err(DmError::Malformed);
         }
         for _ in 0..r.u32()? {
             let pid = r.u32()?;

@@ -455,6 +455,43 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
     });
 }
 
+/// A checkpoint is restored only if its free FIFO and its used pages cover
+/// the pool exactly once and every used page is pinned: a free entry naming
+/// the live page would hand it out again. A 4-page pool with one published
+/// page snapshots free `[1, 2, 3]`, the last entry at bytes 29..33 (after
+/// capacity, copy mode, next pid, next key and the FIFO's length), then one
+/// used page whose refcount is at 41..45.
+#[test]
+fn a_checkpoint_whose_free_fifo_and_used_pages_overlap_or_miss_is_malformed() {
+    use dmcommon::CopyMode;
+    use dmnet::PageManager;
+
+    let mut pm = PageManager::new(4, CopyMode::CopyOnWrite);
+    pm.put_ref(b"live", None).unwrap();
+    let snap = pm.snapshot();
+    let restored = PageManager::restore_from(&mut Reader::new(&snap)).unwrap();
+    restored.check_invariants();
+    assert_eq!(restored.state_digest(), pm.state_digest());
+
+    let patched = |at: usize, word: u32| {
+        let mut s = snap.clone();
+        s[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        s
+    };
+    let mut short = patched(17, 2);
+    short.drain(29..33);
+    let cases = [
+        ("the live page listed free", patched(29, 0)),
+        ("page 1 listed twice, page 3 left out", patched(29, 1)),
+        ("page 3 left out", short),
+        ("a used page at refcount 0", patched(41, 0)),
+    ];
+    for (what, bad) in cases {
+        let r = PageManager::restore_from(&mut Reader::new(&bad));
+        assert_eq!(r.err(), Some(DmError::Malformed), "{what}");
+    }
+}
+
 /// `READ`'s `len` is wire-fed, and a default pool backs a region of 65 536
 /// pages: 256 MiB, one byte more than 65 535 packets carry. A reply nobody
 /// could frame is refused as out of bounds before a byte of it is built — it
