@@ -204,6 +204,12 @@ impl Response {
         self.head.len() + self.body.len()
     }
 
+    /// The op's result so far: what follows the status, the count and any
+    /// death list once the response is finished.
+    pub(crate) fn result(&self) -> Message {
+        Message::new(self.head[RESPONSE_HEAD..].to_vec(), self.body.clone())
+    }
+
     fn finish(mut self, status: u8, count: u64) -> Message {
         self.head[0] = status;
         self.head[1..RESPONSE_HEAD].copy_from_slice(&count.to_le_bytes());

@@ -20,8 +20,9 @@
 //!
 //! The server is split by plane. This file holds the configuration, the
 //! process and lease lifecycle, owner checks and the cost model. `dispatch`
-//! holds the one body of every wire op; `recovery` the durable tier
-//! (persist, snapshot, replay, `restart_from_log`); `coherence` how a ref's
+//! holds the one body of every wire op, which serving and replay share;
+//! `recovery` the durable tier (persist, snapshot, replay,
+//! `restart_from_log`); `coherence` how a ref's
 //! death reaches the client caches that hold it (grants, death lists, the
 //! count every answer carries).
 
@@ -272,14 +273,6 @@ impl DmServer {
         }
     }
 
-    /// Register a process for the endpoint `owner`. Shared by `REGISTER`
-    /// and the replay of its record.
-    fn register_process(&self, owner: Addr) -> GlobalPid {
-        let pid = self.pm.borrow_mut().register_process();
-        self.owners.borrow_mut().insert(pid.0, owner);
-        pid
-    }
-
     /// Restarts this server's log has recorded (observability for tests).
     pub fn incarnation(&self) -> u64 {
         self.incarnation.get()
@@ -377,10 +370,10 @@ impl DmServer {
 
     // -- owners --------------------------------------------------------------
 
-    /// Validate that `src` owns `pid`.
-    fn check_owner(&self, pid: GlobalPid, src: Addr) -> DmResult<()> {
+    /// `pid`, if `src` owns it.
+    fn check_owner(&self, pid: GlobalPid, src: Addr) -> DmResult<GlobalPid> {
         match self.owners.borrow().get(&pid.0) {
-            Some(&owner) if owner == src => Ok(()),
+            Some(&owner) if owner == src => Ok(pid),
             _ => Err(DmError::InvalidAddress),
         }
     }

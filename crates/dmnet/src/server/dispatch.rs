@@ -1,9 +1,11 @@
-//! Request dispatch: tracing and the one body of every wire
-//! op. Each arm validates, mutates the page manager, persists
-//! (log-before-ack), charges CPU/memory and returns its result; which
-//! client may cache what and which refs died it tells the coherence plane
-//! ([`DmServer::grant`], [`DmServer::refs_died`]), which finishes every
-//! answer ([`DmServer::answer`]).
+//! Request dispatch: tracing and the one body of every wire op. Each op
+//! is [`DmServer::apply`], which validates, mutates the page manager and
+//! says what the op costs, then one epilogue shared by all of them
+//! (grant, log-before-ack, CPU and DRAM charges). Replay runs the logged
+//! requests through the same `apply`. Which client may cache what and
+//! which refs died an op tells the coherence plane ([`DmServer::grant`],
+//! [`DmServer::refs_died`]), which finishes every answer
+//! ([`DmServer::answer`]).
 
 use std::rc::Rc;
 
@@ -14,8 +16,48 @@ use telemetry::SpanKind;
 
 use super::{translations_for, DmServer};
 use crate::page_manager::OpCost;
-use crate::proto::{self, req, Reader, Response};
+use crate::proto::{self, req, Reader, Response, Writer};
 use crate::wal::Record;
+
+/// What an op leaves to the epilogue once [`DmServer::apply`] has run it.
+#[derive(Default)]
+pub(super) struct Effects {
+    /// Page-manager work, charged on the server's cores.
+    cost: OpCost,
+    /// Translation lookups charged beside it.
+    translations: u64,
+    /// Bytes the op moves through the server's DRAM (`None`: no access).
+    touched: Option<u64>,
+    /// The key the requester may now cache (a fill).
+    grant: Option<u64>,
+    /// The pid whose lease starts once the op is charged (`REGISTER`).
+    lease: Option<u32>,
+}
+
+impl Effects {
+    fn charge(cost: OpCost, translations: u64) -> Effects {
+        Effects {
+            cost,
+            translations,
+            ..Effects::default()
+        }
+    }
+
+    /// An op that moves `len` bytes through pinned pages: a lookup per
+    /// page, and the DRAM access.
+    fn data(cost: OpCost, len: u64) -> Effects {
+        Effects {
+            touched: Some(len),
+            ..Effects::charge(cost, translations_for(len))
+        }
+    }
+}
+
+/// Whether an op of type `ty` changes state a crash must not lose: it is
+/// logged once applied, and replay applies it again.
+fn logged(ty: u8) -> bool {
+    !matches!(ty, req::READ | req::READ_REF | req::RENEW_LEASE)
+}
 
 impl DmServer {
     /// Serve every op of [`proto::OPS`].
@@ -57,30 +99,88 @@ impl DmServer {
     }
 
     async fn dispatch(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
+        if ty != req::BATCH {
+            return self.serve(ty, src, body).await;
+        }
+        // Coalesced releases (DESIGN.md §9): the list is decoded whole
+        // before any key is released, and each key then runs, pays and is
+        // logged as the `RELEASE_REF` of it would be; what the batch saves
+        // is the per-message RPC and network overhead. A key already dead
+        // is skipped: a batched release is fire-and-forget.
+        for (key, ctx) in proto::decode_releases(body)? {
+            // A release that rode in with its enqueuer's context is
+            // parented there, reconnecting it to the request that caused
+            // it (the flush RPC is untraced).
+            let _span = ctx.and_then(|c| {
+                telemetry::span_with_parent(
+                    SpanKind::DmOp,
+                    proto::req_name(req::RELEASE_REF),
+                    self.addr().node.0,
+                    c,
+                )
+            });
+            let release = Writer::new().u64(key).finish();
+            let _ = self.serve(req::RELEASE_REF, src, &release).await;
+        }
+        Ok(Response::new())
+    }
+
+    /// [`Self::apply`] the op, then its one epilogue, in the order every op
+    /// awaits: the grant (taken before the first await, so a death while
+    /// the op waits is listed), the log record (log-before-ack), the CPU
+    /// charge, `REGISTER`'s lease, the DRAM access, and the grant's
+    /// confirmation.
+    async fn serve(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
+        let (resp, fx) = self.apply(ty, src, body)?;
+        if let Some(key) = fx.grant {
+            self.grant(key, src);
+        }
+        if logged(ty) {
+            self.persist(|| Record::Op {
+                ty,
+                src,
+                request: body.clone(),
+                response: resp.result(),
+            })
+            .await;
+        }
+        self.charge(fx.cost, fx.translations).await;
+        if let (Some(pid), Some(ttl)) = (fx.lease, self.config.lease_ttl) {
+            self.leases.borrow_mut().insert(pid, simcore::now() + ttl);
+        }
+        if let Some(len) = fx.touched {
+            self.mem.touch(len).await;
+            self.note_data_time(len);
+        }
+        if let Some(key) = fx.grant {
+            self.confirm_grant(key, src);
+        }
+        Ok(resp)
+    }
+
+    /// The synchronous body of the op `ty` that `src` sent: validate it,
+    /// mutate the page manager, and return the result with what the op
+    /// costs. The one body of live serving and of replay.
+    pub(super) fn apply(&self, ty: u8, src: Addr, body: &Message) -> DmResult<(Response, Effects)> {
         let mut r = Reader::of(body);
-        match ty {
+        Ok(match ty {
             req::REGISTER => {
-                let pid = self.register_process(src);
-                self.persist(|| {
-                    vec![Record::Register {
-                        node: src.node.0,
-                        port: src.port,
-                    }]
-                })
-                .await;
-                self.charge(OpCost::default(), 0).await;
+                let pid = self.pm.borrow_mut().register_process();
+                self.owners.borrow_mut().insert(pid.0, src);
                 let resp = Response::new().pid(pid);
-                // The reply states the lease TTL only where there is one
-                // (`req::REGISTER`).
-                let Some(ttl) = self.config.lease_ttl else {
-                    return Ok(resp);
+                // The lease starts once the op is charged; the reply states
+                // its TTL only where there is one (`req::REGISTER`).
+                let fx = Effects {
+                    lease: Some(pid.0),
+                    ..Effects::default()
                 };
-                self.leases.borrow_mut().insert(pid.0, simcore::now() + ttl);
-                Ok(resp.u64(ttl.as_nanos() as u64))
+                match self.config.lease_ttl {
+                    Some(ttl) => (resp.u64(ttl.as_nanos() as u64), fx),
+                    None => (resp, fx),
+                }
             }
             req::RENEW_LEASE => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let ttl = self.config.lease_ttl.ok_or(DmError::Malformed)?;
                 match self.leases.borrow_mut().get_mut(&pid.0) {
                     Some(exp) => *exp = simcore::now() + ttl,
@@ -88,106 +188,68 @@ impl DmServer {
                     // too late, the client must re-register.
                     None => return Err(DmError::InvalidAddress),
                 }
-                self.charge(OpCost::default(), 0).await;
-                Ok(Response::new())
+                (Response::new(), Effects::default())
             }
             req::ALLOC => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let len = r.u64()?;
                 let va = self.pm.borrow_mut().ralloc(pid, len)?;
-                self.persist(|| {
-                    vec![Record::Alloc {
-                        pid: pid.0,
-                        len,
-                        va,
-                    }]
-                })
-                .await;
-                self.charge(OpCost::default(), 0).await;
-                Ok(Response::new().u64(va))
+                (Response::new().u64(va), Effects::default())
             }
             req::FREE => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let va = r.u64()?;
                 let cost = self.pm.borrow_mut().rfree(pid, va)?;
-                self.persist(|| vec![Record::Free { pid: pid.0, va }]).await;
-                self.charge(cost, cost.refcount_updates).await;
-                Ok(Response::new())
+                (
+                    Response::new(),
+                    Effects::charge(cost, cost.refcount_updates),
+                )
             }
             req::CREATE_REF => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let va = r.u64()?;
                 let len = r.u64()?;
                 let (key, cost) = self.pm.borrow_mut().create_ref(pid, va, len)?;
-                self.persist(|| {
-                    vec![Record::CreateRef {
-                        pid: pid.0,
-                        va,
-                        len,
-                        key,
-                    }]
-                })
-                .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
-                self.charge(cost, pages).await;
-                Ok(Response::new().u64(key))
+                (Response::new().u64(key), Effects::charge(cost, pages))
             }
             req::MAP_REF => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let key = r.u64()?;
                 let (va, len, cost) = self.pm.borrow_mut().map_ref(pid, key)?;
-                self.persist(|| {
-                    vec![Record::MapRef {
-                        pid: pid.0,
-                        key,
-                        va,
-                    }]
-                })
-                .await;
-                self.charge(cost, cost.refcount_updates).await;
-                Ok(Response::new().u64(va).u64(len))
+                let fx = Effects::charge(cost, cost.refcount_updates);
+                (Response::new().u64(va).u64(len), fx)
             }
             req::READ => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let va = r.u64()?;
                 let len = r.u64()?;
                 self.check_reply_fits(len)?;
                 let data = self.pm.borrow_mut().read(pid, va, len)?;
-                self.charge(OpCost::default(), translations_for(len)).await;
                 // Reading pinned pages into the response path occupies DRAM.
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                Ok(Response::new().body(data))
+                let fx = Effects::data(OpCost::default(), len);
+                (Response::new().body(data), fx)
             }
             req::WRITE => {
-                let pid = r.pid()?;
-                self.check_owner(pid, src)?;
+                let pid = self.check_owner(r.pid()?, src)?;
                 let va = r.u64()?;
                 let data = r.rest_of(body);
                 let len = data.len() as u64;
                 let cost = self.pm.borrow_mut().overwrite(pid, va, &data)?;
-                self.persist(|| {
-                    vec![Record::Write {
-                        pid: pid.0,
-                        va,
-                        data: data.to_vec(),
-                    }]
-                })
-                .await;
-                self.charge(cost, translations_for(len)).await;
                 // Storing into pinned pages occupies DRAM.
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                Ok(Response::new())
+                (Response::new(), Effects::data(cost, len))
             }
             req::RELEASE_REF => {
-                self.release(r.u64()?, src).await?;
-                Ok(Response::new())
+                let key = r.u64()?;
+                let cost = self.pm.borrow_mut().release_ref(key)?;
+                // The ref is gone: it is listed to the clients that may
+                // cache it, but not to the releaser, which dropped its
+                // copy when it asked.
+                self.refs_died(&[key], Some(src));
+                (
+                    Response::new(),
+                    Effects::charge(cost, cost.refcount_updates),
+                )
             }
             req::PUT_REF => {
                 // The new ref's pages are views into the request's storage:
@@ -198,79 +260,29 @@ impl DmServer {
                 let data = body.clone().into_bytes();
                 let len = data.len() as u64;
                 let owner = self.pid_of(src)?;
-                let (key, cost) = self
-                    .pm
-                    .borrow_mut()
-                    .put_ref_bytes(data.clone(), Some(owner))?;
-                // The publisher caches the bytes it just published. Granted
-                // before any await: a death while this op waits is listed.
-                self.grant(key, src);
-                self.persist(|| {
-                    vec![Record::PutRef {
-                        pid: owner.0,
-                        key,
-                        data: data.to_vec(),
-                    }]
-                })
-                .await;
-                self.charge(cost, translations_for(len)).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                self.confirm_grant(key, src);
-                Ok(Response::new().u64(key))
+                let (key, cost) = self.pm.borrow_mut().put_ref_bytes(data, Some(owner))?;
+                // The publisher caches the bytes it just published.
+                let fx = Effects {
+                    grant: Some(key),
+                    ..Effects::data(cost, len)
+                };
+                (Response::new().u64(key), fx)
             }
             req::READ_REF => {
                 let key = r.u64()?;
                 let len = self.pm.borrow().ref_len(key)?;
                 self.check_reply_fits(len)?;
                 // A view of the buffer the ref was published in, whenever
-                // it still lies there whole.
+                // it still lies there whole. The client may now cache the
+                // ref: these are the live ref's bytes.
                 let data = self.pm.borrow().read_ref(key, 0, len)?;
-                // The client may now cache the ref. Granted while these are
-                // the live ref's bytes: a death while this op waits is
-                // listed.
-                self.grant(key, src);
-                self.charge(OpCost::default(), translations_for(len)).await;
-                self.mem.touch(len).await;
-                self.note_data_time(len);
-                self.confirm_grant(key, src);
-                Ok(Response::new().body(data))
+                let fx = Effects {
+                    grant: Some(key),
+                    ..Effects::data(OpCost::default(), len)
+                };
+                (Response::new().body(data), fx)
             }
-            req::BATCH => {
-                // Coalesced releases (DESIGN.md §9): the list is decoded
-                // whole before any key is released, and each key then pays
-                // what a `RELEASE_REF` of it would; what the batch saves is
-                // the per-message RPC and network overhead. A key already
-                // dead is skipped: a batched release is fire-and-forget.
-                for (key, ctx) in proto::decode_releases(body)? {
-                    // A release that rode in with its enqueuer's context is
-                    // parented there, reconnecting it to the request that
-                    // caused it (the flush RPC is untraced).
-                    let _span = ctx.and_then(|c| {
-                        telemetry::span_with_parent(
-                            SpanKind::DmOp,
-                            proto::req_name(req::RELEASE_REF),
-                            self.addr().node.0,
-                            c,
-                        )
-                    });
-                    let _ = self.release(key, src).await;
-                }
-                Ok(Response::new())
-            }
-            _ => Err(DmError::Malformed),
-        }
-    }
-
-    /// Release the ref `key` for `src`, the body of `RELEASE_REF` and of
-    /// each key of a `BATCH`. The ref is gone: it is listed to the clients
-    /// that may cache it, but not to the releaser, which dropped its copy
-    /// when it asked.
-    async fn release(&self, key: u64, src: Addr) -> DmResult<()> {
-        let cost = self.pm.borrow_mut().release_ref(key)?;
-        self.refs_died(&[key], Some(src));
-        self.persist(|| vec![Record::ReleaseRef { key }]).await;
-        self.charge(cost, cost.refcount_updates).await;
-        Ok(())
+            _ => return Err(DmError::Malformed),
+        })
     }
 }

@@ -1,21 +1,19 @@
 //! Durable tier (DESIGN.md §12): log-before-ack persistence, the
 //! whole-server checkpoint snapshot, replay, and
-//! [`DmServer::restart_from_log`]. Replay arms that have a live
-//! counterpart call the same function the live path calls
-//! (`register_process`, `reclaim_process`, `refs_died`), so the two
-//! cannot drift apart.
+//! [`DmServer::restart_from_log`]. Replay runs a logged op through the
+//! body that served it (`apply`) and a lease reclamation through the
+//! sweep's (`reclaim_process`), so the two paths cannot drift apart.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::rc::Rc;
 
-use dmcommon::{DmError, DmResult, GlobalPid};
-use simnet::{Addr, NodeId};
+use dmcommon::{DmError, DmResult};
 use telemetry::SpanKind;
 
 use super::DmServer;
 use crate::page_manager::PageManager;
-use crate::proto::{Reader, Writer};
+use crate::proto::{self, Reader, Writer};
 use crate::wal::{Record, Wal};
 
 /// What [`DmServer::restart_from_log`] did.
@@ -108,24 +106,23 @@ impl DmServer {
         }
     }
 
-    /// Install an op's records and return the media bytes to charge. All of
-    /// them land before the compaction check, so a checkpoint can never
-    /// split one op's records (replay would double-apply half of it).
-    fn log(&self, w: &Wal, records: &[Record]) -> u64 {
-        let mut n: u64 = records.iter().map(|rec| w.push(rec)).sum();
+    /// Install `record` and return the media bytes to charge, compacting
+    /// behind it once the log has outgrown its checkpoint.
+    fn log(&self, w: &Wal, record: &Record) -> u64 {
+        let mut n = w.push(record);
         if w.should_compact() {
             n += w.compact(self.snapshot_bytes());
         }
         n
     }
 
-    /// Append the records of one op to the log synchronously (atomic with
-    /// the mutation the caller just applied — the simulator is
+    /// Append one op's record to the log synchronously (atomic with the
+    /// mutation the caller just applied — the simulator is
     /// single-threaded), then charge the media time. Zero-cost media
     /// returns without yielding, so the executor schedule is untouched.
-    /// `make` runs only when durability is on: records own copies of the
-    /// op's data, which a non-durable server must not pay for.
-    pub(super) async fn persist(&self, make: impl FnOnce() -> Vec<Record>) {
+    /// `make` runs only when durability is on: a record owns a copy of the
+    /// op's result, which a non-durable server must not pay for.
+    pub(super) async fn persist(&self, make: impl FnOnce() -> Record) {
         let Some(w) = &self.wal else { return };
         let n = self.log(w, &make());
         w.media().append(n).await;
@@ -135,54 +132,30 @@ impl DmServer {
     /// record is installed and counted but the media time is not awaited.
     pub(super) fn persist_untimed(&self, record: Record) {
         let Some(w) = &self.wal else { return };
-        w.media().append_untimed(self.log(w, &[record]));
+        w.media().append_untimed(self.log(w, &record));
     }
 
-    /// Apply one replayed record. Mutations `expect`: the record passed
-    /// the CRC/sequence scan, so it describes an op that succeeded before
-    /// the crash, and the deterministic page managers must accept it
-    /// again. Recorded result values (`va`, `key`) are divergence
-    /// witnesses checked under `debug_assertions`.
+    /// Apply one replayed record. The record passed the CRC/sequence scan,
+    /// so it describes an op that succeeded before the crash: the
+    /// deterministic page manager must accept it again and answer it as it
+    /// did then, or recovery stops here.
     fn replay(&self, rec: &Record) {
-        let pm = || self.pm.borrow_mut();
         match rec {
-            Record::Register { node, port } => {
-                self.register_process(Addr {
-                    node: NodeId(*node),
-                    port: *port,
-                });
-            }
-            Record::Alloc { pid, len, va } => {
-                let got = pm().ralloc(GlobalPid(*pid), *len).expect("replay: ralloc");
-                debug_assert_eq!(got, *va, "replay: alloc divergence");
-            }
-            Record::Free { pid, va } => {
-                pm().rfree(GlobalPid(*pid), *va).expect("replay: rfree");
-            }
-            Record::Write { pid, va, data } => {
-                pm().overwrite(GlobalPid(*pid), *va, data)
-                    .expect("replay: write");
-            }
-            Record::CreateRef { pid, va, len, key } => {
-                let (got, _) = pm()
-                    .create_ref(GlobalPid(*pid), *va, *len)
-                    .expect("replay: create_ref");
-                debug_assert_eq!(got, *key, "replay: create_ref divergence");
-            }
-            Record::MapRef { pid, key, va } => {
-                let (got, _, _) = pm()
-                    .map_ref(GlobalPid(*pid), *key)
-                    .expect("replay: map_ref");
-                debug_assert_eq!(got, *va, "replay: map_ref divergence");
-            }
-            Record::ReleaseRef { key } => {
-                pm().release_ref(*key).expect("replay: release_ref");
-                self.refs_died(&[*key], None);
-            }
-            Record::PutRef { pid, key, data } => {
-                let owner = Some(GlobalPid(*pid));
-                let (got, _) = pm().put_ref(data, owner).expect("replay: put_ref");
-                debug_assert_eq!(got, *key, "replay: put_ref divergence");
+            Record::Op {
+                ty,
+                src,
+                request,
+                response,
+            } => {
+                let name = proto::req_name(*ty);
+                let (resp, _) = self
+                    .apply(*ty, *src, request)
+                    .unwrap_or_else(|e| panic!("replay: {name} failed: {e:?}"));
+                let got = resp.result();
+                assert!(
+                    got == *response,
+                    "replay: {name} diverged: answered {got:?}, logged {response:?}"
+                );
             }
             Record::ReleaseProcess { pid } => self.reclaim_process(*pid),
             Record::Restart => self.incarnation.set(self.incarnation.get() + 1),
@@ -231,7 +204,7 @@ impl DmServer {
         // Incarnation-after-restart rule: logged before the server answers
         // anyone, so the next restart replays it and counts past it too.
         self.incarnation.set(self.incarnation.get() + 1);
-        self.persist(|| vec![Record::Restart]).await;
+        self.persist(|| Record::Restart).await;
         if let Some(ttl) = self.config.lease_ttl {
             let exp = simcore::now() + ttl;
             let mut leases = self.leases.borrow_mut();

@@ -36,11 +36,6 @@ impl Translator {
         r
     }
 
-    /// Translate without counting (internal bookkeeping paths).
-    pub fn peek(&self, pid: GlobalPid, vpn: u64) -> Option<PageIdx> {
-        self.table.get(&(pid.0, vpn)).copied()
-    }
-
     /// Insert or replace a translation entry.
     pub fn insert(&mut self, pid: GlobalPid, vpn: u64, page: PageIdx) {
         self.table.insert((pid.0, vpn), page);
@@ -59,11 +54,6 @@ impl Translator {
     /// Lookups that missed (page faults handed to the Page manager).
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of live entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 
     /// Iterate over live entries (tests / invariant checks).
@@ -85,7 +75,7 @@ mod tests {
         assert_eq!(t.lookup(pid, 5), Some(42));
         assert_eq!(t.remove(pid, 5), Some(42));
         assert_eq!(t.lookup(pid, 5), None);
-        assert_eq!(t.entries(), 0);
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
@@ -103,7 +93,6 @@ mod tests {
         t.insert(GlobalPid(1), 1, 1);
         t.lookup(GlobalPid(1), 1);
         t.lookup(GlobalPid(1), 2);
-        t.peek(GlobalPid(1), 2); // not counted
         assert_eq!(t.lookups(), 2);
         assert_eq!(t.misses(), 1);
     }

@@ -7,9 +7,11 @@
 //! sharing, VA trees, process registrations and the restart count —
 //! by replaying the log ([`crate::DmServer::restart_from_log`]).
 //!
-//! The log is *logical redo*: records name operations, not physical state,
-//! and the [`crate::PageManager`] is deterministic, so replay reproduces
-//! every internal detail including the FIFO free-list order. Background
+//! The log is *logical redo*: an op's record is its wire request and the
+//! result it answered with ([`Record::Op`]), not physical state, and the
+//! [`crate::PageManager`] is deterministic, so replay runs each request
+//! through the serving body again, reproduces every internal detail
+//! including the FIFO free-list order, and checks each result. Background
 //! growth is bounded by **checkpoint compaction**: when the records
 //! appended since the last checkpoint exceed both
 //! [`WalConfig::compact_threshold_bytes`] and that checkpoint's size, the
@@ -39,8 +41,11 @@
 
 use std::cell::{Cell, RefCell};
 
+use bytes::Bytes;
 use dmcommon::{DmError, DmResult};
 use memsim::{DurableMedia, DurableMediaParams};
+use rpclib::Message;
+use simnet::Addr;
 
 use crate::proto::{Reader, Writer};
 
@@ -114,76 +119,22 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// One logged server mutation. Fields record enough to replay the op
-/// deterministically plus the values the original execution returned
-/// (`va`, `key`), which replay asserts against to catch divergence.
+/// One logged server mutation. An acknowledged op is its wire request
+/// plus the result it answered with, which replay runs again through the
+/// same body ([`crate::DmServer`]'s `apply`) and checks against.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
-    /// `REGISTER`: a process registered from `node:port`.
-    Register {
-        /// Fabric node id of the registering endpoint.
-        node: u32,
-        /// Port of the registering endpoint.
-        port: u16,
-    },
-    /// `ALLOC` for `pid`; the VA tree returned `va`.
-    Alloc {
-        /// Allocating process.
-        pid: u32,
-        /// Requested length in bytes.
-        len: u64,
-        /// VA the original execution returned.
-        va: u64,
-    },
-    /// `FREE` of the region at `va`.
-    Free {
-        /// Freeing process.
-        pid: u32,
-        /// Region start.
-        va: u64,
-    },
-    /// `WRITE` of `data` at `va` (COW decisions replay deterministically).
-    Write {
-        /// Writing process.
-        pid: u32,
-        /// Write offset.
-        va: u64,
-        /// The written bytes.
-        data: Vec<u8>,
-    },
-    /// `CREATE_REF` over `[va, va+len)`; the key space returned `key`.
-    CreateRef {
-        /// Creating process.
-        pid: u32,
-        /// Region start.
-        va: u64,
-        /// Region length.
-        len: u64,
-        /// Key the original execution returned.
-        key: u64,
-    },
-    /// `MAP_REF` of `key` into `pid`; the VA tree returned `va`.
-    MapRef {
-        /// Mapping process.
-        pid: u32,
-        /// Mapped ref key.
-        key: u64,
-        /// VA the original execution returned.
-        va: u64,
-    },
-    /// `RELEASE_REF` of `key`.
-    ReleaseRef {
-        /// Released ref key.
-        key: u64,
-    },
-    /// `PUT_REF` of `data` owned by `pid`; the key space returned `key`.
-    PutRef {
-        /// Owning process.
-        pid: u32,
-        /// Key the original execution returned.
-        key: u64,
-        /// The published bytes.
-        data: Vec<u8>,
+    /// A mutating wire op of type `ty` from `src` that succeeded.
+    Op {
+        /// The request type ([`crate::proto::req`]).
+        ty: u8,
+        /// The requesting endpoint.
+        src: Addr,
+        /// The request body, as it arrived.
+        request: Message,
+        /// The result the op answered with (the response behind its
+        /// status and death count).
+        response: Message,
     },
     /// Lease expiry reclaimed every pin of `pid` (replayed exactly like the
     /// live sweep does it).
@@ -203,55 +154,39 @@ pub enum Record {
 }
 
 mod kind {
-    pub const REGISTER: u8 = 1;
-    pub const ALLOC: u8 = 2;
-    pub const FREE: u8 = 3;
-    pub const WRITE: u8 = 4;
-    pub const CREATE_REF: u8 = 5;
-    pub const MAP_REF: u8 = 6;
-    pub const RELEASE_REF: u8 = 7;
-    pub const PUT_REF: u8 = 8;
+    pub const OP: u8 = 1;
     pub const RELEASE_PROCESS: u8 = 9;
     pub const CHECKPOINT: u8 = 10;
     pub const RESTART: u8 = 11;
 }
 
 impl Record {
-    /// Encode the record payload (no frame) into `out`.
+    /// Encode the record payload (no frame) into `out`: an op is
+    /// `[kind][ty u8][src][response len u32][response][request]`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let w = Writer::from(std::mem::take(out));
         // The log keeps its own copy of a record's bytes: they follow the
         // fields, appended here rather than through the wire builder.
-        let mut tail: &[u8] = &[];
-        *out = match self {
-            Record::Register { node, port } => w.u8(kind::REGISTER).u32(*node).u16(*port),
-            Record::Alloc { pid, len, va } => w.u8(kind::ALLOC).u32(*pid).u64(*len).u64(*va),
-            Record::Free { pid, va } => w.u8(kind::FREE).u32(*pid).u64(*va),
-            Record::Write { pid, va, data } => {
-                tail = data;
-                w.u8(kind::WRITE).u32(*pid).u64(*va)
+        let (w, tail): (Writer, [&[u8]; 4]) = match self {
+            Record::Op {
+                ty,
+                src,
+                request,
+                response,
+            } => {
+                let w = w.u8(kind::OP).u8(*ty).addr(*src);
+                let [a, b] = response.parts();
+                let [c, d] = request.parts();
+                (w.u32(response.len() as u32), [a, b, c, d])
             }
-            Record::CreateRef { pid, va, len, key } => w
-                .u8(kind::CREATE_REF)
-                .u32(*pid)
-                .u64(*va)
-                .u64(*len)
-                .u64(*key),
-            Record::MapRef { pid, key, va } => w.u8(kind::MAP_REF).u32(*pid).u64(*key).u64(*va),
-            Record::ReleaseRef { key } => w.u8(kind::RELEASE_REF).u64(*key),
-            Record::PutRef { pid, key, data } => {
-                tail = data;
-                w.u8(kind::PUT_REF).u32(*pid).u64(*key)
+            Record::ReleaseProcess { pid } => {
+                (w.u8(kind::RELEASE_PROCESS).u32(*pid), Default::default())
             }
-            Record::ReleaseProcess { pid } => w.u8(kind::RELEASE_PROCESS).u32(*pid),
-            Record::Checkpoint { snapshot } => {
-                tail = snapshot;
-                w.u8(kind::CHECKPOINT)
-            }
-            Record::Restart => w.u8(kind::RESTART),
-        }
-        .into_vec();
-        out.extend_from_slice(tail);
+            Record::Checkpoint { snapshot } => (w.u8(kind::CHECKPOINT), [snapshot, &[], &[], &[]]),
+            Record::Restart => (w.u8(kind::RESTART), Default::default()),
+        };
+        *out = w.into_vec();
+        tail.iter().for_each(|part| out.extend_from_slice(part));
     }
 
     /// Decode one record payload. `None` on any malformed input.
@@ -264,42 +199,20 @@ impl Record {
     }
 
     fn decode_from(r: &mut Reader<'_>) -> DmResult<Record> {
+        let message =
+            |bytes: std::borrow::Cow<'_, [u8]>| Message::from(Bytes::from(bytes.into_owned()));
         Ok(match r.u8()? {
-            kind::REGISTER => Record::Register {
-                node: r.u32()?,
-                port: r.u16()?,
-            },
-            kind::ALLOC => Record::Alloc {
-                pid: r.u32()?,
-                len: r.u64()?,
-                va: r.u64()?,
-            },
-            kind::FREE => Record::Free {
-                pid: r.u32()?,
-                va: r.u64()?,
-            },
-            kind::WRITE => Record::Write {
-                pid: r.u32()?,
-                va: r.u64()?,
-                data: r.rest().into_owned(),
-            },
-            kind::CREATE_REF => Record::CreateRef {
-                pid: r.u32()?,
-                va: r.u64()?,
-                len: r.u64()?,
-                key: r.u64()?,
-            },
-            kind::MAP_REF => Record::MapRef {
-                pid: r.u32()?,
-                key: r.u64()?,
-                va: r.u64()?,
-            },
-            kind::RELEASE_REF => Record::ReleaseRef { key: r.u64()? },
-            kind::PUT_REF => Record::PutRef {
-                pid: r.u32()?,
-                key: r.u64()?,
-                data: r.rest().into_owned(),
-            },
+            kind::OP => {
+                let (ty, src) = (r.u8()?, r.addr()?);
+                let n = r.u32()? as usize;
+                let response = message(r.take(n)?);
+                Record::Op {
+                    ty,
+                    src,
+                    response,
+                    request: message(r.rest()),
+                }
+            }
             kind::RELEASE_PROCESS => Record::ReleaseProcess { pid: r.u32()? },
             kind::CHECKPOINT => Record::Checkpoint {
                 snapshot: r.rest().into_owned(),
@@ -559,41 +472,38 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::req;
+
+    fn op(ty: u8, request: Writer, response: Writer) -> Record {
+        Record::Op {
+            ty,
+            src: Addr {
+                node: simnet::NodeId(3),
+                port: 7000,
+            },
+            request: request.finish(),
+            response: response.finish(),
+        }
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
-            Record::Register {
-                node: 3,
-                port: 7000,
-            },
-            Record::Alloc {
-                pid: 7,
-                len: 8192,
-                va: 0x1000,
-            },
-            Record::Write {
-                pid: 7,
-                va: 0x1000,
-                data: vec![0xAB; 5],
-            },
-            Record::CreateRef {
-                pid: 7,
-                va: 0x1000,
-                len: 8192,
-                key: 1,
-            },
-            Record::MapRef {
-                pid: 8,
-                key: 1,
-                va: 0x3000,
-            },
-            Record::ReleaseRef { key: 1 },
-            Record::PutRef {
-                pid: 7,
-                key: 2,
-                data: vec![1, 2, 3],
-            },
-            Record::Free { pid: 7, va: 0x1000 },
+            op(req::REGISTER, Writer::new(), Writer::new().u32(7)),
+            op(
+                req::ALLOC,
+                Writer::new().u32(7).u64(8192),
+                Writer::new().u64(0x1000),
+            ),
+            // A payload attached behind the fields, as a client frames it.
+            op(
+                req::WRITE,
+                Writer::new()
+                    .u32(7)
+                    .u64(0x1000)
+                    .body(Bytes::from(vec![0xAB; 5])),
+                Writer::new(),
+            ),
+            op(req::RELEASE_REF, Writer::new().u64(1), Writer::new()),
             Record::ReleaseProcess { pid: 7 },
             Record::Checkpoint {
                 snapshot: vec![9, 9, 9],
@@ -615,7 +525,12 @@ mod tests {
     fn decode_rejects_malformed() {
         assert_eq!(Record::decode(&[]), None);
         assert_eq!(Record::decode(&[99]), None, "unknown kind");
-        assert_eq!(Record::decode(&[kind::ALLOC, 1]), None, "truncated");
+        assert_eq!(Record::decode(&[kind::OP, 1]), None, "truncated");
+        // A response length that runs past the payload.
+        let mut p = Vec::new();
+        op(req::ALLOC, Writer::new(), Writer::new().u64(1)).encode_into(&mut p);
+        p.truncate(p.len() - 1);
+        assert_eq!(Record::decode(&p), None, "response cut short");
         // Trailing garbage on a fixed-size record.
         let mut p = Vec::new();
         Record::ReleaseProcess { pid: 1 }.encode_into(&mut p);
@@ -629,20 +544,23 @@ mod tests {
         // little-endian encoding, CRC-32/IEEE over seq||payload — the one
         // record layout (DESIGN.md §12).
         let w = Wal::new("golden", WalConfig::zero_cost());
-        w.push(&Record::Alloc {
-            pid: 5,
-            len: 4096,
-            va: 0x1000,
-        });
+        w.push(&op(
+            req::ALLOC,
+            Writer::new().u32(5).u64(4096),
+            Writer::new().u64(0x1000),
+        ));
         let raw = w.raw();
         let expect: Vec<u8> = [
-            &21u32.to_le_bytes()[..],          // payload length
-            &0u64.to_le_bytes()[..],           // seq 0
-            &0xE7A6_17C5u32.to_le_bytes()[..], // crc32(seq || payload)
-            &[super::kind::ALLOC][..],         // kind
-            &5u32.to_le_bytes()[..],           // pid
-            &4096u64.to_le_bytes()[..],        // len
-            &0x1000u64.to_le_bytes()[..],      // va
+            &34u32.to_le_bytes()[..],           // payload length
+            &0u64.to_le_bytes()[..],            // seq 0
+            &0x54DF_83B0u32.to_le_bytes()[..],  // crc32(seq || payload)
+            &[super::kind::OP, req::ALLOC][..], // kind, request type
+            &3u32.to_le_bytes()[..],            // src node
+            &7000u32.to_le_bytes()[..],         // src port
+            &8u32.to_le_bytes()[..],            // response length
+            &0x1000u64.to_le_bytes()[..],       // response: va
+            &5u32.to_le_bytes()[..],            // request: pid
+            &4096u64.to_le_bytes()[..],         // request: len
         ]
         .concat();
         assert_eq!(raw, expect, "wire format drifted");

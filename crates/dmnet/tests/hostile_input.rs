@@ -8,7 +8,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use dmcommon::{DmError, DmResult, DmServerId, GlobalPid, Ref};
 use dmnet::proto::{req, split_response, Reader, Response, Writer, DM_PORT, OPS};
-use dmnet::{start_pool, DmNetClient, DmServerConfig};
+use dmnet::{start_pool, DmNetClient, DmServerConfig, WalConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::{Message, Rpc, RpcBuilder, RpcConfig};
@@ -662,7 +662,10 @@ proptest! {
     /// like the op they name, from a registered endpoint, with VAs, keys
     /// and lengths drawn from live values and the edges of the u64 space.
     /// Never a panic, an abort or a hang; the pool's invariants hold and
-    /// the server serves the next well-formed request.
+    /// the server serves the next well-formed request. The server is
+    /// durable: every request it acknowledged, trailing bytes and edge
+    /// lengths included, is what its log holds, and a crash then replays it
+    /// to the same pages.
     #[test]
     fn fuzz_dm_protocol(
         msgs in proptest::collection::vec(
@@ -679,7 +682,12 @@ proptest! {
     ) {
         Sim::new().block_on(async move {
             let net = Network::new(FabricConfig::default(), 3);
-            let (server, rpc, pid) = registered(&net).await;
+            let cfg = DmServerConfig {
+                capacity_pages: 256,
+                durability: Some(WalConfig::zero_cost()),
+                ..Default::default()
+            };
+            let (server, rpc, pid) = registered_to(&net, cfg).await;
             // Something live to aim at from the first message on.
             let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(8192)).await;
             let key = raw(&rpc, &server, req::PUT_REF, Writer::new().body(Bytes::from_static(b"live"))).await;
@@ -708,6 +716,10 @@ proptest! {
                 }
             }
             assert_still_serving(&rpc, &server, pid).await;
+            let live = server.pages_digest();
+            server.crash();
+            server.restart_from_log().await;
+            assert_eq!(server.pages_digest(), live, "the log replays to other pages");
         });
     }
 }

@@ -57,7 +57,7 @@ pub use resource::{CpuPool, RateResource};
 pub use rng::{SimRng, Zipf};
 pub use stats::{Counter, Histogram};
 pub use time::{transfer_time, SimTime};
-pub use timeutil::{interval, timeout, Elapsed, Interval, Timeout};
+pub use timeutil::{timeout, Elapsed, Timeout};
 
 /// Convenience re-export of `std::time::Duration`, the interval type used
 /// throughout the simulator.

@@ -1,4 +1,4 @@
-//! Time-based combinators: [`timeout`] and [`Interval`].
+//! Time-based combinators: [`timeout`].
 
 use std::future::Future;
 use std::pin::Pin;
@@ -6,7 +6,6 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 use crate::executor::{now, sleep_until, Sleep};
-use crate::time::SimTime;
 
 /// Error returned by [`timeout`] when the deadline elapses first.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,37 +65,6 @@ impl<F: Future> Future for Timeout<F> {
     }
 }
 
-/// A fixed-period ticker (no tick catch-up: the next tick is scheduled from
-/// the current tick's deadline, drift-free).
-pub struct Interval {
-    next: SimTime,
-    period: Duration,
-}
-
-/// Create an [`Interval`] whose first tick completes after `period`.
-pub fn interval(period: Duration) -> Interval {
-    assert!(!period.is_zero(), "interval period must be positive");
-    Interval {
-        next: now() + period,
-        period,
-    }
-}
-
-impl Interval {
-    /// Wait for the next tick; returns the tick's scheduled time.
-    pub async fn tick(&mut self) -> SimTime {
-        let at = self.next;
-        sleep_until(at).await;
-        self.next = at + self.period;
-        at
-    }
-
-    /// The configured period.
-    pub fn period(&self) -> Duration {
-        self.period
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,31 +94,5 @@ mod tests {
         });
         assert_eq!(r, Err(Elapsed));
         assert_eq!(at, 10_000, "gives up exactly at the deadline");
-    }
-
-    #[test]
-    fn interval_ticks_drift_free() {
-        let sim = Sim::new();
-        let ticks = sim.block_on(async {
-            let mut iv = interval(Duration::from_micros(10));
-            let mut ticks = Vec::new();
-            for _ in 0..4 {
-                let at = iv.tick().await;
-                ticks.push(at.nanos());
-                // Simulate slow tick work (less than a period).
-                sleep(Duration::from_micros(3)).await;
-            }
-            ticks
-        });
-        assert_eq!(ticks, vec![10_000, 20_000, 30_000, 40_000]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let _ = interval(Duration::ZERO);
-        });
     }
 }

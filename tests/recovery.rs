@@ -4,24 +4,28 @@
 //! and healed through `restart_from_log` rebuilds exactly the
 //! acknowledged pre-crash state — zero lost acknowledged puts, zero
 //! resurrected frees. The proptest drives a random mutating-op sequence
-//! through a cache-off client and crashes the server at EVERY prefix
-//! point (recovering in place, so the log also accumulates across
-//! recoveries and through compaction checkpoints); a byte-level shadow
-//! model tracks what every live region and ref must contain.
+//! through a cache-off client, and batched releases through a cached one
+//! (the default release path: its releases reach the log through
+//! `BATCH`), and crashes the server at EVERY prefix point (recovering in
+//! place, so the log also accumulates across recoveries and through
+//! compaction checkpoints); a byte-level shadow model tracks what every
+//! live region and ref must contain.
 //!
 //! The deterministic tests cover the log's failure modes: a torn final
 //! record (partial append at crash) and a flipped bit anywhere in the
 //! tail must both truncate recovery to the last intact record boundary,
-//! never corrupt state or resurrect a free.
+//! never corrupt state or resurrect a free; and a record whose logged
+//! result is not what replay answers stops recovery.
 
 use bytes::Bytes;
 use dmcommon::{DmError, Ref, RemoteAddr};
-use dmnet::{DmNetClient, DmServerConfig, WalConfig};
+use dmnet::proto::{req, Reader, Writer};
+use dmnet::{DmNetClient, DmServerConfig, Record, Wal, WalConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
 use rpclib::RpcBuilder;
 use simcore::Sim;
-use simnet::{FabricConfig, Network, NicConfig};
+use simnet::{Addr, FabricConfig, Network, NicConfig};
 
 /// A live region in the shadow model: its address, length, and the bytes
 /// every post-recovery read must return.
@@ -69,6 +73,12 @@ enum Op {
     ReleaseRef {
         r: usize,
     },
+    /// Release up to `n` refs through the cached client's coalescer and
+    /// wait for the `BATCH` to land.
+    BatchRelease {
+        r: usize,
+        n: usize,
+    },
 }
 
 const PS: u64 = dmcommon::PAGE_SIZE as u64;
@@ -90,15 +100,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..2000, any::<u8>()).prop_map(|(len, fill)| Op::PutRef { len, fill }),
         (0usize..8).prop_map(|region| Op::Free { region }),
         (0usize..8).prop_map(|r| Op::ReleaseRef { r }),
+        (0usize..8, 1usize..4).prop_map(|(r, n)| Op::BatchRelease { r, n }),
     ]
 }
 
-/// Test fixture: one durable single-node server plus a cache-off client
-/// (every op is an acknowledged server round trip).
+/// The two clients of the fixture: `plain` is cache-off (every op is an
+/// acknowledged server round trip), `batcher` is cached, so its releases
+/// are queued and sent as one `BATCH`.
+struct Clients {
+    plain: DmNetClient,
+    batcher: DmNetClient,
+    /// The batcher's endpoint.
+    batcher_at: Addr,
+}
+
+/// Test fixture: one durable single-node server plus its [`Clients`].
 async fn durable_fixture(
     seed: u64,
     durability: WalConfig,
-) -> (Network, std::rc::Rc<dmnet::DmServer>, DmNetClient) {
+) -> (Network, std::rc::Rc<dmnet::DmServer>, Clients) {
     let net = Network::new(FabricConfig::default(), seed);
     let params = ModelParams::new();
     let dm_node = net.add_node("dm0", NicConfig::default());
@@ -114,23 +134,44 @@ async fn durable_fixture(
         },
     );
     let cnode = net.add_node("client", NicConfig::default());
+    let pool = vec![servers[0].addr()];
     let rpc = RpcBuilder::new(&net, cnode, 100).build();
-    let client = DmNetClient::connect(rpc, vec![servers[0].addr()])
+    let plain = DmNetClient::connect(rpc, pool.clone())
         .await
         .expect("fault-free connect");
-    (net, servers[0].clone(), client)
+    let rpc = RpcBuilder::new(&net, cnode, 101).build();
+    let batcher_at = rpc.addr();
+    let batcher = DmNetClient::connect_with(rpc, pool, true)
+        .await
+        .expect("fault-free connect");
+    let clients = Clients {
+        plain,
+        batcher,
+        batcher_at,
+    };
+    (net, servers[0].clone(), clients)
+}
+
+/// Release `refs` through the cached client and wait until the `BATCH`
+/// carrying them has been answered: a queued release is not acknowledged.
+async fn release_batched(clients: &Clients, refs: &[Ref]) {
+    for r in refs {
+        clients.batcher.release_ref(r).await.expect("a net ref");
+    }
+    clients.batcher.flush_cache().await;
 }
 
 /// Apply one op to the real system and mirror every acknowledged effect
 /// in the shadow model. Typed errors (e.g. pool exhausted) leave the
 /// model untouched — an un-acked op has no durability contract.
 async fn apply_op(
-    client: &DmNetClient,
+    clients: &Clients,
     op: &Op,
     regions: &mut Vec<ModelRegion>,
     refs: &mut Vec<ModelRef>,
     released: &mut Vec<Ref>,
 ) {
+    let client = &clients.plain;
     match *op {
         Op::Alloc { pages } => {
             if let Ok(addr) = client.ralloc(pages * PS).await {
@@ -239,6 +280,14 @@ async fn apply_op(
                 .expect("release of live ref");
             released.push(mr.r);
         }
+        Op::BatchRelease { r, n } => {
+            let mut batch = Vec::new();
+            for _ in 0..n.min(refs.len()) {
+                batch.push(refs.remove(r % refs.len()).r);
+            }
+            release_batched(clients, &batch).await;
+            released.extend(batch);
+        }
     }
 }
 
@@ -293,14 +342,14 @@ proptest! {
     ) {
         let sim = Sim::new();
         let violations = sim.block_on(async move {
-            let (_net, server, client) = durable_fixture(seed, WalConfig::zero_cost()).await;
+            let (_net, server, clients) = durable_fixture(seed, WalConfig::zero_cost()).await;
             let mut regions = Vec::new();
             let mut refs = Vec::new();
             let mut released = Vec::new();
             let mut violations = Vec::new();
 
             for (n, op) in ops.iter().enumerate() {
-                apply_op(&client, op, &mut regions, &mut refs, &mut released).await;
+                apply_op(&clients, op, &mut regions, &mut refs, &mut released).await;
 
                 // Crash at this prefix point and recover in place.
                 let pre_digest = server.pages_digest();
@@ -323,7 +372,7 @@ proptest! {
                     ));
                 }
                 server.check_invariants_all();
-                verify_model(&client, &regions, &refs, &released, &mut violations).await;
+                verify_model(&clients.plain, &regions, &refs, &released, &mut violations).await;
                 if !violations.is_empty() {
                     break;
                 }
@@ -347,13 +396,13 @@ proptest! {
         };
         let sim = Sim::new();
         let violations = sim.block_on(async move {
-            let (_net, server, client) = durable_fixture(seed, config).await;
+            let (_net, server, clients) = durable_fixture(seed, config).await;
             let mut regions = Vec::new();
             let mut refs = Vec::new();
             let mut released = Vec::new();
             let mut violations = Vec::new();
             for op in &ops {
-                apply_op(&client, op, &mut regions, &mut refs, &mut released).await;
+                apply_op(&clients, op, &mut regions, &mut refs, &mut released).await;
             }
             let pre_digest = server.pages_digest();
             server.crash();
@@ -362,20 +411,22 @@ proptest! {
                 violations.push("recovered digest diverges across compaction".into());
             }
             server.check_invariants_all();
-            verify_model(&client, &regions, &refs, &released, &mut violations).await;
+            verify_model(&clients.plain, &regions, &refs, &released, &mut violations).await;
             violations
         });
         prop_assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 }
 
-/// Scripted op sequence used by the corruption tests: every record kind
-/// lands in the log at a known byte offset.
-async fn scripted_history(client: &DmNetClient, server: &dmnet::DmServer) -> (Vec<u64>, Vec<u64>) {
+/// Scripted op sequence used by the corruption tests: every mutating op,
+/// a batched release of two refs last, lands in the log at a known byte
+/// offset.
+async fn scripted_history(clients: &Clients, server: &dmnet::DmServer) -> (Vec<u64>, Vec<u64>) {
+    let client = &clients.plain;
     let wal = server.wal().expect("durable server");
     let mut digests = Vec::new();
     let mut bytes = Vec::new();
-    // Baseline: the client's REGISTER is already logged.
+    // Baseline: the clients' REGISTERs are already logged.
     digests.push(server.pages_digest());
     bytes.push(wal.log_bytes());
     let a = client.ralloc(2 * PS).await.unwrap();
@@ -401,6 +452,13 @@ async fn scripted_history(client: &DmNetClient, server: &dmnet::DmServer) -> (Ve
     record(server);
     client.rfree(b).await.unwrap();
     record(server);
+    let mut refs = Vec::new();
+    for fill in [0x33, 0x44] {
+        refs.push(client.put_ref(&Bytes::from(vec![fill; 100])).await.unwrap());
+    }
+    record(server);
+    release_batched(clients, &refs).await;
+    record(server);
     (digests, bytes)
 }
 
@@ -416,8 +474,8 @@ fn torn_tail_recovers_to_previous_acknowledged_state() {
             compact_threshold_bytes: 0,
             ..WalConfig::zero_cost()
         };
-        let (_net, server, client) = durable_fixture(7, config).await;
-        let (digests, bytes) = scripted_history(&client, &server).await;
+        let (_net, server, clients) = durable_fixture(7, config).await;
+        let (digests, bytes) = scripted_history(&clients, &server).await;
         let full = server.wal().unwrap().raw();
         for (n, (&digest_n, w)) in digests.iter().zip(bytes.windows(2)).enumerate() {
             let (start, end) = (w[0], w[1]);
@@ -456,8 +514,8 @@ fn bit_flip_truncates_recovery_at_corruption_point() {
             compact_threshold_bytes: 0,
             ..WalConfig::zero_cost()
         };
-        let (_net, server, client) = durable_fixture(11, config).await;
-        let (digests, bytes) = scripted_history(&client, &server).await;
+        let (_net, server, clients) = durable_fixture(11, config).await;
+        let (digests, bytes) = scripted_history(&clients, &server).await;
         let full = server.wal().unwrap().raw();
         for (n, (&digest_n, w)) in digests.iter().zip(bytes.windows(2)).enumerate() {
             let start = w[0] as usize;
@@ -490,7 +548,8 @@ fn recovery_after_repair_accepts_new_ops() {
             compact_threshold_bytes: 0,
             ..WalConfig::zero_cost()
         };
-        let (_net, server, client) = durable_fixture(13, config).await;
+        let (_net, server, clients) = durable_fixture(13, config).await;
+        let client = &clients.plain;
         client.ralloc(PS).await.unwrap();
         let full = server.wal().unwrap().raw();
         // Tear mid-way through the ALLOC record.
@@ -514,5 +573,81 @@ fn recovery_after_repair_accepts_new_ops() {
         assert!(!report.torn_tail, "repaired log reported torn again");
         assert_eq!(server.pages_digest(), pre);
         assert_eq!(&client.rread(a2, 16).await.unwrap()[..], &[0x33; 16][..]);
+    });
+}
+
+/// A `BATCH` is logged key by key, as the `RELEASE_REF` each key runs as,
+/// and a crash after it replays every release.
+#[test]
+fn a_batched_release_is_logged_and_replayed_as_its_release_refs() {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let (_net, server, clients) = durable_fixture(17, WalConfig::zero_cost()).await;
+        let mut refs = Vec::new();
+        for fill in 1..=3u8 {
+            let data = Bytes::from(vec![fill; 5000]);
+            refs.push(clients.plain.put_ref(&data).await.unwrap());
+        }
+        let wal = server.wal().unwrap();
+        let before = wal.scan().records.len();
+        release_batched(&clients, &refs).await;
+        let logged: Vec<Record> = wal.scan().records.split_off(before);
+        let released: Vec<Record> = refs
+            .iter()
+            .map(|r| {
+                let Ref::Net { key, .. } = r else {
+                    unreachable!("a net ref")
+                };
+                Record::Op {
+                    ty: req::RELEASE_REF,
+                    src: clients.batcher_at,
+                    request: Writer::new().u64(*key).finish(),
+                    response: Writer::new().finish(),
+                }
+            })
+            .collect();
+        assert_eq!(logged, released);
+        let live = server.pages_digest();
+        server.crash();
+        server.restart_from_log().await;
+        assert_eq!(server.pages_digest(), live);
+        for r in &refs {
+            assert_eq!(clients.plain.read_ref(r).await, Err(DmError::InvalidRef));
+        }
+    });
+}
+
+/// Replay answers every logged op again and checks the answer against
+/// the logged one: a log whose `ALLOC` claims another VA than the one the
+/// page manager hands out again stops recovery at that record.
+#[test]
+#[should_panic(expected = "replay: dm.alloc diverged")]
+fn a_logged_result_that_replay_does_not_reproduce_stops_recovery() {
+    let sim = Sim::new();
+    sim.block_on(async move {
+        let config = WalConfig {
+            compact_threshold_bytes: 0,
+            ..WalConfig::zero_cost()
+        };
+        let (_net, server, clients) = durable_fixture(19, config).await;
+        clients.plain.ralloc(PS).await.unwrap();
+        // The same log, but the ALLOC's logged VA is one page off.
+        let wal = server.wal().unwrap();
+        let forged = Wal::new("forged", config);
+        for mut rec in wal.scan().records {
+            if let Record::Op {
+                ty: req::ALLOC,
+                response,
+                ..
+            } = &mut rec
+            {
+                let va = Reader::of(response).u64().unwrap();
+                *response = Writer::new().u64(va + PS).finish();
+            }
+            forged.push(&rec);
+        }
+        wal.set_raw(forged.raw());
+        server.crash();
+        server.restart_from_log().await;
     });
 }
