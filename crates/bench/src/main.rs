@@ -76,7 +76,7 @@ fn listing() -> String {
 }
 
 /// The harness's own clock, one row per experiment of this run: the
-/// wall-time trajectory ROADMAP item 3 asks for. One file for the whole run
+/// wall-time trajectory of DESIGN.md §11. One file for the whole run
 /// rather than a `wall_ms` in every `BENCH_*.json`, which would fail the
 /// byte-diff every gated CI job runs.
 fn wall_clock(rows: &[(&str, std::time::Duration)]) {

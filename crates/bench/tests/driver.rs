@@ -390,7 +390,7 @@ fn the_prose_names_only_what_exists() {
     // Deleted with the two coherence schemes one replaced and with the
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9): no
     // document names them as code.
-    const GONE: [&str; 19] = [
+    const GONE: [&str; 25] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -410,6 +410,12 @@ fn the_prose_names_only_what_exists() {
         "DmAddr",
         "MappedValue",
         "rto_horizon",
+        "lock_vpn",
+        "unlock_vpn",
+        "fault_done",
+        "handle_store_fault",
+        "decode_grant",
+        "encode_return",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

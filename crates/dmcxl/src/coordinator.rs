@@ -12,7 +12,7 @@
 //! or one already on its free list — is dropped and counted, because the
 //! host it went to next would panic initializing its refcount. A page
 //! returned while another host still uses it cannot be told apart without
-//! reading G-FAM (ROADMAP item 3).
+//! reading G-FAM (DESIGN.md §8).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -69,14 +69,11 @@ impl Coordinator {
                     .unwrap_or(0) as usize;
                 let mut free = c.free.borrow_mut();
                 let take = n.min(free.len());
-                let mut out = Vec::with_capacity(4 + 4 * take);
-                out.extend_from_slice(&(take as u32).to_le_bytes());
-                for _ in 0..take {
-                    let p = free.pop_front().expect("len checked");
+                let grant: Vec<Ppn> = free.drain(..take).collect();
+                for &p in &grant {
                     c.is_free.borrow_mut()[p as usize] = false;
-                    out.extend_from_slice(&p.to_le_bytes());
                 }
-                Bytes::from(out)
+                encode_pages(&grant)
             }
         });
         let c = coord.clone();
@@ -134,13 +131,8 @@ pub fn encode_request(n: u32) -> Bytes {
     Bytes::from(n.to_le_bytes().to_vec())
 }
 
-/// Decode a grant response; returns the pages granted.
-pub fn decode_grant(body: &Bytes) -> Option<Vec<Ppn>> {
-    decode_pages(body)
-}
-
-/// Encode a `RETURN_PAGES` body.
-pub fn encode_return(pages: &[Ppn]) -> Bytes {
+/// Encode a grant or a `RETURN_PAGES` body: `count: u32, ppn...`.
+pub fn encode_pages(pages: &[Ppn]) -> Bytes {
     let mut out = Vec::with_capacity(4 + 4 * pages.len());
     out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
     for p in pages {
@@ -149,20 +141,12 @@ pub fn encode_return(pages: &[Ppn]) -> Bytes {
     Bytes::from(out)
 }
 
-fn decode_pages(body: &Bytes) -> Option<Vec<Ppn>> {
+/// Decode what [`encode_pages`] encodes; `None` if it runs short.
+pub fn decode_pages(body: &Bytes) -> Option<Vec<Ppn>> {
     let n = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
-    if body.len() < 4 + 4 * n {
-        return None;
-    }
+    let ppns = body.get(4..4 + 4 * n)?.chunks_exact(4);
     Some(
-        (0..n)
-            .map(|i| {
-                u32::from_le_bytes(
-                    body[4 + 4 * i..8 + 4 * i]
-                        .try_into()
-                        .expect("bounds checked"),
-                )
-            })
+        ppns.map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
             .collect(),
     )
 }
@@ -189,9 +173,9 @@ mod tests {
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(10))
                 .await
                 .unwrap();
-            let pages = decode_grant(&resp.into_bytes()).unwrap();
+            let pages = decode_pages(&resp.into_bytes()).unwrap();
             let after = coord.free_pages();
-            rpc.call(coord.addr(), req::RETURN_PAGES, encode_return(&pages[..4]))
+            rpc.call(coord.addr(), req::RETURN_PAGES, encode_pages(&pages[..4]))
                 .await
                 .unwrap();
             (after, pages, coord.free_pages())
@@ -228,10 +212,10 @@ mod tests {
             let coord = fabric.coordinator().clone();
             let raw = rpclib::RpcBuilder::new(&net, raw_node, 50).build();
             let ret =
-                |pages: Vec<Ppn>| raw.call(coord.addr(), req::RETURN_PAGES, encode_return(&pages));
+                |pages: Vec<Ppn>| raw.call(coord.addr(), req::RETURN_PAGES, encode_pages(&pages));
             ret(vec![u32::MAX]).await.unwrap();
             let grant = raw.call(coord.addr(), req::REQUEST_PAGES, encode_request(1));
-            let page = decode_grant(&grant.await.unwrap().into_bytes()).unwrap();
+            let page = decode_pages(&grant.await.unwrap().into_bytes()).unwrap();
             ret(page.clone()).await.unwrap();
             ret(page).await.unwrap();
             assert_eq!((coord.free_pages(), coord.rejected_returns()), (8, 2));
@@ -263,12 +247,12 @@ mod tests {
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(8))
                 .await
                 .unwrap();
-            assert_eq!(decode_grant(&resp.into_bytes()).unwrap().len(), 5);
+            assert_eq!(decode_pages(&resp.into_bytes()).unwrap().len(), 5);
             let resp = rpc
                 .call(coord.addr(), req::REQUEST_PAGES, encode_request(1))
                 .await
                 .unwrap();
-            assert_eq!(decode_grant(&resp.into_bytes()).unwrap().len(), 0);
+            assert_eq!(decode_pages(&resp.into_bytes()).unwrap().len(), 0);
         });
     }
 }

@@ -14,9 +14,15 @@
 //!   flag (sole owner);
 //! * store to a writable page → no fault at all (the common case — this is
 //!   why DmRPC-CXL accesses are usually as cheap as plain CXL loads/stores).
+//!
+//! An op that takes pages *reserves* them (coordinator refills), changes
+//! the page table and refcounts in one synchronous *body*, then *charges*
+//! its time: an op that does not fit changes nothing, and no two ops of a
+//! process interleave their changes, so no page needs a fault lock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -25,12 +31,11 @@ use dmcommon::page_store::Page;
 use dmcommon::va_tree::VaTree;
 use dmcommon::{CopyMode, DmError, DmResult, Ref, PAGE_SIZE};
 use rpclib::Rpc;
-use simcore::sync::Notify;
 use simcore::Counter;
 use simnet::Addr;
 use telemetry::SpanKind;
 
-use crate::coordinator::{self, encode_request, encode_return};
+use crate::coordinator::{self, encode_pages, encode_request};
 use crate::gfam::{GFam, Ppn};
 
 /// Issue cost of one pipelined fabric atomic.
@@ -94,12 +99,6 @@ pub struct CxlHost {
     config: CxlHostConfig,
     stats: CxlHostStats,
     refilling: Cell<bool>,
-    /// Per-VPN fault serialization: the kernel handles one fault per page
-    /// at a time. Fault paths contain awaits (coordinator refills, device
-    /// copies), so without this two tasks of the same process could both
-    /// COW one page and double-release the original.
-    faulting: RefCell<std::collections::HashSet<u64>>,
-    fault_done: Notify,
 }
 
 impl CxlHost {
@@ -121,8 +120,6 @@ impl CxlHost {
             config,
             stats: CxlHostStats::default(),
             refilling: Cell::new(false),
-            faulting: RefCell::new(std::collections::HashSet::new()),
-            fault_done: Notify::new(),
         })
     }
 
@@ -170,26 +167,60 @@ impl CxlHost {
             )
             .await
             .map_err(|_| DmError::Transport)?;
-        coordinator::decode_grant(&resp.into_bytes()).ok_or(DmError::Malformed)
+        coordinator::decode_pages(&resp.into_bytes()).ok_or(DmError::Malformed)
     }
 
-    async fn take_page(self: &Rc<Self>) -> DmResult<Ppn> {
-        loop {
-            let popped = self.free.borrow_mut().pop_front();
-            if let Some(p) = popped {
-                // A free page holds no bytes (its last pin dropped them), so
-                // a fresh mapping reads as zeros without zeroing anything.
+    /// The reserve step of an op: refill the owned FIFO, one
+    /// `request_batch` grant at a time, until it holds the `need()` pages
+    /// the op's body will pop. `need` recounts after every await, since
+    /// other tasks of the process may have taken pages or changed the page
+    /// table meanwhile, and may refuse the op. A grant that comes back
+    /// empty is `OutOfMemory`, and the op has taken no page.
+    async fn reserve(self: &Rc<Self>, need: impl Fn() -> DmResult<usize>) -> DmResult<()> {
+        // While it waits, the op keeps the pages it found out of the FIFO
+        // and puts them back in front when it is done: the process's other
+        // ops and refills see the FIFO, and the body pops pages in the
+        // order they would have if the op had popped each on its way.
+        let mut held = Vec::new();
+        let reserved = loop {
+            let owned = self.free.borrow().len() + held.len();
+            match need() {
+                Ok(need) if owned >= need => break Ok(()),
+                Ok(_) => {}
+                Err(e) => break Err(e),
+            }
+            if !self.free.borrow().is_empty() {
+                held.extend(self.free.borrow_mut().drain(..));
+                // The FIFO ran dry: a background refill starts beside this
+                // one, as it would at the pops.
                 self.maybe_background_refill();
-                self.gfam.rc_init(p);
-                return Ok(p);
             }
-            // Synchronous refill when empty.
-            let grant = self.coordinator_request(self.config.request_batch).await?;
-            if grant.is_empty() {
-                return Err(DmError::OutOfMemory);
+            match self.coordinator_request(self.config.request_batch).await {
+                Ok(grant) if !grant.is_empty() => self.free.borrow_mut().extend(grant),
+                Ok(_) => break Err(DmError::OutOfMemory),
+                Err(e) => break Err(e),
             }
-            self.free.borrow_mut().extend(grant);
-        }
+        };
+        let mut free = self.free.borrow_mut();
+        held.into_iter().rev().for_each(|p| free.push_front(p));
+        reserved
+    }
+
+    /// Pop an owned free page the op reserved and pin it at refcount 1.
+    fn take_page(self: &Rc<Self>) -> Ppn {
+        let p = self.free.borrow_mut().pop_front().expect("page reserved");
+        self.maybe_background_refill();
+        // A free page holds no bytes (its last pin dropped them), so a
+        // fresh mapping reads as zeros without zeroing anything.
+        self.gfam.rc_init(p);
+        p
+    }
+
+    /// A fresh page holding a copy of `ppn` (charged by the caller).
+    fn copy_of(self: &Rc<Self>, ppn: Ppn) -> Ppn {
+        let newp = self.take_page();
+        self.gfam.copy_page(ppn, newp);
+        newp
     }
 
     fn maybe_background_refill(self: &Rc<Self>) {
@@ -224,7 +255,7 @@ impl CxlHost {
                     .call(
                         host.coord,
                         coordinator::req::RETURN_PAGES,
-                        encode_return(&pages),
+                        encode_pages(&pages),
                     )
                     .await;
             });
@@ -255,29 +286,23 @@ impl CxlHost {
         Ok(())
     }
 
-    /// Acquire the fault lock for `vpn` (FIFO-ish; re-checks on wake).
-    async fn lock_vpn(&self, vpn: u64) {
-        loop {
-            if self.faulting.borrow_mut().insert(vpn) {
-                return;
-            }
-            self.fault_done.notified().await;
-        }
-    }
-
-    fn unlock_vpn(&self, vpn: u64) {
-        self.faulting.borrow_mut().remove(&vpn);
-        self.fault_done.notify_all();
-    }
-
     /// Charge the time of `n` pipelined fabric atomics: one CXL round trip
     /// plus a per-atomic issue cost.
     async fn charge_atomics(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
         let lat = self.gfam.params().latency(memsim::MemClass::Cxl);
         simcore::sleep(lat + ATOMIC_ISSUE * n as u32).await;
+    }
+
+    /// Charge `n` whole-page device copies, one read and one write of a
+    /// page each, under one `name` span.
+    async fn charge_copies(&self, name: &'static str, n: usize) {
+        let mut cow = telemetry::leaf_span(SpanKind::Cow, name, self.node_id());
+        if let Some(s) = cow.as_mut() {
+            s.attr("bytes_copied", (n * PAGE_SIZE) as u64);
+        }
+        for _ in 0..n {
+            self.gfam.access(2 * PAGE_SIZE as u64).await;
+        }
     }
 
     /// The length and pages of `r` if it is a live CXL ref: a page per
@@ -298,6 +323,11 @@ impl CxlHost {
         }
     }
 
+    /// The PTE of `vpn`, if mapped.
+    fn pte(&self, vpn: u64) -> Option<Pte> {
+        self.page_table.borrow().get(&vpn).copied()
+    }
+
     /// Install `vpn → ppn` in the page table.
     fn map(&self, vpn: u64, ppn: Ppn, writable: bool) {
         self.page_table
@@ -312,8 +342,10 @@ impl CxlHost {
         }
     }
 
-    fn check_bounds(&self, va: u64, len: u64) -> DmResult<()> {
-        self.vma.borrow().check_range(va, len)
+    /// The pages of `[va, va + len)` once its bounds check out.
+    fn vpns(&self, va: u64, len: u64) -> DmResult<Range<u64>> {
+        self.vma.borrow().check_range(va, len)?;
+        Ok(va / PAGE_SIZE as u64..(va + len).div_ceil(PAGE_SIZE as u64))
     }
 
     /// `store`: write `data` at `va` through plain CXL stores, taking page
@@ -324,89 +356,57 @@ impl CxlHost {
         if data.is_empty() {
             return Ok(());
         }
-        self.check_bounds(va, data.len() as u64)?;
-        let mut off = 0usize;
-        let mut fault_cpu = Duration::ZERO;
-        while off < data.len() {
-            let cur = va + off as u64;
-            let vpn = cur / PAGE_SIZE as u64;
-            let in_page = (cur % PAGE_SIZE as u64) as usize;
+        let len = data.len() as u64;
+        // An unmapped page takes a page, and so does a shared one (COW).
+        let takes = |pte: Option<Pte>| {
+            pte.is_none_or(|pte| !pte.writable && self.gfam.rc_peek(pte.ppn) > 1)
+        };
+        self.reserve(|| Ok(self.vpns(va, len)?.filter(|&v| takes(self.pte(v))).count()))
+            .await?;
+        let (mut off, mut fault_cpu, mut copies) = (0, Duration::ZERO, 0);
+        for vpn in self.vpns(va, len)? {
+            let in_page = ((va + off as u64) % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let pte = self.page_table.borrow().get(&vpn).copied();
-            let ppn = match pte {
-                // Case 3 fast path: writable — no fault, no lock.
+            let ppn = match self.pte(vpn) {
+                // Writable: no fault.
                 Some(pte) if pte.writable => pte.ppn,
-                // Cases 1 and 2 take the per-VPN fault lock and re-read the
-                // PTE: another task may have resolved the fault while we
-                // waited.
-                _ => {
-                    self.lock_vpn(vpn).await;
-                    let r = self.handle_store_fault(vpn, n == PAGE_SIZE).await;
-                    self.unlock_vpn(vpn);
-                    let (ppn, cpu) = r?;
-                    fault_cpu += cpu;
+                pte => {
+                    self.stats.faults.incr();
+                    fault_cpu += self.config.fault_cpu + self.config.pte_cpu;
+                    let ppn = match pte {
+                        None => self.take_page(),
+                        // Sole owner: flip the permission flag.
+                        Some(pte) if self.gfam.rc_get(pte.ppn) == 1 => pte.ppn,
+                        // Shared: COW, copying on the device unless the
+                        // store replaces the whole page.
+                        Some(pte) => {
+                            let newp = if n < PAGE_SIZE {
+                                copies += 1;
+                                self.copy_of(pte.ppn)
+                            } else {
+                                self.take_page()
+                            };
+                            self.unpin(pte.ppn);
+                            newp
+                        }
+                    };
+                    self.map(vpn, ppn, true);
                     ppn
                 }
             };
             self.gfam.write_page(ppn, in_page, &data[off..off + n]);
             off += n;
         }
+        for _ in 0..copies {
+            self.stats.cow_copies.incr();
+            self.charge_copies("cxl.cow_copy", 1).await;
+        }
         if !fault_cpu.is_zero() {
             simcore::sleep(fault_cpu).await;
         }
         // The stores themselves stream over the CXL link.
-        self.gfam.access(data.len() as u64).await;
+        self.gfam.access(len).await;
         Ok(())
-    }
-
-    /// Resolve a store fault on `vpn` (fault lock held); `whole` says the
-    /// store overwrites the entire page. Returns the target PPN and the CPU
-    /// time to charge.
-    async fn handle_store_fault(
-        self: &Rc<Self>,
-        vpn: u64,
-        whole: bool,
-    ) -> DmResult<(Ppn, Duration)> {
-        let pte = self.page_table.borrow().get(&vpn).copied();
-        match pte {
-            // Resolved by a concurrent fault while we queued on the lock.
-            Some(pte) if pte.writable => Ok((pte.ppn, Duration::ZERO)),
-            // Unmapped — take an owned free page.
-            None => {
-                let p = self.take_page().await?;
-                self.map(vpn, p, true);
-                self.stats.faults.incr();
-                Ok((p, self.config.fault_cpu + self.config.pte_cpu))
-            }
-            // Read-only page.
-            Some(pte) => {
-                self.stats.faults.incr();
-                let cpu = self.config.fault_cpu + self.config.pte_cpu;
-                if self.gfam.rc_get(pte.ppn) > 1 {
-                    // COW: allocate, copy on the device unless the store
-                    // replaces the whole page, retarget PTE.
-                    let newp = self.take_page().await?;
-                    if !whole {
-                        let mut cow =
-                            telemetry::leaf_span(SpanKind::Cow, "cxl.cow_copy", self.node_id());
-                        if let Some(s) = cow.as_mut() {
-                            s.attr("bytes_copied", PAGE_SIZE as u64);
-                        }
-                        self.gfam.copy_page(pte.ppn, newp);
-                        self.gfam.access(2 * PAGE_SIZE as u64).await;
-                        drop(cow);
-                        self.stats.cow_copies.incr();
-                    }
-                    self.map(vpn, newp, true);
-                    self.unpin(pte.ppn);
-                    Ok((newp, cpu))
-                } else {
-                    // Sole owner: flip the permission flag.
-                    self.map(vpn, pte.ppn, true);
-                    Ok((pte.ppn, cpu))
-                }
-            }
-        }
     }
 
     /// `load`: read `len` bytes at `va` through plain CXL loads (paper
@@ -417,8 +417,7 @@ impl CxlHost {
         if len == 0 {
             return Ok(Bytes::new());
         }
-        self.check_bounds(va, len)?;
-        let first = va / PAGE_SIZE as u64;
+        let first = self.vpns(va, len)?.start;
         let out = {
             let pt = self.page_table.borrow();
             let ppn_at = |n: u64| pt.get(&(first + n)).map(|pte| pte.ppn);
@@ -435,54 +434,46 @@ impl CxlHost {
         if len == 0 || !va.is_multiple_of(PAGE_SIZE as u64) {
             return Err(DmError::InvalidAddress);
         }
-        self.check_bounds(va, len)?;
+        self.vpns(va, len)?;
         let mut op = telemetry::span(SpanKind::DmOp, "cxl.create_ref", self.node_id());
         if let Some(s) = op.as_mut() {
             s.attr("len", len);
         }
-        let n_pages = len.div_ceil(PAGE_SIZE as u64);
-        let mut pages = Vec::with_capacity(n_pages as usize);
-        for i in 0..n_pages {
-            let vpn = va / PAGE_SIZE as u64 + i;
-            let pte = self.page_table.borrow().get(&vpn).copied();
-            let ppn = match pte {
-                Some(pte) => pte.ppn,
+        let copies = match self.config.copy_mode {
+            CopyMode::CopyOnWrite => 0,
+            CopyMode::Eager => len.div_ceil(PAGE_SIZE as u64) as usize,
+        };
+        // A virgin page takes a page, and so does each eager copy.
+        let virgin = |v: &u64| self.pte(*v).is_none();
+        self.reserve(|| Ok(self.vpns(va, len)?.filter(virgin).count() + copies))
+            .await?;
+        let pages: Vec<(u64, Ppn)> = self
+            .vpns(va, len)?
+            .map(|vpn| match self.pte(vpn) {
+                Some(pte) => (vpn, pte.ppn),
+                // Virgin page inside the ref'd region: map a zero page.
                 None => {
-                    // Virgin page inside the ref'd region: map a zero page.
-                    let p = self.take_page().await?;
+                    let p = self.take_page();
                     self.map(vpn, p, true);
                     self.stats.faults.incr();
-                    p
+                    (vpn, p)
                 }
-            };
-            pages.push((vpn, ppn));
-        }
-        let shared: Vec<Ppn> = match self.config.copy_mode {
-            CopyMode::CopyOnWrite => {
-                for &(vpn, ppn) in &pages {
-                    self.gfam.rc_inc(ppn);
-                    // Mark read-only so the next creator write COWs.
-                    self.map(vpn, ppn, false);
-                }
-                simcore::sleep(self.config.pte_cpu * pages.len() as u32).await;
-                self.charge_atomics(pages.len()).await;
-                pages.iter().map(|&(_, ppn)| ppn).collect()
+            })
+            .collect();
+        let n = pages.len();
+        let shared = if copies > 0 {
+            let shared = pages.iter().map(|&(_, ppn)| self.copy_of(ppn)).collect();
+            self.charge_copies("cxl.eager_copy", n).await;
+            shared
+        } else {
+            for &(vpn, ppn) in &pages {
+                self.gfam.rc_inc(ppn);
+                // Mark read-only so the next creator write COWs.
+                self.map(vpn, ppn, false);
             }
-            CopyMode::Eager => {
-                let mut out = Vec::with_capacity(pages.len());
-                let mut cow = telemetry::leaf_span(SpanKind::Cow, "cxl.eager_copy", self.node_id());
-                if let Some(s) = cow.as_mut() {
-                    s.attr("bytes_copied", pages.len() as u64 * PAGE_SIZE as u64);
-                }
-                for &(_vpn, ppn) in &pages {
-                    let newp = self.take_page().await?;
-                    self.gfam.copy_page(ppn, newp);
-                    self.gfam.access(2 * PAGE_SIZE as u64).await;
-                    out.push(newp);
-                }
-                drop(cow);
-                out
-            }
+            simcore::sleep(self.config.pte_cpu * n as u32).await;
+            self.charge_atomics(n).await;
+            pages.into_iter().map(|(_, ppn)| ppn).collect()
         };
         Ok(Ref::Cxl { len, pages: shared })
     }
@@ -497,8 +488,7 @@ impl CxlHost {
     /// mapping to copy away from. The N refcount initialisations go out
     /// beside the stores and one completion wait covers both: the pages sit
     /// in this host's owned free FIFO, so no other host reads their
-    /// refcount words before the `Ref` exists. All or nothing: a publish
-    /// that runs out of pages hands back the ones it took.
+    /// refcount words before the `Ref` exists.
     pub async fn put_ref(self: &Rc<Self>, data: Bytes) -> DmResult<Ref> {
         let len = data.len() as u64;
         if len == 0 {
@@ -508,19 +498,14 @@ impl CxlHost {
         if let Some(s) = op.as_mut() {
             s.attr("len", len);
         }
-        let mut pages = Vec::with_capacity(data.len().div_ceil(PAGE_SIZE));
-        for view in Page::views_of(data) {
-            let p = match self.take_page().await {
-                Ok(p) => p,
-                Err(e) => {
-                    // An unpublished page has one pin: the last.
-                    pages.into_iter().for_each(|p| self.unpin(p));
-                    return Err(e);
-                }
-            };
-            self.gfam.put_page(p, view);
-            pages.push(p);
-        }
+        self.reserve(|| Ok(data.len().div_ceil(PAGE_SIZE))).await?;
+        let pages: Vec<Ppn> = Page::views_of(data)
+            .map(|view| {
+                let p = self.take_page();
+                self.gfam.put_page(p, view);
+                p
+            })
+            .collect();
         self.gfam
             .access_alongside(len, ATOMIC_ISSUE * pages.len() as u32)
             .await;

@@ -435,6 +435,35 @@ mod e2e_tests {
         });
     }
 
+    /// An eager `create_ref` that runs short changes nothing: with two of a
+    /// 5-page fabric's pages left, copying a 3-page region is `OutOfMemory`
+    /// before the first copy, so no copy is left pinned with no owner.
+    #[test]
+    fn an_eager_create_ref_that_does_not_fit_takes_no_page() {
+        let r = rig(1);
+        let (net, params, cn, c0) = (r.net.clone(), r.params.clone(), r.coord_node, r.compute[0]);
+        r.sim.block_on(async move {
+            let cfg = CxlHostConfig {
+                request_batch: 1,
+                low_watermark: 0,
+                copy_mode: CopyMode::Eager,
+                ..Default::default()
+            };
+            let fabric = CxlFabric::new(&net, cn, 5, params, cfg);
+            let host = fabric.new_host(RpcBuilder::new(&net, c0, 100).build());
+            let va = host.alloc(3 * PS).unwrap();
+            host.store(va, &vec![3u8; 3 * PAGE_SIZE]).await.unwrap();
+            let mut ptes = host.pte_snapshot();
+            let r = host.create_ref(va, 3 * PS).await;
+            assert_eq!(r.unwrap_err(), DmError::OutOfMemory);
+            let mut after = host.pte_snapshot();
+            ptes.sort_unstable();
+            after.sort_unstable();
+            assert_eq!(after, ptes, "the region is as it was");
+            check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &[host], &[]);
+        });
+    }
+
     #[test]
     fn load_store_bounds_checked() {
         let r = rig(1);

@@ -269,15 +269,18 @@ proptest! {
         });
     }
 
-    /// Hosts publish 1 B to 40 pages on a pool too small for all of them,
-    /// so some publishes fail part-way and hand back what they took, then
-    /// read refs in place, map, load and free them, and release them, dead
-    /// ones included. After every step the fabric holds its invariants
-    /// against the live pins; both reads return exactly the bytes published;
-    /// a dead ref is refused by every op. At the end every page is free.
+    /// Hosts, one of them an eager-copy (`-copy`) host, publish 1 B to 40
+    /// pages on a pool too small for all of them, read refs in place, map,
+    /// load and free them, store into a mapping, create a ref from a
+    /// mapping, and release refs, dead ones included. A publish, store or
+    /// ref that does not fit is refused and leaves every PTE and pinned
+    /// page as it was. After every step the fabric holds its invariants
+    /// against the live pins; every read returns exactly the bytes
+    /// published and stored; a dead ref is refused by every op. At the end
+    /// every page is free.
     #[test]
     fn data_path_ops_keep_the_fabric_whole(
-        ops in proptest::collection::vec((0u8..4, 0usize..3, 1usize..=40 * PAGE_SIZE), 1..40),
+        ops in proptest::collection::vec((0u8..6, 0usize..3, 1usize..=40 * PAGE_SIZE), 1..40),
     ) {
         Sim::new().block_on(async move {
             let net = Network::new(FabricConfig::default(), 37);
@@ -290,22 +293,39 @@ proptest! {
                 ..Default::default()
             };
             let fabric = CxlFabric::new(&net, coord, capacity, ModelParams::new(), cfg);
-            let hosts: Vec<_> = (0..3)
-                .map(|i| {
+            let hosts: Vec<_> = [CopyMode::CopyOnWrite, CopyMode::CopyOnWrite, CopyMode::Eager]
+                .into_iter()
+                .enumerate()
+                .map(|(i, copy_mode)| {
                     let node = net.add_node(format!("h{i}"), NicConfig::default());
-                    fabric.new_host(RpcBuilder::new(&net, node, 100).build())
+                    let cfg = CxlHostConfig { copy_mode, ..cfg };
+                    let rpc = RpcBuilder::new(&net, node, 100).build();
+                    CxlHost::new(fabric.gfam().clone(), rpc, fabric.coordinator().addr(), cfg)
                 })
                 .collect();
             let gfam = fabric.gfam();
+            // Every PTE and pinned page: what a refused op must leave as is.
+            let fabric_state = || {
+                let mut ptes: Vec<_> = hosts.iter().flat_map(|h| h.pte_snapshot()).collect();
+                ptes.sort_unstable();
+                (ptes, gfam.pinned_pages())
+            };
             // Every ref published so far, its bytes, and whether it is live.
             let mut refs: Vec<(Ref, Vec<u8>, bool)> = Vec::new();
             for (i, (kind, who, arg)) in ops.into_iter().enumerate() {
                 let host = &hosts[who];
+                // A refused op is `OutOfMemory` and changes no PTE or pin.
+                let refused = |e: DmError, before| {
+                    assert_eq!(e, DmError::OutOfMemory);
+                    assert!(fabric_state() == before, "a refused op changed the fabric");
+                };
+                let mut created = None;
                 if kind == 0 {
                     let data: Vec<u8> = (0..arg).map(|b| (b * 7 + i) as u8).collect();
+                    let before = fabric_state();
                     match host.put_ref(Bytes::from(data.clone())).await {
                         Ok(r) => refs.push((r, data, true)),
-                        Err(e) => assert_eq!(e, DmError::OutOfMemory),
+                        Err(e) => refused(e, before),
                     }
                 } else if !refs.is_empty() {
                     let n = refs.len();
@@ -317,33 +337,52 @@ proptest! {
                     if dead && pages.iter().all(|&p| gfam.rc_peek(p) > 0) {
                         continue;
                     }
-                    let got = match kind {
-                        1 => host.read_ref(r).await.map(Some),
-                        2 => match host.map_ref(r).await {
+                    let served = match kind {
+                        1 => host.read_ref(r).await.map(|bytes| {
+                            assert_eq!(&bytes[..], &data[..], "read {} B", data.len());
+                        }),
+                        2 | 4 | 5 => match host.map_ref(r).await {
                             Ok(va) => {
-                                let bytes = host.load(va, data.len() as u64).await.unwrap();
+                                let len = data.len();
+                                let before = fabric_state();
+                                let mut want = data.clone();
+                                if kind == 4 {
+                                    // Half the stores start on a page
+                                    // boundary, so some cover a page whole.
+                                    let off = match arg % 2 {
+                                        0 => arg / 2 % len / PAGE_SIZE * PAGE_SIZE,
+                                        _ => arg / 2 % len,
+                                    };
+                                    let n = (1 + arg % (2 * PAGE_SIZE)).min(len - off);
+                                    let fill = vec![0xEE ^ i as u8; n];
+                                    match host.store(va + off as u64, &fill).await {
+                                        Ok(()) => want[off..off + n].copy_from_slice(&fill),
+                                        Err(e) => refused(e, before),
+                                    }
+                                } else if kind == 5 {
+                                    match host.create_ref(va, len as u64).await {
+                                        Ok(r) => created = Some((r, data.clone(), true)),
+                                        Err(e) => refused(e, before),
+                                    }
+                                }
+                                let bytes = host.load(va, len as u64).await.unwrap();
+                                assert_eq!(&bytes[..], &want[..], "load of {len} B");
                                 host.free(va).unwrap();
-                                Ok(Some(bytes))
+                                Ok(())
                             }
                             Err(e) => Err(e),
                         },
-                        _ => host.release_ref(r).await.map(|()| None),
+                        _ => host.release_ref(r).await.map(|()| *live = false),
                     };
-                    match got {
+                    match served {
                         Err(e) => {
                             assert!(dead, "a live ref refused: {e:?}");
                             assert_eq!(e, DmError::InvalidRef);
                         }
-                        Ok(bytes) => {
-                            assert!(!dead, "a dead ref was served");
-                            if let Some(bytes) = bytes {
-                                assert_eq!(&bytes[..], &data[..], "read {} B", data.len());
-                            } else {
-                                *live = false;
-                            }
-                        }
+                        Ok(()) => assert!(!dead, "a dead ref was served"),
                     }
                 }
+                refs.extend(created);
                 // Background refills and returns land, then the fabric must
                 // balance against the pins of the live refs.
                 simcore::sleep(Duration::from_millis(1)).await;

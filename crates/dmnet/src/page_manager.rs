@@ -184,6 +184,23 @@ impl PageManager {
         self.pages.get(p).expect("page materialized").stored()
     }
 
+    /// The first page of `[va, va + len)` (`len > 0`, in `pid`'s bounds)
+    /// and each page's translation, collected before an op changes
+    /// anything: one lookup per page.
+    fn translate(
+        &mut self,
+        pid: GlobalPid,
+        va: u64,
+        len: u64,
+    ) -> DmResult<(u64, Vec<Option<PageIdx>>)> {
+        self.tree(pid)?.check_range(va, len)?;
+        let vpns = va / PAGE_SIZE as u64..(va + len).div_ceil(PAGE_SIZE as u64);
+        Ok((
+            vpns.start,
+            vpns.map(|v| self.translator.lookup(pid, v)).collect(),
+        ))
+    }
+
     /// Fault-in a zeroed page for `(pid, vpn)`.
     fn fault_in(&mut self, pid: GlobalPid, vpn: u64, cost: &mut OpCost) -> DmResult<PageIdx> {
         let p = self.take_free_page(Page::private(&[]))?;
@@ -223,15 +240,22 @@ impl PageManager {
         if data.is_empty() {
             return Ok(OpCost::default());
         }
-        self.tree(pid)?.check_range(va, data.len() as u64)?;
+        let (first, mapped) = self.translate(pid, va, data.len() as u64)?;
+        // All or nothing, as `create_ref`: an unmapped page takes a free
+        // page, and so does a shared one (COW).
+        let takes = mapped
+            .iter()
+            .filter(|p| p.is_none_or(|p| self.pages.refcount(p) > 1))
+            .count();
+        if self.free.len() < takes {
+            return Err(DmError::OutOfMemory);
+        }
         let mut cost = OpCost::default();
         let mut off = 0usize;
-        while off < data.len() {
-            let cur = va + off as u64;
-            let vpn = cur / PAGE_SIZE as u64;
-            let in_page = (cur % PAGE_SIZE as u64) as usize;
+        for (vpn, p) in (first..).zip(mapped) {
+            let in_page = ((va + off as u64) % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let p = match self.translator.lookup(pid, vpn) {
+            let p = match p {
                 None => self.fault_in(pid, vpn, &mut cost)?,
                 Some(p) if self.pages.refcount(p) > 1 => {
                     // Copy-on-write: pop a new page, copy the old content
@@ -265,12 +289,7 @@ impl PageManager {
         if len == 0 {
             return Ok(Bytes::new());
         }
-        self.tree(pid)?.check_range(va, len)?;
-        // One translation per page, whichever way the bytes come out.
-        let first = va / PAGE_SIZE as u64;
-        let mapped: Vec<Option<PageIdx>> = (first..=(va + len - 1) / PAGE_SIZE as u64)
-            .map(|vpn| self.translator.lookup(pid, vpn))
-            .collect();
+        let (first, mapped) = self.translate(pid, va, len)?;
         Ok(self.pages.read(va, len, |n| mapped[(n - first) as usize]))
     }
     /// Create a shareable reference over `[va, va+len)` (paper §V-A1
@@ -282,12 +301,8 @@ impl PageManager {
         if len == 0 || !va.is_multiple_of(PAGE_SIZE as u64) {
             return Err(DmError::InvalidAddress);
         }
-        self.tree(pid)?.check_range(va, len)?;
+        let (first_vpn, mapped) = self.translate(pid, va, len)?;
         let mut cost = OpCost::default();
-        let first_vpn = va / PAGE_SIZE as u64;
-        let mapped: Vec<Option<PageIdx>> = (first_vpn..first_vpn + len.div_ceil(PAGE_SIZE as u64))
-            .map(|vpn| self.translator.lookup(pid, vpn))
-            .collect();
         // All or nothing: running out of pages half-way would strand the
         // ones already taken (an eager copy belongs to no ref until the
         // last one succeeds).

@@ -455,6 +455,46 @@ fn create_ref_with_len_u64_max_is_out_of_bounds() {
     });
 }
 
+/// A `WRITE` that does not fit changes nothing: with one page of a 2-page
+/// pool published, a 2-page write is `OutOfMemory` before it faults a page
+/// in. The free count and the pages stay as they were, and the log, which
+/// keeps only what the server acknowledged, replays to the same pages.
+#[test]
+fn a_write_that_does_not_fit_changes_nothing() {
+    Sim::new().block_on(async move {
+        let net = Network::new(FabricConfig::default(), 3);
+        let cfg = DmServerConfig {
+            capacity_pages: 2,
+            durability: Some(WalConfig::zero_cost()),
+            ..Default::default()
+        };
+        let (server, rpc, pid) = registered_to(&net, cfg).await;
+        let put = Writer::new().body(Bytes::from_static(b"live"));
+        raw(&rpc, &server, req::PUT_REF, put)
+            .await
+            .expect("one page fits");
+        let va = raw(&rpc, &server, req::ALLOC, Writer::new().u32(pid).u64(8192)).await;
+        let va = Reader::new(&va.unwrap()).u64().unwrap();
+        let digest = server.pages_digest();
+        assert_eq!(server.free_pages_total(), 1);
+        let write = Writer::new()
+            .u32(pid)
+            .u64(va)
+            .body(Bytes::from(vec![7u8; 8192]));
+        let r = raw(&rpc, &server, req::WRITE, write).await;
+        assert_eq!(r, Err(DmError::OutOfMemory));
+        assert_eq!(server.free_pages_total(), 1, "no page was faulted in");
+        assert_eq!(server.pages_digest(), digest);
+        server.crash();
+        server.restart_from_log().await;
+        assert_eq!(
+            server.pages_digest(),
+            digest,
+            "the log replays to other pages"
+        );
+    });
+}
+
 /// A checkpoint is restored only if its free FIFO and its used pages cover
 /// the pool exactly once and every used page is pinned: a free entry naming
 /// the live page would hand it out again. A 4-page pool with one published

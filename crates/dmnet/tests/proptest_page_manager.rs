@@ -81,6 +81,24 @@ impl Twin {
         a
     }
 
+    /// [`Twin::both`] for an op that may be refused: one that is leaves
+    /// the pages as they were.
+    fn apply<T: PartialEq + Debug>(
+        &mut self,
+        op: impl Fn(&mut PageManager) -> DmResult<T>,
+    ) -> DmResult<T> {
+        let before = self.alias.state_digest();
+        let r = self.both(op);
+        if r.is_err() {
+            assert_eq!(
+                self.alias.state_digest(),
+                before,
+                "a refused op changed the pages"
+            );
+        }
+        r
+    }
+
     /// Publish `data`: a view `skew` bytes into a larger buffer (dropped by
     /// the publisher at once) on one side, a plain slice on the other.
     fn put(
@@ -93,10 +111,18 @@ impl Twin {
         big.extend_from_slice(data);
         big.extend_from_slice(&[0x5A; 7]);
         let carved = Bytes::from(big).slice(skew..skew + data.len());
+        let before = self.alias.state_digest();
         let a = self.alias.put_ref_bytes(carved, owner);
         let b = self.owned.put_ref(data, owner);
         assert_eq!(a, b, "aliased vs owned publish");
         self.check();
+        if a.is_err() {
+            assert_eq!(
+                self.alias.state_digest(),
+                before,
+                "a refused publish changed the pages"
+            );
+        }
         a
     }
 }
@@ -211,12 +237,15 @@ struct ModelRef {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// On a roomy pool and on one a few regions fill: a write, ref or
+    /// publish that does not fit is refused and leaves the model as it is.
     #[test]
     fn page_manager_matches_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..120),
         copy_mode in prop_oneof![Just(CopyMode::CopyOnWrite), Just(CopyMode::Eager)],
+        capacity_pages in prop_oneof![Just(512), Just(8)],
     ) {
-        let mut pm = Twin::new(512, copy_mode);
+        let mut pm = Twin::new(capacity_pages, copy_mode);
         let pid = pm.both(|pm| pm.register_process());
         let mapper = pm.both(|pm| pm.register_process());
         let mut regions: Vec<ModelRegion> = Vec::new();
@@ -225,7 +254,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Alloc { pages } => {
-                    if let Ok(va) = pm.both(|pm| pm.ralloc(pid, pages * PS)) {
+                    if let Ok(va) = pm.apply(|pm| pm.ralloc(pid, pages * PS)) {
                         regions.push(ModelRegion {
                             pid,
                             va,
@@ -241,8 +270,10 @@ proptest! {
                     if off + len as u64 > r.len { continue; }
                     let buf = vec![fill; len];
                     let write = if copying { PageManager::write } else { PageManager::overwrite };
-                    pm.both(|pm| write(pm, r.pid, r.va + off, &buf)).expect("in-bounds write");
-                    r.data[off as usize..off as usize + len].copy_from_slice(&buf);
+                    match pm.apply(|pm| write(pm, r.pid, r.va + off, &buf)) {
+                        Ok(_) => r.data[off as usize..off as usize + len].copy_from_slice(&buf),
+                        Err(e) => prop_assert_eq!(e, DmError::OutOfMemory),
+                    }
                 }
                 Op::Read { region, off, len } => {
                     if regions.is_empty() { continue; }
@@ -254,14 +285,14 @@ proptest! {
                 Op::CreateRef { region } => {
                     if regions.is_empty() { continue; }
                     let r = &regions[region % regions.len()];
-                    if let Ok((key, _)) = pm.both(|pm| pm.create_ref(r.pid, r.va, r.len)) {
+                    if let Ok((key, _)) = pm.apply(|pm| pm.create_ref(r.pid, r.va, r.len)) {
                         refs.push(ModelRef { key, snapshot: r.data.clone() });
                     }
                 }
                 Op::MapRef { r } => {
                     if refs.is_empty() { continue; }
                     let mr = &refs[r % refs.len()];
-                    if let Ok((va, len, _)) = pm.both(|pm| pm.map_ref(mapper, mr.key)) {
+                    if let Ok((va, len, _)) = pm.apply(|pm| pm.map_ref(mapper, mr.key)) {
                         // A new region for the mapper, seeded with the
                         // snapshot (shared until written). It spans whole
                         // pages: what lies past a published ref's last
