@@ -34,7 +34,8 @@ pub fn parse_id_value(m: &Message) -> DmResult<(u64, Value)> {
 /// one frame: every value is copied into it (timelines carry refs and small
 /// posts; a payload to move travels as a value of its own).
 pub fn encode_values(values: &[Value]) -> Bytes {
-    let mut out = BytesMut::new();
+    let len = 2 + values.iter().map(|v| 4 + v.wire_bytes()).sum::<usize>();
+    let mut out = BytesMut::with_capacity(len);
     out.put_u16_le(values.len() as u16);
     for v in values {
         let enc = v.encode();
@@ -43,6 +44,11 @@ pub fn encode_values(values: &[Value]) -> Bytes {
             out.extend_from_slice(part);
         }
     }
+    debug_assert_eq!(
+        out.len(),
+        len,
+        "a value's wire_bytes is its encoding's length"
+    );
     out.freeze()
 }
 

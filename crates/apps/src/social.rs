@@ -22,8 +22,8 @@
 //! `InvalidRef` (no stale data is ever served). Long-haul stress tests
 //! tolerate a sub-percent rate of these application-level races.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -32,7 +32,7 @@ use dmrpc::{DmRpc, Value};
 use loadgen::Population;
 use rpclib::Message;
 use simcore::sync::{Permit, Semaphore};
-use simcore::{SimRng, Zipf};
+use simcore::{FastMap, SimRng, Zipf};
 use simnet::Addr;
 
 use crate::cluster::{Cluster, ServiceNode};
@@ -62,6 +62,11 @@ pub const POSTS_PER_READ: usize = 5;
 pub const FOLLOWERS: usize = 8;
 /// Maximum posts retained before eviction.
 pub const POST_CAPACITY: usize = 4096;
+/// Posts a timeline keeps; an append past it drops the oldest.
+const TIMELINE_LEN: usize = 64;
+/// Distinct media payloads: `user`'s posts carry `media_size` bytes of
+/// `user % MEDIA_KINDS`.
+const MEDIA_KINDS: u32 = 251;
 
 /// Workload mix (read-home, read-user, compose) — paper §VI-F.
 pub const MIX: [f64; 3] = [0.6, 0.3, 0.1];
@@ -103,37 +108,42 @@ impl FanoutGraph {
     }
 }
 
+/// Per-user timelines of post ids. Ids are assigned from 1 by one
+/// compose service and kept as `u32`; the wire carries them as `u64`, and
+/// an append naming an id past `u32` names no post and is dropped.
 struct TimelineMap {
-    map: HashMap<u32, VecDeque<u64>>,
+    map: FastMap<u32, VecDeque<u32>>,
 }
 
 impl TimelineMap {
     fn new() -> Self {
         TimelineMap {
-            map: HashMap::new(),
+            map: FastMap::default(),
         }
     }
 
     fn append(&mut self, user: u32, post: u64) {
+        let Ok(post) = u32::try_from(post) else {
+            return;
+        };
         let tl = self.map.entry(user).or_default();
-        tl.push_back(post);
-        if tl.len() > 64 {
+        if tl.len() == TIMELINE_LEN {
             tl.pop_front();
         }
+        tl.push_back(post);
     }
 
-    fn recent(&self, user: u32, k: usize) -> Vec<u64> {
-        self.map
-            .get(&user)
-            .map(|tl| tl.iter().rev().take(k).copied().collect())
-            .unwrap_or_default()
-    }
-}
-
-fn put_ids(out: &mut BytesMut, ids: &[u64]) {
-    out.put_u16_le(ids.len() as u16);
-    for &id in ids {
-        out.put_u64_le(id);
+    /// The post-storage request for `user`'s `k` most recent posts, newest
+    /// first: `[n u16][post id u64 × n]`.
+    fn recent_request(&self, user: u32, k: usize) -> Bytes {
+        let tl = self.map.get(&user);
+        let n = tl.map_or(0, |tl| tl.len().min(k));
+        let mut out = BytesMut::with_capacity(2 + 8 * n);
+        out.put_u16_le(n as u16);
+        for &id in tl.into_iter().flat_map(|tl| tl.iter().rev().take(n)) {
+            out.put_u64_le(u64::from(id));
+        }
+        out.freeze()
     }
 }
 
@@ -170,6 +180,11 @@ pub struct SocialApp {
     /// allocations. The nginx entry handler keeps its own authoritative
     /// window for non-cooperative callers.
     gate: Option<Semaphore>,
+    /// One buffer per distinct media payload, built on first use: every
+    /// post of a residue publishes a view of it, so the host holds at most
+    /// [`MEDIA_KINDS`] payloads however many posts live (DESIGN.md "What a
+    /// view pins").
+    media: RefCell<Vec<Option<Bytes>>>,
     htl: Rc<RefCell<TimelineMap>>,
     rng: SimRng,
     zipf: Zipf,
@@ -244,8 +259,8 @@ async fn build_social_inner(
     // ---- post-storage (server C, port 101) -------------------------------
     let storage_ep = cluster.endpoint(&server_c, 101).await;
     // Post store: id -> media value, plus FIFO eviction order.
-    type PostStore = (HashMap<u64, Value>, VecDeque<u64>);
-    let posts: Rc<RefCell<PostStore>> = Rc::new(RefCell::new((HashMap::new(), VecDeque::new())));
+    type PostStore = (FastMap<u64, Value>, VecDeque<u64>);
+    let posts: Rc<RefCell<PostStore>> = Rc::new(RefCell::new(Default::default()));
     {
         // STORE: [post_id u64][value bytes]
         let posts = posts.clone();
@@ -321,10 +336,8 @@ async fn build_social_inner(
                 let Some(user) = ctx.payload.array(0).map(u32::from_le_bytes) else {
                     return encode_values(&[]).into();
                 };
-                let ids = utl.borrow().recent(user, POSTS_PER_READ);
-                let mut req = BytesMut::new();
-                put_ids(&mut req, &ids);
-                match ep.rpc().call(storage_addr, SOC_FETCH, req.freeze()).await {
+                let req = utl.borrow().recent_request(user, POSTS_PER_READ);
+                match ep.rpc().call(storage_addr, SOC_FETCH, req).await {
                     Ok(resp) => resp,
                     Err(_) => encode_values(&[]).into(),
                 }
@@ -366,10 +379,8 @@ async fn build_social_inner(
                 let Some(user) = ctx.payload.array(0).map(u32::from_le_bytes) else {
                     return encode_values(&[]).into();
                 };
-                let ids = htl.borrow().recent(user, POSTS_PER_READ);
-                let mut req = BytesMut::new();
-                put_ids(&mut req, &ids);
-                match ep.rpc().call(storage_addr, SOC_FETCH, req.freeze()).await {
+                let req = htl.borrow().recent_request(user, POSTS_PER_READ);
+                match ep.rpc().call(storage_addr, SOC_FETCH, req).await {
                     Ok(resp) => resp,
                     Err(_) => encode_values(&[]).into(),
                 }
@@ -384,7 +395,7 @@ async fn build_social_inner(
         Some(p) => FanoutGraph::Scaled(p),
         None => FanoutGraph::Fixed(fixed_followers(users, seed)),
     });
-    let next_post = Rc::new(std::cell::Cell::new(1u64));
+    let next_post = Rc::new(Cell::new(1u32));
     {
         let ep = compose_ep.clone();
         let graph = graph.clone();
@@ -399,7 +410,8 @@ async fn build_social_inner(
                     return Bytes::new();
                 };
                 let post_id = next_post.get();
-                next_post.set(post_id + 1);
+                next_post.set(post_id.checked_add(1).expect("post ids fit in u32"));
+                let post_id = u64::from(post_id);
                 // Store the post: forward the media value untouched.
                 let store_req = ctx.payload.skip(4).prefixed(&post_id.to_le_bytes());
                 let _ = ep.rpc().call(storage_addr, SOC_STORE, store_req).await;
@@ -504,6 +516,7 @@ async fn build_social_inner(
         media_size,
         servers: vec![server_a, server_b, server_c],
         gate: window.map(Semaphore::new),
+        media: RefCell::new(vec![None; MEDIA_KINDS as usize]),
         htl,
         // Scaled populations bring their own hot-key sampler (derived from
         // the population seed, so SF alone pins the workload); the fixed
@@ -526,7 +539,7 @@ fn try_enter(gate: &Option<Semaphore>) -> DmResult<Option<Permit>> {
 }
 
 impl SocialApp {
-    /// Compose a post with fresh media for `user`.
+    /// Compose a post with `user`'s media.
     pub async fn compose(&self, user: u32) -> DmResult<()> {
         let client = self.client.clone();
         self.compose_from(&client, user).await
@@ -539,8 +552,7 @@ impl SocialApp {
     pub async fn compose_from(&self, writer: &Rc<DmRpc>, user: u32) -> DmResult<()> {
         // The slot spans the whole request: media upload, movers, DM fetches.
         let _slot = try_enter(&self.gate)?;
-        let media = Bytes::from(vec![(user % 251) as u8; self.media_size]);
-        let v = writer.make_value(media).await?;
+        let v = writer.make_value(self.media(user)).await?;
         let mut req = BytesMut::with_capacity(5);
         req.put_u8(OP_COMPOSE);
         req.put_u32_le(user);
@@ -562,6 +574,15 @@ impl SocialApp {
             return Err(DmError::Malformed);
         }
         Ok(())
+    }
+
+    /// `user`'s media payload: a clone of its residue's one buffer.
+    fn media(&self, user: u32) -> Bytes {
+        let kind = user % MEDIA_KINDS;
+        let mut media = self.media.borrow_mut();
+        let buf = media[kind as usize]
+            .get_or_insert_with(|| Bytes::from(vec![kind as u8; self.media_size]));
+        buf.clone()
     }
 
     async fn read(&self, op: u8, user: u32) -> DmResult<usize> {
@@ -602,7 +623,7 @@ impl SocialApp {
         let htl = self.htl.borrow();
         htl.map
             .get(&user)
-            .map_or_else(Vec::new, |tl| tl.iter().copied().collect())
+            .map_or_else(Vec::new, |tl| tl.iter().map(|&id| u64::from(id)).collect())
     }
 
     /// Read the home timeline of `user`; returns media bytes materialized.
@@ -648,6 +669,7 @@ mod tests {
     use crate::cluster::{ClusterConfig, SystemKind};
     use dmrpc::DmRpc;
     use simcore::Sim;
+    use std::collections::HashMap;
 
     fn deploy(kind: SystemKind) -> (Sim, Rc<RefCell<Option<SocialApp>>>) {
         let sim = Sim::new();
@@ -674,6 +696,54 @@ mod tests {
                 assert_eq!(bytes, 2 * 4096, "{kind:?}");
             });
         }
+    }
+
+    #[test]
+    fn posts_of_one_residue_share_one_media_buffer_and_every_read_is_a_view() {
+        const USERS: u32 = 300;
+        const MEDIA: usize = 8192;
+        let sim = Sim::new();
+        sim.block_on(async move {
+            let cluster = Cluster::new(SystemKind::DmNet, 2, ClusterConfig::default(), 99);
+            let app = build_social(&cluster, USERS, MEDIA, 1).await;
+            // Users u and u + 251 share a payload; 350 posts, two for each
+            // of the first 50 users.
+            for user in (0..USERS).chain(0..50) {
+                app.compose(user).await.unwrap();
+            }
+            let tables = app.media.borrow().iter().flatten().count();
+            assert!(
+                tables <= USERS.min(MEDIA_KINDS) as usize,
+                "{tables} buffers"
+            );
+            // The composing client caches what it published: read the
+            // posts through a second one, so each read reaches a DM server.
+            let reader = cluster.add_server("reader");
+            let reader = cluster.endpoint(&reader, 100).await;
+            for user in (0..USERS).step_by(7).chain([250, 251, 252]) {
+                let mut req = BytesMut::with_capacity(5);
+                req.put_u8(OP_READ_USER);
+                req.put_u32_le(user);
+                let resp = app.client.rpc().call(app.entry, SOC_REQ, req.freeze());
+                let values = decode_values(&resp.await.unwrap().into_bytes()).unwrap();
+                assert_eq!(values.len(), if user < 50 { 2 } else { 1 }, "user {user}");
+                let published = app.media(user);
+                for v in values {
+                    assert!(v.is_by_ref());
+                    let got = reader.fetch(&v).await.unwrap();
+                    assert_eq!(got.len(), MEDIA);
+                    assert!(got.iter().all(|&b| u32::from(b) == user % MEDIA_KINDS));
+                    assert_eq!(got.as_ptr(), published.as_ptr(), "user {user}: a copy");
+                }
+            }
+            let (mut viewed, mut gathered) = (0, 0);
+            for s in &cluster.dm_servers {
+                let (v, g) = s.with_page_manager(|pm| pm.read_bytes());
+                (viewed, gathered) = (viewed + v, gathered + g);
+            }
+            assert!(viewed > 0);
+            assert_eq!(gathered, 0, "a post read gathered pages into a new buffer");
+        });
     }
 
     #[test]
@@ -829,6 +899,16 @@ mod tests {
                 b"ok"
             );
             assert_eq!(holders(4), [5, 6]);
+            assert_eq!(app.home_timeline(5), [1, 4]);
+            // An id no compose assigns (past `u32`) names no post.
+            assert_eq!(
+                send(Some(1 << 32), 5..6, b"")
+                    .await
+                    .unwrap()
+                    .into_bytes()
+                    .as_ref(),
+                b"ok"
+            );
             assert_eq!(app.home_timeline(5), [1, 4]);
         });
     }

@@ -94,7 +94,7 @@ fn wall_clock(rows: &[(&str, std::time::Duration)]) {
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map_or("unknown".to_string(), |s| s.trim().to_string());
-    t.meta("commit", commit);
+    t.meta_text("commit", &commit);
     let total: std::time::Duration = rows.iter().map(|&(_, wall)| wall).sum();
     t.headline("total_wall_ms", f2(total.as_secs_f64() * 1e3));
     for &(name, wall) in rows {

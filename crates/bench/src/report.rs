@@ -68,6 +68,7 @@ pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
     bench: Option<&'static str>,
+    /// `meta` and `headline` keys, each with its value as JSON.
     meta: Vec<(String, String)>,
     headline: Vec<(String, String)>,
     gates: Vec<Gate>,
@@ -93,14 +94,23 @@ impl Table {
         self
     }
 
-    /// Record a sweep parameter in the trajectory artifact's `meta`.
+    /// Record a sweep parameter in the trajectory artifact's `meta`: a
+    /// number when it reads as one.
     pub fn meta(&mut self, key: &str, value: impl Display) {
-        self.meta.push((key.to_string(), value.to_string()));
+        self.meta
+            .push((key.to_string(), json_cell(&value.to_string())));
+    }
+
+    /// Record a text in `meta`: a JSON string whatever it reads as (a
+    /// commit hash may be all digits, or digits, an `e` and digits).
+    pub fn meta_text(&mut self, key: &str, value: &str) {
+        self.meta.push((key.to_string(), json_string(value)));
     }
 
     /// Record a derived headline number in the trajectory artifact.
     pub fn headline(&mut self, key: &str, value: impl Display) {
-        self.headline.push((key.to_string(), value.to_string()));
+        self.headline
+            .push((key.to_string(), json_cell(&value.to_string())));
     }
 
     /// Evaluate a [`gate`] and record it in the trajectory artifact.
@@ -199,7 +209,7 @@ impl Table {
         let object = |pairs: &[(String, String)]| {
             let body: Vec<String> = pairs
                 .iter()
-                .map(|(k, v)| format!("{}: {}", json_string(k), json_cell(v)))
+                .map(|(k, v)| format!("{}: {v}", json_string(k)))
                 .collect();
             format!("{{{}}}", body.join(", "))
         };
@@ -380,6 +390,20 @@ mod tests {
             "", "-", "01", "1.", ".5", "+1", "inf", "NaN", "1e", "4K", "1.5us", "1 ",
         ] {
             assert_eq!(json_cell(s), format!("\"{s}\""), "{s:?} must be quoted");
+        }
+    }
+
+    /// A short hash can read as a JSON number (`12e4567` as one that
+    /// overflows to infinity): a text meta stays a string, a parameter
+    /// beside it stays a number.
+    #[test]
+    fn a_text_meta_is_a_string_whatever_it_reads_as() {
+        for hash in ["6770304", "12e4567", "1a4d385"] {
+            let mut t = Table::new("t", &["a"]);
+            t.meta_text("commit", hash);
+            t.meta("threads", 2);
+            let meta = format!("\"meta\": {{\"commit\": \"{hash}\", \"threads\": 2}},");
+            assert!(t.json("t").contains(&meta), "{hash}: {}", t.json("t"));
         }
     }
 

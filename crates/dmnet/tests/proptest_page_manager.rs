@@ -24,6 +24,12 @@
 //! free that followed moved the page rather than the view. That this
 //! host-side move is no part of the model is the twin's job — the other
 //! manager holds no views, and costs and snapshots must still agree.
+//!
+//! A publisher may also keep what it published and publish it again (the
+//! social network's media table does, one buffer per distinct payload), so
+//! one buffer backs the pages of several live refs. The sequence keeps such
+//! buffers too and checks them, and every ref published from them, the same
+//! way.
 
 use std::fmt::Debug;
 
@@ -42,6 +48,9 @@ struct Twin {
     owned: PageManager,
     /// Reads of `alias` kept alive, each with a copy of what it showed.
     held: Vec<(Bytes, Vec<u8>)>,
+    /// Buffers the publisher keeps after publishing them, each with a copy
+    /// of what it holds.
+    kept: Vec<(Bytes, Vec<u8>)>,
 }
 
 impl Twin {
@@ -50,6 +59,7 @@ impl Twin {
             alias: PageManager::new(capacity_pages, copy_mode),
             owned: PageManager::new(capacity_pages, copy_mode),
             held: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -61,10 +71,17 @@ impl Twin {
     }
 
     /// Equal snapshots are equal `state_digest()`s: the digest is a hash
-    /// of the snapshot. Every view handed out so far still reads as it did.
+    /// of the snapshot. Every view handed out so far still reads as it did,
+    /// and every buffer the publisher kept holds what it published.
     fn check(&mut self) {
         for (view, seen) in &self.held {
             assert!(view[..] == seen[..], "a held read changed under its holder");
+        }
+        for (buf, published) in &self.kept {
+            assert!(
+                buf[..] == published[..],
+                "a kept buffer changed under its publisher"
+            );
         }
         self.alias.check_invariants();
         self.owned.check_invariants();
@@ -99,21 +116,12 @@ impl Twin {
         r
     }
 
-    /// Publish `data`: a view `skew` bytes into a larger buffer (dropped by
-    /// the publisher at once) on one side, a plain slice on the other.
-    fn put(
-        &mut self,
-        data: &[u8],
-        skew: usize,
-        owner: Option<GlobalPid>,
-    ) -> DmResult<(u64, OpCost)> {
-        let mut big = vec![0xA5u8; skew];
-        big.extend_from_slice(data);
-        big.extend_from_slice(&[0x5A; 7]);
-        let carved = Bytes::from(big).slice(skew..skew + data.len());
+    /// Publish `data` by its buffer on one side, as a plain slice on the
+    /// other.
+    fn put(&mut self, data: Bytes, owner: Option<GlobalPid>) -> DmResult<(u64, OpCost)> {
         let before = self.alias.state_digest();
-        let a = self.alias.put_ref_bytes(carved, owner);
-        let b = self.owned.put_ref(data, owner);
+        let b = self.owned.put_ref(&data, owner);
+        let a = self.alias.put_ref_bytes(data, owner);
         assert_eq!(a, b, "aliased vs owned publish");
         self.check();
         if a.is_err() {
@@ -125,6 +133,14 @@ impl Twin {
         }
         a
     }
+}
+
+/// `data` as a view `skew` bytes into a larger buffer.
+fn carve(data: &[u8], skew: usize) -> Bytes {
+    let mut big = vec![0xA5u8; skew];
+    big.extend_from_slice(data);
+    big.extend_from_slice(&[0x5A; 7]);
+    Bytes::from(big).slice(skew..skew + data.len())
 }
 
 /// `len` bytes no two pages of which look alike.
@@ -167,7 +183,16 @@ enum Op {
     ReadRefDirect {
         r: usize,
     },
+    /// Publish a fresh buffer and drop it.
     PutRef {
+        len: usize,
+        skew: usize,
+        seed: u8,
+    },
+    /// Publish the `which`th buffer the publisher keeps again, or, past the
+    /// last one, a fresh buffer it keeps.
+    PutKept {
+        which: usize,
         len: usize,
         skew: usize,
         seed: u8,
@@ -215,6 +240,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 seed,
             }
         }),
+        (
+            0usize..3,
+            1usize..3 * PAGE_SIZE + 2,
+            0usize..40,
+            any::<u8>()
+        )
+            .prop_map(|(which, len, skew, seed)| Op::PutKept {
+                which,
+                len,
+                skew: 2 * skew + 1,
+                seed,
+            }),
         (0usize..8).prop_map(|region| Op::Free { region }),
         (0usize..8).prop_map(|r| Op::ReleaseRef { r }),
     ]
@@ -313,8 +350,19 @@ proptest! {
                 }
                 Op::PutRef { len, skew, seed } => {
                     let data = pattern(len, seed);
-                    if let Ok((key, cost)) = pm.put(&data, skew, Some(pid)) {
+                    if let Ok((key, cost)) = pm.put(carve(&data, skew), Some(pid)) {
                         prop_assert_eq!(cost.pages_faulted, len.div_ceil(PAGE_SIZE) as u64);
+                        refs.push(ModelRef { key, snapshot: data });
+                    }
+                }
+                Op::PutKept { which, len, skew, seed } => {
+                    if which >= pm.kept.len() {
+                        let data = pattern(len, seed);
+                        pm.kept.push((carve(&data, skew), data));
+                    }
+                    let (buf, data) = pm.kept[which.min(pm.kept.len() - 1)].clone();
+                    if let Ok((key, cost)) = pm.put(buf, Some(pid)) {
+                        prop_assert_eq!(cost.pages_faulted, data.len().div_ceil(PAGE_SIZE) as u64);
                         refs.push(ModelRef { key, snapshot: data });
                     }
                 }
@@ -397,7 +445,7 @@ fn published_and_mapped(copy_mode: CopyMode) -> (Twin, GlobalPid, u64, u64, Vec<
     let owner = pm.both(|pm| pm.register_process());
     let mapper = pm.both(|pm| pm.register_process());
     let data = pattern(2 * PAGE_SIZE + 10, 9);
-    let (key, _) = pm.put(&data, 3, Some(owner)).unwrap();
+    let (key, _) = pm.put(carve(&data, 3), Some(owner)).unwrap();
     let (va, len, _) = pm.both(|pm| pm.map_ref(mapper, key)).unwrap();
     assert_eq!(len, data.len() as u64);
     (pm, mapper, key, va, data)
@@ -550,6 +598,32 @@ fn write_in_place_to_an_aliased_page_at_refcount_one() {
     expect[PAGE_SIZE - 2..PAGE_SIZE + 2].copy_from_slice(&[1, 2, 3, 4]);
     assert_eq!(pm.both(|pm| pm.read(mapper, va, 3 * PS)).unwrap(), expect);
     pm.both(|pm| pm.rfree(mapper, va)).unwrap();
+    assert_eq!(pm.alias.free_pages(), pm.alias.capacity_pages());
+}
+
+/// The media table's shape, pinned: one buffer the publisher keeps,
+/// published as two refs. Once the first ref is released its mapping is
+/// the pages' only holder and writes without a fault, yet the second ref
+/// and the kept buffer still show what was published.
+#[test]
+fn a_buffer_kept_and_published_twice_survives_a_write_in_place() {
+    let mut pm = Twin::new(16, CopyMode::CopyOnWrite);
+    let owner = pm.both(|pm| pm.register_process());
+    let mapper = pm.both(|pm| pm.register_process());
+    let data = pattern(2 * PAGE_SIZE + 10, 5);
+    let buf = carve(&data, 3);
+    pm.kept.push((buf.clone(), data.clone()));
+    let (first, _) = pm.put(buf.clone(), Some(owner)).unwrap();
+    let (second, _) = pm.put(buf, Some(owner)).unwrap();
+    let (va, _, _) = pm.both(|pm| pm.map_ref(mapper, first)).unwrap();
+    pm.both(|pm| pm.release_ref(first)).unwrap();
+    let cost = pm.both(|pm| pm.write(mapper, va, &[0xEE; 8])).unwrap();
+    assert_eq!(cost, OpCost::default(), "no fault, no copy charged");
+    assert_eq!(pm.both(|pm| pm.read(mapper, va, 8)).unwrap(), [0xEE; 8][..]);
+    let len = data.len() as u64;
+    assert_eq!(pm.both(|pm| pm.read_ref(second, 0, len)).unwrap(), data);
+    pm.both(|pm| pm.rfree(mapper, va)).unwrap();
+    pm.both(|pm| pm.release_ref(second)).unwrap();
     assert_eq!(pm.alias.free_pages(), pm.alias.capacity_pages());
 }
 
