@@ -708,10 +708,8 @@ mod tests {
             server.rpc().register(9, |ctx| async move { ctx.payload });
             let client = cluster.endpoint(&cn, 100).await;
             let reg = cluster.metrics();
-            // The fabric's delivery pump is spawned by the first datagram
-            // sent and stays parked for good: one call before the baseline.
-            let req = Bytes::from(vec![0u8; 10_000]);
-            client.rpc().call(server.addr(), 9, req).await.unwrap();
+            // The fabric is the executor's event source, not a task: the
+            // first datagram spawns nothing.
             let tasks = reg.value("sim.live_tasks");
             assert_eq!(tasks, Some(sim2.live_tasks() as u64));
             for _ in 0..100 {

@@ -387,10 +387,10 @@ fn mentions_type(text: &str, ty: &str) -> bool {
 fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
     const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
-    // Deleted with the two coherence schemes one replaced and with the
-    // generic multi-op `BATCH` a key list replaced (DESIGN.md §9): no
-    // document names them as code.
-    const GONE: [&str; 25] = [
+    // Deleted with the two coherence schemes one replaced, with the
+    // generic multi-op `BATCH` a key list replaced (DESIGN.md §9) and with
+    // the fabric's delivery task (§5): no document names them as code.
+    const GONE: [&str; 27] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -416,6 +416,8 @@ fn the_prose_names_only_what_exists() {
         "handle_store_fault",
         "decode_grant",
         "encode_return",
+        "wake_at",
+        "PumpState",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -213,33 +213,23 @@ fn write_range() -> impl Strategy<Value = (u64, usize)> {
     (prop_oneof![aligned, 0u64..3 * PS], 1usize..=3 * PAGE_SIZE)
 }
 
+/// An index counted back from the newest entry, 0 (the newest) half the
+/// time.
+fn newest_first() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), 0usize..8]
+}
+
+/// The entry `back` places before the newest of `len`.
+fn back_from_newest(len: usize, back: usize) -> usize {
+    len - 1 - back % len
+}
+
+/// Half the ops are the four that build the kept-buffer shape — publish a
+/// kept buffer, map its ref, release the ref, write through the mapping —
+/// which the sequence must hit to reach a page whose buffer its publisher
+/// still holds with no other holder of the page left.
 fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (1u64..4).prop_map(|pages| Op::Alloc { pages }),
-        (0usize..8, write_range(), any::<u8>(), any::<bool>()).prop_map(
-            |(region, (off, len), fill, copying)| Op::Write {
-                region,
-                off,
-                len,
-                fill,
-                copying,
-            }
-        ),
-        (0usize..8, 0u64..3 * PS, 1usize..2000).prop_map(|(region, off, len)| Op::Read {
-            region,
-            off,
-            len
-        }),
-        (0usize..8).prop_map(|region| Op::CreateRef { region }),
-        (0usize..8).prop_map(|r| Op::MapRef { r }),
-        (0usize..8).prop_map(|r| Op::ReadRefDirect { r }),
-        (1usize..3 * PAGE_SIZE + 2, 0usize..40, any::<u8>()).prop_map(|(len, skew, seed)| {
-            Op::PutRef {
-                len,
-                skew: 2 * skew + 1,
-                seed,
-            }
-        }),
+    let kept_shape = prop_oneof![
         (
             0usize..3,
             1usize..3 * PAGE_SIZE + 2,
@@ -252,9 +242,37 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 skew: 2 * skew + 1,
                 seed,
             }),
+        newest_first().prop_map(|r| Op::MapRef { r }),
+        newest_first().prop_map(|r| Op::ReleaseRef { r }),
+        (newest_first(), write_range(), any::<u8>(), any::<bool>()).prop_map(
+            |(region, (off, len), fill, copying)| Op::Write {
+                region,
+                off,
+                len,
+                fill,
+                copying,
+            }
+        ),
+    ];
+    let rest = prop_oneof![
+        (1u64..4).prop_map(|pages| Op::Alloc { pages }),
+        (0usize..8, 0u64..3 * PS, 1usize..2000).prop_map(|(region, off, len)| Op::Read {
+            region,
+            off,
+            len
+        }),
+        (0usize..8).prop_map(|region| Op::CreateRef { region }),
+        (0usize..8).prop_map(|r| Op::ReadRefDirect { r }),
+        (1usize..3 * PAGE_SIZE + 2, 0usize..40, any::<u8>()).prop_map(|(len, skew, seed)| {
+            Op::PutRef {
+                len,
+                skew: 2 * skew + 1,
+                seed,
+            }
+        }),
         (0usize..8).prop_map(|region| Op::Free { region }),
-        (0usize..8).prop_map(|r| Op::ReleaseRef { r }),
-    ]
+    ];
+    prop_oneof![kept_shape, rest]
 }
 
 /// A live region in the model: its owner, VA, length, and expected bytes.
@@ -302,7 +320,7 @@ proptest! {
                 }
                 Op::Write { region, off, len, fill, copying } => {
                     if regions.is_empty() { continue; }
-                    let idx = region % regions.len();
+                    let idx = back_from_newest(regions.len(), region);
                     let r = &mut regions[idx];
                     if off + len as u64 > r.len { continue; }
                     let buf = vec![fill; len];
@@ -328,7 +346,7 @@ proptest! {
                 }
                 Op::MapRef { r } => {
                     if refs.is_empty() { continue; }
-                    let mr = &refs[r % refs.len()];
+                    let mr = &refs[back_from_newest(refs.len(), r)];
                     if let Ok((va, len, _)) = pm.apply(|pm| pm.map_ref(mapper, mr.key)) {
                         // A new region for the mapper, seeded with the
                         // snapshot (shared until written). It spans whole
@@ -374,7 +392,7 @@ proptest! {
                 }
                 Op::ReleaseRef { r } => {
                     if refs.is_empty() { continue; }
-                    let idx = r % refs.len();
+                    let idx = back_from_newest(refs.len(), r);
                     let mr = refs.remove(idx);
                     pm.both(|pm| pm.release_ref(mr.key)).expect("release live ref");
                 }

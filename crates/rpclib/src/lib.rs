@@ -404,14 +404,18 @@ impl RpcBuilder {
         self
     }
 
-    /// Bind the endpoint and start its dispatch and retransmission loops.
+    /// Bind the endpoint's port to its packet handler and start its
+    /// retransmission task.
     ///
-    /// Must be called from inside the simulation (it spawns both tasks).
+    /// Must be called from inside the simulation (it spawns that task).
     pub fn build(self) -> Rc<Rpc> {
-        let endpoint = self.net.bind(self.node, self.port);
+        let addr = Addr {
+            node: self.node,
+            port: self.port,
+        };
         let rpc = Rc::new(Rpc {
             net: self.net,
-            addr: endpoint.addr(),
+            addr,
             config: self.config,
             cpu: self.cpu,
             mem: self.mem,
@@ -427,16 +431,14 @@ impl RpcBuilder {
             stats: RpcStats::default(),
             handler_times: RefCell::default(),
             offline: Cell::new(false),
-            retry_rng: SimRng::new(
-                ((endpoint.addr().node.0 as u64) << 16) ^ endpoint.addr().port as u64,
-            ),
+            retry_rng: SimRng::new(((addr.node.0 as u64) << 16) ^ addr.port as u64),
         });
-        let loop_rpc = rpc.clone();
-        simcore::spawn_detached(async move {
-            let mut ep = endpoint;
-            loop {
-                let dgram = ep.recv().await;
-                loop_rpc.handle_packet(dgram);
+        // Weak: the fabric keeps the port's function, and the endpoint
+        // keeps the fabric.
+        let weak = Rc::downgrade(&rpc);
+        rpc.net.bind_fn(addr.node, addr.port, move |dgram| {
+            if let Some(rpc) = weak.upgrade() {
+                rpc.handle_packet(dgram);
             }
         });
         simcore::spawn_detached(rpc.clone().rto_loop());

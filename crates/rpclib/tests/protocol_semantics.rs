@@ -729,16 +729,16 @@ fn ten_thousand_calls_leave_no_packet_entry_task_or_timer_behind() {
             let server = RpcBuilder::new(&net, b, 10).build();
             server.register(1, |ctx| async move { ctx.payload });
             let client = RpcBuilder::new(&net, a, 10).build();
-            // The fabric spawns its delivery pump on the first datagram
-            // sent, and the pump then stays parked for good: one warm-up
-            // call before the baseline.
+            // The fabric is the executor's event source, not a task: the
+            // first datagram spawns nothing, so the baseline is taken before
+            // any call.
+            let tasks_before = sim2.live_tasks();
             let warm_up = Bytes::from_static(b"warm-up");
             assert_eq!(
                 client.call(server.addr(), 1, warm_up.clone()).await,
                 Ok(warm_up.into())
             );
             assert_eq!(client.stats().calls_completed.get(), 1);
-            let tasks_before = sim2.live_tasks();
             let mut workers = Vec::new();
             for w in 0..concurrency {
                 let (client, dst) = (client.clone(), server.addr());

@@ -4,13 +4,16 @@
 //! futures (not required to be `Send`) that suspend on virtual-time timers
 //! ([`sleep`]) and on the synchronization primitives in [`crate::sync`].
 //! Time only advances when every runnable task is blocked, at which point the
-//! clock jumps to the earliest pending timer — the classic discrete-event
-//! simulation loop.
+//! clock jumps to the earliest pending event — the classic discrete-event
+//! simulation loop. Besides timers, an event is whatever a registered
+//! [`Source`] has due: a component that keeps its own queue of deadlines
+//! (simnet's fabric) and does its work synchronously, with no task to poll.
 //!
-//! Determinism: runnable tasks execute in FIFO wake order, timers fire in
-//! `(deadline, registration-sequence)` order, and there is no real-time or
-//! OS-thread nondeterminism anywhere. Two runs of the same simulation produce
-//! bit-identical results.
+//! Determinism: at each instant the due sources fire first (in registration
+//! order), then that instant's timers in `(deadline, registration-sequence)`
+//! order, then the runnable tasks in FIFO wake order; there is no real-time
+//! or OS-thread nondeterminism anywhere. Two runs of the same simulation
+//! produce bit-identical results.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -69,6 +72,27 @@ impl PartialOrd for TimerEntry {
     }
 }
 
+/// An event source the run loop consults besides its timers.
+///
+/// At each instant the run loop asks every source for [`Source::next_at`]
+/// once; the clock advances to the earliest of those and of the timers, and
+/// each source due by then is [`fired`](Source::fire) before any timer of
+/// that instant. A source with nothing due (`None`) is not an event: it
+/// never keeps [`Sim::run`] from returning.
+pub trait Source {
+    /// The earliest instant this source has work at, if any.
+    fn next_at(&self) -> Option<SimTime>;
+    /// Do the work due at `now`. Called from the run loop, outside any task
+    /// poll; it may wake and spawn tasks and change what `next_at` says.
+    fn fire(&self, now: SimTime);
+}
+
+/// A registered source and the instant it last reported.
+struct SourceEntry {
+    source: Rc<dyn Source>,
+    next: Option<SimTime>,
+}
+
 struct Task {
     /// `None` while the future is out being polled.
     future: Option<LocalFuture>,
@@ -105,6 +129,9 @@ struct State {
 
 pub(crate) struct Inner {
     state: RefCell<State>,
+    /// Kept outside `state` so a firing source can wake and spawn tasks,
+    /// and outside any borrow while it fires so it can register another.
+    sources: RefCell<Vec<SourceEntry>>,
     /// The task whose future is currently being polled (if any). Kept
     /// outside `state` so it stays readable while the poll holds the
     /// future out of the slab.
@@ -301,6 +328,7 @@ impl Sim {
                     running: false,
                     polls: 0,
                 }),
+                sources: RefCell::new(Vec::new()),
                 current: Cell::new(None),
             }),
         }
@@ -325,6 +353,15 @@ impl Sim {
     /// counted until its deadline passes (timers are never cancelled).
     pub fn pending_timers(&self) -> usize {
         self.inner.state.borrow().timers.len()
+    }
+
+    /// Register `source`: from the next instant the run loop looks on, its
+    /// due work is an event like a timer.
+    pub fn add_source(&self, source: Rc<dyn Source>) {
+        self.inner
+            .sources
+            .borrow_mut()
+            .push(SourceEntry { source, next: None });
     }
 
     /// Spawn a task nobody joins: no join slot is allocated and the
@@ -355,7 +392,8 @@ impl Sim {
         JoinHandle { slot }
     }
 
-    /// Run the simulation until no task is runnable and no timer is pending.
+    /// Run the simulation until no task is runnable, no timer is pending and
+    /// no source has anything due.
     ///
     /// Returns the final virtual time. Tasks that are permanently blocked
     /// (e.g. service loops waiting on channels) simply remain blocked; use
@@ -369,7 +407,7 @@ impl Sim {
     /// `limit`, then set the clock to `limit` (if it got that far).
     ///
     /// Boundary semantics (pinned by `simcore/tests/run_boundary.rs`):
-    /// timers scheduled *exactly at* `limit` fire within this call, the
+    /// events scheduled *exactly at* `limit` fire within this call, the
     /// clock always lands on `limit` afterwards (even if no event reached
     /// it), and re-entering the run loop from inside a task panics.
     pub fn run_until(&self, limit: SimTime) {
@@ -378,38 +416,72 @@ impl Sim {
             // Drain all currently-runnable tasks at the current instant.
             while self.step_one() {}
 
-            // Advance to the next timer, if within the limit.
-            let next_at = {
-                let st = self.inner.state.borrow();
-                st.timers.peek().map(|Reverse(e)| e.at)
+            // Advance to the next event, if within the limit.
+            let source_at = self.poll_sources();
+            let mut st = self.inner.state.borrow_mut();
+            let timer_at = st.timers.peek().map(|Reverse(e)| e.at);
+            let next_at = source_at.into_iter().chain(timer_at).min();
+            let Some(at) = next_at.filter(|&at| at <= limit) else {
+                break;
             };
-            match next_at {
-                Some(at) if at <= limit => {
-                    let mut st = self.inner.state.borrow_mut();
-                    st.now = st.now.max(at);
-                    // Fire every timer scheduled for exactly `at`, reusing the
-                    // scratch buffer's capacity across batches. The buffer is
-                    // moved out so `schedule` (via wake) can re-borrow state.
-                    let mut fired = std::mem::take(&mut st.fired_scratch);
-                    while let Some(Reverse(e)) = st.timers.peek() {
-                        if e.at > at {
-                            break;
-                        }
-                        let Reverse(e) = st.timers.pop().expect("peeked");
-                        fired.push(e.waker);
-                    }
-                    drop(st);
-                    for w in fired.drain(..) {
-                        w.wake();
-                    }
-                    self.inner.state.borrow_mut().fired_scratch = fired;
-                }
-                _ => break,
+            st.now = st.now.max(at);
+            let now = st.now;
+            if source_at.is_some_and(|due| due <= now) {
+                drop(st);
+                self.fire_sources(now);
+                st = self.inner.state.borrow_mut();
             }
+            // Fire every timer scheduled for exactly `now`, reusing the
+            // scratch buffer's capacity across batches. The buffer is moved
+            // out so `schedule` (via wake) can re-borrow state.
+            let mut fired = std::mem::take(&mut st.fired_scratch);
+            while let Some(Reverse(e)) = st.timers.peek() {
+                if e.at > now {
+                    break;
+                }
+                let Reverse(e) = st.timers.pop().expect("peeked");
+                fired.push(e.waker);
+            }
+            drop(st);
+            for w in fired.drain(..) {
+                w.wake();
+            }
+            self.inner.state.borrow_mut().fired_scratch = fired;
         }
         if limit != SimTime::MAX {
             let mut st = self.inner.state.borrow_mut();
             st.now = st.now.max(limit);
+        }
+    }
+
+    /// Ask every source when it is next due, once, and keep the answer for
+    /// [`Sim::fire_sources`]. Returns the earliest.
+    fn poll_sources(&self) -> Option<SimTime> {
+        let mut sources = self.inner.sources.borrow_mut();
+        let mut earliest = None;
+        for entry in sources.iter_mut() {
+            entry.next = entry.source.next_at();
+            earliest = earliest.into_iter().chain(entry.next).min();
+        }
+        earliest
+    }
+
+    /// Fire, in registration order, every source that said it is due by
+    /// `now`. No borrow is held while one fires.
+    fn fire_sources(&self, now: SimTime) {
+        let mut i = 0;
+        loop {
+            let due = match self.inner.sources.borrow().get(i) {
+                None => return,
+                Some(entry) => entry
+                    .next
+                    .filter(|&at| at <= now)
+                    .map(|_| entry.source.clone()),
+            };
+            if let Some(source) = due {
+                source.fire(now);
+            }
+            i += 1;
         }
     }
 
@@ -420,17 +492,21 @@ impl Sim {
     }
 
     /// The virtual time of the earliest pending event: the current instant
-    /// if any task is runnable, else the earliest pending timer, else
-    /// `None` (the simulation is quiescent — permanently blocked service
-    /// tasks may still be [`Sim::live_tasks`]). Stale ready-queue entries
-    /// for completed tasks are conservatively reported as runnable (the
-    /// subsequent run simply skips them).
+    /// if any task is runnable, else the earliest pending timer or due
+    /// source, else `None` (the simulation is quiescent — permanently
+    /// blocked service tasks may still be [`Sim::live_tasks`]). Stale
+    /// ready-queue entries for completed tasks are conservatively reported
+    /// as runnable (the subsequent run simply skips them).
     pub fn next_event_time(&self) -> Option<SimTime> {
         let st = self.inner.state.borrow();
         if !st.ready.is_empty() {
             return Some(st.now);
         }
-        st.timers.peek().map(|Reverse(e)| e.at)
+        let timer = st.timers.peek().map(|Reverse(e)| e.at);
+        drop(st);
+        let sources = self.inner.sources.borrow();
+        let source = sources.iter().filter_map(|e| e.source.next_at()).min();
+        timer.into_iter().chain(source).min()
     }
 
     /// Run `f` with this simulation installed as the thread's current
@@ -659,6 +735,14 @@ where
     sim.spawn(future)
 }
 
+/// Register `source` with the current simulation (see [`Sim::add_source`]).
+pub fn add_source(source: Rc<dyn Source>) {
+    Sim {
+        inner: current_inner(),
+    }
+    .add_source(source)
+}
+
 /// Spawn a task nobody joins onto the current simulation (see
 /// [`Sim::spawn_detached`]).
 pub fn spawn_detached<F>(future: F)
@@ -708,24 +792,6 @@ impl Future for Sleep {
             self.registered = true;
         }
         Poll::Pending
-    }
-}
-
-/// Wake `waker` when the virtual clock reaches `at`: a bare timer with no
-/// future attached, for a long-lived task that keeps its own queue of
-/// deadlines (simnet's delivery pump) and would otherwise need one
-/// [`sleep_until`] — and one task to poll it — per entry.
-///
-/// Ordered like every other timer, by `(instant, registration)`, so it
-/// interleaves with [`sleep_until`]s exactly as one armed at this call
-/// would. Fires once and is never cancelled; an `at` that is not in
-/// the future wakes immediately, in the current instant.
-pub fn wake_at(at: SimTime, waker: &Waker) {
-    let inner = current_inner();
-    if at <= inner.now() {
-        waker.wake_by_ref();
-    } else {
-        inner.add_timer(at, waker.clone());
     }
 }
 

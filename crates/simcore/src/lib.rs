@@ -49,8 +49,8 @@ pub mod time;
 mod timeutil;
 
 pub use executor::{
-    current_task, now, sleep, sleep_until, spawn, spawn_detached, try_current, try_now, wake_at,
-    yield_now, JoinHandle, Sim, TaskId,
+    add_source, current_task, now, sleep, sleep_until, spawn, spawn_detached, try_current, try_now,
+    yield_now, JoinHandle, Sim, Source, TaskId,
 };
 pub use fasthash::{FastHasher, FastMap};
 pub use resource::{CpuPool, RateResource};

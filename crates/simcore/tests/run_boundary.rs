@@ -4,7 +4,7 @@
 //! re-entrancy, and `scope`.
 
 use simcore::{Duration, Sim, SimTime};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn at_micros(us: u64) -> SimTime {
@@ -112,72 +112,88 @@ fn scope_nests_setup_without_running() {
     assert_eq!(hits.get(), 1);
 }
 
-/// `wake_at` is a bare timer for a task that keeps its own deadlines (a
-/// simnet delivery pump): it fires at its instant in `(instant,
-/// registration)` order among `sleep_until`s, fires once, wakes in the
-/// current instant when the instant is not in the future — and the task it
-/// wakes, parked with no timer armed, does not hold the run loop.
-#[test]
-fn wake_at_is_a_one_shot_timer_and_a_parked_task_does_not_hold_the_loop() {
-    use std::cell::RefCell;
-    use std::future::poll_fn;
-    use std::task::{Poll, Waker};
+/// A source holding a list of deadlines, logging each firing into `log`
+/// and, at each, waking `wake` if set (a receiver parked on a channel).
+struct Deadlines {
+    due: RefCell<Vec<SimTime>>,
+    log: Rc<RefCell<Vec<(&'static str, SimTime)>>>,
+}
 
+impl simcore::Source for Deadlines {
+    fn next_at(&self) -> Option<SimTime> {
+        self.due.borrow().iter().min().copied()
+    }
+
+    fn fire(&self, now: SimTime) {
+        self.due.borrow_mut().retain(|&at| at > now);
+        self.log.borrow_mut().push(("source", now));
+    }
+}
+
+fn deadlines(at: &[u64], log: &Rc<RefCell<Vec<(&'static str, SimTime)>>>) -> Rc<Deadlines> {
+    Rc::new(Deadlines {
+        due: RefCell::new(at.iter().map(|&us| at_micros(us)).collect()),
+        log: log.clone(),
+    })
+}
+
+#[test]
+fn a_due_source_fires_before_the_timers_and_tasks_of_its_instant() {
     let sim = Sim::new();
     let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
-    let waker: Rc<RefCell<Option<Waker>>> = Rc::default();
-    let (log2, waker2) = (log.clone(), waker.clone());
-    sim.spawn(poll_fn(move |cx| {
-        log2.borrow_mut().push(("parked", simcore::now()));
-        *waker2.borrow_mut() = Some(cx.waker().clone());
-        Poll::<()>::Pending
-    }));
-    assert_eq!(sim.run(), SimTime::ZERO, "parked with no timer: quiescent");
-    assert_eq!((sim.live_tasks(), sim.pending_timers()), (1, 0));
-    assert_eq!(sim.next_event_time(), None);
-    let waker = waker.borrow().clone().expect("polled once");
-    log.borrow_mut().clear();
-
-    let log3 = log.clone();
-    let mark = move |name: &'static str, us: u64| {
-        let log = log3.clone();
-        simcore::spawn(async move {
-            simcore::sleep_until(at_micros(us)).await;
-            log.borrow_mut().push((name, simcore::now()));
-        });
-    };
-    let (log2, sim2) = (log.clone(), sim.clone());
-    sim.block_on(async move {
-        // Three timers for 5 µs, registered in this order; the sleepers arm
-        // theirs at their first poll, hence the yields.
-        mark("before", 5);
-        simcore::yield_now().await;
-        simcore::wake_at(at_micros(5), &waker);
-        mark("after", 5);
-        simcore::yield_now().await;
-        assert_eq!(sim2.pending_timers(), 3);
-
-        simcore::sleep_until(at_micros(7)).await;
-        assert_eq!(sim2.pending_timers(), 0, "fired once, nothing re-armed");
-        // Not in the future: woken in the current instant, no timer armed.
-        simcore::wake_at(at_micros(3), &waker);
-        simcore::wake_at(at_micros(7), &waker);
-        assert_eq!(sim2.pending_timers(), 0);
-        simcore::yield_now().await;
-        log2.borrow_mut().push(("driver", simcore::now()));
+    // The timer is armed before the source is registered: the source still
+    // goes first at 5 µs, and a task spawned by the source's instant runs
+    // after both.
+    let log2 = log.clone();
+    sim.spawn(async move {
+        simcore::sleep_until(at_micros(5)).await;
+        log2.borrow_mut().push(("timer", simcore::now()));
     });
+    sim.run_until(at_micros(1));
+    sim.add_source(deadlines(&[5, 8], &log));
+    assert_eq!(sim.run(), at_micros(8));
     assert_eq!(
         *log.borrow(),
         vec![
-            ("before", at_micros(5)),
-            ("parked", at_micros(5)),
-            ("after", at_micros(5)),
-            ("parked", at_micros(7)),
-            ("driver", at_micros(7)),
+            ("source", at_micros(5)),
+            ("timer", at_micros(5)),
+            ("source", at_micros(8)),
         ]
     );
-    // `block_on` returned and `run` returns at once: the parked task is
-    // live, but it is not an event.
-    assert_eq!(sim.run(), at_micros(7));
-    assert_eq!((sim.live_tasks(), sim.next_event_time()), (1, None));
+}
+
+#[test]
+fn a_source_with_nothing_due_does_not_hold_the_run_loop() {
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    let source = deadlines(&[], &log);
+    sim.scope(|| simcore::add_source(source.clone()));
+    assert_eq!(sim.run(), SimTime::ZERO, "registered but idle: quiescent");
+    assert_eq!(sim.next_event_time(), None);
+    // It gets work later: the next run goes to it, and stops after it.
+    source.due.borrow_mut().push(at_micros(4));
+    assert_eq!(sim.run(), at_micros(4));
+    assert_eq!(*log.borrow(), vec![("source", at_micros(4))]);
+    assert_eq!((sim.live_tasks(), sim.pending_timers()), (0, 0));
+}
+
+#[test]
+fn next_event_time_counts_the_sources_deadlines() {
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    sim.add_source(deadlines(&[9], &log));
+    assert_eq!(sim.next_event_time(), Some(at_micros(9)));
+    let hits = Rc::new(Cell::new(0));
+    mark_at(&sim, 6, &hits);
+    sim.run_until(at_micros(1));
+    assert_eq!(
+        sim.next_event_time(),
+        Some(at_micros(6)),
+        "the timer is first"
+    );
+    sim.run_until(at_micros(7));
+    assert_eq!(sim.next_event_time(), Some(at_micros(9)));
+    sim.run();
+    assert_eq!(sim.next_event_time(), None);
+    assert_eq!((hits.get(), log.borrow().len()), (1, 1));
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection plane for the simulated fabric.
 //!
 //! Faults are configured per *directed* link `(src, dst)` and evaluated
-//! by the fabric's delivery pump at the datagram's arrival instant: after
+//! by the fabric when it fires at the datagram's arrival instant: after
 //! switch latency and before the receive-side NIC, one verdict per
 //! datagram, in fabric-wide `(arrival, send order)` order. Every stochastic
 //! decision draws from the fabric's seeded [`SimRng`], so a `(seed, fault
@@ -24,7 +24,7 @@
 //!   it overtakes or is overtaken by its neighbors.
 //!
 //! Fault-free traffic takes the same path and draws **zero** random
-//! numbers: the pump asks for a verdict only while [`FaultPlane::is_empty`]
+//! numbers: the fabric asks for a verdict only while [`FaultPlane::is_empty`]
 //! is false or the fabric-wide loss knob is on, so a fabric with no
 //! configured faults and zero default loss is bit-identical to one built
 //! before this module existed.

@@ -14,17 +14,18 @@
 //! end-to-end testable, while *time* is charged by the cost model.
 //!
 //! A datagram in flight is a queue entry, not a task: [`Network::send_datagram`]
-//! books the sender's NIC and parks the datagram in the fabric, whose one
-//! long-lived *delivery pump* judges it at its arrival instant, books the
-//! receiver's NIC and hands it to the bound port — no spawn, and one bare
-//! timer ([`simcore::wake_at`]) per instant something happens in the
-//! fabric, not three per datagram (DESIGN.md §5).
+//! books the sender's NIC and parks the datagram in the fabric. The fabric
+//! is an event source of the executor ([`simcore::Source`]): at the
+//! datagram's arrival instant it judges it and books the receiver's NIC, and
+//! at that NIC's done instant it calls the receive function the port is
+//! bound to ([`Network::bind_fn`]) — no task, no timer, no wake per
+//! datagram (DESIGN.md §5).
 //!
 //! Each transmit NIC serves two classes. A plain datagram takes the NIC the
 //! moment it is sent. A *bulk* one ([`Network::send_bulk_datagram`]) takes
 //! it only while fewer than [`BULK_AHEAD`] of its node's bulk datagrams are
 //! between the NIC and the switch, and otherwise waits in the node's bulk
-//! FIFO; the pump lets the next one go each time a bulk datagram reaches
+//! FIFO; the fabric lets the next one go each time a bulk datagram reaches
 //! the switch. Small datagrams sent behind a long bulk message therefore
 //! queue behind at most `BULK_AHEAD` of its packets (Homa's RTTbytes rule).
 //!
@@ -34,14 +35,11 @@
 
 mod faults;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -265,20 +263,6 @@ impl Parked {
     }
 }
 
-/// Where the fabric's delivery pump is in its life.
-#[derive(Default)]
-enum PumpState {
-    /// Nothing has been sent yet (a `Network` is usually built outside a
-    /// simulation, where the pump cannot be spawned).
-    #[default]
-    Unspawned,
-    /// Spawned by the first `send`, not yet polled: there is no waker to
-    /// arm a timer on until its first poll, later in the same instant.
-    Spawned,
-    /// Parked between events, with its timers armed on this waker.
-    Parked(Waker),
-}
-
 /// `(due instant, tie-break, slot)`: the 24 bytes a queued datagram costs
 /// per queue.
 type QueueKey = (SimTime, u64, u32);
@@ -298,7 +282,6 @@ fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<Qu
 /// been polled (DESIGN.md §5).
 #[derive(Default)]
 struct Flights {
-    pump: PumpState,
     /// Bodies, from `send` to hand-over.
     parked: Parked,
     /// On the wire or the switch: `(arrival, send order, slot)`. Datagrams
@@ -312,28 +295,16 @@ struct Flights {
     sent: u64,
     /// Receive-NIC bookings made so far.
     booked: u64,
-    /// The earliest instant the pump has a timer for: the head of the
-    /// queues as of its last poll, or an earlier arrival `send` has queued
-    /// since. A timer superseded by an earlier one is not cancelled
-    /// (`simcore` timers never are); its entry is still due when it fires.
-    armed: Option<SimTime>,
 }
 
 impl Flights {
     /// Book `node`'s transmit NIC for the `wire_size` bytes of the datagram
     /// in `slot` and queue it to reach the switch `latency` after the NIC is
-    /// done with it. Returns that arrival instant.
-    fn depart(
-        &mut self,
-        node: &NodeState,
-        slot: u32,
-        wire_size: u64,
-        latency: Duration,
-    ) -> SimTime {
+    /// done with it.
+    fn depart(&mut self, node: &NodeState, slot: u32, wire_size: u64, latency: Duration) {
         let arrival = node.tx.reserve(wire_size) + latency;
         self.arrivals.push(Reverse((arrival, self.sent, slot)));
         self.sent += 1;
-        arrival
     }
 
     /// Book the destination's receive NIC for the datagram in `slot` and
@@ -354,7 +325,7 @@ struct NodeState {
     name: String,
     tx: RateResource,
     rx: RateResource,
-    ports: FastMap<u16, mpsc::Sender<Datagram>>,
+    ports: FastMap<u16, Receive>,
     /// Datagrams waiting for or inside the receive NIC right now.
     rx_queue: u64,
     /// Largest `rx_queue` since the last `reset_stats`.
@@ -381,19 +352,12 @@ impl NodeState {
     }
 }
 
-/// The fabric's delivery pump: a task that never finishes, spawned by the
-/// first datagram sent and parked between events. All its work is
-/// [`Network::pump`].
-struct Pump(Network);
+/// What a bound port does with each datagram handed to it.
+type Receive = Rc<dyn Fn(Datagram)>;
 
-impl Future for Pump {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        self.0.pump(cx.waker());
-        Poll::Pending
-    }
-}
+/// A datagram handed over in this instant, with the function of the port
+/// it goes to and its hop span, which ends once the function has run.
+type HandOver = (Receive, Datagram, Option<Box<SpanGuard>>);
 
 struct NetInner {
     nodes: RefCell<Vec<NodeState>>,
@@ -407,13 +371,18 @@ struct NetInner {
     duplicated: Counter,
     reordered: Counter,
     dropped_unbound: Counter,
+    /// Whether the fabric is a source of the simulation it carries traffic
+    /// in yet: it becomes one at its first `send`.
+    registered: Cell<bool>,
+    /// Scratch for one instant's hand-overs, kept for its capacity.
+    handing: RefCell<Vec<HandOver>>,
 }
 
 /// Handle onto the simulated fabric. Cloning shares the same network.
 ///
 /// A fabric may be built and wired up outside any simulation, but it
-/// carries traffic in one: its delivery pump is spawned where the first
-/// datagram is sent and lives in that simulation from then on.
+/// carries traffic in one: it registers as that simulation's event source
+/// where the first datagram is sent, and stays one from then on.
 #[derive(Clone)]
 pub struct Network {
     inner: Rc<NetInner>,
@@ -436,6 +405,8 @@ impl Network {
                 duplicated: Counter::new(),
                 reordered: Counter::new(),
                 dropped_unbound: Counter::new(),
+                registered: Cell::new(false),
+                handing: RefCell::default(),
             }),
         }
     }
@@ -477,18 +448,31 @@ impl Network {
         self.inner.nodes.borrow().len()
     }
 
-    /// Bind a specific port on a node.
+    /// Bind a port on a node to `receive`, which the fabric calls with each
+    /// datagram at the instant that node's receive NIC is done with it,
+    /// outside any task; it may send. Only an [`Endpoint`] ever unbinds a
+    /// port.
+    ///
+    /// # Panics
+    /// Panics if the port is already bound.
+    pub fn bind_fn(&self, node: NodeId, port: u16, receive: impl Fn(Datagram) + 'static) {
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let st = &mut nodes[node.0 as usize];
+        let prev = st.ports.insert(port, Rc::new(receive));
+        assert!(prev.is_none(), "port {port} already bound on {}", st.name);
+    }
+
+    /// Bind a port on a node to an [`Endpoint`]: a receive function that
+    /// queues each datagram for [`Endpoint::recv`]. The port is unbound
+    /// when the endpoint drops.
     ///
     /// # Panics
     /// Panics if the port is already bound.
     pub fn bind(&self, node: NodeId, port: u16) -> Endpoint {
         let (tx, rx) = mpsc::channel();
-        {
-            let mut nodes = self.inner.nodes.borrow_mut();
-            let st = &mut nodes[node.0 as usize];
-            let prev = st.ports.insert(port, tx);
-            assert!(prev.is_none(), "port {port} already bound on {}", st.name);
-        }
+        self.bind_fn(node, port, move |dgram| {
+            let _ = tx.send(dgram);
+        });
         Endpoint {
             net: self.clone(),
             addr: Addr { node, port },
@@ -681,9 +665,9 @@ impl Network {
         self.inner.dropped_unbound.reset();
     }
 
-    /// Transmit a datagram from `src` to `dst` without holding the bound
-    /// [`Endpoint`] (protocol stacks whose dispatch loop owns the endpoint
-    /// use this for their transmit path).
+    /// Transmit a datagram from `src` to `dst` without holding an
+    /// [`Endpoint`] (protocol stacks bound with [`Network::bind_fn`] use
+    /// this for their transmit path).
     pub fn send_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
         let payload = payload.into();
         self.send(Datagram { src, dst, payload }, false);
@@ -700,8 +684,8 @@ impl Network {
 
     /// Internal: transmit a datagram. A plain one — or a bulk one with a
     /// place free — reserves the sender's NIC immediately (preserving
-    /// per-sender FIFO order within its class); the datagram is parked and
-    /// the pump made sure to wake by its arrival instant.
+    /// per-sender FIFO order within its class); the datagram is parked
+    /// until the fabric fires at its arrival instant.
     fn send(&self, dgram: Datagram, bulk: bool) {
         let wire_size = dgram.payload.len() as u64 + WIRE_HEADER_BYTES;
         // Captured in the sender's task (where any trace context lives) and
@@ -725,50 +709,71 @@ impl Network {
             booked_at: SimTime::ZERO,
             bulk,
         });
+        if !self.inner.registered.replace(true) {
+            simcore::add_source(self.inner.clone());
+        }
         if bulk {
             if node.bulk_ahead == BULK_AHEAD {
-                // The pump is running: the datagrams ahead are its arrivals.
+                // The datagrams ahead are in flight: the fabric lets this
+                // one go when the first of them reaches the switch.
                 node.bulk_queue.push_back(slot);
                 node.bulk_queue_peak = node.bulk_queue_peak.max(node.bulk_queue.len() as u64);
                 return;
             }
             node.bulk_ahead += 1;
         }
-        let arrival = fl.depart(node, slot, wire_size, latency);
-        drop(nodes);
-        match &fl.pump {
-            PumpState::Parked(waker) if fl.armed.is_none_or(|at| arrival < at) => {
-                simcore::wake_at(arrival, waker);
-                fl.armed = Some(arrival);
-            }
-            PumpState::Parked(_) | PumpState::Spawned => {}
-            PumpState::Unspawned => {
-                fl.pump = PumpState::Spawned;
-                simcore::spawn_detached(Pump(self.clone()));
-            }
-        }
+        fl.depart(node, slot, wire_size, latency);
     }
 
-    /// One poll of the delivery pump: hand over what has cleared a receive
-    /// NIC, judge what has reached its node and book that NIC for the
-    /// survivors, then arm one timer for the earliest thing still queued.
-    fn pump(&self, waker: &Waker) {
-        let now = simcore::now();
+    fn unbind(&self, addr: Addr) {
+        let mut nodes = self.inner.nodes.borrow_mut();
+        if let Some(st) = nodes.get_mut(addr.node.0 as usize) {
+            st.ports.remove(&addr.port);
+        }
+    }
+}
+
+impl simcore::Source for NetInner {
+    fn next_at(&self) -> Option<SimTime> {
+        let fl = self.flights.borrow();
+        [fl.arrivals.peek(), fl.deliveries.peek()]
+            .into_iter()
+            .flatten()
+            .map(|Reverse((at, ..))| *at)
+            .min()
+    }
+
+    /// One instant of the fabric: hand over what has cleared a receive NIC,
+    /// judge what has reached its node and book that NIC for the survivors.
+    /// Only then, with every borrow released, call the receive functions of
+    /// the hand-overs in their order, so that each may send.
+    fn fire(&self, now: SimTime) {
+        let mut handing = std::mem::take(&mut *self.handing.borrow_mut());
+        self.settle(now, &mut handing);
+        for (receive, dgram, hop) in handing.drain(..) {
+            receive(dgram);
+            drop(hop);
+        }
+        *self.handing.borrow_mut() = handing;
+    }
+}
+
+impl NetInner {
+    /// The state half of [`simcore::Source::fire`]: every hand-over due at
+    /// `now` goes into `handing`, then every arrival is judged and booked.
+    fn settle(&self, now: SimTime, handing: &mut Vec<HandOver>) {
         let (latency, loss_p) = {
-            let f = self.inner.fabric.borrow();
+            let f = self.fabric.borrow();
             (f.switch_latency, f.loss_probability)
         };
-        let mut faults = self.inner.faults.borrow_mut();
+        let mut faults = self.faults.borrow_mut();
         // The fault plane is consulted only when some fault is configured
         // or the fabric-wide loss knob is on: fault-free traffic draws no
         // random numbers and stays bit-identical.
         let faulty = !faults.is_empty() || loss_p > 0.0;
-        let mut nodes = self.inner.nodes.borrow_mut();
-        let mut fl = self.inner.flights.borrow_mut();
+        let mut nodes = self.nodes.borrow_mut();
+        let mut fl = self.flights.borrow_mut();
         let fl = &mut *fl;
-        if !matches!(fl.pump, PumpState::Parked(_)) {
-            fl.pump = PumpState::Parked(waker.clone());
-        }
 
         // Duplicates that take their NIC again behind this instant's
         // arrivals (see below).
@@ -777,9 +782,9 @@ impl Network {
             let flight = fl.parked.get_mut(slot);
             flight.copies -= 1;
             nodes[flight.dgram.dst.node.0 as usize].rx_queue -= 1;
-            // The last copy frees the slot; its hop span ends at the bottom
-            // of the loop, once the datagram has been handed over.
-            let (dgram, _hop) = if flight.copies == 0 {
+            // The last copy frees the slot; its hop span ends once the
+            // datagram has been handed over.
+            let (dgram, hop) = if flight.copies == 0 {
                 let done = fl.parked.remove(slot);
                 (done.dgram, done.hop)
             } else {
@@ -789,7 +794,7 @@ impl Network {
                 // arrival when it left its sender's NIC.
                 let copy = flight.dgram.clone();
                 if flight.booked_at + latency < now {
-                    self.inner.duplicated.incr();
+                    self.duplicated.incr();
                     fl.book_rx(&mut nodes, slot, now);
                 } else {
                     owed.push(slot);
@@ -797,8 +802,11 @@ impl Network {
                 (copy, None)
             };
             match nodes[dgram.dst.node.0 as usize].ports.get(&dgram.dst.port) {
-                Some(port) if port.send(dgram).is_ok() => self.inner.delivered.incr(),
-                _ => self.inner.dropped_unbound.incr(),
+                Some(receive) => {
+                    self.delivered.incr();
+                    handing.push((receive.clone(), dgram, hop));
+                }
+                None => self.dropped_unbound.incr(),
             }
         }
 
@@ -813,7 +821,7 @@ impl Network {
                 }
                 let verdict = if faulty {
                     let (src, dst) = (flight.dgram.src.node, flight.dgram.dst.node);
-                    faults.verdict(src, dst, now, loss_p, &self.inner.rng)
+                    faults.verdict(src, dst, now, loss_p, &self.rng)
                 } else {
                     Verdict::Deliver {
                         copies: 1,
@@ -822,12 +830,12 @@ impl Network {
                 };
                 match verdict {
                     Verdict::DropLoss => {
-                        self.inner.dropped_loss.incr();
+                        self.dropped_loss.incr();
                         fl.parked.remove(slot).dropped();
                         continue;
                     }
                     Verdict::DropPartition => {
-                        self.inner.dropped_partition.incr();
+                        self.dropped_partition.incr();
                         fl.parked.remove(slot).dropped();
                         continue;
                     }
@@ -838,7 +846,7 @@ impl Network {
                         flight.copies = copies;
                         if let Some(held) = extra_delay {
                             // Held back: it gets here again later, judged.
-                            self.inner.reordered.incr();
+                            self.reordered.incr();
                             fl.arrivals.push(Reverse((now + held, order, slot)));
                             continue;
                         }
@@ -849,31 +857,14 @@ impl Network {
         }
 
         for slot in owed {
-            self.inner.duplicated.incr();
+            self.duplicated.incr();
             fl.book_rx(&mut nodes, slot, now);
-        }
-
-        // Everything queued is due later than now, so this never wakes the
-        // pump in the instant it is running in.
-        fl.armed = [fl.arrivals.peek(), fl.deliveries.peek()]
-            .into_iter()
-            .flatten()
-            .map(|Reverse((at, ..))| *at)
-            .min();
-        if let Some(next) = fl.armed {
-            simcore::wake_at(next, waker);
-        }
-    }
-
-    fn unbind(&self, addr: Addr) {
-        let mut nodes = self.inner.nodes.borrow_mut();
-        if let Some(st) = nodes.get_mut(addr.node.0 as usize) {
-            st.ports.remove(&addr.port);
         }
     }
 }
 
-/// A bound datagram socket on a node.
+/// A bound datagram socket on a node: a port whose receive function queues
+/// what it is handed, for a task to [`recv`](Endpoint::recv).
 pub struct Endpoint {
     net: Network,
     addr: Addr,
@@ -945,6 +936,98 @@ mod tests {
         // side; +500ns switch: 104 + 500 + 104 = 708ns.
         assert_eq!(t, 708);
         assert_eq!(net.delivered(), 1);
+    }
+
+    /// `(instant, what)` log shared by receive functions and tasks.
+    type Log = Rc<RefCell<Vec<(u64, &'static str)>>>;
+
+    fn logger(log: &Log, what: &'static str) -> impl Fn(Datagram) + 'static {
+        let log = log.clone();
+        move |_| log.borrow_mut().push((simcore::now().nanos(), what))
+    }
+
+    #[test]
+    fn a_receive_function_runs_before_a_timer_of_its_nanosecond() {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let a = net.add_node("a", gbe100());
+        let b = net.add_node("b", gbe100());
+        let log: Log = Rc::default();
+        net.bind_fn(b, 1, logger(&log, "receive"));
+        // The sleeper's timer is armed before the datagram is sent, and
+        // both are due at 708 ns: the hand-over still goes first.
+        let log2 = log.clone();
+        sim.spawn(async move {
+            simcore::sleep_until(SimTime::from_nanos(708)).await;
+            log2.borrow_mut().push((simcore::now().nanos(), "timer"));
+        });
+        let net2 = net.clone();
+        sim.spawn(async move {
+            let (src, dst) = (Addr { node: a, port: 1 }, Addr { node: b, port: 1 });
+            net2.send_datagram(src, dst, Bytes::from_static(b"hello"));
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(708, "receive"), (708, "timer")]);
+        assert_eq!(sim.live_tasks(), 0, "no task carries a datagram");
+    }
+
+    #[test]
+    fn a_receive_function_may_send() {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let a = net.add_node("a", gbe100());
+        let b = net.add_node("b", gbe100());
+        let log: Log = Rc::default();
+        net.bind_fn(a, 1, logger(&log, "reply"));
+        // b echoes from inside its receive function, twice per datagram.
+        let net2 = net.clone();
+        net.bind_fn(b, 1, move |d: Datagram| {
+            for _ in 0..2 {
+                net2.send_datagram(d.dst, d.src, d.payload.clone());
+            }
+        });
+        let net3 = net.clone();
+        sim.scope(|| {
+            let (src, dst) = (Addr { node: a, port: 1 }, Addr { node: b, port: 1 });
+            net3.send_datagram(src, dst, Bytes::from_static(b"hello"));
+        });
+        sim.run();
+        // The echoes leave b's NIC back to back: 708 ns each way, and the
+        // second 104 ns behind the first.
+        assert_eq!(*log.borrow(), vec![(1416, "reply"), (1520, "reply")]);
+        assert_eq!((net.delivered(), net.in_flight()), (3, 0));
+    }
+
+    #[test]
+    fn hand_overs_in_one_nanosecond_keep_their_booking_order() {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let n: Vec<NodeId> = (0..4)
+            .map(|i| net.add_node(format!("n{i}"), gbe100()))
+            .collect();
+        let log: Log = Rc::default();
+        net.bind_fn(n[2], 1, logger(&log, "n2"));
+        net.bind_fn(n[3], 1, logger(&log, "n3"));
+        // Two idle senders, equal sizes: both reach the switch at 607 ns in
+        // send order, so n3's NIC is booked first, and both NICs are done
+        // at 714 ns. The higher node goes first: booking order, not node
+        // order.
+        let net2 = net.clone();
+        sim.scope(|| {
+            for (src, dst) in [(1, 3), (0, 2)] {
+                let src = Addr {
+                    node: n[src],
+                    port: 1,
+                };
+                let dst = Addr {
+                    node: n[dst],
+                    port: 1,
+                };
+                net2.send_datagram(src, dst, Bytes::from(vec![0u8; 44]));
+            }
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(714, "n3"), (714, "n2")]);
     }
 
     #[test]

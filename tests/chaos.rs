@@ -30,65 +30,49 @@ fn bounded_sweep_holds_all_invariants() {
 
 /// `CaseResult::fingerprint()` — (polls, end_ns, completed, errors,
 /// checksum) — of seeds 0–1 × 4 fault classes × 4 cases in sweep order,
-/// from runs identical at 1 and 8 threads. The 24 DmRPC-net rows were
-/// re-recorded when every DM server stopped pushing `INVALIDATE`s under a
-/// read lease and instead listed each death on its holders' next answers
-/// (DESIGN.md §9): no push RPC is retried into a fault window any more,
-/// so `fig5-chain/dmnet` ends at ~3 ms instead of running its pushes' retry
-/// budgets out to 21 ms (1.4 s under `server-crash`), and more requests
-/// complete. The two `fig7-cow/dmnet partition` rows were re-recorded
-/// when a lease reclamation began to drop its endpoint's grants and
-/// pending keys, so a partitioned client resets at its next answer
-/// instead of being listed its deaths: a few polls and errors moved. The
-/// 8 `fig5-chain/dmnet` rows were re-recorded when a `BATCH` became the
-/// list of keys it releases (8 bytes a key instead of 13, and no
-/// sub-answers) and its flush timer began to fire once: the chain's
-/// batches are fewer and shorter, so its polls and completions moved;
-/// `fig7-cow/dmnet` and `slo-social/dmnet` did not. All 32 rows were
-/// re-recorded when an endpoint's RTO task began to park as soon as no
-/// call is in flight, instead of keeping its timer until the latest RTO
-/// ever armed had passed: the 8 `fig5-chain/erpc` rows, which never talk
-/// to a DM server, moved by a few polls only. At the same time a
-/// `READ_REF` became the key alone, answered with the whole ref, so the
-/// COW case's probe reads the whole 32 KiB shared ref: the 24 DmRPC-net
-/// rows moved in polls, and some in end time, completions and errors.
-/// The other tests only compare a run with itself; this compares it with
-/// that recording. Re-record only for a change that means to move the
-/// schedule.
+/// from runs identical at 1 and 8 threads. All 32 rows were last
+/// re-recorded when the fabric began to call each port's receive function
+/// at the hand-over instant, before that instant's timers, instead of
+/// waking a delivery task and an endpoint's receive-loop task per
+/// datagram: polls fell by 54–64 % on every row, and the new same-instant
+/// order moved end time, completions or errors on 11 of them (3 of the 8
+/// `fig5-chain/erpc` rows included). The other tests only compare a run
+/// with itself; this compares it with that recording. Re-record only for
+/// a change that means to move the schedule.
 #[rustfmt::skip]
 const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
-    (28913, 2327617, 640, 0, 16607590119150452736),
-    (48548, 3064731, 669, 0, 15496240774982692864),
-    (28466, 3300000, 563, 0, 10876830090532357274),
-    (123170, 3700000, 1950, 843, 15198582716520478635),
-    (28913, 2327617, 640, 0, 16607590119150452736),
-    (38387, 3000000, 505, 0, 5209188130929799168),
-    (24513, 3300000, 291, 951, 17103789764085610586),
-    (93324, 3700000, 1340, 1453, 14140131224647268649),
-    (28913, 2327617, 640, 0, 16607590119150452736),
-    (48934, 3000000, 676, 0, 12261166499321085952),
-    (27916, 3300000, 548, 0, 2612831732973756058),
-    (123419, 3700000, 1942, 851, 10993031750835146444),
-    (28913, 2327617, 640, 0, 16607590119150452736),
-    (9452, 3297127, 80, 0, 11647770628469977088),
-    (4685, 4524597, 32, 1, 17789005190053865754),
-    (87343, 3997338, 1207, 1586, 3013338438123844117),
-    (27965, 2328197, 608, 0, 15012980976271753216),
-    (45966, 3046935, 622, 0, 4257190990579367936),
-    (28859, 3300000, 569, 0, 8400739255624275866),
-    (117879, 3700000, 1834, 969, 5087018755026633742),
-    (16150, 2328433, 317, 0, 5102585835025100800),
-    (22436, 3000000, 230, 0, 5218268974822850560),
-    (23992, 3500000, 346, 577, 6649643468387741248),
-    (77860, 3700000, 1007, 1796, 10269998357988293737),
-    (26319, 2328131, 560, 0, 15845299204350017536),
-    (44635, 3000000, 598, 0, 2606996286084349952),
-    (28053, 3300000, 550, 0, 4829329783433873434),
-    (119627, 3710177, 1872, 931, 8605068841184819823),
-    (16150, 2328433, 317, 0, 5102585835025100800),
-    (12120, 3213884, 105, 0, 16702254371847696384),
-    (2623, 4552484, 7, 1, 82537842330),
-    (94071, 3740621, 1324, 1479, 2168486571158218891),
+    (10687, 2327617, 640, 0, 16607590119150452736),
+    (21363, 3064731, 669, 0, 15496240774982692864),
+    (13110, 3300000, 563, 0, 10876830090532357274),
+    (51276, 3700000, 1969, 824, 13258190860806131245),
+    (10687, 2327617, 640, 0, 16607590119150452736),
+    (16949, 3000000, 505, 0, 5209188130929799168),
+    (10315, 3300000, 291, 951, 17103789764085610586),
+    (39869, 3700000, 1339, 1454, 11748914024996246127),
+    (10687, 2327617, 640, 0, 16607590119150452736),
+    (21488, 3000000, 676, 0, 12261166499321085952),
+    (12787, 3300000, 548, 0, 2612831732973756058),
+    (50907, 3700000, 1942, 851, 7381678493121961902),
+    (10687, 2327617, 640, 0, 16607590119150452736),
+    (4188, 3297127, 80, 0, 11647770628469977088),
+    (2169, 4524597, 32, 1, 17789005190053865754),
+    (37095, 3952128, 1207, 1586, 16590015648492559351),
+    (10206, 2328197, 608, 0, 15012980976271753216),
+    (20179, 3046935, 622, 0, 4257190990579367936),
+    (13320, 3300000, 569, 0, 8400739255624275866),
+    (50032, 3700000, 1900, 903, 6679325932300895042),
+    (5761, 2328042, 310, 0, 13598952673238450176),
+    (9955, 3000000, 230, 0, 5218268974822850560),
+    (10461, 3500000, 346, 577, 6649643468387741248),
+    (34106, 3714320, 1013, 1790, 2332623918505472940),
+    (9494, 2326310, 560, 0, 15845299204350017536),
+    (19517, 3000000, 598, 0, 2606996286084349952),
+    (12901, 3300000, 550, 0, 4829329783433873434),
+    (49235, 3700000, 1875, 928, 17574465219268444355),
+    (5761, 2328042, 310, 0, 13598952673238450176),
+    (5301, 3213884, 105, 0, 16702254371847696384),
+    (1213, 4552484, 7, 1, 82537842330),
+    (38745, 3740621, 1283, 1520, 18076762567185368900),
 ];
 
 #[test]
