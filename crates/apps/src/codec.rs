@@ -18,11 +18,6 @@ pub fn parse_op_value(m: &Message) -> DmResult<(u8, Value)> {
     Ok((op, Value::decode(&m.skip(1))?))
 }
 
-/// Encode `[id u64][value]` (the storage services' request shape).
-pub fn id_value(id: u64, v: &Value) -> Message {
-    v.encode().prefixed(&id.to_le_bytes())
-}
-
 /// Decode `[id u64][value]`.
 pub fn parse_id_value(m: &Message) -> DmResult<(u64, Value)> {
     let id = m.array(0).map(u64::from_le_bytes);
@@ -101,7 +96,7 @@ mod tests {
         let enc = op_value(9, &v);
         assert_eq!(enc, b"\x09\x00payload"[..]);
         assert_eq!(parse_op_value(&enc).unwrap(), (9, v.clone()));
-        let enc = id_value(0x0102, &v);
+        let enc = v.encode().prefixed(&0x0102u64.to_le_bytes());
         assert_eq!(
             enc.body.as_ptr(),
             b"payload".as_ptr(),

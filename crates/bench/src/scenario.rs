@@ -7,14 +7,14 @@
 //! ```
 //!
 //! Options:
-//!   --system  erpc | dmnet | dmcxl              (default dmnet)
-//!   --app     chain | lb | image | social | share | shuffle | block
-//!   --size    payload bytes                      (default 4096)
-//!   --workers closed-loop concurrency            (default 16)
-//!   --ms      measurement window, virtual ms     (default 5)
-//!   --param   app-specific: chain length, LB workers, write %, shuffle M=R,
-//!             social offered krps (open loop)    (default app-specific)
-//!   --seed    RNG seed                           (default 1)
+//!   --system  erpc | dmnet | dmcxl               (default dmnet)
+//!   --app     chain | lb | image | social | share (default chain)
+//!   --size    payload bytes                       (default 4096)
+//!   --workers closed-loop concurrency             (default 16)
+//!   --ms      measurement window, virtual ms      (default 5)
+//!   --param   app-specific: chain length, LB workers, write %, social
+//!             offered krps (open loop)            (default app-specific)
+//!   --seed    RNG seed                            (default 1)
 //!   --cxl-ns  CXL latency override in ns
 //!   --copy    use the eager `-copy` ablation instead of COW
 //!
@@ -63,7 +63,7 @@ fn parse_args(argv: &[String]) -> Args {
     };
     let usage = || -> ! {
         eprintln!(
-            "usage: bench scenario [--system erpc|dmnet|dmcxl] [--app chain|lb|image|social|share|shuffle|block] \
+            "usage: bench scenario [--system erpc|dmnet|dmcxl] [--app chain|lb|image|social|share] \
              [--size N] [--workers N] [--ms N] [--param N] [--seed N] [--cxl-ns N] [--copy]"
         );
         std::process::exit(2);
@@ -254,43 +254,6 @@ pub fn run(argv: &[String]) {
                         let app = app.clone();
                         let block = block.clone();
                         async move { app.request(&block, pct).await }
-                    }),
-                )
-                .await
-            }
-            "shuffle" => {
-                let mr = a.param.unwrap_or(4) as usize;
-                let app = Rc::new(apps::shuffle::build_shuffle(&cluster, mr, mr).await);
-                app.map_phase(a.size, a.seed).await.expect("map phase");
-                run_closed_loop(
-                    a.workers.min(4),
-                    warmup,
-                    a.window,
-                    Rc::new(move |_w, _i| {
-                        let app = app.clone();
-                        async move { app.reduce_phase().await.map(|_| ()) }
-                    }),
-                )
-                .await
-            }
-            "block" => {
-                let replicas = a.param.unwrap_or(2) as usize;
-                let app = Rc::new(apps::block_storage::build_block_store(&cluster, replicas).await);
-                app.write_block(0, &Bytes::from(vec![1u8; a.size]))
-                    .await
-                    .expect("warmup");
-                let size = a.size;
-                run_closed_loop(
-                    a.workers,
-                    warmup,
-                    a.window,
-                    Rc::new(move |w, i| {
-                        let app = app.clone();
-                        async move {
-                            let id = (w as u64) << 32 | i;
-                            let block = Bytes::from(vec![(id % 251) as u8; size]);
-                            app.write_block(id, &block).await
-                        }
                     }),
                 )
                 .await

@@ -388,9 +388,10 @@ fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
     const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
     // Deleted with the two coherence schemes one replaced, with the
-    // generic multi-op `BATCH` a key list replaced (DESIGN.md §9) and with
-    // the fabric's delivery task (§5): no document names them as code.
-    const GONE: [&str; 27] = [
+    // generic multi-op `BATCH` a key list replaced (DESIGN.md §9), with
+    // the fabric's delivery task (§5) and with the block-storage and
+    // shuffle apps: no document names them as code.
+    const GONE: [&str; 34] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -418,8 +419,16 @@ fn the_prose_names_only_what_exists() {
         "encode_return",
         "wake_at",
         "PumpState",
+        "Pump::",
+        "build_shuffle",
+        "build_block_store",
+        "ShuffleApp",
+        "BlockStore",
+        "shuffle_demo",
+        "block_storage_demo",
     ];
-    let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md .claude/skills/verify/SKILL.md";
+    let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md \
+                .claude/skills/verify/SKILL.md scripts/flatprof/README.md";
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let exists = |rel: String| root.join(rel).exists();
     let listing = String::from_utf8(bench(&root, &["list"], &[]).stdout).unwrap();
@@ -513,6 +522,57 @@ fn the_prose_names_only_what_exists() {
         }
     }
     assert!(wrong.is_empty(), "stale references:\n{}", wrong.join("\n"));
+}
+
+/// A Decision-records row keeps the number that decided a deletion and
+/// where it is held, not the run log: every row of that EXPERIMENTS.md
+/// table is at most 600 characters.
+#[test]
+fn every_decision_record_is_at_most_600_characters() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    let (_, records) = text.split_once("\n## Decision records\n").unwrap();
+    let section = records.split("\n## ").next().unwrap();
+    let rows: Vec<&str> = section.lines().filter(|l| l.starts_with('|')).collect();
+    assert!(rows.len() > 2, "the Decision-records table has no rows");
+    let long: Vec<String> = rows[2..]
+        .iter()
+        .filter(|row| row.chars().count() > 600)
+        .map(|row| {
+            format!(
+                "{} chars: {}",
+                row.chars().count(),
+                row.chars().take(80).collect::<String>()
+            )
+        })
+        .collect();
+    assert!(
+        long.is_empty(),
+        "Decision records over 600 characters:\n{}",
+        long.join("\n")
+    );
+}
+
+/// `bench scenario` runs the five paper apps it knows and refuses any
+/// other name with the usage exit code.
+#[test]
+fn scenario_runs_a_known_app_and_refuses_an_unknown_one() {
+    let cwd = scratch("scenario");
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = bench(&cwd, &["scenario", "--app", "shuffle"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown app"), "{stderr}");
+    let out = bench(&cwd, &["scenario", "--app", "chain", "--ms", "1"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("scenario: DmRPC-net / chain"), "{stdout}");
+    std::fs::remove_dir_all(cwd).ok();
 }
 
 /// The text of the item that opens with `opener`, through its closing brace.

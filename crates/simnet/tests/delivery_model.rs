@@ -468,7 +468,7 @@ fn the_bulk_queue_drains_under_every_fault_class() {
             }
         }
     });
-    // Quiesced: the pump has nothing left to wake for.
+    // Run to quiescence: the fabric has nothing left to hand over.
     rig.sim.run();
     let net = &rig.net;
     assert_eq!(net.in_flight(), 0, "a bulk datagram is stuck in its queue");

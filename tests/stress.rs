@@ -1,4 +1,6 @@
-//! Long-running stress tests, ignored by default. Run with:
+//! Stress tests. The DmRPC-CXL ownership churn runs with every
+//! `cargo test`; the long social-network haul is ignored by default. Run it
+//! with:
 //!
 //! ```text
 //! cargo test --release --test stress -- --ignored --nocapture
@@ -8,8 +10,12 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use apps::cluster::{Cluster, ClusterConfig, SystemKind};
+use apps::image_pipeline::{build_pipeline, OP_COMPRESS, OP_TRANSCODE};
 use apps::social::build_social;
 use apps::workload::run_open_loop;
+use bytes::Bytes;
+use dmcxl::check_fabric_invariants;
+use dmrpc::DmHandle;
 use simcore::{Sim, SimRng};
 
 /// A long mixed social-network run (hundreds of thousands of requests)
@@ -60,33 +66,59 @@ fn social_network_long_haul_under_loss() {
     println!("poll fingerprint: {}", sim.poll_count());
 }
 
-/// Sustained shuffle rounds on the CXL backend: page ownership migrates
-/// between hosts and the coordinator for thousands of rounds without leaks.
+/// Page ownership churns across the 7 hosts of the DmRPC-CXL image
+/// pipeline: workers publish their results from pages the coordinator
+/// grants them, the client drops the last pin on each and so owns the
+/// page, returns its surplus past the high watermark, and the workers
+/// refill. 16 concurrent clients x 250 requests over a mix of sizes and
+/// both ops, then every host's page table and free FIFO, G-FAM's refcounts
+/// and the coordinator's free list must account for every page once.
 #[test]
-#[ignore = "long-running stress test; run explicitly"]
-fn cxl_shuffle_churn() {
+fn cxl_image_pipeline_churns_page_ownership_without_leaks() {
+    const SIZES: [usize; 5] = [4 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10];
     let sim = Sim::new();
     sim.block_on(async move {
         let cluster = Cluster::new(SystemKind::DmCxl, 1, ClusterConfig::default(), 5);
-        let app = apps::shuffle::build_shuffle(&cluster, 4, 4).await;
-        let mut reference: Option<Vec<u64>> = None;
-        for round in 0..300u64 {
-            app.map_phase(32 * 1024, round % 7).await.expect("map");
-            let sums = app.reduce_phase().await.expect("reduce");
-            if round % 7 == 0 {
-                match &reference {
-                    None => reference = Some(sums),
-                    Some(prev) => assert_eq!(prev, &sums, "same seed, same sums"),
-                }
-            }
+        let app = Rc::new(build_pipeline(&cluster).await);
+        let clients: Vec<_> = (0..16usize)
+            .map(|c| {
+                let app = app.clone();
+                simcore::spawn(async move {
+                    for i in 0..250usize {
+                        let size = SIZES[(c + i) % SIZES.len()];
+                        let op = [OP_TRANSCODE, OP_COMPRESS][(c + i / 5) % 2];
+                        let image = Bytes::from(vec![(c + i) as u8; size]);
+                        let out = app.request(op, &image).await.expect("request");
+                        let expected = if op == OP_COMPRESS { size / 2 } else { size };
+                        assert_eq!(out.len(), expected);
+                        assert!(out.iter().all(|&b| b == image[0].wrapping_add(1)));
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.await;
         }
-        simcore::sleep(Duration::from_millis(5)).await;
+        // Drain the asynchronous releases and page returns.
+        simcore::sleep(Duration::from_millis(1)).await;
         let fabric = cluster.cxl_fabric().expect("cxl");
-        // All pages either free at the coordinator or owned-free by hosts;
-        // only the final round's published partitions stay pinned.
-        let in_use: usize = (0..fabric.gfam().capacity_pages())
-            .filter(|&p| fabric.gfam().rc_peek(p as u32) > 0)
-            .count();
-        assert!(in_use <= 4 * 4 * 9, "page churn leaked: {in_use} in use");
+        let hosts: Vec<_> = cluster
+            .endpoints()
+            .iter()
+            .filter_map(|ep| match ep.dm() {
+                Some(DmHandle::Cxl(h)) => Some(h.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hosts.len(), 7, "client + 6 service hosts");
+        // Every request released its argument and result: no ref pins.
+        check_fabric_invariants(fabric.gfam(), fabric.coordinator(), &hosts, &[]);
+        let coordinator = fabric.coordinator();
+        assert!(
+            coordinator.return_rpcs() >= 100,
+            "pages must migrate back: {} returns",
+            coordinator.return_rpcs()
+        );
+        assert_eq!(coordinator.rejected_returns(), 0);
     });
 }
