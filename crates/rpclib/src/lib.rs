@@ -55,15 +55,9 @@ use std::time::Duration;
 use memsim::NodeMemory;
 use simcore::sync::{oneshot, Notify};
 use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
-use simnet::{Addr, Network, NodeId, Payload};
+use simnet::{Addr, Network, NodeId};
 use telemetry::{SpanKind, TraceCtx};
-use wire::{fragment, slot_of, Header, Kind, Packet, Reassembly};
-
-/// Wrap a wire packet as a two-segment datagram payload (refcount bumps, no
-/// byte copies).
-fn packet_payload(p: &Packet) -> Payload {
-    Payload::two(p.head.clone(), p.body.clone())
-}
+use wire::{slot_of, Header, Kind, Packet, Reassembly};
 
 /// Homa's RTTbytes at the default configuration, in packets: one round
 /// trip of a one-packet RPC is 2 × (105 ns NIC + 500 ns switch + 105 ns
@@ -72,11 +66,6 @@ fn packet_payload(p: &Packet) -> Payload {
 /// than this goes out in the bulk class; a shorter one fits in one round
 /// trip and gains nothing from yielding.
 pub const RTT_PKTS: usize = 6;
-
-/// Whether a message cut into `pkts` packets goes out in the bulk class.
-fn bulk_class(marked: bool, pkts: &[Packet]) -> bool {
-    marked && pkts.len() > RTT_PKTS
-}
 
 /// Errors surfaced to RPC callers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -233,7 +222,7 @@ struct Pending {
     reassembly: Option<Reassembly>,
     done: Option<oneshot::Sender<Result<Message, RpcError>>>,
     dst: Addr,
-    pkts: Vec<Packet>,
+    pkts: Rc<[Packet]>,
     /// Sent in the bulk class, retransmissions too.
     bulk: bool,
     /// Transmissions so far (1 = the initial one).
@@ -297,7 +286,7 @@ enum SlotState {
     /// Answered: duplicates are served these packets, in the class the
     /// reply was sent in, until a higher `req_num` on the slot acknowledges
     /// them.
-    Done { pkts: Rc<Vec<Packet>>, bulk: bool },
+    Done { pkts: Rc<[Packet]>, bulk: bool },
 }
 
 /// How many server-side slots are in each state (see [`Rpc::served_slots`]).
@@ -305,6 +294,9 @@ enum SlotState {
 pub struct ServedSlots {
     /// Requests with fragments still missing (each holds a `Reassembly`).
     pub receiving: usize,
+    /// Fragment slots those reassemblies hold: they grow with the
+    /// fragments that arrived, not with what a header claims.
+    pub fragment_slots: usize,
     /// Requests whose handler is running.
     pub executing: usize,
     /// Answered requests whose response packets are retained.
@@ -436,9 +428,9 @@ impl RpcBuilder {
         // Weak: the fabric keeps the port's function, and the endpoint
         // keeps the fabric.
         let weak = Rc::downgrade(&rpc);
-        rpc.net.bind_fn(addr.node, addr.port, move |dgram| {
+        rpc.net.bind_fn(addr.node, addr.port, move |src, packets| {
             if let Some(rpc) = weak.upgrade() {
-                rpc.handle_packet(dgram);
+                rpc.receive(src, packets);
             }
         });
         simcore::spawn_detached(rpc.clone().rto_loop());
@@ -486,8 +478,11 @@ impl Rpc {
     pub fn served_slots(&self) -> ServedSlots {
         let mut census = ServedSlots::default();
         for slot in self.served.borrow().values() {
-            match slot.state {
-                SlotState::Receiving(_) => census.receiving += 1,
+            match &slot.state {
+                SlotState::Receiving(r) => {
+                    census.receiving += 1;
+                    census.fragment_slots += r.capacity();
+                }
                 SlotState::Executing => census.executing += 1,
                 SlotState::Done { .. } => census.done += 1,
             }
@@ -508,7 +503,8 @@ impl Rpc {
     }
 
     /// Crash modeling for chaos tests: while offline, this endpoint drops
-    /// every incoming datagram and suppresses every outgoing one, exactly
+    /// every message handed over to it (one whose last packet comes in
+    /// after a restart is heard whole) and suppresses every outgoing one,
     /// like a powered-off host whose peers see only silence. Local state
     /// (handlers, sessions, served slots) is retained, so `set_offline(false)`
     /// models a fail-stop crash followed by a restart that recovers state.
@@ -521,19 +517,27 @@ impl Rpc {
         self.offline.get()
     }
 
+    /// `msg` cut into packets, and whether they go out in the bulk class.
+    fn frame(
+        &self,
+        kind: Kind,
+        req_type: u8,
+        req_num: u64,
+        msg: Message,
+        trace: Option<TraceCtx>,
+    ) -> (Rc<[Packet]>, bool) {
+        let marked = msg.is_bulk();
+        let mtu = self.config.mtu;
+        let pkts: Rc<[Packet]> = wire::packets(kind, req_type, req_num, msg, mtu, trace).collect();
+        let bulk = marked && pkts.len() > RTT_PKTS;
+        (pkts, bulk)
+    }
+
     /// All outgoing traffic funnels through here so crash modeling can
-    /// suppress it in one place: every packet of one message, in its class.
-    fn transmit(&self, dst: Addr, pkts: &[Packet], bulk: bool) {
-        if self.offline.get() {
-            return;
-        }
-        for p in pkts {
-            if bulk {
-                self.net
-                    .send_bulk_datagram(self.addr, dst, packet_payload(p));
-            } else {
-                self.net.send_datagram(self.addr, dst, packet_payload(p));
-            }
+    /// suppress it in one place: one message, in its class.
+    fn transmit(&self, dst: Addr, pkts: &Rc<[Packet]>, bulk: bool) {
+        if !self.offline.get() {
+            self.net.send_message(self.addr, dst, pkts.clone(), bulk);
         }
     }
 
@@ -594,16 +598,7 @@ impl Rpc {
         if let Some(mem) = &self.mem {
             mem.account(payload.len() as u64); // tx DMA
         }
-        let marked = payload.is_bulk();
-        let pkts = fragment(
-            Kind::Request,
-            req_type,
-            req_num,
-            payload,
-            self.config.mtu,
-            trace,
-        );
-        let bulk = bulk_class(marked, &pkts);
+        let (pkts, bulk) = self.frame(Kind::Request, req_type, req_num, payload, trace);
         self.transmit(dst, &pkts, bulk);
         // Client-driven retransmission: exponential backoff with optional
         // jitter, bounded by both a retry count and (optionally) a total
@@ -734,25 +729,37 @@ impl Rpc {
         }))
     }
 
-    fn handle_packet(self: &Rc<Self>, dgram: simnet::Datagram) {
+    /// The port's receive function: the surviving packets of one message,
+    /// or one packet alone; those of one request share one slot lookup.
+    fn receive(self: &Rc<Self>, src: Addr, packets: &[Packet]) {
         if self.offline.get() {
             return; // crashed hosts hear nothing
         }
-        let Some((hdr, frag)) = Header::decode_split(&dgram.payload.head, &dgram.payload.body)
-        else {
-            return;
-        };
-        match hdr.kind {
-            Kind::Request => self.handle_request_pkt(dgram.src, hdr, frag),
-            Kind::Response => self.handle_response_pkt(hdr, frag),
+        let decode = |p: &Packet| Header::decode_split(&p.head, &p.body);
+        let mut frags = packets.iter().filter_map(decode).peekable();
+        while let Some((hdr, frag)) = frags.next() {
+            let same = |(h, _): &(Header, Message)| (h.kind, h.req_num) == (hdr.kind, hdr.req_num);
+            let rest = std::iter::from_fn(|| frags.next_if(same));
+            let first = (hdr, frag, packets.len());
+            match hdr.kind {
+                Kind::Request => self.handle_request(src, first, rest),
+                Kind::Response => self.handle_response(first, rest),
+            }
         }
     }
 
-    fn handle_request_pkt(self: &Rc<Self>, src: Addr, hdr: Header, frag: Message) {
+    /// Take in one request's fragments: `first` (and how many packets came
+    /// with it), then `rest`; what this leaves of `rest` comes back alone.
+    fn handle_request(
+        self: &Rc<Self>,
+        src: Addr,
+        (hdr, frag, arrived): (Header, Message, usize),
+        mut rest: impl Iterator<Item = (Header, Message)>,
+    ) {
         let key = (src, slot_of(hdr.req_num));
         let fresh = |hdr: &Header, frag| ServedSlot {
             req_num: hdr.req_num,
-            state: SlotState::Receiving(Reassembly::new(hdr, frag)),
+            state: SlotState::Receiving(Reassembly::arriving(hdr, frag, arrived)),
         };
         let mut served = self.served.borrow_mut();
         let slot = match served.entry(key) {
@@ -773,9 +780,12 @@ impl Rpc {
                         }
                         SlotState::Executing => return,
                         SlotState::Done { pkts, bulk } => {
+                            // Once per duplicate packet.
                             let (pkts, bulk) = (pkts.clone(), *bulk);
                             drop(served);
-                            self.transmit(src, &pkts, bulk);
+                            for _ in 0..1 + rest.count() {
+                                self.transmit(src, &pkts, bulk);
+                            }
                             return;
                         }
                     },
@@ -783,6 +793,11 @@ impl Rpc {
                 slot
             }
         };
+        if let SlotState::Receiving(r) = &mut slot.state {
+            if !r.is_complete() {
+                rest.any(|(h, f)| r.offer(&h, f));
+            }
+        }
         let payload = match std::mem::replace(&mut slot.state, SlotState::Executing) {
             SlotState::Receiving(r) if r.is_complete() => r.assemble(),
             still_receiving => {
@@ -854,16 +869,8 @@ impl Rpc {
             if let Some(mem) = &rpc.mem {
                 mem.account(resp.len() as u64); // tx DMA
             }
-            let marked = resp.is_bulk();
-            let pkts = Rc::new(fragment(
-                Kind::Response,
-                hdr.req_type,
-                hdr.req_num,
-                resp,
-                rpc.config.mtu,
-                None, // responses never carry the trace extension
-            ));
-            let bulk = bulk_class(marked, &pkts);
+            // Responses never carry the trace extension.
+            let (pkts, bulk) = rpc.frame(Kind::Response, hdr.req_type, hdr.req_num, resp, None);
             slot.state = SlotState::Done {
                 pkts: pkts.clone(),
                 bulk,
@@ -873,21 +880,26 @@ impl Rpc {
         });
     }
 
-    fn handle_response_pkt(&self, hdr: Header, frag: Message) {
+    /// Take in the fragments of one response, as a request's.
+    fn handle_response(
+        &self,
+        (hdr, frag, arrived): (Header, Message, usize),
+        mut rest: impl Iterator<Item = (Header, Message)>,
+    ) {
         let mut pending = self.pending.borrow_mut();
         let Some(p) = pending.get_mut(&hdr.req_num) else {
             return; // stale duplicate after completion
         };
-        let complete = match &mut p.reassembly {
-            Some(r) => r.offer(&hdr, frag),
-            None => {
-                let r = Reassembly::new(&hdr, frag);
-                let c = r.is_complete();
-                p.reassembly = Some(r);
-                c
+        let r = match &mut p.reassembly {
+            Some(r) => {
+                r.offer(&hdr, frag);
+                r
             }
+            None => p
+                .reassembly
+                .insert(Reassembly::arriving(&hdr, frag, arrived)),
         };
-        if complete {
+        if r.is_complete() || rest.any(|(h, f)| r.offer(&h, f)) {
             drop(pending);
             let mut p = self.forget(hdr.req_num).expect("present");
             let body = p.reassembly.take().expect("reassembly set").assemble();

@@ -59,7 +59,7 @@ impl Message {
     /// The message marked bulk: if it is longer than [`crate::RTT_PKTS`]
     /// packets, every packet of it — retransmissions and resent replies
     /// included — goes out in the fabric's bulk class
-    /// ([`simnet::Network::send_bulk_datagram`]), behind the sender's
+    /// ([`simnet::Network::send_message`]), behind the sender's
     /// shorter messages.
     pub fn bulk(mut self) -> Message {
         self.bulk = true;

@@ -292,31 +292,11 @@ pub fn decode_trace_ext(buf: &[u8]) -> Result<(TraceCtx, usize), TraceExtError> 
     }
 }
 
-/// One wire packet as a two-part gather list. Keeping the body bytes as a
-/// slice of the original message (instead of copying them behind the
-/// header) is what makes the transmit path zero-copy.
-#[derive(Clone, Debug)]
-pub struct Packet {
-    /// Encoded header — [`HEADER_BYTES`] long, plus [`TRACE_EXT_BYTES`]
-    /// when the packet carries a trace context — followed by the bytes of
-    /// the message head this packet covers (packet 0 only, for any head
-    /// shorter than the MTU).
-    pub head: Bytes,
-    /// The bytes of the message body this packet covers: a shared slice.
-    pub body: Bytes,
-}
-
-impl Packet {
-    /// Total serialized length (header + fragment).
-    pub fn len(&self) -> usize {
-        self.head.len() + self.body.len()
-    }
-
-    /// Whether the packet is empty (never true for packets built here).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// One wire packet, as the fabric carries it: `head` is the encoded header
+/// (plus [`TRACE_EXT_BYTES`] when traced) and the bytes of the message head
+/// the packet covers; `body` is a shared slice of the message body — which
+/// is what makes the transmit path zero-copy.
+pub type Packet = simnet::Payload;
 
 /// The longest message [`fragment`] can frame at `mtu`: `num_pkts` is a
 /// `u16` and `msg_len` a `u32`. Callers holding a length from outside the
@@ -348,8 +328,20 @@ pub fn fragment(
     mtu: usize,
     trace: Option<TraceCtx>,
 ) -> Vec<Packet> {
+    packets(kind, req_type, req_num, msg.into(), mtu, trace).collect()
+}
+
+/// [`fragment`], collected by the caller (into one `Rc<[Packet]>`).
+pub(crate) fn packets(
+    kind: Kind,
+    req_type: u8,
+    req_num: u64,
+    msg: Message,
+    mtu: usize,
+    trace: Option<TraceCtx>,
+) -> impl Iterator<Item = Packet> {
     assert!(mtu > 0, "mtu must be positive");
-    let Message { head, body, .. } = msg.into();
+    let Message { head, body, .. } = msg;
     let (h, total) = (head.len(), head.len() + body.len());
     assert!(
         total <= max_msg_len(mtu),
@@ -367,7 +359,7 @@ pub fn fragment(
     };
     let hdr_len = hdr.encoded_len();
     // Where packet `i`'s range of the message starts and ends.
-    let cut = |i: usize| (i * mtu).min(total);
+    let cut = move |i: usize| (i * mtu).min(total);
     let mut block = BytesMut::with_capacity(num_pkts * hdr_len + h);
     for i in 0..num_pkts {
         hdr.pkt_idx = i as u16;
@@ -377,34 +369,70 @@ pub fn fragment(
         }
     }
     let block = block.freeze();
-    (0..num_pkts)
-        .map(|i| {
-            let (lo, hi) = (cut(i), cut(i + 1));
-            Packet {
-                head: block.slice(i * hdr_len + lo.min(h)..(i + 1) * hdr_len + hi.min(h)),
-                body: body.slice(lo.saturating_sub(h)..hi.saturating_sub(h)),
-            }
-        })
-        .collect()
+    (0..num_pkts).map(move |i| {
+        let (lo, hi) = (cut(i), cut(i + 1));
+        Packet {
+            head: block.slice(i * hdr_len + lo.min(h)..(i + 1) * hdr_len + hi.min(h)),
+            body: body.slice(lo.saturating_sub(h)..hi.saturating_sub(h)),
+        }
+    })
 }
 
-/// Incremental message reassembly from fragments.
+/// Incremental message reassembly from fragments. What it holds grows
+/// with the fragments that arrived, whatever `num_pkts` a header claims.
 pub struct Reassembly {
-    slots: Vec<Option<Message>>,
-    received: usize,
+    /// `(index, fragment)` in arrival order.
+    frags: Vec<(u16, Message)>,
+    /// Bit `i` set: fragment `i` arrived (at most 8 KiB). Empty while the
+    /// fragments have come in index order, which needs no duplicate check.
+    seen: Vec<u64>,
+    num_pkts: u16,
     msg_len: u32,
 }
 
 impl Reassembly {
     /// Start reassembly from the first fragment seen (any index).
     pub fn new(hdr: &Header, frag: impl Into<Message>) -> Reassembly {
+        Reassembly::arriving(hdr, frag, 1)
+    }
+
+    /// [`Reassembly::new`] with room for the `arrived` fragments that came
+    /// with this one (no more than its header claims).
+    pub fn arriving(hdr: &Header, frag: impl Into<Message>, arrived: usize) -> Reassembly {
         let mut r = Reassembly {
-            slots: vec![None; hdr.num_pkts as usize],
-            received: 0,
+            frags: Vec::with_capacity(arrived.min(hdr.num_pkts as usize)),
+            seen: Vec::new(),
+            num_pkts: hdr.num_pkts,
             msg_len: hdr.msg_len,
         };
         r.offer(hdr, frag);
         r
+    }
+
+    /// Fragment slots held: the fragments that arrived with the first, or
+    /// up to twice (at least 4) as many as have arrived since.
+    pub fn capacity(&self) -> usize {
+        self.frags.capacity()
+    }
+
+    /// Mark fragment `idx` arrived; `false` if it had already.
+    fn first_arrival(&mut self, idx: u16) -> bool {
+        let n = self.frags.len();
+        if self.seen.is_empty() {
+            if idx as usize <= n {
+                return idx as usize == n;
+            }
+            // Out of order: from here on, every index is looked up.
+            self.seen = vec![0; n.div_ceil(64)];
+            (0..n).for_each(|i| self.seen[i / 64] |= 1 << (i % 64));
+        }
+        let (word, bit) = (idx as usize / 64, 1u64 << (idx % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        let first = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        first
     }
 
     /// Offer a fragment; duplicates are ignored. Returns `true` when the
@@ -415,20 +443,18 @@ impl Reassembly {
     /// forged) message and previously could corrupt the assembled payload by
     /// landing in a valid slot index.
     pub fn offer(&mut self, hdr: &Header, frag: impl Into<Message>) -> bool {
-        if hdr.num_pkts as usize != self.slots.len() || hdr.msg_len != self.msg_len {
+        if hdr.num_pkts != self.num_pkts || hdr.msg_len != self.msg_len {
             return self.is_complete();
         }
-        let idx = hdr.pkt_idx as usize;
-        if idx < self.slots.len() && self.slots[idx].is_none() {
-            self.slots[idx] = Some(frag.into());
-            self.received += 1;
+        if hdr.pkt_idx < self.num_pkts && self.first_arrival(hdr.pkt_idx) {
+            self.frags.push((hdr.pkt_idx, frag.into()));
         }
         self.is_complete()
     }
 
     /// Whether all fragments have arrived.
     pub fn is_complete(&self) -> bool {
-        self.received == self.slots.len()
+        self.frags.len() == self.num_pkts as usize
     }
 
     /// Put the fragments back together.
@@ -447,18 +473,20 @@ impl Reassembly {
     /// Panics if the message is not complete.
     pub fn assemble(self) -> Message {
         assert!(self.is_complete(), "assembling incomplete message");
-        let mut slots = self.slots;
-        if slots.len() == 1 {
+        let mut frags = self.frags;
+        if frags.len() == 1 {
             // One packet: its two parts are the message's.
-            return slots.pop().flatten().expect("slot filled");
+            return frags.pop().expect("complete").1;
+        }
+        if !self.seen.is_empty() {
+            frags.sort_unstable_by_key(|&(idx, _)| idx);
         }
         let mut head = Bytes::new();
         let mut spill: Option<Vec<u8>> = None;
         let mut run = Bytes::new();
-        let pieces = slots.into_iter().flat_map(|s| {
-            let frag = s.expect("slot filled");
-            [frag.head, frag.body]
-        });
+        let pieces = frags
+            .into_iter()
+            .flat_map(|(_, frag)| [frag.head, frag.body]);
         for piece in pieces {
             run = match run.try_unsplit(piece) {
                 Ok(merged) => merged,

@@ -280,6 +280,38 @@ fn server_retains_at_most_one_response_per_live_slot() {
     });
 }
 
+/// A first fragment claiming 65 535 packets reserves room for what arrived,
+/// not for the claim: 16 forged 60-byte datagrams on distinct slots hold 16
+/// fragment slots, where a slot per claimed packet held 16 × 65 535 (≈ 75 MB).
+#[test]
+fn forged_first_fragments_reserve_what_arrived_not_what_they_claim() {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |ctx| async move { ctx.payload });
+        let raw = net.bind(a, 20);
+        for slot in 0..16 {
+            let forged = Header {
+                kind: Kind::Request,
+                req_type: 1,
+                req_num: wire::req_num(1, slot),
+                pkt_idx: 0,
+                num_pkts: u16::MAX,
+                msg_len: u32::MAX,
+                trace: None,
+            };
+            raw.send_to(server.addr(), forged.encode(&[0u8; 40]));
+        }
+        simcore::sleep(Duration::from_micros(10)).await;
+        let held = ServedSlots {
+            receiving: 16,
+            fragment_slots: 16,
+            ..Default::default()
+        };
+        assert_eq!(server.served_slots(), held);
+    });
+}
+
 /// Responses larger than one packet survive loss of arbitrary fragments.
 #[test]
 fn multi_packet_response_under_loss() {
@@ -407,10 +439,10 @@ fn handler_running_at_shutdown_still_replies() {
     });
 }
 
-/// `(arrival ns, request sequence)` of every first fragment a silent peer
-/// hears: one entry per transmission of a request. On an idle NIC the gap
-/// between two entries of one request is exactly the wait between the two
-/// transmissions.
+/// `(hand-over ns, request sequence)` of every request a silent peer hears:
+/// one entry per transmission, at the instant its NIC is done with the
+/// request's last packet. On an idle NIC the gap between two entries of one
+/// request is exactly the wait between the two transmissions.
 type Heard = Rc<RefCell<Vec<(u64, u64)>>>;
 
 /// Bind `node:10` to a peer that records what arrives and never answers.
@@ -434,7 +466,10 @@ fn silent_peer(net: &Network, node: NodeId) -> (Addr, Heard) {
 
 /// The retransmission instants below were recorded with the per-call
 /// watchdog task this table replaced (commit 00e920d); the table must act
-/// at exactly the same virtual nanoseconds.
+/// at exactly the same virtual nanoseconds. They were heard at a request's
+/// first packet then: a request of `64 × 4096 + 1` B is heard 63 full
+/// packets and a 1-byte one (27 385 ns) later now, one of 5 100 B 186 ns
+/// and one of 10 100 B 691 ns later, one of 100 B when it was.
 fn rto_config() -> RpcConfig {
     RpcConfig {
         rto: Duration::from_micros(100),
@@ -452,7 +487,7 @@ fn retransmissions_leave_at_the_rto_then_double_to_the_cap() {
     #[rustfmt::skip]
     let cases: [(usize, [u64; 7], u64); 2] = [
         (100, [726, 102_726, 306_726, 714_726, 1_530_726, 2_530_726, 3_530_726], 4_530_000),
-        (64 * 4096 + 1, [1366, 231_366, 691_366, 1_611_366, 2_611_366, 3_611_366, 4_611_366], 5_610_000),
+        (64 * 4096 + 1, [28_751, 258_751, 718_751, 1_638_751, 2_638_751, 3_638_751, 4_638_751], 5_610_000),
     ];
     for (size, arrivals, gave_up_at) in cases {
         let (sim, net, a, b) = rig();
@@ -536,12 +571,12 @@ fn a_short_call_issued_after_a_long_one_retransmits_first() {
     assert_eq!(
         heard,
         [
-            (1366, 1),
+            (28_751, 1),
             (40_726, 2),
             (142_726, 2),
-            (231_366, 1),
+            (258_751, 1),
             (258_864, 2),
-            (461_366, 1)
+            (488_751, 1)
         ]
     );
 }
@@ -550,7 +585,8 @@ fn a_short_call_issued_after_a_long_one_retransmits_first() {
 /// goes out in the bulk class again, so the short call's second
 /// retransmission waits behind the few of its packets that hold a place
 /// (`BULK_AHEAD`), not all 65 — 246 201 rather than 258 864 — and the long
-/// call itself is heard when it was before.
+/// call is heard when it was before, but for its retransmission, whose
+/// last packet the short one's (113 ns) now precedes at the receiver.
 #[test]
 fn a_retransmitted_bulk_request_keeps_its_class() {
     let (sim, net, a, b) = rig();
@@ -582,12 +618,12 @@ fn a_retransmitted_bulk_request_keeps_its_class() {
     assert_eq!(
         heard,
         [
-            (1366, 1),
+            (28_751, 1),
             (40_726, 2),
             (142_726, 2),
-            (231_366, 1),
             (246_201, 2),
-            (461_366, 1)
+            (258_864, 1),
+            (488_751, 1)
         ]
     );
 }
@@ -679,7 +715,12 @@ fn jittered_retransmission_instants_match_the_recorded_sequence() {
         (376_182, 7), (387_157, 8), (393_149, 5), (456_457, 6), (776_987, 4), (827_306, 3),
         (892_524, 7), (925_784, 1), (934_508, 2), (965_925, 5), (979_914, 8), (1_041_060, 6),
     ];
-    assert_eq!(heard, recorded);
+    // Heard at the first packet when recorded: a 5 100 B request's last
+    // packet comes 186 ns after it, a 10 100 B one's 691 ns.
+    let tail = [0, 186, 691];
+    let mut want = recorded.map(|(at, seq)| (at + tail[(seq as usize - 1) % 3], seq));
+    want.sort_unstable();
+    assert_eq!(heard, want);
 }
 
 /// An offline endpoint keeps its retransmission schedule but transmits

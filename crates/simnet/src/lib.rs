@@ -13,21 +13,22 @@
 //! Datagrams carry real [`bytes::Bytes`] payloads: data integrity is
 //! end-to-end testable, while *time* is charged by the cost model.
 //!
-//! A datagram in flight is a queue entry, not a task: [`Network::send_datagram`]
-//! books the sender's NIC and parks the datagram in the fabric. The fabric
-//! is an event source of the executor ([`simcore::Source`]): at the
-//! datagram's arrival instant it judges it and books the receiver's NIC, and
-//! at that NIC's done instant it calls the receive function the port is
-//! bound to ([`Network::bind_fn`]) — no task, no timer, no wake per
-//! datagram (DESIGN.md §5).
+//! The fabric carries messages: [`Network::send_message`] parks one slot
+//! holding the sender's packet list (a datagram is a one-packet message)
+//! and books the sender's NIC for each packet. The fabric is an event
+//! source of the executor ([`simcore::Source`]): at each packet's arrival
+//! instant it judges it and books the receiver's NIC, and when that NIC is
+//! done with the message's last packet it calls the receive function the
+//! port is bound to ([`Network::bind_fn`]) once, with the survivors — no
+//! task, no timer, no wake per packet (DESIGN.md §5).
 //!
-//! Each transmit NIC serves two classes. A plain datagram takes the NIC the
-//! moment it is sent. A *bulk* one ([`Network::send_bulk_datagram`]) takes
-//! it only while fewer than [`BULK_AHEAD`] of its node's bulk datagrams are
-//! between the NIC and the switch, and otherwise waits in the node's bulk
-//! FIFO; the fabric lets the next one go each time a bulk datagram reaches
-//! the switch. Small datagrams sent behind a long bulk message therefore
-//! queue behind at most `BULK_AHEAD` of its packets (Homa's RTTbytes rule).
+//! Each transmit NIC serves two classes. A plain packet takes the NIC the
+//! moment it is sent. A *bulk* one takes it only while fewer than
+//! [`BULK_AHEAD`] of its node's bulk packets are between the NIC and the
+//! switch, and otherwise waits in the node's bulk FIFO; the fabric lets the
+//! next one go each time a bulk packet reaches the switch. Small messages
+//! sent behind a long bulk message therefore queue behind at most
+//! `BULK_AHEAD` of its packets (Homa's RTTbytes rule).
 //!
 //! This substitutes for the paper's DPDK/UDP data plane (see DESIGN.md §2).
 
@@ -203,35 +204,51 @@ impl Default for FabricConfig {
     }
 }
 
-/// A datagram between `send` and its delivery or drop. It stays in one
-/// [`Parked`] slot the whole way; the queues it waits in hold its slot
-/// number only.
+/// A message between `send` and its hand-over: its packets, shared with the
+/// sender and never copied, stay in one [`Parked`] slot the whole way; the
+/// queues they wait in hold `(slot, packet)` only. A datagram is a
+/// one-packet message.
 struct InFlight {
-    dgram: Datagram,
-    wire_size: u64,
+    src: Addr,
+    dst: Addr,
+    packets: Rc<[Payload]>,
     /// The hop span, opened in the sender's context; it ends when the slot
-    /// is freed (last copy delivered, or the drop). Boxed because a span
-    /// record is ~200 B and an untraced run never has one.
+    /// is freed (after the hand-over, or once no packet is left). Boxed
+    /// because a span record is ~200 B and an untraced run never has one.
     hop: Option<Box<SpanGuard>>,
-    /// Copies still to hand over; 0 until the fault verdict is drawn.
-    copies: u32,
-    /// When the receive NIC was last booked for it.
-    booked_at: SimTime,
-    /// Sent in the bulk class: it holds one of its node's `BULK_AHEAD`
-    /// places until it reaches the switch.
+    /// Sent in the bulk class: each packet holds one of its node's
+    /// `BULK_AHEAD` places until it reaches the switch.
     bulk: bool,
+    /// Packets that have not reached the switch (been judged) yet.
+    unjudged: u32,
+    /// Packets not handed over with the rest: dropped, or split off to go
+    /// alone. Empty, so never allocated, on a fault-free fabric.
+    gone: Vec<u32>,
+    /// Hand-overs still owed: 1, or 2 for a duplicated datagram.
+    copies: u32,
+    /// When the receive NIC was last booked for it, and `(rx done, booking
+    /// order)` of that booking.
+    booked_at: SimTime,
+    last_rx: Option<(SimTime, u64)>,
 }
 
 impl InFlight {
-    /// The fault plane dropped it: say so on the hop span, which ends here.
-    fn dropped(mut self) {
-        if let Some(s) = self.hop.as_mut() {
-            s.attr("dropped", 1);
+    fn wire_size(&self, idx: u32) -> u64 {
+        self.packets[idx as usize].len() as u64 + WIRE_HEADER_BYTES
+    }
+
+    /// The packets it hands over: all but those gone, which are in index
+    /// order (a message's packets are judged in the order they were sent).
+    fn survivors(&self) -> Rc<[Payload]> {
+        if self.gone.is_empty() {
+            return self.packets.clone();
         }
+        let kept = (0..self.packets.len() as u32).filter(|i| self.gone.binary_search(i).is_err());
+        kept.map(|i| self.packets[i as usize].clone()).collect()
     }
 }
 
-/// Slot store for the datagrams in flight. Slots are reused LIFO, so it
+/// Slot store for the messages in flight. Slots are reused LIFO, so it
 /// grows to the most that were ever in flight at once.
 #[derive(Default)]
 struct Parked {
@@ -263,9 +280,9 @@ impl Parked {
     }
 }
 
-/// `(due instant, tie-break, slot)`: the 24 bytes a queued datagram costs
-/// per queue.
-type QueueKey = (SimTime, u64, u32);
+/// `(due instant, tie-break, slot, packet)`: the 24 bytes a queued packet
+/// (or message) costs per queue.
+type QueueKey = (SimTime, u64, u32, u32);
 
 /// Pop the head of `queue` if it is due.
 fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<QueueKey> {
@@ -276,7 +293,7 @@ fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<Qu
     queue.pop().map(|Reverse(key)| key)
 }
 
-/// Every datagram in flight, and the two queues that order them. Both are
+/// Every message in flight, and the two queues that order them. Both are
 /// fabric-wide so that one instant's work is done in one order whatever
 /// nodes it touches: the order in which one task per datagram would have
 /// been polled (DESIGN.md §5).
@@ -284,40 +301,93 @@ fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<Qu
 struct Flights {
     /// Bodies, from `send` to hand-over.
     parked: Parked,
-    /// On the wire or the switch: `(arrival, send order, slot)`. Datagrams
-    /// arriving in the same nanosecond are served — and their fault
-    /// verdicts drawn — in send order.
+    /// Packets on the wire or the switch: `(arrival, send order, slot,
+    /// packet)`. Packets arriving in the same nanosecond are served — and
+    /// their fault verdicts drawn — in send order.
     arrivals: BinaryHeap<Reverse<QueueKey>>,
-    /// Waiting for or inside a receive NIC: `(rx_done, booking order,
-    /// slot)`.
+    /// Messages whose last packet is waiting for or inside a receive NIC:
+    /// `(rx_done, booking order, slot, 0)`.
     deliveries: BinaryHeap<Reverse<QueueKey>>,
-    /// Datagrams handed to `send` so far.
+    /// Packets handed to `send` so far.
     sent: u64,
     /// Receive-NIC bookings made so far.
     booked: u64,
+    /// The instant the fabric last fired at.
+    fired_at: SimTime,
 }
 
 impl Flights {
-    /// Book `node`'s transmit NIC for the `wire_size` bytes of the datagram
-    /// in `slot` and queue it to reach the switch `latency` after the NIC is
-    /// done with it.
-    fn depart(&mut self, node: &NodeState, slot: u32, wire_size: u64, latency: Duration) {
+    /// Book `node`'s transmit NIC for packet `idx` of the message in `slot`
+    /// and queue it to reach the switch `latency` after the NIC is done
+    /// with it.
+    fn depart(&mut self, node: &NodeState, slot: u32, idx: u32, latency: Duration) {
+        let wire_size = self.parked.get_mut(slot).wire_size(idx);
         let arrival = node.tx.reserve(wire_size) + latency;
-        self.arrivals.push(Reverse((arrival, self.sent, slot)));
+        self.arrivals.push(Reverse((arrival, self.sent, slot, idx)));
         self.sent += 1;
     }
 
-    /// Book the destination's receive NIC for the datagram in `slot` and
-    /// queue it for hand-over when the NIC is done with it.
-    fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, now: SimTime) {
+    /// Book the destination's receive NIC for packet `idx` of the message
+    /// in `slot`.
+    fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, now: SimTime) {
         let flight = self.parked.get_mut(slot);
-        let node = &mut nodes[flight.dgram.dst.node.0 as usize];
-        let rx_done = node.rx.reserve(flight.wire_size);
+        let node = &mut nodes[flight.dst.node.0 as usize];
+        let rx_done = node.rx.reserve(flight.wire_size(idx));
+        node.rx_queue(now);
+        node.rx_due.push_back(rx_done);
+        node.rx_queue_peak = node.rx_queue_peak.max(node.rx_due.len() as u64);
         flight.booked_at = now;
-        node.rx_queue += 1;
-        node.rx_queue_peak = node.rx_queue_peak.max(node.rx_queue);
-        self.deliveries.push(Reverse((rx_done, self.booked, slot)));
+        flight.last_rx = Some((rx_done, self.booked));
         self.booked += 1;
+        self.close(slot, now);
+    }
+
+    /// Packet `idx` of the message in `slot` was dropped.
+    fn lose(&mut self, slot: u32, idx: u32, now: SimTime) {
+        let flight = self.parked.get_mut(slot);
+        if let Some(s) = flight.hop.as_mut() {
+            s.attr("dropped", 1);
+        }
+        flight.gone.push(idx);
+        self.close(slot, now);
+    }
+
+    /// Take packet `idx` out of the message in `slot` to be handed over
+    /// `copies` times alone, in the slot returned (a datagram's own).
+    fn split_off(&mut self, slot: u32, idx: u32, copies: u32, now: SimTime) -> u32 {
+        let flight = self.parked.get_mut(slot);
+        if flight.packets.len() == 1 {
+            flight.copies = copies;
+            return slot;
+        }
+        flight.gone.push(idx);
+        let lone = InFlight {
+            packets: Rc::new([flight.packets[idx as usize].clone()]),
+            hop: None,
+            unjudged: 0,
+            gone: Vec::new(),
+            copies,
+            last_rx: None,
+            ..*flight
+        };
+        self.close(slot, now);
+        self.parked.insert(lone)
+    }
+
+    /// Once every packet in `slot` is judged, queue the hand-over for when
+    /// the last one booked is through (or now), or free the slot if none is.
+    fn close(&mut self, slot: u32, now: SimTime) {
+        let flight = self.parked.get_mut(slot);
+        if flight.unjudged > 0 {
+            return;
+        }
+        match flight.last_rx {
+            Some((rx_done, order)) => {
+                let key = (rx_done.max(now), order, slot, 0);
+                self.deliveries.push(Reverse(key));
+            }
+            None => drop(self.parked.remove(slot)),
+        }
     }
 }
 
@@ -326,38 +396,47 @@ struct NodeState {
     tx: RateResource,
     rx: RateResource,
     ports: FastMap<u16, Receive>,
-    /// Datagrams waiting for or inside the receive NIC right now.
-    rx_queue: u64,
-    /// Largest `rx_queue` since the last `reset_stats`.
+    /// When the receive NIC is done with each packet booked into it, in
+    /// booking order (which is done order): those still ahead are its queue.
+    rx_due: VecDeque<SimTime>,
+    /// Largest receive queue since the last `reset_stats`.
     rx_queue_peak: u64,
-    /// Bulk datagrams between the transmit NIC and the switch right now
-    /// (at most [`BULK_AHEAD`]).
+    /// Bulk packets between the transmit NIC and the switch right now (at
+    /// most [`BULK_AHEAD`]).
     bulk_ahead: u32,
-    /// Bulk datagrams waiting for one of those places, in send order.
-    bulk_queue: VecDeque<u32>,
+    /// Bulk packets waiting for one of those places, in send order.
+    bulk_queue: VecDeque<(u32, u32)>,
     /// Largest `bulk_queue` length since the last `reset_stats`.
     bulk_queue_peak: u64,
 }
 
 impl NodeState {
-    /// A bulk datagram of this node reached the switch: its place goes to
+    /// A bulk packet of this node reached the switch: its place goes to
     /// the next one waiting, which departs now.
     fn bulk_arrived(&mut self, fl: &mut Flights, latency: Duration) {
         self.bulk_ahead -= 1;
-        if let Some(next) = self.bulk_queue.pop_front() {
+        if let Some((slot, idx)) = self.bulk_queue.pop_front() {
             self.bulk_ahead += 1;
-            let wire_size = fl.parked.get_mut(next).wire_size;
-            fl.depart(self, next, wire_size, latency);
+            fl.depart(self, slot, idx, latency);
         }
+    }
+
+    /// Packets waiting for or inside the receive NIC at `now`.
+    fn rx_queue(&mut self, now: SimTime) -> u64 {
+        while self.rx_due.front().is_some_and(|&done| done <= now) {
+            self.rx_due.pop_front();
+        }
+        self.rx_due.len() as u64
     }
 }
 
-/// What a bound port does with each datagram handed to it.
-type Receive = Rc<dyn Fn(Datagram)>;
+/// What a bound port does with each hand-over: the sender's address and
+/// the packets handed over.
+type Receive = Rc<dyn Fn(Addr, &[Payload])>;
 
-/// A datagram handed over in this instant, with the function of the port
+/// A message handed over in this instant, with the function of the port
 /// it goes to and its hop span, which ends once the function has run.
-type HandOver = (Receive, Datagram, Option<Box<SpanGuard>>);
+type HandOver = (Receive, Addr, Rc<[Payload]>, Option<Box<SpanGuard>>);
 
 struct NetInner {
     nodes: RefCell<Vec<NodeState>>,
@@ -429,7 +508,7 @@ impl Network {
             ),
             name,
             ports: FastMap::default(),
-            rx_queue: 0,
+            rx_due: VecDeque::new(),
             rx_queue_peak: 0,
             bulk_ahead: 0,
             bulk_queue: VecDeque::new(),
@@ -448,14 +527,16 @@ impl Network {
         self.inner.nodes.borrow().len()
     }
 
-    /// Bind a port on a node to `receive`, which the fabric calls with each
-    /// datagram at the instant that node's receive NIC is done with it,
-    /// outside any task; it may send. Only an [`Endpoint`] ever unbinds a
-    /// port.
+    /// Bind a port on a node to `receive`, which the fabric calls with the
+    /// sender's address and the packets of each message that survived, at
+    /// the instant that node's receive NIC is done with the last of them (a
+    /// packet duplicated or held back on the way comes alone, at its own
+    /// instant), outside any task; it may send. Only an [`Endpoint`] ever
+    /// unbinds a port.
     ///
     /// # Panics
     /// Panics if the port is already bound.
-    pub fn bind_fn(&self, node: NodeId, port: u16, receive: impl Fn(Datagram) + 'static) {
+    pub fn bind_fn(&self, node: NodeId, port: u16, receive: impl Fn(Addr, &[Payload]) + 'static) {
         let mut nodes = self.inner.nodes.borrow_mut();
         let st = &mut nodes[node.0 as usize];
         let prev = st.ports.insert(port, Rc::new(receive));
@@ -463,19 +544,27 @@ impl Network {
     }
 
     /// Bind a port on a node to an [`Endpoint`]: a receive function that
-    /// queues each datagram for [`Endpoint::recv`]. The port is unbound
-    /// when the endpoint drops.
+    /// queues each packet handed over as a datagram for
+    /// [`Endpoint::recv`]. The port is unbound when the endpoint drops.
     ///
     /// # Panics
     /// Panics if the port is already bound.
     pub fn bind(&self, node: NodeId, port: u16) -> Endpoint {
         let (tx, rx) = mpsc::channel();
-        self.bind_fn(node, port, move |dgram| {
-            let _ = tx.send(dgram);
+        let addr = Addr { node, port };
+        self.bind_fn(node, port, move |src, packets| {
+            for payload in packets {
+                let payload = payload.clone();
+                let _ = tx.send(Datagram {
+                    src,
+                    dst: addr,
+                    payload,
+                });
+            }
         });
         Endpoint {
             net: self.clone(),
-            addr: Addr { node, port },
+            addr,
             rx,
         }
     }
@@ -555,7 +644,7 @@ impl Network {
             .is_partitioned(a, b, simcore::now())
     }
 
-    /// Datagrams delivered end-to-end.
+    /// Packets delivered end-to-end.
     pub fn delivered(&self) -> u64 {
         self.inner.delivered.get()
     }
@@ -616,7 +705,7 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].rx.busy_time()
     }
 
-    /// Most datagrams that were waiting for or inside a node's receive NIC
+    /// Most packets that were waiting for or inside a node's receive NIC
     /// at once since the last [`Network::reset_stats`]: the queue depth
     /// behind that NIC's `rx` busy time.
     pub fn node_rx_queue_peak(&self, node: NodeId) -> u64 {
@@ -634,14 +723,15 @@ impl Network {
         self.inner.nodes.borrow()[node.0 as usize].rx.wait_time()
     }
 
-    /// Most bulk datagrams that waited in a node's bulk FIFO at once since
+    /// Most bulk packets that waited in a node's bulk FIFO at once since
     /// the last [`Network::reset_stats`].
     pub fn node_bulk_queue_peak(&self, node: NodeId) -> u64 {
         self.inner.nodes.borrow()[node.0 as usize].bulk_queue_peak
     }
 
-    /// Datagrams sent and not yet delivered or dropped, fabric-wide: bulk
-    /// ones still waiting for their NIC included.
+    /// Messages sent and not yet handed over or dropped, fabric-wide (a
+    /// packet split off to go alone counts as one more): bulk ones still
+    /// waiting for their NIC included.
     pub fn in_flight(&self) -> usize {
         let fl = self.inner.flights.borrow();
         fl.parked.slots.len() - fl.parked.free.len()
@@ -651,10 +741,11 @@ impl Network {
     /// including the fault-injection counters — so scoped chaos phases
     /// start from a clean slate (between warmup and measurement).
     pub fn reset_stats(&self) {
+        let now = simcore::try_now().unwrap_or(self.inner.flights.borrow().fired_at);
         for st in self.inner.nodes.borrow_mut().iter_mut() {
             st.tx.reset_stats();
             st.rx.reset_stats();
-            st.rx_queue_peak = st.rx_queue;
+            st.rx_queue_peak = st.rx_queue(now);
             st.bulk_queue_peak = st.bulk_queue.len() as u64;
         }
         self.inner.delivered.reset();
@@ -666,63 +757,67 @@ impl Network {
     }
 
     /// Transmit a datagram from `src` to `dst` without holding an
-    /// [`Endpoint`] (protocol stacks bound with [`Network::bind_fn`] use
-    /// this for their transmit path).
+    /// [`Endpoint`]: a one-packet [`Network::send_message`].
     pub fn send_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
-        let payload = payload.into();
-        self.send(Datagram { src, dst, payload }, false);
+        self.send_message(src, dst, Rc::new([payload.into()]), false);
     }
 
-    /// [`Network::send_datagram`] in the bulk class: the datagram takes the
-    /// sender's NIC only while fewer than [`BULK_AHEAD`] of that node's bulk
-    /// datagrams are between its NIC and the switch, and otherwise waits in
-    /// the node's bulk FIFO, so plain datagrams sent later overtake it.
-    pub fn send_bulk_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
-        let payload = payload.into();
-        self.send(Datagram { src, dst, payload }, true);
-    }
-
-    /// Internal: transmit a datagram. A plain one — or a bulk one with a
-    /// place free — reserves the sender's NIC immediately (preserving
-    /// per-sender FIFO order within its class); the datagram is parked
-    /// until the fabric fires at its arrival instant.
-    fn send(&self, dgram: Datagram, bulk: bool) {
-        let wire_size = dgram.payload.len() as u64 + WIRE_HEADER_BYTES;
+    /// Transmit the packets of one message from `src` to `dst`, shared, not
+    /// copied. Each packet books the sender's NIC, the switch, its own fault
+    /// verdict and the receiver's NIC as a datagram would; the port's
+    /// receive function gets the survivors together. In the bulk class a
+    /// packet takes the NIC only while fewer than [`BULK_AHEAD`] of its
+    /// node's bulk packets are between its NIC and the switch, and
+    /// otherwise waits in the node's bulk FIFO, so later plain packets
+    /// overtake it.
+    ///
+    /// # Panics
+    /// Panics if `packets` is empty.
+    pub fn send_message(&self, src: Addr, dst: Addr, packets: Rc<[Payload]>, bulk: bool) {
+        assert!(!packets.is_empty(), "a message has at least one packet");
         // Captured in the sender's task (where any trace context lives) and
-        // parked with the datagram, so one hop span covers tx NIC
-        // occupancy, switch latency, and rx NIC occupancy. Untraced sends
-        // cost one thread-local flag read.
-        let mut hop = telemetry::leaf_span(SpanKind::NetHop, "net.hop", dgram.src.node.0);
+        // parked with the message, so one hop span covers tx NIC occupancy,
+        // switch latency, and rx NIC occupancy. Untraced sends cost one
+        // thread-local flag read.
+        let mut hop = telemetry::leaf_span(SpanKind::NetHop, "net.hop", src.node.0);
         if let Some(s) = hop.as_mut() {
-            s.attr("wire_bytes", wire_size);
-            s.attr("dst_node", dgram.dst.node.0 as u64);
+            let wire_size = packets.iter().map(|p| p.len() as u64 + WIRE_HEADER_BYTES);
+            s.attr("wire_bytes", wire_size.sum());
+            s.attr("dst_node", dst.node.0 as u64);
         }
         let latency = self.inner.fabric.borrow().switch_latency;
         let mut nodes = self.inner.nodes.borrow_mut();
-        let node = &mut nodes[dgram.src.node.0 as usize];
+        let node = &mut nodes[src.node.0 as usize];
         let mut fl = self.inner.flights.borrow_mut();
+        let n = packets.len() as u32;
         let slot = fl.parked.insert(InFlight {
-            dgram,
-            wire_size,
+            src,
+            dst,
+            packets,
             hop: hop.map(Box::new),
-            copies: 0,
-            booked_at: SimTime::ZERO,
             bulk,
+            unjudged: n,
+            gone: Vec::new(),
+            copies: 1,
+            booked_at: SimTime::ZERO,
+            last_rx: None,
         });
         if !self.inner.registered.replace(true) {
             simcore::add_source(self.inner.clone());
         }
-        if bulk {
-            if node.bulk_ahead == BULK_AHEAD {
-                // The datagrams ahead are in flight: the fabric lets this
-                // one go when the first of them reaches the switch.
-                node.bulk_queue.push_back(slot);
-                node.bulk_queue_peak = node.bulk_queue_peak.max(node.bulk_queue.len() as u64);
-                return;
+        for idx in 0..n {
+            if bulk {
+                if node.bulk_ahead == BULK_AHEAD {
+                    // The packets ahead are in flight: the fabric lets this
+                    // one go when the first of them reaches the switch.
+                    node.bulk_queue.push_back((slot, idx));
+                    continue;
+                }
+                node.bulk_ahead += 1;
             }
-            node.bulk_ahead += 1;
+            fl.depart(node, slot, idx, latency);
         }
-        fl.depart(node, slot, wire_size, latency);
+        node.bulk_queue_peak = node.bulk_queue_peak.max(node.bulk_queue.len() as u64);
     }
 
     fn unbind(&self, addr: Addr) {
@@ -750,8 +845,8 @@ impl simcore::Source for NetInner {
     fn fire(&self, now: SimTime) {
         let mut handing = std::mem::take(&mut *self.handing.borrow_mut());
         self.settle(now, &mut handing);
-        for (receive, dgram, hop) in handing.drain(..) {
-            receive(dgram);
+        for (receive, src, packets, hop) in handing.drain(..) {
+            receive(src, &packets);
             drop(hop);
         }
         *self.handing.borrow_mut() = handing;
@@ -774,91 +869,100 @@ impl NetInner {
         let mut nodes = self.nodes.borrow_mut();
         let mut fl = self.flights.borrow_mut();
         let fl = &mut *fl;
+        fl.fired_at = now;
 
         // Duplicates that take their NIC again behind this instant's
         // arrivals (see below).
         let mut owed = Vec::new();
-        while let Some((_, _, slot)) = pop_due(&mut fl.deliveries, now) {
+        while let Some((.., slot, _)) = pop_due(&mut fl.deliveries, now) {
             let flight = fl.parked.get_mut(slot);
             flight.copies -= 1;
-            nodes[flight.dgram.dst.node.0 as usize].rx_queue -= 1;
+            let (src, dst) = (flight.src, flight.dst);
             // The last copy frees the slot; its hop span ends once the
-            // datagram has been handed over.
-            let (dgram, hop) = if flight.copies == 0 {
+            // message has been handed over.
+            let (packets, hop) = if flight.copies == 0 {
                 let done = fl.parked.remove(slot);
-                (done.dgram, done.hop)
+                (done.survivors(), done.hop)
             } else {
                 // A duplicate's next copy takes the NIC when this one
                 // leaves it. Same-instant work goes in the order it was
                 // scheduled: the copy when its NIC was last booked, an
                 // arrival when it left its sender's NIC.
-                let copy = flight.dgram.clone();
+                let copy = flight.packets.clone();
                 if flight.booked_at + latency < now {
                     self.duplicated.incr();
-                    fl.book_rx(&mut nodes, slot, now);
+                    fl.book_rx(&mut nodes, slot, 0, now);
                 } else {
                     owed.push(slot);
                 }
                 (copy, None)
             };
-            match nodes[dgram.dst.node.0 as usize].ports.get(&dgram.dst.port) {
+            let n = packets.len() as u64;
+            match nodes[dst.node.0 as usize].ports.get(&dst.port) {
                 Some(receive) => {
-                    self.delivered.incr();
-                    handing.push((receive.clone(), dgram, hop));
+                    self.delivered.add(n);
+                    handing.push((receive.clone(), src, packets, hop));
                 }
-                None => self.dropped_unbound.incr(),
+                None => self.dropped_unbound.add(n),
             }
         }
 
-        while let Some((_, order, slot)) = pop_due(&mut fl.arrivals, now) {
-            let mut flight = fl.parked.get_mut(slot);
-            // One verdict per datagram, drawn the first time it gets here.
-            if flight.copies == 0 {
-                if flight.bulk {
-                    let src = flight.dgram.src.node.0 as usize;
-                    nodes[src].bulk_arrived(fl, latency);
-                    flight = fl.parked.get_mut(slot);
+        while let Some((_, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
+            let flight = fl.parked.get_mut(slot);
+            if flight.unjudged == 0 {
+                // Held back at its first arrival: judged then, booked now.
+                fl.book_rx(&mut nodes, slot, idx, now);
+                continue;
+            }
+            // One verdict per packet, drawn the first time it gets here.
+            flight.unjudged -= 1;
+            let (src, dst) = (flight.src.node, flight.dst.node);
+            if flight.bulk {
+                nodes[src.0 as usize].bulk_arrived(fl, latency);
+            }
+            let verdict = if faulty {
+                faults.verdict(src, dst, now, loss_p, &self.rng)
+            } else {
+                Verdict::Deliver {
+                    copies: 1,
+                    extra_delay: None,
                 }
-                let verdict = if faulty {
-                    let (src, dst) = (flight.dgram.src.node, flight.dgram.dst.node);
-                    faults.verdict(src, dst, now, loss_p, &self.rng)
-                } else {
-                    Verdict::Deliver {
-                        copies: 1,
-                        extra_delay: None,
-                    }
-                };
-                match verdict {
-                    Verdict::DropLoss => {
-                        self.dropped_loss.incr();
-                        fl.parked.remove(slot).dropped();
-                        continue;
-                    }
-                    Verdict::DropPartition => {
-                        self.dropped_partition.incr();
-                        fl.parked.remove(slot).dropped();
-                        continue;
-                    }
-                    Verdict::Deliver {
-                        copies,
-                        extra_delay,
-                    } => {
-                        flight.copies = copies;
-                        if let Some(held) = extra_delay {
+            };
+            match verdict {
+                Verdict::Deliver {
+                    copies: 1,
+                    extra_delay: None,
+                } => fl.book_rx(&mut nodes, slot, idx, now),
+                Verdict::DropLoss => {
+                    self.dropped_loss.incr();
+                    fl.lose(slot, idx, now);
+                }
+                Verdict::DropPartition => {
+                    self.dropped_partition.incr();
+                    fl.lose(slot, idx, now);
+                }
+                Verdict::Deliver {
+                    copies,
+                    extra_delay,
+                } => {
+                    // Not "once, now": it leaves its message and is handed
+                    // over alone, at its own instant.
+                    let lone = fl.split_off(slot, idx, copies, now);
+                    match extra_delay {
+                        Some(held) => {
                             // Held back: it gets here again later, judged.
                             self.reordered.incr();
-                            fl.arrivals.push(Reverse((now + held, order, slot)));
-                            continue;
+                            fl.arrivals.push(Reverse((now + held, order, lone, 0)));
                         }
+                        None => fl.book_rx(&mut nodes, lone, 0, now),
                     }
                 }
             }
-            fl.book_rx(&mut nodes, slot, now);
         }
 
         for slot in owed {
             self.duplicated.incr();
-            fl.book_rx(&mut nodes, slot, now);
+            fl.book_rx(&mut nodes, slot, 0, now);
         }
     }
 }
@@ -941,9 +1045,9 @@ mod tests {
     /// `(instant, what)` log shared by receive functions and tasks.
     type Log = Rc<RefCell<Vec<(u64, &'static str)>>>;
 
-    fn logger(log: &Log, what: &'static str) -> impl Fn(Datagram) + 'static {
+    fn logger(log: &Log, what: &'static str) -> impl Fn(Addr, &[Payload]) + 'static {
         let log = log.clone();
-        move |_| log.borrow_mut().push((simcore::now().nanos(), what))
+        move |_, _| log.borrow_mut().push((simcore::now().nanos(), what))
     }
 
     #[test]
@@ -981,9 +1085,10 @@ mod tests {
         net.bind_fn(a, 1, logger(&log, "reply"));
         // b echoes from inside its receive function, twice per datagram.
         let net2 = net.clone();
-        net.bind_fn(b, 1, move |d: Datagram| {
+        net.bind_fn(b, 1, move |src, packets| {
             for _ in 0..2 {
-                net2.send_datagram(d.dst, d.src, d.payload.clone());
+                let echo = Rc::from(packets);
+                net2.send_message(Addr { node: b, port: 1 }, src, echo, false);
             }
         });
         let net3 = net.clone();

@@ -11,19 +11,25 @@
 //! delivery instants of a 200-packet stream under each fault class,
 //! recorded once from the task-per-datagram implementation at 1fcf9f4.
 //!
-//! The bulk transmit class is pinned last: against the same model when a
+//! The bulk transmit class is pinned next: against the same model when a
 //! bulk message is alone on its NIC, by position and instant when a
 //! datagram is sent behind one, and by a drained fabric under every fault
 //! class.
+//!
+//! Messages come last: a message of many packets is handed over once, when
+//! its last packet would have been had each packet been sent alone — the
+//! closed form for plain traffic, that per-packet run for bulk — and under
+//! faults each packet keeps the fate it has alone.
 
 use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use simcore::{Sim, SimTime};
-use simnet::{Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId, BULK_AHEAD};
+use simnet::{Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId, Payload, BULK_AHEAD};
 
 const PORT: u16 = 1;
 const SWITCH_NS: u64 = 500;
@@ -48,30 +54,40 @@ fn nic_ns(payload: usize) -> u64 {
 /// is `len` copies of the send's index.
 type Send = (u64, u32, u32, usize);
 
-/// The closed-form model: what each receiver must see, in order.
-fn model(nodes: usize, sends: &[Send]) -> Vec<Vec<Seen>> {
+/// The closed-form model: when each send's receive NIC is done with it,
+/// by send order.
+fn rx_done(nodes: usize, sends: &[Send]) -> Vec<u64> {
     let mut tx_free = vec![0u64; nodes];
-    // (arrival, send order, src, len) per receiver.
-    let mut arrivals: Vec<Vec<(u64, usize, u32, usize)>> = vec![Vec::new(); nodes];
+    // (arrival, send order, len) per receiver.
+    let mut arrivals: Vec<Vec<(u64, usize, usize)>> = vec![Vec::new(); nodes];
     for (order, &(at, src, dst, len)) in sends.iter().enumerate() {
         let tx_done = at.max(tx_free[src as usize]) + nic_ns(len);
         tx_free[src as usize] = tx_done;
-        arrivals[dst as usize].push((tx_done + SWITCH_NS, order, src, len));
+        arrivals[dst as usize].push((tx_done + SWITCH_NS, order, len));
     }
-    arrivals
-        .into_iter()
-        .map(|mut inbound| {
-            inbound.sort_unstable();
-            let mut rx_free = 0u64;
-            inbound
-                .into_iter()
-                .map(|(arrival, order, src, len)| {
-                    rx_free = arrival.max(rx_free) + nic_ns(len);
-                    (rx_free, src, vec![order as u8; len])
-                })
-                .collect()
-        })
-        .collect()
+    let mut done = vec![0; sends.len()];
+    for mut inbound in arrivals {
+        inbound.sort_unstable();
+        let mut rx_free = 0u64;
+        for (arrival, order, len) in inbound {
+            rx_free = arrival.max(rx_free) + nic_ns(len);
+            done[order] = rx_free;
+        }
+    }
+    done
+}
+
+/// The closed-form model: what each receiver must see, in order.
+fn model(nodes: usize, sends: &[Send]) -> Vec<Vec<Seen>> {
+    let done = rx_done(nodes, sends);
+    let mut seen = vec![Vec::new(); nodes];
+    for (order, &(_, src, dst, len)) in sends.iter().enumerate() {
+        seen[dst as usize].push((done[order], src, vec![order as u8; len]));
+    }
+    for inbound in &mut seen {
+        inbound.sort_by_key(|s| s.0);
+    }
+    seen
 }
 
 /// A fabric of `nodes` default NICs, each with a receiver task on [`PORT`]
@@ -395,16 +411,13 @@ fn a_port_unbound_in_flight_counts_the_drop_at_rx_done_not_earlier() {
 /// A full packet at the default 4 KiB MTU.
 const PKT: usize = 4096;
 
-/// `n` full packets from `src` to `dst` in one instant, packet `i` carrying
-/// `i` (as the model's payloads do), in the bulk class or not.
+/// `n` full packets from `src` to `dst` in one instant, each a one-packet
+/// message so its own hand-over shows, packet `i` carrying `i` (as the
+/// model's payloads do), in the bulk class or not.
 fn message(net: &Network, src: NodeId, dst: NodeId, n: usize, bulk: bool) {
     for i in 0..n {
         let payload = Bytes::from(vec![i as u8; PKT]);
-        if bulk {
-            net.send_bulk_datagram(on(src), on(dst), payload);
-        } else {
-            net.send_datagram(on(src), on(dst), payload);
-        }
+        net.send_message(on(src), on(dst), Rc::new([payload.into()]), bulk);
     }
 }
 
@@ -493,4 +506,198 @@ fn the_bulk_queue_drains_under_every_fault_class() {
         .map(|(at, src, payload)| (at - t0, *src, payload.clone()))
         .collect();
     assert_eq!(again, model(2, &vec![(0, 0, 1, PKT); 64])[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Messages.
+// ---------------------------------------------------------------------------
+
+/// One message: `(instant, src, dst, packet lengths, bulk)`.
+type Msg = (u64, u32, u32, Vec<usize>, bool);
+
+/// A packet by `(message, packet index)`, as its payload's first 4 bytes say.
+type Tag = (u16, u16);
+
+/// Every hand-over of a run, fabric-wide in the order the receive functions
+/// ran: `(instant, receiving node, packets)`.
+type HandOvers = Vec<(u64, u32, Vec<Tag>)>;
+
+/// Send `msgs` on a fresh fabric of `nodes` default NICs (`faults` applied
+/// first), each message as one [`Network::send_message`] or, `alone`, each
+/// of its packets as a message of its own, and run it dry.
+fn run_messages(
+    nodes: usize,
+    msgs: &[Msg],
+    alone: bool,
+    faults: impl FnOnce(&Network, &[NodeId]),
+) -> (HandOvers, Network) {
+    let sim = Sim::new();
+    let net = Network::new(FabricConfig::default(), 9);
+    let ids: Vec<NodeId> = (0..nodes)
+        .map(|i| net.add_node(format!("n{i}"), NicConfig::default()))
+        .collect();
+    let handed: Rc<RefCell<HandOvers>> = Rc::default();
+    for &id in &ids {
+        let log = handed.clone();
+        net.bind_fn(id, PORT, move |_, packets| {
+            let tag = |p: &Payload| {
+                let b = p.contiguous();
+                (
+                    u16::from_le_bytes([b[0], b[1]]),
+                    u16::from_le_bytes([b[2], b[3]]),
+                )
+            };
+            let tags = packets.iter().map(tag).collect();
+            log.borrow_mut().push((simcore::now().nanos(), id.0, tags));
+        });
+    }
+    faults(&net, &ids);
+    let (net2, msgs) = (net.clone(), msgs.to_vec());
+    sim.block_on(async move {
+        for (m, (at, src, dst, lens, bulk)) in msgs.into_iter().enumerate() {
+            simcore::sleep_until(SimTime::from_nanos(at)).await;
+            let packets: Vec<Payload> = (0..lens.len())
+                .map(|i| {
+                    let mut b = vec![0u8; lens[i]];
+                    b[..2].copy_from_slice(&(m as u16).to_le_bytes());
+                    b[2..4].copy_from_slice(&(i as u16).to_le_bytes());
+                    Bytes::from(b).into()
+                })
+                .collect();
+            let (src, dst) = (on(ids[src as usize]), on(ids[dst as usize]));
+            if alone {
+                for p in packets {
+                    net2.send_message(src, dst, Rc::new([p]), bulk);
+                }
+            } else {
+                net2.send_message(src, dst, packets.into(), bulk);
+            }
+        }
+    });
+    sim.run();
+    let handed = handed.take();
+    (handed, net)
+}
+
+/// Random messages of 1–40 packets of at least 4 B among `nodes` nodes.
+fn messages(nodes: usize, raw: Vec<(u64, u32, u32, Vec<usize>, bool)>) -> Vec<Msg> {
+    let mut at = 0u64;
+    raw.into_iter()
+        .map(|(gap, src, dst, lens, bulk)| {
+            at += gap;
+            let lens = lens.into_iter().map(|l| l.max(4)).collect();
+            (at, src % nodes as u32, dst % nodes as u32, lens, bulk)
+        })
+        .collect()
+}
+
+fn raw_messages() -> impl Strategy<Value = Vec<(u64, u32, u32, Vec<usize>, bool)>> {
+    let lens = proptest::collection::vec(len(), 1..41);
+    proptest::collection::vec((gap(), 0u32..4, 0u32..4, lens, any::<bool>()), 1..16)
+}
+
+/// Each packet's hand-over instants in a run, sorted.
+fn instants(handed: &HandOvers) -> HashMap<Tag, Vec<u64>> {
+    let mut at: HashMap<Tag, Vec<u64>> = HashMap::new();
+    for (t, _, tags) in handed {
+        for tag in tags {
+            at.entry(*tag).or_default().push(*t);
+        }
+    }
+    at.values_mut().for_each(|v| v.sort_unstable());
+    at
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_message_is_handed_over_once_when_its_last_packet_would_be(
+        nodes in 3usize..=4,
+        raw in raw_messages(),
+        plain in any::<bool>(),
+    ) {
+        let mut msgs = messages(nodes, raw);
+        msgs.iter_mut().for_each(|m| m.4 &= !plain);
+        let (whole, net) = run_messages(nodes, &msgs, false, |_, _| {});
+        let (alone, per_packet) = run_messages(nodes, &msgs, true, |_, _| {});
+        // Once per message, every packet in order, at the instant and in
+        // the fabric-wide order of its last packet alone.
+        let last = |(t, node, tags): &(u64, u32, Vec<Tag>)| {
+            let (m, i) = tags[0];
+            (i as usize + 1 == msgs[m as usize].3.len()).then_some((*t, *node, m))
+        };
+        let by_last: Vec<_> = alone.iter().filter_map(last).collect();
+        let got: Vec<_> = whole.iter().map(|(t, node, tags)| (*t, *node, tags[0].0)).collect();
+        prop_assert_eq!(&got, &by_last);
+        for (_, _, tags) in &whole {
+            let (m, n) = (tags[0].0, msgs[tags[0].0 as usize].3.len() as u16);
+            prop_assert_eq!(tags, &(0..n).map(|i| (m, i)).collect::<Vec<_>>());
+        }
+        if plain {
+            // The closed form, each packet a send of its message's instant.
+            let sends: Vec<Send> = msgs
+                .iter()
+                .flat_map(|(at, src, dst, lens, _)| lens.iter().map(|&l| (*at, *src, *dst, l)))
+                .collect();
+            let done = rx_done(nodes, &sends);
+            let mut ends = Vec::new();
+            let mut next = 0;
+            for msg in &msgs {
+                next += msg.3.len();
+                ends.push(done[next - 1]);
+            }
+            for (t, _, tags) in &whole {
+                prop_assert_eq!(*t, ends[tags[0].0 as usize]);
+            }
+        }
+        let packets: usize = msgs.iter().map(|m| m.3.len()).sum();
+        prop_assert_eq!((net.delivered(), per_packet.delivered()), (packets as u64, packets as u64));
+        for node in 0..nodes as u32 {
+            let peak = |net: &Network| net.node_rx_queue_peak(NodeId(node));
+            prop_assert_eq!(peak(&net), peak(&per_packet), "node {}", node);
+        }
+    }
+
+    #[test]
+    fn under_faults_each_packet_of_a_message_keeps_its_fate_alone(
+        raw in raw_messages(),
+    ) {
+        let msgs = messages(3, raw);
+        let faults = |net: &Network, ids: &[NodeId]| {
+            net.set_loss_probability(0.1);
+            for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 0)] {
+                net.set_link_duplicate(ids[a], ids[b], 0.2);
+                net.set_link_reorder(ids[a], ids[b], 0.2, Duration::from_micros(3));
+            }
+        };
+        let (whole, net) = run_messages(3, &msgs, false, faults);
+        let (alone, per_packet) = run_messages(3, &msgs, true, faults);
+        let counters = |n: &Network| {
+            (n.delivered(), n.dropped_loss(), n.duplicated(), n.reordered(), n.in_flight())
+        };
+        prop_assert_eq!(counters(&net), counters(&per_packet));
+        let (got, want) = (instants(&whole), instants(&alone));
+        // The same packets survive, as often; none is handed over before
+        // it would be alone, and a duplicate's copies come when they would.
+        prop_assert_eq!(got.keys().collect::<HashSet<_>>(), want.keys().collect());
+        for (tag, at) in &got {
+            let alone_at = &want[tag];
+            prop_assert_eq!(at.len(), alone_at.len(), "{:?}", tag);
+            for (a, b) in at.iter().zip(alone_at) {
+                prop_assert!(a >= b, "{:?} handed over at {} before {}", tag, a, b);
+            }
+            if at.len() > 1 {
+                prop_assert_eq!(at, alone_at, "{:?}", tag);
+            }
+        }
+        // A hand-over holding its message's last packet comes exactly when
+        // that packet would alone.
+        for (t, _, tags) in &whole {
+            let &(m, i) = tags.last().expect("a hand-over has a packet");
+            if i as usize + 1 == msgs[m as usize].3.len() && want[&(m, i)].len() == 1 {
+                prop_assert_eq!(*t, want[&(m, i)][0], "message {}", m);
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Resolve a flatprof dump against the profiled binary.
 
-    resolve.py <binary> <flatprof.out> [rows] [leaf-regex]
+    resolve.py <binary> <flatprof.out> [rows] [leaf-regex] [--stack regex]...
 
 Prints the leaf table (where the program counter was), then, for samples
 whose leaf lies outside the binary (libc: the allocator, memmove, memset),
@@ -9,7 +9,9 @@ the same samples keyed by their first three callers inside the binary —
 the table that says *whose* malloc and *whose* memmove it was. With a
 leaf-regex, a third table keys the samples whose leaf matches it by their
 first two callers inside the binary: one generic leaf (`BinaryHeap::pop`)
-split into the call sites it serves.
+split into the call sites it serves. Each `--stack` regex adds a row to a
+last, inclusive table: the share of samples with a frame matching it
+anywhere on the stack — where a saving spread over many leaves lands.
 """
 import bisect
 import collections
@@ -30,9 +32,14 @@ def symbols(binary):
 
 
 def main():
-    binary, dump = sys.argv[1], sys.argv[2]
-    rows = int(sys.argv[3]) if len(sys.argv) > 3 else 25
-    chosen_leaf = re.compile(sys.argv[4]) if len(sys.argv) > 4 else None
+    args, stacks = sys.argv[1:], []
+    while "--stack" in args:
+        at = args.index("--stack")
+        stacks.append(re.compile(args[at + 1]))
+        del args[at:at + 2]
+    binary, dump = args[0], args[1]
+    rows = int(args[2]) if len(args) > 2 else 25
+    chosen_leaf = re.compile(args[3]) if len(args) > 3 else None
     samples, maps = [], []
     with open(dump) as f:
         for line in f:
@@ -59,7 +66,7 @@ def main():
                 return True, names[i] if i >= 0 else "?"
         return False, "?"
 
-    leaves, foreign, chosen = (collections.Counter() for _ in range(3))
+    leaves, foreign, chosen, inclusive = (collections.Counter() for _ in range(4))
     for stack in samples:
         if not stack:
             continue
@@ -73,6 +80,9 @@ def main():
         if chosen_leaf and chosen_leaf.search(leaf):
             callers = [name for own, name in frames[1:] if own][:2]
             chosen[" <- ".join(callers) or "?"] += 1
+        for pattern in stacks:
+            if any(pattern.search(name) for _, name in frames):
+                inclusive[pattern.pattern] += 1
 
     total = sum(leaves.values())
     print(f"{total} samples\n\nleaf")
@@ -85,6 +95,11 @@ def main():
         print(f"\nleaves matching /{chosen_leaf.pattern}/, by their first two callers")
         for callers, n in chosen.most_common(rows):
             print(f"{100 * n / total:6.2f}%  {n:6d}  {callers}")
+    if stacks:
+        print("\ninclusive: samples with a frame matching anywhere on the stack")
+        for pattern in stacks:
+            n = inclusive[pattern.pattern]
+            print(f"{100 * n / total:6.2f}%  {n:6d}  /{pattern.pattern}/")
 
 
 if __name__ == "__main__":

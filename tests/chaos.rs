@@ -36,7 +36,14 @@ fn bounded_sweep_holds_all_invariants() {
 /// waking a delivery task and an endpoint's receive-loop task per
 /// datagram: polls fell by 54–64 % on every row, and the new same-instant
 /// order moved end time, completions or errors on 11 of them (3 of the 8
-/// `fig5-chain/erpc` rows included). The other tests only compare a run
+/// `fig5-chain/erpc` rows included). Four rows of seed 1 were re-recorded
+/// when the fabric began to hand a message's packets over together, at its
+/// last packet: a reply resent to a retransmitted request and a reassembly
+/// completed by a retransmission's middle packet act at that instant, and
+/// an endpoint that crashes or comes back while a message is on its NIC
+/// hears all of it or none. Three `fig5-chain/erpc` rows moved their end
+/// time only; `slo-social/dmnet` server-crash completed 30 more requests.
+/// The other tests only compare a run
 /// with itself; this compares it with that recording. Re-record only for
 /// a change that means to move the schedule.
 #[rustfmt::skip]
@@ -57,11 +64,11 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (4188, 3297127, 80, 0, 11647770628469977088),
     (2169, 4524597, 32, 1, 17789005190053865754),
     (37095, 3952128, 1207, 1586, 16590015648492559351),
-    (10206, 2328197, 608, 0, 15012980976271753216),
+    (10206, 2328067, 608, 0, 15012980976271753216),
     (20179, 3046935, 622, 0, 4257190990579367936),
     (13320, 3300000, 569, 0, 8400739255624275866),
     (50032, 3700000, 1900, 903, 6679325932300895042),
-    (5761, 2328042, 310, 0, 13598952673238450176),
+    (5761, 2328259, 310, 0, 13598952673238450176),
     (9955, 3000000, 230, 0, 5218268974822850560),
     (10461, 3500000, 346, 577, 6649643468387741248),
     (34106, 3714320, 1013, 1790, 2332623918505472940),
@@ -69,10 +76,10 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (19517, 3000000, 598, 0, 2606996286084349952),
     (12901, 3300000, 550, 0, 4829329783433873434),
     (49235, 3700000, 1875, 928, 17574465219268444355),
-    (5761, 2328042, 310, 0, 13598952673238450176),
+    (5761, 2328259, 310, 0, 13598952673238450176),
     (5301, 3213884, 105, 0, 16702254371847696384),
     (1213, 4552484, 7, 1, 82537842330),
-    (38745, 3740621, 1283, 1520, 18076762567185368900),
+    (39451, 3740621, 1313, 1490, 3184397611762086797),
 ];
 
 #[test]
