@@ -398,7 +398,7 @@ impl Reassembly {
 
     /// [`Reassembly::new`] with room for the `arrived` fragments that came
     /// with this one (no more than its header claims).
-    pub fn arriving(hdr: &Header, frag: impl Into<Message>, arrived: usize) -> Reassembly {
+    pub(crate) fn arriving(hdr: &Header, frag: impl Into<Message>, arrived: usize) -> Reassembly {
         let mut r = Reassembly {
             frags: Vec::with_capacity(arrived.min(hdr.num_pkts as usize)),
             seen: Vec::new(),
@@ -411,7 +411,7 @@ impl Reassembly {
 
     /// Fragment slots held: the fragments that arrived with the first, or
     /// up to twice (at least 4) as many as have arrived since.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.frags.capacity()
     }
 
