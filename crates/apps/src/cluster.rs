@@ -297,6 +297,11 @@ impl Cluster {
             reg.register_gauge(format!("node.{name}.cpu.busy_ns"), move || {
                 cpu.busy_time().as_nanos() as u64
             });
+            // Summed queueing wait for the cores, like the NICs'.
+            let cpu = n.cpu.clone();
+            reg.register_gauge(format!("node.{name}.cpu.wait_ns"), move || {
+                cpu.wait_time().as_nanos() as u64
+            });
             reg.register_gauge(format!("node.{name}.cpu.cores"), move || cores);
         }
         for ep in self.endpoints() {
@@ -354,6 +359,9 @@ impl Cluster {
                 |name: String, read: fn(&DmServer) -> u64| server_gauge(&reg, s, name, read);
             gauge(format!("node.{name}.cpu.busy_ns"), |s| {
                 s.cpu_busy_time().as_nanos() as u64
+            });
+            gauge(format!("node.{name}.cpu.wait_ns"), |s| {
+                s.cpu_wait_time().as_nanos() as u64
             });
             gauge(format!("node.{name}.cpu.cores"), DmServer::cpu_cores);
             gauge(
@@ -653,7 +661,7 @@ mod tests {
                 .into_iter()
                 .filter(|n| n.contains(".nic.") || n.contains(".cpu."))
                 .collect();
-            assert_eq!(new.len(), 3 * 8 + 3 * 2, "{new:?}");
+            assert_eq!(new.len(), 3 * 8 + 3 * 3, "{new:?}");
             let summed = [
                 ".traffic_bytes",
                 ".calls_completed",
@@ -672,7 +680,7 @@ mod tests {
                 .iter()
                 .filter(|n| n.contains("queue") || n.contains("wait"))
                 .collect();
-            assert_eq!(queues.len(), 3 * 4, "{queues:?}");
+            assert_eq!(queues.len(), 3 * 5, "{queues:?}");
             for n in queues {
                 assert!(n.ends_with("_queue_peak") || n.ends_with(".wait_ns"), "{n}");
                 assert!(!n.ends_with("_pkts") && !n.ends_with("busy_ns"), "{n}");

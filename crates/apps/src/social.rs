@@ -31,7 +31,6 @@ use dmcommon::{DmError, DmResult};
 use dmrpc::{DmRpc, Value};
 use loadgen::Population;
 use rpclib::Message;
-use simcore::sync::{Permit, Semaphore};
 use simcore::{FastMap, SimRng, Zipf};
 use simnet::Addr;
 
@@ -179,7 +178,7 @@ pub struct SocialApp {
     /// DM fetches, so a shed request costs neither NIC bandwidth nor DM
     /// allocations. The nginx entry handler keeps its own authoritative
     /// window for non-cooperative callers.
-    gate: Option<Semaphore>,
+    gate: Option<Window>,
     /// One buffer per distinct media payload, built on first use: every
     /// post of a residue publishes a view of it, so the host holds at most
     /// [`MEDIA_KINDS`] payloads however many posts live (DESIGN.md "What a
@@ -489,7 +488,7 @@ async fn build_social_inner(
     // door never sees.
     {
         let ep = nginx_ep.clone();
-        let gate = window.map(Semaphore::new);
+        let gate = window.map(Window::new);
         nginx_ep.rpc().register(SOC_REQ, move |ctx| {
             let ep = ep.clone();
             let gate = gate.clone();
@@ -515,7 +514,7 @@ async fn build_social_inner(
         users,
         media_size,
         servers: vec![server_a, server_b, server_c],
-        gate: window.map(Semaphore::new),
+        gate: window.map(Window::new),
         media: RefCell::new(vec![None; MEDIA_KINDS as usize]),
         htl,
         // Scaled populations bring their own hot-key sampler (derived from
@@ -529,13 +528,36 @@ async fn build_social_inner(
     }
 }
 
-/// A slot in a front-door window, when there is one; `Busy` when it is
-/// full. The slot frees when the returned permit drops.
-fn try_enter(gate: &Option<Semaphore>) -> DmResult<Option<Permit>> {
-    match gate {
-        None => Ok(None),
-        Some(g) => g.try_acquire(1).map(Some).ok_or(DmError::Busy),
+/// A front-door window: the slots still free. A full window refuses on
+/// the spot and never queues.
+#[derive(Clone)]
+struct Window(Rc<Cell<u64>>);
+
+/// A request's place in a [`Window`], given back when it drops (a
+/// cancelled request included).
+struct Slot(Rc<Cell<u64>>);
+
+impl Window {
+    fn new(size: u64) -> Window {
+        Window(Rc::new(Cell::new(size)))
     }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// A slot in a front-door window, when there is one; `Busy` when it is
+/// full.
+fn try_enter(gate: &Option<Window>) -> DmResult<Option<Slot>> {
+    let Some(Window(free)) = gate else {
+        return Ok(None);
+    };
+    let n = free.get().checked_sub(1).ok_or(DmError::Busy)?;
+    free.set(n);
+    Ok(Some(Slot(free.clone())))
 }
 
 impl SocialApp {
@@ -1073,6 +1095,23 @@ mod tests {
             };
             assert_eq!(used_after - used_before, 1, "shed compose leaked a page");
         });
+    }
+
+    #[test]
+    fn a_full_window_refuses_at_once_and_a_dropped_slot_frees_its_place() {
+        assert!(matches!(try_enter(&None), Ok(None)));
+        let gate = Some(Window::new(2));
+        let a = try_enter(&gate).unwrap();
+        let b = try_enter(&gate).unwrap();
+        assert!(matches!(try_enter(&gate), Err(DmError::Busy)));
+        drop(a);
+        let c = try_enter(&gate).unwrap();
+        assert!(matches!(try_enter(&gate), Err(DmError::Busy)));
+        drop((b, c));
+        let Some(Window(free)) = &gate else {
+            unreachable!()
+        };
+        assert_eq!(free.get(), 2, "every slot came back");
     }
 
     #[test]

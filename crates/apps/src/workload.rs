@@ -429,17 +429,16 @@ mod tests {
         // A single-server queue at 2x its service rate must show queueing.
         let sim = Sim::new();
         let m = sim.block_on(async {
-            let sem = simcore::sync::Semaphore::new(1);
+            let cpu = simcore::CpuPool::new(1);
             run_open_loop(
                 200_000.0, // offered 200k rps
                 Duration::ZERO,
                 Duration::from_millis(5),
                 SimRng::new(9),
                 Rc::new(move |_n| {
-                    let sem = sem.clone();
+                    let cpu = cpu.clone();
                     async move {
-                        let _p = sem.acquire_one().await;
-                        simcore::sleep(Duration::from_micros(10)).await; // cap 100k
+                        cpu.execute(Duration::from_micros(10)).await; // cap 100k
                         Ok::<(), ()>(())
                     }
                 }),
@@ -463,17 +462,16 @@ mod tests {
         // body would report ~10us forever).
         let sim = Sim::new();
         let m = sim.block_on(async {
-            let sem = simcore::sync::Semaphore::new(1);
+            let cpu = simcore::CpuPool::new(1);
             run_open_loop(
                 200_000.0, // offered 200k rps
                 Duration::ZERO,
                 Duration::from_millis(5),
                 SimRng::new(9),
                 Rc::new(move |_n| {
-                    let sem = sem.clone();
+                    let cpu = cpu.clone();
                     async move {
-                        let _p = sem.acquire_one().await;
-                        simcore::sleep(Duration::from_micros(10)).await; // cap 100k
+                        cpu.execute(Duration::from_micros(10)).await; // cap 100k
                         Ok::<(), ()>(())
                     }
                 }),

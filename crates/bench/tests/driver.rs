@@ -391,7 +391,7 @@ fn the_prose_names_only_what_exists() {
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9), with
     // the fabric's delivery task (§5) and with the block-storage and
     // shuffle apps: no document names them as code.
-    const GONE: [&str; 34] = [
+    const GONE: [&str; 38] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -426,6 +426,10 @@ fn the_prose_names_only_what_exists() {
         "BlockStore",
         "shuffle_demo",
         "block_storage_demo",
+        "Semaphore",
+        "acquire_one",
+        "per_op_cpu",
+        "per_page_cpu",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md \
                 .claude/skills/verify/SKILL.md scripts/flatprof/README.md";

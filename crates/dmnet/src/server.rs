@@ -65,10 +65,6 @@ pub struct DmServerConfig {
     /// Worker cores serving DM requests (paper §VI-C; Fig. 7 uses 1).
     /// Request dispatch and every op's page-manager work share this pool.
     pub cores: u64,
-    /// Fixed CPU cost per DM operation.
-    pub per_op_cpu: Duration,
-    /// CPU cost per page whose refcount / translation entry is updated.
-    pub per_page_cpu: Duration,
     /// CPU cost of one software translation lookup. Zero models paper
     /// §V-A2's future work, "letting MMU translate the DM virtual address
     /// directly to the physical address": lookups then cost and count
@@ -95,8 +91,6 @@ impl Default for DmServerConfig {
             capacity_pages: 65536,
             copy_mode: CopyMode::CopyOnWrite,
             cores: 4,
-            per_op_cpu: Duration::from_nanos(300),
-            per_page_cpu: Duration::from_nanos(10),
             translation_cpu: Duration::from_nanos(15),
             lease_ttl: None,
             durability: WalConfig::from_env(),
@@ -315,6 +309,12 @@ impl DmServer {
         self.cpu.busy_time()
     }
 
+    /// Summed queueing wait for those cores (the `node.<name>.cpu.wait_ns`
+    /// telemetry gauge).
+    pub fn cpu_wait_time(&self) -> Duration {
+        self.cpu.wait_time()
+    }
+
     /// Requests served (the `dm.shard.<i>.ops` telemetry gauge; `<i>` is
     /// the server's index in the pool).
     pub fn ops_served(&self) -> u64 {
@@ -400,6 +400,11 @@ impl DmServer {
         self.op_ns.set(self.op_ns.get() + t.as_nanos() as u64);
     }
 
+    /// Fixed CPU cost of every DM operation.
+    const PER_OP_CPU: Duration = Duration::from_nanos(300);
+    /// CPU cost per page whose refcount or translation entry an op updates.
+    const PER_PAGE_CPU: Duration = Duration::from_nanos(10);
+
     /// Charge CPU for an operation and record the translation share (the
     /// RPC layer already charged the request's dispatch on the same cores).
     /// Page copies (COW / eager) occupy the serving core for the duration
@@ -412,8 +417,8 @@ impl DmServer {
         } else {
             Duration::ZERO
         };
-        let cpu_time = c.per_op_cpu
-            + c.per_page_cpu * (cost.refcount_updates + cost.pages_faulted) as u32
+        let cpu_time = Self::PER_OP_CPU
+            + Self::PER_PAGE_CPU * (cost.refcount_updates + cost.pages_faulted) as u32
             + c.translation_cpu * translations as u32
             + copy_time;
         // The copy shares one `execute` with the op's bookkeeping CPU —

@@ -7,15 +7,14 @@
 //! automatically serialized and the resource's utilization emerges naturally.
 //!
 //! A [`CpuPool`] models `n` identical cores with a FIFO run queue, used for
-//! per-request application processing time.
+//! per-request application processing time; it books a core the same way.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
 use crate::executor::{now, sleep_until};
 use crate::stats::Counter;
-use crate::sync::Semaphore;
 use crate::time::{transfer_time, SimTime};
 
 /// A FIFO rate-limited resource (link, memory channel, disk...).
@@ -127,12 +126,23 @@ impl RateResource {
     }
 }
 
-/// A pool of identical CPU cores with FIFO admission.
+/// A pool of identical CPU cores serving operations in arrival order.
+///
+/// Like a [`RateResource`], a pool is a booking: each [`CpuPool::execute`]
+/// takes the core that frees first, starts at `max(now, free_at)` and sleeps
+/// until `start + work` (the FIFO k-server recursion), so no queue of
+/// waiters is kept and nothing is woken but the op's own timer.
 #[derive(Clone)]
 pub struct CpuPool {
-    cores: Semaphore,
-    n_cores: u64,
-    busy: Rc<Cell<Duration>>,
+    inner: Rc<CpuInner>,
+}
+
+struct CpuInner {
+    /// The instant each core is next free.
+    free_at: RefCell<Vec<SimTime>>,
+    busy: Cell<Duration>,
+    /// Summed queueing wait, in ns.
+    wait_ns: Cell<u64>,
     ops: Counter,
 }
 
@@ -141,34 +151,57 @@ impl CpuPool {
     pub fn new(n_cores: u64) -> CpuPool {
         assert!(n_cores > 0, "CpuPool needs at least one core");
         CpuPool {
-            cores: Semaphore::new(n_cores),
-            n_cores,
-            busy: Rc::new(Cell::new(Duration::ZERO)),
-            ops: Counter::new(),
+            inner: Rc::new(CpuInner {
+                free_at: RefCell::new(vec![SimTime::ZERO; n_cores as usize]),
+                busy: Cell::new(Duration::ZERO),
+                wait_ns: Cell::new(0),
+                ops: Counter::new(),
+            }),
         }
     }
 
     /// Number of cores.
     pub fn cores(&self) -> u64 {
-        self.n_cores
+        self.inner.free_at.borrow().len() as u64
     }
 
-    /// Execute `work` of CPU time on one core (queueing if all are busy).
+    /// Execute `work` of CPU time on one core, after every op booked
+    /// before it has started (queueing if all cores are busy).
+    ///
+    /// The core is booked when the future is first polled; a future
+    /// dropped before the work is done keeps its booking, and its busy
+    /// time, wait and op are never counted.
     pub async fn execute(&self, work: Duration) {
-        let _permit = self.cores.acquire_one().await;
-        crate::executor::sleep(work).await;
-        self.busy.set(self.busy.get() + work);
-        self.ops.add(1);
+        let t = now();
+        let start = {
+            let mut free_at = self.inner.free_at.borrow_mut();
+            let core = free_at.iter_mut().min().expect("a pool has a core");
+            let start = (*core).max(t);
+            *core = start + work;
+            start
+        };
+        sleep_until(start + work).await;
+        let inner = &self.inner;
+        let waited = start.nanos() - t.nanos();
+        inner.busy.set(inner.busy.get() + work);
+        inner.wait_ns.set(inner.wait_ns.get() + waited);
+        inner.ops.add(1);
     }
 
-    /// Total CPU busy time across all cores.
+    /// Total CPU busy time across all cores, of completed executions.
     pub fn busy_time(&self) -> Duration {
-        self.busy.get()
+        self.inner.busy.get()
+    }
+
+    /// Total queueing wait of completed executions: for each, its start on
+    /// a core minus the instant it was requested.
+    pub fn wait_time(&self) -> Duration {
+        Duration::from_nanos(self.inner.wait_ns.get())
     }
 
     /// Completed executions.
     pub fn ops(&self) -> u64 {
-        self.ops.get()
+        self.inner.ops.get()
     }
 
     /// Average core utilization over `elapsed`.
@@ -176,13 +209,14 @@ impl CpuPool {
         if elapsed.is_zero() {
             return 0.0;
         }
-        (self.busy_time().as_secs_f64() / (elapsed.as_secs_f64() * self.n_cores as f64)).min(1.0)
+        (self.busy_time().as_secs_f64() / (elapsed.as_secs_f64() * self.cores() as f64)).min(1.0)
     }
 
     /// Reset counters (between measurement phases).
     pub fn reset_stats(&self) {
-        self.busy.set(Duration::ZERO);
-        self.ops.reset();
+        self.inner.busy.set(Duration::ZERO);
+        self.inner.wait_ns.set(0);
+        self.inner.ops.reset();
     }
 }
 
@@ -190,7 +224,6 @@ impl CpuPool {
 mod tests {
     use super::*;
     use crate::executor::{now, Sim};
-    use std::cell::RefCell;
 
     #[test]
     fn rate_resource_serializes_concurrent_users() {
@@ -269,11 +302,14 @@ mod tests {
             });
         }
         let end = sim.run();
-        // 4 tasks, 2 cores, 1us each -> 2us makespan.
+        // 4 tasks, 2 cores, 1us each -> 2us makespan; two waited 1us each.
         assert_eq!(end.nanos(), 2_000);
         assert_eq!(pool.ops(), 4);
         assert_eq!(pool.busy_time(), Duration::from_micros(4));
+        assert_eq!(pool.wait_time(), Duration::from_micros(2));
         assert!((pool.utilization(Duration::from_micros(2)) - 1.0).abs() < 1e-9);
+        pool.reset_stats();
+        assert_eq!(pool.wait_time(), Duration::ZERO);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! parallel) but tasks interleave at `.await` points, so these primitives
 //! provide the same *logical* coordination as their `tokio` counterparts:
 //! [`oneshot`] for request/response completion, [`mpsc`] for service mailboxes
-//! and simulated wires, [`Semaphore`] for modeling limited resources such as
-//! CPU cores or flow-control credits, and [`Notify`] for edge-triggered
-//! signaling.
+//! and simulated wires, and [`Notify`] for edge-triggered signaling. Limited
+//! resources such as CPU cores are bookings, not locks: see
+//! [`crate::resource`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -117,10 +117,6 @@ pub mod oneshot {
 // ---------------------------------------------------------------------------
 
 /// Multi-producer, single-consumer FIFO channel (unbounded).
-///
-/// Bounded behaviour, where needed for backpressure, is modeled explicitly
-/// with a [`Semaphore`] of credits by the caller — this keeps the channel
-/// itself simple and the flow-control policy visible at the call site.
 pub mod mpsc {
     use super::*;
 
@@ -245,200 +241,6 @@ pub mod mpsc {
             }
             c.recv_waker = Some(cx.waker().clone());
             Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemWaiter {
-    n: u64,
-    waker: Option<Waker>,
-    granted: bool,
-    cancelled: bool,
-}
-
-struct SemState {
-    permits: u64,
-    waiters: VecDeque<Rc<RefCell<SemWaiter>>>,
-}
-
-impl SemState {
-    /// Grant permits to queued waiters in FIFO order.
-    fn grant(&mut self) {
-        while let Some(front) = self.waiters.front() {
-            let mut w = front.borrow_mut();
-            if w.cancelled {
-                drop(w);
-                self.waiters.pop_front();
-                continue;
-            }
-            if self.permits >= w.n {
-                self.permits -= w.n;
-                w.granted = true;
-                if let Some(waker) = w.waker.take() {
-                    waker.wake();
-                }
-                drop(w);
-                self.waiters.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// A counting semaphore with FIFO fairness.
-///
-/// Used throughout the simulator to model limited resources: CPU cores on a
-/// server, flow-control credits on an RPC session, outstanding-request caps
-/// in workload generators.
-#[derive(Clone)]
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Semaphore {
-    /// Create a semaphore with `permits` initial permits.
-    pub fn new(permits: u64) -> Semaphore {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> u64 {
-        self.state.borrow().permits
-    }
-
-    /// Acquire `n` permits, waiting in FIFO order. The returned guard gives
-    /// the permits back when dropped.
-    pub fn acquire(&self, n: u64) -> Acquire {
-        Acquire {
-            sem: self.clone(),
-            n,
-            waiter: None,
-        }
-    }
-
-    /// Acquire one permit.
-    pub fn acquire_one(&self) -> Acquire {
-        self.acquire(1)
-    }
-
-    /// Add permits (e.g. returning credits), waking eligible waiters.
-    pub fn release(&self, n: u64) {
-        let mut st = self.state.borrow_mut();
-        st.permits += n;
-        st.grant();
-    }
-
-    /// Try to acquire without waiting.
-    pub fn try_acquire(&self, n: u64) -> Option<Permit> {
-        let mut st = self.state.borrow_mut();
-        if st.waiters.is_empty() && st.permits >= n {
-            st.permits -= n;
-            Some(Permit {
-                sem: self.clone(),
-                n,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// RAII guard for acquired permits.
-pub struct Permit {
-    sem: Semaphore,
-    n: u64,
-}
-
-impl Permit {
-    /// Number of permits held.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Release without waiting for drop (explicit form).
-    pub fn release(self) {}
-
-    /// Forget the permits (they are permanently consumed).
-    pub fn forget(mut self) {
-        self.n = 0;
-    }
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        if self.n > 0 {
-            self.sem.release(self.n);
-        }
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
-    n: u64,
-    waiter: Option<Rc<RefCell<SemWaiter>>>,
-}
-
-impl Future for Acquire {
-    type Output = Permit;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Permit> {
-        let n = self.n;
-        if let Some(w) = &self.waiter {
-            let mut wb = w.borrow_mut();
-            if wb.granted {
-                drop(wb);
-                self.waiter = None;
-                return Poll::Ready(Permit {
-                    sem: self.sem.clone(),
-                    n,
-                });
-            }
-            wb.waker = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let mut st = self.sem.state.borrow_mut();
-        if st.waiters.is_empty() && st.permits >= n {
-            st.permits -= n;
-            return Poll::Ready(Permit {
-                sem: self.sem.clone(),
-                n,
-            });
-        }
-        let waiter = Rc::new(RefCell::new(SemWaiter {
-            n,
-            waker: Some(cx.waker().clone()),
-            granted: false,
-            cancelled: false,
-        }));
-        st.waiters.push_back(waiter.clone());
-        drop(st);
-        self.waiter = Some(waiter);
-        Poll::Pending
-    }
-}
-
-impl Drop for Acquire {
-    fn drop(&mut self) {
-        if let Some(w) = &self.waiter {
-            let mut wb = w.borrow_mut();
-            if wb.granted {
-                // Granted but never observed: return the permits.
-                drop(wb);
-                self.sem.release(self.n);
-            } else {
-                wb.cancelled = true;
-            }
         }
     }
 }
@@ -673,83 +475,6 @@ mod tests {
             rx.recv().await
         });
         assert_eq!(v, None);
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let sim = Sim::new();
-        let peak = Rc::new(RefCell::new((0u32, 0u32))); // (current, max)
-        let sem = Semaphore::new(3);
-        for _ in 0..10 {
-            let sem = sem.clone();
-            let peak = peak.clone();
-            sim.spawn(async move {
-                let _p = sem.acquire_one().await;
-                {
-                    let mut pk = peak.borrow_mut();
-                    pk.0 += 1;
-                    pk.1 = pk.1.max(pk.0);
-                }
-                sleep(Duration::from_micros(1)).await;
-                peak.borrow_mut().0 -= 1;
-            });
-        }
-        sim.run();
-        assert_eq!(peak.borrow().1, 3);
-        assert_eq!(sem.available(), 3);
-    }
-
-    #[test]
-    fn semaphore_fifo_fairness() {
-        let sim = Sim::new();
-        let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        let sem = Semaphore::new(1);
-        for i in 0..5u32 {
-            let sem = sem.clone();
-            let order = order.clone();
-            sim.spawn(async move {
-                // Stagger arrival to make the expected order unambiguous.
-                sleep(Duration::from_nanos(i as u64)).await;
-                let _p = sem.acquire_one().await;
-                sleep(Duration::from_micros(1)).await;
-                order.borrow_mut().push(i);
-            });
-        }
-        sim.run();
-        assert_eq!(&*order.borrow(), &[0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn semaphore_multi_permit_acquire() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(4);
-        let sem2 = sem.clone();
-        let done = sim.spawn(async move {
-            let p = sem2.acquire(3).await;
-            assert_eq!(sem2.available(), 1);
-            drop(p);
-            let _q = sem2.acquire(4).await;
-            assert_eq!(sem2.available(), 0);
-        });
-        sim.run();
-        assert!(done.is_finished());
-        assert_eq!(sem.available(), 4);
-    }
-
-    #[test]
-    fn semaphore_try_acquire() {
-        let sem = Semaphore::new(2);
-        let p = sem.try_acquire(2).unwrap();
-        assert!(sem.try_acquire(1).is_none());
-        drop(p);
-        assert!(sem.try_acquire(1).is_some());
-    }
-
-    #[test]
-    fn semaphore_permit_forget_consumes() {
-        let sem = Semaphore::new(2);
-        sem.try_acquire(1).unwrap().forget();
-        assert_eq!(sem.available(), 1);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! the new values must be re-recorded here *and* every `results/*.csv`
 //! regenerated in the same commit, with the change called out in DESIGN.md.
 
-use simcore::sync::{mpsc, oneshot, Notify, Semaphore};
-use simcore::{Sim, SimTime};
+use simcore::sync::{mpsc, oneshot, Notify};
+use simcore::{CpuPool, Sim, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
 /// A mixed workload touching every wakeup path the executor has: timers
-/// (including colliding deadlines), yield_now, mpsc, oneshot, semaphores,
+/// (including colliding deadlines), yield_now, mpsc, oneshot, CPU bookings,
 /// notify, timeouts, nested spawn, and cross-task join handles.
 fn mixed_workload() -> (u64, u64, u64) {
     let sim = Sim::new();
@@ -49,20 +49,18 @@ fn mixed_workload() -> (u64, u64, u64) {
         });
     }
 
-    // Semaphore contention: 12 workers over 3 permits, nested spawns inside.
-    let sem = Rc::new(Semaphore::new(3));
+    // CPU contention: 12 workers booking 3 cores, a nested spawn after each.
+    let cpu = CpuPool::new(3);
     for w in 0..12u64 {
-        let sem = sem.clone();
+        let cpu = cpu.clone();
         let checksum = checksum.clone();
         sim.spawn(async move {
-            let permit = sem.acquire_one().await;
-            simcore::sleep(Duration::from_nanos(70 + w * 11)).await;
+            cpu.execute(Duration::from_nanos(70 + w * 11)).await;
             let inner = simcore::spawn(async move {
                 simcore::yield_now().await;
                 w * 7
             });
             checksum.set(checksum.get() ^ inner.await);
-            permit.release();
         });
     }
 
@@ -121,8 +119,11 @@ fn mixed_workload() -> (u64, u64, u64) {
 }
 
 /// Captured on the seed executor (HashMap scheduler, per-poll waker alloc).
-/// See module docs before ever changing these numbers.
-const GOLDEN_POLLS: u64 = 454;
+/// Polls re-recorded 454 → 445 when CPU cores became bookings: the nine
+/// workers that find all three cores taken sleep to their start instead of
+/// waiting to be woken by a semaphore grant. See module docs before ever
+/// changing these numbers.
+const GOLDEN_POLLS: u64 = 445;
 const GOLDEN_END_NS: u64 = 10_000_000;
 const GOLDEN_CHECKSUM: u64 = 6_102_637_803_945_526_047;
 

@@ -101,37 +101,54 @@ proptest! {
         }
     }
 
-    /// Semaphore never over-admits under random acquire/release patterns.
+    /// A `CpuPool` of `k` cores serves ops like a FIFO k-server: ops start
+    /// in arrival order (same-instant ties in request order), each once
+    /// fewer than `k` of the ops before it are unfinished.
     #[test]
-    fn semaphore_never_over_admits(
-        permits in 1u64..5,
-        tasks in 1usize..30,
-        seed in any::<u64>(),
+    fn cpu_pool_matches_a_fifo_k_server(
+        k in 1u64..=4,
+        mut ops in proptest::collection::vec(
+            (0u64..40, prop_oneof![Just(0u64), 1u64..120]),
+            1..40,
+        ),
     ) {
+        ops.sort_by_key(|&(arrival, _)| arrival);
+        // Reference: the k-th latest finish among earlier ops frees a core.
+        let mut starts: Vec<u64> = Vec::new();
+        let mut dones: Vec<u64> = Vec::new();
+        for &(arrival, work) in &ops {
+            let mut earlier = dones.clone();
+            earlier.sort_unstable_by(|a, b| b.cmp(a));
+            let core_free = earlier.get(k as usize - 1).copied().unwrap_or(0);
+            let in_order = starts.last().copied().unwrap_or(0);
+            let start = arrival.max(core_free).max(in_order);
+            starts.push(start);
+            dones.push(start + work);
+        }
+
         let sim = Sim::new();
-        let sem = simcore::sync::Semaphore::new(permits);
-        let active = Rc::new(std::cell::Cell::new(0u64));
-        let violated = Rc::new(std::cell::Cell::new(false));
-        let rng = SimRng::new(seed);
-        for _ in 0..tasks {
-            let sem = sem.clone();
-            let active = active.clone();
-            let violated = violated.clone();
-            let hold = rng.gen_range(500) + 1;
-            let start = rng.gen_range(1000);
+        let pool = simcore::CpuPool::new(k);
+        let finished = Rc::new(std::cell::RefCell::new(vec![None; ops.len()]));
+        {
+            let (pool, finished, ops) = (pool.clone(), finished.clone(), ops.clone());
             sim.spawn(async move {
-                simcore::sleep(Duration::from_nanos(start)).await;
-                let _p = sem.acquire_one().await;
-                active.set(active.get() + 1);
-                if active.get() > permits {
-                    violated.set(true);
+                for (i, (arrival, work)) in ops.into_iter().enumerate() {
+                    simcore::sleep_until(simcore::SimTime::from_nanos(arrival)).await;
+                    let (pool, finished) = (pool.clone(), finished.clone());
+                    simcore::spawn(async move {
+                        pool.execute(Duration::from_nanos(work)).await;
+                        finished.borrow_mut()[i] = Some(simcore::now().nanos());
+                    });
                 }
-                simcore::sleep(Duration::from_nanos(hold)).await;
-                active.set(active.get() - 1);
             });
         }
         sim.run();
-        prop_assert!(!violated.get(), "semaphore admitted more than {permits}");
-        prop_assert_eq!(sem.available(), permits, "all permits returned");
+        let want: Vec<Option<u64>> = dones.iter().copied().map(Some).collect();
+        prop_assert_eq!(&*finished.borrow(), &want);
+        let work: u64 = ops.iter().map(|&(_, w)| w).sum();
+        let wait: u64 = starts.iter().zip(&ops).map(|(s, &(a, _))| s - a).sum();
+        prop_assert_eq!(pool.busy_time(), Duration::from_nanos(work));
+        prop_assert_eq!(pool.ops(), ops.len() as u64);
+        prop_assert_eq!(pool.wait_time(), Duration::from_nanos(wait));
     }
 }

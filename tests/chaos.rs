@@ -43,6 +43,11 @@ fn bounded_sweep_holds_all_invariants() {
 /// an endpoint that crashes or comes back while a message is on its NIC
 /// hears all of it or none. Three `fig5-chain/erpc` rows moved their end
 /// time only; `slo-social/dmnet` server-crash completed 30 more requests.
+/// Five rows lost 1–9 polls, and nothing else, when a CPU core became a
+/// booking: an op that finds every core taken sleeps to its finish instead
+/// of being woken by a semaphore grant first (`fig7-cow/dmnet` partition
+/// and dup-reorder seed 0, bursty-loss and dup-reorder seed 1,
+/// `slo-social/dmnet` server-crash seed 1).
 /// The other tests only compare a run
 /// with itself; this compares it with that recording. Re-record only for
 /// a change that means to move the schedule.
@@ -54,11 +59,11 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (51276, 3700000, 1969, 824, 13258190860806131245),
     (10687, 2327617, 640, 0, 16607590119150452736),
     (16949, 3000000, 505, 0, 5209188130929799168),
-    (10315, 3300000, 291, 951, 17103789764085610586),
+    (10314, 3300000, 291, 951, 17103789764085610586),
     (39869, 3700000, 1339, 1454, 11748914024996246127),
     (10687, 2327617, 640, 0, 16607590119150452736),
     (21488, 3000000, 676, 0, 12261166499321085952),
-    (12787, 3300000, 548, 0, 2612831732973756058),
+    (12781, 3300000, 548, 0, 2612831732973756058),
     (50907, 3700000, 1942, 851, 7381678493121961902),
     (10687, 2327617, 640, 0, 16607590119150452736),
     (4188, 3297127, 80, 0, 11647770628469977088),
@@ -66,7 +71,7 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (37095, 3952128, 1207, 1586, 16590015648492559351),
     (10206, 2328067, 608, 0, 15012980976271753216),
     (20179, 3046935, 622, 0, 4257190990579367936),
-    (13320, 3300000, 569, 0, 8400739255624275866),
+    (13318, 3300000, 569, 0, 8400739255624275866),
     (50032, 3700000, 1900, 903, 6679325932300895042),
     (5761, 2328259, 310, 0, 13598952673238450176),
     (9955, 3000000, 230, 0, 5218268974822850560),
@@ -74,12 +79,12 @@ const GOLDEN: [(u64, u64, u64, u64, u64); 32] = [
     (34106, 3714320, 1013, 1790, 2332623918505472940),
     (9494, 2326310, 560, 0, 15845299204350017536),
     (19517, 3000000, 598, 0, 2606996286084349952),
-    (12901, 3300000, 550, 0, 4829329783433873434),
+    (12892, 3300000, 550, 0, 4829329783433873434),
     (49235, 3700000, 1875, 928, 17574465219268444355),
     (5761, 2328259, 310, 0, 13598952673238450176),
     (5301, 3213884, 105, 0, 16702254371847696384),
     (1213, 4552484, 7, 1, 82537842330),
-    (39451, 3740621, 1313, 1490, 3184397611762086797),
+    (39445, 3740621, 1313, 1490, 3184397611762086797),
 ];
 
 #[test]
