@@ -780,12 +780,12 @@ impl Rpc {
                         }
                         SlotState::Executing => return,
                         SlotState::Done { pkts, bulk } => {
-                            // Once per duplicate packet.
+                            // Once per hand-over of a duplicate, however
+                            // many of its packets came.
                             let (pkts, bulk) = (pkts.clone(), *bulk);
                             drop(served);
-                            for _ in 0..1 + rest.count() {
-                                self.transmit(src, &pkts, bulk);
-                            }
+                            rest.for_each(drop);
+                            self.transmit(src, &pkts, bulk);
                             return;
                         }
                     },

@@ -677,6 +677,42 @@ fn a_bulk_reply_resent_to_a_duplicate_keeps_its_class() {
     }
 }
 
+/// A retransmitted request that finds its slot answered gets the reply
+/// resent once per hand-over, however many packets the request has: the
+/// server sends one reply's worth of packets, not one reply per request
+/// packet.
+#[test]
+fn a_retransmitted_multi_packet_request_gets_one_resent_reply() {
+    let (request_pkts, reply_pkts) = (3, 2);
+    let (sim, net, a, b) = rig();
+    let net2 = net.clone();
+    let (resent, runs) = sim.block_on(async move {
+        let runs = Rc::new(Cell::new(0u32));
+        let server = RpcBuilder::new(&net2, b, 10).build();
+        let runs2 = runs.clone();
+        server.register(1, move |_| {
+            runs2.set(runs2.get() + 1);
+            std::future::ready(Message::from(Bytes::from(vec![9u8; 4096 + 1])))
+        });
+        let client = RpcBuilder::new(&net2, a, 10).config(rto_config()).build();
+        // The first reply is lost whole; the retransmitted request finds
+        // the slot answered.
+        net2.set_link_loss(b, a, Some(1.0));
+        let dst = server.addr();
+        let request = Bytes::from(vec![7u8; 2 * 4096 + 1]);
+        let call = simcore::spawn(async move { client.call(dst, 1, request).await });
+        simcore::sleep(Duration::from_micros(60)).await;
+        assert_eq!(net2.node_rx_packets(b), request_pkts, "one request heard");
+        net2.set_link_loss(b, a, None);
+        net2.reset_stats();
+        call.await.expect("answered by the resend");
+        assert_eq!(net2.node_rx_packets(b), request_pkts, "one retransmission");
+        (net2.node_tx_packets(b), runs.get())
+    });
+    assert_eq!(resent, reply_pkts);
+    assert_eq!(runs, 1);
+}
+
 /// One jitter draw per armed wait, in call order on the endpoint's one
 /// stream: eight concurrent calls of three sizes retransmit at the instants
 /// their eight watchdogs did.
