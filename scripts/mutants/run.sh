@@ -5,9 +5,6 @@
 # target/mutants/, builds with `cargo test --release --no-run`, runs only
 # the named test, and fails if that test passes (the fault went unseen) or
 # if a patch no longer applies or builds (the corpus went stale).
-#
-#   scripts/mutants/run.sh            # every patch
-#   scripts/mutants/run.sh rpclib_*   # the patches whose names match
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 root=$PWD
@@ -17,15 +14,14 @@ export CARGO_TARGET_DIR=$root/target/mutants/build
 cleanup() { git worktree remove --force "$tree" 2>/dev/null || true; }
 trap cleanup EXIT
 
-survived=0
-stale=0
-for patch in scripts/mutants/${1:-*}.patch; do
+status=0
+for patch in scripts/mutants/*.patch; do
   name=$(basename "$patch" .patch)
   header=$(head -n 1 "$patch")
   args=${header#'# must fail: '}
   if [ "$args" = "$header" ]; then
     echo "STALE $name: first line is not '# must fail: <cargo test arguments>'"
-    stale=1
+    status=1
     continue
   fi
   cleanup
@@ -34,15 +30,15 @@ for patch in scripts/mutants/${1:-*}.patch; do
   if ! git -C "$tree" apply "$root/$patch" ||
      ! (cd "$tree" && cargo test --release --quiet --no-run $args); then
     echo "STALE $name: does not apply to HEAD or does not build"
-    stale=1
+    status=1
     continue
   fi
   # shellcheck disable=SC2086
   if (cd "$tree" && cargo test --release --quiet $args); then
     echo "SURVIVED $name: cargo test $args passed"
-    survived=1
+    status=1
   else
     echo "killed $name: cargo test $args failed"
   fi
 done
-[ "$survived$stale" = 00 ]
+exit $status
