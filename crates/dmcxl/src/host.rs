@@ -41,6 +41,12 @@ use crate::gfam::{GFam, Ppn};
 /// Issue cost of one pipelined fabric atomic.
 const ATOMIC_ISSUE: Duration = Duration::from_nanos(20);
 
+/// Kernel page-fault handling CPU cost.
+const FAULT_CPU: Duration = Duration::from_nanos(400);
+
+/// CPU cost per PTE update.
+const PTE_CPU: Duration = Duration::from_nanos(30);
+
 /// Host DM-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CxlHostConfig {
@@ -52,10 +58,6 @@ pub struct CxlHostConfig {
     pub request_batch: usize,
     /// COW (DmRPC) or eager copy at `create_ref` (the `-copy` ablation).
     pub copy_mode: CopyMode,
-    /// Kernel page-fault handling CPU cost.
-    pub fault_cpu: Duration,
-    /// CPU cost per PTE update.
-    pub pte_cpu: Duration,
 }
 
 impl Default for CxlHostConfig {
@@ -65,8 +67,6 @@ impl Default for CxlHostConfig {
             high_watermark: 512,
             request_batch: 64,
             copy_mode: CopyMode::CopyOnWrite,
-            fault_cpu: Duration::from_nanos(400),
-            pte_cpu: Duration::from_nanos(30),
         }
     }
 }
@@ -372,7 +372,7 @@ impl CxlHost {
                 Some(pte) if pte.writable => pte.ppn,
                 pte => {
                     self.stats.faults.incr();
-                    fault_cpu += self.config.fault_cpu + self.config.pte_cpu;
+                    fault_cpu += FAULT_CPU + PTE_CPU;
                     let ppn = match pte {
                         None => self.take_page(),
                         // Sole owner: flip the permission flag.
@@ -471,7 +471,7 @@ impl CxlHost {
                 // Mark read-only so the next creator write COWs.
                 self.map(vpn, ppn, false);
             }
-            simcore::sleep(self.config.pte_cpu * n as u32).await;
+            simcore::sleep(PTE_CPU * n as u32).await;
             self.charge_atomics(n).await;
             pages.into_iter().map(|(_, ppn)| ppn).collect()
         };
@@ -536,7 +536,7 @@ impl CxlHost {
             self.gfam.rc_inc(ppn);
             self.map(va / PAGE_SIZE as u64 + i as u64, ppn, false);
         }
-        simcore::sleep(self.config.pte_cpu * pages.len() as u32).await;
+        simcore::sleep(PTE_CPU * pages.len() as u32).await;
         self.charge_atomics(pages.len()).await;
         Ok(va)
     }
