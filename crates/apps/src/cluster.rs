@@ -222,7 +222,8 @@ impl Cluster {
     /// `sim.live_tasks` / `sim.timers_pending` (the executor under the
     /// snapshotting task; 0 outside a run loop),
     /// `node.<name>.*` per-server memory traffic and resource busy time
-    /// (what [`utilization`] ranks), `rpc.<name>.<port>.*` endpoint
+    /// (what [`utilization`] ranks; `node.gfam.bw.busy_ns` is G-FAM's
+    /// bandwidth), `rpc.<name>.<port>.*` endpoint
     /// counters, `dmclient.<name>.<port>.*` cache and wire counters,
     /// `dmserver.<i>.*` and `gfam.*` backend gauges. Two of them count host
     /// copies the design promises not to make: `rpc.flattened_msgs`
@@ -406,6 +407,11 @@ impl Cluster {
             reg.register_gauge("gfam.read_viewed_bytes", move || g.read_viewed_bytes());
             let g = f.gfam().clone();
             reg.register_gauge("gfam.read_gathered_bytes", move || g.read_gathered_bytes());
+            // The device's bandwidth, a ledger row beside the NICs and cores.
+            let g = f.gfam().clone();
+            reg.register_gauge("node.gfam.bw.busy_ns", move || {
+                g.busy_time().as_nanos() as u64
+            });
         }
         reg
     }
@@ -702,6 +708,41 @@ mod tests {
             assert!(ledger
                 .iter()
                 .all(|u| u.packet_share.is_some() == (u.resource != "cpu")));
+        });
+    }
+
+    #[test]
+    fn a_cxl_image_run_ranks_gfam_bandwidth_at_the_devices_busy_time() {
+        use crate::image_pipeline::{build_pipeline, OP_COMPRESS, OP_TRANSCODE};
+        let sim = Sim::new();
+        sim.block_on(async {
+            let cluster = Cluster::new(SystemKind::DmCxl, 2, ClusterConfig::default(), 13);
+            let app = build_pipeline(&cluster).await;
+            let gfam = cluster
+                .cxl_fabric()
+                .expect("a DmCxl cluster")
+                .gfam()
+                .clone();
+            let reg = cluster.metrics();
+            let (before, busy0, t0) = (reg.snapshot(), gfam.busy_time(), simcore::now());
+            let image = Bytes::from(vec![3u8; 65536]);
+            for op in [OP_TRANSCODE, OP_COMPRESS] {
+                app.request(op, &image).await.unwrap();
+            }
+            let elapsed = simcore::now() - t0;
+            let ledger = utilization(&before, &reg.snapshot(), elapsed);
+            let row = ledger
+                .iter()
+                .find(|u| u.node == "gfam")
+                .expect("a gfam row");
+            let busy = gfam.busy_time() - busy0;
+            assert!(busy > Duration::ZERO);
+            assert_eq!(row.resource, "bw");
+            assert_eq!(
+                row.utilization,
+                busy.as_nanos() as f64 / elapsed.as_nanos() as f64
+            );
+            assert_eq!(row.packet_share, None);
         });
     }
 

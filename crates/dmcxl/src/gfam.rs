@@ -71,6 +71,11 @@ impl GFam {
         self.atomics.get()
     }
 
+    /// Time the shared data path has been busy (the bandwidth booking).
+    pub fn busy_time(&self) -> Duration {
+        self.bw.busy_time()
+    }
+
     /// Bytes host reads got as a view of the buffer the pages lie in.
     pub fn read_viewed_bytes(&self) -> u64 {
         self.pages.borrow().read_bytes().0
