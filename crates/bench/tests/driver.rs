@@ -388,10 +388,11 @@ fn the_prose_names_only_what_exists() {
     const ROOTS: [&str; 6] = ["crates", "shims", "examples", "tests", "scripts", ".github"];
     const STD_TYPES: [&str; 3] = ["Duration", "BinaryHeap", "Arc"];
     // Deleted with the two coherence schemes one replaced, with the
+    // `DmServer` methods `dmnet::coherence::Holders` replaced, with the
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9), with
     // the fabric's delivery task (§5) and with the block-storage and
     // shuffle apps: no document names them as code.
-    const GONE: [&str; 38] = [
+    const GONE: [&str; 41] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -430,6 +431,9 @@ fn the_prose_names_only_what_exists() {
         "acquire_one",
         "per_op_cpu",
         "per_page_cpu",
+        "confirm_grant",
+        "refs_died",
+        "forget_holder",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md \
                 .claude/skills/verify/SKILL.md scripts/flatprof/README.md";

@@ -5,16 +5,12 @@
 //! page. So a client may cache a ref's bytes (`read_ref`) and serve repeat
 //! reads without a round trip — the only hazard is a ref that has *died*
 //! (released explicitly or reclaimed with its owner's lease). The server
-//! therefore lists each dead key to the clients it let cache that key, on
-//! the next response each of them gets from it, and every response carries
-//! the client's running count of listed keys. A response whose count is
-//! the applied count plus the keys it lists is the next one: its keys are
-//! dropped. A count below that is a late reply, which changes nothing; one
-//! above it means a listing went missing (a lost reply, a restarted
-//! server), and every entry from that server is dropped. A stale entry thus
-//! only ever serves the dead ref's final bytes, and only until the client's
-//! next response from that server — exactly the race an uncached client
-//! loses to in-flight.
+//! lists each dead key to the clients it let cache that key, and each
+//! answer's count says whether it is the next one, a late one or past a
+//! gap ([`crate::coherence`]); this cache applies that verdict. A stale
+//! entry thus only ever serves the dead ref's final bytes, and only until
+//! the client's next response from that server — exactly the race an
+//! uncached client loses to in-flight.
 //!
 //! The coalescer queues `release_ref`s per server and folds them into one
 //! [`crate::proto::req::BATCH`] wire message within a bounded flush
@@ -32,6 +28,7 @@ use dmcommon::PAGE_SIZE;
 use simcore::sync::Notify;
 use telemetry::TraceCtx;
 
+use crate::coherence::{Count, Verdict};
 use crate::proto::{Deaths, N_REQ_TYPES};
 
 /// How long a queued release may wait for company before its batch is
@@ -116,7 +113,7 @@ fn pages(len: usize) -> usize {
 #[derive(Default)]
 struct ServerCache {
     /// The highest death count a response from this server has reported.
-    applied: Cell<u64>,
+    count: Cell<Count>,
     data: RefCell<HashMap<u64, DataEntry>>,
     /// Eviction scan order of `data` keys: insertion order, with a key that
     /// was given a second chance moved to the back.
@@ -198,41 +195,40 @@ impl ClientCache {
 
     // -- deaths --------------------------------------------------------------
 
-    /// Fold in what a response from server `idx` says about its deaths,
-    /// with the ref bytes `fill` it carries for the cache, if any. In
-    /// order (its count is the applied count plus the keys it lists), the
-    /// fill is cached and then the listed keys are dropped, so a fill of a
-    /// key its own response lists never serves. A late response (count at
-    /// or below the applied one) lists nothing not already dropped, and its
-    /// fill may predate a death applied since: it is not cached. Any other
-    /// count skipped a listing, and every entry from `idx` is dropped. A
-    /// malformed response (no `deaths`) changes nothing.
+    /// Fold in a response from server `idx`, with the ref bytes `fill` it
+    /// carries, as its [`Verdict`] says: the next one caches the fill and
+    /// then drops the listed keys (so a fill its own response lists never
+    /// serves), a late one changes nothing, one past a gap drops every
+    /// entry from `idx`, and a malformed one (no `deaths`) nothing.
     pub(crate) fn observe(&self, idx: usize, deaths: Option<Deaths>, fill: Option<(u64, Bytes)>) {
         let Some(deaths) = deaths else {
             return;
         };
         let s = &self.servers[idx];
-        let applied = s.applied.get();
-        let n = deaths.died.len() as u64;
-        if applied.checked_add(n) == Some(deaths.count) {
-            if let Some((key, bytes)) = fill {
-                self.fill_data(idx, key, bytes);
+        let mut count = s.count.get();
+        let verdict = count.apply(deaths.count, deaths.died.len());
+        s.count.set(count);
+        match verdict {
+            Verdict::Next => {
+                if let Some((key, bytes)) = fill {
+                    self.fill_data(idx, key, bytes);
+                }
+                for &key in &deaths.died {
+                    self.invalidate_key(idx, key);
+                }
+                let listed = &self.stats.listed;
+                listed.set(listed.get() + deaths.died.len() as u64);
             }
-            for &key in &deaths.died {
-                self.invalidate_key(idx, key);
+            Verdict::Gap => {
+                let stats = &self.stats;
+                stats.resets.set(stats.resets.get() + 1);
+                let dropped = s.data.take().len() as u64;
+                s.data_order.take();
+                s.data_pages.set(0);
+                stats.invalidations.set(stats.invalidations.get() + dropped);
             }
-            self.stats.listed.set(self.stats.listed.get() + n);
-        } else if deaths.count > applied {
-            self.stats.resets.set(self.stats.resets.get() + 1);
-            let dropped = s.data.borrow().len();
-            s.data.borrow_mut().clear();
-            s.data_order.borrow_mut().clear();
-            s.data_pages.set(0);
-            self.stats
-                .invalidations
-                .set(self.stats.invalidations.get() + dropped as u64);
+            Verdict::Late => {}
         }
-        s.applied.set(applied.max(deaths.count));
     }
 
     // -- ref data ------------------------------------------------------------

@@ -16,14 +16,14 @@
 //! and routes requests to the owning server, spreading allocations
 //! round-robin across the pool.
 //!
-//! End-to-end tests live at the bottom of this file; pure data-structure
-//! tests live with their modules; property-based tests are in
-//! `tests/proptest_dm.rs`.
+//! End-to-end tests live at the bottom of this file, pure ones with their
+//! modules, property-based ones and the coherence explorer in `tests/`.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod client;
+pub mod coherence;
 pub mod page_manager;
 pub mod proto;
 pub mod server;

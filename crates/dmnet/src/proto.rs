@@ -5,9 +5,7 @@
 //! (u64 LE, DESIGN.md §9): how many ref keys this server has listed to that
 //! client so far. The status says what the rest is: the op's result
 //! ([`STATUS_OK`]), a death list and then the result ([`STATUS_OK_DIED`]),
-//! or nothing ([`DmError`] codes). A client compares each count against the
-//! keys it has applied, so it can tell whether a response is the next one,
-//! a late one, or whether it missed some.
+//! or nothing ([`DmError`] codes), judged by [`crate::coherence::Count`].
 //!
 //! Requests and responses are [`rpclib::Message`]s: [`Writer`] and
 //! [`Response`] write every field into the head and *attach* a payload as

@@ -22,11 +22,9 @@
 //! process and lease lifecycle, owner checks and the cost model. `dispatch`
 //! holds the one body of every wire op, which serving and replay share;
 //! `recovery` the durable tier (persist, snapshot, replay,
-//! `restart_from_log`); `coherence` how a ref's
-//! death reaches the client caches that hold it (grants, death lists, the
-//! count every answer carries).
+//! `restart_from_log`). How a ref's death reaches the client caches is
+//! [`crate::coherence`], held here as one `Holders`.
 
-mod coherence;
 mod dispatch;
 mod recovery;
 
@@ -116,9 +114,6 @@ pub struct DmServer {
     leases: RefCell<HashMap<u32, SimTime>>,
     /// PIDs reclaimed by lease expiry (observability for chaos reports).
     leases_reclaimed: Cell<u64>,
-    /// Restarts this server's log has recorded (DESIGN.md §12): the high
-    /// half of every death count it sends (DESIGN.md §9).
-    incarnation: Cell<u64>,
     /// Set by [`DmServer::shutdown`]; stops the lease sweeper.
     stopping: Cell<bool>,
     /// Whether a lease-sweeper task is currently live. Crash cancels the
@@ -135,11 +130,9 @@ pub struct DmServer {
     ops_served: Cell<u64>,
     translation_ns: Cell<u64>,
     op_ns: Cell<u64>,
-    /// What each client endpoint may cache from this server and the deaths
-    /// it has not been told of (DESIGN.md §9). Volatile.
-    holders: RefCell<HashMap<Addr, coherence::Holder>>,
-    /// Keys listed in responses so far (observability).
-    listed_total: Cell<u64>,
+    /// Who may cache what, the deaths not told yet, and the restarts the
+    /// log has recorded (DESIGN.md §9, §12).
+    holders: RefCell<crate::coherence::Holders>,
 }
 
 impl DmServer {
@@ -172,7 +165,6 @@ impl DmServer {
             owners: RefCell::default(),
             leases: RefCell::default(),
             leases_reclaimed: Cell::new(0),
-            incarnation: Cell::new(0),
             stopping: Cell::new(false),
             sweeper_armed: Cell::new(false),
             wal: config
@@ -183,7 +175,6 @@ impl DmServer {
             translation_ns: Cell::new(0),
             op_ns: Cell::new(0),
             holders: RefCell::default(),
-            listed_total: Cell::new(0),
         });
         server.register_handlers();
         server.spawn_sweeper();
@@ -261,15 +252,26 @@ impl DmServer {
         self.leases.borrow_mut().remove(&pid);
         let owner = self.owners.borrow_mut().remove(&pid);
         // Reclamation kills refs: list them to every client holding one.
-        self.refs_died(&dying, None);
+        let mut holders = self.holders.borrow_mut();
+        holders.died(&dying, None);
         if let Some(addr) = owner {
-            self.forget_holder(addr);
+            holders.forget(addr);
         }
     }
 
     /// Restarts this server's log has recorded (observability for tests).
     pub fn incarnation(&self) -> u64 {
-        self.incarnation.get()
+        self.holders.borrow().incarnation()
+    }
+
+    /// Dead or revoked keys listed in responses so far.
+    pub fn invalidations_pushed(&self) -> u64 {
+        self.holders.borrow().listed()
+    }
+
+    /// Restarts so far: each makes every holder drop this server's entries.
+    pub fn coherence_broadcasts(&self) -> u64 {
+        self.incarnation()
     }
 
     /// Crash the server (fail-stop, DESIGN.md §8): it stops receiving and

@@ -2,10 +2,8 @@
 //! is [`DmServer::apply`], which validates, mutates the page manager and
 //! says what the op costs, then one epilogue shared by all of them
 //! (grant, log-before-ack, CPU and DRAM charges). Replay runs the logged
-//! requests through the same `apply`. Which client may cache what and
-//! which refs died an op tells the coherence plane ([`DmServer::grant`],
-//! [`DmServer::refs_died`]), which finishes every answer
-//! ([`DmServer::answer`]).
+//! requests through the same `apply`. What an op grants and kills goes to
+//! the server's [`crate::coherence::Holders`], which finishes every answer.
 
 use std::rc::Rc;
 
@@ -88,6 +86,19 @@ impl DmServer {
         self.answer(src, resp).bulk()
     }
 
+    /// Finish `resp` for `dst`: its count and, ahead of a success's result,
+    /// as many of its pending deaths as one message has room for beside it
+    /// (a read of the whole `max_msg_len − 9` room carries none).
+    fn answer(&self, dst: Addr, resp: DmResult<Response>) -> Message {
+        let room = rpclib::wire::max_msg_len(self.rpc.config().mtu);
+        let room = resp.as_ref().map_or(0, |r| room.saturating_sub(r.len()));
+        let (count, died) = self.holders.borrow_mut().news(dst, room);
+        match resp {
+            Ok(resp) => resp.ok(count, &died),
+            Err(e) => Response::err(count, e),
+        }
+    }
+
     /// Refuse a read whose reply no message can carry before any buffer is
     /// built for it.
     fn check_reply_fits(&self, len: u64) -> DmResult<()> {
@@ -133,7 +144,7 @@ impl DmServer {
     async fn serve(&self, ty: u8, src: Addr, body: &Message) -> DmResult<Response> {
         let (resp, fx) = self.apply(ty, src, body)?;
         if let Some(key) = fx.grant {
-            self.grant(key, src);
+            self.holders.borrow_mut().grant(key, src);
         }
         if logged(ty) {
             self.persist(|| Record::Op {
@@ -153,7 +164,7 @@ impl DmServer {
             self.note_data_time(len);
         }
         if let Some(key) = fx.grant {
-            self.confirm_grant(key, src);
+            self.holders.borrow_mut().confirm(key, src);
         }
         Ok(resp)
     }
@@ -245,7 +256,7 @@ impl DmServer {
                 // The ref is gone: it is listed to the clients that may
                 // cache it, but not to the releaser, which dropped its
                 // copy when it asked.
-                self.refs_died(&[key], Some(src));
+                self.holders.borrow_mut().died(&[key], Some(src));
                 (
                     Response::new(),
                     Effects::charge(cost, cost.refcount_updates),

@@ -4,8 +4,6 @@
 //! body that served it (`apply`) and a lease reclamation through the
 //! sweep's (`reclaim_process`), so the two paths cannot drift apart.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::rc::Rc;
 
 use dmcommon::{DmError, DmResult};
@@ -25,33 +23,6 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
     /// Log size after repair.
     pub log_bytes: u64,
-}
-
-/// Append `table` as a row count and its rows in key order (snapshots are
-/// canonical), each row written by `row`.
-fn write_table<K: Copy + Ord, V: Copy>(
-    w: Writer,
-    table: &HashMap<K, V>,
-    row: impl Fn(Writer, K, V) -> Writer,
-) -> Writer {
-    let mut rows: Vec<(K, V)> = table.iter().map(|(&k, &v)| (k, v)).collect();
-    rows.sort_unstable_by_key(|&(k, _)| k);
-    let w = w.u32(rows.len() as u32);
-    rows.into_iter().fold(w, |w, (k, v)| row(w, k, v))
-}
-
-/// Inverse of [`write_table`]: replace `table` with the rows `row` reads.
-fn read_table<K: Eq + Hash, V>(
-    r: &mut Reader<'_>,
-    table: &mut HashMap<K, V>,
-    row: impl Fn(&mut Reader<'_>) -> DmResult<(K, V)>,
-) -> DmResult<()> {
-    table.clear();
-    for _ in 0..r.u32()? {
-        let (k, v) = row(r)?;
-        table.insert(k, v);
-    }
-    Ok(())
 }
 
 impl DmServer {
@@ -84,8 +55,11 @@ impl DmServer {
     /// volatile by design: recovery re-grants full-TTL leases, and every
     /// holder's next answer tells it to drop this server's entries.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let w = Writer::new().u64(self.incarnation.get());
-        let w = write_table(w, &self.owners.borrow(), |w, pid, a| w.u32(pid).addr(a));
+        let owners = self.owners.borrow();
+        let mut rows: Vec<_> = owners.iter().collect();
+        rows.sort_unstable();
+        let w = Writer::new().u64(self.incarnation()).u32(rows.len() as u32);
+        let w = rows.into_iter().fold(w, |w, (&pid, &a)| w.u32(pid).addr(a));
         self.pm.borrow().snapshot_into(w).into_vec()
     }
 
@@ -94,10 +68,12 @@ impl DmServer {
     /// damage here means the scan accepted a record it should not have.
     fn restore_snapshot(&self, buf: &[u8]) -> DmResult<()> {
         let r = &mut Reader::new(buf);
-        self.incarnation.set(r.u64()?);
-        read_table(r, &mut self.owners.borrow_mut(), |r| {
-            Ok((r.u32()?, r.addr()?))
-        })?;
+        self.holders.borrow_mut().restart_at(r.u64()?);
+        let mut owners = self.owners.borrow_mut();
+        owners.clear();
+        for _ in 0..r.u32()? {
+            owners.insert(r.u32()?, r.addr()?);
+        }
         *self.pm.borrow_mut() = PageManager::restore_from(r)?;
         if r.is_empty() {
             Ok(())
@@ -158,7 +134,7 @@ impl DmServer {
                 );
             }
             Record::ReleaseProcess { pid } => self.reclaim_process(*pid),
-            Record::Restart => self.incarnation.set(self.incarnation.get() + 1),
+            Record::Restart => self.holders.borrow_mut().restart(),
             Record::Checkpoint { snapshot } => self
                 .restore_snapshot(snapshot)
                 .expect("replay: corrupt checkpoint"),
@@ -168,23 +144,13 @@ impl DmServer {
     /// Crash-consistent recovery: rebuild the whole server from its
     /// write-ahead log and come back online.
     ///
-    /// Steps: charge one sequential media scan of the log; validate it
-    /// (CRC, framing, sequence continuity) and truncate any torn tail;
-    /// discard all volatile state (a fresh page manager, empty owner/lease
-    /// tables, no holders, incarnation 0); replay the valid prefix
-    /// (a checkpoint record restores its snapshot, subsequent records
-    /// re-apply on top, each [`Record::Restart`] counts one incarnation);
-    /// log one more restart, so every death count this incarnation sends
-    /// exceeds any count sent before this crash or an earlier one and
-    /// each client drops this server's entries on its next answer;
-    /// re-grant every recovered owner a full-TTL lease (crashed clients
-    /// stop renewing and get swept as usual); come back online and re-arm
-    /// the sweeper.
-    ///
-    /// The recovery invariant (tested by `tests/recovery.rs` and the
-    /// chaos `server-crash` class): zero lost acknowledged ops,
-    /// zero resurrected frees — the rebuilt state is exactly the
-    /// acknowledged pre-crash state.
+    /// Scan the log (one sequential media read) and truncate any torn
+    /// tail; replay its valid prefix over fresh state, each
+    /// [`Record::Restart`] counting one incarnation; log one more restart,
+    /// so every count sent from now on is above any sent before; re-grant
+    /// every recovered owner a full-TTL lease; come back online. The
+    /// rebuilt state is exactly the acknowledged pre-crash state
+    /// (`tests/recovery.rs`, the chaos `server-crash` class).
     ///
     /// # Panics
     /// Panics if durability is off.
@@ -196,14 +162,13 @@ impl DmServer {
         *self.pm.borrow_mut() = PageManager::new(self.config.capacity_pages, self.config.copy_mode);
         self.owners.borrow_mut().clear();
         self.leases.borrow_mut().clear();
-        self.holders.borrow_mut().clear();
-        self.incarnation.set(0);
+        self.holders.borrow_mut().restart_at(0);
         for rec in &report.records {
             self.replay(rec);
         }
         // Incarnation-after-restart rule: logged before the server answers
         // anyone, so the next restart replays it and counts past it too.
-        self.incarnation.set(self.incarnation.get() + 1);
+        self.holders.borrow_mut().restart();
         self.persist(|| Record::Restart).await;
         if let Some(ttl) = self.config.lease_ttl {
             let exp = simcore::now() + ttl;
@@ -222,7 +187,7 @@ impl DmServer {
             &[
                 ("records", report.records.len() as u64),
                 ("torn", report.torn as u64),
-                ("incarnation", self.incarnation.get()),
+                ("incarnation", self.incarnation()),
             ],
         );
         RecoveryReport {

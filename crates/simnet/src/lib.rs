@@ -66,7 +66,7 @@ pub const BULK_AHEAD: u32 = 4;
 pub struct NodeId(pub u32);
 
 /// A (node, port) pair — the address of one bound endpoint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Addr {
     /// Destination node.
     pub node: NodeId,
