@@ -428,7 +428,7 @@ impl World {
                     .map(key)
                     .collect();
                 return Err(format!(
-                    "2: after one more call, client {c} has {left:?} pending and caches dead keys {stale:?}"
+                    "2: client {c} has {left:?} pending and caches dead keys {stale:?}"
                 ));
             }
         }
@@ -438,7 +438,8 @@ impl World {
     fn check(&self) -> Verdicts {
         self.check_covered()?;
         if self.waiting.is_empty() && self.replies.is_empty() {
-            self.check_quiet()?;
+            let quiet = self.check_quiet();
+            quiet.map_err(|e| format!("once quiet, after one more call each: {e}"))?;
         }
         Ok(())
     }
