@@ -371,6 +371,51 @@ fn has_member(text: &str, member: &str) -> bool {
     })
 }
 
+/// Every module path a piece of code names: a crate then the lowercase
+/// segments after it (`dmnet::coherence` from `dmnet::coherence::Holders`),
+/// as `(crate, segments)`, and a span that is nothing but lowercase
+/// segments joined by `/` (`server/coherence`, `server/dispatch.rs`), as
+/// `("", segments)`; `fig10a/b` and `u8/u16` are no paths.
+fn module_paths<'a>(code: &'a str, crates: &[(String, PathBuf)]) -> Vec<(&'a str, Vec<&'a str>)> {
+    let lower = |s: &&str| s.starts_with(|c: char| c.is_ascii_lowercase()) && ident(s) == *s;
+    let mut paths = Vec::new();
+    let tokens = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'));
+    for token in tokens.filter(|t| t.contains("::")) {
+        let mut segs = token.split("::");
+        let first = segs.next().unwrap();
+        let rest: Vec<&str> = segs.take_while(lower).collect();
+        if crates.iter().any(|(name, _)| name == first) && !rest.is_empty() {
+            paths.push((first, rest));
+        }
+    }
+    let span = code.trim();
+    let segs: Vec<&str> = span.trim_end_matches(".rs").split('/').collect();
+    let named = |s: &&str| lower(s) && s.len() > 1 && !s[1..].bytes().all(|b| b.is_ascii_digit());
+    if segs.len() > 1 && segs.iter().all(named) {
+        paths.push(("", segs));
+    }
+    paths
+}
+
+/// Whether `segs` names a module of the crate whose sources are under
+/// `src` (`a.rs` or `a/mod.rs` at each step), the last segment perhaps an
+/// item some source of the crate defines.
+fn module_exists(src: &std::path::Path, segs: &[&str]) -> bool {
+    let mut dir = src.to_path_buf();
+    for (i, seg) in segs.iter().enumerate() {
+        if dir.join(format!("{seg}.rs")).exists() || dir.join(seg).join("mod.rs").exists() {
+            dir = dir.join(seg);
+            continue;
+        }
+        let defines = |p: &PathBuf| {
+            let text = std::fs::read_to_string(p).unwrap();
+            has_member(&text, seg) || text.contains(&format!("mod {seg}"))
+        };
+        return i + 1 == segs.len() && rust_sources(src, &["."]).iter().any(defines);
+    }
+    true
+}
+
 /// Whether Rust source `text` defines `ty` or implements something on it.
 fn mentions_type(text: &str, ty: &str) -> bool {
     const BEFORE: [&str; 7] = ["struct ", "enum ", "trait ", "type ", "impl ", "> ", "for "];
@@ -390,9 +435,10 @@ fn the_prose_names_only_what_exists() {
     // Deleted with the two coherence schemes one replaced, with the
     // `DmServer` methods `dmnet::coherence::Holders` replaced, with the
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9), with
-    // the fabric's delivery task (§5) and with the block-storage and
-    // shuffle apps: no document names them as code.
-    const GONE: [&str; 41] = [
+    // the fabric's delivery task (§5), with the block-storage and shuffle
+    // apps and with the per-packet framing `wire::segment` replaced: no
+    // document names them as code.
+    const GONE: [&str; 42] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -434,6 +480,7 @@ fn the_prose_names_only_what_exists() {
         "confirm_grant",
         "refs_died",
         "forget_holder",
+        "wire::packets",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md \
                 .claude/skills/verify/SKILL.md scripts/flatprof/README.md";
@@ -458,6 +505,27 @@ fn the_prose_names_only_what_exists() {
     let tested: Vec<String> = rust_sources(&root, &["crates", "tests"])
         .iter()
         .map(read)
+        .collect();
+    // Every crate under crates/: its package name and its sources.
+    let crates: Vec<(String, PathBuf)> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let name = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = "))
+                .unwrap();
+            (name.trim_matches('"').to_string(), dir.join("src"))
+        })
+        .collect();
+    // Where a `dir/module` path may start: the root, crates/, a crate, its sources.
+    let crate_dirs = crates
+        .iter()
+        .flat_map(|(_, src)| [src.join(".."), src.clone()]);
+    let bases: Vec<PathBuf> = [root.clone(), root.join("crates")]
+        .into_iter()
+        .chain(crate_dirs)
         .collect();
     let mut wrong = Vec::new();
     let mut prose = String::new();
@@ -497,6 +565,37 @@ fn the_prose_names_only_what_exists() {
         for name in GONE {
             if code().any(|c| c.contains(name)) {
                 wrong.push(format!("{at}: `{name}` was deleted"));
+            }
+        }
+        // Module paths, outside the Decision records (which name what went).
+        let (live, records) = text
+            .split_once("\n## Decision records\n")
+            .unwrap_or((&text, ""));
+        let live = [
+            live,
+            records.split_once("\n## ").map_or("", |(_, rest)| rest),
+        ]
+        .concat();
+        let spans = live.split('`').skip(1).step_by(2);
+        for (krate, segs) in spans.flat_map(|c| module_paths(c, &crates)) {
+            let found = match krate {
+                "" => {
+                    let rel = segs.join("/");
+                    let file = |dir: &PathBuf| {
+                        dir.join(format!("{rel}.rs")).exists() || dir.join(&rel).exists()
+                    };
+                    bases.iter().any(file)
+                }
+                _ => crates
+                    .iter()
+                    .any(|(name, src)| name == krate && module_exists(src, &segs)),
+            };
+            if !found {
+                let path = match krate {
+                    "" => segs.join("/"),
+                    _ => format!("{krate}::{}", segs.join("::")),
+                };
+                wrong.push(format!("{at}: `{path}` names no module"));
             }
         }
         for arg in code().flat_map(str::lines).flat_map(bench_args) {

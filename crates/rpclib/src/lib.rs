@@ -55,7 +55,7 @@ use std::time::Duration;
 use memsim::NodeMemory;
 use simcore::sync::{oneshot, Notify};
 use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
-use simnet::{Addr, Network, NodeId};
+use simnet::{Addr, Network, NodeId, Packets, Segmented};
 use telemetry::{SpanKind, TraceCtx};
 use wire::{slot_of, Header, Kind, Packet, Reassembly};
 
@@ -222,7 +222,7 @@ struct Pending {
     reassembly: Option<Reassembly>,
     done: Option<oneshot::Sender<Result<Message, RpcError>>>,
     dst: Addr,
-    pkts: Rc<[Packet]>,
+    pkts: Segmented,
     /// Sent in the bulk class, retransmissions too.
     bulk: bool,
     /// Transmissions so far (1 = the initial one).
@@ -283,10 +283,9 @@ enum SlotState {
     Receiving(Reassembly),
     /// Handler running; duplicates are ignored until it answers.
     Executing,
-    /// Answered: duplicates are served these packets, in the class the
-    /// reply was sent in, until a higher `req_num` on the slot acknowledges
-    /// them.
-    Done { pkts: Rc<[Packet]>, bulk: bool },
+    /// Answered: duplicates are served this reply, in the class it was
+    /// sent in, until a higher `req_num` on the slot acknowledges it.
+    Done { pkts: Segmented, bulk: bool },
 }
 
 /// How many server-side slots are in each state (see [`Rpc::served_slots`]).
@@ -517,7 +516,8 @@ impl Rpc {
         self.offline.get()
     }
 
-    /// `msg` cut into packets, and whether they go out in the bulk class.
+    /// `msg` framed as one segmented message, and whether its packets go
+    /// out in the bulk class.
     fn frame(
         &self,
         kind: Kind,
@@ -525,17 +525,16 @@ impl Rpc {
         req_num: u64,
         msg: Message,
         trace: Option<TraceCtx>,
-    ) -> (Rc<[Packet]>, bool) {
+    ) -> (Segmented, bool) {
         let marked = msg.is_bulk();
-        let mtu = self.config.mtu;
-        let pkts: Rc<[Packet]> = wire::packets(kind, req_type, req_num, msg, mtu, trace).collect();
+        let pkts = wire::segment(kind, req_type, req_num, msg, self.config.mtu, trace);
         let bulk = marked && pkts.len() > RTT_PKTS;
         (pkts, bulk)
     }
 
     /// All outgoing traffic funnels through here so crash modeling can
     /// suppress it in one place: one message, in its class.
-    fn transmit(&self, dst: Addr, pkts: &Rc<[Packet]>, bulk: bool) {
+    fn transmit(&self, dst: Addr, pkts: &Segmented, bulk: bool) {
         if !self.offline.get() {
             self.net.send_message(self.addr, dst, pkts.clone(), bulk);
         }
@@ -729,41 +728,54 @@ impl Rpc {
         }))
     }
 
-    /// The port's receive function: the surviving packets of one message,
-    /// or one packet alone; those of one request share one slot lookup.
-    fn receive(self: &Rc<Self>, src: Addr, packets: &[Packet]) {
+    /// The port's receive function. A segmented message whose headers all
+    /// parse as one message's is taken whole ([`wire::whole`]); anything
+    /// else — the survivors of a message that lost a packet, a raw
+    /// datagram, a header that does not parse — packet by packet, those of
+    /// one request sharing one slot lookup.
+    fn receive(self: &Rc<Self>, src: Addr, packets: &Packets) {
         if self.offline.get() {
             return; // crashed hosts hear nothing
         }
-        let decode = |p: &Packet| Header::decode_split(&p.head, &p.body);
+        let decode = |p: Packet| Header::decode_split(&p.head, &p.body);
+        if let Packets::Segmented(seg) = packets {
+            if let Some((hdr, msg)) = wire::whole(seg) {
+                let arrived = Arrived::Whole(msg, packets.iter().filter_map(decode));
+                match hdr.kind {
+                    Kind::Request => self.handle_request(src, hdr, arrived),
+                    Kind::Response => self.handle_response(hdr, arrived),
+                }
+                return;
+            }
+        }
+        let n = packets.len();
         let mut frags = packets.iter().filter_map(decode).peekable();
         while let Some((hdr, frag)) = frags.next() {
             let same = |(h, _): &(Header, Message)| (h.kind, h.req_num) == (hdr.kind, hdr.req_num);
             let rest = std::iter::from_fn(|| frags.next_if(same));
-            let first = (hdr, frag, packets.len());
+            let arrived = Arrived::Frags { frag, n, rest };
             match hdr.kind {
-                Kind::Request => self.handle_request(src, first, rest),
-                Kind::Response => self.handle_response(first, rest),
+                Kind::Request => self.handle_request(src, hdr, arrived),
+                Kind::Response => self.handle_response(hdr, arrived),
             }
         }
     }
 
-    /// Take in one request's fragments: `first` (and how many packets came
-    /// with it), then `rest`; what this leaves of `rest` comes back alone.
-    fn handle_request(
+    /// Take in what arrived of the request `hdr` heads.
+    fn handle_request<I: Iterator<Item = (Header, Message)>>(
         self: &Rc<Self>,
         src: Addr,
-        (hdr, frag, arrived): (Header, Message, usize),
-        mut rest: impl Iterator<Item = (Header, Message)>,
+        hdr: Header,
+        arrived: Arrived<I>,
     ) {
         let key = (src, slot_of(hdr.req_num));
-        let fresh = |hdr: &Header, frag| ServedSlot {
+        let fresh = ServedSlot {
             req_num: hdr.req_num,
-            state: SlotState::Receiving(Reassembly::arriving(hdr, frag, arrived)),
+            state: SlotState::Executing,
         };
         let mut served = self.served.borrow_mut();
         let slot = match served.entry(key) {
-            Entry::Vacant(v) => v.insert(fresh(&hdr, frag)),
+            Entry::Vacant(v) => v.insert(fresh),
             Entry::Occupied(o) => {
                 let slot = o.into_mut();
                 match hdr.req_num.cmp(&slot.req_num) {
@@ -773,18 +785,16 @@ impl Rpc {
                     // previous request: its response (or its unfinished
                     // reassembly, or its claim on a running handler's
                     // reply) goes.
-                    Ordering::Greater => *slot = fresh(&hdr, frag),
-                    Ordering::Equal => match &mut slot.state {
-                        SlotState::Receiving(r) => {
-                            r.offer(&hdr, frag);
-                        }
+                    Ordering::Greater => *slot = fresh,
+                    Ordering::Equal => match &slot.state {
+                        SlotState::Receiving(_) => {}
                         SlotState::Executing => return,
                         SlotState::Done { pkts, bulk } => {
                             // Once per hand-over of a duplicate, however
                             // many of its packets came.
                             let (pkts, bulk) = (pkts.clone(), *bulk);
                             drop(served);
-                            rest.for_each(drop);
+                            arrived.drain();
                             self.transmit(src, &pkts, bulk);
                             return;
                         }
@@ -793,19 +803,26 @@ impl Rpc {
                 slot
             }
         };
-        if let SlotState::Receiving(r) = &mut slot.state {
-            if !r.is_complete() {
-                rest.any(|(h, f)| r.offer(&h, f));
-            }
-        }
+        // A fresh slot holds `Executing` until what arrived completes it.
         let payload = match std::mem::replace(&mut slot.state, SlotState::Executing) {
-            SlotState::Receiving(r) if r.is_complete() => r.assemble(),
-            still_receiving => {
-                slot.state = still_receiving;
-                return;
-            }
+            SlotState::Receiving(mut r) => match arrived.offer(&hdr, &mut r) {
+                true => Ok(r.assemble()),
+                false => Err(r),
+            },
+            _ => arrived.start(&hdr),
         };
-        drop(served);
+        match payload {
+            Ok(payload) => {
+                drop(served);
+                self.execute(src, hdr, payload);
+            }
+            Err(r) => slot.state = SlotState::Receiving(r),
+        }
+    }
+
+    /// Run the handler of the complete request `hdr` heads, then answer it.
+    fn execute(self: &Rc<Self>, src: Addr, hdr: Header, payload: Message) {
+        let key = (src, slot_of(hdr.req_num));
         if let Some(mem) = &self.mem {
             mem.account(payload.len() as u64); // rx DMA
         }
@@ -880,32 +897,80 @@ impl Rpc {
         });
     }
 
-    /// Take in the fragments of one response, as a request's.
-    fn handle_response(
+    /// Take in what arrived of the response `hdr` heads, as a request's.
+    fn handle_response<I: Iterator<Item = (Header, Message)>>(
         &self,
-        (hdr, frag, arrived): (Header, Message, usize),
-        mut rest: impl Iterator<Item = (Header, Message)>,
+        hdr: Header,
+        arrived: Arrived<I>,
     ) {
         let mut pending = self.pending.borrow_mut();
         let Some(p) = pending.get_mut(&hdr.req_num) else {
             return; // stale duplicate after completion
         };
-        let r = match &mut p.reassembly {
+        let whole = match &mut p.reassembly {
             Some(r) => {
-                r.offer(&hdr, frag);
-                r
+                if !arrived.offer(&hdr, r) {
+                    return;
+                }
+                None
             }
-            None => p
-                .reassembly
-                .insert(Reassembly::arriving(&hdr, frag, arrived)),
+            None => match arrived.start(&hdr) {
+                Ok(msg) => Some(msg),
+                Err(r) => {
+                    p.reassembly = Some(r);
+                    return;
+                }
+            },
         };
-        if r.is_complete() || rest.any(|(h, f)| r.offer(&h, f)) {
-            drop(pending);
-            let mut p = self.forget(hdr.req_num).expect("present");
-            let body = p.reassembly.take().expect("reassembly set").assemble();
-            if let Some(done) = p.done.take() {
-                let _ = done.send(Ok(body));
+        drop(pending);
+        let mut p = self.forget(hdr.req_num).expect("present");
+        let body = whole.unwrap_or_else(|| p.reassembly.take().expect("reassembly set").assemble());
+        if let Some(done) = p.done.take() {
+            let _ = done.send(Ok(body));
+        }
+    }
+}
+
+/// What one hand-over brought of one message.
+enum Arrived<I> {
+    /// All of it, taken whole; `I` yields its fragments, should a
+    /// reassembly of it be under way already.
+    Whole(Message, I),
+    /// Fragment `frag`, then those of `rest` (whatever `rest` leaves comes
+    /// back alone), of the `n` packets handed over.
+    Frags { frag: Message, n: usize, rest: I },
+}
+
+impl<I: Iterator<Item = (Header, Message)>> Arrived<I> {
+    /// Offer what arrived to `r`; whether that completed it.
+    fn offer(self, hdr: &Header, r: &mut Reassembly) -> bool {
+        match self {
+            Arrived::Whole(_, mut frags) => frags.any(|(h, f)| r.offer(&h, f)),
+            Arrived::Frags { frag, mut rest, .. } => {
+                r.offer(hdr, frag) || rest.any(|(h, f)| r.offer(&h, f))
             }
+        }
+    }
+
+    /// The message, or a reassembly started with what arrived of it.
+    fn start(self, hdr: &Header) -> Result<Message, Reassembly> {
+        match self {
+            Arrived::Whole(msg, _) => Ok(msg),
+            Arrived::Frags { frag, n, mut rest } => {
+                let mut r = Reassembly::arriving(hdr, frag, n);
+                if r.is_complete() || rest.any(|(h, f)| r.offer(&h, f)) {
+                    Ok(r.assemble())
+                } else {
+                    Err(r)
+                }
+            }
+        }
+    }
+
+    /// Consume the rest of what arrived unread.
+    fn drain(self) {
+        if let Arrived::Frags { rest, .. } = self {
+            rest.for_each(drop);
         }
     }
 }

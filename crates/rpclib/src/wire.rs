@@ -20,6 +20,7 @@
 //! format — tracing that is off cannot perturb the packet schedule.
 
 use bytes::{Bytes, BytesMut};
+use simnet::Segmented;
 use telemetry::TraceCtx;
 
 use crate::message::{count_flatten, Message};
@@ -307,16 +308,14 @@ pub fn max_msg_len(mtu: usize) -> usize {
         .min(u32::MAX as usize)
 }
 
-/// Fragment `msg` into MTU-sized packets with the given header template.
-/// Always emits at least one packet (possibly carrying nothing). Packet `i`
-/// covers bytes `[i × mtu, (i + 1) × mtu)` of `head ‖ body`, so the packets
-/// of a message are byte for byte those of its flat concatenation; body
-/// bytes are shared slices of `msg.body` — no payload byte is copied — and
-/// every first segment is a slice of one block encoded for the whole
-/// message: each packet's [`Header::encode_header`] followed by its share
-/// of the message head. A trace context, if given, rides every fragment's
-/// header so any one surviving packet lets the receiver parent its work
-/// correctly.
+/// Fragment `msg` into MTU-sized packets with the given header template:
+/// the packets of [`segment`]'s message, each on its own. Always emits at
+/// least one packet (possibly carrying nothing). Packet `i` covers bytes
+/// `[i × mtu, (i + 1) × mtu)` of `head ‖ body`, so the packets of a message
+/// are byte for byte those of its flat concatenation; body bytes are shared
+/// slices of `msg.body` — no payload byte is copied. A trace context, if
+/// given, rides every fragment's header so any one surviving packet lets
+/// the receiver parent its work correctly.
 ///
 /// # Panics
 /// Panics if `msg` is longer than [`max_msg_len`].
@@ -328,18 +327,24 @@ pub fn fragment(
     mtu: usize,
     trace: Option<TraceCtx>,
 ) -> Vec<Packet> {
-    packets(kind, req_type, req_num, msg.into(), mtu, trace).collect()
+    let seg = segment(kind, req_type, req_num, msg.into(), mtu, trace);
+    (0..seg.len()).map(|i| seg.packet(i)).collect()
 }
 
-/// [`fragment`], collected by the caller (into one `Rc<[Packet]>`).
-pub(crate) fn packets(
+/// Frame `msg` as one segmented message (the one framing routine): a
+/// block holding each packet's [`Header::encode_header`] followed by its
+/// share of the message head, and the body, shared. No packet is built.
+///
+/// # Panics
+/// Panics if `msg` is longer than [`max_msg_len`].
+pub fn segment(
     kind: Kind,
     req_type: u8,
     req_num: u64,
     msg: Message,
     mtu: usize,
     trace: Option<TraceCtx>,
-) -> impl Iterator<Item = Packet> {
+) -> Segmented {
     assert!(mtu > 0, "mtu must be positive");
     let Message { head, body, .. } = msg;
     let (h, total) = (head.len(), head.len() + body.len());
@@ -348,7 +353,7 @@ pub(crate) fn packets(
         "message too large to frame: {total} bytes at mtu {mtu}"
     );
     let num_pkts = total.div_ceil(mtu).max(1);
-    let mut hdr = Header {
+    let hdr = Header {
         kind,
         req_type,
         req_num,
@@ -357,25 +362,62 @@ pub(crate) fn packets(
         msg_len: total as u32,
         trace,
     };
-    let hdr_len = hdr.encoded_len();
-    // Where packet `i`'s range of the message starts and ends.
-    let cut = move |i: usize| (i * mtu).min(total);
-    let mut block = BytesMut::with_capacity(num_pkts * hdr_len + h);
+    // Packets differ only in `pkt_idx`: encode once, then copy and patch.
+    let mut template = BytesMut::with_capacity(hdr.encoded_len());
+    hdr.encode_into(&mut template);
+    let hdr_len = template.len();
+    // Where packet `i`'s range of the message starts.
+    let cut = |i: usize| (i * mtu).min(total);
+    let mut block = Vec::with_capacity(num_pkts * hdr_len + h);
     for i in 0..num_pkts {
-        hdr.pkt_idx = i as u16;
-        hdr.encode_into(&mut block);
+        let at = block.len();
+        block.extend_from_slice(&template);
+        block[at + PKT_IDX..at + PKT_IDX + 2].copy_from_slice(&(i as u16).to_le_bytes());
         if cut(i) < h {
             block.extend_from_slice(&head[cut(i)..cut(i + 1).min(h)]);
         }
     }
-    let block = block.freeze();
-    (0..num_pkts).map(move |i| {
-        let (lo, hi) = (cut(i), cut(i + 1));
-        Packet {
-            head: block.slice(i * hdr_len + lo.min(h)..(i + 1) * hdr_len + hi.min(h)),
-            body: body.slice(lo.saturating_sub(h)..hi.saturating_sub(h)),
-        }
-    })
+    Segmented::new(block.into(), h, body, hdr_len, mtu)
+}
+
+/// Offset of `pkt_idx` in an encoded header.
+const PKT_IDX: usize = 12;
+
+/// The message a segmented hand-over carries, taken whole: packet 0's
+/// header and what [`Reassembly`] would assemble from the packets, found
+/// without building one. `None` unless every packet's header parses out of
+/// the header block as one message's: the same kind, type, `req_num`,
+/// `msg_len` and header length, `num_pkts` the packet count and `pkt_idx`
+/// its index. Anything else goes packet by packet.
+pub fn whole(seg: &Segmented) -> Option<(Header, Message)> {
+    let (block, n) = (seg.block(), seg.len());
+    let one = |i: usize| {
+        let (hdr, used) = Header::parse(&block[seg.header_at(i)..])?;
+        (used == seg.hdr_len() && hdr.pkt_idx as usize == i).then_some(hdr)
+    };
+    let first = one(0)?;
+    let id = |h: &Header| (h.kind, h.req_type, h.req_num, h.num_pkts, h.msg_len);
+    let same = |i| one(i).is_some_and(|h| id(&h) == id(&first));
+    if first.num_pkts as usize != n || !(1..n).all(same) {
+        return None;
+    }
+    let hdr_len = seg.hdr_len();
+    let msg = if seg.head_len() <= seg.mtu() {
+        // The head rides packet 0 alone: it is that packet's share of the
+        // block, and the body runs whole behind it.
+        let head = match seg.head_len() {
+            0 => Bytes::new(),
+            h => block.slice(hdr_len..hdr_len + h),
+        };
+        Message::new(head, seg.body().clone())
+    } else {
+        let pieces = (0..n).flat_map(|i| {
+            let p = seg.packet(i);
+            [p.head.slice(hdr_len..), p.body]
+        });
+        join(pieces)
+    };
+    Some((first, msg))
 }
 
 /// Incremental message reassembly from fragments. What it holds grows
@@ -481,33 +523,42 @@ impl Reassembly {
         if !self.seen.is_empty() {
             frags.sort_unstable_by_key(|&(idx, _)| idx);
         }
-        let mut head = Bytes::new();
-        let mut spill: Option<Vec<u8>> = None;
-        let mut run = Bytes::new();
-        let pieces = frags
-            .into_iter()
-            .flat_map(|(_, frag)| [frag.head, frag.body]);
-        for piece in pieces {
-            run = match run.try_unsplit(piece) {
-                Ok(merged) => merged,
-                Err((done, next)) => {
-                    if head.is_empty() && spill.is_none() {
-                        head = done;
-                    } else {
-                        spill
-                            .get_or_insert_with(|| head.to_vec())
-                            .extend_from_slice(&done);
-                    }
-                    next
-                }
-            };
-        }
-        if let Some(spill) = spill {
-            count_flatten();
-            head = Bytes::from(spill);
-        }
-        Message::new(head, run)
+        join(
+            frags
+                .into_iter()
+                .flat_map(|(_, frag)| [frag.head, frag.body]),
+        )
     }
+}
+
+/// A message's pieces (each fragment's first part, then its second), in
+/// order, merged wherever they are adjacent views of one buffer; the last
+/// merged run is the body, and more than one run in front of it is copied
+/// into the head ([`Reassembly::assemble`]).
+fn join(pieces: impl Iterator<Item = Bytes>) -> Message {
+    let mut head = Bytes::new();
+    let mut spill: Option<Vec<u8>> = None;
+    let mut run = Bytes::new();
+    for piece in pieces {
+        run = match run.try_unsplit(piece) {
+            Ok(merged) => merged,
+            Err((done, next)) => {
+                if head.is_empty() && spill.is_none() {
+                    head = done;
+                } else {
+                    spill
+                        .get_or_insert_with(|| head.to_vec())
+                        .extend_from_slice(&done);
+                }
+                next
+            }
+        };
+    }
+    if let Some(spill) = spill {
+        count_flatten();
+        head = Bytes::from(spill);
+    }
+    Message::new(head, run)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Property tests for the RPC wire layer: fragmentation/reassembly is the
 //! identity for every payload, under any delivery order, with duplicates;
-//! where a message's head ends changes no byte of any packet; and
+//! where a message's head ends changes no byte of any packet, and a
+//! segmented message taken whole is what its packets reassemble to; and
 //! header/trace-extension decoding is total over hostile input.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpclib::wire::{
-    decode_trace_ext, encode_trace_ext, fragment, Header, Kind, Packet, Reassembly, TraceExtError,
-    TRACE_EXT_BYTES,
+    decode_trace_ext, encode_trace_ext, fragment, segment, Header, Kind, Packet, Reassembly,
+    TraceExtError, TRACE_EXT_BYTES,
 };
 use rpclib::Message;
 use telemetry::TraceCtx;
@@ -54,34 +55,56 @@ proptest! {
     }
 
     /// The seam is not on the wire: wherever `head ‖ body` is split, traced
-    /// or not, every packet carries the bytes the flat message's packet
-    /// carries, and the receiver — fed the packets in any rotation — gets
-    /// the same message back with the body still the sender's buffer.
+    /// or not, every packet — cut from the message, from its flat bytes or
+    /// out of its segmented value — is `Header::encode` of the flat
+    /// message's MTU cut, and the receiver — fed the packets in any
+    /// rotation — gets the same message back with the body still the
+    /// sender's buffer. Taken whole, the segmented value gives the very
+    /// `(head, body)` its packets reassemble to.
     #[test]
     fn packets_of_head_and_body_are_those_of_the_flat_message(
-        bytes in proptest::collection::vec(any::<u8>(), 0..20_000),
-        seam in any::<u16>(),
         mtu in 1usize..6000,
+        head_len in any::<u16>(),
+        body_len in any::<u16>(),
+        fill in any::<u8>(),
         traced in any::<bool>(),
         rotate in any::<u16>(),
     ) {
-        let flat = Bytes::from(bytes);
-        let seam = seam as usize % (flat.len() + 1);
+        // Head and body each 0–3 MTUs long.
+        let (seam, body_len) = (head_len as usize % (3 * mtu + 1), body_len as usize % (3 * mtu + 1));
+        let flat: Bytes = (0..seam + body_len).map(|i| (i as u8).wrapping_mul(31) ^ fill).collect::<Vec<u8>>().into();
         let trace = traced.then_some(TraceCtx { trace_id: 7, span_id: 9 });
         // The head is the sender's own small buffer, the body shared.
         let body = flat.slice(seam..);
         let msg = Message::new(flat[..seam].to_vec(), body.clone());
+        let seg = segment(Kind::Response, 3, 17, msg.clone(), mtu, trace);
         let split = fragment(Kind::Response, 3, 17, msg, mtu, trace);
         let whole = fragment(Kind::Response, 3, 17, &flat, mtu, trace);
-        prop_assert_eq!(split.len(), whole.len());
+        let n = flat.len().div_ceil(mtu).max(1);
+        prop_assert_eq!((seg.len(), split.len(), whole.len()), (n, n, n));
         let wire = |p: &Packet| [&p.head[..], &p.body[..]].concat();
-        for (i, (s, w)) in split.iter().zip(&whole).enumerate() {
-            prop_assert_eq!(wire(s), wire(w), "packet {}", i);
+        for i in 0..n {
+            let reference = Header {
+                kind: Kind::Response,
+                req_type: 3,
+                req_num: 17,
+                pkt_idx: i as u16,
+                num_pkts: n as u16,
+                msg_len: flat.len() as u32,
+                trace,
+            };
+            let cut = |i: usize| (i * mtu).min(flat.len());
+            let reference = reference.encode(&flat[cut(i)..cut(i + 1)]);
+            prop_assert_eq!(seg.packet_len(i), reference.len(), "packet {}", i);
+            for p in [&seg.packet(i), &split[i], &whole[i]] {
+                prop_assert_eq!(&wire(p)[..], &reference[..], "packet {}", i);
+            }
         }
-        let mut parsed: Vec<(Header, Message)> = split
-            .iter()
+        let mut parsed: Vec<(Header, Message)> = (0..n)
+            .map(|i| seg.packet(i))
             .map(|p| Header::decode_split(&p.head, &p.body).expect("own packets decode"))
             .collect();
+        let first = parsed[0].0;
         let by = rotate as usize % parsed.len();
         parsed.rotate_left(by);
         let (h0, f0) = parsed[0].clone();
@@ -91,11 +114,22 @@ proptest! {
         }
         let before = rpclib::flattened();
         let got = r.assemble();
+        let spilled = rpclib::flattened() - before;
         prop_assert_eq!(&got, &flat);
         if !body.is_empty() && seam <= mtu {
             prop_assert_eq!(got.body.as_ptr(), body.as_ptr(), "the body is not copied");
             prop_assert_eq!(got.head.len(), seam);
-            prop_assert_eq!(rpclib::flattened(), before);
+            prop_assert_eq!(spilled, 0);
+        }
+        let (hdr, taken) = rpclib::wire::whole(&seg).expect("an own message is taken whole");
+        prop_assert_eq!(rpclib::flattened() - before - spilled, spilled, "copies as reassembly does");
+        prop_assert_eq!(hdr, first);
+        prop_assert_eq!(&taken.head[..], &got.head[..]);
+        prop_assert_eq!(&taken.body[..], &got.body[..]);
+        if spilled == 0 {
+            for (a, b) in [(&taken.head, &got.head), (&taken.body, &got.body)] {
+                prop_assert!(a.is_empty() || a.as_ptr() == b.as_ptr(), "the same views");
+            }
         }
     }
 

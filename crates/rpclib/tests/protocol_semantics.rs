@@ -14,7 +14,9 @@ use proptest::prelude::*;
 use rpclib::wire::{self, fragment, Header, Kind};
 use rpclib::{Message, RpcBuilder, RpcConfig, RpcError, ServedSlots, RTT_PKTS};
 use simcore::Sim;
-use simnet::{Addr, FabricConfig, Network, NicConfig, NodeId, Payload, BULK_AHEAD};
+use simnet::{
+    Addr, FabricConfig, Network, NicConfig, NodeId, Packets, Payload, Segmented, BULK_AHEAD,
+};
 
 fn rig() -> (Sim, Network, NodeId, NodeId) {
     let sim = Sim::new();
@@ -310,6 +312,70 @@ fn forged_first_fragments_reserve_what_arrived_not_what_they_claim() {
         };
         assert_eq!(server.served_slots(), held);
     });
+}
+
+/// Requests handled and slots held after `packets` reach a fresh server
+/// from a raw port.
+fn served_after(packets: Packets) -> (u64, ServedSlots) {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |ctx| async move { ctx.payload });
+        let raw = net.bind(a, 20);
+        net.send_message(raw.addr(), server.addr(), packets, false);
+        simcore::sleep(Duration::from_micros(50)).await;
+        (server.stats().requests_handled.get(), server.served_slots())
+    })
+}
+
+/// A segmented request is taken whole only if every header in it parses as
+/// one message's. With one packet's magic, `req_num`, `pkt_idx` or
+/// `num_pkts` wrong it is never handled, and the server ends as it does
+/// when the same packets arrive as a list: the same count handled, the
+/// same slots held.
+#[test]
+fn a_forged_segmented_request_ends_as_its_packet_list_does() {
+    const MTU: usize = 64;
+    let body = Bytes::from(vec![6u8; 3 * MTU + 10]);
+    let msg = Message::new(vec![5u8; 3], body);
+    let genuine = wire::segment(Kind::Request, 1, wire::req_num(1, 0), msg, MTU, None);
+    assert_eq!(genuine.len(), 4);
+    let as_list = |seg: &Segmented| Packets::List(Packets::from(seg.clone()).iter().collect());
+    for packets in [Packets::from(genuine.clone()), as_list(&genuine)] {
+        let answered = ServedSlots {
+            done: 1,
+            ..Default::default()
+        };
+        assert_eq!(served_after(packets), (1, answered));
+    }
+    // `(field, byte of the header, bits flipped)`: the magic; the sequence
+    // in `req_num` (1 → 3, the same slot); `pkt_idx`; `num_pkts` (4 → 5).
+    let fields = [
+        ("magic", 0, 0xFF),
+        ("req_num", 7, 0x02),
+        ("pkt_idx", 12, 0x01),
+        ("num_pkts", 14, 0x01),
+    ];
+    for (field, at, flip) in fields {
+        for j in 0..genuine.len() {
+            let mut block = genuine.block().to_vec();
+            block[genuine.header_at(j) + at] ^= flip;
+            let forged = Segmented::new(
+                block.into(),
+                genuine.head_len(),
+                genuine.body().clone(),
+                genuine.hdr_len(),
+                MTU,
+            );
+            let whole = served_after(Packets::from(forged.clone()));
+            assert_eq!(whole.0, 0, "{field} of packet {j}: handled");
+            assert_eq!(
+                whole,
+                served_after(as_list(&forged)),
+                "{field} of packet {j}"
+            );
+        }
+    }
 }
 
 /// Responses larger than one packet survive loss of arbitrary fragments.

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crate::executor::{now, sleep_until};
 use crate::stats::Counter;
-use crate::time::{transfer_time, SimTime};
+use crate::time::{duration_nanos, transfer_time, SimTime};
 
 /// A FIFO rate-limited resource (link, memory channel, disk...).
 #[derive(Clone)]
@@ -28,11 +28,15 @@ struct RateInner {
     bytes_per_sec: f64,
     per_op_overhead: Duration,
     next_free: Cell<SimTime>,
-    busy: Cell<Duration>,
-    /// Summed queueing wait, in ns (a plain add on every reservation).
+    /// `(bytes, service ns)` of the last booking: a NIC books one size for
+    /// every full packet, so the division is done once per size change.
+    last: Cell<(u64, u64)>,
+    /// Summed service and queueing wait, in ns, operations and bytes:
+    /// plain adds per booking.
+    busy_ns: Cell<u64>,
     wait_ns: Cell<u64>,
-    ops: Counter,
-    bytes: Counter,
+    ops: Cell<u64>,
+    bytes: Cell<u64>,
 }
 
 impl RateResource {
@@ -45,10 +49,11 @@ impl RateResource {
                 bytes_per_sec,
                 per_op_overhead,
                 next_free: Cell::new(SimTime::ZERO),
-                busy: Cell::new(Duration::ZERO),
+                last: Cell::new((0, duration_nanos(per_op_overhead))),
+                busy_ns: Cell::new(0),
                 wait_ns: Cell::new(0),
-                ops: Counter::new(),
-                bytes: Counter::new(),
+                ops: Cell::new(0),
+                bytes: Cell::new(0),
             }),
         }
     }
@@ -70,17 +75,44 @@ impl RateResource {
     /// waiting. Returns the completion instant. Useful when the caller wants
     /// to overlap the wait with other work.
     pub fn reserve(&self, bytes: u64) -> SimTime {
-        let t = now();
-        let start = self.inner.next_free.get().max(t);
-        let service = self.inner.per_op_overhead + transfer_time(bytes, self.inner.bytes_per_sec);
-        let finish = start + service;
-        self.inner.next_free.set(finish);
-        self.inner.busy.set(self.inner.busy.get() + service);
-        let waited = start.nanos() - t.nanos();
-        self.inner.wait_ns.set(self.inner.wait_ns.get() + waited);
-        self.inner.ops.add(1);
-        self.inner.bytes.add(bytes);
+        self.book(now(), bytes)
+    }
+
+    /// [`RateResource::reserve`] at `now`, the instant the caller already
+    /// holds.
+    #[inline]
+    pub fn book(&self, now: SimTime, bytes: u64) -> SimTime {
+        let inner = &*self.inner;
+        let service = self.service_ns(bytes);
+        let start = inner.next_free.get().max(now);
+        let finish = SimTime::from_nanos(start.nanos().saturating_add(service));
+        inner.next_free.set(finish);
+        let add = |c: &Cell<u64>, n: u64| c.set(c.get().saturating_add(n));
+        add(&inner.busy_ns, service);
+        add(&inner.wait_ns, start.nanos() - now.nanos());
+        add(&inner.ops, 1);
+        add(&inner.bytes, bytes);
         finish
+    }
+
+    /// How long one operation of `bytes` holds the resource.
+    #[inline]
+    pub fn service(&self, bytes: u64) -> Duration {
+        Duration::from_nanos(self.service_ns(bytes))
+    }
+
+    #[inline]
+    fn service_ns(&self, bytes: u64) -> u64 {
+        let inner = &*self.inner;
+        match inner.last.get() {
+            (last, ns) if last == bytes => ns,
+            _ => {
+                let service = inner.per_op_overhead + transfer_time(bytes, inner.bytes_per_sec);
+                let ns = duration_nanos(service);
+                inner.last.set((bytes, ns));
+                ns
+            }
+        }
     }
 
     /// Configured service rate in bytes/second.
@@ -90,7 +122,7 @@ impl RateResource {
 
     /// Total busy time accumulated.
     pub fn busy_time(&self) -> Duration {
-        self.inner.busy.get()
+        Duration::from_nanos(self.inner.busy_ns.get())
     }
 
     /// Total queueing wait accumulated: for each operation, its service
@@ -119,10 +151,10 @@ impl RateResource {
 
     /// Reset counters (between measurement phases).
     pub fn reset_stats(&self) {
-        self.inner.busy.set(Duration::ZERO);
+        self.inner.busy_ns.set(0);
         self.inner.wait_ns.set(0);
-        self.inner.ops.reset();
-        self.inner.bytes.reset();
+        self.inner.ops.set(0);
+        self.inner.bytes.set(0);
     }
 }
 

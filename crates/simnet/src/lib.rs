@@ -14,8 +14,9 @@
 //! end-to-end testable, while *time* is charged by the cost model.
 //!
 //! The fabric carries messages: [`Network::send_message`] parks one slot
-//! holding the sender's packet list (a datagram is a one-packet message)
-//! and books the sender's NIC for each packet. The fabric is an event
+//! holding the sender's packets — one [`Segmented`] buffer, or a list (a
+//! datagram is a list of one) — and books the sender's NIC for each
+//! packet. The fabric is an event
 //! source of the executor ([`simcore::Source`]): at each packet's arrival
 //! instant it judges it and books the receiver's NIC, and when that NIC is
 //! done with the message's last packet it calls the receive function the
@@ -150,6 +151,190 @@ impl From<&'static [u8]> for Payload {
     }
 }
 
+/// A message kept in two buffers, not one per packet (eRPC's msgbuf):
+/// packet `i` is a `hdr_len`-byte header followed by bytes
+/// `[i × mtu, (i + 1) × mtu)` of `head ‖ body`. `block` holds every
+/// packet's header, each followed by that packet's share of the head;
+/// `body` is shared, never copied. A packet's length is arithmetic, and its
+/// bytes are sliced only by [`Segmented::packet`], when it travels alone.
+#[derive(Clone, Debug)]
+pub struct Segmented {
+    block: Bytes,
+    body: Bytes,
+    head_len: usize,
+    hdr_len: usize,
+    mtu: usize,
+    num_pkts: usize,
+}
+
+impl Segmented {
+    /// A message whose `head_len`-byte head is interleaved with its
+    /// packets' headers in `block`, in front of `body`.
+    ///
+    /// # Panics
+    /// Panics if `mtu` is 0 or `block` is not `hdr_len` bytes per packet
+    /// plus the head.
+    pub fn new(
+        block: Bytes,
+        head_len: usize,
+        body: Bytes,
+        hdr_len: usize,
+        mtu: usize,
+    ) -> Segmented {
+        assert!(mtu > 0, "mtu must be positive");
+        let num_pkts = (head_len + body.len()).div_ceil(mtu).max(1);
+        assert_eq!(
+            block.len(),
+            num_pkts * hdr_len + head_len,
+            "a header per packet, then the head"
+        );
+        Segmented {
+            block,
+            body,
+            head_len,
+            hdr_len,
+            mtu,
+            num_pkts,
+        }
+    }
+
+    /// Packets in the message (at least one).
+    pub fn len(&self) -> usize {
+        self.num_pkts
+    }
+
+    /// Always `false`: a message has a packet.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Every header, each followed by its packet's share of the head.
+    pub fn block(&self) -> &Bytes {
+        &self.block
+    }
+
+    /// The body.
+    pub fn body(&self) -> &Bytes {
+        &self.body
+    }
+
+    /// Bytes of the head (in `block`, behind the headers).
+    pub fn head_len(&self) -> usize {
+        self.head_len
+    }
+
+    /// Bytes of each packet's header.
+    pub fn hdr_len(&self) -> usize {
+        self.hdr_len
+    }
+
+    /// Bytes of `head ‖ body` a packet carries, the last one fewer.
+    pub fn mtu(&self) -> usize {
+        self.mtu
+    }
+
+    /// Where packet `i`'s range of `head ‖ body` starts.
+    fn cut(&self, i: usize) -> usize {
+        (i * self.mtu).min(self.head_len + self.body.len())
+    }
+
+    /// Where packet `i`'s header starts in `block`.
+    pub fn header_at(&self, i: usize) -> usize {
+        i * self.hdr_len + self.cut(i).min(self.head_len)
+    }
+
+    /// Payload bytes of packet `i`.
+    pub fn packet_len(&self, i: usize) -> usize {
+        self.hdr_len + self.cut(i + 1) - self.cut(i)
+    }
+
+    /// Packet `i` on its own: its header and share of the head, then its
+    /// slice of the body.
+    pub fn packet(&self, i: usize) -> Payload {
+        let (h, lo, hi) = (self.head_len, self.cut(i), self.cut(i + 1));
+        Payload {
+            head: self
+                .block
+                .slice(self.header_at(i)..(i + 1) * self.hdr_len + hi.min(h)),
+            body: self.body.slice(lo.saturating_sub(h)..hi.saturating_sub(h)),
+        }
+    }
+}
+
+/// The packets of one message, as [`Network::send_message`] takes them and
+/// a receive function is handed them.
+#[derive(Clone, Debug)]
+pub enum Packets {
+    /// Each packet in buffers of its own (a datagram is a list of one).
+    List(Rc<[Payload]>),
+    /// One segmented message, handed over as such only whole: if a packet
+    /// of it was lost, duplicated or held back, the survivors come as a
+    /// list.
+    Segmented(Segmented),
+}
+
+impl Packets {
+    /// Number of packets.
+    pub fn len(&self) -> usize {
+        match self {
+            Packets::List(list) => list.len(),
+            Packets::Segmented(seg) => seg.len(),
+        }
+    }
+
+    /// Whether there is no packet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Payload bytes of packet `i`.
+    pub fn packet_len(&self, i: usize) -> usize {
+        match self {
+            Packets::List(list) => list[i].len(),
+            Packets::Segmented(seg) => seg.packet_len(i),
+        }
+    }
+
+    /// Packet `i`, sharing the message's buffers.
+    pub fn packet(&self, i: usize) -> Payload {
+        match self {
+            Packets::List(list) => list[i].clone(),
+            Packets::Segmented(seg) => seg.packet(i),
+        }
+    }
+
+    /// Every packet, in order.
+    pub fn iter(&self) -> impl Iterator<Item = Payload> + '_ {
+        (0..self.len()).map(|i| self.packet(i))
+    }
+
+    /// Payload bytes of every packet together.
+    fn payload_bytes(&self) -> usize {
+        match self {
+            Packets::List(list) => list.iter().map(Payload::len).sum(),
+            Packets::Segmented(seg) => seg.block.len() + seg.body.len(),
+        }
+    }
+}
+
+impl From<Payload> for Packets {
+    fn from(packet: Payload) -> Packets {
+        Packets::List(Rc::new([packet]))
+    }
+}
+
+impl From<Rc<[Payload]>> for Packets {
+    fn from(list: Rc<[Payload]>) -> Packets {
+        Packets::List(list)
+    }
+}
+
+impl From<Segmented> for Packets {
+    fn from(seg: Segmented) -> Packets {
+        Packets::Segmented(seg)
+    }
+}
+
 /// One delivered datagram.
 #[derive(Clone, Debug)]
 pub struct Datagram {
@@ -206,12 +391,11 @@ impl Default for FabricConfig {
 
 /// A message between `send` and its hand-over: its packets, shared with the
 /// sender and never copied, stay in one [`Parked`] slot the whole way; the
-/// queues they wait in hold `(slot, packet)` only. A datagram is a
-/// one-packet message.
+/// queues they wait in hold `(slot, packet)` only.
 struct InFlight {
     src: Addr,
     dst: Addr,
-    packets: Rc<[Payload]>,
+    packets: Packets,
     /// The hop span, opened in the sender's context; it ends when the slot
     /// is freed (after the hand-over, or once no packet is left). Boxed
     /// because a span record is ~200 B and an untraced run never has one.
@@ -234,17 +418,17 @@ struct InFlight {
 
 impl InFlight {
     fn wire_size(&self, idx: u32) -> u64 {
-        self.packets[idx as usize].len() as u64 + WIRE_HEADER_BYTES
+        self.packets.packet_len(idx as usize) as u64 + WIRE_HEADER_BYTES
     }
 
     /// The packets it hands over: all but those gone, which are in index
     /// order (a message's packets are judged in the order they were sent).
-    fn survivors(&self) -> Rc<[Payload]> {
+    fn survivors(&self) -> Packets {
         if self.gone.is_empty() {
             return self.packets.clone();
         }
         let kept = (0..self.packets.len() as u32).filter(|i| self.gone.binary_search(i).is_err());
-        kept.map(|i| self.packets[i as usize].clone()).collect()
+        Packets::List(kept.map(|i| self.packets.packet(i as usize)).collect())
     }
 }
 
@@ -303,7 +487,8 @@ struct Flights {
     parked: Parked,
     /// Packets on the wire or the switch: `(arrival, send order, slot,
     /// packet)`. Packets arriving in the same nanosecond are served — and
-    /// their fault verdicts drawn — in send order.
+    /// their fault verdicts drawn — in send order. Of a plain message, only
+    /// the first packet not yet arrived is here.
     arrivals: BinaryHeap<Reverse<QueueKey>>,
     /// Messages whose last packet is waiting for or inside a receive NIC:
     /// `(rx_done, booking order, slot, 0)`.
@@ -317,12 +502,12 @@ struct Flights {
 }
 
 impl Flights {
-    /// Book `node`'s transmit NIC for packet `idx` of the message in `slot`
-    /// and queue it to reach the switch `latency` after the NIC is done
-    /// with it.
-    fn depart(&mut self, node: &NodeState, slot: u32, idx: u32, latency: Duration) {
+    /// Book `node`'s transmit NIC at `now` for packet `idx` of the bulk
+    /// message in `slot` and queue it to reach the switch `latency` after
+    /// the NIC is done with it.
+    fn depart(&mut self, node: &NodeState, slot: u32, idx: u32, latency: Duration, now: SimTime) {
         let wire_size = self.parked.get_mut(slot).wire_size(idx);
-        let arrival = node.tx.reserve(wire_size) + latency;
+        let arrival = node.tx.book(now, wire_size) + latency;
         self.arrivals.push(Reverse((arrival, self.sent, slot, idx)));
         self.sent += 1;
     }
@@ -332,7 +517,7 @@ impl Flights {
     fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, now: SimTime) {
         let flight = self.parked.get_mut(slot);
         let node = &mut nodes[flight.dst.node.0 as usize];
-        let rx_done = node.rx.reserve(flight.wire_size(idx));
+        let rx_done = node.rx.book(now, flight.wire_size(idx));
         node.rx_queue(now);
         node.rx_due.push_back(rx_done);
         node.rx_queue_peak = node.rx_queue_peak.max(node.rx_due.len() as u64);
@@ -362,7 +547,7 @@ impl Flights {
         }
         flight.gone.push(idx);
         let lone = InFlight {
-            packets: Rc::new([flight.packets[idx as usize].clone()]),
+            packets: Packets::List(Rc::new([flight.packets.packet(idx as usize)])),
             hop: None,
             unjudged: 0,
             gone: Vec::new(),
@@ -413,11 +598,11 @@ struct NodeState {
 impl NodeState {
     /// A bulk packet of this node reached the switch: its place goes to
     /// the next one waiting, which departs now.
-    fn bulk_arrived(&mut self, fl: &mut Flights, latency: Duration) {
+    fn bulk_arrived(&mut self, fl: &mut Flights, latency: Duration, now: SimTime) {
         self.bulk_ahead -= 1;
         if let Some((slot, idx)) = self.bulk_queue.pop_front() {
             self.bulk_ahead += 1;
-            fl.depart(self, slot, idx, latency);
+            fl.depart(self, slot, idx, latency, now);
         }
     }
 
@@ -432,11 +617,11 @@ impl NodeState {
 
 /// What a bound port does with each hand-over: the sender's address and
 /// the packets handed over.
-type Receive = Rc<dyn Fn(Addr, &[Payload])>;
+type Receive = Rc<dyn Fn(Addr, &Packets)>;
 
 /// A message handed over in this instant, with the function of the port
 /// it goes to and its hop span, which ends once the function has run.
-type HandOver = (Receive, Addr, Rc<[Payload]>, Option<Box<SpanGuard>>);
+type HandOver = (Receive, Addr, Packets, Option<Box<SpanGuard>>);
 
 struct NetInner {
     nodes: RefCell<Vec<NodeState>>,
@@ -531,12 +716,13 @@ impl Network {
     /// sender's address and the packets of each message that survived, at
     /// the instant that node's receive NIC is done with the last of them (a
     /// packet duplicated or held back on the way comes alone, at its own
-    /// instant), outside any task; it may send. Only an [`Endpoint`] ever
-    /// unbinds a port.
+    /// instant), outside any task; it may send. A segmented message comes
+    /// as sent only if every packet of it survived. Only an [`Endpoint`]
+    /// ever unbinds a port.
     ///
     /// # Panics
     /// Panics if the port is already bound.
-    pub fn bind_fn(&self, node: NodeId, port: u16, receive: impl Fn(Addr, &[Payload]) + 'static) {
+    pub fn bind_fn(&self, node: NodeId, port: u16, receive: impl Fn(Addr, &Packets) + 'static) {
         let mut nodes = self.inner.nodes.borrow_mut();
         let st = &mut nodes[node.0 as usize];
         let prev = st.ports.insert(port, Rc::new(receive));
@@ -553,8 +739,7 @@ impl Network {
         let (tx, rx) = mpsc::channel();
         let addr = Addr { node, port };
         self.bind_fn(node, port, move |src, packets| {
-            for payload in packets {
-                let payload = payload.clone();
+            for payload in packets.iter() {
                 let _ = tx.send(Datagram {
                     src,
                     dst: addr,
@@ -759,7 +944,8 @@ impl Network {
     /// Transmit a datagram from `src` to `dst` without holding an
     /// [`Endpoint`]: a one-packet [`Network::send_message`].
     pub fn send_datagram(&self, src: Addr, dst: Addr, payload: impl Into<Payload>) {
-        self.send_message(src, dst, Rc::new([payload.into()]), false);
+        let packet: Payload = payload.into();
+        self.send_message(src, dst, packet, false);
     }
 
     /// Transmit the packets of one message from `src` to `dst`, shared, not
@@ -773,7 +959,8 @@ impl Network {
     ///
     /// # Panics
     /// Panics if `packets` is empty.
-    pub fn send_message(&self, src: Addr, dst: Addr, packets: Rc<[Payload]>, bulk: bool) {
+    pub fn send_message(&self, src: Addr, dst: Addr, packets: impl Into<Packets>, bulk: bool) {
+        let packets = packets.into();
         assert!(!packets.is_empty(), "a message has at least one packet");
         // Captured in the sender's task (where any trace context lives) and
         // parked with the message, so one hop span covers tx NIC occupancy,
@@ -781,8 +968,8 @@ impl Network {
         // thread-local flag read.
         let mut hop = telemetry::leaf_span(SpanKind::NetHop, "net.hop", src.node.0);
         if let Some(s) = hop.as_mut() {
-            let wire_size = packets.iter().map(|p| p.len() as u64 + WIRE_HEADER_BYTES);
-            s.attr("wire_bytes", wire_size.sum());
+            let framing = packets.len() as u64 * WIRE_HEADER_BYTES;
+            s.attr("wire_bytes", packets.payload_bytes() as u64 + framing);
             s.attr("dst_node", dst.node.0 as u64);
         }
         let latency = self.inner.fabric.borrow().switch_latency;
@@ -805,17 +992,31 @@ impl Network {
         if !self.inner.registered.replace(true) {
             simcore::add_source(self.inner.clone());
         }
-        for idx in 0..n {
-            if bulk {
-                if node.bulk_ahead == BULK_AHEAD {
-                    // The packets ahead are in flight: the fabric lets this
-                    // one go when the first of them reaches the switch.
-                    node.bulk_queue.push_back((slot, idx));
-                    continue;
-                }
-                node.bulk_ahead += 1;
+        let now = simcore::now();
+        if !bulk {
+            // Back to back on the NIC, so each packet reaches the switch one
+            // service time after the one before it: only the first is queued
+            // now, and each queues the next when it gets there (`settle`).
+            let flight = fl.parked.get_mut(slot);
+            let mut first = None;
+            for idx in 0..n {
+                let done = node.tx.book(now, flight.wire_size(idx));
+                first.get_or_insert(done + latency);
             }
-            fl.depart(node, slot, idx, latency);
+            let key = (first.expect("a packet"), fl.sent, slot, 0);
+            fl.arrivals.push(Reverse(key));
+            fl.sent += n as u64;
+            return;
+        }
+        for idx in 0..n {
+            if node.bulk_ahead == BULK_AHEAD {
+                // The packets ahead are in flight: the fabric lets this
+                // one go when the first of them reaches the switch.
+                node.bulk_queue.push_back((slot, idx));
+                continue;
+            }
+            node.bulk_ahead += 1;
+            fl.depart(node, slot, idx, latency, now);
         }
         node.bulk_queue_peak = node.bulk_queue_peak.max(node.bulk_queue.len() as u64);
     }
@@ -907,8 +1108,15 @@ impl NetInner {
             }
         }
 
-        while let Some((_, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
+        while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
             let flight = fl.parked.get_mut(slot);
+            if !flight.bulk && idx + 1 < flight.packets.len() as u32 {
+                // A plain message's next packet left the NIC right behind
+                // this one (`send_message`), so it is due next in send order.
+                let tx = &nodes[flight.src.node.0 as usize].tx;
+                let next = at + tx.service(flight.wire_size(idx + 1));
+                fl.arrivals.push(Reverse((next, order + 1, slot, idx + 1)));
+            }
             if flight.unjudged == 0 {
                 // Held back at its first arrival: judged then, booked now.
                 fl.book_rx(&mut nodes, slot, idx, now);
@@ -918,7 +1126,7 @@ impl NetInner {
             flight.unjudged -= 1;
             let (src, dst) = (flight.src.node, flight.dst.node);
             if flight.bulk {
-                nodes[src.0 as usize].bulk_arrived(fl, latency);
+                nodes[src.0 as usize].bulk_arrived(fl, latency, now);
             }
             let verdict = if faulty {
                 faults.verdict(src, dst, now, loss_p, &self.rng)
@@ -1045,7 +1253,7 @@ mod tests {
     /// `(instant, what)` log shared by receive functions and tasks.
     type Log = Rc<RefCell<Vec<(u64, &'static str)>>>;
 
-    fn logger(log: &Log, what: &'static str) -> impl Fn(Addr, &[Payload]) + 'static {
+    fn logger(log: &Log, what: &'static str) -> impl Fn(Addr, &Packets) + 'static {
         let log = log.clone();
         move |_, _| log.borrow_mut().push((simcore::now().nanos(), what))
     }
@@ -1087,8 +1295,7 @@ mod tests {
         let net2 = net.clone();
         net.bind_fn(b, 1, move |src, packets| {
             for _ in 0..2 {
-                let echo = Rc::from(packets);
-                net2.send_message(Addr { node: b, port: 1 }, src, echo, false);
+                net2.send_message(Addr { node: b, port: 1 }, src, packets.clone(), false);
             }
         });
         let net3 = net.clone();

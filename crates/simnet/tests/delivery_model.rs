@@ -19,7 +19,9 @@
 //! Messages come last: a message of many packets is handed over once, when
 //! its last packet would have been had each packet been sent alone — the
 //! closed form for plain traffic, that per-packet run for bulk — and under
-//! faults each packet keeps the fate it has alone.
+//! faults each packet keeps the fate it has alone. A segmented message is
+//! its packet list to the fabric: same hand-overs, bytes, counters and NIC
+//! books.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -29,7 +31,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use simcore::{Sim, SimTime};
-use simnet::{Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId, Payload, BULK_AHEAD};
+use simnet::{
+    Addr, FabricConfig, GilbertElliott, Network, NicConfig, NodeId, Packets, Payload, Segmented,
+    BULK_AHEAD,
+};
 
 const PORT: u16 = 1;
 const SWITCH_NS: u64 = 500;
@@ -417,7 +422,7 @@ const PKT: usize = 4096;
 fn message(net: &Network, src: NodeId, dst: NodeId, n: usize, bulk: bool) {
     for i in 0..n {
         let payload = Bytes::from(vec![i as u8; PKT]);
-        net.send_message(on(src), on(dst), Rc::new([payload.into()]), bulk);
+        net.send_message(on(src), on(dst), Payload::from(payload), bulk);
     }
 }
 
@@ -519,16 +524,64 @@ type Msg = (u64, u32, u32, Vec<usize>, bool);
 type Tag = (u16, u16);
 
 /// Every hand-over of a run, fabric-wide in the order the receive functions
-/// ran: `(instant, receiving node, packets)`.
-type HandOvers = Vec<(u64, u32, Vec<Tag>)>;
+/// ran: `(instant, receiving node, packets, their bytes back to back)`.
+type HandOvers = Vec<(u64, u32, Vec<Tag>, Vec<u8>)>;
+
+/// How [`run_messages`] sends a message.
+#[derive(Clone, Copy, PartialEq)]
+enum How {
+    /// As one list of packets.
+    List,
+    /// Each packet as a message of its own.
+    Alone,
+    /// As one [`Segmented`] message, for messages shaped by [`segmentable`].
+    Segmented,
+}
+
+/// Message `m`'s packets as one segmented message: a 4-byte header per
+/// packet (the tag), MTU cuts of zeros behind it, part of them in the head.
+fn segmented(m: usize, lens: &[usize]) -> Segmented {
+    let n = lens.len();
+    let mtu = (lens[0] - 4).max(1);
+    let total = (n - 1) * mtu + lens[n - 1] - 4;
+    let head_len = (m * 7919 + n) % (total + 1);
+    let mut block = Vec::new();
+    for i in 0..n {
+        block.extend_from_slice(&(m as u16).to_le_bytes());
+        block.extend_from_slice(&(i as u16).to_le_bytes());
+        let (lo, hi) = ((i * mtu).min(head_len), ((i + 1) * mtu).min(head_len));
+        block.resize(block.len() + hi - lo, 0);
+    }
+    let body = Bytes::from(vec![0u8; total - head_len]);
+    let seg = Segmented::new(block.into(), head_len, body, 4, mtu);
+    assert!((0..n).all(|i| seg.packet_len(i) == lens[i]));
+    seg
+}
+
+/// `msgs` with each message's packet lengths made MTU cuts behind a 4-byte
+/// header (every packet but the last full), so [`segmented`] can send them.
+fn segmentable(msgs: &[Msg]) -> Vec<Msg> {
+    let shape = |lens: &Vec<usize>| {
+        let (n, mtu) = (lens.len(), (lens[0] - 4).max(1));
+        let last = match n {
+            1 => lens[0] - 4,
+            _ => (lens[n - 1] - 4) % mtu + 1,
+        };
+        let mut out = vec![4 + mtu; n - 1];
+        out.push(4 + last);
+        out
+    };
+    msgs.iter()
+        .map(|(at, src, dst, lens, bulk)| (*at, *src, *dst, shape(lens), *bulk))
+        .collect()
+}
 
 /// Send `msgs` on a fresh fabric of `nodes` default NICs (`faults` applied
-/// first), each message as one [`Network::send_message`] or, `alone`, each
-/// of its packets as a message of its own, and run it dry.
+/// first), each message as `how` says, and run it dry.
 fn run_messages(
     nodes: usize,
     msgs: &[Msg],
-    alone: bool,
+    how: How,
     faults: impl FnOnce(&Network, &[NodeId]),
 ) -> (HandOvers, Network) {
     let sim = Sim::new();
@@ -539,16 +592,17 @@ fn run_messages(
     let handed: Rc<RefCell<HandOvers>> = Rc::default();
     for &id in &ids {
         let log = handed.clone();
-        net.bind_fn(id, PORT, move |_, packets| {
-            let tag = |p: &Payload| {
-                let b = p.contiguous();
+        net.bind_fn(id, PORT, move |_, packets: &Packets| {
+            let bytes: Vec<Bytes> = packets.iter().map(|p| p.contiguous()).collect();
+            let tag = |b: &Bytes| {
                 (
                     u16::from_le_bytes([b[0], b[1]]),
                     u16::from_le_bytes([b[2], b[3]]),
                 )
             };
-            let tags = packets.iter().map(tag).collect();
-            log.borrow_mut().push((simcore::now().nanos(), id.0, tags));
+            let tags = bytes.iter().map(tag).collect();
+            let at = simcore::now().nanos();
+            log.borrow_mut().push((at, id.0, tags, bytes.concat()));
         });
     }
     faults(&net, &ids);
@@ -556,7 +610,7 @@ fn run_messages(
     sim.block_on(async move {
         for (m, (at, src, dst, lens, bulk)) in msgs.into_iter().enumerate() {
             simcore::sleep_until(SimTime::from_nanos(at)).await;
-            let packets: Vec<Payload> = (0..lens.len())
+            let packets: Rc<[Payload]> = (0..lens.len())
                 .map(|i| {
                     let mut b = vec![0u8; lens[i]];
                     b[..2].copy_from_slice(&(m as u16).to_le_bytes());
@@ -565,12 +619,14 @@ fn run_messages(
                 })
                 .collect();
             let (src, dst) = (on(ids[src as usize]), on(ids[dst as usize]));
-            if alone {
-                for p in packets {
-                    net2.send_message(src, dst, Rc::new([p]), bulk);
+            match how {
+                How::List => net2.send_message(src, dst, packets, bulk),
+                How::Alone => {
+                    for p in packets.iter() {
+                        net2.send_message(src, dst, p.clone(), bulk);
+                    }
                 }
-            } else {
-                net2.send_message(src, dst, packets.into(), bulk);
+                How::Segmented => net2.send_message(src, dst, segmented(m, &lens), bulk),
             }
         }
     });
@@ -599,13 +655,52 @@ fn raw_messages() -> impl Strategy<Value = Vec<(u64, u32, u32, Vec<usize>, bool)
 /// Each packet's hand-over instants in a run, sorted.
 fn instants(handed: &HandOvers) -> HashMap<Tag, Vec<u64>> {
     let mut at: HashMap<Tag, Vec<u64>> = HashMap::new();
-    for (t, _, tags) in handed {
+    for (t, _, tags, _) in handed {
         for tag in tags {
             at.entry(*tag).or_default().push(*t);
         }
     }
     at.values_mut().for_each(|v| v.sort_unstable());
     at
+}
+
+/// What a run leaves in the fabric's books: the fabric's counters, then
+/// each node's NIC bytes, packets, busy time, wait and deepest queue.
+fn books(net: &Network, nodes: usize) -> Vec<u64> {
+    let mut out = vec![
+        net.delivered(),
+        net.dropped_loss(),
+        net.dropped_partition(),
+        net.dropped_unbound(),
+        net.duplicated(),
+        net.reordered(),
+        net.in_flight() as u64,
+    ];
+    for n in (0..nodes as u32).map(NodeId) {
+        let ns = |d: Duration| d.as_nanos() as u64;
+        out.extend([net.node_tx_bytes(n), net.node_rx_bytes(n)]);
+        out.extend([net.node_tx_packets(n), net.node_rx_packets(n)]);
+        out.extend([ns(net.node_tx_busy(n)), ns(net.node_rx_busy(n))]);
+        out.extend([ns(net.node_tx_wait(n)), ns(net.node_rx_wait(n))]);
+        out.extend([net.node_rx_queue_peak(n), net.node_bulk_queue_peak(n)]);
+    }
+    out
+}
+
+/// `msgs` made [`segmentable`], sent once as packet lists and once as
+/// segmented messages under `faults`: every hand-over (instant, node,
+/// survivors and their bytes) and every book must be the same.
+fn segmented_is_its_packet_list(
+    nodes: usize,
+    msgs: &[Msg],
+    faults: impl Fn(&Network, &[NodeId]),
+) -> Result<(), TestCaseError> {
+    let msgs = segmentable(msgs);
+    let (list, list_net) = run_messages(nodes, &msgs, How::List, &faults);
+    let (seg, seg_net) = run_messages(nodes, &msgs, How::Segmented, &faults);
+    prop_assert_eq!(seg, list);
+    prop_assert_eq!(books(&seg_net, nodes), books(&list_net, nodes));
+    Ok(())
 }
 
 proptest! {
@@ -619,18 +714,18 @@ proptest! {
     ) {
         let mut msgs = messages(nodes, raw);
         msgs.iter_mut().for_each(|m| m.4 &= !plain);
-        let (whole, net) = run_messages(nodes, &msgs, false, |_, _| {});
-        let (alone, per_packet) = run_messages(nodes, &msgs, true, |_, _| {});
+        let (whole, net) = run_messages(nodes, &msgs, How::List, |_, _| {});
+        let (alone, per_packet) = run_messages(nodes, &msgs, How::Alone, |_, _| {});
         // Once per message, every packet in order, at the instant and in
         // the fabric-wide order of its last packet alone.
-        let last = |(t, node, tags): &(u64, u32, Vec<Tag>)| {
+        let last = |(t, node, tags, _): &(u64, u32, Vec<Tag>, Vec<u8>)| {
             let (m, i) = tags[0];
             (i as usize + 1 == msgs[m as usize].3.len()).then_some((*t, *node, m))
         };
         let by_last: Vec<_> = alone.iter().filter_map(last).collect();
-        let got: Vec<_> = whole.iter().map(|(t, node, tags)| (*t, *node, tags[0].0)).collect();
+        let got: Vec<_> = whole.iter().map(|(t, node, tags, _)| (*t, *node, tags[0].0)).collect();
         prop_assert_eq!(&got, &by_last);
-        for (_, _, tags) in &whole {
+        for (_, _, tags, _) in &whole {
             let (m, n) = (tags[0].0, msgs[tags[0].0 as usize].3.len() as u16);
             prop_assert_eq!(tags, &(0..n).map(|i| (m, i)).collect::<Vec<_>>());
         }
@@ -647,7 +742,7 @@ proptest! {
                 next += msg.3.len();
                 ends.push(done[next - 1]);
             }
-            for (t, _, tags) in &whole {
+            for (t, _, tags, _) in &whole {
                 prop_assert_eq!(*t, ends[tags[0].0 as usize]);
             }
         }
@@ -657,6 +752,7 @@ proptest! {
             let peak = |net: &Network| net.node_rx_queue_peak(NodeId(node));
             prop_assert_eq!(peak(&net), peak(&per_packet), "node {}", node);
         }
+        segmented_is_its_packet_list(nodes, &msgs, |_, _| {})?;
     }
 
     #[test]
@@ -671,8 +767,8 @@ proptest! {
                 net.set_link_reorder(ids[a], ids[b], 0.2, Duration::from_micros(3));
             }
         };
-        let (whole, net) = run_messages(3, &msgs, false, faults);
-        let (alone, per_packet) = run_messages(3, &msgs, true, faults);
+        let (whole, net) = run_messages(3, &msgs, How::List, faults);
+        let (alone, per_packet) = run_messages(3, &msgs, How::Alone, faults);
         let counters = |n: &Network| {
             (n.delivered(), n.dropped_loss(), n.duplicated(), n.reordered(), n.in_flight())
         };
@@ -693,11 +789,12 @@ proptest! {
         }
         // A hand-over holding its message's last packet comes exactly when
         // that packet would alone.
-        for (t, _, tags) in &whole {
+        for (t, _, tags, _) in &whole {
             let &(m, i) = tags.last().expect("a hand-over has a packet");
             if i as usize + 1 == msgs[m as usize].3.len() && want[&(m, i)].len() == 1 {
                 prop_assert_eq!(*t, want[&(m, i)][0], "message {}", m);
             }
         }
+        segmented_is_its_packet_list(3, &msgs, faults)?;
     }
 }
