@@ -19,7 +19,7 @@
 //! fixed header. Unsampled traffic is byte-identical to the pre-telemetry
 //! format — tracing that is off cannot perturb the packet schedule.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use simnet::Segmented;
 use telemetry::TraceCtx;
 
@@ -118,13 +118,13 @@ impl Header {
     }
 
     /// Append the encoded header (and trace extension, if any) to `b`.
-    fn encode_into(&self, b: &mut BytesMut) {
+    fn encode_into(&self, b: &mut impl BufMut) {
         let flags = if self.trace.is_some() { FLAG_TRACE } else { 0 };
-        b.extend_from_slice(&[MAGIC, self.kind as u8, self.req_type, flags]);
-        b.extend_from_slice(&self.req_num.to_le_bytes());
-        b.extend_from_slice(&self.pkt_idx.to_le_bytes());
-        b.extend_from_slice(&self.num_pkts.to_le_bytes());
-        b.extend_from_slice(&self.msg_len.to_le_bytes());
+        b.put_slice(&[MAGIC, self.kind as u8, self.req_type, flags]);
+        b.put_slice(&self.req_num.to_le_bytes());
+        b.put_slice(&self.pkt_idx.to_le_bytes());
+        b.put_slice(&self.num_pkts.to_le_bytes());
+        b.put_slice(&self.msg_len.to_le_bytes());
         if let Some(ctx) = self.trace {
             encode_trace_ext(ctx, b);
         }
@@ -248,12 +248,12 @@ pub enum TraceExtError {
 
 /// Append the TLV trace extension for `ctx` to `out`
 /// ([`TRACE_EXT_BYTES`] bytes: `[n=2][id][u64 LE]×2`).
-pub fn encode_trace_ext(ctx: TraceCtx, out: &mut BytesMut) {
-    out.extend_from_slice(&[2]);
-    out.extend_from_slice(&[TRACE_FIELD_TRACE_ID]);
-    out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-    out.extend_from_slice(&[TRACE_FIELD_SPAN_ID]);
-    out.extend_from_slice(&ctx.span_id.to_le_bytes());
+pub fn encode_trace_ext(ctx: TraceCtx, out: &mut impl BufMut) {
+    out.put_slice(&[2]);
+    out.put_slice(&[TRACE_FIELD_TRACE_ID]);
+    out.put_slice(&ctx.trace_id.to_le_bytes());
+    out.put_slice(&[TRACE_FIELD_SPAN_ID]);
+    out.put_slice(&ctx.span_id.to_le_bytes());
 }
 
 /// Decode a TLV trace extension from the front of `buf`. Returns the
@@ -362,17 +362,19 @@ pub fn segment(
         msg_len: total as u32,
         trace,
     };
-    // Packets differ only in `pkt_idx`: encode once, then copy and patch.
-    let mut template = BytesMut::with_capacity(hdr.encoded_len());
-    hdr.encode_into(&mut template);
-    let hdr_len = template.len();
+    // Packets differ only in `pkt_idx`: packet 0's header is encoded in
+    // place, and every other one is a copy of it, patched.
+    let mut block = Vec::with_capacity(num_pkts * hdr.encoded_len() + h);
+    hdr.encode_into(&mut block);
+    let hdr_len = block.len();
     // Where packet `i`'s range of the message starts.
     let cut = |i: usize| (i * mtu).min(total);
-    let mut block = Vec::with_capacity(num_pkts * hdr_len + h);
     for i in 0..num_pkts {
-        let at = block.len();
-        block.extend_from_slice(&template);
-        block[at + PKT_IDX..at + PKT_IDX + 2].copy_from_slice(&(i as u16).to_le_bytes());
+        if i > 0 {
+            let at = block.len();
+            block.extend_from_within(..hdr_len);
+            block[at + PKT_IDX..at + PKT_IDX + 2].copy_from_slice(&(i as u16).to_le_bytes());
+        }
         if cut(i) < h {
             block.extend_from_slice(&head[cut(i)..cut(i + 1).min(h)]);
         }

@@ -13,7 +13,9 @@
 //! order), then that instant's timers in `(deadline, registration-sequence)`
 //! order, then the runnable tasks in FIFO wake order; there is no real-time
 //! or OS-thread nondeterminism anywhere. Two runs of the same simulation
-//! produce bit-identical results.
+//! produce bit-identical results. A firing source is told the horizon, the
+//! earliest instant anything else could act, and may do its own work due
+//! before then in the same call, each piece at its own instant.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -84,7 +86,13 @@ pub trait Source {
     fn next_at(&self) -> Option<SimTime>;
     /// Do the work due at `now`. Called from the run loop, outside any task
     /// poll; it may wake and spawn tasks and change what `next_at` says.
-    fn fire(&self, now: SimTime);
+    ///
+    /// `until` is the earliest instant at which anything else could act:
+    /// the next timer, another source's next instant or the run's limit,
+    /// and `now` while a task is ready. Nothing runs before it, so a source
+    /// may also do work it has due in `(now, until)`, each piece at its own
+    /// instant, as long as that work wakes, spawns and calls out to nothing.
+    fn fire(&self, now: SimTime, until: SimTime);
 }
 
 /// A registered source and the instant it last reported.
@@ -428,7 +436,7 @@ impl Sim {
             let now = st.now;
             if source_at.is_some_and(|due| due <= now) {
                 drop(st);
-                self.fire_sources(now);
+                self.fire_sources(now, limit);
                 st = self.inner.state.borrow_mut();
             }
             // Fire every timer scheduled for exactly `now`, reusing the
@@ -468,7 +476,7 @@ impl Sim {
 
     /// Fire, in registration order, every source that said it is due by
     /// `now`. No borrow is held while one fires.
-    fn fire_sources(&self, now: SimTime) {
+    fn fire_sources(&self, now: SimTime, limit: SimTime) {
         let mut i = 0;
         loop {
             let due = match self.inner.sources.borrow().get(i) {
@@ -479,10 +487,31 @@ impl Sim {
                     .map(|_| entry.source.clone()),
             };
             if let Some(source) = due {
-                source.fire(now);
+                source.fire(now, self.horizon(now, limit, i));
             }
             i += 1;
         }
+    }
+
+    /// The earliest instant at which anything but source `i` could act:
+    /// `now` while a task is ready, else the next timer, another source's
+    /// next instant (asked afresh: one that fired at `now` may have moved
+    /// it) or `limit`, whichever comes first.
+    fn horizon(&self, now: SimTime, limit: SimTime, i: usize) -> SimTime {
+        let st = self.inner.state.borrow();
+        if !st.ready.is_empty() {
+            return now;
+        }
+        let timer = st.timers.peek().map(|Reverse(e)| e.at);
+        drop(st);
+        let sources = self.inner.sources.borrow();
+        let others = sources.iter().enumerate().filter(|&(j, _)| j != i);
+        let others = others.filter_map(|(_, e)| e.source.next_at());
+        timer
+            .into_iter()
+            .chain(others)
+            .fold(limit, SimTime::min)
+            .max(now)
     }
 
     /// Run for `d` of virtual time past the current instant.

@@ -112,11 +112,16 @@ fn scope_nests_setup_without_running() {
     assert_eq!(hits.get(), 1);
 }
 
-/// A source holding a list of deadlines, logging each firing into `log`
-/// and, at each, waking `wake` if set (a receiver parked on a channel).
+/// A source holding a list of deadlines, logging each firing into `log`.
+/// It settles its own deadlines up to the horizon it is given: each firing
+/// retires every deadline before `until`, and `horizons` keeps each
+/// firing's `(now, until)`.
 struct Deadlines {
     due: RefCell<Vec<SimTime>>,
     log: Rc<RefCell<Vec<(&'static str, SimTime)>>>,
+    horizons: RefCell<Vec<(SimTime, SimTime)>>,
+    /// Sent to at each firing, waking the task parked on its receiver.
+    wake: Option<simcore::sync::mpsc::Sender<()>>,
 }
 
 impl simcore::Source for Deadlines {
@@ -124,9 +129,13 @@ impl simcore::Source for Deadlines {
         self.due.borrow().iter().min().copied()
     }
 
-    fn fire(&self, now: SimTime) {
-        self.due.borrow_mut().retain(|&at| at > now);
+    fn fire(&self, now: SimTime, until: SimTime) {
+        self.due.borrow_mut().retain(|&at| at > now && at >= until);
         self.log.borrow_mut().push(("source", now));
+        self.horizons.borrow_mut().push((now, until));
+        if let Some(tx) = &self.wake {
+            let _ = tx.send(());
+        }
     }
 }
 
@@ -134,6 +143,8 @@ fn deadlines(at: &[u64], log: &Rc<RefCell<Vec<(&'static str, SimTime)>>>) -> Rc<
     Rc::new(Deadlines {
         due: RefCell::new(at.iter().map(|&us| at_micros(us)).collect()),
         log: log.clone(),
+        horizons: RefCell::default(),
+        wake: None,
     })
 }
 
@@ -196,4 +207,78 @@ fn next_event_time_counts_the_sources_deadlines() {
     sim.run();
     assert_eq!(sim.next_event_time(), None);
     assert_eq!((hits.get(), log.borrow().len()), (1, 1));
+}
+
+#[test]
+fn a_source_never_settles_past_the_next_timer() {
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    let hits = Rc::new(Cell::new(0));
+    mark_at(&sim, 7, &hits);
+    let source = deadlines(&[2, 4, 6, 7, 9], &log);
+    sim.add_source(source.clone());
+    sim.run();
+    // 2, 4 and 6 in one firing; the timer's instant is its own, and the
+    // source still goes first there; nothing is left after it.
+    let t = at_micros;
+    assert_eq!(
+        *source.horizons.borrow(),
+        vec![(t(2), t(7)), (t(7), t(7)), (t(9), SimTime::MAX)]
+    );
+    assert_eq!(hits.get(), 1);
+}
+
+#[test]
+fn a_source_never_settles_past_the_run_limit() {
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    let source = deadlines(&[2, 4, 5, 6], &log);
+    sim.add_source(source.clone());
+    sim.run_until(at_micros(5));
+    assert_eq!(*source.due.borrow(), vec![at_micros(6)], "5 fired at 5");
+    sim.run();
+    let t = at_micros;
+    assert_eq!(
+        *source.horizons.borrow(),
+        vec![(t(2), t(5)), (t(5), t(5)), (t(6), SimTime::MAX)]
+    );
+}
+
+#[test]
+fn the_horizon_is_now_while_a_task_is_ready() {
+    let sim = Sim::new();
+    let log: Rc<RefCell<Vec<(&str, SimTime)>>> = Rc::default();
+    // The first source wakes a parked task when it fires at 3 µs; the
+    // second, due then too, fires after it with that task ready.
+    let (tx, mut rx) = simcore::sync::mpsc::channel::<()>();
+    let first = Rc::new(Deadlines {
+        wake: Some(tx),
+        ..Rc::into_inner(deadlines(&[3], &log)).expect("one handle")
+    });
+    let second = deadlines(&[3, 5, 8], &log);
+    let log2 = log.clone();
+    sim.spawn(async move {
+        rx.recv().await;
+        log2.borrow_mut().push(("task", simcore::now()));
+    });
+    sim.add_source(first.clone());
+    sim.add_source(second.clone());
+    sim.run();
+    let t = at_micros;
+    // The first is told the second is due at its instant; the second, that
+    // the task is. Once the task has run, 5 and 8 go in one firing.
+    assert_eq!(*first.horizons.borrow(), vec![(t(3), t(3))]);
+    assert_eq!(
+        *second.horizons.borrow(),
+        vec![(t(3), t(3)), (t(5), SimTime::MAX)]
+    );
+    assert_eq!(
+        *log.borrow(),
+        vec![
+            ("source", t(3)),
+            ("source", t(3)),
+            ("task", t(3)),
+            ("source", t(5)),
+        ]
+    );
 }

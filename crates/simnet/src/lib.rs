@@ -571,7 +571,12 @@ impl Flights {
                 let key = (rx_done.max(now), order, slot, 0);
                 self.deliveries.push(Reverse(key));
             }
-            None => drop(self.parked.remove(slot)),
+            // Its hop span ends at `now`, which may be ahead of the clock.
+            None => {
+                if let Some(hop) = self.parked.remove(slot).hop {
+                    hop.end_at(now);
+                }
+            }
         }
     }
 }
@@ -1040,12 +1045,14 @@ impl simcore::Source for NetInner {
     }
 
     /// One instant of the fabric: hand over what has cleared a receive NIC,
-    /// judge what has reached its node and book that NIC for the survivors.
-    /// Only then, with every borrow released, call the receive functions of
-    /// the hand-overs in their order, so that each may send.
-    fn fire(&self, now: SimTime) {
+    /// judge what has reached its node and book that NIC for the survivors
+    /// (and, if nothing was handed over, do the same for later arrivals
+    /// before `until`). Only then, with every borrow released, call the
+    /// receive functions of the hand-overs in their order, so that each may
+    /// send.
+    fn fire(&self, now: SimTime, until: SimTime) {
         let mut handing = std::mem::take(&mut *self.handing.borrow_mut());
-        self.settle(now, &mut handing);
+        self.settle(now, until, &mut handing);
         for (receive, src, packets, hop) in handing.drain(..) {
             receive(src, &packets);
             drop(hop);
@@ -1057,16 +1064,14 @@ impl simcore::Source for NetInner {
 impl NetInner {
     /// The state half of [`simcore::Source::fire`]: every hand-over due at
     /// `now` goes into `handing`, then every arrival is judged and booked.
-    fn settle(&self, now: SimTime, handing: &mut Vec<HandOver>) {
-        let (latency, loss_p) = {
-            let f = self.fabric.borrow();
-            (f.switch_latency, f.loss_probability)
-        };
-        let mut faults = self.faults.borrow_mut();
-        // The fault plane is consulted only when some fault is configured
-        // or the fabric-wide loss knob is on: fault-free traffic draws no
-        // random numbers and stays bit-identical.
-        let faulty = !faults.is_empty() || loss_p > 0.0;
+    ///
+    /// If nothing is handed over, no receive function runs at `now`, so
+    /// nothing acts before `until`: later arrivals are judged and booked
+    /// too, each at its own instant, as firings there would. That stops
+    /// short of `until` and of the next hand-over, whose receive function
+    /// may send and whose duplicates book ahead of its instant's arrivals.
+    fn settle(&self, now: SimTime, until: SimTime, handing: &mut Vec<HandOver>) {
+        let latency = self.fabric.borrow().switch_latency;
         let mut nodes = self.nodes.borrow_mut();
         let mut fl = self.flights.borrow_mut();
         let fl = &mut *fl;
@@ -1108,6 +1113,38 @@ impl NetInner {
             }
         }
 
+        self.arrive(fl, &mut nodes, now);
+
+        for slot in owed {
+            self.duplicated.incr();
+            fl.book_rx(&mut nodes, slot, 0, now);
+        }
+
+        if !handing.is_empty() {
+            return;
+        }
+        while let Some(&Reverse((at, ..))) = fl.arrivals.peek() {
+            let hand_over = fl.deliveries.peek().map(|&Reverse((due, ..))| due);
+            if at >= until || hand_over.is_some_and(|due| due <= at) {
+                break;
+            }
+            fl.fired_at = at;
+            self.arrive(fl, &mut nodes, at);
+        }
+    }
+
+    /// Judge every packet that has reached the switch by `now` and book the
+    /// receive NIC for the survivors.
+    fn arrive(&self, fl: &mut Flights, nodes: &mut [NodeState], now: SimTime) {
+        let (latency, loss_p) = {
+            let f = self.fabric.borrow();
+            (f.switch_latency, f.loss_probability)
+        };
+        let mut faults = self.faults.borrow_mut();
+        // The fault plane is consulted only when some fault is configured
+        // or the fabric-wide loss knob is on: fault-free traffic draws no
+        // random numbers and stays bit-identical.
+        let faulty = !faults.is_empty() || loss_p > 0.0;
         while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
             let flight = fl.parked.get_mut(slot);
             if !flight.bulk && idx + 1 < flight.packets.len() as u32 {
@@ -1119,7 +1156,7 @@ impl NetInner {
             }
             if flight.unjudged == 0 {
                 // Held back at its first arrival: judged then, booked now.
-                fl.book_rx(&mut nodes, slot, idx, now);
+                fl.book_rx(nodes, slot, idx, now);
                 continue;
             }
             // One verdict per packet, drawn the first time it gets here.
@@ -1140,7 +1177,7 @@ impl NetInner {
                 Verdict::Deliver {
                     copies: 1,
                     extra_delay: None,
-                } => fl.book_rx(&mut nodes, slot, idx, now),
+                } => fl.book_rx(nodes, slot, idx, now),
                 Verdict::DropLoss => {
                     self.dropped_loss.incr();
                     fl.lose(slot, idx, now);
@@ -1162,15 +1199,10 @@ impl NetInner {
                             self.reordered.incr();
                             fl.arrivals.push(Reverse((now + held, order, lone, 0)));
                         }
-                        None => fl.book_rx(&mut nodes, lone, 0, now),
+                        None => fl.book_rx(nodes, lone, 0, now),
                     }
                 }
             }
-        }
-
-        for slot in owed {
-            self.duplicated.incr();
-            fl.book_rx(&mut nodes, slot, 0, now);
         }
     }
 }
@@ -1677,5 +1709,33 @@ mod tests {
         assert_eq!(net.duplicated(), 0);
         assert_eq!(net.reordered(), 0);
         assert_eq!(net.delivered(), 0);
+    }
+
+    #[test]
+    fn a_hop_dropped_ahead_of_the_clock_ends_at_its_own_instant() {
+        let tracer = telemetry::Tracer::new(1, 1);
+        let _installed = tracer.install();
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let a = net.add_node("a", gbe100());
+        let b = net.add_node("b", gbe100());
+        net.set_link_loss(a, b, Some(1.0));
+        let net2 = net.clone();
+        sim.block_on(async move {
+            let _root = telemetry::start_trace("req", 0).expect("sampled");
+            let (src, dst) = (Addr { node: a, port: 1 }, Addr { node: b, port: 1 });
+            for _ in 0..2 {
+                net2.send_datagram(src, dst, Bytes::from_static(b"hello"));
+            }
+        });
+        // Both are dropped at the switch, 104 ns apart; the fabric judges
+        // the second in its firing for the first, ahead of the clock.
+        let hops = tracer
+            .records()
+            .into_iter()
+            .filter(|r| r.kind == SpanKind::NetHop);
+        let ends: Vec<u64> = hops.map(|r| r.end.nanos()).collect();
+        assert_eq!(ends, vec![604, 708]);
+        assert_eq!(net.dropped_loss(), 2);
     }
 }

@@ -23,7 +23,7 @@
 //! its packet list to the fabric: same hand-overs, bytes, counters and NIC
 //! books.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Duration;
@@ -577,11 +577,15 @@ fn segmentable(msgs: &[Msg]) -> Vec<Msg> {
 }
 
 /// Send `msgs` on a fresh fabric of `nodes` default NICs (`faults` applied
-/// first), each message as `how` says, and run it dry.
+/// first), each message as `how` says, and run it dry. With `tick`, a task
+/// sleeps 1 ns at a time until the last message is sent and the fabric is
+/// empty: the run loop then has a timer at every nanosecond, and the
+/// fabric fires once per instant, never settling ahead of it.
 fn run_messages(
     nodes: usize,
     msgs: &[Msg],
     how: How,
+    tick: bool,
     faults: impl FnOnce(&Network, &[NodeId]),
 ) -> (HandOvers, Network) {
     let sim = Sim::new();
@@ -606,6 +610,15 @@ fn run_messages(
         });
     }
     faults(&net, &ids);
+    let sent = Rc::new(Cell::new(false));
+    if tick {
+        let (net2, sent) = (net.clone(), sent.clone());
+        sim.spawn(async move {
+            while !sent.get() || net2.in_flight() > 0 {
+                simcore::sleep(Duration::from_nanos(1)).await;
+            }
+        });
+    }
     let (net2, msgs) = (net.clone(), msgs.to_vec());
     sim.block_on(async move {
         for (m, (at, src, dst, lens, bulk)) in msgs.into_iter().enumerate() {
@@ -629,6 +642,7 @@ fn run_messages(
                 How::Segmented => net2.send_message(src, dst, segmented(m, &lens), bulk),
             }
         }
+        sent.set(true);
     });
     sim.run();
     let handed = handed.take();
@@ -687,6 +701,72 @@ fn books(net: &Network, nodes: usize) -> Vec<u64> {
     out
 }
 
+/// `msgs` sent as packet lists under `faults` beside a task ticking every
+/// nanosecond must be handed over and booked as `(handed, net)`, their run
+/// without it: where the fabric settles ahead of the run loop, it does
+/// what firings at each instant would.
+fn settling_ahead_is_firing_at_each_instant(
+    nodes: usize,
+    msgs: &[Msg],
+    faults: impl Fn(&Network, &[NodeId]),
+    (handed, net): (&HandOvers, &Network),
+) -> Result<(), TestCaseError> {
+    let (ticked, ticked_net) = run_messages(nodes, msgs, How::List, true, faults);
+    prop_assert_eq!(&ticked, handed);
+    prop_assert_eq!(books(&ticked_net, nodes), books(net, nodes));
+    Ok(())
+}
+
+/// A hand-over's receive function sends before any later arrival is
+/// booked. n1's datagram is handed over to n0 while n0's bulk message to n2
+/// is still leaving; n0 replies from its receive function, and the reply
+/// takes n0's NIC behind only the bulk packets that departed by then. The
+/// run that settles ahead must equal the one that fires at every
+/// nanosecond, hand-over by hand-over and book by book.
+#[test]
+fn a_reply_sent_at_a_hand_over_goes_before_the_bulk_packets_that_depart_after_it() {
+    let run = |tick: bool| {
+        let sim = Sim::new();
+        let net = Network::new(FabricConfig::default(), 1);
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| net.add_node(format!("n{i}"), NicConfig::default()))
+            .collect();
+        let handed: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+        for &id in &ids {
+            let (log, net2, asked) = (handed.clone(), net.clone(), ids[0]);
+            net.bind_fn(id, PORT, move |src, _: &Packets| {
+                log.borrow_mut().push((simcore::now().nanos(), id.0));
+                if id == asked {
+                    net2.send_datagram(on(id), src, Bytes::from_static(b"reply"));
+                }
+            });
+        }
+        let net2 = net.clone();
+        sim.scope(|| {
+            message(&net2, ids[0], ids[2], 64, true);
+            net2.send_datagram(on(ids[1]), on(ids[0]), Bytes::from_static(b"ask"));
+            if tick {
+                simcore::spawn(async move {
+                    while net2.in_flight() > 0 {
+                        simcore::sleep(Duration::from_nanos(1)).await;
+                    }
+                });
+            }
+        });
+        sim.run();
+        let handed = handed.take();
+        (handed, books(&net, 3))
+    };
+    let (handed, books) = run(false);
+    assert_eq!(handed.len(), 64 + 2);
+    let reply = handed.iter().find(|h| h.1 == 1).expect("the reply");
+    assert!(
+        reply.0 < handed.last().expect("a hand-over").0,
+        "it overtakes"
+    );
+    assert_eq!((handed, books), run(true));
+}
+
 /// `msgs` made [`segmentable`], sent once as packet lists and once as
 /// segmented messages under `faults`: every hand-over (instant, node,
 /// survivors and their bytes) and every book must be the same.
@@ -696,8 +776,8 @@ fn segmented_is_its_packet_list(
     faults: impl Fn(&Network, &[NodeId]),
 ) -> Result<(), TestCaseError> {
     let msgs = segmentable(msgs);
-    let (list, list_net) = run_messages(nodes, &msgs, How::List, &faults);
-    let (seg, seg_net) = run_messages(nodes, &msgs, How::Segmented, &faults);
+    let (list, list_net) = run_messages(nodes, &msgs, How::List, false, &faults);
+    let (seg, seg_net) = run_messages(nodes, &msgs, How::Segmented, false, &faults);
     prop_assert_eq!(seg, list);
     prop_assert_eq!(books(&seg_net, nodes), books(&list_net, nodes));
     Ok(())
@@ -714,8 +794,8 @@ proptest! {
     ) {
         let mut msgs = messages(nodes, raw);
         msgs.iter_mut().for_each(|m| m.4 &= !plain);
-        let (whole, net) = run_messages(nodes, &msgs, How::List, |_, _| {});
-        let (alone, per_packet) = run_messages(nodes, &msgs, How::Alone, |_, _| {});
+        let (whole, net) = run_messages(nodes, &msgs, How::List, false, |_, _| {});
+        let (alone, per_packet) = run_messages(nodes, &msgs, How::Alone, false, |_, _| {});
         // Once per message, every packet in order, at the instant and in
         // the fabric-wide order of its last packet alone.
         let last = |(t, node, tags, _): &(u64, u32, Vec<Tag>, Vec<u8>)| {
@@ -752,6 +832,7 @@ proptest! {
             let peak = |net: &Network| net.node_rx_queue_peak(NodeId(node));
             prop_assert_eq!(peak(&net), peak(&per_packet), "node {}", node);
         }
+        settling_ahead_is_firing_at_each_instant(nodes, &msgs, |_, _| {}, (&whole, &net))?;
         segmented_is_its_packet_list(nodes, &msgs, |_, _| {})?;
     }
 
@@ -767,8 +848,8 @@ proptest! {
                 net.set_link_reorder(ids[a], ids[b], 0.2, Duration::from_micros(3));
             }
         };
-        let (whole, net) = run_messages(3, &msgs, How::List, faults);
-        let (alone, per_packet) = run_messages(3, &msgs, How::Alone, faults);
+        let (whole, net) = run_messages(3, &msgs, How::List, false, faults);
+        let (alone, per_packet) = run_messages(3, &msgs, How::Alone, false, faults);
         let counters = |n: &Network| {
             (n.delivered(), n.dropped_loss(), n.duplicated(), n.reordered(), n.in_flight())
         };
@@ -795,6 +876,7 @@ proptest! {
                 prop_assert_eq!(*t, want[&(m, i)][0], "message {}", m);
             }
         }
+        settling_ahead_is_firing_at_each_instant(3, &msgs, faults, (&whole, &net))?;
         segmented_is_its_packet_list(3, &msgs, faults)?;
     }
 }

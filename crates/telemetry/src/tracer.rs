@@ -281,12 +281,22 @@ impl SpanGuard {
         self.finish();
     }
 
+    /// End the span at `at`, for work done ahead of the clock (the fabric
+    /// settles arrivals before the run loop reaches their instants).
+    pub fn end_at(mut self, at: SimTime) {
+        self.finish_at(at);
+    }
+
     fn finish(&mut self) {
+        self.finish_at(simcore::try_now().unwrap_or(self.rec.start));
+    }
+
+    fn finish_at(&mut self, end: SimTime) {
         if self.finished {
             return;
         }
         self.finished = true;
-        self.rec.end = simcore::try_now().unwrap_or(self.rec.start);
+        self.rec.end = end;
         if let Some(task) = self.ctx_task {
             self.tracer.pop_ctx(task, self.rec.span_id);
         }

@@ -21,19 +21,24 @@
 //! one-pointer handle on a `Bytes`' storage ([`Bytes::into_shared`], and
 //! back through [`SharedBuf::slice`]) for holders of many small views;
 //! `dmcommon`'s page store, behind both DM backends, is the user.
+//!
+//! One deliberate difference: storage is counted with `Rc`, not `Arc`, so
+//! [`Bytes`] and [`SharedBuf`] are `!Send`. The workspace's simulations are
+//! single-threaded and no buffer crosses a thread; a clone or drop is then
+//! a plain increment, not an atomic one.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The backing storage of a [`Bytes`]: either a borrowed `'static` slice
 /// (no refcount) or a shared heap allocation.
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+    Shared(Rc<Vec<u8>>),
 }
 
 impl Repr {
@@ -50,7 +55,7 @@ impl Repr {
     fn same_storage(&self, other: &Repr) -> bool {
         match (self, other) {
             (Repr::Static(a), Repr::Static(b)) => std::ptr::eq(*a, *b),
-            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (Repr::Shared(a), Repr::Shared(b)) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -179,7 +184,7 @@ impl Default for Bytes {
 /// four-word `Bytes` per view. The handle is immutable while shared;
 /// [`SharedBuf::get_mut`] hands out the bytes once it is the only one left.
 #[derive(Clone)]
-pub struct SharedBuf(Arc<Vec<u8>>);
+pub struct SharedBuf(Rc<Vec<u8>>);
 
 impl SharedBuf {
     /// The whole allocation.
@@ -192,13 +197,13 @@ impl SharedBuf {
     /// `Bytes` view of it is alive.
     #[inline]
     pub fn get_mut(&mut self) -> Option<&mut [u8]> {
-        Arc::get_mut(&mut self.0).map(Vec::as_mut_slice)
+        Rc::get_mut(&mut self.0).map(Vec::as_mut_slice)
     }
 
     /// Whether `self` and `other` are handles on one allocation.
     #[inline]
     pub fn ptr_eq(&self, other: &SharedBuf) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Rc::ptr_eq(&self.0, &other.0)
     }
 
     /// A [`Bytes`] view of `range` of the allocation, sharing it — the
@@ -223,7 +228,7 @@ impl SharedBuf {
 impl From<Vec<u8>> for SharedBuf {
     #[inline]
     fn from(v: Vec<u8>) -> SharedBuf {
-        SharedBuf(Arc::new(v))
+        SharedBuf(Rc::new(v))
     }
 }
 
@@ -280,7 +285,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            repr: Repr::Shared(Arc::new(v)),
+            repr: Repr::Shared(Rc::new(v)),
             off: 0,
             len,
         }
