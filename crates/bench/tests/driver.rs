@@ -436,9 +436,10 @@ fn the_prose_names_only_what_exists() {
     // `DmServer` methods `dmnet::coherence::Holders` replaced, with the
     // generic multi-op `BATCH` a key list replaced (DESIGN.md §9), with
     // the fabric's delivery task (§5), with the block-storage and shuffle
-    // apps and with the per-packet framing `wire::segment` replaced: no
-    // document names them as code.
-    const GONE: [&str; 42] = [
+    // apps, with the per-packet framing `wire::segment` replaced and with
+    // the header-only encoder `Header::encode` absorbed: no document names
+    // them as code.
+    const GONE: [&str; 43] = [
         "CoherenceConfig",
         "INVALIDATE",
         "read_lease",
@@ -481,6 +482,7 @@ fn the_prose_names_only_what_exists() {
         "refs_died",
         "forget_holder",
         "wire::packets",
+        "encode_header",
     ];
     let docs = "README.md DESIGN.md EXPERIMENTS.md docs/TUTORIAL.md \
                 .claude/skills/verify/SKILL.md scripts/flatprof/README.md";

@@ -3,24 +3,20 @@
 //! Reimplements the structure of eRPC (Kalia et al., NSDI'19), the paper's
 //! baseline and the control channel under DmRPC:
 //!
-//! * **datagram transport** — packets ride raw (simulated) UDP; reliability
-//!   is client-driven: the client retransmits the whole request after an RTO
-//!   until the response arrives (eRPC's "re-transmissions only at clients").
-//!   A call in flight is one entry in its endpoint's retransmission table,
-//!   served by one timer per endpoint; the entry and the request's packets
-//!   go the moment the call ends;
+//! * **datagram transport** — packets ride raw (simulated) UDP; the client
+//!   retransmits the whole request after an RTO until the response arrives
+//!   (eRPC's "re-transmissions only at clients"). A call in flight is one
+//!   entry in its endpoint's retransmission table, served by the endpoint's
+//!   one timer, and gone with its packets the moment the call ends;
 //! * **MTU fragmentation** — messages are split into MTU-sized fragments and
 //!   reassembled on the receiver ([`wire`]);
 //! * **asynchronous nested handlers** — a handler is an async function that
 //!   may itself issue RPCs, which is how microservice chains are built;
 //! * **session slots with implicit acks** — every call occupies one of the
 //!   caller's per-destination slots, named in the low bits of `req_num`
-//!   ([`wire::req_num`]); the server keeps one entry per `(client, slot)`
-//!   holding the latest request's state and, once answered, its response
-//!   packets. A higher `req_num` on a slot acknowledges and replaces the
-//!   previous one, an equal one is a duplicate (answered from the kept
-//!   response, never re-executed), a lower one is stale and dropped — so a
-//!   one-packet RPC is two datagrams and execution is at-most-once exactly;
+//!   ([`wire::req_num`]); the server keeps one entry per `(client, slot)`,
+//!   and [`slots`] holds the rules by which a handler runs at most once and
+//!   a one-packet RPC is two datagrams;
 //! * **messages with a head** — what is sent, handled and returned is a
 //!   [`Message`]: a small head the layer above writes its prefix into, in
 //!   front of a shared body no layer copies (eRPC's msgbuf). A plain
@@ -38,13 +34,13 @@
 #![warn(missing_docs)]
 
 mod message;
+pub mod slots;
 pub mod wire;
 
 pub use message::{flattened, Message};
+pub use slots::ServedSlots;
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::future::Future;
@@ -56,8 +52,9 @@ use memsim::NodeMemory;
 use simcore::sync::{oneshot, Notify};
 use simcore::{Counter, CpuPool, FastMap, Histogram, SimRng, SimTime};
 use simnet::{Addr, Network, NodeId, Packets, Segmented};
+use slots::{Arrived, Call, Served};
 use telemetry::{SpanKind, TraceCtx};
-use wire::{slot_of, Header, Kind, Packet, Reassembly};
+use wire::{slot_of, Header, Kind, Packet};
 
 /// Homa's RTTbytes at the default configuration, in packets: one round
 /// trip of a one-packet RPC is 2 × (105 ns NIC + 500 ns switch + 105 ns
@@ -106,28 +103,21 @@ impl std::error::Error for RpcError {}
 pub struct RpcConfig {
     /// Payload bytes per packet (eRPC uses large MTUs on lossless fabrics).
     pub mtu: usize,
-    /// Base retransmission timeout.
+    /// Base retransmission timeout (the schedule: [`slots::Call::send`]).
     pub rto: Duration,
-    /// Additional RTO per request fragment, so multi-packet messages whose
-    /// transmission time exceeds the base RTO are not spuriously
-    /// retransmitted (effective RTO = `rto + rto_per_packet * num_pkts`).
+    /// Additional RTO per request fragment, so a long request is not resent
+    /// while it is still being transmitted.
     pub rto_per_packet: Duration,
     /// Retransmissions before giving up with [`RpcError::Timeout`].
     pub max_retries: u32,
-    /// Ceiling for the exponentially backed-off RTO: each retransmission
-    /// doubles the wait, capped at `max(rto_max, effective base RTO)`.
-    /// Backoff only changes timing *after* the first RTO expiry, so
-    /// fault-free runs are unaffected.
+    /// Cap on the wait between retransmissions, which doubles from the base
+    /// RTO (raised to it if lower); fault-free runs never wait twice.
     pub rto_max: Duration,
-    /// Random jitter applied to every retransmission wait: the wait is
-    /// scaled by a factor uniform in `[1, 1 + retry_jitter)`. `0.0`
-    /// (default) draws no random numbers, preserving existing schedules.
-    /// Jitter desynchronizes retry storms after a partition heals.
+    /// Each wait is scaled by a draw uniform in `[1, 1 + retry_jitter)`, to
+    /// desynchronize retry storms; 0 (default) draws nothing.
     pub retry_jitter: f64,
-    /// Cap on the total virtual time spent retrying one call, measured
-    /// from the first transmission. When the budget expires the call fails
-    /// with [`RpcError::Timeout`] even if `max_retries` is not exhausted.
-    /// `None` (default) disables the budget.
+    /// Cap on the time one call may retry, from its first transmission;
+    /// `None` (default) sets none.
     pub retry_budget: Option<Duration>,
     /// Per-request server-side dispatch CPU cost (charged on the node's
     /// [`CpuPool`] when one is attached).
@@ -157,43 +147,6 @@ impl Default for RpcConfig {
     }
 }
 
-/// Exponential backoff with optional multiplicative jitter — the policy
-/// behind the retransmission table.
-///
-/// Each [`Backoff::next_wait`] returns the current interval (jittered by
-/// `1 + U[0,1) × jitter`) and then doubles the base, saturating at `cap`.
-pub(crate) struct Backoff {
-    next: Duration,
-    cap: Duration,
-    jitter: f64,
-    rng: SimRng,
-}
-
-impl Backoff {
-    /// Backoff starting at `base`, doubling up to `cap` (raised to `base`
-    /// if smaller). The RNG is only consulted when `jitter > 0`, so a
-    /// zero-jitter policy draws nothing.
-    pub(crate) fn new(base: Duration, cap: Duration, jitter: f64, rng: SimRng) -> Backoff {
-        Backoff {
-            next: base,
-            cap: cap.max(base),
-            jitter,
-            rng,
-        }
-    }
-
-    /// The wait before the next retry attempt; advances the schedule.
-    pub(crate) fn next_wait(&mut self) -> Duration {
-        let wait = if self.jitter > 0.0 {
-            self.next.mul_f64(1.0 + self.rng.gen_f64() * self.jitter)
-        } else {
-            self.next
-        };
-        self.next = (self.next * 2).min(self.cap);
-        wait
-    }
-}
-
 /// Context handed to request handlers.
 pub struct CallCtx {
     /// The local RPC object (for nested calls).
@@ -211,25 +164,22 @@ pub type HandlerFuture = Pin<Box<dyn Future<Output = Message>>>;
 /// A registered request handler.
 pub type Handler = Rc<dyn Fn(CallCtx) -> HandlerFuture>;
 
+/// A reply a server entry keeps: its packets and their class.
+type Kept = (Segmented, bool);
+
 /// A call's entry in the retransmission table: `(due, arming order,
 /// req_num)`. Calls due at the same instant go in the order they were
 /// armed — the executor's own rule for timers.
 type RtoKey = (SimTime, u64, u64);
 
-/// One call in flight: the response being reassembled plus everything its
-/// retransmission needs. Gone the moment the call ends.
+/// One call in flight: its slot state plus everything its retransmission
+/// needs. Gone the moment the call ends.
 struct Pending {
-    reassembly: Option<Reassembly>,
-    done: Option<oneshot::Sender<Result<Message, RpcError>>>,
-    dst: Addr,
+    call: Call,
+    done: oneshot::Sender<Result<Message, RpcError>>,
     pkts: Segmented,
     /// Sent in the bulk class, retransmissions too.
     bulk: bool,
-    /// Transmissions so far (1 = the initial one).
-    attempts: u32,
-    backoff: Backoff,
-    /// `retry_budget` as an instant, when configured.
-    deadline: Option<SimTime>,
     trace: Option<TraceCtx>,
     /// This call's entry in [`Rpc::rto`]: when its next retransmission
     /// (or its timeout) is due.
@@ -237,6 +187,7 @@ struct Pending {
 }
 
 /// Client half of a session: this endpoint's state towards one peer.
+#[derive(Default)]
 struct Session {
     /// Idle slots, most recently freed last: reusing that one first keeps
     /// the live set dense, so the slots a burst grew sit idle at the bottom
@@ -255,51 +206,19 @@ impl Session {
     }
 }
 
-/// Returns a call's slot to its session and forgets its pending entry
-/// however the call ends: answered, timed out, or its future dropped.
-struct SlotLease<'a> {
-    rpc: &'a Rpc,
-    dst: Addr,
-    req_num: u64,
-}
+/// `(endpoint, peer, req_num)` of a call: returns its slot to its session
+/// and forgets its pending entry however the call ends (answered, timed
+/// out, or its future dropped).
+struct SlotLease<'a>(&'a Rpc, Addr, u64);
 
 impl Drop for SlotLease<'_> {
     fn drop(&mut self) {
-        self.rpc.forget(self.req_num);
-        if let Some(session) = self.rpc.sessions.borrow_mut().get_mut(&self.dst) {
-            session.free.push(slot_of(self.req_num));
+        let SlotLease(rpc, dst, req_num) = *self;
+        rpc.forget(req_num);
+        if let Some(session) = rpc.sessions.borrow_mut().get_mut(&dst) {
+            session.free.push(slot_of(req_num));
         }
     }
-}
-
-/// Server half of a session slot: the latest request a client issued on it.
-struct ServedSlot {
-    req_num: u64,
-    state: SlotState,
-}
-
-enum SlotState {
-    /// Fragments still arriving.
-    Receiving(Reassembly),
-    /// Handler running; duplicates are ignored until it answers.
-    Executing,
-    /// Answered: duplicates are served this reply, in the class it was
-    /// sent in, until a higher `req_num` on the slot acknowledges it.
-    Done { pkts: Segmented, bulk: bool },
-}
-
-/// How many server-side slots are in each state (see [`Rpc::served_slots`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ServedSlots {
-    /// Requests with fragments still missing (each holds a `Reassembly`).
-    pub receiving: usize,
-    /// Fragment slots those reassemblies hold: they grow with the
-    /// fragments that arrived, not with what a header claims.
-    pub fragment_slots: usize,
-    /// Requests whose handler is running.
-    pub executing: usize,
-    /// Answered requests whose response packets are retained.
-    pub done: usize,
 }
 
 /// Counters exposed for tests and reports.
@@ -318,6 +237,9 @@ pub struct RpcStats {
     /// Handler replies too long to frame ([`wire::max_msg_len`]), answered
     /// with an empty message instead.
     pub replies_unframeable: Counter,
+    /// Server entries reclaimed after receiving nothing for
+    /// [`RpcConfig::reclaim_age`].
+    pub receiving_reclaimed: Counter,
 }
 
 /// One RPC endpoint: client and server in a single object (services issue
@@ -337,12 +259,16 @@ pub struct Rpc {
     /// Entries ever made in `rto`: the next one's arming order.
     rto_entered: Cell<u64>,
     /// The instant the RTO task's timer is set for; `None` while it is
-    /// parked on `rto_wake` with nothing in flight.
+    /// parked on `rto_wake` with nothing to do.
     rto_armed: Cell<Option<SimTime>>,
-    /// Wakes the RTO task when a call arms a `due` earlier than its timer.
+    /// Wakes the RTO task when something is due earlier than its timer.
     rto_wake: Notify,
     sessions: RefCell<FastMap<Addr, Session>>,
-    served: RefCell<FastMap<(Addr, u32), ServedSlot>>,
+    /// Each caller slot's entry.
+    served: RefCell<FastMap<(Addr, u32), Served<Kept>>>,
+    /// When the RTO task next runs [`Rpc::sweep`]; `None` while no entry
+    /// is receiving.
+    sweep_at: Cell<Option<SimTime>>,
     stats: RpcStats,
     handler_times: RefCell<FastMap<u8, Histogram>>,
     /// Crash modeling: an offline endpoint neither receives nor transmits.
@@ -353,63 +279,18 @@ pub struct Rpc {
     retry_rng: SimRng,
 }
 
-/// Builder for [`Rpc`].
-pub struct RpcBuilder {
-    net: Network,
-    node: NodeId,
-    port: u16,
-    config: RpcConfig,
-    cpu: Option<CpuPool>,
-    mem: Option<NodeMemory>,
-}
+/// Builder for [`Rpc`]: the endpoint, not yet bound to its port.
+pub struct RpcBuilder(Rpc);
 
 impl RpcBuilder {
     /// Start building an RPC endpoint bound to `node:port`.
     pub fn new(net: &Network, node: NodeId, port: u16) -> RpcBuilder {
-        RpcBuilder {
+        RpcBuilder(Rpc {
             net: net.clone(),
-            node,
-            port,
+            addr: Addr { node, port },
             config: RpcConfig::default(),
             cpu: None,
             mem: None,
-        }
-    }
-
-    /// Override the configuration.
-    pub fn config(mut self, config: RpcConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attach a CPU pool charged per handled request.
-    pub fn cpu(mut self, cpu: CpuPool) -> Self {
-        self.cpu = Some(cpu);
-        self
-    }
-
-    /// Attach a node memory model: DMA traffic is accounted for every
-    /// payload byte sent or received by this endpoint.
-    pub fn mem(mut self, mem: NodeMemory) -> Self {
-        self.mem = Some(mem);
-        self
-    }
-
-    /// Bind the endpoint's port to its packet handler and start its
-    /// retransmission task.
-    ///
-    /// Must be called from inside the simulation (it spawns that task).
-    pub fn build(self) -> Rc<Rpc> {
-        let addr = Addr {
-            node: self.node,
-            port: self.port,
-        };
-        let rpc = Rc::new(Rpc {
-            net: self.net,
-            addr,
-            config: self.config,
-            cpu: self.cpu,
-            mem: self.mem,
             handlers: RefCell::default(),
             next_req: Cell::new(1),
             pending: RefCell::default(),
@@ -419,11 +300,40 @@ impl RpcBuilder {
             rto_wake: Notify::new(),
             sessions: RefCell::default(),
             served: RefCell::default(),
+            sweep_at: Cell::new(None),
             stats: RpcStats::default(),
             handler_times: RefCell::default(),
             offline: Cell::new(false),
-            retry_rng: SimRng::new(((addr.node.0 as u64) << 16) ^ addr.port as u64),
-        });
+            retry_rng: SimRng::new(((node.0 as u64) << 16) ^ port as u64),
+        })
+    }
+
+    /// Override the configuration.
+    pub fn config(mut self, config: RpcConfig) -> Self {
+        self.0.config = config;
+        self
+    }
+
+    /// Attach a CPU pool charged per handled request.
+    pub fn cpu(mut self, cpu: CpuPool) -> Self {
+        self.0.cpu = Some(cpu);
+        self
+    }
+
+    /// Attach a node memory model: DMA traffic is accounted for every
+    /// payload byte sent or received by this endpoint.
+    pub fn mem(mut self, mem: NodeMemory) -> Self {
+        self.0.mem = Some(mem);
+        self
+    }
+
+    /// Bind the endpoint's port to its packet handler and start its
+    /// retransmission task.
+    ///
+    /// Must be called from inside the simulation (it spawns that task).
+    pub fn build(self) -> Rc<Rpc> {
+        let rpc = Rc::new(self.0);
+        let addr = rpc.addr;
         // Weak: the fabric keeps the port's function, and the endpoint
         // keeps the fabric.
         let weak = Rc::downgrade(&rpc);
@@ -441,11 +351,6 @@ impl Rpc {
     /// This endpoint's address.
     pub fn addr(&self) -> Addr {
         self.addr
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     /// Stats counters.
@@ -476,15 +381,8 @@ impl Rpc {
     /// holds on behalf of its callers. Passive.
     pub fn served_slots(&self) -> ServedSlots {
         let mut census = ServedSlots::default();
-        for slot in self.served.borrow().values() {
-            match &slot.state {
-                SlotState::Receiving(r) => {
-                    census.receiving += 1;
-                    census.fragment_slots += r.capacity();
-                }
-                SlotState::Executing => census.executing += 1,
-                SlotState::Done { .. } => census.done += 1,
-            }
+        for e in self.served.borrow().values() {
+            e.count(&mut census);
         }
         census
     }
@@ -496,9 +394,7 @@ impl Rpc {
     /// keeps its slot: its caller is still waiting for the reply.
     pub fn shutdown(&self) {
         self.handlers.borrow_mut().clear();
-        self.served
-            .borrow_mut()
-            .retain(|_, slot| matches!(slot.state, SlotState::Executing));
+        self.served.borrow_mut().retain(|_, e| e.executing());
     }
 
     /// Crash modeling for chaos tests: while offline, this endpoint drops
@@ -570,21 +466,20 @@ impl Rpc {
         payload: impl Into<Message>,
     ) -> Result<Message, RpcError> {
         let payload: Message = payload.into();
-        let max = wire::max_msg_len(self.config.mtu);
-        if payload.len() > max {
-            return Err(RpcError::TooLarge {
-                len: payload.len(),
-                max,
-            });
+        let (len, max) = (payload.len(), wire::max_msg_len(self.config.mtu));
+        if len > max {
+            return Err(RpcError::TooLarge { len, max });
         }
         let seq = self.next_req.get();
         self.next_req.set(seq + 1);
-        let req_num = wire::req_num(seq, self.with_session(dst, Session::take_slot));
-        let _lease = SlotLease {
-            rpc: self,
-            dst,
-            req_num,
-        };
+        let slot = self
+            .sessions
+            .borrow_mut()
+            .entry(dst)
+            .or_default()
+            .take_slot();
+        let req_num = wire::req_num(seq, slot);
+        let _lease = SlotLease(self, dst, req_num);
         // Traced calls carry their context in the header extension so the
         // server parents its handling span under this one; unsampled calls
         // stay byte-identical on the wire.
@@ -599,27 +494,20 @@ impl Rpc {
         }
         let (pkts, bulk) = self.frame(Kind::Request, req_type, req_num, payload, trace);
         self.transmit(dst, &pkts, bulk);
-        // Client-driven retransmission: exponential backoff with optional
-        // jitter, bounded by both a retry count and (optionally) a total
-        // retry-time budget. The endpoint's RTO task acts on `due`.
+        // Client-driven retransmission ([`Call`]): the endpoint's RTO task
+        // acts on `due`; jitter draws happen in arming order.
         let now = simcore::now();
-        let base = self.config.rto + self.config.rto_per_packet * (pkts.len() as u32);
-        let cap = self.config.rto_max.max(base);
-        // retry_rng clones share one stream: draws happen in arming order.
-        let mut backoff = Backoff::new(base, cap, self.config.retry_jitter, self.retry_rng.clone());
-        let rto_key = self.arm(now + backoff.next_wait(), req_num);
-        let (done_tx, done_rx) = oneshot::channel();
+        let (call, due) = Call::send(dst, pkts.len(), now, &self.config, &self.retry_rng);
+        self.wake_by(due);
+        let rto_key = self.enter(due, req_num);
+        let (done, done_rx) = oneshot::channel();
         self.pending.borrow_mut().insert(
             req_num,
             Pending {
-                reassembly: None,
-                done: Some(done_tx),
-                dst,
+                call,
+                done,
                 pkts,
                 bulk,
-                attempts: 1,
-                backoff,
-                deadline: self.config.retry_budget.map(|b| now + b),
                 trace,
                 rto_key,
             },
@@ -635,16 +523,14 @@ impl Rpc {
         result
     }
 
-    /// Enter `req_num` into the retransmission table, waking the RTO task
-    /// if this is due before whatever its timer is set for. Deadlines are
-    /// not monotone in issue order (a 1-packet call's RTO is shorter than a
-    /// 65-packet call's), so a later call can be due first.
-    fn arm(&self, due: SimTime, req_num: u64) -> RtoKey {
+    /// Wake the RTO task if `due` is before whatever its timer is set for.
+    /// Deadlines are not monotone in issue order (a 1-packet call's RTO is
+    /// shorter than a 65-packet call's), so a later call can be due first.
+    fn wake_by(&self, due: SimTime) {
         if self.rto_armed.get().is_none_or(|armed| due < armed) {
             self.rto_armed.set(Some(due));
             self.rto_wake.notify_one();
         }
-        self.enter(due, req_num)
     }
 
     /// Make `req_num`'s entry in the table.
@@ -663,15 +549,19 @@ impl Rpc {
         Some(p)
     }
 
-    /// The endpoint's one retransmission task: sleeps until the earliest
-    /// `due`, is woken early only by [`Rpc::arm`], and parks with no timer
-    /// as soon as nothing is in flight (so the simulation can quiesce). An entry removed before its `due` costs
-    /// nothing but a wakeup that finds nothing to do.
+    /// The endpoint's one timer task: sleeps until the earliest `due` or
+    /// sweep, is woken early only by [`Rpc::wake_by`], and parks with no
+    /// timer while nothing is in flight or receiving (so the simulation can
+    /// quiesce). An entry removed before its `due` costs a wakeup.
     async fn rto_loop(self: Rc<Self>) {
         loop {
             let now = simcore::now();
             self.fire_due(now);
-            let next = self.rto.borrow().first().map(|&(due, ..)| due);
+            if self.sweep_at.get().is_some_and(|at| at <= now) {
+                self.sweep(now);
+            }
+            let due = self.rto.borrow().first().map(|&(due, ..)| due);
+            let next = due.into_iter().chain(self.sweep_at.get()).min();
             self.rto_armed.set(next);
             match next {
                 None => self.rto_wake.notified().await,
@@ -691,19 +581,16 @@ impl Rpc {
             };
             let mut pending = self.pending.borrow_mut();
             let p = pending.get_mut(&req_num).expect("rto entry has a call");
-            let budget_spent = p.deadline.is_some_and(|d| now >= d);
-            if p.attempts > self.config.max_retries || budget_spent {
-                drop(pending);
-                let mut p = self.forget(req_num).expect("checked above");
-                if let Some(done) = p.done.take() {
-                    let _ = done.send(Err(RpcError::Timeout {
-                        attempts: p.attempts,
-                    }));
+            let (attempt, due) = match p.call.rto(now, &self.config, &self.retry_rng) {
+                Ok(next) => next,
+                Err(timeout) => {
+                    drop(pending);
+                    let p = self.forget(req_num).expect("checked above");
+                    let _ = p.done.send(Err(timeout));
+                    self.stats.timeouts.incr();
+                    continue;
                 }
-                self.stats.timeouts.incr();
-                continue;
-            }
-            p.attempts += 1;
+            };
             self.stats.retransmits.incr();
             if let Some(ctx) = p.trace {
                 telemetry::event_with_parent(
@@ -711,21 +598,27 @@ impl Rpc {
                     "rpc.retransmit",
                     self.addr.node.0,
                     ctx,
-                    &[("attempt", p.attempts as u64)],
+                    &[("attempt", attempt as u64)],
                 );
             }
-            self.transmit(p.dst, &p.pkts, p.bulk);
+            self.transmit(p.call.dst(), &p.pkts, p.bulk);
             self.rto.borrow_mut().remove(&p.rto_key);
-            p.rto_key = self.enter(now + p.backoff.next_wait(), req_num);
+            p.rto_key = self.enter(due, req_num);
         }
     }
 
-    fn with_session<R>(&self, dst: Addr, f: impl FnOnce(&mut Session) -> R) -> R {
-        let mut sessions = self.sessions.borrow_mut();
-        f(sessions.entry(dst).or_insert_with(|| Session {
-            free: Vec::new(),
-            issued: 0,
-        }))
+    /// Reclaim every entry that heard nothing for [`RpcConfig::reclaim_age`];
+    /// the next sweep is due when the longest-quiet one left would be.
+    fn sweep(&self, now: SimTime) {
+        let age = self.config.reclaim_age();
+        let mut next = None;
+        self.served.borrow_mut().retain(|_, e| {
+            let kept = e.reclaim(now, age);
+            kept.inspect(|_| self.stats.receiving_reclaimed.incr());
+            next = next.into_iter().chain(e.heard().map(|at| at + age)).min();
+            kept.unwrap_or(true)
+        });
+        self.sweep_at.set(next);
     }
 
     /// The port's receive function. A segmented message whose headers all
@@ -738,85 +631,53 @@ impl Rpc {
             return; // crashed hosts hear nothing
         }
         let decode = |p: Packet| Header::decode_split(&p.head, &p.body);
+        let n = packets.len();
         if let Packets::Segmented(seg) = packets {
             if let Some((hdr, msg)) = wire::whole(seg) {
-                let arrived = Arrived::Whole(msg, packets.iter().filter_map(decode));
+                let arrived = Arrived(Some(msg), packets.iter().filter_map(decode), n);
                 match hdr.kind {
                     Kind::Request => self.handle_request(src, hdr, arrived),
-                    Kind::Response => self.handle_response(hdr, arrived),
+                    Kind::Response => self.handle_response(src, hdr, arrived),
                 }
                 return;
             }
         }
-        let n = packets.len();
         let mut frags = packets.iter().filter_map(decode).peekable();
         while let Some((hdr, frag)) = frags.next() {
             let same = |(h, _): &(Header, Message)| (h.kind, h.req_num) == (hdr.kind, hdr.req_num);
             let rest = std::iter::from_fn(|| frags.next_if(same));
-            let arrived = Arrived::Frags { frag, n, rest };
+            let arrived = Arrived(None, std::iter::once((hdr, frag)).chain(rest), n);
             match hdr.kind {
                 Kind::Request => self.handle_request(src, hdr, arrived),
-                Kind::Response => self.handle_response(hdr, arrived),
+                Kind::Response => self.handle_response(src, hdr, arrived),
             }
         }
     }
 
-    /// Take in what arrived of the request `hdr` heads.
+    /// Take in what arrived of the request `hdr` heads; a reply kept for
+    /// it goes back to `src` at once.
     fn handle_request<I: Iterator<Item = (Header, Message)>>(
         self: &Rc<Self>,
         src: Addr,
         hdr: Header,
         arrived: Arrived<I>,
     ) {
-        let key = (src, slot_of(hdr.req_num));
-        let fresh = ServedSlot {
-            req_num: hdr.req_num,
-            state: SlotState::Executing,
-        };
+        let now = simcore::now();
         let mut served = self.served.borrow_mut();
-        let slot = match served.entry(key) {
-            Entry::Vacant(v) => v.insert(fresh),
-            Entry::Occupied(o) => {
-                let slot = o.into_mut();
-                match hdr.req_num.cmp(&slot.req_num) {
-                    // The caller has moved this slot on: a late duplicate.
-                    Ordering::Less => return,
-                    // The caller reused the slot, so it is done with the
-                    // previous request: its response (or its unfinished
-                    // reassembly, or its claim on a running handler's
-                    // reply) goes.
-                    Ordering::Greater => *slot = fresh,
-                    Ordering::Equal => match &slot.state {
-                        SlotState::Receiving(_) => {}
-                        SlotState::Executing => return,
-                        SlotState::Done { pkts, bulk } => {
-                            // Once per hand-over of a duplicate, however
-                            // many of its packets came.
-                            let (pkts, bulk) = (pkts.clone(), *bulk);
-                            drop(served);
-                            arrived.drain();
-                            self.transmit(src, &pkts, bulk);
-                            return;
-                        }
-                    },
-                }
-                slot
-            }
-        };
-        // A fresh slot holds `Executing` until what arrived completes it.
-        let payload = match std::mem::replace(&mut slot.state, SlotState::Executing) {
-            SlotState::Receiving(mut r) => match arrived.offer(&hdr, &mut r) {
-                true => Ok(r.assemble()),
-                false => Err(r),
-            },
-            _ => arrived.start(&hdr),
-        };
-        match payload {
-            Ok(payload) => {
-                drop(served);
-                self.execute(src, hdr, payload);
-            }
-            Err(r) => slot.state = SlotState::Receiving(r),
+        let key = (src, slot_of(hdr.req_num));
+        let entry = served
+            .entry(key)
+            .or_insert_with(|| Served::new(hdr.req_num));
+        let resend = |(pkts, bulk): &Kept| self.transmit(src, pkts, *bulk);
+        let payload = entry.request(hdr.req_num, arrived, now, resend);
+        if entry.heard().is_some() && self.sweep_at.get().is_none() {
+            let at = now + self.config.reclaim_age();
+            self.sweep_at.set(Some(at));
+            self.wake_by(at);
+        }
+        drop(served);
+        if let Some(payload) = payload {
+            self.execute(src, hdr, payload);
         }
     }
 
@@ -868,110 +729,44 @@ impl Rpc {
                 .or_default()
                 .record((simcore::now() - h_start).as_nanos() as u64);
             rpc.stats.requests_handled.incr();
+            let reply = || {
+                if resp.len() > wire::max_msg_len(rpc.config.mtu) {
+                    // Nothing this long can be framed: the caller gets an
+                    // empty reply (no protocol here reads one as success),
+                    // not silence.
+                    rpc.stats.replies_unframeable.incr();
+                    resp = Message::default();
+                }
+                if let Some(mem) = &rpc.mem {
+                    mem.account(resp.len() as u64); // tx DMA
+                }
+                // Responses never carry the trace extension.
+                rpc.frame(Kind::Response, hdr.req_type, hdr.req_num, resp, None)
+            };
             let mut served = rpc.served.borrow_mut();
-            let Some(slot) = served
-                .get_mut(&key)
-                .filter(|slot| slot.req_num == hdr.req_num)
-            else {
-                // The caller gave up and reused the slot while the handler
-                // ran: nobody wants this reply.
-                return;
-            };
-            if resp.len() > wire::max_msg_len(rpc.config.mtu) {
-                // Nothing this long can be framed: the caller gets an empty
-                // reply (no protocol here reads one as success), not silence.
-                rpc.stats.replies_unframeable.incr();
-                resp = Message::default();
+            let entry = served.get_mut(&key);
+            if let Some((pkts, bulk)) = entry.and_then(|e| e.answer(hdr.req_num, reply)) {
+                rpc.transmit(src, pkts, *bulk);
             }
-            if let Some(mem) = &rpc.mem {
-                mem.account(resp.len() as u64); // tx DMA
-            }
-            // Responses never carry the trace extension.
-            let (pkts, bulk) = rpc.frame(Kind::Response, hdr.req_type, hdr.req_num, resp, None);
-            slot.state = SlotState::Done {
-                pkts: pkts.clone(),
-                bulk,
-            };
-            drop(served);
-            rpc.transmit(src, &pkts, bulk);
         });
     }
 
-    /// Take in what arrived of the response `hdr` heads, as a request's.
+    /// Take in what arrived from `src` of the response `hdr` heads.
     fn handle_response<I: Iterator<Item = (Header, Message)>>(
         &self,
+        src: Addr,
         hdr: Header,
         arrived: Arrived<I>,
     ) {
         let mut pending = self.pending.borrow_mut();
-        let Some(p) = pending.get_mut(&hdr.req_num) else {
-            return; // stale duplicate after completion
-        };
-        let whole = match &mut p.reassembly {
-            Some(r) => {
-                if !arrived.offer(&hdr, r) {
-                    return;
-                }
-                None
-            }
-            None => match arrived.start(&hdr) {
-                Ok(msg) => Some(msg),
-                Err(r) => {
-                    p.reassembly = Some(r);
-                    return;
-                }
-            },
+        let call = pending.get_mut(&hdr.req_num).map(|p| &mut p.call);
+        // None: a stale duplicate after completion, or not complete yet.
+        let Some(reply) = call.and_then(|c| c.response(src, arrived)) else {
+            return;
         };
         drop(pending);
-        let mut p = self.forget(hdr.req_num).expect("present");
-        let body = whole.unwrap_or_else(|| p.reassembly.take().expect("reassembly set").assemble());
-        if let Some(done) = p.done.take() {
-            let _ = done.send(Ok(body));
-        }
-    }
-}
-
-/// What one hand-over brought of one message.
-enum Arrived<I> {
-    /// All of it, taken whole; `I` yields its fragments, should a
-    /// reassembly of it be under way already.
-    Whole(Message, I),
-    /// Fragment `frag`, then those of `rest` (whatever `rest` leaves comes
-    /// back alone), of the `n` packets handed over.
-    Frags { frag: Message, n: usize, rest: I },
-}
-
-impl<I: Iterator<Item = (Header, Message)>> Arrived<I> {
-    /// Offer what arrived to `r`; whether that completed it.
-    fn offer(self, hdr: &Header, r: &mut Reassembly) -> bool {
-        match self {
-            Arrived::Whole(_, mut frags) => frags.any(|(h, f)| r.offer(&h, f)),
-            Arrived::Frags { frag, mut rest, .. } => {
-                r.offer(hdr, frag) || rest.any(|(h, f)| r.offer(&h, f))
-            }
-        }
-    }
-
-    /// The message, or a reassembly started with what arrived of it.
-    fn start(self, hdr: &Header) -> Result<Message, Reassembly> {
-        match self {
-            Arrived::Whole(msg, _) => Ok(msg),
-            Arrived::Frags { frag, n, mut rest } => {
-                let mut r = Reassembly::arriving(hdr, frag, n);
-                if r.is_complete() || rest.any(|(h, f)| r.offer(&h, f)) {
-                    Ok(r.assemble())
-                } else {
-                    Err(r)
-                }
-            }
-        }
-    }
-
-    /// Consume the rest of what arrived unread.
-    fn drain(self) {
-        if let Arrived::Frags { rest, .. } = self {
-            rest.for_each(drop);
-        }
+        let p = self.forget(hdr.req_num).expect("present");
+        let _ = p.done.send(Ok(reply));
     }
 }
 
@@ -1007,55 +802,6 @@ mod tests {
         assert!((1.81e-6..1.83e-6).contains(&rtt), "rtt {rtt}");
         let rtt_bytes = rtt * nic.bytes_per_sec();
         assert_eq!((rtt_bytes / rpc.mtu as f64).ceil() as usize, RTT_PKTS);
-    }
-
-    #[test]
-    fn backoff_doubles_to_cap() {
-        let ms = Duration::from_millis;
-        let mut b = Backoff::new(ms(10), ms(35), 0.0, SimRng::new(0));
-        assert_eq!(b.next_wait(), ms(10));
-        assert_eq!(b.next_wait(), ms(20));
-        assert_eq!(b.next_wait(), ms(35));
-        assert_eq!(b.next_wait(), ms(35), "saturates at cap");
-        // A cap below base is raised to base.
-        let mut b = Backoff::new(ms(10), ms(1), 0.0, SimRng::new(0));
-        assert_eq!(b.next_wait(), ms(10));
-        assert_eq!(b.next_wait(), ms(10));
-    }
-
-    #[test]
-    fn backoff_jitter_bounds_and_determinism() {
-        let mk = || {
-            Backoff::new(
-                Duration::from_millis(10),
-                Duration::from_millis(160),
-                0.5,
-                SimRng::new(7),
-            )
-        };
-        let (mut a, mut b) = (mk(), mk());
-        for i in 0..6 {
-            let (wa, wb) = (a.next_wait(), b.next_wait());
-            assert_eq!(wa, wb, "same seed, same schedule (draw {i})");
-            let base = Duration::from_millis(10 * (1 << i.min(4)));
-            assert!(wa >= base && wa < base.mul_f64(1.5), "draw {i}: {wa:?}");
-        }
-        // Zero jitter never consults the RNG: the shared stream is
-        // untouched after several waits.
-        let rng = SimRng::new(3);
-        let mut z = Backoff::new(
-            Duration::from_millis(5),
-            Duration::from_millis(20),
-            0.0,
-            rng.clone(),
-        );
-        assert_eq!(z.next_wait(), Duration::from_millis(5));
-        assert_eq!(z.next_wait(), Duration::from_millis(10));
-        assert_eq!(
-            rng.next_u64(),
-            SimRng::new(3).next_u64(),
-            "no RNG draw at jitter=0"
-        );
     }
 
     #[test]

@@ -100,16 +100,8 @@ pub struct Header {
 }
 
 impl Header {
-    /// Encode the header (and trace extension, if any) into its own
-    /// buffer: [`HEADER_BYTES`] long, plus [`TRACE_EXT_BYTES`] when
-    /// traced.
-    pub fn encode_header(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// Bytes [`Header::encode_header`] produces for this header.
+    /// Bytes the header encodes to: [`HEADER_BYTES`], plus
+    /// [`TRACE_EXT_BYTES`] when traced.
     fn encoded_len(&self) -> usize {
         match self.trace {
             Some(_) => HEADER_BYTES + TRACE_EXT_BYTES,
@@ -134,8 +126,8 @@ impl Header {
     /// buffer (copies the fragment; the transmit path uses [`Packet`] with a
     /// shared fragment slice instead).
     pub fn encode(&self, fragment: &[u8]) -> Bytes {
-        let mut b = BytesMut::with_capacity(HEADER_BYTES + fragment.len());
-        b.extend_from_slice(&self.encode_header());
+        let mut b = BytesMut::with_capacity(self.encoded_len() + fragment.len());
+        self.encode_into(&mut b);
         b.extend_from_slice(fragment);
         b.freeze()
     }
@@ -308,14 +300,11 @@ pub fn max_msg_len(mtu: usize) -> usize {
         .min(u32::MAX as usize)
 }
 
-/// Fragment `msg` into MTU-sized packets with the given header template:
-/// the packets of [`segment`]'s message, each on its own. Always emits at
-/// least one packet (possibly carrying nothing). Packet `i` covers bytes
-/// `[i × mtu, (i + 1) × mtu)` of `head ‖ body`, so the packets of a message
-/// are byte for byte those of its flat concatenation; body bytes are shared
-/// slices of `msg.body` — no payload byte is copied. A trace context, if
-/// given, rides every fragment's header so any one surviving packet lets
-/// the receiver parent its work correctly.
+/// The packets of [`segment`]'s message, each on its own: at least one
+/// (perhaps empty), packet `i` covering bytes `[i × mtu, (i + 1) × mtu)` of
+/// `head ‖ body` with its body bytes shared, not copied. A trace context,
+/// if given, rides every header, so any one surviving packet parents the
+/// receiver's work.
 ///
 /// # Panics
 /// Panics if `msg` is longer than [`max_msg_len`].
@@ -332,7 +321,7 @@ pub fn fragment(
 }
 
 /// Frame `msg` as one segmented message (the one framing routine): a
-/// block holding each packet's [`Header::encode_header`] followed by its
+/// block holding each packet's encoded header followed by its
 /// share of the message head, and the body, shared. No packet is built.
 ///
 /// # Panics
@@ -424,9 +413,10 @@ pub fn whole(seg: &Segmented) -> Option<(Header, Message)> {
 
 /// Incremental message reassembly from fragments. What it holds grows
 /// with the fragments that arrived, whatever `num_pkts` a header claims.
+#[derive(Clone, Debug, Hash)]
 pub struct Reassembly {
-    /// `(index, fragment)` in arrival order.
-    frags: Vec<(u16, Message)>,
+    /// `(index, [head, body])` of each fragment, in arrival order.
+    frags: Vec<(u16, [Bytes; 2])>,
     /// Bit `i` set: fragment `i` arrived (at most 8 KiB). Empty while the
     /// fragments have come in index order, which needs no duplicate check.
     seen: Vec<u64>,
@@ -479,19 +469,17 @@ impl Reassembly {
         first
     }
 
-    /// Offer a fragment; duplicates are ignored. Returns `true` when the
-    /// message is complete.
-    ///
-    /// Fragments whose `num_pkts` or `msg_len` disagree with the first
-    /// fragment seen are rejected: they belong to a different (possibly
-    /// forged) message and previously could corrupt the assembled payload by
-    /// landing in a valid slot index.
+    /// Offer a fragment: whether the message is now complete. A duplicate
+    /// is ignored, and so is a fragment whose `num_pkts` or `msg_len`
+    /// disagrees with the first one's: it belongs to another (perhaps
+    /// forged) message, and could corrupt the payload it landed in.
     pub fn offer(&mut self, hdr: &Header, frag: impl Into<Message>) -> bool {
         if hdr.num_pkts != self.num_pkts || hdr.msg_len != self.msg_len {
             return self.is_complete();
         }
         if hdr.pkt_idx < self.num_pkts && self.first_arrival(hdr.pkt_idx) {
-            self.frags.push((hdr.pkt_idx, frag.into()));
+            let Message { head, body, .. } = frag.into();
+            self.frags.push((hdr.pkt_idx, [head, body]));
         }
         self.is_complete()
     }
@@ -501,17 +489,12 @@ impl Reassembly {
         self.frags.len() == self.num_pkts as usize
     }
 
-    /// Put the fragments back together.
-    ///
-    /// The pieces (each fragment's first part, then its second) are merged
-    /// wherever they are adjacent views of one buffer. The last merged run
-    /// is the body: for the shape [`fragment`] produces and the simulated
-    /// fabric preserves, that is the sender's own body buffer, and the one
-    /// piece in front of it — packet 0's share of the header block — is the
-    /// head, so nothing is copied. Pieces from foreign allocations (e.g.
-    /// deserialized from a real socket) leave more than one piece in front;
-    /// those are concatenated into the head by one copy, counted in
-    /// [`crate::flattened`].
+    /// Put the fragments back together, merging their pieces wherever they
+    /// are adjacent views of one buffer. For the shape [`fragment`] produces
+    /// and the simulated fabric preserves, the body is the sender's own
+    /// buffer and the head packet 0's share of the header block: nothing is
+    /// copied. Pieces from foreign allocations (a real socket's) are copied
+    /// into the head once, counted in [`crate::flattened`].
     ///
     /// # Panics
     /// Panics if the message is not complete.
@@ -520,16 +503,13 @@ impl Reassembly {
         let mut frags = self.frags;
         if frags.len() == 1 {
             // One packet: its two parts are the message's.
-            return frags.pop().expect("complete").1;
+            let (_, [head, body]) = frags.pop().expect("complete");
+            return Message::new(head, body);
         }
         if !self.seen.is_empty() {
             frags.sort_unstable_by_key(|&(idx, _)| idx);
         }
-        join(
-            frags
-                .into_iter()
-                .flat_map(|(_, frag)| [frag.head, frag.body]),
-        )
+        join(frags.into_iter().flat_map(|(_, parts)| parts))
     }
 }
 
@@ -597,14 +577,13 @@ mod tests {
         };
         let mut h = hdr(Kind::Request);
         h.trace = Some(ctx);
-        let head = h.encode_header();
-        assert_eq!(head.len(), HEADER_BYTES + TRACE_EXT_BYTES);
+        assert_eq!(h.encode(&[]).len(), HEADER_BYTES + TRACE_EXT_BYTES);
         let pkt = h.encode(b"hello");
         let (h2, frag) = Header::decode(&pkt).unwrap();
         assert_eq!(h2.trace, Some(ctx));
         assert_eq!(&frag[..], b"hello");
         // Untraced headers keep the exact pre-extension encoding.
-        assert_eq!(hdr(Kind::Request).encode_header().len(), HEADER_BYTES);
+        assert_eq!(hdr(Kind::Request).encode(&[]).len(), HEADER_BYTES);
     }
 
     #[test]
@@ -690,11 +669,7 @@ mod tests {
                         msg_len: payload.len() as u32,
                         trace,
                     };
-                    assert_eq!(
-                        p.head,
-                        reference.encode_header(),
-                        "{num_pkts} pkts, head {i}"
-                    );
+                    assert_eq!(p.head, reference.encode(&[]), "{num_pkts} pkts, head {i}");
                 }
             }
         }

@@ -285,6 +285,8 @@ fn server_retains_at_most_one_response_per_live_slot() {
 /// A first fragment claiming 65 535 packets reserves room for what arrived,
 /// not for the claim: 16 forged 60-byte datagrams on distinct slots hold 16
 /// fragment slots, where a slot per claimed packet held 16 × 65 535 (≈ 75 MB).
+/// Once the forgers have been quiet for the reclaim age, nothing is held:
+/// no request ran on those slots, so not even their `req_num` is kept.
 #[test]
 fn forged_first_fragments_reserve_what_arrived_not_what_they_claim() {
     let (sim, net, a, b) = rig();
@@ -311,6 +313,46 @@ fn forged_first_fragments_reserve_what_arrived_not_what_they_claim() {
             ..Default::default()
         };
         assert_eq!(server.served_slots(), held);
+        let age = server.config().reclaim_age();
+        simcore::sleep(age - Duration::from_micros(10)).await;
+        assert_eq!(server.served_slots(), held, "reclaimed before the age");
+        // The 16 datagrams arrive within a few microseconds of each other.
+        simcore::sleep(Duration::from_micros(10)).await;
+        assert_eq!(server.served_slots(), ServedSlots::default());
+        assert_eq!(server.stats().receiving_reclaimed.get(), 16);
+    });
+}
+
+/// A response completes a call only if it comes from the peer the call
+/// went to: `req_num`s are predictable, and a third node's one-packet
+/// response naming the call's must not end it while the server is still
+/// working on the real reply.
+#[test]
+fn a_response_from_another_peer_does_not_complete_a_call() {
+    let (sim, net, a, b) = rig();
+    let c = net.add_node("c", NicConfig::default());
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        server.register(1, |_| async move {
+            simcore::sleep(Duration::from_micros(20)).await;
+            Bytes::from_static(b"genuine")
+        });
+        let client = RpcBuilder::new(&net, a, 10).build();
+        let dst = server.addr();
+        let call = simcore::spawn(async move { client.call(dst, 1, Bytes::new()).await });
+        simcore::sleep(Duration::from_micros(5)).await;
+        let forger = net.bind(c, 20);
+        let forged = Header {
+            kind: Kind::Response,
+            req_type: 1,
+            req_num: wire::req_num(1, 0),
+            pkt_idx: 0,
+            num_pkts: 1,
+            msg_len: 6,
+            trace: None,
+        };
+        forger.send_to(Addr { node: a, port: 10 }, forged.encode(b"forged"));
+        assert_eq!(call.await.unwrap(), b"genuine"[..]);
     });
 }
 
