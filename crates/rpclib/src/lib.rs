@@ -711,8 +711,12 @@ impl Rpc {
                 drop(ser);
             }
             let Some(handler) = rpc.handlers.borrow().get(&hdr.req_type).cloned() else {
-                // Outside input, or late after `shutdown`: dropped and counted.
+                // Outside input, or late after `shutdown`: dropped and
+                // counted, and its duplicates with it.
                 rpc.stats.requests_unserved.incr();
+                if let Some(entry) = rpc.served.borrow_mut().get_mut(&key) {
+                    entry.refuse(hdr.req_num);
+                }
                 return;
             };
             let h_start = simcore::now();

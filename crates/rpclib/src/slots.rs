@@ -78,8 +78,9 @@ enum State<P> {
     Receiving(Reassembly, SimTime),
     /// Handler running: duplicates are dropped until it answers.
     Executing,
-    /// Answered: each hand-over of a duplicate is resent this reply.
-    Done(P),
+    /// Answered: each hand-over of a duplicate is resent this reply, or
+    /// dropped if no handler ran.
+    Done(Option<P>),
     /// Nothing held: a new entry, or a reclaimed one.
     Idle,
 }
@@ -119,7 +120,7 @@ impl<P> Served<P> {
             State::Idle => arrived.take(None),
             // Running, or answered: a duplicate.
             held => {
-                if let State::Done(reply) = &held {
+                if let State::Done(Some(reply)) = &held {
                     arrived.drain();
                     resend(reply);
                 }
@@ -146,11 +147,19 @@ impl<P> Served<P> {
         if req_num != self.req_num || !self.executing() {
             return None;
         }
-        self.state = State::Done(reply());
+        self.state = State::Done(Some(reply()));
         let State::Done(reply) = &self.state else {
             unreachable!()
         };
-        Some(reply)
+        reply.as_ref()
+    }
+
+    /// No handler ran for `req_num`: it is done with, and a duplicate of it
+    /// is dropped, not run.
+    pub fn refuse(&mut self, req_num: u64) {
+        if req_num == self.req_num && self.executing() {
+            self.state = State::Done(None);
+        }
     }
 
     /// When a receiving entry last heard a fragment.

@@ -323,6 +323,50 @@ fn forged_first_fragments_reserve_what_arrived_not_what_they_claim() {
     });
 }
 
+/// A complete request of a type nobody serves is counted and done with:
+/// its entry does not stay executing, and a duplicate of it runs nothing,
+/// not even once a handler for the type is registered.
+#[test]
+fn a_request_no_handler_serves_is_done_with_not_left_executing() {
+    let (sim, net, a, b) = rig();
+    sim.block_on(async move {
+        let server = RpcBuilder::new(&net, b, 10).build();
+        let raw = net.bind(a, 20);
+        let forged = |slot| {
+            let hdr = Header {
+                kind: Kind::Request,
+                req_type: 99,
+                req_num: wire::req_num(1, slot),
+                pkt_idx: 0,
+                num_pkts: 1,
+                msg_len: 40,
+                trace: None,
+            };
+            hdr.encode(&[0u8; 40])
+        };
+        for slot in 0..16 {
+            raw.send_to(server.addr(), forged(slot));
+        }
+        simcore::sleep(Duration::from_micros(10)).await;
+        assert_eq!(server.stats().requests_unserved.get(), 16);
+        let done = ServedSlots {
+            done: 16,
+            ..Default::default()
+        };
+        assert_eq!(server.served_slots(), done);
+        let runs = Rc::new(Cell::new(0u32));
+        let runs2 = runs.clone();
+        server.register(99, move |ctx| {
+            runs2.set(runs2.get() + 1);
+            async move { ctx.payload }
+        });
+        raw.send_to(server.addr(), forged(0));
+        simcore::sleep(Duration::from_micros(10)).await;
+        assert_eq!(runs.get(), 0, "a duplicate ran a handler");
+        assert_eq!(server.served_slots(), done);
+    });
+}
+
 /// A response completes a call only if it comes from the peer the call
 /// went to: `req_num`s are predictable, and a third node's one-packet
 /// response naming the call's must not end it while the server is still

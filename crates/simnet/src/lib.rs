@@ -389,6 +389,20 @@ impl Default for FabricConfig {
     }
 }
 
+/// A booking's place in fabric-wide order: its instant, then its turn in
+/// that instant. A packet that reaches the switch takes the turn
+/// [`ARRIVING`] + its send order; a duplicate's next copy, booked at a
+/// hand-over, takes one below every arrival of its instant or one above
+/// them all (`NetInner::settle`).
+type Turn = (SimTime, u64);
+
+/// The turns of the packets that arrive in an instant, above those of the
+/// copies booked ahead of them.
+const ARRIVING: u64 = 1 << 62;
+
+/// The turns of the copies booked behind an instant's arrivals.
+const BEHIND: u64 = 1 << 63;
+
 /// A message between `send` and its hand-over: its packets, shared with the
 /// sender and never copied, stay in one [`Parked`] slot the whole way; the
 /// queues they wait in hold `(slot, packet)` only.
@@ -403,6 +417,9 @@ struct InFlight {
     /// Sent in the bulk class: each packet holds one of its node's
     /// `BULK_AHEAD` places until it reaches the switch.
     bulk: bool,
+    /// Sent as a train: a plain message on a fault-free fabric, every
+    /// packet of it admitted to the receive NIC at send.
+    train: bool,
     /// Packets that have not reached the switch (been judged) yet.
     unjudged: u32,
     /// Packets not handed over with the rest: dropped, or split off to go
@@ -410,10 +427,8 @@ struct InFlight {
     gone: Vec<u32>,
     /// Hand-overs still owed: 1, or 2 for a duplicated datagram.
     copies: u32,
-    /// When the receive NIC was last booked for it, and `(rx done, booking
-    /// order)` of that booking.
-    booked_at: SimTime,
-    last_rx: Option<(SimTime, u64)>,
+    /// `(rx done, turn)` of the last booking of the receive NIC for it.
+    last_rx: Option<(SimTime, Turn)>,
 }
 
 impl InFlight {
@@ -464,17 +479,52 @@ impl Parked {
     }
 }
 
-/// `(due instant, tie-break, slot, packet)`: the 24 bytes a queued packet
-/// (or message) costs per queue.
+/// `(due instant, tie-break, slot, packet)`: the 24 bytes a queued arrival
+/// costs.
 type QueueKey = (SimTime, u64, u32, u32);
 
+/// `(rx done, turn of that booking, slot)`: a message waiting to be
+/// handed over.
+type DeliveryKey = (SimTime, Turn, u32);
+
+/// What a queue entry is due at.
+trait Due: Ord {
+    fn due(&self) -> SimTime;
+}
+
+impl Due for QueueKey {
+    fn due(&self) -> SimTime {
+        self.0
+    }
+}
+
+impl Due for DeliveryKey {
+    fn due(&self) -> SimTime {
+        self.0
+    }
+}
+
 /// Pop the head of `queue` if it is due.
-fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<QueueKey> {
-    let Reverse((at, ..)) = queue.peek()?;
-    if *at > now {
+fn pop_due<K: Due>(queue: &mut BinaryHeap<Reverse<K>>, now: SimTime) -> Option<K> {
+    if queue.peek()?.0.due() > now {
         return None;
     }
     queue.pop().map(|Reverse(key)| key)
+}
+
+/// A run of one message's packets admitted to a receive NIC and not yet
+/// booked on it: packets `idx..end` of the message in `slot`, the first
+/// reaching the NIC at `at` in `turn`. They left the sender's NIC back to
+/// back, so each next one arrives one transmit service later, in the next
+/// turn. A packet judged alone (under faults, in the bulk class, held
+/// back, or a duplicate's copy) is a train of one.
+#[derive(Clone, Copy)]
+struct Train {
+    at: SimTime,
+    turn: u64,
+    slot: u32,
+    idx: u32,
+    end: u32,
 }
 
 /// Every message in flight, and the two queues that order them. Both are
@@ -485,46 +535,123 @@ fn pop_due(queue: &mut BinaryHeap<Reverse<QueueKey>>, now: SimTime) -> Option<Qu
 struct Flights {
     /// Bodies, from `send` to hand-over.
     parked: Parked,
-    /// Packets on the wire or the switch: `(arrival, send order, slot,
-    /// packet)`. Packets arriving in the same nanosecond are served — and
-    /// their fault verdicts drawn — in send order. Of a plain message, only
-    /// the first packet not yet arrived is here.
+    /// Trains reaching the switch: `(arrival, send order, slot, packet)`.
+    /// Trains arriving in the same nanosecond are served — and their fault
+    /// verdicts drawn — in send order. A train of many packets is here
+    /// once, at its last packet; of a plain message sent under faults only
+    /// the first packet not yet arrived is.
     arrivals: BinaryHeap<Reverse<QueueKey>>,
-    /// Messages whose last packet is waiting for or inside a receive NIC:
-    /// `(rx_done, booking order, slot, 0)`.
-    deliveries: BinaryHeap<Reverse<QueueKey>>,
+    /// Messages whose last packet is waiting for or inside a receive NIC.
+    deliveries: BinaryHeap<Reverse<DeliveryKey>>,
     /// Packets handed to `send` so far.
     sent: u64,
-    /// Receive-NIC bookings made so far.
-    booked: u64,
-    /// The instant the fabric last fired at.
-    fired_at: SimTime,
+    /// Entries ever put on `arrivals`.
+    queued: u64,
+    /// Duplicate copies booked so far: their turns.
+    copies_booked: u64,
+    /// Every packet that reaches the switch by this instant is booked on
+    /// its receive NIC, or would be if a stat were read: nothing can send
+    /// to arrive before it any more.
+    settled: SimTime,
 }
 
 impl Flights {
+    /// Queue an arrival.
+    fn queue(&mut self, key: QueueKey) {
+        self.arrivals.push(Reverse(key));
+        self.queued += 1;
+    }
+
     /// Book `node`'s transmit NIC at `now` for packet `idx` of the bulk
     /// message in `slot` and queue it to reach the switch `latency` after
     /// the NIC is done with it.
     fn depart(&mut self, node: &NodeState, slot: u32, idx: u32, latency: Duration, now: SimTime) {
         let wire_size = self.parked.get_mut(slot).wire_size(idx);
         let arrival = node.tx.book(now, wire_size) + latency;
-        self.arrivals.push(Reverse((arrival, self.sent, slot, idx)));
+        self.queue((arrival, self.sent, slot, idx));
         self.sent += 1;
     }
 
-    /// Book the destination's receive NIC for packet `idx` of the message
-    /// in `slot`.
-    fn book_rx(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, now: SimTime) {
+    /// The instant a NIC's stats are read at: the clock's, or outside a
+    /// simulation the last one the fabric settled.
+    fn read_at(&self) -> SimTime {
+        simcore::try_now().map_or(self.settled, |now| now.max(self.settled))
+    }
+
+    /// Book `dst`'s receive NIC for every packet of its trains up to
+    /// `upto`, in `(arrival, turn)` order: a train alone in closed form,
+    /// and where another's next packet comes first, that one in between.
+    fn book_nic(&mut self, nodes: &mut [NodeState], dst: usize, upto: Turn) {
+        loop {
+            // The train whose next packet comes first, and the next packet
+            // of any other: it runs until then.
+            let (mut first, mut other) = (None, (SimTime::MAX, u64::MAX));
+            for (k, t) in nodes[dst].rx.trains.iter().enumerate() {
+                let key = (t.at, t.turn);
+                match first {
+                    Some((_, head)) if key > head => other = other.min(key),
+                    _ => {
+                        other = first.map_or(other, |(_, head)| other.min(head));
+                        first = Some((k, key));
+                    }
+                }
+            }
+            let Some((k, _)) = first.filter(|&(_, head)| head <= upto) else {
+                return;
+            };
+            let slot = nodes[dst].rx.trains[k].slot;
+            let flight = self.parked.get_mut(slot);
+            let (tx, nic) = tx_and_rx(nodes, flight.src.node.0 as usize, dst);
+            let mut train = nic.trains[k];
+            let mut size = flight.wire_size(train.idx);
+            let mut last;
+            loop {
+                let done = nic.book(train.at, size);
+                last = (done, (train.at, train.turn));
+                train.idx += 1;
+                if train.idx == train.end {
+                    nic.trains.swap_remove(k);
+                    break;
+                }
+                size = flight.wire_size(train.idx);
+                train.at += tx.service(size);
+                train.turn += 1;
+                if (train.at, train.turn) > upto.min(other) {
+                    nic.trains[k] = train;
+                    break;
+                }
+            }
+            flight.last_rx = Some(last);
+        }
+    }
+
+    /// Admit packet `idx` of the message in `slot`, arriving at `at` in
+    /// `turn`, as a train of one, book its NIC up to it and close the slot.
+    fn take(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, (at, turn): Turn, now: SimTime) {
         let flight = self.parked.get_mut(slot);
-        let node = &mut nodes[flight.dst.node.0 as usize];
-        let rx_done = node.rx.book(now, flight.wire_size(idx));
-        node.rx_queue(now);
-        node.rx_due.push_back(rx_done);
-        node.rx_queue_peak = node.rx_queue_peak.max(node.rx_due.len() as u64);
-        flight.booked_at = now;
-        flight.last_rx = Some((rx_done, self.booked));
-        self.booked += 1;
+        let nic = &mut nodes[flight.dst.node.0 as usize].rx;
+        if nic.trains.is_empty() {
+            // Alone on its NIC: nothing can come before it.
+            let done = nic.book(at, flight.wire_size(idx));
+            flight.last_rx = Some((done, (at, turn)));
+        } else {
+            let dst = self.admit(nodes, slot, idx, (at, turn));
+            self.book_nic(nodes, dst, (at, turn));
+        }
         self.close(slot, now);
+    }
+
+    /// Put packet `idx` of `slot` on its receive NIC as a train of one.
+    fn admit(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, (at, turn): Turn) -> usize {
+        let dst = self.parked.get_mut(slot).dst.node.0 as usize;
+        nodes[dst].rx.trains.push(Train {
+            at,
+            turn,
+            slot,
+            idx,
+            end: idx + 1,
+        });
+        dst
     }
 
     /// Packet `idx` of the message in `slot` was dropped.
@@ -567,8 +694,8 @@ impl Flights {
             return;
         }
         match flight.last_rx {
-            Some((rx_done, order)) => {
-                let key = (rx_done.max(now), order, slot, 0);
+            Some((rx_done, turn)) => {
+                let key = (rx_done.max(now), turn, slot);
                 self.deliveries.push(Reverse(key));
             }
             // Its hop span ends at `now`, which may be ahead of the clock.
@@ -579,18 +706,89 @@ impl Flights {
             }
         }
     }
+
+    /// A fault was configured at `at`: from then on every packet is judged
+    /// when it reaches the switch, so what is left of each train goes back
+    /// to one arrival at a time, from its first packet after `at`.
+    fn judge_trains(&mut self, nodes: &mut [NodeState], at: SimTime) {
+        let mut left = Vec::new();
+        for dst in 0..nodes.len() {
+            self.book_nic(nodes, dst, (at, u64::MAX));
+            let parked = &mut self.parked;
+            nodes[dst].rx.trains.retain(|t| {
+                let train = parked.get_mut(t.slot).train;
+                if train {
+                    left.push(*t);
+                }
+                !train
+            });
+        }
+        if left.is_empty() {
+            return;
+        }
+        let gone: Vec<u32> = left.iter().map(|t| t.slot).collect();
+        self.arrivals
+            .retain(|Reverse((.., slot, _))| !gone.contains(slot));
+        for t in left {
+            let flight = self.parked.get_mut(t.slot);
+            flight.train = false;
+            flight.unjudged = t.end - t.idx;
+            self.queue((t.at, t.turn - ARRIVING, t.slot, t.idx));
+        }
+    }
+}
+
+/// The sender's transmit NIC and the receiver's receive side.
+fn tx_and_rx(nodes: &mut [NodeState], src: usize, dst: usize) -> (&RateResource, &mut RxNic) {
+    if src == dst {
+        let node = &mut nodes[dst];
+        return (&node.tx, &mut node.rx);
+    }
+    let (lo, hi) = nodes.split_at_mut(src.max(dst));
+    match src < dst {
+        true => (&lo[src].tx, &mut hi[0].rx),
+        false => (&hi[0].tx, &mut lo[dst].rx),
+    }
+}
+
+/// A node's receive NIC: a FIFO booked in `(arrival, turn)` order, lazily
+/// — when a train's last packet arrives, or its stats are read.
+struct RxNic {
+    res: RateResource,
+    /// When the NIC is done with each packet booked into it, in booking
+    /// order (which is done order): those still ahead are its queue.
+    due: VecDeque<SimTime>,
+    /// Largest receive queue since the last `reset_stats`.
+    peak: u64,
+    /// Trains admitted and not yet booked through.
+    trains: Vec<Train>,
+}
+
+impl RxNic {
+    /// Book the NIC for a packet of `size` wire bytes that reaches it at
+    /// `at`. Returns when the NIC is done with it.
+    fn book(&mut self, at: SimTime, size: u64) -> SimTime {
+        let done = self.res.book(at, size);
+        self.queue(at);
+        self.due.push_back(done);
+        self.peak = self.peak.max(self.due.len() as u64);
+        done
+    }
+
+    /// Packets waiting for or inside the NIC at `now`.
+    fn queue(&mut self, now: SimTime) -> u64 {
+        while self.due.front().is_some_and(|&done| done <= now) {
+            self.due.pop_front();
+        }
+        self.due.len() as u64
+    }
 }
 
 struct NodeState {
     name: String,
     tx: RateResource,
-    rx: RateResource,
+    rx: RxNic,
     ports: FastMap<u16, Receive>,
-    /// When the receive NIC is done with each packet booked into it, in
-    /// booking order (which is done order): those still ahead are its queue.
-    rx_due: VecDeque<SimTime>,
-    /// Largest receive queue since the last `reset_stats`.
-    rx_queue_peak: u64,
     /// Bulk packets between the transmit NIC and the switch right now (at
     /// most [`BULK_AHEAD`]).
     bulk_ahead: u32,
@@ -609,14 +807,6 @@ impl NodeState {
             self.bulk_ahead += 1;
             fl.depart(self, slot, idx, latency, now);
         }
-    }
-
-    /// Packets waiting for or inside the receive NIC at `now`.
-    fn rx_queue(&mut self, now: SimTime) -> u64 {
-        while self.rx_due.front().is_some_and(|&done| done <= now) {
-            self.rx_due.pop_front();
-        }
-        self.rx_due.len() as u64
     }
 }
 
@@ -691,15 +881,18 @@ impl Network {
                 nic.bytes_per_sec(),
                 nic.per_packet_overhead,
             ),
-            rx: RateResource::new(
-                format!("{name}.nic.rx"),
-                nic.bytes_per_sec(),
-                nic.per_packet_overhead,
-            ),
+            rx: RxNic {
+                res: RateResource::new(
+                    format!("{name}.nic.rx"),
+                    nic.bytes_per_sec(),
+                    nic.per_packet_overhead,
+                ),
+                due: VecDeque::new(),
+                peak: 0,
+                trains: Vec::new(),
+            },
             name,
             ports: FastMap::default(),
-            rx_due: VecDeque::new(),
-            rx_queue_peak: 0,
             bulk_ahead: 0,
             bulk_queue: VecDeque::new(),
             bulk_queue_peak: 0,
@@ -764,12 +957,14 @@ impl Network {
     /// precedence on their links.
     pub fn set_loss_probability(&self, p: f64) {
         self.inner.fabric.borrow_mut().loss_probability = p;
+        self.judge_from_now();
     }
 
     /// Set (or with `None`, clear) a fixed i.i.d. loss probability on the
     /// directed link `src -> dst`, overriding the fabric-wide default.
     pub fn set_link_loss(&self, src: NodeId, dst: NodeId, p: Option<f64>) {
         self.inner.faults.borrow_mut().set_loss(src, dst, p);
+        self.judge_from_now();
     }
 
     /// Install (or with `None`, clear) a Gilbert–Elliott bursty-loss model
@@ -777,11 +972,13 @@ impl Network {
     /// state and advances once per packet.
     pub fn set_link_gilbert(&self, src: NodeId, dst: NodeId, cfg: Option<GilbertElliott>) {
         self.inner.faults.borrow_mut().set_gilbert(src, dst, cfg);
+        self.judge_from_now();
     }
 
     /// Duplicate packets on `src -> dst` with probability `p` (0 clears).
     pub fn set_link_duplicate(&self, src: NodeId, dst: NodeId, p: f64) {
         self.inner.faults.borrow_mut().set_duplicate(src, dst, p);
+        self.judge_from_now();
     }
 
     /// With probability `p`, hold a packet on `src -> dst` for an extra
@@ -792,6 +989,7 @@ impl Network {
             .faults
             .borrow_mut()
             .set_reorder(src, dst, p, max_delay);
+        self.judge_from_now();
     }
 
     /// Remove every fault (loss model, duplication, reordering, partition)
@@ -815,6 +1013,21 @@ impl Network {
         let mut f = self.inner.faults.borrow_mut();
         f.partition_until(a, b, until);
         f.partition_until(b, a, until);
+        drop(f);
+        self.judge_from_now();
+    }
+
+    /// Once a fault is configured, judge every packet that reaches the
+    /// switch from now on: the trains still on the wire go back to one
+    /// arrival at a time.
+    fn judge_from_now(&self) {
+        if !self.inner.faulty() {
+            return;
+        }
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let mut fl = self.inner.flights.borrow_mut();
+        let now = fl.read_at();
+        fl.judge_trains(&mut nodes, now);
     }
 
     /// Remove any partition between `a` and `b` (both directions) before
@@ -872,7 +1085,7 @@ impl Network {
 
     /// Bytes received by a node's NIC (payload + wire headers).
     pub fn node_rx_bytes(&self, node: NodeId) -> u64 {
-        self.inner.nodes.borrow()[node.0 as usize].rx.bytes()
+        self.read_rx(node, |nic| nic.res.bytes())
     }
 
     /// Packets transmitted by a node's NIC.
@@ -882,7 +1095,7 @@ impl Network {
 
     /// Packets received by a node's NIC.
     pub fn node_rx_packets(&self, node: NodeId) -> u64 {
-        self.inner.nodes.borrow()[node.0 as usize].rx.ops()
+        self.read_rx(node, |nic| nic.res.ops())
     }
 
     /// NIC transmit busy time for a node (for utilization reports).
@@ -892,14 +1105,14 @@ impl Network {
 
     /// NIC receive busy time for a node.
     pub fn node_rx_busy(&self, node: NodeId) -> Duration {
-        self.inner.nodes.borrow()[node.0 as usize].rx.busy_time()
+        self.read_rx(node, |nic| nic.res.busy_time())
     }
 
     /// Most packets that were waiting for or inside a node's receive NIC
     /// at once since the last [`Network::reset_stats`]: the queue depth
     /// behind that NIC's `rx` busy time.
     pub fn node_rx_queue_peak(&self, node: NodeId) -> u64 {
-        self.inner.nodes.borrow()[node.0 as usize].rx_queue_peak
+        self.read_rx(node, |nic| nic.peak)
     }
 
     /// Time datagrams waited for a node's transmit NIC to free up, summed
@@ -910,7 +1123,18 @@ impl Network {
 
     /// Time datagrams waited for a node's receive NIC to free up, summed.
     pub fn node_rx_wait(&self, node: NodeId) -> Duration {
-        self.inner.nodes.borrow()[node.0 as usize].rx.wait_time()
+        self.read_rx(node, |nic| nic.res.wait_time())
+    }
+
+    /// Read a node's receive NIC once it is booked for every packet that
+    /// reached it by the instant it is read at (the clock's; outside a
+    /// simulation, the last instant the fabric settled).
+    fn read_rx<R>(&self, node: NodeId, read: impl FnOnce(&RxNic) -> R) -> R {
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let mut fl = self.inner.flights.borrow_mut();
+        let at = fl.read_at();
+        fl.book_nic(&mut nodes, node.0 as usize, (at, u64::MAX));
+        read(&nodes[node.0 as usize].rx)
     }
 
     /// Most bulk packets that waited in a node's bulk FIFO at once since
@@ -927,15 +1151,26 @@ impl Network {
         fl.parked.slots.len() - fl.parked.free.len()
     }
 
+    /// Entries the fabric has put on its arrival queue so far: one per
+    /// train, so one per plain message on a fault-free fabric, and one per
+    /// packet under faults or in the bulk class.
+    pub fn arrival_entries(&self) -> u64 {
+        self.inner.flights.borrow().queued
+    }
+
     /// Reset all NIC byte/op counters and every delivery/drop counter —
     /// including the fault-injection counters — so scoped chaos phases
     /// start from a clean slate (between warmup and measurement).
     pub fn reset_stats(&self) {
-        let now = simcore::try_now().unwrap_or(self.inner.flights.borrow().fired_at);
-        for st in self.inner.nodes.borrow_mut().iter_mut() {
+        let mut nodes = self.inner.nodes.borrow_mut();
+        let mut fl = self.inner.flights.borrow_mut();
+        let now = fl.read_at();
+        for n in 0..nodes.len() {
+            fl.book_nic(&mut nodes, n, (now, u64::MAX));
+            let st = &mut nodes[n];
             st.tx.reset_stats();
-            st.rx.reset_stats();
-            st.rx_queue_peak = st.rx_queue(now);
+            st.rx.res.reset_stats();
+            st.rx.peak = st.rx.queue(now);
             st.bulk_queue_peak = st.bulk_queue.len() as u64;
         }
         self.inner.delivered.reset();
@@ -978,39 +1213,55 @@ impl Network {
             s.attr("dst_node", dst.node.0 as u64);
         }
         let latency = self.inner.fabric.borrow().switch_latency;
+        let faulty = self.inner.faulty();
         let mut nodes = self.inner.nodes.borrow_mut();
-        let node = &mut nodes[src.node.0 as usize];
         let mut fl = self.inner.flights.borrow_mut();
         let n = packets.len() as u32;
+        let train = !bulk && !faulty;
         let slot = fl.parked.insert(InFlight {
             src,
             dst,
             packets,
             hop: hop.map(Box::new),
             bulk,
-            unjudged: n,
+            train,
+            unjudged: if train { 0 } else { n },
             gone: Vec::new(),
             copies: 1,
-            booked_at: SimTime::ZERO,
             last_rx: None,
         });
         if !self.inner.registered.replace(true) {
             simcore::add_source(self.inner.clone());
         }
         let now = simcore::now();
+        let node = &mut nodes[src.node.0 as usize];
         if !bulk {
             // Back to back on the NIC, so each packet reaches the switch one
-            // service time after the one before it: only the first is queued
-            // now, and each queues the next when it gets there (`settle`).
+            // service time after the one before it.
             let flight = fl.parked.get_mut(slot);
-            let mut first = None;
+            let (mut first, mut last) = (None, now);
             for idx in 0..n {
-                let done = node.tx.book(now, flight.wire_size(idx));
-                first.get_or_insert(done + latency);
+                last = node.tx.book(now, flight.wire_size(idx)) + latency;
+                first.get_or_insert(last);
             }
-            let key = (first.expect("a packet"), fl.sent, slot, 0);
-            fl.arrivals.push(Reverse(key));
+            let (first, order) = (first.expect("a packet"), fl.sent);
             fl.sent += n as u64;
+            if faulty {
+                // Each packet is judged at its arrival: only the first is
+                // queued now, and each queues the next when it gets there.
+                fl.queue((first, order, slot, 0));
+                return;
+            }
+            // A train: on its receive NIC from now on, and queued once, at
+            // its last packet (DESIGN.md §5).
+            nodes[dst.node.0 as usize].rx.trains.push(Train {
+                at: first,
+                turn: ARRIVING + order,
+                slot,
+                idx: 0,
+                end: n,
+            });
+            fl.queue((last, order + n as u64 - 1, slot, n - 1));
             return;
         }
         for idx in 0..n {
@@ -1037,11 +1288,9 @@ impl Network {
 impl simcore::Source for NetInner {
     fn next_at(&self) -> Option<SimTime> {
         let fl = self.flights.borrow();
-        [fl.arrivals.peek(), fl.deliveries.peek()]
-            .into_iter()
-            .flatten()
-            .map(|Reverse((at, ..))| *at)
-            .min()
+        let arrival = fl.arrivals.peek().map(|Reverse(key)| key.due());
+        let delivery = fl.deliveries.peek().map(|Reverse(key)| key.due());
+        arrival.into_iter().chain(delivery).min()
     }
 
     /// One instant of the fabric: hand over what has cleared a receive NIC,
@@ -1062,6 +1311,13 @@ impl simcore::Source for NetInner {
 }
 
 impl NetInner {
+    /// Whether a packet that reaches the switch now is judged: some fault
+    /// is configured or the fabric-wide loss knob is on. Fault-free traffic
+    /// draws no random numbers and stays bit-identical.
+    fn faulty(&self) -> bool {
+        !self.faults.borrow().is_empty() || self.fabric.borrow().loss_probability > 0.0
+    }
+
     /// The state half of [`simcore::Source::fire`]: every hand-over due at
     /// `now` goes into `handing`, then every arrival is judged and booked.
     ///
@@ -1075,12 +1331,12 @@ impl NetInner {
         let mut nodes = self.nodes.borrow_mut();
         let mut fl = self.flights.borrow_mut();
         let fl = &mut *fl;
-        fl.fired_at = now;
+        fl.settled = fl.settled.max(now);
 
         // Duplicates that take their NIC again behind this instant's
         // arrivals (see below).
         let mut owed = Vec::new();
-        while let Some((.., slot, _)) = pop_due(&mut fl.deliveries, now) {
+        while let Some((.., slot)) = pop_due(&mut fl.deliveries, now) {
             let flight = fl.parked.get_mut(slot);
             flight.copies -= 1;
             let (src, dst) = (flight.src, flight.dst);
@@ -1095,9 +1351,11 @@ impl NetInner {
                 // scheduled: the copy when its NIC was last booked, an
                 // arrival when it left its sender's NIC.
                 let copy = flight.packets.clone();
-                if flight.booked_at + latency < now {
+                let (_, (booked_at, _)) = flight.last_rx.expect("booked");
+                if booked_at + latency < now {
                     self.duplicated.incr();
-                    fl.book_rx(&mut nodes, slot, 0, now);
+                    fl.copies_booked += 1;
+                    fl.take(&mut nodes, slot, 0, (now, fl.copies_booked), now);
                 } else {
                     owed.push(slot);
                 }
@@ -1117,49 +1375,55 @@ impl NetInner {
 
         for slot in owed {
             self.duplicated.incr();
-            fl.book_rx(&mut nodes, slot, 0, now);
+            fl.copies_booked += 1;
+            fl.take(&mut nodes, slot, 0, (now, BEHIND + fl.copies_booked), now);
         }
 
         if !handing.is_empty() {
             return;
         }
         while let Some(&Reverse((at, ..))) = fl.arrivals.peek() {
-            let hand_over = fl.deliveries.peek().map(|&Reverse((due, ..))| due);
-            if at >= until || hand_over.is_some_and(|due| due <= at) {
+            let hand_over = fl.deliveries.peek().map(|Reverse(key)| key.due());
+            let stop = hand_over.map_or(until, |due| due.min(until));
+            if at >= stop {
+                // Nothing can arrive before `stop` any more.
+                let before = SimTime::from_nanos(stop.nanos().saturating_sub(1));
+                fl.settled = fl.settled.max(before);
                 break;
             }
-            fl.fired_at = at;
+            fl.settled = at;
             self.arrive(fl, &mut nodes, at);
         }
     }
 
-    /// Judge every packet that has reached the switch by `now` and book the
-    /// receive NIC for the survivors.
+    /// Judge every train that has reached the switch by `now` and book the
+    /// receive NIC up to it for the survivors.
     fn arrive(&self, fl: &mut Flights, nodes: &mut [NodeState], now: SimTime) {
         let (latency, loss_p) = {
             let f = self.fabric.borrow();
             (f.switch_latency, f.loss_probability)
         };
         let mut faults = self.faults.borrow_mut();
-        // The fault plane is consulted only when some fault is configured
-        // or the fabric-wide loss knob is on: fault-free traffic draws no
-        // random numbers and stays bit-identical.
         let faulty = !faults.is_empty() || loss_p > 0.0;
         while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
             let flight = fl.parked.get_mut(slot);
+            if flight.unjudged == 0 {
+                // The last packet of a train, or one held back at its first
+                // arrival (judged then): its NIC is booked up to it now.
+                let dst = flight.dst.node.0 as usize;
+                fl.book_nic(nodes, dst, (at, ARRIVING + order));
+                fl.close(slot, now);
+                continue;
+            }
             if !flight.bulk && idx + 1 < flight.packets.len() as u32 {
                 // A plain message's next packet left the NIC right behind
                 // this one (`send_message`), so it is due next in send order.
                 let tx = &nodes[flight.src.node.0 as usize].tx;
                 let next = at + tx.service(flight.wire_size(idx + 1));
-                fl.arrivals.push(Reverse((next, order + 1, slot, idx + 1)));
-            }
-            if flight.unjudged == 0 {
-                // Held back at its first arrival: judged then, booked now.
-                fl.book_rx(nodes, slot, idx, now);
-                continue;
+                fl.queue((next, order + 1, slot, idx + 1));
             }
             // One verdict per packet, drawn the first time it gets here.
+            let flight = fl.parked.get_mut(slot);
             flight.unjudged -= 1;
             let (src, dst) = (flight.src.node, flight.dst.node);
             if flight.bulk {
@@ -1173,11 +1437,12 @@ impl NetInner {
                     extra_delay: None,
                 }
             };
+            let turn = (at, ARRIVING + order);
             match verdict {
                 Verdict::Deliver {
                     copies: 1,
                     extra_delay: None,
-                } => fl.book_rx(nodes, slot, idx, now),
+                } => fl.take(nodes, slot, idx, turn, now),
                 Verdict::DropLoss => {
                     self.dropped_loss.incr();
                     fl.lose(slot, idx, now);
@@ -1195,11 +1460,14 @@ impl NetInner {
                     let lone = fl.split_off(slot, idx, copies, now);
                     match extra_delay {
                         Some(held) => {
-                            // Held back: it gets here again later, judged.
+                            // Held back: a train of one, on its NIC from
+                            // now on, booked when it gets here again.
                             self.reordered.incr();
-                            fl.arrivals.push(Reverse((now + held, order, lone, 0)));
+                            let back = now + held;
+                            fl.admit(nodes, lone, 0, (back, ARRIVING + order));
+                            fl.queue((back, order, lone, 0));
                         }
-                        None => fl.book_rx(nodes, lone, 0, now),
+                        None => fl.take(nodes, lone, 0, turn, now),
                     }
                 }
             }

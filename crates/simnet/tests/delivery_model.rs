@@ -577,7 +577,8 @@ fn segmentable(msgs: &[Msg]) -> Vec<Msg> {
 }
 
 /// Send `msgs` on a fresh fabric of `nodes` default NICs (`faults` applied
-/// first), each message as `how` says, and run it dry. With `tick`, a task
+/// first, inside the simulation, so it may spawn a task that sets one
+/// later), each message as `how` says, and run it dry. With `tick`, a task
 /// sleeps 1 ns at a time until the last message is sent and the fabric is
 /// empty: the run loop then has a timer at every nanosecond, and the
 /// fabric fires once per instant, never settling ahead of it.
@@ -609,7 +610,7 @@ fn run_messages(
             log.borrow_mut().push((at, id.0, tags, bytes.concat()));
         });
     }
-    faults(&net, &ids);
+    sim.scope(|| faults(&net, &ids));
     let sent = Rc::new(Cell::new(false));
     if tick {
         let (net2, sent) = (net.clone(), sent.clone());
@@ -878,5 +879,103 @@ proptest! {
         }
         settling_ahead_is_firing_at_each_instant(3, &msgs, faults, (&whole, &net))?;
         segmented_is_its_packet_list(3, &msgs, faults)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Trains.
+// ---------------------------------------------------------------------------
+
+/// A fault plane that judges every packet and drops, duplicates or holds
+/// back none: a zero loss probability on one link. Every packet is then a
+/// train of one.
+fn one_packet_trains(net: &Network, ids: &[NodeId]) {
+    net.set_link_loss(ids[1], ids[0], Some(0.0));
+}
+
+/// Random messages of 1–40 packets, plain or bulk, half of them converging
+/// on node 0 so that trains meet on one receive NIC.
+fn converging_messages() -> impl Strategy<Value = Vec<(u64, u32, u32, Vec<usize>, bool)>> {
+    let lens = proptest::collection::vec(len(), 1..41);
+    let dst = prop_oneof![Just(0u32), 0u32..4];
+    proptest::collection::vec((gap(), 0u32..4, dst, lens, any::<bool>()), 1..16)
+}
+
+/// Two plain messages from idle senders reach one receive NIC packet by
+/// packet in the same stretch: the receive NIC serves their packets
+/// interleaved, in `(arrival, send order)`, as the closed form does.
+#[test]
+fn two_trains_into_one_nic_are_served_packet_by_packet_in_arrival_order() {
+    let lens = vec![PKT; 8];
+    let msgs = vec![(0, 1, 0, lens.clone(), false), (0, 2, 0, lens, false)];
+    let (handed, net) = run_messages(3, &msgs, How::List, false, |_, _| {});
+    let sends: Vec<Send> = msgs
+        .iter()
+        .flat_map(|(at, src, dst, lens, _)| lens.iter().map(|&l| (*at, *src, *dst, l)))
+        .collect();
+    let done = rx_done(3, &sends);
+    let got: Vec<(u64, u16)> = handed.iter().map(|h| (h.0, h.2[0].0)).collect();
+    assert_eq!(got, vec![(done[7], 0), (done[15], 1)]);
+    // The second train's packets went between the first's: its last is
+    // one service behind the first's last, not eight.
+    assert_eq!(done[15] - done[7], nic_ns(PKT));
+    // Two packets arrive per service time and one leaves: the queue is as
+    // deep as with every packet sent alone.
+    let (_, alone) = run_messages(3, &msgs, How::Alone, false, |_, _| {});
+    assert_eq!(books(&net, 3), books(&alone, 3));
+    assert_eq!(net.node_rx_queue_peak(NodeId(0)), 9);
+}
+
+#[test]
+fn a_lone_plain_message_is_one_arrival_entry_not_one_per_packet() {
+    let msgs = vec![(0, 0, 1, vec![PKT; 64], false)];
+    let (handed, net) = run_messages(2, &msgs, How::List, false, |_, _| {});
+    assert_eq!(handed.len(), 1);
+    assert_eq!(net.arrival_entries(), 1, "a train is one entry");
+    let (faulted, judged) = run_messages(2, &msgs, How::List, false, one_packet_trains);
+    assert_eq!(faulted, handed);
+    assert_eq!(judged.arrival_entries(), 64, "judged packet by packet");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Trains against one-packet trains: the same traffic run fault-free
+    /// (every plain message a train) and under a fault plane that judges
+    /// every packet and changes none (every packet a train of one) must
+    /// hand over the same packets at the same instants, fabric-wide in the
+    /// same order, and leave every NIC's books the same. With `late`, a
+    /// real fault is set on one link at that instant in both runs, while
+    /// trains are on the wire: what is left of them is judged packet by
+    /// packet, drawing what the one-packet run draws.
+    #[test]
+    fn trains_are_booked_as_their_packets_one_by_one(
+        nodes in 3usize..=4,
+        raw in converging_messages(),
+        late in prop_oneof![Just(None), (0u64..60_000).prop_map(Some)],
+    ) {
+        let msgs = messages(nodes, raw);
+        let fault_at = move |net: &Network, ids: &[NodeId]| {
+            if let Some(at) = late {
+                let (net, a, b) = (net.clone(), ids[2], ids[0]);
+                simcore::spawn(async move {
+                    simcore::sleep_until(SimTime::from_nanos(at)).await;
+                    net.set_link_loss(a, b, Some(0.3));
+                    net.set_link_duplicate(a, b, 0.3);
+                });
+            }
+        };
+        let (trains, net) = run_messages(nodes, &msgs, How::List, false, fault_at);
+        let forced = |net: &Network, ids: &[NodeId]| {
+            one_packet_trains(net, ids);
+            fault_at(net, ids);
+        };
+        let (alone, judged) = run_messages(nodes, &msgs, How::List, false, forced);
+        prop_assert_eq!(&trains, &alone);
+        prop_assert_eq!(books(&net, nodes), books(&judged, nodes));
+        if late.is_none() {
+            let packets: u64 = msgs.iter().map(|m| m.3.len() as u64).sum();
+            prop_assert_eq!(judged.arrival_entries(), packets);
+        }
     }
 }
