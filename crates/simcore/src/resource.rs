@@ -95,6 +95,29 @@ impl RateResource {
         finish
     }
 
+    /// [`RateResource::book`] for `k` operations of `bytes` each, the first
+    /// requested at `at` and each next one a service time after it: a FIFO
+    /// fed at its own rate, where each waits as long as the first. Returns
+    /// the first one's start; the `j`-th is done `j + 1` services after it.
+    pub fn book_run(&self, at: SimTime, bytes: u64, k: u64) -> SimTime {
+        let inner = &*self.inner;
+        let service = self.service_ns(bytes);
+        let start = inner.next_free.get().max(at);
+        let busy = service.saturating_mul(k);
+        inner
+            .next_free
+            .set(SimTime::from_nanos(start.nanos().saturating_add(busy)));
+        let add = |c: &Cell<u64>, n: u64| c.set(c.get().saturating_add(n));
+        add(&inner.busy_ns, busy);
+        add(
+            &inner.wait_ns,
+            (start.nanos() - at.nanos()).saturating_mul(k),
+        );
+        add(&inner.ops, k);
+        add(&inner.bytes, bytes.saturating_mul(k));
+        start
+    }
+
     /// How long one operation of `bytes` holds the resource.
     #[inline]
     pub fn service(&self, bytes: u64) -> Duration {

@@ -17,11 +17,13 @@
 //! holding the sender's packets — one [`Segmented`] buffer, or a list (a
 //! datagram is a list of one) — and books the sender's NIC for each
 //! packet. The fabric is an event
-//! source of the executor ([`simcore::Source`]): at each packet's arrival
-//! instant it judges it and books the receiver's NIC, and when that NIC is
-//! done with the message's last packet it calls the receive function the
-//! port is bound to ([`Network::bind_fn`]) once, with the survivors — no
-//! task, no timer, no wake per packet (DESIGN.md §5).
+//! source of the executor ([`simcore::Source`]). On a fault-free fabric a
+//! plain message is a *train*, one event at its last packet's arrival,
+//! when the receiver's NIC is booked for every packet that reached it by
+//! then; under faults each packet is judged at its own arrival. When that
+//! NIC is done with the message's last packet the fabric calls the receive
+//! function the port is bound to ([`Network::bind_fn`]) once, with the
+//! survivors — no task, no timer, no wake per packet (DESIGN.md §5).
 //!
 //! Each transmit NIC serves two classes. A plain packet takes the NIC the
 //! moment it is sent. A *bulk* one takes it only while fewer than
@@ -418,7 +420,8 @@ struct InFlight {
     /// `BULK_AHEAD` places until it reaches the switch.
     bulk: bool,
     /// Sent as a train: a plain message on a fault-free fabric, every
-    /// packet of it admitted to the receive NIC at send.
+    /// packet of it judged at send. One of many packets goes on its
+    /// receive NIC at send; one of one when it arrives.
     train: bool,
     /// Packets that have not reached the switch (been judged) yet.
     unjudged: u32,
@@ -517,8 +520,9 @@ fn pop_due<K: Due>(queue: &mut BinaryHeap<Reverse<K>>, now: SimTime) -> Option<K
 /// reaching the NIC at `at` in `turn`. They left the sender's NIC back to
 /// back, so each next one arrives one transmit service later, in the next
 /// turn. A packet judged alone (under faults, in the bulk class, held
-/// back, or a duplicate's copy) is a train of one.
-#[derive(Clone, Copy)]
+/// back, or a duplicate's copy) is a train of one. Ordered by its next
+/// packet's `(at, turn)`, which no other train shares.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Train {
     at: SimTime,
     turn: u64,
@@ -583,41 +587,49 @@ impl Flights {
     /// and where another's next packet comes first, that one in between.
     fn book_nic(&mut self, nodes: &mut [NodeState], dst: usize, upto: Turn) {
         loop {
-            // The train whose next packet comes first, and the next packet
-            // of any other: it runs until then.
-            let (mut first, mut other) = (None, (SimTime::MAX, u64::MAX));
-            for (k, t) in nodes[dst].rx.trains.iter().enumerate() {
-                let key = (t.at, t.turn);
-                match first {
-                    Some((_, head)) if key > head => other = other.min(key),
-                    _ => {
-                        other = first.map_or(other, |(_, head)| other.min(head));
-                        first = Some((k, key));
-                    }
-                }
+            // The train whose next packet comes first runs until the next
+            // packet of any other.
+            let nic = &mut nodes[dst].rx;
+            match nic.trains.peek() {
+                Some(Reverse(head)) if (head.at, head.turn) <= upto => {}
+                _ => return,
             }
-            let Some((k, _)) = first.filter(|&(_, head)| head <= upto) else {
-                return;
-            };
-            let slot = nodes[dst].rx.trains[k].slot;
-            let flight = self.parked.get_mut(slot);
+            let Reverse(mut train) = nic.trains.pop().expect("peeked");
+            let other = nic
+                .trains
+                .peek()
+                .map_or((SimTime::MAX, u64::MAX), |Reverse(t)| (t.at, t.turn));
+            let flight = self.parked.get_mut(train.slot);
             let (tx, nic) = tx_and_rx(nodes, flight.src.node.0 as usize, dst);
-            let mut train = nic.trains[k];
             let mut size = flight.wire_size(train.idx);
             let mut last;
             loop {
-                let done = nic.book(train.at, size);
-                last = (done, (train.at, train.turn));
-                train.idx += 1;
+                // The full packets of a segmented message arrive one tx
+                // service apart; where the NIC serves them as fast, the
+                // run of them up to the bound is booked at once.
+                let step = nic.res.service(size);
+                let full = match &flight.packets {
+                    Packets::Segmented(_) if tx.service(size) == step => train.end - 1 - train.idx,
+                    _ => 0,
+                };
+                let bound = upto.min(other);
+                let run = if full < 2 {
+                    1
+                } else {
+                    run_len((train.at, train.turn), step, bound).min(full as u64)
+                };
+                let done = nic.book_run(train.at, size, run, step);
+                let at = train.at + step * (run - 1) as u32;
+                last = (done, (at, train.turn + run - 1));
+                train.idx += run as u32;
                 if train.idx == train.end {
-                    nic.trains.swap_remove(k);
                     break;
                 }
                 size = flight.wire_size(train.idx);
-                train.at += tx.service(size);
-                train.turn += 1;
-                if (train.at, train.turn) > upto.min(other) {
-                    nic.trains[k] = train;
+                train.at = at + tx.service(size);
+                train.turn += run;
+                if (train.at, train.turn) > bound {
+                    nic.trains.push(Reverse(train));
                     break;
                 }
             }
@@ -627,31 +639,34 @@ impl Flights {
 
     /// Admit packet `idx` of the message in `slot`, arriving at `at` in
     /// `turn`, as a train of one, book its NIC up to it and close the slot.
-    fn take(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, (at, turn): Turn, now: SimTime) {
+    fn take(
+        &mut self,
+        nodes: &mut [NodeState],
+        slot: u32,
+        idx: u32,
+        (at, turn): Turn,
+        now: SimTime,
+    ) {
         let flight = self.parked.get_mut(slot);
         let nic = &mut nodes[flight.dst.node.0 as usize].rx;
         if nic.trains.is_empty() {
             // Alone on its NIC: nothing can come before it.
-            let done = nic.book(at, flight.wire_size(idx));
+            let size = flight.wire_size(idx);
+            let done = nic.book_run(at, size, 1, nic.res.service(size));
             flight.last_rx = Some((done, (at, turn)));
         } else {
-            let dst = self.admit(nodes, slot, idx, (at, turn));
+            let end = idx + 1;
+            nic.trains.push(Reverse(Train {
+                at,
+                turn,
+                slot,
+                idx,
+                end,
+            }));
+            let dst = flight.dst.node.0 as usize;
             self.book_nic(nodes, dst, (at, turn));
         }
         self.close(slot, now);
-    }
-
-    /// Put packet `idx` of `slot` on its receive NIC as a train of one.
-    fn admit(&mut self, nodes: &mut [NodeState], slot: u32, idx: u32, (at, turn): Turn) -> usize {
-        let dst = self.parked.get_mut(slot).dst.node.0 as usize;
-        nodes[dst].rx.trains.push(Train {
-            at,
-            turn,
-            slot,
-            idx,
-            end: idx + 1,
-        });
-        dst
     }
 
     /// Packet `idx` of the message in `slot` was dropped.
@@ -676,6 +691,7 @@ impl Flights {
         let lone = InFlight {
             packets: Packets::List(Rc::new([flight.packets.packet(idx as usize)])),
             hop: None,
+            train: false,
             unjudged: 0,
             gone: Vec::new(),
             copies,
@@ -715,13 +731,20 @@ impl Flights {
         for dst in 0..nodes.len() {
             self.book_nic(nodes, dst, (at, u64::MAX));
             let parked = &mut self.parked;
-            nodes[dst].rx.trains.retain(|t| {
+            nodes[dst].rx.trains.retain(|Reverse(t)| {
                 let train = parked.get_mut(t.slot).train;
                 if train {
                     left.push(*t);
                 }
                 !train
             });
+        }
+        // A train of one is on no NIC before it arrives: only judged.
+        for flight in self.parked.slots.iter_mut().flatten() {
+            if flight.train && flight.packets.len() == 1 {
+                flight.train = false;
+                flight.unjudged = 1;
+            }
         }
         if left.is_empty() {
             return;
@@ -736,6 +759,23 @@ impl Flights {
             self.queue((t.at, t.turn - ARRIVING, t.slot, t.idx));
         }
     }
+}
+
+/// How many packets of a run, the first keyed `first` and each next one
+/// `step` later in the next turn, come no later than `bound`.
+fn run_len((at, turn): Turn, step: Duration, (until, last): Turn) -> u64 {
+    if until == SimTime::MAX {
+        return u64::MAX;
+    }
+    let step = step.as_nanos() as u64;
+    if step == 0 {
+        return 1;
+    }
+    // Those arriving before `until`, and the one arriving at it if its
+    // turn is not past `last`.
+    let before = (until.nanos() - at.nanos()).div_ceil(step).max(1);
+    let tie = at.nanos() + before * step == until.nanos() && turn + before <= last;
+    before + tie as u64
 }
 
 /// The sender's transmit NIC and the receiver's receive side.
@@ -760,19 +800,42 @@ struct RxNic {
     due: VecDeque<SimTime>,
     /// Largest receive queue since the last `reset_stats`.
     peak: u64,
-    /// Trains admitted and not yet booked through.
-    trains: Vec<Train>,
+    /// Trains admitted and not yet booked through, by their next packet.
+    trains: BinaryHeap<Reverse<Train>>,
 }
 
 impl RxNic {
-    /// Book the NIC for a packet of `size` wire bytes that reaches it at
-    /// `at`. Returns when the NIC is done with it.
-    fn book(&mut self, at: SimTime, size: u64) -> SimTime {
-        let done = self.res.book(at, size);
-        self.queue(at);
-        self.due.push_back(done);
-        self.peak = self.peak.max(self.due.len() as u64);
-        done
+    /// Book the NIC for `run` packets of `size` wire bytes, the first
+    /// reaching it at `at` and each next one `step`, its service, later.
+    /// Returns when the NIC is done with the last.
+    fn book_run(&mut self, at: SimTime, size: u64, run: u64, step: Duration) -> SimTime {
+        let start = self.res.book_run(at, size, run);
+        let step = step.as_nanos() as u64;
+        let done = |j: u64| SimTime::from_nanos(start.nanos() + (j + 1) * step);
+        // Each packet waits as long as the first. Once the queue is down to
+        // the run's own packets and one leaves per arrival, its depth holds
+        // until the run ends: the last `due.len()` of them are its queue.
+        let mut ahead = self.due.len();
+        for j in 0..run {
+            let now = SimTime::from_nanos(at.nanos() + j * step);
+            let mut left = 0;
+            while self.due.front().is_some_and(|&d| d <= now) {
+                self.due.pop_front();
+                match ahead {
+                    0 => left += 1,
+                    _ => ahead -= 1,
+                }
+            }
+            self.due.push_back(done(j));
+            self.peak = self.peak.max(self.due.len() as u64);
+            if left > 0 && j + 1 < run {
+                let depth = self.due.len() as u64;
+                self.due.clear();
+                self.due.extend((run - depth..run).map(done));
+                break;
+            }
+        }
+        done(run - 1)
     }
 
     /// Packets waiting for or inside the NIC at `now`.
@@ -889,7 +952,7 @@ impl Network {
                 ),
                 due: VecDeque::new(),
                 peak: 0,
-                trains: Vec::new(),
+                trains: BinaryHeap::new(),
             },
             name,
             ports: FastMap::default(),
@@ -1252,15 +1315,17 @@ impl Network {
                 fl.queue((first, order, slot, 0));
                 return;
             }
-            // A train: on its receive NIC from now on, and queued once, at
-            // its last packet (DESIGN.md §5).
-            nodes[dst.node.0 as usize].rx.trains.push(Train {
-                at: first,
-                turn: ARRIVING + order,
-                slot,
-                idx: 0,
-                end: n,
-            });
+            // A train: queued once, at its last packet, and if it has
+            // more, on its receive NIC from now on (DESIGN.md §5).
+            if n > 1 {
+                nodes[dst.node.0 as usize].rx.trains.push(Reverse(Train {
+                    at: first,
+                    turn: ARRIVING + order,
+                    slot,
+                    idx: 0,
+                    end: n,
+                }));
+            }
             fl.queue((last, order + n as u64 - 1, slot, n - 1));
             return;
         }
@@ -1407,12 +1472,17 @@ impl NetInner {
         let faulty = !faults.is_empty() || loss_p > 0.0;
         while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
             let flight = fl.parked.get_mut(slot);
+            let turn = (at, ARRIVING + order);
             if flight.unjudged == 0 {
                 // The last packet of a train, or one held back at its first
                 // arrival (judged then): its NIC is booked up to it now.
-                let dst = flight.dst.node.0 as usize;
-                fl.book_nic(nodes, dst, (at, ARRIVING + order));
-                fl.close(slot, now);
+                if flight.train && flight.packets.len() > 1 {
+                    let dst = flight.dst.node.0 as usize;
+                    fl.book_nic(nodes, dst, turn);
+                    fl.close(slot, now);
+                } else {
+                    fl.take(nodes, slot, idx, turn, now);
+                }
                 continue;
             }
             if !flight.bulk && idx + 1 < flight.packets.len() as u32 {
@@ -1437,7 +1507,6 @@ impl NetInner {
                     extra_delay: None,
                 }
             };
-            let turn = (at, ARRIVING + order);
             match verdict {
                 Verdict::Deliver {
                     copies: 1,
@@ -1460,12 +1529,9 @@ impl NetInner {
                     let lone = fl.split_off(slot, idx, copies, now);
                     match extra_delay {
                         Some(held) => {
-                            // Held back: a train of one, on its NIC from
-                            // now on, booked when it gets here again.
+                            // Held back: it gets here again later, judged.
                             self.reordered.incr();
-                            let back = now + held;
-                            fl.admit(nodes, lone, 0, (back, ARRIVING + order));
-                            fl.queue((back, order, lone, 0));
+                            fl.queue((now + held, order, lone, 0));
                         }
                         None => fl.take(nodes, lone, 0, turn, now),
                     }

@@ -973,6 +973,12 @@ proptest! {
         let (alone, judged) = run_messages(nodes, &msgs, How::List, false, forced);
         prop_assert_eq!(&trains, &alone);
         prop_assert_eq!(books(&net, nodes), books(&judged, nodes));
+        // Segmented, a train's full packets are booked a run at a time.
+        let msgs = segmentable(&msgs);
+        let (runs, net) = run_messages(nodes, &msgs, How::Segmented, false, fault_at);
+        let (alone, judged) = run_messages(nodes, &msgs, How::List, false, forced);
+        prop_assert_eq!(&runs, &alone);
+        prop_assert_eq!(books(&net, nodes), books(&judged, nodes));
         if late.is_none() {
             let packets: u64 = msgs.iter().map(|m| m.3.len() as u64).sum();
             prop_assert_eq!(judged.arrival_entries(), packets);
