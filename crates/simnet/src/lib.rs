@@ -490,26 +490,13 @@ type QueueKey = (SimTime, u64, u32, u32);
 /// handed over.
 type DeliveryKey = (SimTime, Turn, u32);
 
-/// What a queue entry is due at.
-trait Due: Ord {
-    fn due(&self) -> SimTime;
-}
-
-impl Due for QueueKey {
-    fn due(&self) -> SimTime {
-        self.0
-    }
-}
-
-impl Due for DeliveryKey {
-    fn due(&self) -> SimTime {
-        self.0
-    }
-}
-
-/// Pop the head of `queue` if it is due.
-fn pop_due<K: Due>(queue: &mut BinaryHeap<Reverse<K>>, now: SimTime) -> Option<K> {
-    if queue.peek()?.0.due() > now {
+/// Pop the head of `queue` if it is `due` by `now`.
+fn pop_due<K: Ord>(
+    queue: &mut BinaryHeap<Reverse<K>>,
+    now: SimTime,
+    due: impl Fn(&K) -> SimTime,
+) -> Option<K> {
+    if due(&queue.peek()?.0) > now {
         return None;
     }
     queue.pop().map(|Reverse(key)| key)
@@ -583,12 +570,11 @@ impl Flights {
     }
 
     /// Book `dst`'s receive NIC for every packet of its trains up to
-    /// `upto`, in `(arrival, turn)` order: a train alone in closed form,
-    /// and where another's next packet comes first, that one in between.
+    /// `upto`, in `(arrival, turn)` order: the train whose next packet
+    /// comes first books a run of its packets, up to where another's next
+    /// packet comes, and so on.
     fn book_nic(&mut self, nodes: &mut [NodeState], dst: usize, upto: Turn) {
         loop {
-            // The train whose next packet comes first runs until the next
-            // packet of any other.
             let nic = &mut nodes[dst].rx;
             match nic.trains.peek() {
                 Some(Reverse(head)) if (head.at, head.turn) <= upto => {}
@@ -741,7 +727,7 @@ impl Flights {
         }
         // A train of one is on no NIC before it arrives: only judged.
         for flight in self.parked.slots.iter_mut().flatten() {
-            if flight.train && flight.packets.len() == 1 {
+            if flight.train && flight.packets.len() == 1 && flight.last_rx.is_none() {
                 flight.train = false;
                 flight.unjudged = 1;
             }
@@ -1019,40 +1005,32 @@ impl Network {
     /// tests). Per-link overrides ([`Network::set_link_loss`]) take
     /// precedence on their links.
     pub fn set_loss_probability(&self, p: f64) {
-        self.inner.fabric.borrow_mut().loss_probability = p;
-        self.judge_from_now();
+        self.set_fault(|net| net.fabric.borrow_mut().loss_probability = p);
     }
 
     /// Set (or with `None`, clear) a fixed i.i.d. loss probability on the
     /// directed link `src -> dst`, overriding the fabric-wide default.
     pub fn set_link_loss(&self, src: NodeId, dst: NodeId, p: Option<f64>) {
-        self.inner.faults.borrow_mut().set_loss(src, dst, p);
-        self.judge_from_now();
+        self.set_fault(|net| net.faults.borrow_mut().set_loss(src, dst, p));
     }
 
     /// Install (or with `None`, clear) a Gilbert–Elliott bursty-loss model
     /// on the directed link `src -> dst`. The chain starts in the good
     /// state and advances once per packet.
     pub fn set_link_gilbert(&self, src: NodeId, dst: NodeId, cfg: Option<GilbertElliott>) {
-        self.inner.faults.borrow_mut().set_gilbert(src, dst, cfg);
-        self.judge_from_now();
+        self.set_fault(|net| net.faults.borrow_mut().set_gilbert(src, dst, cfg));
     }
 
     /// Duplicate packets on `src -> dst` with probability `p` (0 clears).
     pub fn set_link_duplicate(&self, src: NodeId, dst: NodeId, p: f64) {
-        self.inner.faults.borrow_mut().set_duplicate(src, dst, p);
-        self.judge_from_now();
+        self.set_fault(|net| net.faults.borrow_mut().set_duplicate(src, dst, p));
     }
 
     /// With probability `p`, hold a packet on `src -> dst` for an extra
     /// uniform delay in `(0, max_delay]` so it is reordered relative to
     /// its neighbors (`p = 0` clears).
     pub fn set_link_reorder(&self, src: NodeId, dst: NodeId, p: f64, max_delay: Duration) {
-        self.inner
-            .faults
-            .borrow_mut()
-            .set_reorder(src, dst, p, max_delay);
-        self.judge_from_now();
+        self.set_fault(|net| net.faults.borrow_mut().set_reorder(src, dst, p, max_delay));
     }
 
     /// Remove every fault (loss model, duplication, reordering, partition)
@@ -1073,18 +1051,20 @@ impl Network {
     /// called from within a simulation context.
     pub fn partition_for(&self, a: NodeId, b: NodeId, window: Duration) {
         let until = simcore::now() + window;
-        let mut f = self.inner.faults.borrow_mut();
-        f.partition_until(a, b, until);
-        f.partition_until(b, a, until);
-        drop(f);
-        self.judge_from_now();
+        self.set_fault(|net| {
+            let mut f = net.faults.borrow_mut();
+            f.partition_until(a, b, until);
+            f.partition_until(b, a, until);
+        });
     }
 
-    /// Once a fault is configured, judge every packet that reaches the
-    /// switch from now on: the trains still on the wire go back to one
-    /// arrival at a time.
-    fn judge_from_now(&self) {
-        if !self.inner.faulty() {
+    /// Configure a fault. Once a fault-free fabric has one, every packet
+    /// that reaches the switch is judged: the trains still on the wire go
+    /// back to one arrival at a time.
+    fn set_fault(&self, set: impl FnOnce(&NetInner)) {
+        let was = self.inner.faulty();
+        set(&self.inner);
+        if was || !self.inner.faulty() {
             return;
         }
         let mut nodes = self.inner.nodes.borrow_mut();
@@ -1353,8 +1333,8 @@ impl Network {
 impl simcore::Source for NetInner {
     fn next_at(&self) -> Option<SimTime> {
         let fl = self.flights.borrow();
-        let arrival = fl.arrivals.peek().map(|Reverse(key)| key.due());
-        let delivery = fl.deliveries.peek().map(|Reverse(key)| key.due());
+        let arrival = fl.arrivals.peek().map(|Reverse(key)| key.0);
+        let delivery = fl.deliveries.peek().map(|Reverse(key)| key.0);
         arrival.into_iter().chain(delivery).min()
     }
 
@@ -1401,7 +1381,7 @@ impl NetInner {
         // Duplicates that take their NIC again behind this instant's
         // arrivals (see below).
         let mut owed = Vec::new();
-        while let Some((.., slot)) = pop_due(&mut fl.deliveries, now) {
+        while let Some((.., slot)) = pop_due(&mut fl.deliveries, now, |key| key.0) {
             let flight = fl.parked.get_mut(slot);
             flight.copies -= 1;
             let (src, dst) = (flight.src, flight.dst);
@@ -1448,7 +1428,7 @@ impl NetInner {
             return;
         }
         while let Some(&Reverse((at, ..))) = fl.arrivals.peek() {
-            let hand_over = fl.deliveries.peek().map(|Reverse(key)| key.due());
+            let hand_over = fl.deliveries.peek().map(|Reverse(key)| key.0);
             let stop = hand_over.map_or(until, |due| due.min(until));
             if at >= stop {
                 // Nothing can arrive before `stop` any more.
@@ -1470,7 +1450,7 @@ impl NetInner {
         };
         let mut faults = self.faults.borrow_mut();
         let faulty = !faults.is_empty() || loss_p > 0.0;
-        while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now) {
+        while let Some((at, order, slot, idx)) = pop_due(&mut fl.arrivals, now, |key| key.0) {
             let flight = fl.parked.get_mut(slot);
             let turn = (at, ARRIVING + order);
             if flight.unjudged == 0 {

@@ -943,8 +943,9 @@ proptest! {
     /// Trains against one-packet trains: the same traffic run fault-free
     /// (every plain message a train) and under a fault plane that judges
     /// every packet and changes none (every packet a train of one) must
-    /// hand over the same packets at the same instants, fabric-wide in the
-    /// same order, and leave every NIC's books the same. With `late`, a
+    /// hand over the same packets (each tagged with its message, so its
+    /// sender) and bytes at the same instants, fabric-wide in the same
+    /// order, and leave every NIC's books the same. With `late`, a
     /// real fault is set on one link at that instant in both runs, while
     /// trains are on the wire: what is left of them is judged packet by
     /// packet, drawing what the one-packet run draws.
